@@ -1,7 +1,7 @@
 PYTHON ?= python
 CHAOS_SEED ?= 0
 
-.PHONY: install test lint effects bench tables chaos check ha perf fleet speed demo examples clean
+.PHONY: install test lint effects bench tables chaos check ha perf fleet speed perfbench perfbench-smoke demo examples clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -57,6 +57,22 @@ perf:
 speed:
 	$(PYTHON) -m pytest -q tests/test_speed.py tests/test_determinism.py
 	$(PYTHON) scripts/check_e16_regression.py
+
+# perfbench (perfbench/README.md): the command in BENCHMARK.json, once
+# per listed workload -- end-to-end metrics only; add `--trace 1` by
+# hand for the per-layer ledger.
+PERFBENCH_WORKLOADS ?= fleet_drain warm_read mail_slowlink ha_failover
+
+perfbench:
+	@for w in $(PERFBENCH_WORKLOADS); do \
+		echo "== $$w"; \
+		$(PYTHON) perfbench/run.py --workload $$w --seed 7 --seconds 20 --trace 0 || exit 1; \
+	done
+
+# The benchmark's own tests and self-check (~20 s); measures nothing.
+perfbench-smoke:
+	$(PYTHON) -m pytest perfbench/tests -q
+	$(PYTHON) -m perfbench --selfcheck
 
 # Fleet telemetry: unit/integration suite plus the E15 overhead +
 # exactness gate at CI scale (docs/OBSERVABILITY.md).

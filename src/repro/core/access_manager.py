@@ -146,6 +146,9 @@ class AccessManager:
         self.interpreter = SafeInterpreter(step_budget=step_budget)
         self.sessions = SessionRegistry(self.host.name)
         self._request_counter = 0
+        #: What every request id of this incarnation starts with; the
+        #: ack watermark names it on each wire body.
+        self._id_prefix = make_request_id(self.host.name, 0, incarnation).rpartition("/")[0]
         self._promises: dict[str, Promise] = {}
         self._conflict_handlers: list[Callable[[ConflictReport], None]] = []
         self.flush_seconds_total = 0.0
@@ -897,7 +900,8 @@ class AccessManager:
             or "data" not in body
         ):
             return
-        delta = diff_value(unmarshal(entry.base_raw), body["data"])
+        # Encoded once: sized from its bytes here, spliced into the body.
+        delta = Premarshalled(diff_value(unmarshal(entry.base_raw), body["data"]))
         # Charge the delta a small margin so break-even cases keep the
         # simpler full ship.
         if worth_shipping(delta, body["data"], margin=8):
@@ -911,9 +915,7 @@ class AccessManager:
         at-most-once applied-reply cache exactly (the LRU cap is only
         the backstop for clients that never speak again).
         """
-        prefix = make_request_id(
-            self.host.name, 0, self.incarnation
-        ).rpartition("/")[0]
+        prefix = self._id_prefix
         floor = self._request_counter
         for pending in self.log.pending():
             head, sep, tail = pending.request_id.rpartition("/")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 _URN_RE = re.compile(r"^urn:rover:(?P<authority>[A-Za-z0-9._-]+)/(?P<path>\S+)$")
 _URL_RE = re.compile(r"^http://(?P<authority>[A-Za-z0-9._-]+)(?P<path>/\S*)$")
@@ -32,8 +33,13 @@ class URN:
         return f"urn:rover:{self.authority}/{self.path}"
 
     @staticmethod
+    @lru_cache(maxsize=4096)
     def parse(text: str) -> "URN":
-        """Parse a ``urn:rover:`` name or an ``http://`` URL."""
+        """Parse a ``urn:rover:`` name or an ``http://`` URL.
+
+        Memoized (bounded): one QRPC parses its URN at queue time, at
+        submit, at reply and again on the server, and a URN is immutable.
+        """
         match = _URN_RE.match(text)
         if match:
             return URN(match.group("authority"), match.group("path"))

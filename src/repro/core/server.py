@@ -21,6 +21,7 @@ reply on redelivery, so QRPC retransmissions are safe.
 from __future__ import annotations
 
 import zlib
+from bisect import bisect_left, insort
 from collections import OrderedDict
 from typing import Any, Iterable, Optional
 
@@ -49,6 +50,85 @@ def _ship_code_errors(code: str) -> list:
     return errors_only(
         check_code(code, path="<shipped-rdo>", extra_names=SHIP_ENV_NAMES)
     )
+
+
+def _split_request_id(request_id: Any) -> Optional[tuple[str, int]]:
+    """``(client id-prefix, counter)`` of a ``<prefix>/<counter>`` id."""
+    if not isinstance(request_id, str):
+        return None
+    prefix, sep, tail = request_id.rpartition("/")
+    if not sep:
+        return None
+    try:
+        return prefix, int(tail)
+    except ValueError:
+        return None
+
+
+class _AppliedReplies:
+    """At-most-once replies by request id, least recently used first.
+
+    Also indexed per client: ``_by_client[prefix]`` is the sorted list
+    of ``(counter, request_id)`` for that client's cached ids, so
+    pruning below an acknowledged watermark costs O(pruned), not a scan
+    of the whole cache per request.
+    """
+
+    def __init__(self) -> None:
+        #: request id -> (reply, its ``_split_request_id``)
+        self._replies: OrderedDict[str, tuple[dict, Optional[tuple[str, int]]]] = OrderedDict()
+        self._by_client: dict[str, list[tuple[int, str]]] = {}
+
+    def __len__(self) -> int:
+        return len(self._replies)
+
+    def __contains__(self, request_id: str) -> bool:
+        return request_id in self._replies
+
+    def get(self, request_id: str) -> Optional[dict]:
+        """The cached reply, which becomes the most recently used."""
+        cached = self._replies.get(request_id)
+        if cached is None:
+            return None
+        self._replies.move_to_end(request_id)
+        return cached[0]
+
+    def __setitem__(self, request_id: str, reply: dict) -> None:
+        """Cache ``reply`` as the most recently used entry."""
+        cached = self._replies.get(request_id)
+        if cached is None:
+            split = _split_request_id(request_id)
+            if split is not None:
+                insort(self._by_client.setdefault(split[0], []), (split[1], request_id))
+        else:
+            split = cached[1]
+            self._replies.move_to_end(request_id)
+        self._replies[request_id] = (reply, split)
+
+    def evict_oldest(self) -> None:
+        request_id, (__, split) = self._replies.popitem(last=False)
+        if split is not None:
+            entries = self._by_client[split[0]]
+            del entries[bisect_left(entries, (split[1], request_id))]
+            if not entries:
+                del self._by_client[split[0]]
+
+    def prune_below(self, prefix: str, watermark: int) -> int:
+        """Drop ``prefix``'s ids with a counter below ``watermark``."""
+        entries = self._by_client.get(prefix)
+        if not entries:
+            return 0
+        stale = bisect_left(entries, (watermark,))
+        for __, request_id in entries[:stale]:
+            del self._replies[request_id]
+        del entries[:stale]
+        if not entries:
+            del self._by_client[prefix]
+        return stale
+
+    def clear(self) -> None:
+        self._replies.clear()
+        self._by_client.clear()
 
 
 class RoverServer:
@@ -117,7 +197,7 @@ class RoverServer:
         #: watermark on QRPC envelopes (entries below it are settled and
         #: pruned exactly), and ``applied_cache_cap`` is the backstop
         #: for clients that never report one.
-        self._applied: OrderedDict[str, dict] = OrderedDict()
+        self._applied = _AppliedReplies()
         self.applied_cache_cap = applied_cache_cap
         self.applied_pruned = 0
         #: Highest watermark seen per client id-prefix.
@@ -339,11 +419,15 @@ class RoverServer:
         rdo.version = self.store.version(urn) or rdo.version
         return rdo
 
-    def _remember(self, urn: str, version: int, data: Any) -> None:
+    def _remember(
+        self, urn: str, version: int, data: Any, raw: Optional[bytes] = None
+    ) -> None:
+        """Keep a private copy of ``data`` (``raw``: its encoding, when
+        the caller already made one) in the version history."""
         from repro.net.message import marshal, unmarshal
 
         history = self._history.setdefault(urn, [])
-        history.append((version, unmarshal(marshal(data))))
+        history.append((version, unmarshal(raw if raw is not None else marshal(data))))
         if len(history) > self.history_limit:
             del history[: len(history) - self.history_limit]
 
@@ -378,7 +462,6 @@ class RoverServer:
             return None
         reply = self._applied.get(request_id)
         if reply is not None:
-            self._applied.move_to_end(request_id)
             self.duplicates_suppressed += 1
             return reply
         # Watermark floor: a counter below the sender's own acknowledged
@@ -388,14 +471,8 @@ class RoverServer:
         # the duplicate would be APPLIED AGAIN.  The eviction the
         # watermark licenses is only sound if the watermark itself keeps
         # deduplicating the evicted ids.
-        prefix, sep, tail = request_id.rpartition("/")
-        if not sep:
-            return None
-        try:
-            counter = int(tail)
-        except ValueError:
-            return None
-        if counter < self._client_watermarks.get(prefix, -1):
+        split = _split_request_id(request_id)
+        if split is not None and split[1] < self._client_watermarks.get(split[0], -1):
             self.duplicates_suppressed += 1
             return {"status": "duplicate", "request_id": request_id}
         return None
@@ -403,9 +480,8 @@ class RoverServer:
     def _record_reply(self, request_id: Optional[str], reply: dict) -> dict:
         if request_id is not None:
             self._applied[request_id] = reply
-            self._applied.move_to_end(request_id)
             while len(self._applied) > self.applied_cache_cap:
-                self._applied.popitem(last=False)
+                self._applied.evict_oldest()
                 self.applied_pruned += 1
         return reply
 
@@ -426,20 +502,7 @@ class RoverServer:
         if self._client_watermarks.get(prefix, -1) >= watermark:
             return
         self._client_watermarks[prefix] = watermark
-        stale = []
-        for request_id in self._applied:
-            head, sep, tail = request_id.rpartition("/")
-            if not sep or head != prefix:
-                continue
-            try:
-                counter = int(tail)
-            except ValueError:
-                continue
-            if counter < watermark:
-                stale.append(request_id)
-        for request_id in stale:
-            del self._applied[request_id]
-        self.applied_pruned += len(stale)
+        self.applied_pruned += self._applied.prune_below(prefix, watermark)
 
     def _authorized(self, body: Any) -> bool:
         if self.auth_tokens is None:
@@ -470,18 +533,22 @@ class RoverServer:
         # structural delta against it when that is actually smaller.
         # The delta covers only the data (code/interface are immutable
         # per URN), so the reply omits the rdo wire entirely.
-        from repro.net.message import marshalled_size
+        from repro.net.message import Premarshalled, marshalled_size
         from repro.perf.delta import diff_value
 
         base = self._base_data(urn, int(have))
         if base is None:
             return full
-        slim = {
-            "status": "ok-delta",
-            "delta": diff_value(base, wire["data"]),
-            "base_version": int(have),
-            "version": wire["version"],
-        }
+        # Encoded once: sized from its bytes here, spliced into the
+        # reply envelope if it is the one that ships.
+        slim = Premarshalled(
+            {
+                "status": "ok-delta",
+                "delta": diff_value(base, wire["data"]),
+                "base_version": int(have),
+                "version": wire["version"],
+            }
+        )
         saved = marshalled_size(full) - marshalled_size(slim)
         if saved <= 0:
             return full
@@ -511,13 +578,14 @@ class RoverServer:
             return self._record_reply(request_id, replayed)
         base_version = int(body.get("base_version", 0))
         client_data = body.get("data")
+        client_raw = None
         if "delta" in body and "data" not in body:
             # Delta export: reconstruct the client's full data from the
             # base version both sides hold.  A history miss or a delta
             # that does not fit the base gets "need-full" — deliberately
             # NOT recorded in the at-most-once cache, so the client's
             # full-data resend under the same request id still applies.
-            from repro.net.message import marshalled_size
+            from repro.net.message import marshal, marshalled_size
             from repro.perf.delta import DeltaError, apply_delta
 
             base = self._base_data(urn, base_version)
@@ -527,7 +595,10 @@ class RoverServer:
                 client_data = apply_delta(base, body["delta"])
             except DeltaError:
                 return {"status": "need-full", "urn": urn}
-            saved = marshalled_size(client_data) - marshalled_size(body["delta"])
+            # Encoded once: measured here, and decoded into the version
+            # history's private copy if the export commits.
+            client_raw = marshal(client_data)
+            saved = len(client_raw) - marshalled_size(body["delta"])
             if saved > 0:
                 self._m_delta_up.inc(saved)
         wire = self.store.get_value(urn)
@@ -546,7 +617,7 @@ class RoverServer:
             new_wire["data"] = client_data
             new_version = self.store.put(urn, new_wire)
             self.store.get_value(urn)["version"] = new_version
-            self._remember(urn, new_version, client_data)
+            self._remember(urn, new_version, client_data, raw=client_raw)
             self.exports_committed += 1
             self._notify_subscribers(urn, new_version, except_host=source[0])
             reply = {"status": "committed", "version": new_version}

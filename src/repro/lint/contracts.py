@@ -180,6 +180,13 @@ DECLARED_ENTRY_POINTS: dict[str, str] = {
     # building bytes; it must honor the same iteration-order contract
     # or its byte counts drift from the real encoding.
     "repro/net/message.py:marshalled_size": "marshal",
+    # The flat walkers behind those three, named directly:
+    # Premarshalled.__init__ enters _encode without going through
+    # marshal().
+    "repro/net/message.py:_encode": "marshal",
+    "repro/net/message.py:_decode": "marshal",
+    "repro/net/message.py:_size": "marshal",
+    "repro/net/message.py:Premarshalled.__init__": "marshal",
 }
 
 #: Functions whose *declared* effect is accepted as their whole story:

@@ -26,6 +26,12 @@ vocabulary (:data:`_PROTOCOL_KEYS`) so the thousands of envelopes in a
 drain share one ``"status"`` string and dict lookups compare by
 pointer.  :func:`marshalled_size` computes sizes arithmetically without
 building the encoding.
+
+All three tree walkers (encode, decode, size) are flat: each call takes
+a run of sibling values and handles leaves and one-byte varints inline,
+so a Python call is spent per non-empty container rather than per value
+(``tests/test_speed.py`` holds the per-value originals as references and
+a call-budget test).
 """
 
 from __future__ import annotations
@@ -33,7 +39,8 @@ from __future__ import annotations
 import struct
 import sys
 import zlib
-from typing import Any
+from itertools import chain
+from typing import Any, Iterable
 
 _TAG_NONE = b"N"
 _TAG_TRUE = b"T"
@@ -59,7 +66,10 @@ _T_BYTES = _TAG_BYTES[0]
 _T_LIST = _TAG_LIST[0]
 _T_TUPLE = _TAG_TUPLE[0]
 _T_DICT = _TAG_DICT[0]
+#: Tags whose payload opens with a varint (length, count, or the int).
+_VARINT_TAGS = frozenset((_T_STR, _T_INT, _T_DICT, _T_LIST, _T_TUPLE, _T_BYTES))
 
+_PACK_FLOAT = struct.Struct(">d").pack
 _UNPACK_FLOAT = struct.Struct(">d").unpack_from
 
 #: The protocol's fixed dict-key vocabulary.  Decoded dict keys found
@@ -113,6 +123,13 @@ _PROTOCOL_KEYS: dict[str, str] = {
     )
 }
 
+#: The same vocabulary pre-encoded (tag, one-byte length, ASCII text):
+#: the encoder splices these instead of re-encoding the same dozen
+#: envelope keys in every message.
+_KEY_RAW: dict[str, bytes] = {
+    key: _TAG_STR + bytes((len(key),)) + key.encode("ascii") for key in _PROTOCOL_KEYS
+}
+
 
 class _CodecStats:
     """Process-wide codec counters (attribute mutation keeps the module
@@ -148,14 +165,23 @@ class Premarshalled(dict):
     must not be mutated afterwards — mutate-then-send would transmit
     the stale bytes.  Unmarshalling the cached bytes yields a plain
     dict, exactly as if the body had been encoded directly.
+
+    ``nesting`` is how many container levels the encoding holds below
+    its own, so a splice is held to :data:`MAX_DEPTH` where it lands,
+    not where it was encoded.
     """
 
-    __slots__ = ("raw",)
+    __slots__ = ("raw", "nesting")
 
     def __init__(self, value: dict) -> None:
         super().__init__(value)
-        out = bytearray()
-        _encode(dict(value), out)
+        out = bytearray(_TAG_DICT)
+        length = len(self)
+        if length < 0x80:
+            out.append(length)
+        else:
+            _write_uvarint(out, length)
+        self.nesting = _encode(chain.from_iterable(self.items()), out, 1) if length else 0
         self.raw = bytes(out)
 
 
@@ -191,62 +217,90 @@ def _read_uvarint(data: bytes, pos: int) -> tuple[int, int]:
             raise MarshalError("varint too long")
 
 
-def _zigzag(value: int) -> int:
-    return value * 2 if value >= 0 else -value * 2 - 1
+def _uvarint_len(value: int) -> int:
+    return max(1, (value.bit_length() + 6) // 7)
 
 
-def _unzigzag(value: int) -> int:
-    return (value >> 1) ^ -(value & 1)
+# The walkers below take a *run* of sibling values (see the module
+# docstring; docs/PERFORMANCE.md, "CPU hot path, second pass").  A
+# dict's entries are one flat run: key, value, key, value, ...
 
 
-def _encode(value: Any, out: bytearray, depth: int = 0) -> None:
+def _encode(items: Iterable[Any], out: bytearray, depth: int = 0) -> int:
+    """Append the encodings of ``items`` (values at nesting ``depth``).
+
+    Returns the deepest nesting reached.
+    """
     if depth > MAX_DEPTH:
         raise MarshalError(f"nesting deeper than {MAX_DEPTH} levels")
-    if isinstance(value, Premarshalled):
-        out += value.raw
-    elif value is None:
-        out += _TAG_NONE
-    elif value is True:
-        out += _TAG_TRUE
-    elif value is False:
-        out += _TAG_FALSE
-    elif isinstance(value, int):
-        out += _TAG_INT
-        _write_uvarint(out, _zigzag(value))
-    elif isinstance(value, float):
-        out += _TAG_FLOAT
-        out += struct.pack(">d", value)
-    elif isinstance(value, str):
-        raw = value.encode("utf-8")
-        out += _TAG_STR
-        _write_uvarint(out, len(raw))
-        out += raw
-    elif isinstance(value, (bytes, bytearray)):
-        out += _TAG_BYTES
-        _write_uvarint(out, len(value))
-        out += bytes(value)
-    elif isinstance(value, list):
-        out += _TAG_LIST
-        _write_uvarint(out, len(value))
-        for item in value:
-            _encode(item, out, depth + 1)
-    elif isinstance(value, tuple):
-        out += _TAG_TUPLE
-        _write_uvarint(out, len(value))
-        for item in value:
-            _encode(item, out, depth + 1)
-    elif isinstance(value, dict):
-        out += _TAG_DICT
-        _write_uvarint(out, len(value))
-        for key, item in value.items():
-            _encode(key, out, depth + 1)
-            _encode(item, out, depth + 1)
-    else:
-        raise MarshalError(f"cannot marshal {type(value).__name__}: {value!r}")
+    key_raw = _KEY_RAW
+    deepest = depth
+    for item in items:
+        if isinstance(item, str):
+            raw = key_raw.get(item)
+            if raw is None:
+                raw = item.encode("utf-8")
+                out += _TAG_STR
+                length = len(raw)
+                if length < 0x80:
+                    out.append(length)
+                else:
+                    _write_uvarint(out, length)
+            out += raw
+        elif item is None:
+            out += _TAG_NONE
+        elif item is True:
+            out += _TAG_TRUE
+        elif item is False:
+            out += _TAG_FALSE
+        elif isinstance(item, int):
+            zigzag = item << 1 if item >= 0 else (-item << 1) - 1
+            out += _TAG_INT
+            if zigzag < 0x80:
+                out.append(zigzag)
+            else:
+                _write_uvarint(out, zigzag)
+        elif isinstance(item, Premarshalled):
+            below = depth + item.nesting
+            if below > MAX_DEPTH:
+                raise MarshalError(f"nesting deeper than {MAX_DEPTH} levels")
+            if below > deepest:
+                deepest = below
+            out += item.raw
+        elif isinstance(item, (dict, list, tuple)):
+            if isinstance(item, dict):
+                out += _TAG_DICT
+                children = chain.from_iterable(item.items())
+            else:
+                out += _TAG_LIST if isinstance(item, list) else _TAG_TUPLE
+                children = item
+            length = len(item)
+            if length < 0x80:
+                out.append(length)
+            else:
+                _write_uvarint(out, length)
+            if length:
+                below = _encode(children, out, depth + 1)
+                if below > deepest:
+                    deepest = below
+        elif isinstance(item, float):
+            out += _TAG_FLOAT
+            out += _PACK_FLOAT(item)
+        elif isinstance(item, (bytes, bytearray)):
+            out += _TAG_BYTES
+            length = len(item)
+            if length < 0x80:
+                out.append(length)
+            else:
+                _write_uvarint(out, length)
+            out += item
+        else:
+            raise MarshalError(f"cannot marshal {type(item).__name__}: {item!r}")
+    return deepest
 
 
-def _decode(data: Any, pos: int, depth: int = 0) -> tuple[Any, int]:
-    """Decode one value starting at ``pos`` over any buffer.
+def _decode(data: Any, pos: int, count: int = 1, depth: int = 0) -> tuple[list, int]:
+    """Decode the ``count`` values starting at ``pos`` (nesting ``depth``).
 
     ``data`` may be ``bytes``, ``bytearray``, or a ``memoryview`` —
     indexing yields ints either way, so the hot loop never allocates
@@ -256,58 +310,67 @@ def _decode(data: Any, pos: int, depth: int = 0) -> tuple[Any, int]:
     if depth > MAX_DEPTH:
         raise MarshalError(f"nesting deeper than {MAX_DEPTH} levels")
     size = len(data)
-    if pos >= size:
-        raise MarshalError("truncated message")
-    tag = data[pos]
-    pos += 1
-    if tag == _T_STR:
-        length, pos = _read_uvarint(data, pos)
-        end = pos + length
-        if end > size:
-            raise MarshalError("truncated string")
-        try:
-            text = str(data[pos:end], "utf-8")
-        except UnicodeDecodeError as exc:
-            raise MarshalError(f"invalid utf-8 in string: {exc}") from None
-        return text, end
-    if tag == _T_INT:
-        raw, pos = _read_uvarint(data, pos)
-        return (raw >> 1) ^ -(raw & 1), pos
-    if tag == _T_DICT:
-        count, pos = _read_uvarint(data, pos)
-        interned = _PROTOCOL_KEYS
-        result: dict[Any, Any] = {}
-        for _ in range(count):
-            key, pos = _decode(data, pos, depth + 1)
-            if type(key) is str:
-                key = interned.get(key, key)
-            value, pos = _decode(data, pos, depth + 1)
-            result[key] = value
-        return result, pos
-    if tag == _T_BYTES:
-        length, pos = _read_uvarint(data, pos)
-        end = pos + length
-        if end > size:
-            raise MarshalError("truncated bytes")
-        return bytes(data[pos:end]), end
-    if tag == _T_LIST or tag == _T_TUPLE:
-        count, pos = _read_uvarint(data, pos)
-        items = []
-        for _ in range(count):
-            item, pos = _decode(data, pos, depth + 1)
-            items.append(item)
-        return (tuple(items) if tag == _T_TUPLE else items), pos
-    if tag == _T_NONE:
-        return None, pos
-    if tag == _T_TRUE:
-        return True, pos
-    if tag == _T_FALSE:
-        return False, pos
-    if tag == _T_FLOAT:
-        if pos + 8 > size:
-            raise MarshalError("truncated float")
-        return _UNPACK_FLOAT(data, pos)[0], pos + 8
-    raise MarshalError(f"unknown tag {bytes(data[pos - 1 : pos])!r} at offset {pos - 1}")
+    interned = _PROTOCOL_KEYS.get
+    items: list[Any] = []
+    append = items.append
+    for _ in range(count):
+        if pos >= size:
+            raise MarshalError("truncated message")
+        tag = data[pos]
+        pos += 1
+        if tag in _VARINT_TAGS:
+            # A varint follows: a length, a count, or the zigzagged int.
+            if pos >= size:
+                raise MarshalError("truncated varint")
+            number = data[pos]
+            if number < 0x80:
+                pos += 1
+            else:
+                number, pos = _read_uvarint(data, pos)
+            if tag == _T_STR:
+                end = pos + number
+                if end > size:
+                    raise MarshalError("truncated string")
+                try:
+                    append(str(data[pos:end], "utf-8"))
+                except UnicodeDecodeError as exc:
+                    raise MarshalError(f"invalid utf-8 in string: {exc}") from None
+                pos = end
+            elif tag == _T_INT:
+                append((number >> 1) ^ -(number & 1))
+            elif tag == _T_DICT:
+                flat, pos = _decode(data, pos, 2 * number, depth + 1) if number else ([], pos)
+                pairs = iter(flat)
+                entries: dict[Any, Any] = {}
+                try:
+                    for key, value in zip(pairs, pairs):
+                        entries[interned(key, key)] = value
+                except TypeError:
+                    raise MarshalError("unhashable dict key") from None
+                append(entries)
+            elif tag == _T_BYTES:
+                end = pos + number
+                if end > size:
+                    raise MarshalError("truncated bytes")
+                append(bytes(data[pos:end]))
+                pos = end
+            else:
+                children, pos = _decode(data, pos, number, depth + 1) if number else ([], pos)
+                append(children if tag == _T_LIST else tuple(children))
+        elif tag == _T_NONE:
+            append(None)
+        elif tag == _T_TRUE:
+            append(True)
+        elif tag == _T_FALSE:
+            append(False)
+        elif tag == _T_FLOAT:
+            if pos + 8 > size:
+                raise MarshalError("truncated float")
+            append(_UNPACK_FLOAT(data, pos)[0])
+            pos += 8
+        else:
+            raise MarshalError(f"unknown tag {bytes((tag,))!r} at offset {pos - 1}")
+    return items, pos
 
 
 def marshal(value: Any) -> bytes:
@@ -315,7 +378,7 @@ def marshal(value: Any) -> bytes:
     if isinstance(value, Premarshalled):
         return value.raw
     out = bytearray()
-    _encode(value, out)
+    _encode((value,), out)
     return bytes(out)
 
 
@@ -326,49 +389,46 @@ def unmarshal(data: Any) -> Any:
     hands the :func:`unseal` view straight in).  Raises
     :class:`MarshalError` on trailing garbage or corruption.
     """
-    value, pos = _decode(data, 0)
+    items, pos = _decode(data, 0)
     if pos != len(data):
         raise MarshalError(f"{len(data) - pos} trailing bytes after value")
-    return value
+    return items[0]
 
 
-def _size(value: Any, depth: int) -> int:
-    """Encoded size of ``value`` computed without building the encoding."""
+def _size(items: Iterable[Any], depth: int = 0) -> int:
+    """Encoded size of ``items`` computed without building the encoding."""
     if depth > MAX_DEPTH:
         raise MarshalError(f"nesting deeper than {MAX_DEPTH} levels")
-    if isinstance(value, Premarshalled):
-        return len(value.raw)
-    if value is None or value is True or value is False:
-        return 1
-    if isinstance(value, int):
-        zigzag = value * 2 if value >= 0 else -value * 2 - 1
-        return 1 + max(1, (zigzag.bit_length() + 6) // 7)
-    if isinstance(value, float):
-        return 9
-    if isinstance(value, str):
-        # ASCII (the protocol's common case) encodes 1:1, so the UTF-8
-        # byte length is known without running the encoder.
-        length = len(value) if value.isascii() else len(value.encode("utf-8"))
-        return 1 + _uvarint_len(length) + length
-    if isinstance(value, (bytes, bytearray)):
-        length = len(value)
-        return 1 + _uvarint_len(length) + length
-    if isinstance(value, (list, tuple)):
-        total = 1 + _uvarint_len(len(value))
-        for item in value:
-            total += _size(item, depth + 1)
-        return total
-    if isinstance(value, dict):
-        total = 1 + _uvarint_len(len(value))
-        for key, item in value.items():
-            total += _size(key, depth + 1)
-            total += _size(item, depth + 1)
-        return total
-    raise MarshalError(f"cannot marshal {type(value).__name__}: {value!r}")
-
-
-def _uvarint_len(value: int) -> int:
-    return max(1, (value.bit_length() + 6) // 7)
+    total = 0
+    for item in items:
+        if isinstance(item, str):
+            # ASCII (the protocol's common case) encodes 1:1, so the UTF-8
+            # byte length is known without running the encoder.
+            length = len(item) if item.isascii() else len(item.encode("utf-8"))
+            total += length + (2 if length < 0x80 else 1 + _uvarint_len(length))
+        elif item is None or item is True or item is False:
+            total += 1
+        elif isinstance(item, int):
+            zigzag = item << 1 if item >= 0 else (-item << 1) - 1
+            total += 2 if zigzag < 0x80 else 1 + _uvarint_len(zigzag)
+        elif isinstance(item, Premarshalled):
+            if depth + item.nesting > MAX_DEPTH:
+                raise MarshalError(f"nesting deeper than {MAX_DEPTH} levels")
+            total += len(item.raw)
+        elif isinstance(item, (dict, list, tuple)):
+            length = len(item)
+            total += 2 if length < 0x80 else 1 + _uvarint_len(length)
+            if length:
+                children = chain.from_iterable(item.items()) if isinstance(item, dict) else item
+                total += _size(children, depth + 1)
+        elif isinstance(item, float):
+            total += 9
+        elif isinstance(item, (bytes, bytearray)):
+            length = len(item)
+            total += length + (2 if length < 0x80 else 1 + _uvarint_len(length))
+        else:
+            raise MarshalError(f"cannot marshal {type(item).__name__}: {item!r}")
+    return total
 
 
 def marshalled_size(value: Any) -> int:
@@ -381,7 +441,7 @@ def marshalled_size(value: Any) -> int:
     if isinstance(value, Premarshalled):
         codec_stats.marshal_size_fast_total += 1
         return len(value.raw)
-    return _size(value, 0)
+    return _size((value,))
 
 
 _SEAL_HEADER = struct.Struct(">I")  # CRC32 of the sealed body

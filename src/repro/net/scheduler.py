@@ -42,6 +42,11 @@ class Priority(IntEnum):
     BACKGROUND = 2  # prefetch / bulk traffic
 
 
+#: The ``priority`` metric/span label of each member (``.name`` is a
+#: property hop through the enum machinery on every access).
+_PRIORITY_LABEL = {priority: priority.name.lower() for priority in Priority}
+
+
 class RouteKind(IntEnum):
     """Connection-based vs connectionless queued carriers."""
 
@@ -174,7 +179,9 @@ class QueuedMessage:
         self.size_hint = size_hint
         #: Trace context propagated in the body (see repro.obs.trace).
         self.trace = (
-            parse_context(body.get(TRACE_KEY)) if isinstance(body, dict) else None
+            parse_context(body[TRACE_KEY])
+            if isinstance(body, dict) and TRACE_KEY in body
+            else None
         )
         #: When the message last (re-)entered the queue; queue.wait
         #: spans measure from here, so each retry gets its own span.
@@ -492,7 +499,7 @@ class NetworkScheduler:
     def _best_route(
         self, dst: Host, preference: Optional[RouteKind] = None
     ) -> Optional[Route]:
-        key = (dst.name, None if preference is None else int(preference.value))
+        key = (dst.name, None if preference is None else int(preference))
         if key in self._route_cache:
             return self._route_cache[key]
         candidates = [
@@ -642,7 +649,7 @@ class NetworkScheduler:
         """Record queue.wait + route.select spans and wait metrics."""
         waited = self.sim.now - message.last_queued_at
         self._m_queue_wait.labels(
-            host=self.host.name, priority=message.priority.name.lower()
+            host=self.host.name, priority=_PRIORITY_LABEL[message.priority]
         ).observe(waited)
         self._m_service_bytes.labels(
             host=self.host.name, service=message.service
@@ -653,7 +660,7 @@ class NetworkScheduler:
                 message.trace,
                 start=message.last_queued_at,
                 end=self.sim.now,
-                priority=message.priority.name.lower(),
+                priority=_PRIORITY_LABEL[message.priority],
                 attempt=message.attempts,
             )
             self.tracer.record(

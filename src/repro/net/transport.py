@@ -334,8 +334,8 @@ class Transport:
                 on_error(RpcError(f"call {call_id} failed: {reason}"))
 
         trace = (
-            parse_context(request.get(TRACE_KEY))
-            if isinstance(request, dict)
+            parse_context(request[TRACE_KEY])
+            if isinstance(request, dict) and TRACE_KEY in request
             else None
         )
         if isinstance(request, Premarshalled):
@@ -430,7 +430,11 @@ class Transport:
         if src_host is None:
             return
         body = envelope.get("body")
-        trace = parse_context(body.get(TRACE_KEY)) if isinstance(body, dict) else None
+        trace = (
+            parse_context(body[TRACE_KEY])
+            if isinstance(body, dict) and TRACE_KEY in body
+            else None
+        )
         started = self.sim.now
         ok, reply_body = self.handle_request(
             envelope.get("service", ""), body, source

@@ -206,7 +206,9 @@ class Metric:
                 f"{self.name}: expected labels {self.labelnames}, "
                 f"got {tuple(labelvalues)}"
             )
-        key = tuple(str(labelvalues[ln]) for ln in self.labelnames)
+        # Several lookups per QRPC: C-level maps, not a generator frame
+        # per label.
+        key = tuple(map(str, map(labelvalues.__getitem__, self.labelnames)))
         child = self._children.get(key)
         if child is None:
             if len(self._children) >= self.max_children:

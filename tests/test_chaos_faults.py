@@ -255,7 +255,7 @@ def test_restart_preserves_durable_state_drops_volatile():
     index = bed.server.get_object(folder_urn).data["index"]
     assert [e["id"] for e in index] == ["m0"]
     # Volatile: the applied-reply cache and lock leases are gone.
-    assert bed.server._applied == {}
+    assert not bed.server._applied
     assert bed.server._locks == {}
 
 

@@ -191,3 +191,104 @@ def test_committer_index_survives_server_restart():
     replay = server._on_export(dict(body), SRC)
     assert replay == original
     assert server.exports_conflicted == 0
+
+
+# -- the applied-reply cache's per-client index -------------------------------
+
+
+class _ScanningAppliedCache:
+    """The at-most-once cache as it worked before the per-client index:
+    one OrderedDict, every cached id re-parsed on each new watermark."""
+
+    def __init__(self, cap):
+        from collections import OrderedDict
+
+        self.applied = OrderedDict()
+        self.watermarks = {}
+        self.cap = cap
+        self.pruned = 0
+        self.suppressed = 0
+
+    def cached_reply(self, request_id):
+        if request_id in self.applied:
+            self.applied.move_to_end(request_id)
+            self.suppressed += 1
+            return self.applied[request_id]
+        prefix, sep, tail = request_id.rpartition("/")
+        if sep and tail.isdigit() and int(tail) < self.watermarks.get(prefix, -1):
+            self.suppressed += 1
+            return {"status": "duplicate", "request_id": request_id}
+        return None
+
+    def record(self, request_id, reply):
+        self.applied[request_id] = reply
+        self.applied.move_to_end(request_id)
+        while len(self.applied) > self.cap:
+            self.applied.popitem(last=False)
+            self.pruned += 1
+
+    def observe(self, prefix, watermark):
+        if self.watermarks.get(prefix, -1) >= watermark:
+            return
+        self.watermarks[prefix] = watermark
+        stale = [
+            rid
+            for rid in self.applied
+            if rid.rpartition("/")[0] == prefix
+            and rid.rpartition("/")[2].isdigit()
+            and int(rid.rpartition("/")[2]) < watermark
+        ]
+        for rid in stale:
+            del self.applied[rid]
+        self.pruned += len(stale)
+
+
+def test_indexed_applied_cache_matches_the_scanning_one():
+    """Same cache contents in the same LRU order, same ``applied_pruned``
+    and ``duplicates_suppressed``, same watermark-floor answers — under
+    interleaved clients, out-of-order counters, redeliveries, regressing
+    watermarks, ids that do not parse, and a cap small enough to evict
+    entries the index still names."""
+    from repro.sim.rng import make_rng
+
+    rng = make_rng(7, "applied-index")
+    cap = 6
+    server = build_server(applied_cache_cap=cap)
+    model = _ScanningAppliedCache(cap)
+    clients = ["a", "b+1", "a/b"]  # the last: a prefix with a slash in it
+    for step in range(3000):
+        client = rng.choice(clients)
+        roll = rng.random()
+        if roll < 0.08:
+            request_id = rng.choice(["opaque", f"{client}/x{step}", f"{client}/"])
+        else:
+            # Counters drift upward, so watermarks keep finding work.
+            request_id = f"{client}/{max(0, step // 25 + rng.randrange(-6, 8))}"
+        if roll < 0.6:
+            got = server._cached_reply(request_id)
+            assert got == model.cached_reply(request_id)
+            if got is None:
+                reply = {"status": "ok", "step": step}
+                server._record_reply(request_id, reply)
+                model.record(request_id, reply)
+        else:
+            watermark = max(0, step // 25 + rng.randrange(-12, 4))
+            server._observe_watermark({"ackw": [client, watermark]})
+            model.observe(client, watermark)
+        cached = [(rid, reply) for rid, (reply, __) in server._applied._replies.items()]
+        assert cached == list(model.applied.items())
+        assert server.applied_pruned == model.pruned
+        assert server.duplicates_suppressed == model.suppressed
+    assert server.applied_pruned > 100 and server.duplicates_suppressed > 100
+    # The index names exactly the cached ids that parse, sorted per client.
+    indexed = sorted(
+        rid for entries in server._applied._by_client.values() for __, rid in entries
+    )
+    parsed = sorted(
+        rid for rid in server._applied._replies if rid.rpartition("/")[2].isdigit()
+    )
+    assert indexed == parsed
+    for entries in server._applied._by_client.values():
+        assert entries == sorted(entries)
+    server._applied.clear()
+    assert not server._applied and server._applied._by_client == {}

@@ -1,9 +1,11 @@
 """Operation log tests: pending tracking, recovery, at-most-once."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.operation_log import OperationLog
+from repro.net.message import MAX_DEPTH, MarshalError, Premarshalled
 from repro.core.qrpc import Operation, QRPCRequest
 from repro.storage.stable_log import MemoryLogBackend, StableLog
 
@@ -79,6 +81,39 @@ def test_request_content_survives_recovery():
     restored = recovered.pending()[0]
     assert restored.operation is Operation.EXPORT
     assert restored.args == {"data": {"k": [1, 2]}, "base_version": 3}
+
+
+@pytest.mark.parametrize("wrapped", [False, True], ids=["plain", "premarshalled"])
+@pytest.mark.parametrize("levels", range(MAX_DEPTH - 4, MAX_DEPTH + 2))
+def test_nothing_the_log_accepts_poisons_recovery(levels, wrapped):
+    """Args sit two containers down in a log record.  Nested near
+    MAX_DEPTH they are either refused at append or decode again after a
+    crash -- also when they arrive already encoded, and so were checked
+    against the limit one level up from where the record splices them."""
+    data = 0
+    for _ in range(levels):
+        data = [data]
+    args = {"data": data}
+    stable = StableLog(MemoryLogBackend())
+    log = OperationLog(stable)
+    log.append(make_request(0))
+    try:
+        request = QRPCRequest(
+            "client/1", "", Operation.EXPORT, "urn:rover:s/x",
+            args=Premarshalled(args) if wrapped else args,
+        )
+        log.append(request)
+        accepted = True
+    except MarshalError:
+        accepted = False
+    # args at depth 2, "data" value at 3, its innermost leaf at 3 + levels.
+    assert accepted == (3 + levels <= MAX_DEPTH)
+    recovered = OperationLog(StableLog(stable.backend))
+    assert [r.request_id for r in recovered.pending()] == (
+        ["client/0", "client/1"] if accepted else ["client/0"]
+    )
+    if accepted:
+        assert recovered.pending()[1].args == args
 
 
 def test_fully_acked_log_truncates_to_empty():

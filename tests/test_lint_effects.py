@@ -469,6 +469,9 @@ class TestTreeGate(unittest.TestCase):
             "repro/core/qrpc.py:QRPCRequest.to_wire", report.marshal_roots
         )
         self.assertIn("repro/net/message.py:marshal", report.marshal_roots)
+        # The flat walkers and the one encoder entry that bypasses marshal().
+        for name in ("_encode", "_decode", "_size", "Premarshalled.__init__"):
+            self.assertIn(f"repro/net/message.py:{name}", report.marshal_roots)
 
 
 if __name__ == "__main__":

@@ -140,3 +140,59 @@ def test_reasonable_nesting_still_fine():
     for __ in range(50):
         value = [value]
     assert unmarshal(marshal(value)) == value
+
+
+@pytest.mark.parametrize(
+    "frame",
+    [
+        b"d\x01l\x00N",          # {[]: None}
+        b"d\x01d\x00N",          # {{}: None}
+        b"d\x01t\x01l\x00N",     # {([],): None}
+        b"l\x01d\x02i\x02Nl\x01NT",  # nested, second key a list
+    ],
+)
+def test_unhashable_dict_key_is_a_marshal_error(frame):
+    """Receivers catch MarshalError only; a key that decodes to a list
+    or dict used to escape as ``TypeError: unhashable type``."""
+    with pytest.raises(MarshalError, match="unhashable"):
+        unmarshal(frame)
+    with pytest.raises(MarshalError, match="unhashable"):
+        unmarshal(memoryview(frame))
+
+
+# Frames an attacker (or a bit flip the CRC missed) could produce:
+# arbitrary bytes; "tag soup" dense in structure bytes, which reaches
+# the container paths random bytes rarely do; and valid frames mutated
+# by flips, deletions and insertions.
+_tag_soup = st.lists(
+    st.sampled_from(list(b"NTFifsbltd") + [0, 1, 2, 3, 0x7F, 0x80, 0xFF]), max_size=60
+).map(bytes)
+
+
+@st.composite
+def _mutated_frames(draw):
+    wire = bytearray(marshal(draw(_values)))
+    for __ in range(draw(st.integers(min_value=1, max_value=4))):
+        index = draw(st.integers(min_value=0, max_value=len(wire) - 1))
+        action = draw(st.sampled_from(["flip", "delete", "insert", "tag"]))
+        if action == "flip":
+            wire[index] ^= draw(st.integers(min_value=1, max_value=255))
+        elif action == "delete" and len(wire) > 1:
+            del wire[index]
+        elif action == "insert":
+            wire.insert(index, draw(st.integers(min_value=0, max_value=255)))
+        else:
+            wire[index] = draw(st.sampled_from(list(b"NTFifsbltd")))
+    return bytes(wire)
+
+
+@settings(max_examples=600)
+@given(st.one_of(st.binary(max_size=120), _tag_soup, _mutated_frames()))
+def test_unmarshal_raises_only_marshal_error(frame):
+    for buffer in (frame, memoryview(frame)):
+        try:
+            value = unmarshal(buffer)
+        except MarshalError:
+            continue
+        # Whatever decodes is an ordinary value: it re-encodes.
+        marshal(value)

@@ -9,6 +9,7 @@ from repro.net.link import (
     IntervalTrace,
     LinkSpec,
 )
+from repro.net.message import seal
 from repro.net.simnet import LinkDown, Network
 from repro.net.transport import (
     DelayedReply,
@@ -174,3 +175,25 @@ def test_byte_counters_advance():
     ta.call_blocking(b, "echo", {"pad": "x" * 100})
     assert ta.messages_sent == 1
     assert ta.bytes_sent > 100
+
+
+def test_crc_valid_frame_with_unhashable_dict_key_is_counted_and_dropped():
+    """A frame that passes the CRC seal but whose body cannot decode —
+    a dict keyed by a list — is a corrupt frame like any other: counted,
+    dropped, no handler run, no exception out of the simulator.  (The
+    decoder used to raise TypeError here, which no receiver catches.)"""
+    sim, net, a, b, link, ta, tb = make_pair()
+    served, heard = [], []
+    tb.register("echo", lambda body, src: served.append(body))
+    tb.listen(9000, lambda value, src: heard.append(value))
+    hostile = seal(b"R" + b"d\x01l\x00N")  # {[]: None}
+    link.send(a, 530, hostile)   # the RPC port
+    link.send(a, 9000, hostile)  # a datagram port
+    sim.run()
+    assert served == [] and heard == []
+    assert tb.corrupt_frames_detected == 2
+    registry_total = tb.obs.registry.get("transport_corrupt_frames_total")
+    assert registry_total is not None and registry_total.value == 2
+    # The transport still works afterwards.
+    tb.register("add", lambda body, src: body["x"] + 1)
+    assert ta.call_blocking(b, "add", {"x": 1}) == 2
