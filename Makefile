@@ -44,8 +44,8 @@ ha:
 # On a violation it writes the minimized trace to check-counterexample.json.
 check:
 	$(PYTHON) -m repro.check --suite warm-import --depth 1
-	$(PYTHON) -m repro.check --suite crash-during-drain --suite delta-ship \
-		--suite conflict-export --depth 2
+	$(PYTHON) -m repro.check --suite crash-during-drain --suite coalesced-drain \
+		--suite delta-ship --suite conflict-export --depth 2
 
 perf:
 	$(PYTHON) -m pytest -q benchmarks/test_e14_wire.py benchmarks/test_micro_primitives.py --benchmark-only
@@ -70,8 +70,13 @@ perfbench:
 	done
 
 # The benchmark's own tests and self-check (~20 s); measures nothing.
+# The deselected test hard-codes the E16 gate's bytes_sent/messages_sent
+# as they were before PR 14 (coalesced, compressed reconnect drain)
+# changed both on purpose; perfbench/ is the benchmark and a program PR
+# may not edit it, so the next benchmark PR re-pins it (CHANGES.md).
 perfbench-smoke:
-	$(PYTHON) -m pytest perfbench/tests -q
+	$(PYTHON) -m pytest perfbench/tests -q --deselect \
+		perfbench/tests/test_smoke.py::test_fleet_drain_at_the_e16_gate_size_reproduces_the_pinned_totals
 	$(PYTHON) -m perfbench --selfcheck
 
 # Fleet telemetry: unit/integration suite plus the E15 overhead +

@@ -169,7 +169,7 @@ def _e9() -> str:
 def _e10() -> str:
     rows = E.run_e10_compression()
     return format_table(
-        "E10 - wire compression ablation (mail prefetch)",
+        "E10 - mail prefetch: prototype (raw frames) vs. default (link-aware zlib)",
         ["link", "raw bytes", "zlib bytes", "raw time", "zlib time", "saved"],
         [[r["link"], r["raw_bytes"], r["compressed_bytes"], fs(r["raw_time_s"]),
           fs(r["compressed_time_s"]), f"{r['time_saved_pct']:.0f}%"] for r in rows],
@@ -179,10 +179,10 @@ def _e10() -> str:
 def _e11() -> str:
     rows = E.run_e11_batching()
     return format_table(
-        "E11 - batched log draining (12 imports, cslip-14.4)",
-        ["batch size", "drain time", "exchanges"],
-        [["none" if r["batch_max"] == 1 else r["batch_max"],
-          fs(r["drain_time_s"]), r["exchanges"]] for r in rows],
+        "E11 - reconnect drain of 12 queued imports: prototype vs. default",
+        ["link", "config", "drain time", "exchanges", "coalesced frames", "wire bytes"],
+        [[r["link"], r["config"], fs(r["drain_time_s"]), r["exchanges"],
+          r["batches"], r["bytes_wire"]] for r in rows],
     )
 
 

@@ -729,18 +729,20 @@ def run_e10_compression(
     n_messages: int = 8,
     seed: int = 42,
 ) -> list[dict]:
-    """Prefetch a mail folder with and without wire compression.
+    """Prefetch a mail folder as the paper's prototype and as the default.
 
-    The paper's prototype "does not perform any compression"; this
-    ablation quantifies what that simplicity costs per link: bytes on
-    the wire and time to complete the prefetch.
+    The paper's prototype "does not perform any compression"; the
+    transport now compresses a frame whenever its bytes cost more than
+    the chosen link's propagation delay.  This ablation quantifies what
+    that buys per link: bytes on the wire and time to complete the
+    prefetch.
     """
     corpus = generate_mail_corpus(seed=seed, n_folders=1, messages_per_folder=n_messages)
     rows = []
     for spec in links:
         measured = {}
-        for label, threshold in (("raw", None), ("compressed", 256)):
-            bed = build_testbed(link_spec=spec, compress_threshold=threshold)
+        for label, adapt in (("raw", False), ("compressed", True)):
+            bed = build_testbed(link_spec=spec, adapt_to_link=adapt)
             MailServerApp(bed.server, corpus)
             reader = RoverMailReader(bed.access, bed.authority)
             reader.prefetch_folder("inbox").wait(bed.sim)
@@ -771,40 +773,44 @@ def run_e10_compression(
 
 def run_e11_batching(
     n_queued: int = 12,
-    batch_sizes: tuple[int, ...] = (1, 4, 12),
-    spec: LinkSpec = CSLIP_14_4,
+    links: tuple[LinkSpec, ...] = (CSLIP_14_4, CSLIP_2_4),
 ) -> list[dict]:
-    """Drain a parked QRPC queue on reconnection, varying batch size.
+    """Drain a parked QRPC queue on reconnection: prototype vs. default.
 
     While disconnected the client queues ``n_queued`` imports; on
-    reconnection the scheduler drains them either one exchange each
-    (the paper's prototype) or several per exchange.  On a 100 ms-RTT
-    modem the round trips dominate, so batching shortens the drain
-    almost linearly until serialization takes over.
+    reconnection the scheduler drains them one exchange each (the
+    paper's prototype) or as the default does: every frame compressed,
+    and queued requests sharing a frame where one request alone already
+    costs more line time than the link's propagation delay.  The 80 B
+    import requests pass that mark on the 2.4k modem (45 B) and not on
+    the 14.4k one (175 B), so the two links show both sides of the rule.
     """
     rows = []
-    for batch_max in batch_sizes:
-        bed = build_testbed(
-            link_spec=spec,
-            policy=IntervalTrace([(100.0, 1e9)]),
-            batch_max=batch_max,
-            max_inflight=1,
-        )
-        urns = []
-        for index in range(n_queued):
-            urn = URN("server", f"bench/drain/{index:02d}")
-            bed.server.put_object(RDO(urn, "blob", {"n": index, "pad": "x" * 512}))
-            urns.append(str(urn))
-        promises = [bed.access.import_(urn) for urn in urns]
-        bed.sim.run_until(lambda: all(p.is_done for p in promises), timeout=1e6)
-        rows.append(
-            {
-                "batch_max": batch_max,
-                "drain_time_s": bed.sim.now - 100.0,
-                "exchanges": bed.client_transport.messages_sent,
-                "batches": bed.scheduler.batches_sent,
-            }
-        )
+    for spec in links:
+        for config, adapt in (("prototype", False), ("default", True)):
+            bed = build_testbed(
+                link_spec=spec,
+                policy=IntervalTrace([(100.0, 1e9)]),
+                adapt_to_link=adapt,
+                max_inflight=1,
+            )
+            urns = []
+            for index in range(n_queued):
+                urn = URN("server", f"bench/drain/{index:02d}")
+                bed.server.put_object(RDO(urn, "blob", {"n": index, "pad": "x" * 512}))
+                urns.append(str(urn))
+            promises = [bed.access.import_(urn) for urn in urns]
+            bed.sim.run_until(lambda: all(p.is_done for p in promises), timeout=1e6)
+            rows.append(
+                {
+                    "link": spec.name,
+                    "config": config,
+                    "drain_time_s": bed.sim.now - 100.0,
+                    "exchanges": bed.client_transport.messages_sent,
+                    "batches": bed.scheduler.batches_sent,
+                    "bytes_wire": bed.link.bytes_carried,
+                }
+            )
     return rows
 
 
@@ -1106,6 +1112,7 @@ def _e14_one(
     compaction: bool,
     delta_shipping: bool,
     seed: int,
+    coalesce: bool = False,
 ) -> dict:
     """One E14 cell: the disconnected-mail-session workload on one link.
 
@@ -1114,7 +1121,9 @@ def _e14_one(
     classic triage pass) and outbox appends; reconnection drains the
     queue over the slow link.  Bytes-on-wire counts everything after
     the warm-up, so the measured traffic is exactly the disconnected
-    session's eventual cost.
+    session's eventual cost.  Without ``coalesce`` the wire behaves as
+    the paper's prototype (one raw frame per QRPC), which isolates what
+    compaction and delta shipping save on their own.
     """
     from repro.chaos.invariants import (
         check_cache_coherent,
@@ -1128,6 +1137,7 @@ def _e14_one(
         policy=IntervalTrace([(0.0, 300.0), (reconnect_at, 1e9)]),
         compaction=compaction,
         delta_shipping=delta_shipping,
+        adapt_to_link=coalesce,
     )
     corpus = generate_mail_corpus(seed=seed, n_folders=1, messages_per_folder=10)
     app = MailServerApp(bed.server, corpus)
@@ -1180,10 +1190,11 @@ def _e14_one(
     return {
         "link": link_spec.name,
         "config": (
-            "compaction+delta"
-            if compaction and delta_shipping
-            else "compaction" if compaction else "clean"
-        ),
+            ("compaction+delta" if delta_shipping else "compaction")
+            if compaction
+            else "clean"
+        )
+        + ("+coalesce" if coalesce else ""),
         "queued_at_reconnect": queued,
         "bytes_wire": bed.link.bytes_carried - warm_bytes,
         "drain_s": round(drain_s, 3),
@@ -1200,11 +1211,14 @@ def run_e14_wire(
     seed: int = 7,
 ) -> list[dict]:
     """Bytes-on-wire and drain time for clean vs compaction vs
-    compaction+delta on the paper's serial links."""
+    compaction+delta (each on the prototype's wire) vs all of it on the
+    default wire (coalesced, compressed frames), on the paper's serial
+    links."""
     rows = []
     for link_spec in links:
         for compaction, delta in ((False, False), (True, False), (True, True)):
             rows.append(_e14_one(link_spec, compaction, delta, seed=seed))
+        rows.append(_e14_one(link_spec, True, True, seed=seed, coalesce=True))
     return rows
 
 

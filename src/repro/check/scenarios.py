@@ -390,6 +390,63 @@ class CrashDrainScenario(WarmImportScenario):
         return violations
 
 
+# -- a coalesced reconnect frame ------------------------------------------------
+
+
+class CoalescedDrainScenario(CrashDrainScenario):
+    """A disconnected backlog returns as one coalesced frame.
+
+    The appends are queued while the link is down and each is padded
+    past the 14.4k link's break-even size, so on reconnection they
+    leave as one ``rover.batch`` exchange.  Every frame alternative now
+    hits all members at once — the frame dropped, replayed late after
+    its members settled, its one reply lost — and a further append
+    issued while the frame is out puts a stable-log flush, hence a
+    crash choice, between send and reply.  The oracle is the one a lone
+    request faces: each member applied at most once, in issue order.
+    """
+
+    name = "coalesced-drain"
+    description = "single client: a coalesced reconnect frame dropped, replayed, crashed under"
+    down_s = 5.0
+    #: Pads an append's request body past ~175 B, where its bytes cost
+    #: more than the link's propagation delay.
+    token_pad = "-" + "x" * 80
+
+    def drive(self, bed: Any, harness: CheckHarness, ctx: dict) -> None:
+        urn = ctx["urn"]
+        issued: dict[str, list[str]] = {}
+        acked: set[str] = set()
+        ctx["issued"], ctx["acked"] = issued, acked
+        stack = bed.clients[0]
+        session = stack.access.create_session()
+        stack.access.import_(urn, session=session)
+        self.drain(bed)
+
+        def add(label: str) -> None:
+            token = f"{stack.host.name}-{label}{self.token_pad}"
+            issued.setdefault(stack.host.name, []).append(token)
+            stack.access.invoke_remote(urn, "add", [token], session=session).then(
+                lambda _value, t=token: acked.add(t)
+            )
+
+        stack.link.policy.force_down(bed.sim.now, self.down_s)
+        stack.link._handle_transition()
+        reconnect_at = bed.sim.now + self.down_s
+        for index in range(self.adds_pipelined):
+            add(str(index))
+        # Logged while the frame carrying the backlog is on the wire.
+        bed.sim.schedule_at(reconnect_at + 0.3, add, "late")
+        bed.sim.run(until=reconnect_at + 0.3)
+        self.settle(bed, harness)
+
+    def check(self, bed: Any, harness: CheckHarness, ctx: dict) -> list[str]:
+        violations = super().check(bed, harness, ctx)
+        if bed.clients[0].scheduler.batches_sent == 0:
+            violations.append("the backlog never left as a coalesced frame")
+        return violations
+
+
 # -- conflict-resolve vs concurrent export ------------------------------------
 
 
@@ -670,6 +727,7 @@ SCENARIOS: dict[str, type[Scenario]] = {
     for scenario in (
         WarmImportScenario,
         CrashDrainScenario,
+        CoalescedDrainScenario,
         ConflictExportScenario,
         DeltaShipScenario,
         HAFailoverScenario,

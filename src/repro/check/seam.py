@@ -27,7 +27,7 @@ from typing import Any, Optional
 
 from repro.net.link import ConnectivityPolicy
 from repro.net.simnet import Delivery, Link
-from repro.net.transport import Transport
+from repro.net.transport import BATCH_SERVICE, Transport
 
 
 class SwitchablePolicy(ConnectivityPolicy):
@@ -127,7 +127,7 @@ class CheckInjector:
             urn = body.get("urn")
             if isinstance(urn, str):
                 urns.add(urn)
-            if service == "rover.batch":
+            if service == BATCH_SERVICE:
                 for member in body.get("requests", []):
                     if isinstance(member, dict):
                         urns |= self._body_urns(

@@ -1501,7 +1501,10 @@ class AccessManager:
             # Logged but not yet handed to the scheduler (stable-log
             # flush still in progress): certainly never sent.
             return True
-        return message.state == "queued"
+        # A message backing off between attempts is "queued" too, but
+        # its earlier copy may have been applied with only the reply
+        # lost; folding it under a neighbour would apply it twice.
+        return message.state == "queued" and message.attempts == 0
 
     def _cancel_queued(self, request: QRPCRequest) -> None:
         message = self._messages.pop(request.request_id, None)

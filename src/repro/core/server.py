@@ -30,9 +30,8 @@ from repro.core.interpreter import SafeInterpreter
 from repro.core.rdo import RDO, ExecutionCostModel, RDOVerificationError
 from repro.net.simnet import Address
 from repro.lint.contracts import replay_pure
-from repro.net.transport import AsyncReply, DelayedReply, Transport
+from repro.net.transport import DelayedReply, Transport
 from repro.obs import Observatory
-from repro.obs.trace import TRACE_KEY, parse_context
 from repro.sim import Simulator
 from repro.storage.kvstore import KVStore
 
@@ -218,7 +217,6 @@ class RoverServer:
         transport.register("rover.ship", self._on_ship)
         transport.register("rover.list", self._on_list)
         transport.register("rover.subscribe", self._on_subscribe)
-        transport.register("rover.batch", self._on_batch)
         #: urn -> (holder session id, lease expiry time)
         self._locks: dict[str, tuple[str, float]] = {}
         self.locks_granted = 0
@@ -737,88 +735,6 @@ class RoverServer:
         reply = {"status": "ok", "result": result}
         self._record_reply(request_id, reply)
         return DelayedReply(self.cost_model.invoke_time(steps), reply)
-
-    @replay_pure
-    def _on_batch(self, body: Any, source: Address) -> Any:
-        """Execute several client requests from one wire exchange.
-
-        The batching channel-use optimization: a reconnecting client
-        drains its queued log with far fewer round trips.  Each member
-        dispatches through the normal service table, so at-most-once
-        and conflict handling apply per member; compute charges
-        (DelayedReply) accumulate into one deferred batch reply.
-        """
-        tracer = self.obs.tracer
-        envelope_trace = (
-            parse_context(body.get(TRACE_KEY)) if isinstance(body, dict) else None
-        )
-        replies = []
-        total_delay = 0.0
-        pending = {"n": 0, "sealed": False}
-        batch_reply: Optional[AsyncReply] = None
-        for request in body.get("requests", []):
-            member_body = request.get("body")
-            started_at = self.sim.now + total_delay
-            ok, reply_body = self.transport.handle_request(
-                request.get("service", ""), member_body, source
-            )
-            delay = 0.0
-            if isinstance(reply_body, AsyncReply):
-                # A member is gated on something external (e.g. the
-                # repro.ha quorum ack); reserve its slot and finish the
-                # batch once every deferred member completes.
-                slot = len(replies)
-                replies.append({"ok": ok, "body": None})
-                pending["n"] += 1
-
-                def collect(completed: Any, slot: int = slot) -> None:
-                    if isinstance(completed, DelayedReply):
-                        completed = completed.body
-                    replies[slot]["body"] = completed
-                    pending["n"] -= 1
-                    if pending["sealed"] and pending["n"] == 0:
-                        assert batch_reply is not None
-                        batch_reply.complete({"replies": replies})
-
-                reply_body.bind(collect)
-                continue
-            if isinstance(reply_body, DelayedReply):
-                delay = reply_body.delay_s
-                total_delay += delay
-                reply_body = reply_body.body
-            if tracer.enabled and isinstance(member_body, dict):
-                member_trace = parse_context(member_body.get(TRACE_KEY))
-                # The head member's trace already carries the
-                # envelope-level server.execute span recorded by the
-                # transport; per-member spans go to the *other* traces
-                # riding in this batch.
-                if member_trace is not None and member_trace != envelope_trace:
-                    tracer.record(
-                        "server.execute",
-                        member_trace,
-                        start=started_at,
-                        end=started_at + delay,
-                        service=request.get("service", ""),
-                        host=self.transport.host.name,
-                        batched=True,
-                    )
-            replies.append({"ok": ok, "body": reply_body})
-        if pending["n"] > 0:
-            batch_reply = AsyncReply()
-            pending["sealed"] = True
-            if total_delay > 0:
-                # Synchronous members still owe compute time: wrap the
-                # eventual batch body so the transport defers the send.
-                outer = AsyncReply()
-                batch_reply.bind(
-                    lambda final: outer.complete(DelayedReply(total_delay, final))
-                )
-                return outer
-            return batch_reply
-        result = {"replies": replies}
-        if total_delay > 0:
-            return DelayedReply(total_delay, result)
-        return result
 
     # -- application-level locks ----------------------------------------------
 

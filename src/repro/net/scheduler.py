@@ -14,6 +14,10 @@ This module implements exactly that:
   best *available* route per message, preferring higher quality;
 * bounded in-flight window, retransmission with exponential backoff,
   and terminal failure reporting after ``max_attempts``;
+* on a link where bytes, not round trips, are what the sender waits
+  for, queued messages of one priority class for one destination share
+  a frame (:meth:`NetworkScheduler._gather`) — the reconnect backlog of
+  small updates leaves as a few compressible frames, not one each;
 * wake-ups on link up/down transitions so queued traffic drains the
   moment connectivity returns — the heart of QRPC's "requests and
   responses are exchanged upon network reconnection".
@@ -27,7 +31,16 @@ from typing import Any, Callable, Optional
 
 from repro.net.message import marshalled_size
 from repro.net.simnet import Host, Link
-from repro.net.transport import RpcError, Transport
+from repro.net.transport import (
+    BATCH_BUDGET_BYTES,
+    BATCH_SERVICE,
+    MAX_BATCH_MEMBERS,
+    RpcError,
+    Transport,
+    batch_replies,
+    batch_request,
+    remote_error,
+)
 from repro.obs import Observatory
 from repro.obs.trace import TRACE_KEY, parse_context
 from repro.sim import Simulator
@@ -65,6 +78,11 @@ class Route:
     def available(self, dst: Host) -> bool:
         raise NotImplementedError
 
+    def first_hop(self, dst: Host) -> Optional[Link]:
+        """The link a send toward ``dst`` would leave on right now
+        (None: unknown, so the scheduler assumes nothing about it)."""
+        return None
+
     def send(
         self,
         dst: Host,
@@ -101,6 +119,9 @@ class DirectRoute(Route):
 
     def available(self, dst: Host) -> bool:
         return self.transport.best_link(dst) is not None
+
+    def first_hop(self, dst: Host) -> Optional[Link]:
+        return self.transport.best_link(dst)
 
     @property
     def quality(self) -> float:  # type: ignore[override]
@@ -151,6 +172,8 @@ class QueuedMessage:
         "route_preference",
         "trace",
         "last_queued_at",
+        "body_bytes",
+        "exchange",
     )
 
     def __init__(
@@ -190,6 +213,11 @@ class QueuedMessage:
         #: kind (paper 5.3: route choice "based in part upon the
         #: requested quality of service").  None = any carrier.
         self.route_preference = route_preference
+        #: Marshalled size of ``body`` (what the frame budget and the
+        #: per-service byte counter charge).
+        self.body_bytes = marshalled_size(body)
+        #: The wire exchange carrying the current attempt.
+        self.exchange: Optional[_Exchange] = None
 
     def sort_key(self) -> tuple[int, int]:
         return (int(self.priority), self.seq)
@@ -199,6 +227,20 @@ class QueuedMessage:
             f"<QueuedMessage #{self.seq} {self.service} -> {self.dst.name} "
             f"{self.priority.name} {self.state}>"
         )
+
+
+class _Exchange:
+    """One wire exchange: the messages in it and the window slot it holds."""
+
+    __slots__ = ("members", "holds_slot")
+
+    def __init__(self, members: list[QueuedMessage]) -> None:
+        self.members = members
+        self.holds_slot = True
+
+
+#: States in which a message still waits for its exchange's outcome.
+_OUTSTANDING = ("inflight", "accepted")
 
 
 class NetworkScheduler:
@@ -213,7 +255,6 @@ class NetworkScheduler:
         base_backoff: float = 1.0,
         max_backoff: float = 300.0,
         fifo_only: bool = False,
-        batch_max: int = 1,
         obs: Optional[Observatory] = None,
         rpc_timeout: float = 600.0,
     ) -> None:
@@ -230,11 +271,6 @@ class NetworkScheduler:
         #: are invisible to the sender) burn less virtual time before
         #: retransmission.
         self.rpc_timeout = rpc_timeout
-        #: Channel-use optimization for draining a parked queue: up to
-        #: this many same-destination messages ride one wire exchange
-        #: (service ``rover.batch``; the server must support it).
-        #: 1 disables batching (the paper's prototype behaviour).
-        self.batch_max = batch_max
         self.routes: list[Route] = [DirectRoute(transport, timeout=rpc_timeout)]
         #: Seeded jitter stream for retransmit backoff: without it,
         #: every client that lost the same link retries in lockstep and
@@ -265,7 +301,12 @@ class NetworkScheduler:
         ).labels(**host_label)
         self._m_batches = registry.counter(
             "sched_batches_sent_total",
-            "rover.batch exchanges dispatched",
+            "Coalesced frames dispatched (two or more messages each)",
+            labelnames=("host",),
+        ).labels(**host_label)
+        self._m_batch_members = registry.counter(
+            "sched_batch_members_total",
+            "Messages dispatched inside coalesced frames",
             labelnames=("host",),
         ).labels(**host_label)
         self._m_queue_wait = registry.histogram(
@@ -415,9 +456,14 @@ class NetworkScheduler:
         """
         if message.state not in ("queued", "inflight", "accepted"):
             return False
-        if message.state == "inflight":
-            self._inflight -= 1  # its release_slot closure never runs
+        was_inflight = message.state == "inflight"
         message.state = "done"
+        if was_inflight and not any(
+            member.state == "inflight" for member in message.exchange.members
+        ):
+            # Nobody is left waiting on the exchange: free its slot now
+            # rather than when (if ever) its late outcome arrives.
+            self._release(message.exchange)
         self._active.discard(message)
         self._m_failed.inc()
         message.on_failed(reason)
@@ -459,6 +505,10 @@ class NetworkScheduler:
             if message.state in ("queued", "inflight", "accepted"):
                 message.state = "cancelled"
                 count += 1
+            if message.exchange is not None:
+                # The window is reset below; a late outcome of a dead
+                # exchange must not release a slot a second time.
+                message.exchange.holds_slot = False
         self._active.clear()
         self._heap.clear()
         self._inflight = 0
@@ -528,122 +578,55 @@ class NetworkScheduler:
                 deferred.append(heapq.heappop(self._heap))
                 continue
             heapq.heappop(self._heap)
-            batch = self._gather_batch(message)
-            if batch is not None:
-                self._dispatch_batch(batch, route)
-            else:
-                self._dispatch(message, route)
+            self._dispatch(self._gather(message, route), route)
         for item in deferred:
             heapq.heappush(self._heap, item)
 
-    def _gather_batch(self, head: QueuedMessage) -> Optional[list[QueuedMessage]]:
-        """Pull queued same-destination messages to ride with ``head``.
+    def _gather(self, head: QueuedMessage, route: Route) -> list[QueuedMessage]:
+        """The messages that leave in ``head``'s frame, ``head`` first.
 
-        Returns None when batching is off or nothing else qualifies.
-        Only unpinned messages batch — a pinned message's carrier may
-        differ from the one chosen for the head.
+        Followers join only where bytes are what the sender waits for:
+        ``head`` alone already takes longer to serialize on the link it
+        will leave on than to propagate.  They are the queued messages
+        for the same destination *of the same priority class* (a
+        foreground request never waits for background bytes), in queue
+        order, until the next one would pass the frame's byte budget
+        (or the member count every receiver accepts).
+        A pinned message's carrier may differ from ``head``'s, so it
+        neither gathers nor joins.
         """
-        if self.batch_max <= 1 or head.route_preference is not None:
-            return None
-        batch = [head]
+        frame = [head]
+        room = BATCH_BUDGET_BYTES - head.body_bytes
+        if head.route_preference is not None or room <= 0 or not self._heap:
+            return frame
+        link = route.first_hop(head.dst)
+        if link is None or not self.transport.bytes_dominate(link, head.body_bytes):
+            return frame
         skipped: list[tuple[tuple[int, int], QueuedMessage]] = []
-        while self._heap and len(batch) < self.batch_max:
-            key, candidate = self._heap[0]
+        while self._heap and len(frame) < MAX_BATCH_MEMBERS:
+            candidate = self._heap[0][1]
             if candidate.state != "queued":
                 heapq.heappop(self._heap)
                 continue
+            if candidate.priority != head.priority:
+                break
             if candidate.dst is not head.dst or candidate.route_preference is not None:
                 skipped.append(heapq.heappop(self._heap))
                 continue
+            if candidate.body_bytes > room:
+                break  # FIFO within the class: nothing overtakes it
+            room -= candidate.body_bytes
             heapq.heappop(self._heap)
-            batch.append(candidate)
+            frame.append(candidate)
         for item in skipped:
             heapq.heappush(self._heap, item)
-        return batch if len(batch) > 1 else None
+        return frame
 
-    def _dispatch_batch(self, batch: list[QueuedMessage], route: Route) -> None:
-        """Send several messages as one ``rover.batch`` exchange.
-
-        The batch envelope carries the *head* message's trace context,
-        so wire/server spans of the exchange attach to the head's
-        trace; every member still gets its own queue.wait span.
-        """
-        for message in batch:
-            message.state = "inflight"
-            message.attempts += 1
-            if message.attempts > 1:
-                self._m_retransmissions.inc()
-            self._note_dispatch(message, route)
-        self._inflight += 1
-        self._m_batches.inc()
-        slot = {"held": True}
-
-        def release_slot() -> None:
-            if slot["held"]:
-                slot["held"] = False
-                self._inflight -= 1
-
-        def on_accepted() -> None:
-            for message in batch:
-                if message.state == "inflight":
-                    message.state = "accepted"
-            release_slot()
-            self._pump()
-
-        def on_reply(body: Any) -> None:
-            release_slot()
-            replies = body.get("replies", []) if isinstance(body, dict) else []
-            for index, message in enumerate(batch):
-                if message.state not in ("inflight", "accepted"):
-                    continue
-                message.state = "done"
-                self._active.discard(message)
-                if index < len(replies) and replies[index].get("ok"):
-                    self._m_delivered.inc()
-                    message.on_reply(replies[index].get("body"))
-                else:
-                    detail = (
-                        replies[index].get("body") if index < len(replies) else None
-                    )
-                    self._m_failed.inc()
-                    message.on_failed(
-                        detail.get("error", "batch member failed")
-                        if isinstance(detail, dict)
-                        else "batch member failed"
-                    )
-            self._pump()
-
-        def on_error(reason: str) -> None:
-            release_slot()
-            # A failure *during* transmit (Link.fail_inflight) surfaces
-            # here before the link's transition listeners run, so the
-            # memoized route may still point at the dead link — drop it
-            # or the pump below re-dispatches straight into the outage.
-            self._route_cache.clear()
-            for message in batch:
-                if message.state not in ("inflight", "accepted"):
-                    continue
-                if message.attempts >= self.max_attempts:
-                    message.state = "done"
-                    self._active.discard(message)
-                    self._m_failed.inc()
-                    message.on_failed(reason)
-                else:
-                    message.state = "queued"
-                    backoff = self._backoff_delay(message.attempts)
-                    self._note_retry(message, backoff, reason)
-                    self.sim.schedule(backoff, self._requeue, message)
-            self._pump()
-
-        body = {
-            "requests": [
-                {"service": message.service, "body": message.body}
-                for message in batch
-            ]
-        }
-        if batch[0].trace is not None:
-            body[TRACE_KEY] = list(batch[0].trace)
-        route.send(batch[0].dst, "rover.batch", body, on_reply, on_error, on_accepted)
+    def _release(self, exchange: _Exchange) -> None:
+        """Free the window slot ``exchange`` holds (at most once)."""
+        if exchange.holds_slot:
+            exchange.holds_slot = False
+            self._inflight -= 1
 
     def _note_dispatch(self, message: QueuedMessage, route: Route) -> None:
         """Record queue.wait + route.select spans and wait metrics."""
@@ -653,7 +636,7 @@ class NetworkScheduler:
         ).observe(waited)
         self._m_service_bytes.labels(
             host=self.host.name, service=message.service
-        ).inc(marshalled_size(message.body))
+        ).inc(message.body_bytes)
         if self.tracer.enabled and message.trace is not None:
             self.tracer.record(
                 "queue.wait",
@@ -695,61 +678,101 @@ class NetworkScheduler:
                 reason=reason,
             )
 
-    def _dispatch(self, message: QueuedMessage, route: Route) -> None:
-        message.state = "inflight"
-        message.attempts += 1
-        if message.attempts > 1:
-            self._m_retransmissions.inc()
-        self._note_dispatch(message, route)
-        self._inflight += 1
-        slot = {"held": True}
+    def _dispatch(self, members: list[QueuedMessage], route: Route) -> None:
+        """Send ``members`` as one wire exchange holding one window slot.
 
-        def release_slot() -> None:
-            if slot["held"]:
-                slot["held"] = False
-                self._inflight -= 1
+        A lone message goes out as its own request.  Several go out as
+        one :data:`BATCH_SERVICE` exchange, which any transport unpacks
+        member by member; its envelope carries the *head* message's
+        trace context, so wire/server spans of the exchange attach to
+        the head's trace, and every member still gets its own
+        queue.wait span and its own outcome.
+        """
+        exchange = _Exchange(members)
+        for message in members:
+            message.state = "inflight"
+            message.exchange = exchange
+            message.attempts += 1
+            if message.attempts > 1:
+                self._m_retransmissions.inc()
+            self._note_dispatch(message, route)
+        self._inflight += 1
+        head = members[0]
+        coalesced = len(members) > 1
 
         def on_accepted() -> None:
             # Store-and-forward custody: the channel is free, but the
-            # message stays logically outstanding until its reply.
-            if message.state == "inflight":
-                message.state = "accepted"
-            release_slot()
+            # messages stay logically outstanding until their reply.
+            for message in members:
+                if message.state == "inflight":
+                    message.state = "accepted"
+            self._release(exchange)
             self._pump()
 
         def on_reply(body: Any) -> None:
-            if message.state not in ("inflight", "accepted"):
-                return
-            message.state = "done"
-            self._active.discard(message)
-            release_slot()
-            self._m_delivered.inc()
-            message.on_reply(body)
-            self._pump()
+            outcomes: Any = ((True, body),)
+            if coalesced:
+                outcomes = batch_replies(body, len(members))
+                if outcomes is None:
+                    # Not an answer to what was asked: as good as lost.
+                    self.transport.note_corrupt_frame()
+                    on_error("malformed batch reply")
+                    return
+            self._release(exchange)
+            waiting = False
+            for message, (ok, reply) in zip(members, outcomes):
+                if message.state not in _OUTSTANDING:
+                    continue
+                waiting = True
+                if ok:
+                    message.state = "done"
+                    self._active.discard(message)
+                    self._m_delivered.inc()
+                    message.on_reply(reply)
+                else:
+                    # What a lone request's carrier reports through
+                    # on_error: the remote handler failed.
+                    self._attempt_failed(message, remote_error(reply))
+            if waiting:
+                self._pump()
 
         def on_error(reason: str) -> None:
-            if message.state not in ("inflight", "accepted"):
+            self._release(exchange)
+            waiting = [m for m in members if m.state in _OUTSTANDING]
+            if not waiting:
                 return
-            release_slot()
-            # See _dispatch_batch.on_error: mid-transmit failures reach
-            # this callback before any up/down transition listener, so
-            # the cached route for this destination may be dead.
+            # A failure *during* transmit (Link.fail_inflight) surfaces
+            # here before the link's transition listeners run, so the
+            # memoized route may still point at the dead link — drop it
+            # or the pump below re-dispatches straight into the outage.
             self._route_cache.clear()
-            if message.attempts >= self.max_attempts:
-                message.state = "done"
-                self._active.discard(message)
-                self._m_failed.inc()
-                message.on_failed(reason)
-            else:
-                message.state = "queued"
-                backoff = self._backoff_delay(message.attempts)
-                self._note_retry(message, backoff, reason)
-                self.sim.schedule(backoff, self._requeue, message)
+            for message in waiting:
+                self._attempt_failed(message, reason)
             self._pump()
 
-        route.send(
-            message.dst, message.service, message.body, on_reply, on_error, on_accepted
-        )
+        if not coalesced:
+            route.send(head.dst, head.service, head.body, on_reply, on_error, on_accepted)
+            return
+        self._m_batches.inc()
+        self._m_batch_members.inc(len(members))
+        body = batch_request([(message.service, message.body) for message in members])
+        if head.trace is not None:
+            body[TRACE_KEY] = list(head.trace)
+        route.send(head.dst, BATCH_SERVICE, body, on_reply, on_error, on_accepted)
+
+    def _attempt_failed(self, message: QueuedMessage, reason: str) -> None:
+        """Back off and retry ``message``, or fail it for good once its
+        attempts are spent."""
+        if message.attempts >= self.max_attempts:
+            message.state = "done"
+            self._active.discard(message)
+            self._m_failed.inc()
+            message.on_failed(reason)
+        else:
+            message.state = "queued"
+            backoff = self._backoff_delay(message.attempts)
+            self._note_retry(message, backoff, reason)
+            self.sim.schedule(backoff, self._requeue, message)
 
     def _requeue(self, message: QueuedMessage) -> None:
         if message.state != "queued":

@@ -176,10 +176,14 @@ class _Transfer:
         self.done = True
         link = self.link
         link._note_transfer_done()
-        delivery = self.delivery
+        # Drop what completion consumes: ``fail`` reaches the sender's
+        # request through its callbacks, and a quiet link may never run
+        # the amortized sweep that would let this transfer go.
+        delivery, self.delivery = self.delivery, None
+        fail, self.fail = self.fail, None
         if delivery.fail_reason is not None:
             link.transfers_failed += 1
-            self.fail(delivery.fail_reason)
+            fail(delivery.fail_reason)
             return
         if self.charge:
             link.bytes_carried += link.spec.wire_bytes(len(delivery.payload))
@@ -283,7 +287,8 @@ class Link:
             transfer.deliver_event.cancel()
             self.transfers_failed += 1
             failed += 1
-            transfer.fail(reason)
+            fail, transfer.fail, transfer.delivery = transfer.fail, None, None
+            fail(reason)
         return failed
 
     def _note_transfer_done(self) -> None:

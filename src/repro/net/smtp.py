@@ -21,7 +21,7 @@ from typing import Any, Callable, Optional
 
 from repro.net.scheduler import Route, RouteKind
 from repro.net.simnet import Address, Host, Link
-from repro.net.transport import DelayedReply, RpcError, Transport
+from repro.net.transport import RpcError, Transport, settle_reply
 from repro.sim import Simulator
 
 SUBMIT_SERVICE = "smtp.submit"
@@ -169,7 +169,10 @@ class MailRoute(Route):
         mailbox.on_mail(self._on_mail)
 
     def available(self, dst: Host) -> bool:
-        return self.mailbox.transport.best_link(self.mailbox.relay) is not None
+        return self.first_hop(dst) is not None
+
+    def first_hop(self, dst: Host) -> Optional[Link]:
+        return self.mailbox.transport.best_link(self.mailbox.relay)
 
     def send(
         self,
@@ -236,25 +239,17 @@ class MailRpcEndpoint:
         ok, reply_body = self.transport.handle_request(
             body.get("service", ""), body.get("body"), source
         )
-        delay = 0.0
-        if isinstance(reply_body, DelayedReply):
-            delay = reply_body.delay_s
-            reply_body = reply_body.body
         self.served += 1
-        reply = {
-            "kind": "qrpc-reply",
-            "id": body.get("id"),
-            "ok": ok,
-            "body": reply_body,
-        }
 
         # Reply goes back through the relay; if the relay is unreachable
         # right now the reply is simply retried by the application's
         # QRPC retransmission, so best-effort is fine here.
-        def transmit() -> None:
-            self.mailbox.send(body.get("reply_to", sender), reply)
+        def respond(delay_s: float, final: Any) -> None:
+            reply = {"kind": "qrpc-reply", "id": body.get("id"), "ok": ok, "body": final}
+            reply_to = body.get("reply_to", sender)
+            if delay_s > 0:
+                self.sim.schedule(delay_s, self.mailbox.send, reply_to, reply)
+            else:
+                self.mailbox.send(reply_to, reply)
 
-        if delay > 0:
-            self.sim.schedule(delay, transmit)
-        else:
-            transmit()
+        settle_reply(reply_body, respond)

@@ -39,6 +39,27 @@ from repro.sim import Simulator
 _RAW = b"R"
 _COMPRESSED = b"Z"
 
+#: Largest payload a ``Z`` frame may inflate to.  Well above the
+#: biggest object the experiments move (1 MiB), and the bound on what a
+#: CRC-valid frame of a few KB can make a receiver allocate.
+MAX_FRAME_BYTES = 8 * 1024 * 1024
+
+#: The coalesced exchange: several requests for one host in one frame,
+#: ``{"requests": [{"service", "body"}, ...]}`` answered by
+#: ``{"replies": [{"ok", "body"}, ...]}`` in the same order.  Every
+#: transport serves it (:meth:`Transport.handle_request`), as every
+#: transport reads ``Z`` frames.
+BATCH_SERVICE = "rover.batch"
+#: Raw request-body bytes one coalesced frame may carry: a backlog of
+#: small operations rides together (~14 mail flag updates), a large
+#: object rides alone, and a link drop mid-frame wastes a bounded
+#: amount of line time.
+BATCH_BUDGET_BYTES = 4096
+#: Members one frame may hold: what the budget admits of the smallest
+#: request bodies the QRPC layer builds (16 B).  Senders stop here and
+#: receivers drop a frame that claims more.
+MAX_BATCH_MEMBERS = BATCH_BUDGET_BYTES // 16
+
 # Well-known ports.
 RPC_PORT = 530
 HTTP_PORT = 80
@@ -113,6 +134,50 @@ class AsyncReply:
             self._sink = sink
 
 
+def settle_reply(reply_body: Any, then: Callable[[float, Any], None]) -> None:
+    """Run ``then(delay_s, body)`` once a handler's reply is known.
+
+    The one place a carrier interprets what a service handler returned:
+    a plain body is known now, a :class:`DelayedReply` is known now and
+    owes ``delay_s`` of compute time, an :class:`AsyncReply` is known
+    when it completes (with either of the other two).
+    """
+    if isinstance(reply_body, AsyncReply):
+        reply_body.bind(lambda completed: settle_reply(completed, then))
+    elif isinstance(reply_body, DelayedReply):
+        then(reply_body.delay_s, reply_body.body)
+    else:
+        then(0.0, reply_body)
+
+
+def remote_error(body: Any) -> str:
+    """The reason carried by the body of a reply that is not ``ok``."""
+    body = body or {}
+    return body.get("error", "remote error") if isinstance(body, dict) else str(body)
+
+
+def batch_request(members: list[tuple[str, Any]]) -> dict:
+    """The :data:`BATCH_SERVICE` body for ``(service, body)`` members."""
+    return {
+        "requests": [{"service": service, "body": body} for service, body in members]
+    }
+
+
+def batch_replies(body: Any, count: int) -> Optional[list[tuple[bool, Any]]]:
+    """``(ok, body)`` per member of a :data:`BATCH_SERVICE` reply.
+
+    None when the reply does not answer exactly ``count`` members, each
+    as a dict: the caller cannot tell which member an entry belongs to,
+    so the exchange as a whole is treated as lost.
+    """
+    replies = body.get("replies") if isinstance(body, dict) else None
+    if not isinstance(replies, list) or len(replies) != count:
+        return None
+    if not all(isinstance(reply, dict) for reply in replies):
+        return None
+    return [(bool(reply.get("ok")), reply.get("body")) for reply in replies]
+
+
 class Transport:
     """Per-host object transport.
 
@@ -124,8 +189,8 @@ class Transport:
         self,
         sim: Simulator,
         host: Host,
-        compress_threshold: Optional[int] = None,
         obs: Optional[Observatory] = None,
+        adapt_to_link: bool = True,
     ) -> None:
         self.sim = sim
         self.host = host
@@ -146,15 +211,21 @@ class Transport:
             "Payloads handed to links",
             labelnames=("host",),
         ).labels(host=host.name)
-        #: Compress payloads larger than this many marshalled bytes
-        #: (None disables — the paper's prototype choice).  Receivers
-        #: always understand compressed frames regardless of their own
-        #: setting, so the option can be enabled per host.
-        self.compress_threshold = compress_threshold
-        self.bytes_saved_by_compression = 0
+        #: False reproduces the paper's prototype, which "does not
+        #: perform any compression" and drains one QRPC per exchange:
+        #: :meth:`bytes_dominate` then holds on no link, so every frame
+        #: takes the path latency-dominated traffic takes anyway.
+        #: Receivers understand compressed and coalesced frames
+        #: regardless of their own setting.
+        self.adapt_to_link = adapt_to_link
+        self._m_saved = registry.counter(
+            "transport_bytes_saved_by_compression_total",
+            "Payload bytes kept off the wire by compressing frames",
+            labelnames=("host",),
+        ).labels(host=host.name)
         self._m_corrupt = registry.counter(
             "transport_corrupt_frames_total",
-            "Inbound frames dropped for failing their CRC seal",
+            "Inbound frames dropped: bad CRC seal, undecodable, or malformed",
             labelnames=("host",),
         ).labels(host=host.name)
         self._m_marshal_hits = registry.counter(
@@ -171,6 +242,14 @@ class Transport:
     def corrupt_frames_detected(self) -> int:
         return int(self._m_corrupt.value)
 
+    def note_corrupt_frame(self) -> None:
+        """Count a frame a layer above found malformed after decoding."""
+        self._m_corrupt.inc()
+
+    @property
+    def bytes_saved_by_compression(self) -> int:
+        return int(self._m_saved.value)
+
     @property
     def bytes_sent(self) -> int:
         return int(self._m_bytes.value)
@@ -181,15 +260,20 @@ class Transport:
 
     # -- payload framing ---------------------------------------------------
 
-    def _encode_payload(self, value: Any) -> bytes:
+    def bytes_dominate(self, link: Link, nbytes: int) -> bool:
+        """True when ``nbytes`` take longer to serialize on ``link``
+        than to propagate: bytes are what the sender waits for, so
+        spending CPU (compression) or sharing a frame (coalescing) to
+        send fewer of them pays.  The one rule both decisions use."""
+        spec = link.spec
+        return self.adapt_to_link and spec.transmit_time(nbytes) > spec.latency_s
+
+    def _encode_payload(self, value: Any, link: Link) -> bytes:
         raw = marshal(value)
-        if (
-            self.compress_threshold is not None
-            and len(raw) > self.compress_threshold
-        ):
-            squeezed = zlib.compress(raw, level=6)
-            if len(squeezed) + 1 < len(raw):
-                self.bytes_saved_by_compression += len(raw) - len(squeezed) - 1
+        if self.bytes_dominate(link, len(raw)):
+            squeezed = zlib.compress(raw, 6)
+            if len(squeezed) < len(raw):
+                self._m_saved.inc(len(raw) - len(squeezed))
                 return seal(_COMPRESSED + squeezed)
         return seal(_RAW + raw)
 
@@ -201,10 +285,15 @@ class Transport:
         payload = unseal(payload)
         marker, body = payload[:1], payload[1:]
         if marker == _COMPRESSED:
+            inflater = zlib.decompressobj()
             try:
-                raw = zlib.decompress(body)
+                raw = inflater.decompress(body, MAX_FRAME_BYTES)
             except zlib.error as exc:
                 raise MarshalError(f"corrupt compressed frame: {exc}") from exc
+            if not inflater.eof or inflater.unused_data:
+                # Truncated, trailed by garbage, or more than the cap:
+                # stop inflating rather than find out how much more.
+                raise MarshalError("compressed frame truncated or over the frame cap")
             return unmarshal(raw)
         return unmarshal(body)
 
@@ -263,7 +352,7 @@ class Transport:
         chosen = link or self.best_link(dst)
         if chosen is None or not chosen.is_up:
             raise LinkDown(f"no usable link {self.host.name} -> {dst.name}")
-        payload = self._encode_payload(value)
+        payload = self._encode_payload(value, chosen)
         arrival = chosen.send(
             self.host, port, payload, on_failed=on_failed, src_port=src_port
         )
@@ -415,8 +504,12 @@ class Transport:
         Shared by every carrier that can deliver requests to this host
         (direct RPC port, SMTP relay).  Returns ``(ok, reply_body)``;
         handler exceptions are captured as error replies rather than
-        crashing the host.
+        crashing the host.  ``reply_body`` goes through
+        :func:`settle_reply`.  A :data:`BATCH_SERVICE` request is
+        unpacked here, so every registered service can be coalesced.
         """
+        if service == BATCH_SERVICE:
+            return self._handle_batch(body, source)
         handler = self._request_handlers.get(service)
         if handler is None:
             return False, {"error": f"unknown service {service!r}"}
@@ -424,6 +517,68 @@ class Transport:
             return True, handler(body, source)
         except Exception as exc:  # surface remote faults to caller
             return False, {"error": f"{type(exc).__name__}: {exc}"}
+
+    def _handle_batch(self, body: Any, source: Address) -> tuple[bool, Any]:
+        """Serve each member of a coalesced frame as if it came alone.
+
+        Every member goes through :meth:`handle_request` (so through
+        its service's own at-most-once and conflict handling) and is
+        answered in its own slot; the frame's reply leaves when the
+        last member's is known, after the members' compute time.  A
+        frame that is not a batch at all is dropped whole; a malformed
+        member fails alone.
+        """
+        requests = body.get("requests") if isinstance(body, dict) else None
+        if not isinstance(requests, list) or not 0 < len(requests) <= MAX_BATCH_MEMBERS:
+            self._m_corrupt.inc()
+            return False, {"error": "malformed batch"}
+        tracer = self.tracer
+        envelope_trace = parse_context(body.get(TRACE_KEY)) if tracer.enabled else None
+        replies: list[Any] = [None] * len(requests)
+        frame_reply = AsyncReply()
+        unsettled = len(requests)
+        compute_s = 0.0
+
+        def serve(index: int, member: Any) -> None:
+            service = member.get("service") if isinstance(member, dict) else None
+            if not isinstance(service, str) or service == BATCH_SERVICE or "body" not in member:
+                self._m_corrupt.inc()
+                member_body = None
+                ok, reply_body = False, {"error": "malformed batch member"}
+            else:
+                member_body = member["body"]
+                ok, reply_body = self.handle_request(service, member_body, source)
+            started = self.sim.now + compute_s
+
+            def settled(delay_s: float, final: Any) -> None:
+                nonlocal unsettled, compute_s
+                replies[index] = {"ok": ok, "body": final}
+                compute_s += delay_s
+                unsettled -= 1
+                if tracer.enabled and isinstance(member_body, dict):
+                    member_trace = parse_context(member_body.get(TRACE_KEY))
+                    # The head member's trace already carries the
+                    # frame-level server.execute span of
+                    # _serve_request; per-member spans go to the
+                    # *other* traces riding in this frame.
+                    if member_trace is not None and member_trace != envelope_trace:
+                        tracer.record(
+                            "server.execute",
+                            member_trace,
+                            start=started,
+                            end=max(started, self.sim.now) + delay_s,
+                            service=service,
+                            host=self.host.name,
+                            batched=True,
+                        )
+                if unsettled == 0:
+                    frame_reply.complete(DelayedReply(compute_s, {"replies": replies}))
+
+            settle_reply(reply_body, settled)
+
+        for index, member in enumerate(requests):
+            serve(index, member)
+        return True, frame_reply
 
     def _serve_request(self, envelope: dict, source: Address) -> None:
         src_host = self.host.network.hosts.get(source[0])
@@ -436,95 +591,46 @@ class Transport:
             else None
         )
         started = self.sim.now
-        ok, reply_body = self.handle_request(
-            envelope.get("service", ""), body, source
-        )
-        if isinstance(reply_body, AsyncReply):
-            # The handler will answer later (e.g. once replication
-            # reaches quorum); bind the transmit path and return.  The
-            # epoch fence still applies at completion time, so a reply
-            # completed by a dead incarnation is never sent.
-            epoch = self._epoch
-            call_id = envelope.get("id")
-            service = envelope.get("service", "")
-
-            def finish(completed_body: Any) -> None:
-                if epoch != self._epoch:
-                    return  # the incarnation that served this crashed
-                delay_s = 0.0
-                final = completed_body
-                if isinstance(final, DelayedReply):
-                    delay_s = final.delay_s
-                    final = final.body
-                if trace is not None and self.tracer.enabled:
-                    self.tracer.record(
-                        "server.execute",
-                        trace,
-                        start=started,
-                        end=self.sim.now + delay_s,
-                        service=service,
-                        host=self.host.name,
-                        status="ok",
-                    )
-                reply_envelope = {
-                    "kind": "reply",
-                    "id": call_id,
-                    "ok": True,
-                    "body": final,
-                }
-
-                def transmit_async() -> None:
-                    if epoch != self._epoch:
-                        return
-                    try:
-                        self.send(src_host, RPC_PORT, reply_envelope, trace=trace)
-                    except LinkDown:
-                        pass  # lost reply; the caller's timeout recovers
-
-                if delay_s > 0:
-                    self.sim.schedule(delay_s, transmit_async)
-                else:
-                    transmit_async()
-
-            reply_body.bind(finish)
-            return
-        delay = 0.0
-        if isinstance(reply_body, DelayedReply):
-            delay = reply_body.delay_s
-            reply_body = reply_body.body
-        if trace is not None and self.tracer.enabled:
-            # Handler ran synchronously at `started`; DelayedReply's
-            # delay is the modelled server compute time.
-            self.tracer.record(
-                "server.execute",
-                trace,
-                start=started,
-                end=started + delay,
-                service=envelope.get("service", ""),
-                host=self.host.name,
-                status="ok" if ok else "error",
-            )
-        reply = {
-            "kind": "reply",
-            "id": envelope.get("id"),
-            "ok": ok,
-            "body": reply_body,
-        }
+        service = envelope.get("service", "")
+        ok, reply_body = self.handle_request(service, body, source)
+        # A reply is never sent by an incarnation other than the one
+        # that served the request: checked when the reply is known (a
+        # deferred reply may complete after a crash) and again when the
+        # modelled compute time has passed.
         epoch = self._epoch
 
-        def transmit() -> None:
+        def respond(delay_s: float, final: Any) -> None:
             if epoch != self._epoch:
-                return  # the incarnation that computed this reply crashed
-            try:
-                self.send(src_host, RPC_PORT, reply, trace=trace)
-            except LinkDown:
-                # The reply is lost; the caller's timeout handles it.
-                pass
+                return
+            if trace is not None and self.tracer.enabled:
+                # `delay_s` is the modelled server compute time, owed
+                # from the moment the reply body is known.
+                self.tracer.record(
+                    "server.execute",
+                    trace,
+                    start=started,
+                    end=self.sim.now + delay_s,
+                    service=service,
+                    host=self.host.name,
+                    status="ok" if ok else "error",
+                )
+            reply = {"kind": "reply", "id": envelope.get("id"), "ok": ok, "body": final}
+            if delay_s > 0:
+                self.sim.schedule(delay_s, self._transmit_reply, epoch, src_host, reply, trace)
+            else:
+                self._transmit_reply(epoch, src_host, reply, trace)
 
-        if delay > 0:
-            self.sim.schedule(delay, transmit)
-        else:
-            transmit()
+        settle_reply(reply_body, respond)
+
+    def _transmit_reply(
+        self, epoch: int, dst: Host, reply: dict, trace: Optional[tuple[str, str]]
+    ) -> None:
+        if epoch != self._epoch:
+            return  # the incarnation that computed this reply crashed
+        try:
+            self.send(dst, RPC_PORT, reply, trace=trace)
+        except LinkDown:
+            pass  # lost reply; the caller's timeout recovers
 
     def _accept_reply(self, envelope: dict) -> None:
         call_id = envelope.get("id")
@@ -535,9 +641,7 @@ class Transport:
         if envelope.get("ok"):
             pending["on_reply"](envelope.get("body"))
         else:
-            body = envelope.get("body") or {}
-            message = body.get("error", "remote error") if isinstance(body, dict) else str(body)
-            pending["on_error"](RpcError(message))
+            pending["on_error"](RpcError(remote_error(envelope.get("body"))))
 
 
 def null_rpc_time(spec: LinkSpec, request_bytes: int, reply_bytes: int) -> float:

@@ -54,6 +54,7 @@ from repro.net.link import (
 from repro.obs.fleet.aggregator import FleetAggregator
 from repro.obs.fleet.report import TelemetryReporter
 from repro.obs.fleet.slo import DEFAULT_SLO_RULES
+from repro.sim.rng import make_rng
 from repro.testbed import MultiClientTestbed, build_multi_client_testbed
 
 #: The mixed link population: client ``i`` gets ``MIX[i % 4]``.
@@ -89,6 +90,18 @@ _PING_INTERFACE = RDOInterface(
 #: real mobile app adapts fidelity to bandwidth (cf. the paper's
 #: CSLIP-aware Exmh/proxy behaviour).
 _PAYLOAD_DIVISOR = (1, 1, 8, 16)
+
+
+def _payload(seed: int, nbytes: int) -> bytes:
+    """Seeded noise: a payload that costs the line what it weighs.
+
+    A run of one letter deflates to nothing on every link whose frames
+    the transport compresses, which would leave telemetry as the only
+    traffic that costs bytes.  Against incompressible foreground the
+    attributed overhead is an upper bound: reports are counted as
+    marshalled, before the transport compresses them.
+    """
+    return make_rng(seed, f"fleet:payload:{nbytes}").randbytes(nbytes)
 
 
 @dataclass(frozen=True)
@@ -266,7 +279,7 @@ def build_fleet(scenario: FleetScenario) -> FleetResult:
         )
         gap = scenario.horizon_s / (scenario.invokes_per_client + 1)
         divisor = _PAYLOAD_DIVISOR[index % len(LINK_MIX)]
-        blob = "x" * max(1, scenario.payload_bytes // divisor)
+        blob = _payload(scenario.seed, max(1, scenario.payload_bytes // divisor))
         for step in range(scenario.invokes_per_client):
             if step % 4 == 0:
                 method, args = "bump", []

@@ -94,8 +94,7 @@ def build_testbed(
     cache_capacity: int = 8 * 1024 * 1024,
     max_inflight: int = 4,
     fifo_only: bool = False,
-    compress_threshold: Optional[int] = None,
-    batch_max: int = 1,
+    adapt_to_link: bool = True,
     seed: int = 0,
     obs: Optional[Observatory] = None,
     trace: bool = False,
@@ -120,6 +119,10 @@ def build_testbed(
     capture installed via :func:`repro.obs.set_capture` (the bench
     CLI's ``--trace-out``/``--metrics`` path) takes effect when no
     explicit ``obs`` is given.
+
+    ``adapt_to_link=False`` is for the ablation rows that reproduce the
+    paper's prototype on a slow link (no compression, one QRPC per
+    exchange); see :attr:`Transport.adapt_to_link`.
     """
     if obs is None:
         obs = active_capture() or Observatory(tracing=trace)
@@ -132,12 +135,8 @@ def build_testbed(
     server_host = network.host(authority)
     link = network.connect(client_host, server_host, link_spec, policy)
 
-    client_transport = Transport(
-        sim, client_host, compress_threshold=compress_threshold, obs=obs
-    )
-    server_transport = Transport(
-        sim, server_host, compress_threshold=compress_threshold, obs=obs
-    )
+    client_transport = Transport(sim, client_host, obs=obs, adapt_to_link=adapt_to_link)
+    server_transport = Transport(sim, server_host, obs=obs, adapt_to_link=adapt_to_link)
 
     server = RoverServer(sim, server_transport, authority, resolvers=resolvers)
     scheduler = NetworkScheduler(
@@ -146,7 +145,6 @@ def build_testbed(
         max_inflight=max_inflight,
         max_attempts=max_attempts,
         fifo_only=fifo_only,
-        batch_max=batch_max,
         obs=obs,
         rpc_timeout=rpc_timeout_s,
     )

@@ -50,14 +50,17 @@ def test_browse_session_self_paces():
 def test_impatient_session_queues_ahead():
     bed, site, proxy = make_web_bed()
     path = [site.root] + site.pages[site.root].links[:3]
+    # A compressed page displays ~0.5 s after the click on this link
+    # (seconds, before frames were compressed): to click ahead of the
+    # data the user has to click faster than that.
     process = bed.sim.spawn(
-        impatient_browse_session(proxy, path, think_time_s=1.0)
+        impatient_browse_session(proxy, path, think_time_s=0.2)
     )
     peak = {"value": 0}
 
     def watch():
         peak["value"] = max(peak["value"], len(proxy.outstanding))
-        bed.sim.schedule(0.5, watch)
+        bed.sim.schedule(0.1, watch)
 
     bed.sim.schedule(0.0, watch)
     bed.sim.run_until(lambda: process.is_done, timeout=1e5)

@@ -89,6 +89,18 @@ def test_crash_budget_limits_crash_expansions():
     assert with_crashes.runs_explored - without.runs_explored == crash_points
 
 
+def test_coalesced_frame_faults_keep_members_at_most_once():
+    """The reconnect backlog leaves as one rover.batch frame (the check
+    fails a run where it does not); dropping it, replaying it late,
+    losing its reply or crashing its sender while it is out must leave
+    every member applied exactly once."""
+    base = get_scenario("coalesced-drain").run(Chooser())
+    assert base.ok
+    assert any(d.meta.get("service") == "rover.batch" for d in base.trace)
+    result = explore(get_scenario("coalesced-drain"), depth=1)
+    assert result.ok, result.violations[0].violations
+
+
 def test_max_runs_truncates():
     result = explore(TinyWarmImport(), depth=2, max_runs=5)
     assert result.truncated

@@ -175,7 +175,7 @@ class TestHandlerContractRegression(unittest.TestCase):
         discovered = {
             q for q in report.replay_roots if "core/server.py" in q
         }
-        self.assertGreaterEqual(len(discovered), 9)
+        self.assertGreaterEqual(len(discovered), 8)
 
 
 if __name__ == "__main__":

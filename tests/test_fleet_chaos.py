@@ -112,6 +112,10 @@ class TestFleetChaos:
         # without touching the totals (checked exact above).
         assert summary["duplicates"] > 0
 
+        # The slow clients' backlogs left as coalesced frames, so the
+        # drops, replays and the crash hit whole frames of reports.
+        assert sum(stack.scheduler.batches_sent for stack in bed.clients) > 0
+
         # The crashed client reported across the crash.
         crashed = bed.clients[CRASH_INDEX].host.name
         assert aggregator.clients[crashed].reports_applied > 0

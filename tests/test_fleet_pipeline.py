@@ -38,12 +38,13 @@ def bump(state):
 PING_INTERFACE = RDOInterface([MethodSpec("bump", mutates=True)])
 
 
-def build_fleet_bed(n=2, policies=None):
+def build_fleet_bed(n=2, policies=None, **bed_kwargs):
     bed = build_multi_client_testbed(
         n,
         link_spec=ETHERNET_10M,
         policies=policies,
         per_client_obs=True,
+        **bed_kwargs,
     )
     for index in range(n):
         urn = URN(bed.server.authority, f"obj/{index}")
@@ -286,6 +287,51 @@ class TestQueueFolding:
         # seqs, and every folded seq is accounted for (no open gap).
         assert state.reports_applied < offline._seq
         assert state.missing() == 0
+
+    def test_report_whose_reply_was_lost_is_never_folded(self):
+        """A report backing off between attempts sits in the queue like
+        a fresh one, but the aggregator may hold its first copy (only
+        the reply was lost).  Folding it under a later report applied
+        its deltas twice: totals ended *above* ground truth."""
+        from repro.net.transport import AsyncReply
+
+        bed, aggregator, reporters = build_fleet_bed(n=1, rpc_timeout_s=5.0)
+        run_workload(bed)
+        (reporter,) = reporters
+        access = bed.clients[0].access
+        client = bed.clients[0].host.name
+
+        handlers = bed.server_transport._request_handlers
+        apply = handlers["rover.telemetry"]
+        lost = []
+
+        def lose_first_reply(body, source):
+            reply = apply(body, source)
+            if not lost:
+                lost.append(body)
+                return AsyncReply()  # never completed: a reply never sent
+            return reply
+
+        handlers["rover.telemetry"] = lose_first_reply
+        reporter.flush()
+        bed.sim.run(until=bed.sim.now + 5.5)  # applied; reply timed out
+        assert lost and reporter._unacked
+        applied_once = aggregator.clients[client].reports_applied
+
+        # New work and a second report while the first backs off: the
+        # queue-time compaction pass sees both side by side.
+        urn = f"urn:rover:{bed.server.authority}/obj/0"
+        access.invoke_remote(urn, "bump", [])
+        bed.sim.run(until=bed.sim.now + 0.2)
+        truth = reporter.ground_truth()
+        reporter.flush()
+        bed.sim.run(until=bed.sim.now + 120.0)
+
+        assert not reporter._unacked
+        assert aggregator.client_totals(client) == truth
+        state = aggregator.clients[client]
+        assert state.duplicates == 1  # the retry, recognized as such
+        assert state.reports_applied == applied_once + 1
 
 
 DETERMINISM_SCRIPT = """

@@ -224,3 +224,74 @@ def test_multi_client_mail_and_calendar_convergence():
     assert set(events) == {"a-ev", "b-ev"}
     slots = {e["slot"] for e in events.values()}
     assert len(slots) == 2  # double booking repaired
+
+
+def test_triage_session_drains_as_a_few_compressed_frames():
+    """The reconnect drain in miniature (perfbench's ``mail_slowlink``,
+    one session): a 40-message folder triaged offline with compaction
+    and delta shipping on leaves ~42 small, near-identical exports
+    queued.  On CSLIP-14.4 they used to cross one uncompressed frame
+    each (7.1 virtual seconds, 15.9 KB); coalesced and compressed they
+    are three frames."""
+    from repro.net.scheduler import Priority
+
+    reconnect_at = 2000.0
+    bed = build_testbed(
+        link_spec=CSLIP_14_4,
+        policy=IntervalTrace([(0.0, 900.0), (reconnect_at, 1e12)]),
+        compaction=True,
+        delta_shipping=True,
+    )
+    corpus = generate_mail_corpus(
+        seed=14, n_folders=1, messages_per_folder=40, mean_body_bytes=1024
+    )
+    MailServerApp(bed.server, corpus).create_folder("outbox")
+    reader = RoverMailReader(bed.access, bed.authority)
+    reader.prefetch_folder("inbox")
+    reader.open_folder("outbox")
+    bed.sim.run(until=890.0)
+    assert bed.access.pending_count() == 0
+    warm_bytes = bed.link.bytes_carried
+
+    bed.sim.run(until=1000.0)  # disconnected
+    ids = [entry["id"] for entry in reader.folder_index("inbox")]
+    for msg_id in ids:
+        bed.access.invoke(
+            reader.message_urn("inbox", msg_id), "mark_read", session=reader.session
+        )
+    for msg_id in ids[::2]:
+        bed.access.invoke(
+            reader.message_urn("inbox", msg_id), "mark_deleted", session=reader.session
+        )
+    for n in range(6):
+        reader.send_message(
+            "outbox", {"id": f"reply-{n}", "from": "me", "subject": f"re {n}", "body": "x" * 200}
+        )
+    reimport = bed.access.import_(
+        reader.folder_urn("inbox"),
+        session=reader.session,
+        priority=Priority.BACKGROUND,
+        refresh=True,
+    )
+    bed.sim.run(until=reconnect_at - 1.0)
+    assert bed.access.pending_count() == 42
+
+    assert bed.access.drain(timeout=600.0)
+    bed.sim.run(until=bed.sim.now + 60.0)
+    last_response = max(
+        note.time
+        for note in bed.access.notifications.history
+        if note.event is EventType.RESPONSE_ARRIVED
+    )
+    assert last_response - reconnect_at <= 1.5
+    assert bed.link.bytes_carried - warm_bytes <= 2048
+    assert 1 <= bed.scheduler.batches_sent <= 4
+    # Every member was served and acknowledged on its own.
+    assert reimport.ready
+    for msg_id in ids:
+        flags = bed.server.get_object(str(reader.message_urn("inbox", msg_id))).data["flags"]
+        assert flags.get("read") is True
+        assert (flags.get("deleted") is True) == (msg_id in ids[::2])
+    outbox = bed.server.get_object(str(reader.folder_urn("outbox"))).data["index"]
+    assert [entry["id"] for entry in outbox] == [f"reply-{n}" for n in range(6)]
+    assert bed.server.exports_conflicted == 0

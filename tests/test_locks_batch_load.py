@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.notification import EventType
-from repro.net.link import CSLIP_14_4, ETHERNET_10M, IntervalTrace
+from repro.net.link import CSLIP_2_4, ETHERNET_10M, IntervalTrace
 from repro.testbed import build_multi_client_testbed, build_testbed
 from tests.conftest import make_note
 
@@ -85,13 +85,17 @@ class TestLocks:
 
 
 class TestBatching:
+    """Coalesced draining through the full stack, prototype vs. default."""
+
     def test_batched_drain_uses_fewer_exchanges(self):
         results = {}
-        for label, batch_max in (("unbatched", 1), ("batched", 8)):
+        for label, adapt in (("unbatched", False), ("batched", True)):
             bed = build_testbed(
-                link_spec=CSLIP_14_4,
+                # 2.4k: even an 80 B import request costs more line
+                # time than the link's propagation delay.
+                link_spec=CSLIP_2_4,
                 policy=IntervalTrace([(100.0, 1e9)]),
-                batch_max=batch_max,
+                adapt_to_link=adapt,
                 max_inflight=1,
             )
             urns = []
@@ -109,16 +113,16 @@ class TestBatching:
                 ),
                 "batches": bed.scheduler.batches_sent,
             }
+        assert results["unbatched"]["batches"] == 0
         assert results["batched"]["batches"] >= 1
         assert results["batched"]["messages"] < results["unbatched"]["messages"]
-        # Fewer round trips on a 100ms-latency link: faster drain.
+        # Fewer round trips and fewer bytes: faster drain.
         assert results["batched"]["done_at"] < results["unbatched"]["done_at"]
 
     def test_batch_members_keep_individual_outcomes(self):
         bed = build_testbed(
-            link_spec=ETHERNET_10M,
+            link_spec=CSLIP_2_4,
             policy=IntervalTrace([(10.0, 1e9)]),
-            batch_max=4,
             max_inflight=1,
         )
         good = make_note(path="notes/exists")
@@ -126,23 +130,29 @@ class TestBatching:
         ok_promise = bed.access.import_(good.urn)
         bad_promise = bed.access.import_("urn:rover:server/notes/missing")
         bed.sim.run(until=60)
+        assert bed.scheduler.batches_sent == 1
         assert ok_promise.ready
         assert bad_promise.failed
 
     def test_mutations_apply_once_within_batch(self):
         bed = build_testbed(
-            link_spec=ETHERNET_10M,
-            policy=IntervalTrace([(10.0, 1e9)]),
-            batch_max=4,
+            link_spec=CSLIP_2_4,
+            policy=IntervalTrace([(0.0, 30.0), (40.0, 1e9)]),
         )
-        note = make_note()
-        bed.server.put_object(note)
-        # Import queues; once cached, mutate (exports will batch too).
-        promise = bed.access.import_(note.urn)
-        bed.sim.run(until=60)
-        bed.access.invoke(str(note.urn), "set_text", "batched edit")
+        notes = [make_note(path=f"notes/m{n}") for n in range(4)]
+        for note in notes:
+            bed.server.put_object(note)
+            bed.access.import_(note.urn)
+        bed.sim.run(until=31.0)
+        # Offline edits: the exports leave together on reconnection.
+        for n, note in enumerate(notes):
+            bed.access.invoke(str(note.urn), "set_text", f"batched edit {n}")
         assert bed.access.drain(timeout=120)
-        assert bed.server.get_object(str(note.urn)).data == {"text": "batched edit"}
+        assert bed.scheduler.batches_sent >= 1
+        for n, note in enumerate(notes):
+            server_copy = bed.server.get_object(str(note.urn))
+            assert server_copy.data == {"text": f"batched edit {n}"}
+            assert server_copy.version == 2
         assert bed.server.exports_conflicted == 0
 
 

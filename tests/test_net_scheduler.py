@@ -203,6 +203,18 @@ def test_abandon_all_silences_inflight_reply():
     assert replies == []          # ...but the dead process never hears
 
 
+# -- coalesced frames ---------------------------------------------------------
+#
+# On SLOW (8 kbit/s, 10 ms) ten bytes already cost more line time than
+# the propagation delay, so every backlog there coalesces; on
+# CSLIP-14.4 the mark is ~175 B.  The peers are plain transports: any
+# of them unpacks a coalesced frame.
+
+
+def _padded(n, pad=200):
+    return {"n": n, "pad": "x" * pad}
+
+
 def test_batch_gathers_only_same_destination():
     sim = Simulator()
     net = Network(sim)
@@ -213,24 +225,161 @@ def test_batch_gathers_only_same_destination():
     tc = Transport(sim, client)
     served = {"s1": [], "s2": []}
     for name, host in (("s1", s1), ("s2", s2)):
-        transport = Transport(sim, host)
-        transport.register(
+        Transport(sim, host).register(
             "echo", lambda body, src, label=name: served[label].append(body)
         )
-        # Batch execution needs the rover.batch handler server-side.
-        def batch(body, src, t=transport):
-            return {
-                "replies": [
-                    {"ok": True, "body": t.handle_request(r["service"], r["body"], src)[1]}
-                    for r in body["requests"]
-                ]
-            }
-        transport.register("rover.batch", batch)
-    scheduler = NetworkScheduler(sim, tc, batch_max=8, max_inflight=1)
+    scheduler = NetworkScheduler(sim, tc, max_inflight=1)
     for n in range(3):
-        scheduler.submit(s1, "echo", {"n": f"a{n}"})
-        scheduler.submit(s2, "echo", {"n": f"b{n}"})
+        scheduler.submit(s1, "echo", _padded(f"a{n}", 20))
+        scheduler.submit(s2, "echo", _padded(f"b{n}", 20))
     sim.run(until=60.0)
-    assert len(served["s1"]) == 3
-    assert len(served["s2"]) == 3
-    assert scheduler.batches_sent == 2  # one batch per destination
+    assert [m["n"] for m in served["s1"]] == ["a0", "a1", "a2"]
+    assert [m["n"] for m in served["s2"]] == ["b0", "b1", "b2"]
+    assert scheduler.batches_sent == 2  # one frame per destination
+    assert scheduler.delivered == 6
+    assert scheduler.inflight == 0
+
+
+def test_foreground_never_waits_for_background_bytes():
+    """A frame holds one priority class: the request the user waits on
+    is acknowledged as soon as if nothing else were queued."""
+
+    def acked_at(background):
+        sim, net, a, b, link, scheduler, served = make_sched(
+            policy=IntervalTrace([(10.0, 1e9)]), spec=CSLIP_14_4
+        )
+        done = []
+        for n in range(background):
+            scheduler.submit(b, "echo", _padded(f"bulk{n}"), priority=Priority.BACKGROUND)
+        scheduler.submit(
+            b,
+            "echo",
+            _padded("urgent"),
+            priority=Priority.FOREGROUND,
+            on_reply=lambda body: done.append(sim.now),
+        )
+        sim.run()
+        assert len(served) == background + 1
+        assert served[0]["n"] == "urgent"
+        return done[0], scheduler
+
+    alone, __ = acked_at(0)
+    crowded, scheduler = acked_at(12)
+    one_header = CSLIP_14_4.transmit_time(0)
+    assert crowded <= alone + one_header
+    assert scheduler.batches_sent >= 1  # the background did coalesce
+
+
+def test_fifo_within_priority_holds_across_frames():
+    sim, net, a, b, link, scheduler, served = make_sched(
+        policy=IntervalTrace([(10.0, 1e9)]), spec=CSLIP_14_4, max_inflight=2
+    )
+    for n in range(40):
+        scheduler.submit(b, "echo", _padded(n))
+    sim.run()
+    assert [m["n"] for m in served] == list(range(40))
+    # 19 of these ~210 B bodies fit the 4 KiB frame budget: 19 + 19 + 2.
+    assert scheduler.batches_sent == 3
+    assert scheduler.delivered == 40
+
+
+def test_object_over_the_frame_budget_travels_alone():
+    sim, net, a, b, link, scheduler, served = make_sched(
+        policy=IntervalTrace([(10.0, 1e9)]), spec=CSLIP_14_4, max_inflight=1
+    )
+    scheduler.submit(b, "echo", _padded("small0"))
+    scheduler.submit(b, "echo", _padded("big", pad=6000))
+    scheduler.submit(b, "echo", _padded("small1"))
+    scheduler.submit(b, "echo", _padded("small2"))
+    sim.run()
+    # Order kept: nothing overtakes the big one to fill a frame.
+    assert [m["n"] for m in served] == ["small0", "big", "small1", "small2"]
+    assert scheduler.batches_sent == 1  # small1 + small2
+    assert scheduler.obs.registry.get("sched_batch_members_total").value == 2
+
+
+def test_pinned_message_never_joins_a_frame():
+    from repro.net.scheduler import RouteKind
+
+    sim, net, a, b, link, scheduler, served = make_sched(
+        policy=IntervalTrace([(10.0, 1e9)]), spec=CSLIP_14_4, max_inflight=1
+    )
+    scheduler.submit(b, "echo", _padded(0))
+    scheduler.submit(b, "echo", _padded(1), route_preference=RouteKind.DIRECT)
+    scheduler.submit(b, "echo", _padded(2))
+    sim.run()
+    assert sorted(m["n"] for m in served) == [0, 1, 2]
+    assert scheduler.batches_sent == 1
+    assert scheduler.obs.registry.get("sched_batch_members_total").value == 2  # 0 + 2
+
+
+def test_latency_dominated_link_never_coalesces():
+    from repro.net.link import ETHERNET_10M
+
+    sim, net, a, b, link, scheduler, served = make_sched(
+        policy=IntervalTrace([(10.0, 1e9)]), spec=ETHERNET_10M
+    )
+    for n in range(20):
+        scheduler.submit(b, "echo", _padded(n))
+    sim.run()
+    assert len(served) == 20
+    assert scheduler.batches_sent == 0
+    assert scheduler.transport.messages_sent == 20
+
+
+def test_small_requests_under_the_links_mark_ride_alone():
+    sim, net, a, b, link, scheduler, served = make_sched(
+        policy=IntervalTrace([(10.0, 1e9)]), spec=CSLIP_14_4
+    )
+    for n in range(6):
+        scheduler.submit(b, "echo", {"n": n})  # 8 B: 7 ms of line time vs 100 ms
+    sim.run()
+    assert len(served) == 6
+    assert scheduler.batches_sent == 0
+
+
+def test_failed_member_is_retried_like_a_lone_request():
+    sim, net, a, b, link, scheduler, served = make_sched(
+        policy=IntervalTrace([(10.0, 1e9)]), max_attempts=2
+    )
+    replies, failures = [], []
+    scheduler.submit(b, "echo", _padded(0), on_reply=replies.append)
+    scheduler.submit(b, "nope", _padded(1), on_failed=failures.append)
+    scheduler.submit(b, "echo", _padded(2), on_reply=replies.append)
+    sim.run()
+    assert [m["n"] for m in replies] == [0, 2]
+    assert scheduler.batches_sent == 1
+    assert failures == ["unknown service 'nope'"]
+    assert scheduler.retransmissions == 1  # the failed member alone
+    assert scheduler.delivered == 2 and scheduler.failed == 1
+
+
+def test_evicting_every_member_frees_the_window_slot():
+    sim, net, a, b, link, scheduler, served = make_sched(max_inflight=1)
+    first = scheduler.submit(b, "echo", _padded(0))
+    sim.run(until=0.0)  # the lone head leaves
+    followers = [scheduler.submit(b, "echo", _padded(n)) for n in (1, 2)]
+    sim.run_until(lambda: first.state == "done", timeout=60)
+    assert [m.state for m in followers] == ["inflight", "inflight"]
+    assert scheduler.evict(followers[0], "gone")
+    assert scheduler.inflight == 1  # a member still waits on the frame
+    assert scheduler.evict(followers[1], "gone")
+    assert scheduler.inflight == 0
+    sim.run()  # the late reply releases nothing twice
+    assert scheduler.inflight == 0
+
+
+def test_frame_of_tiny_bodies_stops_at_the_member_count_receivers_accept():
+    from repro.net.transport import MAX_BATCH_MEMBERS
+
+    sim, net, a, b, link, scheduler, served = make_sched(
+        policy=IntervalTrace([(10.0, 1e9)]), max_inflight=1
+    )
+    bodies = [f"{n:010d}" for n in range(MAX_BATCH_MEMBERS + 40)]
+    for body in bodies:
+        scheduler.submit(b, "echo", body)  # 12 B each: the byte budget admits 341
+    sim.run()
+    assert served == bodies
+    assert scheduler.batches_sent == 2
+    assert scheduler.transport.corrupt_frames_detected == 0
+    assert scheduler.retransmissions == 0

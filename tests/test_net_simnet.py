@@ -228,3 +228,71 @@ class TestSharedMedium:
         clients[0].links[0].send(clients[0], 7, b"x" * 1000)
         # The *other* client sees the channel busy too.
         assert clients[1].links[0].queue_delay(clients[1]) == pytest.approx(1.0)
+
+
+def _reachable_from_transfers(link):
+    """Everything the link's transfer records keep alive, not counting
+    the infrastructure that outlives any request (links, hosts, kernel)."""
+    import gc
+    import types
+
+    from repro.net.simnet import Host, Link
+
+    infrastructure = (Link, Host, Network, Simulator, type, types.ModuleType)
+    seen, stack, found = set(), [link._inflight], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, infrastructure):
+            continue
+        seen.add(id(obj))
+        found.append(obj)
+        if isinstance(obj, types.FunctionType):
+            # What a closure captures, not the module it was defined in.
+            stack.extend(obj.__closure__ or ())
+            stack.extend(obj.__defaults__ or ())
+        else:
+            stack.extend(gc.get_referents(obj))
+    return found
+
+
+def test_finished_transfers_release_their_request():
+    """A completed transfer used to keep its ``fail`` closure (and
+    through it the sender's callbacks, the queued message and the QRPC
+    with its full arguments) until an amortized sweep that a link
+    carrying fewer than 33 frames never runs."""
+    import types
+
+    from repro.core.qrpc import QRPCRequest
+    from repro.net.link import CSLIP_14_4
+    from repro.net.scheduler import QueuedMessage
+    from repro.testbed import build_testbed
+    from tests.conftest import make_note
+
+    bed = build_testbed(link_spec=CSLIP_14_4)
+    note = make_note()
+    bed.server.put_object(note)
+    bed.access.import_(note.urn).wait(bed.sim)
+    for n in range(6):
+        bed.access.invoke(str(note.urn), "set_text", f"v{n}")
+    assert bed.access.drain(timeout=600)
+    bed.sim.run()
+    link = bed.link
+    assert 0 < len(link._inflight) < 32  # the sweep never ran
+    assert all(t.done and t.fail is None and t.delivery is None for t in link._inflight)
+    pinned = [
+        obj
+        for obj in _reachable_from_transfers(link)
+        if isinstance(obj, (QueuedMessage, QRPCRequest))
+        or (isinstance(obj, types.FunctionType) and obj.__closure__)
+    ]
+    assert pinned == []
+
+
+def test_failed_transfers_release_their_request():
+    sim, net, a, b, link = make_pair(spec=LinkSpec("slow", 8_000, 0.01))
+    failures = []
+    link.send(a, 7, b"x" * 100, on_failed=failures.append)
+    (transfer,) = link._inflight
+    assert link.fail_inflight("peer crashed") == 1
+    assert failures == ["peer crashed"]
+    assert transfer.fail is None and transfer.delivery is None

@@ -197,3 +197,253 @@ def test_crc_valid_frame_with_unhashable_dict_key_is_counted_and_dropped():
     # The transport still works afterwards.
     tb.register("add", lambda body, src: body["x"] + 1)
     assert ta.call_blocking(b, "add", {"x": 1}) == 2
+
+
+# -- the coalesced exchange: hostile requests and replies ---------------------
+
+
+def _batch_call(members_body):
+    """Send ``members_body`` as a ``rover.batch`` request to a peer that
+    serves ``echo``; return (outcome, served bodies, the peer)."""
+    sim, net, a, b, link, ta, tb = make_pair()
+    served = []
+
+    def echo(body, src):
+        served.append(body)
+        return body
+
+    tb.register("echo", echo)
+    outcome = {}
+    ta.call(
+        b,
+        "rover.batch",
+        members_body,
+        on_reply=lambda body: outcome.setdefault("reply", body),
+        on_error=lambda err: outcome.setdefault("error", str(err)),
+    )
+    sim.run()
+    return outcome, served, tb
+
+
+def test_any_transport_serves_a_coalesced_frame_member_by_member():
+    outcome, served, tb = _batch_call(
+        {
+            "requests": [
+                {"service": "echo", "body": {"n": 1}},
+                {"service": "nope", "body": {"n": 2}},
+                {"service": "echo", "body": {"n": 3}},
+            ]
+        }
+    )
+    assert served == [{"n": 1}, {"n": 3}]
+    assert outcome["reply"] == {
+        "replies": [
+            {"ok": True, "body": {"n": 1}},
+            {"ok": False, "body": {"error": "unknown service 'nope'"}},
+            {"ok": True, "body": {"n": 3}},
+        ]
+    }
+    assert tb.corrupt_frames_detected == 0
+
+
+def test_coalesced_frame_reply_waits_for_members_compute_and_deferred_replies():
+    from repro.net.transport import AsyncReply
+
+    sim, net, a, b, link, ta, tb = make_pair()
+    deferred = AsyncReply()
+    tb.register("slow", lambda body, src: DelayedReply(0.5, "computed"))
+    tb.register("later", lambda body, src: deferred)
+    got = []
+    ta.call(
+        b,
+        "rover.batch",
+        {"requests": [{"service": "slow", "body": 1}, {"service": "later", "body": 2}]},
+        on_reply=lambda body: got.append((sim.now, body)),
+        on_error=lambda err: got.append(err),
+    )
+    sim.run(until=5.0)
+    assert got == []  # one member is still unanswered
+    deferred.complete(DelayedReply(0.25, "quorum"))
+    sim.run()
+    ((at, body),) = got
+    assert body == {
+        "replies": [{"ok": True, "body": "computed"}, {"ok": True, "body": "quorum"}]
+    }
+    assert at == pytest.approx(5.75, abs=0.01)  # both members' compute time
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        None,
+        "requests",
+        {"requests": "not a list"},
+        {"requests": {"service": "echo", "body": 1}},
+        {"requests": []},
+        {"requests": [{"service": "echo", "body": {"n": 0}}] * 257},
+    ],
+)
+def test_frame_that_is_not_a_batch_is_dropped_whole(body):
+    outcome, served, tb = _batch_call(body)
+    assert served == []
+    assert outcome == {"error": "malformed batch"}
+    assert tb.corrupt_frames_detected == 1
+
+
+@pytest.mark.parametrize(
+    "member",
+    [
+        None,
+        7,
+        ["echo", {"n": 0}],
+        {"body": {"n": 0}},
+        {"service": "echo"},
+        {"service": 7, "body": {"n": 0}},
+        {"service": "rover.batch", "body": {"requests": [{"service": "echo", "body": 0}]}},
+    ],
+)
+def test_malformed_member_fails_alone(member):
+    outcome, served, tb = _batch_call(
+        {"requests": [{"service": "echo", "body": {"n": 1}}, member]}
+    )
+    assert served == [{"n": 1}]
+    good, bad = outcome["reply"]["replies"]
+    assert good == {"ok": True, "body": {"n": 1}}
+    assert bad == {"ok": False, "body": {"error": "malformed batch member"}}
+    assert tb.corrupt_frames_detected == 1
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        {"replies": [{"ok": True, "body": "only one"}]},
+        {"replies": [{"ok": True, "body": 1}] * 3},
+        {"replies": [{"ok": True, "body": 1}, "not a dict"]},
+        {"replies": "not a list"},
+        "not a dict",
+    ],
+)
+def test_reply_that_does_not_answer_the_frame_is_treated_as_lost(reply):
+    """The sender cannot tell which member an entry belongs to: no
+    member is told anything, the frame counts as corrupt, and the
+    members are retried (here against a peer that has recovered)."""
+    from repro.net.scheduler import NetworkScheduler
+
+    sim, net, a, b, link, ta, tb = make_pair(spec=CSLIP_14_4)
+    served = []
+    tb.register("echo", lambda body, src: served.append(body) or body)
+    honest = tb._handle_batch
+    tb._handle_batch = lambda body, src: (True, reply)
+    scheduler = NetworkScheduler(sim, ta, max_inflight=1, base_backoff=0.5)
+    replies = []
+    scheduler.submit(b, "echo", {"n": 0, "pad": "x" * 200}, on_reply=replies.append)
+    sim.run(until=0.0)
+    for n in (1, 2):
+        scheduler.submit(b, "echo", {"n": n, "pad": "x" * 200}, on_reply=replies.append)
+    sim.run_until(lambda: ta.corrupt_frames_detected == 1, timeout=30)
+    assert [m["n"] for m in replies] == [0]  # the lone head only
+    assert scheduler.failed == 0
+    tb._handle_batch = honest
+    sim.run()
+    assert [m["n"] for m in replies] == [0, 1, 2]
+    assert scheduler.retransmissions == 2
+    assert scheduler.inflight == 0
+
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+_leaf = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, 300), st.text(max_size=6), st.binary(max_size=6)
+)
+_junk = st.recursive(
+    _leaf,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.sampled_from(["service", "body", "requests", "x"]), inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+_member = st.one_of(
+    _junk,
+    st.fixed_dictionaries(
+        {"service": st.sampled_from(["echo", "boom", "nope", "rover.batch", 3]), "body": _junk}
+    ),
+)
+_batch_body = st.one_of(
+    _junk,
+    st.fixed_dictionaries({"requests": st.one_of(_junk, st.lists(_member, max_size=6))}),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_batch_body)
+def test_hostile_coalesced_frames_never_escape_the_transport(body):
+    """Whatever arrives as a ``rover.batch`` body: nothing raises out of
+    the simulator, the sender hears exactly one outcome, a well-formed
+    member is served exactly once and a malformed one not at all."""
+    sim, net, a, b, link, ta, tb = make_pair()
+    served = []
+    tb.register("echo", lambda body, src: served.append(body))
+
+    def boom(body, src):
+        raise RuntimeError("handler fault")
+
+    tb.register("boom", boom)
+    outcomes = []
+    ta.call(b, "rover.batch", body, on_reply=outcomes.append, on_error=outcomes.append)
+    sim.run()
+    assert len(outcomes) == 1
+    requests = body.get("requests") if isinstance(body, dict) else None
+    if isinstance(requests, list) and requests:
+        expected = [
+            m["body"]
+            for m in requests
+            if isinstance(m, dict) and m.get("service") == "echo" and "body" in m
+        ]
+        assert served == expected
+        assert len(outcomes[0]["replies"]) == len(requests)
+    else:
+        assert served == []
+        assert isinstance(outcomes[0], RpcError)
+        assert tb.corrupt_frames_detected == 1
+
+
+@st.composite
+def _mutated_compressed_frames(draw):
+    import zlib
+
+    from repro.net.message import marshal
+
+    stream = bytearray(zlib.compress(marshal(draw(_batch_body)), 6))
+    for __ in range(draw(st.integers(0, 3))):
+        index = draw(st.integers(0, len(stream) - 1))
+        action = draw(st.sampled_from(["flip", "delete", "insert"]))
+        if action == "flip":
+            stream[index] ^= draw(st.integers(1, 255))
+        elif action == "delete" and len(stream) > 1:
+            del stream[index]
+        else:
+            stream.insert(index, draw(st.integers(0, 255)))
+    return seal(b"Z" + bytes(stream))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        _mutated_compressed_frames(),
+        st.binary(max_size=80).map(lambda junk: seal(b"Z" + junk)),
+    )
+)
+def test_compressed_frames_raise_only_marshal_error(frame):
+    """The compressed half of the only-MarshalError property (the raw
+    half is tests/test_net_message.py): a CRC-valid ``Z`` frame either
+    decodes to an ordinary value or is a MarshalError, which is the one
+    thing receivers catch."""
+    from repro.net.message import MarshalError, marshal
+
+    try:
+        value = Transport._decode_payload(frame)
+    except MarshalError:
+        return
+    marshal(value)

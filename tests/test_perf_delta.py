@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -123,12 +125,18 @@ def test_apply_delta_rejects_malformed_and_mismatched():
 # -- the import direction (server answers warm re-imports with a delta) ------
 
 
+#: Incompressible, so that what these tests measure is the delta and
+#: not the transport's compression of a frame this size (a run of one
+#: letter deflates to nothing, delta or no delta).
+_PAD = random.Random(400).randbytes(400)
+
+
 def _delta_bed():
     """A bed whose note carries a large constant field next to the
     small mutable one, so a structural delta has something to skip."""
     bed = build_testbed(link_spec=ETHERNET_10M, delta_shipping=True)
     note = make_note(text="v1")
-    note.data = {"pad": "x" * 400, "text": "v1"}
+    note.data = {"pad": _PAD, "text": "v1"}
     bed.server.put_object(note)
     return bed, note
 
@@ -173,7 +181,7 @@ def test_warm_reimport_ships_a_delta():
 def test_reimport_without_delta_shipping_sends_full_rdo():
     bed = build_testbed(link_spec=ETHERNET_10M, delta_shipping=False)
     note = make_note(text="v1")
-    note.data = {"pad": "x" * 400, "text": "v1"}
+    note.data = {"pad": _PAD, "text": "v1"}
     bed.server.put_object(note)
     session = bed.access.create_session("s")
     bed.access.import_(note.urn, session)
@@ -218,7 +226,7 @@ def test_export_ships_delta_and_server_reconstructs():
     assert export_bytes < cold / 2  # the 400-byte pad never re-crossed
     server_copy = bed.server.get_object(str(note.urn))
     assert server_copy.data["text"] == "v2"
-    assert server_copy.data["pad"] == "x" * 400
+    assert server_copy.data["pad"] == _PAD
     entry = bed.access.cache.peek(str(note.urn))
     assert not entry.tentative
     assert marshal(entry.rdo.data) == marshal(server_copy.data)
