@@ -1,7 +1,7 @@
 PYTHON ?= python
 CHAOS_SEED ?= 0
 
-.PHONY: install test lint effects bench tables chaos check ha perf fleet speed perfbench perfbench-smoke demo examples clean
+.PHONY: install test lint effects bench tables chaos check ha perf fleet speed perfbench perfbench-smoke sloc demo examples clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -49,14 +49,14 @@ check:
 
 perf:
 	$(PYTHON) -m pytest -q benchmarks/test_e14_wire.py benchmarks/test_micro_primitives.py --benchmark-only
-	$(PYTHON) scripts/check_e14_regression.py
+	$(PYTHON) scripts/check_bench.py e14
 
 # CPU hot path: codec/group-commit/kernel suite, determinism digest
 # pins, and the E16 drain-throughput gate at CI scale
 # (docs/PERFORMANCE.md, "The CPU hot path").
 speed:
 	$(PYTHON) -m pytest -q tests/test_speed.py tests/test_determinism.py
-	$(PYTHON) scripts/check_e16_regression.py
+	$(PYTHON) scripts/check_bench.py e16
 
 # perfbench (perfbench/README.md): the command in BENCHMARK.json, once
 # per listed workload -- end-to-end metrics only; add `--trace 1` by
@@ -84,7 +84,12 @@ perfbench-smoke:
 fleet:
 	$(PYTHON) -m pytest -q tests/test_fleet_sketch.py tests/test_fleet_pipeline.py \
 		tests/test_fleet_health.py tests/test_fleet_chaos.py
-	$(PYTHON) scripts/check_e15_regression.py
+	$(PYTHON) scripts/check_bench.py e15
+
+# Source size, tracked beside the benchmarks (docs/PERFORMANCE.md,
+# "Source size"): total lines, then the ten largest files.
+sloc:
+	@find src/repro -name '*.py' | xargs wc -l | sort -n | tail -11
 
 demo:
 	$(PYTHON) -m repro

@@ -25,7 +25,7 @@ from repro.net.link import (
 )
 from repro.net.scheduler import Priority
 from repro.net.transport import RpcError
-from repro.storage.stable_log import FlushModel
+from repro.storage.stable_log import FlushModel, GroupCommitPolicy
 from repro.testbed import build_multi_client_testbed, build_testbed
 from repro.workloads import generate_calendar_ops, generate_mail_corpus, generate_site
 
@@ -138,8 +138,10 @@ def run_e2b_group_commit(
     """
     rows = []
     for window in windows:
-        bed = build_testbed(link_spec=ETHERNET_10M)
-        bed.access.group_commit_s = window
+        bed = build_testbed(
+            link_spec=ETHERNET_10M,
+            group_commit=GroupCommitPolicy.fixed(window) if window > 0 else None,
+        )
         for index in range(n_requests):
             bed.server.put_object(
                 RDO(URN("server", f"bench/gc/{index:02d}"), "blob", {"n": index})

@@ -25,11 +25,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.notification import NotificationCenter
-from repro.core.object_cache import ObjectCache
-from repro.core.operation_log import OperationLog
-from repro.storage.stable_log import StableLog
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.access_manager import AccessManager
 
@@ -41,10 +36,9 @@ def crash_and_recover_client(access: "AccessManager") -> tuple["AccessManager", 
     is dead after this call: its scheduled callbacks are suppressed
     and its scheduler/transport state is gone.
     """
-    from repro.core.access_manager import AccessManager
     from repro.core.server import INVALIDATION_PORT
+    from repro.testbed import wire_access_manager
 
-    sim = access.sim
     scheduler = access.scheduler
     host = access.host
 
@@ -59,33 +53,19 @@ def crash_and_recover_client(access: "AccessManager") -> tuple["AccessManager", 
         access._group_flush_timer = None
 
     # -- the restart: rebuild from the stable log ---------------------
-    stable = StableLog(
-        access.log.stable.backend,
-        flush_model=access.log.stable.flush_model,
-        obs=access.obs,
-        owner=host.name,
-    )
-    reborn = AccessManager(
-        sim,
+    reborn = wire_access_manager(
         scheduler,
-        servers=dict(access.servers),
-        cache=ObjectCache(
-            capacity_bytes=access.cache.capacity_bytes,
-            clock=lambda: sim.now,
-            obs=access.obs,
-            owner=host.name,
-        ),
-        log=OperationLog(stable, obs=access.obs, owner=host.name),
-        notifications=NotificationCenter(),
+        dict(access.servers),
+        access.obs,
+        stable_backend=access.log.stable.backend,
+        flush_model=access.log.stable.flush_model,
+        cache_capacity=access.cache.capacity_bytes,
         cost_model=access.cost_model,
         auth_token=access.auth_token,
-        group_commit_s=access.group_commit_s,
         group_commit=access.group_commit,
-        obs=access.obs,
         incarnation=access.incarnation + 1,
         compactor=access.compactor,
         delta_shipping=access.delta_shipping,
     )
-    reborn.watch_new_links()
     replayed = reborn.recover()
     return reborn, replayed

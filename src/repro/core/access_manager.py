@@ -36,11 +36,12 @@ from repro.core.object_cache import CacheStatus, ObjectCache
 from repro.core.operation_log import OperationLog
 from repro.core.promise import Promise
 from repro.core.qrpc import Operation, QRPCRequest
-from repro.core.rdo import RDO, ExecutionCostModel
+from repro.core.rdo import RDO, ExecutionCostModel, RDOVerificationError
 from repro.core.session import Session, SessionRegistry
-from repro.net.message import Premarshalled, marshal, unmarshal
+from repro.net.message import MarshalError, Premarshalled, marshal, unmarshal
 from repro.net.scheduler import NetworkScheduler, Priority
 from repro.net.simnet import Host
+from repro.net.transport import Transport
 from repro.obs import Observatory
 from repro.obs.trace import TRACE_KEY, Span
 from repro.perf.compact import CallableRewrite, Compactor
@@ -67,7 +68,6 @@ class AccessManager:
         cost_model: Optional[ExecutionCostModel] = None,
         step_budget: int = 200_000,
         auth_token: str = "",
-        group_commit_s: float = 0.0,
         group_commit: Optional[GroupCommitPolicy] = None,
         obs: Optional[Observatory] = None,
         incarnation: int = 0,
@@ -87,10 +87,7 @@ class AccessManager:
         self._crashed = False
         #: Observability: defaults to the scheduler's observatory so a
         #: hand-wired stack shares one registry/tracer per client.
-        #: (Live schedulers carry none; fall back to a private one.)
-        if obs is None:
-            obs = getattr(scheduler, "obs", None) or Observatory()
-        self.obs = obs
+        self.obs = obs if obs is not None else scheduler.obs
         self.tracer = self.obs.tracer
         self._m_qrpc_latency = self.obs.registry.histogram(
             "qrpc_latency_seconds",
@@ -124,15 +121,12 @@ class AccessManager:
         self.cost_model = cost_model or ExecutionCostModel()
         #: Credential presented with every QRPC (see RoverServer.auth_tokens).
         self.auth_token = auth_token
-        #: Group-commit window: 0 flushes the log on every QRPC (the
-        #: paper's prototype); >0 batches appends behind one flush per
-        #: window, trading a wider crash-loss window for less time on
-        #: the critical path (ablated in benchmark E2b).
-        self.group_commit_s = group_commit_s
-        #: Adaptive group commit (repro.speed): when set, supersedes
-        #: the fixed window — appends batch behind one flush whose
-        #: deadline stretches under bursts and whose byte/record budget
-        #: forces the flush early (see
+        #: Group commit: None flushes the log on every QRPC (the
+        #: paper's prototype); a policy batches appends behind one
+        #: flush per window, trading a wider crash-loss window for less
+        #: time on the critical path (ablated in benchmark E2b).  The
+        #: window's deadline stretches under bursts and its byte/record
+        #: budget forces the flush early (see
         #: :class:`repro.storage.stable_log.GroupCommitPolicy`).
         self.group_commit = group_commit
         self._group_flush_timer: Any = None
@@ -187,18 +181,9 @@ class AccessManager:
         self.delta_shipping = delta_shipping
         self._engine: Optional[Compactor] = None
         if compactor is not None:
-            # Private engine = the app's rules + the toolkit's own
-            # export-refresh fold.  Building a copy (rather than
-            # mutating the app's compactor) keeps the instance-bound
-            # rule from leaking across crash-recovery incarnations.
-            engine = Compactor()
-            engine.pair_rules = list(compactor.pair_rules)
-            engine.rewrite_rules = list(compactor.rewrite_rules)
-            engine.add_rewrite_rule(CallableRewrite(self._refresh_export))
-            self._engine = engine
-            self.scheduler.add_drain_hook(self.compact_now)
+            self._build_engine()
         self._watched_links: set[str] = set()
-        self._watch_connectivity()
+        self.watch_new_links()
 
     # -- sessions -------------------------------------------------------------
 
@@ -375,8 +360,6 @@ class AccessManager:
     def _start_export_round(
         self, urn_str: str, session: Optional[Session], priority: Priority
     ) -> None:
-        from repro.net.message import marshal, unmarshal
-
         entry = self.cache.peek(urn_str)
         state = self._exports[urn_str]
         if entry is None:
@@ -414,16 +397,14 @@ class AccessManager:
     ) -> Promise:
         """Queue a method invocation against the server's authoritative copy."""
         urn_str = str(urn if isinstance(urn, URN) else URN.parse(str(urn)))
-        request = self._new_request(
+        promise = self._queue_call(
             Operation.INVOKE,
             urn_str,
-            args={"method": method, "args": args or []},
-            session=session,
-            priority=priority,
+            {"method": method, "args": args or []},
+            session,
+            priority,
+            f"invoke {urn_str}.{method}",
         )
-        promise = Promise(label=f"invoke {urn_str}.{method}")
-        self._promises[request.request_id] = promise
-        self._log_and_submit(request, session)
         self.remote_invokes += 1
         return promise
 
@@ -450,23 +431,19 @@ class AccessManager:
         if authority not in self.servers:
             raise AccessManagerError(f"unknown authority {authority!r}")
         if verify:
-            from repro.core.rdo import RDOVerificationError
             from repro.core.server import _ship_code_errors
 
             diagnostics = _ship_code_errors(code)
             if diagnostics:
                 raise RDOVerificationError(f"ship to {authority}", diagnostics)
-        request = self._new_request(
+        return self._queue_call(
             Operation.SHIP,
             f"urn:rover:{authority}/__shipped__",
-            args={"code": code, "method": method, "args": args or []},
-            session=session,
-            priority=priority,
+            {"code": code, "method": method, "args": args or []},
+            session,
+            priority,
+            f"ship to {authority}",
         )
-        promise = Promise(label=f"ship to {authority}")
-        self._promises[request.request_id] = promise
-        self._log_and_submit(request, session)
-        return promise
 
     # -- fleet telemetry ----------------------------------------------------------
 
@@ -487,17 +464,14 @@ class AccessManager:
         """
         if authority not in self.servers:
             raise AccessManagerError(f"unknown authority {authority!r}")
-        request = self._new_request(
+        return self._queue_call(
             Operation.TELEMETRY,
             f"urn:rover:{authority}/__telemetry__",
-            args=dict(report),
-            session=None,
-            priority=priority,
+            dict(report),
+            None,
+            priority,
+            f"telemetry seq {report.get('q')}",
         )
-        promise = Promise(label=f"telemetry seq {report.get('q')}")
-        self._promises[request.request_id] = promise
-        self._log_and_submit(request, None)
-        return promise
 
     def add_compaction_rule(self, rule: Any) -> None:
         """Register an extra pair rule at runtime (e.g. the telemetry fold).
@@ -511,23 +485,24 @@ class AccessManager:
             self.compactor = Compactor()
         self.compactor.add_pair_rule(rule)
         if self._engine is None:
-            engine = Compactor()
-            engine.pair_rules = list(self.compactor.pair_rules)
-            engine.rewrite_rules = list(self.compactor.rewrite_rules)
-            engine.add_rewrite_rule(CallableRewrite(self._refresh_export))
-            self._engine = engine
-            self.scheduler.add_drain_hook(self.compact_now)
+            self._build_engine()
         else:
             self._engine.add_pair_rule(rule)
 
-    def _apply_telemetry(
-        self, request: QRPCRequest, session: Optional[Session], reply: dict
-    ) -> None:
-        promise = self._take_promise(request)
-        if reply.get("status") != "ok":
-            promise.reject(reply.get("status", "error"))
-            return
-        promise.resolve(reply)
+    def _build_engine(self) -> None:
+        """Private engine = the app's rules (:attr:`compactor`) + the
+        toolkit's own export-refresh fold, run on every reconnection.
+
+        Building a copy (rather than mutating the app's compactor)
+        keeps the instance-bound rule from leaking across
+        crash-recovery incarnations.
+        """
+        engine = Compactor()
+        engine.pair_rules = list(self.compactor.pair_rules)
+        engine.rewrite_rules = list(self.compactor.rewrite_rules)
+        engine.add_rewrite_rule(CallableRewrite(self._refresh_export))
+        self._engine = engine
+        self.scheduler.add_drain_hook(self.compact_now)
 
     # -- load: import + immediate invocation ------------------------------------
 
@@ -578,17 +553,9 @@ class AccessManager:
         only this session's exports commit at the server.
         """
         urn_str = str(urn if isinstance(urn, URN) else URN.parse(str(urn)))
-        request = self._new_request(
-            Operation.LOCK,
-            urn_str,
-            args={"lease_s": lease_s},
-            session=session,
-            priority=priority,
+        return self._queue_call(
+            Operation.LOCK, urn_str, {"lease_s": lease_s}, session, priority, f"lock {urn_str}"
         )
-        promise = Promise(label=f"lock {urn_str}")
-        self._promises[request.request_id] = promise
-        self._log_and_submit(request, session)
-        return promise
 
     def release_lock(
         self,
@@ -598,20 +565,9 @@ class AccessManager:
     ) -> Promise:
         """Queue the lock release (check-in)."""
         urn_str = str(urn if isinstance(urn, URN) else URN.parse(str(urn)))
-        request = self._new_request(
-            Operation.UNLOCK, urn_str, args={}, session=session, priority=priority
+        return self._queue_call(
+            Operation.UNLOCK, urn_str, {}, session, priority, f"unlock {urn_str}"
         )
-        promise = Promise(label=f"unlock {urn_str}")
-        self._promises[request.request_id] = promise
-        self._log_and_submit(request, session)
-        return promise
-
-    def _apply_lock(self, request: QRPCRequest, session: Optional[Session], reply: dict) -> None:
-        promise = self._take_promise(request)
-        if reply.get("status") == "ok":
-            promise.resolve(reply)
-        else:
-            promise.reject(reply.get("status", "lock failed"))
 
     # -- directory + invalidation callbacks -------------------------------------
 
@@ -628,17 +584,14 @@ class AccessManager:
         """
         if authority not in self.servers:
             raise AccessManagerError(f"unknown authority {authority!r}")
-        request = self._new_request(
+        return self._queue_call(
             Operation.LIST,
             f"urn:rover:{authority}/__list__",
-            args={"prefix": prefix or f"urn:rover:{authority}/"},
-            session=None,
-            priority=priority,
+            {"prefix": prefix or f"urn:rover:{authority}/"},
+            None,
+            priority,
+            f"list {authority}/{prefix}",
         )
-        promise = Promise(label=f"list {authority}/{prefix}")
-        self._promises[request.request_id] = promise
-        self._log_and_submit(request, None)
-        return promise
 
     def subscribe_invalidations(self, authority: str, prefix: str) -> Promise:
         """Register for server callbacks when objects under prefix change.
@@ -654,29 +607,23 @@ class AccessManager:
         if authority not in self.servers:
             raise AccessManagerError(f"unknown authority {authority!r}")
         self._ensure_invalidation_listener()
-        request = self._new_request(
+        return self._queue_call(
             Operation.SUBSCRIBE,
             f"urn:rover:{authority}/__subscribe__",
-            args={"prefix": prefix},
-            session=None,
-            priority=Priority.DEFAULT,
+            {"prefix": prefix},
+            None,
+            Priority.DEFAULT,
+            f"subscribe {prefix}",
         )
-        promise = Promise(label=f"subscribe {prefix}")
-        self._promises[request.request_id] = promise
-        self._log_and_submit(request, None)
-        return promise
 
     def _ensure_invalidation_listener(self) -> None:
         from repro.core.server import INVALIDATION_PORT
-        from repro.net.transport import Transport
 
-        if getattr(self, "_invalidation_bound", False):
+        if self._invalidation_bound:
             return
         self._invalidation_bound = True
 
         def on_datagram(payload: bytes, source: Any) -> None:
-            from repro.net.message import MarshalError
-
             try:
                 message = Transport._decode_payload(payload)
             except MarshalError:
@@ -753,6 +700,24 @@ class AccessManager:
             created_at=self.sim.now,
         )
 
+    def _queue_call(
+        self,
+        operation: Operation,
+        urn: str,
+        args: dict,
+        session: Optional[Session],
+        priority: Priority,
+        label: str,
+    ) -> Promise:
+        """Log and queue a QRPC whose reply settles one promise (every
+        operation but import and export, which have waiters of their
+        own); :meth:`_apply_call` is the other end."""
+        request = self._new_request(operation, urn, args, session, priority)
+        promise = Promise(label=label)
+        self._promises[request.request_id] = promise
+        self._log_and_submit(request, session)
+        return promise
+
     def _server_for(self, urn: str) -> Host:
         authority = URN.parse(urn).authority
         server = self.servers.get(authority)
@@ -788,15 +753,6 @@ class AccessManager:
             self._arm_adaptive_flush()
             self.compact_now()
             return
-        if self.group_commit_s > 0:
-            self.log.append(request, flush=False)
-            self._unflushed.append((request, session))
-            if self._group_flush_timer is None:
-                self._group_flush_timer = self.sim.schedule(
-                    self.group_commit_s, self._group_flush
-                )
-            self.compact_now()
-            return
         flush_time = self.log.append(request)
         self.flush_seconds_total += flush_time
         # The flush occupies the critical path, and the disk is serial:
@@ -826,22 +782,19 @@ class AccessManager:
         """
         policy = self.group_commit
         stable = self.log.stable
+        timer = self._group_flush_timer
         if policy.budget_exceeded(stable.unflushed_bytes, stable.unflushed_records):
-            if self._group_flush_timer is not None:
-                self._group_flush_timer.cancel()
-                self._group_flush_timer = None
+            if timer is not None:
+                timer.cancel()
             self._group_flush()
             return
         now = self.sim.now
-        if self._group_flush_timer is None:
+        if timer is None:
             self._gc_window_start = now
-            deadline = policy.next_deadline(now, now)
-            self._group_flush_timer = self.sim.schedule_at(deadline, self._group_flush)
-            self._gc_deadline = deadline
-            return
         deadline = policy.next_deadline(now, self._gc_window_start)
-        if deadline > self._gc_deadline:
-            self._group_flush_timer.cancel()
+        if timer is None or deadline > self._gc_deadline:
+            if timer is not None:
+                timer.cancel()
             self._group_flush_timer = self.sim.schedule_at(deadline, self._group_flush)
             self._gc_deadline = deadline
 
@@ -1054,18 +1007,12 @@ class AccessManager:
     def _dispatch_reply(
         self, request: QRPCRequest, session: Optional[Session], reply: dict
     ) -> None:
-        handler = {
-            Operation.IMPORT: self._apply_import,
-            Operation.EXPORT: self._apply_export,
-            Operation.INVOKE: self._apply_invoke,
-            Operation.SHIP: self._apply_ship,
-            Operation.LIST: self._apply_list,
-            Operation.SUBSCRIBE: self._apply_subscribe,
-            Operation.LOCK: self._apply_lock,
-            Operation.UNLOCK: self._apply_lock,
-            Operation.TELEMETRY: self._apply_telemetry,
-        }[request.operation]
-        handler(request, session, reply)
+        if request.operation is Operation.IMPORT:
+            self._apply_import(request, session, reply)
+        elif request.operation is Operation.EXPORT:
+            self._apply_export(request, session, reply)
+        else:
+            self._apply_call(request, session, reply)
 
     def _resolve_absorbed(
         self, request: QRPCRequest, session: Optional[Session], reply: dict
@@ -1077,19 +1024,7 @@ class AccessManager:
         absorbed request may itself have absorbed earlier ones.
         """
         for absorbed in self._absorbed.pop(request.request_id, []):
-            self._finish_trace(absorbed, status="ok")
-            self.notifications.publish(
-                EventType.RESPONSE_ARRIVED,
-                self.sim.now,
-                request_id=absorbed.request_id,
-                operation=str(absorbed.operation),
-                status=reply.get("status"),
-            )
-            # The absorbed request's session object died with its
-            # submit closure; session bookkeeping falls to the
-            # survivor's own reply.
-            self._dispatch_reply(absorbed, None, reply)
-            self._resolve_absorbed(absorbed, None, reply)
+            self._deliver_synthetic(absorbed, reply)
 
     def _finish_trace(self, request: QRPCRequest, status: str) -> None:
         root = self._root_spans.pop(request.request_id, None)
@@ -1110,22 +1045,13 @@ class AccessManager:
     def _on_failed(self, request: QRPCRequest, reason: str) -> None:
         if self._try_failover(request):
             return
-        self._finish_trace(request, status="failed")
         self._m_qrpc_failed.labels(
             host=self.host.name, op=str(request.operation)
         ).inc()
         self.log.mark_failed(request.request_id)
         self._messages.pop(request.request_id, None)
         self._no_delta.discard(request.request_id)
-        self.notifications.publish(
-            EventType.REQUEST_FAILED,
-            self.sim.now,
-            request_id=request.request_id,
-            reason=reason,
-        )
-        self._reject_observers(request, reason)
-        for absorbed in self._absorbed.pop(request.request_id, []):
-            self._fail_absorbed(absorbed, reason)
+        self._report_failure(request, reason)
 
     def _try_failover(self, request: QRPCRequest) -> bool:
         """Retarget a terminally-failed QRPC at the next group member.
@@ -1219,8 +1145,9 @@ class AccessManager:
                 continue
             self._submit(request, None)
 
-    def _fail_absorbed(self, request: QRPCRequest, reason: str) -> None:
-        """The surviving request failed terminally: so did the absorbed."""
+    def _report_failure(self, request: QRPCRequest, reason: str) -> None:
+        """Tell ``request``'s observers it failed terminally — and those
+        of every request it absorbed: so did they."""
         self._finish_trace(request, status="failed")
         self.notifications.publish(
             EventType.REQUEST_FAILED,
@@ -1230,7 +1157,7 @@ class AccessManager:
         )
         self._reject_observers(request, reason)
         for absorbed in self._absorbed.pop(request.request_id, []):
-            self._fail_absorbed(absorbed, reason)
+            self._report_failure(absorbed, reason)
 
     def _reject_observers(self, request: QRPCRequest, reason: str) -> None:
         if request.operation is Operation.EXPORT:
@@ -1243,9 +1170,6 @@ class AccessManager:
         promise = self._promises.pop(request.request_id, None)
         if promise is not None:
             promise.reject(reason)
-
-    def _take_promise(self, request: QRPCRequest) -> Promise:
-        return self._promises.pop(request.request_id, Promise(label="orphan"))
 
     def _take_import_waiters(self, request: QRPCRequest) -> list[tuple[Promise, Optional[Session]]]:
         pending = self._imports.get(request.urn)
@@ -1260,13 +1184,8 @@ class AccessManager:
             rebuilt = self._rebuild_import_delta(request, reply)
             if rebuilt is None:
                 # Our copy of the base is gone (evicted/replaced since
-                # the request was queued): re-import full on behalf of
-                # every waiter.
-                retry = self._new_request(
-                    Operation.IMPORT, request.urn, {}, session, request.priority
-                )
-                self._imports[request.urn] = {"request": retry, "waiters": waiters}
-                self._log_and_submit(retry, session)
+                # the request was queued): re-import full.
+                self._reimport(request, waiters, session)
                 return
             reply = rebuilt
         if reply.get("status") != "ok":
@@ -1276,13 +1195,8 @@ class AccessManager:
         rdo = RDO.from_wire(reply["rdo"])
         urn_str = str(rdo.urn)
         if session is not None and not session.acceptable(urn_str, rdo.version):
-            # Session guarantee violation (stale response): re-import
-            # on behalf of every waiter.
-            retry = self._new_request(
-                Operation.IMPORT, urn_str, {}, session, request.priority
-            )
-            self._imports[urn_str] = {"request": retry, "waiters": waiters}
-            self._log_and_submit(retry, session)
+            # Session guarantee violation (stale response): re-import.
+            self._reimport(request, waiters, session)
             return
         existing = self.cache.peek(urn_str)
         if existing is not None and existing.tentative:
@@ -1301,6 +1215,16 @@ class AccessManager:
         )
         for promise, __ in waiters:
             promise.resolve(rdo)
+
+    def _reimport(
+        self, request: QRPCRequest, waiters: list, session: Optional[Session]
+    ) -> None:
+        """Queue a fresh full import on behalf of every waiter of ``request``."""
+        retry = self._new_request(
+            Operation.IMPORT, request.urn, {}, session, request.priority
+        )
+        self._imports[request.urn] = {"request": retry, "waiters": waiters}
+        self._log_and_submit(retry, session)
 
     def _rebuild_import_delta(
         self, request: QRPCRequest, reply: dict
@@ -1329,20 +1253,20 @@ class AccessManager:
         urn_str = request.urn
         state = self._exports.get(urn_str)
         dirty = bool(state and state["dirty"])
+        failed = None
         if status == "committed":
-            if self.cache.peek(urn_str) is not None:
-                if dirty:
-                    # Later local mutations exist: adopt the new base
-                    # version but stay tentative for the next round.
-                    entry = self.cache.peek(urn_str)
-                    entry.base_version = int(reply["version"])
-                    entry.rdo.version = int(reply["version"])
-                    if "data" in request.args:
-                        # The new server base is the round's snapshot,
-                        # not the (already newer) live data.
-                        entry.base_raw = marshal(request.args["data"])
-                else:
-                    self.cache.commit(urn_str, int(reply["version"]))
+            entry = self.cache.peek(urn_str)
+            if entry is not None and dirty:
+                # Later local mutations exist: adopt the new base
+                # version but stay tentative for the next round.
+                entry.base_version = int(reply["version"])
+                entry.rdo.version = int(reply["version"])
+                if "data" in request.args:
+                    # The new server base is the round's snapshot,
+                    # not the (already newer) live data.
+                    entry.base_raw = marshal(request.args["data"])
+            elif entry is not None:
+                self.cache.commit(urn_str, int(reply["version"]))
             if session is not None:
                 session.record_write(urn_str, int(reply["version"]))
             self.notifications.publish(
@@ -1351,24 +1275,19 @@ class AccessManager:
                 urn=urn_str,
                 version=int(reply["version"]),
             )
-            self._finish_export_round(urn_str, reply, failed=None)
         elif status == "resolved":
-            if self.cache.peek(urn_str) is not None:
-                if dirty:
-                    # The server merged our snapshot with concurrent
-                    # updates we do NOT hold locally.  Our local data
-                    # still derives from the *old* base, so the base
-                    # version must stay put: the next round's export
-                    # will three-way merge against the server's merged
-                    # value instead of clobbering it.  (Adopting the
-                    # new version here would erase other replicas'
-                    # updates — a silent-loss bug the chaos test
-                    # caught.)
-                    pass
-                else:
-                    self.cache.commit(
-                        urn_str, int(reply["version"]), data=reply.get("value")
-                    )
+            # When dirty, the server merged our snapshot with concurrent
+            # updates we do NOT hold locally.  Our local data still
+            # derives from the *old* base, so the base version must
+            # stay put: the next round's export will three-way merge
+            # against the server's merged value instead of clobbering
+            # it.  (Adopting the new version here would erase other
+            # replicas' updates — a silent-loss bug the chaos test
+            # caught.)
+            if self.cache.peek(urn_str) is not None and not dirty:
+                self.cache.commit(
+                    urn_str, int(reply["version"]), data=reply.get("value")
+                )
             if session is not None:
                 session.record_write(urn_str, int(reply["version"]))
             self.notifications.publish(
@@ -1378,7 +1297,6 @@ class AccessManager:
                 version=int(reply["version"]),
                 detail=reply.get("detail", ""),
             )
-            self._finish_export_round(urn_str, reply, failed=None)
         elif status == "conflict":
             report = ConflictReport.from_wire(reply.get("conflict", {}))
             self.notifications.publish(
@@ -1389,9 +1307,9 @@ class AccessManager:
             )
             for handler in list(self._conflict_handlers):
                 handler(report)
-            self._finish_export_round(urn_str, reply, failed=None)
         else:
-            self._finish_export_round(urn_str, reply, failed=status or "export failed")
+            failed = status or "export failed"
+        self._finish_export_round(urn_str, reply, failed)
 
     def _finish_export_round(
         self, urn_str: str, reply: dict, failed: Optional[str]
@@ -1415,35 +1333,34 @@ class AccessManager:
                 state.get("priority", Priority.DEFAULT),
             )
 
-    def _apply_invoke(self, request: QRPCRequest, session: Optional[Session], reply: dict) -> None:
-        promise = self._take_promise(request)
-        if reply.get("status") != "ok":
-            promise.reject(reply.get("status", "error"))
-            return
-        if "version" in reply and session is not None:
-            session.record_write(request.urn, int(reply["version"]))
-        promise.resolve(reply.get("result"))
+    #: What the promise of a queued call resolves with, given an "ok"
+    #: reply to its operation.
+    _CALL_VALUE: dict[Operation, Callable[[dict], Any]] = {
+        Operation.INVOKE: lambda reply: reply.get("result"),
+        Operation.SHIP: lambda reply: reply.get("result"),
+        Operation.LIST: lambda reply: reply.get("urns", []),
+        Operation.SUBSCRIBE: lambda reply: True,
+        Operation.LOCK: lambda reply: reply,
+        Operation.UNLOCK: lambda reply: reply,
+        Operation.TELEMETRY: lambda reply: reply,
+    }
 
-    def _apply_ship(self, request: QRPCRequest, session: Optional[Session], reply: dict) -> None:
-        promise = self._take_promise(request)
-        if reply.get("status") != "ok":
-            promise.reject(reply.get("status", "error"))
+    def _apply_call(self, request: QRPCRequest, session: Optional[Session], reply: dict) -> None:
+        """Settle the promise :meth:`_queue_call` handed out."""
+        value_of = self._CALL_VALUE[request.operation]
+        ok = reply.get("status") == "ok"
+        if ok and session is not None and request.operation is Operation.INVOKE:
+            if "version" in reply:
+                session.record_write(request.urn, int(reply["version"]))
+        # No promise: the call was queued by an incarnation that has
+        # since crashed, and nobody is left to tell.
+        promise = self._promises.pop(request.request_id, None)
+        if promise is None:
             return
-        promise.resolve(reply.get("result"))
-
-    def _apply_list(self, request: QRPCRequest, session: Optional[Session], reply: dict) -> None:
-        promise = self._take_promise(request)
-        if reply.get("status") != "ok":
+        if ok:
+            promise.resolve(value_of(reply))
+        else:
             promise.reject(reply.get("status", "error"))
-            return
-        promise.resolve(reply.get("urns", []))
-
-    def _apply_subscribe(self, request: QRPCRequest, session: Optional[Session], reply: dict) -> None:
-        promise = self._take_promise(request)
-        if reply.get("status") != "ok":
-            promise.reject(reply.get("status", "error"))
-            return
-        promise.resolve(True)
 
     # -- log compaction --------------------------------------------------------
 
@@ -1512,7 +1429,10 @@ class AccessManager:
             self.scheduler.cancel(message)
 
     def _deliver_synthetic(self, request: QRPCRequest, reply: dict) -> None:
-        """Resolve a cancelled-out pair member with its synthetic reply."""
+        """Resolve a request that never crossed the wire with ``reply``:
+        a cancelled-out pair member's synthetic one, or the reply to
+        the request that absorbed it.  Its session object died with its
+        submit closure, so session bookkeeping falls to the survivor."""
         if self._crashed:
             return
         self._finish_trace(request, status="ok")
@@ -1559,16 +1479,14 @@ class AccessManager:
             return None  # mutated back to the snapshot; nothing to rewrite
         return new_args
 
-    def _watch_connectivity(self) -> None:
+    def watch_new_links(self) -> None:
+        """Subscribe to the host's links; call again after links were
+        attached post-construction."""
         for link in self.host.links:
             if link.name in self._watched_links:
                 continue
             self._watched_links.add(link.name)
             link.on_transition(self._on_link_transition)
-
-    def watch_new_links(self) -> None:
-        """Re-subscribe after links were attached post-construction."""
-        self._watch_connectivity()
 
     def _on_link_transition(self, link: Any, is_up: bool) -> None:
         self.notifications.publish(

@@ -18,21 +18,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.access_manager import AccessManager
 from repro.core.conflict import ResolverRegistry
-from repro.core.notification import NotificationCenter
-from repro.core.object_cache import ObjectCache
-from repro.core.operation_log import OperationLog
 from repro.core.server import RoverServer
 from repro.ha.group import ReplicationGroup
 from repro.net.link import ConnectivityPolicy, LinkSpec, ETHERNET_10M
-from repro.net.scheduler import NetworkScheduler
 from repro.net.simnet import Host, Network
 from repro.net.transport import Transport
 from repro.obs import Observatory, active_capture
 from repro.sim import Simulator
-from repro.storage.stable_log import FlushModel, StableLog
-from repro.testbed import ClientStack
+from repro.storage.stable_log import FlushModel
+from repro.testbed import ClientStack, build_client_stack
 
 
 @dataclass
@@ -148,32 +143,19 @@ def build_ha_testbed(
             link = network.connect(host, member_host, link_spec, policy)
             if first_link is None:
                 first_link = link
-        transport = Transport(sim, host, obs=obs)
-        scheduler = NetworkScheduler(
-            sim,
-            transport,
-            max_attempts=max_attempts,
-            obs=obs,
-            rpc_timeout=rpc_timeout_s,
-        )
-        access = AccessManager(
-            sim,
-            scheduler,
-            servers={authority: group.make_replica_set()},
-            cache=ObjectCache(
-                clock=lambda: sim.now, obs=obs, owner=host.name
-            ),
-            log=OperationLog(
-                StableLog(flush_model=flush_model, obs=obs, owner=host.name),
-                obs=obs,
-                owner=host.name,
-            ),
-            notifications=NotificationCenter(),
-            obs=obs,
-        )
-        access.watch_new_links()
         assert first_link is not None
-        clients.append(ClientStack(host, first_link, transport, scheduler, access))
+        clients.append(
+            build_client_stack(
+                sim,
+                host,
+                first_link,
+                {authority: group.make_replica_set()},
+                obs,
+                flush_model=flush_model,
+                max_attempts=max_attempts,
+                rpc_timeout_s=rpc_timeout_s,
+            )
+        )
 
     return HATestbed(
         sim=sim,

@@ -1,13 +1,14 @@
 """Live mode: the same toolkit over real sockets and wall-clock time.
 
-Everything under :mod:`repro.core` is written against three narrow
-interfaces — a clock (``now`` / ``schedule`` / ``run_until``), a
-transport (``register`` / ``call`` / ``handle_request``), and a
-scheduler (``submit`` / ``reprioritize`` / ``cancel``).  The simulation
-substrate implements them in virtual time; this package implements them
-over **real localhost TCP sockets** and a real-time event loop, so the
-*identical* access-manager and server code that reproduces the paper's
-tables also runs as an actual networked system:
+Everything under :mod:`repro.core`, and the network scheduler under it,
+is written against two narrow interfaces — a clock (``now`` /
+``schedule`` / ``run_until``) and a carrier (a server-side service
+table, ``register`` / ``handle_request``, and a client-side
+:class:`~repro.net.scheduler.Route`).  The simulation substrate
+implements them in virtual time; this package implements them over
+**real localhost TCP sockets** and a real-time event loop, so the
+*identical* access-manager, scheduler and server code that reproduces
+the paper's tables also runs as an actual networked system:
 
 * :mod:`repro.live.clock` — a single-threaded event-loop clock: every
   callback (timer or inbound message) executes on one loop thread,
@@ -15,9 +16,10 @@ tables also runs as an actual networked system:
 * :mod:`repro.live.transport` — length-prefixed marshalled frames over
   TCP, with the same service table and request/reply semantics as the
   simulated transport;
-* :mod:`repro.live.scheduler` — a queue-draining scheduler with
-  priorities, retransmission, and backoff, detecting connectivity by
-  socket success/failure;
+* :mod:`repro.live.scheduler` — the route that carries the one
+  :class:`~repro.net.scheduler.NetworkScheduler` over those sockets
+  (connectivity is socket success/failure), and the hand-off that keeps
+  queue mutation on the loop thread when application threads submit;
 * :mod:`repro.live.node` — one-call construction of live servers and
   clients wired to the unmodified :class:`~repro.core.server.RoverServer`
   and :class:`~repro.core.access_manager.AccessManager`.

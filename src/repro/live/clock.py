@@ -59,6 +59,10 @@ class RealTimeClock:
         """
         self.schedule(0.0, fn, *args)
 
+    def on_loop_thread(self) -> bool:
+        """Whether the caller is the loop thread (may touch toolkit state)."""
+        return threading.current_thread() is self._thread
+
     def run_until(
         self,
         predicate: Callable[[], bool],
@@ -71,7 +75,7 @@ class RealTimeClock:
         the loop thread is already running; this merely polls.  Do not
         call from the loop thread itself.
         """
-        if threading.current_thread() is self._thread:
+        if self.on_loop_thread():
             raise RuntimeError("run_until would deadlock the loop thread")
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:

@@ -1,9 +1,10 @@
 """Live Rover nodes: unmodified toolkit over real sockets.
 
 :class:`LiveServer` wraps the *same* :class:`~repro.core.server.RoverServer`
-used in simulation; :class:`LiveClient` wraps the same
-:class:`~repro.core.access_manager.AccessManager`.  Only the substrate
-(clock, transport, scheduler) differs.
+used in simulation; :class:`LiveClient` wires the same
+:class:`~repro.core.access_manager.AccessManager` over the same network
+scheduler, through the same helper the simulated testbeds use.  Only
+the substrate (clock, transport, and the scheduler's one route) differs.
 
 Limitations of live mode (by design — it is a deployment vehicle, not
 the measurement substrate): no SMTP relay route, no server-push
@@ -15,16 +16,13 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.access_manager import AccessManager
 from repro.core.conflict import ResolverRegistry
-from repro.core.notification import NotificationCenter
-from repro.core.object_cache import ObjectCache
-from repro.core.operation_log import OperationLog
 from repro.core.server import RoverServer
 from repro.live.clock import RealTimeClock
 from repro.live.scheduler import LiveScheduler
 from repro.live.transport import LiveAddress, LiveTransport
-from repro.storage.stable_log import FlushModel, StableLog
+from repro.storage.stable_log import FlushModel
+from repro.testbed import wire_access_manager
 
 
 class LiveServer:
@@ -82,15 +80,13 @@ class LiveClient:
             call_timeout=call_timeout,
             max_attempts=max_attempts,
         )
-        self.access = AccessManager(
-            self.clock,
+        self.access = wire_access_manager(
             self.scheduler,
-            servers=dict(servers),
-            cache=ObjectCache(clock=lambda: self.clock.now),
+            dict(servers),
+            self.scheduler.obs,
             # Real wall-clock flushes would slow the demo; the log is
             # still real (recoverable) — only the *cost model* is free.
-            log=OperationLog(StableLog(flush_model=FlushModel.free())),
-            notifications=NotificationCenter(),
+            flush_model=FlushModel.free(),
             auth_token=auth_token,
         )
 

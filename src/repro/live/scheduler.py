@@ -1,60 +1,45 @@
-"""Queue-draining scheduler over the live transport.
-
-Implements the scheduler interface the access manager consumes
-(``submit`` / ``reprioritize`` / ``cancel`` / ``idle`` / ``host``) with
-the same semantics as :class:`~repro.net.scheduler.NetworkScheduler`:
-priority queues, bounded in-flight window, exponential-backoff
-retransmission, terminal failure after ``max_attempts``.  Connectivity
-is whatever the sockets say — a refused or timed-out connection counts
-as "link down" and backs off; queued work survives until the peer
-returns (the QRPC story on a real network).
-"""
+"""The network scheduler over real sockets: :class:`LiveScheduler` *is*
+:class:`~repro.net.scheduler.NetworkScheduler` with a :class:`SocketRoute`
+as its one carrier.  Only live mode has application threads, so here
+queue mutation is handed to the clock's loop thread."""
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Callable, Optional
+import threading
 
 from repro.live.clock import RealTimeClock
 from repro.live.transport import LiveAddress, LiveTransport
-from repro.net.scheduler import Priority
-from repro.net.transport import RpcError
+from repro.net.scheduler import NetworkScheduler, Priority, QueuedMessage, RouteKind
 
 
-class _HostShim:
-    """Just enough Host for the access manager (name + link list)."""
+class SocketRoute:
+    """One TCP exchange per attempt.  Always available (a refused or
+    timed-out call backs off like a lost frame) and with no known first
+    hop, so nothing is coalesced.  Meets ``Route``'s interface without
+    inheriting it: ``repro.lint --effects`` resolves ``route.send`` over
+    ``Route``'s subclasses, and its sim-pure contract is about those."""
 
-    __slots__ = ("name", "links")
+    name = "socket"
+    kind = RouteKind.DIRECT
+    quality = 1.0
 
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.links: list = []  # no simulated links to watch in live mode
+    def __init__(self, transport: LiveTransport, timeout: float) -> None:
+        self.transport = transport
+        self.timeout = timeout
 
+    def available(self, dst: LiveAddress) -> bool:
+        return True
 
-class LiveQueuedMessage:
-    """A queued/in-flight live request."""
+    def first_hop(self, dst: LiveAddress) -> None:
+        return None
 
-    __slots__ = (
-        "seq", "dst", "service", "body", "priority",
-        "on_reply", "on_failed", "attempts", "state",
-    )
-
-    def __init__(self, seq, dst, service, body, priority, on_reply, on_failed):
-        self.seq = seq
-        self.dst = dst
-        self.service = service
-        self.body = body
-        self.priority = priority
-        self.on_reply = on_reply
-        self.on_failed = on_failed
-        self.attempts = 0
-        self.state = "queued"
-
-    def sort_key(self) -> tuple[int, int]:
-        return (int(self.priority), self.seq)
+    def send(self, dst, service, body, on_reply, on_error, on_accepted) -> None:
+        self.transport.call(
+            dst, service, body, on_reply, lambda err: on_error(str(err)), self.timeout
+        )
 
 
-class LiveScheduler:
+class LiveScheduler(NetworkScheduler):
     """Priority QRPC drainer over real sockets."""
 
     def __init__(
@@ -67,134 +52,27 @@ class LiveScheduler:
         max_backoff: float = 10.0,
         call_timeout: float = 10.0,
     ) -> None:
-        self.sim = clock  # name kept for interface parity
-        self.clock = clock
-        self.transport = transport
-        self.host = _HostShim(transport.name)
-        self.max_inflight = max_inflight
-        self.max_attempts = max_attempts
-        self.base_backoff = base_backoff
-        self.max_backoff = max_backoff
-        self.call_timeout = call_timeout
-        self._heap: list[tuple[tuple[int, int], LiveQueuedMessage]] = []
-        self._seq = 0
-        self._inflight = 0
-        self.delivered = 0
-        self.failed = 0
-        self.retransmissions = 0
-
-    # All mutation happens on the clock's loop thread: submit() posts.
-
-    def submit(
-        self,
-        dst: LiveAddress,
-        service: str,
-        body: Any,
-        priority: Priority = Priority.DEFAULT,
-        on_reply: Optional[Callable[[Any], None]] = None,
-        on_failed: Optional[Callable[[str], None]] = None,
-        size_hint: int = 0,
-        route_preference: Any = None,
-    ) -> LiveQueuedMessage:
-        message = LiveQueuedMessage(
-            seq=self._seq,
-            dst=dst,
-            service=service,
-            body=body,
-            priority=priority,
-            on_reply=on_reply or (lambda body: None),
-            on_failed=on_failed or (lambda reason: None),
+        route = SocketRoute(transport, call_timeout)
+        super().__init__(
+            clock, transport, max_inflight, max_attempts, base_backoff, max_backoff, route=route
         )
-        self._seq += 1
+        self._submit_lock = threading.Lock()
 
-        def enqueue() -> None:
-            heapq.heappush(self._heap, (message.sort_key(), message))
-            self._pump()
+    def submit(self, *args, **kwargs) -> QueuedMessage:
+        with self._submit_lock:  # sequence numbers are handed out on any thread
+            return super().submit(*args, **kwargs)
 
-        self.clock.post(enqueue)
-        return message
+    def _push(self, message: QueuedMessage) -> None:
+        # The pump peeks the heap's head and pops it later: a push from
+        # another thread in between would drop a message.  On the loop
+        # push now: a retry is pushed and pumped in one step.
+        if self.sim.on_loop_thread():
+            super()._push(message)
+        else:
+            self.sim.post(super()._push, message)
 
-    def cancel(self, message: LiveQueuedMessage) -> bool:
-        if message.state != "queued":
-            return False
-        message.state = "cancelled"
-        return True
-
-    def reprioritize(self, message: LiveQueuedMessage, priority: Priority) -> bool:
-        if message.state != "queued":
-            return False
-        message.priority = priority
-
-        def reheap() -> None:
-            self._heap = [(m.sort_key(), m) for __, m in self._heap if m.state == "queued"]
-            heapq.heapify(self._heap)
-            self._pump()
-
-        self.clock.post(reheap)
-        return True
-
-    def queue_length(self) -> int:
-        return sum(1 for __, m in self._heap if m.state == "queued")
-
-    @property
-    def inflight(self) -> int:
-        return self._inflight
-
-    def idle(self) -> bool:
-        return self._inflight == 0 and self.queue_length() == 0
-
-    # -- internals (loop thread only) -----------------------------------------
-
-    def _pump(self) -> None:
-        while self._inflight < self.max_inflight and self._heap:
-            __, message = heapq.heappop(self._heap)
-            if message.state != "queued":
-                continue
-            self._dispatch(message)
-
-    def _dispatch(self, message: LiveQueuedMessage) -> None:
-        message.state = "inflight"
-        message.attempts += 1
-        if message.attempts > 1:
-            self.retransmissions += 1
-        self._inflight += 1
-
-        def on_reply(body: Any) -> None:
-            if message.state != "inflight":
-                return
-            message.state = "done"
-            self._inflight -= 1
-            self.delivered += 1
-            message.on_reply(body)
-            self._pump()
-
-        def on_error(error: RpcError) -> None:
-            if message.state != "inflight":
-                return
-            self._inflight -= 1
-            if message.attempts >= self.max_attempts:
-                message.state = "done"
-                self.failed += 1
-                message.on_failed(str(error))
-            else:
-                message.state = "queued"
-                backoff = min(
-                    self.max_backoff, self.base_backoff * (2 ** (message.attempts - 1))
-                )
-                self.clock.schedule(backoff, self._requeue, message)
-            self._pump()
-
-        self.transport.call(
-            message.dst,
-            message.service,
-            message.body,
-            on_reply=on_reply,
-            on_error=on_error,
-            timeout=self.call_timeout,
-        )
-
-    def _requeue(self, message: LiveQueuedMessage) -> None:
-        if message.state != "queued":
-            return
-        heapq.heappush(self._heap, (message.sort_key(), message))
-        self._pump()
+    def reprioritize(self, message: QueuedMessage, priority: Priority) -> bool:
+        if self.sim.on_loop_thread():
+            return super().reprioritize(message, priority)
+        self.sim.post(super().reprioritize, message, priority)
+        return message.state == "queued"

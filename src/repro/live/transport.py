@@ -16,6 +16,7 @@ from __future__ import annotations
 import socket
 import struct
 import threading
+from types import SimpleNamespace
 from typing import Any, Callable
 
 from repro.live.clock import RealTimeClock
@@ -75,6 +76,9 @@ class LiveTransport:
     ) -> None:
         self.clock = clock
         self.name = name
+        #: Just enough Host for the scheduler and the access manager:
+        #: a name, no simulated links to watch, no simulated network.
+        self.host = SimpleNamespace(name=name, links=[], network=None)
         self._request_handlers: dict[str, Callable] = {}
         self._next_call_id = 0
         self._id_lock = threading.Lock()

@@ -257,6 +257,7 @@ class NetworkScheduler:
         fifo_only: bool = False,
         obs: Optional[Observatory] = None,
         rpc_timeout: float = 600.0,
+        route: Optional[Route] = None,
     ) -> None:
         self.sim = sim
         self.transport = transport
@@ -271,7 +272,12 @@ class NetworkScheduler:
         #: are invisible to the sender) burn less virtual time before
         #: retransmission.
         self.rpc_timeout = rpc_timeout
-        self.routes: list[Route] = [DirectRoute(transport, timeout=rpc_timeout)]
+        #: The carriers, best available wins.  ``route`` replaces the
+        #: default connection-based one: live mode hands in a route over
+        #: real sockets (repro.live.scheduler) and nothing else differs.
+        self.routes: list[Route] = [
+            route if route is not None else DirectRoute(transport, timeout=rpc_timeout)
+        ]
         #: Seeded jitter stream for retransmit backoff: without it,
         #: every client that lost the same link retries in lockstep and
         #: the reconnect instant becomes a retransmit storm.

@@ -5,7 +5,7 @@ measures the *real* CPU cost of producing it: a 10k-client mixed-link
 reconnection drain (end-to-end ops/sec and process CPU time) plus a
 marshal/unmarshal microbench.  Results are committed as
 ``BENCH_E16.json`` and gated in CI by
-``scripts/check_e16_regression.py`` — deterministic counters must match
+``scripts/check_bench.py e16`` — deterministic counters must match
 exactly, and CPU cost (normalized against an in-process calibration
 loop so the gate is machine-portable) must not regress more than 10%.
 

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import os
 import struct
+import sys
 import zlib
 from dataclasses import dataclass
 from typing import Optional
@@ -87,6 +88,13 @@ class GroupCommitPolicy:
     max_window_s: float = 0.05
     byte_budget: int = 64 * 1024
     record_budget: int = 64
+
+    @classmethod
+    def fixed(cls, window_s: float) -> "GroupCommitPolicy":
+        """One flush ``window_s`` after a window's first append, however
+        many appends follow (the E2b ablation): the deadline never
+        stretches and the budgets never bind."""
+        return cls(window_s, window_s, byte_budget=sys.maxsize, record_budget=sys.maxsize)
 
     def next_deadline(self, now: float, first_append_at: float) -> float:
         return min(first_append_at + self.max_window_s, now + self.min_window_s)

@@ -42,6 +42,101 @@ def default_compactor() -> Compactor:
 
 
 @dataclass
+class ClientStack:
+    """One mobile client's full Rover stack."""
+
+    host: Host
+    link: Link
+    transport: Transport
+    scheduler: NetworkScheduler
+    access: AccessManager
+    #: This client's private Observatory when the testbed was built
+    #: with ``per_client_obs=True`` (fleet telemetry needs per-client
+    #: registries so each reporter ships only its own series);
+    #: ``None`` when all clients share ``bed.obs``.
+    obs: Optional[Observatory] = None
+
+    def crash_and_recover(self) -> list[str]:
+        """Crash this client process and rebuild it from the stable log.
+
+        See :func:`repro.chaos.recovery.crash_and_recover_client`; the
+        rebuilt manager replaces ``self.access``.  Returns replayed ids.
+        """
+        from repro.chaos.recovery import crash_and_recover_client
+
+        self.access, replayed = crash_and_recover_client(self.access)
+        return replayed
+
+
+def wire_access_manager(
+    scheduler: NetworkScheduler,
+    servers: dict,
+    obs: Observatory,
+    stable_backend=None,
+    flush_model: Optional[FlushModel] = None,
+    cache_capacity: int = 8 * 1024 * 1024,
+    **access_options,
+) -> AccessManager:
+    """The volatile upper half of a client: a fresh cache, operation log
+    and notification center around ``scheduler``, all labelled with its
+    host and reporting to ``obs``.  ``stable_backend`` is the crash
+    survivor a reborn client is rebuilt over (None: a new in-memory
+    one); ``access_options`` go to :class:`AccessManager` as given."""
+    sim = scheduler.sim
+    owner = scheduler.host.name
+    return AccessManager(
+        sim,
+        scheduler,
+        servers=servers,
+        cache=ObjectCache(
+            capacity_bytes=cache_capacity, clock=lambda: sim.now, obs=obs, owner=owner
+        ),
+        log=OperationLog(
+            StableLog(stable_backend, flush_model=flush_model, obs=obs, owner=owner),
+            obs=obs,
+            owner=owner,
+        ),
+        notifications=NotificationCenter(),
+        obs=obs,
+        **access_options,
+    )
+
+
+def build_client_stack(
+    sim: Simulator,
+    host: Host,
+    link: Link,
+    servers: dict,
+    obs: Observatory,
+    adapt_to_link: bool = True,
+    compaction: bool = False,
+    max_inflight: int = 4,
+    max_attempts: int = 8,
+    fifo_only: bool = False,
+    rpc_timeout_s: float = 600.0,
+    **wiring,
+) -> ClientStack:
+    """Wire one mobile client on ``host``: transport, scheduler and, on
+    top, what :func:`wire_access_manager` builds (``wiring`` is handed
+    to it).  Every testbed builder's clients come from here; ``servers``
+    is what the client resolves an authority to (a home-server host, or
+    a replica set)."""
+    transport = Transport(sim, host, obs=obs, adapt_to_link=adapt_to_link)
+    scheduler = NetworkScheduler(
+        sim,
+        transport,
+        max_inflight=max_inflight,
+        max_attempts=max_attempts,
+        fifo_only=fifo_only,
+        obs=obs,
+        rpc_timeout=rpc_timeout_s,
+    )
+    compactor = default_compactor() if compaction else None
+    access = wire_access_manager(scheduler, servers, obs, compactor=compactor, **wiring)
+    return ClientStack(host, link, transport, scheduler, access)
+
+
+@dataclass
 class Testbed:
     """Everything a scenario needs, fully wired."""
 
@@ -135,18 +230,24 @@ def build_testbed(
     server_host = network.host(authority)
     link = network.connect(client_host, server_host, link_spec, policy)
 
-    client_transport = Transport(sim, client_host, obs=obs, adapt_to_link=adapt_to_link)
     server_transport = Transport(sim, server_host, obs=obs, adapt_to_link=adapt_to_link)
-
     server = RoverServer(sim, server_transport, authority, resolvers=resolvers)
-    scheduler = NetworkScheduler(
+    stack = build_client_stack(
         sim,
-        client_transport,
+        client_host,
+        link,
+        {authority: server_host},
+        obs,
+        flush_model=flush_model,
+        cache_capacity=cache_capacity,
         max_inflight=max_inflight,
         max_attempts=max_attempts,
         fifo_only=fifo_only,
-        obs=obs,
-        rpc_timeout=rpc_timeout_s,
+        adapt_to_link=adapt_to_link,
+        rpc_timeout_s=rpc_timeout_s,
+        compaction=compaction,
+        delta_shipping=delta_shipping,
+        group_commit=group_commit,
     )
 
     relay_host = relay = client_mailbox = server_mailbox = None
@@ -158,33 +259,12 @@ def build_testbed(
         relay_transport = Transport(sim, relay_host, obs=obs)
         relay = MailRelay(sim, relay_transport)
         relay.watch_new_links()
-        client_mailbox = Mailbox(sim, client_transport, relay_host)
+        client_mailbox = Mailbox(sim, stack.transport, relay_host)
         server_mailbox = Mailbox(sim, server_transport, relay_host)
         MailRpcEndpoint(sim, server_transport, server_mailbox)
-        scheduler.add_route(MailRoute(sim, client_mailbox))
-
-    access = AccessManager(
-        sim,
-        scheduler,
-        servers={authority: server_host},
-        cache=ObjectCache(
-            capacity_bytes=cache_capacity,
-            clock=lambda: sim.now,
-            obs=obs,
-            owner=client_host.name,
-        ),
-        log=OperationLog(
-            StableLog(flush_model=flush_model, obs=obs, owner=client_host.name),
-            obs=obs,
-            owner=client_host.name,
-        ),
-        notifications=NotificationCenter(),
-        obs=obs,
-        compactor=default_compactor() if compaction else None,
-        delta_shipping=delta_shipping,
-        group_commit=group_commit,
-    )
-    access.watch_new_links()
+        stack.scheduler.add_route(MailRoute(sim, client_mailbox))
+        # The relay link was attached after the stack was wired.
+        stack.access.watch_new_links()
 
     return Testbed(
         sim=sim,
@@ -192,44 +272,17 @@ def build_testbed(
         client_host=client_host,
         server_host=server_host,
         link=link,
-        client_transport=client_transport,
+        client_transport=stack.transport,
         server_transport=server_transport,
-        scheduler=scheduler,
+        scheduler=stack.scheduler,
         server=server,
-        access=access,
+        access=stack.access,
         obs=obs,
         relay_host=relay_host,
         relay=relay,
         client_mailbox=client_mailbox,
         server_mailbox=server_mailbox,
     )
-
-
-@dataclass
-class ClientStack:
-    """One mobile client's full Rover stack."""
-
-    host: Host
-    link: Link
-    transport: Transport
-    scheduler: NetworkScheduler
-    access: AccessManager
-    #: This client's private Observatory when the testbed was built
-    #: with ``per_client_obs=True`` (fleet telemetry needs per-client
-    #: registries so each reporter ships only its own series);
-    #: ``None`` when all clients share ``bed.obs``.
-    obs: Optional[Observatory] = None
-
-    def crash_and_recover(self) -> list[str]:
-        """Crash this client process and rebuild it from the stable log.
-
-        See :func:`repro.chaos.recovery.crash_and_recover_client`; the
-        rebuilt manager replaces ``self.access``.  Returns replayed ids.
-        """
-        from repro.chaos.recovery import crash_and_recover_client
-
-        self.access, replayed = crash_and_recover_client(self.access)
-        return replayed
 
 
 @dataclass
@@ -303,33 +356,21 @@ def build_multi_client_testbed(
         )
         link = network.connect(host, server_host, spec, policy, medium=medium)
         client_obs = Observatory(tracing=False) if per_client_obs else obs
-        transport = Transport(sim, host, obs=client_obs)
-        scheduler = NetworkScheduler(
-            sim, transport, obs=client_obs, rpc_timeout=rpc_timeout_s
-        )
-        access = AccessManager(
+        stack = build_client_stack(
             sim,
-            scheduler,
-            servers={authority: server_host},
-            cache=ObjectCache(
-                clock=lambda: sim.now, obs=client_obs, owner=host.name
-            ),
-            log=OperationLog(
-                StableLog(flush_model=flush_model, obs=client_obs, owner=host.name),
-                obs=client_obs,
-                owner=host.name,
-            ),
-            notifications=NotificationCenter(),
-            obs=client_obs,
-            compactor=default_compactor() if compaction else None,
+            host,
+            link,
+            {authority: server_host},
+            client_obs,
+            flush_model=flush_model,
+            rpc_timeout_s=rpc_timeout_s,
+            compaction=compaction,
             delta_shipping=delta_shipping,
             group_commit=group_commit,
         )
-        access.watch_new_links()
-        clients.append(ClientStack(
-            host, link, transport, scheduler, access,
-            obs=client_obs if per_client_obs else None,
-        ))
+        if per_client_obs:
+            stack.obs = client_obs
+        clients.append(stack)
 
     return MultiClientTestbed(
         sim=sim,

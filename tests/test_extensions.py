@@ -13,6 +13,7 @@ from repro.net.simnet import Network
 from repro.net.smtp import MailRelay, Mailbox, MailRoute, MailRpcEndpoint
 from repro.net.transport import Transport
 from repro.sim import Simulator
+from repro.storage.stable_log import GroupCommitPolicy
 from repro.testbed import build_testbed
 from tests.conftest import make_note
 
@@ -153,8 +154,7 @@ class TestFreshness:
 
 class TestGroupCommit:
     def test_one_flush_covers_a_burst(self):
-        bed = build_testbed()
-        bed.access.group_commit_s = 0.05
+        bed = build_testbed(group_commit=GroupCommitPolicy.fixed(0.05))
         urns = []
         for n in range(5):
             note = make_note(path=f"notes/g{n}")
@@ -178,8 +178,10 @@ class TestGroupCommit:
         from repro.core.operation_log import OperationLog
         from repro.storage.stable_log import StableLog
 
-        bed = build_testbed(policy=IntervalTrace([(1_000.0, 1e9)]))
-        bed.access.group_commit_s = 0.05
+        bed = build_testbed(
+            policy=IntervalTrace([(1_000.0, 1e9)]),
+            group_commit=GroupCommitPolicy.fixed(0.05),
+        )
         note = make_note()
         bed.server.put_object(note)
         bed.access.import_(note.urn)

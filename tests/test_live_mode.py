@@ -5,11 +5,19 @@ These run with real threads and wall-clock time, so they assert
 never precise timings (that is the simulator's job).
 """
 
+import socket
+import sys
+import threading
+
 import pytest
 
+from repro.core.access_manager import AccessManager
 from repro.core.conflict import FieldwiseMerge, ResolverRegistry
-from repro.live import LiveClient, LiveServer
+from repro.live import LiveClient, LiveScheduler, LiveServer, LiveTransport
 from repro.live.clock import RealTimeClock
+from repro.live.transport import LiveAddress
+from repro.perf.compact import InvokeAbsorb
+from repro.testbed import default_compactor
 from tests.conftest import make_note
 
 TIMEOUT = 15.0
@@ -268,3 +276,189 @@ class TestFraming:
         promise = client.access.import_(note.urn)
         assert client.clock.run_until(lambda: promise.is_done, timeout=TIMEOUT)
         assert promise.ready
+
+
+def _dead_address():
+    """``(address, holder)``: a port that refuses connections.  The
+    holder is bound to it without listening, so no listener opened
+    meanwhile can be handed the port; close it to revive a server there."""
+    holder = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    holder.bind(("127.0.0.1", 0))
+    return LiveAddress("server", "127.0.0.1", holder.getsockname()[1]), holder
+
+
+class TestLiveCompaction:
+    """Queue-time compaction over sockets.  It hangs off the scheduler's
+    drain hook, which only the one NetworkScheduler ever had."""
+
+    def test_overwriting_exports_queued_offline_cross_the_wire_once(self):
+        first = LiveServer("server")
+        note = make_note()
+        first.put_object(note)
+        urn = str(note.urn)
+        clock = RealTimeClock(name="laptop-loop")
+        transport = LiveTransport(clock, "laptop")
+        scheduler = LiveScheduler(clock, transport, call_timeout=0.5, max_attempts=30)
+        access = AccessManager(
+            clock,
+            scheduler,
+            servers={"server": first.address},
+            compactor=default_compactor(),
+        )
+        revived = None
+        try:
+            imported = access.import_(urn)
+            assert clock.run_until(lambda: imported.is_done, timeout=TIMEOUT)
+            port = first.address.port
+            first.close()
+
+            def edit_three_times():
+                for text in ("one", "two", "three"):
+                    access.invoke(urn, "set_text", text)
+
+            clock.post(edit_three_times)  # one loop turn: nothing leaves in between
+            assert clock.run_until(lambda: scheduler.retransmissions >= 1, timeout=TIMEOUT)
+            assert access.pending_count() == 1
+
+            revived = LiveServer("server", port=port)
+            revived.put_object(make_note())
+            assert clock.run_until(lambda: access.pending_count() == 0, timeout=TIMEOUT)
+            assert revived.server.exports_committed == 1
+            assert revived.get_object(urn).data == {"text": "three"}
+            assert access.log.ops_compacted == 2
+            assert scheduler.failed == 0
+        finally:
+            transport.close()
+            clock.close()
+            first.close()
+            if revived is not None:
+                revived.close()
+        assert clock.errors == [], clock.errors
+
+    def test_rule_added_to_a_live_client_folds_its_queue(self):
+        address, holder = _dead_address()
+        client = LiveClient(
+            "laptop", servers={"server": address}, call_timeout=0.5, max_attempts=30
+        )
+        client.access.add_compaction_rule(InvokeAbsorb("set_text"))
+        note = make_note()
+        promises = []
+        revived = None
+        try:
+            def overwrite_three_times():
+                for text in ("one", "two", "three"):
+                    promises.append(
+                        client.access.invoke_remote(note.urn, "set_text", [text])
+                    )
+
+            client.clock.post(overwrite_three_times)
+            assert client.clock.run_until(
+                lambda: client.scheduler.retransmissions >= 1, timeout=TIMEOUT
+            )
+            assert client.access.pending_count() == 1
+
+            holder.close()
+            revived = LiveServer("server", port=address.port)
+            revived.put_object(note)
+            assert client.clock.run_until(
+                lambda: len(promises) == 3 and all(p.is_done for p in promises),
+                timeout=TIMEOUT,
+            )
+            assert [p.result() for p in promises] == ["three"] * 3
+            assert revived.server.invokes_served == 1
+            assert revived.get_object(str(note.urn)).data == {"text": "three"}
+        finally:
+            client.close()
+            holder.close()
+            if revived is not None:
+                revived.close()
+        assert client.clock.errors == [], client.clock.errors
+
+
+class TestLiveSchedulerThreads:
+    def test_submits_from_many_threads_all_complete(self):
+        """Queue mutation belongs to the loop thread.  Eight application
+        threads submit while it drains; a push that raced the pump, or
+        two messages handed one sequence number, would lose a reply."""
+        clock = RealTimeClock(name="echo-loop")
+        echo = LiveTransport(clock, "echo")
+        echo.register("echo", lambda body, source: body)
+        transport = LiveTransport(clock, "laptop")
+        scheduler = LiveScheduler(clock, transport)
+        replies = []
+        failures = []
+
+        def submit_fifty(worker: int) -> None:
+            for n in range(50):
+                scheduler.submit(
+                    echo.address,
+                    "echo",
+                    [worker, n],
+                    on_reply=replies.append,
+                    on_failed=failures.append,
+                )
+
+        workers = [threading.Thread(target=submit_fifty, args=(w,)) for w in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in workers:
+                thread.start()
+            for thread in workers:
+                thread.join(timeout=TIMEOUT)
+            assert not any(thread.is_alive() for thread in workers)
+            assert clock.run_until(
+                lambda: len(replies) + len(failures) == 400, timeout=2 * TIMEOUT
+            )
+            assert clock.run_until(scheduler.idle, timeout=TIMEOUT)
+        finally:
+            sys.setswitchinterval(interval)
+            transport.close()
+            echo.close()
+            clock.close()
+        assert failures == []
+        assert sorted(replies) == [[w, n] for w in range(8) for n in range(50)]
+        assert scheduler.delivered == 400 and scheduler.failed == 0
+        assert clock.errors == [], clock.errors
+
+    def test_clients_refused_by_one_dead_port_do_not_retry_in_lockstep(self):
+        """Live retransmissions carry the scheduler's seeded jitter: each
+        host draws from its own stream, so two clients that lost the same
+        server spread their retries instead of returning together."""
+        address, holder = _dead_address()
+        clock = RealTimeClock(name="jitter-loop")
+        gaps = {}
+        transports = []
+        try:
+            for name in ("alice", "bob"):
+                transport = LiveTransport(clock, name)
+                transports.append(transport)
+                attempts = gaps[name] = []
+                call = transport.call
+
+                def timed_call(*args, _call=call, _attempts=attempts, **kwargs):
+                    _attempts.append(clock.now)
+                    return _call(*args, **kwargs)
+
+                transport.call = timed_call
+                scheduler = LiveScheduler(clock, transport, max_attempts=4)
+                scheduler.submit(address, "rover.import", {"urn": "urn:rover:server/x"})
+            assert clock.run_until(
+                lambda: all(len(times) == 4 for times in gaps.values()), timeout=TIMEOUT
+            )
+        finally:
+            for transport in transports:
+                transport.close()
+            clock.close()
+            holder.close()
+        offsets = {
+            name: [later - times[0] for later in times[1:]] for name, times in gaps.items()
+        }
+        # Ceilings 0.2, 0.4, 0.8 s, each scaled by a draw from [0.5, 1.0].
+        for name, (first, second, third) in offsets.items():
+            assert 0.1 <= first <= 0.2 + 0.1, (name, offsets)
+            assert 0.3 <= second <= 0.6 + 0.2, (name, offsets)
+            assert 0.7 <= third <= 1.4 + 0.3, (name, offsets)
+        assert any(
+            abs(a - b) > 0.02 for a, b in zip(offsets["alice"], offsets["bob"])
+        ), offsets
