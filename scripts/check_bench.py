@@ -94,7 +94,7 @@ GATES = {
         exact=(
             "clients", "ops_submitted", "ops_acked", "done_at_s", "log_appends",
             "log_flushes", "group_commits", "fsyncs_saved", "bytes_sent",
-            "messages_sent", "codec_wire_bytes",
+            "messages_sent", "codec_wire_bytes", "cyclic_garbage_objects",
         ),
         tolerance=(
             "drain_cpu_x_cal", "encode_cpu_x_cal", "decode_cpu_x_cal", "size_cpu_x_cal",

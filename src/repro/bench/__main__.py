@@ -241,11 +241,11 @@ def _e16() -> str:
     return format_table(
         "E16 - CPU hot path: drain throughput + codec cost",
         ["clients", "acked", "ops/s", "wall", "cpu x cal", "flushes",
-         "grp commits", "fsyncs saved", "compactions"],
+         "grp commits", "fsyncs saved", "compactions", "cyclic garbage"],
         [[r["clients"], r["ops_acked"], r["ops_per_s"],
           fs(r["drain_wall_s"]), f"{r['drain_cpu_x_cal']:.0f}x",
           r["log_flushes"], r["group_commits"], r["fsyncs_saved"],
-          r["kernel_compactions"]] for r in rows],
+          r["kernel_compactions"], r["cyclic_garbage_objects"]] for r in rows],
     )
 
 

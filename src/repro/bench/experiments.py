@@ -9,6 +9,8 @@ numbers next to the paper's claims.
 
 from __future__ import annotations
 
+import gc
+
 from repro.apps.calendar import CalendarReplica, install_calendar
 from repro.apps.mail import BlockingMailReader, MailServerApp, RoverMailReader
 from repro.apps.webproxy import BlockingBrowser, ClickAheadProxy, WebServerApp
@@ -1314,6 +1316,9 @@ def run_e16_speed(
     fields are real measurements, reported both raw and as multiples of
     the in-process calibration loop (see :mod:`repro.speed.measure`) so
     the committed numbers transfer across machines.
+    ``cyclic_garbage_objects`` is what the run left for the cyclic
+    collector (found by its passes during the run plus one full pass
+    after): exact, and zero while the QRPC path closes no cycle.
     """
     from repro.speed import (
         SpeedScenario,
@@ -1326,8 +1331,12 @@ def run_e16_speed(
     cal = calibration_seconds()
     micro = run_codec_microbench(rounds)
     scenario = SpeedScenario(n_clients=n_clients, seed=seed)
+    gc.collect()
+    collected_before = sum(generation["collected"] for generation in gc.get_stats())
     with Stopwatch() as clock:
         metrics, _bed = run_drain(scenario)
+    garbage = sum(generation["collected"] for generation in gc.get_stats()) - collected_before
+    garbage += gc.collect()
     wall = clock.wall_s or 1e-9
     return [
         {
@@ -1342,6 +1351,7 @@ def run_e16_speed(
             "bytes_sent": metrics.bytes_sent,
             "messages_sent": metrics.messages_sent,
             "kernel_compactions": metrics.kernel_compactions,
+            "cyclic_garbage_objects": garbage,
             "codec_wire_bytes": micro["wire_bytes"],
             "calibration_s": round(cal, 6),
             "drain_wall_s": round(clock.wall_s, 3),

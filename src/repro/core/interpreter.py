@@ -27,7 +27,7 @@ last line of defense for code that bypassed publication.
 from __future__ import annotations
 
 import ast
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 # The safe-subset rule tables are shared with the static verifier
 # (:mod:`repro.lint`): one source of truth, so the publish-time check
@@ -61,29 +61,20 @@ class _GuardInjector(ast.NodeTransformer):
     """Insert ``__step__()`` at function entries and loop bodies."""
 
     @staticmethod
-    def _guard_call() -> ast.Expr:
-        return ast.Expr(
-            value=ast.Call(
-                func=ast.Name(id=STEP_GUARD_NAME, ctx=ast.Load()),
-                args=[],
-                keywords=[],
-            )
-        )
+    def _guard_call(owner: ast.AST) -> ast.Expr:
+        # Located as ``ast.fix_missing_locations`` would (a new first
+        # statement inherits its owner's position): same compiled code,
+        # without that function's recursive closure (cyclic garbage).
+        name = ast.copy_location(ast.Name(id=STEP_GUARD_NAME, ctx=ast.Load()), owner)
+        call = ast.copy_location(ast.Call(func=name, args=[], keywords=[]), owner)
+        return ast.copy_location(ast.Expr(value=call), owner)
 
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> ast.FunctionDef:
+    def _guarded(self, node: Any) -> Any:
         self.generic_visit(node)
-        node.body.insert(0, self._guard_call())
+        node.body.insert(0, self._guard_call(node))
         return node
 
-    def visit_For(self, node: ast.For) -> ast.For:
-        self.generic_visit(node)
-        node.body.insert(0, self._guard_call())
-        return node
-
-    def visit_While(self, node: ast.While) -> ast.While:
-        self.generic_visit(node)
-        node.body.insert(0, self._guard_call())
-        return node
+    visit_FunctionDef = visit_For = visit_While = _guarded
 
 
 def validate_source(source: str) -> ast.Module:
@@ -109,6 +100,14 @@ def validate_source(source: str) -> ast.Module:
     return tree
 
 
+class LoadedFunctions(dict):
+    """What :meth:`SafeInterpreter.load` returns: the functions the source
+    defined, by name, plus the environment it was executed into and the
+    step counter they share."""
+
+    __slots__ = ("env", "counter")
+
+
 class SafeInterpreter:
     """Loads validated RDO source and invokes its methods under budget."""
 
@@ -126,18 +125,19 @@ class SafeInterpreter:
         # every caller gets a fresh environment.
         self._code_cache: dict[str, Any] = {}
 
-    def load(self, source: str, extra_env: Optional[dict[str, Any]] = None) -> dict[str, Callable]:
+    def load(self, source: str, extra_env: Optional[dict[str, Any]] = None) -> LoadedFunctions:
         """Validate, compile, and return the functions the source defines.
 
         ``extra_env`` exposes host-provided helpers (already-safe
         callables) to the code.  All functions returned share one
-        step-budget counter per :meth:`invoke` call.
+        step-budget counter per :meth:`invoke` call, and an environment
+        made for this load alone; a caller that is done with it hands
+        the result to :meth:`release`.
         """
         code = self._code_cache.get(source)
         if code is None:
             tree = validate_source(source)
             tree = _GuardInjector().visit(tree)
-            ast.fix_missing_locations(tree)
             code = compile(tree, filename="<rdo>", mode="exec")
             if len(self._code_cache) >= self.CODE_CACHE_MAX:
                 self._code_cache.pop(next(iter(self._code_cache)))
@@ -163,22 +163,34 @@ class SafeInterpreter:
             env.update(extra_env)
         exec(code, env)  # populate env with the defined functions
 
-        functions = {
-            name: value
-            for name, value in env.items()
-            if callable(value)
-            and not name.startswith("_")
-            and name not in SAFE_BUILTINS
-            and (not extra_env or name not in extra_env)
-        }
-        # Stash the counter so invoke() can arm the budget.
-        for fn in functions.values():
-            fn.__dict__["_rover_counter"] = counter
+        functions = LoadedFunctions()
+        functions.env = env
+        functions.counter = counter  # invoke() arms the budget through it
+        for name, value in env.items():
+            if (
+                callable(value)
+                and not name.startswith("_")
+                and name not in SAFE_BUILTINS
+                and (not extra_env or name not in extra_env)
+            ):
+                functions[name] = value
         return functions
+
+    def release(self, functions: LoadedFunctions) -> None:
+        """End the life of the environment ``functions`` were loaded into.
+
+        The functions' ``__globals__`` *is* the environment that holds
+        them, a loop only the cyclic collector could free, and a server
+        makes one per request.  Emptied, the last reference frees it and
+        the functions reach none of its names.  (Not via
+        ``fn.__globals__``: source may re-bind an ``extra_env`` helper,
+        whose globals are the host's module.)
+        """
+        functions.env.clear()
 
     def invoke(
         self,
-        functions: dict[str, Callable],
+        functions: LoadedFunctions,
         method: str,
         *args: Any,
         budget: Optional[int] = None,
@@ -191,9 +203,8 @@ class SafeInterpreter:
         fn = functions.get(method)
         if fn is None:
             raise ExecutionError(f"RDO has no method {method!r}")
-        counter = fn.__dict__.get("_rover_counter")
-        if counter is not None:
-            counter["remaining"] = budget if budget is not None else self.step_budget
+        counter = functions.counter
+        counter["remaining"] = budget if budget is not None else self.step_budget
         try:
             result = fn(*args)
         except ExecutionBudgetExceeded:
@@ -202,6 +213,5 @@ class SafeInterpreter:
             raise ExecutionBudgetExceeded("RDO recursion too deep") from exc
         except Exception as exc:
             raise ExecutionError(f"{type(exc).__name__}: {exc}") from exc
-        if counter is not None:
-            self.steps_used = (budget or self.step_budget) - counter["remaining"]
+        self.steps_used = (budget or self.step_budget) - counter["remaining"]
         return result

@@ -32,7 +32,7 @@ class EventType(Enum):
     CACHE_EVICTED = "cache-evicted"
 
 
-@dataclass
+@dataclass(slots=True)
 class Notification:
     """One published event with free-form details."""
 
@@ -43,15 +43,21 @@ class Notification:
 
 Subscriber = Callable[[Notification], None]
 
+#: Most events :attr:`NotificationCenter.history` retains (a client
+#: publishes about three per QRPC for as long as it lives).
+HISTORY_MAX = 4096
+
 
 class NotificationCenter:
-    """Per-client observer hub with an inspectable history."""
+    """Per-client observer hub with an inspectable, bounded history."""
 
     def __init__(self, keep_history: bool = True) -> None:
         self._subscribers: dict[EventType, list[Subscriber]] = {}
         self._all_subscribers: list[Subscriber] = []
         self.keep_history = keep_history
         self.history: list[Notification] = []
+        #: Events trimmed from the front of :attr:`history` so far.
+        self.history_dropped = 0
 
     def subscribe(self, event: EventType, fn: Subscriber) -> None:
         self._subscribers.setdefault(event, []).append(fn)
@@ -68,6 +74,10 @@ class NotificationCenter:
         notification = Notification(event, time, details)
         if self.keep_history:
             self.history.append(notification)
+            if len(self.history) > HISTORY_MAX:
+                drop = HISTORY_MAX // 4  # in chunks: one list shift per 1,024
+                del self.history[:drop]
+                self.history_dropped += drop
         for fn in list(self._subscribers.get(event, [])):
             fn(notification)
         for fn in list(self._all_subscribers):
@@ -75,7 +85,9 @@ class NotificationCenter:
         return notification
 
     def count(self, event: EventType) -> int:
+        """Events of this type in the retained window of :attr:`history`."""
         return sum(1 for n in self.history if n.event is event)
 
     def of_type(self, event: EventType) -> list[Notification]:
+        """This type's events in the retained window, oldest first."""
         return [n for n in self.history if n.event is event]

@@ -21,6 +21,8 @@ class PromiseError(Exception):
 class Promise(Waitable):
     """A placeholder for a value that a QRPC will eventually produce."""
 
+    __slots__ = ("label", "_error")
+
     def __init__(self, label: str = "") -> None:
         super().__init__()
         self.label = label

@@ -65,7 +65,7 @@ SERVICE_BY_OPERATION = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class QRPCRequest:
     """One queued remote procedure call."""
 

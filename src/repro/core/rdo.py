@@ -197,6 +197,13 @@ class RDO:
             self._interpreter = interpreter
         return self._functions
 
+    def release(self) -> None:
+        """Release the loaded environment (:meth:`SafeInterpreter.release`),
+        for a copy made to serve one request; a cached RDO stays loaded."""
+        if self._functions:  # a pure-data RDO loads nothing
+            self._interpreter.release(self._functions)
+        self._functions = self._interpreter = None
+
     def invoke(
         self,
         interpreter: SafeInterpreter,

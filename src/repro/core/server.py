@@ -678,7 +678,11 @@ class RoverServer:
         rdo = self.get_object(urn)
         if rdo is None:
             return self._record_reply(request_id, {"status": "not-found", "urn": urn})
-        result, steps = rdo.invoke(self.interpreter, method, *args)
+        try:
+            result, steps = rdo.invoke(self.interpreter, method, *args)
+        finally:
+            # The environment was loaded for this request alone.
+            rdo.release()
         self.invokes_served += 1
         mutates = rdo.interface.mutates(method)
         reply: dict = {"status": "ok", "result": result}
@@ -729,7 +733,10 @@ class RoverServer:
         functions = self.interpreter.load(
             code, extra_env={"lookup": lookup, "objects": list_objects}
         )
-        result = self.interpreter.invoke(functions, method, *args)
+        try:
+            result = self.interpreter.invoke(functions, method, *args)
+        finally:
+            self.interpreter.release(functions)
         steps = self.interpreter.steps_used
         self.ships_served += 1
         reply = {"status": "ok", "result": result}

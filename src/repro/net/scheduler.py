@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import heapq
 from enum import IntEnum
+from functools import cached_property
 from typing import Any, Callable, Optional
 
 from repro.net.message import marshalled_size
@@ -216,7 +217,10 @@ class QueuedMessage:
         #: Marshalled size of ``body`` (what the frame budget and the
         #: per-service byte counter charge).
         self.body_bytes = marshalled_size(body)
-        #: The wire exchange carrying the current attempt.
+        #: The wire exchange carrying the current attempt, while the
+        #: message waits on its outcome.  The exchange lists its members,
+        #: so whatever ends the wait (reply, failed attempt, evict,
+        #: abandon) drops this and no reference cycle outlives it.
         self.exchange: Optional[_Exchange] = None
 
     def sort_key(self) -> tuple[int, int]:
@@ -278,12 +282,6 @@ class NetworkScheduler:
         self.routes: list[Route] = [
             route if route is not None else DirectRoute(transport, timeout=rpc_timeout)
         ]
-        #: Seeded jitter stream for retransmit backoff: without it,
-        #: every client that lost the same link retries in lockstep and
-        #: the reconnect instant becomes a retransmit storm.
-        self.rng = make_rng(
-            getattr(transport.host.network, "seed", 0), f"sched:{self.host.name}"
-        )
         self._heap: list[tuple[tuple[int, int], QueuedMessage]] = []
         #: Every message not yet in a terminal state (queued, backing
         #: off, or in flight) — the set a crash simulation abandons.
@@ -349,6 +347,14 @@ class NetworkScheduler:
         self._route_cache: dict[tuple[str, Optional[int]], Optional[Route]] = {}
         self._drain_hooks: list[Callable[[], None]] = []
         self._watch_links()
+
+    @cached_property
+    def rng(self) -> Any:
+        """Seeded jitter stream for retransmit backoff: without it,
+        every client that lost the same link retries in lockstep and
+        the reconnect instant becomes a retransmit storm.  Built on
+        first draw (2.5 KB of state; most clients never retransmit)."""
+        return make_rng(getattr(self.host.network, "seed", 0), f"sched:{self.host.name}")
 
     # -- counters (registry-backed; attribute names kept for callers) -------
 
@@ -464,12 +470,13 @@ class NetworkScheduler:
             return False
         was_inflight = message.state == "inflight"
         message.state = "done"
+        exchange, message.exchange = message.exchange, None
         if was_inflight and not any(
-            member.state == "inflight" for member in message.exchange.members
+            member.state == "inflight" for member in exchange.members
         ):
             # Nobody is left waiting on the exchange: free its slot now
             # rather than when (if ever) its late outcome arrives.
-            self._release(message.exchange)
+            self._release(exchange)
         self._active.discard(message)
         self._m_failed.inc()
         message.on_failed(reason)
@@ -515,6 +522,7 @@ class NetworkScheduler:
                 # The window is reset below; a late outcome of a dead
                 # exchange must not release a slot a second time.
                 message.exchange.holds_slot = False
+                message.exchange = None
         self._active.clear()
         self._heap.clear()
         self._inflight = 0
@@ -732,6 +740,7 @@ class NetworkScheduler:
                 waiting = True
                 if ok:
                     message.state = "done"
+                    message.exchange = None
                     self._active.discard(message)
                     self._m_delivered.inc()
                     message.on_reply(reply)
@@ -769,6 +778,7 @@ class NetworkScheduler:
     def _attempt_failed(self, message: QueuedMessage, reason: str) -> None:
         """Back off and retry ``message``, or fail it for good once its
         attempts are spent."""
+        message.exchange = None
         if message.attempts >= self.max_attempts:
             message.state = "done"
             self._active.discard(message)

@@ -20,6 +20,7 @@ receives ``(payload_bytes, source_address)``.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Any, Callable, Optional
 
 from repro.sim import Simulator, make_rng
@@ -147,7 +148,6 @@ class _Transfer:
         "fail",
         "charge",
         "deliver_event",
-        "done",
     )
 
     def __init__(
@@ -168,22 +168,19 @@ class _Transfer:
         self.fail = fail
         self.charge = charge
         self.deliver_event: Any = None
-        self.done = False
 
     def complete(self) -> None:
-        if self.done:
-            return
-        self.done = True
         link = self.link
-        link._note_transfer_done()
-        # Drop what completion consumes: ``fail`` reaches the sender's
-        # request through its callbacks, and a quiet link may never run
-        # the amortized sweep that would let this transfer go.
-        delivery, self.delivery = self.delivery, None
-        fail, self.fail = self.fail, None
+        # Its life ends here: off the link's books and out of the loop
+        # transfer -> event -> bound ``complete`` -> transfer, so it and
+        # what ``fail`` reaches (the sender's callbacks, its request) go
+        # with the last reference instead of waiting for the collector.
+        del link._inflight[self]
+        self.deliver_event = None
+        delivery = self.delivery
         if delivery.fail_reason is not None:
             link.transfers_failed += 1
-            fail(delivery.fail_reason)
+            self.fail(delivery.fail_reason)
             return
         if self.charge:
             link.bytes_carried += link.spec.wire_bytes(len(delivery.payload))
@@ -240,15 +237,21 @@ class Link:
         self.bytes_carried = 0
         self.transfers_failed = 0
         self._busy_until = {host_a.name: 0.0, host_b.name: 0.0}
-        self._inflight: list[_Transfer] = []
-        self._inflight_done = 0
+        #: Unfinished transfers in send order (an insertion-ordered dict
+        #: used as a set: a finished transfer removes itself in O(1)).
+        self._inflight: dict[_Transfer, None] = {}
         self._listeners: list[Callable[["Link", bool], None]] = []
-        self._loss_rng = make_rng(network.seed, f"loss:{name}")
         #: Optional chaos hook: an object with
         #: ``plan(link, delivery) -> list[Delivery]`` consulted on every
         #: send (see :class:`repro.chaos.FaultyLink`).
         self.fault_injector: Optional[Any] = None
         self._watch_transitions()
+
+    @cached_property
+    def _loss_rng(self) -> Any:
+        """Seeded loss stream, built on first draw (a Mersenne Twister
+        state is 2.5 KB and most links are lossless)."""
+        return make_rng(self.network.seed, f"loss:{self.name}")
 
     # -- connectivity ---------------------------------------------------
 
@@ -269,48 +272,25 @@ class Link:
     def _handle_transition(self) -> None:
         up = self.is_up
         if not up:
-            self._fail_inflight("link dropped")
+            self.fail_inflight("link dropped")
         for listener in list(self._listeners):
             listener(self, up)
         self._watch_transitions()
 
-    def _fail_inflight(self, reason: str) -> int:
-        # Swap the list first and walk it in send order: a failure
+    def fail_inflight(self, reason: str) -> int:
+        """Fail every in-flight transfer (the link dropped, the peer
+        process crashed).  Each sender's failure callback runs at once
+        with ``reason``; returns the number of transfers failed."""
+        # Swap the table first and walk it in send order: a failure
         # callback may issue new sends, which must not be failed too.
-        transfers, self._inflight = self._inflight, []
-        self._inflight_done = 0
-        failed = 0
+        transfers, self._inflight = self._inflight, {}
         for transfer in transfers:
-            if transfer.done:
-                continue
-            transfer.done = True
             transfer.deliver_event.cancel()
+            transfer.deliver_event = None
             self.transfers_failed += 1
-            failed += 1
             fail, transfer.fail, transfer.delivery = transfer.fail, None, None
             fail(reason)
-        return failed
-
-    def _note_transfer_done(self) -> None:
-        """Amortized, order-preserving cleanup of completed transfers.
-
-        Completion marks the transfer done; the list is compacted only
-        when completed entries pile up (the old per-completion
-        ``list.remove`` was O(n) per delivery).
-        """
-        self._inflight_done += 1
-        done = self._inflight_done
-        if done > 32 and done * 2 > len(self._inflight):
-            self._inflight = [t for t in self._inflight if not t.done]
-            self._inflight_done = 0
-
-    def fail_inflight(self, reason: str) -> int:
-        """Fail every in-flight transfer (e.g. the peer process crashed).
-
-        Returns the number of transfers failed.  Each sender's failure
-        callback runs immediately with ``reason``.
-        """
-        return self._fail_inflight(reason)
+        return len(transfers)
 
     # -- transmission ---------------------------------------------------
 
@@ -394,7 +374,7 @@ class Link:
     ) -> None:
         transfer = _Transfer(self, receiver, port, source, delivery, fail, charge)
         transfer.deliver_event = self.sim.schedule_at(delivery.time, transfer.complete)
-        self._inflight.append(transfer)
+        self._inflight[transfer] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "up" if self.is_up else "down"

@@ -19,7 +19,7 @@ process never share counters (see :mod:`repro.obs`).
 from __future__ import annotations
 
 import bisect
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 
 class MetricError(Exception):
@@ -182,6 +182,8 @@ class HistogramChild(_Child):
 class Metric:
     """A named family of labelled children (one kind: counter/gauge/histogram)."""
 
+    __slots__ = ("name", "help", "labelnames", "max_children", "_children")
+
     child_class: type = CounterChild
     kind = "counter"
 
@@ -198,7 +200,10 @@ class Metric:
         self.max_children = (
             DEFAULT_MAX_CHILDREN if max_children is None else int(max_children)
         )
-        self._children: dict[tuple[str, ...], _Child] = {}
+        #: None, the only child itself, or (from the second child on) a
+        #: dict by label values: a fleet client's private registry has
+        #: ~30 families and nearly all label one series, its own host.
+        self._children: Union[None, _Child, dict[tuple[str, ...], _Child]] = None
 
     def labels(self, **labelvalues: str) -> _Child:
         if set(labelvalues) != set(self.labelnames):
@@ -209,17 +214,28 @@ class Metric:
         # Several lookups per QRPC: C-level maps, not a generator frame
         # per label.
         key = tuple(map(str, map(labelvalues.__getitem__, self.labelnames)))
-        child = self._children.get(key)
-        if child is None:
-            if len(self._children) >= self.max_children:
-                raise MetricError(
-                    f"{self.name}: label cardinality cap reached "
-                    f"({self.max_children} children); check for an "
-                    f"unbounded label (request ids, timestamps, ...)"
-                )
-            child = self._make_child(key)
-            self._children[key] = child
+        held = self._children
+        if type(held) is dict:
+            child = held.get(key)
+            if child is None:
+                child = held[key] = self._new_child(key, len(held))
+        elif held is None:
+            child = self._children = self._new_child(key, 0)
+        elif held.labelvalues == key:
+            child = held
+        else:
+            child = self._new_child(key, 1)
+            self._children = {held.labelvalues: held, key: child}
         return child
+
+    def _new_child(self, key: tuple[str, ...], existing: int) -> _Child:
+        if existing >= self.max_children:
+            raise MetricError(
+                f"{self.name}: label cardinality cap reached "
+                f"({self.max_children} children); check for an "
+                f"unbounded label (request ids, timestamps, ...)"
+            )
+        return self._make_child(key)
 
     def _make_child(self, key: tuple[str, ...]) -> _Child:
         return self.child_class(key)
@@ -232,7 +248,10 @@ class Metric:
         return self.labels()
 
     def children(self) -> Iterable[tuple[tuple[str, ...], _Child]]:
-        return list(self._children.items())
+        held = self._children
+        if type(held) is dict:
+            return list(held.items())
+        return [] if held is None else [(held.labelvalues, held)]
 
     # convenience passthroughs for unlabelled metrics
     def inc(self, amount: float = 1.0) -> None:
@@ -240,6 +259,7 @@ class Metric:
 
 
 class Counter(Metric):
+    __slots__ = ()
     child_class = CounterChild
     kind = "counter"
 
@@ -249,6 +269,7 @@ class Counter(Metric):
 
 
 class Gauge(Metric):
+    __slots__ = ()
     child_class = GaugeChild
     kind = "gauge"
 
@@ -261,6 +282,7 @@ class Gauge(Metric):
 
 
 class Histogram(Metric):
+    __slots__ = ("buckets",)
     child_class = HistogramChild
     kind = "histogram"
 

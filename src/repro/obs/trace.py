@@ -38,7 +38,7 @@ from typing import Any, Optional
 TRACE_KEY = "trace"
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One named stage of a trace, in virtual seconds."""
 

@@ -131,7 +131,9 @@ class Simulator:
         #: instant -> FIFO bucket of events at that instant.
         self._buckets: dict[float, _Bucket] = {}
         self._seq = 0
-        self._now = 0.0
+        #: Current virtual time in seconds.  A plain attribute, read
+        #: many times per event; only this kernel assigns it.
+        self.now = 0.0
         self._running = False
         #: Queued events that are neither fired nor cancelled.
         self._live = 0
@@ -143,11 +145,6 @@ class Simulator:
         #: :meth:`decide`).  ``None`` means every decision takes its
         #: first alternative — the plain deterministic run.
         self.decision_provider: Optional[Callable[[int, dict], int]] = None
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
 
     def decide(self, n_alternatives: int, meta: Optional[dict] = None) -> int:
         """Resolve an enumerable decision point.
@@ -177,14 +174,12 @@ class Simulator:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        return self.schedule_at(self._now + delay, fn, *args)
+        return self.schedule_at(self.now + delay, fn, *args)
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute virtual time ``time``."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at t={time} before now={self._now}"
-            )
+        if time < self.now:
+            raise SimulationError(f"cannot schedule at t={time} before now={self.now}")
         event = Event(time, self._seq, fn, args, sim=self)
         self._seq += 1
         bucket = self._buckets.get(time)
@@ -302,7 +297,7 @@ class Simulator:
         event = self._pop_next(None)
         if event is None:
             return False
-        self._now = event.time
+        self.now = event.time
         event.fn(*event.args)
         return True
 
@@ -328,13 +323,13 @@ class Simulator:
                 event = self._pop_next(until)
                 if event is None:
                     break
-                self._now = event.time
+                self.now = event.time
                 event.fn(*event.args)
                 executed += 1
         finally:
             self._running = False
-        if until is not None and self._now < until:
-            self._now = until
+        if until is not None and self.now < until:
+            self.now = until
         return executed
 
     def _peek_live(self, until: Optional[float]) -> bool:
@@ -378,7 +373,7 @@ class Simulator:
         the event queue drained or the virtual ``timeout`` elapsed
         first.  The predicate is checked after every event.
         """
-        deadline = self._now + timeout
+        deadline = self.now + timeout
         executed = 0
         if predicate():
             return True
@@ -390,7 +385,7 @@ class Simulator:
             event = self._pop_next(deadline)
             if event is None:
                 return predicate()
-            self._now = event.time
+            self.now = event.time
             event.fn(*event.args)
             executed += 1
             if predicate():

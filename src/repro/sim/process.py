@@ -30,6 +30,8 @@ class Waitable:
     Callbacks registered after completion fire immediately.
     """
 
+    __slots__ = ("_done", "_callbacks", "_value")
+
     def __init__(self) -> None:
         self._done = False
         self._callbacks: list[Callable[["Waitable"], None]] = []
@@ -62,6 +64,8 @@ class Waitable:
 
 class Signal(Waitable):
     """A one-shot event processes can wait on and code can trigger."""
+
+    __slots__ = ()
 
 
 class Process:
