@@ -20,8 +20,11 @@ lint:
 effects:
 	$(PYTHON) -m repro.lint --effects src/repro --effects-json lint-effects.json
 
+# Every experiment (shape + baseline; repro.bench.registry declares
+# them, benchmarks/test_experiments.py runs them), the static T1/T2
+# tables and the microbenchmarks.  `tables` renders at full scale.
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	$(PYTHON) -m pytest benchmarks/
 
 tables:
 	$(PYTHON) -m repro.bench
@@ -30,7 +33,7 @@ chaos:
 	CHAOS_SEED=$(CHAOS_SEED) $(PYTHON) -m pytest -q \
 		tests/test_chaos_faults.py tests/test_chaos_convergence.py \
 		tests/test_ha_failover.py \
-		benchmarks/test_e13_chaos.py
+		"benchmarks/test_experiments.py::test_experiment[e13]"
 
 # Replicated home servers: failover/fencing/anti-entropy suite plus an
 # exhaustive pass over primary-kill interleavings (docs/ROBUSTNESS.md,
@@ -48,15 +51,17 @@ check:
 		--suite delta-ship --suite conflict-export --depth 2
 
 perf:
-	$(PYTHON) -m pytest -q benchmarks/test_e14_wire.py benchmarks/test_micro_primitives.py --benchmark-only
-	$(PYTHON) scripts/check_bench.py e14
+	$(PYTHON) -m pytest -q benchmarks/test_micro_primitives.py --benchmark-only
+	$(PYTHON) -m pytest -q "benchmarks/test_experiments.py::test_experiment[e14]"
 
 # CPU hot path: codec/group-commit/kernel suite, determinism digest
 # pins, and the E16 drain-throughput gate at CI scale
-# (docs/PERFORMANCE.md, "The CPU hot path").
+# (docs/PERFORMANCE.md, "The CPU hot path").  --host-time is the one
+# place E16's calibration-normalized CPU columns are compared; tier-1
+# checks its shape and deterministic fields only.
 speed:
 	$(PYTHON) -m pytest -q tests/test_speed.py tests/test_determinism.py
-	$(PYTHON) scripts/check_bench.py e16
+	$(PYTHON) -m pytest -q "benchmarks/test_experiments.py::test_experiment[e16]" --host-time
 
 # perfbench (perfbench/README.md): the command in BENCHMARK.json, once
 # per listed workload -- end-to-end metrics only; add `--trace 1` by
@@ -83,8 +88,8 @@ perfbench-smoke:
 # exactness gate at CI scale (docs/OBSERVABILITY.md).
 fleet:
 	$(PYTHON) -m pytest -q tests/test_fleet_sketch.py tests/test_fleet_pipeline.py \
-		tests/test_fleet_health.py tests/test_fleet_chaos.py
-	$(PYTHON) scripts/check_bench.py e15
+		tests/test_fleet_health.py tests/test_fleet_chaos.py \
+		"benchmarks/test_experiments.py::test_experiment[e15]"
 
 # Source size, tracked beside the benchmarks (docs/PERFORMANCE.md,
 # "Source size"): total lines, then the ten largest files.

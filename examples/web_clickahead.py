@@ -12,10 +12,9 @@ Run:  python examples/web_clickahead.py
 """
 
 from repro.apps.webproxy import BlockingBrowser, ClickAheadProxy, WebServerApp
-from repro.bench.experiments import _walk
 from repro.net.link import CSLIP_14_4, IntervalTrace
 from repro.testbed import build_testbed
-from repro.workloads import generate_site
+from repro.workloads import browse_path, generate_site
 
 THINK_S = 30.0
 
@@ -47,7 +46,7 @@ def browse_rover(site, path, prefetch):
 
 def main() -> None:
     site = generate_site(seed=99, n_pages=20)
-    path = _walk(site, 6)
+    path = browse_path(site, 6)
     total_kb = sum(site.pages[u].total_bytes for u in path) / 1024
     print(f"browsing {len(path)} pages ({total_kb:.0f} KB) over 14.4k, "
           f"{THINK_S:.0f}s reading time per page\n")

@@ -2,9 +2,10 @@
 
 Every table/figure of the paper's evaluation has a driver in
 :mod:`repro.bench.experiments` that builds the scenario, runs it in
-virtual time, and returns structured results.  The pytest-benchmark
-files under ``benchmarks/`` call these drivers, print the paper-style
-table, and assert the expected *shape* (orderings, ratios, crossovers).
+virtual time, and returns rows, and one declaration in
+:mod:`repro.bench.registry` (table, wire, gate) that the CLI and
+``benchmarks/test_experiments.py`` both read; the latter also asserts
+the expected *shape* (orderings, ratios, crossovers).
 """
 
 from repro.bench.tables import format_seconds, format_table

@@ -2,14 +2,23 @@
 
 Each ``run_*`` function builds its scenario on the simulated testbed,
 runs it in virtual time, and returns a list of result rows (dicts).
-The benchmark files under ``benchmarks/`` print these as paper-style
-tables and assert the expected shape; EXPERIMENTS.md records the
-numbers next to the paper's claims.
+:mod:`repro.bench.registry` declares, once per experiment, the table
+those rows print as, the wire they are measured on and the gate that
+pins them; ``benchmarks/test_experiments.py`` asserts the expected
+shape; EXPERIMENTS.md records the numbers next to the paper's claims.
+
+The byte-bound paper tables (E5, E7, E8, F1, F3) run on the prototype's
+wire, ``adapt_to_link=False``: the paper's prototype "does not perform
+any compression", and the synthetic payloads here (``"x" * size``,
+generated mail and page text) deflate to nothing on the default wire,
+which would measure the generator, not the link.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import gc
+import math
 
 from repro.apps.calendar import CalendarReplica, install_calendar
 from repro.apps.mail import BlockingMailReader, MailServerApp, RoverMailReader
@@ -29,7 +38,12 @@ from repro.net.scheduler import Priority
 from repro.net.transport import RpcError
 from repro.storage.stable_log import FlushModel, GroupCommitPolicy
 from repro.testbed import build_multi_client_testbed, build_testbed
-from repro.workloads import generate_calendar_ops, generate_mail_corpus, generate_site
+from repro.workloads import (
+    browse_path,
+    generate_calendar_ops,
+    generate_mail_corpus,
+    generate_site,
+)
 
 NULL_CODE = '''
 def ping(state):
@@ -42,11 +56,11 @@ def read_value(state):
 NULL_INTERFACE = RDOInterface([MethodSpec("ping"), MethodSpec("read_value")])
 
 
-def _null_object(authority: str = "server") -> RDO:
+def _null_object(path: str = "bench/null", value: int = 0) -> RDO:
     return RDO(
-        URN(authority, "bench/null"),
+        URN("server", path),
         "bench-null",
-        {"value": 0},
+        {"value": value},
         code=NULL_CODE,
         interface=NULL_INTERFACE,
     )
@@ -211,17 +225,10 @@ def run_e4_migration(
     rows = []
     for spec in links:
         for n in counts:
-            bed = build_testbed(link_spec=spec)
+            bed, bed2 = build_testbed(link_spec=spec), build_testbed(link_spec=spec)
             for index in range(n):
-                bed.server.put_object(
-                    RDO(
-                        URN("server", f"bench/items/{index:03d}"),
-                        "bench-item",
-                        {"value": index},
-                        code=NULL_CODE.replace('state["value"]', 'state["value"]'),
-                        interface=NULL_INTERFACE,
-                    )
-                )
+                for server in (bed.server, bed2.server):
+                    server.put_object(_null_object(f"bench/items/{index:03d}", index))
             # Per-operation QRPCs (sequential, as an app loop would be).
             start = bed.sim.now
             total = 0
@@ -234,15 +241,6 @@ def run_e4_migration(
             assert total == sum(range(n))
 
             # One shipped RDO doing the loop server-side.
-            bed2 = build_testbed(link_spec=spec)
-            for index in range(n):
-                bed2.server.put_object(
-                    RDO(
-                        URN("server", f"bench/items/{index:03d}"),
-                        "bench-item",
-                        {"value": index},
-                    )
-                )
             code = (
                 "def main(prefix):\n"
                 "    total = 0\n"
@@ -290,7 +288,7 @@ def run_e5_mail(
         ids = [m.msg_id for m in corpus.folders["inbox"]]
 
         # Rover, cold cache: queue all reads at once (click-ahead style).
-        bed = build_testbed(link_spec=spec)
+        bed = build_testbed(link_spec=spec, adapt_to_link=False)
         MailServerApp(bed.server, corpus)
         reader = RoverMailReader(bed.access, bed.authority)
         start = bed.sim.now
@@ -302,7 +300,7 @@ def run_e5_mail(
         # Rover after prefetch: user-visible read latency is cache-hit
         # plus the local interpreter cost of rendering/marking each
         # message (cache hits do not advance the network clock).
-        bed2 = build_testbed(link_spec=spec)
+        bed2 = build_testbed(link_spec=spec, adapt_to_link=False)
         MailServerApp(bed2.server, corpus)
         reader2 = RoverMailReader(bed2.access, bed2.authority)
         reader2.prefetch_folder("inbox").wait(bed2.sim)
@@ -316,7 +314,7 @@ def run_e5_mail(
         )
 
         # Conventional blocking reader.
-        bed3 = build_testbed(link_spec=spec)
+        bed3 = build_testbed(link_spec=spec, adapt_to_link=False)
         MailServerApp(bed3.server, corpus)
         blocking = BlockingMailReader(
             bed3.client_transport, bed3.server_host, bed3.authority
@@ -339,7 +337,7 @@ def run_e5_mail(
     return rows
 
 
-def run_e5_disconnected_mail(seed: int = 42, n_messages: int = 8) -> dict:
+def run_e5_disconnected_mail(seed: int = 42, n_messages: int = 8) -> list[dict]:
     """Disconnected-operation companion: Rover keeps working, the
     blocking reader dies."""
     corpus = generate_mail_corpus(seed=seed, n_folders=1, messages_per_folder=n_messages)
@@ -348,6 +346,7 @@ def run_e5_disconnected_mail(seed: int = 42, n_messages: int = 8) -> dict:
     bed = build_testbed(
         link_spec=CSLIP_14_4,
         policy=IntervalTrace([(0.0, 2_000.0), (50_000.0, 1e9)]),
+        adapt_to_link=False,
     )
     MailServerApp(bed.server, corpus)
     reader = RoverMailReader(bed.access, bed.authority)
@@ -382,13 +381,15 @@ def run_e5_disconnected_mail(seed: int = 42, n_messages: int = 8) -> dict:
             "flags"
         ]["read"]
     )
-    return {
-        "rover_reads_while_disconnected": reads_ok,
-        "rover_disconnected_read_time_s": rover_disconnected_time,
-        "blocking_reader_failed": blocking_failed,
-        "flag_updates_committed_after_reconnect": flags_committed,
-        "n_messages": n_messages,
-    }
+    return [
+        {
+            "rover_reads_while_disconnected": reads_ok,
+            "rover_disconnected_read_time_s": rover_disconnected_time,
+            "blocking_reader_failed": blocking_failed,
+            "flag_updates_committed_after_reconnect": flags_committed,
+            "n_messages": n_messages,
+        }
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -399,14 +400,18 @@ def run_e5_disconnected_mail(seed: int = 42, n_messages: int = 8) -> dict:
 def run_e6_calendar(
     n_ops: int = 15,
     seed: int = 7,
-    resolver: str = "calendar",
-) -> dict:
+    resolvers: tuple[str, ...] = ("calendar", "calendar-strict", "keep-server"),
+) -> list[dict]:
     """Two disconnected replicas make overlapping updates; reconcile.
 
-    ``resolver``: 'calendar' (type-specific with auto re-slot),
+    One row per resolver: 'calendar' (type-specific with auto re-slot),
     'calendar-strict' (type-specific, no re-slot), or 'keep-server'
     (no type-specific resolution at all).
     """
+    return [_e6_one(resolver, n_ops, seed) for resolver in resolvers]
+
+
+def _e6_one(resolver: str, n_ops: int, seed: int) -> dict:
     policies = [
         IntervalTrace([(0.0, 10.0), (1_000.0, 1e9)]),
         IntervalTrace([(0.0, 10.0), (1_500.0, 1e9)]),
@@ -481,10 +486,10 @@ def run_e7_clickahead(
     rows = []
     for spec in links:
         site = generate_site(seed=seed, n_pages=n_clicks * 3)
-        path = _walk(site, n_clicks)
+        path = browse_path(site, n_clicks)
 
         # Blocking browser.
-        bed = build_testbed(link_spec=spec)
+        bed = build_testbed(link_spec=spec, adapt_to_link=False)
         WebServerApp(bed.server, site)
         browser = BlockingBrowser(bed.client_transport, bed.server_host, bed.authority)
         start = bed.sim.now
@@ -493,15 +498,17 @@ def run_e7_clickahead(
             bed.sim.run(until=bed.sim.now + think_time_s)
         blocking_session = bed.sim.now - start
         # The conventional browser blocks the user until the page is
-        # fully rendered (HTML + inline images).
-        blocking_wait = sum(
+        # fully rendered (HTML + inline images).  (fsum: the baseline
+        # pins these sums exactly, and built-in sum() rounds floats
+        # differently from Python 3.12 on.)
+        blocking_wait = math.fsum(
             (v.full_latency if v.full_latency is not None else v.latency) or 0.0
             for v in browser.views
         )
 
         results = {}
         for mode, prefetch in (("clickahead", False), ("clickahead+prefetch", True)):
-            bed2 = build_testbed(link_spec=spec)
+            bed2 = build_testbed(link_spec=spec, adapt_to_link=False)
             WebServerApp(bed2.server, site)
             proxy = ClickAheadProxy(
                 bed2.access,
@@ -522,7 +529,7 @@ def run_e7_clickahead(
             waits = [v.latency or 0.0 for v in views]
             results[mode] = {
                 "session": session,
-                "wait": sum(waits),
+                "wait": math.fsum(waits),
                 "prefetches": proxy.prefetches_issued,
             }
 
@@ -541,24 +548,6 @@ def run_e7_clickahead(
     return rows
 
 
-def _walk(site, n_clicks: int) -> list[str]:
-    """A deterministic browse path following first links from the root."""
-    path = [site.root]
-    current = site.root
-    visited = {current}
-    while len(path) < n_clicks:
-        links = [u for u in site.pages[current].links if u not in visited]
-        if not links:
-            remaining = [u for u in site.pages if u not in visited]
-            if not remaining:
-                break
-            links = remaining
-        current = links[0]
-        visited.add(current)
-        path.append(current)
-    return path
-
-
 def run_e7_threshold_sweep(
     thresholds: tuple[float, ...] = (0.0, 0.5, 2.0, 10.0, 1e9),
     seed: int = 7,
@@ -568,8 +557,8 @@ def run_e7_threshold_sweep(
     rows = []
     for threshold in thresholds:
         site = generate_site(seed=seed, n_pages=18)
-        path = _walk(site, 5)
-        bed = build_testbed(link_spec=CSLIP_14_4)
+        path = browse_path(site, 5)
+        bed = build_testbed(link_spec=CSLIP_14_4, adapt_to_link=False)
         WebServerApp(bed.server, site)
         proxy = ClickAheadProxy(
             bed.access,
@@ -587,7 +576,7 @@ def run_e7_threshold_sweep(
         rows.append(
             {
                 "threshold_s": threshold,
-                "user_wait_s": sum(waits),
+                "user_wait_s": math.fsum(waits),
                 "prefetches": proxy.prefetches_issued,
                 "bytes_on_wire": bed.link.bytes_carried,
             }
@@ -600,13 +589,19 @@ def run_e7_threshold_sweep(
 # ---------------------------------------------------------------------------
 
 
-def run_e8_priority(fifo_only: bool = False, n_bulk: int = 12) -> dict:
-    """Foreground requests compete with queued bulk transfers."""
+def run_e8_priority(n_bulk: int = 12) -> list[dict]:
+    """Foreground requests compete with queued bulk transfers, under
+    the priority scheduler and under the FIFO ablation."""
+    return [_e8_one(fifo_only, n_bulk) for fifo_only in (False, True)]
+
+
+def _e8_one(fifo_only: bool, n_bulk: int) -> dict:
     bed = build_testbed(
         link_spec=CSLIP_14_4,
         policy=IntervalTrace([(50.0, 1e9)]),  # everything queues first
         fifo_only=fifo_only,
         max_inflight=1,
+        adapt_to_link=False,
     )
     bed.server.put_object(_null_object())
     for index in range(n_bulk):
@@ -640,7 +635,7 @@ def run_e8_priority(fifo_only: bool = False, n_bulk: int = 12) -> dict:
     }
 
 
-def run_e8_relay_fallback() -> dict:
+def run_e8_relay_fallback() -> list[dict]:
     """Direct link down for 10 minutes; relay (slow) available."""
     results = {}
     for label, with_relay in (("direct-only", False), ("with-relay", True)):
@@ -657,10 +652,12 @@ def run_e8_relay_fallback() -> dict:
         promise.add_callback(lambda w: done.__setitem__("t", bed.sim.now))
         bed.sim.run(until=2_000)
         results[label] = done.get("t", float("nan")) - 10.0
-    return {
-        "direct_only_latency_s": results["direct-only"],
-        "with_relay_latency_s": results["with-relay"],
-    }
+    return [
+        {
+            "direct_only_latency_s": results["direct-only"],
+            "with_relay_latency_s": results["with-relay"],
+        }
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +665,7 @@ def run_e8_relay_fallback() -> dict:
 # ---------------------------------------------------------------------------
 
 
-def run_e9_disconnected() -> dict:
+def run_e9_disconnected() -> list[dict]:
     """One client, one disconnection cycle, all three apps: verify that
     no operation blocks while down and all state converges after."""
     bed = build_testbed(
@@ -712,15 +709,17 @@ def run_e9_disconnected() -> dict:
 
     bed.sim.run(until=5_000)  # reconnected at t=2000
     server_events = bed.server.get_object(str(cal_urn)).data["events"]
-    return {
-        "offline_reads_served": reads,
-        "offline_page_from_cache": bool(offline_cached),
-        "qrpcs_queued_while_down": queued,
-        "pending_after_reconnect": bed.access.pending_count(),
-        "calendar_event_committed": "offline-ev" in server_events,
-        "tentative_after_reconnect": len(bed.access.cache.tentative_urns()),
-        "disconnected_at_s": disconnected_at,
-    }
+    return [
+        {
+            "offline_reads_served": reads,
+            "offline_page_from_cache": bool(offline_cached),
+            "qrpcs_queued_while_down": queued,
+            "pending_after_reconnect": bed.access.pending_count(),
+            "calendar_event_committed": "offline-ev" in server_events,
+            "tentative_after_reconnect": len(bed.access.cache.tentative_urns()),
+            "disconnected_at_s": disconnected_at,
+        }
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -835,7 +834,7 @@ def run_f1_size_sweep(
     rows = []
     for spec in links:
         for size in sizes:
-            bed = build_testbed(link_spec=spec)
+            bed = build_testbed(link_spec=spec, adapt_to_link=False)
             urn = URN("server", f"bench/size/{size}")
             bed.server.put_object(RDO(urn, "blob", {"body": "x" * size}))
             start = bed.sim.now
@@ -943,7 +942,8 @@ def run_f3_shared_cell(
         results = {}
         for label, shared in (("shared", True), ("dedicated", False)):
             bed = build_multi_client_testbed(
-                n, link_spec=WAVELAN_2M, shared_medium=shared, seed=seed
+                n, link_spec=WAVELAN_2M, shared_medium=shared, seed=seed,
+                adapt_to_link=False,
             )
             MailServerApp(bed.server, corpus)
             readers = [
@@ -975,7 +975,7 @@ def run_f3_shared_cell(
 # ---------------------------------------------------------------------------
 
 
-def run_e12_locking(n_clients: int = 4, edits_per_client: int = 2) -> dict:
+def run_e12_locking(n_clients: int = 4, edits_per_client: int = 2) -> list[dict]:
     """M clients edit the *same field* of one object, optimistically vs
     with check-out locks.
 
@@ -999,7 +999,7 @@ def run_e12_locking(n_clients: int = 4, edits_per_client: int = 2) -> dict:
     note_interface = RDOInterface(
         [MethodSpec("read"), MethodSpec("set_text", mutates=True)]
     )
-    results = {}
+    rows = []
     for mode in ("optimistic", "locked"):
         bed = build_multi_client_testbed(n_clients, link_spec=ETHERNET_10M)
         note = RDO(
@@ -1053,15 +1053,18 @@ def run_e12_locking(n_clients: int = 4, edits_per_client: int = 2) -> dict:
         ]
         start = bed.sim.now
         bed.sim.run_until(lambda: all(p.is_done for p in processes), timeout=1e5)
-        results[mode] = {
-            "edits_attempted": n_clients * edits_per_client,
-            "edits_completed": edits_done["n"],
-            "manual_conflicts": conflicts["n"],
-            "server_version": bed.server.store.version(urn) or 0,
-            "elapsed_s": bed.sim.now - start,
-            "lock_denials": bed.server.locks_denied,
-        }
-    return results
+        rows.append(
+            {
+                "mode": mode,
+                "edits_attempted": n_clients * edits_per_client,
+                "edits_completed": edits_done["n"],
+                "manual_conflicts": conflicts["n"],
+                "server_version": bed.server.store.version(urn) or 0,
+                "elapsed_s": bed.sim.now - start,
+                "lock_denials": bed.server.locks_denied,
+            }
+        )
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -1182,9 +1185,7 @@ def _e14_one(
 
     def total(name: str) -> int:
         metric = bed.obs.registry.get(name)
-        if metric is None:
-            return 0
-        return int(sum(child.value for __, child in metric.children()))
+        return int(metric.value) if metric is not None else 0
 
     violations = list(check_logs_drained([bed.access]))
     violations += check_cache_coherent(bed.server, [bed.access])
@@ -1231,10 +1232,10 @@ def run_e14_wire(
 # ---------------------------------------------------------------------------
 
 
-def _e15_row(config: str, result) -> dict:
+def _e15_row(config: str, result, clean_wire_bytes: int) -> dict:
     """Flatten one fleet run into a benchmark row."""
-    agg = result.aggregator
-    row = {
+    summary = result.aggregator.summary() if result.aggregator is not None else {}
+    return {
         "config": config,
         "clients": result.scenario.n_clients,
         "wire_bytes": result.wire_bytes,
@@ -1246,18 +1247,11 @@ def _e15_row(config: str, result) -> dict:
         "reports_reshipped": result.reports_reshipped,
         "exact": result.exact,
         "mismatched": len(result.mismatched_clients),
-        "duplicates": 0,
-        "open_gaps": 0,
-        "late": 0,
-        "unhealthy": 0,
+        **{name: summary.get(name, 0) for name in ("duplicates", "open_gaps", "late", "unhealthy")},
+        # Reference only: against the clean control, the raw wire delta
+        # confounds the tax with timing-shifted foreground re-sends.
+        "ab_delta_bytes": result.wire_bytes - clean_wire_bytes,
     }
-    if agg is not None:
-        summary = agg.summary()
-        row["duplicates"] = summary["duplicates"]
-        row["open_gaps"] = summary["open_gaps"]
-        row["late"] = summary["late"]
-        row["unhealthy"] = summary["unhealthy"]
-    return row
 
 
 def run_e15_fleet(
@@ -1278,23 +1272,20 @@ def run_e15_fleet(
     counter totals equal each client's ground-truth registry captured
     at the horizon.
     """
-    from repro.obs.fleet.sim import FleetScenario, run_overhead
+    from repro.obs.fleet.sim import FleetScenario, run_fleet
 
     scenario = FleetScenario(
-        n_clients=n_clients,
-        seed=seed,
-        horizon_s=horizon_s,
-        report_interval_s=report_interval_s,
+        n_clients=n_clients, seed=seed, horizon_s=horizon_s, report_interval_s=report_interval_s
     )
-    pair = run_overhead(scenario, with_chaos=True)
-    rows = [
-        _e15_row("clean", pair.clean),
-        _e15_row("telemetry", pair.telemetry),
-        _e15_row("telemetry+chaos", pair.chaos),
-    ]
-    rows[0]["ab_delta_bytes"] = 0
-    rows[1]["ab_delta_bytes"] = pair.ab_delta_bytes
-    rows[2]["ab_delta_bytes"] = pair.chaos.wire_bytes - pair.clean.wire_bytes
+    rows: list[dict] = []
+    for config, telemetry, chaos in (
+        ("clean", False, False),
+        ("telemetry", True, False),
+        ("telemetry+chaos", True, True),
+    ):
+        result = run_fleet(dataclasses.replace(scenario, telemetry=telemetry, chaos=chaos))
+        clean_wire_bytes = rows[0]["wire_bytes"] if rows else result.wire_bytes
+        rows.append(_e15_row(config, result, clean_wire_bytes))
     return rows
 
 
@@ -1341,16 +1332,7 @@ def run_e16_speed(
     return [
         {
             "clients": n_clients,
-            "ops_submitted": metrics.ops_submitted,
-            "ops_acked": metrics.ops_acked,
-            "done_at_s": metrics.done_at_s,
-            "log_appends": metrics.log_appends,
-            "log_flushes": metrics.log_flushes,
-            "group_commits": metrics.group_commits,
-            "fsyncs_saved": metrics.fsyncs_saved,
-            "bytes_sent": metrics.bytes_sent,
-            "messages_sent": metrics.messages_sent,
-            "kernel_compactions": metrics.kernel_compactions,
+            **dataclasses.asdict(metrics),
             "cyclic_garbage_objects": garbage,
             "codec_wire_bytes": micro["wire_bytes"],
             "calibration_s": round(cal, 6),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable
 
 from repro.chaos.invariants import (
     check_acked_updates_durable,
@@ -140,15 +140,3 @@ def terminal_state(server: Any, accesses: list[Any], harness: Any) -> dict:
 def state_hash(state: dict) -> str:
     canonical = json.dumps(state, sort_keys=True, default=repr)
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
-
-
-def hash_of(server: Any, accesses: list[Any], harness: Any) -> str:
-    return state_hash(terminal_state(server, accesses, harness))
-
-
-def diff_summary(state: dict, limit: int = 6) -> Optional[str]:
-    """Short human-readable digest of a terminal state (CLI output)."""
-    parts = [
-        f"{urn}=v{view['version']}" for urn, view in state["server"].items()
-    ]
-    return ", ".join(parts[:limit]) if parts else None

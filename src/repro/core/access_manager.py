@@ -1079,10 +1079,7 @@ class AccessManager:
             message.dst.name if message is not None else
             getattr(replica_set, "current_host").name
         )
-        if hasattr(replica_set, "advance_past"):
-            replica_set.advance_past(failed_host)
-        else:
-            replica_set.rotate()
+        replica_set.advance_past(failed_host)
         self._m_qrpc_failovers.labels(host=self.host.name).inc()
         opened = self._enqueue_failover(authority, request)
         if opened:

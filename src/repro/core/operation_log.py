@@ -196,9 +196,6 @@ class OperationLog:
 
     # -- reading ----------------------------------------------------------
 
-    def is_duplicate(self, request_id: str) -> bool:
-        return request_id in self._acked
-
     def pending(self) -> list[QRPCRequest]:
         """Unacknowledged requests in logical queue order.
 

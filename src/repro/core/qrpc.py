@@ -120,12 +120,5 @@ class QRPCRequest:
         )
 
     @property
-    def trace_context(self) -> Any:
-        """``(trace_id, root_span_id)`` or ``None`` when untraced."""
-        if not self.trace_id:
-            return None
-        return (self.trace_id, self.span_id)
-
-    @property
     def service(self) -> str:
         return SERVICE_BY_OPERATION[self.operation]

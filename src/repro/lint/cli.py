@@ -43,7 +43,7 @@ DEFAULT_RDO_MODULES = (
     "repro.apps.webproxy",
     "repro.bench.experiments",
     "repro.obs.fleet.admin",
-    "repro.obs.fleet.sim",
+    "repro.workloads.fleet",
 )
 
 

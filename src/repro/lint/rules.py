@@ -247,9 +247,5 @@ RULES: dict[str, tuple[str, str]] = {
 }
 
 
-def rule_summary(rule: str) -> str:
-    return RULES.get(rule, ("unknown rule", ""))[0]
-
-
 def rule_hint(rule: str) -> str:
     return RULES.get(rule, ("", ""))[1]

@@ -431,9 +431,6 @@ class Network:
         host_b._links_by_peer.setdefault(host_a.name, []).append(link)
         return link
 
-    def link(self, name: str) -> Link:
-        return self._links[name]
-
     @property
     def links(self) -> list[Link]:
         return list(self._links.values())

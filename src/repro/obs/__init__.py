@@ -38,7 +38,7 @@ from repro.obs.metrics import (
     default_registry,
     percentile,
 )
-from repro.obs.trace import TRACE_KEY, Span, Tracer, parse_context, wire_context
+from repro.obs.trace import TRACE_KEY, Span, Tracer, parse_context
 from repro.obs import export
 
 
@@ -113,5 +113,4 @@ __all__ = [
     "parse_context",
     "percentile",
     "set_capture",
-    "wire_context",
 ]

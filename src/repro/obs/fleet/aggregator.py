@@ -421,14 +421,6 @@ class FleetAggregator:
         state = self._clients.get(client)
         return dict(state.totals) if state is not None else {}
 
-    def fleet_totals(self) -> dict[str, int]:
-        """All-time counter totals summed across clients, by series key."""
-        out: dict[str, int] = {}
-        for state in self._clients.values():
-            for key, value in state.totals.items():
-                out[key] = out.get(key, 0) + value
-        return out
-
     def reports_applied(self) -> int:
         return sum(st.reports_applied for st in self._clients.values())
 

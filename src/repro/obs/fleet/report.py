@@ -54,15 +54,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 WIRE_VERSION = 1
 
 
-def telemetry_urn(authority: str) -> str:
-    """The per-client pseudo-URN telemetry reports queue under.
-
-    All of one client's reports share it, which is what makes them
-    adjacent in the per-URN compaction subsequence.
-    """
-    return f"urn:rover:{authority}/__telemetry__"
-
-
 class TelemetryFold(PairRule):
     """Fold two adjacent undelivered telemetry reports into one.
 

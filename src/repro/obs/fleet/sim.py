@@ -41,55 +41,19 @@ from typing import Optional
 from repro.chaos.controller import ChaosController
 from repro.chaos.faults import LinkFaultSpec
 from repro.chaos.plan import FaultPlan, LinkFaultWindow, ServerOutage
-from repro.core.naming import URN
-from repro.core.rdo import RDO, MethodSpec, RDOInterface
-from repro.net.link import (
-    CSLIP_2_4,
-    CSLIP_14_4,
-    ETHERNET_10M,
-    WAVELAN_2M,
-    LinkSpec,
-    PeriodicSchedule,
-)
+from repro.net.link import CSLIP_2_4, PeriodicSchedule
 from repro.obs.fleet.aggregator import FleetAggregator
 from repro.obs.fleet.report import TelemetryReporter
 from repro.obs.fleet.slo import DEFAULT_SLO_RULES
 from repro.sim.rng import make_rng
-from repro.testbed import MultiClientTestbed, build_multi_client_testbed
-
-#: The mixed link population: client ``i`` gets ``MIX[i % 4]``.
-LINK_MIX: tuple[LinkSpec, ...] = (
-    ETHERNET_10M,
-    WAVELAN_2M,
-    CSLIP_14_4,
-    CSLIP_2_4,
+from repro.testbed import MultiClientTestbed
+from repro.workloads.fleet import (
+    LINK_MIX,
+    PING_CODE,
+    PING_INTERFACE,
+    build_mixed_fleet,
+    class_payload_bytes,
 )
-
-_PING_CODE = '''
-def ping(state):
-    return state["n"]
-
-def bump(state):
-    state["n"] = state["n"] + 1
-    return state["n"]
-
-def echo(state, blob):
-    return blob
-'''
-
-_PING_INTERFACE = RDOInterface(
-    [
-        MethodSpec("ping", doc="read the counter"),
-        MethodSpec("bump", mutates=True, doc="advance the counter"),
-        MethodSpec("echo", doc="round-trip a payload (foreground load)"),
-    ]
-)
-
-#: Foreground payload divisor per :data:`LINK_MIX` position — slow
-#: links carry proportionally lighter application payloads, the way a
-#: real mobile app adapts fidelity to bandwidth (cf. the paper's
-#: CSLIP-aware Exmh/proxy behaviour).
-_PAYLOAD_DIVISOR = (1, 1, 8, 16)
 
 
 def _payload(seed: int, nbytes: int) -> bytes:
@@ -115,8 +79,8 @@ class FleetScenario:
     report_interval_s: float = 60.0
     #: Remote invokes each client spreads over the horizon.
     invokes_per_client: int = 16
-    #: Echo payload for fast-link clients; slower classes carry
-    #: ``payload_bytes // _PAYLOAD_DIVISOR[class]``.
+    #: Echo payload for fast-link clients; slower classes carry less
+    #: (:func:`repro.workloads.fleet.class_payload_bytes`).
     payload_bytes: int = 8192
     telemetry: bool = True
     chaos: bool = False
@@ -225,23 +189,15 @@ def build_fleet(scenario: FleetScenario) -> FleetResult:
             ))
         else:
             policies.append(None)
-    bed = build_multi_client_testbed(
+    bed = build_mixed_fleet(
         scenario.n_clients,
-        link_specs=list(LINK_MIX),
-        policies=policies,
-        authority=scenario.authority,
-        seed=scenario.seed,
-        per_client_obs=True,
+        policies,
+        scenario.authority,
+        scenario.seed,
+        "fleet-ping",
+        PING_CODE,
+        PING_INTERFACE,
     )
-    for index, stack in enumerate(bed.clients):
-        urn = URN(scenario.authority, f"obj/{index}")
-        bed.server.put_object(
-            RDO(urn, "fleet-ping", {"n": 0}, code=_PING_CODE,
-                interface=_PING_INTERFACE),
-            # Verify the shared code once; re-checking an identical
-            # string per client would be pure constant-factor cost.
-            verify=(index == 0),
-        )
 
     aggregator: Optional[FleetAggregator] = None
     reporters: list[TelemetryReporter] = []
@@ -278,8 +234,7 @@ def build_fleet(scenario: FleetScenario) -> FleetResult:
             start, lambda s=stack, u=urn: s.access.import_(u)
         )
         gap = scenario.horizon_s / (scenario.invokes_per_client + 1)
-        divisor = _PAYLOAD_DIVISOR[index % len(LINK_MIX)]
-        blob = _payload(scenario.seed, max(1, scenario.payload_bytes // divisor))
+        blob = _payload(scenario.seed, class_payload_bytes(scenario.payload_bytes, index))
         for step in range(scenario.invokes_per_client):
             if step % 4 == 0:
                 method, args = "bump", []
@@ -379,53 +334,3 @@ def run_fleet(scenario: FleetScenario) -> FleetResult:
         # silent.
         result.aggregator.evaluate_health(now=scenario.horizon_s)
     return result
-
-
-@dataclass
-class OverheadResult:
-    """A clean/telemetry scenario pair and the derived overhead.
-
-    The gate metric is the telemetry run's *attributed* overhead:
-    telemetry request+ack bytes over the run's remaining foreground
-    wire bytes.  The clean control is kept for reference — its raw
-    wire delta (:attr:`ab_delta_bytes`) confounds the telemetry tax
-    with timing-shifted foreground re-sends on cycling links, so it
-    bounds nothing by itself.
-    """
-
-    clean: FleetResult
-    telemetry: FleetResult
-    chaos: Optional[FleetResult] = None
-
-    @property
-    def foreground_bytes(self) -> int:
-        return self.telemetry.foreground_bytes
-
-    @property
-    def telemetry_bytes(self) -> int:
-        return self.telemetry.telemetry_bytes
-
-    @property
-    def overhead_pct(self) -> float:
-        return self.telemetry.overhead_pct
-
-    @property
-    def ab_delta_bytes(self) -> int:
-        """Reference only: raw wire delta between the paired runs."""
-        return self.telemetry.wire_bytes - self.clean.wire_bytes
-
-
-def run_overhead(
-    scenario: FleetScenario, with_chaos: bool = False
-) -> OverheadResult:
-    """Run the clean control, the telemetry run, and optionally chaos."""
-    from dataclasses import replace
-
-    clean = run_fleet(replace(scenario, telemetry=False, chaos=False))
-    telemetry = run_fleet(replace(scenario, telemetry=True, chaos=False))
-    chaos = (
-        run_fleet(replace(scenario, telemetry=True, chaos=True))
-        if with_chaos
-        else None
-    )
-    return OverheadResult(clean=clean, telemetry=telemetry, chaos=chaos)

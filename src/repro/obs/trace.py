@@ -83,11 +83,6 @@ class Span:
         )
 
 
-def wire_context(span: Span) -> list:
-    """The ``[trace_id, span_id]`` pair carried on the envelope."""
-    return [span.trace_id, span.span_id]
-
-
 def parse_context(value: Any) -> Optional[tuple[str, str]]:
     """Recover ``(trace_id, parent_span_id)`` from an envelope field."""
     if (

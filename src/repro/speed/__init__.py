@@ -4,10 +4,11 @@ The simulation's *virtual* time is pinned by seeds; this package
 measures the *real* CPU cost of producing it: a 10k-client mixed-link
 reconnection drain (end-to-end ops/sec and process CPU time) plus a
 marshal/unmarshal microbench.  Results are committed as
-``BENCH_E16.json`` and gated in CI by
-``scripts/check_bench.py e16`` — deterministic counters must match
-exactly, and CPU cost (normalized against an in-process calibration
-loop so the gate is machine-portable) must not regress more than 10%.
+``BENCH_E16.json`` and gated by the ``e16`` entry of
+:mod:`repro.bench.registry` — deterministic counters must match exactly
+(tier-1), and CPU cost (normalized against an in-process calibration
+loop so the gate is machine-portable) must not regress more than 10%
+(``make speed``).
 
 Real-clock reads live only in :mod:`repro.speed.measure`, which is
 sanctioned for wall-clock access in ``repro.lint.contracts`` — the

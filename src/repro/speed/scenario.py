@@ -14,41 +14,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.naming import URN
-from repro.core.rdo import RDO, MethodSpec, RDOInterface
-from repro.net.link import (
-    CSLIP_14_4,
-    CSLIP_2_4,
-    ETHERNET_10M,
-    WAVELAN_2M,
-    IntervalTrace,
-)
+from repro.net.link import IntervalTrace
 from repro.storage.stable_log import GroupCommitPolicy
-from repro.testbed import MultiClientTestbed, build_multi_client_testbed
-from repro.workloads.population import ClientProfile, CohortSpec, generate_population
-
-#: Same four-class mix the fleet-telemetry experiment uses.
-LINK_MIX = (ETHERNET_10M, WAVELAN_2M, CSLIP_14_4, CSLIP_2_4)
-
-#: Slow links carry proportionally lighter payloads (fidelity
-#: adaptation, as in the fleet scenario).
-_PAYLOAD_DIVISOR = (1, 1, 8, 16)
-
-_ECHO_CODE = '''
-def bump(state):
-    state["n"] = state["n"] + 1
-    return state["n"]
-
-def echo(state, blob):
-    return len(blob)
-'''
-
-_ECHO_INTERFACE = RDOInterface(
-    [
-        MethodSpec("bump", mutates=True, doc="advance the counter"),
-        MethodSpec("echo", doc="round-trip a payload"),
-    ]
+from repro.testbed import MultiClientTestbed
+from repro.workloads.fleet import (
+    ECHO_CODE,
+    ECHO_INTERFACE,
+    LINK_MIX,
+    build_mixed_fleet,
+    class_payload_bytes,
 )
+from repro.workloads.population import CohortSpec, generate_population
 
 
 @dataclass(frozen=True)
@@ -93,18 +69,10 @@ class DrainMetrics:
 
 
 def _sum_counter(bed: MultiClientTestbed, name: str) -> int:
-    total = 0
-    registries = [bed.obs.registry]
-    registries.extend(s.obs.registry for s in bed.clients if s.obs is not None)
-    for registry in registries:
-        metric = registry.get(name)
-        if metric is None:
-            continue
-        if metric.labelnames:
-            total += sum(child.value for _, child in metric.children())
-        else:
-            total += metric.value
-    return int(total)
+    """A counter's total over the server's registry and every client's."""
+    registries = [bed.obs.registry] + [s.obs.registry for s in bed.clients if s.obs is not None]
+    metrics = (registry.get(name) for registry in registries)
+    return int(sum(metric.value for metric in metrics if metric is not None))
 
 
 def build_drain(scenario: SpeedScenario):
@@ -115,7 +83,7 @@ def build_drain(scenario: SpeedScenario):
             name=spec.name,
             link_index=index,
             n_ops=scenario.ops_per_client,
-            payload_bytes=max(1, scenario.payload_bytes // _PAYLOAD_DIVISOR[index]),
+            payload_bytes=class_payload_bytes(scenario.payload_bytes, index),
         )
         for index, spec in enumerate(LINK_MIX)
     ]
@@ -129,27 +97,16 @@ def build_drain(scenario: SpeedScenario):
         IntervalTrace([(scenario.reconnect_at + p.start_offset_s, 1e12)])
         for p in profiles
     ]
-    bed = build_multi_client_testbed(
+    bed = build_mixed_fleet(
         scenario.n_clients,
-        link_specs=list(LINK_MIX),
-        policies=policies,
-        authority=scenario.authority,
-        seed=scenario.seed,
-        # Private registries: 10k clients sharing one would trip the
-        # label-cardinality cap (and serialize on one metric table).
-        per_client_obs=True,
+        policies,
+        scenario.authority,
+        scenario.seed,
+        "speed-echo",
+        ECHO_CODE,
+        ECHO_INTERFACE,
         group_commit=GroupCommitPolicy() if scenario.group_commit else None,
     )
-
-    for index in range(scenario.n_clients):
-        urn = URN(scenario.authority, f"obj/{index}")
-        bed.server.put_object(
-            RDO(urn, "speed-echo", {"n": 0}, code=_ECHO_CODE,
-                interface=_ECHO_INTERFACE),
-            # Verify the shared source once; the interpreter's compile
-            # cache already collapses the repeated loads.
-            verify=(index == 0),
-        )
 
     done = [0]
 

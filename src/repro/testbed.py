@@ -320,6 +320,7 @@ def build_multi_client_testbed(
     per_client_obs: bool = False,
     link_specs: Optional[list[LinkSpec]] = None,
     group_commit: Optional[GroupCommitPolicy] = None,
+    adapt_to_link: bool = True,
 ) -> MultiClientTestbed:
     """Build N clients, each with its own link (and policy) to one server.
 
@@ -333,7 +334,9 @@ def build_multi_client_testbed(
     telemetry reporters ship disjoint registries; the server keeps
     ``bed.obs``.  ``link_specs`` assigns heterogeneous links: client
     ``i`` gets ``link_specs[i % len(link_specs)]`` (a mixed fleet
-    population) instead of the uniform ``link_spec``.
+    population) instead of the uniform ``link_spec``.  ``adapt_to_link``
+    is :func:`build_testbed`'s: False puts the server and every client
+    on the paper prototype's wire.
     """
     if obs is None:
         obs = active_capture() or Observatory(tracing=trace)
@@ -343,7 +346,7 @@ def build_multi_client_testbed(
     sim = Simulator()
     network = Network(sim, seed=seed)
     server_host = network.host(authority)
-    server_transport = Transport(sim, server_host, obs=obs)
+    server_transport = Transport(sim, server_host, obs=obs, adapt_to_link=adapt_to_link)
     server = RoverServer(sim, server_transport, authority, resolvers=resolvers)
     medium = network.medium(f"{link_spec.name}-cell") if shared_medium else None
 
@@ -367,6 +370,7 @@ def build_multi_client_testbed(
             compaction=compaction,
             delta_shipping=delta_shipping,
             group_commit=group_commit,
+            adapt_to_link=adapt_to_link,
         )
         if per_client_obs:
             stack.obs = client_obs

@@ -12,6 +12,7 @@ from repro.workloads.generators import (
     MailMessage,
     SiteGraph,
     WebPage,
+    browse_path,
     generate_calendar_ops,
     generate_connectivity_trace,
     generate_mail_corpus,
@@ -31,6 +32,7 @@ __all__ = [
     "MailMessage",
     "SiteGraph",
     "WebPage",
+    "browse_path",
     "generate_calendar_ops",
     "generate_connectivity_trace",
     "generate_mail_corpus",

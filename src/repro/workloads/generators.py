@@ -277,6 +277,24 @@ def generate_site(
     return SiteGraph(pages=pages, root=urls[0])
 
 
+def browse_path(site: SiteGraph, n_clicks: int) -> list[str]:
+    """A deterministic browse path following first links from the root."""
+    path = [site.root]
+    current = site.root
+    visited = {current}
+    while len(path) < n_clicks:
+        links = [u for u in site.pages[current].links if u not in visited]
+        if not links:
+            remaining = [u for u in site.pages if u not in visited]
+            if not remaining:
+                break
+            links = remaining
+        current = links[0]
+        visited.add(current)
+        path.append(current)
+    return path
+
+
 # --------------------------------------------------------------------------
 # Connectivity
 # --------------------------------------------------------------------------

@@ -1,12 +1,20 @@
 """Explorer machinery tests: Chooser semantics, state hashing,
 budget enforcement, and the pruning-soundness hypothesis property."""
 
+import ast
+import json
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.check.__main__ import main
 from repro.check.explorer import explore
+from repro.check.minimize import minimize
+from repro.check.replay import run_with_choices
 from repro.check.scenarios import (
+    SCENARIOS,
     Chooser,
     WarmImportScenario,
     get_scenario,
@@ -134,3 +142,67 @@ def test_pruning_soundness_terminal_state_sets_match(n_clients, adds):
     assert pruned.points_pruned > 0
     assert pruned.runs_explored < full.runs_explored
     assert pruned.unique_states == full.unique_states
+
+
+# -- the failure path: find, minimize, write, replay ------------------------
+
+
+class PlantedViolation(TinyWarmImport):
+    """Tiny warm-import with an invariant the protocol does not keep:
+    no fault may ever hit one of client0's invoke requests."""
+
+    name = "planted"
+    description = "test-local: a planted invariant violation"
+
+    def check(self, bed, harness, ctx):
+        violations = super().check(bed, harness, ctx)
+        for decision in bed.sim.decision_provider.trace:
+            meta = decision.meta
+            if (
+                decision.chosen
+                and meta.get("service") == "rover.invoke"
+                and str(meta.get("request_id")).startswith("client0/")
+            ):
+                violations.append(f"planted: fault on invoke request {meta['request_id']}")
+        return violations
+
+
+def test_minimize_strips_every_choice_that_is_not_load_bearing():
+    # Positions 8 and 11 of the fault-free trace: client0's last invoke
+    # request, and a reply to client1 that has nothing to do with it.
+    minimal, run = minimize(PlantedViolation(), {8: 1, 11: 1})
+    assert minimal == {8: 1} == run.choices
+    assert run.violations == ["planted: fault on invoke request client0/3"]
+    with pytest.raises(ValueError):
+        minimize(PlantedViolation(), {11: 1})
+
+
+def test_cli_failure_path_minimizes_and_emits_a_replayable_regression(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setitem(SCENARIOS, "planted", PlantedViolation)
+    artifact, emitted = tmp_path / "counterexample.json", tmp_path / "test_planted.py"
+    argv = ["--suite", "planted", "--depth", "2",
+            "--artifact", str(artifact), "--emit-test", str(emitted)]
+    assert main(argv) == 1
+
+    out = capsys.readouterr().out
+    assert "[planted] VIOLATION" in out
+    found = ast.literal_eval(re.search(r"minimizing trace (\{.*\}) \.\.\.", out).group(1))
+    wire = json.loads(artifact.read_text())
+    minimal = {int(position): choice for position, choice in wire["choices"].items()}
+    # No longer than what the explorer found, and nothing left to strip.
+    assert minimal.items() <= found.items()
+    for position in minimal:
+        rest = {p: c for p, c in minimal.items() if p != position}
+        assert not run_with_choices("planted", rest).violations
+    assert wire["scenario"] == "planted" and wire["violations"]
+    assert [d["position"] for d in wire["decisions"]] == sorted(minimal)
+
+    # The emitted pytest replays to the same violation.
+    namespace: dict = {}
+    exec(compile(emitted.read_text(), str(emitted), "exec"), namespace)
+    (replay,) = [fn for name, fn in namespace.items() if name.startswith("test_")]
+    with pytest.raises(AssertionError) as failure:
+        replay()
+    assert failure.value.args[0] == wire["violations"]

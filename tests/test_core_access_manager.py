@@ -302,3 +302,73 @@ def test_resolved_export_while_dirty_preserves_concurrent_updates():
     index = bed.server.get_object(str(app.folder_urn("shared"))).data["index"]
     ids = {entry["id"] for entry in index}
     assert ids == {"a-1", "a-2", "b-1"}  # nothing silently lost
+
+
+# -- re-import: an import reply the client cannot use as it stands ----------
+
+
+def _queued_imports(bed) -> list[str]:
+    return [
+        n.details["request_id"]
+        for n in bed.access.notifications.of_type(EventType.REQUEST_QUEUED)
+        if n.details["operation"] == str(Operation.IMPORT)
+    ]
+
+
+def _put_new_version(bed, urn: str, text: str) -> int:
+    """Commit a change at the server behind the client's back."""
+    current = bed.server.get_object(urn)
+    wire = current.to_wire()
+    wire["data"] = {**current.data, "text": text}
+    version = bed.server.store.put(urn, wire)
+    bed.server._remember(urn, version, wire["data"])
+    return version
+
+
+def test_delta_reply_whose_base_left_the_cache_reimports_in_full():
+    bed = build_testbed(link_spec=CSLIP_14_4, delta_shipping=True)
+    note = make_note(text="v1")
+    note.data = {"pad": "p" * 400, "text": "v1"}
+    bed.server.put_object(note)
+    urn = str(note.urn)
+    bed.access.import_(urn).wait(bed.sim)
+    version = _put_new_version(bed, urn, "v2")
+
+    waiters = [bed.access.import_(urn, refresh=True) for __ in range(2)]
+    # The warm request (it names the version held) is on its way; the
+    # base it promised leaves the cache before the delta comes back.
+    assert bed.access.cache.invalidate(urn)
+    bed.sim.run()
+
+    queued = _queued_imports(bed)
+    assert len(queued) == len(set(queued)) == 3  # cold, warm, and the full retry
+    assert all(p.ready and not p.failed for p in waiters)
+    assert [p.value.data["text"] for p in waiters] == ["v2", "v2"]
+    entry = bed.access.cache.peek(urn)
+    assert entry.rdo.version == entry.base_version == version
+    assert bed.access.pending_count() == 0
+
+
+def test_import_reply_violating_a_session_guarantee_reimports():
+    bed = build_testbed(link_spec=CSLIP_14_4)
+    note = make_note(text="v1")
+    bed.server.put_object(note)
+    urn = str(note.urn)
+    # The session has already seen a newer version than this server
+    # copy (read elsewhere): version 1 would break monotonic reads.
+    session = bed.access.create_session("s")
+    session.record_read(urn, 2)
+
+    waiters = [bed.access.import_(urn, session) for __ in range(2)]
+    bed.sim.run_until(lambda: len(_queued_imports(bed)) == 2, timeout=60)
+    first, retry = _queued_imports(bed)
+    assert retry != first
+    assert not any(p.is_done for p in waiters)  # the stale copy was not served
+
+    assert _put_new_version(bed, urn, "v2") == 2  # the server catches up
+    bed.sim.run()
+    assert all(p.ready and not p.failed for p in waiters)
+    assert [p.value.version for p in waiters] == [2, 2]
+    assert len(_queued_imports(bed)) == 2
+    assert session.reads()[urn] == 2
+    assert bed.access.pending_count() == 0
