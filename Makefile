@@ -1,7 +1,7 @@
 PYTHON ?= python
 CHAOS_SEED ?= 0
 
-.PHONY: install test lint effects bench tables chaos check ha perf fleet speed perfbench perfbench-smoke sloc demo examples clean
+.PHONY: install test lint effects bench tables chaos check ha perf fleet speed perfbench perfbench-smoke sloc reach demo examples clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -96,12 +96,33 @@ fleet:
 sloc:
 	@find src/repro -name '*.py' | xargs wc -l | sort -n | tail -11
 
+# Which functions of src/repro does anything run?  Records every call
+# (tools/reach.py; its hook makes everything several times slower, so
+# this takes tens of minutes) over tier-1 and over the drivers -- the
+# experiments at gate and at full scale, examples, demo, model checks,
+# the perfbench workloads (one repeat each, as perfbench.runner starts
+# them) -- then lists what nothing reached and what only tests/ reached.
+REACH = REACH_DIR=$(CURDIR)/.reach PYTEST_PLUGINS=reach \
+	PYTHONPATH=$(CURDIR)/tools:$(CURDIR)/src:$(CURDIR)
+# `tables` builds E15/E16 at full scale (1,000 / 10,000 clients).
+REACH_DRIVERS ?= examples demo tables check
+
+reach:
+	rm -rf .reach && mkdir .reach
+	$(REACH) REACH_TAG=tests $(PYTHON) -m pytest -q tests
+	$(REACH) $(PYTHON) -m pytest -q benchmarks
+	$(REACH) $(MAKE) $(REACH_DRIVERS)
+	@for w in $(PERFBENCH_WORKLOADS); do \
+		$(REACH) $(PYTHON) -m perfbench.repeat --workload $$w --seed 7 > /dev/null || exit 1; \
+	done
+	$(PYTHON) tools/reach.py .reach
+
 demo:
 	$(PYTHON) -m repro
 
 examples:
-	@for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f > /dev/null && echo OK || echo FAILED; done
+	@for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f > /dev/null || exit 1; done
 
 clean:
-	rm -rf .pytest_cache .hypothesis src/repro.egg-info
+	rm -rf .pytest_cache .hypothesis .reach src/repro.egg-info
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -53,17 +53,10 @@ class ProxyFrontend:
         # arrives (or its import fails), then transmit the response.
 
         def finish(*__) -> None:
-            self.http._reply(source, self._render_with_seq(view, request))
+            self.http._reply(source, self._render(view), request.headers.get("X-Seq"))
 
         view.promise.add_callback(finish)
         return None  # reply happens in finish()
-
-    def _render_with_seq(self, view, request) -> HttpResponse:
-        response = self._render(view)
-        seq = request.headers.get("X-Seq")
-        if seq is not None:
-            response.headers["X-Seq"] = seq
-        return response
 
     def _render(self, view) -> HttpResponse:
         if view.failed:

@@ -38,10 +38,9 @@ from repro.core.promise import Promise
 from repro.core.qrpc import Operation, QRPCRequest
 from repro.core.rdo import RDO, ExecutionCostModel, RDOVerificationError
 from repro.core.session import Session, SessionRegistry
-from repro.net.message import MarshalError, Premarshalled, marshal, unmarshal
+from repro.net.message import Premarshalled, marshal, unmarshal
 from repro.net.scheduler import NetworkScheduler, Priority
 from repro.net.simnet import Host
-from repro.net.transport import Transport
 from repro.obs import Observatory
 from repro.obs.trace import TRACE_KEY, Span
 from repro.perf.compact import CallableRewrite, Compactor
@@ -132,7 +131,7 @@ class AccessManager:
         self._group_flush_timer: Any = None
         self._gc_window_start = 0.0
         self._gc_deadline = 0.0
-        self._unflushed: list[tuple[QRPCRequest, Optional[Session]]] = []
+        self._unflushed: list[QRPCRequest] = []
         #: The disk is a serial resource: concurrent flush requests
         #: queue behind each other (virtual time).
         self._flush_busy_until = 0.0
@@ -276,7 +275,7 @@ class AccessManager:
             priority=priority,
         )
         self._imports[urn_str] = {"request": request, "waiters": [(promise, session)]}
-        self._log_and_submit(request, session)
+        self._log_and_submit(request)
         return promise
 
     def prefetch(self, urns: list[URN | str], session: Optional[Session] = None) -> list[Promise]:
@@ -383,7 +382,7 @@ class AccessManager:
         state["inflight"] = True
         state["session"] = session
         state["priority"] = priority
-        self._log_and_submit(request, session)
+        self._log_and_submit(request)
 
     # -- remote execution --------------------------------------------------------
 
@@ -603,10 +602,15 @@ class AccessManager:
         On receipt, a committed cached copy older than the advertised
         version is dropped (tentative copies are kept — local updates
         still need exporting) and OBJECT_INVALIDATED is published.
+        Raises :class:`AccessManagerError` where the transport has no
+        way to be pushed to (live sockets): polling is all there is.
         """
         if authority not in self.servers:
             raise AccessManagerError(f"unknown authority {authority!r}")
-        self._ensure_invalidation_listener()
+        try:
+            self._ensure_invalidation_listener()
+        except NotImplementedError as exc:
+            raise AccessManagerError(f"{exc}; poll with import_(..., max_age_s=...)") from exc
         return self._queue_call(
             Operation.SUBSCRIBE,
             f"urn:rover:{authority}/__subscribe__",
@@ -621,13 +625,8 @@ class AccessManager:
 
         if self._invalidation_bound:
             return
-        self._invalidation_bound = True
 
-        def on_datagram(payload: bytes, source: Any) -> None:
-            try:
-                message = Transport._decode_payload(payload)
-            except MarshalError:
-                return  # corrupt callback: best-effort channel, drop it
+        def on_message(message: Any, source: Any) -> None:
             if not isinstance(message, dict) or message.get("kind") != "invalidate":
                 return
             urn = message.get("urn", "")
@@ -640,7 +639,8 @@ class AccessManager:
                 EventType.OBJECT_INVALIDATED, self.sim.now, urn=urn, version=version
             )
 
-        self.host.bind(INVALIDATION_PORT, on_datagram)
+        self.scheduler.transport.listen(INVALIDATION_PORT, on_message)
+        self._invalidation_bound = True
 
     # -- queue state ----------------------------------------------------------
 
@@ -672,7 +672,7 @@ class AccessManager:
                     for key, value in request.args.items()
                     if key != "have_version"
                 }
-            self._submit(request, session=None)
+            self._submit(request)
             resubmitted.append(request.request_id)
         return resubmitted
 
@@ -715,7 +715,7 @@ class AccessManager:
         request = self._new_request(operation, urn, args, session, priority)
         promise = Promise(label=label)
         self._promises[request.request_id] = promise
-        self._log_and_submit(request, session)
+        self._log_and_submit(request)
         return promise
 
     def _server_for(self, urn: str) -> Host:
@@ -728,7 +728,7 @@ class AccessManager:
         # through untouched.
         return getattr(server, "current_host", server)
 
-    def _log_and_submit(self, request: QRPCRequest, session: Optional[Session]) -> None:
+    def _log_and_submit(self, request: QRPCRequest) -> None:
         if self.tracer.enabled:
             root = self.tracer.start_trace(
                 "qrpc",
@@ -749,7 +749,7 @@ class AccessManager:
         )
         if self.group_commit is not None:
             self.log.append(request, flush=False)
-            self._unflushed.append((request, session))
+            self._unflushed.append(request)
             self._arm_adaptive_flush()
             self.compact_now()
             return
@@ -761,7 +761,7 @@ class AccessManager:
         durable_at = max(self.sim.now, self._flush_busy_until) + flush_time
         self._flush_busy_until = durable_at
         self._trace_log_append(request, durable_at)
-        self.sim.schedule(durable_at - self.sim.now, self._submit, request, session)
+        self.sim.schedule(durable_at - self.sim.now, self._submit, request)
         self.compact_now()
 
     def _trace_log_append(self, request: QRPCRequest, durable_at: float) -> None:
@@ -808,9 +808,9 @@ class AccessManager:
         durable_at = max(self.sim.now, self._flush_busy_until) + flush_time
         self._flush_busy_until = durable_at
         batch, self._unflushed = self._unflushed, []
-        for request, session in batch:
+        for request in batch:
             self._trace_log_append(request, durable_at)
-            self.sim.schedule(durable_at - self.sim.now, self._submit, request, session)
+            self.sim.schedule(durable_at - self.sim.now, self._submit, request)
 
     def _wire_body(self, request: QRPCRequest) -> Premarshalled:
         """Build the on-wire body for a request, marshalled exactly once.
@@ -880,7 +880,7 @@ class AccessManager:
                 continue
         return [prefix, floor]
 
-    def _submit(self, request: QRPCRequest, session: Optional[Session]) -> None:
+    def _submit(self, request: QRPCRequest) -> None:
         if self._crashed:
             return  # a dead incarnation's log flush completing
         if self.log.get(request.request_id) is None:
@@ -891,7 +891,7 @@ class AccessManager:
             request.service,
             self._wire_body(request),
             priority=request.priority,
-            on_reply=lambda reply: self._on_reply(request, session, reply),
+            on_reply=lambda reply: self._on_reply(request, reply),
             on_failed=lambda reason: self._on_failed(request, reason),
         )
         self._messages[request.request_id] = message
@@ -906,9 +906,7 @@ class AccessManager:
             operation=str(request.operation),
         )
 
-    def _ha_redirect(
-        self, request: QRPCRequest, session: Optional[Session], reply: Any
-    ) -> bool:
+    def _ha_redirect(self, request: QRPCRequest, reply: Any) -> bool:
         """Route around a replica group's non-primary / deposed members.
 
         Returns True when the reply was a redirect (``not-primary``
@@ -969,13 +967,13 @@ class AccessManager:
         else:
             return False
         self._messages.pop(request.request_id, None)
-        self.sim.schedule(0.05, self._submit, request, session)
+        self.sim.schedule(0.05, self._submit, request)
         return True
 
-    def _on_reply(self, request: QRPCRequest, session: Optional[Session], reply: Any) -> None:
+    def _on_reply(self, request: QRPCRequest, reply: Any) -> None:
         if self.log.get(request.request_id) is None:
             return  # duplicate response (at-most-once application)
-        if self._ha_redirect(request, session, reply):
+        if self._ha_redirect(request, reply):
             return
         if isinstance(reply, dict) and reply.get("status") == "need-full":
             # The server lost our delta base from its history.  The log
@@ -984,7 +982,7 @@ class AccessManager:
             # acknowledge: the server recorded nothing for this id.
             self._no_delta.add(request.request_id)
             self._messages.pop(request.request_id, None)
-            self.sim.schedule(0.0, self._submit, request, session)
+            self.sim.schedule(0.0, self._submit, request)
             return
         flush_time = self.log.acknowledge(request.request_id)
         self.flush_seconds_total += flush_time
@@ -1001,22 +999,22 @@ class AccessManager:
             operation=str(request.operation),
             status=reply.get("status") if isinstance(reply, dict) else None,
         )
-        self._dispatch_reply(request, session, reply if isinstance(reply, dict) else {})
-        self._resolve_absorbed(request, session, reply if isinstance(reply, dict) else {})
+        self._dispatch_reply(request, reply if isinstance(reply, dict) else {})
+        self._resolve_absorbed(request, reply if isinstance(reply, dict) else {})
 
-    def _dispatch_reply(
-        self, request: QRPCRequest, session: Optional[Session], reply: dict
-    ) -> None:
+    def _dispatch_reply(self, request: QRPCRequest, reply: dict) -> None:
+        """Apply a reply.  The request names its session, so whatever
+        brought the reply here — first submit, failover wave, the
+        request that absorbed this one — the guarantees are kept (a
+        recovered incarnation's registry is empty: no session to tell)."""
         if request.operation is Operation.IMPORT:
-            self._apply_import(request, session, reply)
+            self._apply_import(request, reply)
         elif request.operation is Operation.EXPORT:
-            self._apply_export(request, session, reply)
+            self._apply_export(request, reply)
         else:
-            self._apply_call(request, session, reply)
+            self._apply_call(request, reply)
 
-    def _resolve_absorbed(
-        self, request: QRPCRequest, session: Optional[Session], reply: dict
-    ) -> None:
+    def _resolve_absorbed(self, request: QRPCRequest, reply: dict) -> None:
         """Resolve observers of requests this one absorbed at compaction.
 
         The absorbed operation's effect is contained in the survivor's,
@@ -1124,11 +1122,9 @@ class AccessManager:
         return True
 
     def _flush_failover_wave(self, authority: str) -> None:
-        """Resubmit a failover wave's requests in client-log order.
-
-        Sessions died with the original submit closures; resubmission
-        re-resolves each destination through the rotated replica set.
-        """
+        """Resubmit a failover wave's requests in client-log order;
+        resubmission re-resolves each destination through the rotated
+        replica set."""
         wave = self._failover_waves.pop(authority, [])
         if self._crashed:
             return
@@ -1140,7 +1136,7 @@ class AccessManager:
         for request in wave:
             if self.log.get(request.request_id) is None:
                 continue
-            self._submit(request, None)
+            self._submit(request)
 
     def _report_failure(self, request: QRPCRequest, reason: str) -> None:
         """Tell ``request``'s observers it failed terminally — and those
@@ -1175,14 +1171,14 @@ class AccessManager:
         del self._imports[request.urn]
         return pending["waiters"]
 
-    def _apply_import(self, request: QRPCRequest, session: Optional[Session], reply: dict) -> None:
+    def _apply_import(self, request: QRPCRequest, reply: dict) -> None:
         waiters = self._take_import_waiters(request)
         if reply.get("status") == "ok-delta":
             rebuilt = self._rebuild_import_delta(request, reply)
             if rebuilt is None:
                 # Our copy of the base is gone (evicted/replaced since
                 # the request was queued): re-import full.
-                self._reimport(request, waiters, session)
+                self._reimport(request, waiters)
                 return
             reply = rebuilt
         if reply.get("status") != "ok":
@@ -1191,9 +1187,10 @@ class AccessManager:
             return
         rdo = RDO.from_wire(reply["rdo"])
         urn_str = str(rdo.urn)
+        session = self.sessions.get(request.session_id) if request.session_id else None
         if session is not None and not session.acceptable(urn_str, rdo.version):
             # Session guarantee violation (stale response): re-import.
-            self._reimport(request, waiters, session)
+            self._reimport(request, waiters)
             return
         existing = self.cache.peek(urn_str)
         if existing is not None and existing.tentative:
@@ -1213,15 +1210,12 @@ class AccessManager:
         for promise, __ in waiters:
             promise.resolve(rdo)
 
-    def _reimport(
-        self, request: QRPCRequest, waiters: list, session: Optional[Session]
-    ) -> None:
+    def _reimport(self, request: QRPCRequest, waiters: list) -> None:
         """Queue a fresh full import on behalf of every waiter of ``request``."""
-        retry = self._new_request(
-            Operation.IMPORT, request.urn, {}, session, request.priority
-        )
+        session = self.sessions.get(request.session_id)
+        retry = self._new_request(Operation.IMPORT, request.urn, {}, session, request.priority)
         self._imports[request.urn] = {"request": retry, "waiters": waiters}
-        self._log_and_submit(retry, session)
+        self._log_and_submit(retry)
 
     def _rebuild_import_delta(
         self, request: QRPCRequest, reply: dict
@@ -1245,9 +1239,13 @@ class AccessManager:
         wire["version"] = int(reply["version"])
         return {"status": "ok", "rdo": wire, "version": int(reply["version"])}
 
-    def _apply_export(self, request: QRPCRequest, session: Optional[Session], reply: dict) -> None:
+    def _apply_export(self, request: QRPCRequest, reply: dict) -> None:
         status = reply.get("status")
         urn_str = request.urn
+        if request.session_id and status in ("committed", "resolved"):
+            session = self.sessions.get(request.session_id)
+            if session is not None:
+                session.record_write(urn_str, int(reply["version"]))
         state = self._exports.get(urn_str)
         dirty = bool(state and state["dirty"])
         failed = None
@@ -1264,8 +1262,6 @@ class AccessManager:
                     entry.base_raw = marshal(request.args["data"])
             elif entry is not None:
                 self.cache.commit(urn_str, int(reply["version"]))
-            if session is not None:
-                session.record_write(urn_str, int(reply["version"]))
             self.notifications.publish(
                 EventType.OBJECT_COMMITTED,
                 self.sim.now,
@@ -1285,8 +1281,6 @@ class AccessManager:
                 self.cache.commit(
                     urn_str, int(reply["version"]), data=reply.get("value")
                 )
-            if session is not None:
-                session.record_write(urn_str, int(reply["version"]))
             self.notifications.publish(
                 EventType.CONFLICT_RESOLVED,
                 self.sim.now,
@@ -1342,12 +1336,13 @@ class AccessManager:
         Operation.TELEMETRY: lambda reply: reply,
     }
 
-    def _apply_call(self, request: QRPCRequest, session: Optional[Session], reply: dict) -> None:
+    def _apply_call(self, request: QRPCRequest, reply: dict) -> None:
         """Settle the promise :meth:`_queue_call` handed out."""
         value_of = self._CALL_VALUE[request.operation]
         ok = reply.get("status") == "ok"
-        if ok and session is not None and request.operation is Operation.INVOKE:
-            if "version" in reply:
+        if ok and request.session_id and request.operation is Operation.INVOKE:
+            session = self.sessions.get(request.session_id)
+            if session is not None and "version" in reply:
                 session.record_write(request.urn, int(reply["version"]))
         # No promise: the call was queued by an incarnation that has
         # since crashed, and nobody is left to tell.
@@ -1428,8 +1423,7 @@ class AccessManager:
     def _deliver_synthetic(self, request: QRPCRequest, reply: dict) -> None:
         """Resolve a request that never crossed the wire with ``reply``:
         a cancelled-out pair member's synthetic one, or the reply to
-        the request that absorbed it.  Its session object died with its
-        submit closure, so session bookkeeping falls to the survivor."""
+        the request that absorbed it."""
         if self._crashed:
             return
         self._finish_trace(request, status="ok")
@@ -1440,8 +1434,8 @@ class AccessManager:
             operation=str(request.operation),
             status=reply.get("status"),
         )
-        self._dispatch_reply(request, None, reply)
-        self._resolve_absorbed(request, None, reply)
+        self._dispatch_reply(request, reply)
+        self._resolve_absorbed(request, reply)
 
     def _refresh_export(self, request: QRPCRequest) -> Optional[dict]:
         """Rewrite rule: fold a dirty follow-up into its queued round.

@@ -150,11 +150,8 @@ class RoverServer:
         self.sim = sim
         self.transport = transport
         #: Observability: defaults to the transport's observatory so a
-        #: hand-wired server shares its host's registry/tracer.  (Live
-        #: transports carry no observatory; fall back to a private one.)
-        if obs is None:
-            obs = getattr(transport, "obs", None) or Observatory()
-        self.obs = obs
+        #: hand-wired server shares its host's registry/tracer.
+        self.obs = obs if obs is not None else transport.obs
         self.authority = authority
         self.store = KVStore()
         self.resolvers = resolvers or ResolverRegistry()
@@ -845,11 +842,6 @@ class RoverServer:
     ) -> None:
         from repro.net.simnet import LinkDown
 
-        # Push callbacks need the simulated network; in live mode
-        # clients poll (import with max_age_s) instead.
-        network = getattr(getattr(self.transport, "host", None), "network", None)
-        if network is None:
-            return
         for host_name, prefixes in self._subscriptions.items():
             if host_name == except_host:
                 continue  # the writer already holds the new version

@@ -51,9 +51,6 @@ class HATestbed:
         """The *current* primary's server (moves across failovers)."""
         return self.group.primary_server()
 
-    def member_hosts(self) -> list[Host]:
-        return self.group.hosts()
-
     def put_object(self, rdo, verify: Optional[bool] = None) -> int:
         """Install an object on *every* member (pre-provisioned state).
 
@@ -93,6 +90,7 @@ def build_ha_testbed(
     flush_model: Optional[FlushModel] = None,
     resolvers: Optional[ResolverRegistry] = None,
     mesh_policies: Optional[dict[tuple[int, int], ConnectivityPolicy]] = None,
+    **client_options,
 ) -> HATestbed:
     """Build ``1 + n_backups`` member servers and ``n_clients`` clients.
 
@@ -103,7 +101,9 @@ def build_ha_testbed(
     partitioning a primary away from its backups while clients still
     reach it (split-brain drills).  Members share ``resolvers`` so
     conflict resolution is identical on whichever member ends up
-    applying an export.
+    applying an export.  ``client_options`` go to
+    :func:`~repro.testbed.build_client_stack` (``compaction``,
+    ``delta_shipping``, ``group_commit``, ``adapt_to_link``).
     """
     if obs is None:
         obs = active_capture() or Observatory(tracing=trace)
@@ -154,6 +154,7 @@ def build_ha_testbed(
                 flush_model=flush_model,
                 max_attempts=max_attempts,
                 rpc_timeout_s=rpc_timeout_s,
+                **client_options,
             )
         )
 

@@ -14,7 +14,7 @@ import heapq
 import threading
 import time
 import traceback
-from typing import Any, Callable
+from typing import Any, Callable, Optional
 
 
 class RealTimeClock:
@@ -22,7 +22,7 @@ class RealTimeClock:
 
     def __init__(self, name: str = "rover-loop") -> None:
         self._origin = time.monotonic()
-        self._heap: list[tuple[float, int, Callable, tuple]] = []
+        self._heap: list[tuple[float, int, _Timer]] = []
         self._seq = 0
         self._lock = threading.Condition()
         self._running = True
@@ -39,12 +39,9 @@ class RealTimeClock:
 
     def schedule(self, delay: float, fn: Callable, *args: Any) -> "_Timer":
         """Run ``fn(*args)`` on the loop thread after ``delay`` seconds."""
-        timer = _Timer()
+        timer = _Timer(fn, args)
         with self._lock:
-            heapq.heappush(
-                self._heap,
-                (self.now + max(0.0, delay), self._seq, self._guard(fn, timer), args),
-            )
+            heapq.heappush(self._heap, (self.now + max(0.0, delay), self._seq, timer))
             self._seq += 1
             self._lock.notify()
         return timer
@@ -93,17 +90,16 @@ class RealTimeClock:
 
     # -- internals ------------------------------------------------------------
 
-    def _guard(self, fn: Callable, timer: "_Timer") -> Callable:
-        def run(*args: Any) -> None:
-            if timer.cancelled:
-                return
-            try:
-                fn(*args)
-            except Exception:
-                # A callback crash must not kill the loop; surface it.
-                self.errors.append(traceback.format_exc())
-
-        return run
+    def _fire(self, timer: "_Timer") -> None:
+        call = timer.call
+        if call is None:
+            return  # cancelled
+        fn, args = call
+        try:
+            fn(*args)
+        except Exception:
+            # A callback crash must not kill the loop; surface it.
+            self.errors.append(traceback.format_exc())
 
     def _loop(self) -> None:
         while True:
@@ -113,22 +109,24 @@ class RealTimeClock:
                 if not self._heap:
                     self._lock.wait(timeout=0.1)
                     continue
-                when, __, fn, args = self._heap[0]
+                when, __, timer = self._heap[0]
                 delay = when - self.now
                 if delay > 0:
                     self._lock.wait(timeout=min(delay, 0.1))
                     continue
                 heapq.heappop(self._heap)
-            fn(*args)  # outside the lock
+            self._fire(timer)  # outside the lock
 
 
 class _Timer:
     """Cancellable handle for a scheduled callback."""
 
-    __slots__ = ("cancelled",)
+    __slots__ = ("call",)
 
-    def __init__(self) -> None:
-        self.cancelled = False
+    def __init__(self, fn: Callable, args: tuple) -> None:
+        self.call: Optional[tuple[Callable, tuple]] = (fn, args)
 
     def cancel(self) -> None:
-        self.cancelled = True
+        # Lets go of the callback now, not when it would have been due:
+        # a pending call's timeout outlives its reply by seconds.
+        self.call = None

@@ -3,13 +3,19 @@
 :class:`LiveServer` wraps the *same* :class:`~repro.core.server.RoverServer`
 used in simulation; :class:`LiveClient` wires the same
 :class:`~repro.core.access_manager.AccessManager` over the same network
-scheduler, through the same helper the simulated testbeds use.  Only
-the substrate (clock, transport, and the scheduler's one route) differs.
+scheduler and transport, through the same helper the simulated testbeds
+use.  Only the substrate (the clock, and TCP connections for links)
+differs, so deferred and coalesced replies, sealed frames and the
+``transport_*`` metrics exist here as they do on the simulator.
 
 Limitations of live mode (by design — it is a deployment vehicle, not
-the measurement substrate): no SMTP relay route, no server-push
-invalidations (poll with ``max_age_s`` instead), and timing assertions
-belong on the simulator.
+the measurement substrate): no SMTP relay route; no server push — a
+connection carries one request and its reply, so nothing can listen on
+a port of its own and ``subscribe_invalidations`` raises
+``AccessManagerError`` (poll with ``max_age_s`` instead); frames are
+never compressed or coalesced by the sender, which knows nothing of the
+wire behind its socket (both are served when received); and timing
+assertions belong on the simulator.
 """
 
 from __future__ import annotations

@@ -1,42 +1,15 @@
 """The network scheduler over real sockets: :class:`LiveScheduler` *is*
-:class:`~repro.net.scheduler.NetworkScheduler` with a :class:`SocketRoute`
-as its one carrier.  Only live mode has application threads, so here
-queue mutation is handed to the clock's loop thread."""
+:class:`~repro.net.scheduler.NetworkScheduler`, its default direct route
+included.  Only live mode has application threads, so here queue
+mutation is handed to the clock's loop thread."""
 
 from __future__ import annotations
 
 import threading
 
 from repro.live.clock import RealTimeClock
-from repro.live.transport import LiveAddress, LiveTransport
-from repro.net.scheduler import NetworkScheduler, Priority, QueuedMessage, RouteKind
-
-
-class SocketRoute:
-    """One TCP exchange per attempt.  Always available (a refused or
-    timed-out call backs off like a lost frame) and with no known first
-    hop, so nothing is coalesced.  Meets ``Route``'s interface without
-    inheriting it: ``repro.lint --effects`` resolves ``route.send`` over
-    ``Route``'s subclasses, and its sim-pure contract is about those."""
-
-    name = "socket"
-    kind = RouteKind.DIRECT
-    quality = 1.0
-
-    def __init__(self, transport: LiveTransport, timeout: float) -> None:
-        self.transport = transport
-        self.timeout = timeout
-
-    def available(self, dst: LiveAddress) -> bool:
-        return True
-
-    def first_hop(self, dst: LiveAddress) -> None:
-        return None
-
-    def send(self, dst, service, body, on_reply, on_error, on_accepted) -> None:
-        self.transport.call(
-            dst, service, body, on_reply, lambda err: on_error(str(err)), self.timeout
-        )
+from repro.live.transport import LiveTransport
+from repro.net.scheduler import NetworkScheduler, Priority, QueuedMessage
 
 
 class LiveScheduler(NetworkScheduler):
@@ -52,9 +25,9 @@ class LiveScheduler(NetworkScheduler):
         max_backoff: float = 10.0,
         call_timeout: float = 10.0,
     ) -> None:
-        route = SocketRoute(transport, call_timeout)
         super().__init__(
-            clock, transport, max_inflight, max_attempts, base_backoff, max_backoff, route=route
+            clock, transport, max_inflight, max_attempts, base_backoff, max_backoff,
+            obs=transport.obs, rpc_timeout=call_timeout,
         )
         self._submit_lock = threading.Lock()
 

@@ -1,30 +1,45 @@
-"""TCP transport with the simulated transport's interface.
+"""TCP as a carrier under the one transport.
 
-Frames are 4-byte big-endian length prefixes followed by a marshalled
-envelope — the same ``{"kind": "request"|"reply", ...}`` shape the
-simulated transport uses, so the unmodified
-:class:`~repro.core.server.RoverServer` service table serves both.
+:class:`LiveTransport` *is* :class:`~repro.net.transport.Transport`:
+the service table, envelopes and call ids, the pending-call table and
+its timeouts, deferred and coalesced replies, the CRC seal and the
+``transport_*`` counters are inherited.  This module adds only the
+carrier — a host whose links are TCP connections.  A frame is a 4-byte
+big-endian length, a 2-byte destination port, then the sealed payload
+the transport built.
 
 Connections are per-request (open, send, read reply, close): simple,
 robust against half-dead peers, and faithful to the paper's modest
-HTTP-era transport assumptions.  All callbacks are posted to the
-:class:`~repro.live.clock.RealTimeClock` loop thread.
+HTTP-era transport assumptions.  Sockets block on threads of their own;
+everything else runs on the :class:`~repro.live.clock.RealTimeClock`
+loop thread.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+import queue
 import socket
 import struct
 import threading
-from types import SimpleNamespace
-from typing import Any, Callable
+from typing import Any, Callable, Optional
 
 from repro.live.clock import RealTimeClock
-from repro.net.message import MarshalError, marshal, unmarshal
-from repro.net.transport import DelayedReply, RpcError, RpcTimeout
+from repro.net.link import LinkSpec
+from repro.net.simnet import LinkDown
+from repro.net.transport import RPC_PORT, RpcError, Transport
 
 _LENGTH = struct.Struct(">I")
+_PORT = struct.Struct(">H")
 MAX_FRAME = 16 * 1024 * 1024
+#: How long an accepted connection is held for the reply to its request.
+REPLY_WAIT_S = 30.0
+#: Nothing is known of the wire behind a socket, so nothing is guessed:
+#: on this spec bytes never dominate (``Transport.bytes_dominate``), and
+#: a sender neither compresses nor coalesces.  Receivers inflate ``Z``
+#: frames and serve ``rover.batch`` whatever the sender's link.
+TCP = LinkSpec("tcp", math.inf, 0.0)
 
 
 class LiveAddress:
@@ -64,8 +79,72 @@ def _recv_frame(sock: socket.socket) -> bytes:
     return _recv_exact(sock, length)
 
 
-class LiveTransport:
-    """Serve and issue Rover requests over real TCP."""
+class _Connection:
+    """One TCP connection, as much of a simnet ``Link`` as
+    ``Transport.send`` uses, and the name of the peer at its far end.
+
+    ``carry(frame, on_failed)`` moves one frame; without it this is a
+    connection nobody has dialled yet, which :meth:`LiveTransport.call`
+    does per request.  Duck-typed rather than a ``Link`` subclass:
+    ``repro.lint --effects`` resolves ``link.send`` over ``Link``'s
+    subclasses, and their sim-pure contract is about those.
+    """
+
+    spec = TCP
+    is_up = True
+
+    def __init__(self, name: str, carry: Optional[Callable] = None) -> None:
+        self.name = name
+        self.carry = carry
+
+    def send(
+        self, sender: "_LiveHost", port: int, payload: bytes,
+        on_failed: Optional[Callable[[str], None]] = None, src_port: int = 0,
+    ) -> float:
+        if self.carry is None:
+            raise LinkDown(f"no connection to {self.name}: only a call dials one")
+        self.carry(_PORT.pack(port) + payload, on_failed)
+        return sender.clock.now
+
+
+class _LiveHost:
+    """What the transport and the scheduler use of a simnet ``Host``,
+    for a process whose peers are at the far end of sockets."""
+
+    def __init__(self, clock: RealTimeClock, name: str) -> None:
+        self.clock = clock
+        self.name = name
+        #: A connection lives for one exchange: there is no standing
+        #: link whose transitions a scheduler could watch.
+        self.links = ()
+        #: The hosts a socket process can name: accepted connections
+        #: still owed a reply (``Transport._serve_request`` finds the
+        #: requester here).  It is its own network.
+        self.network = self
+        self.hosts: dict[str, _Connection] = {}
+        self._ports: dict[int, Callable] = {}
+
+    def bind(self, port: int, handler: Callable) -> None:
+        self._ports[port] = handler
+
+    def usable_links_to(self, peer: Any) -> list[_Connection]:
+        if isinstance(peer, _Connection):
+            return [peer] if self.hosts.get(peer.name) is peer else []
+        # Anywhere else is one dial away; whether anyone answers there
+        # is found out by calling, and a refusal backs off like a loss.
+        return [_Connection(peer.name)]
+
+    def deliver(self, frame: bytes, source: tuple) -> None:
+        """Hand a received frame to the port it names (loop thread)."""
+        if len(frame) < _PORT.size:
+            return
+        handler = self._ports.get(_PORT.unpack_from(frame)[0])
+        if handler is not None:  # traffic to an unbound port vanishes
+            handler(memoryview(frame)[_PORT.size:], source)
+
+
+class LiveTransport(Transport):
+    """The transport of a process that talks over real TCP."""
 
     def __init__(
         self,
@@ -74,42 +153,18 @@ class LiveTransport:
         bind_host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
+        super().__init__(clock, _LiveHost(clock, name))
         self.clock = clock
-        self.name = name
-        #: Just enough Host for the scheduler and the access manager:
-        #: a name, no simulated links to watch, no simulated network.
-        self.host = SimpleNamespace(name=name, links=[], network=None)
-        self._request_handlers: dict[str, Callable] = {}
-        self._next_call_id = 0
-        self._id_lock = threading.Lock()
-        self.bytes_sent = 0
-        self.messages_sent = 0
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((bind_host, port))
         self._listener.listen(16)
         self.address = LiveAddress(name, bind_host, self._listener.getsockname()[1])
         self._closing = False
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name=f"{name}-accept", daemon=True
-        )
-        self._accept_thread.start()
+        self._requests_served = 0
+        threading.Thread(target=self._accept_loop, name=f"{name}-accept", daemon=True).start()
 
-    # -- the shared interface -------------------------------------------------
-
-    def register(self, service: str, handler: Callable) -> None:
-        """Expose ``handler(body, source)`` under ``service``."""
-        self._request_handlers[service] = handler
-
-    def handle_request(self, service: str, body: Any, source: tuple) -> tuple[bool, Any]:
-        """Dispatch into the service table (same contract as simulated)."""
-        handler = self._request_handlers.get(service)
-        if handler is None:
-            return False, {"error": f"unknown service {service!r}"}
-        try:
-            return True, handler(body, source)
-        except Exception as exc:
-            return False, {"error": f"{type(exc).__name__}: {exc}"}
+    # -- client side ----------------------------------------------------------
 
     def call(
         self,
@@ -120,49 +175,39 @@ class LiveTransport:
         on_error: Callable[[RpcError], None],
         timeout: float = 30.0,
     ) -> str:
-        """Issue a request; exactly one callback fires, on the loop thread."""
-        with self._id_lock:
-            call_id = f"{self.name}:{self._next_call_id}"
-            self._next_call_id += 1
-        envelope = {"kind": "request", "id": call_id, "service": service, "body": body}
-        payload = marshal(envelope)
+        """Issue a request over a connection of its own; exactly one
+        callback fires, on the loop thread.  Safe from any thread: off
+        the loop the call is handed to it (the exchange's tables and
+        counters are the loop's) and the id, not yet assigned, is ""."""
+        if not self.clock.on_loop_thread():
+            self.clock.post(self.call, dst, service, body, on_reply, on_error, timeout)
+            return ""
 
-        def worker() -> None:
+        def worker(frame: bytes, on_failed: Callable[[str], None]) -> None:
             try:
-                with socket.create_connection(
-                    (dst.host, dst.port), timeout=timeout
-                ) as sock:
+                with socket.create_connection((dst.host, dst.port), timeout=timeout) as sock:
                     sock.settimeout(timeout)
-                    _send_frame(sock, payload)
-                    raw = _recv_frame(sock)
+                    _send_frame(sock, frame)
+                    reply = _recv_frame(sock)
             except socket.timeout:
-                self.clock.post(on_error, RpcTimeout(f"call {call_id} timed out"))
-                return
+                return  # the pending call's own timer reports it
             except OSError as exc:
-                self.clock.post(on_error, RpcError(f"call {call_id} failed: {exc}"))
+                self.clock.post(on_failed, str(exc))
                 return
-            try:
-                reply = unmarshal(raw)
-            except MarshalError as exc:
-                self.clock.post(on_error, RpcError(f"bad reply: {exc}"))
-                return
-            if reply.get("ok"):
-                self.clock.post(on_reply, reply.get("body"))
-            else:
-                detail = reply.get("body")
-                message = (
-                    detail.get("error", "remote error")
-                    if isinstance(detail, dict)
-                    else str(detail)
-                )
-                self.clock.post(on_error, RpcError(message))
+            self.clock.post(self.host.deliver, reply, (dst.name, RPC_PORT))
 
-        self.bytes_sent += len(payload)
-        self.messages_sent += 1
-        threading.Thread(
-            target=worker, name=f"{self.name}-call-{call_id}", daemon=True
-        ).start()
-        return call_id
+        def dial(frame: bytes, on_failed: Callable[[str], None]) -> None:
+            threading.Thread(
+                target=worker, args=(frame, on_failed), name=f"{self.host.name}-call", daemon=True
+            ).start()
+
+        link = _Connection(dst.name, dial)
+        return super().call(dst, service, body, on_reply, on_error, timeout, link=link)
+
+    def listen(self, port: int, handler: Callable) -> None:
+        """Not over sockets: a connection carries one request and its
+        reply, so nothing a peer sent one-way could reach ``port``."""
+        raise NotImplementedError("no push carrier over per-request connections")
 
     def close(self) -> None:
         """Stop accepting (idempotent; in-flight handlers finish)."""
@@ -175,55 +220,56 @@ class LiveTransport:
     # -- server side ------------------------------------------------------------
 
     def _accept_loop(self) -> None:
-        while not self._closing:
+        for serial in itertools.count():
             try:
                 conn, peer = self._listener.accept()
             except OSError:
                 return  # listener closed
+            if self._closing:
+                conn.close()
+                return
             threading.Thread(
                 target=self._serve_connection,
-                args=(conn, peer),
-                name=f"{self.name}-serve",
+                args=(conn, f"{peer[0]}:{peer[1]}#{serial}"),
+                name=f"{self.host.name}-serve",
                 daemon=True,
             ).start()
 
-    def _serve_connection(self, conn: socket.socket, peer: tuple) -> None:
+    def _serve_connection(self, conn: socket.socket, name: str) -> None:
+        """One exchange on an accepted connection: read a frame, hand it
+        to the loop as sent by a peer reachable over this connection,
+        and write back the frame the loop sends that peer — the reply,
+        whenever its handler settles it.  A frame that asked nothing
+        (corrupt, one-way, for a port nobody bound) is hung up on at
+        once, a request whose reply is never completed after
+        ``REPLY_WAIT_S``."""
+        outbox: queue.SimpleQueue = queue.SimpleQueue()
+
+        def answer(frame: Optional[bytes], on_failed: Any) -> None:
+            self.host.hosts.pop(name, None)  # loop thread: the one frame this peer is sent
+            outbox.put(frame)
+
+        link = _Connection(name, answer)
         try:
             with conn:
-                conn.settimeout(30.0)
-                raw = _recv_frame(conn)
-                envelope = unmarshal(raw)
-                if envelope.get("kind") != "request":
-                    return
-                done = threading.Event()
-                outcome: dict[str, Any] = {}
+                conn.settimeout(REPLY_WAIT_S)
+                frame = _recv_frame(conn)
+                self.clock.post(self._admit, link, frame)
+                reply = outbox.get(timeout=REPLY_WAIT_S)
+                if reply is not None:
+                    _send_frame(conn, reply)
+        except OSError:
+            pass  # a broken request, or a requester that went away
+        except queue.Empty:
+            self.clock.post(self.host.hosts.pop, name, None)  # never answered
 
-                def execute() -> None:
-                    # Handlers run on the loop thread (single-threaded
-                    # toolkit state), then we ship the reply from here.
-                    ok, reply_body = self.handle_request(
-                        envelope.get("service", ""), envelope.get("body"), peer
-                    )
-                    delay = 0.0
-                    if isinstance(reply_body, DelayedReply):
-                        delay = reply_body.delay_s
-                        reply_body = reply_body.body
-                    outcome["reply"] = {
-                        "kind": "reply",
-                        "id": envelope.get("id"),
-                        "ok": ok,
-                        "body": reply_body,
-                    }
-                    outcome["delay"] = delay
-                    done.set()
+    def _admit(self, link: _Connection, frame: bytes) -> None:
+        self.host.hosts[link.name] = link
+        served = self._requests_served
+        self.host.deliver(frame, (link.name, RPC_PORT))
+        if self._requests_served == served:
+            link.carry(None, None)  # the exchange took no request: no reply is owed
 
-                self.clock.post(execute)
-                if not done.wait(timeout=30.0):
-                    return
-                if outcome.get("delay", 0.0) > 0:
-                    import time as _time
-
-                    _time.sleep(outcome["delay"])  # charge compute for real
-                _send_frame(conn, marshal(outcome["reply"]))
-        except (OSError, ConnectionError, MarshalError):
-            return  # broken request: drop the connection
+    def _serve_request(self, envelope: dict, source: tuple) -> None:
+        self._requests_served += 1  # what _admit holds a connection open for
+        super()._serve_request(envelope, source)

@@ -107,21 +107,9 @@ def decode_response(data: bytes) -> HttpResponse:
     return HttpResponse(status, reason, _parse_headers(lines[1:]), body)
 
 
-class DeferredHttpResponse:
-    """Handler return value that delays the response transmission.
-
-    Used to charge server-side compute time (e.g. a Rover gateway
-    executing a shipped RDO) to virtual time before replying.
-    """
-
-    __slots__ = ("delay_s", "response")
-
-    def __init__(self, delay_s: float, response: "HttpResponse") -> None:
-        self.delay_s = delay_s
-        self.response = response
-
-
-RouteHandler = Callable[[HttpRequest, Address], "HttpResponse | DeferredHttpResponse"]
+#: A handler answers now, or returns None and answers later through
+#: :meth:`HttpServer._reply` (long-poll style).
+RouteHandler = Callable[[HttpRequest, Address], Optional[HttpResponse]]
 
 
 class HttpServer:
@@ -166,32 +154,18 @@ class HttpServer:
                     response = HttpResponse(
                         500, body=f"{type(exc).__name__}: {exc}".encode()
                     )
-            if response is None:
-                # Handler took responsibility for replying later
-                # (long-poll style) via _reply().
-                self.requests_served += 1
-                return
-        delay = 0.0
-        if isinstance(response, DeferredHttpResponse):
-            delay = response.delay_s
-            response = response.response
+        self.requests_served += 1
+        if response is not None:
+            self._reply(source, response, seq)
+
+    def _reply(self, source: Address, response: HttpResponse, seq: Optional[str]) -> None:
+        """Transmit ``response`` to ``source``, echoing its request's ``X-Seq``."""
         if seq is not None:
             response.headers["X-Seq"] = seq
-        self.requests_served += 1
-        if delay > 0:
-            self.sim.schedule(delay, self._reply, source, response)
-        else:
-            self._reply(source, response)
-
-    def _reply(self, source: Address, response: HttpResponse) -> None:
         src_host = self.host.network.hosts.get(source[0])
-        if src_host is None:
-            return
-        links = [link for link in self.host.links_to(src_host) if link.is_up]
-        if not links:
-            return  # client will time out
-        links.sort(key=lambda link: -link.spec.bandwidth_bps)
-        links[0].send(self.host, source[1], response.encode(), src_port=HTTP_PORT)
+        links = self.host.usable_links_to(src_host) if src_host is not None else []
+        if links:  # else the client will time out
+            links[0].send(self.host, source[1], response.encode(), src_port=HTTP_PORT)
 
 
 class HttpClient:
@@ -216,11 +190,10 @@ class HttpClient:
         on_error: Callable[[str], None],
         timeout: float = 60.0,
     ) -> None:
-        links = [link for link in self.host.links_to(dst) if link.is_up]
+        links = self.host.usable_links_to(dst)
         if not links:
             self.sim.schedule(0.0, on_error, "no usable link")
             return
-        links.sort(key=lambda link: -link.spec.bandwidth_bps)
         seq = self._next_seq
         self._next_seq += 1
         request.headers.setdefault("X-Seq", str(seq))

@@ -19,17 +19,11 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.net.http import (
-    DeferredHttpResponse,
-    HttpClient,
-    HttpRequest,
-    HttpResponse,
-    HttpServer,
-)
+from repro.net.http import HttpClient, HttpRequest, HttpResponse, HttpServer
 from repro.net.message import MarshalError, marshal, unmarshal
 from repro.net.scheduler import Route, RouteKind
 from repro.net.simnet import Address, Host
-from repro.net.transport import DelayedReply, Transport
+from repro.net.transport import Transport, remote_error, settle_reply
 from repro.sim import Simulator
 
 GATEWAY_PREFIX = "/rover/"
@@ -59,19 +53,22 @@ class RoverHttpGateway:
         except MarshalError as exc:
             return HttpResponse(400, body=str(exc).encode())
         ok, reply_body = self.transport.handle_request(service, body, source)
-        delay = 0.0
-        if isinstance(reply_body, DelayedReply):
-            delay = reply_body.delay_s
-            reply_body = reply_body.body
         self.requests_served += 1
-        response = HttpResponse(
-            200 if ok else 500,
-            headers={"Content-Type": "application/x-rover"},
-            body=marshal(reply_body),
-        )
-        if delay > 0:
-            return DeferredHttpResponse(delay, response)
-        return response
+        seq = request.headers.get("X-Seq")
+
+        def respond(delay_s: float, final: Any) -> None:
+            response = HttpResponse(
+                200 if ok else 500,
+                headers={"Content-Type": "application/x-rover"},
+                body=marshal(final),
+            )
+            if delay_s > 0:
+                self.sim.schedule(delay_s, self.http._reply, source, response, seq)
+            else:
+                self.http._reply(source, response, seq)
+
+        settle_reply(reply_body, respond)
+        return None  # respond() answers, now or when the handler's reply settles
 
 
 class HttpRoute(Route):
@@ -88,26 +85,15 @@ class HttpRoute(Route):
     def available(self, dst: Host) -> bool:
         # The gateway host *is* the Rover server's host in the standard
         # topology; the route works whenever a link to it is up.
-        if dst is not self.gateway_host:
-            return False
-        return any(
-            link.is_up for link in self.client.host.links_to(self.gateway_host)
-        )
+        return dst is self.gateway_host and bool(self.client.host.usable_links_to(dst))
 
     @property
     def quality(self) -> float:  # type: ignore[override]
         # Slightly below the native RPC carrier on the same links: the
         # textual framing costs more bytes, so prefer native when both
         # are available.
-        best = max(
-            (
-                link.spec.bandwidth_bps
-                for link in self.client.host.links_to(self.gateway_host)
-                if link.is_up
-            ),
-            default=0.0,
-        )
-        return best * 0.9
+        links = self.client.host.usable_links_to(self.gateway_host)
+        return links[0].spec.bandwidth_bps * 0.9 if links else 0.0
 
     def send(
         self,
@@ -132,12 +118,7 @@ class HttpRoute(Route):
             if response.status == 200:
                 on_reply(payload)
             else:
-                message = (
-                    payload.get("error", "gateway error")
-                    if isinstance(payload, dict)
-                    else str(payload)
-                )
-                on_error(message)
+                on_error(remote_error(payload))
 
         self.client.request(
             dst,

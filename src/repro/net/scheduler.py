@@ -261,7 +261,6 @@ class NetworkScheduler:
         fifo_only: bool = False,
         obs: Optional[Observatory] = None,
         rpc_timeout: float = 600.0,
-        route: Optional[Route] = None,
     ) -> None:
         self.sim = sim
         self.transport = transport
@@ -276,12 +275,8 @@ class NetworkScheduler:
         #: are invisible to the sender) burn less virtual time before
         #: retransmission.
         self.rpc_timeout = rpc_timeout
-        #: The carriers, best available wins.  ``route`` replaces the
-        #: default connection-based one: live mode hands in a route over
-        #: real sockets (repro.live.scheduler) and nothing else differs.
-        self.routes: list[Route] = [
-            route if route is not None else DirectRoute(transport, timeout=rpc_timeout)
-        ]
+        #: The carriers, best available wins.
+        self.routes: list[Route] = [DirectRoute(transport, timeout=rpc_timeout)]
         self._heap: list[tuple[tuple[int, int], QueuedMessage]] = []
         #: Every message not yet in a terminal state (queued, backing
         #: off, or in flight) — the set a crash simulation abandons.

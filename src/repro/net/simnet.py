@@ -81,6 +81,12 @@ class Host:
         """
         return list(self._links_by_peer.get(peer.name, ()))
 
+    def usable_links_to(self, peer: "Host") -> list["Link"]:
+        """Links to ``peer`` that are up right now, best bandwidth first."""
+        links = [link for link in self.links_to(peer) if link.is_up]
+        links.sort(key=lambda link: -link.spec.bandwidth_bps)
+        return links
+
     def deliver(self, port: int, payload: bytes, source: Address) -> None:
         handler = self._ports.get(port)
         if handler is None:

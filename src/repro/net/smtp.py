@@ -21,7 +21,7 @@ from typing import Any, Callable, Optional
 
 from repro.net.scheduler import Route, RouteKind
 from repro.net.simnet import Address, Host, Link
-from repro.net.transport import RpcError, Transport, settle_reply
+from repro.net.transport import RpcError, Transport, remote_error, settle_reply
 from repro.sim import Simulator
 
 SUBMIT_SERVICE = "smtp.submit"
@@ -213,9 +213,7 @@ class MailRoute(Route):
         if body.get("ok", True):
             on_reply(body.get("body"))
         else:
-            error = body.get("body")
-            message = error.get("error", "remote error") if isinstance(error, dict) else str(error)
-            on_error(message)
+            on_error(remote_error(body.get("body")))
 
 
 class MailRpcEndpoint:

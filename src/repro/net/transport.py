@@ -301,12 +301,10 @@ class Transport:
 
     def usable_links(self, dst: Host) -> list[Link]:
         """Links to ``dst`` that are currently up, best bandwidth first."""
-        links = [link for link in self.host.links_to(dst) if link.is_up]
-        links.sort(key=lambda link: -link.spec.bandwidth_bps)
-        return links
+        return self.host.usable_links_to(dst)
 
     def best_link(self, dst: Host) -> Optional[Link]:
-        links = self.usable_links(dst)
+        links = self.host.usable_links_to(dst)
         return links[0] if links else None
 
     # -- datagram layer ---------------------------------------------------

@@ -126,6 +126,29 @@ class TestInvalidationCallbacks:
         fresh = a.access.import_(note.urn).wait(bed.sim)
         assert fresh.data["text"] == "from B"
 
+    def test_corrupt_callback_is_dropped_and_counted(self):
+        """The listener is ``Transport.listen``: a callback whose seal
+        is broken never reaches the cache and shows up in the counter
+        every other corrupt frame shows up in."""
+        from repro.core.server import INVALIDATION_PORT
+        from repro.net.message import marshal, seal
+
+        bed = build_multi_client_testbed(1, link_spec=ETHERNET_10M)
+        note = make_note()
+        bed.server.put_object(note)
+        (a,) = bed.clients
+        a.access.import_(note.urn).wait(bed.sim)
+        a.access.subscribe_invalidations("server", "urn:rover:server/").wait(bed.sim)
+        frame = bytearray(
+            seal(b"R" + marshal({"kind": "invalidate", "urn": str(note.urn), "version": 9}))
+        )
+        frame[-1] ^= 0x01
+        a.link.send(bed.server_host, INVALIDATION_PORT, bytes(frame))
+        bed.sim.run(until=bed.sim.now + 5)
+        assert str(note.urn) in a.access.cache
+        assert a.access.notifications.count(EventType.OBJECT_INVALIDATED) == 0
+        assert a.transport.corrupt_frames_detected == 1
+
     def test_writer_not_notified_of_own_update(self):
         bed = build_multi_client_testbed(1, link_spec=ETHERNET_10M)
         note = make_note()

@@ -334,6 +334,40 @@ class TestQueueFolding:
         assert state.reports_applied == applied_once + 1
 
 
+    def test_terminally_failed_report_is_reshipped_under_its_own_seq(self):
+        """Once the scheduler gives a report up, the reporter ships the
+        same payload again under the same sequence number, flagged as a
+        retry; it is applied once and the totals stay exact."""
+        bed, aggregator, reporters = build_fleet_bed(n=1)
+        run_workload(bed)
+        (reporter,) = reporters
+        stack = bed.clients[0]
+        client = stack.host.name
+        stack.scheduler.max_attempts = 2
+        handlers = bed.server_transport._request_handlers
+        apply = handlers["rover.telemetry"]
+        seen = []
+
+        def refuse_twice(body, source):
+            seen.append(body)
+            if len(seen) <= 2:
+                raise RuntimeError("aggregator restarting")
+            return apply(body, source)
+
+        handlers["rover.telemetry"] = refuse_twice
+        truth = reporter.ground_truth()
+        reporter.flush()
+        bed.sim.run(until=bed.sim.now + 60.0)
+
+        assert stack.scheduler.failed == 1 and reporter.reports_reshipped == 1
+        assert [body.get("r") for body in seen] == [None, None, 1]
+        assert len({body["q"] for body in seen}) == 1
+        assert not reporter._unacked and reporter.reports_acked == 1
+        assert aggregator.client_totals(client) == truth
+        state = aggregator.clients[client]
+        assert state.reports_applied == 1 and state.duplicates == 0 and state.missing() == 0
+
+
 DETERMINISM_SCRIPT = """
 import hashlib
 import sys

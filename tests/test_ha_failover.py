@@ -203,6 +203,30 @@ class TestFailover:
         assert sorted(items) == [f"t{i}" for i in range(5)]
         assert len(items) == len(set(items))
 
+    def test_a_request_resubmitted_by_the_failover_wave_keeps_its_session(self):
+        """Read-your-writes is for exactly the requests that crossed a
+        failover: the request names its session, so the wave's
+        resubmission records the write like the calm run does."""
+        bed = make_bed(rpc_timeout_s=5.0, max_attempts=3)
+        urn = seeded_note(bed)
+        access = bed.clients[0].access
+        session = access.create_session("alice")
+        ChaosController(bed.sim, obs=bed.obs).schedule(
+            FaultPlan(seed=CHAOS_SEED, primary_kills=(PrimaryKill(at=10.0, down_for=1e6),)),
+            bed,
+        )
+        bed.sim.run_until(lambda: bed.sim.now >= 11.0, timeout=60.0)
+        promise = access.invoke_remote(urn, "set_text", ["after the kill"], session=session)
+        assert access.drain(timeout=600.0)
+        assert promise.result() == "after the kill"
+        failovers = bed.obs.registry.counter(
+            "qrpc_failovers_total", "", labelnames=("host",)
+        ).labels(host=bed.clients[0].host.name)
+        assert failovers.value >= 1  # it did ride a wave
+        assert session.writes() == {urn: bed.server.store.version(urn)}
+        # ...and the guarantee it buys: a stale copy is not acceptable.
+        assert not session.acceptable(urn, bed.server.store.version(urn) - 1)
+
     def test_client_rotates_to_promoted_backup(self):
         bed, _urn, _acked, _ = self.drive_kill_mid_drain()
         replica_set = bed.clients[0].access.servers[bed.authority]
@@ -409,3 +433,161 @@ class TestCheckerRegressions:
 
         result = get_scenario("ha-failover").run()
         assert result.violations == []
+
+
+SHIPPED_COUNT = (
+    "def main():\n"
+    "    return len(objects('urn:rover:server/notes/'))\n"
+)
+
+
+class TestEveryClientServiceThroughThePrimary:
+    """Lock, unlock, list, ship and subscribe reach a replicated
+    authority through the same fence / execute / replicate funnel as
+    import, export and invoke — on the first primary and on the one a
+    failover promotes."""
+
+    def drill(self, bed, tag):
+        alice, bob = (stack.access for stack in bed.clients)
+        urn = f"urn:rover:{bed.authority}/notes/n1"
+        session = alice.create_session(f"alice/{tag}")
+        rival = bob.create_session(f"bob/{tag}")
+
+        def settle():
+            assert alice.drain(timeout=600.0) and bob.drain(timeout=600.0)
+
+        watching = bob.subscribe_invalidations(bed.authority, f"urn:rover:{bed.authority}/")
+        bob.import_(urn, max_age_s=0.0)
+        settle()
+        assert watching.result() is True
+        assert bob.cache.peek(urn) is not None
+
+        checkout = alice.acquire_lock(urn, session, lease_s=120.0)
+        settle()
+        assert checkout.result()["status"] == "ok"
+        denied = bob.acquire_lock(urn, rival)
+        settle()
+        assert denied.failed and denied.error == "locked"
+
+        alice.import_(urn, session=session, max_age_s=0.0)
+        settle()
+        alice.invoke(urn, "set_text", f"edited {tag}", session=session)  # exports under the lock
+        settle()
+        assert bed.server.get_object(urn).data == {"text": f"edited {tag}"}
+        # The primary pushed the invalidation: bob's stale copy is gone.
+        assert bob.cache.peek(urn) is None
+
+        checkin = alice.release_lock(urn, session)
+        listing = alice.list_objects(bed.authority, f"urn:rover:{bed.authority}/notes/")
+        counted = alice.ship(bed.authority, SHIPPED_COUNT)
+        settle()
+        assert checkin.result()["status"] == "ok"
+        assert listing.result() == [urn]
+        assert counted.result() == 1
+        retaken = bob.acquire_lock(urn, rival, lease_s=1.0)  # free again (and soon expired)
+        settle()
+        assert retaken.result()["status"] == "ok"
+
+    def test_before_and_after_a_primary_kill(self):
+        bed = make_bed(n_clients=2, rpc_timeout_s=5.0, max_attempts=3)
+        seeded_note(bed)
+        first_primary = bed.group.primary_agent()
+        self.drill(bed, "before")
+        bed.sim.run_until(lambda: converged(bed), timeout=60.0)
+
+        ChaosController(bed.sim, obs=bed.obs).crash_server(first_primary.server)
+        bed.sim.run_until(
+            lambda: bed.group.primary_agent() is not first_primary, timeout=120.0
+        )
+        promoted = bed.group.primary_agent()
+        assert promoted is not first_primary and promoted.role == "primary"
+        self.drill(bed, "after")
+        # Locks and the edit are replicated state: the surviving backup
+        # re-executed every record the promoted primary acknowledged.
+        bed.sim.run_until(lambda: converged(bed), timeout=120.0)
+        backup = next(a for a in agents(bed) if not a._crashed and a is not promoted)
+        assert backup.server.get_object("urn:rover:server/notes/n1").data == {"text": "edited after"}
+
+
+class TestReplicateFrameLostInFlight:
+    def test_client_ack_stays_gated_until_the_reship_reaches_quorum(self):
+        """A replicate frame that dies on the member mesh (not a link
+        that was down at send time) fails the ship *later*; the gated
+        client reply must wait for the re-ship, not leak out early."""
+        from repro.chaos.faults import FaultyLink, LinkFaultSpec
+        from repro.sim import make_rng
+
+        bed = make_bed(n_backups=1)  # two members: the one backup *is* the quorum
+        urn = seeded_note(bed)
+        primary = bed.group.primary_agent()
+        (backup,) = [a for a in agents(bed) if a is not primary]
+        (peer,) = primary.peers
+        (mesh,) = primary.host.links_to(backup.host)
+        injector = FaultyLink(mesh, LinkFaultSpec(drop=1.0), make_rng(CHAOS_SEED, "mesh")).install()
+
+        access = bed.clients[0].access
+        promise = access.invoke_remote(urn, "set_text", ["gated"])
+        bed.sim.run_until(lambda: peer["attempts"] >= 1, timeout=30.0)
+        assert injector.injected["drop"] >= 1
+        # Executed at the primary, held by nobody else, told to nobody.
+        assert primary.seq == 1 and backup.seq == 0
+        assert primary.server.get_object(urn).data == {"text": "gated"}
+        assert not promise.is_done and len(primary._waiters) == 1
+
+        injector.uninstall()
+        assert access.drain(timeout=120.0)
+        assert promise.result() == "gated"
+        assert backup.seq == 1 and peer["acked_seq"] == 1 and primary._waiters == []
+        assert backup.server.get_object(urn).data == {"text": "gated"}
+        assert primary.server.invokes_served == 1  # the re-ship re-sent the record, not the request
+
+
+class TestFeaturesAcrossAFailover:
+    def test_compacted_delta_group_committed_queue_is_applied_once_at_the_new_primary(self):
+        """ROADMAP seam (b): overwriting exports queued offline are
+        folded by compaction under a group-commit window, the primary
+        dies before the client reconnects, and the one surviving export
+        — a delta against a base the new primary also holds — rides the
+        failover wave and commits exactly once."""
+        from repro.storage.stable_log import GroupCommitPolicy
+
+        bed = make_bed(
+            rpc_timeout_s=5.0,
+            max_attempts=3,
+            policies=[IntervalTrace([(0.0, 10.0), (60.0, 1e9)])],
+            compaction=True,
+            delta_shipping=True,
+            group_commit=GroupCommitPolicy(),
+        )
+        from repro.check.scenarios import make_note as padded_note
+
+        note = padded_note(bed.authority, "notes/n1", "hello", pad=512)  # a delta pays
+        bed.put_object(note)
+        urn = str(note.urn)
+        access = bed.clients[0].access
+        access.import_(urn).wait(bed.sim)
+        first_primary = bed.group.primary_agent()
+
+        bed.sim.run(until=20.0)  # offline now
+        for text in ("one", "two", "three"):
+            access.invoke(urn, "set_text", text)
+        bed.sim.run(until=30.0)
+        assert access.log.ops_compacted == 2 and access.pending_count() == 1
+        ChaosController(bed.sim, obs=bed.obs).crash_server(first_primary.server)
+
+        assert access.drain(timeout=600.0)
+        bed.sim.run_until(lambda: converged(bed), timeout=120.0)
+        promoted = bed.group.primary_agent()
+        assert promoted is not first_primary
+        assert sum(a.server.exports_committed for a in agents(bed) if not a._crashed) == 2
+        assert promoted.server.exports_committed == 1
+        for agent in agents(bed):
+            if not agent._crashed:
+                copy = agent.server.get_object(urn)
+                assert copy.version == 2 and copy.data["text"] == "three"
+        assert access.cache.tentative_urns() == []
+        saved = bed.obs.registry.counter(
+            "ship_delta_bytes_saved_total", "", labelnames=("authority", "direction")
+        ).labels(authority=bed.authority, direction="up")
+        assert saved.value > 400  # the pad never crossed the wire again
+        assert bed.clients[0].scheduler.failed >= 1  # the corpse was tried first

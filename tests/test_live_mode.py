@@ -63,6 +63,26 @@ class TestClock:
         finally:
             clock.close()
 
+    def test_cancelled_timer_lets_go_of_its_callback_at_once(self):
+        """A pending call's timeout outlives its reply by seconds: until
+        due it must not pin what its callback closes over."""
+        import weakref
+
+        class Held:
+            pass
+
+        clock = RealTimeClock()
+        try:
+            held = Held()
+            gone = weakref.ref(held)
+            timer = clock.schedule(60.0, lambda pinned=held: None)
+            del held
+            assert gone() is not None
+            timer.cancel()
+            assert gone() is None
+        finally:
+            clock.close()
+
     def test_callback_crash_is_captured_not_fatal(self):
         clock = RealTimeClock()
         try:
@@ -462,3 +482,183 @@ class TestLiveSchedulerThreads:
         assert any(
             abs(a - b) > 0.02 for a, b in zip(offsets["alice"], offsets["bob"])
         ), offsets
+
+
+@pytest.fixture
+def live_pair():
+    """Two bare transports on one loop: ``(clock, server, client)``."""
+    clock = RealTimeClock(name="pair-loop")
+    server = LiveTransport(clock, "server")
+    client = LiveTransport(clock, "laptop")
+    yield clock, server, client
+    client.close()
+    server.close()
+    clock.close()
+    assert clock.errors == [], clock.errors
+
+
+def call_and_wait(clock, client, address, service, body, timeout=5.0):
+    outcome = []
+    client.call(
+        address, service, body,
+        on_reply=lambda reply: outcome.append(("reply", reply)),
+        on_error=lambda error: outcome.append(("error", error)),
+        timeout=timeout,
+    )
+    assert clock.run_until(lambda: outcome, timeout=TIMEOUT)
+    return outcome[0]
+
+
+class TestOneExchangeOverSockets:
+    """What ``LiveTransport`` inherits by being ``Transport`` on a host
+    whose links are TCP connections."""
+
+    def test_deferred_then_delayed_reply_arrives_after_both_waits(self, live_pair):
+        from repro.net.transport import AsyncReply, DelayedReply
+
+        clock, server, client = live_pair
+
+        def slow(body, source):
+            deferred = AsyncReply()  # e.g. waiting for a backup quorum...
+            clock.schedule(0.15, deferred.complete, DelayedReply(0.15, {"echo": body}))
+            return deferred  # ...then owing compute time
+
+        server.register("slow", slow)
+        started = clock.now
+        assert call_and_wait(clock, client, server.address, "slow", 7) == ("reply", {"echo": 7})
+        assert clock.now - started >= 0.3
+
+    def test_batch_is_served_member_by_member(self, live_pair):
+        from repro.net.transport import BATCH_SERVICE
+
+        clock, server, client = live_pair
+        server.register("echo", lambda body, source: body)
+        kind, reply = call_and_wait(
+            clock, client, server.address, BATCH_SERVICE,
+            {"requests": [
+                {"service": "echo", "body": 1},
+                {"service": "echo"},  # no body: fails alone
+                {"service": "nobody-home", "body": 3},
+                {"service": "echo", "body": 4},
+            ]},
+        )
+        assert kind == "reply"
+        assert reply == {"replies": [
+            {"ok": True, "body": 1},
+            {"ok": False, "body": {"error": "malformed batch member"}},
+            {"ok": False, "body": {"error": "unknown service 'nobody-home'"}},
+            {"ok": True, "body": 4},
+        ]}
+
+    def test_broken_seal_runs_no_handler_and_is_hung_up_on(self, live_pair):
+        import struct
+
+        from repro.live import transport as live_transport
+        from repro.net.message import marshal, seal
+        from repro.net.transport import RPC_PORT
+
+        clock, server, client = live_pair
+        ran = []
+        server.register("echo", lambda body, source: ran.append(body) or body)
+
+        def hung_up_on(frame: bytes) -> bool:
+            with socket.create_connection(
+                (server.address.host, server.address.port), timeout=TIMEOUT
+            ) as sock:
+                sock.settimeout(TIMEOUT)  # far below REPLY_WAIT_S: hung up on at once
+                live_transport._send_frame(sock, frame)
+                return sock.recv(1) == b""  # no reply frame: the server closed
+
+        def framed(envelope: dict, port: int = RPC_PORT) -> bytes:
+            return struct.pack(">H", port) + seal(b"R" + marshal(envelope))
+
+        request = {"kind": "request", "id": "x:0", "service": "echo", "body": "hi"}
+        broken = bytearray(framed(request))
+        broken[-1] ^= 0x01  # one flipped bit under an intact length prefix
+        assert hung_up_on(bytes(broken))
+        assert ran == []
+        assert server.corrupt_frames_detected == 1
+        counted = server.obs.registry.counter(
+            "transport_corrupt_frames_total", "", labelnames=("host",)
+        ).labels(host="server")
+        assert counted.value == 1
+        # So is every other frame that asks nothing: a stray reply, a
+        # port nobody bound, one too short to name a port.
+        assert hung_up_on(framed({"kind": "reply", "id": "x:0", "ok": True, "body": 1}))
+        assert hung_up_on(framed(request, port=9))
+        assert hung_up_on(b"\x02")
+        assert ran == [] and server.corrupt_frames_detected == 1
+        # The listener still serves the next, well-formed request.
+        assert call_and_wait(clock, client, server.address, "echo", "ok") == ("reply", "ok")
+        assert ran == ["ok"]
+
+    def test_transport_counters_cover_requests_and_replies(self, live_pair):
+        clock, server, client = live_pair
+        server.register("echo", lambda body, source: body)
+        assert call_and_wait(clock, client, server.address, "echo", "x" * 100)[0] == "reply"
+        assert client.messages_sent == 1 and server.messages_sent == 1
+        assert client.bytes_sent > 100 and server.bytes_sent > 100
+
+    def test_calls_from_many_threads_each_get_their_reply(self, live_pair):
+        """The call-id sequence, the pending table and the counters are
+        the loop thread's; two calls sharing an id would leave one of
+        them unanswered, a lost update would miscount."""
+        clock, server, client = live_pair
+        server.register("echo", lambda body, source: body)
+        replies, errors = [], []
+
+        def call_forty(worker: int) -> None:
+            for n in range(40):
+                client.call(server.address, "echo", [worker, n], replies.append, errors.append)
+
+        workers = [threading.Thread(target=call_forty, args=(w,)) for w in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in workers:
+                thread.start()
+            for thread in workers:
+                thread.join(timeout=TIMEOUT)
+            assert not any(thread.is_alive() for thread in workers)
+            assert clock.run_until(
+                lambda: len(replies) + len(errors) == 320, timeout=2 * TIMEOUT
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert sorted(replies) == [[w, n] for w in range(8) for n in range(40)]
+        assert client.messages_sent == 320 and server.messages_sent == 320
+        assert client._pending_calls == {}
+
+    def test_subscribe_invalidations_is_rejected_and_polling_sees_the_change(self, live_world):
+        """Server push has no carrier here (a connection carries one
+        request and its reply): the Table-1 call says so rather than
+        register callbacks that could never arrive."""
+        from repro.core.access_manager import AccessManagerError
+
+        server, client = live_world
+        note = make_note()
+        server.put_object(note)
+        imported = client.access.import_(note.urn)
+        assert client.clock.run_until(lambda: imported.is_done, timeout=TIMEOUT)
+        for _ in range(2):  # a refusal is not remembered as a listener
+            with pytest.raises(AccessManagerError, match="no push carrier.*max_age_s"):
+                client.access.subscribe_invalidations("server", "urn:rover:server/")
+        assert client.access.pending_count() == 0
+        assert server.server._subscriptions == {}
+        writer = LiveClient("writer", servers={"server": server.address})
+        try:
+            fetched = writer.access.import_(note.urn)
+            assert writer.clock.run_until(lambda: fetched.is_done, timeout=TIMEOUT)
+            writer.access.invoke(str(note.urn), "set_text", "changed elsewhere")
+            assert writer.clock.run_until(
+                lambda: writer.access.pending_count() == 0, timeout=TIMEOUT
+            )
+        finally:
+            writer.close()
+        assert writer.clock.errors == [], writer.clock.errors
+        # The reader's copy is stale until it polls.
+        assert client.access.cache.peek(str(note.urn)).rdo.data == {"text": "hello"}
+        fresh = client.access.import_(note.urn, max_age_s=0.0)
+        assert client.clock.run_until(lambda: fresh.is_done, timeout=TIMEOUT)
+        assert fresh.value.data == {"text": "changed elsewhere"}

@@ -143,3 +143,50 @@ def test_gateway_shares_at_most_once_with_native_port():
     assert reply == outcome["body"]
     assert server.duplicates_suppressed == 1
     assert server.get_object("urn:rover:server/notes/n1").version == 2
+
+
+def test_batch_post_crosses_the_gateway_member_by_member():
+    """``rover.batch`` is unpacked by the one ``handle_request``; its
+    reply is deferred until the last member settles, which the gateway
+    waits for like every other carrier."""
+    sim, net, client, server_host, server, gateway, http = make_world()
+    server.put_object(make_note())
+    urn = "urn:rover:server/notes/n1"
+    outcome = post(
+        http, server_host, "batch",
+        {"requests": [
+            {"service": "rover.invoke",
+             "body": {"urn": urn, "method": "set_text", "args": ["batched"],
+                      "request_id": "h/2"}},
+            {"service": "rover.import"},  # no body: fails alone
+            {"service": "rover.import", "body": {"urn": urn}},
+        ]},
+        sim,
+    )
+    assert outcome["status"] == 200
+    first, second, third = outcome["body"]["replies"]
+    assert first["ok"] and first["body"]["result"] == "batched"
+    assert not second["ok"] and second["body"] == {"error": "malformed batch member"}
+    assert third["ok"] and third["body"]["rdo"]["data"] == {"text": "batched"}
+    assert server.invokes_served == 1 and server.imports_served == 1
+
+
+def test_invoke_through_the_gateway_to_an_ha_primary_is_answered_and_applied_once():
+    """An HA primary defers its reply until the backup quorum acks
+    (``AsyncReply``); the gateway settles it instead of marshalling the
+    placeholder, so the client hears back and never retransmits."""
+    from repro.check.scenarios import make_box
+    from repro.ha import build_ha_testbed
+
+    bed = build_ha_testbed(n_backups=2, n_clients=1)
+    box = make_box(bed.authority)
+    bed.put_object(box)
+    primary = bed.group.primary_agent()
+    RoverHttpGateway(bed.sim, primary.transport)
+    stack = bed.clients[0]
+    stack.scheduler.routes = [HttpRoute(bed.sim, HttpClient(bed.sim, stack.host), primary.host)]
+    promise = stack.access.invoke_remote(str(box.urn), "add", ["once"])
+    assert stack.access.drain(timeout=60.0)
+    assert promise.ready and not promise.failed
+    assert stack.scheduler.retransmissions == 0 and stack.scheduler.failed == 0
+    assert bed.server.get_object(str(box.urn)).data["items"] == ["once"]

@@ -321,3 +321,20 @@ def test_folded_promises_all_resolve():
         assert promise.ready and not promise.failed
     assert bed.access.pending_count() == 0
     assert bed.access.cache.tentative_urns() == []
+
+
+def test_an_absorbed_write_still_counts_for_its_own_session():
+    """The survivor's reply is the absorbed request's reply; read-your-
+    writes must hold for the session that issued the absorbed one too."""
+    bed, note, survivor_session = _disconnected_bed(compaction=True)
+    bed.access.add_compaction_rule(InvokeAbsorb("set_text"))
+    absorbed_session = bed.access.create_session("absorbed")
+    bed.sim.run(until=20.0)  # disconnected now
+    first = bed.access.invoke_remote(note.urn, "set_text", ["one"], session=absorbed_session)
+    bed.access.invoke_remote(note.urn, "set_text", ["two"], session=survivor_session)
+    bed.sim.run()
+    assert first.result() == "two"
+    assert bed.server.invokes_served == 1
+    committed = bed.server.store.version(str(note.urn))
+    assert survivor_session.writes() == {str(note.urn): committed}
+    assert absorbed_session.writes() == {str(note.urn): committed}
