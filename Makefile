@@ -37,11 +37,13 @@ chaos:
 
 # Replicated home servers: failover/fencing/anti-entropy suite plus an
 # exhaustive pass over primary-kill interleavings (docs/ROBUSTNESS.md,
-# "Replication and failover").
+# "Replication and failover") -- of a burst of remote appends, and of
+# the reconnect drain of a compacted, delta-shipped backlog.
 ha:
 	CHAOS_SEED=$(CHAOS_SEED) $(PYTHON) -m pytest -q \
 		tests/test_ha_failover.py tests/test_ha_satellites.py
 	$(PYTHON) -m repro.check --suite ha-failover --depth 1
+	$(PYTHON) -m repro.check --suite ha-failover-features --depth 2
 
 # Bounded interleaving model check (docs/VERIFICATION.md); < 2 min.
 # On a violation it writes the minimized trace to check-counterexample.json.
@@ -85,11 +87,13 @@ perfbench-smoke:
 	$(PYTHON) -m perfbench --selfcheck
 
 # Fleet telemetry: unit/integration suite plus the E15 overhead +
-# exactness gate at CI scale (docs/OBSERVABILITY.md).
+# exactness gate at CI scale, then the operator's CLI end to end
+# (docs/OBSERVABILITY.md).
 fleet:
 	$(PYTHON) -m pytest -q tests/test_fleet_sketch.py tests/test_fleet_pipeline.py \
 		tests/test_fleet_health.py tests/test_fleet_chaos.py \
 		"benchmarks/test_experiments.py::test_experiment[e15]"
+	$(PYTHON) -m repro.obs.fleet --clients 20 --timeline --events --prometheus > /dev/null
 
 # Source size, tracked beside the benchmarks (docs/PERFORMANCE.md,
 # "Source size"): total lines, then the ten largest files.
@@ -104,8 +108,10 @@ sloc:
 # them) -- then lists what nothing reached and what only tests/ reached.
 REACH = REACH_DIR=$(CURDIR)/.reach PYTEST_PLUGINS=reach \
 	PYTHONPATH=$(CURDIR)/tools:$(CURDIR)/src:$(CURDIR)
-# `tables` builds E15/E16 at full scale (1,000 / 10,000 clients).
-REACH_DRIVERS ?= examples demo tables check
+# `tables` builds E15/E16 at full scale (1,000 / 10,000 clients); `lint`,
+# `ha` and `fleet` are here because CI runs them: without them all of
+# repro/lint, the HA check scenarios and the fleet CLI read as unexecuted.
+REACH_DRIVERS ?= examples demo tables check lint ha fleet
 
 reach:
 	rm -rf .reach && mkdir .reach

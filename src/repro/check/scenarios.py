@@ -618,7 +618,7 @@ class HAFailoverScenario(Scenario):
     #: of the traffic settled.
     kill_offsets = (0.01, 0.1, 0.5, 2.0)
 
-    def build(self) -> Any:
+    def build(self, **client_options: Any) -> Any:
         from repro.ha import build_ha_testbed
 
         # Tight lease/heartbeat and a short RPC budget so detection,
@@ -630,6 +630,7 @@ class HAFailoverScenario(Scenario):
             max_attempts=2,
             lease_s=1.5,
             heartbeat_s=0.5,
+            **client_options,
         )
 
     def populate(self, bed: Any, ctx: dict) -> None:
@@ -640,27 +641,39 @@ class HAFailoverScenario(Scenario):
     def contention(self, ctx: dict) -> tuple[frozenset[str], frozenset[str]]:
         return frozenset({ctx["urn"]}), frozenset({ctx["urn"]})
 
-    def drive(self, bed: Any, harness: CheckHarness, ctx: dict) -> None:
+    def arm_primary_kill(self, bed: Any, ctx: dict, origin: float) -> None:
+        """The suite's own two decisions: which of :attr:`kill_offsets`
+        past ``origin`` the primary dies at, and whether it rejoins."""
         from repro.chaos import ChaosController
-
-        urn = ctx["urn"]
-        stack = bed.clients[0]
-        session = stack.access.create_session()
-        stack.access.import_(urn, session=session)
-        self.drain(bed)
 
         kill_at = bed.sim.decide(
             len(self.kill_offsets), {"point": "primary-kill-at"}
         )
         rejoin = bed.sim.decide(2, {"point": "primary-stays-down"}) == 0
         ctx["rejoin"] = rejoin
-        controller = ChaosController(bed.sim, obs=bed.obs)
-        ctx["controller"] = controller
-        controller.schedule_primary_kill(
+        ChaosController(bed.sim, obs=bed.obs).schedule_primary_kill(
             bed.group,
-            at=bed.sim.now + self.kill_offsets[kill_at],
+            at=origin + self.kill_offsets[kill_at],
             down_for=20.0 if rejoin else 100_000.0,
         )
+
+    def settle_group(self, bed: Any, harness: CheckHarness, ctx: dict) -> None:
+        """Settle the clients, then give replication and (on rejoin)
+        anti-entropy time to settle group state before the oracle reads
+        it: with a rejoin the ex-primary must first come back (20
+        virtual seconds) and then finish its sync round."""
+        self.settle(bed, harness)
+        bed.sim.run_until(
+            lambda: self._converged(bed, ctx["rejoin"]), timeout=200.0
+        )
+
+    def drive(self, bed: Any, harness: CheckHarness, ctx: dict) -> None:
+        urn = ctx["urn"]
+        stack = bed.clients[0]
+        session = stack.access.create_session()
+        stack.access.import_(urn, session=session)
+        self.drain(bed)
+        self.arm_primary_kill(bed, ctx, bed.sim.now)
 
         issued: dict[str, list[str]] = {}
         acked: set[str] = set()
@@ -671,14 +684,7 @@ class HAFailoverScenario(Scenario):
             stack.access.invoke_remote(urn, "add", [token], session=session).then(
                 lambda _value, t=token: acked.add(t)
             )
-        self.settle(bed, harness)
-        # Give replication and (on rejoin) anti-entropy time to settle
-        # group state before the oracle reads it: with a rejoin the
-        # ex-primary must first come back (20 virtual seconds) and then
-        # finish its sync round.
-        bed.sim.run_until(
-            lambda: self._converged(bed, rejoin), timeout=200.0
-        )
+        self.settle_group(bed, harness, ctx)
 
     def _converged(self, bed: Any, rejoin: bool) -> bool:
         if rejoin and any(agent._crashed for agent in bed.group.agents):
@@ -722,6 +728,90 @@ class HAFailoverScenario(Scenario):
         return violations
 
 
+class HAFailoverFeaturesScenario(HAFailoverScenario):
+    """The failover wave carries a compacted, delta-shipped backlog.
+
+    ROADMAP aim 3, seam (b), as a suite: with compaction and delta
+    shipping on, the client edits its cached copy while every link to
+    the group is down — the overwriting exports fold into one, which
+    leaves as a delta against the base all members hold — and the
+    primary dies around the reconnection: before it (the backlog's
+    first target is a corpse), while the export is at the primary or
+    being replicated, or after it settled.  Same oracle as the parent
+    suite, read off a single sequential writer: every edit durable
+    exactly once, in order, and nobody saw a conflict.
+    """
+
+    name = "ha-failover-features"
+    description = "primary kill around the reconnect drain of a compacted, delta-shipped backlog"
+    down_s = 5.0
+    #: Kill offsets relative to the reconnection: while the client is
+    #: still away, with the export on its way to the primary, with the
+    #: primary's ship on its way to the backups, with their acks on the
+    #: way back (the client's reply still gated), and after it all.
+    kill_offsets = (-1.0, 0.0005, 0.0012, 0.002, 2.0)
+
+    def build(self) -> Any:
+        return super().build(
+            policies=[SwitchablePolicy() for _ in range(self.n_clients)],
+            compaction=True,
+            delta_shipping=True,
+        )
+
+    def populate(self, bed: Any, ctx: dict) -> None:
+        box = make_box(bed.authority, "check/ha-box")
+        box.data["pad"] = "x" * 400  # bulk the edits leave alone: a delta pays
+        bed.put_object(box)
+        ctx["urn"] = str(box.urn)
+
+    def drive(self, bed: Any, harness: CheckHarness, ctx: dict) -> None:
+        urn = ctx["urn"]
+        stack = bed.clients[0]
+        stack.access.import_(urn)
+        self.drain(bed)
+
+        # One policy governs the client's link to every member.
+        stack.link.policy.force_down(bed.sim.now, self.down_s)
+        for link in stack.host.links:
+            link._handle_transition()
+        self.arm_primary_kill(bed, ctx, bed.sim.now + self.down_s)
+        tokens = [f"{stack.host.name}-{index}" for index in range(self.adds)]
+        for token in tokens:
+            # Tentative copy, auto-queued export, folded into the round
+            # already waiting for the link.
+            stack.access.invoke(urn, "add", token)
+        self.settle_group(bed, harness, ctx)
+        ctx["issued"] = {stack.host.name: tokens}
+        # A local edit is acknowledged once no copy is left tentative.
+        ctx["acked"] = set() if stack.access.cache.tentative_urns() else set(tokens)
+
+    def check(self, bed: Any, harness: CheckHarness, ctx: dict) -> list[str]:
+        violations = super().check(bed, harness, ctx)
+        access = bed.clients[0].access
+        rdo = bed.server.get_object(ctx["urn"])
+        items = rdo.data.get("items") if rdo is not None else None
+        if items != ctx["issued"][access.host.name]:
+            violations.append(f"primary holds {items!r}, not the edits in order")
+        conflicted = sum(
+            agent.server.exports_conflicted
+            for agent in bed.group.agents
+            if not agent._crashed
+        )
+        if conflicted or harness.conflicts:
+            violations.append(
+                "single sequential writer saw a conflict "
+                f"(members counted {conflicted}, client saw {harness.conflicts})"
+            )
+        if access.log.ops_compacted < self.adds - 1:
+            violations.append(
+                f"only {access.log.ops_compacted} exports folded: the backlog was not compacted"
+            )
+        saved = bed.obs.registry.get("ship_delta_bytes_saved_total")
+        if saved.labels(authority=bed.authority, direction="up").value <= 0:
+            violations.append("no export crossed the wire as a delta")
+        return violations
+
+
 SCENARIOS: dict[str, type[Scenario]] = {
     scenario.name: scenario
     for scenario in (
@@ -731,6 +821,7 @@ SCENARIOS: dict[str, type[Scenario]] = {
         ConflictExportScenario,
         DeltaShipScenario,
         HAFailoverScenario,
+        HAFailoverFeaturesScenario,
     )
 }
 

@@ -4,7 +4,7 @@
   interface) and the execution cost model;
 * :mod:`repro.core.interpreter` — safe restricted-Python execution of
   relocated code (the Safe-Tcl substitute);
-* :mod:`repro.core.qrpc` — queued RPC records and status machine;
+* :mod:`repro.core.qrpc` — queued RPC records and their wire format;
 * :mod:`repro.core.operation_log` — the stable client log of pending
   QRPCs (crash recovery, at-most-once acknowledgement);
 * :mod:`repro.core.object_cache` — client cache with
@@ -39,7 +39,7 @@ from repro.core.notification import EventType, Notification, NotificationCenter
 from repro.core.object_cache import CacheStatus, ObjectCache
 from repro.core.operation_log import OperationLog
 from repro.core.promise import Promise, PromiseError
-from repro.core.qrpc import Operation, QRPCRequest, QRPCStatus
+from repro.core.qrpc import Operation, QRPCRequest
 from repro.core.rdo import (
     RDO,
     ExecutionCostModel,
@@ -78,7 +78,6 @@ __all__ = [
     "Promise",
     "PromiseError",
     "QRPCRequest",
-    "QRPCStatus",
     "RDO",
     "RDOError",
     "RDOInterface",

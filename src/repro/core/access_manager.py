@@ -44,7 +44,7 @@ from repro.net.simnet import Host
 from repro.obs import Observatory
 from repro.obs.trace import TRACE_KEY, Span
 from repro.perf.compact import CallableRewrite, Compactor
-from repro.perf.delta import DeltaError, apply_delta, diff_value, worth_shipping
+from repro.perf.delta import DeltaShipping, rebuild_import
 from repro.sim import Simulator
 from repro.storage.stable_log import GroupCommitPolicy
 
@@ -98,18 +98,6 @@ class AccessManager:
             "QRPCs that exhausted retransmission",
             labelnames=("host", "op"),
         )
-        self._m_qrpc_failovers = self.obs.registry.counter(
-            "qrpc_failovers_total",
-            "QRPCs redirected to another replica-group member",
-            labelnames=("host",),
-        )
-        #: Replica-set rotations one request may trigger before its
-        #: failure turns terminal (bounds the probe loop when a whole
-        #: replication group is unreachable or has no primary).
-        self.max_failover_rounds = 8
-        #: authority -> requests awaiting one wave-level resubmission
-        #: (flushed together, in log order, after a failover rotation).
-        self._failover_waves: dict[str, list[QRPCRequest]] = {}
         #: request_id -> open root span (tracing enabled only).
         self._root_spans: dict[str, Span] = {}
         #: authority name -> home-server Host
@@ -164,16 +152,8 @@ class AccessManager:
         #: surviving request_id -> requests it absorbed; their
         #: observers are resolved with the survivor's outcome.
         self._absorbed: dict[str, list[QRPCRequest]] = {}
-        #: request ids the server answered "need-full" for: their
-        #: resend must carry full data, never a delta.
-        self._no_delta: set[str] = set()
-        #: Pending requests inherited from a previous incarnation's
-        #: log.  The dead process may have dispatched them, so the
-        #: server may hold applied replies — compaction and delta
-        #: substitution must leave them untouched.
-        self._recovered_ids: set[str] = {
-            request.request_id for request in self.log.pending()
-        }
+        for request in self.log.pending():
+            request.recovered = True  # a previous incarnation's
         #: Shipping optimizations (repro.perf); both default off so the
         #: baseline QRPC path is byte-for-byte the paper's.
         self.compactor = compactor
@@ -181,6 +161,29 @@ class AccessManager:
         self._engine: Optional[Compactor] = None
         if compactor is not None:
             self._build_engine()
+        #: The seam: a hook list at each of the four points where a
+        #: request changes hands; an empty list costs a request nothing.
+        #: A *stage* (an optional feature) appends to them, and asks the
+        #: rest of the services under "what a stage may ask" below.
+        #: ``on_submit(request)``: new, not yet logged; args may be amended.
+        self.on_submit: list[Callable[[QRPCRequest], None]] = []
+        #: ``on_wire(request, body)``: a wire body being built — after the
+        #: credentials, before the ack watermark (key order is wire
+        #: bytes); the body may be edited.
+        self.on_wire: list[Callable[[QRPCRequest, dict], None]] = []
+        #: ``on_reply(request, reply)`` / ``on_failed(request, reason)``,
+        #: of a pending request.  True means "not the answer; I have seen
+        #: to the request": it stays pending, nothing else sees the event.
+        self.on_reply: list[Callable[[QRPCRequest, Any], bool]] = []
+        self.on_failed: list[Callable[[QRPCRequest, str], bool]] = []
+        # A replicated authority installs its own stage (repro.ha), ahead
+        # of any other: a fence must never be read as an answer.
+        for server in self.servers.values():
+            client_stage = getattr(server, "client_stage", None)
+            if client_stage is not None:
+                client_stage(self)
+        if delta_shipping:
+            DeltaShipping(self)
         self._watched_links: set[str] = set()
         self.watch_new_links()
 
@@ -260,17 +263,10 @@ class AccessManager:
                 pending["request"].priority = priority
             return promise
 
-        args: dict[str, Any] = {}
-        if self.delta_shipping:
-            held = self.cache.peek(urn_str)
-            if held is not None and not held.tentative and held.base_version > 0:
-                # Warm re-import: tell the server which version we hold
-                # so it can answer with a delta against it.
-                args["have_version"] = held.base_version
         request = self._new_request(
             Operation.IMPORT,
             urn_str,
-            args=args,
+            args={},
             session=session,
             priority=priority,
         )
@@ -666,7 +662,7 @@ class AccessManager:
             if request.operation is Operation.IMPORT and "have_version" in request.args:
                 # The cache died with the old process, so the delta
                 # base the logged request refers to is gone: re-import
-                # full rather than bouncing off a guaranteed need-full.
+                # full rather than bouncing off a guaranteed refusal.
                 request.args = {
                     key: value
                     for key, value in request.args.items()
@@ -729,6 +725,8 @@ class AccessManager:
         return getattr(server, "current_host", server)
 
     def _log_and_submit(self, request: QRPCRequest) -> None:
+        for hook in self.on_submit:
+            hook(request)
         if self.tracer.enabled:
             root = self.tracer.start_trace(
                 "qrpc",
@@ -813,12 +811,7 @@ class AccessManager:
             self.sim.schedule(durable_at - self.sim.now, self._submit, request)
 
     def _wire_body(self, request: QRPCRequest) -> Premarshalled:
-        """Build the on-wire body for a request, marshalled exactly once.
-
-        The log record keeps the request's *full* args for durability;
-        delta substitution happens here, at wire time, so a crash
-        replay never depends on a delta base that died with the cache.
-        """
+        """Build the on-wire body for a request, marshalled exactly once."""
         body = dict(request.args)
         body["urn"] = request.urn
         body["request_id"] = request.request_id
@@ -828,38 +821,14 @@ class AccessManager:
             body["auth"] = self.auth_token
         if request.operation in (Operation.SHIP, Operation.TELEMETRY):
             body.pop("urn", None)
-        if (
-            self.delta_shipping
-            and request.operation is Operation.EXPORT
-            and request.request_id not in self._no_delta
-            and request.request_id not in self._recovered_ids
-        ):
-            self._maybe_delta_export(request, body)
+        for hook in self.on_wire:
+            hook(request, body)
         ackw = self._ack_watermark()
         if ackw is not None:
             body["ackw"] = ackw
         if request.trace_id:
             body[TRACE_KEY] = [request.trace_id, request.span_id]
         return Premarshalled(body)
-
-    def _maybe_delta_export(self, request: QRPCRequest, body: dict) -> None:
-        """Swap full export data for a structural delta when smaller."""
-        entry = self.cache.peek(request.urn)
-        base_version = int(body.get("base_version", 0))
-        if (
-            entry is None
-            or base_version <= 0
-            or entry.base_version != base_version
-            or "data" not in body
-        ):
-            return
-        # Encoded once: sized from its bytes here, spliced into the body.
-        delta = Premarshalled(diff_value(unmarshal(entry.base_raw), body["data"]))
-        # Charge the delta a small margin so break-even cases keep the
-        # simpler full ship.
-        if worth_shipping(delta, body["data"], margin=8):
-            del body["data"]
-            body["delta"] = delta
 
     def _ack_watermark(self) -> Optional[list]:
         """``[id_prefix, counter]``: all lower counters are settled.
@@ -906,88 +875,15 @@ class AccessManager:
             operation=str(request.operation),
         )
 
-    def _ha_redirect(self, request: QRPCRequest, reply: Any) -> bool:
-        """Route around a replica group's non-primary / deposed members.
-
-        Returns True when the reply was a redirect (``not-primary``
-        fence, or a reply stamped with a stale replication epoch — a
-        deposed primary that does not yet know it lost) and the
-        request has been resubmitted toward the group's real primary.
-        Mirrors the need-full path: deliberately no ``acknowledge``,
-        the request stays pending until a current primary answers.
-        """
-        authority = URN.parse(request.urn).authority
-        replica_set = self.servers.get(authority)
-        if replica_set is None or not hasattr(replica_set, "observe_epoch"):
-            return False
-        if not isinstance(reply, dict):
-            return False
-        epoch = reply.get("ha_epoch")
-        fresh = replica_set.observe_epoch(int(epoch)) if epoch is not None else True
-        if reply.get("status") == "not-primary":
-            hinted = reply.get("primary") or ""
-            usable = (
-                bool(hinted)
-                and hinted != reply.get("ha_member")
-                and replica_set.learn_primary(hinted)
-            )
-            self._m_qrpc_failovers.labels(host=self.host.name).inc()
-            if not usable:
-                # No usable hint (fresh backup pointing at itself, or no
-                # primary elected yet): this probe made no progress, so
-                # it spends a failover round and rides the backed-off
-                # wave — during a no-primary window a flat 0.05s bounce
-                # between fencing backups would burn the whole budget
-                # in under a second.
-                request.failover_rounds += 1
-                if request.failover_rounds > self.max_failover_rounds:
-                    self._on_failed(
-                        request, "replica group has no reachable primary"
-                    )
-                    return True
-                # Probe the next member — but only if the shared pointer
-                # still targets the member that fenced *us* (concurrent
-                # requests must not each rotate for the same discovery).
-                replica_set.advance_past(str(reply.get("ha_member", "")))
-                self._messages.pop(request.request_id, None)
-                self._enqueue_failover(authority, request)
-                return True
-        elif not fresh:
-            # Stale epoch: a deposed primary answered.  If we are still
-            # pointed at it, rotating is the only way off of it.
-            if reply.get("ha_member") == replica_set.current_host.name:
-                request.failover_rounds += 1
-                if request.failover_rounds > self.max_failover_rounds:
-                    self._on_failed(
-                        request, "replica group has no reachable primary"
-                    )
-                    return True
-                replica_set.rotate()
-                self._m_qrpc_failovers.labels(host=self.host.name).inc()
-        else:
-            return False
-        self._messages.pop(request.request_id, None)
-        self.sim.schedule(0.05, self._submit, request)
-        return True
-
     def _on_reply(self, request: QRPCRequest, reply: Any) -> None:
         if self.log.get(request.request_id) is None:
             return  # duplicate response (at-most-once application)
-        if self._ha_redirect(request, reply):
-            return
-        if isinstance(reply, dict) and reply.get("status") == "need-full":
-            # The server lost our delta base from its history.  The log
-            # record still holds the full data, so resend the same
-            # request with the delta path disabled.  Deliberately no
-            # acknowledge: the server recorded nothing for this id.
-            self._no_delta.add(request.request_id)
-            self._messages.pop(request.request_id, None)
-            self.sim.schedule(0.0, self._submit, request)
-            return
+        for hook in self.on_reply:
+            if hook(request, reply):
+                return
         flush_time = self.log.acknowledge(request.request_id)
         self.flush_seconds_total += flush_time
         self._messages.pop(request.request_id, None)
-        self._no_delta.discard(request.request_id)
         self._finish_trace(request, status="ok")
         self._m_qrpc_latency.labels(
             host=self.host.name, op=str(request.operation)
@@ -1004,7 +900,7 @@ class AccessManager:
 
     def _dispatch_reply(self, request: QRPCRequest, reply: dict) -> None:
         """Apply a reply.  The request names its session, so whatever
-        brought the reply here — first submit, failover wave, the
+        brought the reply here — first submit, a stage's resubmit, the
         request that absorbed this one — the guarantees are kept (a
         recovered incarnation's registry is empty: no session to tell)."""
         if request.operation is Operation.IMPORT:
@@ -1041,102 +937,53 @@ class AccessManager:
         self.tracer.finish(root, end=self.sim.now, status=status)
 
     def _on_failed(self, request: QRPCRequest, reason: str) -> None:
-        if self._try_failover(request):
-            return
+        for hook in self.on_failed:
+            if hook(request, reason):
+                return
+        self.fail(request, reason)
+
+    # -- what a stage may ask of the manager -----------------------------------
+
+    def pending(self, request: QRPCRequest) -> bool:
+        """Still owed an answer, by a manager that is still alive."""
+        return not self._crashed and self.log.get(request.request_id) is not None
+
+    def end_attempt(self, request: QRPCRequest) -> Any:
+        """The current attempt is over (answered, but not with the
+        answer; or failed): forget its scheduler message and return it
+        (None when the scheduler was never handed the request)."""
+        return self._messages.pop(request.request_id, None)
+
+    def messages_to(self, host_name: str) -> list:
+        """Scheduler messages of outstanding attempts bound for
+        ``host_name``, in submission order."""
+        return sorted(
+            (m for m in self._messages.values() if m.dst.name == host_name),
+            key=lambda message: message.seq,
+        )
+
+    def resubmit(self, request: QRPCRequest, delay: float) -> None:
+        """Hand ``request`` to the scheduler again, ``delay`` s from now
+        (the destination is resolved then, not now)."""
+        self.sim.schedule(delay, self._submit, request)
+
+    def resubmit_in_log_order(self, requests: list[QRPCRequest]) -> None:
+        """Resubmit now whichever of ``requests`` are still pending, in
+        the order the log holds them."""
+        wanted = {request.request_id for request in requests}
+        for request in self.log.pending():
+            if request.request_id in wanted:
+                self._submit(request)
+
+    def fail(self, request: QRPCRequest, reason: str) -> None:
+        """``request`` failed for good: it leaves the log and its
+        observers are told."""
         self._m_qrpc_failed.labels(
             host=self.host.name, op=str(request.operation)
         ).inc()
         self.log.mark_failed(request.request_id)
         self._messages.pop(request.request_id, None)
-        self._no_delta.discard(request.request_id)
         self._report_failure(request, reason)
-
-    def _try_failover(self, request: QRPCRequest) -> bool:
-        """Retarget a terminally-failed QRPC at the next group member.
-
-        Only applies when the request's authority is a replica set and
-        the per-request rotation budget is not exhausted.  The retry is
-        delayed by the scheduler's own capped jittered backoff so a
-        group-wide outage does not turn into a tight probe loop.
-        """
-        if self._crashed or self.log.get(request.request_id) is None:
-            return False
-        authority = URN.parse(request.urn).authority
-        replica_set = self.servers.get(authority)
-        if replica_set is None or not hasattr(replica_set, "rotate"):
-            return False
-        if request.failover_rounds >= self.max_failover_rounds:
-            return False
-        request.failover_rounds += 1
-        message = self._messages.pop(request.request_id, None)
-        # Rotate only past the member *this* request failed against:
-        # concurrent failures against one dead member must advance the
-        # shared pointer once, not once per request (which, with group
-        # size failures in a wave, cycles straight back to the corpse).
-        failed_host = (
-            message.dst.name if message is not None else
-            getattr(replica_set, "current_host").name
-        )
-        replica_set.advance_past(failed_host)
-        self._m_qrpc_failovers.labels(host=self.host.name).inc()
-        opened = self._enqueue_failover(authority, request)
-        if opened:
-            # This member is dead as far as this client is concerned:
-            # pull every sibling request still chasing it out of the
-            # scheduler now, so the whole backlog rides this one wave
-            # in log order instead of straggling in — one jittered
-            # retransmission timeout at a time, in scrambled order —
-            # as later waves.
-            siblings = sorted(
-                (
-                    (rid, msg)
-                    for rid, msg in self._messages.items()
-                    if rid != request.request_id
-                    and msg.dst.name == failed_host
-                ),
-                key=lambda kv: kv[1].seq,
-            )
-            for _rid, sibling in siblings:
-                self.scheduler.evict(sibling, "replica member declared dead")
-        return True
-
-    def _enqueue_failover(self, authority: str, request: QRPCRequest) -> bool:
-        """Add a request to its authority's failover wave.
-
-        Requests exhaust retransmission in jitter-scrambled order, so
-        per-request resubmits would interleave the client's log across
-        the failover.  Collect the wave and flush it once, in log
-        order, after a capped jittered backoff (so a group-wide outage
-        does not turn into a tight probe loop).  Returns True when this
-        call opened the wave.
-        """
-        wave = self._failover_waves.setdefault(authority, [])
-        wave.append(request)
-        if len(wave) > 1:
-            return False
-        delay = min(
-            self.scheduler.max_backoff,
-            self.scheduler.base_backoff * (2 ** (request.failover_rounds - 1)),
-        ) * (0.5 + 0.5 * self.scheduler.rng.random())
-        self.sim.schedule(delay, self._flush_failover_wave, authority)
-        return True
-
-    def _flush_failover_wave(self, authority: str) -> None:
-        """Resubmit a failover wave's requests in client-log order;
-        resubmission re-resolves each destination through the rotated
-        replica set."""
-        wave = self._failover_waves.pop(authority, [])
-        if self._crashed:
-            return
-        order = {
-            pending.request_id: index
-            for index, pending in enumerate(self.log.pending())
-        }
-        wave.sort(key=lambda r: order.get(r.request_id, len(order)))
-        for request in wave:
-            if self.log.get(request.request_id) is None:
-                continue
-            self._submit(request)
 
     def _report_failure(self, request: QRPCRequest, reason: str) -> None:
         """Tell ``request``'s observers it failed terminally — and those
@@ -1174,7 +1021,7 @@ class AccessManager:
     def _apply_import(self, request: QRPCRequest, reply: dict) -> None:
         waiters = self._take_import_waiters(request)
         if reply.get("status") == "ok-delta":
-            rebuilt = self._rebuild_import_delta(request, reply)
+            rebuilt = rebuild_import(self.cache.peek(request.urn), reply)
             if rebuilt is None:
                 # Our copy of the base is gone (evicted/replaced since
                 # the request was queued): re-import full.
@@ -1214,30 +1061,9 @@ class AccessManager:
         """Queue a fresh full import on behalf of every waiter of ``request``."""
         session = self.sessions.get(request.session_id)
         retry = self._new_request(Operation.IMPORT, request.urn, {}, session, request.priority)
+        retry.full_only = True
         self._imports[request.urn] = {"request": retry, "waiters": waiters}
         self._log_and_submit(retry)
-
-    def _rebuild_import_delta(
-        self, request: QRPCRequest, reply: dict
-    ) -> Optional[dict]:
-        """Reconstruct a full import reply from a delta against our base.
-
-        The delta applies to the marshalled base bytes we recorded at
-        commit time (never the live, possibly-mutated data), so the
-        rebuilt value is byte-identical to the server's copy.  Returns
-        ``None`` when the base we promised is no longer what we hold.
-        """
-        entry = self.cache.peek(request.urn)
-        if entry is None or entry.base_version != int(reply.get("base_version", -1)):
-            return None
-        try:
-            new_data = apply_delta(unmarshal(entry.base_raw), reply["delta"])
-        except (DeltaError, KeyError):
-            return None
-        wire = entry.rdo.to_wire()
-        wire["data"] = new_data
-        wire["version"] = int(reply["version"])
-        return {"status": "ok", "rdo": wire, "version": int(reply["version"])}
 
     def _apply_export(self, request: QRPCRequest, reply: dict) -> None:
         status = reply.get("status")
@@ -1402,7 +1228,7 @@ class AccessManager:
 
     def _compactable(self, request: QRPCRequest) -> bool:
         """Safe to coalesce: provably never dispatched to the server."""
-        if request.request_id in self._recovered_ids:
+        if request.recovered:
             # A previous incarnation may have sent it; barrier.
             return False
         message = self._messages.get(request.request_id)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.qrpc import QRPCRequest, QRPCStatus
+from repro.core.qrpc import QRPCRequest
 from repro.net.message import marshal, unmarshal
 from repro.storage.stable_log import StableLog
 
@@ -110,8 +110,7 @@ class OperationLog:
         """
         if request_id in self._acked or request_id not in self._pending:
             return 0.0
-        request = self._pending.pop(request_id)
-        request.status = QRPCStatus.ACKED
+        del self._pending[request_id]
         self._acked.add(request_id)
         self.stable.append(marshal({"ack": request_id}))
         flush_time = self.stable.flush()
@@ -138,8 +137,7 @@ class OperationLog:
         for request_id in drop_ids:
             if request_id in self._acked or request_id not in self._pending:
                 continue
-            request = self._pending.pop(request_id)
-            request.status = QRPCStatus.ACKED
+            del self._pending[request_id]
             self._acked.add(request_id)
             self.stable.append(marshal({"ack": request_id}))
             self.ops_compacted += 1
@@ -172,9 +170,7 @@ class OperationLog:
 
     def mark_failed(self, request_id: str) -> None:
         """Terminal transport failure; the request leaves the pending set."""
-        request = self._pending.pop(request_id, None)
-        if request is not None:
-            request.status = QRPCStatus.FAILED
+        if self._pending.pop(request_id, None) is not None:
             self._acked.add(request_id)
             self.stable.append(marshal({"ack": request_id}))
             self.stable.flush()

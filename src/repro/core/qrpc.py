@@ -3,8 +3,8 @@
 A QRPC is a non-blocking remote procedure call that survives
 disconnection: it is logged to stable storage, handed to the network
 scheduler, and its response is delivered through a callback/promise
-whenever connectivity permits.  This module defines the request record,
-its status machine, and the wire format; the queueing itself lives in
+whenever connectivity permits.  This module defines the request record
+and the wire format; the queueing itself lives in
 :mod:`repro.core.operation_log` and
 :mod:`repro.net.scheduler`.
 """
@@ -38,19 +38,6 @@ class Operation(str, Enum):
     __str__ = str.__str__
 
 
-class QRPCStatus(Enum):
-    """Lifecycle of a queued request.
-
-    LOGGED -> (scheduler picks it up) -> SENT -> ACKED, with FAILED as
-    the terminal error state after retransmissions are exhausted.
-    """
-
-    LOGGED = "logged"
-    SENT = "sent"
-    ACKED = "acked"
-    FAILED = "failed"
-
-
 #: Service name the Rover server registers for each operation.
 SERVICE_BY_OPERATION = {
     Operation.IMPORT: "rover.import",
@@ -76,7 +63,6 @@ class QRPCRequest:
     args: dict[str, Any] = field(default_factory=dict)
     priority: Priority = Priority.DEFAULT
     created_at: float = 0.0
-    status: QRPCStatus = QRPCStatus.LOGGED
     #: Tracing context (see :mod:`repro.obs.trace`): the id of the
     #: trace this request belongs to and of its root span.  Empty when
     #: tracing is disabled; propagated on the wire so the server side
@@ -87,6 +73,14 @@ class QRPCRequest:
     #: rotations this request has triggered.  Not part of the wire
     #: format and not persisted — a recovered client starts fresh.
     failover_rounds: int = 0
+    #: Volatile likewise.  ``full_only``: must travel and be answered
+    #: in full, never as a delta (the server said "need-full", or this
+    #: retries an import whose answer could not be used).
+    #: ``recovered``: inherited from a previous incarnation's log — the
+    #: dead process may have dispatched it, so the server may hold an
+    #: applied reply: compaction and delta substitution keep off it.
+    full_only: bool = False
+    recovered: bool = False
 
     @marshal_stable
     def to_wire(self) -> dict:

@@ -35,8 +35,10 @@ Failure handling:
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Callable, Optional
 
+from repro.core.naming import URN
 from repro.core.server import RoverServer
 from repro.lint.contracts import replay_pure
 from repro.net.simnet import Address, Host
@@ -75,9 +77,9 @@ class ReplicaSet:
     """A client's view of one authority's replication group.
 
     Duck-typed into ``AccessManager.servers``: the access manager only
-    needs :attr:`current_host` (where to send the next request) plus
-    :meth:`learn_primary`/:meth:`rotate`/:meth:`observe_epoch` for
-    failover.  Each client owns a private instance — membership is
+    needs :attr:`current_host` (where to send the next request) and
+    :meth:`client_stage` (the :class:`ClientFailover` that moves the
+    pointer).  Each client owns a private instance — membership is
     shared knowledge, but *which member to try next* is per-client.
     """
 
@@ -131,6 +133,152 @@ class ReplicaSet:
             return False
         self.epoch_seen = epoch
         return True
+
+    def client_stage(self, manager: Any) -> "ClientFailover":
+        """Install this set's failover stage on an access manager."""
+        return ClientFailover(manager, self)
+
+
+class ClientFailover:
+    """Client failover, as a stage on the access manager's seam.
+
+    Keeps the requests bound for one replicated authority pending
+    through the replies and terminal failures that only say "wrong
+    member" (``manager.on_reply`` / ``on_failed``): it re-points the
+    :class:`ReplicaSet` and has the manager resubmit them.  What it
+    knows of a request's progress it is told by the manager's services
+    (``pending``, ``end_attempt``, ``messages_to``, ``resubmit``,
+    ``resubmit_in_log_order``, ``fail``).
+    """
+
+    #: Rotations one request may trigger before its failure turns
+    #: terminal (bounds the probe loop when a whole replication group
+    #: is unreachable or has no primary).
+    max_rounds = 8
+
+    def __init__(self, manager: Any, replica_set: ReplicaSet) -> None:
+        self.manager = manager
+        self.replica_set = replica_set
+        #: Requests awaiting one resubmission together, in log order.
+        self._wave: list = []
+        self._m_failovers = manager.obs.registry.counter(
+            "qrpc_failovers_total",
+            "QRPCs redirected to another replica-group member",
+            labelnames=("host",),
+        )
+        manager.on_reply.append(self.on_reply)
+        manager.on_failed.append(self.on_failed)
+
+    def _count(self) -> None:
+        self._m_failovers.labels(host=self.manager.host.name).inc()
+
+    def _spend_round(
+        self, request: Any, reason: str = "replica group has no reachable primary"
+    ) -> bool:
+        """Charge ``request`` one rotation; False when that was one too
+        many and it has failed for good."""
+        request.failover_rounds += 1
+        if request.failover_rounds > self.max_rounds:
+            self.manager.fail(request, reason)
+            return False
+        return True
+
+    def on_reply(self, request: Any, reply: Any) -> bool:
+        """Route around the group's non-primary / deposed members.
+
+        True when the reply was a redirect (``not-primary`` fence, or a
+        reply stamped with a stale replication epoch — a deposed primary
+        that does not yet know it lost): the request stays pending,
+        unacknowledged, and goes out again toward the real primary.
+        """
+        replica_set = self.replica_set
+        if (
+            not isinstance(reply, dict)
+            or URN.parse(request.urn).authority != replica_set.authority
+        ):
+            return False
+        epoch = reply.get("ha_epoch")
+        fresh = epoch is None or replica_set.observe_epoch(int(epoch))
+        fenced = reply.get("status") == "not-primary"
+        if fresh and not fenced:
+            return False  # an answer, from the current reign
+        member = str(reply.get("ha_member", ""))
+        if fenced:
+            hinted = reply.get("primary") or ""
+            self._count()
+            if not (hinted and hinted != member and replica_set.learn_primary(hinted)):
+                # No usable hint (fresh backup pointing at itself, or no
+                # primary elected yet): the probe made no progress, so
+                # it spends a round and rides the backed-off wave — a
+                # flat 0.05 s bounce between fencing backups would burn
+                # the whole budget within a second of a no-primary window.
+                if self._spend_round(request):
+                    # On to the next member, unless a concurrent request
+                    # already moved the shared pointer off this one.
+                    replica_set.advance_past(member)
+                    self.manager.end_attempt(request)
+                    self._join_wave(request)
+                return True
+        elif member == replica_set.current_host.name:
+            # A deposed primary answered, and we still point at it:
+            # rotating is the only way off of it.
+            if not self._spend_round(request):
+                return True
+            replica_set.rotate()
+            self._count()
+        self.manager.end_attempt(request)
+        self.manager.resubmit(request, 0.05)
+        return True
+
+    def on_failed(self, request: Any, reason: str) -> bool:
+        """Retarget a terminally-failed QRPC at the next group member,
+        while its rotation budget lasts."""
+        manager, replica_set = self.manager, self.replica_set
+        if (
+            URN.parse(request.urn).authority != replica_set.authority
+            or not manager.pending(request)
+        ):
+            return False
+        if not self._spend_round(request, reason):
+            return True
+        message = manager.end_attempt(request)
+        # Rotate only past the member *this* request failed against:
+        # concurrent failures against one dead member must advance the
+        # shared pointer once, not once per request (which, with group
+        # size failures in a wave, cycles straight back to the corpse).
+        failed = (message.dst if message is not None else replica_set.current_host).name
+        replica_set.advance_past(failed)
+        self._count()
+        if self._join_wave(request):
+            # That member is dead as far as this client is concerned:
+            # pull every sibling still chasing it out of the scheduler
+            # now, so the whole backlog rides this one wave in log order
+            # instead of straggling in as later waves, one jittered
+            # retransmission timeout at a time, in scrambled order.
+            for sibling in manager.messages_to(failed):
+                manager.scheduler.evict(sibling, "replica member declared dead")
+        return True
+
+    def _join_wave(self, request: Any) -> bool:
+        """Add a request to the wave; True when this call opened it.
+
+        Requests exhaust retransmission in jitter-scrambled order, so
+        per-request resubmits would interleave the client's log across
+        the failover.  The wave is flushed once, in log order
+        (re-resolving each destination through the rotated set), after
+        the scheduler's own capped jittered backoff — a group-wide
+        outage must not turn into a tight probe loop.
+        """
+        self._wave.append(request)
+        if len(self._wave) > 1:
+            return False
+        delay = self.manager.scheduler._backoff_delay(request.failover_rounds)
+        self.manager.sim.schedule(delay, self._flush_wave)
+        return True
+
+    def _flush_wave(self) -> None:
+        wave, self._wave = self._wave, []
+        self.manager.resubmit_in_log_order(wave)
 
 
 class ReplicaAgent:
@@ -235,41 +383,7 @@ class ReplicaAgent:
             handler = table.get(service)
             if handler is not None:
                 self._inner[service] = handler
-        self.transport.register("rover.import", self._c_import)
-        self.transport.register("rover.export", self._c_export)
-        self.transport.register("rover.invoke", self._c_invoke)
-        self.transport.register("rover.ship", self._c_ship)
-        self.transport.register("rover.list", self._c_list)
-        self.transport.register("rover.subscribe", self._c_subscribe)
-        self.transport.register("rover.lock", self._c_lock)
-        self.transport.register("rover.unlock", self._c_unlock)
-
-    # Thin per-service trampolines: registered individually so the
-    # effect lint discovers each as a replay root (and so the funnel
-    # knows which service a request arrived on).
-    def _c_import(self, body: Any, source: Address) -> Any:
-        return self._serve_client("rover.import", body, source)
-
-    def _c_export(self, body: Any, source: Address) -> Any:
-        return self._serve_client("rover.export", body, source)
-
-    def _c_invoke(self, body: Any, source: Address) -> Any:
-        return self._serve_client("rover.invoke", body, source)
-
-    def _c_ship(self, body: Any, source: Address) -> Any:
-        return self._serve_client("rover.ship", body, source)
-
-    def _c_list(self, body: Any, source: Address) -> Any:
-        return self._serve_client("rover.list", body, source)
-
-    def _c_subscribe(self, body: Any, source: Address) -> Any:
-        return self._serve_client("rover.subscribe", body, source)
-
-    def _c_lock(self, body: Any, source: Address) -> Any:
-        return self._serve_client("rover.lock", body, source)
-
-    def _c_unlock(self, body: Any, source: Address) -> Any:
-        return self._serve_client("rover.unlock", body, source)
+            self.transport.register(service, functools.partial(self._serve_client, service))
 
     def start(self) -> None:
         """Begin heartbeat/failure-detection ticks (group calls this)."""

@@ -169,7 +169,6 @@ class QueuedMessage:
         "attempts",
         "enqueued_at",
         "state",
-        "size_hint",
         "route_preference",
         "trace",
         "last_queued_at",
@@ -187,7 +186,6 @@ class QueuedMessage:
         on_reply: Callable[[Any], None],
         on_failed: Callable[[str], None],
         enqueued_at: float,
-        size_hint: int = 0,
         route_preference: Optional[RouteKind] = None,
     ) -> None:
         self.seq = seq
@@ -200,7 +198,6 @@ class QueuedMessage:
         self.attempts = 0
         self.enqueued_at = enqueued_at
         self.state = "queued"  # queued | inflight | accepted | done | cancelled
-        self.size_hint = size_hint
         #: Trace context propagated in the body (see repro.obs.trace).
         self.trace = (
             parse_context(body[TRACE_KEY])
@@ -418,7 +415,6 @@ class NetworkScheduler:
         priority: Priority = Priority.DEFAULT,
         on_reply: Optional[Callable[[Any], None]] = None,
         on_failed: Optional[Callable[[str], None]] = None,
-        size_hint: int = 0,
         route_preference: Optional[RouteKind] = None,
     ) -> QueuedMessage:
         """Queue a request.  Non-blocking; callbacks fire on completion."""
@@ -431,7 +427,6 @@ class NetworkScheduler:
             on_reply=on_reply or (lambda body: None),
             on_failed=on_failed or (lambda reason: None),
             enqueued_at=self.sim.now,
-            size_hint=size_hint,
             route_preference=route_preference,
         )
         self._seq += 1

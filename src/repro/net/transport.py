@@ -550,7 +550,10 @@ class Transport:
 
             def settled(delay_s: float, final: Any) -> None:
                 nonlocal unsettled, compute_s
-                replies[index] = {"ok": ok, "body": final}
+                # Encoded now: an import reply holds the store's live
+                # data by reference, and a later member of this frame
+                # may mutate that object before the frame leaves.
+                replies[index] = Premarshalled({"ok": ok, "body": final})
                 compute_s += delay_s
                 unsettled -= 1
                 if tracer.enabled and isinstance(member_body, dict):

@@ -30,9 +30,10 @@ Delta wire format (a single-key dict, one-character tags):
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Optional
 
-from repro.net.message import MarshalError, marshal, marshalled_size
+from repro.core.qrpc import Operation
+from repro.net.message import MarshalError, Premarshalled, marshal, marshalled_size, unmarshal
 
 
 class DeltaError(Exception):
@@ -128,3 +129,85 @@ def worth_shipping(delta: Any, full_value: Any, margin: int = 0) -> bool:
     full ship.
     """
     return delta_size(delta) + margin < marshalled_size(full_value)
+
+
+def rebuild_import(entry: Any, reply: dict) -> Optional[dict]:
+    """Reconstruct a full import reply from a delta against our base.
+
+    The delta applies to the marshalled base bytes the cache ``entry``
+    recorded at commit time (never the live, possibly-mutated data), so
+    the rebuilt value is byte-identical to the server's copy.  Returns
+    ``None`` when the base we promised is no longer what we hold.
+    """
+    if entry is None or entry.base_version != int(reply.get("base_version", -1)):
+        return None
+    try:
+        new_data = apply_delta(unmarshal(entry.base_raw), reply["delta"])
+    except (DeltaError, KeyError):
+        return None
+    wire = entry.rdo.to_wire()
+    wire["data"] = new_data
+    wire["version"] = int(reply["version"])
+    return {"status": "ok", "rdo": wire, "version": int(reply["version"])}
+
+
+class DeltaShipping:
+    """Delta shipping, as a stage on the access manager's seam.
+
+    *Asking for and sending* deltas is what ``delta_shipping=True``
+    installs.  *Receiving* one (``ok-delta``, :func:`rebuild_import`)
+    is the core's: a reply is applied whoever asked for it.
+    """
+
+    def __init__(self, manager: Any) -> None:
+        self.manager = manager
+        manager.on_submit.append(self.on_submit)
+        manager.on_wire.append(self.on_wire)
+        manager.on_reply.append(self.on_reply)
+
+    def on_submit(self, request: Any) -> None:
+        """Warm re-import: tell the server which version we hold so it
+        can answer with a delta against it."""
+        if request.operation is not Operation.IMPORT or request.full_only:
+            return
+        held = self.manager.cache.peek(request.urn)
+        if held is not None and not held.tentative and held.base_version > 0:
+            request.args["have_version"] = held.base_version
+
+    def on_wire(self, request: Any, body: dict) -> None:
+        """Swap full export data for a structural delta when smaller.
+
+        The log record keeps the request's *full* args; the swap happens
+        here, at wire time, so a crash replay never depends on a delta
+        base that died with the cache.
+        """
+        if request.operation is not Operation.EXPORT or request.full_only or request.recovered:
+            return
+        entry = self.manager.cache.peek(request.urn)
+        base_version = int(body.get("base_version", 0))
+        if (
+            entry is None
+            or base_version <= 0
+            or entry.base_version != base_version
+            or "data" not in body
+        ):
+            return
+        # Encoded once: sized from its bytes here, spliced into the body.
+        delta = Premarshalled(diff_value(unmarshal(entry.base_raw), body["data"]))
+        # Charge the delta a small margin so break-even cases keep the
+        # simpler full ship.
+        if worth_shipping(delta, body["data"], margin=8):
+            del body["data"]
+            body["delta"] = delta
+
+    def on_reply(self, request: Any, reply: Any) -> bool:
+        """``need-full``: the server lost our delta base from its
+        history.  The log record still holds the full data, so the same
+        request goes out again with the delta path off — still pending,
+        unacknowledged: the server recorded nothing for it."""
+        if not isinstance(reply, dict) or reply.get("status") != "need-full":
+            return False
+        request.full_only = True
+        self.manager.end_attempt(request)
+        self.manager.resubmit(request, 0.0)
+        return True

@@ -1,0 +1,225 @@
+"""The access manager's seam, and the two stages behind it, each alone.
+
+A stage (``repro.ha.group.ClientFailover``, ``repro.perf.delta.
+DeltaShipping``) hangs its hooks on the manager's four lists and talks
+to it through a handful of named services.  That is little enough for
+a fake: the stages are driven here against ``FakeManager``, the manager
+against no stage at all, and an AST check keeps the stages from
+reaching past the interface.
+"""
+
+import ast
+import inspect
+from types import SimpleNamespace
+
+from repro.core.notification import EventType
+from repro.core.qrpc import Operation, QRPCRequest
+from repro.ha import build_ha_testbed
+from repro.ha.group import ClientFailover, ReplicaSet
+from repro.net.link import CSLIP_14_4
+from repro.obs import Observatory
+from repro.perf.delta import DeltaShipping
+from repro.testbed import build_multi_client_testbed, build_testbed
+from tests.conftest import make_note
+
+
+class FakeManager:
+    """All a stage may know of an access manager."""
+
+    def __init__(self, cache=None):
+        self.on_submit, self.on_wire, self.on_reply, self.on_failed = [], [], [], []
+        self.obs = Observatory()
+        self.host = SimpleNamespace(name="client")
+        self.cache = cache
+        self.calls = []
+
+    def pending(self, request):
+        return True
+
+    def end_attempt(self, request):
+        self.calls.append(("end_attempt", request.request_id))
+
+    def resubmit(self, request, delay):
+        self.calls.append(("resubmit", request.request_id, delay))
+
+    def fail(self, request, reason):
+        self.calls.append(("fail", request.request_id, reason))
+
+
+def request_for(authority="server", operation=Operation.INVOKE):
+    return QRPCRequest("client/0", "", operation, f"urn:rover:{authority}/notes/n1")
+
+
+def failover_stage():
+    manager = FakeManager()
+    hosts = [SimpleNamespace(name=name) for name in ("server", "server-b1", "server-b2")]
+    replica_set = ReplicaSet(hosts, "server")
+    stage = replica_set.client_stage(manager)
+    assert isinstance(stage, ClientFailover)
+    assert manager.on_reply == [stage.on_reply] and manager.on_failed == [stage.on_failed]
+    assert manager.on_submit == manager.on_wire == []
+    return manager, replica_set
+
+
+FENCE = {"status": "not-primary", "primary": "server-b1", "ha_epoch": 1, "ha_member": "server"}
+
+
+class TestClientFailoverAlone:
+    def test_hinted_fence_repoints_the_set_and_resubmits(self):
+        manager, replica_set = failover_stage()
+        (on_reply,) = manager.on_reply
+        assert on_reply(request_for(), FENCE) is True
+        assert replica_set.current_host.name == "server-b1" and replica_set.epoch_seen == 1
+        assert manager.calls == [("end_attempt", "client/0"), ("resubmit", "client/0", 0.05)]
+        counted = manager.obs.registry.get("qrpc_failovers_total")
+        assert counted.labels(host="client").value == 1
+
+    def test_a_request_for_another_authority_is_left_alone(self):
+        manager, replica_set = failover_stage()
+        elsewhere = request_for(authority="elsewhere")
+        assert manager.on_reply[0](elsewhere, FENCE) is False
+        assert manager.on_failed[0](elsewhere, "timeout") is False
+        assert replica_set.current_host.name == "server" and replica_set.epoch_seen == 0
+        assert manager.calls == [] and elsewhere.failover_rounds == 0
+
+    def test_an_answer_from_the_current_reign_passes_through(self):
+        manager, replica_set = failover_stage()
+        answer = {"status": "ok", "result": 1, "ha_epoch": 2, "ha_member": "server"}
+        assert manager.on_reply[0](request_for(), answer) is False
+        assert replica_set.epoch_seen == 2 and manager.calls == []
+
+    def test_a_stale_reign_still_pointed_at_is_rotated_off(self):
+        manager, replica_set = failover_stage()
+        replica_set.observe_epoch(3)
+        request = request_for()
+        deposed = {"status": "ok", "result": 1, "ha_epoch": 2, "ha_member": "server"}
+        assert manager.on_reply[0](request, deposed) is True
+        assert replica_set.current_host.name == "server-b1" and request.failover_rounds == 1
+        assert manager.calls == [("end_attempt", "client/0"), ("resubmit", "client/0", 0.05)]
+
+    def test_the_round_budget_ends_in_a_terminal_failure(self):
+        manager, replica_set = failover_stage()
+        replica_set.observe_epoch(3)
+        request = request_for()
+        request.failover_rounds = ClientFailover.max_rounds
+        deposed = {"status": "ok", "ha_epoch": 2, "ha_member": "server"}
+        assert manager.on_reply[0](request, deposed) is True  # seen to: failed
+        assert manager.calls == [
+            ("fail", "client/0", "replica group has no reachable primary")
+        ]
+        assert replica_set.rotations == 0
+
+
+class TestDeltaShippingAlone:
+    def test_need_full_marks_the_request_and_resubmits_at_once(self):
+        manager = FakeManager()  # no cache: a full-only request must not ask for one
+        stage = DeltaShipping(manager)
+        assert manager.on_submit == [stage.on_submit] and manager.on_wire == [stage.on_wire]
+        assert manager.on_reply == [stage.on_reply] and manager.on_failed == []
+        request = request_for(operation=Operation.EXPORT)
+        assert stage.on_reply(request, {"status": "need-full"}) is True
+        assert request.full_only
+        assert manager.calls == [("end_attempt", "client/0"), ("resubmit", "client/0", 0.0)]
+        body = {"data": {"text": "x" * 400}, "base_version": 1}
+        stage.on_wire(request, body)
+        assert set(body) == {"data", "base_version"}
+
+    def test_anything_else_is_the_answer(self):
+        manager = FakeManager()
+        stage = DeltaShipping(manager)
+        request = request_for(operation=Operation.EXPORT)
+        assert stage.on_reply(request, {"status": "committed", "version": 2}) is False
+        assert stage.on_reply(request, "garbage") is False
+        assert manager.calls == [] and not request.full_only
+
+
+class TestWhatTheManagerInstalls:
+    def test_plain_host_without_delta_has_four_empty_lists(self):
+        bed = build_testbed()
+        access = bed.access
+        assert access.on_submit == access.on_wire == access.on_reply == access.on_failed == []
+        assert bed.obs.registry.get("qrpc_failovers_total") is None
+        note = make_note()
+        bed.server.put_object(note)
+        assert access.import_(note.urn).wait(bed.sim).data == {"text": "hello"}
+
+    def test_replies_reach_failover_before_delta(self):
+        """``_ha_redirect`` ran ahead of the ``need-full`` check: a fence
+        must never be read as an answer, whatever else is installed."""
+        bed = build_ha_testbed(delta_shipping=True)
+        access = bed.clients[0].access
+        owners = [type(hook.__self__).__name__ for hook in access.on_reply]
+        assert owners == ["ClientFailover", "DeltaShipping"]
+        assert [type(hook.__self__).__name__ for hook in access.on_failed] == ["ClientFailover"]
+        assert bed.obs.registry.get("qrpc_failovers_total") is not None
+
+
+def test_a_third_stage_keeps_a_request_pending_through_the_real_manager():
+    """DESIGN.md's "writing a stage" example, as written there."""
+
+    class WaitForLock:
+        def __init__(self, manager):
+            self.manager = manager
+            manager.on_reply.append(self.on_reply)
+
+        def on_reply(self, request, reply):
+            if request.operation is not Operation.LOCK or reply.get("status") != "locked":
+                return False
+            self.manager.end_attempt(request)
+            self.manager.resubmit(request, 1.0)
+            return True
+
+    bed = build_multi_client_testbed(2)
+    note = make_note()
+    bed.server.put_object(note)
+    a, b = (stack.access for stack in bed.clients)
+    alice, bob = a.create_session("alice"), b.create_session("bob")
+    WaitForLock(b)
+    a.acquire_lock(note.urn, alice).wait(bed.sim)
+    waiting = b.acquire_lock(note.urn, bob)
+    bed.sim.run(until=bed.sim.now + 3.5)
+    assert not waiting.is_done and b.pending_count() == 1  # denied four times, told of none
+    assert bed.server.locks_denied == 4
+    a.release_lock(note.urn, alice)
+    bed.sim.run(until=bed.sim.now + 2.0)
+    assert waiting.value["status"] == "ok" and b.pending_count() == 0
+
+
+def test_neither_stage_reads_a_private_attribute_of_the_manager():
+    """'A stage sees a message's dispatch state through the interface
+    or not at all' (ROADMAP), enforced."""
+    for stage in (ClientFailover, DeltaShipping):
+        tree = ast.parse(inspect.getsource(inspect.getmodule(stage)))
+        (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == stage.__name__]
+        reached = [
+            f"{stage.__name__}: {ast.unparse(node)}"
+            for node in ast.walk(cls)
+            if isinstance(node, ast.Attribute)
+            and node.attr.startswith("_")
+            and ast.unparse(node.value) in ("manager", "self.manager")
+        ]
+        assert reached == []
+        assert "manager" in ast.unparse(cls)  # the check looked at something
+
+
+def test_reimport_retry_stays_a_full_import():
+    """The retry of an import whose reply could not be used carries no
+    ``have_version``, delta shipping or not: the copy still cached is
+    the one the answer was wrong for."""
+    bed = build_testbed(link_spec=CSLIP_14_4, delta_shipping=True)
+    note = make_note(text="v1")
+    bed.server.put_object(note)
+    urn = str(note.urn)
+    bed.access.import_(urn).wait(bed.sim)
+    # The session has read version 2 elsewhere; the server still holds 1.
+    session = bed.access.create_session("s")
+    session.record_read(urn, 2)
+    sent = []
+    bed.access.notifications.subscribe(
+        EventType.REQUEST_SENT,
+        lambda n: sent.append(dict(bed.access.log.get(n.details["request_id"]).args)),
+    )
+    waiter = bed.access.import_(urn, session, refresh=True)
+    bed.sim.run_until(lambda: len(sent) == 2, timeout=60)
+    assert sent == [{"have_version": 1}, {}]  # warm ask, then the full retry
+    assert not waiter.is_done

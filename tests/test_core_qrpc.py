@@ -1,6 +1,6 @@
 """QRPC record tests."""
 
-from repro.core.qrpc import Operation, QRPCRequest, QRPCStatus, SERVICE_BY_OPERATION
+from repro.core.qrpc import Operation, QRPCRequest, SERVICE_BY_OPERATION
 from repro.net.message import marshal, unmarshal
 from repro.net.scheduler import Priority
 
@@ -38,9 +38,14 @@ def test_every_operation_has_a_service():
     assert request.service == "rover.ship"
 
 
-def test_default_status_is_logged():
+def test_stage_bookkeeping_is_volatile():
+    """What a stage remembers about a request rides on the request but
+    never reaches the log or the wire: a recovered client starts fresh."""
     request = QRPCRequest("id", "", Operation.IMPORT, "urn:rover:a/b")
-    assert request.status is QRPCStatus.LOGGED
+    assert (request.failover_rounds, request.full_only, request.recovered) == (0, False, False)
+    request.failover_rounds, request.full_only, request.recovered = 3, True, True
+    clone = QRPCRequest.from_wire(request.to_wire())
+    assert (clone.failover_rounds, clone.full_only, clone.recovered) == (0, False, False)
 
 
 def test_operation_string_form():

@@ -360,6 +360,45 @@ class TestAntiEntropy:
         for server, _transport in bed.members:
             assert server.get_object(urn).data["text"] == "after-rejoin"
 
+    def test_a_sync_call_lost_in_flight_is_retried_on_a_later_tick(self):
+        """The rejoining member's anti-entropy request dies on the mesh
+        (the link was up when it left): the failed call must let go of
+        ``_syncing``, or no later tick would ever ask again."""
+        from repro.chaos.faults import FaultyLink, LinkFaultSpec
+        from repro.sim import make_rng
+
+        bed = make_bed(rpc_timeout_s=5.0, max_attempts=3)
+        urn = seeded_note(bed)
+        access = bed.clients[0].access
+        access.import_(urn).wait(bed.sim)
+        controller = ChaosController(bed.sim, obs=bed.obs)
+        old_primary = bed.members[0][0]
+        controller.crash_server(old_primary)
+        access.invoke(urn, "set_text", "after-kill")
+        assert access.drain(timeout=600.0)
+        promoted = bed.group.primary_agent()
+        rejoining = old_primary.ha_agent
+        (mesh,) = rejoining.host.links_to(promoted.host)
+
+        controller.restart_server(old_primary)
+        # A heartbeat tells it whom to sync from; its next tick asks.
+        assert bed.sim.run_until(
+            lambda: rejoining.primary_name == promoted.host.name, timeout=30.0
+        )
+        assert rejoining._needs_sync and not rejoining._syncing
+        injector = FaultyLink(mesh, LinkFaultSpec(drop=1.0), make_rng(CHAOS_SEED, "mesh")).install()
+        assert bed.sim.run_until(lambda: rejoining._syncing, timeout=30.0)
+        assert bed.sim.run_until(lambda: not rejoining._syncing, timeout=30.0)
+        assert injector.injected["drop"] >= 1
+        assert rejoining._needs_sync and rejoining.seq < promoted.seq  # nothing was adopted
+
+        injector.uninstall()
+        assert bed.sim.run_until(
+            lambda: converged(bed, include_crashed=True), timeout=200.0
+        )
+        assert old_primary.get_object(urn).data["text"] == "after-kill"
+        assert rejoining.role == "backup" and rejoining.epoch == promoted.epoch
+
 
 class TestFaultPlanIntegration:
     def test_primary_kill_resolves_victim_at_fire_time(self):
@@ -433,6 +472,25 @@ class TestCheckerRegressions:
 
         result = get_scenario("ha-failover").run()
         assert result.violations == []
+
+    def test_features_suite_is_clean_at_every_kill_time(self):
+        """``ha-failover-features`` without frame faults: the folded,
+        delta-carrying export survives the primary dying before,
+        during and after the reconnect drain (`make ha` explores the
+        faults on top)."""
+        from repro.check.scenarios import Chooser, get_scenario
+
+        scenario = get_scenario("ha-failover-features")
+        default = scenario.run()
+        assert default.violations == []
+        (kill_point,) = [
+            index for index, decision in enumerate(default.trace)
+            if decision.meta.get("point") == "primary-kill-at"
+        ]
+        for kill in range(1, len(scenario.kill_offsets)):
+            for stays_down in (0, 1):
+                result = scenario.run(Chooser({kill_point: kill, kill_point + 1: stays_down}))
+                assert result.violations == [], (kill, stays_down)
 
 
 SHIPPED_COUNT = (

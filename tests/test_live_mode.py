@@ -483,6 +483,33 @@ class TestLiveSchedulerThreads:
             abs(a - b) > 0.02 for a, b in zip(offsets["alice"], offsets["bob"])
         ), offsets
 
+    def test_a_foreground_import_upgrades_its_own_queued_prefetch(self, live_world):
+        """``import_`` runs on the application's thread and the queue is
+        the loop's: the upgrade of a prefetch still waiting there is
+        handed over, and takes effect before the message is sent."""
+        server, client = live_world
+        note = make_note()
+        server.put_object(note)
+        scheduler = client.scheduler
+        window, scheduler.max_inflight = scheduler.max_inflight, 0  # hold the queue
+        (prefetched,) = client.access.prefetch([note.urn])
+        assert client.clock.run_until(
+            lambda: scheduler.stats()["queued"]["background"] == 1, timeout=TIMEOUT
+        )
+        scheduler.max_inflight = window  # nothing pumps until the upgrade does
+        clicked = client.access.import_(note.urn)
+        assert client.clock.run_until(
+            lambda: clicked.is_done and prefetched.is_done, timeout=TIMEOUT
+        )
+        assert clicked.value.data == prefetched.value.data == {"text": "hello"}
+        waits = client.scheduler.obs.registry.get("sched_queue_wait_seconds")
+        dispatched_as = {
+            dict(zip(waits.labelnames, values))["priority"]: child.count
+            for values, child in waits.children()
+        }
+        assert dispatched_as == {"default": 1}
+        assert scheduler.delivered == 1  # one exchange served both callers
+
 
 @pytest.fixture
 def live_pair():

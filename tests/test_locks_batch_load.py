@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.notification import EventType
-from repro.net.link import CSLIP_2_4, ETHERNET_10M, IntervalTrace
+from repro.net.link import CSLIP_2_4, CSLIP_14_4, ETHERNET_10M, IntervalTrace
 from repro.testbed import build_multi_client_testbed, build_testbed
 from tests.conftest import make_note
 
@@ -154,6 +154,26 @@ class TestBatching:
             assert server_copy.data == {"text": f"batched edit {n}"}
             assert server_copy.version == 2
         assert bed.server.exports_conflicted == 0
+
+    def test_a_later_member_cannot_rewrite_an_earlier_members_answer(self):
+        """An import reply holds the store's live data by reference; a
+        member served after it in the same frame mutates that object in
+        place.  The import must see the object as it was when *it* was
+        served — version 1's text, not version 1 with version 2's."""
+        bed = build_testbed(link_spec=CSLIP_14_4, policy=IntervalTrace([(10.0, 1e9)]))
+        other = make_note(path="notes/other")
+        note = make_note(path="notes/n1", text="before")
+        bed.server.put_object(other)
+        bed.server.put_object(note)
+        # A head big enough for its bytes to dominate: the backlog
+        # behind it shares its frame.
+        bed.access.invoke_remote(other.urn, "set_text", ["y" * 600])
+        imported = bed.access.import_(note.urn)
+        bed.access.invoke_remote(note.urn, "set_text", ["after"])
+        assert bed.access.drain(timeout=120)
+        assert bed.scheduler.batches_sent == 1
+        assert (imported.value.version, imported.value.data) == (1, {"text": "before"})
+        assert bed.server.get_object(str(note.urn)).data == {"text": "after"}
 
 
 class TestLoad:

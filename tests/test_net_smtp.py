@@ -130,6 +130,32 @@ def test_mail_route_remote_error_propagates():
     assert "nope" in failures[0]
 
 
+def test_mail_route_lets_go_of_a_request_the_relay_never_took():
+    """The link to the relay drops with the submission on it: the route
+    must forget the mail id (no reply will ever name it) and tell the
+    scheduler, whose retry after the link returns is a fresh mail."""
+    sim, net, c, s, rh, direct, tc, ts, relay, mbc, mbs = make_mail_world(
+        # 14.4k: the ~100 B submission is still on the wire at 0.05 s.
+        client_relay_policy=IntervalTrace([(0.0, 0.05), (5.0, 1e9)]),
+    )
+    ts.register("ping", lambda body, src: {"pong": body["n"]})
+    MailRpcEndpoint(sim, ts, mbs)
+    scheduler = NetworkScheduler(sim, tc, base_backoff=0.1)
+    route = MailRoute(sim, mbc)
+    scheduler.add_route(route)
+    replies, failures = [], []
+    scheduler.submit(s, "ping", {"n": 7}, on_reply=replies.append, on_failed=failures.append)
+    sim.run(until=0.01)
+    assert len(route._pending) == 1  # handed to the mailbox, awaiting custody
+    sim.run(until=1.0)
+    assert relay.accepted == 0 and route._pending == {}
+    sim.run(until=60.0)
+    assert replies == [{"pong": 7}] and failures == []
+    assert scheduler.retransmissions == 1
+    assert relay.accepted == 2  # the retried request, and its reply
+    assert route._pending == {}
+
+
 def test_scheduler_prefers_direct_link_when_up():
     """With both routes available, quality selection picks the link."""
     sim, net, c, s, rh, direct, tc, ts, relay, mbc, mbs = make_mail_world(
