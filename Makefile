@@ -1,7 +1,7 @@
 PYTHON ?= python
 CHAOS_SEED ?= 0
 
-.PHONY: install test lint effects bench tables chaos check ha perf fleet speed perfbench perfbench-smoke sloc reach demo examples clean
+.PHONY: install test lint effects bench tables chaos check ha perf fleet speed perfbench perfbench-smoke sloc reach demo examples trace-smoke clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -110,8 +110,9 @@ REACH = REACH_DIR=$(CURDIR)/.reach PYTEST_PLUGINS=reach \
 	PYTHONPATH=$(CURDIR)/tools:$(CURDIR)/src:$(CURDIR)
 # `tables` builds E15/E16 at full scale (1,000 / 10,000 clients); `lint`,
 # `ha` and `fleet` are here because CI runs them: without them all of
-# repro/lint, the HA check scenarios and the fleet CLI read as unexecuted.
-REACH_DRIVERS ?= examples demo tables check lint ha fleet
+# repro/lint, the HA check scenarios and the fleet CLI read as unexecuted;
+# `trace-smoke` is the one driver that switches the product tracer on.
+REACH_DRIVERS ?= examples demo tables check lint ha fleet trace-smoke
 
 reach:
 	rm -rf .reach && mkdir .reach
@@ -128,6 +129,14 @@ demo:
 
 examples:
 	@for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f > /dev/null || exit 1; done
+
+# The product tracer end to end (docs/OBSERVABILITY.md): E2 with span
+# recording on, exported as JSONL, plus the metrics registry's render.
+TRACE_SMOKE_OUT ?= $(or $(TMPDIR),/tmp)/repro-trace-smoke-e2.jsonl
+
+trace-smoke:
+	$(PYTHON) -m repro.bench --trace-out $(TRACE_SMOKE_OUT) --metrics e2 > /dev/null
+	test -s $(TRACE_SMOKE_OUT)
 
 clean:
 	rm -rf .pytest_cache .hypothesis .reach src/repro.egg-info

@@ -306,10 +306,6 @@ class BlockingBrowser:
         view.completed_at = self.transport.sim.now
         return view
 
-    def mean_latency(self) -> float:
-        latencies = [view.latency for view in self.views if view.latency is not None]
-        return sum(latencies) / len(latencies) if latencies else float("nan")
-
     def session_time(self) -> float:
         displayed = [view for view in self.views if view.displayed]
         if not displayed:

@@ -45,12 +45,9 @@ def crash_and_recover_client(access: "AccessManager") -> tuple["AccessManager", 
     # -- the crash: volatile state dies -------------------------------
     scheduler.abandon_all()
     scheduler.transport.crash()
-    access.log.stable.crash()  # unflushed log appends are lost
+    access.log.crash()  # unflushed appends and the open flush window are lost
     host.unbind(INVALIDATION_PORT)
-    access._crashed = True  # scheduled _submit/_group_flush must not fire
-    if access._group_flush_timer is not None:
-        access._group_flush_timer.cancel()
-        access._group_flush_timer = None
+    access._crashed = True  # scheduled _submit calls must not fire
 
     # -- the restart: rebuild from the stable log ---------------------
     reborn = wire_access_manager(

@@ -31,11 +31,10 @@ from repro.chaos.invariants import (
 )
 from repro.chaos.plan import ClientCrash, FaultPlan, LinkFaultWindow, ServerOutage
 from repro.chaos.faults import LinkFaultSpec
-from repro.core.operation_log import OperationLog
 from repro.net.link import WAVELAN_2M
 from repro.net.message import marshal
 from repro.obs.metrics import percentile
-from repro.storage.stable_log import FileLogBackend, StableLog
+from repro.storage.stable_log import FileLogBackend
 from repro.testbed import build_testbed
 
 
@@ -82,17 +81,8 @@ def run_chaos_scenario(
         seed=seed,
         rpc_timeout_s=60.0,
         max_attempts=12,
+        stable_backend=FileLogBackend(log_path) if log_path is not None else None,
     )
-    if log_path is not None:
-        bed.access.log = OperationLog(
-            StableLog(
-                FileLogBackend(log_path),
-                obs=bed.obs,
-                owner=bed.client_host.name,
-            ),
-            obs=bed.obs,
-            owner=bed.client_host.name,
-        )
     app = MailServerApp(bed.server)
     folder_urn = str(app.create_folder("chaos"))
 

@@ -18,10 +18,10 @@ notification center:
   server;
 * :meth:`recover` — after a crash, re-submit every logged QRPC.
 
-Every QRPC is flushed to the stable log before it is handed to the
-scheduler; the flush time is charged to virtual time (it delays the
-submission) and accounted in :attr:`flush_seconds_total` — the exact
-quantity experiment E2 measures.
+Every QRPC is logged first and handed to the scheduler only once
+:mod:`repro.core.operation_log` says its record is durable; when the
+flush happens, its cost in virtual time and the account of it
+(:attr:`flush_seconds_total`, what experiment E2 measures) are the log's.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from repro.net.message import Premarshalled, marshal, unmarshal
 from repro.net.scheduler import NetworkScheduler, Priority
 from repro.net.simnet import Host
 from repro.obs import Observatory
-from repro.obs.trace import TRACE_KEY, Span
+from repro.obs.trace import TRACE_KEY, RequestTracing
 from repro.perf.compact import CallableRewrite, Compactor
 from repro.perf.delta import DeltaShipping, rebuild_import
 from repro.sim import Simulator
@@ -54,7 +54,13 @@ class AccessManagerError(Exception):
 
 
 class AccessManager:
-    """Rover toolkit entry point for one client host."""
+    """Rover toolkit entry point for one client host.
+
+    The operation log is fixed at construction — it keeps the disk's
+    clock and an open flush window, so it cannot be swapped under a live
+    manager: build the stack over the backend you want
+    (``build_testbed(stable_backend=...)``).
+    """
 
     def __init__(
         self,
@@ -87,7 +93,6 @@ class AccessManager:
         #: Observability: defaults to the scheduler's observatory so a
         #: hand-wired stack shares one registry/tracer per client.
         self.obs = obs if obs is not None else scheduler.obs
-        self.tracer = self.obs.tracer
         self._m_qrpc_latency = self.obs.registry.histogram(
             "qrpc_latency_seconds",
             "Queued-request round trip, logging through reply delivery",
@@ -98,31 +103,18 @@ class AccessManager:
             "QRPCs that exhausted retransmission",
             labelnames=("host", "op"),
         )
-        #: request_id -> open root span (tracing enabled only).
-        self._root_spans: dict[str, Span] = {}
         #: authority name -> home-server Host
         self.servers = dict(servers)
         self.cache = cache if cache is not None else ObjectCache(clock=lambda: sim.now)
         self.log = log if log is not None else OperationLog()
+        #: Group commit (see :meth:`OperationLog.append`): the log's to
+        #: apply; kept for crash recovery to hand to the reborn manager.
+        self.group_commit = group_commit
+        self.log.keep_time(sim, group_commit)
         self.notifications = notifications or NotificationCenter()
         self.cost_model = cost_model or ExecutionCostModel()
         #: Credential presented with every QRPC (see RoverServer.auth_tokens).
         self.auth_token = auth_token
-        #: Group commit: None flushes the log on every QRPC (the
-        #: paper's prototype); a policy batches appends behind one
-        #: flush per window, trading a wider crash-loss window for less
-        #: time on the critical path (ablated in benchmark E2b).  The
-        #: window's deadline stretches under bursts and its byte/record
-        #: budget forces the flush early (see
-        #: :class:`repro.storage.stable_log.GroupCommitPolicy`).
-        self.group_commit = group_commit
-        self._group_flush_timer: Any = None
-        self._gc_window_start = 0.0
-        self._gc_deadline = 0.0
-        self._unflushed: list[QRPCRequest] = []
-        #: The disk is a serial resource: concurrent flush requests
-        #: queue behind each other (virtual time).
-        self._flush_busy_until = 0.0
         self._invalidation_bound = False
         self.interpreter = SafeInterpreter(step_budget=step_budget)
         self.sessions = SessionRegistry(self.host.name)
@@ -132,7 +124,6 @@ class AccessManager:
         self._id_prefix = make_request_id(self.host.name, 0, incarnation).rpartition("/")[0]
         self._promises: dict[str, Promise] = {}
         self._conflict_handlers: list[Callable[[ConflictReport], None]] = []
-        self.flush_seconds_total = 0.0
         self.local_invokes = 0
         self.local_invoke_seconds_total = 0.0
         self.remote_invokes = 0
@@ -161,7 +152,7 @@ class AccessManager:
         self._engine: Optional[Compactor] = None
         if compactor is not None:
             self._build_engine()
-        #: The seam: a hook list at each of the four points where a
+        #: The seam: a hook list at each of the six points where a
         #: request changes hands; an empty list costs a request nothing.
         #: A *stage* (an optional feature) appends to them, and asks the
         #: rest of the services under "what a stage may ask" below.
@@ -176,6 +167,13 @@ class AccessManager:
         #: to the request": it stays pending, nothing else sees the event.
         self.on_reply: list[Callable[[QRPCRequest, Any], bool]] = []
         self.on_failed: list[Callable[[QRPCRequest, str], bool]] = []
+        #: ``on_durable(request, durable_at)``: the log's flush covering
+        #: the request completes at ``durable_at``; the scheduler gets it then.
+        self.on_durable: list[Callable[[QRPCRequest, float], None]] = []
+        #: ``on_settled(request, status)``: the request is over, "ok" (a
+        #: reply — its own, a synthetic one, its absorber's — is about to
+        #: be applied) or "failed" (for good).
+        self.on_settled: list[Callable[[QRPCRequest, str], None]] = []
         # A replicated authority installs its own stage (repro.ha), ahead
         # of any other: a fence must never be read as an answer.
         for server in self.servers.values():
@@ -184,6 +182,8 @@ class AccessManager:
                 client_stage(self)
         if delta_shipping:
             DeltaShipping(self)
+        if self.obs.tracer.enabled:
+            RequestTracing(self)
         self._watched_links: set[str] = set()
         self.watch_new_links()
 
@@ -727,17 +727,6 @@ class AccessManager:
     def _log_and_submit(self, request: QRPCRequest) -> None:
         for hook in self.on_submit:
             hook(request)
-        if self.tracer.enabled:
-            root = self.tracer.start_trace(
-                "qrpc",
-                start=self.sim.now,
-                op=str(request.operation),
-                urn=request.urn,
-                request_id=request.request_id,
-                host=self.host.name,
-            )
-            request.trace_id, request.span_id = root.trace_id, root.span_id
-            self._root_spans[request.request_id] = root
         self.notifications.publish(
             EventType.REQUEST_QUEUED,
             self.sim.now,
@@ -745,70 +734,21 @@ class AccessManager:
             operation=str(request.operation),
             urn=request.urn,
         )
-        if self.group_commit is not None:
-            self.log.append(request, flush=False)
-            self._unflushed.append(request)
-            self._arm_adaptive_flush()
-            self.compact_now()
-            return
-        flush_time = self.log.append(request)
-        self.flush_seconds_total += flush_time
-        # The flush occupies the critical path, and the disk is serial:
-        # hand the request to the scheduler only once its log record is
-        # durable, queueing behind any flush already in progress.
-        durable_at = max(self.sim.now, self._flush_busy_until) + flush_time
-        self._flush_busy_until = durable_at
-        self._trace_log_append(request, durable_at)
-        self.sim.schedule(durable_at - self.sim.now, self._submit, request)
+        # Durable first, the scheduler after: the log says when.
+        self.log.append(request, self._durable)
         self.compact_now()
 
-    def _trace_log_append(self, request: QRPCRequest, durable_at: float) -> None:
-        if self.tracer.enabled and request.trace_id:
-            self.tracer.record(
-                "log.append",
-                (request.trace_id, request.span_id),
-                start=self.sim.now,
-                end=durable_at,
-            )
+    def _durable(self, request: QRPCRequest, durable_at: float) -> None:
+        """The log's word that ``request``'s record is on its way to the
+        disk and safe at ``durable_at``: submit it then."""
+        for hook in self.on_durable:
+            hook(request, durable_at)
+        self.sim.schedule(durable_at - self.sim.now, self._submit, request)
 
-    def _arm_adaptive_flush(self) -> None:
-        """Arm or extend the adaptive group-commit window.
-
-        A full byte/record budget flushes immediately; otherwise the
-        deadline stretches with the burst, capped at ``max_window_s``
-        past the window's first append.
-        """
-        policy = self.group_commit
-        stable = self.log.stable
-        timer = self._group_flush_timer
-        if policy.budget_exceeded(stable.unflushed_bytes, stable.unflushed_records):
-            if timer is not None:
-                timer.cancel()
-            self._group_flush()
-            return
-        now = self.sim.now
-        if timer is None:
-            self._gc_window_start = now
-        deadline = policy.next_deadline(now, self._gc_window_start)
-        if timer is None or deadline > self._gc_deadline:
-            if timer is not None:
-                timer.cancel()
-            self._group_flush_timer = self.sim.schedule_at(deadline, self._group_flush)
-            self._gc_deadline = deadline
-
-    def _group_flush(self) -> None:
-        """One flush covers every append in the group-commit window."""
-        if self._crashed:
-            return
-        self._group_flush_timer = None
-        flush_time = self.log.flush()
-        self.flush_seconds_total += flush_time
-        durable_at = max(self.sim.now, self._flush_busy_until) + flush_time
-        self._flush_busy_until = durable_at
-        batch, self._unflushed = self._unflushed, []
-        for request in batch:
-            self._trace_log_append(request, durable_at)
-            self.sim.schedule(durable_at - self.sim.now, self._submit, request)
+    @property
+    def flush_seconds_total(self) -> float:
+        """Virtual disk time the log has spent flushing (E2's quantity)."""
+        return self.log.flush_seconds_total
 
     def _wire_body(self, request: QRPCRequest) -> Premarshalled:
         """Build the on-wire body for a request, marshalled exactly once."""
@@ -881,10 +821,10 @@ class AccessManager:
         for hook in self.on_reply:
             if hook(request, reply):
                 return
-        flush_time = self.log.acknowledge(request.request_id)
-        self.flush_seconds_total += flush_time
+        self.log.acknowledge(request.request_id)
         self._messages.pop(request.request_id, None)
-        self._finish_trace(request, status="ok")
+        for hook in self.on_settled:
+            hook(request, "ok")
         self._m_qrpc_latency.labels(
             host=self.host.name, op=str(request.operation)
         ).observe(self.sim.now - request.created_at)
@@ -919,22 +859,6 @@ class AccessManager:
         """
         for absorbed in self._absorbed.pop(request.request_id, []):
             self._deliver_synthetic(absorbed, reply)
-
-    def _finish_trace(self, request: QRPCRequest, status: str) -> None:
-        root = self._root_spans.pop(request.request_id, None)
-        if root is None:
-            return
-        if status == "ok":
-            # The reply is handed to the application right now; the
-            # zero-width span marks the boundary between transport and
-            # application in the trace.
-            self.tracer.record(
-                "reply.deliver",
-                (root.trace_id, root.span_id),
-                start=self.sim.now,
-                end=self.sim.now,
-            )
-        self.tracer.finish(root, end=self.sim.now, status=status)
 
     def _on_failed(self, request: QRPCRequest, reason: str) -> None:
         for hook in self.on_failed:
@@ -988,7 +912,8 @@ class AccessManager:
     def _report_failure(self, request: QRPCRequest, reason: str) -> None:
         """Tell ``request``'s observers it failed terminally — and those
         of every request it absorbed: so did they."""
-        self._finish_trace(request, status="failed")
+        for hook in self.on_settled:
+            hook(request, "failed")
         self.notifications.publish(
             EventType.REQUEST_FAILED,
             self.sim.now,
@@ -1221,9 +1146,7 @@ class AccessManager:
             message = self._messages.get(request_id)
             if message is not None and message.state == "queued":
                 message.body = self._wire_body(request)
-        flush_time = self.log.compact(drop_ids, rewrites)
-        self.flush_seconds_total += flush_time
-        self._flush_busy_until = max(self.sim.now, self._flush_busy_until) + flush_time
+        self.log.compact(drop_ids, rewrites)
         return len(drop_ids)
 
     def _compactable(self, request: QRPCRequest) -> bool:
@@ -1252,7 +1175,8 @@ class AccessManager:
         the request that absorbed it."""
         if self._crashed:
             return
-        self._finish_trace(request, status="ok")
+        for hook in self.on_settled:
+            hook(request, "ok")
         self.notifications.publish(
             EventType.RESPONSE_ARRIVED,
             self.sim.now,

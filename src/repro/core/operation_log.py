@@ -19,15 +19,35 @@ record.  Recovery is last-writer-wins per request id, so the fresh
 record supersedes the original, and the carried ``ord`` keeps the
 request at its original place in the queue (a bare re-append would
 move it to the back, reordering the replay).
+
+Durability is this module's job and nobody else's.  :meth:`append` is
+the one way a request is logged: the log writes the record, decides
+when the flush window closes (:meth:`OperationLog.keep_time` — no
+policy: now, the paper's flush-per-QRPC, a window of one; a
+:class:`~repro.storage.stable_log.GroupCommitPolicy`: when its budget
+fills, else at its stretching deadline), issues the one flush,
+takes a turn on the serial disk and tells every request the flush
+covered when it is durable.  It keeps the disk's clock and
+:attr:`flush_seconds_total` for every flush it causes — append window,
+acknowledgement, compaction, terminal failure — and :meth:`crash` is
+what a dying process does to all of it.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from types import SimpleNamespace
+from typing import Any, Callable, Optional
 
 from repro.core.qrpc import QRPCRequest
 from repro.net.message import marshal, unmarshal
-from repro.storage.stable_log import StableLog
+from repro.storage.stable_log import GroupCommitPolicy, StableLog
+
+#: The clock of a log nobody handed one (the record-format tests).
+_STOPPED = SimpleNamespace(now=0.0)
+
+#: ``on_durable(request, durable_at)``: the flush covering ``request``'s
+#: record has been issued and completes at virtual time ``durable_at``.
+OnDurable = Callable[[QRPCRequest, float], None]
 
 
 class OperationLog:
@@ -58,7 +78,26 @@ class OperationLog:
                 "Queued QRPCs removed from the log by compaction",
                 labelnames=("owner",),
             ).labels(owner=owner)
+        #: Virtual seconds of disk time, over every flush this log
+        #: caused — the exact quantity experiment E2 measures.
+        self.flush_seconds_total = 0.0
+        self._sim: Any = _STOPPED
+        self._policy: Optional[GroupCommitPolicy] = None
+        #: The disk is a serial resource: a flush that takes a turn
+        #: (window close, compaction) queues behind the one in progress.
+        self._busy_until = 0.0
+        #: The open window: who is waiting on it, when its first append
+        #: came, and the timer (with its deadline) that will close it.
+        self._waiting: list[tuple[QRPCRequest, Optional[OnDurable]]] = []
+        self._window_start = 0.0
+        self._deadline = 0.0
+        self._timer: Any = None
         self._recover()
+
+    def keep_time(self, sim: Any, policy: Optional[GroupCommitPolicy] = None) -> None:
+        """Hand the log its clock and its window policy (the access
+        manager's constructor does, with its own)."""
+        self._sim, self._policy = sim, policy
 
     def _recover(self) -> None:
         """Rebuild pending state from durable records (crash recovery)."""
@@ -76,37 +115,76 @@ class OperationLog:
 
     # -- writing ----------------------------------------------------------
 
-    def append(self, request: QRPCRequest, flush: bool = True) -> float:
-        """Log a new request; returns the flush time in seconds.
+    def append(self, request: QRPCRequest, on_durable: Optional[OnDurable] = None) -> float:
+        """Log a new request and see to its durability.
 
-        With ``flush=False`` the record is appended but not yet durable
-        (group commit: the caller batches several appends behind one
-        :meth:`flush`, trading a wider crash-loss window for fewer
-        synchronous disk waits — the optimization the paper's prototype
-        deliberately leaves out).
+        ``on_durable(request, durable_at)`` is called when the window
+        the record joined closes — inside this call if it closes now.
+        With no policy every append is its own window (the paper's
+        prototype: the flush is on each QRPC's critical path); a policy
+        batches appends behind one flush, trading a wider crash-loss
+        window for fewer synchronous disk waits (ablated in E2b).
+        Returns the flush time if this append closed the window.
         """
         seq = self.stable.append(marshal({"req": request.to_wire()}))
-        flush_time = self.stable.flush() if flush else 0.0
         self._pending[request.request_id] = request
         self._record_seq[request.request_id] = seq
         self._order[request.request_id] = seq
+        self._waiting.append((request, on_durable))
+        policy, stable, timer = self._policy, self.stable, self._timer
+        if policy is None or policy.budget_exceeded(
+            stable.unflushed_bytes, stable.unflushed_records
+        ):
+            if timer is not None:
+                timer.cancel()
+            return self._close_window()
+        # The deadline stretches with the burst, capped at
+        # ``max_window_s`` past the window's first append.
+        now = self._sim.now
+        if timer is None:
+            self._window_start = now
+        deadline = policy.next_deadline(now, self._window_start)
+        if timer is None or deadline > self._deadline:
+            if timer is not None:
+                timer.cancel()
+            self._timer = self._sim.schedule_at(deadline, self._close_window)
+            self._deadline = deadline
+        return 0.0
+
+    def _close_window(self) -> float:
+        """One flush covers every append of the window (free if an
+        acknowledgement's flush already took them along); it queues
+        behind any flush in progress, and each request is told when it
+        completes."""
+        self._timer = None
+        stable = self.stable
+        # StableLog.sync(), spelled out: a frame per QRPC on the window of one.
+        flush_time = stable.flush() if stable.unflushed_records else 0.0
+        self.flush_seconds_total += flush_time
+        durable_at = self._busy_until = max(self._sim.now, self._busy_until) + flush_time
+        waiting, self._waiting = self._waiting, []
+        for request, on_durable in waiting:
+            if on_durable is not None:
+                on_durable(request, durable_at)
         return flush_time
 
-    def flush(self) -> float:
-        """Durability barrier; returns the flush time.
-
-        Delegates to :meth:`StableLog.sync`: if a budget-triggered
-        group commit already made everything durable, the barrier is
-        free.
-        """
-        return self.stable.sync()
+    def crash(self) -> None:
+        """The process dies: the unflushed tail is lost and so is the
+        open window — its requests never became durable, nobody is told
+        they did."""
+        self.stable.crash()
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        self._waiting = []
 
     def acknowledge(self, request_id: str) -> float:
         """Record that the server's response has been processed.
 
         Idempotent: acknowledging twice (duplicate response) is a
         no-op returning zero cost — this is the at-most-once filter.
-        Returns the flush time in seconds.
+        Returns the flush time in seconds: disk time, but no turn on
+        the disk (nothing waits for an ack marker to be durable).
         """
         if request_id in self._acked or request_id not in self._pending:
             return 0.0
@@ -114,6 +192,7 @@ class OperationLog:
         self._acked.add(request_id)
         self.stable.append(marshal({"ack": request_id}))
         flush_time = self.stable.flush()
+        self.flush_seconds_total += flush_time
         self._maybe_truncate()
         return flush_time
 
@@ -156,6 +235,8 @@ class OperationLog:
         if not wrote:
             return 0.0
         flush_time = self.stable.flush()
+        self.flush_seconds_total += flush_time
+        self._busy_until = max(self._sim.now, self._busy_until) + flush_time
         self._maybe_truncate()
         return flush_time
 
@@ -169,11 +250,12 @@ class OperationLog:
             self._m_compacted.inc(n)
 
     def mark_failed(self, request_id: str) -> None:
-        """Terminal transport failure; the request leaves the pending set."""
+        """Terminal transport failure; the request leaves the pending
+        set behind an ack marker, flushed and charged as any ack's."""
         if self._pending.pop(request_id, None) is not None:
             self._acked.add(request_id)
             self.stable.append(marshal({"ack": request_id}))
-            self.stable.flush()
+            self.flush_seconds_total += self.stable.flush()
             self._maybe_truncate()
 
     def _maybe_truncate(self) -> None:
@@ -209,6 +291,3 @@ class OperationLog:
 
     def get(self, request_id: str) -> Optional[QRPCRequest]:
         return self._pending.get(request_id)
-
-    def __len__(self) -> int:
-        return len(self._pending)

@@ -97,9 +97,6 @@ class RDOVerificationError(RDOError):
         details = "\n".join(d.format() for d in self.diagnostics)
         super().__init__(f"{label} failed static verification:\n{details}")
 
-    def to_wire(self) -> list:
-        return [d.to_wire() for d in self.diagnostics]
-
 
 class RDO:
     """A relocatable dynamic object: named, versioned data plus code."""

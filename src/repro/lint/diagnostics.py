@@ -48,30 +48,6 @@ class Diagnostic:
             text += f"  [{self.hint}]"
         return text
 
-    def to_wire(self) -> dict:
-        """Marshallable form (travels in publish/ship rejection replies)."""
-        return {
-            "rule": self.rule,
-            "severity": self.severity.value,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "hint": self.hint,
-        }
-
-    @staticmethod
-    def from_wire(wire: dict) -> "Diagnostic":
-        return Diagnostic(
-            rule=wire["rule"],
-            severity=Severity(wire.get("severity", "error")),
-            path=wire.get("path", "<unknown>"),
-            line=int(wire.get("line", 0)),
-            col=int(wire.get("col", 0)),
-            message=wire.get("message", ""),
-            hint=wire.get("hint", ""),
-        )
-
 
 def sort_diagnostics(diagnostics: list[Diagnostic]) -> list[Diagnostic]:
     """Stable presentation order: by file, position, then rule id."""

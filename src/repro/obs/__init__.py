@@ -35,7 +35,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    default_registry,
     percentile,
 )
 from repro.obs.trace import TRACE_KEY, Span, Tracer, parse_context
@@ -108,7 +107,6 @@ __all__ = [
     "TRACE_KEY",
     "Tracer",
     "active_capture",
-    "default_registry",
     "export",
     "parse_context",
     "percentile",

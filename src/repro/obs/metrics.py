@@ -10,10 +10,9 @@ children::
     hits = registry.counter("cache_hits_total", labelnames=("owner",))
     hits.labels(owner="client").inc()
 
-There is one **process-global default registry**
-(:func:`default_registry`) for ad-hoc use, and every testbed builds a
-private :class:`MetricsRegistry` of its own so two scenarios in one
-process never share counters (see :mod:`repro.obs`).
+There is no process-global registry: every testbed builds a private
+:class:`MetricsRegistry` of its own so two scenarios in one process
+never share counters (see :mod:`repro.obs`).
 """
 
 from __future__ import annotations
@@ -96,22 +95,11 @@ class CounterChild(_Child):
 
 
 class GaugeChild(_Child):
-    __slots__ = ("_value", "_fn")
+    __slots__ = ("_fn",)
 
     def __init__(self, labelvalues: tuple[str, ...]) -> None:
         super().__init__(labelvalues)
-        self._value = 0.0
         self._fn: Optional[Callable[[], float]] = None
-
-    def set(self, value: float) -> None:
-        self._fn = None
-        self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._value -= amount
 
     def set_function(self, fn: Callable[[], float]) -> None:
         """Make this gauge a live view: ``fn()`` is called at read time.
@@ -124,9 +112,7 @@ class GaugeChild(_Child):
 
     @property
     def value(self) -> float:
-        if self._fn is not None:
-            return float(self._fn())
-        return self._value
+        return float(self._fn()) if self._fn is not None else 0.0
 
 
 #: Default latency-ish buckets (seconds), spanning a LAN RPC to a
@@ -161,22 +147,12 @@ class HistogramChild(_Child):
     def sum(self) -> float:
         return self._sum
 
-    @property
-    def mean(self) -> float:
-        if not self._values:
-            return 0.0
-        return self._sum / len(self._values)
-
     def percentile(self, p: float) -> float:
         """Exact percentile from the raw observations (not buckets)."""
         return percentile(self._values, p)
 
     def values(self) -> list[float]:
         return list(self._values)
-
-    @property
-    def value(self) -> float:  # snapshot convention: a histogram's count
-        return float(self.count)
 
 
 class Metric:
@@ -273,13 +249,6 @@ class Gauge(Metric):
     child_class = GaugeChild
     kind = "gauge"
 
-    def set(self, value: float) -> None:
-        self.default.set(value)  # type: ignore[attr-defined]
-
-    @property
-    def value(self) -> float:
-        return sum(child.value for __, child in self.children())  # type: ignore[attr-defined]
-
 
 class Histogram(Metric):
     __slots__ = ("buckets",)
@@ -299,9 +268,6 @@ class Histogram(Metric):
 
     def _make_child(self, key: tuple[str, ...]) -> HistogramChild:
         return HistogramChild(key, self.buckets)
-
-    def observe(self, value: float) -> None:
-        self.default.observe(value)  # type: ignore[attr-defined]
 
 
 class MetricsRegistry:
@@ -405,11 +371,3 @@ class MetricsRegistry:
             text = f"{value:.6f}".rstrip("0").rstrip(".") if value else "0"
             lines.append(f"{name:<{width}}  {text}")
         return "\n".join(lines)
-
-
-_DEFAULT_REGISTRY = MetricsRegistry()
-
-
-def default_registry() -> MetricsRegistry:
-    """The process-global registry (ad-hoc scripts; NOT used by testbeds)."""
-    return _DEFAULT_REGISTRY

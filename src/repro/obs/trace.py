@@ -24,9 +24,12 @@ The context travels on the QRPC envelope as a ``[trace_id, span_id]``
 pair (see :meth:`repro.core.qrpc.QRPCRequest.to_wire`), so the server
 side of the simulation attributes its spans to the client's trace.
 
-Tracing is **disabled by default and zero-cost when off**: every
-instrumentation site guards on :attr:`Tracer.enabled`, spans never
-consume virtual time, and a disabled tracer allocates nothing.
+Tracing is **disabled by default and zero-cost when off**: the
+``qrpc``, ``log.append`` and ``reply.deliver`` spans are recorded by
+:class:`RequestTracing`, which only a client built with tracing on
+installs; the scheduler's and transport's sites guard on
+:attr:`Tracer.enabled`; spans never consume virtual time, and a
+disabled tracer allocates nothing.
 """
 
 from __future__ import annotations
@@ -168,14 +171,55 @@ class Tracer:
         span = self.start_span(name, context, start, **attrs)
         return self.finish(span, end, status)
 
-    # -- reading ------------------------------------------------------------
 
-    def traces(self) -> dict[str, list[Span]]:
-        """Finished spans grouped by trace id."""
-        grouped: dict[str, list[Span]] = {}
-        for span in self.spans:
-            grouped.setdefault(span.trace_id, []).append(span)
-        return grouped
+class RequestTracing:
+    """The client-side spans of a QRPC, as a stage on the access
+    manager's seam: the ``qrpc`` root from submit to settlement, with
+    ``log.append`` and ``reply.deliver`` under it.  Installed by the
+    manager's constructor when its tracer is enabled; a client built
+    with tracing off runs none of this."""
 
-    def clear(self) -> None:
-        self.spans.clear()
+    def __init__(self, manager: Any) -> None:
+        self.manager = manager
+        self.tracer: Tracer = manager.obs.tracer
+        #: request_id -> open root span.
+        self.roots: dict[str, Span] = {}
+        manager.on_submit.append(self.begin)
+        manager.on_durable.append(self.logged)
+        manager.on_settled.append(self.finish)
+
+    def begin(self, request: Any) -> None:
+        """Open the root and stamp its context on the request, which
+        carries it onto the wire."""
+        root = self.tracer.start_trace(
+            "qrpc",
+            start=self.manager.sim.now,
+            op=str(request.operation),
+            urn=request.urn,
+            request_id=request.request_id,
+            host=self.manager.host.name,
+        )
+        request.trace_id, request.span_id = root.trace_id, root.span_id
+        self.roots[request.request_id] = root
+
+    def logged(self, request: Any, durable_at: float) -> None:
+        root = self.roots.get(request.request_id)
+        if root is not None:
+            self.tracer.record(
+                "log.append",
+                (root.trace_id, root.span_id),
+                start=self.manager.sim.now,
+                end=durable_at,
+            )
+
+    def finish(self, request: Any, status: str) -> None:
+        root = self.roots.pop(request.request_id, None)
+        if root is None:
+            return
+        now = self.manager.sim.now
+        if status == "ok":
+            # The reply is handed to the application right now; the
+            # zero-width span marks the boundary between transport and
+            # application in the trace.
+            self.tracer.record("reply.deliver", (root.trace_id, root.span_id), start=now, end=now)
+        self.tracer.finish(root, end=now, status=status)

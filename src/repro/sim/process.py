@@ -93,11 +93,6 @@ class Process:
         return self._alive
 
     @property
-    def finished(self) -> Signal:
-        """Waitable that fires when the process exits."""
-        return self._finished
-
-    @property
     def is_done(self) -> bool:
         return self._finished.is_done
 

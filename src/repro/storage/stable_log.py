@@ -29,8 +29,12 @@ opt-in.  Appends accumulate until an adaptive window closes — short
 under light load (latency barely suffers), stretching toward
 ``max_window_s`` under bursts (one fsync absorbs the burst), cut short
 when a byte/record budget fills — and one ``flush`` makes the whole
-batch durable.  :meth:`StableLog.sync` is the explicit barrier the
-commit path uses: it flushes only if something is actually unflushed.
+batch durable.  Who closes the window: the
+:class:`~repro.core.operation_log.OperationLog` above this one keeps
+the window (its timer, its deadline, the requests waiting on it), asks
+the policy when it ends and then flushes once, and only if something is
+actually unflushed (:meth:`StableLog.sync` is that barrier by name);
+this module owns the bytes and the counters.
 ``group_commits``/``fsyncs_saved`` count the batching effect
 (surfaced as ``log_group_commits_total``/``log_fsyncs_saved_total``).
 Crash semantics are unchanged: anything unflushed at ``crash()`` is
@@ -278,8 +282,10 @@ class StableLog:
         #: discipline.
         self.group_commits = 0
         self.fsyncs_saved = 0
-        self._unflushed_bytes = 0
-        self._unflushed_records = 0
+        #: Appended but not yet durable; the window's budget reads both
+        #: on every append.
+        self.unflushed_bytes = 0
+        self.unflushed_records = 0
         self._m_flush_seconds = None
         if obs is not None:
             # Surface the plain counters through the metrics registry
@@ -311,33 +317,23 @@ class StableLog:
         self._next_seq += 1
         self.backend.append(LogRecord(seq, payload))
         self.appends += 1
-        self._unflushed_bytes += len(payload)
-        self._unflushed_records += 1
+        self.unflushed_bytes += len(payload)
+        self.unflushed_records += 1
         return seq
-
-    @property
-    def unflushed_bytes(self) -> int:
-        """Bytes appended but not yet made durable."""
-        return self._unflushed_bytes
-
-    @property
-    def unflushed_records(self) -> int:
-        """Records appended but not yet made durable."""
-        return self._unflushed_records
 
     def flush(self) -> float:
         """Force appended records to stable storage.
 
         Returns the simulated flush duration in seconds (the caller —
-        the access manager — charges this to virtual time).
+        the operation log — charges this to virtual time).
         """
-        pending = self._unflushed_bytes
-        covered = self._unflushed_records
+        pending = self.unflushed_bytes
+        covered = self.unflushed_records
         self.backend.flush()
         self.flushes += 1
         self.bytes_flushed += pending
-        self._unflushed_bytes = 0
-        self._unflushed_records = 0
+        self.unflushed_bytes = 0
+        self.unflushed_records = 0
         if covered > 1:
             self.group_commits += 1
             self.fsyncs_saved += covered - 1
@@ -349,19 +345,14 @@ class StableLog:
     def sync(self) -> float:
         """Durability barrier: flush only if something is unflushed.
 
-        The group-commit path calls this instead of :meth:`flush` so a
-        window that was already flushed (budget breach, explicit
-        barrier elsewhere) costs nothing — no fsync, no counted flush,
-        zero virtual time.
+        A window is closed by this rule, not by a bare :meth:`flush`,
+        so one that was already flushed (an acknowledgement's flush
+        took its records along) costs nothing — no fsync, no counted
+        flush, zero virtual time.
         """
-        if self._unflushed_records == 0:
+        if self.unflushed_records == 0:
             return 0.0
         return self.flush()
-
-    def append_durable(self, payload: bytes) -> tuple[int, float]:
-        """Append and immediately flush; returns (seq, flush seconds)."""
-        seq = self.append(payload)
-        return seq, self.flush()
 
     def records(self) -> list[LogRecord]:
         """Durable records, oldest first (what recovery would see)."""
@@ -374,8 +365,8 @@ class StableLog:
     def crash(self) -> None:
         """Lose everything not yet flushed."""
         self.backend.crash()
-        self._unflushed_bytes = 0
-        self._unflushed_records = 0
+        self.unflushed_bytes = 0
+        self.unflushed_records = 0
 
     def close(self) -> None:
         self.backend.close()

@@ -198,6 +198,7 @@ def build_testbed(
     compaction: bool = False,
     delta_shipping: bool = False,
     group_commit: Optional[GroupCommitPolicy] = None,
+    stable_backend=None,
 ) -> Testbed:
     """Build the canonical client/server testbed.
 
@@ -217,7 +218,9 @@ def build_testbed(
 
     ``adapt_to_link=False`` is for the ablation rows that reproduce the
     paper's prototype on a slow link (no compression, one QRPC per
-    exchange); see :attr:`Transport.adapt_to_link`.
+    exchange); see :attr:`Transport.adapt_to_link`.  ``stable_backend``
+    is :func:`wire_access_manager`'s: what the client's log is kept on
+    (e.g. a :class:`~repro.storage.stable_log.FileLogBackend`).
     """
     if obs is None:
         obs = active_capture() or Observatory(tracing=trace)
@@ -248,6 +251,7 @@ def build_testbed(
         compaction=compaction,
         delta_shipping=delta_shipping,
         group_commit=group_commit,
+        stable_backend=stable_backend,
     )
 
     relay_host = relay = client_mailbox = server_mailbox = None

@@ -1,11 +1,11 @@
-"""The access manager's seam, and the two stages behind it, each alone.
+"""The access manager's seam, and the three stages behind it, each alone.
 
 A stage (``repro.ha.group.ClientFailover``, ``repro.perf.delta.
-DeltaShipping``) hangs its hooks on the manager's four lists and talks
-to it through a handful of named services.  That is little enough for
-a fake: the stages are driven here against ``FakeManager``, the manager
-against no stage at all, and an AST check keeps the stages from
-reaching past the interface.
+DeltaShipping``, ``repro.obs.trace.RequestTracing``) hangs its hooks on
+the manager's six lists and talks to it through a handful of named
+services.  That is little enough for a fake: the stages are driven here
+against ``FakeManager``, the manager against no stage at all, and an AST
+check keeps the stages from reaching past the interface.
 """
 
 import ast
@@ -16,8 +16,10 @@ from repro.core.notification import EventType
 from repro.core.qrpc import Operation, QRPCRequest
 from repro.ha import build_ha_testbed
 from repro.ha.group import ClientFailover, ReplicaSet
-from repro.net.link import CSLIP_14_4
+from repro.net.link import CSLIP_14_4, IntervalTrace
 from repro.obs import Observatory
+from repro.obs.trace import RequestTracing
+from repro.perf.compact import InvokeAbsorb
 from repro.perf.delta import DeltaShipping
 from repro.testbed import build_multi_client_testbed, build_testbed
 from tests.conftest import make_note
@@ -28,6 +30,8 @@ class FakeManager:
 
     def __init__(self, cache=None):
         self.on_submit, self.on_wire, self.on_reply, self.on_failed = [], [], [], []
+        self.on_durable, self.on_settled = [], []
+        self.sim = SimpleNamespace(now=0.0)
         self.obs = Observatory()
         self.host = SimpleNamespace(name="client")
         self.cache = cache
@@ -133,6 +137,62 @@ class TestDeltaShippingAlone:
         assert manager.calls == [] and not request.full_only
 
 
+def tracing_stage():
+    manager = FakeManager()
+    stage = RequestTracing(manager)
+    assert manager.on_submit == [stage.begin] and manager.on_durable == [stage.logged]
+    assert manager.on_settled == [stage.finish]
+    assert manager.on_wire == manager.on_reply == manager.on_failed == []
+    return manager, stage, manager.obs.tracer.spans
+
+
+class TestRequestTracingAlone:
+    def test_begin_stamps_the_request_and_logged_spans_the_flush(self):
+        manager, stage, spans = tracing_stage()
+        request = request_for()
+        manager.sim.now = 2.0
+        stage.begin(request)
+        root = stage.roots["client/0"]
+        assert (request.trace_id, request.span_id) == (root.trace_id, root.span_id) != ("", "")
+        assert root.name == "qrpc" and root.start == 2.0 and root.parent_id == ""
+        assert root.attrs == {
+            "op": "invoke", "urn": request.urn, "request_id": "client/0", "host": "client"
+        }
+        stage.logged(request, 2.015)
+        (logged,) = spans  # the root is collected when it closes, not before
+        assert (logged.name, logged.start, logged.end) == ("log.append", 2.0, 2.015)
+        assert (logged.trace_id, logged.parent_id) == (root.trace_id, root.span_id)
+
+    def test_finish_ok_marks_the_delivery_then_closes_the_root(self):
+        manager, stage, spans = tracing_stage()
+        request = request_for()
+        stage.begin(request)
+        manager.sim.now = 3.5
+        stage.finish(request, "ok")
+        deliver, root = spans
+        assert (deliver.name, deliver.start, deliver.end) == ("reply.deliver", 3.5, 3.5)
+        assert deliver.parent_id == root.span_id
+        assert (root.name, root.start, root.end, root.status) == ("qrpc", 0.0, 3.5, "ok")
+        assert stage.roots == {}
+
+    def test_finish_failed_closes_the_root_and_nothing_else(self):
+        manager, stage, spans = tracing_stage()
+        request = request_for()
+        stage.begin(request)
+        manager.sim.now = 9.0
+        stage.finish(request, "failed")
+        (root,) = spans
+        assert (root.name, root.end, root.status) == ("qrpc", 9.0, "failed")
+
+    def test_a_request_it_never_saw_begin_is_ignored(self):
+        manager, stage, spans = tracing_stage()
+        recovered = request_for()  # a previous incarnation's: replayed, never begun
+        stage.logged(recovered, 1.0)
+        stage.finish(recovered, "ok")
+        stage.finish(recovered, "failed")
+        assert spans == [] and stage.roots == {}
+
+
 class TestWhatTheManagerInstalls:
     def test_plain_host_without_delta_has_four_empty_lists(self):
         bed = build_testbed()
@@ -142,6 +202,19 @@ class TestWhatTheManagerInstalls:
         note = make_note()
         bed.server.put_object(note)
         assert access.import_(note.urn).wait(bed.sim).data == {"text": "hello"}
+
+    def test_tracing_off_means_six_empty_lists_and_no_tracer_in_the_class(self):
+        access = build_testbed().access
+        seam = ("on_submit", "on_wire", "on_reply", "on_failed", "on_durable", "on_settled")
+        assert [getattr(access, point) for point in seam] == [[]] * 6
+        assert not hasattr(access, "tracer") and not hasattr(access, "_root_spans")
+
+    def test_tracing_on_installs_the_stage_after_the_others(self):
+        access = build_testbed(trace=True, delta_shipping=True).access
+        owners = [type(hook.__self__).__name__ for hook in access.on_submit]
+        assert owners == ["DeltaShipping", "RequestTracing"]  # args amended, then stamped
+        assert [type(hook.__self__) for hook in access.on_durable] == [RequestTracing]
+        assert [type(hook.__self__) for hook in access.on_settled] == [RequestTracing]
 
     def test_replies_reach_failover_before_delta(self):
         """``_ha_redirect`` ran ahead of the ``need-full`` check: a fence
@@ -188,7 +261,7 @@ def test_a_third_stage_keeps_a_request_pending_through_the_real_manager():
 def test_neither_stage_reads_a_private_attribute_of_the_manager():
     """'A stage sees a message's dispatch state through the interface
     or not at all' (ROADMAP), enforced."""
-    for stage in (ClientFailover, DeltaShipping):
+    for stage in (ClientFailover, DeltaShipping, RequestTracing):
         tree = ast.parse(inspect.getsource(inspect.getmodule(stage)))
         (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == stage.__name__]
         reached = [
@@ -223,3 +296,24 @@ def test_reimport_retry_stays_a_full_import():
     bed.sim.run_until(lambda: len(sent) == 2, timeout=60)
     assert sent == [{"have_version": 1}, {}]  # warm ask, then the full retry
     assert not waiter.is_done
+
+
+def test_an_absorbed_requests_root_span_closes_ok_at_the_survivors_reply():
+    """``on_settled`` runs for a request that never crossed the wire
+    too: compaction folds it under a neighbour, whose reply is its own."""
+    bed = build_testbed(
+        policy=IntervalTrace([(0.0, 10.0), (100.0, 1e9)]), trace=True, compaction=True
+    )
+    note = make_note()
+    bed.server.put_object(note)
+    bed.access.add_compaction_rule(InvokeAbsorb("set_text"))
+    bed.sim.run(until=20.0)  # disconnected now
+    absorbed = bed.access.invoke_remote(note.urn, "set_text", ["one"])
+    survivor = bed.access.invoke_remote(note.urn, "set_text", ["two"])
+    bed.sim.run()
+    assert absorbed.result() == survivor.result() == "two" and bed.server.invokes_served == 1
+    roots = {span.attrs["request_id"]: span for span in bed.obs.tracer.spans if span.name == "qrpc"}
+    assert roots["client/0"].status == roots["client/1"].status == "ok"
+    assert roots["client/0"].end == roots["client/1"].end > 100.0
+    of_absorbed = [s.name for s in bed.obs.tracer.spans if s.trace_id == roots["client/0"].trace_id]
+    assert of_absorbed == ["log.append", "reply.deliver", "qrpc"]  # no wire, no server

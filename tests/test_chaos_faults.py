@@ -27,12 +27,11 @@ from repro.chaos import (
 )
 from repro.apps.mail import MailServerApp
 from repro.core.naming import make_request_id
-from repro.core.operation_log import OperationLog
 from repro.net.link import CSLIP_14_4, WAVELAN_2M, IntervalTrace
 from repro.net.message import MarshalError, marshal, seal, unseal
 from repro.net.simnet import NetworkError
 from repro.sim import Simulator, make_rng
-from repro.storage.stable_log import FileLogBackend, StableLog
+from repro.storage.stable_log import FileLogBackend
 from repro.testbed import build_testbed
 
 
@@ -276,12 +275,7 @@ def test_client_crash_recovery_replays_file_backed_log(tmp_path):
     bed = build_testbed(
         link_spec=WAVELAN_2M,
         policy=IntervalTrace([(0.0, 5.0), (30.0, 1e9)]),
-    )
-    bed.access.log = OperationLog(
-        StableLog(FileLogBackend(str(tmp_path / "oplog.bin")), obs=bed.obs,
-                  owner=bed.client_host.name),
-        obs=bed.obs,
-        owner=bed.client_host.name,
+        stable_backend=FileLogBackend(str(tmp_path / "oplog.bin")),
     )
     app = MailServerApp(bed.server)
     folder_urn = str(app.create_folder("inbox"))

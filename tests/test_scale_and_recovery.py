@@ -80,9 +80,8 @@ class TestFileBackedRecovery:
         bed = build_testbed(
             link_spec=ETHERNET_10M,
             policy=IntervalTrace([(0.0, 1.0), (100.0, 1e9)]),
+            stable_backend=FileLogBackend(log_path),  # a file-backed operation log
         )
-        # Swap in a file-backed operation log.
-        bed.access.log = OperationLog(StableLog(FileLogBackend(log_path)))
         note = make_note()
         bed.server.put_object(note)
         bed.access.import_(note.urn).wait(bed.sim)

@@ -51,13 +51,6 @@ class TestMemoryBackend:
         log.truncate_through(2)
         assert [r.seq for r in log.records()] == [3, 4]
 
-    def test_append_durable_combines(self):
-        log = StableLog(MemoryLogBackend())
-        seq, cost = log.append_durable(b"x")
-        assert seq == 0
-        assert cost > 0
-        assert len(log.records()) == 1
-
     def test_flush_cost_reflects_pending_bytes(self):
         model = FlushModel(latency_s=0.0, bytes_per_s=1000.0)
         log = StableLog(MemoryLogBackend(), flush_model=model)
