@@ -35,10 +35,15 @@ chaos:
 		tests/test_ha_failover.py \
 		"benchmarks/test_experiments.py::test_experiment[e13]"
 
-# Replicated home servers: failover/fencing/anti-entropy suite plus an
-# exhaustive pass over primary-kill interleavings (docs/ROBUSTNESS.md,
-# "Replication and failover") -- of a burst of remote appends, and of
-# the reconnect drain of a compacted, delta-shipped backlog.
+# Replicated home servers: failover/fencing/anti-entropy suite, the
+# unavailability bound as a gate (tests/test_ha_failover.py::
+# TestUnavailabilityBound: at the benchmark's shape, the longest ack gap
+# across a primary kill <= lease_s + heartbeat_s + 0.1 s -- 8.1 s at the
+# defaults; `make chaos` runs the same file under its seed matrix), plus
+# an exhaustive pass over primary-kill x election interleavings
+# (docs/ROBUSTNESS.md, "Replication and failover") -- of a burst of
+# remote appends, and of the reconnect drain of a compacted,
+# delta-shipped backlog.
 ha:
 	CHAOS_SEED=$(CHAOS_SEED) $(PYTHON) -m pytest -q \
 		tests/test_ha_failover.py tests/test_ha_satellites.py

@@ -602,7 +602,11 @@ class HAFailoverScenario(Scenario):
     The first two decision points pick *when* the primary dies relative
     to the append burst and whether it later rejoins (anti-entropy) or
     stays down; every client frame then carries the usual
-    drop/dup/delay alternatives.  Whatever the interleaving, the oracle
+    drop/dup/delay alternatives, every answer to an election poll
+    deliver/drop/delay, and one candidate may die between sending its
+    poll and deciding it, to restart :attr:`candidate_down_s` later
+    (its voters hold a promise nobody will redeem).  Whatever the
+    interleaving, the oracle
     demands: every acked append durable exactly once on the current
     primary, appends a legal sequential merge, exactly one live
     primary, all live members on one epoch, and — when the ex-primary
@@ -617,6 +621,8 @@ class HAFailoverScenario(Scenario):
     #: frame, inside the burst, during the drain tail, and after most
     #: of the traffic settled.
     kill_offsets = (0.01, 0.1, 0.5, 2.0)
+    #: How long a candidate killed mid-election stays down.
+    candidate_down_s = 3.0
 
     def build(self, **client_options: Any) -> Any:
         from repro.ha import build_ha_testbed
@@ -651,11 +657,35 @@ class HAFailoverScenario(Scenario):
         )
         rejoin = bed.sim.decide(2, {"point": "primary-stays-down"}) == 0
         ctx["rejoin"] = rejoin
-        ChaosController(bed.sim, obs=bed.obs).schedule_primary_kill(
+        controller = ChaosController(bed.sim, obs=bed.obs)
+        controller.schedule_primary_kill(
             bed.group,
             at=origin + self.kill_offsets[kill_at],
             down_for=20.0 if rejoin else 100_000.0,
         )
+        for agent in bed.group.agents:
+            self.arm_election_kill(bed, ctx, controller, agent)
+
+    def arm_election_kill(self, bed: Any, ctx: dict, controller: Any, agent: Any) -> None:
+        """A third decision, offered each time ``agent`` has sent an
+        election poll until one run takes it: the candidate dies before
+        any answer reaches it, and restarts a few seconds later."""
+        start_election = agent._start_election
+
+        def start_and_offer_kill() -> None:
+            polls = agent._election
+            start_election()
+            if agent._election == polls or "candidate_killed" in ctx:
+                return  # no poll went out, or a candidate died already
+            if bed.sim.decide(
+                2, {"point": "kill-during-election", "candidate": agent.host.name}
+            ):
+                ctx["candidate_killed"] = agent.host.name
+                controller.schedule_server_outage(
+                    agent.server, at=bed.sim.now, down_for=self.candidate_down_s
+                )
+
+        agent._start_election = start_and_offer_kill
 
     def settle_group(self, bed: Any, harness: CheckHarness, ctx: dict) -> None:
         """Settle the clients, then give replication and (on rejoin)

@@ -6,7 +6,10 @@ enumerable decision point through :meth:`repro.sim.Simulator.decide`:
 
 * :class:`CheckInjector` sits in the ``Link.fault_injector`` seam and
   offers, per frame, **deliver / drop / duplicate(delayed) / delay**
-  (plus **flap the link mid-transfer** when the scenario enables it);
+  (plus **flap the link mid-transfer** when the scenario enables it),
+  and per election-poll answer on a replication group's member mesh
+  **deliver / drop / delay** — what an election decides, and when, is
+  a function of which answers it has;
 * :func:`arm_crash_points` wraps a client's stable-log flush so every
   durable record boundary offers **continue / crash-and-recover**;
 * :func:`count_dispatch_while_down` wraps a client transport so the
@@ -101,6 +104,10 @@ class CheckHarness:
 #: Frame-level alternatives, in decide() order.  Index 0 (deliver
 #: unchanged) is the fault-free default every unexplored point takes.
 FRAME_ALTERNATIVES = ("deliver", "drop", "dup", "delay", "flap")
+#: What may happen to a voter's answer to an election poll (a replayed
+#: answer is one the candidate has already counted).
+POLL_SERVICE = "rover.ha.poll"
+POLL_ALTERNATIVES = ("deliver", "drop", "delay")
 
 
 class CheckInjector:
@@ -118,6 +125,7 @@ class CheckInjector:
         self.harness = harness
         self.link = link
         self._call_urns: dict[str, set[str]] = {}
+        self._call_service: dict[str, str] = {}
 
     # -- envelope inspection ------------------------------------------------
 
@@ -149,8 +157,9 @@ class CheckInjector:
             call_id = envelope.get("id")
             if isinstance(call_id, str):
                 # Remember the exchange so the reply frame (which has
-                # no body URN of its own) inherits the same footprint.
+                # no body URN or service of its own) inherits them.
                 self._call_urns[call_id] = set(urns)
+                self._call_service[call_id] = service
             body = envelope.get("body")
             request_id = body.get("request_id") if isinstance(body, dict) else None
             return {
@@ -162,7 +171,8 @@ class CheckInjector:
         if kind == "reply":
             call_id = envelope.get("id")
             urns = self._call_urns.get(call_id, set())
-            return {"kind": "reply", "urns": set(urns)}
+            service = self._call_service.get(call_id)
+            return {"kind": "reply", "service": service, "urns": set(urns)}
         urn = envelope.get("urn")
         return {
             "kind": str(kind),
@@ -175,10 +185,16 @@ class CheckInjector:
         if delivery.fail_reason is not None:
             return [delivery]  # the link's own loss model already lost it
         meta = self._describe(delivery.payload)
-        if self.harness.pruning and not self.harness.branchable(meta["urns"]):
+        alternatives = FRAME_ALTERNATIVES
+        if meta["kind"] == "reply" and meta.get("service") == POLL_SERVICE:
+            # Touches no object, so pruning has nothing to say about it.
+            alternatives = POLL_ALTERNATIVES
+            n = len(alternatives)
+        elif self.harness.pruning and not self.harness.branchable(meta["urns"]):
             self.harness.pruned_points += 1
             return [delivery]
-        n = len(FRAME_ALTERNATIVES) if self._can_flap() else 4
+        else:
+            n = len(FRAME_ALTERNATIVES) if self._can_flap() else 4
         decide_meta = {
             "point": "frame",
             "link": link.name,
@@ -189,7 +205,7 @@ class CheckInjector:
         }
         self.harness.decision_points += 1
         choice = self.harness.sim.decide(n, decide_meta)
-        action = FRAME_ALTERNATIVES[choice]
+        action = alternatives[choice]
         if action == "drop":
             return [Delivery(delivery.time, delivery.payload, "checker drop")]
         if action == "dup":

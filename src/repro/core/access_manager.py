@@ -714,15 +714,15 @@ class AccessManager:
         self._log_and_submit(request)
         return promise
 
-    def _server_for(self, urn: str) -> Host:
+    def _server_for(self, urn: str) -> Any:
+        """The authority's home server: a host, or a replicated
+        destination (a ``ReplicaSet``) whose member the scheduler names
+        per attempt."""
         authority = URN.parse(urn).authority
         server = self.servers.get(authority)
         if server is None:
             raise AccessManagerError(f"no home server for authority {authority!r}")
-        # A replicated authority is registered as a ReplicaSet (duck
-        # typed: anything with a current_host); a plain Host passes
-        # through untouched.
-        return getattr(server, "current_host", server)
+        return server
 
     def _log_and_submit(self, request: QRPCRequest) -> None:
         for hook in self.on_submit:
@@ -878,26 +878,16 @@ class AccessManager:
         (None when the scheduler was never handed the request)."""
         return self._messages.pop(request.request_id, None)
 
-    def messages_to(self, host_name: str) -> list:
-        """Scheduler messages of outstanding attempts bound for
-        ``host_name``, in submission order."""
-        return sorted(
-            (m for m in self._messages.values() if m.dst.name == host_name),
-            key=lambda message: message.seq,
-        )
+    def retry(self, request: QRPCRequest, rest: float) -> None:
+        """The attempt was answered, but not with the answer (or failed
+        for good): the scheduler sends the same message again, from its
+        place in the queue, once its destination has rested ``rest`` s."""
+        self.scheduler.retry(self._messages[request.request_id], rest)
 
     def resubmit(self, request: QRPCRequest, delay: float) -> None:
-        """Hand ``request`` to the scheduler again, ``delay`` s from now
-        (the destination is resolved then, not now)."""
+        """Hand ``request`` to the scheduler anew, with a wire body
+        built then, ``delay`` s from now."""
         self.sim.schedule(delay, self._submit, request)
-
-    def resubmit_in_log_order(self, requests: list[QRPCRequest]) -> None:
-        """Resubmit now whichever of ``requests`` are still pending, in
-        the order the log holds them."""
-        wanted = {request.request_id for request in requests}
-        for request in self.log.pending():
-            if request.request_id in wanted:
-                self._submit(request)
 
     def fail(self, request: QRPCRequest, reason: str) -> None:
         """``request`` failed for good: it leaves the log and its

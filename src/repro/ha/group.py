@@ -76,11 +76,13 @@ LOG_CAP = 1024
 class ReplicaSet:
     """A client's view of one authority's replication group.
 
-    Duck-typed into ``AccessManager.servers``: the access manager only
-    needs :attr:`current_host` (where to send the next request) and
-    :meth:`client_stage` (the :class:`ClientFailover` that moves the
-    pointer).  Each client owns a private instance — membership is
-    shared knowledge, but *which member to try next* is per-client.
+    Duck-typed into ``AccessManager.servers`` as a *replicated
+    destination*: the network scheduler reads :attr:`current_host` when
+    a message is about to leave and reports a member that did not answer
+    through :meth:`advance_past`; :meth:`client_stage` installs the
+    :class:`ClientFailover` that reads the group's fences.  Each client
+    owns a private instance — membership is shared knowledge, but *which
+    member to try next* is per-client.
     """
 
     def __init__(self, hosts: list[Host], authority: str) -> None:
@@ -88,33 +90,38 @@ class ReplicaSet:
             raise ValueError("a replica set needs at least one member")
         self.hosts = list(hosts)
         self.authority = authority
-        self._current = 0
+        #: Where the next attempt goes.
+        self.current_host = self.hosts[0]
+        #: The member this client's last unanswered attempt went to: a
+        #: hint naming it is not believed.  Cleared by any genuine answer
+        #: and when rotation comes round to it again — one lost reply
+        #: must not cost a live primary this client for good.
+        self.suspect = ""
         #: Highest replication epoch seen in any stamped reply; replies
         #: from lower epochs come from a deposed primary.
         self.epoch_seen = 0
         self.rotations = 0
 
-    @property
-    def current_host(self) -> Host:
-        return self.hosts[self._current]
-
     def learn_primary(self, host_name: str) -> bool:
         """Point at the named member; False when it is not one of ours."""
-        for index, host in enumerate(self.hosts):
+        for host in self.hosts:
             if host.name == host_name:
-                if index != self._current:
-                    self._current = index
+                self.current_host = host
                 return True
         return False
 
     def rotate(self) -> Host:
         """Advance to the next member (round-robin failover probe)."""
-        self._current = (self._current + 1) % len(self.hosts)
         self.rotations += 1
+        following = (self.hosts.index(self.current_host) + 1) % len(self.hosts)
+        self.current_host = self.hosts[following]
+        if self.current_host.name == self.suspect:
+            self.suspect = ""  # everyone else was asked: its turn again
         return self.current_host
 
     def advance_past(self, host_name: str) -> Host:
-        """Rotate only if still pointed at ``host_name`` (CAS probe).
+        """An attempt to ``host_name`` went unanswered: suspect it, and
+        rotate only if still pointed at it (compare-and-swap).
 
         Several outstanding requests share this set; when each rotates
         unconditionally on its own failure, a wave of N simultaneous
@@ -123,6 +130,7 @@ class ReplicaSet:
         The first failed request moves the pointer; the rest see it has
         already moved past their failed target and simply follow it.
         """
+        self.suspect = host_name
         if self.current_host.name == host_name:
             return self.rotate()
         return self.current_host
@@ -140,15 +148,15 @@ class ReplicaSet:
 
 
 class ClientFailover:
-    """Client failover, as a stage on the access manager's seam.
+    """The replication group's fence, read on the access manager's seam.
 
-    Keeps the requests bound for one replicated authority pending
-    through the replies and terminal failures that only say "wrong
-    member" (``manager.on_reply`` / ``on_failed``): it re-points the
-    :class:`ReplicaSet` and has the manager resubmit them.  What it
-    knows of a request's progress it is told by the manager's services
-    (``pending``, ``end_attempt``, ``messages_to``, ``resubmit``,
-    ``resubmit_in_log_order``, ``fail``).
+    Retrying is the scheduler's: it names the member per attempt and
+    moves on, in place, from one that does not answer.  Left here is
+    what only a *reply* says — ``not-primary``, or the stamp of a
+    deposed reign: this stage moves the :class:`ReplicaSet`'s pointer
+    (to the hinted member, or on by one) and has the manager ``retry``
+    the request, which stays pending under the scheduler message and
+    sequence number it has.  No queue, no timer.
     """
 
     #: Rotations one request may trigger before its failure turns
@@ -159,29 +167,31 @@ class ClientFailover:
     def __init__(self, manager: Any, replica_set: ReplicaSet) -> None:
         self.manager = manager
         self.replica_set = replica_set
-        #: Requests awaiting one resubmission together, in log order.
-        self._wave: list = []
         self._m_failovers = manager.obs.registry.counter(
             "qrpc_failovers_total",
-            "QRPCs redirected to another replica-group member",
+            "QRPCs sent again on a replica-group member's word (or silence)",
             labelnames=("host",),
         )
         manager.on_reply.append(self.on_reply)
         manager.on_failed.append(self.on_failed)
 
-    def _count(self) -> None:
+    def _retry(self, request: Any, rest: float) -> None:
         self._m_failovers.labels(host=self.manager.host.name).inc()
+        self.manager.retry(request, rest)
 
-    def _spend_round(
-        self, request: Any, reason: str = "replica group has no reachable primary"
-    ) -> bool:
-        """Charge ``request`` one rotation; False when that was one too
-        many and it has failed for good."""
+    def _spend_round(self, request: Any, reason: str, past: str = "") -> None:
+        """The probe made no progress: charge ``request`` a round, move
+        on from ``past`` if the set still points at it, and retry after
+        the scheduler's capped, jittered backoff for the rounds spent (a
+        group-wide outage must not turn into a tight probe loop) — or
+        fail the request for good, one round too many."""
         request.failover_rounds += 1
         if request.failover_rounds > self.max_rounds:
             self.manager.fail(request, reason)
-            return False
-        return True
+            return
+        if past == self.replica_set.current_host.name:
+            self.replica_set.rotate()
+        self._retry(request, self.manager.scheduler._backoff_delay(request.failover_rounds))
 
     def on_reply(self, request: Any, reply: Any) -> bool:
         """Route around the group's non-primary / deposed members.
@@ -201,84 +211,39 @@ class ClientFailover:
         fresh = epoch is None or replica_set.observe_epoch(int(epoch))
         fenced = reply.get("status") == "not-primary"
         if fresh and not fenced:
+            replica_set.suspect = ""
             return False  # an answer, from the current reign
         member = str(reply.get("ha_member", ""))
-        if fenced:
-            hinted = reply.get("primary") or ""
-            self._count()
-            if not (hinted and hinted != member and replica_set.learn_primary(hinted)):
-                # No usable hint (fresh backup pointing at itself, or no
-                # primary elected yet): the probe made no progress, so
-                # it spends a round and rides the backed-off wave — a
-                # flat 0.05 s bounce between fencing backups would burn
-                # the whole budget within a second of a no-primary window.
-                if self._spend_round(request):
-                    # On to the next member, unless a concurrent request
-                    # already moved the shared pointer off this one.
-                    replica_set.advance_past(member)
-                    self.manager.end_attempt(request)
-                    self._join_wave(request)
-                return True
-        elif member == replica_set.current_host.name:
-            # A deposed primary answered, and we still point at it:
-            # rotating is the only way off of it.
-            if not self._spend_round(request):
-                return True
-            replica_set.rotate()
-            self._count()
-        self.manager.end_attempt(request)
-        self.manager.resubmit(request, 0.05)
+        hinted = (reply.get("primary") or "") if fenced else ""
+        # A hint to believe is not: a backup pointing at itself, or one
+        # naming the member that just left this client unanswered (its
+        # lease on the corpse has not run out yet).
+        believed = hinted and hinted not in (member, replica_set.suspect)
+        if believed and replica_set.learn_primary(hinted):
+            self._retry(request, 0.05)
+        elif not fenced and member != replica_set.current_host.name:
+            # A deposed primary's late answer; the set has left it since.
+            self._retry(request, 0.05)
+        else:
+            self._spend_round(request, "replica group has no reachable primary", past=member)
         return True
 
     def on_failed(self, request: Any, reason: str) -> bool:
-        """Retarget a terminally-failed QRPC at the next group member,
-        while its rotation budget lasts."""
-        manager, replica_set = self.manager, self.replica_set
+        """Renew the attempt budget of a QRPC no member answered (the
+        scheduler asked one per attempt), while its rounds last."""
         if (
-            URN.parse(request.urn).authority != replica_set.authority
-            or not manager.pending(request)
+            URN.parse(request.urn).authority != self.replica_set.authority
+            or not self.manager.pending(request)
         ):
             return False
-        if not self._spend_round(request, reason):
-            return True
-        message = manager.end_attempt(request)
-        # Rotate only past the member *this* request failed against:
-        # concurrent failures against one dead member must advance the
-        # shared pointer once, not once per request (which, with group
-        # size failures in a wave, cycles straight back to the corpse).
-        failed = (message.dst if message is not None else replica_set.current_host).name
-        replica_set.advance_past(failed)
-        self._count()
-        if self._join_wave(request):
-            # That member is dead as far as this client is concerned:
-            # pull every sibling still chasing it out of the scheduler
-            # now, so the whole backlog rides this one wave in log order
-            # instead of straggling in as later waves, one jittered
-            # retransmission timeout at a time, in scrambled order.
-            for sibling in manager.messages_to(failed):
-                manager.scheduler.evict(sibling, "replica member declared dead")
+        self._spend_round(request, reason)
         return True
 
-    def _join_wave(self, request: Any) -> bool:
-        """Add a request to the wave; True when this call opened it.
 
-        Requests exhaust retransmission in jitter-scrambled order, so
-        per-request resubmits would interleave the client's log across
-        the failover.  The wave is flushed once, in log order
-        (re-resolving each destination through the rotated set), after
-        the scheduler's own capped jittered backoff — a group-wide
-        outage must not turn into a tight probe loop.
-        """
-        self._wave.append(request)
-        if len(self._wave) > 1:
-            return False
-        delay = self.manager.scheduler._backoff_delay(request.failover_rounds)
-        self.manager.sim.schedule(delay, self._flush_wave)
-        return True
-
-    def _flush_wave(self) -> None:
-        wave, self._wave = self._wave, []
-        self.manager.resubmit_in_log_order(wave)
+def _rank(member: dict) -> tuple[int, int]:
+    """Election rank a poll or its answer reports: most applied, then
+    lowest index."""
+    return int(member.get("seq", -1)), -int(member.get("index", 0))
 
 
 class ReplicaAgent:
@@ -326,9 +291,16 @@ class ReplicaAgent:
         #: Peer cursors, populated by the group after every member
         #: exists: [{name, host, acked_seq, inflight, attempts}].
         self.peers: list[dict] = []
+        #: Backup acks needed before a client reply may complete (a
+        #: majority, less the primary itself); set with the peers.
+        self.quorum_backups = 0
         #: Client replies gated on quorum: [{seq, epoch, gate, reply}].
         self._waiters: list[dict] = []
-        self._electing = False
+        #: The epoch this member proposed in the election poll it has
+        #: open (0: none), and how many polls it has opened — a poll's
+        #: answers and its timer decide that poll only.
+        self._standing = 0
+        self._election = 0
         self._needs_sync = False
         self._syncing = False
         self._crashed = False
@@ -368,11 +340,13 @@ class ReplicaAgent:
 
         server.ha_agent = self
         self._install_shims()
+        # A heartbeat is a replicate frame without records; a resync
+        # nudge, one whose sender knows of a gap it has no records for.
         transport.register("rover.ha.replicate", self._on_replicate)
-        transport.register("rover.ha.heartbeat", self._on_heartbeat)
+        transport.register("rover.ha.heartbeat", self._on_replicate)
+        transport.register("rover.ha.resync", functools.partial(self._on_replicate, gap=True))
         transport.register("rover.ha.poll", self._on_poll)
         transport.register("rover.ha.sync", self._on_sync)
-        transport.register("rover.ha.resync", self._on_resync)
 
     # -- wiring --------------------------------------------------------------
 
@@ -402,10 +376,15 @@ class ReplicaAgent:
             return 0.0
         return float(max(0, self._primary_seq - self.seq))
 
-    def _quorum_backups(self) -> int:
-        """Backup acks needed before a client reply may complete."""
-        members = len(self.group.agents)
-        return max(0, (members // 2 + 1) - 1)
+    def _hears_primary(self) -> bool:
+        """Is the primary this member would name alive as far as it can
+        tell — itself, or one heard from within the lease?  One answer
+        for the candidate that polls and the client that is fenced: a
+        lapsed lease is no hint."""
+        return (
+            self.role == "primary"
+            or (self.sim.now - self.last_heard) <= self.lease_s
+        )
 
     def _backoff(self, attempts: int) -> float:
         ceiling = min(
@@ -421,7 +400,7 @@ class ReplicaAgent:
         if self.role != "primary":
             return {
                 "status": "not-primary",
-                "primary": self.primary_name,
+                "primary": self.primary_name if self._hears_primary() else "",
                 "ha_epoch": self.epoch,
                 "ha_member": self.host.name,
             }
@@ -447,11 +426,12 @@ class ReplicaAgent:
         }
         self.seq = record["seq"]
         self.log.append(record)
-        self._trim_log()
+        if len(self.log) > LOG_CAP:
+            self._trim_log()
         stamped = self._stamp(reply)
         if delay_s > 0:
             stamped = DelayedReply(delay_s, stamped)
-        if self._quorum_backups() == 0:
+        if self.quorum_backups == 0:
             return stamped
         gate = AsyncReply()
         self._waiters.append(
@@ -477,16 +457,16 @@ class ReplicaAgent:
         return stamped
 
     def _trim_log(self) -> None:
-        if len(self.log) > LOG_CAP:
-            dropped = len(self.log) - LOG_CAP
-            self.base_seq = self.log[dropped - 1]["seq"]
-            del self.log[:dropped]
+        """Drop what the log holds beyond ``LOG_CAP`` (callers test)."""
+        dropped = len(self.log) - LOG_CAP
+        self.base_seq = self.log[dropped - 1]["seq"]
+        del self.log[:dropped]
 
     def _check_waiters(self) -> None:
         """Complete every gated reply whose record reached quorum."""
         if self.role != "primary" or self._crashed:
             return
-        needed = self._quorum_backups()
+        needed = self.quorum_backups
         remaining: list[dict] = []
         for waiter in self._waiters:
             if waiter["epoch"] != self.epoch:
@@ -518,20 +498,19 @@ class ReplicaAgent:
                     self._ship_to(peer)
                 else:
                     self._send_heartbeat(peer)
-        else:
-            if (
-                self.sim.now - self.last_heard > self.lease_s
-                and self.sim.now >= self._hold_until
-            ):
-                # Lease expiry trumps sync-need: a backup that still
-                # wants anti-entropy may have nobody to sync *from*
-                # (its recorded primary died, or was itself).  Standing
-                # for election is safe even then — rank deferral plus
-                # the majority requirement mean a behind member cannot
-                # win while any fresher member answers the poll.
-                self._start_election()
-            elif self._needs_sync:
-                self._start_sync()
+        elif (
+            self.sim.now - self.last_heard > self.lease_s
+            and self.sim.now >= self._hold_until
+        ):
+            # Lease expiry trumps sync-need: a backup that still wants
+            # anti-entropy may have nobody to sync *from* (its recorded
+            # primary died, or was itself).  Standing for election is
+            # safe even then — rank deferral plus the majority
+            # requirement mean a behind member cannot win while any
+            # fresher member answers the poll.
+            self._start_election()
+        elif self._needs_sync:
+            self._start_sync()
         self.sim.schedule(self.heartbeat_s, self._tick, incarnation)
 
     def _ship_to(self, peer: dict) -> None:
@@ -546,9 +525,8 @@ class ReplicaAgent:
         if not records:
             return
         incarnation = self._incarnation
-        epoch = self.epoch
         body = {
-            "epoch": epoch,
+            "epoch": self.epoch,
             "primary": self.host.name,
             "records": records,
             "commit_seq": self.seq,
@@ -590,12 +568,8 @@ class ReplicaAgent:
                 on_error=on_error,
                 timeout=4.0 * self.heartbeat_s,
             )
-        except RpcError:
-            peer["inflight"] = False
-            peer["attempts"] += 1
-            self.sim.schedule(
-                self._backoff(peer["attempts"]), self._retry_ship, peer, incarnation
-            )
+        except RpcError as no_route:
+            on_error(no_route)
 
     def _retry_ship(self, peer: dict, incarnation: int) -> None:
         if self._alive(incarnation) and self.role == "primary":
@@ -679,13 +653,14 @@ class ReplicaAgent:
 
     # -- backup: apply + failure detection ------------------------------------
 
-    def _on_replicate(self, body: Any, source: Address) -> Any:
+    def _on_replicate(self, body: Any, source: Address, gap: bool = False) -> Any:
+        """Apply the primary's records in sequence; a ``gap`` (in them,
+        or one the primary's log no longer covers) is for anti-entropy."""
         epoch = int(body.get("epoch", 0))
         verdict = self._observe_authority(epoch, str(body.get("primary", "")))
         if verdict is not None:
             return verdict
         self._primary_seq = int(body.get("commit_seq", self._primary_seq))
-        gap = False
         for record in body.get("records", []):
             seq = int(record.get("seq", 0))
             if seq <= self.seq:
@@ -696,15 +671,7 @@ class ReplicaAgent:
             self._apply(record)
         if gap and not self._needs_sync:
             self._needs_sync = True
-            self._schedule_sync()
-        return {"ack_seq": self.seq, "epoch": self.epoch}
-
-    def _on_heartbeat(self, body: Any, source: Address) -> Any:
-        epoch = int(body.get("epoch", 0))
-        verdict = self._observe_authority(epoch, str(body.get("primary", "")))
-        if verdict is not None:
-            return verdict
-        self._primary_seq = int(body.get("commit_seq", self._primary_seq))
+            self.sim.schedule(0.0, self._start_sync)
         return {"ack_seq": self.seq, "epoch": self.epoch}
 
     def _observe_authority(self, epoch: int, primary: str) -> Optional[dict]:
@@ -730,7 +697,7 @@ class ReplicaAgent:
                 self.role = "backup"
                 self._drop_waiters()
                 self._needs_sync = True
-                self._schedule_sync()
+                self.sim.schedule(0.0, self._start_sync)
         self.last_heard = self.sim.now
         return None
 
@@ -755,18 +722,16 @@ class ReplicaAgent:
                 self.server._apply_now = None
         self.seq = int(record["seq"])
         self.log.append(record)
-        self._trim_log()
+        if len(self.log) > LOG_CAP:
+            self._trim_log()
         self._m_applied.inc()
 
     def _on_poll(self, body: Any, source: Address) -> Any:
         """Answer an election poll: rank, epoch, and freshness."""
         proposed = int(body.get("proposed", 0))
-        heard = (
-            self.role == "primary"
-            or (self.sim.now - self.last_heard) <= self.lease_s
-        )
+        heard = self._hears_primary()
         floor = max(self.epoch, self.promised)
-        granted = proposed > floor and not heard
+        granted = not heard and (proposed > floor or self._yields_to(body, proposed))
         if granted:
             self.promised = proposed
         return {
@@ -777,14 +742,54 @@ class ReplicaAgent:
             "granted": granted,
         }
 
+    def _yields_to(self, poll: Any, proposed: int) -> bool:
+        """Two candidates whose polls crossed proposed the same epoch:
+        the lower-ranked one closes its own poll and votes for the other.
+
+        Each promised the number to itself; both refusing, they would
+        stand down and — ticking at the same instants, as after a
+        restart — propose the same next number again, for good (found by
+        ``ha-failover-features``).  The vote moves, it is not cast
+        twice: the closed poll's answers and timer decide nothing.
+        """
+        if proposed != self._standing or proposed != self.promised:
+            return False
+        if _rank(poll) <= (self.seq, -self.index):
+            return False
+        self._standing = 0
+        return True
+
     def _start_election(self) -> None:
-        if self._electing or self.role == "primary" or self._crashed:
+        """Poll every peer, and decide the moment the outcome is settled:
+        every polled peer has answered, or — sooner — a majority
+        (counting this candidate) has granted and no answer so far
+        reports a primary still ``heard``, a floor epoch at or above the
+        proposal, or a higher rank (:meth:`_wins`); waiting on could
+        only add grants.  A poll nobody settles — the dead primary never
+        answers — is decided when its calls time out, ``2 ×
+        heartbeat_s`` on.
+
+        Deciding early is as safe as deciding then: the granting
+        majority intersects every ack quorum, and each granter has
+        promised the epoch and not heard the old primary for ``lease_s``
+        — a primary a majority has not heard for a lease is not
+        committing (docs/ROBUSTNESS.md, "Elections"; the proof is
+        ``make ha``).
+        """
+        if self._standing or self.role == "primary" or self._crashed:
             return
-        self._electing = True
-        incarnation = self._incarnation
+        self._election += 1
+        election = self._election
         proposed = max(self.epoch, self.promised) + 1
-        self.promised = proposed
+        self.promised = self._standing = proposed
         replies: list[dict] = []
+        polled = 0
+
+        def on_reply(reply: Any) -> None:
+            replies.append(reply if isinstance(reply, dict) else {})
+            if len(replies) == polled or self._wins(proposed, replies):
+                self._decide_election(proposed, replies, election)
+
         for agent in self.group.agents:
             if agent is self:
                 continue
@@ -798,33 +803,46 @@ class ReplicaAgent:
                         "index": self.index,
                         "candidate": self.host.name,
                     },
-                    on_reply=lambda reply, acc=replies: acc.append(
-                        reply if isinstance(reply, dict) else {}
-                    ),
+                    on_reply=on_reply,
                     on_error=lambda error: None,
                     timeout=2.0 * self.heartbeat_s,
                 )
             except RpcError:
                 continue
+            polled += 1
         self.sim.schedule(
             2.0 * self.heartbeat_s + 0.01,
             self._decide_election,
             proposed,
             replies,
-            incarnation,
+            election,
         )
 
+    def _wins(self, proposed: int, replies: list[dict]) -> bool:
+        """A majority granted ``proposed`` and no reply objects to it."""
+        my_rank = (self.seq, -self.index)
+        votes = 1
+        for reply in replies:
+            if reply.get("heard") or _rank(reply) > my_rank:
+                return False
+            if reply.get("granted"):
+                votes += 1
+            elif int(reply.get("epoch", 0)) >= proposed:
+                return False
+        return votes > len(self.group.agents) // 2
+
     def _decide_election(
-        self, proposed: int, replies: list[dict], incarnation: int
+        self, proposed: int, replies: list[dict], election: int
     ) -> None:
-        if not self._alive(incarnation):
+        """Close poll number ``election`` — once: a later answer to it,
+        or its timer firing after a newer poll began (or after a crash
+        closed it), decides nothing."""
+        if election != self._election or not self._standing:
             return
-        self._electing = False
-        if self.role == "primary":
-            return
-        members = len(self.group.agents)
-        votes = 1 + sum(1 for reply in replies if reply.get("granted"))
-        if any(reply.get("heard") for reply in replies):
+        self._standing = 0
+        if self._wins(proposed, replies):
+            self._promote(proposed, replies)
+        elif any(reply.get("heard") for reply in replies):
             # Someone still hears the primary: not a failure, a
             # partition on our side.  Hold off and stand down — on a
             # *separate* clock: resetting ``last_heard`` here would
@@ -832,23 +850,12 @@ class ReplicaAgent:
             # not, and mutual stand-downs then livelock the group with
             # no primary at all.
             self._hold_until = self.sim.now + self.lease_s
-            return
-        highest = max(
-            (int(reply.get("epoch", 0)) for reply in replies), default=0
-        )
-        if highest >= proposed:
-            # A newer reign exists that we have not heard from yet;
-            # retry later with a higher proposal (next tick).
-            self.promised = max(self.promised, highest)
-            return
-        my_rank = (self.seq, -self.index)
-        for reply in replies:
-            rank = (int(reply.get("seq", -1)), -int(reply.get("index", 0)))
-            if rank > my_rank:
-                return  # a better-positioned peer will win its own election
-        if votes <= members // 2:
-            return  # no majority reachable: stay a backup (CP choice)
-        self._promote(proposed, replies)
+        else:
+            # A newer reign may exist that we have not heard from yet:
+            # retry later with a higher proposal (next tick).  Otherwise
+            # a better-positioned peer will win its own election, or no
+            # majority is reachable: stay a backup (CP choice).
+            self.promised = max([self.promised, *(int(r.get("epoch", 0)) for r in replies)])
 
     def _promote(self, new_epoch: int, replies: list[dict]) -> None:
         self.epoch = new_epoch
@@ -874,9 +881,6 @@ class ReplicaAgent:
                 self._send_heartbeat(peer)  # declare the new epoch now
 
     # -- anti-entropy ----------------------------------------------------------
-
-    def _schedule_sync(self) -> None:
-        self.sim.schedule(0.0, self._start_sync)
 
     def _start_sync(self) -> None:
         if (
@@ -969,17 +973,6 @@ class ReplicaAgent:
             "primary": self.host.name,
         }
 
-    def _on_resync(self, body: Any, source: Address) -> Any:
-        """Primary's nudge: our gap outlived its log — run anti-entropy."""
-        epoch = int(body.get("epoch", 0))
-        verdict = self._observe_authority(epoch, str(body.get("primary", "")))
-        if verdict is not None:
-            return verdict
-        if not self._needs_sync:
-            self._needs_sync = True
-            self._schedule_sync()
-        return {"ack_seq": self.seq, "epoch": self.epoch}
-
     # -- process faults ---------------------------------------------------------
 
     def crash(self) -> None:
@@ -987,7 +980,7 @@ class ReplicaAgent:
         self._crashed = True
         self._incarnation += 1
         self._drop_waiters()
-        self._electing = False
+        self._standing = 0
         self._syncing = False
         for peer in self.peers:
             peer["inflight"] = False
@@ -998,9 +991,13 @@ class ReplicaAgent:
         self._incarnation += 1
         self.role = "backup"
         self.promised = max(self.promised, self.epoch)
-        self.last_heard = self.sim.now
+        # A lease's grace before standing for election, on the hold-off
+        # clock: a restart is not a primary heard from, and saying so to
+        # a poll or a client keeps a group that lost its primary
+        # meanwhile headless for another lease (ha-failover-features).
+        self._hold_until = self.sim.now + self.lease_s
         self._needs_sync = True
-        self._schedule_sync()
+        self.sim.schedule(0.0, self._start_sync)
         self.start()
 
 
@@ -1036,6 +1033,7 @@ class ReplicationGroup:
         first.role = "primary"
         for agent in self.agents:
             agent.primary_name = first.host.name
+            agent.quorum_backups = len(self.agents) // 2
             agent.peers = [
                 {
                     "name": other.host.name,

@@ -14,6 +14,10 @@ This module implements exactly that:
   best *available* route per message, preferring higher quality;
 * bounded in-flight window, retransmission with exponential backoff,
   and terminal failure reporting after ``max_attempts``;
+* a *replicated* destination (a :class:`repro.ha.group.ReplicaSet`)
+  names its member per attempt, as a route names its link; a member
+  that does not answer is moved on from and the attempt retried in
+  place (:meth:`NetworkScheduler._attempt_failed`);
 * on a link where bytes, not round trips, are what the sender waits
   for, queued messages of one priority class for one destination share
   a frame (:meth:`NetworkScheduler._gather`) — the reconnect backlog of
@@ -28,6 +32,7 @@ from __future__ import annotations
 import heapq
 from enum import IntEnum
 from functools import cached_property
+from operator import attrgetter
 from typing import Any, Callable, Optional
 
 from repro.net.message import marshalled_size
@@ -161,6 +166,7 @@ class QueuedMessage:
     __slots__ = (
         "seq",
         "dst",
+        "group",
         "service",
         "body",
         "priority",
@@ -179,7 +185,7 @@ class QueuedMessage:
     def __init__(
         self,
         seq: int,
-        dst: Host,
+        dst: Optional[Host],
         service: str,
         body: Any,
         priority: Priority,
@@ -189,7 +195,11 @@ class QueuedMessage:
         route_preference: Optional[RouteKind] = None,
     ) -> None:
         self.seq = seq
+        #: The host the current (or last) attempt goes to.  A message
+        #: for a replicated destination has none until it is dispatched:
+        #: ``group`` names the member then, and again on every retry.
         self.dst = dst
+        self.group: Any = None
         self.service = service
         self.body = body
         self.priority = priority
@@ -216,7 +226,7 @@ class QueuedMessage:
         self.body_bytes = marshalled_size(body)
         #: The wire exchange carrying the current attempt, while the
         #: message waits on its outcome.  The exchange lists its members,
-        #: so whatever ends the wait (reply, failed attempt, evict,
+        #: so whatever ends the wait (reply, failed or withdrawn attempt,
         #: abandon) drops this and no reference cycle outlives it.
         self.exchange: Optional[_Exchange] = None
 
@@ -225,7 +235,7 @@ class QueuedMessage:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<QueuedMessage #{self.seq} {self.service} -> {self.dst.name} "
+            f"<QueuedMessage #{self.seq} {self.service} -> {getattr(self.dst, 'name', '?')} "
             f"{self.priority.name} {self.state}>"
         )
 
@@ -238,10 +248,6 @@ class _Exchange:
     def __init__(self, members: list[QueuedMessage]) -> None:
         self.members = members
         self.holds_slot = True
-
-
-#: States in which a message still waits for its exchange's outcome.
-_OUTSTANDING = ("inflight", "accepted")
 
 
 class NetworkScheduler:
@@ -280,6 +286,9 @@ class NetworkScheduler:
         self._active: set[QueuedMessage] = set()
         self._seq = 0
         self._inflight = 0
+        #: Replicated destinations nothing is sent to for now (one that
+        #: just went unanswered, or fenced), and until when.
+        self._resting: dict[Any, float] = {}
         self.obs = obs if obs is not None else Observatory()
         self.tracer = self.obs.tracer
         registry = self.obs.registry
@@ -417,7 +426,13 @@ class NetworkScheduler:
         on_failed: Optional[Callable[[str], None]] = None,
         route_preference: Optional[RouteKind] = None,
     ) -> QueuedMessage:
-        """Queue a request.  Non-blocking; callbacks fire on completion."""
+        """Queue a request.  Non-blocking; callbacks fire on completion.
+
+        ``dst`` is a host, or a replicated destination (duck-typed:
+        not a :class:`Host`, and has ``current_host``): it is read for
+        the member to send to each time the message leaves, and told
+        ``advance_past(name)`` when that member does not answer.
+        """
         message = QueuedMessage(
             seq=self._seq,
             dst=dst,
@@ -429,6 +444,8 @@ class NetworkScheduler:
             enqueued_at=self.sim.now,
             route_preference=route_preference,
         )
+        if not isinstance(dst, Host) and hasattr(dst, "current_host"):
+            message.group, message.dst = dst, None
         self._seq += 1
         self._active.add(message)
         self._push(message)
@@ -445,33 +462,18 @@ class NetworkScheduler:
         self._active.discard(message)
         return True
 
-    def evict(self, message: QueuedMessage, reason: str) -> bool:
-        """Terminally fail a message now, without waiting out its
-        retransmission budget.
+    def retry(self, message: QueuedMessage, rest: float) -> None:
+        """Send ``message`` again: its owner says the last attempt to
+        its replicated destination was answered (or failed for good),
+        but not with the answer, and has moved the destination on.
 
-        The failover path uses this when a destination has been
-        declared dead: sibling messages still chasing it should fail
-        as a group, not straggle in one retransmission timeout at a
-        time.  Unlike :meth:`cancel` this fires ``on_failed`` (so the
-        owner can reroute) and also takes messages already in flight —
-        late wire callbacks see a terminal state and are ignored.
+        As after an unanswered attempt (:meth:`_attempt_failed`), but
+        with a fresh attempt budget and ``rest`` seconds of rest.
         """
-        if message.state not in ("queued", "inflight", "accepted"):
-            return False
-        was_inflight = message.state == "inflight"
-        message.state = "done"
-        exchange, message.exchange = message.exchange, None
-        if was_inflight and not any(
-            member.state == "inflight" for member in exchange.members
-        ):
-            # Nobody is left waiting on the exchange: free its slot now
-            # rather than when (if ever) its late outcome arrives.
-            self._release(exchange)
-        self._active.discard(message)
-        self._m_failed.inc()
-        message.on_failed(reason)
-        self._pump()
-        return True
+        message.attempts = 0
+        self._active.add(message)
+        self._back_in_line(message)
+        self._rest(message.group, message.dst, rest)
 
     def reprioritize(self, message: QueuedMessage, priority: Priority) -> bool:
         """Raise/lower a *queued* message's priority (e.g. a background
@@ -515,6 +517,7 @@ class NetworkScheduler:
                 message.exchange = None
         self._active.clear()
         self._heap.clear()
+        self._resting.clear()
         self._inflight = 0
         return count
 
@@ -573,6 +576,12 @@ class NetworkScheduler:
             if message.state != "queued":
                 heapq.heappop(self._heap)
                 continue
+            group = message.group
+            if group is not None:
+                if group in self._resting:
+                    deferred.append(heapq.heappop(self._heap))
+                    continue
+                message.dst = group.current_host
             route = self._best_route(message.dst, message.route_preference)
             if route is None:
                 # This message's destination (or pinned carrier) is
@@ -614,6 +623,11 @@ class NetworkScheduler:
                 continue
             if candidate.priority != head.priority:
                 break
+            group = candidate.group
+            if group is not None:
+                # Named per attempt, like ``head``'s; a resting
+                # destination has no member to share a frame with.
+                candidate.dst = None if group in self._resting else group.current_host
             if candidate.dst is not head.dst or candidate.route_preference is not None:
                 skipped.append(heapq.heappop(self._heap))
                 continue
@@ -708,7 +722,7 @@ class NetworkScheduler:
             # Store-and-forward custody: the channel is free, but the
             # messages stay logically outstanding until their reply.
             for message in members:
-                if message.state == "inflight":
+                if message.exchange is exchange and message.state == "inflight":
                     message.state = "accepted"
             self._release(exchange)
             self._pump()
@@ -725,8 +739,8 @@ class NetworkScheduler:
             self._release(exchange)
             waiting = False
             for message, (ok, reply) in zip(members, outcomes):
-                if message.state not in _OUTSTANDING:
-                    continue
+                if message.exchange is not exchange:
+                    continue  # settled, or withdrawn and sent again since
                 waiting = True
                 if ok:
                     message.state = "done"
@@ -743,7 +757,7 @@ class NetworkScheduler:
 
         def on_error(reason: str) -> None:
             self._release(exchange)
-            waiting = [m for m in members if m.state in _OUTSTANDING]
+            waiting = [m for m in members if m.exchange is exchange]
             if not waiting:
                 return
             # A failure *during* transmit (Link.fail_inflight) surfaces
@@ -752,7 +766,8 @@ class NetworkScheduler:
             # or the pump below re-dispatches straight into the outage.
             self._route_cache.clear()
             for message in waiting:
-                self._attempt_failed(message, reason)
+                if message.exchange is exchange:  # not failed with a sibling
+                    self._attempt_failed(message, reason)
             self._pump()
 
         if not coalesced:
@@ -767,13 +782,30 @@ class NetworkScheduler:
 
     def _attempt_failed(self, message: QueuedMessage, reason: str) -> None:
         """Back off and retry ``message``, or fail it for good once its
-        attempts are spent."""
+        attempts are spent.
+
+        To a plain host the retry waits out its own backoff.  A member
+        of a replicated destination that does not answer is not asked
+        again: the destination is told (``advance_past``), every attempt
+        still outstanding to that member ends with this one, and the
+        destination rests one backoff while the messages stand in the
+        queue under the ``seq`` they have — ``(priority, seq)`` is the
+        order the next member sees, as the first one would have.
+        """
         message.exchange = None
+        group = message.group
+        if group is not None:
+            rest = self._backoff_delay(message.attempts)
+            group.advance_past(message.dst.name)
+            self._rest(group, message.dst, rest)
         if message.attempts >= self.max_attempts:
             message.state = "done"
             self._active.discard(message)
             self._m_failed.inc()
             message.on_failed(reason)
+        elif group is not None:
+            self._note_retry(message, rest, reason)
+            self._back_in_line(message)
         else:
             message.state = "queued"
             backoff = self._backoff_delay(message.attempts)
@@ -786,3 +818,37 @@ class NetworkScheduler:
         message.last_queued_at = self.sim.now
         self._push(message)
         self._pump()
+
+    def _back_in_line(self, message: QueuedMessage) -> None:
+        """Queue ``message`` again where its ``seq`` puts it; the end of
+        its destination's rest pumps."""
+        message.state = "queued"
+        message.last_queued_at = self.sim.now
+        self._push(message)
+
+    def _rest(self, group: Any, member: Host, rest: float) -> None:
+        """``member`` of ``group`` was no use: the attempts outstanding to
+        it are withdrawn (a late outcome of their exchange no longer
+        concerns them), and nothing goes to ``group`` for ``rest``
+        seconds — what is queued for it waits, other destinations drain
+        around it."""
+        # In seq order: ``_active`` iterates in per-process hash order.
+        for message in sorted(self._active, key=attrgetter("seq")):
+            exchange = message.exchange
+            if exchange is None or message.group is not group or message.dst is not member:
+                continue
+            message.exchange = None
+            if not any(m.exchange is exchange and m.state == "inflight" for m in exchange.members):
+                # Nobody is left waiting on the exchange: free its slot
+                # now rather than when (if ever) its outcome arrives.
+                self._release(exchange)
+            self._back_in_line(message)
+        until = self.sim.now + rest
+        if until > self._resting.get(group, -1.0):
+            self._resting[group] = until
+            self.sim.schedule(rest, self._rested, group, until)
+
+    def _rested(self, group: Any, until: float) -> None:
+        if self._resting.get(group) == until:  # not extended since
+            del self._resting[group]
+            self._pump()

@@ -34,6 +34,8 @@ class FakeManager:
         self.sim = SimpleNamespace(now=0.0)
         self.obs = Observatory()
         self.host = SimpleNamespace(name="client")
+        #: A stage that rests a destination asks the scheduler how long.
+        self.scheduler = SimpleNamespace(_backoff_delay=lambda attempts: 10.0 * attempts)
         self.cache = cache
         self.calls = []
 
@@ -45,6 +47,9 @@ class FakeManager:
 
     def resubmit(self, request, delay):
         self.calls.append(("resubmit", request.request_id, delay))
+
+    def retry(self, request, rest):
+        self.calls.append(("retry", request.request_id, rest))
 
     def fail(self, request, reason):
         self.calls.append(("fail", request.request_id, reason))
@@ -74,7 +79,7 @@ class TestClientFailoverAlone:
         (on_reply,) = manager.on_reply
         assert on_reply(request_for(), FENCE) is True
         assert replica_set.current_host.name == "server-b1" and replica_set.epoch_seen == 1
-        assert manager.calls == [("end_attempt", "client/0"), ("resubmit", "client/0", 0.05)]
+        assert manager.calls == [("retry", "client/0", 0.05)]
         counted = manager.obs.registry.get("qrpc_failovers_total")
         assert counted.labels(host="client").value == 1
 
@@ -99,7 +104,7 @@ class TestClientFailoverAlone:
         deposed = {"status": "ok", "result": 1, "ha_epoch": 2, "ha_member": "server"}
         assert manager.on_reply[0](request, deposed) is True
         assert replica_set.current_host.name == "server-b1" and request.failover_rounds == 1
-        assert manager.calls == [("end_attempt", "client/0"), ("resubmit", "client/0", 0.05)]
+        assert manager.calls == [("retry", "client/0", 10.0)]  # one backoff's rest
 
     def test_the_round_budget_ends_in_a_terminal_failure(self):
         manager, replica_set = failover_stage()
@@ -112,6 +117,70 @@ class TestClientFailoverAlone:
             ("fail", "client/0", "replica group has no reachable primary")
         ]
         assert replica_set.rotations == 0
+
+    def test_a_request_no_member_answered_gets_a_new_budget_while_its_rounds_last(self):
+        manager, replica_set = failover_stage()
+        request = request_for()
+        assert manager.on_failed[0](request, "timeout") is True
+        # The scheduler moved the pointer, attempt by attempt; the stage
+        # only renews the budget, resting the set one backoff per round.
+        assert replica_set.rotations == 0 and request.failover_rounds == 1
+        assert manager.calls == [("retry", "client/0", 10.0)]
+        request.failover_rounds = ClientFailover.max_rounds
+        assert manager.on_failed[0](request, "timeout") is True
+        assert manager.calls[1:] == [("fail", "client/0", "timeout")]
+
+    def test_an_unhinted_fence_moves_on_by_one_and_rests_a_backoff(self):
+        manager, replica_set = failover_stage()
+        request = request_for()
+        assert manager.on_reply[0](request, dict(FENCE, primary="")) is True
+        assert replica_set.current_host.name == "server-b1" and request.failover_rounds == 1
+        # A sibling fenced by the same member follows the pointer, it
+        # does not push it on again.
+        sibling = QRPCRequest("client/1", "", Operation.INVOKE, request.urn)
+        assert manager.on_reply[0](sibling, dict(FENCE, primary="server")) is True  # itself
+        assert replica_set.current_host.name == "server-b1" and replica_set.rotations == 1
+        assert manager.calls == [("retry", "client/0", 10.0), ("retry", "client/1", 10.0)]
+
+    def test_a_hint_naming_the_member_that_went_unanswered_is_not_believed(self):
+        manager, replica_set = failover_stage()
+        replica_set.advance_past("server")  # the scheduler: its attempt timed out
+        assert (replica_set.suspect, replica_set.current_host.name) == ("server", "server-b1")
+        request = request_for()
+        still_leased = dict(FENCE, primary="server", ha_member="server-b1", ha_epoch=0)
+        assert manager.on_reply[0](request, still_leased) is True
+        # Not back to the corpse for another timeout: on by one, a round
+        # spent, a backoff rested.
+        assert replica_set.current_host.name == "server-b2" and request.failover_rounds == 1
+        assert manager.calls == [("retry", "client/0", 10.0)]
+        # Any other hint is believed as before.
+        assert manager.on_reply[0](request, dict(FENCE, ha_member="server-b2")) is True
+        assert replica_set.current_host.name == "server-b1"
+        assert manager.calls[1:] == [("retry", "client/0", 0.05)]
+
+    def test_suspicion_ends_with_a_genuine_answer(self):
+        manager, replica_set = failover_stage()
+        replica_set.advance_past("server")
+        answer = {"status": "ok", "result": 1, "ha_epoch": 1, "ha_member": "server-b1"}
+        assert manager.on_reply[0](request_for(), answer) is False
+        assert replica_set.suspect == ""
+        hinted = dict(FENCE, primary="server", ha_member="server-b1")
+        assert manager.on_reply[0](request_for(), hinted) is True
+        assert replica_set.current_host.name == "server"  # believed again
+
+    def test_suspicion_ends_when_rotation_comes_round_to_the_suspect(self):
+        """One lost reply of the live primary (``ha-failover-features``
+        trace ``{8: 1}``): every other member fences and names it, and
+        the client must end up asking it again."""
+        manager, replica_set = failover_stage()
+        replica_set.learn_primary("server-b1")
+        replica_set.advance_past("server-b1")  # its reply was lost: on to server-b2
+        request = request_for()
+        for member in ("server-b2", "server"):
+            fence = dict(FENCE, primary="server-b1", ha_member=member)
+            assert manager.on_reply[0](request, fence) is True
+        assert replica_set.current_host.name == "server-b1" and replica_set.suspect == ""
+        assert request.failover_rounds == 2
 
 
 class TestDeltaShippingAlone:

@@ -162,8 +162,9 @@ def test_coalesced_export_drain_leaves_nothing_for_the_collector():
 
 
 def test_failover_leaves_nothing_for_the_collector():
-    """Through a primary kill: ``evict``, the failover wave, transfers
-    failed on busy links and the backups' re-executions."""
+    """Through a primary kill: attempts withdrawn from the dead member
+    and retried in place, fenced requests sent again, transfers failed
+    on busy links and the backups' re-executions."""
     bed = build_ha_testbed(n_backups=2, n_clients=2, seed=3)
     for index in range(2):
         bed.put_object(_counter(bed.authority, index), verify=(index == 0))

@@ -16,6 +16,18 @@ every one of these failed before its fix landed:
   in-flight frame before the scheduler's transition listeners ran, so
   the retry pump dispatched parked messages through the stale memoized
   route into the dead link.
+* ha-failover-features ``{6: 1, 14: 1}`` — a candidate's lost grant,
+  then its death in a later election, left the two backups ticking at
+  the same instants: each proposed the epoch the other had promised
+  itself, each refused, and both tried again one tick later, for good.
+* ha-failover-features ``{2: 3, 10: 1}`` — a candidate killed in its
+  election restarted saying ``heard`` to the other backup's poll (a
+  restart reset ``last_heard``), which stood down for a lease more while
+  the client's rounds ran out.
+* ha-failover-features ``{8: 1}`` — not a bug of this tree but of a
+  design tried on the way to it: one lost reply of the live primary
+  makes it the client's suspect, and every other member's hint names
+  it; the suspicion has to end or the client never asks it again.
 """
 
 import pytest
@@ -42,6 +54,37 @@ def build_server(**kwargs):
 
 
 # -- replayed minimized counterexamples ---------------------------------------
+
+
+def chosen(result):
+    """What the non-default choices of a replayed trace were made at."""
+    return [
+        (decision.meta.get("point"), decision.meta.get("service") or decision.meta.get("candidate"))
+        for decision in result.trace
+        if decision.chosen
+    ]
+
+
+def test_replayed_counterexample_ha_features_crossed_polls_lockstep():
+    result = run_with_choices("ha-failover-features", {6: 1, 14: 1})
+    assert chosen(result) == [
+        ("frame", "rover.ha.poll"),
+        ("kill-during-election", "server-b1"),
+    ]
+    assert result.violations == []
+
+
+def test_replayed_counterexample_ha_features_restart_is_not_a_primary_heard():
+    result = run_with_choices("ha-failover-features", {2: 3, 10: 1})
+    assert chosen(result) == [("primary-kill-at", None), ("kill-during-election", "server-b2")]
+    assert result.violations == []
+
+
+def test_replayed_ha_features_lost_reply_of_the_live_primary():
+    result = run_with_choices("ha-failover-features", {8: 1})
+    (lost,) = [decision for decision in result.trace if decision.chosen]
+    assert lost.meta["kind"] == "reply" and lost.meta["link"].startswith("client0--server-b1")
+    assert result.violations == []
 
 
 def test_replayed_counterexample_warm_import_watermark_dup():

@@ -168,3 +168,94 @@ class TestFailoverCounter:
         metric = bed.obs.registry.get("qrpc_failovers_total")
         assert metric.labels(host="client0").value >= 1
         assert access.servers[bed.authority].current_host.name == "server"
+
+
+class TestElectionDecision:
+    """An election is decided the moment its outcome is settled; the
+    answers are fed to one candidate by hand."""
+
+    def candidate(self, members=3, index=1):
+        bed = build_ha_testbed(n_backups=members - 1)
+        agent = bed.group.agents[index]
+        polls = []
+
+        def call(dst, service, body, on_reply, on_error, timeout=60.0, link=None):
+            if service == "rover.ha.poll":  # a new primary's first frames go nowhere
+                polls.append((dst.name, body, on_reply))
+
+        agent.transport.call = call
+        agent.last_heard = -2.0 * agent.lease_s  # the lease ran out
+        agent._start_election()
+        assert len(polls) == members - 1 and agent._standing == agent.promised == 1
+        return bed, agent, polls
+
+    @staticmethod
+    def vote(index, granted=True, heard=False, epoch=0, seq=0):
+        return {"seq": seq, "index": index, "epoch": epoch, "heard": heard, "granted": granted}
+
+    def test_three_members_decide_at_the_first_grant(self):
+        bed, agent, polls = self.candidate()
+        polls[1][2](self.vote(2))
+        # Two of three is the majority: the dead primary is not waited for.
+        assert (agent.role, agent.epoch, agent._standing) == ("primary", 1, 0)
+        assert bed.sim.now == 0.0
+        polls[0][2](self.vote(0, granted=False, heard=True))  # too late to matter
+        bed.sim.run(until=5.0)  # ...as is the poll's own timer
+        assert (agent.role, agent.epoch) == ("primary", 1)
+
+    def test_five_members_decide_at_the_grant_that_completes_the_majority(self):
+        bed, agent, polls = self.candidate(members=5)
+        polls[1][2](self.vote(2))
+        assert agent.role == "backup" and agent._standing == 1  # two of five
+        polls[3][2](self.vote(4))
+        assert (agent.role, agent.epoch) == ("primary", 1)
+
+    def test_a_heard_answer_before_the_majority_stands_the_candidate_down_at_the_timeout(self):
+        bed, agent, polls = self.candidate(members=5)
+        polls[0][2](self.vote(0, granted=False, heard=True))
+        polls[1][2](self.vote(2))
+        polls[2][2](self.vote(3))
+        assert agent.role == "backup" and agent._standing == 1  # a majority, but not a failure
+        bed.sim.run(until=4.02)
+        assert agent.role == "backup" and agent._standing == 0
+        assert agent._hold_until == 4.01 + agent.lease_s
+
+    def test_an_outranking_answer_blocks_promotion(self):
+        bed, agent, polls = self.candidate(index=2)
+        polls[1][2](self.vote(1))  # grants, but would win an election of its own
+        assert agent.role == "backup" and agent._standing == 1
+        polls[0][2](self.vote(0, granted=True))
+        # Every peer has answered: decided now, not at the timeout.
+        assert agent.role == "backup" and agent._standing == 0 and agent._hold_until == 0.0
+
+    def test_a_refusal_naming_a_newer_epoch_raises_the_next_proposal(self):
+        bed, agent, polls = self.candidate()
+        polls[0][2](self.vote(0, granted=False, epoch=4))
+        polls[1][2](self.vote(2, granted=False, epoch=4))
+        assert agent.role == "backup" and agent._standing == 0 and agent.promised == 4
+
+    def test_a_stale_timer_does_not_decide_the_next_election(self):
+        bed, agent, polls = self.candidate()
+        polls[0][2](self.vote(0, granted=False, epoch=1))
+        polls[1][2](self.vote(2, granted=False, epoch=1))  # all answered: lost, at t = 0
+        bed.sim.run(until=2.0)
+        agent._start_election()  # the next tick's poll; its answers are still out
+        assert agent._standing == 2 and len(polls) == 4
+        bed.sim.run(until=4.02)  # the first poll's timer fires
+        assert agent.role == "backup" and agent._standing == 2  # still open
+        polls[3][2](self.vote(2))
+        assert (agent.role, agent.epoch) == ("primary", 2)
+
+    def test_crossed_polls_for_one_epoch_go_to_the_higher_rank(self):
+        """Both candidates promised the number to themselves; refusing
+        each other would repeat in lockstep every tick."""
+        bed, agent, polls = self.candidate(index=2)
+        better = {"proposed": 1, "seq": 0, "index": 1, "candidate": "server-b1"}
+        answer = agent._on_poll(better, ("server-b1", 0))
+        assert answer["granted"] and agent._standing == 0  # the vote moved: its own poll is closed
+        polls[0][2](self.vote(0))
+        assert agent.role == "backup"  # ...and a late grant cannot win it
+        # The higher-ranked candidate does not yield in return.
+        bed, agent, polls = self.candidate(index=1)
+        worse = {"proposed": 1, "seq": 0, "index": 2, "candidate": "server-b2"}
+        assert not agent._on_poll(worse, ("server-b2", 0))["granted"] and agent._standing == 1

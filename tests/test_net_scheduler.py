@@ -354,21 +354,6 @@ def test_failed_member_is_retried_like_a_lone_request():
     assert scheduler.delivered == 2 and scheduler.failed == 1
 
 
-def test_evicting_every_member_frees_the_window_slot():
-    sim, net, a, b, link, scheduler, served = make_sched(max_inflight=1)
-    first = scheduler.submit(b, "echo", _padded(0))
-    sim.run(until=0.0)  # the lone head leaves
-    followers = [scheduler.submit(b, "echo", _padded(n)) for n in (1, 2)]
-    sim.run_until(lambda: first.state == "done", timeout=60)
-    assert [m.state for m in followers] == ["inflight", "inflight"]
-    assert scheduler.evict(followers[0], "gone")
-    assert scheduler.inflight == 1  # a member still waits on the frame
-    assert scheduler.evict(followers[1], "gone")
-    assert scheduler.inflight == 0
-    sim.run()  # the late reply releases nothing twice
-    assert scheduler.inflight == 0
-
-
 def test_frame_of_tiny_bodies_stops_at_the_member_count_receivers_accept():
     from repro.net.transport import MAX_BATCH_MEMBERS
 
@@ -383,3 +368,202 @@ def test_frame_of_tiny_bodies_stops_at_the_member_count_receivers_accept():
     assert scheduler.batches_sent == 2
     assert scheduler.transport.corrupt_frames_detected == 0
     assert scheduler.retransmissions == 0
+
+
+# -- replicated destinations: the member is named per attempt -------------------
+
+FAST = LinkSpec("fast", bandwidth_bps=10_000_000, latency_s=0.001, header_bytes=0)
+
+
+class TwoMembers:
+    """All the scheduler knows of a replicated destination: where the
+    next attempt goes, and whom to tell when a member does not answer."""
+
+    def __init__(self, *hosts):
+        self.hosts = list(hosts)
+        self.current_host = hosts[0]
+        self.unanswered = []
+
+    def advance_past(self, name):
+        self.unanswered.append(name)
+        if self.current_host.name == name:
+            self.current_host = self.hosts[1 - self.hosts.index(self.current_host)]
+
+
+def make_members(policy=None, first=None, second=None, **kwargs):
+    """A client linked to ``one`` and ``two`` (a destination of two
+    members) and to ``other`` (a plain host).  ``first`` / ``second``
+    are the members' handlers; a member given none has no process
+    behind its port — frames to it vanish, attempts to it time out."""
+    sim = Simulator()
+    net = Network(sim)
+    client, one, two, other = (net.host(n) for n in ("client", "one", "two", "other"))
+    for host in (one, two, other):
+        net.connect(client, host, FAST, policy)
+    served = []
+
+    def serve(host, handler):
+        def handle(body, src):
+            served.append((host.name, body["n"]))
+            return handler(body) if handler is not None else body
+
+        Transport(sim, host).register("echo", handle)
+
+    if first is not None:
+        serve(one, first)
+    if second is not None:
+        serve(two, second)
+    serve(other, None)
+    kwargs.setdefault("rpc_timeout", 1.0)
+    kwargs.setdefault("base_backoff", 0.1)
+    scheduler = NetworkScheduler(sim, Transport(sim, client), **kwargs)
+    return sim, scheduler, TwoMembers(one, two), other, served
+
+
+def answer(body):
+    return body
+
+
+def test_plain_host_is_never_asked_what_a_replicated_destination_is():
+    from repro.net.simnet import Host
+
+    class Spy(Host):
+        asked = []
+
+        def __getattr__(self, name):  # only what a Host does not have
+            Spy.asked.append(name)
+            raise AttributeError(name)
+
+    sim, scheduler, members, other, served = make_members(
+        policy=IntervalTrace([(0.0, 0.0005), (5.0, 1e9)])  # the first attempt dies in flight
+    )
+    other.__class__ = Spy
+    message = scheduler.submit(other, "echo", {"n": 0})
+    sim.run()
+    assert served == [("other", 0)] and scheduler.retransmissions == 1
+    assert message.group is None and message.dst is other
+    assert Spy.asked == []
+
+
+def test_member_is_named_at_dispatch_not_at_submit():
+    sim, scheduler, members, other, served = make_members(
+        policy=IntervalTrace([(5.0, 1e9)]), first=answer, second=answer
+    )
+    message = scheduler.submit(members, "echo", {"n": 0})
+    assert message.group is members and message.dst is None
+    sim.run(until=1.0)
+    members.current_host = members.hosts[1]  # the destination moved while it waited
+    sim.run()
+    assert served == [("two", 0)] and message.dst is members.hosts[1]
+    assert members.unanswered == []
+
+
+def test_unanswered_member_fails_its_siblings_together_and_rests_the_destination():
+    sim, scheduler, members, other, served = make_members(second=answer, max_inflight=2)
+    replies = []
+    to_members = [
+        scheduler.submit(members, "echo", {"n": n}, on_reply=replies.append) for n in range(4)
+    ]
+    to_other = scheduler.submit(other, "echo", {"n": 9})
+    sim.run(until=0.5)
+    # Two attempts out to the member nobody answers for; the window is full.
+    assert [m.state for m in to_members] == ["inflight", "inflight", "queued", "queued"]
+    assert served == [] and to_other.state == "queued"
+
+    sim.run_until(lambda: members.unanswered, timeout=5.0)
+    # One timeout ended both attempts, moved the destination on — once —
+    # and freed both slots: the other destination drains around the rest.
+    assert members.unanswered == ["one"] and members.current_host.name == "two"
+    assert [m.state for m in to_members] == ["queued"] * 4
+    assert scheduler.inflight == 1 and to_other.state == "inflight"
+    sim.run()
+    assert served[0] == ("other", 9)
+    assert served[1:] == [("two", n) for n in range(4)]  # seq order, not failure order
+    assert [m["n"] for m in replies] == [0, 1, 2, 3]
+    assert [m.attempts for m in to_members] == [2, 2, 1, 1]
+    assert members.unanswered == ["one"]  # the sibling's own timeout found nothing to fail
+    assert scheduler.retransmissions == 2 and scheduler.failed == 0
+
+
+def test_unanswered_by_every_member_is_a_terminal_failure_after_max_attempts():
+    sim, scheduler, members, other, served = make_members(max_attempts=3)
+    failures = []
+    message = scheduler.submit(members, "echo", {"n": 0}, on_failed=failures.append)
+    sim.run()
+    assert members.unanswered == ["one", "two", "one"] and message.attempts == 3
+    assert len(failures) == 1 and scheduler.failed == 1 and scheduler.idle()
+
+
+def test_retry_keeps_the_seq_and_renews_the_attempt_budget():
+    sim, scheduler, members, other, served = make_members(
+        first=answer, second=answer, max_inflight=1
+    )
+    replies = []
+
+    def fenced_once(reply):
+        replies.append(reply["n"])
+        if len(replies) == 1:  # "not the answer": the owner moves the destination on
+            assert (head.state, head.attempts) == ("done", 1)
+            members.current_host = members.hosts[1]
+            scheduler.retry(head, 0.5)
+            assert (head.state, head.attempts, head.seq) == ("queued", 0, 0)
+
+    head = scheduler.submit(members, "echo", {"n": 0}, on_reply=fenced_once)
+    scheduler.submit(members, "echo", {"n": 1}, on_reply=fenced_once)
+    sim.run()
+    # The later message did not overtake the one sent again: it waited
+    # out the destination's rest behind it.
+    assert served == [("one", 0), ("two", 0), ("two", 1)]
+    assert replies == [0, 0, 1] and head.attempts == 1
+    assert scheduler.delivered == 3 and scheduler.retransmissions == 0 and scheduler.idle()
+
+
+def test_late_reply_to_a_withdrawn_attempt_settles_the_message_once():
+    from repro.net.transport import DelayedReply
+
+    def slow_for_the_second(body):
+        return DelayedReply(0.5, body) if body["n"] == 1 else body
+
+    sim, scheduler, members, other, served = make_members(
+        first=slow_for_the_second, second=answer
+    )
+    replies = {0: [], 1: []}
+
+    def first_is_fenced(reply):
+        replies[0].append(sim.now)
+        if len(replies[0]) == 1:
+            members.current_host = members.hosts[1]
+            scheduler.retry(head, 0.05)
+
+    head = scheduler.submit(members, "echo", {"n": 0}, on_reply=first_is_fenced)
+    tail = scheduler.submit(
+        members, "echo", {"n": 1}, on_reply=lambda reply: replies[1].append(sim.now)
+    )
+    sim.run_until(lambda: replies[0], timeout=5.0)
+    # The sibling still out to the member that fenced was withdrawn with it.
+    assert (tail.state, tail.exchange, scheduler.inflight) == ("queued", None, 0)
+    sim.run()
+    assert served == [("one", 0), ("one", 1), ("two", 0), ("two", 1)]
+    assert len(replies[1]) == 1 and replies[1][0] < 0.4  # two's answer; one's came at 0.5
+    assert scheduler.delivered == 3 and scheduler.inflight == 0 and scheduler.idle()
+
+
+def test_old_exchanges_timeout_does_not_touch_a_member_sent_again():
+    from repro.net.transport import DelayedReply
+
+    sim, scheduler, members, other, served = make_members(
+        second=lambda body: DelayedReply(0.8, body)
+    )
+    first = scheduler.submit(members, "echo", {"n": 0})
+    sim.run(until=0.5)
+    second = scheduler.submit(members, "echo", {"n": 1})  # its timeout falls 0.5 s later
+    sim.run_until(lambda: members.unanswered, timeout=5.0)
+    sim.run_until(lambda: second.state == "inflight", timeout=5.0)
+    sent_again = second.exchange
+    sim.run(until=1.6)  # past the first exchange's timeout, inside two's 0.8 s
+    assert second.state == "inflight" and second.exchange is sent_again
+    sim.run()
+    assert members.unanswered == ["one"] and members.current_host.name == "two"
+    assert (first.attempts, second.attempts) == (2, 2)
+    assert served == [("two", 0), ("two", 1)]
+    assert scheduler.delivered == 2 and scheduler.failed == 0 and scheduler.inflight == 0
