@@ -57,8 +57,13 @@ check:
 	$(PYTHON) -m repro.check --suite crash-during-drain --suite coalesced-drain \
 		--suite delta-ship --suite conflict-export --depth 2
 
+# Where compaction is gated: the microbenchmarks, then the keyed plan's
+# two pins (tests/test_perf_compaction.py: planning one bucket equals
+# planning the whole queue; queuing an operation costs the same Python
+# calls behind 400 queued requests as behind 40), then E14's eight rows.
 perf:
 	$(PYTHON) -m pytest -q benchmarks/test_micro_primitives.py --benchmark-only
+	$(PYTHON) -m pytest -q tests/test_perf_compaction.py
 	$(PYTHON) -m pytest -q "benchmarks/test_experiments.py::test_experiment[e14]"
 
 # CPU hot path: codec/group-commit/kernel suite, determinism digest

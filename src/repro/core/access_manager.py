@@ -43,7 +43,7 @@ from repro.net.scheduler import NetworkScheduler, Priority
 from repro.net.simnet import Host
 from repro.obs import Observatory
 from repro.obs.trace import TRACE_KEY, RequestTracing
-from repro.perf.compact import CallableRewrite, Compactor
+from repro.perf.compact import Compactor, QueueCompaction
 from repro.perf.delta import DeltaShipping, rebuild_import
 from repro.sim import Simulator
 from repro.storage.stable_log import GroupCommitPolicy
@@ -136,23 +136,15 @@ class AccessManager:
         #: the queued message's priority (the paper's outstanding-
         #: requests list).
         self._imports: dict[str, dict] = {}
-        #: request_id -> scheduler message for every outstanding QRPC;
-        #: compaction uses it to cancel queued messages precisely and
-        #: to tell dispatched (ineligible) requests from queued ones.
+        #: request_id -> scheduler message of every QRPC's current
+        #: attempt (none until the log says its record is durable).
         self._messages: dict[str, Any] = {}
-        #: surviving request_id -> requests it absorbed; their
-        #: observers are resolved with the survivor's outcome.
-        self._absorbed: dict[str, list[QRPCRequest]] = {}
-        for request in self.log.pending():
-            request.recovered = True  # a previous incarnation's
         #: Shipping optimizations (repro.perf); both default off so the
-        #: baseline QRPC path is byte-for-byte the paper's.
+        #: baseline QRPC path is byte-for-byte the paper's.  Kept for
+        #: crash recovery to hand to the reborn manager.
         self.compactor = compactor
         self.delta_shipping = delta_shipping
-        self._engine: Optional[Compactor] = None
-        if compactor is not None:
-            self._build_engine()
-        #: The seam: a hook list at each of the six points where a
+        #: The seam: a hook list at each of the eight points where a
         #: request changes hands; an empty list costs a request nothing.
         #: A *stage* (an optional feature) appends to them, and asks the
         #: rest of the services under "what a stage may ask" below.
@@ -174,6 +166,14 @@ class AccessManager:
         #: reply — its own, a synthetic one, its absorber's — is about to
         #: be applied) or "failed" (for good).
         self.on_settled: list[Callable[[QRPCRequest, str], None]] = []
+        #: ``on_queued(urn, request)``: ``urn``'s backlog changed —
+        #: ``request`` was logged (its flush may still be in progress) or,
+        #: None, its queued export round is owed a follow-up round.
+        self.on_queued: list[Callable[[str, Optional[QRPCRequest]], None]] = []
+        #: ``on_applied(request, reply, failed)``: the outcome has been
+        #: applied and the request's observers told — ``reply`` (a dict)
+        #: if ``failed`` is None, else the reason it failed for good.
+        self.on_applied: list[Callable[[QRPCRequest, dict, Optional[str]], None]] = []
         # A replicated authority installs its own stage (repro.ha), ahead
         # of any other: a fence must never be read as an answer.
         for server in self.servers.values():
@@ -182,6 +182,8 @@ class AccessManager:
                 client_stage(self)
         if delta_shipping:
             DeltaShipping(self)
+        if compactor is not None:
+            QueueCompaction(self, compactor)
         if self.obs.tracer.enabled:
             RequestTracing(self)
         self._watched_links: set[str] = set()
@@ -343,10 +345,8 @@ class AccessManager:
         if state["inflight"]:
             state["dirty"] = True
             state["queued"].append(promise)
-            # Queue-time compaction: if the in-flight round never left
-            # the scheduler (disconnected), fold this follow-up into it
-            # right now instead of paying a second round later.
-            self.compact_now()
+            for hook in self.on_queued:
+                hook(urn_str, None)
             return promise
         state["current"].append(promise)
         self._start_export_round(urn_str, session, priority)
@@ -366,12 +366,7 @@ class AccessManager:
         request = self._new_request(
             Operation.EXPORT,
             urn_str,
-            args={
-                # Snapshot: the export carries exactly the state at
-                # round start, not whatever the app mutates later.
-                "data": unmarshal(marshal(entry.rdo.data)),
-                "base_version": entry.base_version,
-            },
+            args=self._export_args(entry),
             session=session,
             priority=priority,
         )
@@ -379,6 +374,15 @@ class AccessManager:
         state["session"] = session
         state["priority"] = priority
         self._log_and_submit(request)
+
+    @staticmethod
+    def _export_args(entry: Any) -> dict:
+        """Snapshot: an export carries exactly the state at the moment
+        it is taken, not whatever the app mutates later."""
+        return {
+            "data": unmarshal(marshal(entry.rdo.data)),
+            "base_version": entry.base_version,
+        }
 
     # -- remote execution --------------------------------------------------------
 
@@ -471,33 +475,15 @@ class AccessManager:
     def add_compaction_rule(self, rule: Any) -> None:
         """Register an extra pair rule at runtime (e.g. the telemetry fold).
 
-        The rule lands on :attr:`compactor` — the object crash
-        recovery hands to the reborn manager — so it survives client
-        crashes; the private engine (and, when compaction was off, the
-        drain hook) is set up on first use.
+        The rule lands on :attr:`compactor` — the one object the
+        compaction stage reads, and the one crash recovery hands to the
+        reborn manager, so it survives client crashes; when compaction
+        was off, the stage is installed on first use.
         """
         if self.compactor is None:
             self.compactor = Compactor()
+            QueueCompaction(self, self.compactor)
         self.compactor.add_pair_rule(rule)
-        if self._engine is None:
-            self._build_engine()
-        else:
-            self._engine.add_pair_rule(rule)
-
-    def _build_engine(self) -> None:
-        """Private engine = the app's rules (:attr:`compactor`) + the
-        toolkit's own export-refresh fold, run on every reconnection.
-
-        Building a copy (rather than mutating the app's compactor)
-        keeps the instance-bound rule from leaking across
-        crash-recovery incarnations.
-        """
-        engine = Compactor()
-        engine.pair_rules = list(self.compactor.pair_rules)
-        engine.rewrite_rules = list(self.compactor.rewrite_rules)
-        engine.add_rewrite_rule(CallableRewrite(self._refresh_export))
-        self._engine = engine
-        self.scheduler.add_drain_hook(self.compact_now)
 
     # -- load: import + immediate invocation ------------------------------------
 
@@ -736,7 +722,8 @@ class AccessManager:
         )
         # Durable first, the scheduler after: the log says when.
         self.log.append(request, self._durable)
-        self.compact_now()
+        for hook in self.on_queued:
+            hook(request.urn, request)
 
     def _durable(self, request: QRPCRequest, durable_at: float) -> None:
         """The log's word that ``request``'s record is on its way to the
@@ -779,14 +766,9 @@ class AccessManager:
         """
         prefix = self._id_prefix
         floor = self._request_counter
-        for pending in self.log.pending():
-            head, sep, tail = pending.request_id.rpartition("/")
-            if not sep or head != prefix:
-                continue
-            try:
-                floor = min(floor, int(tail))
-            except ValueError:
-                continue
+        oldest = self.log.first_pending_id(prefix + "/")  # the lowest pending
+        if oldest is not None:
+            floor = min(floor, int(oldest[len(prefix) + 1:]))
         return [prefix, floor]
 
     def _submit(self, request: QRPCRequest) -> None:
@@ -823,42 +805,10 @@ class AccessManager:
                 return
         self.log.acknowledge(request.request_id)
         self._messages.pop(request.request_id, None)
-        for hook in self.on_settled:
-            hook(request, "ok")
         self._m_qrpc_latency.labels(
             host=self.host.name, op=str(request.operation)
         ).observe(self.sim.now - request.created_at)
-        self.notifications.publish(
-            EventType.RESPONSE_ARRIVED,
-            self.sim.now,
-            request_id=request.request_id,
-            operation=str(request.operation),
-            status=reply.get("status") if isinstance(reply, dict) else None,
-        )
-        self._dispatch_reply(request, reply if isinstance(reply, dict) else {})
-        self._resolve_absorbed(request, reply if isinstance(reply, dict) else {})
-
-    def _dispatch_reply(self, request: QRPCRequest, reply: dict) -> None:
-        """Apply a reply.  The request names its session, so whatever
-        brought the reply here — first submit, a stage's resubmit, the
-        request that absorbed this one — the guarantees are kept (a
-        recovered incarnation's registry is empty: no session to tell)."""
-        if request.operation is Operation.IMPORT:
-            self._apply_import(request, reply)
-        elif request.operation is Operation.EXPORT:
-            self._apply_export(request, reply)
-        else:
-            self._apply_call(request, reply)
-
-    def _resolve_absorbed(self, request: QRPCRequest, reply: dict) -> None:
-        """Resolve observers of requests this one absorbed at compaction.
-
-        The absorbed operation's effect is contained in the survivor's,
-        so its observers see the survivor's outcome.  Recurses: the
-        absorbed request may itself have absorbed earlier ones.
-        """
-        for absorbed in self._absorbed.pop(request.request_id, []):
-            self._deliver_synthetic(absorbed, reply)
+        self.settle(request, reply if isinstance(reply, dict) else {})
 
     def _on_failed(self, request: QRPCRequest, reason: str) -> None:
         for hook in self.on_failed:
@@ -871,6 +821,18 @@ class AccessManager:
     def pending(self, request: QRPCRequest) -> bool:
         """Still owed an answer, by a manager that is still alive."""
         return not self._crashed and self.log.get(request.request_id) is not None
+
+    def backlog(self, urn: Optional[str] = None) -> list[QRPCRequest]:
+        """The pending requests for ``urn`` (None: for every object) in
+        queue order; a crashed manager has none that are its to touch."""
+        if self._crashed:
+            return []
+        return self.log.pending() if urn is None else self.log.pending_for(urn)
+
+    def attempt(self, request: QRPCRequest) -> Any:
+        """The scheduler message of ``request``'s current attempt (None
+        while the log's flush is in progress: certainly never sent)."""
+        return self._messages.get(request.request_id)
 
     def end_attempt(self, request: QRPCRequest) -> Any:
         """The current attempt is over (answered, but not with the
@@ -897,11 +859,11 @@ class AccessManager:
         ).inc()
         self.log.mark_failed(request.request_id)
         self._messages.pop(request.request_id, None)
-        self._report_failure(request, reason)
+        self.reject(request, reason)
 
-    def _report_failure(self, request: QRPCRequest, reason: str) -> None:
-        """Tell ``request``'s observers it failed terminally — and those
-        of every request it absorbed: so did they."""
+    def reject(self, request: QRPCRequest, reason: str) -> None:
+        """Tell the observers of ``request`` — out of the log already —
+        that it failed for good."""
         for hook in self.on_settled:
             hook(request, "failed")
         self.notifications.publish(
@@ -910,21 +872,72 @@ class AccessManager:
             request_id=request.request_id,
             reason=reason,
         )
-        self._reject_observers(request, reason)
-        for absorbed in self._absorbed.pop(request.request_id, []):
-            self._report_failure(absorbed, reason)
-
-    def _reject_observers(self, request: QRPCRequest, reason: str) -> None:
         if request.operation is Operation.EXPORT:
             self._finish_export_round(request.urn, {}, failed=reason)
-            return
-        if request.operation is Operation.IMPORT:
+        elif request.operation is Operation.IMPORT:
             for promise, __ in self._take_import_waiters(request):
                 promise.reject(reason)
+        else:
+            promise = self._promises.pop(request.request_id, None)
+            if promise is not None:
+                promise.reject(reason)
+        for hook in self.on_applied:
+            hook(request, {}, reason)
+
+    def settle(self, request: QRPCRequest, reply: dict) -> None:
+        """``request`` — out of the log already — is answered with
+        ``reply``: its own, or if it never crossed the wire a synthetic
+        one or the reply to the request that absorbed it."""
+        if self._crashed:
             return
-        promise = self._promises.pop(request.request_id, None)
-        if promise is not None:
-            promise.reject(reason)
+        for hook in self.on_settled:
+            hook(request, "ok")
+        self.notifications.publish(
+            EventType.RESPONSE_ARRIVED,
+            self.sim.now,
+            request_id=request.request_id,
+            operation=str(request.operation),
+            status=reply.get("status"),
+        )
+        # The request names its session, so whatever brought the reply
+        # here — first submit, a stage's resubmit, the request that
+        # absorbed this one — the guarantees are kept (a recovered
+        # incarnation's registry is empty: no session to tell).
+        if request.operation is Operation.IMPORT:
+            self._apply_import(request, reply)
+        elif request.operation is Operation.EXPORT:
+            self._apply_export(request, reply)
+        else:
+            self._apply_call(request, reply)
+        for hook in self.on_applied:
+            hook(request, reply, None)
+
+    def reword(self, request: QRPCRequest, args: dict) -> None:
+        """``request`` carries ``args`` from now on, and so does its
+        message if the scheduler still holds it unsent.  (The log record
+        is the caller's to rewrite: :meth:`OperationLog.compact`.)"""
+        request.args = args
+        message = self._messages.get(request.request_id)
+        if message is not None and message.state == "queued":
+            message.body = self._wire_body(request)
+
+    def fold_followup(self, request: QRPCRequest) -> Optional[dict]:
+        """``request`` is an export round the caller knows was never
+        sent.  If a follow-up round is owed, this one can carry the
+        *current* snapshot instead and the follow-up, with its whole
+        trip over the slow link, disappears: its promises ride on this
+        round, whose new args are returned (None: nothing owed, or the
+        object has left the cache)."""
+        state = self._exports.get(request.urn)
+        entry = self.cache.peek(request.urn)
+        if not state or not state["dirty"] or entry is None:
+            return None
+        state["dirty"] = False
+        # Each folded round is one export that never crosses the wire.
+        self.log.note_compacted(len(state["queued"]))
+        state["current"].extend(state["queued"])
+        state["queued"] = []
+        return self._export_args(entry)
 
     def _take_import_waiters(self, request: QRPCRequest) -> list[tuple[Promise, Optional[Session]]]:
         pending = self._imports.get(request.urn)
@@ -1094,121 +1107,6 @@ class AccessManager:
             promise.resolve(value_of(reply))
         else:
             promise.reject(reply.get("status", "error"))
-
-    # -- log compaction --------------------------------------------------------
-
-    def compact_now(self) -> int:
-        """Coalesce the never-dispatched suffix of the queue.
-
-        Runs at queue time (every new QRPC, every follow-up export) and
-        on reconnection, via the scheduler's drain hook, in the window
-        between link-up and the first dispatch.  Returns the number of
-        operations removed.  The simulator is single-threaded and this
-        runs atomically, so a plan computed over ``log.pending()`` is
-        executed against exactly the state it saw.
-        """
-        if self._crashed or self._engine is None:
-            return 0
-        pending = self.log.pending()
-        if not pending:
-            return 0
-        plan = self._engine.plan(pending, self._compactable)
-        if plan.is_empty:
-            return 0
-        drop_ids: list[str] = []
-        for request, absorber_id in plan.drops:
-            self._cancel_queued(request)
-            drop_ids.append(request.request_id)
-            self._absorbed.setdefault(absorber_id, []).append(request)
-        for request, reply in plan.cancels:
-            self._cancel_queued(request)
-            drop_ids.append(request.request_id)
-            # Deferred a tick so a request cancelled at queue time is
-            # resolved only after its caller got the promise back.
-            self.sim.schedule(0.0, self._deliver_synthetic, request, reply)
-        rewrites: dict[str, QRPCRequest] = {}
-        for request_id, args in plan.rewrites.items():
-            request = self.log.get(request_id)
-            if request is None:
-                continue
-            request.args = args
-            rewrites[request_id] = request
-            message = self._messages.get(request_id)
-            if message is not None and message.state == "queued":
-                message.body = self._wire_body(request)
-        self.log.compact(drop_ids, rewrites)
-        return len(drop_ids)
-
-    def _compactable(self, request: QRPCRequest) -> bool:
-        """Safe to coalesce: provably never dispatched to the server."""
-        if request.recovered:
-            # A previous incarnation may have sent it; barrier.
-            return False
-        message = self._messages.get(request.request_id)
-        if message is None:
-            # Logged but not yet handed to the scheduler (stable-log
-            # flush still in progress): certainly never sent.
-            return True
-        # A message backing off between attempts is "queued" too, but
-        # its earlier copy may have been applied with only the reply
-        # lost; folding it under a neighbour would apply it twice.
-        return message.state == "queued" and message.attempts == 0
-
-    def _cancel_queued(self, request: QRPCRequest) -> None:
-        message = self._messages.pop(request.request_id, None)
-        if message is not None:
-            self.scheduler.cancel(message)
-
-    def _deliver_synthetic(self, request: QRPCRequest, reply: dict) -> None:
-        """Resolve a request that never crossed the wire with ``reply``:
-        a cancelled-out pair member's synthetic one, or the reply to
-        the request that absorbed it."""
-        if self._crashed:
-            return
-        for hook in self.on_settled:
-            hook(request, "ok")
-        self.notifications.publish(
-            EventType.RESPONSE_ARRIVED,
-            self.sim.now,
-            request_id=request.request_id,
-            operation=str(request.operation),
-            status=reply.get("status"),
-        )
-        self._dispatch_reply(request, reply)
-        self._resolve_absorbed(request, reply)
-
-    def _refresh_export(self, request: QRPCRequest) -> Optional[dict]:
-        """Rewrite rule: fold a dirty follow-up into its queued round.
-
-        The per-URN export pipeline holds at most one round in flight;
-        while that round sits in the queue (disconnected) and later
-        mutations have marked the object dirty, the queued round can
-        simply carry the *current* snapshot instead — the follow-up
-        round, and its whole trip over the slow link, disappears.  This
-        is overwrite-absorbs-overwrite for exports, expressed as a
-        rewrite because the pipeline never queues two rounds at once.
-        """
-        if self._crashed or request.operation is not Operation.EXPORT:
-            return None
-        state = self._exports.get(request.urn)
-        if not state or not state["inflight"] or not state["dirty"]:
-            return None
-        entry = self.cache.peek(request.urn)
-        if entry is None:
-            return None
-        # Fold: the queued promises now ride on this round.  Each folded
-        # round is one export that never crosses the wire.
-        state["dirty"] = False
-        self.log.note_compacted(len(state["queued"]))
-        state["current"].extend(state["queued"])
-        state["queued"] = []
-        new_args = {
-            "data": unmarshal(marshal(entry.rdo.data)),
-            "base_version": entry.base_version,
-        }
-        if marshal(new_args) == marshal(request.args):
-            return None  # mutated back to the snapshot; nothing to rewrite
-        return new_args
 
     def watch_new_links(self) -> None:
         """Subscribe to the host's links; call again after links were

@@ -60,7 +60,12 @@ class OperationLog:
         owner: str = "client",
     ) -> None:
         self.stable = stable_log if stable_log is not None else StableLog()
+        #: In logical queue order, always: an append is the newest, a
+        #: compaction rewrite keeps its key's place, recovery sorts once.
         self._pending: dict[str, QRPCRequest] = {}
+        #: The same requests by URN (each bucket in queue order too), so
+        #: compaction can look at one object's backlog, not everyone's.
+        self._by_urn: dict[str, dict[str, QRPCRequest]] = {}
         self._record_seq: dict[str, int] = {}
         self._order: dict[str, int] = {}
         self._acked: set[str] = set()
@@ -105,6 +110,7 @@ class OperationLog:
             entry = unmarshal(record.payload)
             if "req" in entry:
                 request = QRPCRequest.from_wire(entry["req"])
+                request.recovered = True  # a previous incarnation's
                 self._pending[request.request_id] = request
                 self._record_seq[request.request_id] = record.seq
                 self._order[request.request_id] = entry.get("ord", record.seq)
@@ -112,6 +118,12 @@ class OperationLog:
                 request_id = entry["ack"]
                 self._acked.add(request_id)
                 self._pending.pop(request_id, None)
+        # A rewrite whose original record was truncated away sits behind
+        # younger records; ``ord`` says where it belongs.
+        in_order = sorted(self._pending, key=self._order.__getitem__)
+        self._pending = {request_id: self._pending[request_id] for request_id in in_order}
+        for request_id, request in self._pending.items():
+            self._by_urn.setdefault(request.urn, {})[request_id] = request
 
     # -- writing ----------------------------------------------------------
 
@@ -127,9 +139,11 @@ class OperationLog:
         Returns the flush time if this append closed the window.
         """
         seq = self.stable.append(marshal({"req": request.to_wire()}))
-        self._pending[request.request_id] = request
-        self._record_seq[request.request_id] = seq
-        self._order[request.request_id] = seq
+        request_id = request.request_id
+        self._pending[request_id] = request
+        self._by_urn.setdefault(request.urn, {})[request_id] = request
+        self._record_seq[request_id] = seq
+        self._order[request_id] = seq
         self._waiting.append((request, on_durable))
         policy, stable, timer = self._policy, self.stable, self._timer
         if policy is None or policy.budget_exceeded(
@@ -188,7 +202,11 @@ class OperationLog:
         """
         if request_id in self._acked or request_id not in self._pending:
             return 0.0
-        del self._pending[request_id]
+        urn = self._pending.pop(request_id).urn
+        bucket = self._by_urn[urn]
+        del bucket[request_id]
+        if not bucket:
+            del self._by_urn[urn]
         self._acked.add(request_id)
         self.stable.append(marshal({"ack": request_id}))
         flush_time = self.stable.flush()
@@ -216,7 +234,11 @@ class OperationLog:
         for request_id in drop_ids:
             if request_id in self._acked or request_id not in self._pending:
                 continue
-            del self._pending[request_id]
+            urn = self._pending.pop(request_id).urn
+            bucket = self._by_urn[urn]
+            del bucket[request_id]
+            if not bucket:
+                del self._by_urn[urn]
             self._acked.add(request_id)
             self.stable.append(marshal({"ack": request_id}))
             self.ops_compacted += 1
@@ -230,6 +252,7 @@ class OperationLog:
                 marshal({"req": request.to_wire(), "ord": self._order[request_id]})
             )
             self._pending[request_id] = request
+            self._by_urn[request.urn][request_id] = request
             self._record_seq[request_id] = seq
             wrote = True
         if not wrote:
@@ -243,8 +266,6 @@ class OperationLog:
     def note_compacted(self, n: int) -> None:
         """Count ``n`` operations that compaction kept off the wire
         without a log record of their own (folded export rounds)."""
-        if n <= 0:
-            return
         self.ops_compacted += n
         if self._m_compacted is not None:
             self._m_compacted.inc(n)
@@ -252,11 +273,7 @@ class OperationLog:
     def mark_failed(self, request_id: str) -> None:
         """Terminal transport failure; the request leaves the pending
         set behind an ack marker, flushed and charged as any ack's."""
-        if self._pending.pop(request_id, None) is not None:
-            self._acked.add(request_id)
-            self.stable.append(marshal({"ack": request_id}))
-            self.flush_seconds_total += self.stable.flush()
-            self._maybe_truncate()
+        self.acknowledge(request_id)
 
     def _maybe_truncate(self) -> None:
         """Drop the durable prefix whose requests are all acknowledged."""
@@ -277,14 +294,26 @@ class OperationLog:
     def pending(self) -> list[QRPCRequest]:
         """Unacknowledged requests in logical queue order.
 
-        Sorted by logical order, not record position: a compaction
-        rewrite appends a fresh record but must not move the request
-        to the back of the queue.
+        Logical order, not record position: a compaction rewrite
+        appends a fresh record but does not move the request to the
+        back of the queue.
         """
-        # Called per wire body (ack watermark): a C-level sort key, not a
-        # lambda call per pending request.
-        in_order = sorted(self._pending, key=self._order.__getitem__)
-        return [self._pending[request_id] for request_id in in_order]
+        return list(self._pending.values())
+
+    def pending_for(self, urn: str) -> list[QRPCRequest]:
+        """The unacknowledged requests for one object, in queue order."""
+        bucket = self._by_urn.get(urn)
+        return list(bucket.values()) if bucket else []
+
+    def first_pending_id(self, prefix: str) -> Optional[str]:
+        """The oldest pending request id that starts with ``prefix``
+        (an incarnation's ids are logged in the order they were minted,
+        so it is that incarnation's lowest), or None.  Only a recovered
+        incarnation's ids, settled first, are stepped over."""
+        for request_id in self._pending:
+            if request_id.startswith(prefix):
+                return request_id
+        return None
 
     def pending_count(self) -> int:
         return len(self._pending)

@@ -23,7 +23,6 @@ bytes-on-wire and reconnection drain time over CSLIP links.
 from repro.perf.compact import (
     Absorb,
     AppendMerge,
-    CallableRewrite,
     CancelOut,
     CompactionPlan,
     Compactor,
@@ -32,7 +31,7 @@ from repro.perf.compact import (
     InvokeAbsorb,
     Merge,
     PairRule,
-    RewriteRule,
+    QueueCompaction,
 )
 from repro.perf.delta import (
     DeltaError,
@@ -45,7 +44,6 @@ from repro.perf.delta import (
 __all__ = [
     "Absorb",
     "AppendMerge",
-    "CallableRewrite",
     "CancelOut",
     "CompactionPlan",
     "Compactor",
@@ -55,7 +53,7 @@ __all__ = [
     "InvokeAbsorb",
     "Merge",
     "PairRule",
-    "RewriteRule",
+    "QueueCompaction",
     "apply_delta",
     "delta_size",
     "diff_value",

@@ -4,11 +4,13 @@ Rover's log drains every queued operation verbatim on reconnection, so a
 user who marks a message read and then deletes it pays for two round
 trips over a 14.4 modem when one (or zero) would do.  This module is the
 application-pluggable coalescing engine: apps register *pair rules*
-(examined over adjacent operations on the same object) and *rewrite
-rules* (examined per surviving operation), and the
-:class:`~repro.core.access_manager.AccessManager` asks the compactor for
-a :class:`CompactionPlan` both at queue time and when a link comes back
-up, right before the drain.
+(examined over adjacent operations on the same object) on a
+:class:`Compactor`, and :class:`QueueCompaction` — a stage on the
+:class:`~repro.core.access_manager.AccessManager`'s seam — asks it for a
+:class:`CompactionPlan` and carries the plan out: over the backlog of
+*one object* when a request for it is queued (queuing an operation costs
+the same however long the queue), over the whole log once when a link
+comes back up, right before the drain.
 
 Soundness rules the engine enforces structurally:
 
@@ -21,10 +23,8 @@ Soundness rules the engine enforces structurally:
 * Pairing is adjacent-only within the per-URN subsequence.  Rules never
   see operations on different objects and never skip over an
   intervening operation on the same object.
-* The plan is advisory: the access manager re-checks that each dropped
-  request is still cancellable before acting, and the stable log is
-  rewritten (ack markers + fresh records) so crash recovery replays
-  exactly the compacted sequence.
+* The stable log is rewritten (ack markers + fresh records) so crash
+  recovery replays exactly the compacted sequence.
 
 Outcomes a pair rule may return for ``(earlier, later)``:
 
@@ -45,6 +45,7 @@ from typing import Any, Callable, Optional
 
 from repro.core.qrpc import Operation, QRPCRequest
 from repro.lint.contracts import replay_pure
+from repro.net.message import marshal
 
 
 # -- pair-rule outcomes ---------------------------------------------------------
@@ -81,26 +82,18 @@ class PairRule:
         raise NotImplementedError
 
 
-class RewriteRule:
-    """Examines a single surviving request; returns new args or ``None``."""
-
-    @replay_pure
-    def rewrite(self, request: QRPCRequest) -> Optional[dict]:
-        raise NotImplementedError
-
-
 # -- the plan -------------------------------------------------------------------
 
 
 @dataclass
 class CompactionPlan:
-    """What the engine decided; the access manager executes it.
+    """What the engine decided; :class:`QueueCompaction` carries it out.
 
     ``drops`` maps each absorbed/merged request to the id of the
     surviving request whose outcome its observers should follow.
     ``cancels`` pairs each annihilated request with the synthetic reply
     its observers receive.  ``rewrites`` carries new args for surviving
-    requests (from :class:`Merge` outcomes and rewrite rules).
+    requests (from :class:`Merge` outcomes).
     """
 
     drops: list[tuple[QRPCRequest, str]] = field(default_factory=list)
@@ -121,22 +114,10 @@ class Compactor:
 
     def __init__(self) -> None:
         self.pair_rules: list[PairRule] = []
-        self.rewrite_rules: list[RewriteRule] = []
 
     def add_pair_rule(self, rule: PairRule) -> "Compactor":
         self.pair_rules.append(rule)
         return self
-
-    def add_rewrite_rule(self, rule: RewriteRule) -> "Compactor":
-        self.rewrite_rules.append(rule)
-        return self
-
-    def _match(self, earlier: QRPCRequest, later: QRPCRequest) -> Optional[Outcome]:
-        for rule in self.pair_rules:
-            outcome = rule.match(earlier, later)
-            if outcome is not None:
-                return outcome
-        return None
 
     def plan(
         self,
@@ -165,40 +146,25 @@ class Compactor:
                     if prev_args is prev_request.args
                     else replace(prev_request, args=prev_args)
                 )
-                outcome = self._match(earlier, request)
-                if isinstance(outcome, Absorb):
+                outcome = None
+                for rule in self.pair_rules:
+                    outcome = rule.match(earlier, request)
+                    if outcome is not None:
+                        break
+                if outcome is not None:
+                    # Whichever it is, the earlier one leaves.
+                    plan.rewrites.pop(prev_request.request_id, None)
+                    if isinstance(outcome, CancelOut):
+                        plan.cancels.append((prev_request, outcome.earlier_reply))
+                        plan.cancels.append((request, outcome.later_reply))
+                        del last[urn]
+                        continue
                     plan.drops.append((prev_request, request.request_id))
-                    plan.rewrites.pop(prev_request.request_id, None)
-                    last[urn] = (request, request.args)
-                    continue
-                if isinstance(outcome, Merge):
-                    plan.drops.append((prev_request, request.request_id))
-                    plan.rewrites.pop(prev_request.request_id, None)
-                    plan.rewrites[request.request_id] = outcome.args
-                    last[urn] = (request, outcome.args)
-                    continue
-                if isinstance(outcome, CancelOut):
-                    plan.cancels.append((prev_request, outcome.earlier_reply))
-                    plan.cancels.append((request, outcome.later_reply))
-                    plan.rewrites.pop(prev_request.request_id, None)
-                    last.pop(urn, None)
-                    continue
+                    if isinstance(outcome, Merge):
+                        plan.rewrites[request.request_id] = outcome.args
+                        last[urn] = (request, outcome.args)
+                        continue
             last[urn] = (request, request.args)
-
-        removed = {req.request_id for req, _ in plan.drops}
-        removed.update(req.request_id for req, _ in plan.cancels)
-        for request in requests:
-            if request.request_id in removed or not eligible(request):
-                continue
-            args = plan.rewrites.get(request.request_id, request.args)
-            effective = (
-                request if args is request.args else replace(request, args=args)
-            )
-            for rule in self.rewrite_rules:
-                new_args = rule.rewrite(effective)
-                if new_args is not None:
-                    plan.rewrites[request.request_id] = new_args
-                    effective = replace(request, args=new_args)
         return plan
 
 
@@ -334,11 +300,119 @@ class DuplicateImportCoalesce(PairRule):
         return None
 
 
-class CallableRewrite(RewriteRule):
-    """Adapter: any ``request -> args|None`` callable as a rewrite rule."""
+# -- the stage that edits the queue ---------------------------------------------
 
-    def __init__(self, fn: Callable[[QRPCRequest], Optional[dict]]) -> None:
-        self.fn = fn
 
-    def rewrite(self, request: QRPCRequest) -> Optional[dict]:
-        return self.fn(request)
+class QueueCompaction:
+    """Compaction, as a stage on the access manager's seam.
+
+    The core tells it what happened to one request — it was queued, its
+    export round is owed a follow-up, it was answered — and that a link
+    is up; the stage keeps who absorbed whom, plans with the one
+    :class:`Compactor` (rules added to it later are seen) and edits the
+    queue through the manager's services.  Installed by the manager's
+    constructor when it is given a compactor, else by its
+    ``add_compaction_rule`` on first use.
+    """
+
+    def __init__(self, manager: Any, compactor: Compactor) -> None:
+        self.manager = manager
+        self.compactor = compactor
+        #: surviving request_id -> requests it absorbed; their
+        #: observers are resolved with the survivor's outcome.
+        self._absorbed: dict[str, list[QRPCRequest]] = {}
+        manager.on_queued.append(self.queued)
+        manager.on_applied.append(self.applied)
+        # Once per reconnection, between link-up and the first dispatch,
+        # the whole log is planned: it is what catches a rule registered
+        # after operations were queued.
+        manager.scheduler.add_drain_hook(self.compact)
+
+    def queued(self, urn: str, request: Optional[QRPCRequest]) -> None:
+        """``urn``'s backlog changed: plan that bucket, nobody else's."""
+        if request is None:
+            self._fold_followup(urn)
+        self.compact(urn)
+
+    def compact(self, urn: Optional[str] = None) -> int:
+        """Coalesce the never-dispatched requests for ``urn`` (None: for
+        every object), planning again until a plan finds nothing — a
+        fold can make its survivor the neighbour of a request the pass
+        had already walked past.  Returns the number of operations
+        removed.  The simulator is single-threaded and this runs
+        atomically: each plan is carried out on exactly the queue it saw."""
+        removed = 0
+        while True:
+            requests = self.manager.backlog(urn)
+            if len(requests) < 2:
+                return removed  # it takes two to pair
+            plan = self.compactor.plan(requests, self._compactable)
+            if plan.is_empty:
+                return removed
+            removed += self._carry_out(plan)
+
+    def _compactable(self, request: QRPCRequest) -> bool:
+        """Safe to coalesce: provably never dispatched to the server."""
+        if request.recovered:
+            # A previous incarnation may have sent it; barrier.
+            return False
+        message = self.manager.attempt(request)
+        if message is None:
+            return True
+        # A message backing off between attempts is "queued" too, but
+        # its earlier copy may have been applied with only the reply
+        # lost; folding it under a neighbour would apply it twice.
+        return message.state == "queued" and message.attempts == 0
+
+    def _carry_out(self, plan: CompactionPlan) -> int:
+        manager = self.manager
+        drop_ids: list[str] = []
+        for request, absorber_id in plan.drops:
+            self._withdraw(request)
+            drop_ids.append(request.request_id)
+            self._absorbed.setdefault(absorber_id, []).append(request)
+        for request, reply in plan.cancels:
+            self._withdraw(request)
+            drop_ids.append(request.request_id)
+            # Deferred a tick so a request cancelled at queue time is
+            # resolved only after its caller got the promise back.
+            manager.sim.schedule(0.0, manager.settle, request, reply)
+        rewrites: dict[str, QRPCRequest] = {}
+        for request_id, args in plan.rewrites.items():
+            request = manager.log.get(request_id)
+            if request is not None:
+                manager.reword(request, args)
+                rewrites[request_id] = request
+        manager.log.compact(drop_ids, rewrites)
+        return len(drop_ids)
+
+    def _withdraw(self, request: QRPCRequest) -> None:
+        message = self.manager.end_attempt(request)
+        if message is not None:
+            self.manager.scheduler.cancel(message)
+
+    def _fold_followup(self, urn: str) -> None:
+        """Overwrite-absorbs-overwrite for exports: the per-URN export
+        pipeline never queues two rounds at once, so a follow-up owed
+        behind a round that never left the queue is folded by giving
+        that round the current snapshot (a rewrite, not a pair)."""
+        manager = self.manager
+        for request in manager.backlog(urn):
+            if request.operation is not Operation.EXPORT or not self._compactable(request):
+                continue
+            args = manager.fold_followup(request)
+            # Mutated back to the snapshot: nothing to rewrite.
+            if args is not None and marshal(args) != marshal(request.args):
+                manager.reword(request, args)
+                manager.log.compact([], {request.request_id: request})
+
+    def applied(self, request: QRPCRequest, reply: dict, failed: Optional[str]) -> None:
+        """The absorbed operation's effect is contained in the
+        survivor's, so its observers see the survivor's outcome, after
+        the survivor's own.  Recurses through the manager: an absorbed
+        request may itself have absorbed earlier ones."""
+        for absorbed in self._absorbed.pop(request.request_id, ()):
+            if failed is None:
+                self.manager.settle(absorbed, reply)
+            else:
+                self.manager.reject(absorbed, failed)

@@ -1,11 +1,12 @@
-"""The access manager's seam, and the three stages behind it, each alone.
+"""The access manager's seam, and the four stages behind it, each alone.
 
 A stage (``repro.ha.group.ClientFailover``, ``repro.perf.delta.
-DeltaShipping``, ``repro.obs.trace.RequestTracing``) hangs its hooks on
-the manager's six lists and talks to it through a handful of named
-services.  That is little enough for a fake: the stages are driven here
-against ``FakeManager``, the manager against no stage at all, and an AST
-check keeps the stages from reaching past the interface.
+DeltaShipping``, ``repro.obs.trace.RequestTracing``, ``repro.perf.
+compact.QueueCompaction``) hangs its hooks on the manager's eight lists
+and talks to it through a handful of named services.  That is little
+enough for a fake: the stages are driven here against ``FakeManager``,
+the manager against no stage at all, and an AST check keeps the stages
+from reaching past the interface.
 """
 
 import ast
@@ -13,13 +14,20 @@ import inspect
 from types import SimpleNamespace
 
 from repro.core.notification import EventType
+from repro.core.operation_log import OperationLog
 from repro.core.qrpc import Operation, QRPCRequest
 from repro.ha import build_ha_testbed
 from repro.ha.group import ClientFailover, ReplicaSet
 from repro.net.link import CSLIP_14_4, IntervalTrace
 from repro.obs import Observatory
 from repro.obs.trace import RequestTracing
-from repro.perf.compact import InvokeAbsorb
+from repro.perf.compact import (
+    AppendMerge,
+    Compactor,
+    CreateDeleteCancel,
+    InvokeAbsorb,
+    QueueCompaction,
+)
 from repro.perf.delta import DeltaShipping
 from repro.testbed import build_multi_client_testbed, build_testbed
 from tests.conftest import make_note
@@ -30,7 +38,7 @@ class FakeManager:
 
     def __init__(self, cache=None):
         self.on_submit, self.on_wire, self.on_reply, self.on_failed = [], [], [], []
-        self.on_durable, self.on_settled = [], []
+        self.on_durable, self.on_settled, self.on_queued, self.on_applied = [], [], [], []
         self.sim = SimpleNamespace(now=0.0)
         self.obs = Observatory()
         self.host = SimpleNamespace(name="client")
@@ -206,6 +214,184 @@ class TestDeltaShippingAlone:
         assert manager.calls == [] and not request.full_only
 
 
+class QueueManager(FakeManager):
+    """What the compaction stage asks on top: the queue (a real log, no
+    disk under it), each request's attempt, and the three edits."""
+
+    def __init__(self):
+        super().__init__()
+        self.log = OperationLog()
+        self.attempts = {}  # request_id -> the scheduler's message
+        self.crashed = False
+        self.drain_hooks = []
+        self.scheduler.add_drain_hook = self.drain_hooks.append
+        self.scheduler.cancel = lambda message: self.calls.append(("cancel", message.name))
+        self.sim.schedule = lambda delay, fn, *args: self.calls.append(
+            ("schedule", delay, fn.__name__, args[0].request_id, args[1])
+        )
+
+    def queue(self, request_id, method, handed_over=True, **message):
+        """Log a request; ``handed_over``: the scheduler has it, unsent."""
+        request = QRPCRequest(
+            request_id, "", Operation.INVOKE, "urn:rover:server/notes/n1",
+            {"method": method, "args": ["x"]},
+        )
+        self.log.append(request)
+        if handed_over:
+            held = {"name": request_id, "state": "queued", "attempts": 0, **message}
+            self.attempts[request_id] = SimpleNamespace(**held)
+        for hook in self.on_queued:
+            hook(request.urn, request)
+        return request
+
+    def backlog(self, urn=None):
+        if self.crashed:
+            return []
+        return self.log.pending() if urn is None else self.log.pending_for(urn)
+
+    def attempt(self, request):
+        return self.attempts.get(request.request_id)
+
+    def end_attempt(self, request):
+        super().end_attempt(request)
+        return self.attempts.pop(request.request_id, None)
+
+    def reword(self, request, args):
+        self.calls.append(("reword", request.request_id, args))
+        request.args = args
+
+    def settle(self, request, reply):
+        self.calls.append(("settle", request.request_id, reply))
+        for hook in self.on_applied:
+            hook(request, reply, None)
+
+    def reject(self, request, reason):
+        self.calls.append(("reject", request.request_id, reason))
+        for hook in self.on_applied:
+            hook(request, {}, reason)
+
+
+def compaction_stage(*rules):
+    manager = QueueManager()
+    compactor = Compactor()
+    for rule in rules:
+        compactor.add_pair_rule(rule)
+    stage = QueueCompaction(manager, compactor)
+    assert manager.on_queued == [stage.queued] and manager.on_applied == [stage.applied]
+    assert manager.drain_hooks == [stage.compact]
+    assert manager.on_submit == manager.on_wire == manager.on_reply == manager.on_failed == []
+    assert manager.on_durable == manager.on_settled == []
+    return manager, stage
+
+
+def pending_ids(manager):
+    return [request.request_id for request in manager.log.pending()]
+
+
+class TestQueueCompactionAlone:
+    def test_queued_then_fold_withdraws_the_absorbed_message(self):
+        manager, stage = compaction_stage(InvokeAbsorb("set_text"))
+        manager.queue("client/0", "set_text")
+        assert manager.calls == []  # one request: it takes two to pair
+        manager.queue("client/1", "set_text", handed_over=False)  # its flush in progress
+        assert manager.calls == [("end_attempt", "client/0"), ("cancel", "client/0")]
+        assert pending_ids(manager) == ["client/1"] and manager.log.ops_compacted == 1
+
+    def test_a_merge_rewords_the_survivor_after_the_withdrawal(self):
+        manager, stage = compaction_stage(AppendMerge("append", "append_all"))
+        manager.queue("client/0", "append")
+        manager.queue("client/1", "append")
+        merged = {"method": "append_all", "args": [["x", "x"]]}
+        assert manager.calls == [
+            ("end_attempt", "client/0"), ("cancel", "client/0"), ("reword", "client/1", merged)
+        ]
+        assert [r.args for r in manager.log.pending()] == [merged]
+
+    def test_a_member_with_an_attempt_behind_it_is_a_barrier(self):
+        """PR 14's regression, at the stage: a message backing off is
+        "queued" too, but its earlier copy may have been applied."""
+        manager, stage = compaction_stage(InvokeAbsorb("set_text"))
+        manager.queue("client/0", "set_text", attempts=1)  # backing off between attempts
+        manager.queue("client/1", "set_text", state="inflight")  # on the wire
+        manager.queue("client/2", "set_text").recovered = True  # a dead incarnation's
+        manager.queue("client/3", "set_text")
+        assert stage.compact() == 0 and manager.calls == []
+        assert pending_ids(manager) == ["client/0", "client/1", "client/2", "client/3"]
+        manager.queue("client/4", "set_text")  # pairs with the one unsent neighbour only
+        assert pending_ids(manager) == ["client/0", "client/1", "client/2", "client/4"]
+
+    def test_a_fold_that_makes_new_neighbours_is_followed_in_the_same_call(self):
+        """``a, b, m`` under ``InvokeAbsorb(m, absorbs={a, b})``: one
+        pass drops ``b`` only — it had walked past ``a`` by then — and
+        ``(a, m)`` meet after it."""
+        manager, stage = compaction_stage(InvokeAbsorb("m", absorbs={"a", "b"}))
+        manager.queue("client/0", "a")
+        manager.queue("client/1", "b")
+        manager.queue("client/2", "m")
+        assert pending_ids(manager) == ["client/2"]
+        assert [call for call in manager.calls if call[0] == "cancel"] == [
+            ("cancel", "client/1"), ("cancel", "client/0")
+        ]
+
+    def test_absorbed_observers_follow_the_survivor_after_its_own_dispatch(self):
+        manager, stage = compaction_stage(InvokeAbsorb("set_text"))
+        first = manager.queue("client/0", "set_text")
+        second = manager.queue("client/1", "set_text")
+        survivor = manager.queue("client/2", "set_text")
+        del manager.calls[:]
+        stage.applied(first, {"status": "ok"}, None)  # nobody follows an absorbed one
+        assert manager.calls == []
+        # The core applied the survivor's reply, then says so: the chain
+        # unwinds through the manager, newest absorbed first.
+        stage.applied(survivor, {"status": "ok", "result": 2}, None)
+        assert manager.calls == [
+            ("settle", "client/1", {"status": "ok", "result": 2}),
+            ("settle", "client/0", {"status": "ok", "result": 2}),
+        ]
+        stage.applied(survivor, {"status": "ok"}, None)  # told once
+        assert len(manager.calls) == 2
+
+    def test_absorbed_observers_fail_with_the_survivor(self):
+        manager, stage = compaction_stage(InvokeAbsorb("set_text"))
+        manager.queue("client/0", "set_text")
+        survivor = manager.queue("client/1", "set_text")
+        del manager.calls[:]
+        stage.applied(survivor, {}, "timeout")
+        assert manager.calls == [("reject", "client/0", "timeout")]
+
+    def test_a_cancelled_pair_is_answered_a_tick_later(self):
+        manager, stage = compaction_stage(CreateDeleteCancel("add", "remove"))
+        manager.queue("client/0", "add")
+        manager.queue("client/1", "remove")
+        assert pending_ids(manager) == []
+        answered = {"status": "ok", "result": True, "compacted": True}
+        assert [call for call in manager.calls if call[0] == "schedule"] == [
+            ("schedule", 0.0, "settle", "client/0", answered),
+            ("schedule", 0.0, "settle", "client/1", answered),
+        ]
+
+    def test_link_up_plans_the_whole_log_and_sees_a_rule_added_since(self):
+        manager, stage = compaction_stage()
+        for index in range(2):
+            manager.queue(f"client/{index}", "set_text")
+        assert pending_ids(manager) == ["client/0", "client/1"]
+        stage.compactor.add_pair_rule(InvokeAbsorb("set_text"))
+        (link_up,) = manager.drain_hooks
+        link_up()
+        assert pending_ids(manager) == ["client/1"]
+
+    def test_a_crashed_managers_stage_does_nothing(self):
+        manager, stage = compaction_stage()
+        for index in range(2):
+            manager.queue(f"client/{index}", "set_text")
+        stage.compactor.add_pair_rule(InvokeAbsorb("set_text"))
+        manager.crashed = True
+        manager.drain_hooks[0]()
+        stage.queued("urn:rover:server/notes/n1", None)
+        assert stage.compact() == 0 and manager.calls == []
+        assert pending_ids(manager) == ["client/0", "client/1"]
+
+
 def tracing_stage():
     manager = FakeManager()
     stage = RequestTracing(manager)
@@ -278,6 +464,21 @@ class TestWhatTheManagerInstalls:
         assert [getattr(access, point) for point in seam] == [[]] * 6
         assert not hasattr(access, "tracer") and not hasattr(access, "_root_spans")
 
+    def test_a_compactor_installs_the_stage_and_a_first_rule_does_too(self):
+        built_with = build_testbed(compaction=True)
+        hooks = built_with.access.on_queued + built_with.access.on_applied
+        assert [type(hook.__self__) for hook in hooks] == [QueueCompaction] * 2
+        assert hooks[0].__self__ is hooks[1].__self__
+        assert hooks[0].__self__.compactor is built_with.access.compactor
+        late = build_testbed().access
+        assert late.on_queued == late.on_applied == [] and late.compactor is None
+        late.add_compaction_rule(InvokeAbsorb("set_text"))
+        late.add_compaction_rule(InvokeAbsorb("move"))
+        (queued,), (applied,) = late.on_queued, late.on_applied  # installed once
+        assert queued.__self__ is applied.__self__
+        assert queued.__self__.compactor is late.compactor and len(late.compactor.pair_rules) == 2
+        assert late.on_submit == late.on_wire == late.on_reply == late.on_failed == []
+
     def test_tracing_on_installs_the_stage_after_the_others(self):
         access = build_testbed(trace=True, delta_shipping=True).access
         owners = [type(hook.__self__).__name__ for hook in access.on_submit]
@@ -330,7 +531,7 @@ def test_a_third_stage_keeps_a_request_pending_through_the_real_manager():
 def test_neither_stage_reads_a_private_attribute_of_the_manager():
     """'A stage sees a message's dispatch state through the interface
     or not at all' (ROADMAP), enforced."""
-    for stage in (ClientFailover, DeltaShipping, RequestTracing):
+    for stage in (ClientFailover, DeltaShipping, RequestTracing, QueueCompaction):
         tree = ast.parse(inspect.getsource(inspect.getmodule(stage)))
         (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == stage.__name__]
         reached = [

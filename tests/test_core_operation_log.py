@@ -157,3 +157,101 @@ def test_recovery_matches_live_state(ops):
     live_ids = sorted(r.request_id for r in log.pending())
     recovered_ids = sorted(r.request_id for r in recovered.pending())
     assert recovered_ids == live_ids
+
+
+# -- the per-URN index ---------------------------------------------------------
+
+
+def _check_index(log: OperationLog) -> None:
+    """The index is ``pending()`` regrouped: same requests, same order;
+    ``pending()`` itself is in logical order; no empty bucket is kept."""
+    pending = log.pending()
+    assert [r.request_id for r in pending] == sorted(log._pending, key=log._order.__getitem__)
+    by_urn: dict = {}
+    for request in pending:
+        by_urn.setdefault(request.urn, []).append(request)
+    assert {urn: list(bucket.values()) for urn, bucket in log._by_urn.items()} == by_urn
+    for urn, requests in by_urn.items():
+        assert log.pending_for(urn) == requests
+        assert all(a is b for a, b in zip(log.pending_for(urn), requests))
+    assert log.pending_for("urn:rover:s/nobody") == []
+
+
+def _on(urn_index: int, n: int) -> QRPCRequest:
+    return QRPCRequest(
+        f"client/{n}", "", Operation.INVOKE, f"urn:rover:s/obj{urn_index}",
+        {"method": "set", "args": [n]},
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["append", "ack", "fail", "drop", "rewrite", "recover"]),
+            st.integers(0, 2),   # which object an append is for
+            st.integers(0, 11),  # which pending request the others mean
+        ),
+        max_size=40,
+    )
+)
+def test_urn_index_is_pending_regrouped_after_every_mutation(ops):
+    stable = StableLog(MemoryLogBackend())
+    log = OperationLog(stable)
+    minted = 0
+    for action, urn_index, k in ops:
+        pending = log.pending()
+        target = pending[k % len(pending)] if pending else None
+        if action == "append":
+            log.append(_on(urn_index, minted))
+            minted += 1
+        elif action == "recover":
+            log = OperationLog(StableLog(stable.backend))
+        elif target is None:
+            continue
+        elif action == "ack":
+            log.acknowledge(target.request_id)
+            assert log.acknowledge(target.request_id) == 0.0
+        elif action == "fail":
+            log.mark_failed(target.request_id)
+        elif action == "drop":
+            log.compact([target.request_id, "client/never"], {})
+        else:  # a rewrite keeps its place, in the queue and in its bucket
+            rewritten = QRPCRequest(
+                target.request_id, "", Operation.INVOKE, target.urn,
+                {"method": "set", "args": ["rewritten"]},
+            )
+            log.compact([], {target.request_id: rewritten})
+            assert log.get(target.request_id) is rewritten
+        _check_index(log)
+    assert (log.pending_count() == 0) == (log._by_urn == {})
+
+
+def test_recovery_rebuilds_the_index_from_acks_rewrites_and_a_torn_tail(tmp_path):
+    from repro.storage.stable_log import FileLogBackend
+
+    backend = FileLogBackend(str(tmp_path / "log.bin"))
+    log = OperationLog(StableLog(backend))
+    for n in range(5):
+        log.append(_on(n % 2, n))
+    log.acknowledge("client/0")  # the prefix is truncated away
+    first = log.get("client/1")
+    first.args = {"method": "set", "args": ["rewritten"]}
+    # client/1's fresh record lands behind client/4's; once client/2
+    # leaves, its original is truncated and only ``ord`` places it.
+    log.compact(["client/2"], {"client/1": first})
+    log.append(_on(0, 5))
+    backend.tear_tail(5)  # the crash tore client/5's record
+    recovered = OperationLog(StableLog(FileLogBackend(str(tmp_path / "log.bin"))))
+    assert [r.request_id for r in recovered.pending()] == ["client/1", "client/3", "client/4"]
+    assert all(r.recovered for r in recovered.pending())
+    assert recovered.pending()[0].args["args"] == ["rewritten"]
+    assert [r.request_id for r in recovered.pending_for("urn:rover:s/obj1")] == [
+        "client/1", "client/3"
+    ]
+    assert [r.request_id for r in recovered.pending_for("urn:rover:s/obj0")] == ["client/4"]
+    _check_index(recovered)
+    assert recovered.first_pending_id("client/") == "client/1"
+    assert recovered.first_pending_id("client+1/") is None
+    recovered.stable.close()
+    log.stable.close()

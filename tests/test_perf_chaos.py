@@ -130,7 +130,8 @@ def test_replayed_requests_are_compaction_barriers():
     # Queue-time compaction already folded the pair inside the second
     # submit; a second pass finds nothing more (idempotent).
     assert bed.access.log.ops_compacted == before + 1
-    assert bed.access.compact_now() == 0
+    (stage,) = {hook.__self__ for hook in bed.access.on_queued}
+    assert stage.compact() == 0
     still_pending = {r.request_id for r in bed.access.log.pending()}
     assert set(replayed) <= still_pending
 

@@ -113,6 +113,60 @@ def test_stale_watermark_does_not_regress():
     assert "client+1/10" not in server._applied
 
 
+def _walked_watermark(access) -> list:
+    """The definition: the lowest counter among this incarnation's
+    pending ids (every id looked at), else the next counter to mint."""
+    floor = access._request_counter
+    for request in access.log.pending():
+        head, sep, tail = request.request_id.rpartition("/")
+        if sep and head == access._id_prefix:
+            floor = min(floor, int(tail))
+    return [access._id_prefix, floor]
+
+
+def test_watermark_is_the_walked_floor_without_the_walk():
+    """``_ack_watermark`` asks the log for the oldest pending id of its
+    incarnation instead of reading every pending id per wire body."""
+    bed = build_testbed(
+        link_spec=ETHERNET_10M,
+        policy=IntervalTrace([(0.0, 1.0), (500.0, 1e9)]),
+        compaction=True,
+    )
+    bed.sim.run(until=2.0)  # disconnected
+    outbox = "urn:rover:server/mail/outbox"
+    seen = []
+
+    def check():
+        access = bed.access
+        assert access._ack_watermark() == _walked_watermark(access)
+        seen.append(tuple(access._ack_watermark()))
+
+    check()  # nothing pending: the next counter
+    for i in range(6):
+        # Pairs merge (a drop and a rewrite that keeps its place) ...
+        bed.access.invoke_remote(outbox, "append_entry", [{"id": f"a{i}"}])
+        bed.access.invoke_remote(f"urn:rover:server/mail/m{i}", "mark_read", [])
+        check()
+    assert bed.access.log.ops_compacted == 5
+    # ... the oldest leaves by terminal failure ...
+    oldest = bed.access.log.pending()[0]
+    bed.access.fail(oldest, "gone")
+    check()
+    # ... and a reborn incarnation inherits ids that are not its own.
+    bed.crash_and_recover_client()
+    check()
+    assert bed.access._ack_watermark() == ["client+1", 0]
+    for i in range(3):
+        bed.access.invoke_remote(outbox, "append_entry", [{"id": f"b{i}"}])
+        check()
+    assert any(r.request_id.startswith("client/") for r in bed.access.log.pending())
+    bed.sim.run(until=499.0)
+    while bed.access.pending_count():  # the drain, reply by reply
+        bed.sim.run(until=bed.sim.now + 0.01)
+        check()
+    assert bed.sim.now > 500.0 and len(set(seen)) > 4
+
+
 # -- marshal fast path -------------------------------------------------------
 
 
