@@ -66,11 +66,14 @@ perf:
 	$(PYTHON) -m pytest -q tests/test_perf_compaction.py
 	$(PYTHON) -m pytest -q "benchmarks/test_experiments.py::test_experiment[e14]"
 
-# CPU hot path: codec/group-commit/kernel suite, determinism digest
-# pins, and the E16 drain-throughput gate at CI scale
-# (docs/PERFORMANCE.md, "The CPU hot path").  --host-time is the one
-# place E16's calibration-normalized CPU columns are compared; tier-1
-# checks its shape and deterministic fields only.
+# CPU hot path: codec/group-commit/kernel suite, the frame path's call
+# budgets (tests/test_speed.py, "The frame path": a frame asks its link
+# and the spec twice each, a null RPC is 77 Python calls; docs/
+# PERFORMANCE.md, "One frame, one choice"), determinism digest pins,
+# and the E16 drain-throughput gate at CI scale (docs/PERFORMANCE.md,
+# "The CPU hot path").  --host-time is the one place E16's
+# calibration-normalized CPU columns are compared; tier-1 checks its
+# shape and deterministic fields only.
 speed:
 	$(PYTHON) -m pytest -q tests/test_speed.py tests/test_determinism.py
 	$(PYTHON) -m pytest -q "benchmarks/test_experiments.py::test_experiment[e16]" --host-time

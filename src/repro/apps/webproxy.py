@@ -227,9 +227,7 @@ class ClickAheadProxy:
 
     def _estimated_delay(self) -> float:
         """Crude fetch-delay estimate from current link state and queue."""
-        best = self.access.scheduler.transport.best_link(
-            self.access.servers[self.authority]
-        )
+        best = self.access.host.best_link_to(self.access.servers[self.authority])
         if best is None:
             return float("inf")
         # ~16 KB typical page over the current link, plus queue pressure.

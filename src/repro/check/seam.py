@@ -294,7 +294,7 @@ def count_dispatch_while_down(harness: CheckHarness, transport: Transport) -> No
     original_call = transport.call
 
     def call(dst, service, request, on_reply, on_error, timeout=60.0, link=None):
-        if transport.best_link(dst) is None:
+        if transport.host.best_link_to(dst) is None:
             harness.dispatch_while_down += 1
         return original_call(
             dst,

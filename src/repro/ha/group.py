@@ -516,12 +516,14 @@ class ReplicaAgent:
     def _ship_to(self, peer: dict) -> None:
         if peer["inflight"] or self.role != "primary" or self._crashed:
             return
-        from_seq = peer["acked_seq"] + 1
-        if from_seq <= self.base_seq:
+        # The log holds (base_seq, seq] without a gap: the peer has its
+        # first ``held`` records and the batch is the slice after them.
+        held = peer["acked_seq"] - self.base_seq
+        if held < 0:
             # Fell behind the trimmed log: anti-entropy, not records.
             self._nudge_resync(peer)
             return
-        records = [r for r in self.log if r["seq"] >= from_seq][:SHIP_BATCH]
+        records = self.log[held : held + SHIP_BATCH]
         if not records:
             return
         incarnation = self._incarnation

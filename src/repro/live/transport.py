@@ -91,7 +91,6 @@ class _Connection:
     """
 
     spec = TCP
-    is_up = True
 
     def __init__(self, name: str, carry: Optional[Callable] = None) -> None:
         self.name = name
@@ -127,12 +126,12 @@ class _LiveHost:
     def bind(self, port: int, handler: Callable) -> None:
         self._ports[port] = handler
 
-    def usable_links_to(self, peer: Any) -> list[_Connection]:
+    def best_link_to(self, peer: Any) -> Optional[_Connection]:
         if isinstance(peer, _Connection):
-            return [peer] if self.hosts.get(peer.name) is peer else []
+            return peer if self.hosts.get(peer.name) is peer else None
         # Anywhere else is one dial away; whether anyone answers there
         # is found out by calling, and a refusal backs off like a loss.
-        return [_Connection(peer.name)]
+        return _Connection(peer.name)
 
     def deliver(self, frame: bytes, source: tuple) -> None:
         """Hand a received frame to the port it names (loop thread)."""

@@ -163,9 +163,9 @@ class HttpServer:
         if seq is not None:
             response.headers["X-Seq"] = seq
         src_host = self.host.network.hosts.get(source[0])
-        links = self.host.usable_links_to(src_host) if src_host is not None else []
-        if links:  # else the client will time out
-            links[0].send(self.host, source[1], response.encode(), src_port=HTTP_PORT)
+        link = self.host.best_link_to(src_host) if src_host is not None else None
+        if link is not None:  # else the client will time out
+            link.send(self.host, source[1], response.encode(), src_port=HTTP_PORT)
 
 
 class HttpClient:
@@ -190,8 +190,8 @@ class HttpClient:
         on_error: Callable[[str], None],
         timeout: float = 60.0,
     ) -> None:
-        links = self.host.usable_links_to(dst)
-        if not links:
+        link = self.host.best_link_to(dst)
+        if link is None:
             self.sim.schedule(0.0, on_error, "no usable link")
             return
         seq = self._next_seq
@@ -205,7 +205,7 @@ class HttpClient:
 
         timer = self.sim.schedule(timeout, expire)
         self._pending[seq] = {"on_response": on_response, "timer": timer}
-        links[0].send(
+        link.send(
             self.host,
             HTTP_PORT,
             request.encode(),

@@ -85,15 +85,15 @@ class HttpRoute(Route):
     def available(self, dst: Host) -> bool:
         # The gateway host *is* the Rover server's host in the standard
         # topology; the route works whenever a link to it is up.
-        return dst is self.gateway_host and bool(self.client.host.usable_links_to(dst))
+        return dst is self.gateway_host and self.client.host.best_link_to(dst) is not None
 
     @property
     def quality(self) -> float:  # type: ignore[override]
         # Slightly below the native RPC carrier on the same links: the
         # textual framing costs more bytes, so prefer native when both
         # are available.
-        links = self.client.host.usable_links_to(self.gateway_host)
-        return links[0].spec.bandwidth_bps * 0.9 if links else 0.0
+        link = self.client.host.best_link_to(self.gateway_host)
+        return link.spec.bandwidth_bps * 0.9 if link is not None else 0.0
 
     def send(
         self,

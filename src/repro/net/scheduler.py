@@ -124,19 +124,18 @@ class DirectRoute(Route):
         self.timeout = timeout
 
     def available(self, dst: Host) -> bool:
-        return self.transport.best_link(dst) is not None
+        return self.transport.host.best_link_to(dst) is not None
 
     def first_hop(self, dst: Host) -> Optional[Link]:
-        return self.transport.best_link(dst)
+        return self.transport.host.best_link_to(dst)
 
     @property
     def quality(self) -> float:  # type: ignore[override]
         # Quality tracks the best attached link; refined per-message in send().
-        best = max(
+        return max(
             (link.spec.bandwidth_bps for link in self.transport.host.links if link.is_up),
             default=0.0,
         )
-        return best
 
     def send(
         self,
@@ -281,6 +280,13 @@ class NetworkScheduler:
         #: The carriers, best available wins.
         self.routes: list[Route] = [DirectRoute(transport, timeout=rpc_timeout)]
         self._heap: list[tuple[tuple[int, int], QueuedMessage]] = []
+        #: Queued messages a pump found no route for (or resting), out of
+        #: the heap until the answers they were given are void — that is,
+        #: until ``_route_cache`` is no longer the dict they were asked
+        #: under.  A submit behind a long disconnected queue therefore
+        #: looks up one route, not one per message already waiting.
+        self._stuck: list[tuple[tuple[int, int], QueuedMessage]] = []
+        self._stuck_under: Optional[dict] = None
         #: Every message not yet in a terminal state (queued, backing
         #: off, or in flight) — the set a crash simulation abandons.
         self._active: set[QueuedMessage] = set()
@@ -343,8 +349,9 @@ class NetworkScheduler:
         self._watched_links: set[str] = set()
         # Memoized _best_route results, keyed by (dst name, preference).
         # Route availability only changes when link state does, so the
-        # cache is dumped wholesale on every link transition (and when
-        # routes or links are added) rather than tracked per entry.
+        # cache is replaced wholesale on every link transition (and when
+        # routes or links are added, or a destination's rest ends)
+        # rather than tracked per entry.
         self._route_cache: dict[tuple[str, Optional[int]], Optional[Route]] = {}
         self._drain_hooks: list[Callable[[], None]] = []
         self._watch_links()
@@ -378,7 +385,7 @@ class NetworkScheduler:
     def _queue_depth_for(self, priority: Priority) -> int:
         return sum(
             1
-            for __, m in self._heap
+            for __, m in self._heap + self._stuck
             if m.state == "queued" and m.priority is priority
         )
 
@@ -405,7 +412,7 @@ class NetworkScheduler:
     def add_route(self, route: Route) -> None:
         """Register an additional carrier (e.g. the SMTP relay route)."""
         self.routes.append(route)
-        self._route_cache.clear()
+        self._route_cache = {}
 
     def add_drain_hook(self, hook: Callable[[], None]) -> None:
         """Run ``hook`` when a link comes back up, before the queue drains.
@@ -483,12 +490,11 @@ class NetworkScheduler:
         if priority == message.priority:
             return True
         message.priority = priority
-        # Lazy re-heap: push a fresh key; stale heap entries are
-        # skipped because sort_key() no longer matches... simplest
-        # correct approach is to rebuild the heap.
+        # Rebuild the heap under the keys as they now are.
         self._heap = [
-            (m.sort_key(), m) for __, m in self._heap if m.state == "queued"
+            (m.sort_key(), m) for __, m in self._heap + self._stuck if m.state == "queued"
         ]
+        self._stuck.clear()
         heapq.heapify(self._heap)
         self._pump()
         return True
@@ -517,12 +523,13 @@ class NetworkScheduler:
                 message.exchange = None
         self._active.clear()
         self._heap.clear()
+        self._stuck.clear()
         self._resting.clear()
         self._inflight = 0
         return count
 
     def queue_length(self) -> int:
-        return sum(1 for __, m in self._heap if m.state == "queued")
+        return sum(1 for __, m in self._heap + self._stuck if m.state == "queued")
 
     @property
     def inflight(self) -> int:
@@ -543,11 +550,11 @@ class NetworkScheduler:
             self._watched_links.add(link.name)
             # A link attached after construction may change route
             # availability even before any transition fires.
-            self._route_cache.clear()
+            self._route_cache = {}
             link.on_transition(self._on_link_transition)
 
     def _on_link_transition(self, link: Link, is_up: bool) -> None:
-        self._route_cache.clear()
+        self._route_cache = {}
         if is_up:
             for hook in self._drain_hooks:
                 hook()
@@ -570,7 +577,13 @@ class NetworkScheduler:
         return best
 
     def _pump(self) -> None:
-        deferred: list[tuple[tuple[int, int], QueuedMessage]] = []
+        if self._stuck_under is not self._route_cache:
+            # What the stuck messages were told no longer holds: they
+            # stand in line again, where their ``seq`` puts them.
+            for item in self._stuck:
+                heapq.heappush(self._heap, item)
+            self._stuck.clear()
+            self._stuck_under = self._route_cache
         while self._inflight < self.max_inflight and self._heap:
             __, message = self._heap[0]
             if message.state != "queued":
@@ -579,7 +592,7 @@ class NetworkScheduler:
             group = message.group
             if group is not None:
                 if group in self._resting:
-                    deferred.append(heapq.heappop(self._heap))
+                    self._stuck.append(heapq.heappop(self._heap))
                     continue
                 message.dst = group.current_host
             route = self._best_route(message.dst, message.route_preference)
@@ -588,12 +601,10 @@ class NetworkScheduler:
                 # unreachable right now; let the rest of the queue make
                 # progress around it — another destination's link may
                 # well be up (no head-of-line blocking across servers).
-                deferred.append(heapq.heappop(self._heap))
+                self._stuck.append(heapq.heappop(self._heap))
                 continue
             heapq.heappop(self._heap)
             self._dispatch(self._gather(message, route), route)
-        for item in deferred:
-            heapq.heappush(self._heap, item)
 
     def _gather(self, head: QueuedMessage, route: Route) -> list[QueuedMessage]:
         """The messages that leave in ``head``'s frame, ``head`` first.
@@ -764,7 +775,7 @@ class NetworkScheduler:
             # here before the link's transition listeners run, so the
             # memoized route may still point at the dead link — drop it
             # or the pump below re-dispatches straight into the outage.
-            self._route_cache.clear()
+            self._route_cache = {}
             for message in waiting:
                 if message.exchange is exchange:  # not failed with a sibling
                     self._attempt_failed(message, reason)
@@ -851,4 +862,5 @@ class NetworkScheduler:
     def _rested(self, group: Any, until: float) -> None:
         if self._resting.get(group) == until:  # not extended since
             del self._resting[group]
+            self._route_cache = {}  # what waited out the rest stands in line again
             self._pump()

@@ -20,6 +20,7 @@ receives ``(payload_bytes, source_address)``.
 
 from __future__ import annotations
 
+from bisect import insort
 from functools import cached_property
 from typing import Any, Callable, Optional
 
@@ -72,20 +73,16 @@ class Host:
         for port, handler in ports.items():
             self.bind(port, handler)
 
-    def links_to(self, peer: "Host") -> list["Link"]:
-        """All links attached to both this host and ``peer``.
-
-        Served from a per-peer index kept by ``Network.connect`` — the
-        home server has one link per client, so the old full scan made
-        every server-side send O(clients).
-        """
-        return list(self._links_by_peer.get(peer.name, ()))
-
-    def usable_links_to(self, peer: "Host") -> list["Link"]:
-        """Links to ``peer`` that are up right now, best bandwidth first."""
-        links = [link for link in self.links_to(peer) if link.is_up]
-        links.sort(key=lambda link: -link.spec.bandwidth_bps)
-        return links
+    def best_link_to(self, peer: "Host") -> Optional["Link"]:
+        """The best-bandwidth link to ``peer`` that is up right now: the
+        first such in the per-peer index ``Network.connect`` keeps in
+        that order (the home server has one link per client, so a scan
+        of ``links`` made every server-side send O(clients))."""
+        now = self.network.sim.now
+        for link in self._links_by_peer.get(peer.name, ()):
+            if link.policy.is_up(now):
+                return link
+        return None
 
     def deliver(self, port: int, payload: bytes, source: Address) -> None:
         handler = self._ports.get(port)
@@ -119,10 +116,11 @@ class Medium:
 class Delivery:
     """One planned arrival of a payload at the receiving host.
 
-    A normal send produces exactly one; a fault injector installed on
-    the link (see ``Link.fault_injector``) may rewrite it into zero or
+    What a fault injector installed on the link (see
+    ``Link.fault_injector``) is handed and may rewrite into zero or
     more — dropping it (``fail_reason`` set), duplicating it, delaying
-    it, or corrupting its bytes.
+    it, or corrupting its bytes.  A link without one builds none: the
+    transfer carries the same three facts itself.
     """
 
     __slots__ = ("time", "payload", "fail_reason")
@@ -138,11 +136,13 @@ class Delivery:
 class _Transfer:
     """An in-flight transfer on one direction of a link.
 
-    Carries everything its completion needs so the transmit path
-    allocates no per-delivery closure: :meth:`complete` is a bound
-    method handed straight to the simulator (repro.speed — closures
-    captured six cells each and dominated allocation on 10k-client
-    drains).
+    In flight from the moment it exists (constructing one books its
+    arrival and lists it on the link), and carries everything its
+    completion needs, the wire bytes to charge included, so the
+    transmit path allocates no per-delivery closure: :meth:`complete`
+    is a bound method handed straight to the simulator (repro.speed —
+    closures captured six cells each and dominated allocation on
+    10k-client drains).
     """
 
     __slots__ = (
@@ -150,7 +150,8 @@ class _Transfer:
         "receiver",
         "port",
         "source",
-        "delivery",
+        "payload",
+        "fail_reason",
         "fail",
         "charge",
         "deliver_event",
@@ -162,18 +163,22 @@ class _Transfer:
         receiver: "Host",
         port: int,
         source: Address,
-        delivery: Delivery,
+        time: float,
+        payload: bytes,
+        fail_reason: Optional[str],
         fail: Callable[[str], None],
-        charge: bool,
+        charge: int,
     ) -> None:
         self.link = link
         self.receiver = receiver
         self.port = port
         self.source = source
-        self.delivery = delivery
+        self.payload = payload
+        self.fail_reason = fail_reason
         self.fail = fail
         self.charge = charge
-        self.deliver_event: Any = None
+        self.deliver_event: Any = link.sim.schedule_at(time, self.complete)
+        link._inflight[self] = None
 
     def complete(self) -> None:
         link = self.link
@@ -183,14 +188,12 @@ class _Transfer:
         # with the last reference instead of waiting for the collector.
         del link._inflight[self]
         self.deliver_event = None
-        delivery = self.delivery
-        if delivery.fail_reason is not None:
+        if self.fail_reason is not None:
             link.transfers_failed += 1
-            self.fail(delivery.fail_reason)
+            self.fail(self.fail_reason)
             return
-        if self.charge:
-            link.bytes_carried += link.spec.wire_bytes(len(delivery.payload))
-        self.receiver.deliver(self.port, delivery.payload, self.source)
+        link.bytes_carried += self.charge
+        self.receiver.deliver(self.port, self.payload, self.source)
 
 
 class _FailOnce:
@@ -294,18 +297,11 @@ class Link:
             transfer.deliver_event.cancel()
             transfer.deliver_event = None
             self.transfers_failed += 1
-            fail, transfer.fail, transfer.delivery = transfer.fail, None, None
+            fail, transfer.fail, transfer.payload = transfer.fail, None, None
             fail(reason)
         return len(transfers)
 
     # -- transmission ---------------------------------------------------
-
-    def peer_of(self, host: Host) -> Host:
-        if host is self.host_a:
-            return self.host_b
-        if host is self.host_b:
-            return self.host_a
-        raise NetworkError(f"{host.name} is not attached to link {self.name}")
 
     def queue_delay(self, sender: Host) -> float:
         """Seconds until the sender-side line (or shared medium) is free."""
@@ -324,63 +320,59 @@ class Link:
         """Transmit ``payload`` to the peer host's ``port``.
 
         Returns the scheduled delivery time.  Raises :class:`LinkDown`
-        if the link is down *now*; later failures (drop mid-transfer,
+        if the link is down *now* — the one refusal every sender relies
+        on, whoever chose the link; later failures (drop mid-transfer,
         random loss) are reported through ``on_failed``.  ``src_port``
         is what the receiver sees as the reply port.
         """
-        receiver = self.peer_of(sender)
+        if sender is not self.host_a and sender is not self.host_b:
+            raise NetworkError(f"{sender.name} is not attached to link {self.name}")
+        receiver = self.host_b if sender is self.host_a else self.host_a
         now = self.sim.now
         if not self.policy.is_up(now):
             raise LinkDown(f"link {self.name} is down at t={now:.3f}")
 
-        tx_time = self.spec.transmit_time(len(payload))
+        # Framed once: line time (``LinkSpec.transmit_time``'s arithmetic)
+        # and both byte counts come from this one figure.
+        spec = self.spec
+        wire = spec.wire_bytes(len(payload))
+        tx_time = wire * 8.0 / spec.bandwidth_bps
         if self.medium is not None:
             # Shared channel: every attached host contends for air time.
             start = max(now, self.medium.busy_until)
             end_of_tx = start + tx_time
             self.medium.busy_until = end_of_tx
-            self.medium.bytes_carried += self.spec.wire_bytes(len(payload))
+            self.medium.bytes_carried += wire
         else:
             start = max(now, self._busy_until[sender.name])
             end_of_tx = start + tx_time
             self._busy_until[sender.name] = end_of_tx
-        arrival = end_of_tx + self.spec.latency_s
+        arrival = end_of_tx + spec.latency_s
 
         fail = on_failed if on_failed is not None else _ignore_failure
-        lost = self.spec.loss_rate > 0 and self._loss_rng.random() < self.spec.loss_rate
-
+        lost = spec.loss_rate > 0 and self._loss_rng.random() < spec.loss_rate
+        fail_reason = "packet loss" if lost else None
         source: Address = (sender.name, src_port)
 
-        planned = Delivery(arrival, payload, "packet loss" if lost else None)
         if self.fault_injector is None:
             # Common case: one delivery, no duplicate-collapse shim.
-            self._schedule_delivery(receiver, port, source, planned, fail, charge=True)
+            _Transfer(self, receiver, port, source, arrival, payload, fail_reason, fail, wire)
             return arrival
 
         # The injector sees the link's own loss outcome and may
         # rewrite the plan: drop, duplicate, delay, corrupt.
+        planned = Delivery(arrival, payload, fail_reason)
         deliveries = self.fault_injector.plan(self, planned) or [planned]
         fail_once = _FailOnce(fail)
         for index, delivery in enumerate(deliveries):
-            # Only the first copy is charged for wire bytes: injected
-            # duplicates model network-level replays, not extra sends.
-            self._schedule_delivery(
-                receiver, port, source, delivery, fail_once, charge=(index == 0)
+            # Only the first copy is charged, for the bytes *it* carries:
+            # injected duplicates model network-level replays, not sends.
+            charge = spec.wire_bytes(len(delivery.payload)) if index == 0 else 0
+            _Transfer(
+                self, receiver, port, source,
+                delivery.time, delivery.payload, delivery.fail_reason, fail_once, charge,
             )
         return arrival
-
-    def _schedule_delivery(
-        self,
-        receiver: Host,
-        port: int,
-        source: Address,
-        delivery: Delivery,
-        fail: Callable[[str], None],
-        charge: bool,
-    ) -> None:
-        transfer = _Transfer(self, receiver, port, source, delivery, fail, charge)
-        transfer.deliver_event = self.sim.schedule_at(delivery.time, transfer.complete)
-        self._inflight[transfer] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "up" if self.is_up else "down"
@@ -431,10 +423,13 @@ class Network:
             self, link_name, host_a, host_b, spec, policy or AlwaysUp(), medium=medium
         )
         self._links[link_name] = link
-        host_a.links.append(link)
-        host_b.links.append(link)
-        host_a._links_by_peer.setdefault(host_b.name, []).append(link)
-        host_b._links_by_peer.setdefault(host_a.name, []).append(link)
+        # Per peer, held in the order a sender prefers them — best
+        # bandwidth first, equals in attach order (``insort`` goes right
+        # of its equals) — so choosing one per frame sorts nothing.
+        for host, peer in ((host_a, host_b), (host_b, host_a)):
+            host.links.append(link)
+            held = host._links_by_peer.setdefault(peer.name, [])
+            insort(held, link, key=lambda other: -other.spec.bandwidth_bps)
         return link
 
     @property

@@ -67,7 +67,7 @@ class MailRelay:
     def _on_link_transition(self, link: Link, is_up: bool) -> None:
         if not is_up:
             return
-        peer = link.peer_of(self.host)
+        peer = link.host_b if link.host_a is self.host else link.host_a
         self._try_forward(peer.name)
 
     def _try_forward(self, dst_name: str) -> None:
@@ -77,7 +77,7 @@ class MailRelay:
         if not queue:
             return
         dst = self.host.network.hosts.get(dst_name)
-        if dst is None or self.transport.best_link(dst) is None:
+        if dst is None or self.host.best_link_to(dst) is None:
             return
         self._forwarding.add(dst_name)
         mail = queue[0]
@@ -172,7 +172,7 @@ class MailRoute(Route):
         return self.first_hop(dst) is not None
 
     def first_hop(self, dst: Host) -> Optional[Link]:
-        return self.mailbox.transport.best_link(self.mailbox.relay)
+        return self.mailbox.transport.host.best_link_to(self.mailbox.relay)
 
     def send(
         self,

@@ -265,8 +265,11 @@ class Transport:
         than to propagate: bytes are what the sender waits for, so
         spending CPU (compression) or sharing a frame (coalescing) to
         send fewer of them pays.  The one rule both decisions use."""
-        spec = link.spec
-        return self.adapt_to_link and spec.transmit_time(nbytes) > spec.latency_s
+        spec = link.spec  # one spec call: ``transmit_time``'s arithmetic on it
+        return (
+            self.adapt_to_link
+            and spec.wire_bytes(nbytes) * 8.0 / spec.bandwidth_bps > spec.latency_s
+        )
 
     def _encode_payload(self, value: Any, link: Link) -> bytes:
         raw = marshal(value)
@@ -296,16 +299,6 @@ class Transport:
                 raise MarshalError("compressed frame truncated or over the frame cap")
             return unmarshal(raw)
         return unmarshal(body)
-
-    # -- link selection --------------------------------------------------
-
-    def usable_links(self, dst: Host) -> list[Link]:
-        """Links to ``dst`` that are currently up, best bandwidth first."""
-        return self.host.usable_links_to(dst)
-
-    def best_link(self, dst: Host) -> Optional[Link]:
-        links = self.host.usable_links_to(dst)
-        return links[0] if links else None
 
     # -- datagram layer ---------------------------------------------------
 
@@ -342,13 +335,14 @@ class Transport:
     ) -> int:
         """Marshal and transmit ``value``; returns payload size in bytes.
 
-        Raises :class:`LinkDown` when no usable link exists right now.
+        Raises :class:`LinkDown` when no usable link exists right now
+        (the host has none up, or the ``link`` named refuses the frame).
         With a ``trace`` context, the wire crossing is recorded as a
         ``link.transmit`` span from now (including any wait for the
         serial line) until delivery at the peer.
         """
-        chosen = link or self.best_link(dst)
-        if chosen is None or not chosen.is_up:
+        chosen = link or self.host.best_link_to(dst)
+        if chosen is None:
             raise LinkDown(f"no usable link {self.host.name} -> {dst.name}")
         payload = self._encode_payload(value, chosen)
         arrival = chosen.send(

@@ -472,7 +472,7 @@ class TestAntiEntropy:
         assert access.drain(timeout=600.0)
         promoted = bed.group.primary_agent()
         rejoining = old_primary.ha_agent
-        (mesh,) = rejoining.host.links_to(promoted.host)
+        mesh = rejoining.host.best_link_to(promoted.host)
 
         controller.restart_server(old_primary)
         # A heartbeat tells it whom to sync from; its next tick asks.
@@ -674,7 +674,7 @@ class TestReplicateFrameLostInFlight:
         primary = bed.group.primary_agent()
         (backup,) = [a for a in agents(bed) if a is not primary]
         (peer,) = primary.peers
-        (mesh,) = primary.host.links_to(backup.host)
+        mesh = primary.host.best_link_to(backup.host)
         injector = FaultyLink(mesh, LinkFaultSpec(drop=1.0), make_rng(CHAOS_SEED, "mesh")).install()
 
         access = bed.clients[0].access

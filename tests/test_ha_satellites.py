@@ -7,7 +7,7 @@ transport replies, and the failover counter on the not-primary fence.
 """
 
 from repro.ha import build_ha_testbed
-from repro.ha.group import ReplicaSet
+from repro.ha.group import LOG_CAP, SHIP_BATCH, ReplicaSet
 from repro.net.link import ETHERNET_10M
 from repro.net.transport import AsyncReply
 from repro.testbed import build_multi_client_testbed
@@ -259,3 +259,54 @@ class TestElectionDecision:
         bed, agent, polls = self.candidate(index=1)
         worse = {"proposed": 1, "seq": 0, "index": 2, "candidate": "server-b2"}
         assert not agent._on_poll(worse, ("server-b2", 0))["granted"] and agent._standing == 1
+
+
+class TestShipBatch:
+    """``_ship_to`` takes its batch by offset: the log holds
+    ``(base_seq, seq]`` without a gap, so the records from a cursor on
+    are a slice.  Checked against the scan it replaced."""
+
+    @staticmethod
+    def shipped(base_seq, seq, acked):
+        """What the primary sends a peer that acknowledged ``acked``:
+        ``(service, [record seqs])``, with the log set by hand."""
+        bed = build_ha_testbed(n_backups=1)
+        agent = bed.group.primary_agent()
+        agent.base_seq, agent.seq = base_seq, seq
+        agent.log = [{"seq": n} for n in range(base_seq + 1, seq + 1)]
+        (peer,) = agent.peers
+        peer["acked_seq"] = acked
+        sent = []
+
+        def call(dst, service, body, on_reply, on_error, timeout=60.0, link=None):
+            sent.append((service, [r["seq"] for r in body.get("records", [])]))
+
+        agent.transport.call = call
+        agent._ship_to(peer)
+        scan = [r["seq"] for r in agent.log if r["seq"] >= acked + 1][:SHIP_BATCH]
+        return sent, scan
+
+    def test_an_untrimmed_log_ships_from_the_cursor(self):
+        sent, scan = self.shipped(base_seq=0, seq=10, acked=3)
+        assert sent == [("rover.ha.replicate", scan)] and scan == list(range(4, 11))
+
+    def test_a_batch_stops_at_its_cap(self):
+        sent, scan = self.shipped(base_seq=0, seq=200, acked=0)
+        assert sent == [("rover.ha.replicate", scan)] and scan == list(range(1, SHIP_BATCH + 1))
+
+    def test_a_trimmed_log_ships_by_offset_from_its_base(self):
+        sent, scan = self.shipped(base_seq=5000, seq=5000 + LOG_CAP, acked=5900)
+        assert sent == [("rover.ha.replicate", scan)]
+        assert scan == list(range(5901, 5901 + SHIP_BATCH))
+
+    def test_a_cursor_at_the_base_ships_the_oldest_record_held(self):
+        sent, scan = self.shipped(base_seq=5000, seq=5010, acked=5000)
+        assert sent == [("rover.ha.replicate", scan)] and scan[0] == 5001
+
+    def test_a_cursor_below_the_base_is_nudged_to_resync(self):
+        sent, scan = self.shipped(base_seq=5000, seq=5010, acked=4999)
+        assert sent == [("rover.ha.resync", [])]
+
+    def test_a_cursor_at_the_head_ships_nothing(self):
+        sent, scan = self.shipped(base_seq=5000, seq=5010, acked=5010)
+        assert sent == [] and scan == []

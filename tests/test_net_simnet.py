@@ -153,15 +153,15 @@ def test_host_is_idempotent_lookup():
     assert net.host("x") is net.host("x")
 
 
-def test_links_to_filters_by_peer():
+def test_best_link_to_filters_by_peer():
     sim = Simulator()
     net = Network(sim)
     a, b, c = net.host("a"), net.host("b"), net.host("c")
     ab = net.connect(a, b, FAST)
     ac = net.connect(a, c, FAST, name="ac")
-    assert a.links_to(b) == [ab]
-    assert a.links_to(c) == [ac]
-    assert b.links_to(c) == []
+    assert a.best_link_to(b) is b.best_link_to(a) is ab
+    assert a.best_link_to(c) is ac
+    assert b.best_link_to(c) is None
 
 
 def test_queue_delay_reports_busy_time():
@@ -296,4 +296,4 @@ def test_failed_transfers_release_their_request():
     (transfer,) = link._inflight
     assert link.fail_inflight("peer crashed") == 1
     assert failures == ["peer crashed"]
-    assert transfer.fail is None and transfer.delivery is None
+    assert transfer.fail is None and transfer.payload is None

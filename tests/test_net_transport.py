@@ -129,9 +129,7 @@ def test_best_link_prefers_bandwidth():
     a, b = net.host("a"), net.host("b")
     slow = net.connect(a, b, CSLIP_14_4, name="slow")
     fast = net.connect(a, b, ETHERNET_10M, name="fast")
-    ta = Transport(sim, a)
-    assert ta.best_link(b) is fast
-    assert ta.usable_links(b) == [fast, slow]
+    assert a.best_link_to(b) is fast  # held best first, whatever the attach order
 
 
 def test_best_link_skips_down_links():
@@ -140,8 +138,7 @@ def test_best_link_skips_down_links():
     a, b = net.host("a"), net.host("b")
     net.connect(a, b, ETHERNET_10M, AlwaysDown(), name="fast-down")
     slow = net.connect(a, b, CSLIP_14_4, name="slow-up")
-    ta = Transport(sim, a)
-    assert ta.best_link(b) is slow
+    assert a.best_link_to(b) is slow
 
 
 def test_send_with_no_link_raises():

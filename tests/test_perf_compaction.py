@@ -481,20 +481,24 @@ def test_planning_one_bucket_equals_planning_the_whole_queue(steps):
 
 def test_queuing_an_operation_costs_the_same_behind_a_long_queue():
     """Flatness: disconnected, the 400th ``invoke_remote`` — minting,
-    logging, planning — makes the Python calls the 40th made.  (Planning
-    the whole queue per operation cost about four calls per request
-    already queued.)  The scheduler's side of it is not in the measure:
-    handed a message while the link is down it still walks its queue."""
+    logging, planning, and the events it leaves the simulator: the flush
+    and the scheduler's pump — makes the Python calls the 40th made.
+    (Planning the whole queue per operation cost about four calls per
+    request already queued; a pump that walked the queue for want of a
+    route, one route lookup per message already queued.)"""
     bed = _offline_bed(compaction=True)
     access = bed.access
+
+    def queue_one(urn):
+        access.invoke_remote(urn, "mark_read", [])
+        bed.sim.run(until=bed.sim.now + 1.0)  # flushed, and pumped
+
     calls = []
     gc.collect()
     gc.disable()  # a collection inside the measure runs other tests' finalizers
     try:
         for index in range(400):
-            urn = f"urn:rover:server/mail/m{index}"
-            calls.append(_python_calls(access.invoke_remote, urn, "mark_read", []))
-            bed.sim.run(until=bed.sim.now + 1.0)  # flushed, and the scheduler's
+            calls.append(_python_calls(queue_one, f"urn:rover:server/mail/m{index}"))
     finally:
         gc.enable()
     assert access.pending_count() == 400

@@ -17,7 +17,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.chaos import FaultyLink, LinkFaultSpec
 from repro.core.access_manager import AccessManager
+from repro.live.transport import LiveAddress, _Connection, _LiveHost
+from repro.net.link import (
+    CSLIP_14_4,
+    ETHERNET_10M,
+    WAVELAN_2M,
+    AlwaysDown,
+    ConnectivityPolicy,
+    IntervalTrace,
+    LinkSpec,
+)
 from repro.net.message import (
     _PROTOCOL_KEYS,
     MarshalError,
@@ -27,7 +38,9 @@ from repro.net.message import (
     marshalled_size,
     unmarshal,
 )
-from repro.sim import Simulator
+from repro.net.simnet import LinkDown, Medium, Network
+from repro.net.transport import RpcError, Transport
+from repro.sim import Simulator, make_rng
 from repro.speed.scenario import SpeedScenario, run_drain
 from repro.storage.stable_log import (
     FileLogBackend,
@@ -518,6 +531,139 @@ def test_marshalled_size_short_circuits_premarshalled():
     # The slow path (a plain dict) does not count.
     marshalled_size({"a": 1})
     assert codec_stats.marshal_size_fast_total == before + 1
+
+
+# ---------------------------------------------------------------------------
+# The frame path: one choice, one question, one framing
+# ---------------------------------------------------------------------------
+
+
+class _CountingUp(ConnectivityPolicy):
+    """Always up, and counts how often it is asked."""
+
+    def __init__(self):
+        self.asked = 0
+
+    def is_up(self, t):
+        self.asked += 1
+        return True
+
+    def next_transition(self, t):
+        return None
+
+
+def _pair(spec=ETHERNET_10M, policy=None, medium=None):
+    """Two hosts, one link, a transport each; ``b`` serves ``null``."""
+    sim = Simulator()
+    net = Network(sim)
+    a, b = net.host("a"), net.host("b")
+    link = net.connect(a, b, spec, policy, medium=medium)
+    ta, tb = Transport(sim, a), Transport(sim, b)
+    tb.register("null", lambda body, source: {})
+    return sim, a, b, link, ta
+
+
+def test_a_frame_asks_its_link_twice_and_frames_itself_twice(monkeypatch):
+    """A round trip is two frames.  Each asks ``is_up`` when its link is
+    chosen and when the link takes it (three times, before: the host's
+    filter, the transport's own look, the link's), and ``wire_bytes``
+    for the bytes-dominate rule and for the line (three times, before:
+    the rule's ``transmit_time``, the line's, the delivery's charge)."""
+    policy = _CountingUp()
+    sim, a, b, link, ta = _pair(policy=policy)
+    framed = []
+    wire_bytes = LinkSpec.wire_bytes
+    monkeypatch.setattr(
+        LinkSpec, "wire_bytes", lambda spec, n: framed.append(n) or wire_bytes(spec, n)
+    )
+    assert ta.call_blocking(b, "null", {}) == {}
+    frames = ta.messages_sent + 1  # the reply is the other transport's
+    assert frames == 2
+    assert policy.asked <= 2 * frames
+    assert len(framed) <= 2 * frames
+    assert not ta.bytes_dominate(link, max(framed))  # the rule was asked, and said no
+
+
+def test_null_rpc_call_budget_on_ethernet():
+    """Every Python-level call of one null RPC, request out and reply
+    back, kernel and codec included: 103 before the link questions were
+    taken down to one each, 77 since (26 off two frames).  No slack: a call added
+    to the frame path is paid six times per operation on the replicated
+    write path, and shows here without perfbench."""
+    sim, a, b, link, ta = _pair()
+    ta.call_blocking(b, "null", {})  # warm: lazily built state is not the path
+    assert _python_calls(ta.call_blocking, b, "null", {}) <= 77
+
+
+def test_equal_links_are_chosen_in_attach_order_and_a_down_one_is_skipped():
+    """Best bandwidth first whatever the attach order, equals in attach
+    order, and only among the links that are up at the instant asked."""
+    sim = Simulator()
+    net = Network(sim)
+    a, b = net.host("a"), net.host("b")
+    slow = net.connect(a, b, CSLIP_14_4, name="slow")
+    first = net.connect(a, b, WAVELAN_2M, IntervalTrace([(0.0, 10.0)]), name="first")
+    second = net.connect(a, b, WAVELAN_2M, IntervalTrace([(0.0, 20.0)]), name="second")
+    net.connect(a, b, ETHERNET_10M, AlwaysDown(), name="fast-down")
+    chosen = []
+    for at in (0.0, 10.0, 20.0):
+        sim.schedule_at(at, lambda: chosen.append((a.best_link_to(b), b.best_link_to(a))))
+    sim.run(until=30.0)
+    assert chosen == [(first, first), (second, second), (slow, slow)]
+    assert a.best_link_to(net.host("c")) is None
+
+
+def test_a_down_link_named_explicitly_refuses_and_leaves_nothing_pending():
+    sim, a, b, link, ta = _pair(policy=AlwaysDown())
+    with pytest.raises(LinkDown):
+        ta.send(b, 9000, {"x": 1}, link=link)
+    outcomes = []
+    with pytest.raises(RpcError):
+        ta.call(b, "null", {}, outcomes.append, outcomes.append, link=link)
+    assert ta._pending_calls == {}
+    assert sim.pending() == 0  # the timeout timer went with the call
+    sim.run()
+    assert outcomes == [] and ta.messages_sent == 0 and link.bytes_carried == 0
+
+
+@pytest.mark.parametrize(
+    "fault, carried",
+    [
+        # Failures are never charged to the link; the air time was spent.
+        ("drop", 0),
+        # The first copy is charged, an injected replay rides free.
+        ("duplicate", 140),
+        # Charged for the bytes that arrived (same length here).
+        ("corrupt", 140),
+    ],
+)
+def test_faulted_deliveries_are_charged_as_before(fault, carried):
+    medium = Medium("cell")
+    sim, a, b, link, ta = _pair(spec=WAVELAN_2M, medium=medium)
+    FaultyLink(link, LinkFaultSpec(**{fault: 1.0}), make_rng(0, "test.charge")).install()
+    arrived = []
+    b.bind(7, lambda payload, source: arrived.append(len(payload)))
+    link.send(a, 7, b"x" * 100)
+    sim.run()
+    assert medium.bytes_carried == 140  # 100 + one 40 B header, at send
+    assert link.bytes_carried == carried
+    assert arrived == {"drop": [], "duplicate": [100, 100], "corrupt": [100]}[fault]
+    assert link.transfers_failed == (1 if fault == "drop" else 0)
+
+
+def test_live_host_answers_for_a_peer_address_and_an_accepted_connection():
+    """The host side of the seam over sockets: an address is always one
+    dial away; a connection is usable while the reply it is owed is."""
+    host = _LiveHost(clock=None, name="here")
+    dialled = host.best_link_to(LiveAddress("there", "127.0.0.1", 9))
+    assert isinstance(dialled, _Connection) and dialled.name == "there"
+    assert dialled.carry is None  # only a call dials one
+    accepted = _Connection("127.0.0.1:5#0", carry=lambda frame, on_failed: None)
+    assert host.best_link_to(accepted) is None  # not (or no longer) owed a reply
+    host.hosts[accepted.name] = accepted
+    assert host.best_link_to(accepted) is accepted
+    host.hosts[accepted.name] = _Connection(accepted.name)  # the name, reused
+    assert host.best_link_to(accepted) is None
 
 
 # ---------------------------------------------------------------------------
