@@ -5,13 +5,18 @@ The paper's RDO-migration story (finding 4): over a 14.4 modem, a task
 that needs N server-side lookups costs N round trips as QRPCs — or one
 queued exchange as a shipped RDO.  This example runs a parts-inventory
 audit both ways and then ships the paper's canonical example, a mail
-filter that scans message bodies without importing a single one.
+filter that scans message bodies without importing a single one —
+and, last, two runaway agents: one the verifier refuses before it
+ships, one that would loop a billion times, which the server's step
+budget stops.
 
 Run:  python examples/function_shipping.py
 """
 
 from repro import RDO, URN, build_testbed
 from repro.apps.mail import MailServerApp, RoverMailReader
+from repro.core.promise import PromiseError
+from repro.core.rdo import RDOVerificationError
 from repro.net import CSLIP_14_4
 from repro.workloads import generate_mail_corpus
 
@@ -78,6 +83,34 @@ def main(prefix, reorder_below):
     print(f"    (importing the folder first would have moved every byte "
           f"over the 14.4 modem: ~{folder_bytes * 8 / 14_400:.0f}s)")
     assert bed.access.cache.stats()["entries"] == 0  # no bodies imported
+
+    # --- runaway agents: shipped code cannot spin forever on the server ---
+    # A loop the verifier can see never ends is refused at the author's
+    # desk, before it is logged or sent ...
+    spin = '''
+def main():
+    while True:
+        pass
+'''
+    try:
+        bed.access.ship("server", spin)
+    except RDOVerificationError as exc:
+        finding = exc.diagnostics[0]
+        print(f"\nunbounded agent refused at the desk: {finding.rule} {finding.message}")
+
+    # ... and one over a finite range passes the verifier: the server's
+    # step budget (one step per loop iteration) is what stops it.
+    runaway = '''
+def main():
+    total = 0
+    for i in range(10 ** 9):
+        total = total + i
+    return total
+'''
+    try:
+        bed.access.ship("server", runaway).wait(bed.sim)
+    except PromiseError as exc:
+        print(f"\nrunaway agent refused by the server: {exc}")
 
 
 if __name__ == "__main__":

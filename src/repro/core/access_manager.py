@@ -308,7 +308,7 @@ class AccessManager:
         cost = self.cost_model.invoke_time(steps)
         self.local_invokes += 1
         self.local_invoke_seconds_total += cost
-        if entry.rdo.interface.mutates(method):
+        if entry.rdo.interface[method].mutates:  # RDO.invoke checked membership
             self.cache.mark_tentative(urn_str)
             self.notifications.publish(
                 EventType.TENTATIVE_CREATED, self.sim.now, urn=urn_str, method=method

@@ -7,9 +7,10 @@ substitute is a *restricted Python* interpreter:
 
 * the RDO's method source is parsed and validated against an AST
   whitelist — no imports, no class definitions, no dunder/underscore
-  attribute access, no ``exec``-family builtins;
-* a step-budget guard is injected at every function entry and loop
-  iteration, so shipped code cannot spin forever on either host;
+  attribute access, no dunder name read or bound, no ``exec``-family builtins;
+* a step is charged inline, in the RDO's own frame, at every function
+  entry and loop iteration, so shipped code cannot spin forever on
+  either host — not even by catching its exhaustion;
 * execution happens under a curated builtins table (pure data-shaping
   functions only).
 
@@ -40,7 +41,9 @@ from repro.lint.rules import (  # noqa: F401  (re-exports)
 )
 from repro.lint.verifier import check_whitelist
 
-STEP_GUARD_NAME = "__step__"
+#: The names a charge reads in the environment (RDO102 keeps RDO code off both).
+STEP_COUNTER_NAME = "__step__"
+EXHAUSTED_NAME = "__exhausted__"
 
 ALLOWED_NODES = _ALLOWED_NODES
 
@@ -57,21 +60,38 @@ class ExecutionError(Exception):
     """The RDO raised (or hit a runtime fault) during execution."""
 
 
+def _exhausted() -> None:
+    """What a charge calls once the counter is below zero."""
+    raise ExecutionBudgetExceeded("RDO step budget exhausted")
+
+
 class _GuardInjector(ast.NodeTransformer):
-    """Insert ``__step__()`` at function entries and loop bodies."""
+    """Charge a step at function entries and loop bodies, inline::
+
+        __step__[0] -= 1
+        if __step__[0] < 0:
+            __exhausted__()
+    """
 
     @staticmethod
-    def _guard_call(owner: ast.AST) -> ast.Expr:
-        # Located as ``ast.fix_missing_locations`` would (a new first
-        # statement inherits its owner's position): same compiled code,
-        # without that function's recursive closure (cyclic garbage).
-        name = ast.copy_location(ast.Name(id=STEP_GUARD_NAME, ctx=ast.Load()), owner)
-        call = ast.copy_location(ast.Call(func=name, args=[], keywords=[]), owner)
-        return ast.copy_location(ast.Expr(value=call), owner)
+    def _charge(owner: Any) -> list[ast.stmt]:
+        # Every node located as ``ast.fix_missing_locations`` would (at
+        # its owner), built directly: no parse, walk or copy per point,
+        # and none of that function's recursive closure (cyclic garbage).
+        at = {"lineno": owner.lineno, "col_offset": owner.col_offset,
+              "end_lineno": owner.end_lineno, "end_col_offset": owner.end_col_offset}
+        counter = ast.Name(STEP_COUNTER_NAME, ast.Load(), **at)
+        zero = ast.Constant(0, **at)
+        target = ast.Subscript(counter, zero, ast.Store(), **at)
+        charge = ast.AugAssign(target, ast.Sub(), ast.Constant(1, **at), **at)
+        remaining = ast.Subscript(counter, zero, ast.Load(), **at)
+        exhausted = ast.Call(ast.Name(EXHAUSTED_NAME, ast.Load(), **at), [], [], **at)
+        spent = ast.Compare(remaining, [ast.Lt()], [zero], **at)
+        return [charge, ast.If(spent, [ast.Expr(exhausted, **at)], [], **at)]
 
     def _guarded(self, node: Any) -> Any:
         self.generic_visit(node)
-        node.body.insert(0, self._guard_call(node))
+        node.body[:0] = self._charge(node)
         return node
 
     visit_FunctionDef = visit_For = visit_While = _guarded
@@ -103,7 +123,7 @@ def validate_source(source: str) -> ast.Module:
 class LoadedFunctions(dict):
     """What :meth:`SafeInterpreter.load` returns: the functions the source
     defined, by name, plus the environment it was executed into and the
-    step counter they share."""
+    step counter they share (a one-element list, charged in place)."""
 
     __slots__ = ("env", "counter")
 
@@ -120,7 +140,7 @@ class SafeInterpreter:
         # source -> compiled code object.  A server invokes the same
         # few RDO sources thousands of times (each wire arrival builds
         # a fresh RDO, so the RDO-level function cache never hits);
-        # parse + whitelist + guard-inject + compile is pure in the
+        # parse + whitelist + charge-inject + compile is pure in the
         # source, so it is cached here.  exec still runs per load —
         # every caller gets a fresh environment.
         self._code_cache: dict[str, Any] = {}
@@ -143,16 +163,11 @@ class SafeInterpreter:
                 self._code_cache.pop(next(iter(self._code_cache)))
             self._code_cache[source] = code
 
-        counter = {"remaining": 0}
-
-        def step_guard() -> None:
-            counter["remaining"] -= 1
-            if counter["remaining"] < 0:
-                raise ExecutionBudgetExceeded("RDO step budget exhausted")
-
+        counter = [0]
         env: dict[str, Any] = {
             "__builtins__": dict(SAFE_BUILTINS),
-            STEP_GUARD_NAME: step_guard,
+            STEP_COUNTER_NAME: counter,
+            EXHAUSTED_NAME: _exhausted,
         }
         if extra_env:
             for name in extra_env:
@@ -198,13 +213,14 @@ class SafeInterpreter:
         """Call ``method(*args)`` with a fresh step budget.
 
         Raises :class:`ExecutionError` for faults inside the RDO and
-        :class:`ExecutionBudgetExceeded` when it runs over budget.
+        :class:`ExecutionBudgetExceeded` when it runs over budget, even
+        if it caught that itself and returned: exhaustion is final.
         """
         fn = functions.get(method)
         if fn is None:
             raise ExecutionError(f"RDO has no method {method!r}")
         counter = functions.counter
-        counter["remaining"] = budget if budget is not None else self.step_budget
+        counter[0] = budget if budget is not None else self.step_budget
         try:
             result = fn(*args)
         except ExecutionBudgetExceeded:
@@ -213,5 +229,7 @@ class SafeInterpreter:
             raise ExecutionBudgetExceeded("RDO recursion too deep") from exc
         except Exception as exc:
             raise ExecutionError(f"{type(exc).__name__}: {exc}") from exc
-        self.steps_used = (budget or self.step_budget) - counter["remaining"]
+        if counter[0] < 0:
+            _exhausted()
+        self.steps_used = (budget or self.step_budget) - counter[0]
         return result

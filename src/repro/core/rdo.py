@@ -33,27 +33,24 @@ class MethodSpec:
     doc: str = ""
 
 
-class RDOInterface:
-    """The well-defined interface of an RDO type."""
+class RDOInterface(dict):
+    """The well-defined interface of an RDO type: method name → spec (a
+    dict, so ``name in interface`` on every invoke makes no call)."""
+
+    __slots__ = ()
 
     def __init__(self, methods: list[MethodSpec]) -> None:
-        self._methods = {spec.name: spec for spec in methods}
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._methods
-
-    def spec(self, name: str) -> MethodSpec:
-        return self._methods[name]
+        super().__init__({spec.name: spec for spec in methods})
 
     def mutates(self, name: str) -> bool:
-        spec = self._methods.get(name)
+        spec = self.get(name)
         return spec.mutates if spec is not None else False
 
     def method_names(self) -> list[str]:
-        return list(self._methods)
+        return list(self)
 
     def to_wire(self) -> list:
-        return [[s.name, s.mutates, s.doc] for s in self._methods.values()]
+        return [[s.name, s.mutates, s.doc] for s in self.values()]
 
     @staticmethod
     def from_wire(wire: list) -> "RDOInterface":
@@ -114,7 +111,7 @@ class RDO:
         self.type_name = type_name
         self.data = data
         self.code = code
-        self.interface = interface or RDOInterface([])
+        self.interface = interface if interface is not None else RDOInterface([])
         self.version = version
         self._functions: Optional[dict[str, Callable]] = None
         self._interpreter: Optional[SafeInterpreter] = None
@@ -188,12 +185,6 @@ class RDO:
 
     # -- execution --------------------------------------------------------
 
-    def _load_functions(self, interpreter: SafeInterpreter) -> dict[str, Callable]:
-        if self._functions is None or self._interpreter is not interpreter:
-            self._functions = interpreter.load(self.code) if self.code else {}
-            self._interpreter = interpreter
-        return self._functions
-
     def release(self) -> None:
         """Release the loaded environment (:meth:`SafeInterpreter.release`),
         for a copy made to serve one request; a cached RDO stays loaded."""
@@ -210,10 +201,13 @@ class RDO:
         """Run ``method(data, *args)``; returns (result, steps used).
 
         The method's first parameter is the object's mutable state
-        dict; mutating methods update it in place.
+        dict; mutating methods update it in place.  The code is loaded
+        on the first invoke under ``interpreter`` and stays loaded.
         """
         if method not in self.interface:
             raise RDOError(f"{self.urn}: method {method!r} not in interface")
-        functions = self._load_functions(interpreter)
-        result = interpreter.invoke(functions, method, self.data, *args)
+        if self._interpreter is not interpreter:
+            self._functions = interpreter.load(self.code) if self.code else {}
+            self._interpreter = interpreter
+        result = interpreter.invoke(self._functions, method, self.data, *args)
         return result, interpreter.steps_used

@@ -681,7 +681,7 @@ class RoverServer:
             # The environment was loaded for this request alone.
             rdo.release()
         self.invokes_served += 1
-        mutates = rdo.interface.mutates(method)
+        mutates = rdo.interface[method].mutates  # rdo.invoke checked membership
         reply: dict = {"status": "ok", "result": result}
         if mutates:
             wire = rdo.to_wire()

@@ -153,8 +153,9 @@ RULES: dict[str, tuple[str, str]] = {
         "imports, classes, with/yield/global constructs",
     ),
     "RDO102": (
-        "dunder name",
-        "names starting with __ are sandbox-escape vectors; use plain names",
+        "dunder name, read or bound (parameter, def, except ... as)",
+        "names starting with __ are sandbox-escape vectors, and binding one "
+        "would shadow the step counter; use plain names",
     ),
     "RDO103": (
         "forbidden attribute access",

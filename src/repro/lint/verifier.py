@@ -78,6 +78,11 @@ def _diag(
 # ---------------------------------------------------------------------------
 
 
+#: Where a node names what it reads or binds (a parameter of any kind, a
+#: ``def``, ``except ... as``): a dunder *binding* could shadow the step counter.
+_NAME_FIELDS = {ast.Name: "id", ast.arg: "arg", ast.FunctionDef: "name", ast.ExceptHandler: "name"}
+
+
 def check_whitelist(tree: ast.AST, path: str = "<rdo>") -> list[Diagnostic]:
     """Collect every safe-subset violation with its position.
 
@@ -93,9 +98,10 @@ def check_whitelist(tree: ast.AST, path: str = "<rdo>") -> list[Diagnostic]:
                 f"disallowed construct {type(node).__name__}",
             ))
             continue
-        if isinstance(node, ast.Name) and node.id.startswith("__"):
-            findings.append(_diag("RDO102", node, path, f"dunder name {node.id!r}"))
-        elif isinstance(node, ast.Attribute):
+        name = getattr(node, _NAME_FIELDS.get(type(node), ""), None)
+        if name and name.startswith("__"):
+            findings.append(_diag("RDO102", node, path, f"dunder name {name!r}"))
+        if isinstance(node, ast.Attribute):
             if node.attr.startswith("_"):
                 findings.append(_diag(
                     "RDO103", node, path, f"underscore attribute {node.attr!r}"

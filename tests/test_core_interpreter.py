@@ -193,6 +193,49 @@ class TestExecution:
         assert interp.invoke(functions, "f", "hello", "ell") == "HELLO"
 
 
+class TestDunderBindings:
+    """The step counter is a name in the RDO's environment, and the
+    charge reads it wherever it is compiled: a dunder bound by the
+    RDO's own code would shadow it.  Every binding position is RDO102,
+    at load as at publish."""
+
+    def test_a_parameter_shadowing_the_counter_is_rejected_at_load(self):
+        # Loaded, this ran 100,000 iterations under a budget of 1,000
+        # and reported 0 steps used.
+        source = (
+            "def f(n, __step__=lambda: None):\n"
+            "    i = 0\n"
+            "    while i < n:\n"
+            "        i = i + 1\n"
+            "    return i\n"
+        )
+        with pytest.raises(CodeValidationError, match="'__step__' \\(rule RDO102"):
+            SafeInterpreter(step_budget=1_000).load(source)
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "def f(__x):\n    return 1\n",
+            "def f(__x, /):\n    return 1\n",
+            "def f(*__x):\n    return 1\n",
+            "def f(*, __x=1):\n    return 1\n",
+            "def f(**__x):\n    return 1\n",
+            "def f():\n    g = lambda __x: 1\n    return g(2)\n",
+            "def __exhausted__():\n    return 1\n",
+            "def f():\n    def __step__():\n        return 1\n    return 1\n",
+            "def f(d):\n    try:\n        return d[1]\n    except KeyError as __step__:\n        return 2\n",
+        ],
+        ids=[
+            "positional", "positional-only", "star-args", "keyword-only",
+            "star-star-kwargs", "lambda", "module-level-def", "nested-def",
+            "except-as",
+        ],
+    )
+    def test_every_binding_position(self, source):
+        with pytest.raises(CodeValidationError, match="RDO102"):
+            validate_source(source)
+
+
 class TestBudgetIsolation:
     def test_two_rdos_budgets_independent(self):
         """Each load() gets its own counter; exhausting one RDO's

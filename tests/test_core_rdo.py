@@ -84,9 +84,9 @@ def test_interface_mutates_lookup():
 def test_interface_wire_roundtrip():
     iface = RDOInterface([MethodSpec("a", True, "doc-a"), MethodSpec("b")])
     clone = RDOInterface.from_wire(iface.to_wire())
-    assert clone.spec("a").mutates
-    assert clone.spec("a").doc == "doc-a"
-    assert not clone.spec("b").mutates
+    assert clone["a"].mutates
+    assert clone["a"].doc == "doc-a"
+    assert not clone["b"].mutates
 
 
 class TestCostModel:

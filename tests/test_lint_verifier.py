@@ -45,6 +45,37 @@ class TestBadCorpus:
         assert diag.line == 2
         assert "__builtins__" in diag.message
 
+    def test_dunder_parameter_shadowing_the_step_counter(self):
+        source = (
+            "def f(n, __step__=lambda: None):\n"
+            "    i = 0\n"
+            "    while i < n:\n"
+            "        i = i + 1\n"
+            "    return i\n"
+        )
+        diag = first(verify_rdo(source), "RDO102")
+        assert (diag.line, diag.col) == (1, 9)
+        assert "__step__" in diag.message
+
+    @pytest.mark.parametrize(
+        "source, position",
+        [
+            ("def f(a, __x):\n    return a\n", (1, 9)),
+            ("def f(*__x):\n    return 1\n", (1, 7)),
+            ("def f(*, __x=1):\n    return 1\n", (1, 9)),
+            ("def f(**__x):\n    return 1\n", (1, 8)),
+            ("def f():\n    return (lambda __x: 1)(2)\n", (2, 19)),
+            ("def __exhausted__():\n    return 1\n", (1, 0)),
+            ("def f(d):\n    try:\n        return d[1]\n"
+             "    except KeyError as __step__:\n        return 2\n", (4, 4)),
+        ],
+        ids=["parameter", "star-args", "keyword-only", "star-star-kwargs",
+             "lambda", "def", "except-as"],
+    )
+    def test_dunder_binding_positions(self, source, position):
+        diag = first(check_code(source), "RDO102")
+        assert (diag.line, diag.col) == position
+
     def test_dunder_attribute_position(self):
         source = "def f(x):\n    return x.__class__\n"
         diag = first(check_code(source), "RDO103")

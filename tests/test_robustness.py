@@ -17,6 +17,7 @@ from repro.core.interpreter import (
     SafeInterpreter,
     validate_source,
 )
+from repro.lint.verifier import check_code
 from repro.net.link import LinkSpec, IntervalTrace
 from repro.net.message import MarshalError, marshal, unmarshal
 from repro.net.scheduler import NetworkScheduler
@@ -102,6 +103,44 @@ def test_cpu_bomb_is_bounded():
     )
     with pytest.raises(ExecutionBudgetExceeded):
         interp.invoke(functions, "f")
+
+
+# The hostile-RDO corpus: sources that load and try to outlast their
+# budget.  Each caught its own exhaustion with a bare ``except:`` and
+# returned normally ("escaped", having used 1,001 steps of 1,000).
+HOSTILE_SPINS = {
+    "bare-except-around-while-true": (
+        "def f():\n"
+        "    try:\n"
+        "        while True:\n"
+        "            pass\n"
+        "    except:\n"
+        "        return 'escaped'\n"
+    ),
+    # The same spin over a finite iterable: nothing for RDO401 to flag.
+    "bare-except-around-for-over-range": (
+        "def f():\n"
+        "    try:\n"
+        "        for i in range(10 ** 9):\n"
+        "            pass\n"
+        "    except:\n"
+        "        return 'escaped'\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("source", list(HOSTILE_SPINS.values()), ids=list(HOSTILE_SPINS))
+def test_a_caught_exhaustion_is_still_exhaustion(source):
+    interp = SafeInterpreter(step_budget=1_000)
+    functions = interp.load(source)
+    with pytest.raises(ExecutionBudgetExceeded):
+        interp.invoke(functions, "f")
+    assert interp.steps_used == 0  # recorded for no exhausted invoke
+
+
+def test_the_for_over_range_spin_passes_the_static_verifier():
+    """Only the runtime rule stops it."""
+    assert check_code(HOSTILE_SPINS["bare-except-around-for-over-range"]) == []
 
 
 @settings(max_examples=10, deadline=None)

@@ -1,13 +1,17 @@
 """The repro.speed pass: codec equivalence, group commit, kernel
-compaction, and the E16 scenario's determinism.
+compaction, the interpreter's inline step charge, and the E16
+scenario's determinism.
 
 The codec is checked against reference implementations — verbatim
 copies of the per-value recursive decoder and encoder the repo shipped
 before the hot-path rewrites — under hypothesis-generated values and
 corruptions: same values out, same bytes out, same errors raised, and
-no ``memoryview`` may leak into a decoded structure.
+no ``memoryview`` may leak into a decoded structure.  The step charge
+is checked the same way, against the call-based guard it replaced.
 """
 
+import ast
+import copy
 import json
 import struct
 import sys
@@ -17,8 +21,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.mail import _FOLDER_CODE
 from repro.chaos import FaultyLink, LinkFaultSpec
 from repro.core.access_manager import AccessManager
+from repro.core.interpreter import (
+    SAFE_BUILTINS,
+    CodeValidationError,
+    ExecutionBudgetExceeded,
+    ExecutionError,
+    SafeInterpreter,
+    validate_source,
+)
+from repro.core.naming import URN
+from repro.core.rdo import RDO, MethodSpec, RDOInterface
 from repro.live.transport import LiveAddress, _Connection, _LiveHost
 from repro.net.link import (
     CSLIP_14_4,
@@ -664,6 +679,242 @@ def test_live_host_answers_for_a_peer_address_and_an_accepted_connection():
     assert host.best_link_to(accepted) is accepted
     host.hosts[accepted.name] = _Connection(accepted.name)  # the name, reused
     assert host.best_link_to(accepted) is None
+
+
+# ---------------------------------------------------------------------------
+# The step charge: inline in the RDO's frame, equivalent to the call it
+# replaced
+# ---------------------------------------------------------------------------
+
+
+class _RefGuardInjector(ast.NodeTransformer):
+    """Reference: the call-based injector as it shipped before the
+    inline charge, its name constant written out (a ``__step__()`` call
+    at function entries and loop bodies)."""
+
+    @staticmethod
+    def _guard_call(owner):
+        name = ast.copy_location(ast.Name(id="__step__", ctx=ast.Load()), owner)
+        call = ast.copy_location(ast.Call(func=name, args=[], keywords=[]), owner)
+        return ast.copy_location(ast.Expr(value=call), owner)
+
+    def _guarded(self, node):
+        self.generic_visit(node)
+        node.body.insert(0, self._guard_call(node))
+        return node
+
+    visit_FunctionDef = visit_For = visit_While = _guarded
+
+
+def _ref_invoke(source, method, args, budget, extra_env):
+    """Reference load + invoke: the budget counter behind a closure the
+    injected code calls once per step."""
+    counter = {"remaining": budget}
+
+    def step_guard():
+        counter["remaining"] -= 1
+        if counter["remaining"] < 0:
+            raise ExecutionBudgetExceeded("RDO step budget exhausted")
+
+    env = {"__builtins__": dict(SAFE_BUILTINS), "__step__": step_guard, **extra_env}
+    exec(compile(_RefGuardInjector().visit(validate_source(source)), "<rdo>", "exec"), env)
+    try:
+        result = env[method](*args)
+    except (ExecutionBudgetExceeded, RecursionError):
+        return ("exhausted",)
+    except Exception as exc:
+        return ("error", f"{type(exc).__name__}: {exc}")
+    return ("ok", result, budget - counter["remaining"])
+
+
+def _invoke(source, method, args, budget, extra_env):
+    interp = SafeInterpreter()
+    functions = interp.load(source, extra_env)
+    try:
+        result = interp.invoke(functions, method, *args, budget=budget)
+    except ExecutionBudgetExceeded:
+        return ("exhausted",)
+    except ExecutionError as exc:
+        return ("error", str(exc))
+    return ("ok", result, interp.steps_used)
+
+
+def _both(source, method, make_args, budget, extra_env=None):
+    """Each side's outcome and what it left in its (fresh) arguments —
+    which, for an exhausted run, shows the step it stopped at."""
+    runs = []
+    for run in (_ref_invoke, _invoke):
+        args = make_args()
+        runs.append((run(source, method, args, budget, extra_env or {}), args))
+    return runs
+
+
+def _rdo_sources():
+    """Every RDO source the apps, the examples and the experiments ship
+    (E3's null object among them): each string constant that validates
+    and defines a function."""
+    root = Path(__file__).parent.parent
+    paths = (
+        sorted((root / "src" / "repro" / "apps").glob("*.py"))
+        + sorted((root / "examples").glob("*.py"))
+        + [root / "src" / "repro" / "bench" / "experiments.py"]
+    )
+    sources = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and "def " in node.value:
+                try:
+                    validate_source(node.value)
+                except CodeValidationError:
+                    continue
+                sources.append((f"{path.name}:{node.lineno}", node.value))
+    return sources
+
+
+# One state every shipped method can read, an argument per parameter
+# name, and a store behind the host helpers shipped code calls.
+_STATE = {
+    "events": {
+        "e1": {"title": "a", "room": "r1", "slot": 3, "alt_slots": []},
+        "e2": {"title": "b", "room": "r2", "slot": 3, "alt_slots": [4]},
+        "e3": {"title": "c", "room": "r1", "slot": 5, "alt_slots": []},
+    },
+    "index": [{"id": "m1"}, {"id": "m2"}, {"id": "m3"}],
+    "id": "m1", "from": "ann", "subject": "hi", "body": "a word", "flags": {"read": False},
+    "links": ["/a"], "url": "http://www/", "inline_sizes": [1, 2], "prices": {"bolt": 3},
+    "text": "t", "value": 7,
+}
+_ARGS = {
+    "event_id": "e1", "title": "t", "room": "r1", "slot": 3, "alt_slots": [4], "new_slot": 5,
+    "entry": {"id": "m4"}, "entries": [{"id": "m5"}], "read_ids": ["m1"], "part": "bolt",
+    "text": "x", "line": "y", "folder_urn": "f", "keyword": "word", "prefix": "p/",
+    "reorder_below": 5, "urn": "p/1",
+}
+_STORE = {
+    "f": {"index": [{"id": "m1"}, {"id": "m2"}]},
+    "f/m1": {"body": "a word"},
+    "f/m2": {"body": "none"},
+    "p/1": {"stock": 3, "unit_cost": 2, "name": "bolt", "value": 4},
+    "p/2": {"stock": 9, "unit_cost": 1, "name": "nut", "value": 5},
+}
+_HELPERS = {
+    "lookup": _STORE.get,
+    "objects": lambda prefix: sorted(key for key in _STORE if key.startswith(prefix)),
+}
+
+
+def test_inline_charge_matches_the_call_based_guard_on_every_shipped_rdo():
+    """Same result, same ``steps_used``, and exhaustion at the same step
+    (budgets 1, 2, one short of what the call needs, and exactly that;
+    the two runaway agents of ``examples/function_shipping.py`` exhaust
+    the interpreter's default budget on both)."""
+    sources = _rdo_sources()
+    assert len(sources) >= 16
+    outcomes = []
+    for label, source in sources:
+        for fn in ast.parse(source).body:
+            params = [arg.arg for arg in fn.args.args]
+
+            def make_args():
+                state = copy.deepcopy(_STATE)
+                return [state if p == "state" else copy.deepcopy(_ARGS[p]) for p in params]
+
+            ref, new = _both(source, fn.name, make_args, 100_000, _HELPERS)
+            assert new == ref, (label, fn.name)
+            outcomes.append(new[0][0])
+            budgets = {1, 2}
+            if new[0][0] == "ok":
+                steps = new[0][2]
+                budgets |= {steps - 1, steps}
+            for budget in budgets:
+                ref, new = _both(source, fn.name, make_args, budget, _HELPERS)
+                assert new == ref, (label, fn.name, budget)
+    assert outcomes.count("ok") >= 32 and outcomes.count("exhausted") == 2
+
+
+def _indented(lines):
+    return ["    " + line for line in lines]
+
+
+def _nested(children):
+    return st.one_of(
+        st.tuples(st.integers(0, 3), children).map(
+            lambda t: [f"for i in range({t[0]}):", "    trace.append(i)"] + _indented(t[1])
+        ),
+        st.tuples(st.integers(0, 3), children).map(
+            lambda t: [f"w = {t[0]}", "while w > 0:", "    w = w - 1"] + _indented(t[1])
+        ),
+        st.lists(children, min_size=2, max_size=3).map(lambda blocks: sum(blocks, [])),
+    )
+
+
+_LEAF = st.integers(0, 9).map(lambda k: [f"trace.append({k})"])
+_CALL = st.one_of(
+    st.just(["trace.append(helper(trace))"]),
+    st.integers(0, 3).map(lambda k: [f"rec(trace, {k})"]),
+)
+
+
+@st.composite
+def _programs(draw):
+    """A helper and a recursive function, each over a generated nest of
+    ``for`` and ``while`` loops, called from a generated ``main``."""
+    body = st.recursive(_LEAF, _nested, max_leaves=6)
+    lines = (
+        ["def helper(trace):"] + _indented(draw(body)) + ["    return len(trace)"]
+        + ["def rec(trace, n):"] + _indented(draw(body))
+        + ["    if n > 0:", "        rec(trace, n - 1)"]
+        + ["def main(trace):"]
+        + _indented(draw(st.recursive(st.one_of(_LEAF, _CALL), _nested, max_leaves=6)))
+        + ["    return len(trace)"]
+    )
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(source=_programs(), budget=st.integers(3, 300))
+def test_inline_charge_matches_the_call_based_guard_on_generated_programs(source, budget):
+    for each in (1, 2, budget, 100_000):
+        ref, new = _both(source, "main", lambda: [[]], each)
+        assert new == ref, each
+
+
+def test_a_looping_local_invoke_costs_the_same_calls_for_1_and_80_iterations():
+    """The charge is bytecode in the RDO's frame, not a call per step
+    (each iteration was one more Python call).  The floor of a local
+    invoke: the entry, the name, the cache's lookup, clock and hit
+    counter, `RDO.invoke` and `SafeInterpreter.invoke`, the method
+    itself, the cost — nine calls, no slack."""
+    bed = build_testbed(link_spec=ETHERNET_10M)
+    code = (
+        "def count(state):\n"
+        "    hits = 0\n"
+        "    for word in state['words']:\n"
+        "        hits = hits + 1\n"
+        "    return hits\n"
+    )
+    calls = {}
+    for words in (1, 80):
+        urn = URN(bed.authority, f"docs/{words}")
+        bed.server.put_object(
+            RDO(urn, "doc", {"words": ["w"] * words}, code=code,
+                interface=RDOInterface([MethodSpec("count")]))
+        )
+        bed.access.import_(urn).wait(bed.sim)
+        assert bed.access.invoke(str(urn), "count")[0] == words  # loads the code
+        calls[words] = _python_calls(bed.access.invoke, str(urn), "count")
+    assert calls[1] == calls[80] == 9
+
+
+def test_compiling_an_app_rdo_call_budget():
+    """Load (parse, whitelist, charge, compile, exec) of the mail
+    folder's source on a fresh interpreter: 1,385 Python calls on
+    CPython 3.11, 18 fewer than the call-based guard (three
+    ``ast.copy_location`` per guard point, six points).  No slack: a
+    parse or walk per guard point would cost hundreds here, and the
+    source is compiled inside the timed region of ``mail_slowlink``."""
+    SafeInterpreter().load(_FOLDER_CODE)  # warm: lazily built stdlib state
+    assert _python_calls(SafeInterpreter().load, _FOLDER_CODE) <= 1385
 
 
 # ---------------------------------------------------------------------------
