@@ -66,14 +66,17 @@ perf:
 	$(PYTHON) -m pytest -q tests/test_perf_compaction.py
 	$(PYTHON) -m pytest -q "benchmarks/test_experiments.py::test_experiment[e14]"
 
-# CPU hot path: codec/group-commit/kernel suite, the frame path's call
-# budgets (tests/test_speed.py, "The frame path": a frame asks its link
-# and the spec twice each, a null RPC is 77 Python calls; docs/
-# PERFORMANCE.md, "One frame, one choice"), the step charge's pins in
-# the same file ("The step charge": equivalence with the call-based
-# guard, a local invoke at nine calls for 1 or 80 iterations, the
-# compile budget; docs/PERFORMANCE.md, "A step is bytecode, not a
-# call"), determinism digest pins,
+# CPU hot path: codec/group-commit/kernel suite, the codec's call
+# budgets (tests/test_speed.py: marshal, unmarshal and marshalled_size
+# at 2 calls each, the invoke envelope or 64 levels deep; equivalence
+# with the per-value references at every varint and depth edge), the
+# frame path's (a frame asks its link and the spec twice each, a null
+# RPC is 73 Python calls; docs/PERFORMANCE.md, "One frame, one
+# choice"), the step charge's pins in the same file ("The step charge":
+# equivalence with the call-based guard, a local invoke at nine calls
+# for 1 or 80 iterations, the compile budget of 8 calls per load and
+# the one AST walk; docs/PERFORMANCE.md, "A step is bytecode, not a
+# call" and "A tree walk is one call"), determinism digest pins,
 # and the E16 drain-throughput gate at CI scale (docs/PERFORMANCE.md,
 # "The CPU hot path").  --host-time is the one place E16's
 # calibration-normalized CPU columns are compared; tier-1 checks its

@@ -14,6 +14,10 @@ substitute is a *restricted Python* interpreter:
 * execution happens under a curated builtins table (pure data-shaping
   functions only).
 
+A load walks the parsed tree twice, for the whitelist and for the
+charge points, one Python call each (:func:`repro.lint.verifier.walk`),
+so the calls a load makes do not grow with the source.
+
 This mirrors the safety/portability posture of Safe-Tcl while staying
 in pure Python — and, as the paper notes, the particular form of code
 shipping is orthogonal to the Rover architecture.
@@ -39,7 +43,7 @@ from repro.lint.rules import (  # noqa: F401  (re-exports)
     FORBIDDEN_ATTRIBUTES,
     SAFE_BUILTINS,
 )
-from repro.lint.verifier import check_whitelist
+from repro.lint.verifier import check_whitelist, walk
 
 #: The names a charge reads in the environment (RDO102 keeps RDO code off both).
 STEP_COUNTER_NAME = "__step__"
@@ -65,16 +69,19 @@ def _exhausted() -> None:
     raise ExecutionBudgetExceeded("RDO step budget exhausted")
 
 
-class _GuardInjector(ast.NodeTransformer):
+def _inject_charges(tree: ast.Module) -> ast.Module:
     """Charge a step at function entries and loop bodies, inline::
 
         __step__[0] -= 1
         if __step__[0] < 0:
             __exhausted__()
-    """
 
-    @staticmethod
-    def _charge(owner: Any) -> list[ast.stmt]:
+    prepended to the body of every ``def``, ``for`` and ``while`` the
+    tree's one walk finds.
+    """
+    for owner in walk(tree):
+        if not isinstance(owner, (ast.FunctionDef, ast.For, ast.While)):
+            continue
         # Every node located as ``ast.fix_missing_locations`` would (at
         # its owner), built directly: no parse, walk or copy per point,
         # and none of that function's recursive closure (cyclic garbage).
@@ -87,14 +94,8 @@ class _GuardInjector(ast.NodeTransformer):
         remaining = ast.Subscript(counter, zero, ast.Load(), **at)
         exhausted = ast.Call(ast.Name(EXHAUSTED_NAME, ast.Load(), **at), [], [], **at)
         spent = ast.Compare(remaining, [ast.Lt()], [zero], **at)
-        return [charge, ast.If(spent, [ast.Expr(exhausted, **at)], [], **at)]
-
-    def _guarded(self, node: Any) -> Any:
-        self.generic_visit(node)
-        node.body[:0] = self._charge(node)
-        return node
-
-    visit_FunctionDef = visit_For = visit_While = _guarded
+        owner.body[:0] = [charge, ast.If(spent, [ast.Expr(exhausted, **at)], [], **at)]
+    return tree
 
 
 def validate_source(source: str) -> ast.Module:
@@ -156,8 +157,7 @@ class SafeInterpreter:
         """
         code = self._code_cache.get(source)
         if code is None:
-            tree = validate_source(source)
-            tree = _GuardInjector().visit(tree)
+            tree = _inject_charges(validate_source(source))
             code = compile(tree, filename="<rdo>", mode="exec")
             if len(self._code_cache) >= self.CODE_CACHE_MAX:
                 self._code_cache.pop(next(iter(self._code_cache)))

@@ -180,7 +180,8 @@ DECLARED_ENTRY_POINTS: dict[str, str] = {
     # building bytes; it must honor the same iteration-order contract
     # or its byte counts drift from the real encoding.
     "repro/net/message.py:marshalled_size": "marshal",
-    # The flat walkers behind those three, named directly:
+    # The walkers behind those three (each walks a whole value in one
+    # call, on a stack of its own), named directly:
     # Premarshalled.__init__ enters _encode without going through
     # marshal().
     "repro/net/message.py:_encode": "marshal",

@@ -73,6 +73,22 @@ def _diag(
     )
 
 
+def walk(tree: ast.AST) -> list[ast.AST]:
+    """Every node of ``tree`` in ``ast.walk``'s order, in one Python call
+    (``ast.walk`` resumes a generator per node, child and field)."""
+    nodes = [tree]
+    for node in nodes:  # grows as it is read: the queue is the result
+        for name in node._fields:
+            field = getattr(node, name, None)
+            if isinstance(field, ast.AST):
+                nodes.append(field)
+            elif isinstance(field, list):
+                for item in field:
+                    if isinstance(item, ast.AST):
+                        nodes.append(item)
+    return nodes
+
+
 # ---------------------------------------------------------------------------
 # Whitelist conformance (shared verbatim with the runtime interpreter)
 # ---------------------------------------------------------------------------
@@ -91,7 +107,7 @@ def check_whitelist(tree: ast.AST, path: str = "<rdo>") -> list[Diagnostic]:
     reported exhaustively instead of fail-fast.
     """
     findings: list[Diagnostic] = []
-    for node in ast.walk(tree):
+    for node in walk(tree):
         if not isinstance(node, ALLOWED_NODES):
             findings.append(_diag(
                 "RDO101", node, path,
@@ -132,7 +148,7 @@ def _bound_names(tree: ast.AST) -> set[str]:
     NameError still catches).
     """
     bound: set[str] = set()
-    for node in ast.walk(tree):
+    for node in walk(tree):
         if isinstance(node, ast.FunctionDef):
             bound.add(node.name)
         elif isinstance(node, ast.Name) and isinstance(node.ctx, (ast.Store, ast.Del)):
@@ -159,7 +175,7 @@ def check_names(
     known = _bound_names(tree) | set(SAFE_BUILTINS) | set(extra_names)
     findings: list[Diagnostic] = []
     seen: set[tuple[str, int, int]] = set()
-    for node in ast.walk(tree):
+    for node in walk(tree):
         if (
             isinstance(node, ast.Name)
             and isinstance(node.ctx, ast.Load)
@@ -212,7 +228,7 @@ def _has_loop_exit(body: list[ast.stmt]) -> bool:
 def check_bounded_loops(tree: ast.AST, path: str = "<rdo>") -> list[Diagnostic]:
     """Flag loops whose step budget cannot be statically bounded."""
     findings: list[Diagnostic] = []
-    for node in ast.walk(tree):
+    for node in walk(tree):
         if not isinstance(node, ast.While):
             continue
         test_is_constant_true = (
@@ -269,7 +285,7 @@ def check_marshallable_returns(tree: ast.AST, path: str = "<rdo>") -> list[Diagn
     """Flag ``return`` statements whose literal value the wire format
     cannot carry (sets, and constants outside the codec's type set)."""
     findings: list[Diagnostic] = []
-    for node in ast.walk(tree):
+    for node in walk(tree):
         if isinstance(node, ast.Return) and node.value is not None:
             problem = _literal_marshal_problem(node.value)
             if problem is not None:
@@ -308,7 +324,7 @@ def _state_aliases(fn: ast.FunctionDef, state_param: str) -> set[str]:
     changed = True
     while changed:
         changed = False
-        for node in ast.walk(fn):
+        for node in walk(fn):
             if not isinstance(node, ast.Assign):
                 continue
             value = node.value
@@ -338,7 +354,7 @@ def find_state_mutation(fn: ast.FunctionDef) -> Optional[ast.AST]:
         return None
     aliases = _state_aliases(fn, params[0].arg)
 
-    for node in ast.walk(fn):
+    for node in walk(fn):
         if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:

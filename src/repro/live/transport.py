@@ -157,7 +157,9 @@ class LiveTransport(Transport):
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((bind_host, port))
-        self._listener.listen(16)
+        # A burst dials once per request in flight: a dial with no room in
+        # the backlog loses its handshake to the kernel's 1, 3, 7 ... s retries.
+        self._listener.listen(socket.SOMAXCONN)
         self.address = LiveAddress(name, bind_host, self._listener.getsockname()[1])
         self._closing = False
         self._requests_served = 0

@@ -27,11 +27,12 @@ drain share one ``"status"`` string and dict lookups compare by
 pointer.  :func:`marshalled_size` computes sizes arithmetically without
 building the encoding.
 
-All three tree walkers (encode, decode, size) are flat: each call takes
-a run of sibling values and handles leaves and one-byte varints inline,
-so a Python call is spent per non-empty container rather than per value
-(``tests/test_speed.py`` holds the per-value originals as references and
-a call-budget test).
+All three tree walkers (encode, decode, size) take one value and walk
+it whole in one Python call: the containers still open wait on an
+explicit stack, and leaves and varints of any length are handled
+inline, so a message costs the same calls however many values or
+levels it holds (``tests/test_speed.py`` holds the per-value originals
+as references and a call-budget test).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import struct
 import sys
 import zlib
 from itertools import chain
-from typing import Any, Iterable
+from typing import Any, Iterator
 
 _TAG_NONE = b"N"
 _TAG_TRUE = b"T"
@@ -175,202 +176,202 @@ class Premarshalled(dict):
 
     def __init__(self, value: dict) -> None:
         super().__init__(value)
-        out = bytearray(_TAG_DICT)
-        length = len(self)
-        if length < 0x80:
-            out.append(length)
-        else:
-            _write_uvarint(out, length)
-        self.nesting = _encode(chain.from_iterable(self.items()), out, 1) if length else 0
+        out = bytearray()
+        self.nesting = _encode(self, out)  # the root is encoded, never spliced
         self.raw = bytes(out)
 
 
-#: Maximum container nesting; beyond this the encoding is rejected
-#: rather than risking interpreter recursion limits on hostile input.
+#: Maximum container nesting, a bound of the wire format: the walkers
+#: hold no recursion, but whatever recurses over a decoded value would.
 MAX_DEPTH = 64
 
-
-def _write_uvarint(out: bytearray, value: int) -> None:
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
+# The walkers keep the open containers on an explicit stack whose height
+# is the nesting being walked; a dict's entries are one flat run (key,
+# value, key, ...).  A varint is low seven bits first, the high bit set
+# on all but the last byte: a length under 0x80 is one test, one append.
 
 
-def _read_uvarint(data: bytes, pos: int) -> tuple[int, int]:
-    result = 0
-    shift = 0
-    while True:
-        if pos >= len(data):
-            raise MarshalError("truncated varint")
-        byte = data[pos]
-        pos += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, pos
-        shift += 7
-        if shift > 1000:
-            raise MarshalError("varint too long")
-
-
-def _uvarint_len(value: int) -> int:
-    return max(1, (value.bit_length() + 6) // 7)
-
-
-# The walkers below take a *run* of sibling values (see the module
-# docstring; docs/PERFORMANCE.md, "CPU hot path, second pass").  A
-# dict's entries are one flat run: key, value, key, value, ...
-
-
-def _encode(items: Iterable[Any], out: bytearray, depth: int = 0) -> int:
-    """Append the encodings of ``items`` (values at nesting ``depth``).
-
-    Returns the deepest nesting reached.
-    """
-    if depth > MAX_DEPTH:
-        raise MarshalError(f"nesting deeper than {MAX_DEPTH} levels")
+def _encode(value: Any, out: bytearray) -> int:
+    """Append the encoding of ``value``; returns the deepest nesting reached."""
     key_raw = _KEY_RAW
-    deepest = depth
-    for item in items:
-        if isinstance(item, str):
-            raw = key_raw.get(item)
-            if raw is None:
-                raw = item.encode("utf-8")
-                out += _TAG_STR
-                length = len(raw)
-                if length < 0x80:
+    stack: list[Iterator[Any]] = []  # each open container's parent run
+    items: Iterator[Any] = iter((value,))
+    depth = deepest = 0
+    while True:
+        for item in items:
+            if isinstance(item, str):
+                raw = key_raw.get(item)
+                if raw is None:
+                    try:
+                        raw = item.encode("utf-8")
+                    except UnicodeEncodeError as exc:
+                        raise MarshalError(f"cannot marshal str: {exc}") from None
+                    out += _TAG_STR
+                    length = len(raw)
+                    while length > 0x7F:
+                        out.append(length & 0x7F | 0x80)
+                        length >>= 7
                     out.append(length)
-                else:
-                    _write_uvarint(out, length)
-            out += raw
-        elif item is None:
-            out += _TAG_NONE
-        elif item is True:
-            out += _TAG_TRUE
-        elif item is False:
-            out += _TAG_FALSE
-        elif isinstance(item, int):
-            zigzag = item << 1 if item >= 0 else (-item << 1) - 1
-            out += _TAG_INT
-            if zigzag < 0x80:
+                out += raw
+            elif item is None:
+                out += _TAG_NONE
+            elif item is True:
+                out += _TAG_TRUE
+            elif item is False:
+                out += _TAG_FALSE
+            elif isinstance(item, int):
+                zigzag = item << 1 if item >= 0 else (-item << 1) - 1
+                out += _TAG_INT
+                while zigzag > 0x7F:
+                    out.append(zigzag & 0x7F | 0x80)
+                    zigzag >>= 7
                 out.append(zigzag)
-            else:
-                _write_uvarint(out, zigzag)
-        elif isinstance(item, Premarshalled):
-            below = depth + item.nesting
-            if below > MAX_DEPTH:
-                raise MarshalError(f"nesting deeper than {MAX_DEPTH} levels")
-            if below > deepest:
-                deepest = below
-            out += item.raw
-        elif isinstance(item, (dict, list, tuple)):
-            if isinstance(item, dict):
-                out += _TAG_DICT
-                children = chain.from_iterable(item.items())
-            else:
-                out += _TAG_LIST if isinstance(item, list) else _TAG_TUPLE
-                children = item
-            length = len(item)
-            if length < 0x80:
-                out.append(length)
-            else:
-                _write_uvarint(out, length)
-            if length:
-                below = _encode(children, out, depth + 1)
+            elif isinstance(item, Premarshalled) and item is not value:
+                below = depth + item.nesting
+                if below > MAX_DEPTH:
+                    raise MarshalError(f"nesting deeper than {MAX_DEPTH} levels")
                 if below > deepest:
                     deepest = below
-        elif isinstance(item, float):
-            out += _TAG_FLOAT
-            out += _PACK_FLOAT(item)
-        elif isinstance(item, (bytes, bytearray)):
-            out += _TAG_BYTES
-            length = len(item)
-            if length < 0x80:
+                out += item.raw
+            elif isinstance(item, (dict, list, tuple)):
+                if isinstance(item, dict):
+                    out += _TAG_DICT
+                    children = chain.from_iterable(item.items())
+                else:
+                    out += _TAG_LIST if isinstance(item, list) else _TAG_TUPLE
+                    children = iter(item)
+                length = len(item)
+                while length > 0x7F:
+                    out.append(length & 0x7F | 0x80)
+                    length >>= 7
                 out.append(length)
+                if item:
+                    if depth == MAX_DEPTH:
+                        raise MarshalError(f"nesting deeper than {MAX_DEPTH} levels")
+                    stack.append(items)
+                    items = children
+                    depth += 1
+                    if depth > deepest:
+                        deepest = depth
+                    break  # walk the children; this run resumes after them
+            elif isinstance(item, float):
+                out += _TAG_FLOAT
+                out += _PACK_FLOAT(item)
+            elif isinstance(item, (bytes, bytearray)):
+                out += _TAG_BYTES
+                length = len(item)
+                while length > 0x7F:
+                    out.append(length & 0x7F | 0x80)
+                    length >>= 7
+                out.append(length)
+                out += item
             else:
-                _write_uvarint(out, length)
-            out += item
+                raise MarshalError(f"cannot marshal {type(item).__name__}: {item!r}")
         else:
-            raise MarshalError(f"cannot marshal {type(item).__name__}: {item!r}")
-    return deepest
+            if not depth:
+                return deepest
+            items = stack.pop()
+            depth -= 1
 
 
-def _decode(data: Any, pos: int, count: int = 1, depth: int = 0) -> tuple[list, int]:
-    """Decode the ``count`` values starting at ``pos`` (nesting ``depth``).
+def _decode(data: Any) -> tuple[Any, int]:
+    """Decode the value at the start of ``data``; returns it and its end.
 
     ``data`` may be ``bytes``, ``bytearray``, or a ``memoryview`` —
     indexing yields ints either way, so the hot loop never allocates
     one-byte slices.  Payload slices are materialized (``bytes``/
     ``str``) at their final position; no view escapes into the result.
+    A container is built once its last item is decoded, so a dict's
+    unhashable key is reported after the dict's run.
     """
-    if depth > MAX_DEPTH:
-        raise MarshalError(f"nesting deeper than {MAX_DEPTH} levels")
     size = len(data)
     interned = _PROTOCOL_KEYS.get
-    items: list[Any] = []
-    append = items.append
-    for _ in range(count):
-        if pos >= size:
-            raise MarshalError("truncated message")
-        tag = data[pos]
-        pos += 1
-        if tag in _VARINT_TAGS:
-            # A varint follows: a length, a count, or the zigzagged int.
+    # Each open container's parent: (its tag, its items, its remaining).
+    stack: list[tuple[int, list, int]] = []
+    tag = 0  # of the innermost open container
+    items: list[Any] = []  # decoded so far in it (the root's run: one value)
+    remaining = 1
+    pos = 0
+    while True:
+        append = items.append
+        while remaining:
+            remaining -= 1
             if pos >= size:
-                raise MarshalError("truncated varint")
-            number = data[pos]
-            if number < 0x80:
+                raise MarshalError("truncated message")
+            kind = data[pos]
+            pos += 1
+            if kind in _VARINT_TAGS:
+                # A varint follows: a length, a count, or the zigzagged int.
+                if pos >= size:
+                    raise MarshalError("truncated varint")
+                number = data[pos]
                 pos += 1
+                if number > 0x7F:
+                    number &= 0x7F
+                    for shift in range(7, 1001, 7):
+                        if pos >= size:
+                            raise MarshalError("truncated varint")
+                        byte = data[pos]
+                        pos += 1
+                        number |= (byte & 0x7F) << shift
+                        if byte < 0x80:
+                            break
+                    else:
+                        raise MarshalError("varint too long")
+                if kind == _T_STR:
+                    end = pos + number
+                    if end > size:
+                        raise MarshalError("truncated string")
+                    try:
+                        append(str(data[pos:end], "utf-8"))
+                    except UnicodeDecodeError as exc:
+                        raise MarshalError(f"invalid utf-8 in string: {exc}") from None
+                    pos = end
+                elif kind == _T_INT:
+                    append((number >> 1) ^ -(number & 1))
+                elif kind == _T_BYTES:
+                    end = pos + number
+                    if end > size:
+                        raise MarshalError("truncated bytes")
+                    append(bytes(data[pos:end]))
+                    pos = end
+                elif number:  # open a container: its items are decoded next
+                    if len(stack) >= MAX_DEPTH:
+                        raise MarshalError(f"nesting deeper than {MAX_DEPTH} levels")
+                    stack.append((tag, items, remaining))
+                    tag, items = kind, []
+                    append = items.append
+                    remaining = 2 * number if kind == _T_DICT else number
+                else:
+                    append({} if kind == _T_DICT else [] if kind == _T_LIST else ())
+            elif kind == _T_NONE:
+                append(None)
+            elif kind == _T_TRUE:
+                append(True)
+            elif kind == _T_FALSE:
+                append(False)
+            elif kind == _T_FLOAT:
+                if pos + 8 > size:
+                    raise MarshalError("truncated float")
+                append(_UNPACK_FLOAT(data, pos)[0])
+                pos += 8
             else:
-                number, pos = _read_uvarint(data, pos)
-            if tag == _T_STR:
-                end = pos + number
-                if end > size:
-                    raise MarshalError("truncated string")
-                try:
-                    append(str(data[pos:end], "utf-8"))
-                except UnicodeDecodeError as exc:
-                    raise MarshalError(f"invalid utf-8 in string: {exc}") from None
-                pos = end
-            elif tag == _T_INT:
-                append((number >> 1) ^ -(number & 1))
-            elif tag == _T_DICT:
-                flat, pos = _decode(data, pos, 2 * number, depth + 1) if number else ([], pos)
-                pairs = iter(flat)
-                entries: dict[Any, Any] = {}
-                try:
-                    for key, value in zip(pairs, pairs):
-                        entries[interned(key, key)] = value
-                except TypeError:
-                    raise MarshalError("unhashable dict key") from None
-                append(entries)
-            elif tag == _T_BYTES:
-                end = pos + number
-                if end > size:
-                    raise MarshalError("truncated bytes")
-                append(bytes(data[pos:end]))
-                pos = end
-            else:
-                children, pos = _decode(data, pos, number, depth + 1) if number else ([], pos)
-                append(children if tag == _T_LIST else tuple(children))
-        elif tag == _T_NONE:
-            append(None)
-        elif tag == _T_TRUE:
-            append(True)
-        elif tag == _T_FALSE:
-            append(False)
-        elif tag == _T_FLOAT:
-            if pos + 8 > size:
-                raise MarshalError("truncated float")
-            append(_UNPACK_FLOAT(data, pos)[0])
-            pos += 8
+                raise MarshalError(f"unknown tag {bytes((kind,))!r} at offset {pos - 1}")
+        # The innermost open container has all its items: close it.
+        if not stack:
+            return items[0], pos
+        if tag != _T_DICT:
+            value: Any = items if tag == _T_LIST else tuple(items)
         else:
-            raise MarshalError(f"unknown tag {bytes((tag,))!r} at offset {pos - 1}")
-    return items, pos
+            pairs = iter(items)
+            value = {}
+            try:
+                for key, entry in zip(pairs, pairs):
+                    value[interned(key, key)] = entry
+            except TypeError:
+                raise MarshalError("unhashable dict key") from None
+        tag, items, remaining = stack.pop()
+        items.append(value)
 
 
 def marshal(value: Any) -> bytes:
@@ -378,7 +379,7 @@ def marshal(value: Any) -> bytes:
     if isinstance(value, Premarshalled):
         return value.raw
     out = bytearray()
-    _encode((value,), out)
+    _encode(value, out)
     return bytes(out)
 
 
@@ -389,46 +390,62 @@ def unmarshal(data: Any) -> Any:
     hands the :func:`unseal` view straight in).  Raises
     :class:`MarshalError` on trailing garbage or corruption.
     """
-    items, pos = _decode(data, 0)
+    value, pos = _decode(data)
     if pos != len(data):
         raise MarshalError(f"{len(data) - pos} trailing bytes after value")
-    return items[0]
+    return value
 
 
-def _size(items: Iterable[Any], depth: int = 0) -> int:
-    """Encoded size of ``items`` computed without building the encoding."""
-    if depth > MAX_DEPTH:
-        raise MarshalError(f"nesting deeper than {MAX_DEPTH} levels")
-    total = 0
-    for item in items:
-        if isinstance(item, str):
-            # ASCII (the protocol's common case) encodes 1:1, so the UTF-8
-            # byte length is known without running the encoder.
-            length = len(item) if item.isascii() else len(item.encode("utf-8"))
-            total += length + (2 if length < 0x80 else 1 + _uvarint_len(length))
-        elif item is None or item is True or item is False:
-            total += 1
-        elif isinstance(item, int):
-            zigzag = item << 1 if item >= 0 else (-item << 1) - 1
-            total += 2 if zigzag < 0x80 else 1 + _uvarint_len(zigzag)
-        elif isinstance(item, Premarshalled):
-            if depth + item.nesting > MAX_DEPTH:
-                raise MarshalError(f"nesting deeper than {MAX_DEPTH} levels")
-            total += len(item.raw)
-        elif isinstance(item, (dict, list, tuple)):
-            length = len(item)
-            total += 2 if length < 0x80 else 1 + _uvarint_len(length)
-            if length:
-                children = chain.from_iterable(item.items()) if isinstance(item, dict) else item
-                total += _size(children, depth + 1)
-        elif isinstance(item, float):
-            total += 9
-        elif isinstance(item, (bytes, bytearray)):
-            length = len(item)
-            total += length + (2 if length < 0x80 else 1 + _uvarint_len(length))
+def _size(value: Any) -> int:
+    """Encoded size of ``value`` computed without building the encoding."""
+    flat = chain.from_iterable
+    stack: list[Iterator[Any]] = []  # each open container's parent run
+    items: Iterator[Any] = iter((value,))
+    depth = total = 0
+    while True:
+        for item in items:
+            if isinstance(item, str):
+                # ASCII (the protocol's common case) encodes 1:1, so the
+                # UTF-8 byte length is known without running the encoder.
+                if item.isascii():
+                    length = len(item)
+                else:
+                    try:
+                        length = len(item.encode("utf-8"))
+                    except UnicodeEncodeError as exc:
+                        raise MarshalError(f"cannot marshal str: {exc}") from None
+                total += length + (2 if length < 0x80 else 1 + (length.bit_length() + 6) // 7)
+            elif item is None or item is True or item is False:
+                total += 1
+            elif isinstance(item, int):
+                zigzag = item << 1 if item >= 0 else (-item << 1) - 1
+                total += 2 if zigzag < 0x80 else 1 + (zigzag.bit_length() + 6) // 7
+            elif isinstance(item, Premarshalled):
+                if depth + item.nesting > MAX_DEPTH:
+                    raise MarshalError(f"nesting deeper than {MAX_DEPTH} levels")
+                total += len(item.raw)
+            elif isinstance(item, (dict, list, tuple)):
+                length = len(item)
+                total += 2 if length < 0x80 else 1 + (length.bit_length() + 6) // 7
+                if length:
+                    if depth == MAX_DEPTH:
+                        raise MarshalError(f"nesting deeper than {MAX_DEPTH} levels")
+                    stack.append(items)
+                    depth += 1
+                    items = flat(item.items()) if isinstance(item, dict) else iter(item)
+                    break  # size the children; this run resumes after them
+            elif isinstance(item, float):
+                total += 9
+            elif isinstance(item, (bytes, bytearray)):
+                length = len(item)
+                total += length + (2 if length < 0x80 else 1 + (length.bit_length() + 6) // 7)
+            else:
+                raise MarshalError(f"cannot marshal {type(item).__name__}: {item!r}")
         else:
-            raise MarshalError(f"cannot marshal {type(item).__name__}: {item!r}")
-    return total
+            if not depth:
+                return total
+            items = stack.pop()
+            depth -= 1
 
 
 def marshalled_size(value: Any) -> int:
@@ -441,7 +458,7 @@ def marshalled_size(value: Any) -> int:
     if isinstance(value, Premarshalled):
         codec_stats.marshal_size_fast_total += 1
         return len(value.raw)
-    return _size((value,))
+    return _size(value)
 
 
 _SEAL_HEADER = struct.Struct(">I")  # CRC32 of the sealed body

@@ -150,6 +150,12 @@ def settle_reply(reply_body: Any, then: Callable[[float, Any], None]) -> None:
         then(0.0, reply_body)
 
 
+def unmarshallable(exc: MarshalError) -> dict:
+    """The error body sent in place of a reply the codec refused (say,
+    text with a lone surrogate), as if the handler had raised."""
+    return {"error": f"{type(exc).__name__}: {exc}"}
+
+
 def remote_error(body: Any) -> str:
     """The reason carried by the body of a reply that is not ``ok``."""
     body = body or {}
@@ -547,7 +553,10 @@ class Transport:
                 # Encoded now: an import reply holds the store's live
                 # data by reference, and a later member of this frame
                 # may mutate that object before the frame leaves.
-                replies[index] = Premarshalled({"ok": ok, "body": final})
+                try:
+                    replies[index] = Premarshalled({"ok": ok, "body": final})
+                except MarshalError as exc:
+                    replies[index] = Premarshalled({"ok": False, "body": unmarshallable(exc)})
                 compute_s += delay_s
                 unsettled -= 1
                 if tracer.enabled and isinstance(member_body, dict):
@@ -624,6 +633,9 @@ class Transport:
             return  # the incarnation that computed this reply crashed
         try:
             self.send(dst, RPC_PORT, reply, trace=trace)
+        except MarshalError as exc:  # nothing was sent: refuse instead
+            refused = {**reply, "ok": False, "body": unmarshallable(exc)}
+            self._transmit_reply(epoch, dst, refused, trace)
         except LinkDown:
             pass  # lost reply; the caller's timeout recovers
 

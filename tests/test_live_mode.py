@@ -657,6 +657,36 @@ class TestOneExchangeOverSockets:
         assert client.messages_sent == 320 and server.messages_sent == 320
         assert client._pending_calls == {}
 
+    def test_a_burst_of_connections_waits_in_the_listen_backlog(self, monkeypatch):
+        """A connection per exchange: a node is dialled as many times at
+        once as it has requests in flight.  While the acceptor is busy
+        each dial must wait in the listen backlog; one the kernel finds
+        no room for loses its handshake and retries it after 1, 3, 7, 15
+        and 31 s — the test above lost calls that way, past its 30 s
+        wait, with a backlog of 16.  Here nothing is accepted at all."""
+        held = threading.Event()
+        accept_loop = LiveTransport._accept_loop
+        monkeypatch.setattr(
+            LiveTransport, "_accept_loop", lambda self: held.wait() and accept_loop(self)
+        )
+        clock = RealTimeClock(name="backlog-loop")
+        server = LiveTransport(clock, "server")
+        dialled = []
+        try:
+            for _ in range(64):
+                dialled.append(socket.create_connection(
+                    (server.address.host, server.address.port), timeout=0.5
+                ))
+        except socket.timeout:
+            pass  # no room in the backlog: the handshake was dropped
+        finally:
+            held.set()
+            for sock in dialled:
+                sock.close()
+            server.close()
+            clock.close()
+        assert len(dialled) == 64
+
     def test_subscribe_invalidations_is_rejected_and_polling_sees_the_change(self, live_world):
         """Server push has no carrier here (a connection carries one
         request and its reply): the Table-1 call says so rather than

@@ -19,12 +19,14 @@ from repro.core.interpreter import (
 )
 from repro.lint.verifier import check_code
 from repro.net.link import LinkSpec, IntervalTrace
-from repro.net.message import MarshalError, marshal, unmarshal
+from repro.net.message import MarshalError, marshal, marshalled_size, unmarshal
 from repro.net.scheduler import NetworkScheduler
 from repro.net.simnet import Network
-from repro.net.transport import Transport
+from repro.net.transport import BATCH_SERVICE, Transport, batch_request
 from repro.sim import Simulator
+from repro.testbed import build_testbed
 from repro.workloads import generate_connectivity_trace
+from tests.conftest import make_note
 
 
 @settings(max_examples=300)
@@ -141,6 +143,71 @@ def test_a_caught_exhaustion_is_still_exhaustion(source):
 def test_the_for_over_range_spin_passes_the_static_verifier():
     """Only the runtime rule stops it."""
     assert check_code(HOSTILE_SPINS["bare-except-around-for-over-range"]) == []
+
+
+# Text the codec cannot carry: UTF-8 has no encoding for a lone
+# surrogate.  The results below run to completion at the server and
+# pass the static verifier; the codec used to raise UnicodeEncodeError
+# out of the transport's reply path, and out of the simulation with it.
+LONE_SURROGATE = "\ud800"
+HOSTILE_RESULTS = {
+    "lone-surrogate-literal": "def main():\n    return '\\ud800'\n",
+    "lone-surrogate-built": "def main():\n    return {'text': [chr(0xD800)]}\n",
+}
+
+
+@pytest.mark.parametrize(
+    "value", [LONE_SURROGATE, ["ok", {"k": LONE_SURROGATE}], {LONE_SURROGATE: 1}]
+)
+def test_text_the_codec_cannot_carry_is_a_marshal_error(value):
+    with pytest.raises(MarshalError, match="cannot marshal str"):
+        marshal(value)
+    with pytest.raises(MarshalError, match="cannot marshal str"):
+        marshalled_size(value)
+
+
+@pytest.mark.parametrize("source", list(HOSTILE_RESULTS.values()), ids=list(HOSTILE_RESULTS))
+def test_a_result_the_codec_cannot_carry_fails_the_call_and_the_server_serves_on(source):
+    bed = build_testbed()
+    assert check_code(source) == []
+    outcomes = []
+    shipped = bed.access.ship(bed.authority, source)
+    shipped.on_failure(lambda reason: outcomes.append(("failed", reason)))
+    shipped.then(lambda result: outcomes.append(("ok", result)))
+    bed.sim.run(until=3_600.0)
+    assert len(outcomes) == 1 and outcomes[0][0] == "failed"
+    assert outcomes[0][1].startswith("MarshalError: cannot marshal str")
+    # The refusal answers every retransmission from the at-most-once
+    # record: the RDO ran once.
+    assert bed.server.ships_served == 1
+    after = bed.access.ship(bed.authority, "def main():\n    return 'next'\n")
+    assert after.wait(bed.sim) == "next"
+
+
+def test_a_coalesced_member_the_codec_cannot_carry_fails_alone():
+    sim = Simulator()
+    net = Network(sim)
+    a, b = net.host("a"), net.host("b")
+    net.connect(a, b, LinkSpec("lan", 10e6, 0.001))
+    ta, tb = Transport(sim, a), Transport(sim, b)
+    tb.register("echo", lambda body, source: body)
+    tb.register("garble", lambda body, source: body + LONE_SURROGATE)
+    reply = ta.call_blocking(b, BATCH_SERVICE, batch_request(
+        [("garble", "x"), ("echo", "fine")]
+    ))
+    assert reply["replies"][1] == {"ok": True, "body": "fine"}
+    refused = reply["replies"][0]
+    assert refused["ok"] is False
+    assert refused["body"]["error"].startswith("MarshalError: cannot marshal str")
+
+
+def test_an_argument_the_codec_cannot_carry_is_refused_at_the_call_site():
+    bed = build_testbed()
+    note = make_note()
+    bed.server.put_object(note)
+    with pytest.raises(MarshalError, match="cannot marshal str"):
+        bed.access.invoke_remote(note.urn, "set_text", [LONE_SURROGATE])
+    assert bed.access.log.pending_count() == 0 and bed.scheduler.idle()
 
 
 @settings(max_examples=10, deadline=None)

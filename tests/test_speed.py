@@ -12,6 +12,7 @@ is checked the same way, against the call-based guard it replaced.
 
 import ast
 import copy
+import gc
 import json
 import struct
 import sys
@@ -34,6 +35,8 @@ from repro.core.interpreter import (
 )
 from repro.core.naming import URN
 from repro.core.rdo import RDO, MethodSpec, RDOInterface
+from repro.lint import verifier
+from repro.lint.verifier import check_code, check_whitelist, walk
 from repro.live.transport import LiveAddress, _Connection, _LiveHost
 from repro.net.link import (
     CSLIP_14_4,
@@ -420,6 +423,96 @@ def test_nesting_limit_matches_reference(levels, shape, leaf, wrap_at):
     assert _outcome(unmarshal, frame) == _outcome(_ref_unmarshal, frame)
 
 
+# The walkers' own edges, each against the references: where a varint
+# grows a byte (written and read inline, where a helper call did it),
+# where a splice lands against the depth limit, and a frame cut inside a
+# multi-byte varint.
+_VARINT_EDGES = (127, 128, 16_383, 16_384)
+
+
+def _assert_matches_reference(value):
+    wire = marshal(value)
+    assert wire == _ref_marshal(value)
+    assert marshalled_size(value) == len(wire)
+    assert unmarshal(wire) == _ref_unmarshal(wire) == value
+
+
+@pytest.mark.parametrize("length", _VARINT_EDGES)
+@pytest.mark.parametrize("shape", ["ascii", "utf-8", "bytes", "list", "tuple", "dict"])
+def test_lengths_and_counts_at_varint_edges_match_reference(shape, length):
+    _assert_matches_reference({
+        "ascii": lambda: "x" * length,
+        "utf-8": lambda: "é" * (length // 2) + "x" * (length % 2),  # `length` bytes
+        "bytes": lambda: b"x" * length,
+        "list": lambda: [0] * length,
+        "tuple": lambda: (1,) * length,
+        "dict": lambda: {str(key): key for key in range(length)},
+    }[shape]())
+
+
+def test_ints_at_zigzag_varint_edges_match_reference():
+    """Both signs on each side of every edge up to ten varint bytes."""
+    for width in range(1, 11):
+        edge = 1 << (7 * width)
+        for zigzag in range(edge - 2, edge + 2):
+            value = zigzag >> 1 if zigzag % 2 == 0 else -((zigzag + 1) >> 1)
+            assert _ref_zigzag(value) == zigzag
+            _assert_matches_reference(value)
+
+
+@pytest.mark.parametrize("lands_at", [62, 63, 64])
+@pytest.mark.parametrize("inner", [{}, {"k": 1}, {"k": [1]}], ids=["nesting0", "nesting1", "nesting2"])
+def test_a_splice_at_the_depth_limit_matches_reference(lands_at, inner):
+    """A ``Premarshalled`` under ``lands_at`` lists is refused exactly
+    where the plain dict would be (the reference splices unchecked, so
+    it is run on the plain dict)."""
+
+    def build(body):
+        value = body
+        for _ in range(lands_at):
+            value = [value]
+        return value
+
+    expected = _outcome(_ref_marshal, build(dict(inner)))
+    assert _outcome(marshal, build(Premarshalled(inner))) == expected
+    assert _outcome(marshalled_size, build(Premarshalled(inner))) == (
+        MarshalError if expected is MarshalError else len(expected)
+    )
+    if expected is not MarshalError:
+        assert unmarshal(expected) == _ref_unmarshal(expected)
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["x" * 300, b"y" * 20_000, 2**40, -(2**40), list(range(200)), {str(k): 0 for k in range(130)}],
+    ids=["str", "bytes", "int", "negative-int", "list", "dict"],
+)
+def test_a_frame_cut_inside_a_multi_byte_varint_is_a_truncated_varint(value):
+    for wire, at in ((marshal(value), 1), (marshal([value]), 3)):  # after the tag(s)
+        last = at
+        while wire[last] & 0x80:
+            last += 1
+        assert last > at  # multi-byte
+        for cut in range(at, last + 1):  # no varint byte, up to all but the last
+            for decode in (unmarshal, _ref_unmarshal):
+                with pytest.raises(MarshalError, match="^truncated varint$"):
+                    decode(wire[:cut])
+
+
+@pytest.mark.parametrize("continued", [141, 142, 143, 144])
+@pytest.mark.parametrize("tail", [b"", b"\x01"], ids=["cut", "ended"])
+def test_an_overlong_varint_fails_where_the_reference_does(continued, tail):
+    """1,000 bits is the most a varint may carry: 142 continued bytes and
+    an end decode, 143 are too long, truncated or not."""
+    frame = b"i" + b"\xff" * continued + tail
+    assert _outcome(unmarshal, frame) == _outcome(_ref_unmarshal, frame)
+    for decode in (unmarshal, _ref_unmarshal):
+        try:
+            decode(frame)
+        except MarshalError as exc:
+            assert str(exc) == ("varint too long" if continued > 142 else "truncated varint")
+
+
 def _golden_values():
     """The protocol's canonical shapes, as the layers build them.
 
@@ -506,7 +599,12 @@ def test_golden_wire_vectors():
 
 
 def _python_calls(fn, *args):
-    """Python-level calls made while running ``fn`` (C functions excluded)."""
+    """Python-level calls made while running ``fn`` (C functions excluded).
+
+    The cyclic collector is held off: a collection that happens to fall
+    inside ``fn`` finalizes whatever earlier tests left in cycles (an
+    unfinished generator resumes to close), and those calls are not
+    ``fn``'s."""
     calls = 0
 
     def tally(frame, event, arg):
@@ -514,28 +612,46 @@ def _python_calls(fn, *args):
         if event == "call":
             calls += 1
 
+    collecting = gc.isenabled()
+    gc.disable()
     sys.setprofile(tally)
     try:
         fn(*args)
     finally:
         sys.setprofile(None)
+        if collecting:
+            gc.enable()
     return calls
 
 
 def test_codec_call_budget_on_the_invoke_envelope():
-    """A call per container, not per value or per varint.
+    """A call per tree, not per container, value or varint.
 
-    The canonical invoke envelope holds 34 values in 5 containers: the
-    flat walkers spend 7 calls on it in each direction (the entry point,
-    the top-level run, one per container); the per-value recursive codec
-    spent 69 encoding, 66 decoding and 63 sizing.  One call of slack, so
-    a regression to per-value recursion fails here, without perfbench.
+    The canonical invoke envelope holds 34 values in 5 containers: each
+    direction is the entry point and its one walker, 2 calls; the
+    walkers that recursed per container spent 7, the per-value codec 69
+    encoding, 66 decoding and 63 sizing.  No slack.  The same on CPython
+    3.11.7 and 3.12.1 (counted there with this file's ``sys.setprofile``
+    tally in a plain script, which needs no pytest).
     """
     envelope = _golden_values()["invoke_request_envelope"]
     wire = marshal(envelope)
-    assert _python_calls(marshal, envelope) <= 8
-    assert _python_calls(unmarshal, wire) <= 8
-    assert _python_calls(marshalled_size, envelope) <= 8
+    assert _python_calls(marshal, envelope) <= 2
+    assert _python_calls(unmarshal, wire) <= 2
+    assert _python_calls(marshalled_size, envelope) <= 2
+
+
+def test_a_value_nested_64_deep_costs_what_a_flat_one_does():
+    """Open containers wait on the walkers' own stacks: 64 levels (the
+    deepest the format allows) cost the calls one level does, where a
+    call per level cost 66."""
+    deep = 0
+    for _ in range(_MAX_DEPTH):
+        deep = [deep]
+    for value in ([0], deep):
+        assert _python_calls(marshal, value) == 2
+        assert _python_calls(marshalled_size, value) == 2
+        assert _python_calls(unmarshal, marshal(value)) == 2
 
 
 def test_marshalled_size_short_circuits_premarshalled():
@@ -602,12 +718,15 @@ def test_a_frame_asks_its_link_twice_and_frames_itself_twice(monkeypatch):
 def test_null_rpc_call_budget_on_ethernet():
     """Every Python-level call of one null RPC, request out and reply
     back, kernel and codec included: 103 before the link questions were
-    taken down to one each, 77 since (26 off two frames).  No slack: a call added
+    taken down to one each, 77 after (26 off two frames), 73 since a
+    walker takes the whole envelope (4 off: the envelope's own level was
+    a second walker call, encoding and decoding, on each frame).  No slack: a call added
     to the frame path is paid six times per operation on the replicated
-    write path, and shows here without perfbench."""
+    write path, and shows here without perfbench.  73 on CPython 3.11.7
+    and 3.12.1 alike (the latter counted in a plain script)."""
     sim, a, b, link, ta = _pair()
     ta.call_blocking(b, "null", {})  # warm: lazily built state is not the path
-    assert _python_calls(ta.call_blocking, b, "null", {}) <= 77
+    assert _python_calls(ta.call_blocking, b, "null", {}) <= 73
 
 
 def test_equal_links_are_chosen_in_attach_order_and_a_down_one_is_skipped():
@@ -908,13 +1027,61 @@ def test_a_looping_local_invoke_costs_the_same_calls_for_1_and_80_iterations():
 
 def test_compiling_an_app_rdo_call_budget():
     """Load (parse, whitelist, charge, compile, exec) of the mail
-    folder's source on a fresh interpreter: 1,385 Python calls on
-    CPython 3.11, 18 fewer than the call-based guard (three
-    ``ast.copy_location`` per guard point, six points).  No slack: a
-    parse or walk per guard point would cost hundreds here, and the
-    source is compiled inside the timed region of ``mail_slowlink``."""
+    folder's source on a fresh interpreter: 8 Python calls — `load`,
+    `validate_source`, `ast.parse`, `check_whitelist` and its walk, the
+    charge injector and its walk, the module body — whatever the size
+    of the tree or the number of charge points.  Through ``ast.walk``
+    and a ``NodeTransformer`` it was 1,385 on CPython 3.11.7 and 1,395
+    on 3.12.1 (their generators differ); 8 on both now, 3.12.1 counted
+    with this file's ``sys.setprofile`` tally in a plain script, which
+    needs no pytest.  No slack: the source is compiled inside the timed
+    region of ``mail_slowlink``."""
     SafeInterpreter().load(_FOLDER_CODE)  # warm: lazily built stdlib state
-    assert _python_calls(SafeInterpreter().load, _FOLDER_CODE) <= 1385
+    assert _python_calls(SafeInterpreter().load, _FOLDER_CODE) <= 8
+
+
+def test_one_walk_visits_what_ast_walk_does_in_its_order():
+    """The same nodes in the same order: over every shipped RDO source,
+    the hostile corpus, and, for larger trees, the whole modules of the
+    apps and the examples."""
+    from tests.test_robustness import ESCAPE_ATTEMPTS, HOSTILE_RESULTS, HOSTILE_SPINS
+
+    root = Path(__file__).parent.parent
+    sources = [source for _, source in _rdo_sources()]
+    sources += [*ESCAPE_ATTEMPTS, *HOSTILE_SPINS.values(), *HOSTILE_RESULTS.values()]
+    sources += [
+        path.read_text()
+        for path in sorted((root / "src" / "repro" / "apps").glob("*.py"))
+        + sorted((root / "examples").glob("*.py"))
+    ]
+    for source in sources:
+        tree = ast.parse(source)
+        assert [id(node) for node in walk(tree)] == [id(node) for node in ast.walk(tree)]
+
+
+def test_verifier_findings_come_out_in_the_order_ast_walk_gave(monkeypatch):
+    """Every source the verifier tests feed it, checked with the one walk
+    and then with ``ast.walk`` in its place: the same diagnostics, in
+    the same order (``check_whitelist`` reports in walk order)."""
+    corpus = ast.parse((Path(__file__).parent / "test_lint_verifier.py").read_text())
+    sources = [
+        node.value for node in ast.walk(corpus)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "\n" in node.value
+    ]
+    trees = []
+    for source in sources:
+        try:
+            trees.append((source, ast.parse(source)))
+        except SyntaxError:
+            continue
+
+    def findings():
+        return [(check_whitelist(tree), check_code(source)) for source, tree in trees]
+
+    walked_once = findings()
+    monkeypatch.setattr(verifier, "walk", lambda tree: list(ast.walk(tree)))
+    assert walked_once == findings()
+    assert sum(len(whitelist) for whitelist, _ in walked_once) >= 10
 
 
 # ---------------------------------------------------------------------------
