@@ -1,7 +1,7 @@
 PYTHON ?= python
 CHAOS_SEED ?= 0
 
-.PHONY: install test lint effects bench tables chaos check ha perf fleet speed perfbench perfbench-smoke sloc reach demo examples trace-smoke clean
+.PHONY: install test lint bench tables chaos check ha perf fleet speed perfbench perfbench-smoke sloc reach demo examples trace-smoke clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -9,16 +9,12 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
+# The effect analysis (docs/LINTING.md, EFF rules: on violation it
+# prints witness call chains; sanctioned escapes live in
+# lint-effects-baseline.txt), then the example apps' published RDOs.
 lint:
-	$(PYTHON) -m repro.lint src/repro --strict-suppressions
+	$(PYTHON) -m repro.lint src/repro --effects-json lint-effects.json
 	$(PYTHON) -m repro.lint --rdos
-	$(PYTHON) -m repro.lint --effects src/repro
-
-# Whole-program effect analysis alone (docs/LINTING.md, EFF rules).
-# On violation it prints witness call chains; sanctioned escapes live
-# in lint-effects-baseline.txt.
-effects:
-	$(PYTHON) -m repro.lint --effects src/repro --effects-json lint-effects.json
 
 # Every experiment (shape + baseline; repro.bench.registry declares
 # them, benchmarks/test_experiments.py runs them), the static T1/T2

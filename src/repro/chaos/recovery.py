@@ -56,8 +56,6 @@ def crash_and_recover_client(access: "AccessManager") -> tuple["AccessManager", 
         access.obs,
         stable_backend=access.log.stable.backend,
         flush_model=access.log.stable.flush_model,
-        cache_capacity=access.cache.capacity_bytes,
-        cost_model=access.cost_model,
         auth_token=access.auth_token,
         group_commit=access.group_commit,
         incarnation=access.incarnation + 1,

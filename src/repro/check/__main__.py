@@ -10,12 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
 from repro.check.explorer import explore
 from repro.check.minimize import minimize
 from repro.check.replay import counterexample_wire, emit_pytest
 from repro.check.scenarios import SCENARIOS, get_scenario
+from repro.speed.measure import Stopwatch
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -73,19 +73,18 @@ def main(argv: list[str] | None = None) -> int:
         scenario = get_scenario(name)
         # CLI driver, not a simulated component: real wall time is the
         # right thing to report to the human running the sweep.
-        started = time.monotonic()  # lint: ignore[DET101]
-        result = explore(
-            scenario,
-            depth=args.depth,
-            crash_budget=args.crashes,
-            max_runs=args.max_runs,
-            pruning=pruning,
-            stop_on_violation=not args.keep_going,
-        )
-        elapsed = time.monotonic() - started  # lint: ignore[DET101]
+        with Stopwatch() as sweep:
+            result = explore(
+                scenario,
+                depth=args.depth,
+                crash_budget=args.crashes,
+                max_runs=args.max_runs,
+                pruning=pruning,
+                stop_on_violation=not args.keep_going,
+            )
         print(
             f"[{name}] explored {result.runs_explored} interleavings "
-            f"({len(result.unique_states)} unique terminal states) in {elapsed:.1f}s; "
+            f"({len(result.unique_states)} unique terminal states) in {sweep.wall_s:.1f}s; "
             f"pruned {result.points_pruned} commuting branch points; "
             f"skipped {result.expansions_skipped} over-budget expansions"
             + (" [truncated by --max-runs]" if result.truncated else "")

@@ -70,8 +70,6 @@ class AccessManager:
         cache: Optional[ObjectCache] = None,
         log: Optional[OperationLog] = None,
         notifications: Optional[NotificationCenter] = None,
-        cost_model: Optional[ExecutionCostModel] = None,
-        step_budget: int = 200_000,
         auth_token: str = "",
         group_commit: Optional[GroupCommitPolicy] = None,
         obs: Optional[Observatory] = None,
@@ -112,11 +110,11 @@ class AccessManager:
         self.group_commit = group_commit
         self.log.keep_time(sim, group_commit)
         self.notifications = notifications or NotificationCenter()
-        self.cost_model = cost_model or ExecutionCostModel()
+        self.cost_model = ExecutionCostModel()
         #: Credential presented with every QRPC (see RoverServer.auth_tokens).
         self.auth_token = auth_token
         self._invalidation_bound = False
-        self.interpreter = SafeInterpreter(step_budget=step_budget)
+        self.interpreter = SafeInterpreter(step_budget=200_000)
         self.sessions = SessionRegistry(self.host.name)
         self._request_counter = 0
         #: What every request id of this incarnation starts with; the

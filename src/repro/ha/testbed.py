@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.conflict import ResolverRegistry
 from repro.core.server import RoverServer
 from repro.ha.group import ReplicationGroup
 from repro.net.link import ConnectivityPolicy, LinkSpec, ETHERNET_10M
@@ -88,7 +87,6 @@ def build_ha_testbed(
     lease_s: float = 6.0,
     heartbeat_s: float = 2.0,
     flush_model: Optional[FlushModel] = None,
-    resolvers: Optional[ResolverRegistry] = None,
     mesh_policies: Optional[dict[tuple[int, int], ConnectivityPolicy]] = None,
     **client_options,
 ) -> HATestbed:
@@ -99,9 +97,7 @@ def build_ha_testbed(
     ``mesh_policies`` scripts connectivity on the *member* mesh, keyed
     by member index pair ``(a, b)`` with ``a < b`` — the lever for
     partitioning a primary away from its backups while clients still
-    reach it (split-brain drills).  Members share ``resolvers`` so
-    conflict resolution is identical on whichever member ends up
-    applying an export.  ``client_options`` go to
+    reach it (split-brain drills).  ``client_options`` go to
     :func:`~repro.testbed.build_client_stack` (``compaction``,
     ``delta_shipping``, ``group_commit``, ``adapt_to_link``).
     """
@@ -119,7 +115,7 @@ def build_ha_testbed(
         name = authority if index == 0 else f"{authority}-b{index}"
         host = network.host(name)
         transport = Transport(sim, host, obs=obs)
-        server = RoverServer(sim, transport, authority, resolvers=resolvers)
+        server = RoverServer(sim, transport, authority)
         members.append((server, transport))
         member_hosts.append(host)
     # Full replication mesh: every member can ship/poll every other.

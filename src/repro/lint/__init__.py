@@ -1,16 +1,14 @@
 """Static analysis for the Rover toolkit.
 
-Three AST-based analyzers over one diagnostic core:
+Two AST-based analyzers over one diagnostic core:
 
 * :mod:`repro.lint.verifier` — the RDO static verifier: publish-time
   enforcement of the safe subset, mutation purity against the declared
   interface, marshal-ability, name resolution, and bounded execution;
-* :mod:`repro.lint.sanitizer` — the simulation-determinism sanitizer:
-  a repo-wide lint (``python -m repro.lint src/repro``) flagging
-  wall-clock access, unseeded randomness, and unordered-set iteration;
 * :mod:`repro.lint.effects` — the whole-program effect analyzer
-  (``python -m repro.lint --effects src/repro``): call-graph effect
-  inference checked against the layer contracts in
+  (``python -m repro.lint src/repro``), the one determinism check:
+  call-graph effect inference (wall clock, unseeded randomness,
+  hash-order iteration, real I/O, ...) checked against the contracts in
   :mod:`repro.lint.contracts`, with witness call chains.
 
 The rule tables both analyzers (and the runtime
@@ -49,7 +47,6 @@ from repro.lint.effects import (
     analyze_paths,
     analyze_sources,
 )
-from repro.lint.sanitizer import scan_file, scan_paths, scan_source
 from repro.lint.verifier import (
     check_code,
     check_mutation_purity,
@@ -82,9 +79,6 @@ __all__ = [
     "errors_only",
     "find_state_mutation",
     "format_diagnostics",
-    "scan_file",
-    "scan_paths",
-    "scan_source",
     "sort_diagnostics",
     "verify_rdo",
 ]

@@ -1,19 +1,15 @@
 """``python -m repro.lint`` — the command-line front end.
 
-Four modes:
+Three modes:
 
-* ``python -m repro.lint src/repro`` — run the determinism sanitizer
-  over a file tree (the self-clean CI gate);
-* ``python -m repro.lint --effects src/repro`` — run the whole-program
-  effect analyzer and check the layer contracts (witness call chains
-  on violation; sanctioned escapes live in ``lint-effects-baseline.txt``);
+* ``python -m repro.lint src/repro`` — run the whole-program effect
+  analyzer over a file tree and check the determinism and layer
+  contracts (witness call chains on violation; sanctioned escapes live
+  in ``lint-effects-baseline.txt``) — the self-clean CI gate;
 * ``python -m repro.lint --rdos`` — import the example applications and
   run the RDO static verifier over every published (code, interface)
   pair they define;
 * ``python -m repro.lint --rules`` — print the rule catalogue.
-
-``--strict-suppressions`` additionally fails the sanitizer on stale
-suppression comments (``lint: ignore``) that no longer silence anything.
 
 Exit status is 0 when no ERROR-severity findings, 1 otherwise.
 """
@@ -26,13 +22,11 @@ from typing import Optional
 
 from repro.lint.diagnostics import (
     Diagnostic,
-    Severity,
     errors_only,
     format_diagnostics,
 )
 from repro.lint.effects import analyze_paths, write_json
 from repro.lint.rules import RULES
-from repro.lint.sanitizer import scan_paths
 from repro.lint.verifier import verify_rdo
 
 #: Modules scanned by ``--rdos`` when none are named: every example
@@ -88,11 +82,11 @@ def _print_rules() -> None:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
-        description="Static RDO verifier + simulation-determinism sanitizer",
+        description="Static RDO verifier + whole-program effect analyzer",
     )
     parser.add_argument(
         "paths", nargs="*",
-        help="files or directories for the determinism sanitizer",
+        help="files or directories for the effect analyzer",
     )
     parser.add_argument(
         "--rdos", nargs="*", metavar="MODULE", default=None,
@@ -107,11 +101,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         help="exit non-zero on WARNING findings too",
     )
     parser.add_argument(
-        "--effects", action="store_true",
-        help="run the whole-program effect analyzer over the given paths "
-             "instead of the file-local sanitizer",
-    )
-    parser.add_argument(
         "--effects-baseline", default="lint-effects-baseline.txt",
         metavar="FILE",
         help="baseline of sanctioned effect escapes (default: "
@@ -119,13 +108,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     parser.add_argument(
         "--effects-json", metavar="FILE", default=None,
-        help="with --effects: dump the findings as JSON to FILE "
+        help="dump the effect findings as JSON to FILE "
              "(written on both success and failure, for CI artifacts)",
-    )
-    parser.add_argument(
-        "--strict-suppressions", action="store_true",
-        help="sanitizer: also fail on stale lint-ignore comments that "
-             "no longer suppress any diagnostic",
     )
     args = parser.parse_args(argv)
 
@@ -134,18 +118,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 0
 
     if not args.paths and args.rdos is None:
-        parser.error("nothing to do: pass paths to sanitize and/or --rdos")
+        parser.error("nothing to do: pass paths to analyse and/or --rdos")
 
     findings: list[Diagnostic] = []
-    if args.paths and args.effects:
+    if args.paths:
         report = analyze_paths(args.paths, baseline_path=args.effects_baseline)
         findings += report.diagnostics()
         if args.effects_json:
             write_json(report, args.effects_json)
-    elif args.paths:
-        findings += scan_paths(
-            args.paths, strict_suppressions=args.strict_suppressions
-        )
     if args.rdos is not None:
         findings += verify_modules(list(args.rdos) or list(DEFAULT_RDO_MODULES))
 

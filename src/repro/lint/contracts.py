@@ -10,10 +10,13 @@ Three kinds of contract:
 
 * **Scope contracts** (:data:`LAYER_CONTRACTS`) — every function whose
   file lives under one of the contract's path prefixes must avoid the
-  forbidden effects.  The simulation kernel, the Rover core, and the
-  simulated network must never read the real clock, draw unseeded
-  randomness, or touch real sockets: a scenario's entire trace must be
-  a pure function of its parameters and seed.
+  forbidden effects.  No analysed code outside the sanctioned files may
+  read the real clock, sleep, draw unseeded randomness, or iterate in
+  hash order (``deterministic``); the simulation kernel, the Rover
+  core, and the simulated network may not reach the clock, unseeded
+  randomness or real sockets even through a callee elsewhere
+  (``sim-pure``): a scenario's entire trace must be a pure function of
+  its parameters and seed.
 
 * **Entry-point contracts** — functions *registered* somewhere
   (QRPC server handlers, compaction rules) must be **replay-pure**:
@@ -95,10 +98,11 @@ class LayerContract:
 
     def covers(self, relpath: str) -> bool:
         """True when ``relpath`` (posix, relative to the source root,
-        e.g. ``repro/sim/events.py``) falls under this contract."""
+        e.g. ``repro/sim/events.py``) falls under this contract.  The
+        empty prefix covers every analysed file."""
         normalized = relpath.replace("\\", "/")
         for prefix in self.prefixes:
-            if prefix.endswith("/"):
+            if not prefix or prefix.endswith("/"):
                 if normalized.startswith(prefix) or ("/" + prefix) in normalized:
                     return True
             elif normalized == prefix or normalized.endswith("/" + prefix):
@@ -106,7 +110,8 @@ class LayerContract:
         return False
 
 
-#: The scope contracts, checked by ``python -m repro.lint --effects``.
+#: The scope contracts, checked by ``python -m repro.lint src/repro``.
+#: A function and effect both break is reported once, under the first.
 LAYER_CONTRACTS: tuple[LayerContract, ...] = (
     LayerContract(
         name="sim-pure",
@@ -120,21 +125,29 @@ LAYER_CONTRACTS: tuple[LayerContract, ...] = (
         ),
     ),
     LayerContract(
-        name="hash-order",
-        prefixes=("repro/",),
-        forbids=frozenset({Effect.UNORDERED_ITER}),
+        name="deterministic",
+        prefixes=("",),
+        forbids=frozenset(
+            {
+                Effect.WALLCLOCK,
+                Effect.UNSEEDED_RNG,
+                Effect.BLOCKING_SLEEP,
+                Effect.UNORDERED_ITER,
+            }
+        ),
         rationale=(
-            "event traces, stable logs, and wire bytes must not depend "
-            "on the per-process string hash salt"
+            "event traces, stable logs, and wire bytes must not depend on "
+            "the real clock, an unseeded RNG, or the per-process string "
+            "hash salt; only the sanctioned files below may"
         ),
     ),
 )
 
 
-#: Files allowed to touch the real clock (``DET101`` in the file-local
-#: sanitizer, ``WALLCLOCK``/``BLOCKING_SLEEP`` here).  This used to be
-#: a blanket ``repro/live/`` exemption; only these two modules
-#: legitimately bridge simulated and real time.
+#: Files allowed to touch the real clock (``WALLCLOCK`` and
+#: ``BLOCKING_SLEEP``).  This used to be a blanket ``repro/live/``
+#: exemption; only these modules legitimately bridge simulated and real
+#: time.
 WALLCLOCK_SANCTIONED: tuple[str, ...] = (
     "repro/live/clock.py",
     "repro/live/transport.py",
@@ -236,6 +249,6 @@ def marshal_stable(fn: _F) -> _F:
     """Mark ``fn`` as a marshal path (no unordered iteration).
 
     Identity at runtime; checked transitively against
-    :data:`MARSHAL_FORBIDS` by ``python -m repro.lint --effects``.
+    :data:`MARSHAL_FORBIDS` by ``python -m repro.lint src/repro``.
     """
     return fn

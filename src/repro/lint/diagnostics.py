@@ -1,7 +1,7 @@
 """The diagnostic core shared by both analyzers.
 
-Every finding — from the RDO static verifier or the determinism
-sanitizer — is a :class:`Diagnostic`: a stable rule id, a severity, a
+Every finding — from the RDO static verifier or the effect analyzer —
+is a :class:`Diagnostic`: a stable rule id, a severity, a
 position (file, line, column), a message, and a fix hint.  Keeping one
 currency for findings means the publish-time hook, the CLI, and the
 runtime interpreter all speak the same language, and a rejected RDO

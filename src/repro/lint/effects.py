@@ -1,16 +1,18 @@
-"""Whole-program effect inference and layer-contract checking.
+"""Whole-program effect inference and layer-contract checking: the
+repository's one determinism analysis (``python -m repro.lint src/repro``).
 
-The file-local sanitizer (:mod:`repro.lint.sanitizer`) flags
-``time.time()`` *where it is written*.  This module flags it *where it
-is reached from*: it builds a module- and class-aware call graph over
-the whole ``src/repro`` tree, infers each function's intrinsic effect
-set, propagates effects to a transitive fixed point, and checks the
-result against the declarative contracts in :mod:`repro.lint.contracts`.
+It flags ``time.time()`` both where it is written and where it is
+reached from: it builds a module- and class-aware call graph over the
+whole ``src/repro`` tree, infers each function's intrinsic effect set,
+propagates effects to a transitive fixed point, and checks the result
+against the declarative contracts in :mod:`repro.lint.contracts`.
 
 Pipeline:
 
 1. **Index** — parse every file; record modules, classes (bases,
-   methods, attribute types), functions, imports.
+   methods, attribute types), functions, imports.  A module's
+   top-level statements and class bodies (the code that runs at
+   import) are one more function per file, ``<relpath>:<module>``.
 2. **Intrinsics** — per function body, detect directly-performed
    effects (wall-clock reads, unseeded RNG, socket/file I/O, blocking
    sleeps, ``global`` mutation, hash-order set iteration).
@@ -54,6 +56,7 @@ from repro.lint.contracts import (
     sanctioned_for,
 )
 from repro.lint.diagnostics import Diagnostic, Severity
+from repro.lint.rules import rule_hint
 
 # ---------------------------------------------------------------------------
 # Effect primitive tables
@@ -237,10 +240,7 @@ class EffectReport:
                     line=f.lineno,
                     col=0,
                     message=message,
-                    hint=(
-                        "route the effect through the sim clock/seeded RNG, "
-                        "sort the iteration, or add a justified baseline entry"
-                    ),
+                    hint=rule_hint(f.rule),
                 )
             )
         for entry in self.stale_baseline:
@@ -252,7 +252,7 @@ class EffectReport:
                     line=0,
                     col=0,
                     message=f"stale baseline entry no longer matches any finding: {entry}",
-                    hint="delete the line; the escape it sanctioned is gone",
+                    hint=rule_hint("EFF901"),
                 )
             )
         return out
@@ -326,6 +326,27 @@ class EffectAnalyzer:
                     self._index_function(relpath, None, node)
                 elif isinstance(node, ast.ClassDef):
                     self._index_class(relpath, node)
+            self._index_module_body(relpath, tree)
+
+    def _index_module_body(self, relpath, tree) -> None:
+        """The statements that run at import — top level and class
+        bodies, not function bodies — as the pseudo-function
+        ``<relpath>:<module>``.  It is never an entry point."""
+        body, pending = [], list(tree.body)
+        while pending:
+            node = pending.pop()
+            if isinstance(node, ast.ClassDef):
+                pending.extend(node.body)
+            elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                body.append(node)
+        qualname = _qual(relpath, None, "<module>")
+        self.functions[qualname] = FunctionInfo(
+            qualname=qualname, relpath=relpath, name="<module>", cls=None,
+            node=ast.Module(
+                body=sorted(body, key=lambda n: n.lineno), type_ignores=[]
+            ),
+            lineno=1,
+        )
 
     def _index_function(self, relpath, cls, node) -> FunctionInfo:
         qualname = _qual(relpath, cls, node.name)
@@ -797,10 +818,18 @@ class EffectAnalyzer:
         if isinstance(expr, ast.Attribute) and _is_self(expr.value) and info.cls:
             return self._attr_type(info.cls, expr.attr) == "set"
         if isinstance(expr, ast.BinOp) and isinstance(
-            expr.op, (ast.BitOr, ast.BitAnd, ast.BitXor)
+            expr.op, (ast.BitOr, ast.BitAnd, ast.BitXor, ast.Sub)
         ):
-            return self._is_set_expr(expr.left, info, set_locals) or self._is_set_expr(
-                expr.right, info, set_locals
+            # A dict's .keys() keeps insertion order; a set operator on
+            # it builds a set.
+            return any(
+                self._is_set_expr(side, info, set_locals)
+                or (
+                    isinstance(side, ast.Call)
+                    and isinstance(side.func, ast.Attribute)
+                    and side.func.attr == "keys"
+                )
+                for side in (expr.left, expr.right)
             )
         if isinstance(expr, ast.Call):
             func = expr.func
@@ -989,7 +1018,9 @@ class EffectAnalyzer:
                 seen.add(finding.key())
                 findings.append(finding)
 
-        # scope contracts: report at the frontier
+        # scope contracts: report at the frontier, once per function and
+        # effect (the first contract in LAYER_CONTRACTS order names it)
+        reported = set()
         for contract in LAYER_CONTRACTS:
             for qualname, info in self.functions.items():
                 if not contract.covers(info.relpath):
@@ -1015,7 +1046,8 @@ class EffectAnalyzer:
                             ):
                                 frontier = True
                                 break
-                    if frontier:
+                    if frontier and (qualname, effect) not in reported:
+                        reported.add((qualname, effect))
                         emit("EFF101", contract.name, qualname, effect)
 
         # replay-pure entry points

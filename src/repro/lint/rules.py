@@ -9,7 +9,7 @@ publish time), so the two checks cannot disagree.
 
 This module deliberately imports nothing from :mod:`repro.core` or
 :mod:`repro.net`; it sits at the bottom of the dependency graph so the
-interpreter, the verifier, and the sanitizer can all consume it.
+interpreter, the verifier, and the effect analyzer can all consume it.
 """
 
 from __future__ import annotations
@@ -194,33 +194,13 @@ RULES: dict[str, tuple[str, str]] = {
         "unbounded loop: the step budget cannot be statically bounded",
         "add a break/return, or loop over a finite iterable",
     ),
-    # -- determinism sanitizer ---------------------------------------------
-    "DET000": (
-        "scanned file does not parse",
-        "fix the syntax error; the sanitizer cannot analyse the file",
-    ),
-    "DET101": (
-        "wall-clock access outside repro/live/",
-        "simulated components must take time from the Simulator "
-        "(sim.now); only the live/ substrate may read the real clock",
-    ),
-    "DET201": (
-        "direct random-module use bypassing sim.rng.make_rng",
-        "derive a named stream via repro.sim.rng.make_rng(seed, stream) "
-        "so runs are reproducible",
-    ),
-    "DET301": (
-        "iteration over an unordered set/dict-keys union",
-        "wrap the union in sorted(...) so marshalled bytes, merge "
-        "results, and event orderings are identical across runs",
-    ),
     # -- whole-program effect analysis (repro.lint.effects) ----------------
     "EFF101": (
-        "layer-contract violation: a contracted layer reaches a "
-        "forbidden effect",
-        "keep the sim/core layers pure — route the effect through the "
-        "simulator clock / seeded RNG, or move the code out of the "
-        "contracted layer; sanctioned escapes go in "
+        "scope-contract violation: code reaches an effect its contract "
+        "forbids (deterministic, sim-pure)",
+        "take time from the Simulator (sim.now), derive RNG streams via "
+        "repro.sim.rng.make_rng(seed, stream), wrap set iteration in "
+        "sorted(...); sanctioned escapes go in "
         "lint-effects-baseline.txt with a justification",
     ),
     "EFF201": (
@@ -239,11 +219,6 @@ RULES: dict[str, tuple[str, str]] = {
         "stale baseline entry: no current finding matches it",
         "delete the line from lint-effects-baseline.txt; the escape it "
         "sanctioned no longer exists",
-    ),
-    "SUP001": (
-        "stale suppression: a lint-ignore comment silences nothing",
-        "remove the comment (or narrow its rule list); stale "
-        "suppressions hide future regressions",
     ),
 }
 

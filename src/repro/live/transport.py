@@ -86,7 +86,7 @@ class _Connection:
     ``carry(frame, on_failed)`` moves one frame; without it this is a
     connection nobody has dialled yet, which :meth:`LiveTransport.call`
     does per request.  Duck-typed rather than a ``Link`` subclass:
-    ``repro.lint --effects`` resolves ``link.send`` over ``Link``'s
+    ``repro.lint``'s effect analysis resolves ``link.send`` over ``Link``'s
     subclasses, and their sim-pure contract is about those.
     """
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.access_manager import AccessManager
-from repro.core.conflict import ResolverRegistry
 from repro.core.notification import NotificationCenter
 from repro.core.object_cache import ObjectCache
 from repro.core.operation_log import OperationLog
@@ -74,7 +73,6 @@ def wire_access_manager(
     obs: Observatory,
     stable_backend=None,
     flush_model: Optional[FlushModel] = None,
-    cache_capacity: int = 8 * 1024 * 1024,
     **access_options,
 ) -> AccessManager:
     """The volatile upper half of a client: a fresh cache, operation log
@@ -88,9 +86,7 @@ def wire_access_manager(
         sim,
         scheduler,
         servers=servers,
-        cache=ObjectCache(
-            capacity_bytes=cache_capacity, clock=lambda: sim.now, obs=obs, owner=owner
-        ),
+        cache=ObjectCache(clock=lambda: sim.now, obs=obs, owner=owner),
         log=OperationLog(
             StableLog(stable_backend, flush_model=flush_model, obs=obs, owner=owner),
             obs=obs,
@@ -180,13 +176,11 @@ def build_testbed(
     link_spec: LinkSpec = ETHERNET_10M,
     policy: Optional[ConnectivityPolicy] = None,
     flush_model: Optional[FlushModel] = None,
-    resolvers: Optional[ResolverRegistry] = None,
     with_relay: bool = False,
     relay_link_spec: Optional[LinkSpec] = None,
     relay_client_policy: Optional[ConnectivityPolicy] = None,
     relay_server_policy: Optional[ConnectivityPolicy] = None,
     authority: str = "server",
-    cache_capacity: int = 8 * 1024 * 1024,
     max_inflight: int = 4,
     fifo_only: bool = False,
     adapt_to_link: bool = True,
@@ -234,7 +228,7 @@ def build_testbed(
     link = network.connect(client_host, server_host, link_spec, policy)
 
     server_transport = Transport(sim, server_host, obs=obs, adapt_to_link=adapt_to_link)
-    server = RoverServer(sim, server_transport, authority, resolvers=resolvers)
+    server = RoverServer(sim, server_transport, authority)
     stack = build_client_stack(
         sim,
         client_host,
@@ -242,7 +236,6 @@ def build_testbed(
         {authority: server_host},
         obs,
         flush_model=flush_model,
-        cache_capacity=cache_capacity,
         max_inflight=max_inflight,
         max_attempts=max_attempts,
         fifo_only=fifo_only,
@@ -312,7 +305,6 @@ def build_multi_client_testbed(
     link_spec: LinkSpec = ETHERNET_10M,
     policies: Optional[list[Optional[ConnectivityPolicy]]] = None,
     flush_model: Optional[FlushModel] = None,
-    resolvers: Optional[ResolverRegistry] = None,
     authority: str = "server",
     shared_medium: bool = False,
     seed: int = 0,
@@ -351,7 +343,7 @@ def build_multi_client_testbed(
     network = Network(sim, seed=seed)
     server_host = network.host(authority)
     server_transport = Transport(sim, server_host, obs=obs, adapt_to_link=adapt_to_link)
-    server = RoverServer(sim, server_transport, authority, resolvers=resolvers)
+    server = RoverServer(sim, server_transport, authority)
     medium = network.medium(f"{link_spec.name}-cell") if shared_medium else None
 
     clients: list[ClientStack] = []

@@ -173,8 +173,8 @@ def test_conflict_report_wire_roundtrip():
 
 
 class TestMergeDeterminism:
-    """Regression: DET301 — the fieldwise merge used to iterate an
-    unsorted ``set(base) | set(server) | set(client)``, so the merged
+    """Regression: hash-order iteration — the fieldwise merge used to
+    iterate an unsorted ``set(base) | set(server) | set(client)``, so the merged
     dict's insertion order (and therefore its marshalled bytes and
     clash-report ordering) depended on per-process string hashing."""
 

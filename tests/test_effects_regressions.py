@@ -2,9 +2,7 @@
 
 Each test embeds the *pre-fix* shape of the code and asserts the
 analyzer flags it (these failed before the corresponding fix landed),
-then asserts the fixed tree no longer carries the effect.  Where the
-hazard was invisible to the file-local sanitizer, a companion test
-proves that invisibility — the reason the whole-program pass exists.
+then asserts the fixed tree no longer carries the effect.
 """
 
 import os
@@ -12,7 +10,6 @@ import unittest
 
 from repro.lint.contracts import Effect
 from repro.lint.effects import EffectAnalyzer, analyze_paths, analyze_sources
-from repro.lint.sanitizer import scan_source
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
@@ -62,12 +59,6 @@ class TestAbandonAllHazard(unittest.TestCase):
             ),
             flagged,
         )
-
-    def test_pre_fix_code_is_invisible_to_file_local_sanitizer(self):
-        """DET301 cannot fire here: the iterated expression is
-        `list(self._active)` and nothing on that line says 'set'."""
-        findings = scan_source(PRE_FIX_SCHEDULER, "src/repro/net/sched.py")
-        self.assertEqual([f for f in findings if f.rule == "DET301"], [])
 
     def test_fixed_tree_has_no_unordered_iteration_in_abandon_all(self):
         sources = {}

@@ -12,17 +12,21 @@ def test_clean_tree_exits_zero(tmp_path, capsys):
 
 
 def test_dirty_tree_exits_one(tmp_path, capsys):
-    (tmp_path / "bad.py").write_text("import random\nfor k in set(a) | set(b):\n    pass\n")
+    (tmp_path / "bad.py").write_text(
+        "import random\nx = random.random()\nfor k in set(a) | set(b):\n    pass\n"
+    )
     assert main([str(tmp_path)]) == 1
     out = capsys.readouterr().out
-    assert "DET201" in out and "DET301" in out
+    assert "EFF101" in out
+    assert "UNSEEDED_RNG" in out and "UNORDERED_ITER" in out
     assert "bad.py:1:0" in out  # file:line:col in the report
 
 
 def test_rules_listing(capsys):
     assert main(["--rules"]) == 0
     out = capsys.readouterr().out
-    assert "RDO201" in out and "DET301" in out
+    assert "RDO201" in out and "EFF101" in out
+    assert "DET" not in out and "SUP001" not in out
 
 
 def test_rdos_default_modules_verify_clean(capsys):

@@ -3,13 +3,16 @@ analyzer and layer-contract checker.
 
 Synthetic modules are fed through :func:`analyze_sources` (exactly the
 CLI pipeline minus the filesystem), so every behavior here is the
-behavior of ``python -m repro.lint --effects``.
+behavior of ``python -m repro.lint src/repro``.
 """
 
+import contextlib
+import io
 import os
 import tempfile
 import unittest
 
+from repro.lint.cli import main
 from repro.lint.contracts import Effect
 from repro.lint.effects import (
     EffectAnalyzer,
@@ -29,6 +32,12 @@ def effects_of(sources, qualname):
 
 def one_module(body):
     return {"repro/core/mod.py": body}
+
+
+def findings_of(source, relpath="a.py"):
+    """(qualname, effect) of every finding for one file's source."""
+    report = analyze_sources({relpath: source})
+    return {(f.qualname, f.effect) for f in report.findings}
 
 
 class TestIntrinsics(unittest.TestCase):
@@ -142,7 +151,7 @@ class TestUnorderedIteration(unittest.TestCase):
         self.assertNotIn(Effect.UNORDERED_ITER, fx)
 
     def test_set_typed_attribute_across_methods(self):
-        # the file-local sanitizer provably cannot see this: the
+        # no line-at-a-time check can see this: the
         # set-typedness is established in __init__, the iteration
         # happens in another method, and `list()` launders the type.
         fx = effects_of(one_module(
@@ -173,6 +182,132 @@ class TestUnorderedIteration(unittest.TestCase):
             "    return len(s) + sum(s)\n"
         ), "repro/core/mod.py:f")
         self.assertNotIn(Effect.UNORDERED_ITER, fx)
+
+    def test_set_difference_flagged(self):
+        fx = effects_of(one_module(
+            "def f(a, b):\n"
+            "    for k in set(a) - set(b):\n"
+            "        print(k)\n"
+        ), "repro/core/mod.py:f")
+        self.assertIn(Effect.UNORDERED_ITER, fx)
+
+    def test_keys_union_flagged(self):
+        fx = effects_of(one_module(
+            "def f(d, e):\n"
+            "    for k in d.keys() | e.keys():\n"
+            "        print(k)\n"
+        ), "repro/core/mod.py:f")
+        self.assertIn(Effect.UNORDERED_ITER, fx)
+
+    def test_set_union_for_loop_flagged(self):
+        self.assertEqual(
+            findings_of("for k in set(a) | set(b):\n    pass\n"),
+            {("a.py:<module>", "UNORDERED_ITER")},
+        )
+
+    def test_triple_union_flagged(self):
+        self.assertEqual(
+            findings_of("for k in set(a) | set(b) | set(c):\n    pass\n"),
+            {("a.py:<module>", "UNORDERED_ITER")},
+        )
+
+    def test_comprehension_flagged(self):
+        self.assertEqual(
+            findings_of("xs = [k for k in set(a) | set(b)]\n"),
+            {("a.py:<module>", "UNORDERED_ITER")},
+        )
+
+    def test_sorted_union_is_the_fix(self):
+        self.assertEqual(
+            findings_of("for k in sorted(set(a) | set(b)):\n    pass\n"), set()
+        )
+
+    def test_plain_dict_iteration_not_flagged(self):
+        # dicts keep insertion order; only a set operator on .keys() loses it
+        source = (
+            "for k in d:\n    pass\nfor k in d.items():\n    pass\n"
+            "for k in d.keys():\n    pass\n"
+        )
+        self.assertEqual(findings_of(source), set())
+
+    def test_integer_bitor_not_flagged(self):
+        self.assertEqual(findings_of("for k in [a | b]:\n    pass\n"), set())
+
+
+class TestDeterministicContract(unittest.TestCase):
+    """Clock and randomness anywhere in the tree, not only in the layers
+    ``sim-pure`` covers, and outside functions too."""
+
+    def test_time_time_flagged(self):
+        report = analyze_sources({"repro/sim/x.py": "import time\nt = time.time()\n"})
+        [finding] = report.findings
+        self.assertEqual(finding.effect, "WALLCLOCK")
+        self.assertEqual(finding.evidence, (2, "time.time()"))
+
+    def test_time_monotonic_and_sleep_flagged(self):
+        source = "import time\ntime.sleep(1)\nx = time.monotonic()\n"
+        self.assertEqual(findings_of(source), {
+            ("a.py:<module>", "BLOCKING_SLEEP"), ("a.py:<module>", "WALLCLOCK"),
+        })
+
+    def test_datetime_now_flagged(self):
+        source = "import datetime\nn = datetime.datetime.now()\n"
+        self.assertEqual(findings_of(source), {("a.py:<module>", "WALLCLOCK")})
+
+    def test_from_time_import_flagged(self):
+        source = "from time import time\nT = time()\n"
+        self.assertEqual(findings_of(source), {("a.py:<module>", "WALLCLOCK")})
+
+    def test_live_tree_exempt(self):
+        source = "import time\nt = time.time()\n"
+        self.assertEqual(findings_of(source, "repro/live/clock.py"), set())
+        # ...but the same source anywhere else is flagged.
+        self.assertEqual(
+            findings_of(source, "repro/net/link.py"),
+            {("repro/net/link.py:<module>", "WALLCLOCK")},
+        )
+
+    def test_virtual_time_attribute_not_flagged(self):
+        # sim.now / self.time are how components are *supposed* to read
+        # time; only the real-clock modules trip the contract.
+        self.assertEqual(findings_of("t = sim.now\nx = self.time\n"), set())
+
+    def test_random_call_flagged(self):
+        source = "import random\nx = random.random()\n"
+        self.assertEqual(findings_of(source), {("a.py:<module>", "UNSEEDED_RNG")})
+
+    def test_sim_rng_is_the_sanctioned_consumer(self):
+        source = (
+            "import random\n"
+            "def make_rng(seed):\n"
+            "    return random.Random(seed)\n"
+            "def draw():\n"
+            "    return random.random()\n"
+        )
+        self.assertEqual(findings_of(source, "repro/sim/rng.py"), set())
+        self.assertEqual(
+            findings_of(source, "repro/sim/other.py"),
+            {("repro/sim/other.py:draw", "UNSEEDED_RNG")},
+        )
+
+    def test_module_level_clock_read(self):
+        self.assertEqual(
+            findings_of("import time\nT = time.time()\n", "repro/util/x.py"),
+            {("repro/util/x.py:<module>", "WALLCLOCK")},
+        )
+
+    def test_class_body_clock_read(self):
+        source = "import time\nclass Config:\n    STARTED = time.time()\n"
+        self.assertEqual(
+            findings_of(source, "repro/util/x.py"),
+            {("repro/util/x.py:<module>", "WALLCLOCK")},
+        )
+
+    def test_module_body_is_not_an_entry_point(self):
+        report = analyze_sources({"repro/util/x.py": "import time\nT = time.time()\n"})
+        self.assertEqual({f.rule for f in report.findings}, {"EFF101"})
+        self.assertNotIn("repro/util/x.py:<module>", report.replay_roots)
+        self.assertNotIn("repro/util/x.py:<module>", report.marshal_roots)
 
 
 class TestPropagation(unittest.TestCase):
@@ -293,9 +428,9 @@ class TestContracts(unittest.TestCase):
                 "    return time.time()\n"
             ),
         })
-        flagged = {f.qualname for f in report.findings if f.rule == "EFF101"}
+        flagged = {f.qualname for f in report.findings if f.contract == "sim-pure"}
         # repro/util is outside the sim-pure contract, so the in-scope
-        # caller is the frontier
+        # caller is the frontier (the read itself is `deterministic`'s)
         self.assertIn("repro/core/a.py:api", flagged)
         self.assertNotIn("repro/util/clocky.py:now", flagged)
 
@@ -452,9 +587,42 @@ class TestTreeGate(unittest.TestCase):
         )
         self.assertEqual(
             [f.baseline_line() for f in report.findings], [],
-            "effect contracts violated; run: python -m repro.lint --effects src/repro",
+            "effect contracts violated; run: python -m repro.lint src/repro",
         )
         self.assertEqual(report.stale_baseline, [])
+
+    def test_src_repro_is_clean(self):
+        """`python -m repro.lint src/repro` exits 0 with no diagnostics."""
+        baseline = os.path.join(SRC, "..", "lint-effects-baseline.txt")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            status = main([
+                os.path.join(SRC, "repro"), "--effects-baseline", baseline,
+            ])
+        self.assertEqual(status, 0, out.getvalue())
+        self.assertEqual(
+            out.getvalue(), "repro.lint: 0 error(s), 0 warning(s)\n"
+        )
+
+    def test_analyze_paths_accepts_single_files(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            dirty = os.path.join(tmp, "dirty.py")
+            with open(dirty, "w", encoding="utf-8") as handle:
+                handle.write("import random\nx = random.random()\n")
+            report = analyze_paths([dirty])
+        self.assertEqual(
+            [(f.relpath, f.effect) for f in report.findings],
+            [("dirty.py", "UNSEEDED_RNG")],
+        )
+
+    def test_report_order_is_deterministic(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            for name in ("b.py", "a.py"):
+                with open(os.path.join(tmp, name), "w", encoding="utf-8") as handle:
+                    handle.write("import random\nx = random.random()\n")
+            paths = [f.relpath for f in analyze_paths([tmp]).findings]
+        self.assertEqual(len(paths), 2)
+        self.assertEqual(paths, sorted(paths))
 
     def test_known_roots_discovered(self):
         report = analyze_paths([os.path.join(SRC, "repro")])
