@@ -14,17 +14,7 @@ from __future__ import annotations
 
 from repro.bench.registry import Experiment
 
-TOLERANCE = 0.10  # a tolerance-gated field more than 10% above its baseline fails
-
 _REPORTS: list[str] = []
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--host-time", action="store_true",
-        help="also compare the gates' host-time fields (calibration-normalized CPU); "
-             "`make speed` does, tier-1 never: they flap on a loaded machine",
-    )
 
 
 def record_report(text: str) -> None:
@@ -43,14 +33,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
-def compare(exp: Experiment, rows: list[dict], host_time: bool = False) -> list[str]:
-    """Hold ``rows`` against ``exp``'s committed baseline as its gate says.
+def compare(exp: Experiment, rows: list[dict]) -> list[str]:
+    """Hold ``rows`` against ``exp``'s committed baseline; returns the failures.
 
-    Prints one line per tolerance-gated figure; returns the failures.
+    Every field the baseline commits must be equal, and the gate's
+    ``require`` and ``limits`` must hold.
     """
     gate = exp.gate
     baseline = {tuple(r[k] for k in gate.key): r for r in exp.baseline_rows()}
-    tolerance = gate.tolerance + (gate.host_time if host_time else ())
     failures = []
     for row in rows:
         key = tuple(row[k] for k in gate.key)
@@ -66,24 +56,13 @@ def compare(exp: Experiment, rows: list[dict], host_time: bool = False) -> list[
         for name, limit in gate.limits.items():
             if row[name] > limit:
                 failures.append(f"{prefix}{name} {row[name]:g} crosses the limit of {limit:g}")
-        exact = gate.exact if gate.exact is not None else [n for n in base if n not in gate.key]
-        for name in exact:
-            if row[name] != base[name]:
+        for name, committed in base.items():
+            if row.get(name) != committed:
                 failures.append(
-                    f"{prefix}{name}: {row[name]!r} != baseline {base[name]!r} "
+                    f"{prefix}{name}: {row.get(name)!r} != baseline {committed!r} "
                     "(simulation fields are deterministic — this is a "
                     "semantic change, commit a new baseline deliberately)"
                 )
-        for name in tolerance:
-            allowed = base[name] * (1.0 + TOLERANCE)
-            status = "ok"
-            if row[name] > allowed:
-                status = "REGRESSION"
-                failures.append(
-                    f"{prefix}{name} {row[name]:g} exceeds baseline {base[name]:g} "
-                    f"by more than {TOLERANCE:.0%} (allowed {allowed:g})"
-                )
-            print(f"{label:32s} {name:18s} {row[name]:>12g} (baseline {base[name]:>12g})  {status}")
     for key in sorted(baseline):
         failures.append(f"{'/'.join(map(str, key))}: baseline row no longer produced")
     return failures

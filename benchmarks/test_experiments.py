@@ -4,9 +4,8 @@ For each experiment id: run its driver at the gate's scale, print the
 registry's table, apply the shape function kept here under the same id
 (who wins, by roughly what factor, where the crossovers fall — what the
 paper claims and EXPERIMENTS.md reports), and compare the rows with the
-committed baseline.  Host-time fields are compared only under
-``--host-time`` (``make speed``); nothing tier-1 compares depends on the
-machine.  Part of tier-1: no experiment can drift from its table, its
+committed baseline, exactly; no baseline holds a measurement of the
+host.  Part of tier-1: no experiment can drift from its table, its
 shape or its documented numbers unnoticed.
 """
 
@@ -566,11 +565,11 @@ def test_every_experiment_has_exactly_one_shape():
 
 
 @pytest.mark.parametrize("exp_id", list(EXPERIMENTS))
-def test_experiment(exp_id, request):
+def test_experiment(exp_id):
     exp = EXPERIMENTS[exp_id]
     rows = exp.driver(**exp.gate.scale)
     record_report(exp.render(rows))
     SHAPES[exp_id](rows)
     if exp_id == "e13" and rows[0]["seed"] != 0:
         return  # CHAOS_SEED matrix: the baseline pins seed 0, other seeds are shape-only
-    assert compare(exp, rows, host_time=request.config.getoption("--host-time")) == []
+    assert compare(exp, rows) == []

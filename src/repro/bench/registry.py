@@ -50,22 +50,17 @@ class Gate:
     """What an experiment's gate runs, pins and compares.
 
     Virtual time and seeded workloads make every simulation-derived
-    field repeat exactly, so any drift in one is a behaviour change.
+    field repeat exactly, so any drift in one is a behaviour change:
+    every field the baseline commits must equal it.  A measurement of
+    the host (wall time, ops/s) is a table column, never a pinned one.
     """
 
     #: Fields naming a row (the row's key in the baseline).
     key: tuple[str, ...] = ()
     #: Driver arguments of the gate run, where full scale is CI-hostile.
     scale: dict = field(default_factory=dict)
-    #: Fields ``--update`` pins beside the key (None: the whole row).
+    #: Fields ``--update`` commits beside the key (None: the whole row).
     pinned: Optional[tuple[str, ...]] = None
-    #: Must equal the baseline (None: every pinned field).
-    exact: Optional[tuple[str, ...]] = None
-    #: May not exceed the baseline by more than 10%.
-    tolerance: tuple[str, ...] = ()
-    #: The same, for measurements of the host (calibration-normalized
-    #: CPU): compared under ``--host-time`` only, never in tier-1.
-    host_time: tuple[str, ...] = ()
     #: Must hold whatever the baseline says: field -> required value.
     require: dict = field(default_factory=dict)
     #: Absolute ceilings, enforced always: field -> limit.
@@ -286,11 +281,9 @@ EXPERIMENTS: dict[str, Experiment] = {
              ("bytes", "bytes_wire"), ("drain", secs("drain_s")), ("compacted", "ops_compacted"),
              ("delta saved", "delta_bytes_saved"), ("marshal hits", "marshal_cache_hits"),
              "violations"),
-            # Bytes-on-wire per (link, config) must not creep back up.
             Gate(
                 key=("link", "config"),
                 pinned=("bytes_wire", "drain_s", "ops_compacted", "violations"),
-                tolerance=("bytes_wire",),
                 require={"violations": 0},
                 baseline="BENCH_E14.json",
             ),
@@ -312,30 +305,28 @@ EXPERIMENTS: dict[str, Experiment] = {
                 scale={"n_clients": 120},
                 pinned=("clients", "telemetry_bytes", "foreground_bytes", "overhead_pct",
                         "reports_sent", "duplicates", "open_gaps", "exact"),
-                tolerance=("overhead_pct",),
                 require={"exact": True, "open_gaps": 0},
                 limits={"overhead_pct": 5.0},  # the E15 acceptance bar
                 baseline="BENCH_E15.json",
             ),
         ),
         Experiment(
-            "e16", E.run_e16_speed, "E16 - CPU hot path: drain throughput + codec cost",
+            "e16", E.run_e16_speed, "E16 - CPU hot path: drain throughput",
             ("clients", ("acked", "ops_acked"), ("ops/s", "ops_per_s"),
-             ("wall", secs("drain_wall_s")), ("cpu x cal", num("drain_cpu_x_cal", ".0f", "x")),
+             ("wall", secs("drain_wall_s")), ("kernel events", "kernel_events"),
              ("flushes", "log_flushes"), ("grp commits", "group_commits"),
              ("fsyncs saved", "fsyncs_saved"), ("compactions", "kernel_compactions"),
              ("cyclic garbage", "cyclic_garbage_objects")),
             # Covers all four link classes (125 clients each), the
             # group-commit window and a kernel compaction in a few CI
-            # seconds.  CPU is normalized by the in-process calibration
-            # loop, so the committed numbers transfer across machines.
+            # seconds.  The CPU proxy is the kernel's event count, which
+            # repeats exactly; wall time and ops/s are printed, not pinned.
             Gate(
                 scale={"n_clients": 500},
-                exact=("clients", "ops_submitted", "ops_acked", "done_at_s", "log_appends",
-                       "log_flushes", "group_commits", "fsyncs_saved", "bytes_sent",
-                       "messages_sent", "codec_wire_bytes", "cyclic_garbage_objects"),
-                host_time=("drain_cpu_x_cal", "encode_cpu_x_cal", "decode_cpu_x_cal",
-                           "size_cpu_x_cal"),
+                pinned=("clients", "ops_submitted", "ops_acked", "done_at_s", "log_appends",
+                        "log_flushes", "group_commits", "fsyncs_saved", "bytes_sent",
+                        "messages_sent", "kernel_compactions", "cyclic_garbage_objects",
+                        "kernel_events"),
                 baseline="BENCH_E16.json",
                 section="gate",
             ),

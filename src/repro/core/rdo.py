@@ -140,17 +140,10 @@ class RDO:
         )
 
     def copy(self) -> "RDO":
-        """Deep-enough copy for import semantics (data round-trips wire)."""
+        """An independent copy: the object's wire form, round-tripped."""
         from repro.net.message import marshal, unmarshal
 
-        return RDO(
-            urn=self.urn,
-            type_name=self.type_name,
-            data=unmarshal(marshal(self.data)),
-            code=self.code,
-            interface=RDOInterface.from_wire(self.interface.to_wire()),
-            version=self.version,
-        )
+        return RDO.from_wire(unmarshal(marshal(self.to_wire())))
 
     @property
     def size_bytes(self) -> int:

@@ -56,20 +56,14 @@ class HATestbed:
         Server-side administration bypasses the replication path, so
         seeding only the primary would leave the backups without the
         object; install it group-wide, like a release would.  Each
-        member gets its own *copy* via a wire round-trip: the store
-        holds ``rdo.to_wire()`` by reference, and members sharing one
-        mutable state dict would count every replicated apply twice
-        (found by the ha-failover checker suite).
+        member gets its own *copy* (:meth:`RDO.copy`): the store holds
+        ``rdo.to_wire()`` by reference, and members sharing one mutable
+        state dict would count every replicated apply twice (found by
+        the ha-failover checker suite).
         """
-        from repro.core.rdo import RDO
-        from repro.net.message import marshal, unmarshal
-
-        wire = marshal(rdo.to_wire())
         version = 0
         for server, _transport in self.members:
-            version = server.put_object(
-                RDO.from_wire(unmarshal(wire)), verify=verify
-            )
+            version = server.put_object(rdo.copy(), verify=verify)
         return version
 
 

@@ -23,7 +23,7 @@ from repro.net.http import HttpClient, HttpRequest, HttpResponse, HttpServer
 from repro.net.message import MarshalError, marshal, unmarshal
 from repro.net.scheduler import Route, RouteKind
 from repro.net.simnet import Address, Host
-from repro.net.transport import Transport, remote_error, settle_reply
+from repro.net.transport import Transport, remote_error, settle_reply, unmarshallable
 from repro.sim import Simulator
 
 GATEWAY_PREFIX = "/rover/"
@@ -57,10 +57,12 @@ class RoverHttpGateway:
         seq = request.headers.get("X-Seq")
 
         def respond(delay_s: float, final: Any) -> None:
+            try:
+                status, payload = (200 if ok else 500), marshal(final)
+            except MarshalError as exc:  # refused, as the transport refuses
+                status, payload = 500, marshal(unmarshallable(exc))
             response = HttpResponse(
-                200 if ok else 500,
-                headers={"Content-Type": "application/x-rover"},
-                body=marshal(final),
+                status, headers={"Content-Type": "application/x-rover"}, body=payload
             )
             if delay_s > 0:
                 self.sim.schedule(delay_s, self.http._reply, source, response, seq)

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
+from repro.net.message import MarshalError
 from repro.net.scheduler import Route, RouteKind
 from repro.net.simnet import Address, Host, Link
-from repro.net.transport import RpcError, Transport, remote_error, settle_reply
+from repro.net.transport import RpcError, Transport, remote_error, settle_reply, unmarshallable
 from repro.sim import Simulator
 
 SUBMIT_SERVICE = "smtp.submit"
@@ -246,8 +247,14 @@ class MailRpcEndpoint:
             reply = {"kind": "qrpc-reply", "id": body.get("id"), "ok": ok, "body": final}
             reply_to = body.get("reply_to", sender)
             if delay_s > 0:
-                self.sim.schedule(delay_s, self.mailbox.send, reply_to, reply)
+                self.sim.schedule(delay_s, self._mail_reply, reply_to, reply)
             else:
-                self.mailbox.send(reply_to, reply)
+                self._mail_reply(reply_to, reply)
 
         settle_reply(reply_body, respond)
+
+    def _mail_reply(self, reply_to: str, reply: dict) -> None:
+        try:
+            self.mailbox.send(reply_to, reply)
+        except MarshalError as exc:  # nothing was mailed: refuse instead
+            self.mailbox.send(reply_to, {**reply, "ok": False, "body": unmarshallable(exc)})

@@ -55,10 +55,9 @@ def _calibration_workload(rounds: int) -> int:
 def calibration_seconds(rounds: int = 2000) -> float:
     """CPU seconds the reference load takes on this machine.
 
-    Benchmark CPU times are reported as multiples of this, so the
-    committed baseline transfers across machines: a host that runs the
-    calibration 2x faster is expected to run the drain 2x faster too.
-    Takes the best of three to shake scheduler noise.
+    Recorded beside a set of host measurements, so two sets that
+    disagree can be told from a machine that changed.  Takes the best of
+    three to shake scheduler noise.
     """
     best = float("inf")
     for _ in range(3):

@@ -6,8 +6,8 @@ links come up in staggered waves and every queued QRPC drains to the
 home server.  Everything here is simulation — seeded, bit-for-bit
 deterministic — so the scenario doubles as a regression pin: the
 deterministic metrics in :class:`DrainMetrics` must match the committed
-baseline exactly, while the driver (``run_e16_speed``) times the run
-with :mod:`repro.speed.measure`.
+baseline exactly, while the driver (``run_e16_speed``) reports the run's
+wall time, measured with :mod:`repro.speed.measure`.
 """
 
 from __future__ import annotations
@@ -66,6 +66,8 @@ class DrainMetrics:
     bytes_sent: int = 0
     messages_sent: int = 0
     kernel_compactions: int = 0
+    #: Events the kernel executed: the drain's CPU proxy.
+    kernel_events: int = 0
 
 
 def _sum_counter(bed: MultiClientTestbed, name: str) -> int:
@@ -145,15 +147,17 @@ def run_drain(scenario: SpeedScenario) -> tuple[DrainMetrics, MultiClientTestbed
     # O(1); a per-event predicate over 10k clients would dwarf the
     # system under test.
     deadline = scenario.reconnect_at + scenario.stagger_window_s + scenario.drain_s
+    events = 0
     while done[0] < total and bed.sim.now < deadline:
         step = min(30.0, deadline - bed.sim.now)
-        bed.sim.run(until=bed.sim.now + step)
+        events += bed.sim.run(until=bed.sim.now + step)
 
     metrics = DrainMetrics(
         ops_submitted=total,
         ops_acked=done[0],
         done_at_s=round(bed.sim.now, 6),
         kernel_compactions=bed.sim.compactions,
+        kernel_events=events,
         bytes_sent=_sum_counter(bed, "transport_bytes_sent_total"),
         messages_sent=_sum_counter(bed, "transport_messages_sent_total"),
     )

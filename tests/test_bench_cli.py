@@ -1,5 +1,6 @@
 """CLI runner tests (python -m repro.bench), a reader of the registry."""
 
+import copy
 import csv
 import dataclasses
 import json
@@ -70,7 +71,7 @@ def toy(tmp_path, monkeypatch):
     """A two-row experiment whose baseline lives under tmp_path."""
     monkeypatch.setattr(registry, "BASELINE_DIR", tmp_path)
     rows = [{"link": "a", "bytes": 100, "cpu": 1.0}, {"link": "b", "bytes": 200, "cpu": 2.0}]
-    gate = Gate(key=("link",), exact=("bytes",), host_time=("cpu",), limits={"bytes": 250})
+    gate = Gate(key=("link",), pinned=("bytes",), limits={"bytes": 250})
     exp = Experiment("toy", lambda: [dict(row) for row in rows], "Toy", (("link", "link"),), gate)
     exp.update(exp.driver())
     return exp
@@ -93,11 +94,35 @@ def test_compare_reports_drift_limits_and_missing_rows(toy, capsys):
     assert compare(toy, rows[:1])[-1] == "b: baseline row no longer produced"
 
 
-def test_host_time_fields_are_compared_only_on_request(toy, capsys):
+def test_a_field_the_baseline_does_not_commit_is_not_compared(toy):
     rows = toy.driver()
-    rows[0]["cpu"] = 5.0  # five times the baseline
+    rows[0]["cpu"] = 5.0  # a table column, outside ``pinned``
     assert compare(toy, rows) == []
-    assert any("cpu 5 exceeds baseline 1" in f for f in compare(toy, rows, host_time=True))
+
+
+def _perturbed(value):
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + 1
+    return f"{value}~"
+
+
+@pytest.mark.parametrize("exp_id", list(EXPERIMENTS))
+def test_every_committed_field_is_compared(exp_id):
+    """Whatever a baseline commits, its gate checks: perturbing any one
+    field of any committed row fails ``compare``."""
+    exp = EXPERIMENTS[exp_id]
+    committed = exp.baseline_rows()
+    assert compare(exp, copy.deepcopy(committed)) == []
+    unchecked = []
+    for index, row in enumerate(committed):
+        for name, value in row.items():
+            rows = copy.deepcopy(committed)
+            rows[index][name] = _perturbed(value)
+            if not compare(exp, rows):
+                unchecked.append(f"row {index}: {name}")
+    assert unchecked == []
 
 
 def test_update_runs_at_the_gate_scale_and_rewrites_only_its_section(
@@ -110,6 +135,6 @@ def test_update_runs_at_the_gate_scale_and_rewrites_only_its_section(
     monkeypatch.setitem(EXPERIMENTS, "scaled", scaled)
     assert main(["--update", "scaled"]) == 0
     doc = json.loads((tmp_path / registry.SHARED_BASELINE).read_text())
-    assert doc["scaled"] == {"link": "a", "bytes": 2, "cpu": 1.0}  # a lone row is stored bare
+    assert doc["scaled"] == {"link": "a", "bytes": 2}  # a lone row is stored bare, pinned only
     assert len(doc["toy"]) == 2
     assert compare(scaled, scaled.driver(n=2)) == []

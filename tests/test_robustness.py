@@ -18,8 +18,10 @@ from repro.core.interpreter import (
     validate_source,
 )
 from repro.lint.verifier import check_code
-from repro.net.link import LinkSpec, IntervalTrace
+from repro.net.http import HttpClient
+from repro.net.link import AlwaysDown, LinkSpec, IntervalTrace
 from repro.net.message import MarshalError, marshal, marshalled_size, unmarshal
+from repro.net.rover_http import HttpRoute, RoverHttpGateway
 from repro.net.scheduler import NetworkScheduler
 from repro.net.simnet import Network
 from repro.net.transport import BATCH_SERVICE, Transport, batch_request
@@ -166,9 +168,30 @@ def test_text_the_codec_cannot_carry_is_a_marshal_error(value):
         marshalled_size(value)
 
 
-@pytest.mark.parametrize("source", list(HOSTILE_RESULTS.values()), ids=list(HOSTILE_RESULTS))
-def test_a_result_the_codec_cannot_carry_fails_the_call_and_the_server_serves_on(source):
+def _over_http():
     bed = build_testbed()
+    RoverHttpGateway(bed.sim, bed.server_transport)
+    http = HttpClient(bed.sim, bed.client_host)
+    bed.scheduler.routes = [HttpRoute(bed.sim, http, bed.server_host)]
+    return bed
+
+
+#: Testbeds whose replies leave the server other than through the
+#: transport's own reply path: by the HTTP gateway, or mailed through
+#: the SMTP relay while the direct link is down.
+CARRIERS = {
+    "rpc": build_testbed,
+    "http": _over_http,
+    "smtp": lambda: build_testbed(policy=AlwaysDown(), with_relay=True),
+}
+
+
+@pytest.mark.parametrize("carrier", list(CARRIERS))
+@pytest.mark.parametrize("source", list(HOSTILE_RESULTS.values()), ids=list(HOSTILE_RESULTS))
+def test_a_result_the_codec_cannot_carry_fails_the_call_and_the_server_serves_on(
+    source, carrier
+):
+    bed = CARRIERS[carrier]()
     assert check_code(source) == []
     outcomes = []
     shipped = bed.access.ship(bed.authority, source)
