@@ -53,10 +53,12 @@ check:
 	$(PYTHON) -m repro.check --suite crash-during-drain --suite coalesced-drain \
 		--suite delta-ship --suite conflict-export --depth 2
 
-# Where compaction is gated: the microbenchmarks, then the keyed plan's
-# two pins (tests/test_perf_compaction.py: planning one bucket equals
-# planning the whole queue; queuing an operation costs the same Python
-# calls behind 400 queued requests as behind 40), then E14's eight rows.
+# Where compaction is gated: the microbenchmarks, then the engine's pins
+# under the rules tests/conftest.py defines (tests/test_perf_compaction.py:
+# replaying the compacted queue equals replaying the original; planning
+# one bucket equals planning the whole queue; queuing an operation costs
+# the same Python calls behind 400 queued requests as behind 40), then
+# E14's eight rows, whose folds are all export follow-ups.
 perf:
 	$(PYTHON) -m pytest -q benchmarks/test_micro_primitives.py --benchmark-only
 	$(PYTHON) -m pytest -q tests/test_perf_compaction.py
@@ -115,10 +117,12 @@ sloc:
 
 # Which functions of src/repro does anything run?  Records every call
 # (tools/reach.py; its hook makes everything several times slower, so
-# this takes tens of minutes) over tier-1 and over the drivers -- the
-# experiments at gate and at full scale, examples, demo, model checks,
-# the perfbench workloads (one repeat each, as perfbench.runner starts
-# them) -- then lists what nothing reached and what only tests/ reached.
+# this takes ~8 min on a 2-core container) over tier-1 and over the
+# drivers -- the experiments at gate and at full scale, examples, demo,
+# model checks, the perfbench workloads (one repeat each, as
+# perfbench.runner starts them) -- then lists what nothing reached and
+# what only tests/ reached, each def with its line span, and the lines
+# per file.
 REACH = REACH_DIR=$(CURDIR)/.reach PYTEST_PLUGINS=reach \
 	PYTHONPATH=$(CURDIR)/tools:$(CURDIR)/src:$(CURDIR)
 # `tables` builds E15/E16 at full scale (1,000 / 10,000 clients); `lint`,

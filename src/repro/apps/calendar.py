@@ -25,7 +25,6 @@ from repro.core.promise import Promise
 from repro.core.rdo import RDO, MethodSpec, RDOInterface
 from repro.core.server import RoverServer
 from repro.core.session import Session
-from repro.perf.compact import Compactor, CreateDeleteCancel, InvokeAbsorb
 from repro.workloads.generators import CalendarOp
 
 CALENDAR_TYPE = "calendar"
@@ -182,27 +181,6 @@ class CalendarMerge:
         merged_value = dict(server)
         merged_value["events"] = merged
         return Resolution.merged(merged_value, "; ".join(notes) or "disjoint merge")
-
-
-def register_calendar_compaction(compactor: Compactor) -> Compactor:
-    """Calendar queue-time compaction rules.
-
-    * Two queued ``move_event`` calls for the same event: the later
-      slot wins, the earlier never needs to cross the wire.
-    * ``add_event`` followed by ``cancel_event`` of the same event
-      cancel out entirely — the server never hears about it.
-    """
-    compactor.add_pair_rule(InvokeAbsorb("move_event", key=0))
-    compactor.add_pair_rule(
-        CreateDeleteCancel(
-            "add_event",
-            "cancel_event",
-            key=0,
-            create_result=lambda request: request.args["args"][0],
-            delete_result=lambda request: True,
-        )
-    )
-    return compactor
 
 
 def install_calendar(

@@ -30,8 +30,6 @@ from repro.core.server import RoverServer
 from repro.core.session import Session
 from repro.net.scheduler import Priority
 from repro.net.transport import RpcError, Transport
-from repro.perf.compact import AppendMerge as QueueAppendMerge
-from repro.perf.compact import Compactor, InvokeAbsorb
 from repro.workloads.generators import MailCorpus
 
 FOLDER_TYPE = "mail-folder"
@@ -140,20 +138,6 @@ class MessageMerge:
 def install_mail_resolvers(registry: ResolverRegistry) -> None:
     registry.register(FOLDER_TYPE, FolderMerge())
     registry.register(MESSAGE_TYPE, MessageMerge())
-
-
-def register_mail_compaction(compactor: Compactor) -> Compactor:
-    """Mail's queue-time compaction rules.
-
-    * ``mark_read``/``mark_deleted`` are idempotent flag flips: a later
-      queued call absorbs an earlier one on the same message.
-    * ``append_entry`` calls on the same folder merge into one
-      ``append_entries`` batch — the outbox drains in one QRPC.
-    """
-    compactor.add_pair_rule(InvokeAbsorb("mark_read"))
-    compactor.add_pair_rule(InvokeAbsorb("mark_deleted"))
-    compactor.add_pair_rule(QueueAppendMerge("append_entry", "append_entries"))
-    return compactor
 
 
 class MailServerApp:

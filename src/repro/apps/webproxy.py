@@ -31,7 +31,6 @@ from repro.core.server import RoverServer
 from repro.core.session import Session
 from repro.net.scheduler import Priority
 from repro.net.transport import RpcError, Transport
-from repro.perf.compact import Compactor, DuplicateImportCoalesce
 from repro.workloads.generators import SiteGraph
 
 PAGE_TYPE = "web-page"
@@ -54,13 +53,6 @@ _PAGE_INTERFACE = RDOInterface(
 
 def page_urn(authority: str, url: str) -> URN:
     return URN(authority, f"web{url}")
-
-
-def register_webproxy_compaction(compactor: Compactor) -> Compactor:
-    """Web proxy compaction: duplicate queued fetches of one page (the
-    user clicking twice while disconnected) need only one wire import."""
-    compactor.add_pair_rule(DuplicateImportCoalesce())
-    return compactor
 
 
 IMAGE_TYPE = "web-image"

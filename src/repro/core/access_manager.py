@@ -161,8 +161,8 @@ class AccessManager:
         #: the request completes at ``durable_at``; the scheduler gets it then.
         self.on_durable: list[Callable[[QRPCRequest, float], None]] = []
         #: ``on_settled(request, status)``: the request is over, "ok" (a
-        #: reply — its own, a synthetic one, its absorber's — is about to
-        #: be applied) or "failed" (for good).
+        #: reply — its own or its absorber's — is about to be applied) or
+        #: "failed" (for good).
         self.on_settled: list[Callable[[QRPCRequest, str], None]] = []
         #: ``on_queued(urn, request)``: ``urn``'s backlog changed —
         #: ``request`` was logged (its flush may still be in progress) or,
@@ -884,8 +884,8 @@ class AccessManager:
 
     def settle(self, request: QRPCRequest, reply: dict) -> None:
         """``request`` — out of the log already — is answered with
-        ``reply``: its own, or if it never crossed the wire a synthetic
-        one or the reply to the request that absorbed it."""
+        ``reply``: its own, or if it never crossed the wire the reply to
+        the request that absorbed it."""
         if self._crashed:
             return
         for hook in self.on_settled:

@@ -30,6 +30,7 @@ from repro.core.interpreter import SafeInterpreter
 from repro.core.rdo import RDO, ExecutionCostModel, RDOVerificationError
 from repro.net.simnet import Address
 from repro.lint.contracts import replay_pure
+from repro.net.message import marshal, unmarshal
 from repro.net.transport import DelayedReply, Transport
 from repro.obs import Observatory
 from repro.sim import Simulator
@@ -309,8 +310,6 @@ class RoverServer:
         well-formed types merges it idempotently (see the
         crash-restart tests).
         """
-        from repro.net.message import marshal, unmarshal
-
         return unmarshal(
             marshal(
                 {
@@ -349,8 +348,6 @@ class RoverServer:
         these to find exactly the objects that differ, then transfer
         only those (:meth:`subset_snapshot` / :meth:`merge_subset`).
         """
-        from repro.net.message import marshal
-
         vector: dict[str, list] = {}
         for urn in sorted(self.store.keys()):
             value, version = self.store.get(urn)
@@ -359,8 +356,6 @@ class RoverServer:
 
     def subset_snapshot(self, urns: Iterable[str]) -> dict:
         """Durable state restricted to ``urns`` (anti-entropy transfer)."""
-        from repro.net.message import marshal, unmarshal
-
         wanted = sorted(set(urns))
         return unmarshal(
             marshal(
@@ -419,8 +414,6 @@ class RoverServer:
     ) -> None:
         """Keep a private copy of ``data`` (``raw``: its encoding, when
         the caller already made one) in the version history."""
-        from repro.net.message import marshal, unmarshal
-
         history = self._history.setdefault(urn, [])
         history.append((version, unmarshal(raw if raw is not None else marshal(data))))
         if len(history) > self.history_limit:
@@ -580,7 +573,7 @@ class RoverServer:
             # that does not fit the base gets "need-full" — deliberately
             # NOT recorded in the at-most-once cache, so the client's
             # full-data resend under the same request id still applies.
-            from repro.net.message import marshal, marshalled_size
+            from repro.net.message import marshalled_size
             from repro.perf.delta import DeltaError, apply_delta
 
             base = self._base_data(urn, base_version)
@@ -677,17 +670,26 @@ class RoverServer:
             return self._record_reply(request_id, {"status": "not-found", "urn": urn})
         try:
             result, steps = rdo.invoke(self.interpreter, method, *args)
+            mutates = rdo.interface[method].mutates  # rdo.invoke checked membership
+            # Encoded before anything is stored: state the codec refuses
+            # fails this invoke, not every later import of the object.
+            raw = marshal(rdo.data) if mutates else None
+        except Exception:
+            # The method ran on the stored data itself: put back a copy
+            # of the version history's private copy of the stored version.
+            committed = self._base_data(urn, rdo.version)
+            self.store.get_value(urn)["data"] = unmarshal(marshal(committed))
+            raise
         finally:
             # The environment was loaded for this request alone.
             rdo.release()
         self.invokes_served += 1
-        mutates = rdo.interface[method].mutates  # rdo.invoke checked membership
         reply: dict = {"status": "ok", "result": result}
         if mutates:
             wire = rdo.to_wire()
             new_version = self.store.put(urn, wire)
             self.store.get_value(urn)["version"] = new_version
-            self._remember(urn, new_version, wire["data"])
+            self._remember(urn, new_version, wire["data"], raw=raw)
             reply["version"] = new_version
             self._remember_committed(urn, request_id, reply)
             self._notify_subscribers(urn, new_version, except_host=source[0])

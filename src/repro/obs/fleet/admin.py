@@ -6,8 +6,7 @@ aggregator's current health evaluation as a plain-data RDO at
 ``urn:rover:<authority>/__fleet__/health``.  Any client can then
 ``import_`` it (cacheable, disconnection-tolerant) or
 ``invoke_remote`` its methods; every method is ``mutates=False`` so
-an import never turns tentative and compaction can absorb repeated
-refreshes.
+an import never turns tentative.
 
 The RDO's state is a snapshot — :func:`publish_health` re-renders and
 re-publishes it (bumping the object version) whenever the operator or

@@ -14,8 +14,8 @@ coalescing, not loss.
 
 Rollups live at three scopes, all bounded:
 
-* **per client** — all-time counter totals, merged sketches, latest
-  gauges (one :class:`ClientState` per client);
+* **per client** — all-time counter totals and merged sketches (one
+  :class:`ClientState` per client);
 * **per window** — a :class:`WindowRing` of fixed-width time windows
   holding fleet-wide counter deltas, per-link-class and per-client
   report breakdowns; reports older than the ring's reach count as
@@ -150,14 +150,12 @@ class ClientState:
     floor: int = 0                      # all seqs <= floor applied
     above: set = field(default_factory=set)   # applied seqs > floor
     max_seen: int = 0
-    gauge_seq: int = 0                  # newest seq whose gauges won
     link_class: str = ""
     last_report_at: float = 0.0
     reports_applied: int = 0
     duplicates: int = 0
     ids: dict = field(default_factory=dict)       # wire id -> series key
     totals: dict = field(default_factory=dict)    # series key -> int
-    gauges: dict = field(default_factory=dict)    # series key -> float
     sketches: dict = field(default_factory=dict)  # series key -> LogSketch
 
     def is_applied(self, seq: int) -> bool:
@@ -314,7 +312,7 @@ class FleetAggregator:
         return reply
 
     def _unresolved(self, state: ClientState, report: dict) -> bool:
-        for section in ("k", "g", "h"):
+        for section in ("k", "h"):
             for wire_id, __ in report.get(section, []):
                 if int(wire_id) not in state.ids:
                     return True
@@ -396,11 +394,6 @@ class FleetAggregator:
                 if family in _WINDOW_FAMILIES:
                     link_row[family] = link_row.get(family, 0) + delta
                     client_row[family] = client_row.get(family, 0) + delta
-
-        if seq > state.gauge_seq:
-            for wire_id, value in report.get("g", []):
-                state.gauges[state.ids[int(wire_id)]] = value
-            state.gauge_seq = seq
 
         for wire_id, wire in report.get("h", []):
             key = state.ids[int(wire_id)]

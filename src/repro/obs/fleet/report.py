@@ -11,7 +11,6 @@ priority.  The report carries:
   exactly at the aggregator — the property benchmark E15 checks);
 * mergeable **log-bucketed sketches** (:class:`LogSketch`) over the
   histogram observations recorded since the previous report;
-* current **gauge values** (later reports simply win);
 * a **monotonic sequence number** ``q`` so the aggregator can apply
   reports idempotently and out of order.
 
@@ -25,8 +24,8 @@ fleet.
 Because reports ride the operation log, a disconnected client piles
 queued reports up.  :class:`TelemetryFold` is a compaction
 :class:`~repro.perf.compact.PairRule` that folds two adjacent
-undelivered reports into one — deltas add, sketches merge, later
-gauges win — and records the folded-away sequence numbers in ``f`` so
+undelivered reports into one — deltas add, sketches merge — and
+records the folded-away sequence numbers in ``f`` so
 the aggregator does not mistake them for losses.
 """
 
@@ -39,13 +38,8 @@ from repro.core.qrpc import Operation, QRPCRequest
 from repro.net.scheduler import Priority
 from repro.obs import Observatory
 from repro.obs.fleet.sketch import LogSketch
-from repro.obs.metrics import (
-    CounterChild,
-    GaugeChild,
-    HistogramChild,
-    format_series,
-)
-from repro.perf.compact import Merge, PairRule
+from repro.obs.metrics import CounterChild, HistogramChild, format_series
+from repro.perf.compact import PairRule
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.access_manager import AccessManager
@@ -74,16 +68,16 @@ class TelemetryFold(PairRule):
             return None
         if a.get("c") != b.get("c"):
             return None
-        return Merge(fold_reports(a, b))
+        return fold_reports(a, b)
 
 
 def fold_reports(a: dict, b: dict) -> dict:
     """Merge report ``a`` (earlier) into ``b`` (later): the combined args.
 
-    Counter deltas add, sketches merge, the later report's gauges win,
-    definitions union (``b``'s name wins on an id collision, which
-    cannot happen for one well-behaved reporter), and the survivor's
-    ``f`` list records every sequence number the fold covered.
+    Counter deltas add, sketches merge, definitions union (``b``'s name
+    wins on an id collision, which cannot happen for one well-behaved
+    reporter), and the survivor's ``f`` list records every sequence
+    number the fold covered.
     """
     out = {
         "v": b.get("v", WIRE_VERSION),
@@ -109,11 +103,6 @@ def fold_reports(a: dict, b: dict) -> dict:
         counters[int(i)] = counters.get(int(i), 0) + int(v)
     if counters:
         out["k"] = [[i, counters[i]] for i in sorted(counters)]
-
-    gauges = {int(i): v for i, v in a.get("g", [])}
-    gauges.update({int(i): v for i, v in b.get("g", [])})
-    if gauges:
-        out["g"] = [[i, gauges[i]] for i in sorted(gauges)]
 
     sketches = {int(i): wire for i, wire in a.get("h", [])}
     for i, wire in b.get("h", []):
@@ -144,8 +133,6 @@ class TelemetryReporter:
         interval_s: float = 30.0,
         link_class: str = "",
         priority: Priority = Priority.BACKGROUND,
-        install_fold_rule: bool = True,
-        include_gauges: bool = False,
     ) -> None:
         self.access = access
         self.authority = authority
@@ -153,18 +140,12 @@ class TelemetryReporter:
         self.interval_s = float(interval_s)
         self.link_class = link_class
         self.priority = priority
-        #: Gauges are point-in-time values of marginal fleet use (the
-        #: health layer runs on counters and sketches), so shipping
-        #: them is opt-in wire cost.
-        self.include_gauges = include_gauges
         self.client = access.host.name
         self._seq = 0
         #: Cumulative counter value already shipped, per series key.
         self._counter_last: dict[str, int] = {}
         #: Raw histogram observations already consumed, per series key.
         self._hist_consumed: dict[str, int] = {}
-        #: Last shipped gauge value, per series key.
-        self._gauge_last: dict[str, float] = {}
         self._ids: dict[str, int] = {}
         self._next_id = 1
         #: Ids whose definition rode a report that was acked.
@@ -182,8 +163,7 @@ class TelemetryReporter:
         self.reports_sent = 0
         self.reports_acked = 0
         self.reports_reshipped = 0
-        if install_fold_rule:
-            self._ensure_fold_rule()
+        self._ensure_fold_rule()
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -255,7 +235,6 @@ class TelemetryReporter:
         t1 = self.access.sim.now
         defs: list = []
         counters: list = []
-        gauges: list = []
         sketches: list = []
         for metric in sorted(registry.metrics(), key=lambda m: m.name):
             for labelvalues, child in sorted(metric.children()):
@@ -276,12 +255,7 @@ class TelemetryReporter:
                         sketches.append(
                             [self._id_for(key, defs), sketch.to_wire()]
                         )
-                elif self.include_gauges and isinstance(child, GaugeChild):
-                    value = child.value
-                    if self._gauge_last.get(key) != value:
-                        self._gauge_last[key] = value
-                        gauges.append([self._id_for(key, defs), value])
-        if not (counters or gauges or sketches):
+        if not (counters or sketches):
             return None
         self._seq += 1
         t0 = t1 - self.interval_s if self._seq > 1 else 0.0
@@ -298,8 +272,6 @@ class TelemetryReporter:
             report["d"] = defs
         if counters:
             report["k"] = counters
-        if gauges:
-            report["g"] = gauges
         if sketches:
             report["h"] = sketches
         return report

@@ -2,10 +2,11 @@
 
 Three cooperating mechanisms, each independently switchable:
 
-* **Operation-log compaction** (:mod:`repro.perf.compact`) — coalesce
-  the never-dispatched suffix of the QRPC log (overwrite absorbs
-  overwrite, appends merge, create+delete cancel out) at queue time and
-  before reconnection drain, with a durable stable-log rewrite.
+* **Operation-log compaction** (:mod:`repro.perf.compact`) — fold an
+  earlier never-dispatched request into a later one on the same object
+  (an export round owed behind a queued one, a client's undelivered
+  telemetry reports) at queue time and before reconnection drain, with
+  a durable stable-log rewrite.
 * **Delta object shipping** (:mod:`repro.perf.delta`) — imports and
   exports negotiate a marshalled structural diff against the base
   version each side already holds, falling back to a full ship on any
@@ -20,19 +21,7 @@ See ``docs/PERFORMANCE.md`` for the protocol details and the counters
 bytes-on-wire and reconnection drain time over CSLIP links.
 """
 
-from repro.perf.compact import (
-    Absorb,
-    AppendMerge,
-    CancelOut,
-    CompactionPlan,
-    Compactor,
-    CreateDeleteCancel,
-    DuplicateImportCoalesce,
-    InvokeAbsorb,
-    Merge,
-    PairRule,
-    QueueCompaction,
-)
+from repro.perf.compact import CompactionPlan, Compactor, PairRule, QueueCompaction
 from repro.perf.delta import (
     DeltaError,
     apply_delta,
@@ -42,16 +31,9 @@ from repro.perf.delta import (
 )
 
 __all__ = [
-    "Absorb",
-    "AppendMerge",
-    "CancelOut",
     "CompactionPlan",
     "Compactor",
-    "CreateDeleteCancel",
     "DeltaError",
-    "DuplicateImportCoalesce",
-    "InvokeAbsorb",
-    "Merge",
     "PairRule",
     "QueueCompaction",
     "apply_delta",

@@ -1,16 +1,24 @@
-"""Operation-log compaction — coalesce queued QRPCs before they hit the wire.
+"""Operation-log compaction — fold queued QRPCs before they hit the wire.
 
-Rover's log drains every queued operation verbatim on reconnection, so a
-user who marks a message read and then deletes it pays for two round
-trips over a 14.4 modem when one (or zero) would do.  This module is the
-application-pluggable coalescing engine: apps register *pair rules*
-(examined over adjacent operations on the same object) on a
-:class:`Compactor`, and :class:`QueueCompaction` — a stage on the
+Rover's log drains every queued operation verbatim on reconnection, so
+a user who edits an object three times while disconnected pays for
+three round trips over a 14.4 modem when one would do.  This module is
+the pluggable folding engine: callers register *pair rules* (examined
+over adjacent operations on the same object) on a :class:`Compactor`,
+and :class:`QueueCompaction` — a stage on the
 :class:`~repro.core.access_manager.AccessManager`'s seam — asks it for a
 :class:`CompactionPlan` and carries the plan out: over the backlog of
 *one object* when a request for it is queued (queuing an operation costs
 the same however long the queue), over the whole log once when a link
 comes back up, right before the drain.
+
+A rule has one outcome: the earlier request of a pair folds into the
+later one.  It returns the args the later survives with (``later.args``
+to keep them), or ``None``.  The earlier is dropped, and its observers
+follow the survivor's outcome.  What folds today: an export round owed
+behind one that never left the queue (the stage's own follow-up fold,
+no rule) and a client's undelivered telemetry reports
+(:class:`~repro.obs.fleet.report.TelemetryFold`).
 
 Soundness rules the engine enforces structurally:
 
@@ -25,17 +33,6 @@ Soundness rules the engine enforces structurally:
   intervening operation on the same object.
 * The stable log is rewritten (ack markers + fresh records) so crash
   recovery replays exactly the compacted sequence.
-
-Outcomes a pair rule may return for ``(earlier, later)``:
-
-* :class:`Absorb` — the later operation subsumes the earlier
-  (overwrite-absorbs-overwrite).  The earlier is dropped; its
-  observers are resolved with the later's eventual outcome.
-* :class:`Merge` — the two fold into one: the earlier is dropped and
-  the later's args are rewritten (append-merge).
-* :class:`CancelOut` — the pair annihilates (create+delete).  Both are
-  dropped and their observers get the supplied synthetic replies,
-  shaped like the server replies they would have seen.
 """
 
 from __future__ import annotations
@@ -48,37 +45,11 @@ from repro.lint.contracts import replay_pure
 from repro.net.message import marshal
 
 
-# -- pair-rule outcomes ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Absorb:
-    """Drop the earlier request; its observers follow the later's outcome."""
-
-
-@dataclass(frozen=True)
-class Merge:
-    """Drop the earlier request; the later survives with ``args``."""
-
-    args: dict
-
-
-@dataclass(frozen=True)
-class CancelOut:
-    """Drop both requests, resolving observers with synthetic replies."""
-
-    earlier_reply: dict
-    later_reply: dict
-
-
-Outcome = Absorb | Merge | CancelOut
-
-
 class PairRule:
-    """Examines an adjacent per-URN pair; returns an outcome or ``None``."""
+    """Examines an adjacent per-URN pair; returns the survivor's args or ``None``."""
 
     @replay_pure
-    def match(self, earlier: QRPCRequest, later: QRPCRequest) -> Optional[Outcome]:
+    def match(self, earlier: QRPCRequest, later: QRPCRequest) -> Optional[dict]:
         raise NotImplementedError
 
 
@@ -89,24 +60,17 @@ class PairRule:
 class CompactionPlan:
     """What the engine decided; :class:`QueueCompaction` carries it out.
 
-    ``drops`` maps each absorbed/merged request to the id of the
-    surviving request whose outcome its observers should follow.
-    ``cancels`` pairs each annihilated request with the synthetic reply
-    its observers receive.  ``rewrites`` carries new args for surviving
-    requests (from :class:`Merge` outcomes).
+    ``drops`` maps each folded request to the id of the surviving
+    request whose outcome its observers should follow.  ``rewrites``
+    carries new args for surviving requests.
     """
 
     drops: list[tuple[QRPCRequest, str]] = field(default_factory=list)
-    cancels: list[tuple[QRPCRequest, dict]] = field(default_factory=list)
     rewrites: dict[str, dict] = field(default_factory=dict)
 
     @property
-    def ops_removed(self) -> int:
-        return len(self.drops) + len(self.cancels)
-
-    @property
     def is_empty(self) -> bool:
-        return not (self.drops or self.cancels or self.rewrites)
+        return not self.drops  # every rewrite comes with a drop
 
 
 class Compactor:
@@ -131,13 +95,14 @@ class Compactor:
         """
         plan = CompactionPlan()
         # Per-URN most recent *surviving eligible* request, with its
-        # effective (possibly merged) args.
+        # effective (possibly rewritten) args.
         last: dict[str, tuple[QRPCRequest, dict]] = {}
         for request in requests:
             urn = request.urn
             if not eligible(request):
                 last.pop(urn, None)
                 continue
+            args = None
             prev = last.get(urn)
             if prev is not None:
                 prev_request, prev_args = prev
@@ -146,158 +111,20 @@ class Compactor:
                     if prev_args is prev_request.args
                     else replace(prev_request, args=prev_args)
                 )
-                outcome = None
                 for rule in self.pair_rules:
-                    outcome = rule.match(earlier, request)
-                    if outcome is not None:
+                    args = rule.match(earlier, request)
+                    if args is not None:
                         break
-                if outcome is not None:
-                    # Whichever it is, the earlier one leaves.
-                    plan.rewrites.pop(prev_request.request_id, None)
-                    if isinstance(outcome, CancelOut):
-                        plan.cancels.append((prev_request, outcome.earlier_reply))
-                        plan.cancels.append((request, outcome.later_reply))
-                        del last[urn]
-                        continue
-                    plan.drops.append((prev_request, request.request_id))
-                    if isinstance(outcome, Merge):
-                        plan.rewrites[request.request_id] = outcome.args
-                        last[urn] = (request, outcome.args)
-                        continue
-            last[urn] = (request, request.args)
+            if args is None:
+                last[urn] = (request, request.args)
+                continue
+            # The earlier one leaves, with any rewrite it had.
+            plan.rewrites.pop(prev_request.request_id, None)
+            plan.drops.append((prev_request, request.request_id))
+            if args is not request.args:
+                plan.rewrites[request.request_id] = args
+            last[urn] = (request, args)
         return plan
-
-
-# -- generic rules apps compose -------------------------------------------------
-
-
-def _invoke_key(request: QRPCRequest, index: Optional[int]) -> Any:
-    """Identity argument of an INVOKE at positional ``index`` (marker if absent)."""
-    if index is None:
-        return None
-    args = request.args.get("args") or []
-    return args[index] if len(args) > index else _MISSING
-
-
-_MISSING = object()
-
-
-class InvokeAbsorb(PairRule):
-    """Later invoke of ``method`` makes an earlier one redundant.
-
-    The earlier's method must be in ``absorbs`` (defaults to just
-    ``method``), and when ``key`` is given the positional argument at
-    that index — the entity identifier — must match on both sides.
-    Covers both overwrite-absorbs-overwrite (``move_event`` twice for
-    one event) and idempotent duplicates (``mark_read`` twice).
-    """
-
-    def __init__(
-        self,
-        method: str,
-        absorbs: Optional[set[str]] = None,
-        key: Optional[int] = None,
-    ) -> None:
-        self.method = method
-        self.absorbs = set(absorbs) if absorbs is not None else {method}
-        self.key = key
-
-    def match(self, earlier: QRPCRequest, later: QRPCRequest) -> Optional[Outcome]:
-        if earlier.operation is not Operation.INVOKE or later.operation is not Operation.INVOKE:
-            return None
-        if later.args.get("method") != self.method:
-            return None
-        if earlier.args.get("method") not in self.absorbs:
-            return None
-        if self.key is not None:
-            a = _invoke_key(earlier, self.key)
-            b = _invoke_key(later, self.key)
-            if a is _MISSING or b is _MISSING or a != b:
-                return None
-        return Absorb()
-
-
-class AppendMerge(PairRule):
-    """Adjacent appends to one object fold into a single batched invoke.
-
-    ``method`` appends one item (first positional arg); ``batch_method``
-    appends a list of items.  Either shape matches on either side, so a
-    long run of appends folds left into one growing batch.
-    """
-
-    def __init__(self, method: str, batch_method: str) -> None:
-        self.method = method
-        self.batch_method = batch_method
-
-    def _items(self, request: QRPCRequest) -> Optional[list]:
-        name = request.args.get("method")
-        args = request.args.get("args") or []
-        if not args:
-            return None
-        if name == self.method:
-            return [args[0]]
-        if name == self.batch_method:
-            value = args[0]
-            return list(value) if isinstance(value, list) else None
-        return None
-
-    def match(self, earlier: QRPCRequest, later: QRPCRequest) -> Optional[Outcome]:
-        if earlier.operation is not Operation.INVOKE or later.operation is not Operation.INVOKE:
-            return None
-        head = self._items(earlier)
-        tail = self._items(later)
-        if head is None or tail is None:
-            return None
-        return Merge({"method": self.batch_method, "args": [head + tail]})
-
-
-class CreateDeleteCancel(PairRule):
-    """A queued create followed by its delete annihilates.
-
-    ``key`` indexes the positional argument identifying the entity on
-    both sides.  The synthetic replies mimic what the server would have
-    said for each half (``result`` values via the factories; no
-    ``version`` key, because no server write ever happens).
-    """
-
-    def __init__(
-        self,
-        create_method: str,
-        delete_method: str,
-        key: int = 0,
-        create_result: Callable[[QRPCRequest], Any] = lambda request: True,
-        delete_result: Callable[[QRPCRequest], Any] = lambda request: True,
-    ) -> None:
-        self.create_method = create_method
-        self.delete_method = delete_method
-        self.key = key
-        self.create_result = create_result
-        self.delete_result = delete_result
-
-    def match(self, earlier: QRPCRequest, later: QRPCRequest) -> Optional[Outcome]:
-        if earlier.operation is not Operation.INVOKE or later.operation is not Operation.INVOKE:
-            return None
-        if earlier.args.get("method") != self.create_method:
-            return None
-        if later.args.get("method") != self.delete_method:
-            return None
-        a = _invoke_key(earlier, self.key)
-        b = _invoke_key(later, self.key)
-        if a is _MISSING or b is _MISSING or a != b:
-            return None
-        return CancelOut(
-            {"status": "ok", "result": self.create_result(earlier), "compacted": True},
-            {"status": "ok", "result": self.delete_result(later), "compacted": True},
-        )
-
-
-class DuplicateImportCoalesce(PairRule):
-    """Two queued imports of the same object need only one fetch."""
-
-    def match(self, earlier: QRPCRequest, later: QRPCRequest) -> Optional[Outcome]:
-        if earlier.operation is Operation.IMPORT and later.operation is Operation.IMPORT:
-            return Absorb()
-        return None
 
 
 # -- the stage that edits the queue ---------------------------------------------
@@ -335,7 +162,7 @@ class QueueCompaction:
         self.compact(urn)
 
     def compact(self, urn: Optional[str] = None) -> int:
-        """Coalesce the never-dispatched requests for ``urn`` (None: for
+        """Fold the never-dispatched requests for ``urn`` (None: for
         every object), planning again until a plan finds nothing — a
         fold can make its survivor the neighbour of a request the pass
         had already walked past.  Returns the number of operations
@@ -352,7 +179,7 @@ class QueueCompaction:
             removed += self._carry_out(plan)
 
     def _compactable(self, request: QRPCRequest) -> bool:
-        """Safe to coalesce: provably never dispatched to the server."""
+        """Safe to fold: provably never dispatched to the server."""
         if request.recovered:
             # A previous incarnation may have sent it; barrier.
             return False
@@ -368,15 +195,11 @@ class QueueCompaction:
         manager = self.manager
         drop_ids: list[str] = []
         for request, absorber_id in plan.drops:
-            self._withdraw(request)
+            message = manager.end_attempt(request)
+            if message is not None:
+                manager.scheduler.cancel(message)
             drop_ids.append(request.request_id)
             self._absorbed.setdefault(absorber_id, []).append(request)
-        for request, reply in plan.cancels:
-            self._withdraw(request)
-            drop_ids.append(request.request_id)
-            # Deferred a tick so a request cancelled at queue time is
-            # resolved only after its caller got the promise back.
-            manager.sim.schedule(0.0, manager.settle, request, reply)
         rewrites: dict[str, QRPCRequest] = {}
         for request_id, args in plan.rewrites.items():
             request = manager.log.get(request_id)
@@ -385,11 +208,6 @@ class QueueCompaction:
                 rewrites[request_id] = request
         manager.log.compact(drop_ids, rewrites)
         return len(drop_ids)
-
-    def _withdraw(self, request: QRPCRequest) -> None:
-        message = self.manager.end_attempt(request)
-        if message is not None:
-            self.manager.scheduler.cancel(message)
 
     def _fold_followup(self, urn: str) -> None:
         """Overwrite-absorbs-overwrite for exports: the per-URN export

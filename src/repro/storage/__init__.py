@@ -11,7 +11,7 @@ host.  This package provides:
   used by the Rover server as its object store.
 """
 
-from repro.storage.kvstore import KVStore, VersionMismatch
+from repro.storage.kvstore import KVStore
 from repro.storage.stable_log import (
     FileLogBackend,
     FlushModel,
@@ -27,5 +27,4 @@ __all__ = [
     "LogRecord",
     "MemoryLogBackend",
     "StableLog",
-    "VersionMismatch",
 ]

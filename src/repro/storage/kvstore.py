@@ -1,26 +1,14 @@
 """Versioned key/value store — the Rover server's object store.
 
-Every stored value carries a monotonically increasing version number;
-conditional puts (:meth:`KVStore.put_if_version`) are the primitive the
-server's conflict detection is built on: an exported object commits
-only if the client's base version still matches the stored version.
+Every stored value carries a monotonically increasing version number,
+which is what the server's conflict detection compares: an exported
+object commits (an unconditional :meth:`KVStore.put`) only if the
+client's base version still matches the stored version.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterator, Optional
-
-
-class VersionMismatch(Exception):
-    """Conditional put failed: the stored version moved on."""
-
-    def __init__(self, key: str, expected: int, actual: int) -> None:
-        super().__init__(
-            f"version mismatch for {key!r}: expected {expected}, stored {actual}"
-        )
-        self.key = key
-        self.expected = expected
-        self.actual = actual
 
 
 class KVStore:
@@ -54,20 +42,6 @@ class KVStore:
         """Unconditional write; returns the new version (starts at 1)."""
         current = self._data.get(key)
         new_version = (current[1] if current is not None else 0) + 1
-        self._data[key] = (value, new_version)
-        return new_version
-
-    def put_if_version(self, key: str, value: Any, expected_version: int) -> int:
-        """Write only if the stored version equals ``expected_version``.
-
-        Version 0 means "expect absent".  Returns the new version;
-        raises :class:`VersionMismatch` otherwise.
-        """
-        current = self._data.get(key)
-        actual = current[1] if current is not None else 0
-        if actual != expected_version:
-            raise VersionMismatch(key, expected_version, actual)
-        new_version = actual + 1
         self._data[key] = (value, new_version)
         return new_version
 

@@ -27,19 +27,6 @@ from repro.sim import Simulator
 from repro.storage.stable_log import FlushModel, GroupCommitPolicy, StableLog
 
 
-def default_compactor() -> Compactor:
-    """A compactor loaded with every bundled app's compaction rules."""
-    from repro.apps.calendar import register_calendar_compaction
-    from repro.apps.mail import register_mail_compaction
-    from repro.apps.webproxy import register_webproxy_compaction
-
-    compactor = Compactor()
-    register_mail_compaction(compactor)
-    register_calendar_compaction(compactor)
-    register_webproxy_compaction(compactor)
-    return compactor
-
-
 @dataclass
 class ClientStack:
     """One mobile client's full Rover stack."""
@@ -127,7 +114,7 @@ def build_client_stack(
         obs=obs,
         rpc_timeout=rpc_timeout_s,
     )
-    compactor = default_compactor() if compaction else None
+    compactor = Compactor() if compaction else None
     access = wire_access_manager(scheduler, servers, obs, compactor=compactor, **wiring)
     return ClientStack(host, link, transport, scheduler, access)
 

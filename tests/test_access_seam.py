@@ -21,16 +21,10 @@ from repro.ha.group import ClientFailover, ReplicaSet
 from repro.net.link import CSLIP_14_4, IntervalTrace
 from repro.obs import Observatory
 from repro.obs.trace import RequestTracing
-from repro.perf.compact import (
-    AppendMerge,
-    Compactor,
-    CreateDeleteCancel,
-    InvokeAbsorb,
-    QueueCompaction,
-)
+from repro.perf.compact import Compactor, QueueCompaction
 from repro.perf.delta import DeltaShipping
 from repro.testbed import build_multi_client_testbed, build_testbed
-from tests.conftest import make_note
+from tests.conftest import Append, Overwrite, make_note
 
 
 class FakeManager:
@@ -226,9 +220,6 @@ class QueueManager(FakeManager):
         self.drain_hooks = []
         self.scheduler.add_drain_hook = self.drain_hooks.append
         self.scheduler.cancel = lambda message: self.calls.append(("cancel", message.name))
-        self.sim.schedule = lambda delay, fn, *args: self.calls.append(
-            ("schedule", delay, fn.__name__, args[0].request_id, args[1])
-        )
 
     def queue(self, request_id, method, handed_over=True, **message):
         """Log a request; ``handed_over``: the scheduler has it, unsent."""
@@ -290,7 +281,7 @@ def pending_ids(manager):
 
 class TestQueueCompactionAlone:
     def test_queued_then_fold_withdraws_the_absorbed_message(self):
-        manager, stage = compaction_stage(InvokeAbsorb("set_text"))
+        manager, stage = compaction_stage(Overwrite("set_text"))
         manager.queue("client/0", "set_text")
         assert manager.calls == []  # one request: it takes two to pair
         manager.queue("client/1", "set_text", handed_over=False)  # its flush in progress
@@ -298,10 +289,10 @@ class TestQueueCompactionAlone:
         assert pending_ids(manager) == ["client/1"] and manager.log.ops_compacted == 1
 
     def test_a_merge_rewords_the_survivor_after_the_withdrawal(self):
-        manager, stage = compaction_stage(AppendMerge("append", "append_all"))
-        manager.queue("client/0", "append")
-        manager.queue("client/1", "append")
-        merged = {"method": "append_all", "args": [["x", "x"]]}
+        manager, stage = compaction_stage(Append())
+        manager.queue("client/0", "append_entry")
+        manager.queue("client/1", "append_entry")
+        merged = {"method": "append_entries", "args": [["x", "x"]]}
         assert manager.calls == [
             ("end_attempt", "client/0"), ("cancel", "client/0"), ("reword", "client/1", merged)
         ]
@@ -310,7 +301,7 @@ class TestQueueCompactionAlone:
     def test_a_member_with_an_attempt_behind_it_is_a_barrier(self):
         """PR 14's regression, at the stage: a message backing off is
         "queued" too, but its earlier copy may have been applied."""
-        manager, stage = compaction_stage(InvokeAbsorb("set_text"))
+        manager, stage = compaction_stage(Overwrite("set_text"))
         manager.queue("client/0", "set_text", attempts=1)  # backing off between attempts
         manager.queue("client/1", "set_text", state="inflight")  # on the wire
         manager.queue("client/2", "set_text").recovered = True  # a dead incarnation's
@@ -321,10 +312,10 @@ class TestQueueCompactionAlone:
         assert pending_ids(manager) == ["client/0", "client/1", "client/2", "client/4"]
 
     def test_a_fold_that_makes_new_neighbours_is_followed_in_the_same_call(self):
-        """``a, b, m`` under ``InvokeAbsorb(m, absorbs={a, b})``: one
-        pass drops ``b`` only — it had walked past ``a`` by then — and
+        """``a, b, m`` under ``Overwrite(m, over={a, b})``: one pass
+        drops ``b`` only — it had walked past ``a`` by then — and
         ``(a, m)`` meet after it."""
-        manager, stage = compaction_stage(InvokeAbsorb("m", absorbs={"a", "b"}))
+        manager, stage = compaction_stage(Overwrite("m", over={"a", "b"}))
         manager.queue("client/0", "a")
         manager.queue("client/1", "b")
         manager.queue("client/2", "m")
@@ -334,7 +325,7 @@ class TestQueueCompactionAlone:
         ]
 
     def test_absorbed_observers_follow_the_survivor_after_its_own_dispatch(self):
-        manager, stage = compaction_stage(InvokeAbsorb("set_text"))
+        manager, stage = compaction_stage(Overwrite("set_text"))
         first = manager.queue("client/0", "set_text")
         second = manager.queue("client/1", "set_text")
         survivor = manager.queue("client/2", "set_text")
@@ -352,30 +343,19 @@ class TestQueueCompactionAlone:
         assert len(manager.calls) == 2
 
     def test_absorbed_observers_fail_with_the_survivor(self):
-        manager, stage = compaction_stage(InvokeAbsorb("set_text"))
+        manager, stage = compaction_stage(Overwrite("set_text"))
         manager.queue("client/0", "set_text")
         survivor = manager.queue("client/1", "set_text")
         del manager.calls[:]
         stage.applied(survivor, {}, "timeout")
         assert manager.calls == [("reject", "client/0", "timeout")]
 
-    def test_a_cancelled_pair_is_answered_a_tick_later(self):
-        manager, stage = compaction_stage(CreateDeleteCancel("add", "remove"))
-        manager.queue("client/0", "add")
-        manager.queue("client/1", "remove")
-        assert pending_ids(manager) == []
-        answered = {"status": "ok", "result": True, "compacted": True}
-        assert [call for call in manager.calls if call[0] == "schedule"] == [
-            ("schedule", 0.0, "settle", "client/0", answered),
-            ("schedule", 0.0, "settle", "client/1", answered),
-        ]
-
     def test_link_up_plans_the_whole_log_and_sees_a_rule_added_since(self):
         manager, stage = compaction_stage()
         for index in range(2):
             manager.queue(f"client/{index}", "set_text")
         assert pending_ids(manager) == ["client/0", "client/1"]
-        stage.compactor.add_pair_rule(InvokeAbsorb("set_text"))
+        stage.compactor.add_pair_rule(Overwrite("set_text"))
         (link_up,) = manager.drain_hooks
         link_up()
         assert pending_ids(manager) == ["client/1"]
@@ -384,7 +364,7 @@ class TestQueueCompactionAlone:
         manager, stage = compaction_stage()
         for index in range(2):
             manager.queue(f"client/{index}", "set_text")
-        stage.compactor.add_pair_rule(InvokeAbsorb("set_text"))
+        stage.compactor.add_pair_rule(Overwrite("set_text"))
         manager.crashed = True
         manager.drain_hooks[0]()
         stage.queued("urn:rover:server/notes/n1", None)
@@ -472,8 +452,8 @@ class TestWhatTheManagerInstalls:
         assert hooks[0].__self__.compactor is built_with.access.compactor
         late = build_testbed().access
         assert late.on_queued == late.on_applied == [] and late.compactor is None
-        late.add_compaction_rule(InvokeAbsorb("set_text"))
-        late.add_compaction_rule(InvokeAbsorb("move"))
+        late.add_compaction_rule(Overwrite("set_text"))
+        late.add_compaction_rule(Overwrite("move"))
         (queued,), (applied,) = late.on_queued, late.on_applied  # installed once
         assert queued.__self__ is applied.__self__
         assert queued.__self__.compactor is late.compactor and len(late.compactor.pair_rules) == 2
@@ -576,7 +556,7 @@ def test_an_absorbed_requests_root_span_closes_ok_at_the_survivors_reply():
     )
     note = make_note()
     bed.server.put_object(note)
-    bed.access.add_compaction_rule(InvokeAbsorb("set_text"))
+    bed.access.add_compaction_rule(Overwrite("set_text"))
     bed.sim.run(until=20.0)  # disconnected now
     absorbed = bed.access.invoke_remote(note.urn, "set_text", ["one"])
     survivor = bed.access.invoke_remote(note.urn, "set_text", ["two"])

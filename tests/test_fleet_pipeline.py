@@ -25,7 +25,6 @@ from repro.obs.fleet.report import (
     fold_reports,
 )
 from repro.obs.fleet.sketch import LogSketch
-from repro.perf.compact import Merge
 from repro.sim import Simulator
 from repro.testbed import build_multi_client_testbed
 
@@ -156,9 +155,7 @@ class TestFold:
         rule = TelemetryFold()
         a = self._report(1, [(1, 1)])
         b = self._report(2, [(1, 1)])
-        assert isinstance(
-            rule.match(self._request(a), self._request(b)), Merge
-        )
+        assert rule.match(self._request(a), self._request(b)) == fold_reports(a, b)
         other = self._report(2, [(1, 1)], c="client-9")
         assert rule.match(self._request(a), self._request(other)) is None
         ship = self._request(a, operation=Operation.SHIP)

@@ -16,9 +16,8 @@ from repro.core.conflict import FieldwiseMerge, ResolverRegistry
 from repro.live import LiveClient, LiveScheduler, LiveServer, LiveTransport
 from repro.live.clock import RealTimeClock
 from repro.live.transport import LiveAddress
-from repro.perf.compact import InvokeAbsorb
-from repro.testbed import default_compactor
-from tests.conftest import make_note
+from repro.perf.compact import Compactor
+from tests.conftest import Overwrite, make_note
 
 TIMEOUT = 15.0
 
@@ -323,7 +322,7 @@ class TestLiveCompaction:
             clock,
             scheduler,
             servers={"server": first.address},
-            compactor=default_compactor(),
+            compactor=Compactor(),
         )
         revived = None
         try:
@@ -360,7 +359,7 @@ class TestLiveCompaction:
         client = LiveClient(
             "laptop", servers={"server": address}, call_timeout=0.5, max_attempts=30
         )
-        client.access.add_compaction_rule(InvokeAbsorb("set_text"))
+        client.access.add_compaction_rule(Overwrite("set_text"))
         note = make_note()
         promises = []
         revived = None

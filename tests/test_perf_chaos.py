@@ -17,6 +17,7 @@ from repro.chaos import invariants
 from repro.net.link import CSLIP_14_4, IntervalTrace
 from repro.testbed import build_testbed
 from repro.workloads import generate_mail_corpus
+from tests.conftest import Append
 
 
 def _mail_bed(**kwargs):
@@ -112,6 +113,7 @@ def test_replayed_requests_are_compaction_barriers():
     """Recovered requests may already be at the server: new work folds
     among itself but never into (or across) the replayed queue."""
     bed, reader, folder = _mail_bed(compaction=True, delta_shipping=True)
+    bed.access.add_compaction_rule(Append())
     _disconnected_session(bed, reader, folder, n_sends=2)
     bed.sim.run(until=600.0)
     replayed = bed.crash_and_recover_client()

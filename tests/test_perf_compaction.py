@@ -1,6 +1,8 @@
 """Operation-log compaction: the engine, the durable rewrite, the
 replay-equivalence property, and the keyed plan — equal to a plan of the
-whole queue, at a cost that does not grow with it."""
+whole queue, at a cost that does not grow with it.  The engine is driven
+with the rules of ``tests/conftest.py``; the product's own folds are the
+export follow-up (below) and telemetry's (``tests/test_fleet_pipeline.py``)."""
 
 from __future__ import annotations
 
@@ -11,20 +13,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.apps.calendar import register_calendar_compaction
 from repro.core.operation_log import OperationLog
 from repro.core.qrpc import Operation, QRPCRequest
 from repro.net.link import ETHERNET_10M, IntervalTrace
-from repro.perf.compact import (
-    AppendMerge,
-    Compactor,
-    CreateDeleteCancel,
-    DuplicateImportCoalesce,
-    InvokeAbsorb,
-)
+from repro.perf.compact import Compactor, PairRule
 from repro.storage.stable_log import StableLog
 from repro.testbed import build_testbed
-from tests.conftest import make_note
+from tests.conftest import Append, Overwrite, make_note
 from tests.test_speed import _python_calls
 
 URN = "urn:server:cal/group"
@@ -48,56 +43,44 @@ def _all(request: QRPCRequest) -> bool:
 
 
 def test_invoke_absorb_drops_the_earlier_call():
-    engine = Compactor().add_pair_rule(InvokeAbsorb("move_event", key=0))
+    engine = Compactor().add_pair_rule(Overwrite("move_event", key=0))
     a = _invoke("r1", "move_event", ["e1", "10am"])
     b = _invoke("r2", "move_event", ["e1", "11am"])
     plan = engine.plan([a, b], _all)
     assert plan.drops == [(a, "r2")]
-    assert not plan.cancels and not plan.rewrites
+    assert not plan.rewrites  # the rule kept the later's own args
 
 
 def test_invoke_absorb_respects_the_key_argument():
-    engine = Compactor().add_pair_rule(InvokeAbsorb("move_event", key=0))
+    engine = Compactor().add_pair_rule(Overwrite("move_event", key=0))
     a = _invoke("r1", "move_event", ["e1", "10am"])
     b = _invoke("r2", "move_event", ["e2", "11am"])
     assert engine.plan([a, b], _all).is_empty
 
 
 def test_requests_on_different_urns_never_pair():
-    engine = Compactor().add_pair_rule(InvokeAbsorb("mark_read"))
+    engine = Compactor().add_pair_rule(Overwrite("mark_read"))
     a = _invoke("r1", "mark_read", [], urn="urn:server:mail/in/m1")
     b = _invoke("r2", "mark_read", [], urn="urn:server:mail/in/m2")
     assert engine.plan([a, b], _all).is_empty
 
 
 def test_append_merge_folds_a_run_into_one_batch():
-    engine = Compactor().add_pair_rule(AppendMerge("append_entry", "append_entries"))
+    """Each fold rewrites the survivor; the rule sees the earlier one
+    with the args it was already rewritten to, and that rewrite leaves
+    with it."""
+    engine = Compactor().add_pair_rule(Append())
     ops = [_invoke(f"r{i}", "append_entry", [{"id": f"m{i}"}]) for i in range(3)]
     plan = engine.plan(ops, _all)
     assert [rid for __, rid in plan.drops] == ["r1", "r2"]
-    assert plan.rewrites["r2"] == {
+    assert plan.rewrites == {"r2": {
         "method": "append_entries",
         "args": [[{"id": "m0"}, {"id": "m1"}, {"id": "m2"}]],
-    }
-
-
-def test_create_delete_cancels_out_with_versionless_replies():
-    engine = Compactor().add_pair_rule(
-        CreateDeleteCancel("add_event", "cancel_event", key=0)
-    )
-    a = _invoke("r1", "add_event", ["e1", "standup", "r5", "9am", []])
-    b = _invoke("r2", "cancel_event", ["e1"])
-    plan = engine.plan([a, b], _all)
-    assert not plan.drops
-    assert [r.request_id for r, __ in plan.cancels] == ["r1", "r2"]
-    for __, reply in plan.cancels:
-        assert reply["status"] == "ok"
-        assert reply["compacted"] is True
-        assert "version" not in reply  # no server write ever happened
+    }}
 
 
 def test_ineligible_request_is_a_barrier():
-    engine = Compactor().add_pair_rule(InvokeAbsorb("move_event", key=0))
+    engine = Compactor().add_pair_rule(Overwrite("move_event", key=0))
     a = _invoke("r1", "move_event", ["e1", "10am"])
     b = _invoke("r2", "move_event", ["e1", "11am"])
     plan = engine.plan([a, b], lambda r: r.request_id != "r1")
@@ -105,7 +88,7 @@ def test_ineligible_request_is_a_barrier():
 
 
 def test_barrier_in_the_middle_splits_the_chain():
-    engine = Compactor().add_pair_rule(InvokeAbsorb("move_event", key=0))
+    engine = Compactor().add_pair_rule(Overwrite("move_event", key=0))
     ops = [
         _invoke("r1", "move_event", ["e1", "a"]),
         _invoke("r2", "move_event", ["e1", "b"]),
@@ -116,8 +99,15 @@ def test_barrier_in_the_middle_splits_the_chain():
     assert plan.is_empty
 
 
+class _SameImport(PairRule):
+    def match(self, earlier, later):
+        both = earlier.operation is later.operation is Operation.IMPORT
+        return later.args if both else None
+
+
 def test_duplicate_import_coalesce():
-    engine = Compactor().add_pair_rule(DuplicateImportCoalesce())
+    """The engine pairs any operation a rule admits, not only invokes."""
+    engine = Compactor().add_pair_rule(_SameImport())
     a = QRPCRequest("r1", "s", Operation.IMPORT, "urn:server:web/p")
     b = QRPCRequest("r2", "s", Operation.IMPORT, "urn:server:web/p")
     plan = engine.plan([a, b], _all)
@@ -125,7 +115,7 @@ def test_duplicate_import_coalesce():
 
 
 def test_absorb_chain_follows_the_final_survivor():
-    engine = Compactor().add_pair_rule(InvokeAbsorb("move_event", key=0))
+    engine = Compactor().add_pair_rule(Overwrite("move_event", key=0))
     ops = [_invoke(f"r{i}", "move_event", ["e1", f"slot{i}"]) for i in range(4)]
     plan = engine.plan(ops, _all)
     assert [(r.request_id, rid) for r, rid in plan.drops] == [
@@ -137,7 +127,8 @@ def test_absorb_chain_follows_the_final_survivor():
 
 
 def _apply(state: dict, request: QRPCRequest) -> None:
-    """The calendar semantics the compaction rules assume."""
+    """The semantics the two rules assume: a move overwrites its event's
+    slot, appends extend one list in order."""
     method = request.args["method"]
     args = request.args["args"]
     if method == "add_event":
@@ -147,10 +138,14 @@ def _apply(state: dict, request: QRPCRequest) -> None:
             state[args[0]] = args[1]
     elif method == "cancel_event":
         state.pop(args[0], None)
+    elif method == "append_entry":
+        state.setdefault("log", []).append(args[0])
+    elif method == "append_entries":
+        state.setdefault("log", []).extend(args[0])
 
 
 _ops = st.lists(
-    st.tuples(st.sampled_from(["add", "move", "cancel"]),
+    st.tuples(st.sampled_from(["add", "move", "cancel", "append"]),
               st.integers(min_value=0, max_value=3),
               st.integers(min_value=0, max_value=5)),
     max_size=20,
@@ -165,21 +160,20 @@ def test_compacted_replay_is_equivalent(ops):
     requests = []
     for i, (kind, ent, slot) in enumerate(ops):
         if kind == "add":
-            # Event ids are unique per add (the app's invariant that
-            # makes create+delete annihilation sound).
             requests.append(_invoke(f"r{i}", "add_event", [f"e{i}", f"s{slot}"]))
         elif kind == "move":
             requests.append(_invoke(f"r{i}", "move_event", [f"e{ent}", f"s{slot}"]))
-        else:
+        elif kind == "cancel":
             requests.append(_invoke(f"r{i}", "cancel_event", [f"e{ent}"]))
+        else:
+            requests.append(_invoke(f"r{i}", "append_entry", [f"s{slot}"]))
 
     engine = Compactor()
-    engine.add_pair_rule(InvokeAbsorb("move_event", key=0))
-    engine.add_pair_rule(CreateDeleteCancel("add_event", "cancel_event", key=0))
+    engine.add_pair_rule(Overwrite("move_event", key=0))
+    engine.add_pair_rule(Append())
     plan = engine.plan(requests, _all)
 
     removed = {r.request_id for r, __ in plan.drops}
-    removed |= {r.request_id for r, __ in plan.cancels}
     compacted = []
     for request in requests:
         if request.request_id in removed:
@@ -197,18 +191,6 @@ def test_compacted_replay_is_equivalent(ops):
     for request in compacted:
         _apply(compacted_state, request)
     assert compacted_state == original_state
-
-
-def test_calendar_registration_compacts_a_session():
-    engine = register_calendar_compaction(Compactor())
-    ops = [
-        _invoke("r1", "add_event", ["e1", "standup", "r5", "9am", ["10am"]]),
-        _invoke("r2", "cancel_event", ["e1"]),
-        _invoke("r3", "move_event", ["e2", "1pm"]),
-        _invoke("r4", "move_event", ["e2", "2pm"]),
-    ]
-    plan = engine.plan(ops, _all)
-    assert plan.ops_removed == 3  # only r4 survives
 
 
 # -- the durable rewrite -----------------------------------------------------
@@ -333,7 +315,7 @@ def test_an_absorbed_write_still_counts_for_its_own_session():
     """The survivor's reply is the absorbed request's reply; read-your-
     writes must hold for the session that issued the absorbed one too."""
     bed, note, survivor_session = _disconnected_bed(compaction=True)
-    bed.access.add_compaction_rule(InvokeAbsorb("set_text"))
+    bed.access.add_compaction_rule(Overwrite("set_text"))
     absorbed_session = bed.access.create_session("absorbed")
     bed.sim.run(until=20.0)  # disconnected now
     first = bed.access.invoke_remote(note.urn, "set_text", ["one"], session=absorbed_session)
@@ -370,7 +352,7 @@ def test_a_rule_added_after_the_manager_is_built_applies(register):
     taken at construction, used to miss the first spelling until a crash
     recovery rebuilt it)."""
     bed = _offline_bed(compaction=True)
-    rule = InvokeAbsorb("set_text")
+    rule = Overwrite("set_text")
     if register == "add_compaction_rule":
         bed.access.add_compaction_rule(rule)
     else:
@@ -390,16 +372,21 @@ def test_a_rule_added_after_the_manager_is_built_applies(register):
 
 
 _URNS = [f"urn:rover:server/obj/{i}" for i in range(4)]
-#: method -> args: what the bundled rules and the two extra ones match on.
+#: method -> args: what the rules of ``_RULES`` match on.
 _CALLS = {
-    "a": [], "b": [], "m": [],  # InvokeAbsorb("m", absorbs={"a", "b"})
+    "a": [], "b": [], "m": [],  # Overwrite("m", over={"a", "b"})
     "mark_read": [], "mark_deleted": [],
     "append_entry": [{"id": "e"}],
     "move_event": ["e1", "9am"], "move_other": ["e2", "9am"],
-    "add_event": ["e1", "standup"], "cancel_event": ["e1"],
-    "mk": ["k"], "rm": ["k"],  # CreateDeleteCancel("mk", "rm")
     "lock": [],  # no rule knows it: it pairs with nothing, and separates
 }
+_RULES = (
+    Overwrite("m", over={"a", "b"}),
+    Overwrite("mark_read"),
+    Overwrite("mark_deleted"),
+    Append(),
+    Overwrite("move_event", key=0),
+)
 _steps = st.lists(
     st.one_of(
         st.tuples(st.just("call"), st.integers(0, 3), st.sampled_from(sorted(_CALLS))),
@@ -422,7 +409,7 @@ def _whole_queue_fixpoint(compactor, shadow, eligible):
         plan = compactor.plan(shadow, eligible)
         if plan.is_empty:
             return shadow
-        gone = {r.request_id for r, __ in plan.drops} | {r.request_id for r, __ in plan.cancels}
+        gone = {r.request_id for r, __ in plan.drops}
         shadow = [r for r in shadow if r.request_id not in gone]
         for request in shadow:
             if request.request_id in plan.rewrites:
@@ -439,8 +426,8 @@ def test_planning_one_bucket_equals_planning_the_whole_queue(steps):
     — is what planning everything to a fixpoint would have left."""
     bed = _offline_bed(compaction=True)
     access = bed.access
-    access.add_compaction_rule(InvokeAbsorb("m", absorbs={"a", "b"}))
-    access.add_compaction_rule(CreateDeleteCancel("mk", "rm"))
+    for rule in _RULES:
+        access.add_compaction_rule(rule)
     session = access.create_session("s")
     # Every request as it was issued, before anything folded it.
     issued: list[QRPCRequest] = []
@@ -488,6 +475,8 @@ def test_queuing_an_operation_costs_the_same_behind_a_long_queue():
     route, one route lookup per message already queued.)"""
     bed = _offline_bed(compaction=True)
     access = bed.access
+    for rule in _RULES:
+        access.add_compaction_rule(rule)
 
     def queue_one(urn):
         access.invoke_remote(urn, "mark_read", [])
@@ -512,7 +501,7 @@ def test_a_pair_a_departed_barrier_kept_apart_waits_for_its_bucket_or_link_up():
     next one on theirs — or the reconnection — does."""
     bed = _offline_bed(compaction=True)
     access = bed.access
-    access.add_compaction_rule(InvokeAbsorb("set_text"))
+    access.add_compaction_rule(Overwrite("set_text"))
     urn, other = "urn:rover:server/notes/n1", "urn:rover:server/notes/n2"
     access.invoke_remote(urn, "set_text", ["a"])
     access.invoke_remote(urn, "touch", [])  # no rule pairs it: it separates

@@ -6,7 +6,7 @@ from __future__ import annotations
 from repro.net.link import ETHERNET_10M, IntervalTrace
 from repro.net.message import Premarshalled, marshal, marshalled_size, unmarshal
 from repro.testbed import build_testbed
-from tests.conftest import make_note
+from tests.conftest import Append, make_note
 
 
 def _counter_total(bed, name: str) -> int:
@@ -132,6 +132,7 @@ def test_watermark_is_the_walked_floor_without_the_walk():
         policy=IntervalTrace([(0.0, 1.0), (500.0, 1e9)]),
         compaction=True,
     )
+    bed.access.add_compaction_rule(Append())
     bed.sim.run(until=2.0)  # disconnected
     outbox = "urn:rover:server/mail/outbox"
     seen = []

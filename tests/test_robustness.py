@@ -17,6 +17,9 @@ from repro.core.interpreter import (
     SafeInterpreter,
     validate_source,
 )
+from repro.core.naming import URN
+from repro.core.rdo import RDO, MethodSpec, RDOInterface
+from repro.ha import build_ha_testbed
 from repro.lint.verifier import check_code
 from repro.net.http import HttpClient
 from repro.net.link import AlwaysDown, LinkSpec, IntervalTrace
@@ -231,6 +234,59 @@ def test_an_argument_the_codec_cannot_carry_is_refused_at_the_call_site():
     with pytest.raises(MarshalError, match="cannot marshal str"):
         bed.access.invoke_remote(note.urn, "set_text", [LONE_SURROGATE])
     assert bed.access.log.pending_count() == 0 and bed.scheduler.idle()
+
+
+# A mutating method that fails after writing.  The server runs it on
+# the stored data itself, so each of these used to leave its write in
+# the store with no new version; the lone surrogate was even stored
+# under a new version before the version history failed to encode it,
+# once per attempt, and every later import of the object failed.
+FAILING_WRITES = {
+    "raises": "def bump(state):\n    state['t'] = 'x'\n    return 1 // 0\n",
+    "exhausts-its-budget": (
+        "def bump(state):\n"
+        "    state['t'] = 'x'\n"
+        "    for i in range(10 ** 9):\n"
+        "        pass\n"
+    ),
+    "stores-text-the-codec-refuses": (
+        "def bump(state):\n    state['t'] = chr(0xD800)\n    return 1\n"
+    ),
+}
+
+
+def _counter(source):
+    interface = RDOInterface([MethodSpec("bump", mutates=True)])
+    return RDO(URN("server", "counters/c1"), "counter", {"n": 0}, source, interface)
+
+
+def _failed_bump(bed, access):
+    bump = access.invoke_remote("urn:rover:server/counters/c1", "bump", [])
+    bed.sim.run(until=bed.sim.now + 3_600.0)
+    assert bump.failed
+
+
+@pytest.mark.parametrize("source", list(FAILING_WRITES.values()), ids=list(FAILING_WRITES))
+def test_a_failed_mutating_invoke_leaves_the_object_as_it_was(source):
+    bed = build_testbed()
+    assert bed.server.put_object(_counter(source)) == 1
+    _failed_bump(bed, bed.access)
+    urn = "urn:rover:server/counters/c1"
+    stored = bed.server.get_object(urn)
+    assert (stored.data, stored.version) == ({"n": 0}, 1)
+    assert bed.server.invokes_served == 0
+    assert bed.access.import_(urn).wait(bed.sim).data == {"n": 0}
+
+
+def test_a_failed_mutating_invoke_leaves_every_replica_alike():
+    bed = build_ha_testbed(n_backups=2)
+    bed.put_object(_counter(FAILING_WRITES["raises"]))
+    _failed_bump(bed, bed.clients[0].access)
+    vectors = [server.state_vector() for server, __ in bed.members]
+    assert vectors[0] == vectors[1] == vectors[2]
+    for server, __ in bed.members:
+        stored = server.get_object("urn:rover:server/counters/c1")
+        assert (stored.data, stored.version) == ({"n": 0}, 1)
 
 
 @settings(max_examples=10, deadline=None)

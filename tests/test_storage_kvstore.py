@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.storage.kvstore import KVStore, VersionMismatch
+from repro.storage.kvstore import KVStore
 
 
 def test_put_get_roundtrip():
@@ -34,30 +34,6 @@ def test_get_value_default():
 def test_version_of_missing_is_none():
     store = KVStore()
     assert store.version("absent") is None
-
-
-def test_put_if_version_success():
-    store = KVStore()
-    store.put("k", "v1")
-    assert store.put_if_version("k", "v2", 1) == 2
-    assert store.get("k") == ("v2", 2)
-
-
-def test_put_if_version_conflict():
-    store = KVStore()
-    store.put("k", "v1")
-    store.put("k", "v2")
-    with pytest.raises(VersionMismatch) as excinfo:
-        store.put_if_version("k", "v3", 1)
-    assert excinfo.value.expected == 1
-    assert excinfo.value.actual == 2
-
-
-def test_put_if_version_zero_means_create():
-    store = KVStore()
-    assert store.put_if_version("new", "v", 0) == 1
-    with pytest.raises(VersionMismatch):
-        store.put_if_version("new", "again", 0)
 
 
 def test_delete():

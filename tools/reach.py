@@ -11,7 +11,9 @@ would otherwise end the recording there, silently.
 
 Report — ``python tools/reach.py`` lists every ``def`` under
 ``src/repro`` that no recorded process called, then those only
-processes tagged ``tests`` called.
+processes tagged ``tests`` called: each with its line span, then the
+lines per file (a nested def's lines counted once), so the deletion
+ledger is sized in lines.
 """
 
 import ast
@@ -54,11 +56,12 @@ def _dump():
 
 
 def _defs(tree, prefix=""):
-    """``(first line, qualified name)`` of every def, as code objects number them."""
+    """``(first line, last line, qualified name)`` of every def; the
+    first line is the one its code object is numbered by."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-            yield first, prefix + node.name
+            yield first, node.end_lineno, prefix + node.name
             yield from _defs(node, f"{prefix}{node.name}.<locals>.")
         elif isinstance(node, ast.ClassDef):
             yield from _defs(node, f"{prefix}{node.name}.")
@@ -71,16 +74,26 @@ def report(reach_dir):
     for path in Path(reach_dir).iterdir():
         tag = "tests" if path.name.startswith("tests.") else "drivers"
         called[tag].update(path.read_text().split())
-    by_nothing, by_tests_only = [], []
+    # title -> file -> [(first, last, name)]
+    found = {"reached by nothing": {}, "reached by tests/ only": {}}
     for source in sorted(SRC.rglob("*.py")):
-        rel = source.relative_to(SRC)
-        for first, name in _defs(ast.parse(source.read_text())):
+        rel = str(source.relative_to(SRC))
+        for first, last, name in _defs(ast.parse(source.read_text())):
             key = f"{rel}:{first}"
             if key not in called["drivers"]:
-                (by_tests_only if key in called["tests"] else by_nothing).append(f"  {key} {name}")
-    for title, rows in (("reached by nothing", by_nothing), ("reached by tests/ only", by_tests_only)):
-        print(f"== {title}: {len(rows)} functions")
-        print("\n".join(rows))
+                title = "reached by tests/ only" if key in called["tests"] else "reached by nothing"
+                found[title].setdefault(rel, []).append((first, last, name))
+    for title, files in found.items():
+        lines = {rel: len(set().union(*(range(a, b + 1) for a, b, __ in defs)))
+                 for rel, defs in files.items()}
+        count = sum(len(defs) for defs in files.values())
+        print(f"== {title}: {count} functions, {sum(lines.values())} lines")
+        for rel, defs in files.items():
+            for first, last, name in defs:
+                print(f"  {rel}:{first}-{last} ({last - first + 1}) {name}")
+        print(f"-- {title}, lines per file")
+        for rel in sorted(lines, key=lambda rel: (-lines[rel], rel)):
+            print(f"  {lines[rel]:5} {rel}")
 
 
 if __name__ == "__main__":
