@@ -53,20 +53,24 @@ check:
 	$(PYTHON) -m repro.check --suite crash-during-drain --suite coalesced-drain \
 		--suite delta-ship --suite conflict-export --depth 2
 
-# Where compaction is gated: the microbenchmarks, then the engine's pins
-# under the rules tests/conftest.py defines (tests/test_perf_compaction.py:
-# replaying the compacted queue equals replaying the original; planning
-# one bucket equals planning the whole queue; queuing an operation costs
-# the same Python calls behind 400 queued requests as behind 40), then
-# E14's eight rows, whose folds are all export follow-ups.
+# Where compaction and delta shipping are gated: the microbenchmarks,
+# then the engine's pins under the rules tests/conftest.py defines
+# (tests/test_perf_compaction.py: replaying the compacted queue equals
+# replaying the original; planning one bucket equals planning the whole
+# queue; queuing an operation costs the same Python calls behind 400
+# queued requests as behind 40), the delta's (tests/test_perf_delta.py:
+# apply(diff) marshals to the new value; the diff equals the one found by
+# encoding both sides), then E14's eight rows, whose folds are all export
+# follow-ups.
 perf:
 	$(PYTHON) -m pytest -q benchmarks/test_micro_primitives.py --benchmark-only
-	$(PYTHON) -m pytest -q tests/test_perf_compaction.py
+	$(PYTHON) -m pytest -q tests/test_perf_compaction.py tests/test_perf_delta.py
 	$(PYTHON) -m pytest -q "benchmarks/test_experiments.py::test_experiment[e14]"
 
 # CPU hot path: codec/group-commit/kernel suite, the codec's call
 # budgets (tests/test_speed.py: marshal, unmarshal and marshalled_size
-# at 2 calls each, the invoke envelope or 64 levels deep; equivalence
+# at 2 calls each, the invoke envelope or 64 levels deep; same_encoding
+# at 1 call on two 40-message folders or two values 64 deep; equivalence
 # with the per-value references at every varint and depth edge), the
 # frame path's (a frame asks its link and the spec twice each, a null
 # RPC is 73 Python calls; docs/PERFORMANCE.md, "One frame, one

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
-from repro.net.message import marshal
+from repro.net.message import same_encoding
 
 
 def check_logs_drained(clients: Iterable[Any]) -> list[str]:
@@ -89,9 +89,9 @@ def check_cache_coherent(server: Any, clients: Iterable[Any]) -> list[str]:
                     f"{access.host.name}: cached {urn} v{entry.rdo.version} "
                     f"ahead of server v{authoritative.version}"
                 )
-            elif entry.rdo.version == authoritative.version and marshal(
-                entry.rdo.data
-            ) != marshal(authoritative.data):
+            elif entry.rdo.version == authoritative.version and not same_encoding(
+                entry.rdo.data, authoritative.data
+            ):
                 violations.append(
                     f"{access.host.name}: cached {urn} v{entry.rdo.version} "
                     f"differs from server copy at the same version"

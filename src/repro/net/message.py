@@ -32,7 +32,9 @@ it whole in one Python call: the containers still open wait on an
 explicit stack, and leaves and varints of any length are handled
 inline, so a message costs the same calls however many values or
 levels it holds (``tests/test_speed.py`` holds the per-value originals
-as references and a call-budget test).
+as references and a call-budget test).  :func:`same_encoding` walks two
+values the same way, in lockstep: it answers "would these encode
+identically?" without encoding either.
 """
 
 from __future__ import annotations
@@ -381,6 +383,72 @@ def marshal(value: Any) -> bytes:
     out = bytearray()
     _encode(value, out)
     return bytes(out)
+
+
+def same_encoding(a: Any, b: Any) -> bool:
+    """Whether ``marshal(a)`` and ``marshal(b)`` are the same bytes,
+    without encoding either side.
+
+    ``False`` where either side raises :class:`MarshalError`.  Walks both
+    values in lockstep in one call, by :func:`_encode`'s dispatch, and
+    stops at the first difference: ``True`` is not ``1``, floats compare
+    by their packed bits, ``bytes`` equals ``bytearray``, a dict's order
+    counts, and text must encode.  A ``Premarshalled`` compares as its
+    ``raw`` would splice; a plain value beside one is encoded to compare
+    (the one case that costs more calls).
+    """
+    flat = chain.from_iterable
+    stack: list[Iterator[tuple[Any, Any]]] = []  # each open pair's parent run
+    pairs: Iterator[tuple[Any, Any]] = iter(((a, b),))
+    depth = 0
+    try:
+        while True:
+            for x, y in pairs:
+                if isinstance(x, str):
+                    if not isinstance(y, str) or x != y:
+                        return False
+                    if not x.isascii():
+                        x.encode("utf-8")  # a lone surrogate raises
+                elif x is None or x is True or x is False:
+                    if x is not y:
+                        return False
+                elif isinstance(x, int):
+                    if not isinstance(y, int) or y is True or y is False or x != y:
+                        return False
+                elif isinstance(x, Premarshalled) or isinstance(y, Premarshalled):
+                    # Equal bytes nest equally: one side's depth check is both's.
+                    spliced, other = (x, y) if isinstance(x, Premarshalled) else (y, x)
+                    if depth + spliced.nesting > MAX_DEPTH or spliced.raw != marshal(other):
+                        return False
+                elif isinstance(x, (dict, list, tuple)):
+                    shape = dict if isinstance(x, dict) else list if isinstance(x, list) else tuple
+                    if not isinstance(y, shape) or len(x) != len(y):
+                        return False
+                    if x:
+                        if depth == MAX_DEPTH:
+                            return False
+                        stack.append(pairs)
+                        if shape is dict:
+                            pairs = zip(flat(x.items()), flat(y.items()))
+                        else:
+                            pairs = zip(x, y)
+                        depth += 1
+                        break  # compare the children; this run resumes after them
+                elif isinstance(x, float):
+                    if not isinstance(y, float) or _PACK_FLOAT(x) != _PACK_FLOAT(y):
+                        return False
+                elif isinstance(x, (bytes, bytearray)):
+                    if not isinstance(y, (bytes, bytearray)) or x != y:
+                        return False
+                else:
+                    return False
+            else:
+                if not depth:
+                    return True
+                pairs = stack.pop()
+                depth -= 1
+    except (MarshalError, UnicodeEncodeError):
+        return False
 
 
 def unmarshal(data: Any) -> Any:

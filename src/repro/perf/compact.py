@@ -42,7 +42,7 @@ from typing import Any, Callable, Optional
 
 from repro.core.qrpc import Operation, QRPCRequest
 from repro.lint.contracts import replay_pure
-from repro.net.message import marshal
+from repro.net.message import same_encoding
 
 
 class PairRule:
@@ -220,7 +220,7 @@ class QueueCompaction:
                 continue
             args = manager.fold_followup(request)
             # Mutated back to the snapshot: nothing to rewrite.
-            if args is not None and marshal(args) != marshal(request.args):
+            if args is not None and not same_encoding(args, request.args):
                 manager.reword(request, args)
                 manager.log.compact([], {request.request_id: request})
 

@@ -33,24 +33,11 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.core.qrpc import Operation
-from repro.net.message import MarshalError, Premarshalled, marshal, marshalled_size, unmarshal
+from repro.net.message import Premarshalled, marshalled_size, same_encoding, unmarshal
 
 
 class DeltaError(Exception):
     """A delta could not be applied to the given base."""
-
-
-def _same(a: Any, b: Any) -> bool:
-    """Byte-level equality under marshal.
-
-    Plain ``==`` is too loose (``True == 1``) for a protocol whose
-    coherence checks compare marshalled bytes; two values are "the
-    same" only if they encode identically.
-    """
-    try:
-        return marshal(a) == marshal(b)
-    except MarshalError:
-        return False
 
 
 def diff_value(base: Any, new: Any) -> dict:
@@ -59,19 +46,22 @@ def diff_value(base: Any, new: Any) -> dict:
     Always returns a valid delta; the worst case is a wholesale
     replace.  Callers compare :func:`delta_size` against the full value
     and only put the delta on the wire when it is actually smaller.
+    "The same" is :func:`same_encoding`: plain ``==`` is too loose
+    (``True == 1``) for a protocol whose coherence checks compare
+    marshalled bytes.
     """
-    if _same(base, new):
+    if same_encoding(base, new):
         return {"=": 1}
     if isinstance(base, dict) and isinstance(new, dict):
         edits: dict[Any, Any] = {}
         for key, value in new.items():
             if key not in base:
                 edits[key] = {"!": value}
-            elif not _same(base[key], value):
+            elif not same_encoding(base[key], value):
                 edits[key] = diff_value(base[key], value)
         return {"d": [list(new.keys()), edits]}
     if isinstance(base, list) and isinstance(new, list):
-        if len(new) >= len(base) and _same(new[: len(base)], base):
+        if len(new) >= len(base) and same_encoding(new[: len(base)], base):
             return {"l": new[len(base):]}
         return {"!": new}
     return {"!": new}

@@ -124,12 +124,10 @@ class MemoryLogBackend:
     def append(self, record: LogRecord) -> None:
         self._volatile.append(record)
 
-    def flush(self) -> int:
-        """Make the volatile tail durable; returns bytes flushed."""
-        flushed = sum(len(r.payload) for r in self._volatile)
+    def flush(self) -> None:
+        """Make the volatile tail durable (:class:`StableLog` counts the bytes)."""
         self._stable.extend(self._volatile)
         self._volatile.clear()
-        return flushed
 
     def crash(self) -> None:
         self._volatile.clear()
@@ -182,11 +180,10 @@ class FileLogBackend:
             self._pending.clear()
             self._file.flush()
 
-    def flush(self) -> int:
+    def flush(self) -> None:
         self._write_pending()
         os.fsync(self._file.fileno())
         self._synced_size = os.path.getsize(self.path)
-        return 0
 
     def crash(self) -> None:
         """Simulate losing everything not yet fsync'd.

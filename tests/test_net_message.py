@@ -6,7 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.message import MarshalError, marshal, marshalled_size, unmarshal
+from repro.net.message import (
+    MAX_DEPTH,
+    MarshalError,
+    Premarshalled,
+    marshal,
+    marshalled_size,
+    same_encoding,
+    unmarshal,
+)
+from tests.conftest import codec_pairs, encodes_alike
 
 
 def test_scalar_roundtrips():
@@ -196,3 +205,77 @@ def test_unmarshal_raises_only_marshal_error(frame):
             continue
         # Whatever decodes is an ordinary value: it re-encodes.
         marshal(value)
+
+
+# -- same_encoding: marshal(a) == marshal(b), without encoding either ----------
+
+
+@settings(max_examples=1000)
+@given(codec_pairs)
+def test_same_encoding_is_marshal_equality(pair):
+    a, b = pair
+    expected = encodes_alike(a, b)
+    assert same_encoding(a, b) is expected
+    assert same_encoding(b, a) is expected
+
+
+_NAN = float("nan")
+_NESTED = Premarshalled({"k": [1, "x"]})
+
+
+@pytest.mark.parametrize(
+    "a, b, expected",
+    [
+        (True, 1, False),
+        (False, 0, False),
+        (1.0, 1, False),
+        (-0.0, 0.0, False),
+        (_NAN, _NAN, True),
+        (_NAN, -_NAN, False),
+        (b"x", bytearray(b"x"), True),
+        ([], (), False),
+        ([1, [2]], [1, (2,)], False),
+        ({"a": 1, "b": 2}, {"b": 2, "a": 1}, False),
+        ({1: "x"}, {True: "x"}, False),
+        ({"k": True}, {"k": 1}, False),
+        ("\ud800", "\ud800", False),
+        (["a\udfff"], ["a\udfff"], False),
+        ("é", "é", True),
+        ({"s": {1, 2}}, {"s": {1, 2}}, False),
+        (_NESTED, {"k": [1, "x"]}, True),
+        (_NESTED, {"k": (1, "x")}, False),
+        ([_NESTED], [{"k": [1, "x"]}], True),
+        ([_NESTED], [Premarshalled({"k": [1, "x"]})], True),
+        ({"p": _NESTED}, {"p": {"k": [True, "x"]}}, False),
+        ([_NESTED], [{"k": [1, {1, 2}]}], False),
+    ],
+)
+def test_same_encoding_near_misses(a, b, expected):
+    assert encodes_alike(a, b) is expected
+    assert same_encoding(a, b) is expected
+    assert same_encoding(b, a) is expected
+
+
+def _nest(levels, shape, leaf):
+    value = leaf
+    for __ in range(levels):
+        value = {"k": value} if shape is dict else shape((value,))
+    return value
+
+
+@pytest.mark.parametrize("shape", [list, tuple, dict])
+@pytest.mark.parametrize("levels", [MAX_DEPTH - 1, MAX_DEPTH, MAX_DEPTH + 1])
+@pytest.mark.parametrize("leaf", [0, [], [0]])
+def test_same_encoding_holds_the_depth_limit(shape, levels, leaf):
+    """Equal values nested 63 to 65 deep: the same as marshal's verdict
+    (a non-empty container at depth 64 is refused, an empty one is not),
+    with a ``Premarshalled`` spliced at the root or one level down."""
+    a, b = _nest(levels, shape, leaf), _nest(levels, shape, leaf)
+    nesting = levels + (leaf == [0])
+    expected = encodes_alike(a, b)
+    assert expected is (nesting <= MAX_DEPTH)
+    assert same_encoding(a, b) is expected
+    if expected and shape is dict:
+        assert same_encoding(Premarshalled(a), b) is True
+        assert encodes_alike([Premarshalled(a)], [b]) is (nesting < MAX_DEPTH)
+        assert same_encoding([Premarshalled(a)], [b]) is (nesting < MAX_DEPTH)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from repro.core.rdo import RDO
 from repro.core.naming import URN
 from repro.net.link import ETHERNET_10M
-from repro.net.message import marshal, marshalled_size
+from repro.net.message import MarshalError, marshal, marshalled_size
 from repro.perf.delta import (
     DeltaError,
     apply_delta,
@@ -20,7 +20,7 @@ from repro.perf.delta import (
     worth_shipping,
 )
 from repro.testbed import build_testbed
-from tests.conftest import make_note
+from tests.conftest import codec_pairs, encodes_alike, make_note
 
 _scalars = st.one_of(
     st.none(),
@@ -50,6 +50,42 @@ def test_diff_apply_roundtrip_property(base, new):
     """apply(base, diff(base, new)) is byte-identical to new on the wire."""
     delta = diff_value(base, new)
     assert marshal(apply_delta(base, delta)) == marshal(new)
+
+
+def _ref_diff_value(base, new):
+    """``diff_value`` as it was written, deciding "the same" by encoding
+    both sides."""
+    if encodes_alike(base, new):
+        return {"=": 1}
+    if isinstance(base, dict) and isinstance(new, dict):
+        edits = {}
+        for key, value in new.items():
+            if key not in base:
+                edits[key] = {"!": value}
+            elif not encodes_alike(base[key], value):
+                edits[key] = _ref_diff_value(base[key], value)
+        return {"d": [list(new.keys()), edits]}
+    if isinstance(base, list) and isinstance(new, list):
+        if len(new) >= len(base) and encodes_alike(new[: len(base)], base):
+            return {"l": new[len(base):]}
+        return {"!": new}
+    return {"!": new}
+
+
+def _wire(value):
+    try:
+        return marshal(value)
+    except MarshalError:
+        return MarshalError
+
+
+@settings(max_examples=500)
+@given(codec_pairs)
+def test_diff_matches_the_encode_both_reference(pair):
+    """The comparator changes what a diff costs, not what it says: the
+    same delta on the wire, or the same refusal, as encoding both sides."""
+    base, new = pair
+    assert _wire(diff_value(base, new)) == _wire(_ref_diff_value(base, new))
 
 
 def test_identical_values_diff_to_same_marker():

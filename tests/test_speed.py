@@ -54,6 +54,7 @@ from repro.net.message import (
     codec_stats,
     marshal,
     marshalled_size,
+    same_encoding,
     unmarshal,
 )
 from repro.net.simnet import LinkDown, Medium, Network
@@ -66,6 +67,7 @@ from repro.storage.stable_log import (
     StableLog,
 )
 from repro.testbed import build_testbed
+from repro.workloads.generators import generate_mail_corpus
 from repro.workloads.population import CohortSpec, generate_population
 from tests.conftest import make_note
 
@@ -652,6 +654,28 @@ def test_a_value_nested_64_deep_costs_what_a_flat_one_does():
         assert _python_calls(marshal, value) == 2
         assert _python_calls(marshalled_size, value) == 2
         assert _python_calls(unmarshal, marshal(value)) == 2
+
+
+def test_comparing_two_folders_or_two_deep_values_is_one_call():
+    """``same_encoding`` walks both sides in lockstep inside its own
+    call: two 40-message folders, equal or differing only in their last
+    entry, and two values 64 deep cost 1 call each, where encoding both
+    cost 5 (the compare, two ``marshal`` and two ``_encode``).  No slack."""
+    corpus = generate_mail_corpus(seed=7, n_folders=1, messages_per_folder=40)
+    messages = corpus.folders["inbox"]
+    folder = {"name": "inbox", "index": [message.summary() for message in messages]}
+    edited = copy.deepcopy(folder)
+    edited["index"][-1]["subject"] += " (read)"
+    deep = 0
+    for _ in range(_MAX_DEPTH):
+        deep = [deep]
+    for a, b, same in (
+        (folder, copy.deepcopy(folder), True),
+        (folder, edited, False),
+        (deep, copy.deepcopy(deep), True),
+    ):
+        assert same_encoding(a, b) is same
+        assert _python_calls(same_encoding, a, b) == 1
 
 
 def test_marshalled_size_short_circuits_premarshalled():
