@@ -23,11 +23,14 @@ Client crashes delegate to :mod:`repro.chaos.recovery`.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.chaos.faults import ChaosError, FaultyLink
 from repro.chaos.plan import FaultPlan
 from repro.sim import Simulator, make_rng
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.testbed import Testbed
 
 
 class ChaosController:
@@ -149,13 +152,11 @@ class ChaosController:
 
     # -- declarative plans -------------------------------------------------
 
-    def schedule(self, plan: FaultPlan, bed: Any) -> list[FaultyLink]:
-        """Arm a whole :class:`FaultPlan` against a testbed.
-
-        ``bed`` is a :class:`repro.testbed.Testbed` (single client) or
-        :class:`~repro.testbed.MultiClientTestbed`; resolution is by
-        duck typing.  Returns the created link injectors so callers can
-        read their ``injected`` counters post-run.
+    def schedule(self, plan: FaultPlan, bed: "Testbed") -> list[FaultyLink]:
+        """Arm a whole :class:`FaultPlan` against a
+        :class:`repro.testbed.Testbed`.  Returns the created link
+        injectors so callers can read their ``injected`` counters
+        post-run.
         """
         injectors: list[FaultyLink] = []
         for index, window in enumerate(plan.link_windows):
@@ -183,22 +184,15 @@ class ChaosController:
         for outage in plan.server_outages:
             self.schedule_server_outage(bed.server, outage.at, outage.down_for)
         for kill in plan.primary_kills:
-            group = getattr(bed, "group", None)
-            if group is None:
+            if bed.group is None:
                 raise ChaosError("primary_kills needs a replicated testbed")
-            self.schedule_primary_kill(group, kill.at, kill.down_for)
+            self.schedule_primary_kill(bed.group, kill.at, kill.down_for)
         for crash in plan.client_crashes:
+            if not 0 <= crash.client < len(bed.clients):
+                raise ChaosError(f"testbed has no client {crash.client}")
             self.schedule_client_crash(
                 crash.at,
-                self._client_recovery(bed, crash.client),
+                bed.clients[crash.client].crash_and_recover,
                 label=f"client{crash.client}",
             )
         return injectors
-
-    @staticmethod
-    def _client_recovery(bed: Any, index: int) -> Callable[[], list[str]]:
-        if hasattr(bed, "clients"):
-            return bed.clients[index].crash_and_recover
-        if index != 0:
-            raise ChaosError(f"single-client testbed has no client {index}")
-        return bed.crash_and_recover_client

@@ -151,7 +151,7 @@ class Scenario:
     # hooks -------------------------------------------------------------
 
     def build(self) -> Any:
-        """Return a wired :class:`MultiClientTestbed`."""
+        """Return a wired :class:`~repro.testbed.Testbed`."""
         raise NotImplementedError
 
     def contention(self, ctx: dict) -> tuple[frozenset[str], frozenset[str]]:

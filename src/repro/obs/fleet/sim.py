@@ -46,7 +46,7 @@ from repro.obs.fleet.aggregator import FleetAggregator
 from repro.obs.fleet.report import TelemetryReporter
 from repro.obs.fleet.slo import DEFAULT_SLO_RULES
 from repro.sim.rng import make_rng
-from repro.testbed import MultiClientTestbed
+from repro.testbed import Testbed
 from repro.workloads.fleet import (
     LINK_MIX,
     PING_CODE,
@@ -68,6 +68,10 @@ def _payload(seed: int, nbytes: int) -> bytes:
     return make_rng(seed, f"fleet:payload:{nbytes}").randbytes(nbytes)
 
 
+#: The fleet's home server.  Rollups use the aggregator's own windows.
+AUTHORITY = "fleet"
+
+
 @dataclass(frozen=True)
 class FleetScenario:
     """One reproducible fleet run (frozen: a scenario plus nothing)."""
@@ -84,10 +88,7 @@ class FleetScenario:
     payload_bytes: int = 8192
     telemetry: bool = True
     chaos: bool = False
-    window_s: float = 60.0
-    window_count: int = 64
     silent_after_s: float = 300.0
-    authority: str = "fleet"
     slo: tuple = DEFAULT_SLO_RULES
     #: Extra simulated time allowed for queued telemetry to drain.
     drain_s: float = 1800.0
@@ -98,7 +99,7 @@ class FleetResult:
     """What one run produced."""
 
     scenario: FleetScenario
-    bed: MultiClientTestbed
+    bed: Testbed
     aggregator: Optional[FleetAggregator]
     reporters: list[TelemetryReporter]
     wire_bytes: int = 0
@@ -192,7 +193,7 @@ def build_fleet(scenario: FleetScenario) -> FleetResult:
     bed = build_mixed_fleet(
         scenario.n_clients,
         policies,
-        scenario.authority,
+        AUTHORITY,
         scenario.seed,
         "fleet-ping",
         PING_CODE,
@@ -206,8 +207,6 @@ def build_fleet(scenario: FleetScenario) -> FleetResult:
             bed.sim,
             obs=bed.obs,
             server=bed.server,
-            window_s=scenario.window_s,
-            window_count=scenario.window_count,
             slo_rules=list(scenario.slo),
             silent_after_s=scenario.silent_after_s,
         )
@@ -215,7 +214,7 @@ def build_fleet(scenario: FleetScenario) -> FleetResult:
         for index, stack in enumerate(bed.clients):
             reporter = TelemetryReporter(
                 stack.access,
-                scenario.authority,
+                AUTHORITY,
                 obs=stack.obs,
                 interval_s=scenario.report_interval_s,
                 link_class=LINK_MIX[index % len(LINK_MIX)].name,
@@ -228,7 +227,7 @@ def build_fleet(scenario: FleetScenario) -> FleetResult:
             reporters.append(reporter)
 
     for index, stack in enumerate(bed.clients):
-        urn = f"urn:rover:{scenario.authority}/obj/{index}"
+        urn = f"urn:rover:{AUTHORITY}/obj/{index}"
         start = (index % 23) * (scenario.horizon_s / (23 * 4.0))
         bed.sim.schedule_at(
             start, lambda s=stack, u=urn: s.access.import_(u)
@@ -252,7 +251,7 @@ def build_fleet(scenario: FleetScenario) -> FleetResult:
     )
 
 
-def _service_request_bytes(bed: MultiClientTestbed) -> tuple[int, int]:
+def _service_request_bytes(bed: Testbed) -> tuple[int, int]:
     """(telemetry, foreground) request-body bytes across all clients.
 
     Every client scheduler attributes each dispatched request's

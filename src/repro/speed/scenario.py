@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from repro.net.link import IntervalTrace
 from repro.storage.stable_log import GroupCommitPolicy
-from repro.testbed import MultiClientTestbed
+from repro.testbed import Testbed
 from repro.workloads.fleet import (
     ECHO_CODE,
     ECHO_INTERFACE,
@@ -27,22 +27,25 @@ from repro.workloads.fleet import (
 from repro.workloads.population import CohortSpec, generate_population
 
 
+OPS_PER_CLIENT = 3
+#: The fast-link payload; slower classes carry less.
+PAYLOAD_BYTES = 2048
+#: Clients queue ops from their stagger offset; every link is down
+#: until its reconnect wave.
+RECONNECT_AT = 300.0
+#: Wave width: client links come up spread over this window.
+STAGGER_WINDOW_S = 60.0
+AUTHORITY = "server"
+
+
 @dataclass(frozen=True)
 class SpeedScenario:
     """One reproducible drain run."""
 
     n_clients: int = 10_000
-    ops_per_client: int = 3
-    payload_bytes: int = 2048
     seed: int = 7
-    #: Clients queue ops from their stagger offset; every link is down
-    #: until its reconnect wave.
-    reconnect_at: float = 300.0
-    #: Wave width: client links come up spread over this window.
-    stagger_window_s: float = 60.0
     #: Virtual-time budget for the drain after reconnection begins.
     drain_s: float = 14_400.0
-    authority: str = "server"
     #: Adaptive group commit on every client log (None: the paper's
     #: flush-per-append discipline).
     group_commit: bool = True
@@ -70,7 +73,7 @@ class DrainMetrics:
     kernel_events: int = 0
 
 
-def _sum_counter(bed: MultiClientTestbed, name: str) -> int:
+def _sum_counter(bed: Testbed, name: str) -> int:
     """A counter's total over the server's registry and every client's."""
     registries = [bed.obs.registry] + [s.obs.registry for s in bed.clients if s.obs is not None]
     metrics = (registry.get(name) for registry in registries)
@@ -84,25 +87,19 @@ def build_drain(scenario: SpeedScenario):
         CohortSpec(
             name=spec.name,
             link_index=index,
-            n_ops=scenario.ops_per_client,
-            payload_bytes=class_payload_bytes(scenario.payload_bytes, index),
+            n_ops=OPS_PER_CLIENT,
+            payload_bytes=class_payload_bytes(PAYLOAD_BYTES, index),
         )
         for index, spec in enumerate(LINK_MIX)
     ]
     profiles = generate_population(
-        scenario.seed,
-        scenario.n_clients,
-        cohorts,
-        stagger_window_s=scenario.stagger_window_s,
+        scenario.seed, scenario.n_clients, cohorts, stagger_window_s=STAGGER_WINDOW_S
     )
-    policies = [
-        IntervalTrace([(scenario.reconnect_at + p.start_offset_s, 1e12)])
-        for p in profiles
-    ]
+    policies = [IntervalTrace([(RECONNECT_AT + p.start_offset_s, 1e12)]) for p in profiles]
     bed = build_mixed_fleet(
         scenario.n_clients,
         policies,
-        scenario.authority,
+        AUTHORITY,
         scenario.seed,
         "speed-echo",
         ECHO_CODE,
@@ -122,7 +119,7 @@ def build_drain(scenario: SpeedScenario):
     # to batch: the whole burst lands inside one stretched flush window.
     for profile in profiles:
         stack = bed.clients[profile.client_id]
-        urn = f"urn:rover:{scenario.authority}/obj/{profile.client_id}"
+        urn = f"urn:rover:{AUTHORITY}/obj/{profile.client_id}"
         for step in range(profile.n_ops):
             at = profile.start_offset_s + step * 0.0005
             if step % 3 == 0:
@@ -138,7 +135,7 @@ def build_drain(scenario: SpeedScenario):
     return bed, profiles, done
 
 
-def run_drain(scenario: SpeedScenario) -> tuple[DrainMetrics, MultiClientTestbed]:
+def run_drain(scenario: SpeedScenario) -> tuple[DrainMetrics, Testbed]:
     """Run a drain to completion (or its virtual-time budget)."""
     bed, profiles, done = build_drain(scenario)
     total = sum(p.n_ops for p in profiles)
@@ -146,7 +143,7 @@ def run_drain(scenario: SpeedScenario) -> tuple[DrainMetrics, MultiClientTestbed
     # Chunked run: checking the completion counter between chunks is
     # O(1); a per-event predicate over 10k clients would dwarf the
     # system under test.
-    deadline = scenario.reconnect_at + scenario.stagger_window_s + scenario.drain_s
+    deadline = RECONNECT_AT + STAGGER_WINDOW_S + scenario.drain_s
     events = 0
     while done[0] < total and bed.sim.now < deadline:
         step = min(30.0, deadline - bed.sim.now)

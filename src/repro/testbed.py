@@ -1,15 +1,16 @@
 """Scenario builders — one-call setup of paper-style testbeds.
 
 Shared by the tests, the benchmarks, and the examples so they all
-measure the same configuration: a mobile client and a home server
-joined by one of the paper's four links (plus optional SMTP relay),
-with the full Rover stack wired on both sides.
-"""
+measure the same configuration: mobile clients and a home server (or a
+replication group), an optional SMTP relay, the full Rover stack on
+every side.  One body wires every shape; the three builders name its
+clients."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from itertools import combinations
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.access_manager import AccessManager
 from repro.core.notification import NotificationCenter
@@ -26,28 +27,28 @@ from repro.perf.compact import Compactor
 from repro.sim import Simulator
 from repro.storage.stable_log import FlushModel, GroupCommitPolicy, StableLog
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.ha.group import ReplicationGroup
+
 
 @dataclass
 class ClientStack:
     """One mobile client's full Rover stack."""
 
     host: Host
+    #: The link to the first member (a client is linked to every member).
     link: Link
     transport: Transport
     scheduler: NetworkScheduler
     access: AccessManager
-    #: This client's private Observatory when the testbed was built
-    #: with ``per_client_obs=True`` (fleet telemetry needs per-client
-    #: registries so each reporter ships only its own series);
+    #: This client's private Observatory under ``per_client_obs=True``;
     #: ``None`` when all clients share ``bed.obs``.
     obs: Optional[Observatory] = None
 
     def crash_and_recover(self) -> list[str]:
-        """Crash this client process and rebuild it from the stable log.
-
-        See :func:`repro.chaos.recovery.crash_and_recover_client`; the
-        rebuilt manager replaces ``self.access``.  Returns replayed ids.
-        """
+        """Crash this client process and rebuild it from the stable log
+        (:func:`repro.chaos.recovery.crash_and_recover_client`); the
+        rebuilt manager replaces ``self.access``.  Returns replayed ids."""
         from repro.chaos.recovery import crash_and_recover_client
 
         self.access, replayed = crash_and_recover_client(self.access)
@@ -85,78 +86,156 @@ def wire_access_manager(
     )
 
 
-def build_client_stack(
-    sim: Simulator,
-    host: Host,
-    link: Link,
-    servers: dict,
-    obs: Observatory,
+@dataclass
+class Testbed:
+    """Everything a scenario needs, fully wired: client stacks and a
+    home server, or a replication group of member servers."""
+
+    sim: Simulator
+    network: Network
+    #: Shared metrics registry + tracer for every component in this bed.
+    obs: Observatory
+    #: ``(server, transport)`` per member, primary first at build time.
+    members: list[tuple[RoverServer, Transport]]
+    clients: list[ClientStack]
+    #: The replication group; None unless built by :func:`build_ha_testbed`.
+    group: Optional[ReplicationGroup] = None
+    relay_host: Optional[Host] = None
+    relay: Optional[MailRelay] = None
+    client_mailbox: Optional[Mailbox] = None
+    server_mailbox: Optional[Mailbox] = None
+
+    @property
+    def authority(self) -> str:
+        return self.members[0][0].authority
+
+    @property
+    def server(self) -> RoverServer:
+        """The home server; in a group, the *current* primary's."""
+        if self.group is None:
+            return self.members[0][0]
+        return self.group.primary_server()
+
+    # The one-client names: client 0's stack and member 0's side.
+    access = property(lambda self: self.clients[0].access)
+    scheduler = property(lambda self: self.clients[0].scheduler)
+    client_transport = property(lambda self: self.clients[0].transport)
+    client_host = property(lambda self: self.clients[0].host)
+    link = property(lambda self: self.clients[0].link)
+    server_transport = property(lambda self: self.members[0][1])
+    server_host = property(lambda self: self.members[0][1].host)
+
+    def put_object(self, rdo, verify: Optional[bool] = None) -> int:
+        """Install an object on *every* member, like a release would:
+        administration bypasses replication.  Each member gets its own
+        *copy* (:meth:`RDO.copy`); members sharing one state dict would
+        count every replicated apply twice."""
+        version = 0
+        for server, _transport in self.members:
+            version = server.put_object(rdo.copy(), verify=verify)
+        return version
+
+    def crash_and_recover_client(self) -> list[str]:
+        """:meth:`ClientStack.crash_and_recover` on client 0: its volatile
+        state dies, the new manager replays pending QRPCs from the log."""
+        return self.clients[0].crash_and_recover()
+
+
+MultiClientTestbed = Testbed
+HATestbed = Testbed
+
+
+def _build(
+    client_names: list[str],
+    link_spec: LinkSpec = ETHERNET_10M,
+    policies: Optional[list[Optional[ConnectivityPolicy]]] = None,
+    authority: str = "server",
+    seed: int = 0,
+    obs: Optional[Observatory] = None,
+    trace: bool = False,
     adapt_to_link: bool = True,
     compaction: bool = False,
     max_inflight: int = 4,
     max_attempts: int = 8,
     fifo_only: bool = False,
     rpc_timeout_s: float = 600.0,
+    link_specs: Optional[list[LinkSpec]] = None,
+    shared_medium: bool = False,
+    per_client_obs: bool = False,
+    n_backups: Optional[int] = None,
+    lease_s: float = 6.0,
+    heartbeat_s: float = 2.0,
+    mesh_policies: Optional[dict[tuple[int, int], ConnectivityPolicy]] = None,
+    with_relay: bool = False,
+    relay_link_spec: Optional[LinkSpec] = None,
+    relay_client_policy: Optional[ConnectivityPolicy] = None,
+    relay_server_policy: Optional[ConnectivityPolicy] = None,
     **wiring,
-) -> ClientStack:
-    """Wire one mobile client on ``host``: transport, scheduler and, on
-    top, what :func:`wire_access_manager` builds (``wiring`` is handed
-    to it).  Every testbed builder's clients come from here; ``servers``
-    is what the client resolves an authority to (a home-server host, or
-    a replica set)."""
-    transport = Transport(sim, host, obs=obs, adapt_to_link=adapt_to_link)
-    scheduler = NetworkScheduler(
-        sim,
-        transport,
-        max_inflight=max_inflight,
-        max_attempts=max_attempts,
-        fifo_only=fifo_only,
-        obs=obs,
-        rpc_timeout=rpc_timeout_s,
-    )
-    compactor = Compactor() if compaction else None
-    access = wire_access_manager(scheduler, servers, obs, compactor=compactor, **wiring)
-    return ClientStack(host, link, transport, scheduler, access)
+) -> Testbed:
+    """Every builder's body: the members (``1 + n_backups`` of them in
+    a replication group, one home server when ``n_backups`` is None),
+    then a client stack per name, linked to every member, then the
+    relay on client 0.  ``wiring`` goes to :func:`wire_access_manager`."""
+    if obs is None:
+        obs = active_capture() or Observatory(tracing=trace)
+    elif trace:
+        obs.tracer.enabled = True
+    obs.tracer.scope_attrs["link"] = link_spec.name
+    sim = Simulator()
+    network = Network(sim, seed=seed)
 
+    members: list[tuple[RoverServer, Transport]] = []
+    for index in range(1 + (n_backups or 0)):
+        host = network.host(authority if index == 0 else f"{authority}-b{index}")
+        transport = Transport(sim, host, obs=obs, adapt_to_link=adapt_to_link)
+        members.append((RoverServer(sim, transport, authority), transport))
+    member_hosts = [transport.host for _server, transport in members]
+    # Full replication mesh: every member can ship/poll every other.
+    for a, b in combinations(range(len(members)), 2):
+        mesh_policy = (mesh_policies or {}).get((a, b))
+        network.connect(member_hosts[a], member_hosts[b], link_spec, mesh_policy)
+    group = None
+    if n_backups is not None:
+        from repro.ha.group import ReplicationGroup  # repro.ha imports this module
 
-@dataclass
-class Testbed:
-    """Everything a scenario needs, fully wired."""
+        group = ReplicationGroup(sim, members, lease_s=lease_s, heartbeat_s=heartbeat_s, seed=seed)
+    medium = network.medium(f"{link_spec.name}-cell") if shared_medium else None
 
-    sim: Simulator
-    network: Network
-    client_host: Host
-    server_host: Host
-    link: Link
-    client_transport: Transport
-    server_transport: Transport
-    scheduler: NetworkScheduler
-    server: RoverServer
-    access: AccessManager
-    #: Shared metrics registry + tracer for every component in this bed.
-    obs: Observatory = field(default_factory=Observatory)
-    relay_host: Optional[Host] = None
-    relay: Optional[MailRelay] = None
-    client_mailbox: Optional[Mailbox] = None
-    server_mailbox: Optional[Mailbox] = None
-    extra: dict = field(default_factory=dict)
+    clients: list[ClientStack] = []
+    for index, name in enumerate(client_names):
+        host = network.host(name)
+        policy = policies[index] if policies is not None else None
+        spec = link_specs[index % len(link_specs)] if link_specs else link_spec
+        links = [network.connect(host, m, spec, policy, medium=medium) for m in member_hosts]
+        client_obs = Observatory(tracing=False) if per_client_obs else obs
+        servers = {authority: group.make_replica_set() if group is not None else member_hosts[0]}
+        transport = Transport(sim, host, obs=client_obs, adapt_to_link=adapt_to_link)
+        scheduler = NetworkScheduler(
+            sim, transport, max_inflight=max_inflight, max_attempts=max_attempts,
+            fifo_only=fifo_only, obs=client_obs, rpc_timeout=rpc_timeout_s,
+        )
+        compactor = Compactor() if compaction else None
+        access = wire_access_manager(scheduler, servers, client_obs, compactor=compactor, **wiring)
+        stack_obs = client_obs if per_client_obs else None
+        clients.append(ClientStack(host, links[0], transport, scheduler, access, stack_obs))
 
-    @property
-    def authority(self) -> str:
-        return self.server.authority
-
-    def crash_and_recover_client(self) -> list[str]:
-        """Crash the client process and rebuild it from the stable log.
-
-        Volatile state (scheduler queue, promises, cache, unflushed log
-        tail) dies; the new :class:`AccessManager` replays pending
-        QRPCs from the log.  Returns the replayed request ids; the
-        rebuilt manager replaces ``self.access``.
-        """
-        from repro.chaos.recovery import crash_and_recover_client
-
-        self.access, replayed = crash_and_recover_client(self.access)
-        return replayed
+    bed = Testbed(sim, network, obs, members, clients, group)
+    if with_relay:
+        stack = clients[0]
+        relay_spec = relay_link_spec or link_spec
+        bed.relay_host = network.host("relay")
+        network.connect(stack.host, bed.relay_host, relay_spec, relay_client_policy)
+        network.connect(bed.relay_host, member_hosts[0], relay_spec, relay_server_policy)
+        relay_transport = Transport(sim, bed.relay_host, obs=obs, adapt_to_link=adapt_to_link)
+        bed.relay = MailRelay(sim, relay_transport)
+        bed.relay.watch_new_links()
+        bed.client_mailbox = Mailbox(sim, stack.transport, bed.relay_host)
+        bed.server_mailbox = Mailbox(sim, members[0][1], bed.relay_host)
+        MailRpcEndpoint(sim, members[0][1], bed.server_mailbox)
+        stack.scheduler.add_route(MailRoute(sim, bed.client_mailbox))
+        # The relay link was attached after the stack was wired.
+        stack.access.watch_new_links()
+    return bed
 
 
 def build_testbed(
@@ -181,110 +260,26 @@ def build_testbed(
     group_commit: Optional[GroupCommitPolicy] = None,
     stable_backend=None,
 ) -> Testbed:
-    """Build the canonical client/server testbed.
+    """Client ``client`` and home server ``authority`` on one link.
 
-    ``link_spec``/``policy`` describe the direct client-server link.
-    With ``with_relay`` an SMTP relay host is added with its own links
-    (default: same spec, always up), the client's scheduler learns the
-    mail route, and the server answers mailed QRPCs.
-
-    Observability: every component shares one :class:`Observatory`
-    (``bed.obs``) so metrics land in a single registry and client and
-    server spans join into one trace.  Pass ``obs`` to supply your own
-    (e.g. shared across beds), ``trace=True`` for a fresh one with
-    span recording on, or neither for metrics-only.  A process-wide
-    capture installed via :func:`repro.obs.set_capture` (the bench
-    CLI's ``--trace-out``/``--metrics`` path) takes effect when no
-    explicit ``obs`` is given.
-
-    ``adapt_to_link=False`` is for the ablation rows that reproduce the
-    paper's prototype on a slow link (no compression, one QRPC per
-    exchange); see :attr:`Transport.adapt_to_link`.  ``stable_backend``
-    is :func:`wire_access_manager`'s: what the client's log is kept on
-    (e.g. a :class:`~repro.storage.stable_log.FileLogBackend`).
+    ``with_relay`` adds an SMTP relay (links: ``relay_link_spec`` or
+    the same spec) that carries mailed QRPCs.  Every component shares
+    ``bed.obs``: ``obs``, else a :func:`repro.obs.set_capture` capture,
+    else a fresh one (``trace=True``: spans on).  ``adapt_to_link=False``
+    puts every transport on the paper prototype's wire (see
+    :attr:`Transport.adapt_to_link`).  ``stable_backend`` holds the
+    client's log (e.g. a :class:`~repro.storage.stable_log.FileLogBackend`).
     """
-    if obs is None:
-        obs = active_capture() or Observatory(tracing=trace)
-    elif trace:
-        obs.tracer.enabled = True
-    obs.tracer.scope_attrs["link"] = link_spec.name
-    sim = Simulator()
-    network = Network(sim, seed=seed)
-    client_host = network.host("client")
-    server_host = network.host(authority)
-    link = network.connect(client_host, server_host, link_spec, policy)
-
-    server_transport = Transport(sim, server_host, obs=obs, adapt_to_link=adapt_to_link)
-    server = RoverServer(sim, server_transport, authority)
-    stack = build_client_stack(
-        sim,
-        client_host,
-        link,
-        {authority: server_host},
-        obs,
-        flush_model=flush_model,
-        max_inflight=max_inflight,
-        max_attempts=max_attempts,
-        fifo_only=fifo_only,
-        adapt_to_link=adapt_to_link,
-        rpc_timeout_s=rpc_timeout_s,
-        compaction=compaction,
-        delta_shipping=delta_shipping,
-        group_commit=group_commit,
+    return _build(
+        ["client"], link_spec=link_spec, policies=[policy], authority=authority,
+        seed=seed, obs=obs, trace=trace, adapt_to_link=adapt_to_link,
+        compaction=compaction, max_inflight=max_inflight, max_attempts=max_attempts,
+        fifo_only=fifo_only, rpc_timeout_s=rpc_timeout_s, with_relay=with_relay,
+        relay_link_spec=relay_link_spec, relay_client_policy=relay_client_policy,
+        relay_server_policy=relay_server_policy, flush_model=flush_model,
+        delta_shipping=delta_shipping, group_commit=group_commit,
         stable_backend=stable_backend,
     )
-
-    relay_host = relay = client_mailbox = server_mailbox = None
-    if with_relay:
-        relay_spec = relay_link_spec or link_spec
-        relay_host = network.host("relay")
-        network.connect(client_host, relay_host, relay_spec, relay_client_policy)
-        network.connect(relay_host, server_host, relay_spec, relay_server_policy)
-        relay_transport = Transport(sim, relay_host, obs=obs)
-        relay = MailRelay(sim, relay_transport)
-        relay.watch_new_links()
-        client_mailbox = Mailbox(sim, stack.transport, relay_host)
-        server_mailbox = Mailbox(sim, server_transport, relay_host)
-        MailRpcEndpoint(sim, server_transport, server_mailbox)
-        stack.scheduler.add_route(MailRoute(sim, client_mailbox))
-        # The relay link was attached after the stack was wired.
-        stack.access.watch_new_links()
-
-    return Testbed(
-        sim=sim,
-        network=network,
-        client_host=client_host,
-        server_host=server_host,
-        link=link,
-        client_transport=stack.transport,
-        server_transport=server_transport,
-        scheduler=stack.scheduler,
-        server=server,
-        access=stack.access,
-        obs=obs,
-        relay_host=relay_host,
-        relay=relay,
-        client_mailbox=client_mailbox,
-        server_mailbox=server_mailbox,
-    )
-
-
-@dataclass
-class MultiClientTestbed:
-    """Several mobile clients sharing one home server."""
-
-    sim: Simulator
-    network: Network
-    server_host: Host
-    server_transport: Transport
-    server: RoverServer
-    clients: list[ClientStack]
-    #: Shared metrics registry + tracer across the server and all clients.
-    obs: Observatory = field(default_factory=Observatory)
-
-    @property
-    def authority(self) -> str:
-        return self.server.authority
 
 
 def build_multi_client_testbed(
@@ -304,67 +299,51 @@ def build_multi_client_testbed(
     link_specs: Optional[list[LinkSpec]] = None,
     group_commit: Optional[GroupCommitPolicy] = None,
     adapt_to_link: bool = True,
-) -> MultiClientTestbed:
-    """Build N clients, each with its own link (and policy) to one server.
+) -> Testbed:
+    """Clients ``client0`` … each with its own link (and policy) to one
+    home server.  ``shared_medium=True``: the links contend on one
+    channel (a wireless cell).  ``per_client_obs=True``: every client
+    gets a private Observatory (``stack.obs``), so telemetry reporters
+    ship disjoint registries.  ``link_specs``: client ``i`` gets
+    ``link_specs[i % len(link_specs)]`` (a mixed population)."""
+    return _build(
+        [f"client{index}" for index in range(n_clients)], link_spec=link_spec,
+        policies=policies, authority=authority, seed=seed, obs=obs, trace=trace,
+        adapt_to_link=adapt_to_link, compaction=compaction, rpc_timeout_s=rpc_timeout_s,
+        link_specs=link_specs, shared_medium=shared_medium,
+        per_client_obs=per_client_obs, flush_model=flush_model,
+        delta_shipping=delta_shipping, group_commit=group_commit,
+    )
 
-    Used by the calendar experiments, where two disconnected replicas
-    make overlapping updates and reconcile at the home server.  With
-    ``shared_medium=True`` every client link contends on one channel —
-    a wireless cell rather than N dedicated wires.  Per-client metric
-    series are told apart by their ``host``/``owner`` labels in the
-    shared ``bed.obs`` registry — unless ``per_client_obs=True``, which
-    gives every client a private Observatory (``stack.obs``) so fleet
-    telemetry reporters ship disjoint registries; the server keeps
-    ``bed.obs``.  ``link_specs`` assigns heterogeneous links: client
-    ``i`` gets ``link_specs[i % len(link_specs)]`` (a mixed fleet
-    population) instead of the uniform ``link_spec``.  ``adapt_to_link``
-    is :func:`build_testbed`'s: False puts the server and every client
-    on the paper prototype's wire.
-    """
-    if obs is None:
-        obs = active_capture() or Observatory(tracing=trace)
-    elif trace:
-        obs.tracer.enabled = True
-    obs.tracer.scope_attrs["link"] = link_spec.name
-    sim = Simulator()
-    network = Network(sim, seed=seed)
-    server_host = network.host(authority)
-    server_transport = Transport(sim, server_host, obs=obs, adapt_to_link=adapt_to_link)
-    server = RoverServer(sim, server_transport, authority)
-    medium = network.medium(f"{link_spec.name}-cell") if shared_medium else None
 
-    clients: list[ClientStack] = []
-    for index in range(n_clients):
-        host = network.host(f"client{index}")
-        policy = policies[index] if policies is not None else None
-        spec = (
-            link_specs[index % len(link_specs)] if link_specs else link_spec
-        )
-        link = network.connect(host, server_host, spec, policy, medium=medium)
-        client_obs = Observatory(tracing=False) if per_client_obs else obs
-        stack = build_client_stack(
-            sim,
-            host,
-            link,
-            {authority: server_host},
-            client_obs,
-            flush_model=flush_model,
-            rpc_timeout_s=rpc_timeout_s,
-            compaction=compaction,
-            delta_shipping=delta_shipping,
-            group_commit=group_commit,
-            adapt_to_link=adapt_to_link,
-        )
-        if per_client_obs:
-            stack.obs = client_obs
-        clients.append(stack)
-
-    return MultiClientTestbed(
-        sim=sim,
-        network=network,
-        server_host=server_host,
-        server_transport=server_transport,
-        server=server,
-        clients=clients,
-        obs=obs,
+def build_ha_testbed(
+    n_backups: int = 2,
+    n_clients: int = 1,
+    link_spec: LinkSpec = ETHERNET_10M,
+    policies: Optional[list[Optional[ConnectivityPolicy]]] = None,
+    authority: str = "server",
+    seed: int = 0,
+    obs: Optional[Observatory] = None,
+    trace: bool = False,
+    rpc_timeout_s: float = 5.0,
+    max_attempts: int = 3,
+    lease_s: float = 6.0,
+    heartbeat_s: float = 2.0,
+    flush_model: Optional[FlushModel] = None,
+    mesh_policies: Optional[dict[tuple[int, int], ConnectivityPolicy]] = None,
+    **client_options,
+) -> Testbed:
+    """A :class:`~repro.ha.group.ReplicationGroup` of ``1 + n_backups``
+    fully meshed members (``server``, ``server-b1``, …) and clients
+    ``client0`` … linked to every member, each with its own
+    :class:`~repro.ha.group.ReplicaSet` to fail over by; short RPC
+    budgets, so a primary kill converges quickly.  ``mesh_policies``
+    scripts the mesh per member pair ``(a, b)``, ``a < b``;
+    ``client_options`` are :func:`build_testbed`'s (``compaction``, …)."""
+    return _build(
+        [f"client{index}" for index in range(n_clients)], link_spec=link_spec,
+        policies=policies, authority=authority, seed=seed, obs=obs, trace=trace,
+        rpc_timeout_s=rpc_timeout_s, max_attempts=max_attempts, n_backups=n_backups,
+        lease_s=lease_s, heartbeat_s=heartbeat_s, mesh_policies=mesh_policies,
+        flush_model=flush_model, **client_options,
     )

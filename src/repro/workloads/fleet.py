@@ -28,7 +28,7 @@ from repro.net.link import (
     LinkSpec,
 )
 from repro.storage.stable_log import GroupCommitPolicy
-from repro.testbed import MultiClientTestbed, build_multi_client_testbed
+from repro.testbed import Testbed, build_multi_client_testbed
 
 #: The mixed link population: client ``i`` gets ``LINK_MIX[i % 4]``.
 LINK_MIX: tuple[LinkSpec, ...] = (ETHERNET_10M, WAVELAN_2M, CSLIP_14_4, CSLIP_2_4)
@@ -90,7 +90,7 @@ def build_mixed_fleet(
     code: str,
     interface: RDOInterface,
     group_commit: Optional[GroupCommitPolicy] = None,
-) -> MultiClientTestbed:
+) -> Testbed:
     """The fleet on :data:`LINK_MIX`, with ``obj/<i>`` stored for client ``i``."""
     bed = build_multi_client_testbed(
         n_clients,

@@ -1,5 +1,9 @@
 """Testbed builder tests."""
 
+import pytest
+
+from repro.chaos import ChaosController, ChaosError, ClientCrash, FaultPlan
+from repro.ha import build_ha_testbed
 from repro.net.link import CSLIP_14_4, ETHERNET_10M, AlwaysDown
 from repro.storage.stable_log import FlushModel
 from repro.testbed import build_multi_client_testbed, build_testbed
@@ -59,3 +63,30 @@ def test_multi_client_per_client_policies():
     )
     assert bed.clients[0].link.is_up
     assert not bed.clients[1].link.is_up
+
+
+def test_every_transport_of_a_bed_gets_its_wire_setting():
+    ha = build_ha_testbed(n_backups=2, n_clients=2, adapt_to_link=False)
+    relayed = build_testbed(with_relay=True, adapt_to_link=False)
+    transports = [transport for _server, transport in ha.members]
+    transports += [stack.transport for stack in ha.clients]
+    transports += [relayed.server_transport, relayed.client_transport, relayed.relay.transport]
+    assert [t.adapt_to_link for t in transports] == [False] * 8
+
+
+@pytest.mark.parametrize("n_clients", [1, 2])
+def test_a_crash_of_a_client_the_bed_lacks_is_a_chaos_error(n_clients):
+    bed = build_testbed() if n_clients == 1 else build_multi_client_testbed(n_clients)
+    plan = FaultPlan(client_crashes=(ClientCrash(at=1.0, client=5),))
+    with pytest.raises(ChaosError, match="no client 5"):
+        ChaosController(bed.sim).schedule(plan, bed)
+
+
+def test_one_client_names_read_client_zero_and_member_zero():
+    bed = build_ha_testbed(n_backups=1, n_clients=2)
+    assert bed.access is bed.clients[0].access
+    assert bed.link is bed.clients[0].link and bed.link.name == "client0--server:ethernet-10Mb"
+    assert bed.server_transport is bed.members[0][1]
+    assert list(bed.network.hosts) == ["server", "server-b1", "client0", "client1"]
+    replayed = bed.crash_and_recover_client()
+    assert replayed == [] and bed.access is bed.clients[0].access

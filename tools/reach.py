@@ -3,11 +3,15 @@
 Recorder — in a process started with ``REACH_DIR`` set and ``tools/`` on
 ``PYTHONPATH`` (``sitecustomize`` arms it), every code object called on
 any thread is noted, and at exit those under ``src/repro`` are written
-to ``$REACH_DIR/$REACH_TAG.<pid>``: one file per process, so commands
-that spawn Pythons of their own are covered.  It is also a pytest plugin
-(``PYTEST_PLUGINS=reach``) re-arming the hook before every test: a test
-that installs a profile hook of its own (``tests/test_speed.py`` does)
-would otherwise end the recording there, silently.
+to ``$REACH_DIR/<tag>.<pid>``: one file per process and tag, so commands
+that spawn Pythons of their own are covered.  The tag is ``$REACH_TAG``
+(default ``drivers``), except under pytest: it is also a pytest plugin
+(``PYTEST_PLUGINS=reach``) that tags what each collector and each test
+calls by its path -- ``tests/`` as ``tests``, anything else
+(``benchmarks/``) as ``drivers``, whichever make target ran it -- and
+re-arms the hook before every test: a test that installs a profile hook
+of its own (``tests/test_speed.py`` does) would otherwise end the
+recording there, silently.
 
 Report — ``python tools/reach.py`` lists every ``def`` under
 ``src/repro`` that no recorded process called, then those only
@@ -23,13 +27,24 @@ import sys
 import threading
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
-_called: set = set()
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "repro"
+#: tag -> code objects called while it was the tag.
+_called: dict = {}
+
+
+def _use(tag):
+    global _current
+    os.environ["REACH_TAG"] = tag  # and the Pythons a test starts
+    _current = _called.setdefault(tag, set())
+
+
+_use(os.environ.get("REACH_TAG", "drivers"))
 
 
 def _note(frame, event, arg):
     if event == "call":
-        _called.add(frame.f_code)
+        _current.add(frame.f_code)
 
 
 def arm():
@@ -39,20 +54,30 @@ def arm():
     threading.setprofile(_note)
 
 
+def _tag(path):
+    return "tests" if Path(path).resolve().is_relative_to(ROOT / "tests") else "drivers"
+
+
+def pytest_collectstart(collector):
+    _use(_tag(collector.path))
+
+
 def pytest_runtest_setup(item):
+    _use(_tag(item.path))
     arm()
 
 
 def _dump():
     sys.setprofile(None)
     root = str(SRC) + os.sep
-    lines = {
-        f"{code.co_filename[len(root):]}:{code.co_firstlineno}"
-        for code in list(_called)
-        if code.co_filename.startswith(root)
-    }
-    out = Path(os.environ["REACH_DIR"]) / f"{os.environ.get('REACH_TAG', 'drivers')}.{os.getpid()}"
-    out.write_text("\n".join(sorted(lines)))
+    for tag, called in _called.items():
+        lines = {
+            f"{code.co_filename[len(root):]}:{code.co_firstlineno}"
+            for code in list(called)
+            if code.co_filename.startswith(root)
+        }
+        out = Path(os.environ["REACH_DIR"]) / f"{tag}.{os.getpid()}"
+        out.write_text("\n".join(sorted(lines)))
 
 
 def _defs(tree, prefix=""):
