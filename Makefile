@@ -1,7 +1,7 @@
 PYTHON ?= python
 CHAOS_SEED ?= 0
 
-.PHONY: install test lint bench tables chaos check ha perf fleet speed perfbench perfbench-smoke sloc reach demo examples trace-smoke clean
+.PHONY: install test lint bench tables chaos check ha perf fleet speed perfbench perfbench-smoke calls sloc reach demo examples trace-smoke clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -72,10 +72,11 @@ perf:
 # at 2 calls each, the invoke envelope or 64 levels deep; same_encoding
 # at 1 call on two 40-message folders or two values 64 deep; equivalence
 # with the per-value references at every varint and depth edge), the
-# frame path's (a frame asks its link and the spec twice each, a null
-# RPC is 73 Python calls; docs/PERFORMANCE.md, "One frame, one
-# choice"), the step charge's pins in the same file ("The step charge":
-# equivalence with the call-based guard, a local invoke at nine calls
+# frame path's (a frame asks its link twice and its spec once, a null
+# RPC is 60 Python calls; docs/PERFORMANCE.md, "One frame, one choice"
+# and "An event and a frame pay only for themselves"), the step
+# charge's pins in the same file ("The step charge": equivalence with
+# the call-based guard, a local invoke at nine calls
 # for 1 or 80 iterations, the compile budget of 8 calls per load and
 # the one AST walk; docs/PERFORMANCE.md, "A step is bytecode, not a
 # call" and "A tree walk is one call") and the determinism digest pins.
@@ -93,6 +94,17 @@ perfbench:
 	@for w in $(PERFBENCH_WORKLOADS); do \
 		echo "== $$w"; \
 		$(PYTHON) perfbench/run.py --workload $$w --seed 7 --seconds 20 --trace 0 || exit 1; \
+	done
+
+# Python-level calls per operation, the count perfbench's py_calls_per_op
+# reports (cProfile over the timed region, seed 7, the runner's hash
+# seed), one line per workload (~2 min); it reports and gates nothing.
+calls:
+	@for w in $(PERFBENCH_WORKLOADS); do \
+		PYTHONHASHSEED=0 PYTHONPATH=src:. $(PYTHON) -m perfbench.repeat --workload $$w \
+			--seed 7 --mode count | tail -n 1 | $(PYTHON) -c \
+			"import json, sys; print('$$w', json.load(sys.stdin)['metrics']['py_calls_per_op'])" \
+			|| exit 1; \
 	done
 
 # The benchmark's own tests and self-check (~20 s); measures nothing.

@@ -528,8 +528,10 @@ class AccessManager:
         """Queue a lock acquisition (check-out) for this session.
 
         Resolves with the grant reply, or rejects with ``locked`` when
-        another session holds the lease.  While the lease is held,
-        only this session's exports commit at the server.
+        another session holds the lease (``invalid-lease`` when
+        ``lease_s`` is not a finite number of seconds above zero).
+        While the lease is held, only this session's exports commit at
+        the server.
         """
         urn_str = str(urn if isinstance(urn, URN) else URN.parse(str(urn)))
         return self._queue_call(

@@ -78,8 +78,9 @@ class NotificationCenter:
                 drop = HISTORY_MAX // 4  # in chunks: one list shift per 1,024
                 del self.history[:drop]
                 self.history_dropped += drop
-        for fn in list(self._subscribers.get(event, [])):
-            fn(notification)
+        if self._subscribers:  # else skip the lookup: hashing an Enum is a call
+            for fn in list(self._subscribers.get(event, [])):
+                fn(notification)
         for fn in list(self._all_subscribers):
             fn(notification)
         return notification

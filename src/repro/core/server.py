@@ -20,6 +20,7 @@ reply on redelivery, so QRPC retransmissions are safe.
 
 from __future__ import annotations
 
+import math
 import zlib
 from bisect import bisect_left, insort
 from collections import OrderedDict
@@ -786,13 +787,21 @@ class RoverServer:
         independent atomic actions, where the importing action sets an
         appropriate application-level lock" — the check-out half of
         Cedar's check-in/check-out model.  Leases expire so a client
-        that disconnects forever cannot wedge the object.
+        that disconnects forever cannot wedge the object: a lease that
+        is not a finite number of seconds above zero never would (or
+        would be granted already over), so it is refused, and nothing
+        changes.
         """
         if not self._authorized(body):
             return {"status": "unauthorized"}
         urn = body["urn"]
         session = body.get("session", "")
-        lease_s = float(body.get("lease_s", 300.0))
+        try:
+            lease_s = float(body.get("lease_s", 300.0))
+        except (TypeError, ValueError, OverflowError):
+            lease_s = math.nan
+        if not 0.0 < lease_s < math.inf:
+            return {"status": "invalid-lease"}
         holder = self._lock_holder(urn)
         if holder is not None and holder != session:
             self.locks_denied += 1

@@ -24,7 +24,12 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
+
+#: Where the search for ``bytes_dominate_from`` gives up: no host
+#: holds a payload this large.
+_LARGEST_PAYLOAD = 1 << 64
 
 
 @dataclass(frozen=True)
@@ -64,6 +69,31 @@ class LinkSpec:
     def transfer_time(self, payload_bytes: int) -> float:
         """Serialization plus one-way propagation time."""
         return self.transmit_time(payload_bytes) + self.latency_s
+
+    @cached_property
+    def bytes_dominate_from(self) -> float:
+        """The smallest payload ``n`` with ``transmit_time(n) >
+        latency_s``: from there on a sender waits on its bytes more than
+        on propagation.  ``inf`` when no payload gets there (a spec that
+        claims nothing of the wire, such as a live socket's).
+
+        Searched for with that very expression, which never falls as
+        ``n`` grows, so ``n >= bytes_dominate_from`` *is* the rule, at
+        every ``n``.  Computed once per spec, on first use; not a field,
+        so it is in neither ``repr`` nor equality.
+        """
+        low, high = -1, 0  # the rule fails at ``low``, nothing is below 0
+        while not self.transmit_time(high) > self.latency_s:
+            if high > _LARGEST_PAYLOAD:
+                return math.inf
+            low, high = high, 2 * high + 1
+        while high - low > 1:
+            middle = (low + high) // 2
+            if self.transmit_time(middle) > self.latency_s:
+                high = middle
+            else:
+                low = middle
+        return high
 
 
 ETHERNET_10M = LinkSpec("ethernet-10Mb", 10_000_000.0, 0.0005)

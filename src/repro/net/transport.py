@@ -207,16 +207,20 @@ class Transport:
         self.obs = obs if obs is not None else Observatory()
         self.tracer = self.obs.tracer
         registry = self.obs.registry
-        self._m_bytes = registry.counter(
+        #: Payload bytes and payloads handed to links: plain counts
+        #: bumped by :meth:`send`, which the registry reads as views.
+        self.bytes_sent = 0
+        self.messages_sent = 0
+        registry.counter(
             "transport_bytes_sent_total",
             "Marshalled payload bytes handed to links",
             labelnames=("host",),
-        ).labels(host=host.name)
-        self._m_messages = registry.counter(
+        ).labels(host=host.name).set_function(lambda: self.bytes_sent)
+        registry.counter(
             "transport_messages_sent_total",
             "Payloads handed to links",
             labelnames=("host",),
-        ).labels(host=host.name)
+        ).labels(host=host.name).set_function(lambda: self.messages_sent)
         #: False reproduces the paper's prototype, which "does not
         #: perform any compression" and drains one QRPC per exchange:
         #: :meth:`bytes_dominate` then holds on no link, so every frame
@@ -256,14 +260,6 @@ class Transport:
     def bytes_saved_by_compression(self) -> int:
         return int(self._m_saved.value)
 
-    @property
-    def bytes_sent(self) -> int:
-        return int(self._m_bytes.value)
-
-    @property
-    def messages_sent(self) -> int:
-        return int(self._m_messages.value)
-
     # -- payload framing ---------------------------------------------------
 
     def bytes_dominate(self, link: Link, nbytes: int) -> bool:
@@ -271,15 +267,12 @@ class Transport:
         than to propagate: bytes are what the sender waits for, so
         spending CPU (compression) or sharing a frame (coalescing) to
         send fewer of them pays.  The one rule both decisions use."""
-        spec = link.spec  # one spec call: ``transmit_time``'s arithmetic on it
-        return (
-            self.adapt_to_link
-            and spec.wire_bytes(nbytes) * 8.0 / spec.bandwidth_bps > spec.latency_s
-        )
+        return self.adapt_to_link and nbytes >= link.spec.bytes_dominate_from
 
     def _encode_payload(self, value: Any, link: Link) -> bytes:
         raw = marshal(value)
-        if self.bytes_dominate(link, len(raw)):
+        # :meth:`bytes_dominate`, inline: a comparison per frame, no call.
+        if self.adapt_to_link and len(raw) >= link.spec.bytes_dominate_from:
             squeezed = zlib.compress(raw, 6)
             if len(squeezed) < len(raw):
                 self._m_saved.inc(len(raw) - len(squeezed))
@@ -368,8 +361,8 @@ class Transport:
                 src=self.host.name,
                 dst=dst.name,
             )
-        self._m_bytes.inc(len(payload))
-        self._m_messages.inc()
+        self.bytes_sent += len(payload)
+        self.messages_sent += 1
         return len(payload)
 
     # -- request/reply (blocking RPC baseline) ----------------------------

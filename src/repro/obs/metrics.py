@@ -78,20 +78,30 @@ class _Child:
 
 
 class CounterChild(_Child):
-    __slots__ = ("_value",)
+    __slots__ = ("_value", "_fn")
 
     def __init__(self, labelvalues: tuple[str, ...]) -> None:
         super().__init__(labelvalues)
         self._value = 0.0
+        self._fn: Optional[Callable[[], float]] = None
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
             raise MetricError("counters only go up; use a Gauge")
         self._value += amount
 
+    def set_function(self, fn: Callable[[], float]) -> None:
+        """Make this counter a live view: ``fn()`` is read as its value.
+
+        The counter form of :meth:`GaugeChild.set_function`, for a count
+        its owner keeps as a plain attribute because bumping it is on a
+        hot path (``Transport.bytes_sent``); ``fn`` must never fall.
+        """
+        self._fn = fn
+
     @property
     def value(self) -> float:
-        return self._value
+        return float(self._fn()) if self._fn is not None else self._value
 
 
 class GaugeChild(_Child):

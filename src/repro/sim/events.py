@@ -26,7 +26,7 @@ this the right shape for Rover traffic:
   ``list.remove`` plus a full ``heapify`` — 60%+ of a large drain's CPU
   time went there.)  When cancelled corpses exceed half the queue the
   kernel compacts, so cancel-heavy chaos runs stay O(live events) in
-  memory — see :meth:`Simulator._maybe_compact`.
+  memory — see :meth:`Simulator._compact`.
 
 Both changes preserve the observable order exactly: buckets replay the
 schedule order that the old per-event seq numbers encoded, and lazily
@@ -54,61 +54,61 @@ class Event:
     otherwise grow the queue without bound).
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "_sim")
+    __slots__ = ("time", "fn", "args", "cancelled", "_sim")
 
     def __init__(
-        self,
-        time: float,
-        seq: int,
-        fn: Callable[..., Any],
-        args: tuple,
-        sim: Optional["Simulator"] = None,
+        self, time: float, fn: Callable[..., Any], args: tuple, sim: "Simulator"
     ):
         self.time = time
-        self.seq = seq
         self.fn = fn
         self.args = args
         self.cancelled = False
-        self._sim = sim
+        #: The kernel whose books count this event as live; ``None``
+        #: once it has fired or been cancelled.
+        self._sim: Optional["Simulator"] = sim
 
     def cancel(self) -> None:
-        """Prevent the callback from firing (idempotent)."""
-        if self.cancelled:
+        """Prevent the callback from firing (idempotent; a no-op once
+        the callback has run)."""
+        sim = self._sim
+        if sim is None:
             return
+        self._sim = None
         self.cancelled = True
         # Release the payload now: a cancelled retransmit timer may be
         # the only reference keeping a large frame alive until sweep.
         self.fn = _noop
         self.args = ()
-        sim = self._sim
-        if sim is not None:
-            sim._note_cancel(self)
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
+        # The kernel's books, kept here: every answered RPC cancels its
+        # timeout timer, so a call into the kernel would be paid per op.
+        sim._live -= 1
+        sim._cancelled += 1
+        if sim._cancelled > sim.COMPACT_MIN_CANCELLED and sim._cancelled > sim._live:
+            sim._compact()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
-        return f"<Event t={self.time:.6f} seq={self.seq} {state} {self.fn!r}>"
+        return f"<Event t={self.time:.6f} {state} {self.fn!r}>"
 
 
 def _noop() -> None:  # pragma: no cover - never actually invoked
     return None
 
 
-class _Bucket:
+def _runaway(max_events: int) -> SimulationError:
+    return SimulationError(f"exceeded max_events={max_events}; likely a runaway loop")
+
+
+class _Bucket(list):
     """FIFO of events sharing one exact virtual instant.
 
     ``head`` indexes the next unfired event; consumed entries are left
     in place (no O(n) pops from the front) and the whole bucket is
-    dropped once drained.
+    dropped once drained.  A list itself, so building one runs no
+    Python-level ``__init__`` (set ``head`` right after).
     """
 
-    __slots__ = ("events", "head")
-
-    def __init__(self) -> None:
-        self.events: list[Event] = []
-        self.head = 0
+    __slots__ = ("head",)
 
 
 class Simulator:
@@ -126,11 +126,12 @@ class Simulator:
     COMPACT_MIN_CANCELLED = 64
 
     def __init__(self) -> None:
-        #: Heap of distinct instants that have a bucket.
+        #: Heap of the distinct instants that have a bucket: exactly
+        #: the keys of ``_buckets``, each once.  Both are only ever
+        #: mutated in place, so a loop may hold them in locals.
         self._times: list[float] = []
         #: instant -> FIFO bucket of events at that instant.
         self._buckets: dict[float, _Bucket] = {}
-        self._seq = 0
         #: Current virtual time in seconds.  A plain attribute, read
         #: many times per event; only this kernel assigns it.
         self.now = 0.0
@@ -172,22 +173,21 @@ class Simulator:
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:  # NaN fails it too
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         return self.schedule_at(self.now + delay, fn, *args)
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute virtual time ``time``."""
-        if time < self.now:
+        if not time >= self.now:  # NaN fails it too: it would poison the clock
             raise SimulationError(f"cannot schedule at t={time} before now={self.now}")
-        event = Event(time, self._seq, fn, args, sim=self)
-        self._seq += 1
+        event = Event(time, fn, args, self)
         bucket = self._buckets.get(time)
         if bucket is None:
-            bucket = _Bucket()
-            self._buckets[time] = bucket
+            bucket = self._buckets[time] = _Bucket()
+            bucket.head = 0
             heappush(self._times, time)
-        bucket.events.append(event)
+        bucket.append(event)
         self._live += 1
         return event
 
@@ -195,41 +195,22 @@ class Simulator:
         """Cancel a previously scheduled event (idempotent)."""
         event.cancel()
 
-    def _note_cancel(self, event: Event) -> None:
-        """Bookkeeping for a lazy cancellation (called by Event.cancel)."""
-        self._live -= 1
-        self._cancelled += 1
-        self._maybe_compact()
+    def _compact(self) -> None:
+        """Sweep cancelled corpses (:meth:`Event.cancel` calls this once
+        they exceed half the queue).
 
-    def _maybe_compact(self) -> None:
-        """Sweep cancelled corpses once they exceed half the queue.
-
-        Rebuilds every bucket's unfired tail without its cancelled
-        entries, drops now-empty buckets, and re-heapifies the instant
-        heap.  Amortized O(1) per cancellation: a sweep costs O(queue)
-        but at least half of what it scans is freed.
+        Cuts every bucket down to its unfired live tail, drops the
+        buckets left empty, and re-heapifies the instant heap from what
+        remains.  Amortized O(1) per cancellation: a sweep costs
+        O(queue) but at least half of what it scans is freed.
         """
-        if (
-            self._cancelled <= self.COMPACT_MIN_CANCELLED
-            or self._cancelled <= self._live
-        ):
-            return
         buckets = self._buckets
-        survivors: dict[float, _Bucket] = {}
-        for time, bucket in buckets.items():
-            events = bucket.events
-            head = bucket.head
-            keep = (
-                [e for e in events[head:] if not e.cancelled]
-                if head or self._cancelled
-                else events
-            )
-            if keep:
-                fresh = _Bucket()
-                fresh.events = keep
-                survivors[time] = fresh
-        self._buckets = survivors
-        self._times = list(survivors.keys())
+        for time, bucket in list(buckets.items()):
+            bucket[:] = [e for e in bucket[bucket.head:] if not e.cancelled]
+            bucket.head = 0
+            if not bucket:
+                del buckets[time]
+        self._times[:] = buckets
         heapify(self._times)
         self._cancelled = 0
         self.compactions += 1
@@ -247,43 +228,49 @@ class Simulator:
         """
         total = 0
         for bucket in self._buckets.values():
-            total += len(bucket.events) - bucket.head
+            total += len(bucket) - bucket.head
         return total
 
-    def _pop_next(self, until: Optional[float]) -> Optional[Event]:
+    def _pop_next(
+        self, until: Optional[float], max_events: Optional[int] = None
+    ) -> Optional[Event]:
         """Consume and return the earliest live event.
 
         Returns ``None`` when the queue is drained or the next live
         event lies strictly beyond ``until`` (which is then left
         queued).  Cancelled corpses encountered on the way are swept.
+        A caller that has already run its ``max_events`` passes it:
+        a live event still due then raises the runaway guard instead
+        (and stays queued).  :meth:`run` walks the queue the same way,
+        inline.
         """
         times = self._times
+        buckets = self._buckets
         while times:
             time = times[0]
-            bucket = self._buckets.get(time)
-            if bucket is None:  # stale instant left behind by a sweep
-                heappop(times)
-                continue
-            events = bucket.events
+            bucket = buckets[time]
             head = bucket.head
-            n = len(events)
-            while head < n and events[head].cancelled:
+            n = len(bucket)
+            while head < n and bucket[head].cancelled:
                 head += 1
                 self._cancelled -= 1
             bucket.head = head
             if head == n:
-                del self._buckets[time]
+                del buckets[time]
                 heappop(times)
                 continue
             if until is not None and time > until:
                 return None
-            event = events[head]
+            if max_events is not None:
+                raise _runaway(max_events)
+            event = bucket[head]
+            event._sim = None
             bucket.head = head + 1
             self._live -= 1
-            if bucket.head == n:
+            if head + 1 == n:
                 # Drop the drained bucket *before* the callback runs so
                 # a same-instant reschedule starts a fresh bucket.
-                del self._buckets[time]
+                del buckets[time]
                 heappop(times)
             return event
         return None
@@ -314,16 +301,35 @@ class Simulator:
             raise SimulationError("run() is not reentrant")
         self._running = True
         executed = 0
+        times = self._times
+        buckets = self._buckets
         try:
-            while True:
-                if executed >= max_events and self._peek_live(until):
-                    raise SimulationError(
-                        f"exceeded max_events={max_events}; likely a runaway loop"
-                    )
-                event = self._pop_next(until)
-                if event is None:
+            # :meth:`_pop_next`'s walk, inline: one call fewer per event.
+            while times:
+                time = times[0]
+                bucket = buckets[time]
+                head = bucket.head
+                n = len(bucket)
+                while head < n and bucket[head].cancelled:
+                    head += 1
+                    self._cancelled -= 1
+                bucket.head = head
+                if head == n:
+                    del buckets[time]
+                    heappop(times)
+                    continue
+                if until is not None and time > until:
                     break
-                self.now = event.time
+                if executed >= max_events:
+                    raise _runaway(max_events)
+                event = bucket[head]
+                event._sim = None  # fired: a late cancel() must not count it
+                bucket.head = head + 1
+                self._live -= 1
+                if head + 1 == n:
+                    del buckets[time]
+                    heappop(times)
+                self.now = time
                 event.fn(*event.args)
                 executed += 1
         finally:
@@ -331,29 +337,6 @@ class Simulator:
         if until is not None and self.now < until:
             self.now = until
         return executed
-
-    def _peek_live(self, until: Optional[float]) -> bool:
-        """True when a live event at time <= ``until`` is queued."""
-        times = self._times
-        while times:
-            time = times[0]
-            bucket = self._buckets.get(time)
-            if bucket is None:
-                heappop(times)
-                continue
-            events = bucket.events
-            head = bucket.head
-            n = len(events)
-            while head < n and events[head].cancelled:
-                head += 1
-                self._cancelled -= 1
-            bucket.head = head
-            if head == n:
-                del self._buckets[time]
-                heappop(times)
-                continue
-            return until is None or time <= until
-        return False
 
     def spawn(self, gen: Any, name: str = "") -> Any:
         """Start a generator as a simulated process (see :mod:`repro.sim.process`)."""
@@ -378,11 +361,9 @@ class Simulator:
         if predicate():
             return True
         while True:
-            if executed >= max_events and self._peek_live(deadline):
-                raise SimulationError(
-                    f"exceeded max_events={max_events}; likely a runaway loop"
-                )
-            event = self._pop_next(deadline)
+            event = self._pop_next(
+                deadline, max_events if executed >= max_events else None
+            )
             if event is None:
                 return predicate()
             self.now = event.time

@@ -86,6 +86,34 @@ class TestEndToEnd:
         assert aggregator.reports_applied() == len(bed.clients)
         assert aggregator.summary()["open_gaps"] == 0
 
+    def test_transport_counters_ship_what_the_transport_counts(self):
+        """``transport_bytes_sent_total`` and ``_messages_sent_total`` are
+        live views of the transport's two plain counts: each report
+        ships their growth since the last, and the ground truth is the
+        transport's own figure."""
+        bed, aggregator, reporters = build_fleet_bed(n=1)
+        (stack,), reporter = bed.clients, reporters[0]
+        transport = stack.transport
+        shipped = {"transport_bytes_sent_total": 0, "transport_messages_sent_total": 0}
+        for _ in range(2):
+            run_workload(bed)
+            report = reporter.build_report()
+            counted = {
+                "transport_bytes_sent_total": transport.bytes_sent,
+                "transport_messages_sent_total": transport.messages_sent,
+            }
+            key_of = {wire_id: key for key, wire_id in reporter._ids.items()}
+            deltas = {key_of[wire_id]: delta for wire_id, delta in report["k"]}
+            for name, total in counted.items():
+                assert deltas[name] == total - shipped[name] > 0
+                shipped[name] = total
+            reporter._ship(report)
+            bed.sim.run(until=bed.sim.now + 30.0)
+        truth = reporter.ground_truth()
+        assert truth["transport_bytes_sent_total"] == transport.bytes_sent
+        assert truth["transport_messages_sent_total"] == transport.messages_sent
+        assert not reporter._unacked
+
     def test_dictionary_coding_defines_once(self):
         bed, aggregator, reporters = build_fleet_bed(n=1)
         reporter = reporters[0]

@@ -661,6 +661,27 @@ class TestEveryClientServiceThroughThePrimary:
         assert backup.server.get_object("urn:rover:server/notes/n1").data == {"text": "edited after"}
 
 
+    @pytest.mark.parametrize("lease_s", [float("nan"), float("inf"), -5.0])
+    def test_a_lease_that_never_or_already_ended_is_refused_on_every_member(self, lease_s):
+        """``rover.lock`` is replicated: a NaN, infinite or negative
+        lease used to be granted at the primary and re-executed on each
+        backup, wedging the object on every member.  It is refused, and
+        no member's lock table holds anything but the rival's grant."""
+        bed = make_bed(n_clients=2)
+        urn = seeded_note(bed)
+        alice, bob = (stack.access for stack in bed.clients)
+        refused = alice.acquire_lock(urn, alice.create_session("alice"), lease_s=lease_s)
+        assert alice.drain(timeout=600.0)
+        assert refused.failed and refused.error == "invalid-lease"
+        rival = bob.create_session("bob")
+        granted = bob.acquire_lock(urn, rival, lease_s=60.0)
+        assert bob.drain(timeout=600.0)
+        assert granted.result()["status"] == "ok"
+        bed.sim.run_until(lambda: converged(bed), timeout=60.0)
+        tables = [{u: holder for u, (holder, _) in server._locks.items()} for server, _ in bed.members]
+        assert tables == [{urn: rival.session_id}] * len(bed.members)
+
+
 class TestReplicateFrameLostInFlight:
     def test_client_ack_stays_gated_until_the_reship_reaches_quorum(self):
         """A replicate frame that dies on the member mesh (not a link

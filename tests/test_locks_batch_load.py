@@ -83,6 +83,22 @@ class TestLocks:
         assert bed.server.exports_conflicted == 0
         a.access.release_lock(note.urn, sa).wait(bed.sim)
 
+    @pytest.mark.parametrize("lease_s", [float("nan"), float("inf"), -5.0, 0.0, "soon"])
+    def test_a_lease_that_never_or_already_ended_is_refused(self, lease_s):
+        """A NaN or infinite lease never expired, so the object stayed
+        locked to everyone else for good; a negative one was granted as
+        ``ok``.  Each is refused with a status reply and no state change."""
+        bed, note, a, b, sa, sb = self.make_two()
+        refused = a.access.acquire_lock(note.urn, sa, lease_s=lease_s)
+        bed.sim.run()
+        assert refused.failed and refused.error == "invalid-lease"
+        assert bed.server._locks == {} and bed.server.locks_granted == 0
+        assert a.scheduler.retransmissions == 0  # answered, not raised: never retried
+        bed.sim.run(until=bed.sim.now + 1e6)
+        assert bed.server.sweep_expired_locks() == 0
+        grant = b.access.acquire_lock(note.urn, sb).wait(bed.sim)
+        assert grant["status"] == "ok"
+
 
 class TestBatching:
     """Coalesced draining through the full stack, prototype vs. default."""

@@ -1,5 +1,8 @@
 """Link spec and connectivity policy tests."""
 
+import dataclasses
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -168,3 +171,66 @@ def test_interval_trace_consistent_with_membership(starts, probe):
     trace = IntervalTrace(intervals)
     expected = any(start <= probe < end for start, end in intervals)
     assert trace.is_up(probe) == expected
+
+
+# ---------------------------------------------------------------------------
+# bytes_dominate_from: the bytes-dominate rule as one number per spec
+# ---------------------------------------------------------------------------
+
+
+def _assert_threshold_is_the_rule(spec):
+    """Exhaustively over [0, 4 * mtu]: ``n >= bytes_dominate_from``
+    exactly when ``transmit_time(n) > latency_s``."""
+    threshold = spec.bytes_dominate_from
+    for n in range(4 * spec.mtu + 1):
+        assert (n >= threshold) == (spec.transmit_time(n) > spec.latency_s), n
+
+
+def _named_specs():
+    from repro.apps.proxy_frontend import LOOPBACK
+    from repro.live.transport import TCP
+
+    return [*STANDARD_LINKS, TCP, LOOPBACK]
+
+
+@pytest.mark.parametrize("spec", _named_specs(), ids=lambda spec: spec.name)
+def test_bytes_dominate_from_is_the_rule_on_every_named_spec(spec):
+    _assert_threshold_is_the_rule(spec)
+
+
+def test_bytes_dominate_from_on_the_named_specs():
+    thresholds = {spec.name: spec.bytes_dominate_from for spec in _named_specs()}
+    assert thresholds == {
+        "ethernet-10Mb": 586,
+        "wavelan-2Mb": 461,
+        "cslip-14.4k": 176,
+        "cslip-2.4k": 41,
+        "tcp": math.inf,  # a socket claims nothing of the wire
+        "loopback": 1251,
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    bandwidth=st.one_of(
+        st.floats(min_value=1.0, max_value=1e12, allow_nan=False), st.just(math.inf)
+    ),
+    latency=st.one_of(
+        st.floats(min_value=0.0, max_value=10.0, allow_nan=False), st.just(math.inf)
+    ),
+    header=st.integers(0, 64),
+    mtu=st.integers(1, 1500),
+)
+def test_bytes_dominate_from_is_the_rule_on_drawn_specs(bandwidth, latency, header, mtu):
+    _assert_threshold_is_the_rule(LinkSpec("drawn", bandwidth, latency, header, mtu))
+
+
+def test_bytes_dominate_from_is_no_field_of_the_spec():
+    """Cached on the instance, yet not a field: equality, hashing and
+    ``repr`` are as they were, and ``replace`` computes it afresh."""
+    before = repr(CSLIP_14_4)
+    twin = dataclasses.replace(CSLIP_14_4)
+    assert CSLIP_14_4.bytes_dominate_from == 176  # now cached on one of the two
+    assert "bytes_dominate_from" not in {field.name for field in dataclasses.fields(LinkSpec)}
+    assert repr(CSLIP_14_4) == before and twin == CSLIP_14_4 and hash(twin) == hash(CSLIP_14_4)
+    assert dataclasses.replace(CSLIP_14_4, latency_s=0.5).bytes_dominate_from > 176

@@ -174,6 +174,24 @@ def test_byte_counters_advance():
     assert ta.bytes_sent > 100
 
 
+def test_byte_counters_are_read_by_the_registry_as_counters():
+    """The registry reads the two plain counts as live views: the same
+    names, kind, labels and values as when each frame incremented them."""
+    sim, net, a, b, link, ta, tb = make_pair()
+    tb.register("echo", lambda body, src: body)
+    for pad in (10, 100, 1000):
+        ta.call_blocking(b, "echo", {"pad": "x" * pad})
+    for transport in (ta, tb):
+        registry, host = transport.obs.registry, transport.host.name
+        snapshot = registry.snapshot()
+        assert snapshot[f"transport_bytes_sent_total{{host={host}}}"] == transport.bytes_sent
+        assert snapshot[f"transport_messages_sent_total{{host={host}}}"] == 3
+        for name in ("transport_bytes_sent_total", "transport_messages_sent_total"):
+            metric = registry.get(name)
+            assert metric.kind == "counter" and metric.labelnames == ("host",)
+        assert registry.get("transport_bytes_sent_total").value == transport.bytes_sent > 0
+
+
 def test_crc_valid_frame_with_unhashable_dict_key_is_counted_and_dropped():
     """A frame that passes the CRC seal but whose body cannot decode —
     a dict keyed by a list — is a corrupt frame like any other: counted,
