@@ -98,13 +98,12 @@ perfbench:
 
 # Python-level calls per operation, the count perfbench's py_calls_per_op
 # reports (cProfile over the timed region, seed 7, the runner's hash
-# seed), one line per workload (~2 min); it reports and gates nothing.
+# seed), one line per workload (~2 min), with setup_s and peak_rss_mb
+# from the same repeat (tools/calls.py; one sample, under cProfile, so
+# noisy); it reports and gates nothing.
 calls:
 	@for w in $(PERFBENCH_WORKLOADS); do \
-		PYTHONHASHSEED=0 PYTHONPATH=src:. $(PYTHON) -m perfbench.repeat --workload $$w \
-			--seed 7 --mode count | tail -n 1 | $(PYTHON) -c \
-			"import json, sys; print('$$w', json.load(sys.stdin)['metrics']['py_calls_per_op'])" \
-			|| exit 1; \
+		PYTHONHASHSEED=0 PYTHONPATH=src:. $(PYTHON) tools/calls.py $$w || exit 1; \
 	done
 
 # The benchmark's own tests and self-check (~20 s); measures nothing.

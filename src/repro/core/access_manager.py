@@ -37,6 +37,7 @@ from repro.core.operation_log import OperationLog
 from repro.core.promise import Promise
 from repro.core.qrpc import Operation, QRPCRequest
 from repro.core.rdo import RDO, ExecutionCostModel, RDOVerificationError
+from repro.core.server import SHIP_ENV_NAMES
 from repro.core.session import Session, SessionRegistry
 from repro.net.message import Premarshalled, marshal, unmarshal
 from repro.net.scheduler import NetworkScheduler, Priority
@@ -428,9 +429,9 @@ class AccessManager:
         if authority not in self.servers:
             raise AccessManagerError(f"unknown authority {authority!r}")
         if verify:
-            from repro.core.server import _ship_code_errors
-
-            diagnostics = _ship_code_errors(code)
+            diagnostics = self.interpreter.verify(
+                code, path="<shipped-rdo>", extra_names=SHIP_ENV_NAMES
+            )
             if diagnostics:
                 raise RDOVerificationError(f"ship to {authority}", diagnostics)
         return self._queue_call(

@@ -43,7 +43,8 @@ from repro.lint.rules import (  # noqa: F401  (re-exports)
     FORBIDDEN_ATTRIBUTES,
     SAFE_BUILTINS,
 )
-from repro.lint.verifier import check_whitelist, walk
+from repro.lint.diagnostics import errors_only
+from repro.lint.verifier import check_whitelist, verify_rdo, walk
 
 #: The names a charge reads in the environment (RDO102 keeps RDO code off both).
 STEP_COUNTER_NAME = "__step__"
@@ -130,9 +131,11 @@ class LoadedFunctions(dict):
 
 
 class SafeInterpreter:
-    """Loads validated RDO source and invokes its methods under budget."""
+    """Verifies RDO classes, loads validated RDO source and invokes its
+    methods under budget."""
 
-    #: Bound on the per-interpreter compiled-code cache (FIFO evict).
+    #: Bound on the per-interpreter compiled-code cache and verdict
+    #: table (FIFO evict, each).
     CODE_CACHE_MAX = 256
 
     def __init__(self, step_budget: int = 100_000) -> None:
@@ -145,6 +148,41 @@ class SafeInterpreter:
         # source, so it is cached here.  exec still runs per load —
         # every caller gets a fresh environment.
         self._code_cache: dict[str, Any] = {}
+        # (source, interface as its MethodSpec tuple or None, extra
+        # names) of every class this host verified with no ERROR
+        # finding.  Verification is pure in that key, so a folder of
+        # forty messages of one class is verified once; a failing
+        # class is never remembered, so each rejection names its own
+        # object.
+        self._verdicts: dict[tuple, None] = {}
+        #: FIFO evictions from the two tables above, read like
+        #: :attr:`steps_used` (registered nowhere).
+        self.code_cache_evictions = 0
+        self.verdict_evictions = 0
+
+    def verify(
+        self,
+        source: str,
+        interface: Optional[Any] = None,
+        path: str = "<rdo>",
+        extra_names: tuple = (),
+    ) -> list:
+        """The ERROR findings of :func:`repro.lint.verifier.verify_rdo`
+        over ``source`` and ``interface`` (an ``RDOInterface``, or
+        ``None`` for shipped code), positioned at ``path``: the one
+        check a host runs before it publishes, ships or runs a ship.
+        A class that passed once is answered from the verdict table.
+        """
+        key = (source, None if interface is None else tuple(interface.values()), extra_names)
+        if key in self._verdicts:
+            return []
+        errors = errors_only(verify_rdo(source, interface, path, extra_names))
+        if not errors:
+            if len(self._verdicts) >= self.CODE_CACHE_MAX:
+                self._verdicts.pop(next(iter(self._verdicts)))
+                self.verdict_evictions += 1
+            self._verdicts[key] = None
+        return errors
 
     def load(self, source: str, extra_env: Optional[dict[str, Any]] = None) -> LoadedFunctions:
         """Validate, compile, and return the functions the source defines.
@@ -161,6 +199,7 @@ class SafeInterpreter:
             code = compile(tree, filename="<rdo>", mode="exec")
             if len(self._code_cache) >= self.CODE_CACHE_MAX:
                 self._code_cache.pop(next(iter(self._code_cache)))
+                self.code_cache_evictions += 1
             self._code_cache[source] = code
 
         counter = [0]

@@ -150,32 +150,6 @@ class RDO:
         """Marshalled size — what importing this object costs on the wire."""
         return marshalled_size(self.to_wire())
 
-    # -- static verification ----------------------------------------------
-
-    def verify(self, extra_names: tuple = ()) -> list:
-        """Run the static verifier over this RDO's code + interface.
-
-        Returns the diagnostic list (empty when clean, or when the RDO
-        is pure data).  Publish hooks gate on ERROR-severity findings;
-        see :func:`repro.lint.verifier.verify_rdo` for the rule set.
-        """
-        from repro.lint.verifier import verify_rdo
-
-        return verify_rdo(
-            self.code,
-            self.interface,
-            path=f"<rdo:{self.urn}>",
-            extra_names=extra_names,
-        )
-
-    def verify_or_raise(self, extra_names: tuple = ()) -> None:
-        """Raise :class:`RDOVerificationError` on ERROR findings."""
-        from repro.lint.diagnostics import errors_only
-
-        errors = errors_only(self.verify(extra_names))
-        if errors:
-            raise RDOVerificationError(str(self.urn), errors)
-
     # -- execution --------------------------------------------------------
 
     def release(self) -> None:

@@ -43,16 +43,6 @@ from repro.storage.kvstore import KVStore
 SHIP_ENV_NAMES = ("lookup", "objects")
 
 
-def _ship_code_errors(code: str) -> list:
-    """ERROR-severity findings for code arriving on the ship path."""
-    from repro.lint.diagnostics import errors_only
-    from repro.lint.verifier import check_code
-
-    return errors_only(
-        check_code(code, path="<shipped-rdo>", extra_names=SHIP_ENV_NAMES)
-    )
-
-
 def _split_request_id(request_id: Any) -> Optional[tuple[str, int]]:
     """``(client id-prefix, counter)`` of a ``<prefix>/<counter>`` id."""
     if not isinstance(request_id, str):
@@ -282,17 +272,17 @@ class RoverServer:
 
         When verification is on (the default; ``verify`` overrides the
         server-wide :attr:`verify_rdos` per call), the RDO's code is
-        statically verified against its interface and the publish is
+        statically verified against its interface, once per class
+        (:meth:`SafeInterpreter.verify`), and the publish is
         rejected — :class:`RDOVerificationError`, listing every
         finding with rule/file/line/col — before anything is stored.
         """
         should_verify = self.verify_rdos if verify is None else verify
         if should_verify:
-            try:
-                rdo.verify_or_raise()
-            except RDOVerificationError:
+            diagnostics = self.interpreter.verify(rdo.code, rdo.interface, f"<rdo:{rdo.urn}>")
+            if diagnostics:
                 self.rdos_rejected += 1
-                raise
+                raise RDOVerificationError(str(rdo.urn), diagnostics)
         key = str(rdo.urn)
         version = self.store.put(key, rdo.to_wire())
         stored = self.store.get_value(key)
@@ -717,8 +707,10 @@ class RoverServer:
         method = body.get("method", "main")
         args = body.get("args", [])
 
-        if self.verify_rdos and not body.get("unverified"):
-            diagnostics = _ship_code_errors(code)
+        if self.verify_rdos:
+            diagnostics = self.interpreter.verify(
+                code, path="<shipped-rdo>", extra_names=SHIP_ENV_NAMES
+            )
             if diagnostics:
                 self.rdos_rejected += 1
                 raise RDOVerificationError("shipped RDO", diagnostics)

@@ -433,9 +433,28 @@ def check_code(
     interface.  ``extra_names`` declares host-provided helpers (the
     server's ``lookup``/``objects`` environment).
     """
+    return verify_rdo(source, None, path, extra_names)
+
+
+def verify_rdo(
+    code: str,
+    interface: Optional[InterfaceLike] = None,
+    path: str = "<rdo>",
+    extra_names: Iterable[str] = (),
+) -> list[Diagnostic]:
+    """Full publish-time verification of an RDO's code + interface.
+
+    Returns every finding; the caller decides what severity gates
+    (publish hooks reject on :class:`Severity.ERROR`).  An RDO with no
+    code is vacuously fine — it is pure data.  The source is parsed
+    once, for the whole-code rules and the interface's alike.
+    """
+    if not code:
+        return []
     try:
-        tree = ast.parse(source)
+        tree = ast.parse(code)
     except SyntaxError as exc:
+        # Nothing below is meaningful without a parse.
         return [Diagnostic(
             rule="RDO100",
             severity=Severity.ERROR,
@@ -449,27 +468,6 @@ def check_code(
     findings += check_names(tree, path, extra_names)
     findings += check_bounded_loops(tree, path)
     findings += check_marshallable_returns(tree, path)
-    return sort_diagnostics(findings)
-
-
-def verify_rdo(
-    code: str,
-    interface: Optional[InterfaceLike] = None,
-    path: str = "<rdo>",
-    extra_names: Iterable[str] = (),
-) -> list[Diagnostic]:
-    """Full publish-time verification of an RDO's code + interface.
-
-    Returns every finding; the caller decides what severity gates
-    (publish hooks reject on :class:`Severity.ERROR`).  An RDO with no
-    code is vacuously fine — it is pure data.
-    """
-    if not code:
-        return []
-    findings = check_code(code, path, extra_names)
-    if any(d.rule == "RDO100" for d in findings):
-        return findings  # nothing below is meaningful without a parse
     if interface is not None:
-        tree = ast.parse(code)
         findings += check_mutation_purity(tree, interface, path)
     return sort_diagnostics(findings)

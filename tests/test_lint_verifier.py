@@ -296,6 +296,21 @@ class TestPublishHook:
             )
         assert ethernet_bed.server.rdos_rejected == 1
 
+    def test_a_request_cannot_turn_off_the_servers_check(self, ethernet_bed):
+        # Only the server's own verify_rdos does; the body's flag is ignored.
+        with pytest.raises(RDOVerificationError, match="RDO401"):
+            ethernet_bed.server._on_ship(
+                {
+                    "code": "def main():\n    while True:\n        pass\n",
+                    "method": "main",
+                    "request_id": "c/1",
+                    "unverified": True,
+                },
+                ("client", 0),
+            )
+        assert ethernet_bed.server.rdos_rejected == 1
+        assert ethernet_bed.server.ships_served == 0
+
     def test_ship_escape_hatch(self, ethernet_bed):
         # verify=False skips the desk check; the server still re-checks
         # and the rejection travels back as a failed reply.
