@@ -38,13 +38,15 @@ chaos:
 # defaults; `make chaos` runs the same file under its seed matrix), plus
 # an exhaustive pass over primary-kill x election interleavings
 # (docs/ROBUSTNESS.md, "Replication and failover") -- of a burst of
-# remote appends, and of the reconnect drain of a compacted,
-# delta-shipped backlog.
+# remote appends, of the reconnect drain of a compacted, delta-shipped
+# backlog, and of reads answered under the primary's lease through a
+# zombie or killed primary ("The read path").
 ha:
 	CHAOS_SEED=$(CHAOS_SEED) $(PYTHON) -m pytest -q \
 		tests/test_ha_failover.py tests/test_ha_satellites.py
 	$(PYTHON) -m repro.check --suite ha-failover --depth 1
 	$(PYTHON) -m repro.check --suite ha-failover-features --depth 2
+	$(PYTHON) -m repro.check --suite ha-read --depth 1
 
 # Bounded interleaving model check (docs/VERIFICATION.md); < 2 min.
 # On a violation it writes the minimized trace to check-counterexample.json.

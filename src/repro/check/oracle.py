@@ -74,6 +74,37 @@ def check_sequential_append(
     return violations
 
 
+def check_linearizable_reads(reads: list[dict], final_items: list) -> list[str]:
+    """Reads of an append-only list are linearizable.
+
+    ``reads`` in each client's issue order: ``{"client", "seen"}`` (the
+    appends acknowledged to anyone before the read was issued) and
+    ``"items"`` (what it returned; ``None`` for a read that failed).
+    Each read holds every append acknowledged before it was issued,
+    nothing that did not survive to ``final_items``, and all that the
+    same client's previous read held.
+    """
+    violations: list[str] = []
+    durable = set(final_items)
+    last: dict[str, set] = {}
+    for index, read in enumerate(reads):
+        if read["items"] is None:
+            continue
+        held = set(read["items"])
+        client = read["client"]
+        missing = sorted(set(read["seen"]) - held)
+        if missing:
+            violations.append(f"read {index} ({client}) misses acked appends {missing}")
+        phantom = sorted(held - durable)
+        if phantom:
+            violations.append(f"read {index} ({client}) saw appends that were lost: {phantom}")
+        went_back = sorted(last.get(client, set()) - held)
+        if went_back:
+            violations.append(f"read {index} ({client}) lost {went_back} an earlier read held")
+        last[client] = held
+    return violations
+
+
 def standard_checks(
     server: Any,
     accesses: list[Any],

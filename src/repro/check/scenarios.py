@@ -27,6 +27,7 @@ from repro.core.access_manager import AccessManagerError
 from repro.core.naming import URN
 from repro.core.rdo import RDO, MethodSpec, RDOInterface
 from repro.net.link import CSLIP_14_4
+from repro.net.simnet import Delivery
 from repro.testbed import build_multi_client_testbed
 
 
@@ -842,6 +843,152 @@ class HAFailoverFeaturesScenario(HAFailoverScenario):
         return violations
 
 
+class _Blackhole:
+    """A link's fault injector that loses every frame inside a window
+    and hands the rest to the one it wraps: a path that looks up and
+    carries nothing, so its sender times out and fails over."""
+
+    def __init__(self, inner: Any, sim: Any, start: float, end: float) -> None:
+        self.inner, self.sim, self.start, self.end = inner, sim, start, end
+
+    def plan(self, link: Any, delivery: Delivery) -> list[Delivery]:
+        if self.start <= self.sim.now < self.end:
+            return [Delivery(delivery.time, delivery.payload, "partitioned")]
+        return self.inner.plan(link, delivery)
+
+
+class HAReadScenario(HAFailoverScenario):
+    """A writer appends and a reader reads through a primary that turns
+    zombie or dies.
+
+    ``read`` is read-only: the primary answers it without a record,
+    under its lease or after a heartbeat round (docs/ROBUSTNESS.md, "The
+    read path").  The suite's own decision picks the fault and its
+    time: a partition that cuts the primary off from both backups --
+    with the writer on the backups' side, so the new primary
+    acknowledges appends the zombie never sees, cut off with the zombie,
+    so its appends run there and go nowhere, or offline until the
+    partition heals -- or the primary's death.  The reader reaches every
+    member throughout and reads one read at a time; every client frame
+    then carries the usual alternatives.  The parent suite's oracle
+    holds for the appends, and the reads are linearizable: each holds
+    every append acknowledged before it was issued, none that was lost,
+    and all that the reader's previous read held.
+    """
+
+    name = "ha-read"
+    description = "linearizable reads through a zombie or killed primary in a replica group"
+    n_clients = 2
+    adds = 4
+    #: Seconds between the writer's appends.
+    add_every_s = 1.2
+    reads = 8
+    #: The reader's pause between one read settling and the next.
+    read_gap_s = 0.5
+    #: Fault offsets from the first append: with the lease renewed
+    #: since, inside its replication, and just after the second.
+    kill_offsets = (0.7, 0.0008, 1.6)
+    faults = ("zombie", "zombie-with-writer", "kill", "zombie-writer-parked")
+    partition_s = 5.0
+
+    def build(self) -> Any:
+        # The primary's side of the mesh, switchable.
+        return super().build(mesh_policies={(0, 1): SwitchablePolicy(), (0, 2): SwitchablePolicy()})
+
+    def arm_fault(self, bed: Any, ctx: dict, origin: float) -> None:
+        """The suite's own decision, one choice so that every fault at
+        every time is one alternative away: which of :attr:`faults`, and
+        which of :attr:`kill_offsets` past ``origin`` it strikes at.  A
+        partition takes the primary's mesh links down and loses the
+        writer's frames to the side it is cut off from -- or, parked,
+        takes its link to the zombie down too: the writer waits for that
+        link, and its backlog reaches the zombie as both heal, before
+        the zombie has heard of the new reign."""
+        from repro.chaos import ChaosController
+
+        plans = [(fault, at) for fault in self.faults for at in self.kill_offsets]
+        fault, at = plans[bed.sim.decide(len(plans), {"point": "fault"})]
+        at += origin
+        ctx["rejoin"] = True
+        if fault == "kill":
+            ChaosController(bed.sim, obs=bed.obs).schedule_primary_kill(
+                bed.group, at=at, down_for=20.0
+            )
+            return
+        primary, writer = bed.group.agents[0].host, bed.clients[0].host
+        down = [link for link in primary.links if isinstance(link.policy, SwitchablePolicy)]
+        for link in writer.links:
+            toward_zombie = primary in (link.host_a, link.host_b)
+            if fault == "zombie-writer-parked":
+                if toward_zombie:
+                    link.policy = SwitchablePolicy()
+                    down.append(link)
+            elif toward_zombie == (fault == "zombie"):
+                link.fault_injector = _Blackhole(
+                    link.fault_injector, bed.sim, at, at + self.partition_s
+                )
+
+        def partition() -> None:
+            for link in down:
+                link.policy.force_down(bed.sim.now, self.partition_s)
+                link._handle_transition()
+
+        bed.sim.schedule_at(at, partition)
+
+    def drive(self, bed: Any, harness: CheckHarness, ctx: dict) -> None:
+        urn = ctx["urn"]
+        writer, reader = bed.clients
+        for stack in bed.clients:
+            stack.access.import_(urn)
+        self.drain(bed)
+        origin = bed.sim.now
+        self.arm_fault(bed, ctx, origin)
+
+        tokens = [f"{writer.host.name}-{index}" for index in range(self.adds)]
+        acked: set[str] = set()
+        ctx["issued"], ctx["acked"] = {writer.host.name: tokens}, acked
+        for index, token in enumerate(tokens):
+            bed.sim.schedule_at(
+                origin + index * self.add_every_s,
+                lambda t=token: writer.access.invoke_remote(urn, "add", [t]).then(
+                    lambda _value: acked.add(t)
+                ),
+            )
+
+        reads: list[dict] = []
+        ctx["reads"] = reads
+
+        def read() -> None:
+            entry = {"client": reader.host.name, "seen": sorted(acked), "items": None}
+            reads.append(entry)
+            promise = reader.access.invoke_remote(urn, "read", [])
+            promise.then(lambda items: settled(entry, items))
+            promise.on_failure(lambda _reason: settled(entry, None))
+
+        done: list[dict] = []
+
+        def settled(entry: dict, items: Any) -> None:
+            entry["items"] = items
+            done.append(entry)
+            if len(reads) < self.reads:
+                bed.sim.schedule(self.read_gap_s, read)
+
+        # Just behind the first append: the read runs while it replicates.
+        bed.sim.schedule_at(origin + 0.0003, read)
+        bed.sim.run(until=origin + self.adds * self.add_every_s)
+        bed.sim.run_until(lambda: len(done) == self.reads, timeout=600.0)
+        self.settle_group(bed, harness, ctx)
+
+    def check(self, bed: Any, harness: CheckHarness, ctx: dict) -> list[str]:
+        violations = super().check(bed, harness, ctx)
+        rdo = bed.server.get_object(ctx["urn"])
+        final_items = rdo.data.get("items", []) if rdo is not None else []
+        violations += oracle.check_linearizable_reads(ctx["reads"], final_items)
+        if len(ctx["reads"]) != self.reads:
+            violations.append(f"the reader issued {len(ctx['reads'])} of {self.reads} reads")
+        return violations
+
+
 SCENARIOS: dict[str, type[Scenario]] = {
     scenario.name: scenario
     for scenario in (
@@ -852,6 +999,7 @@ SCENARIOS: dict[str, type[Scenario]] = {
         DeltaShipScenario,
         HAFailoverScenario,
         HAFailoverFeaturesScenario,
+        HAReadScenario,
     )
 }
 

@@ -31,7 +31,7 @@ from repro.core.interpreter import SafeInterpreter
 from repro.core.rdo import RDO, ExecutionCostModel, RDOVerificationError
 from repro.net.simnet import Address
 from repro.lint.contracts import replay_pure
-from repro.net.message import marshal, unmarshal
+from repro.net.message import marshal, same_encoding, unmarshal
 from repro.net.transport import DelayedReply, Transport
 from repro.obs import Observatory
 from repro.sim import Simulator
@@ -195,6 +195,10 @@ class RoverServer:
         self.exports_resolved = 0
         self.exports_conflicted = 0
         self.invokes_served = 0
+        #: Invokes of a read-only method this server ran and answered
+        #: (not replayed from the at-most-once record).  :mod:`repro.ha`
+        #: reads it across one call to tell a read from a write.
+        self.reads_served = 0
         self.ships_served = 0
         self.duplicates_suppressed = 0
         #: (host_name, prefix) subscriptions for invalidation callbacks.
@@ -383,6 +387,10 @@ class RoverServer:
             self._committed_replies.pop(urn, None)
         for urn, entry in subset.get("store", {}).items():
             merged[urn] = (entry[0], entry[1])
+            # This member's own committer index may name writes that
+            # never reached a quorum: replayed from it, the primary's
+            # record of the same request would never apply here.
+            self._committed_replies.pop(urn, None)
         self.store.restore(merged)
         for urn, entries in subset.get("history", {}).items():
             self._history[urn] = [(version, data) for version, data in entries]
@@ -674,12 +682,23 @@ class RoverServer:
         finally:
             # The environment was loaded for this request alone.
             rdo.release()
+        if not mutates:
+            committed = self._base_data(urn, rdo.version)
+            if not same_encoding(rdo.data, committed):
+                # Declared read-only, yet it wrote the stored data (the
+                # verifier cannot see every alias): every cached copy of
+                # this version would silently differ from the server's.
+                self.store.get_value(urn)["data"] = unmarshal(marshal(committed))
+                return self._record_reply(
+                    request_id, {"status": "hidden-mutation", "urn": urn}
+                )
+            self.reads_served += 1
         self.invokes_served += 1
         reply: dict = {"status": "ok", "result": result}
         if mutates:
             wire = rdo.to_wire()
             new_version = self.store.put(urn, wire)
-            self.store.get_value(urn)["version"] = new_version
+            wire["version"] = new_version  # the store holds ``wire`` itself
             self._remember(urn, new_version, wire["data"], raw=raw)
             reply["version"] = new_version
             self._remember_committed(urn, request_id, reply)

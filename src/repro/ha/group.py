@@ -1,32 +1,52 @@
 """Replication group: primary/backup RoverServers with epoch fencing.
 
 One :class:`ReplicaAgent` wraps each member server's transport service
-table.  The primary's agent intercepts every client-facing service:
-read-only services are answered directly (primary-only reads), while
-mutating services (:data:`REPLICATED_SERVICES`) are executed locally,
-appended to an in-memory operation record log, and synchronously
-shipped to the backups — the client's reply is withheld (via
-:class:`~repro.net.transport.AsyncReply`) until a majority of the
-group holds the record.  Backups re-execute shipped records through
-the very same server handlers (state-machine replication; sound
-because the handlers live under the replay-pure effect contract), with
-the server's lease clock pinned to the primary's execution time so
-lock-lease decisions replay identically.
+table.  The primary's agent intercepts every client-facing service and
+sorts each request by its effect:
+
+* **Writes** -- :data:`REPLICATED_SERVICES` (exports, locks, mutating
+  invokes, and an invoke answered from a reply cache) -- are executed
+  locally, appended to an in-memory operation record log, and shipped
+  to the backups; the client's reply is withheld (via
+  :class:`~repro.net.transport.AsyncReply`) until a majority of the
+  group holds the record.  Backups re-execute shipped records through
+  the very same server handlers (state-machine replication; sound
+  because the handlers live under the replay-pure effect contract),
+  with the server's lease clock pinned to the primary's execution time
+  so lock-lease decisions replay identically.
+* **Reads** -- an invoke of a method its interface declares read-only,
+  which the server reports by counting it (``reads_served``) -- run on
+  the primary alone: no record, no ship, no re-execution.  The reply
+  waits until every record through the primary's ``seq`` is on a
+  quorum (a read never shows what a failover could lose), and is given
+  only under the primary's *lease*: a quorum of peers acked a frame it
+  sent at ``t`` with ``now <= t + lease_s``.  Each such peer had
+  granted no newer epoch when the frame came (it would have refused it)
+  nor was standing for one (it acks with that epoch, which confirms
+  nothing), and answers ``heard`` to every election poll, and stands
+  for none, until at least ``t + lease_s``; every election majority
+  overlaps that quorum, so no other primary exists yet.  Without the
+  lease (just after a promotion, on a zombie) the read waits for a
+  quorum to ack a heartbeat sent at or after it ran.  Confirmations
+  belong to one reign.
+* **Read-only services** (:data:`READONLY_SERVICES`) are answered by
+  the primary directly, without a lease.
 
 Failure handling:
 
-* **Leases** — backups expect a heartbeat every ``heartbeat_s``; a
+* **Leases** -- backups expect a heartbeat every ``heartbeat_s``; a
   backup that has heard nothing for ``lease_s`` polls its peers and
   promotes itself when it holds the highest ``(applied seq, -index)``
   rank among a responding majority, none of whom heard the primary
   recently.  Voters promise the candidate's proposed epoch, so two
-  concurrent elections can never mint the same epoch number.
-* **Epoch fencing** — every ship, heartbeat and client reply carries
+  concurrent elections can never mint the same epoch number, and take
+  no frame from below an epoch they granted.
+* **Epoch fencing** -- every ship, heartbeat and client reply carries
   the sender's epoch.  A member receiving a frame from a lower epoch
   rejects it (``stale-epoch``); a primary whose ship-back is rejected
-  demotes itself on the spot, abandons its un-acked client replies
+  demotes itself on the spot, abandons its gated client replies
   (the callers time out and fail over), and schedules anti-entropy.
-* **Anti-entropy rejoin** — a restarted or deposed member sends its
+* **Anti-entropy rejoin** -- a restarted or deposed member sends its
   per-urn ``[version, crc32]`` state vector to the current primary,
   which answers with exactly the differing objects (plus deletions and
   the live lock table); the joiner adopts them wholesale and resumes
@@ -36,6 +56,7 @@ Failure handling:
 from __future__ import annotations
 
 import functools
+import math
 from typing import Any, Callable, Optional
 
 from repro.core.naming import URN
@@ -45,10 +66,11 @@ from repro.net.simnet import Address, Host
 from repro.net.transport import AsyncReply, DelayedReply, RpcError, Transport
 from repro.sim import Simulator, make_rng
 
-#: Client services whose effects mutate server state: these are the
-#: operations the primary ships to its backups.  Everything else the
-#: client can ask for (import/list/ship/subscribe) is read-only and is
-#: answered by the primary alone.
+#: Client services whose effects may mutate server state: the primary
+#: ships these to its backups -- all but an invoke the server ran as a
+#: read.  Everything else the client can ask for
+#: (import/list/ship/subscribe) is read-only and is answered by the
+#: primary alone.
 REPLICATED_SERVICES = (
     "rover.export",
     "rover.invoke",
@@ -275,6 +297,11 @@ class ReplicaAgent:
         #: adopted until the candidate wins; keeps concurrent
         #: elections from minting the same epoch twice).
         self.promised = 0
+        #: Highest epoch granted to another candidate's poll.  Whether
+        #: that candidate won this member cannot tell, so it takes no
+        #: frame from a lower epoch again: a primary it still heard
+        #: would otherwise commit, and hold a lease, beside a new one.
+        self._granted = 0
         self.primary_name = ""
         #: Sequence number of the last record executed (primary) or
         #: applied (backup) on this member.
@@ -294,7 +321,10 @@ class ReplicaAgent:
         #: Backup acks needed before a client reply may complete (a
         #: majority, less the primary itself); set with the peers.
         self.quorum_backups = 0
-        #: Client replies gated on quorum: [{seq, epoch, gate, reply}].
+        #: Client replies gated on quorum: [{seq, epoch, since, gate,
+        #: reply}] -- released once a quorum of peers acked ``seq`` and
+        #: confirmed a frame sent at or after ``since`` (``-inf`` for a
+        #: write, and for a read served under the lease).
         self._waiters: list[dict] = []
         #: The epoch this member proposed in the election poll it has
         #: open (0: none), and how many polls it has opened — a poll's
@@ -410,12 +440,18 @@ class ReplicaAgent:
         if service not in REPLICATED_SERVICES:
             return self._stamp(inner(body, source))
         at = self.sim.now
+        reads = self.server.reads_served
         raw = inner(body, source)
         delay_s = 0.0
         reply = raw
         if isinstance(raw, DelayedReply):
             delay_s = raw.delay_s
             reply = raw.body
+        stamped = self._stamp(reply)
+        if delay_s > 0:
+            stamped = DelayedReply(delay_s, stamped)
+        if self.server.reads_served != reads:
+            return self._serve_read(stamped)
         record = {
             "seq": self.seq + 1,
             "epoch": self.epoch,
@@ -428,18 +464,65 @@ class ReplicaAgent:
         self.log.append(record)
         if len(self.log) > LOG_CAP:
             self._trim_log()
-        stamped = self._stamp(reply)
-        if delay_s > 0:
-            stamped = DelayedReply(delay_s, stamped)
         if self.quorum_backups == 0:
             return stamped
         gate = AsyncReply()
-        self._waiters.append(
-            {"seq": record["seq"], "epoch": self.epoch, "gate": gate, "reply": stamped}
-        )
+        self._waiters.append({
+            "seq": record["seq"], "epoch": self.epoch, "since": -math.inf,
+            "gate": gate, "reply": stamped,
+        })
         for peer in self.peers:
             self._ship_to(peer)
         return gate
+
+    def _serve_read(self, stamped: Any) -> Any:
+        """Answer a read-only invoke that already ran here: no record,
+        no ship, no re-execution on the backups.
+
+        Its reply waits for every record through the current ``seq`` to
+        reach a quorum (it may show their effects, which must survive a
+        failover).  It is answered from here only under the lease: a
+        quorum of peers acked a frame this reign sent at most
+        ``lease_s`` ago, none of them had granted or stood for a newer
+        epoch (:meth:`_note_peer_reply`), and each answers ``heard`` to
+        any poll until that frame is ``lease_s`` old, so no other
+        primary exists yet.  Without the lease the read waits for a
+        quorum to ack a heartbeat sent at or after it ran
+        (:meth:`_probe`); a deposed primary hears ``stale-epoch``
+        instead and drops it.
+        """
+        if self.quorum_backups == 0:
+            return stamped
+        now = self.sim.now
+        lease = now - self.lease_s
+        if self._quorum_holds(self.seq, lease):
+            return stamped
+        leased = self._quorum_holds(-math.inf, lease)  # the lease alone
+        gate = AsyncReply()
+        self._waiters.append({
+            "seq": self.seq, "epoch": self.epoch,
+            "since": -math.inf if leased else now,
+            "gate": gate, "reply": stamped,
+        })
+        if not leased:
+            for peer in self.peers:
+                if peer["probe"] is None:
+                    self._probe(peer)
+        return gate
+
+    def _probe(self, peer: dict) -> None:
+        """Send ``peer`` a read-index heartbeat, one at a time: when it
+        is answered, another goes only if some read still waits on a
+        frame sent after it.  A read waiting for a round is served by
+        the one that answers next, not by a round of its own."""
+        sent = peer["probe"] = self.sim.now
+
+        def answered() -> None:
+            peer["probe"] = None
+            if any(waiter["since"] > sent for waiter in self._waiters):
+                self._probe(peer)
+
+        self._send_heartbeat(peer, answered)
 
     def _stamp(self, reply: Any) -> Any:
         """Copy-and-mark a reply with this primary's epoch + identity.
@@ -463,26 +546,40 @@ class ReplicaAgent:
         del self.log[:dropped]
 
     def _check_waiters(self) -> None:
-        """Complete every gated reply whose record reached quorum."""
+        """Complete every gated reply whose record reached quorum (and,
+        for a read waiting on a heartbeat round, whose round did)."""
         if self.role != "primary" or self._crashed:
             return
-        needed = self.quorum_backups
         remaining: list[dict] = []
         for waiter in self._waiters:
             if waiter["epoch"] != self.epoch:
                 continue  # a previous reign's gate: never complete it
-            acked = sum(
-                1 for peer in self.peers if peer["acked_seq"] >= waiter["seq"]
-            )
-            if acked >= needed:
+            if self._quorum_holds(waiter["seq"], waiter["since"]):
                 waiter["gate"].complete(waiter["reply"])
             else:
                 remaining.append(waiter)
         self._waiters = remaining
 
-    def _drop_waiters(self) -> None:
-        """Abandon gated replies (demotion/crash): callers time out."""
+    def _quorum_holds(self, seq: float, since: float) -> bool:
+        """Has a quorum of peers acked every record through ``seq``, and
+        a quorum acked a frame this reign sent at or after ``since``?"""
+        acked = confirmed = 0
+        for peer in self.peers:
+            if peer["acked_seq"] >= seq:
+                acked += 1
+            if peer["confirmed"] >= since:
+                confirmed += 1
+        needed = self.quorum_backups
+        return acked >= needed and confirmed >= needed
+
+    def _end_reign(self) -> None:
+        """Demotion or crash: abandon gated replies (callers time out)
+        and forget what the peers confirmed -- a later reign's lease is
+        its own."""
         self._waiters = []
+        for peer in self.peers:
+            peer["confirmed"] = -math.inf
+            peer["probe"] = None
 
     # -- primary: shipping + heartbeats ---------------------------------------
 
@@ -527,8 +624,9 @@ class ReplicaAgent:
         if not records:
             return
         incarnation = self._incarnation
+        epoch, sent = self.epoch, self.sim.now
         body = {
-            "epoch": self.epoch,
+            "epoch": epoch,
             "primary": self.host.name,
             "records": records,
             "commit_seq": self.seq,
@@ -540,7 +638,7 @@ class ReplicaAgent:
             peer["inflight"] = False
             if not self._alive(incarnation):
                 return
-            self._note_peer_reply(peer, reply)
+            self._note_peer_reply(peer, reply, epoch, sent)
             if peer["acked_seq"] > before:
                 peer["attempts"] = 0
                 self._m_shipped.inc(peer["acked_seq"] - before)
@@ -577,10 +675,15 @@ class ReplicaAgent:
         if self._alive(incarnation) and self.role == "primary":
             self._ship_to(peer)
 
-    def _send_heartbeat(self, peer: dict) -> None:
+    def _send_heartbeat(
+        self, peer: dict, answered: Callable[[], None] = lambda: None
+    ) -> None:
+        """Send ``peer`` a heartbeat; ``answered`` runs once when its
+        reply or error comes back in this incarnation."""
         incarnation = self._incarnation
+        epoch, sent = self.epoch, self.sim.now
         body = {
-            "epoch": self.epoch,
+            "epoch": epoch,
             "primary": self.host.name,
             "commit_seq": self.seq,
         }
@@ -588,7 +691,12 @@ class ReplicaAgent:
         def on_reply(reply: Any) -> None:
             if not self._alive(incarnation):
                 return
-            self._note_peer_reply(peer, reply)
+            self._note_peer_reply(peer, reply, epoch, sent)
+            answered()
+
+        def on_error(error: RpcError) -> None:
+            if self._alive(incarnation):
+                answered()
 
         try:
             self.transport.call(
@@ -596,22 +704,42 @@ class ReplicaAgent:
                 "rover.ha.heartbeat",
                 body,
                 on_reply=on_reply,
-                on_error=lambda error: None,
+                on_error=on_error,
                 timeout=2.0 * self.heartbeat_s,
             )
         except RpcError:
-            pass  # no route to the peer right now; next tick retries
+            answered()  # no route to the peer right now; next tick retries
 
-    def _note_peer_reply(self, peer: dict, reply: Any) -> None:
-        """Fold a peer's ack/stale-epoch feedback into primary state."""
+    def _note_peer_reply(
+        self, peer: dict, reply: Any, epoch: int, sent: float
+    ) -> None:
+        """Fold a peer's ack/stale-epoch feedback into primary state.
+
+        An ack of a frame sent at ``sent`` in epoch ``epoch`` confirms
+        this reign to that peer as of then: the peer took the frame, had
+        granted no newer epoch (it would have refused the frame), and
+        holds off elections until it is ``lease_s`` old.  An ack of a
+        previous reign's frame confirms nothing, nor does one from a
+        peer standing for a newer epoch (it acks with that epoch).
+        """
         if not isinstance(reply, dict):
             return
         if reply.get("status") == "stale-epoch":
             self._deposed(reply)
             return
         acked = int(reply.get("ack_seq", -1))
-        if acked > peer["acked_seq"]:
+        moved = acked > peer["acked_seq"]
+        if moved:
             peer["acked_seq"] = acked
+        if (
+            acked >= 0
+            and sent > peer["confirmed"]
+            and epoch == self.epoch == int(reply.get("epoch", -1))
+            and self.role == "primary"
+        ):
+            peer["confirmed"] = sent
+            moved = True
+        if moved:
             self._check_waiters()
 
     def _nudge_resync(self, peer: dict) -> None:
@@ -619,12 +747,13 @@ class ReplicaAgent:
         if peer["inflight"]:
             return
         incarnation = self._incarnation
+        epoch, sent = self.epoch, self.sim.now
         peer["inflight"] = True
 
         def on_reply(reply: Any) -> None:
             peer["inflight"] = False
             if self._alive(incarnation):
-                self._note_peer_reply(peer, reply)
+                self._note_peer_reply(peer, reply, epoch, sent)
 
         def on_error(error: RpcError) -> None:
             peer["inflight"] = False
@@ -633,7 +762,7 @@ class ReplicaAgent:
             self.transport.call(
                 peer["host"],
                 "rover.ha.resync",
-                {"epoch": self.epoch, "primary": self.host.name},
+                {"epoch": epoch, "primary": self.host.name},
                 on_reply=on_reply,
                 on_error=on_error,
                 timeout=2.0 * self.heartbeat_s,
@@ -649,7 +778,7 @@ class ReplicaAgent:
         self.epoch = max(self.epoch, int(reply.get("epoch", self.epoch)))
         self.primary_name = str(reply.get("primary") or "")
         self.last_heard = self.sim.now
-        self._drop_waiters()
+        self._end_reign()
         self._needs_sync = True
         self._start_sync()
 
@@ -674,17 +803,20 @@ class ReplicaAgent:
         if gap and not self._needs_sync:
             self._needs_sync = True
             self.sim.schedule(0.0, self._start_sync)
-        return {"ack_seq": self.seq, "epoch": self.epoch}
+        # A candidate still standing may yet win: its ack renews no
+        # lease of the reign it is trying to end.
+        return {"ack_seq": self.seq, "epoch": max(self.epoch, self._standing)}
 
     def _observe_authority(self, epoch: int, primary: str) -> Optional[dict]:
         """Common epoch fence for primary-originated frames.
 
-        Returns the rejection reply for stale frames, None to proceed.
+        Returns the rejection reply for stale frames -- from below this
+        member's epoch, or below one it granted -- and None to proceed.
         Adopting a higher epoch demotes this member if it believed
         itself primary (it lost a partition race) and marks it for
         anti-entropy, since its un-replicated suffix may diverge.
         """
-        if epoch < self.epoch:
+        if epoch < self.epoch or epoch < self._granted:
             self._m_stale.inc()
             return {
                 "status": "stale-epoch",
@@ -697,7 +829,7 @@ class ReplicaAgent:
             self.primary_name = primary
             if was_primary and primary != self.host.name:
                 self.role = "backup"
-                self._drop_waiters()
+                self._end_reign()
                 self._needs_sync = True
                 self.sim.schedule(0.0, self._start_sync)
         self.last_heard = self.sim.now
@@ -735,7 +867,7 @@ class ReplicaAgent:
         floor = max(self.epoch, self.promised)
         granted = not heard and (proposed > floor or self._yields_to(body, proposed))
         if granted:
-            self.promised = proposed
+            self.promised = self._granted = proposed
         return {
             "seq": self.seq,
             "index": self.index,
@@ -876,6 +1008,7 @@ class ReplicaAgent:
         for peer in self.peers:
             peer["acked_seq"] = reported.get(peer["index"], -1)
             peer["attempts"] = 0
+            peer["confirmed"] = -math.inf  # the lease starts with this reign
         for peer in self.peers:
             if peer["acked_seq"] < self.seq:
                 self._ship_to(peer)
@@ -981,7 +1114,7 @@ class ReplicaAgent:
         """The member's process died (chaos): volatile agent state goes."""
         self._crashed = True
         self._incarnation += 1
-        self._drop_waiters()
+        self._end_reign()
         self._standing = 0
         self._syncing = False
         for peer in self.peers:
@@ -1042,6 +1175,12 @@ class ReplicationGroup:
                     "index": other.index,
                     "host": other.host,
                     "acked_seq": 0,
+                    #: Send time of the newest frame this reign sent the
+                    #: peer that it acked (the lease's clock).
+                    "confirmed": -math.inf,
+                    #: Send time of the read-index heartbeat in flight
+                    #: to the peer (None: none).
+                    "probe": None,
                     "inflight": False,
                     "attempts": 0,
                 }

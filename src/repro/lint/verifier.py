@@ -17,7 +17,8 @@ the runtime *cannot* see:
   enforces, but collecting *all* violations with positions instead of
   failing on the first;
 * **mutation purity** — a method whose body mutates the state
-  parameter must be declared ``mutates=True`` in the interface, else
+  parameter, itself or through a function of the same RDO it passes the
+  state to, must be declared ``mutates=True`` in the interface, else
   the access manager never marks the cached copy tentative and never
   queues an export, silently breaking coherence;
 * **marshal-ability** — literal return values must be encodable by
@@ -342,17 +343,23 @@ def _state_aliases(fn: ast.FunctionDef, state_param: str) -> set[str]:
     return aliases
 
 
-def find_state_mutation(fn: ast.FunctionDef) -> Optional[ast.AST]:
-    """First statement that mutates the method's state parameter.
+def _param_effects(
+    fn: ast.FunctionDef, index: int, defined: dict[str, ast.FunctionDef]
+) -> tuple[Optional[ast.AST], list[tuple[ast.Call, tuple[str, int]]]]:
+    """What ``fn`` does to its parameter number ``index``: the first
+    statement that mutates it (or an alias or view of it), and every
+    call that passes it on to a function of ``defined``, with the
+    callee's parameter it lands in.
 
     A mutation is an assignment/augmented-assignment/delete through a
-    subscript or attribute rooted at the state parameter (or an alias
-    or view of it), or a call of an in-place mutating method on one.
+    subscript or attribute rooted at the parameter, or a call of an
+    in-place mutating method on one.
     """
     params = fn.args.posonlyargs + fn.args.args
-    if not params:
-        return None
-    aliases = _state_aliases(fn, params[0].arg)
+    if index >= len(params) + len(fn.args.kwonlyargs):
+        return None, []
+    aliases = _state_aliases(fn, (params + fn.args.kwonlyargs)[index].arg)
+    passed: list[tuple[ast.Call, tuple[str, int]]] = []
 
     for node in walk(fn):
         if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
@@ -360,12 +367,12 @@ def find_state_mutation(fn: ast.FunctionDef) -> Optional[ast.AST]:
             for target in targets:
                 if isinstance(target, (ast.Subscript, ast.Attribute)):
                     if _root_name(target) in aliases:
-                        return node
+                        return node, passed
         elif isinstance(node, ast.Delete):
             for target in node.targets:
                 if isinstance(target, (ast.Subscript, ast.Attribute)):
                     if _root_name(target) in aliases:
-                        return node
+                        return node, passed
         elif isinstance(node, ast.Call):
             func = node.func
             if (
@@ -373,7 +380,51 @@ def find_state_mutation(fn: ast.FunctionDef) -> Optional[ast.AST]:
                 and func.attr in MUTATING_METHODS
                 and _root_name(func.value) in aliases
             ):
-                return node
+                return node, passed
+            callee = defined.get(func.id) if isinstance(func, ast.Name) else None
+            if callee is None:
+                continue
+            positional = callee.args.posonlyargs + callee.args.args
+            by_keyword = callee.args.args + callee.args.kwonlyargs
+            for position, arg in enumerate(node.args):
+                if position < len(positional) and _root_name(arg) in aliases:
+                    passed.append((node, (callee.name, position)))
+            for keyword in node.keywords:
+                for position, param in enumerate(by_keyword):
+                    if param.arg == keyword.arg and _root_name(keyword.value) in aliases:
+                        offset = len(callee.args.posonlyargs)
+                        passed.append((node, (callee.name, offset + position)))
+    return None, passed
+
+
+def find_state_mutation(
+    fn: ast.FunctionDef, defined: dict[str, ast.FunctionDef]
+) -> Optional[ast.AST]:
+    """First statement that mutates the method's state parameter.
+
+    ``defined`` is the RDO's own top-level functions by name: the state
+    also counts as mutated where it is passed to one of them that
+    mutates the parameter it lands in, however deep the chain; the call
+    that hands it over is the statement reported.
+    """
+    mutation, passed = _param_effects(fn, 0, defined)
+    if mutation is not None:
+        return mutation
+    effects: dict[tuple[str, int], tuple] = {}
+    for call, first in passed:
+        seen = {first}
+        todo = [first]
+        while todo:  # a worklist, not recursion: chains may be long
+            target = todo.pop()
+            if target not in effects:
+                effects[target] = _param_effects(defined[target[0]], target[1], defined)
+            found, onward = effects[target]
+            if found is not None:
+                return call
+            for __, following in onward:
+                if following not in seen:
+                    seen.add(following)
+                    todo.append(following)
     return None
 
 
@@ -401,12 +452,15 @@ def check_mutation_purity(
                 f"interface method {name!r} is not defined in the RDO code",
             ))
             continue
-        mutation = find_state_mutation(fn)
+        mutation = find_state_mutation(fn, defined)
         declared = interface.mutates(name)
         if mutation is not None and not declared:
+            via = ""
+            if isinstance(mutation, ast.Call) and isinstance(mutation.func, ast.Name):
+                via = f" (through {mutation.func.id!r})"
             findings.append(_diag(
                 "RDO201", mutation, path,
-                f"method {name!r} mutates its state parameter but is "
+                f"method {name!r} mutates its state parameter{via} but is "
                 f"declared mutates=False",
             ))
         elif mutation is None and declared:

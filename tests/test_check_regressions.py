@@ -24,6 +24,12 @@ every one of these failed before its fix landed:
   election restarted saying ``heard`` to the other backup's poll (a
   restart reset ``last_heard``), which stood down for a lease more while
   the client's rounds ran out.
+* ha-read ``{4: 10}`` — the writer's backlog, parked while its link to
+  a partitioned primary was down, reached that primary as the partition
+  healed: it ran the appends alone, was deposed, and took the new
+  primary's copy by anti-entropy, but kept its own committer index, so
+  the new primary's records of the same requests were answered from
+  it and never applied there.
 * ha-failover-features ``{8: 1}`` — not a bug of this tree but of a
   design tried on the way to it: one lost reply of the live primary
   makes it the client's suspect, and every other member's hint names
@@ -84,6 +90,13 @@ def test_replayed_ha_features_lost_reply_of_the_live_primary():
     result = run_with_choices("ha-failover-features", {8: 1})
     (lost,) = [decision for decision in result.trace if decision.chosen]
     assert lost.meta["kind"] == "reply" and lost.meta["link"].startswith("client0--server-b1")
+    assert result.violations == []
+
+
+def test_replayed_counterexample_ha_read_rejoin_keeps_a_stale_committer_index():
+    result = run_with_choices("ha-read", {4: 10})
+    (fault,) = [decision for decision in result.trace if decision.chosen]
+    assert fault.meta == {"point": "fault"}  # zombie-writer-parked, at 0.0008 s
     assert result.violations == []
 
 

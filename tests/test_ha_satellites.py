@@ -3,9 +3,16 @@
 Pins down the smaller contracts the HA work leaned on: server-side
 lock-lease expiry (and its counter), the network scheduler's capped
 jittered backoff, the client-side replica-set bookkeeping, deferred
-transport replies, and the failover counter on the not-primary fence.
+transport replies, the failover counter on the not-primary fence, and
+the read path: a read-only invoke answered by the primary alone, under
+its lease or after a heartbeat round.
 """
 
+import math
+
+from repro.chaos import ChaosController
+from repro.check.scenarios import make_box
+from repro.check.seam import SwitchablePolicy
 from repro.ha import build_ha_testbed
 from repro.ha.group import LOG_CAP, SHIP_BATCH, ReplicaSet
 from repro.net.link import ETHERNET_10M
@@ -310,3 +317,234 @@ class TestShipBatch:
     def test_a_cursor_at_the_head_ships_nothing(self):
         sent, scan = self.shipped(base_seq=5000, seq=5010, acked=5010)
         assert sent == [] and scan == []
+
+
+def applied(bed):
+    """``ha_records_applied_total`` per member."""
+    metric = bed.obs.registry.get("ha_records_applied_total")
+    return [
+        metric.labels(authority=bed.authority, host=agent.host.name).value
+        for agent in bed.group.agents
+    ]
+
+
+def intercept(agent, hold=()):
+    """Record every call ``agent`` makes as ``(service, body, args)``;
+    calls to a service in ``hold`` are kept back, the rest go out."""
+    real = agent.transport.call
+    calls = []
+
+    def call(dst, service, body, on_reply, on_error, timeout=60.0, link=None):
+        args = (dst, service, body)
+        kwargs = {"on_reply": on_reply, "on_error": on_error, "timeout": timeout, "link": link}
+        calls.append((service, body, (args, kwargs)))
+        if service not in hold:
+            return real(*args, **kwargs)
+
+    agent.transport.call = call
+    return calls, real
+
+
+class TestReadPath:
+    """A read-only invoke is answered by the primary with no record, no
+    ship and no re-execution on the backups, held behind every record it
+    may show until a quorum has it, and only while the primary's lease
+    says no other primary can exist."""
+
+    def group(self, n_clients=1, **options):
+        bed = build_ha_testbed(n_backups=2, n_clients=n_clients, **options)
+        box = make_box(bed.authority, "check/box")
+        bed.put_object(box)
+        return bed, str(box.urn)
+
+    def test_a_read_ships_nothing_and_no_backup_applies_it(self):
+        bed, urn = self.group()
+        access = bed.clients[0].access
+        assert access.invoke_remote(urn, "add", ["a"]).wait(bed.sim) == 1
+        primary = bed.group.primary_agent()
+        before, seq = applied(bed), primary.seq
+        calls, _real = intercept(primary)
+        assert access.invoke_remote(urn, "read", []).wait(bed.sim) == ["a"]
+        assert [service for service, *_ in calls if service == "rover.ha.replicate"] == []
+        assert applied(bed) == before and primary.seq == seq
+        assert primary.server.reads_served == 1
+        assert [agent.server.reads_served for agent in bed.group.agents[1:]] == [0, 0]
+
+    def test_a_mutating_invoke_still_ships_exactly_one_record(self):
+        bed, urn = self.group()
+        primary = bed.group.primary_agent()
+        before = applied(bed)
+        calls, _real = intercept(primary)
+        assert bed.clients[0].access.invoke_remote(urn, "add", ["a"]).wait(bed.sim) == 1
+        shipped = [
+            record["seq"]
+            for service, body, _ in calls if service == "rover.ha.replicate"
+            for record in body["records"]
+        ]
+        assert shipped == [1, 1]  # one record, once to each backup
+        assert applied(bed) == [before[0], before[1] + 1, before[2] + 1]
+
+    def test_a_read_behind_an_unacked_write_waits_for_it(self):
+        bed, urn = self.group(n_clients=2)
+        writer, reader = (stack.access for stack in bed.clients)
+        primary = bed.group.primary_agent()
+        calls, real = intercept(primary, hold=("rover.ha.replicate",))
+        added = writer.invoke_remote(urn, "add", ["a"])
+        bed.sim.run(until=bed.sim.now + 0.5)
+        read = reader.invoke_remote(urn, "read", [])
+        bed.sim.run(until=bed.sim.now + 0.5)
+        assert primary.seq == 1 and not added.ready and not read.ready
+        # The read ran after the write, so it shows it: it must not
+        # leave before the write is safe.
+        for service, _body, (args, kwargs) in calls:
+            if service == "rover.ha.replicate":
+                real(*args, **kwargs)
+        assert read.wait(bed.sim) == ["a"] and added.wait(bed.sim) == 1
+
+    def test_a_zombie_whose_lease_lapsed_does_not_answer(self):
+        mesh = {(0, 1): SwitchablePolicy(), (0, 2): SwitchablePolicy()}
+        bed, urn = self.group(
+            n_clients=2, mesh_policies=mesh, lease_s=1.5, heartbeat_s=0.5,
+            rpc_timeout_s=1.0, max_attempts=2,
+        )
+        reader, writer = (stack.access for stack in bed.clients)
+        assert writer.invoke_remote(urn, "add", ["a"]).wait(bed.sim) == 1
+        zombie, b1 = bed.group.agents[0], bed.group.agents[1]
+        for link in zombie.host.links:
+            if isinstance(link.policy, SwitchablePolicy):
+                link.policy.force_down(bed.sim.now, 60.0)
+                link._handle_transition()
+        bed.sim.run_until(lambda: b1.role == "primary", timeout=30.0)
+        writer.servers[bed.authority].learn_primary(b1.host.name)
+        assert writer.invoke_remote(urn, "add", ["b"]).wait(bed.sim) == 2
+        # The reader still points at the zombie, which still thinks it
+        # is primary: it runs the read, but its lease ran out and its
+        # heartbeat round reaches nobody.
+        assert zombie.role == "primary"
+        read = reader.invoke_remote(urn, "read", [])
+        assert read.wait(bed.sim) == ["a", "b"]
+        assert zombie.server.reads_served >= 1 and zombie._waiters
+        assert reader.servers[bed.authority].current_host.name == b1.host.name
+
+    def test_confirmations_from_a_previous_reign_do_not_count(self):
+        bed, urn = self.group()
+        bed.sim.run(until=5.0)
+        primary = bed.group.primary_agent()
+        assert all(bed.sim.now - peer["confirmed"] < primary.lease_s for peer in primary.peers)
+        calls, _real = intercept(primary, hold=("rover.ha.heartbeat", "rover.ha.replicate", "rover.ha.sync"))
+        primary._send_heartbeat(primary.peers[0])
+        old_ack = calls[-1][2][1]["on_reply"]
+        primary._deposed({"status": "stale-epoch", "epoch": 1, "primary": "server-b1"})
+        assert [peer["confirmed"] for peer in primary.peers] == [-math.inf, -math.inf]
+        primary._promote(2, [])
+        old_ack({"ack_seq": primary.seq, "epoch": 2})  # the old reign's frame, acked late
+        assert [peer["confirmed"] for peer in primary.peers] == [-math.inf, -math.inf]
+        # No lease: a read waits on a heartbeat round of its own.
+        sent = len(calls)
+        body = {"urn": urn, "method": "read", "args": [], "request_id": "c/1"}
+        gate = primary._serve_client("rover.invoke", body, ("client0", 0))
+        assert isinstance(gate, AsyncReply)
+        assert [service for service, *_ in calls[sent:]] == ["rover.ha.heartbeat"] * 2
+        calls[-1][2][1]["on_reply"]({"ack_seq": primary.seq, "epoch": 2})
+        assert primary._waiters == []  # one of two backups is the quorum
+
+    def old_heartbeat_after(self, vote):
+        """Send a heartbeat from the primary to its first backup, let
+        ``vote`` run on that backup, then deliver the heartbeat."""
+        bed, _urn = self.group()
+        bed.sim.run(until=5.0)
+        primary, backup = bed.group.agents[0], bed.group.agents[1]
+        calls, real = intercept(primary, hold=("rover.ha.heartbeat",))
+        primary._send_heartbeat(primary.peers[0])
+        for peer in primary.peers:
+            peer["confirmed"] = -math.inf  # the lease so far is not at stake
+        backup.last_heard -= backup.lease_s + 1  # silent for a lease
+        vote(backup, primary.epoch + 1)
+        args, kwargs = calls[-1][2]
+        real(*args, **kwargs)
+        bed.sim.run(until=bed.sim.now + 1.0)
+        return primary
+
+    def test_a_backup_that_granted_a_newer_epoch_confirms_no_lease(self):
+        def grant(backup, epoch):
+            poll = {"proposed": epoch, "seq": backup.seq, "index": 2, "candidate": "server-b2"}
+            assert backup._on_poll(poll, ("server-b2", 0))["granted"]
+
+        primary = self.old_heartbeat_after(grant)
+        # The candidate may have won: the old reign's frame is refused,
+        # and its primary steps down rather than hold a lease.
+        assert primary.peers[0]["confirmed"] == -math.inf
+        assert primary.role == "backup"
+
+    def test_a_backup_standing_for_a_newer_epoch_confirms_no_lease(self):
+        def stand(backup, epoch):
+            calls, _real = intercept(backup, hold=("rover.ha.poll",))
+            backup._start_election()
+            assert backup._standing == epoch and calls
+
+        primary = self.old_heartbeat_after(stand)
+        assert primary.peers[0]["confirmed"] == -math.inf
+        assert primary.role == "primary"  # its own poll is no grant
+
+    def test_reads_waiting_on_a_round_share_the_heartbeat_in_flight(self):
+        bed, urn = self.group()
+        bed.sim.run(until=5.0)
+        primary = bed.group.primary_agent()
+        calls, real = intercept(primary, hold=("rover.ha.heartbeat",))
+        for peer in primary.peers:
+            peer["confirmed"] = -math.inf
+        gates = []
+        for n in range(3):
+            body = {"urn": urn, "method": "read", "args": [], "request_id": f"c/{n}"}
+            gates.append(primary._serve_client("rover.invoke", body, ("client0", 0)))
+            bed.sim.run(until=bed.sim.now + 0.01)
+        assert all(isinstance(gate, AsyncReply) for gate in gates)
+        rounds = [entry for entry in calls if entry[0] == "rover.ha.heartbeat"]
+        assert len(rounds) == 2  # one per peer, not one per read
+        # The round answers the first read only; the next round, sent
+        # then, answers the other two.
+        args, kwargs = rounds[0][2]
+        real(*args, **kwargs)
+        bed.sim.run(until=bed.sim.now + 0.2)
+        assert len(primary._waiters) == 2
+        rounds = [entry for entry in calls if entry[0] == "rover.ha.heartbeat"]
+        assert len(rounds) == 3
+        args, kwargs = rounds[-1][2]
+        real(*args, **kwargs)
+        bed.sim.run(until=bed.sim.now + 0.2)
+        assert primary._waiters == []
+
+    def test_a_restarted_backup_that_acked_within_the_lease_still_hears_the_primary(self):
+        bed, _urn = self.group()
+        bed.sim.run(until=5.0)
+        controller = ChaosController(bed.sim, obs=bed.obs)
+        controller.crash_server(bed.group.agents[0].server)  # nobody renews it now
+        backup = bed.group.agents[1]
+        heard_at = backup.last_heard
+        assert bed.sim.now - heard_at < backup.lease_s
+        controller.crash_server(backup.server)
+        controller.restart_server(backup.server)
+        poll = {"proposed": 9, "seq": 99, "index": 2, "candidate": "server-b2"}
+        answer = backup._on_poll(poll, ("server-b2", 0))
+        assert answer["heard"] and not answer["granted"]
+        bed.sim.run(until=heard_at + backup.lease_s - 1e-6)  # to the lease's end
+        assert backup.last_heard == heard_at and backup._on_poll(poll, ("server-b2", 0))["heard"]
+
+
+def test_a_rejoining_member_forgets_the_writes_it_ran_alone():
+    """A deposed primary ran an append no quorum saw; anti-entropy puts
+    back the primary's copy, and the primary's record of the same
+    request must then apply -- not be answered from the joiner's own
+    committer index, leaving the members apart for good."""
+    bed = build_ha_testbed(n_backups=1)
+    box = make_box(bed.authority, "check/box")
+    bed.put_object(box)
+    (primary, __), (joiner, __) = bed.members
+    body = {"urn": str(box.urn), "method": "add", "args": ["x"], "request_id": "c/1"}
+    joiner._on_invoke(dict(body), ("client0", 0))
+    joiner.merge_subset(primary.subset_snapshot([str(box.urn)]), [])
+    assert joiner.get_object(str(box.urn)).data == {"items": []}
+    for server in (primary, joiner):
+        server._on_invoke(dict(body), ("client0", 0))
+    assert joiner.state_vector() == primary.state_vector()
+    assert joiner.get_object(str(box.urn)).data == {"items": ["x"]}

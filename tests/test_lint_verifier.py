@@ -158,6 +158,16 @@ class TestBadCorpus:
 # ---------------------------------------------------------------------------
 
 
+#: Read-only by its interface, a writer through its own helper.
+TOUCH_CODE = (
+    "def _touch(s):\n"
+    "    s['n'] = s['n'] + 1\n"
+    "\n"
+    "def peek(state):\n"
+    "    return _touch(state)\n"
+)
+
+
 def iface(**mutates):
     return RDOInterface([MethodSpec(n, mutates=m) for n, m in mutates.items()])
 
@@ -205,6 +215,51 @@ class TestMutationPurity:
             "    return flags\n"
         )
         assert verify_rdo(code, iface(read_only=False)) == []
+
+    def test_hidden_mutation_through_an_own_function(self):
+        diag = first(verify_rdo(TOUCH_CODE, iface(peek=False)), "RDO201")
+        assert (diag.line, diag.col) == (5, 11)  # the call that hands the state over
+        assert "'peek'" in diag.message and "'_touch'" in diag.message
+
+    def test_hidden_mutation_down_a_chain_by_keyword_and_view(self):
+        code = (
+            "def sneak(state):\n"
+            "    return first(x=state['items'])\n"
+            "\n"
+            "def first(y=None, x=None):\n"
+            "    return second(0, x)\n"
+            "\n"
+            "def second(n, items):\n"
+            "    items.append(n)\n"
+            "    return n\n"
+        )
+        diag = first(verify_rdo(code, iface(sneak=False)), "RDO201")
+        assert diag.line == 2 and "'sneak'" in diag.message and "'first'" in diag.message
+
+    def test_a_copy_or_another_argument_handed_to_a_writer_is_pure(self):
+        code = (
+            "def _touch(s):\n"
+            "    s['n'] = 1\n"
+            "\n"
+            "def peek(state, spare):\n"
+            "    _touch(dict(state))\n"
+            "    _touch(spare)\n"
+            "    return state['n']\n"
+        )
+        assert "RDO201" not in rules_of(verify_rdo(code, iface(peek=False)))
+
+    def test_recursion_through_own_functions_terminates(self):
+        code = (
+            "def ping(state, n):\n"
+            "    return pong(state, n - 1) if n else 0\n"
+            "\n"
+            "def pong(state, n):\n"
+            "    return ping(state, n)\n"
+        )
+        assert verify_rdo(code, iface(ping=False, pong=False)) == []
+
+    def test_a_writer_through_an_own_function_is_honest_as_mutating(self):
+        assert verify_rdo(TOUCH_CODE, iface(peek=True)) == []
 
     def test_declared_mutates_but_pure_is_warning(self):
         code = "def noop(state):\n    return state['x']\n"
@@ -351,6 +406,15 @@ class TestCoherenceBug:
     def test_verifier_catches_it_at_publish_time(self, ethernet_bed):
         with pytest.raises(RDOVerificationError, match="RDO201"):
             ethernet_bed.server.put_object(bad_rdo())
+
+    def test_a_writer_through_its_own_helper_is_refused_at_publish(self, ethernet_bed):
+        touch = RDO(
+            URN("server", "counters/touch"), "counter", {"n": 0},
+            code=TOUCH_CODE, interface=iface(peek=False),
+        )
+        with pytest.raises(RDOVerificationError, match="RDO201"):
+            ethernet_bed.server.put_object(touch)
+        assert ethernet_bed.server.get_object("urn:rover:server/counters/touch") is None
 
     def test_honest_declaration_keeps_coherence(self, ethernet_bed):
         bed = ethernet_bed

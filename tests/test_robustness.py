@@ -289,6 +289,62 @@ def test_a_failed_mutating_invoke_leaves_every_replica_alike():
         assert (stored.data, stored.version) == ({"n": 0}, 1)
 
 
+# A method declared read-only that writes the stored data anyway.  The
+# server ran it on the stored data itself and kept the write under the
+# version every cached copy already holds.  The verifier refuses the
+# first at publish; the second hides its write behind an alias a helper
+# returns, which it does not follow.
+HIDDEN_WRITES = {
+    "through-a-helper": (
+        "def _touch(s):\n    s['n'] = s['n'] + 1\n\n"
+        "def peek(state):\n    return _touch(state)\n"
+    ),
+    "through-a-returned-alias": (
+        "def _view(s):\n    return s\n\n"
+        "def peek(state):\n    v = _view(state)\n    v['n'] = v['n'] + 1\n    return v['n']\n"
+    ),
+}
+
+
+def _peek_counter(source):
+    interface = RDOInterface([MethodSpec("peek")])
+    return RDO(URN("server", "counters/c1"), "counter", {"n": 0}, source, interface)
+
+
+def _refused_peek(bed, access):
+    peek = access.invoke_remote("urn:rover:server/counters/c1", "peek", [])
+    bed.sim.run(until=bed.sim.now + 3_600.0)
+    assert peek.failed and peek.error == "hidden-mutation"
+
+
+@pytest.mark.parametrize("source", list(HIDDEN_WRITES.values()), ids=list(HIDDEN_WRITES))
+def test_a_read_only_invoke_that_writes_is_refused_and_undone(source):
+    bed = build_testbed()
+    assert bed.server.put_object(_peek_counter(source), verify=False) == 1
+    _refused_peek(bed, bed.access)
+    urn = "urn:rover:server/counters/c1"
+    stored = bed.server.get_object(urn)
+    assert (stored.data, stored.version) == ({"n": 0}, 1)
+    assert bed.server.invokes_served == bed.server.reads_served == 0
+    assert bed.access.import_(urn).wait(bed.sim).data == {"n": 0}
+
+
+def test_the_verifier_misses_a_write_through_a_returned_alias():
+    bed = build_testbed()
+    assert bed.server.put_object(_peek_counter(HIDDEN_WRITES["through-a-returned-alias"])) == 1
+
+
+def test_a_read_only_invoke_that_writes_leaves_every_replica_alike():
+    bed = build_ha_testbed(n_backups=2)
+    bed.put_object(_peek_counter(HIDDEN_WRITES["through-a-returned-alias"]))
+    _refused_peek(bed, bed.clients[0].access)
+    vectors = [server.state_vector() for server, __ in bed.members]
+    assert vectors[0] == vectors[1] == vectors[2]
+    for server, __ in bed.members:
+        stored = server.get_object("urn:rover:server/counters/c1")
+        assert (stored.data, stored.version) == ({"n": 0}, 1)
+
+
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 500))
 def test_scheduler_liveness_under_random_flapping(seed):

@@ -36,7 +36,7 @@ from repro.lint.verifier import (
     verify_rdo,
 )
 from repro.workloads.generators import MailCorpus, MailMessage
-from tests.test_robustness import ESCAPE_ATTEMPTS, HOSTILE_RESULTS, HOSTILE_SPINS
+from tests.test_robustness import ESCAPE_ATTEMPTS, HIDDEN_WRITES, HOSTILE_RESULTS, HOSTILE_SPINS
 
 ROOT = Path(__file__).parent.parent
 
@@ -71,7 +71,10 @@ def _example_classes() -> list:
 
 
 def _hostile_sources() -> list:
-    return [*ESCAPE_ATTEMPTS, *HOSTILE_SPINS.values(), *HOSTILE_RESULTS.values()]
+    return [
+        *ESCAPE_ATTEMPTS, *HOSTILE_SPINS.values(), *HOSTILE_RESULTS.values(),
+        *HIDDEN_WRITES.values(),
+    ]
 
 
 def _classes() -> list:
