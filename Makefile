@@ -1,7 +1,7 @@
 PYTHON ?= python
 CHAOS_SEED ?= 0
 
-.PHONY: install test lint bench tables chaos check ha perf fleet speed perfbench perfbench-smoke calls sloc reach demo examples trace-smoke clean
+.PHONY: install test lint bench tables chaos check ha perf fleet speed perfbench perfbench-smoke calls sloc knobs reach demo examples trace-smoke clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -131,6 +131,13 @@ fleet:
 # "Source size"): total lines, then the ten largest files.
 sloc:
 	@find src/repro -name '*.py' | xargs wc -l | sort -n | tail -11
+
+# Options no caller sets (docs/PERFORMANCE.md, "Source size"): every
+# defaulted parameter of a def under src/repro that no call under src/,
+# benchmarks/, examples/ or perfbench/ passes, matched by name
+# (tools/knobs.py), then the count.  It reports; it gates nothing.
+knobs:
+	@$(PYTHON) tools/knobs.py
 
 # Which functions of src/repro does anything run?  Records every call
 # (tools/reach.py; its hook makes everything several times slower, so

@@ -25,7 +25,10 @@ from repro.core.notification import EventType, Notification
 class StatusBar:
     """Event-driven model of the user-visible toolkit state."""
 
-    def __init__(self, access: AccessManager, ticker_length: int = 5) -> None:
+    #: How many recent events the ticker keeps.
+    TICKER_LENGTH = 5
+
+    def __init__(self, access: AccessManager) -> None:
         self.access = access
         self.connected = any(link.is_up for link in access.host.links)
         self.queued = 0
@@ -33,7 +36,7 @@ class StatusBar:
         self.tentative: set[str] = set()
         self.conflicts: set[str] = set()
         self.last_contact_at: float | None = None
-        self.ticker: Deque[str] = deque(maxlen=ticker_length)
+        self.ticker: Deque[str] = deque(maxlen=self.TICKER_LENGTH)
         access.notifications.subscribe_all(self._on_event)
 
     # -- event folding ------------------------------------------------------

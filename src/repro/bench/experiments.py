@@ -71,10 +71,10 @@ def _null_object(path: str = "bench/null", value: int = 0) -> RDO:
 # ---------------------------------------------------------------------------
 
 
-def run_e1_qrpc_latency(links: tuple[LinkSpec, ...] = STANDARD_LINKS) -> list[dict]:
+def run_e1_qrpc_latency() -> list[dict]:
     """Null QRPC vs blocking null RPC on each of the paper's links."""
     rows = []
-    for spec in links:
+    for spec in STANDARD_LINKS:
         # Blocking RPC baseline: no log, no queue.
         bed = build_testbed(link_spec=spec)
         bed.server.put_object(_null_object())
@@ -111,10 +111,10 @@ def run_e1_qrpc_latency(links: tuple[LinkSpec, ...] = STANDARD_LINKS) -> list[di
 # ---------------------------------------------------------------------------
 
 
-def run_e2_log_overhead(links: tuple[LinkSpec, ...] = STANDARD_LINKS) -> list[dict]:
+def run_e2_log_overhead() -> list[dict]:
     """End-to-end QRPC time with the flush enabled vs disabled."""
     rows = []
-    for spec in links:
+    for spec in STANDARD_LINKS:
         times = {}
         for label, model in (("flush", None), ("no_flush", FlushModel.free())):
             bed = build_testbed(link_spec=spec, flush_model=model)
@@ -142,18 +142,16 @@ def run_e2_log_overhead(links: tuple[LinkSpec, ...] = STANDARD_LINKS) -> list[di
 # ---------------------------------------------------------------------------
 
 
-def run_e2b_group_commit(
-    n_requests: int = 10,
-    windows: tuple[float, ...] = (0.0, 0.02, 0.1),
-) -> list[dict]:
+def run_e2b_group_commit() -> list[dict]:
     """Ablation the paper *names* but does not build: group commit.
 
     A burst of QRPCs on the fast LAN, where E2 shows the per-request
     flush dominating.  Group commit amortizes one flush across the
     burst at the cost of a wider crash-loss window.
     """
+    n_requests = 10
     rows = []
-    for window in windows:
+    for window in (0.0, 0.02, 0.1):
         bed = build_testbed(
             link_spec=ETHERNET_10M,
             group_commit=GroupCommitPolicy.fixed(window) if window > 0 else None,
@@ -184,10 +182,10 @@ def run_e2b_group_commit(
 # ---------------------------------------------------------------------------
 
 
-def run_e3_local_vs_rpc(links: tuple[LinkSpec, ...] = STANDARD_LINKS) -> list[dict]:
+def run_e3_local_vs_rpc() -> list[dict]:
     """Invoke a small method on the cached copy vs the same via RPC."""
     rows = []
-    for spec in links:
+    for spec in STANDARD_LINKS:
         bed = build_testbed(link_spec=spec)
         bed.server.put_object(_null_object())
         bed.access.import_("urn:rover:server/bench/null").wait(bed.sim)
@@ -217,14 +215,11 @@ def run_e3_local_vs_rpc(links: tuple[LinkSpec, ...] = STANDARD_LINKS) -> list[di
 # ---------------------------------------------------------------------------
 
 
-def run_e4_migration(
-    links: tuple[LinkSpec, ...] = (ETHERNET_10M, CSLIP_14_4),
-    counts: tuple[int, ...] = (1, 2, 4, 8, 16),
-) -> list[dict]:
+def run_e4_migration() -> list[dict]:
     """A task needing N server-side lookups: N QRPCs vs 1 shipped RDO."""
     rows = []
-    for spec in links:
-        for n in counts:
+    for spec in (ETHERNET_10M, CSLIP_14_4):
+        for n in (1, 2, 4, 8, 16):
             bed, bed2 = build_testbed(link_spec=spec), build_testbed(link_spec=spec)
             for index in range(n):
                 for server in (bed.server, bed2.server):
@@ -273,18 +268,12 @@ def run_e4_migration(
 # ---------------------------------------------------------------------------
 
 
-def run_e5_mail(
-    links: tuple[LinkSpec, ...] = STANDARD_LINKS,
-    n_messages: int = 12,
-    seed: int = 42,
-) -> list[dict]:
+def run_e5_mail() -> list[dict]:
     """Scan a folder and read every message: Rover cold, Rover after
     prefetch, and the conventional blocking reader, per link."""
     rows = []
-    for spec in links:
-        corpus = generate_mail_corpus(
-            seed=seed, n_folders=1, messages_per_folder=n_messages
-        )
+    for spec in STANDARD_LINKS:
+        corpus = generate_mail_corpus(seed=42, n_folders=1, messages_per_folder=12)
         ids = [m.msg_id for m in corpus.folders["inbox"]]
 
         # Rover, cold cache: queue all reads at once (click-ahead style).
@@ -337,10 +326,11 @@ def run_e5_mail(
     return rows
 
 
-def run_e5_disconnected_mail(seed: int = 42, n_messages: int = 8) -> list[dict]:
+def run_e5_disconnected_mail() -> list[dict]:
     """Disconnected-operation companion: Rover keeps working, the
     blocking reader dies."""
-    corpus = generate_mail_corpus(seed=seed, n_folders=1, messages_per_folder=n_messages)
+    n_messages = 8
+    corpus = generate_mail_corpus(seed=42, n_folders=1, messages_per_folder=n_messages)
     ids = [m.msg_id for m in corpus.folders["inbox"]]
 
     bed = build_testbed(
@@ -397,21 +387,17 @@ def run_e5_disconnected_mail(seed: int = 42, n_messages: int = 8) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def run_e6_calendar(
-    n_ops: int = 15,
-    seed: int = 7,
-    resolvers: tuple[str, ...] = ("calendar", "calendar-strict", "keep-server"),
-) -> list[dict]:
+def run_e6_calendar() -> list[dict]:
     """Two disconnected replicas make overlapping updates; reconcile.
 
     One row per resolver: 'calendar' (type-specific with auto re-slot),
     'calendar-strict' (type-specific, no re-slot), or 'keep-server'
     (no type-specific resolution at all).
     """
-    return [_e6_one(resolver, n_ops, seed) for resolver in resolvers]
+    return [_e6_one(resolver) for resolver in ("calendar", "calendar-strict", "keep-server")]
 
 
-def _e6_one(resolver: str, n_ops: int, seed: int) -> dict:
+def _e6_one(resolver: str) -> dict:
     policies = [
         IntervalTrace([(0.0, 10.0), (1_000.0, 1e9)]),
         IntervalTrace([(0.0, 10.0), (1_500.0, 1e9)]),
@@ -434,9 +420,9 @@ def _e6_one(resolver: str, n_ops: int, seed: int) -> dict:
     # very likely to double-book, which is what E6 is probing.
     ops = [
         generate_calendar_ops(
-            seed=seed,
+            seed=7,
             replica=label,
-            n_ops=n_ops,
+            n_ops=15,
             n_rooms=1,
             n_slots=20,
             hot_fraction=0.6,
@@ -469,13 +455,11 @@ def _e6_one(resolver: str, n_ops: int, seed: int) -> dict:
 # E7 — web click-ahead
 # ---------------------------------------------------------------------------
 
+#: The user's think time between clicks.
+THINK_TIME_S = 30.0
 
-def run_e7_clickahead(
-    links: tuple[LinkSpec, ...] = (CSLIP_14_4, CSLIP_2_4),
-    n_clicks: int = 6,
-    think_time_s: float = 30.0,
-    seed: int = 7,
-) -> list[dict]:
+
+def run_e7_clickahead() -> list[dict]:
     """A user reading a site with think time between clicks.
 
     Blocking browser: think, fetch (blocked), think, fetch...
@@ -484,9 +468,9 @@ def run_e7_clickahead(
     warmed in the background.
     """
     rows = []
-    for spec in links:
-        site = generate_site(seed=seed, n_pages=n_clicks * 3)
-        path = browse_path(site, n_clicks)
+    for spec in (CSLIP_14_4, CSLIP_2_4):
+        site = generate_site(seed=7, n_pages=18)
+        path = browse_path(site, 6)
 
         # Blocking browser.
         bed = build_testbed(link_spec=spec, adapt_to_link=False)
@@ -495,7 +479,7 @@ def run_e7_clickahead(
         start = bed.sim.now
         for url in path:
             browser.navigate(url)
-            bed.sim.run(until=bed.sim.now + think_time_s)
+            bed.sim.run(until=bed.sim.now + THINK_TIME_S)
         blocking_session = bed.sim.now - start
         # The conventional browser blocks the user until the page is
         # fully rendered (HTML + inline images).  (fsum: the baseline
@@ -520,7 +504,7 @@ def run_e7_clickahead(
             views = []
             for url in path:
                 views.append(proxy.navigate(url))
-                bed2.sim.run(until=bed2.sim.now + think_time_s)
+                bed2.sim.run(until=bed2.sim.now + THINK_TIME_S)
             bed2.sim.run_until(
                 lambda: all(v.displayed or v.failed for v in views), timeout=1e7
             )
@@ -548,15 +532,11 @@ def run_e7_clickahead(
     return rows
 
 
-def run_e7_threshold_sweep(
-    thresholds: tuple[float, ...] = (0.0, 0.5, 2.0, 10.0, 1e9),
-    seed: int = 7,
-    think_time_s: float = 30.0,
-) -> list[dict]:
+def run_e7_threshold_sweep() -> list[dict]:
     """Ablation: prefetch threshold vs wasted bytes and user wait."""
     rows = []
-    for threshold in thresholds:
-        site = generate_site(seed=seed, n_pages=18)
+    for threshold in (0.0, 0.5, 2.0, 10.0, 1e9):
+        site = generate_site(seed=7, n_pages=18)
         path = browse_path(site, 5)
         bed = build_testbed(link_spec=CSLIP_14_4, adapt_to_link=False)
         WebServerApp(bed.server, site)
@@ -569,7 +549,7 @@ def run_e7_threshold_sweep(
         views = []
         for url in path:
             views.append(proxy.navigate(url))
-            bed.sim.run(until=bed.sim.now + think_time_s)
+            bed.sim.run(until=bed.sim.now + THINK_TIME_S)
         bed.sim.run_until(lambda: all(v.displayed for v in views), timeout=1e7)
         bed.access.drain(timeout=1e7)
         waits = [v.latency or 0.0 for v in views]
@@ -589,13 +569,14 @@ def run_e7_threshold_sweep(
 # ---------------------------------------------------------------------------
 
 
-def run_e8_priority(n_bulk: int = 12) -> list[dict]:
+def run_e8_priority() -> list[dict]:
     """Foreground requests compete with queued bulk transfers, under
     the priority scheduler and under the FIFO ablation."""
-    return [_e8_one(fifo_only, n_bulk) for fifo_only in (False, True)]
+    return [_e8_one(fifo_only) for fifo_only in (False, True)]
 
 
-def _e8_one(fifo_only: bool, n_bulk: int) -> dict:
+def _e8_one(fifo_only: bool) -> dict:
+    n_bulk = 12
     bed = build_testbed(
         link_spec=CSLIP_14_4,
         policy=IntervalTrace([(50.0, 1e9)]),  # everything queues first
@@ -727,11 +708,7 @@ def run_e9_disconnected() -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def run_e10_compression(
-    links: tuple[LinkSpec, ...] = (WAVELAN_2M, CSLIP_14_4, CSLIP_2_4),
-    n_messages: int = 8,
-    seed: int = 42,
-) -> list[dict]:
+def run_e10_compression() -> list[dict]:
     """Prefetch a mail folder as the paper's prototype and as the default.
 
     The paper's prototype "does not perform any compression"; the
@@ -740,9 +717,9 @@ def run_e10_compression(
     that buys per link: bytes on the wire and time to complete the
     prefetch.
     """
-    corpus = generate_mail_corpus(seed=seed, n_folders=1, messages_per_folder=n_messages)
+    corpus = generate_mail_corpus(seed=42, n_folders=1, messages_per_folder=8)
     rows = []
-    for spec in links:
+    for spec in (WAVELAN_2M, CSLIP_14_4, CSLIP_2_4):
         measured = {}
         for label, adapt in (("raw", False), ("compressed", True)):
             bed = build_testbed(link_spec=spec, adapt_to_link=adapt)
@@ -774,13 +751,10 @@ def run_e10_compression(
 # ---------------------------------------------------------------------------
 
 
-def run_e11_batching(
-    n_queued: int = 12,
-    links: tuple[LinkSpec, ...] = (CSLIP_14_4, CSLIP_2_4),
-) -> list[dict]:
+def run_e11_batching() -> list[dict]:
     """Drain a parked QRPC queue on reconnection: prototype vs. default.
 
-    While disconnected the client queues ``n_queued`` imports; on
+    While disconnected the client queues 12 imports; on
     reconnection the scheduler drains them one exchange each (the
     paper's prototype) or as the default does: every frame compressed,
     and queued requests sharing a frame where one request alone already
@@ -789,7 +763,7 @@ def run_e11_batching(
     the 14.4k one (175 B), so the two links show both sides of the rule.
     """
     rows = []
-    for spec in links:
+    for spec in (CSLIP_14_4, CSLIP_2_4):
         for config, adapt in (("prototype", False), ("default", True)):
             bed = build_testbed(
                 link_spec=spec,
@@ -798,7 +772,7 @@ def run_e11_batching(
                 max_inflight=1,
             )
             urns = []
-            for index in range(n_queued):
+            for index in range(12):
                 urn = URN("server", f"bench/drain/{index:02d}")
                 bed.server.put_object(RDO(urn, "blob", {"n": index, "pad": "x" * 512}))
                 urns.append(str(urn))
@@ -822,18 +796,15 @@ def run_e11_batching(
 # ---------------------------------------------------------------------------
 
 
-def run_f1_size_sweep(
-    links: tuple[LinkSpec, ...] = STANDARD_LINKS,
-    sizes: tuple[int, ...] = (1024, 4096, 16 * 1024, 64 * 1024, 128 * 1024),
-) -> list[dict]:
+def run_f1_size_sweep() -> list[dict]:
     """Import latency as a function of object size, per link.
 
     The figure-style series behind every table: latency is affine in
     size with slope ~8/bandwidth and intercept ~(flush + 2*latency).
     """
     rows = []
-    for spec in links:
-        for size in sizes:
+    for spec in STANDARD_LINKS:
+        for size in (1024, 4096, 16 * 1024, 64 * 1024, 128 * 1024):
             bed = build_testbed(link_spec=spec, adapt_to_link=False)
             urn = URN("server", f"bench/size/{size}")
             bed.server.put_object(RDO(urn, "blob", {"body": "x" * size}))
@@ -855,12 +826,7 @@ def run_f1_size_sweep(
 # ---------------------------------------------------------------------------
 
 
-def run_f2_availability(
-    duty_cycles: tuple[float, ...] = (0.05, 0.25, 0.5, 1.0),
-    period_s: float = 600.0,
-    n_reads: int = 20,
-    seed: int = 5,
-) -> list[dict]:
+def run_f2_availability() -> list[dict]:
     """Fraction of mail reads served instantly vs link duty cycle.
 
     The paper's thesis, as a curve: a conventional client's
@@ -874,10 +840,11 @@ def run_f2_availability(
     from repro.net.link import PeriodicSchedule
     from repro.sim import make_rng
 
+    seed, period_s, n_reads = 5, 600.0, 20
     rows = []
     corpus = generate_mail_corpus(seed=seed, n_folders=1, messages_per_folder=10)
     ids = [m.msg_id for m in corpus.folders["inbox"]]
-    for duty in duty_cycles:
+    for duty in (0.05, 0.25, 0.5, 1.0):
         if duty >= 1.0:
             policy = None
         else:
@@ -922,11 +889,7 @@ def run_f2_availability(
 # ---------------------------------------------------------------------------
 
 
-def run_f3_shared_cell(
-    populations: tuple[int, ...] = (1, 2, 4, 8),
-    n_objects: int = 6,
-    seed: int = 9,
-) -> list[dict]:
+def run_f3_shared_cell() -> list[dict]:
     """N clients hoard a folder at once over one WaveLAN cell.
 
     Dedicated links would finish in constant time regardless of N; a
@@ -934,15 +897,13 @@ def run_f3_shared_cell(
     finish time grows ~linearly with the population — the contention
     reality behind the paper's wireless numbers.
     """
-    corpus = generate_mail_corpus(
-        seed=seed, n_folders=1, messages_per_folder=n_objects
-    )
+    corpus = generate_mail_corpus(seed=9, n_folders=1, messages_per_folder=6)
     rows = []
-    for n in populations:
+    for n in (1, 2, 4, 8):
         results = {}
         for label, shared in (("shared", True), ("dedicated", False)):
             bed = build_multi_client_testbed(
-                n, link_spec=WAVELAN_2M, shared_medium=shared, seed=seed,
+                n, link_spec=WAVELAN_2M, shared_medium=shared, seed=9,
                 adapt_to_link=False,
             )
             MailServerApp(bed.server, corpus)
@@ -975,7 +936,7 @@ def run_f3_shared_cell(
 # ---------------------------------------------------------------------------
 
 
-def run_e12_locking(n_clients: int = 4, edits_per_client: int = 2) -> list[dict]:
+def run_e12_locking() -> list[dict]:
     """M clients edit the *same field* of one object, optimistically vs
     with check-out locks.
 
@@ -988,6 +949,7 @@ def run_e12_locking(n_clients: int = 4, edits_per_client: int = 2) -> list[dict]
     """
     from repro.core.promise import Promise
 
+    n_clients, edits_per_client = 4, 2
     note_code = (
         "def read(state):\n"
         "    return state['text']\n"
@@ -1072,20 +1034,19 @@ def run_e12_locking(n_clients: int = 4, edits_per_client: int = 2) -> list[dict]
 # ---------------------------------------------------------------------------
 
 
-def run_e13_chaos(seed: "int | None" = None) -> list[dict]:
+def run_e13_chaos() -> list[dict]:
     """The chaos acceptance scenario vs a fault-free control run.
 
-    ``seed`` defaults to the ``CHAOS_SEED`` environment variable (the
-    CI seed matrix) so a failing matrix entry reproduces locally with
-    ``CHAOS_SEED=<n> python -m repro.bench --metrics e13``.
+    The seed is the ``CHAOS_SEED`` environment variable (the CI seed
+    matrix; 0 when unset) so a failing matrix entry reproduces locally
+    with ``CHAOS_SEED=<n> python -m repro.bench --metrics e13``.
     """
     import os
     import tempfile
 
     from repro.chaos.scenario import run_chaos_scenario
 
-    if seed is None:
-        seed = int(os.environ.get("CHAOS_SEED", "0"))
+    seed = int(os.environ.get("CHAOS_SEED", "0"))
     rows = []
     for config, faults in (("clean", False), ("chaos", True)):
         with tempfile.TemporaryDirectory() as tmp:
@@ -1114,13 +1075,7 @@ def run_e13_chaos(seed: "int | None" = None) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def _e14_one(
-    link_spec: LinkSpec,
-    compaction: bool,
-    delta_shipping: bool,
-    seed: int,
-    coalesce: bool = False,
-) -> dict:
+def _e14_one(link_spec: LinkSpec, compaction: bool, delta_shipping: bool, coalesce: bool) -> dict:
     """One E14 cell: the disconnected-mail-session workload on one link.
 
     Connected warm-up imports the inbox and every body; a long
@@ -1146,7 +1101,7 @@ def _e14_one(
         delta_shipping=delta_shipping,
         adapt_to_link=coalesce,
     )
-    corpus = generate_mail_corpus(seed=seed, n_folders=1, messages_per_folder=10)
+    corpus = generate_mail_corpus(seed=7, n_folders=1, messages_per_folder=10)
     app = MailServerApp(bed.server, corpus)
     app.create_folder("outbox")
     reader = RoverMailReader(bed.access, bed.authority)
@@ -1211,20 +1166,18 @@ def _e14_one(
     }
 
 
-def run_e14_wire(
-    links: tuple[LinkSpec, ...] = (CSLIP_14_4, CSLIP_2_4),
-    seed: int = 7,
-) -> list[dict]:
+def run_e14_wire() -> list[dict]:
     """Bytes-on-wire and drain time for clean vs compaction vs
     compaction+delta (each on the prototype's wire) vs all of it on the
     default wire (coalesced, compressed frames), on the paper's serial
     links."""
-    rows = []
-    for link_spec in links:
-        for compaction, delta in ((False, False), (True, False), (True, True)):
-            rows.append(_e14_one(link_spec, compaction, delta, seed=seed))
-        rows.append(_e14_one(link_spec, True, True, seed=seed, coalesce=True))
-    return rows
+    return [
+        _e14_one(link_spec, compaction, delta, coalesce)
+        for link_spec in (CSLIP_14_4, CSLIP_2_4)
+        for compaction, delta, coalesce in (
+            (False, False, False), (True, False, False), (True, True, False), (True, True, True)
+        )
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -1254,12 +1207,7 @@ def _e15_row(config: str, result, clean_wire_bytes: int) -> dict:
     }
 
 
-def run_e15_fleet(
-    n_clients: int = 1000,
-    seed: int = 0,
-    horizon_s: float = 600.0,
-    report_interval_s: float = 60.0,
-) -> list[dict]:
+def run_e15_fleet(n_clients: int = 1000) -> list[dict]:
     """Fleet telemetry at scale: overhead and exactness, clean and chaotic.
 
     Three runs over the mixed link population (Ethernet / WaveLAN /
@@ -1274,9 +1222,7 @@ def run_e15_fleet(
     """
     from repro.obs.fleet.sim import FleetScenario, run_fleet
 
-    scenario = FleetScenario(
-        n_clients=n_clients, seed=seed, horizon_s=horizon_s, report_interval_s=report_interval_s
-    )
+    scenario = FleetScenario(n_clients=n_clients)
     rows: list[dict] = []
     for config, telemetry, chaos in (
         ("clean", False, False),
@@ -1294,7 +1240,7 @@ def run_e15_fleet(
 # ---------------------------------------------------------------------------
 
 
-def run_e16_speed(n_clients: int = 10_000, seed: int = 7) -> list[dict]:
+def run_e16_speed(n_clients: int = 10_000) -> list[dict]:
     """CPU cost of the mixed-link reconnection drain.
 
     One row.  The simulation fields (ops, appends, flushes, group
@@ -1308,7 +1254,7 @@ def run_e16_speed(n_clients: int = 10_000, seed: int = 7) -> list[dict]:
     """
     from repro.speed import SpeedScenario, Stopwatch, run_drain
 
-    scenario = SpeedScenario(n_clients=n_clients, seed=seed)
+    scenario = SpeedScenario(n_clients=n_clients)
     gc.collect()
     collected_before = sum(generation["collected"] for generation in gc.get_stats())
     with Stopwatch() as clock:

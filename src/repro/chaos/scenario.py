@@ -58,13 +58,16 @@ def standard_plan(seed: int) -> FaultPlan:
     )
 
 
+#: The workload: this many appends, spread evenly over the horizon (s).
+N_MESSAGES = 20
+HORIZON_S = 2000.0
+
+
 def run_chaos_scenario(
     seed: int = 0,
     *,
     faults: bool = True,
     log_path: Optional[str] = None,
-    n_messages: int = 20,
-    horizon: float = 2000.0,
 ) -> dict:
     """Run the mail workload under :func:`standard_plan` (or fault-free).
 
@@ -119,11 +122,11 @@ def run_chaos_scenario(
             access.import_(folder_urn).then(append)
 
     bed.access.import_(folder_urn)
-    step = horizon / (n_messages + 1)
-    for index in range(n_messages):
+    step = HORIZON_S / (N_MESSAGES + 1)
+    for index in range(N_MESSAGES):
         bed.sim.schedule_at(step * (index + 1), send_message, index)
 
-    bed.sim.run(until=horizon)
+    bed.sim.run(until=HORIZON_S)
     drained = bed.sim.run_until(
         lambda: bed.access.pending_count() == 0 and bed.scheduler.idle(),
         timeout=6000.0,
@@ -149,7 +152,7 @@ def run_chaos_scenario(
     return {
         "seed": seed,
         "faults": faults,
-        "sends": n_messages,
+        "sends": N_MESSAGES,
         "acked": len(acked_ids),
         "mean_ack_s": (
             round(sum(ack_latencies) / len(ack_latencies), 6) if ack_latencies else 0.0

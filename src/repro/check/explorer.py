@@ -24,7 +24,7 @@ set-to-set (the pruning-soundness property test).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.check.scenarios import Chooser, RunResult, Scenario
 
@@ -67,7 +67,6 @@ def explore(
     max_runs: Optional[int] = None,
     pruning: bool = True,
     stop_on_violation: bool = True,
-    progress: Optional[Callable[[int], None]] = None,
 ) -> ExploreResult:
     """Run ``scenario`` through every trace within the bounds."""
     if crash_budget is None:
@@ -83,8 +82,6 @@ def explore(
         result.runs_explored += 1
         result.points_pruned += run.stats.get("pruned_points", 0)
         result.unique_states.add(run.state_hash)
-        if progress is not None and result.runs_explored % 500 == 0:
-            progress(result.runs_explored)
         if run.violations:
             result.violations.append(run)
             if stop_on_violation:

@@ -233,12 +233,12 @@ class Scenario:
     def drain(self, bed: Any, timeout: float = 600.0) -> bool:
         return bed.sim.run_until(lambda: self._drained(bed), timeout=timeout)
 
-    def settle(self, bed: Any, harness: CheckHarness, timeout: float = 600.0) -> None:
+    def settle(self, bed: Any, harness: CheckHarness) -> None:
         """Quiescence: drain, outwait every delayed replay, drain again."""
-        self.drain(bed, timeout)
-        tail = self.dup_delay_s + self.delay_s + harness.flap_heal_s + 2.0
+        self.drain(bed)
+        tail = self.dup_delay_s + self.delay_s + harness.FLAP_HEAL_S + 2.0
         bed.sim.run(until=bed.sim.now + tail)
-        self.drain(bed, timeout)
+        self.drain(bed)
 
 
 # -- warm-import races --------------------------------------------------------

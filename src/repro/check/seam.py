@@ -64,6 +64,9 @@ class SwitchablePolicy(ConnectivityPolicy):
 class CheckHarness:
     """Per-run bookkeeping shared by the seams and the oracle."""
 
+    #: How long a flapped link stays down, seconds.
+    FLAP_HEAL_S = 0.5
+
     def __init__(
         self,
         sim: Any,
@@ -74,7 +77,6 @@ class CheckHarness:
         crash_budget: int = 0,
         dup_delay_s: float = 3.0,
         delay_s: float = 0.25,
-        flap_heal_s: float = 0.5,
     ) -> None:
         self.sim = sim
         #: URNs touched by two or more clients (ordering can matter).
@@ -86,7 +88,6 @@ class CheckHarness:
         self.crash_budget = crash_budget
         self.dup_delay_s = dup_delay_s
         self.delay_s = delay_s
-        self.flap_heal_s = flap_heal_s
         #: Branch points suppressed by commutativity pruning (each one
         #: would have multiplied the run set by its alternative count).
         self.pruned_points = 0
@@ -239,7 +240,7 @@ class CheckInjector:
         policy = self.link.policy
         if not isinstance(policy, SwitchablePolicy) or not self.link.is_up:
             return
-        policy.force_down(self.harness.sim.now, self.harness.flap_heal_s)
+        policy.force_down(self.harness.sim.now, self.harness.FLAP_HEAL_S)
         self.link._handle_transition()
 
 

@@ -57,15 +57,11 @@ class Hoarder:
         authority: str,
         profile: HoardProfile,
         refresh_interval_s: Optional[float] = None,
-        max_age_s: Optional[float] = None,
     ) -> None:
         self.access = access
         self.authority = authority
         self.profile = profile
         self.refresh_interval_s = refresh_interval_s
-        #: Freshness bound used on re-walks: cached copies older than
-        #: this are re-imported (polling, per the paper).
-        self.max_age_s = max_age_s
         self.walks = 0
         self.objects_queued = 0
         self._timer = None
@@ -110,13 +106,11 @@ class Hoarder:
         queued = 0
         for urn in urns:
             cached = self.access.cache.peek(urn)
-            if cached is not None and self.max_age_s is None:
+            if cached is not None:
                 if entry.pin and not cached.pinned:
                     self.access.cache.pin(urn)
                 continue
-            promise = self.access.import_(
-                urn, priority=entry.priority, max_age_s=self.max_age_s
-            )
+            promise = self.access.import_(urn, priority=entry.priority)
             if entry.pin:
                 promise.then(
                     lambda rdo, u=urn: self._pin_if_cached(u)

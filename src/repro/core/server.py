@@ -33,7 +33,6 @@ from repro.net.simnet import Address
 from repro.lint.contracts import replay_pure
 from repro.net.message import marshal, same_encoding, unmarshal
 from repro.net.transport import DelayedReply, Transport
-from repro.obs import Observatory
 from repro.sim import Simulator
 from repro.storage.kvstore import KVStore
 
@@ -131,28 +130,22 @@ class RoverServer:
         transport: Transport,
         authority: str,
         resolvers: Optional[ResolverRegistry] = None,
-        cost_model: Optional[ExecutionCostModel] = None,
         history_limit: int = 32,
-        step_budget: int = 200_000,
         auth_tokens: Optional[set[str]] = None,
-        obs: Optional[Observatory] = None,
-        verify_rdos: bool = True,
         applied_cache_cap: int = 1024,
     ) -> None:
         self.sim = sim
         self.transport = transport
-        #: Observability: defaults to the transport's observatory so a
-        #: hand-wired server shares its host's registry/tracer.
-        self.obs = obs if obs is not None else transport.obs
+        #: Observability: the transport's, so a server shares its host's
+        #: registry/tracer.
+        self.obs = transport.obs
         self.authority = authority
         self.store = KVStore()
         self.resolvers = resolvers or ResolverRegistry()
         # Servers are workstations: markedly faster than the mobile
         # client (the paper's DEC vs. ThinkPad split).
-        self.cost_model = cost_model or ExecutionCostModel(
-            base_s=0.0004, per_step_s=0.0001
-        )
-        self.interpreter = SafeInterpreter(step_budget=step_budget)
+        self.cost_model = ExecutionCostModel(base_s=0.0004, per_step_s=0.0001)
+        self.interpreter = SafeInterpreter(step_budget=200_000)
         #: Accepted authentication tokens; ``None`` leaves the server
         #: open.  The paper's server is "a secure setuid application
         #: that authenticates requests from client applications" — we
@@ -162,10 +155,9 @@ class RoverServer:
         #: Static verification at the publish/ship boundary: a bad RDO
         #: is rejected *here*, with precise diagnostics, instead of
         #: failing on a client mid-invocation after crossing a slow
-        #: link.  ``verify_rdos=False`` is the escape hatch for
-        #: deliberately unverifiable code (it still faces the runtime
-        #: sandbox, the last line of defense).
-        self.verify_rdos = verify_rdos
+        #: link.  Shipped code is always verified; an administrator's
+        #: ``put_object(verify=False)`` is the one way past it (the code
+        #: still faces the runtime sandbox, the last line of defense).
         self.rdos_rejected = 0
         self.history_limit = history_limit
         self._history: dict[str, list[tuple[int, Any]]] = {}
@@ -271,18 +263,16 @@ class RoverServer:
 
     # -- population ---------------------------------------------------------
 
-    def put_object(self, rdo: RDO, verify: Optional[bool] = None) -> int:
+    def put_object(self, rdo: RDO, verify: bool = True) -> int:
         """Install/replace an object (server-side administration).
 
-        When verification is on (the default; ``verify`` overrides the
-        server-wide :attr:`verify_rdos` per call), the RDO's code is
-        statically verified against its interface, once per class
+        With ``verify`` (the default), the RDO's code is statically
+        verified against its interface, once per class
         (:meth:`SafeInterpreter.verify`), and the publish is
         rejected — :class:`RDOVerificationError`, listing every
         finding with rule/file/line/col — before anything is stored.
         """
-        should_verify = self.verify_rdos if verify is None else verify
-        if should_verify:
+        if verify:
             diagnostics = self.interpreter.verify(rdo.code, rdo.interface, f"<rdo:{rdo.urn}>")
             if diagnostics:
                 self.rdos_rejected += 1
@@ -726,13 +716,12 @@ class RoverServer:
         method = body.get("method", "main")
         args = body.get("args", [])
 
-        if self.verify_rdos:
-            diagnostics = self.interpreter.verify(
-                code, path="<shipped-rdo>", extra_names=SHIP_ENV_NAMES
-            )
-            if diagnostics:
-                self.rdos_rejected += 1
-                raise RDOVerificationError("shipped RDO", diagnostics)
+        diagnostics = self.interpreter.verify(
+            code, path="<shipped-rdo>", extra_names=SHIP_ENV_NAMES
+        )
+        if diagnostics:
+            self.rdos_rejected += 1
+            raise RDOVerificationError("shipped RDO", diagnostics)
 
         def lookup(urn: str) -> Any:
             wire = self.store.get_value(urn)

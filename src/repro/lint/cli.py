@@ -36,7 +36,6 @@ DEFAULT_RDO_MODULES = (
     "repro.apps.calendar",
     "repro.apps.webproxy",
     "repro.bench.experiments",
-    "repro.obs.fleet.admin",
     "repro.workloads.fleet",
 )
 

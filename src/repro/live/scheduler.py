@@ -15,18 +15,20 @@ from repro.net.scheduler import NetworkScheduler, Priority, QueuedMessage
 class LiveScheduler(NetworkScheduler):
     """Priority QRPC drainer over real sockets."""
 
+    #: Retry backoff, seconds: a real network answers in milliseconds.
+    BASE_BACKOFF = 0.2
+    MAX_BACKOFF = 10.0
+
     def __init__(
         self,
         clock: RealTimeClock,
         transport: LiveTransport,
         max_inflight: int = 4,
         max_attempts: int = 8,
-        base_backoff: float = 0.2,
-        max_backoff: float = 10.0,
         call_timeout: float = 10.0,
     ) -> None:
         super().__init__(
-            clock, transport, max_inflight, max_attempts, base_backoff, max_backoff,
+            clock, transport, max_inflight, max_attempts, self.BASE_BACKOFF, self.MAX_BACKOFF,
             obs=transport.obs, rpc_timeout=call_timeout,
         )
         self._submit_lock = threading.Lock()

@@ -174,7 +174,6 @@ class QueuedMessage:
         "attempts",
         "enqueued_at",
         "state",
-        "route_preference",
         "trace",
         "last_queued_at",
         "body_bytes",
@@ -191,7 +190,6 @@ class QueuedMessage:
         on_reply: Callable[[Any], None],
         on_failed: Callable[[str], None],
         enqueued_at: float,
-        route_preference: Optional[RouteKind] = None,
     ) -> None:
         self.seq = seq
         #: The host the current (or last) attempt goes to.  A message
@@ -216,10 +214,6 @@ class QueuedMessage:
         #: When the message last (re-)entered the queue; queue.wait
         #: spans measure from here, so each retry gets its own span.
         self.last_queued_at = enqueued_at
-        #: Requested quality of service: pin the message to one carrier
-        #: kind (paper 5.3: route choice "based in part upon the
-        #: requested quality of service").  None = any carrier.
-        self.route_preference = route_preference
         #: Marshalled size of ``body`` (what the frame budget and the
         #: per-service byte counter charge).
         self.body_bytes = marshalled_size(body)
@@ -347,12 +341,12 @@ class NetworkScheduler:
             "sched_inflight", "Messages occupying the window", labelnames=("host",)
         ).labels(**host_label).set_function(lambda: self._inflight)
         self._watched_links: set[str] = set()
-        # Memoized _best_route results, keyed by (dst name, preference).
+        # Memoized _best_route results, keyed by dst name.
         # Route availability only changes when link state does, so the
         # cache is replaced wholesale on every link transition (and when
         # routes or links are added, or a destination's rest ends)
         # rather than tracked per entry.
-        self._route_cache: dict[tuple[str, Optional[int]], Optional[Route]] = {}
+        self._route_cache: dict[str, Optional[Route]] = {}
         self._drain_hooks: list[Callable[[], None]] = []
         self._watch_links()
 
@@ -431,7 +425,6 @@ class NetworkScheduler:
         priority: Priority = Priority.DEFAULT,
         on_reply: Optional[Callable[[Any], None]] = None,
         on_failed: Optional[Callable[[str], None]] = None,
-        route_preference: Optional[RouteKind] = None,
     ) -> QueuedMessage:
         """Queue a request.  Non-blocking; callbacks fire on completion.
 
@@ -449,7 +442,6 @@ class NetworkScheduler:
             on_reply=on_reply or (lambda body: None),
             on_failed=on_failed or (lambda reason: None),
             enqueued_at=self.sim.now,
-            route_preference=route_preference,
         )
         if not isinstance(dst, Host) and hasattr(dst, "current_host"):
             message.group, message.dst = dst, None
@@ -560,18 +552,11 @@ class NetworkScheduler:
                 hook()
             self._pump()
 
-    def _best_route(
-        self, dst: Host, preference: Optional[RouteKind] = None
-    ) -> Optional[Route]:
-        key = (dst.name, None if preference is None else int(preference))
+    def _best_route(self, dst: Host) -> Optional[Route]:
+        key = dst.name
         if key in self._route_cache:
             return self._route_cache[key]
-        candidates = [
-            route
-            for route in self.routes
-            if route.available(dst)
-            and (preference is None or route.kind == preference)
-        ]
+        candidates = [route for route in self.routes if route.available(dst)]
         best = max(candidates, key=lambda route: route.quality) if candidates else None
         self._route_cache[key] = best
         return best
@@ -595,12 +580,12 @@ class NetworkScheduler:
                     self._stuck.append(heapq.heappop(self._heap))
                     continue
                 message.dst = group.current_host
-            route = self._best_route(message.dst, message.route_preference)
+            route = self._best_route(message.dst)
             if route is None:
-                # This message's destination (or pinned carrier) is
-                # unreachable right now; let the rest of the queue make
-                # progress around it — another destination's link may
-                # well be up (no head-of-line blocking across servers).
+                # This message's destination is unreachable right now;
+                # let the rest of the queue make progress around it —
+                # another destination's link may well be up (no
+                # head-of-line blocking across servers).
                 self._stuck.append(heapq.heappop(self._heap))
                 continue
             heapq.heappop(self._heap)
@@ -616,12 +601,10 @@ class NetworkScheduler:
         foreground request never waits for background bytes), in queue
         order, until the next one would pass the frame's byte budget
         (or the member count every receiver accepts).
-        A pinned message's carrier may differ from ``head``'s, so it
-        neither gathers nor joins.
         """
         frame = [head]
         room = BATCH_BUDGET_BYTES - head.body_bytes
-        if head.route_preference is not None or room <= 0 or not self._heap:
+        if room <= 0 or not self._heap:
             return frame
         link = route.first_hop(head.dst)
         if link is None or not self.transport.bytes_dominate(link, head.body_bytes):
@@ -639,7 +622,7 @@ class NetworkScheduler:
                 # Named per attempt, like ``head``'s; a resting
                 # destination has no member to share a frame with.
                 candidate.dst = None if group in self._resting else group.current_host
-            if candidate.dst is not head.dst or candidate.route_preference is not None:
+            if candidate.dst is not head.dst:
                 skipped.append(heapq.heappop(self._heap))
                 continue
             if candidate.body_bytes > room:

@@ -435,7 +435,6 @@ class Transport:
         service: str,
         request: Any,
         timeout: float = 60.0,
-        link: Optional[Link] = None,
     ) -> Any:
         """Run the simulator until the reply arrives; return the result.
 
@@ -451,7 +450,7 @@ class Transport:
         def on_error(error: RpcError) -> None:
             outcome["error"] = error
 
-        self.call(dst, service, request, on_reply, on_error, timeout=timeout, link=link)
+        self.call(dst, service, request, on_reply, on_error, timeout=timeout)
         self.sim.run_until(lambda: bool(outcome))
         if "error" in outcome:
             raise outcome["error"]

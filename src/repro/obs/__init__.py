@@ -44,14 +44,9 @@ from repro.obs import export
 class Observatory:
     """One registry plus one tracer — the unit of isolation."""
 
-    def __init__(
-        self,
-        tracing: bool = False,
-        registry: Optional[MetricsRegistry] = None,
-        tracer: Optional[Tracer] = None,
-    ) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.tracer = tracer if tracer is not None else Tracer(enabled=tracing)
+    def __init__(self, tracing: bool = False) -> None:
+        self.registry = MetricsRegistry()
+        self.tracer = Tracer(enabled=tracing)
 
     @property
     def spans(self) -> list[Span]:
@@ -86,9 +81,9 @@ _capture: Optional[Observatory] = None
 
 def set_capture(obs: Optional[Observatory]) -> None:
     """Install (or clear, with ``None``) the process-wide capture
-    Observatory that :func:`repro.testbed.build_testbed` adopts when no
-    explicit one is passed — how the bench CLI traces experiments that
-    build their testbeds internally."""
+    Observatory every testbed built meanwhile adopts — how the bench
+    CLI traces experiments that build their testbeds internally, and
+    the one way to hand a bed an Observatory of one's own."""
     global _capture
     _capture = obs
 

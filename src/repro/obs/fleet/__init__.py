@@ -23,7 +23,6 @@ Pieces:
   :class:`WindowRing`;
 * :mod:`repro.obs.fleet.slo` — declarative :class:`SLORule` parsing
   and evaluation, :class:`HealthEvent`;
-* :mod:`repro.obs.fleet.admin` — the read-only fleet-health RDO;
 * :mod:`repro.obs.fleet.expo` — Prometheus-style text exposition and
   JSONL export;
 * :mod:`repro.obs.fleet.sim` — :class:`FleetScenario`, the 1k-client

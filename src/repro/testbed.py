@@ -98,7 +98,7 @@ class Testbed:
     #: ``(server, transport)`` per member, primary first at build time.
     members: list[tuple[RoverServer, Transport]]
     clients: list[ClientStack]
-    #: The replication group; None unless built by :func:`build_ha_testbed`.
+    #: The replication group; None unless built with ``n_backups``.
     group: Optional[ReplicationGroup] = None
     relay_host: Optional[Host] = None
     relay: Optional[MailRelay] = None
@@ -125,7 +125,7 @@ class Testbed:
     server_transport = property(lambda self: self.members[0][1])
     server_host = property(lambda self: self.members[0][1].host)
 
-    def put_object(self, rdo, verify: Optional[bool] = None) -> int:
+    def put_object(self, rdo, verify: bool = True) -> int:
         """Install an object on *every* member, like a release would:
         administration bypasses replication.  Each member gets its own
         *copy* (:meth:`RDO.copy`); members sharing one state dict would
@@ -134,11 +134,6 @@ class Testbed:
         for server, _transport in self.members:
             version = server.put_object(rdo.copy(), verify=verify)
         return version
-
-    def crash_and_recover_client(self) -> list[str]:
-        """:meth:`ClientStack.crash_and_recover` on client 0: its volatile
-        state dies, the new manager replays pending QRPCs from the log."""
-        return self.clients[0].crash_and_recover()
 
 
 MultiClientTestbed = Testbed
@@ -151,7 +146,6 @@ def _build(
     policies: Optional[list[Optional[ConnectivityPolicy]]] = None,
     authority: str = "server",
     seed: int = 0,
-    obs: Optional[Observatory] = None,
     trace: bool = False,
     adapt_to_link: bool = True,
     compaction: bool = False,
@@ -170,22 +164,68 @@ def _build(
     relay_link_spec: Optional[LinkSpec] = None,
     relay_client_policy: Optional[ConnectivityPolicy] = None,
     relay_server_policy: Optional[ConnectivityPolicy] = None,
-    **wiring,
+    flush_model: Optional[FlushModel] = None,
+    delta_shipping: bool = False,
+    group_commit: Optional[GroupCommitPolicy] = None,
+    stable_backend=None,
 ) -> Testbed:
-    """Every builder's body: the members (``1 + n_backups`` of them in
-    a replication group, one home server when ``n_backups`` is None),
-    then a client stack per name, linked to every member, then the
-    relay on client 0.  ``wiring`` goes to :func:`wire_access_manager`."""
-    if obs is None:
-        obs = active_capture() or Observatory(tracing=trace)
-    elif trace:
-        obs.tracer.enabled = True
+    """Every builder's body, and the one place its options are declared.
+
+    It builds the members (``authority``, then ``authority-b1`` …), a
+    client stack per name linked to every member, then the relay on
+    client 0.  The options:
+
+    * ``link_spec``: every link's spec; ``link_specs``: client ``i``
+      gets ``link_specs[i % len(link_specs)]`` (a mixed population);
+    * ``policies``: one connectivity policy (or None) per client;
+    * ``shared_medium``: the client links contend on one channel (a
+      wireless cell);
+    * ``authority``: the home server's name; ``seed``: the network's;
+    * ``trace``: spans on.  Every component shares ``bed.obs``: a
+      :func:`repro.obs.set_capture` capture if one is installed, else a
+      fresh Observatory; ``per_client_obs``: each client gets a private
+      one (``stack.obs``), so telemetry reporters ship disjoint
+      registries;
+    * ``adapt_to_link=False``: every transport on the paper
+      prototype's wire (see :attr:`Transport.adapt_to_link`);
+    * the scheduler's ``max_inflight``, ``max_attempts``, ``fifo_only``
+      and ``rpc_timeout_s``;
+    * ``n_backups``: a :class:`~repro.ha.group.ReplicationGroup` of
+      ``1 + n_backups`` fully meshed members, with ``lease_s`` and
+      ``heartbeat_s``; each client fails over by its own
+      :class:`~repro.ha.group.ReplicaSet`.  None: one home server;
+    * ``mesh_policies``: scripts the mesh per member pair ``(a, b)``,
+      ``a < b``;
+    * ``with_relay``: an SMTP relay that carries mailed QRPCs, linked to
+      client 0 and the home server by ``relay_link_spec`` (default
+      ``link_spec``) under ``relay_client_policy`` and
+      ``relay_server_policy``;
+    * the access manager's ``compaction``, ``delta_shipping``,
+      ``group_commit`` and ``flush_model``; ``stable_backend`` holds
+      the client's log (e.g. a
+      :class:`~repro.storage.stable_log.FileLogBackend`).
+
+    An option that cannot apply to the shape asked for is a
+    ``ValueError`` before anything is built.
+    """
+    n_members = 1 + (n_backups or 0)
+    if policies is not None and len(policies) != len(client_names):
+        raise ValueError(
+            f"policies has {len(policies)} entries for {len(client_names)} clients"
+        )
+    for a, b in mesh_policies or {}:
+        if not 0 <= a < b < n_members:
+            raise ValueError(
+                f"mesh_policies key {(a, b)} is not a member pair (a, b), a < b, "
+                f"of {n_members} members"
+            )
+    obs = active_capture() or Observatory(tracing=trace)
     obs.tracer.scope_attrs["link"] = link_spec.name
     sim = Simulator()
     network = Network(sim, seed=seed)
 
     members: list[tuple[RoverServer, Transport]] = []
-    for index in range(1 + (n_backups or 0)):
+    for index in range(n_members):
         host = network.host(authority if index == 0 else f"{authority}-b{index}")
         transport = Transport(sim, host, obs=obs, adapt_to_link=adapt_to_link)
         members.append((RoverServer(sim, transport, authority), transport))
@@ -214,8 +254,11 @@ def _build(
             sim, transport, max_inflight=max_inflight, max_attempts=max_attempts,
             fifo_only=fifo_only, obs=client_obs, rpc_timeout=rpc_timeout_s,
         )
-        compactor = Compactor() if compaction else None
-        access = wire_access_manager(scheduler, servers, client_obs, compactor=compactor, **wiring)
+        access = wire_access_manager(
+            scheduler, servers, client_obs, stable_backend=stable_backend,
+            flush_model=flush_model, compactor=Compactor() if compaction else None,
+            delta_shipping=delta_shipping, group_commit=group_commit,
+        )
         stack_obs = client_obs if per_client_obs else None
         clients.append(ClientStack(host, links[0], transport, scheduler, access, stack_obs))
 
@@ -238,112 +281,29 @@ def _build(
     return bed
 
 
-def build_testbed(
-    link_spec: LinkSpec = ETHERNET_10M,
-    policy: Optional[ConnectivityPolicy] = None,
-    flush_model: Optional[FlushModel] = None,
-    with_relay: bool = False,
-    relay_link_spec: Optional[LinkSpec] = None,
-    relay_client_policy: Optional[ConnectivityPolicy] = None,
-    relay_server_policy: Optional[ConnectivityPolicy] = None,
-    authority: str = "server",
-    max_inflight: int = 4,
-    fifo_only: bool = False,
-    adapt_to_link: bool = True,
-    seed: int = 0,
-    obs: Optional[Observatory] = None,
-    trace: bool = False,
-    rpc_timeout_s: float = 600.0,
-    max_attempts: int = 8,
-    compaction: bool = False,
-    delta_shipping: bool = False,
-    group_commit: Optional[GroupCommitPolicy] = None,
-    stable_backend=None,
-) -> Testbed:
-    """Client ``client`` and home server ``authority`` on one link.
-
-    ``with_relay`` adds an SMTP relay (links: ``relay_link_spec`` or
-    the same spec) that carries mailed QRPCs.  Every component shares
-    ``bed.obs``: ``obs``, else a :func:`repro.obs.set_capture` capture,
-    else a fresh one (``trace=True``: spans on).  ``adapt_to_link=False``
-    puts every transport on the paper prototype's wire (see
-    :attr:`Transport.adapt_to_link`).  ``stable_backend`` holds the
-    client's log (e.g. a :class:`~repro.storage.stable_log.FileLogBackend`).
-    """
-    return _build(
-        ["client"], link_spec=link_spec, policies=[policy], authority=authority,
-        seed=seed, obs=obs, trace=trace, adapt_to_link=adapt_to_link,
-        compaction=compaction, max_inflight=max_inflight, max_attempts=max_attempts,
-        fifo_only=fifo_only, rpc_timeout_s=rpc_timeout_s, with_relay=with_relay,
-        relay_link_spec=relay_link_spec, relay_client_policy=relay_client_policy,
-        relay_server_policy=relay_server_policy, flush_model=flush_model,
-        delta_shipping=delta_shipping, group_commit=group_commit,
-        stable_backend=stable_backend,
-    )
+def build_testbed(*, policy: Optional[ConnectivityPolicy] = None, **options) -> Testbed:
+    """Client ``client`` and home server ``authority``; ``policy``
+    scripts the client's link.  ``options``: :func:`_build`'s."""
+    return _build(["client"], policies=[policy], **options)
 
 
-def build_multi_client_testbed(
-    n_clients: int,
-    link_spec: LinkSpec = ETHERNET_10M,
-    policies: Optional[list[Optional[ConnectivityPolicy]]] = None,
-    flush_model: Optional[FlushModel] = None,
-    authority: str = "server",
-    shared_medium: bool = False,
-    seed: int = 0,
-    obs: Optional[Observatory] = None,
-    trace: bool = False,
-    rpc_timeout_s: float = 600.0,
-    compaction: bool = False,
-    delta_shipping: bool = False,
-    per_client_obs: bool = False,
-    link_specs: Optional[list[LinkSpec]] = None,
-    group_commit: Optional[GroupCommitPolicy] = None,
-    adapt_to_link: bool = True,
-) -> Testbed:
-    """Clients ``client0`` … each with its own link (and policy) to one
-    home server.  ``shared_medium=True``: the links contend on one
-    channel (a wireless cell).  ``per_client_obs=True``: every client
-    gets a private Observatory (``stack.obs``), so telemetry reporters
-    ship disjoint registries.  ``link_specs``: client ``i`` gets
-    ``link_specs[i % len(link_specs)]`` (a mixed population)."""
-    return _build(
-        [f"client{index}" for index in range(n_clients)], link_spec=link_spec,
-        policies=policies, authority=authority, seed=seed, obs=obs, trace=trace,
-        adapt_to_link=adapt_to_link, compaction=compaction, rpc_timeout_s=rpc_timeout_s,
-        link_specs=link_specs, shared_medium=shared_medium,
-        per_client_obs=per_client_obs, flush_model=flush_model,
-        delta_shipping=delta_shipping, group_commit=group_commit,
-    )
+def build_multi_client_testbed(n_clients: int, **options) -> Testbed:
+    """Clients ``client0`` … ``client{n_clients - 1}``, each with its own
+    link.  ``options``: :func:`_build`'s."""
+    return _build([f"client{index}" for index in range(n_clients)], **options)
 
 
 def build_ha_testbed(
     n_backups: int = 2,
     n_clients: int = 1,
-    link_spec: LinkSpec = ETHERNET_10M,
-    policies: Optional[list[Optional[ConnectivityPolicy]]] = None,
-    authority: str = "server",
-    seed: int = 0,
-    obs: Optional[Observatory] = None,
-    trace: bool = False,
     rpc_timeout_s: float = 5.0,
     max_attempts: int = 3,
-    lease_s: float = 6.0,
-    heartbeat_s: float = 2.0,
-    flush_model: Optional[FlushModel] = None,
-    mesh_policies: Optional[dict[tuple[int, int], ConnectivityPolicy]] = None,
-    **client_options,
+    **options,
 ) -> Testbed:
-    """A :class:`~repro.ha.group.ReplicationGroup` of ``1 + n_backups``
-    fully meshed members (``server``, ``server-b1``, …) and clients
-    ``client0`` … linked to every member, each with its own
-    :class:`~repro.ha.group.ReplicaSet` to fail over by; short RPC
-    budgets, so a primary kill converges quickly.  ``mesh_policies``
-    scripts the mesh per member pair ``(a, b)``, ``a < b``;
-    ``client_options`` are :func:`build_testbed`'s (``compaction``, …)."""
+    """Clients ``client0`` … against a replication group of ``1 +
+    n_backups`` members, with short RPC budgets so a primary kill
+    converges quickly.  ``options``: :func:`_build`'s."""
     return _build(
-        [f"client{index}" for index in range(n_clients)], link_spec=link_spec,
-        policies=policies, authority=authority, seed=seed, obs=obs, trace=trace,
-        rpc_timeout_s=rpc_timeout_s, max_attempts=max_attempts, n_backups=n_backups,
-        lease_s=lease_s, heartbeat_s=heartbeat_s, mesh_policies=mesh_policies,
-        flush_model=flush_model, **client_options,
+        [f"client{index}" for index in range(n_clients)], n_backups=n_backups,
+        rpc_timeout_s=rpc_timeout_s, max_attempts=max_attempts, **options,
     )

@@ -85,13 +85,12 @@ def generate_mail_corpus(
     n_folders: int = 3,
     messages_per_folder: int = 20,
     mean_body_bytes: int = 2048,
-    sigma: float = 1.0,
     max_body_bytes: int = 64 * 1024,
 ) -> MailCorpus:
     """Generate a deterministic mail corpus.
 
-    Body sizes are lognormal (median ``mean_body_bytes``); a long tail
-    caps at ``max_body_bytes``.
+    Body sizes are lognormal (median ``mean_body_bytes``, sigma 1); a
+    long tail caps at ``max_body_bytes``.
     """
     import math
 
@@ -106,7 +105,7 @@ def generate_mail_corpus(
             sender = rng.choice(_FIRST_NAMES) + "@example.edu"
             topic = rng.choice(_TOPICS)
             subject = f"Re: {topic} ({folder}/{index})"
-            size = int(rng.lognormvariate(math.log(mean_body_bytes), sigma))
+            size = int(rng.lognormvariate(math.log(mean_body_bytes), 1.0))
             size = max(64, min(size, max_body_bytes))
             body = _text_of_size(rng, size)
             messages.append(
@@ -242,15 +241,14 @@ class SiteGraph:
 def generate_site(
     seed: int,
     n_pages: int = 30,
-    mean_html_bytes: int = 8 * 1024,
     max_inline: int = 3,
-    mean_inline_bytes: int = 12 * 1024,
-    out_degree: int = 4,
 ) -> SiteGraph:
     """Generate a browsable site graph (connected from the root).
 
-    Pages link mostly "forward" (a shallow tree with cross links),
-    which is what makes click-ahead and prefetching meaningful.
+    Pages link mostly "forward" (a shallow tree with cross links, four
+    out-links each), which is what makes click-ahead and prefetching
+    meaningful.  HTML sizes are lognormal around 8 KiB, up to
+    ``max_inline`` inline images around 12 KiB each.
     """
     import math
 
@@ -258,19 +256,19 @@ def generate_site(
     urls = [f"/page{index}.html" for index in range(n_pages)]
     pages: dict[str, WebPage] = {}
     for index, url in enumerate(urls):
-        html = int(rng.lognormvariate(math.log(mean_html_bytes), 0.6))
+        html = int(rng.lognormvariate(math.log(8 * 1024), 0.6))
         html = max(512, min(html, 256 * 1024))
         inline = [
             max(
                 256,
-                min(int(rng.lognormvariate(math.log(mean_inline_bytes), 0.8)), 128 * 1024),
+                min(int(rng.lognormvariate(math.log(12 * 1024), 0.8)), 128 * 1024),
             )
             for __ in range(rng.randrange(max_inline + 1))
         ]
         # Forward links keep the graph connected; occasional back links.
-        candidates = urls[index + 1 : index + 2 + out_degree * 2]
+        candidates = urls[index + 1 : index + 2 + 4 * 2]
         rng.shuffle(candidates)
-        links = candidates[:out_degree]
+        links = candidates[:4]
         if index > 0 and rng.random() < 0.3:
             links.append(urls[rng.randrange(index)])
         pages[url] = WebPage(url, html, inline, links)

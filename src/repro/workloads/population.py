@@ -11,7 +11,7 @@ population *per cohort* instead:
   stream, drawn as arrays up front (one Python-level loop per cohort,
   not per client).
 * Payload bodies come from a small per-cohort pool that clients share
-  (``pool_size`` variants).  Identical to the eye of the protocol —
+  (:data:`POOL_SIZE` variants).  Identical to the eye of the protocol —
   every payload still has the cohort's size and marshals identically —
   but the synthesis cost is O(cohorts × pool) instead of
   O(clients × payload).
@@ -32,6 +32,8 @@ from repro.sim import make_rng
 
 #: Golden-ratio conjugate for low-discrepancy stagger.
 _PHI_CONJUGATE = 0.6180339887498949
+#: Distinct payload bodies per cohort.
+POOL_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -57,10 +59,10 @@ class CohortSpec:
     payload_bytes: int
 
 
-def _payload_pool(rng, cohort: str, size: int, pool_size: int) -> list[bytes]:
-    """``pool_size`` distinct bodies of exactly ``size`` bytes."""
+def _payload_pool(rng, cohort: str, size: int) -> list[bytes]:
+    """:data:`POOL_SIZE` distinct bodies of exactly ``size`` bytes."""
     pool = []
-    for variant in range(pool_size):
+    for variant in range(POOL_SIZE):
         head = f"{cohort}:{variant}:".encode()
         if len(head) >= size:
             pool.append(head[:size])
@@ -80,7 +82,6 @@ def generate_population(
     n_clients: int,
     cohorts: list[CohortSpec],
     stagger_window_s: float = 60.0,
-    pool_size: int = 8,
 ) -> list[ClientProfile]:
     """Generate ``n_clients`` profiles, cohort by cohort.
 
@@ -96,7 +97,7 @@ def generate_population(
     profiles: list[ClientProfile] = [None] * n_clients  # type: ignore[list-item]
     for cohort_index, spec in enumerate(cohorts):
         rng = make_rng(seed, f"population:{spec.name}")
-        pool = _payload_pool(rng, spec.name, spec.payload_bytes, pool_size)
+        pool = _payload_pool(rng, spec.name, spec.payload_bytes)
         for rank, client_id in enumerate(members[cohort_index]):
             fraction = (client_id * _PHI_CONJUGATE) % 1.0
             profiles[client_id] = ClientProfile(
@@ -105,6 +106,6 @@ def generate_population(
                 link_index=spec.link_index,
                 start_offset_s=fraction * stagger_window_s,
                 n_ops=spec.n_ops,
-                payload=pool[rank % pool_size],
+                payload=pool[rank % POOL_SIZE],
             )
     return profiles

@@ -133,7 +133,7 @@ def test_fleet_drain_leaves_nothing_for_the_collector():
 
 def test_coalesced_export_drain_leaves_nothing_for_the_collector():
     bed = build_testbed(
-        CSLIP_14_4,
+        link_spec=CSLIP_14_4,
         policy=IntervalTrace([(0.0, 100.0), (200.0, 1e12)]),
         compaction=True,
         delta_shipping=True,

@@ -3,6 +3,7 @@
 import copy
 import csv
 import dataclasses
+import inspect
 import json
 
 import pytest
@@ -56,6 +57,14 @@ def test_every_raw_producer_is_a_known_experiment():
     # registry names nothing else.
     drivers = sorted(name for name in vars(experiments) if name.startswith("run_"))
     assert sorted(exp.driver.__name__ for exp in EXPERIMENTS.values()) == drivers
+
+
+@pytest.mark.parametrize("exp_id", list(EXPERIMENTS))
+def test_a_driver_takes_exactly_its_gates_scale(exp_id):
+    # Links, counts, seeds and sizes are the experiment's own literals:
+    # the one thing a driver is told is the size its gate runs at.
+    exp = EXPERIMENTS[exp_id]
+    assert list(inspect.signature(exp.driver).parameters) == list(exp.gate.scale)
 
 
 def test_a_table_on_its_side_prints_one_column_per_row():

@@ -291,7 +291,7 @@ def test_client_crash_recovery_replays_file_backed_log(tmp_path):
 
     replayed = []
     bed.sim.schedule_at(10.0, append)
-    bed.sim.schedule_at(12.0, lambda: replayed.extend(bed.crash_and_recover_client()))
+    bed.sim.schedule_at(12.0, lambda: replayed.extend(bed.clients[0].crash_and_recover()))
     bed.sim.run(until=20.0)
 
     assert len(replayed) == 1  # the logged export QRPC was resubmitted

@@ -1,93 +1,20 @@
-"""Tests for the extension features: QoS route pinning, server
-authentication, freshness-bounded imports, group commit, import
-coalescing/priority upgrade, and the HTTP Rover gateway."""
+"""Tests for the extension features: server authentication,
+freshness-bounded imports, group commit, import coalescing/priority
+upgrade, and the HTTP Rover gateway."""
 
 import pytest
 
 from repro.core.naming import URN
 from repro.net.http import HttpClient
-from repro.net.link import CSLIP_14_4, ETHERNET_10M, AlwaysDown, IntervalTrace, LinkSpec
+from repro.net.link import CSLIP_14_4, IntervalTrace, LinkSpec
 from repro.net.rover_http import HttpRoute, RoverHttpGateway
-from repro.net.scheduler import NetworkScheduler, Priority, RouteKind
+from repro.net.scheduler import NetworkScheduler, Priority
 from repro.net.simnet import Network
-from repro.net.smtp import MailRelay, Mailbox, MailRoute, MailRpcEndpoint
 from repro.net.transport import Transport
 from repro.sim import Simulator
 from repro.storage.stable_log import GroupCommitPolicy
 from repro.testbed import build_testbed
 from tests.conftest import make_note
-
-
-class TestRoutePreference:
-    def _world(self):
-        sim = Simulator()
-        net = Network(sim)
-        client, server, relay_host = net.host("c"), net.host("s"), net.host("relay")
-        net.connect(client, server, ETHERNET_10M)
-        net.connect(client, relay_host, ETHERNET_10M)
-        net.connect(relay_host, server, ETHERNET_10M)
-        tc, ts, tr = Transport(sim, client), Transport(sim, server), Transport(sim, relay_host)
-        ts.register("ping", lambda body, src: {"pong": True})
-        relay = MailRelay(sim, tr)
-        relay.watch_new_links()
-        mbc, mbs = Mailbox(sim, tc, relay_host), Mailbox(sim, ts, relay_host)
-        MailRpcEndpoint(sim, ts, mbs)
-        scheduler = NetworkScheduler(sim, tc)
-        scheduler.add_route(MailRoute(sim, mbc))
-        return sim, server, relay, scheduler
-
-    def test_queued_preference_forces_mail_route(self):
-        sim, server, relay, scheduler = self._world()
-        replies = []
-        scheduler.submit(
-            server, "ping", {}, on_reply=replies.append,
-            route_preference=RouteKind.QUEUED,
-        )
-        sim.run()
-        assert replies == [{"pong": True}]
-        assert relay.accepted >= 1  # went by mail despite the live link
-
-    def test_direct_preference_skips_mail(self):
-        sim, server, relay, scheduler = self._world()
-        replies = []
-        scheduler.submit(
-            server, "ping", {}, on_reply=replies.append,
-            route_preference=RouteKind.DIRECT,
-        )
-        sim.run()
-        assert replies == [{"pong": True}]
-        assert relay.accepted == 0
-
-    def test_pinned_message_does_not_block_queue(self):
-        """A direct-pinned message with no live link lets later
-        unpinned traffic through the mail route."""
-        sim = Simulator()
-        net = Network(sim)
-        client, server, relay_host = net.host("c"), net.host("s"), net.host("relay")
-        net.connect(client, server, ETHERNET_10M, AlwaysDown())
-        net.connect(client, relay_host, ETHERNET_10M)
-        net.connect(relay_host, server, ETHERNET_10M)
-        tc, ts, tr = Transport(sim, client), Transport(sim, server), Transport(sim, relay_host)
-        ts.register("ping", lambda body, src: {"pong": True})
-        relay = MailRelay(sim, tr)
-        relay.watch_new_links()
-        mbc, mbs = Mailbox(sim, tc, relay_host), Mailbox(sim, ts, relay_host)
-        MailRpcEndpoint(sim, ts, mbs)
-        scheduler = NetworkScheduler(sim, tc, max_inflight=1)
-        scheduler.add_route(MailRoute(sim, mbc))
-        outcomes = []
-        scheduler.submit(
-            server, "ping", {"n": "pinned"},
-            route_preference=RouteKind.DIRECT,
-            on_reply=lambda r: outcomes.append("pinned"),
-        )
-        scheduler.submit(
-            server, "ping", {"n": "free"},
-            on_reply=lambda r: outcomes.append("free"),
-        )
-        sim.run(until=60)
-        assert "free" in outcomes
-        assert "pinned" not in outcomes  # still waiting for its carrier
 
 
 class TestAuthentication:

@@ -1,18 +1,12 @@
-"""SLO rules, the health layer, exposition, and the admin RDO."""
+"""SLO rules, the health layer and exposition."""
 
 import io
 import json
 
 import pytest
 
-from repro.core.interpreter import SafeInterpreter
 from repro.obs import Observatory
 from repro.obs.fleet.aggregator import FleetAggregator
-from repro.obs.fleet.admin import (
-    FLEET_HEALTH_PATH,
-    health_state,
-    publish_health,
-)
 from repro.obs.fleet.expo import (
     fleet_rows,
     render_prometheus,
@@ -196,48 +190,3 @@ class TestExposition:
         assert client_row["client"] == "c0"
         assert client_row["totals"]["sched_delivered_total"] == 4
         assert client_row["healthy"] is True
-
-
-class TestAdminRDO:
-    def _published(self):
-        from repro.testbed import build_testbed
-
-        bed = build_testbed()
-        agg = FleetAggregator(bed.sim, obs=bed.obs, server=bed.server)
-        apply_synthetic(agg, "c0", 1, delivered=9, failed=1, retrans=0,
-                        rtts=[0.1, 0.4])
-        rdo = publish_health(agg, bed.server)
-        return bed, agg, rdo
-
-    def test_publish_and_republish_bumps_version(self):
-        bed, agg, rdo = self._published()
-        assert rdo.version == 1
-        stored = bed.server.get_object(
-            f"urn:rover:{bed.server.authority}/{FLEET_HEALTH_PATH}"
-        )
-        assert stored is not None
-        assert publish_health(agg, bed.server).version == 2
-
-    def test_methods_are_read_only_and_executable(self):
-        bed, agg, rdo = self._published()
-        interp = SafeInterpreter()
-        for method in rdo.interface.method_names():
-            assert not rdo.interface.mutates(method)
-        summary, __ = rdo.invoke(interp, "summary")
-        assert summary["clients"] == 1
-        names, __ = rdo.invoke(interp, "clients")
-        assert names == ["c0"]
-        row, __ = rdo.invoke(interp, "client", "c0")
-        assert row["healthy"] is True
-        assert rdo.invoke(interp, "client", "nope")[0] is None
-        worst, __ = rdo.invoke(interp, "worst", 5)
-        assert [w["client"] for w in worst] == ["c0"]
-        assert rdo.invoke(interp, "unhealthy")[0] == []
-        assert rdo.invoke(interp, "generated_at")[0] == agg.sim.now
-
-    def test_health_state_is_plain_data(self):
-        __, agg, rdo = self._published()
-        state = health_state(agg)
-        json.dumps(state)  # must serialise without custom encoders
-        assert state["clients"][0]["link"] == "wavelan-2m"
-        assert state["clients"][0]["reports"] == 1

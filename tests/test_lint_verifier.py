@@ -321,14 +321,6 @@ class TestPublishHook:
         version = ethernet_bed.server.put_object(bad_rdo(), verify=False)
         assert version == 1
 
-    def test_escape_hatch_server_wide(self):
-        from repro.net.link import ETHERNET_10M
-        from repro.testbed import build_testbed
-
-        bed = build_testbed(link_spec=ETHERNET_10M)
-        bed.server.verify_rdos = False
-        assert bed.server.put_object(bad_rdo()) == 1
-
     def test_clean_rdo_publishes(self, ethernet_bed):
         assert ethernet_bed.server.put_object(make_note()) == 1
 
@@ -352,7 +344,7 @@ class TestPublishHook:
         assert ethernet_bed.server.rdos_rejected == 1
 
     def test_a_request_cannot_turn_off_the_servers_check(self, ethernet_bed):
-        # Only the server's own verify_rdos does; the body's flag is ignored.
+        # Shipped code is always verified; the body's flag is ignored.
         with pytest.raises(RDOVerificationError, match="RDO401"):
             ethernet_bed.server._on_ship(
                 {

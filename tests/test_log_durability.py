@@ -105,7 +105,7 @@ class TestClientCrashInsideOneGroupCommitWindow:
         bed.sim.run(until=0.5)
         dead = bed.access
         assert dead.log.stable.unflushed_records == 3 and self.told == []
-        assert bed.crash_and_recover_client() == []  # none replayed
+        assert bed.clients[0].crash_and_recover() == []  # none replayed
         bed.sim.run(until=60.0)  # past the dead window's deadline
         assert self.told == [] and self.sent == []  # no on_durable afterwards
         assert dead.log.stable.flushes == 0 and dead.flush_seconds_total == 0.0
@@ -116,7 +116,7 @@ class TestClientCrashInsideOneGroupCommitWindow:
         bed = self.bed(tmp_path, policy)
         ids = self.queue_three(bed)  # the third append breaches: flushed inside it
         assert self.told == ids and bed.access.log.stable.group_commits == 1
-        assert bed.crash_and_recover_client() == ids
+        assert bed.clients[0].crash_and_recover() == ids
         self.applied_exactly_once(bed, ids)
         assert self.sent == []  # the dead incarnation submitted none of them
 
@@ -127,7 +127,7 @@ class TestClientCrashInsideOneGroupCommitWindow:
         dead = bed.access
         assert self.told == ids and self.sent == []
         assert dead.log.stable.flushes == 1 and dead.flush_seconds_total > 0.015
-        assert bed.crash_and_recover_client() == ids
+        assert bed.clients[0].crash_and_recover() == ids
         self.applied_exactly_once(bed, ids)
         assert self.sent == []  # its _submit calls were suppressed
 

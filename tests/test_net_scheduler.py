@@ -298,21 +298,6 @@ def test_object_over_the_frame_budget_travels_alone():
     assert scheduler.obs.registry.get("sched_batch_members_total").value == 2
 
 
-def test_pinned_message_never_joins_a_frame():
-    from repro.net.scheduler import RouteKind
-
-    sim, net, a, b, link, scheduler, served = make_sched(
-        policy=IntervalTrace([(10.0, 1e9)]), spec=CSLIP_14_4, max_inflight=1
-    )
-    scheduler.submit(b, "echo", _padded(0))
-    scheduler.submit(b, "echo", _padded(1), route_preference=RouteKind.DIRECT)
-    scheduler.submit(b, "echo", _padded(2))
-    sim.run()
-    assert sorted(m["n"] for m in served) == [0, 1, 2]
-    assert scheduler.batches_sent == 1
-    assert scheduler.obs.registry.get("sched_batch_members_total").value == 2  # 0 + 2
-
-
 def test_latency_dominated_link_never_coalesces():
     from repro.net.link import ETHERNET_10M
 

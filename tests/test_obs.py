@@ -143,9 +143,6 @@ def test_capture_observatory_is_adopted_by_testbeds():
     finally:
         set_capture(None)
     assert active_capture() is None
-    # Explicit obs always wins over the capture.
-    mine = Observatory()
-    assert build_testbed(obs=mine).obs is mine
 
 
 # ---------------------------------------------------------------------------
@@ -254,13 +251,17 @@ def test_no_spans_when_tracing_disabled():
 
 def test_disabled_tracing_costs_zero_virtual_time():
     """With tracing off, observability must not perturb the simulation
-    at all: metrics-only and explicit-observatory beds finish at the
-    bit-identical virtual instant.  With tracing ON, the trace context
+    at all: metrics-only beds on a fresh and on a captured observatory
+    finish at the bit-identical virtual instant.  With tracing ON, the trace context
     rides the wire (bigger envelopes), so latency may shift — but it
     must stay within the 5% budget."""
     ends = []
-    for obs in (None, Observatory()):
-        bed = build_testbed(link_spec=CSLIP_14_4, obs=obs)
+    for capture in (None, Observatory()):
+        set_capture(capture)
+        try:
+            bed = build_testbed(link_spec=CSLIP_14_4)
+        finally:
+            set_capture(None)
         _import_one(bed)
         ends.append(bed.sim.now)
     assert ends[0] == ends[1]

@@ -71,7 +71,7 @@ def test_client_crash_mid_drain_after_compaction(crash_at):
 
     replayed: list[str] = []
     bed.sim.schedule(crash_at - bed.sim.now,
-                     lambda: replayed.extend(bed.crash_and_recover_client()))
+                     lambda: replayed.extend(bed.clients[0].crash_and_recover()))
     bed.sim.run()
 
     violations = _check_all(bed)
@@ -102,7 +102,7 @@ def test_crash_before_reconnect_replays_compacted_queue():
     compacted_ids = [r.request_id for r in bed.access.log.pending()]
     assert bed.access.log.ops_compacted > 0
 
-    replayed = bed.crash_and_recover_client()
+    replayed = bed.clients[0].crash_and_recover()
     assert replayed == compacted_ids  # the rewritten queue, in order
     bed.sim.run()
     violations = _check_all(bed)
@@ -116,7 +116,7 @@ def test_replayed_requests_are_compaction_barriers():
     bed.access.add_compaction_rule(Append())
     _disconnected_session(bed, reader, folder, n_sends=2)
     bed.sim.run(until=600.0)
-    replayed = bed.crash_and_recover_client()
+    replayed = bed.clients[0].crash_and_recover()
     assert replayed  # the compacted session is in the reborn queue
 
     # New work after rebirth, still disconnected, on the same outbox
@@ -152,8 +152,8 @@ def test_double_crash_still_converges():
     bed, reader, folder = _mail_bed(compaction=True, delta_shipping=True)
     _disconnected_session(bed, reader, folder)
     bed.sim.run(until=999.0)
-    bed.sim.schedule(2.0, bed.crash_and_recover_client)
-    bed.sim.schedule(6.0, bed.crash_and_recover_client)
+    bed.sim.schedule(2.0, bed.clients[0].crash_and_recover)
+    bed.sim.schedule(6.0, bed.clients[0].crash_and_recover)
     bed.sim.run()
     violations = _check_all(bed)
     assert violations == [], violations

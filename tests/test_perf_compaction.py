@@ -362,7 +362,7 @@ def test_a_rule_added_after_the_manager_is_built_applies(register):
     bed.access.invoke_remote(urn, "set_text", ["two"])
     assert [r.args["args"] for r in bed.access.log.pending()] == [["two"]]
     rules_before = list(bed.access.compactor.pair_rules)
-    bed.crash_and_recover_client()
+    bed.clients[0].crash_and_recover()
     assert bed.access.compactor.pair_rules == rules_before
     assert _stage(bed.access).compactor is bed.access.compactor
     bed.access.invoke_remote(urn, "set_text", ["three"])

@@ -24,7 +24,7 @@ def test_best_route_is_memoized_per_destination():
     scheduler = bed.scheduler
     first = scheduler._best_route(bed.server_host)
     assert first is not None
-    assert (bed.server_host.name, None) in scheduler._route_cache
+    assert bed.server_host.name in scheduler._route_cache
     # The memo answers the repeat lookup (same object, no re-scan).
     assert scheduler._best_route(bed.server_host) is first
 
@@ -39,9 +39,9 @@ def test_route_cache_invalidated_on_link_transition():
     bed.sim.run(until=15.0)  # the down transition cleared the cache
     assert scheduler._route_cache == {}
     assert scheduler._best_route(bed.server_host) is None  # miss cached too
-    assert scheduler._route_cache[(bed.server_host.name, None)] is None
+    assert scheduler._route_cache[bed.server_host.name] is None
     bed.sim.run(until=25.0)  # the up transition cleared it again
-    assert (bed.server_host.name, None) not in scheduler._route_cache
+    assert bed.server_host.name not in scheduler._route_cache
     assert scheduler._best_route(bed.server_host) is not None
 
 
@@ -154,7 +154,7 @@ def test_watermark_is_the_walked_floor_without_the_walk():
     bed.access.fail(oldest, "gone")
     check()
     # ... and a reborn incarnation inherits ids that are not its own.
-    bed.crash_and_recover_client()
+    bed.clients[0].crash_and_recover()
     check()
     assert bed.access._ack_watermark() == ["client+1", 0]
     for i in range(3):
