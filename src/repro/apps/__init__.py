@@ -17,7 +17,6 @@ from repro.apps.mail import (
     MailServerApp,
     RoverMailReader,
 )
-from repro.apps.proxy_frontend import ProxyFrontend, ScriptedBrowser
 from repro.apps.statusbar import StatusBar
 from repro.apps.webproxy import (
     BlockingBrowser,
@@ -32,9 +31,7 @@ __all__ = [
     "CalendarReplica",
     "ClickAheadProxy",
     "MailServerApp",
-    "ProxyFrontend",
     "RoverMailReader",
-    "ScriptedBrowser",
     "StatusBar",
     "WebServerApp",
     "install_calendar",

@@ -93,13 +93,9 @@ class Hoarder:
                 if outstanding["count"] == 0:
                     done.resolve(outstanding["queued"])
 
-            def on_error(reason: str) -> None:
-                outstanding["count"] -= 1
-                if outstanding["count"] == 0:
-                    done.resolve(outstanding["queued"])
-
             listing.then(on_listing)
-            listing.on_failure(on_error)
+            # A listing that failed for good queues nothing, like an empty one.
+            listing.on_failure(lambda reason, answered=on_listing: answered([]))
         return done
 
     def _queue_imports(self, urns: list, entry: HoardEntry) -> int:

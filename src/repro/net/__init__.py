@@ -14,8 +14,8 @@ CSLIP dial-up lines) with a byte-accurate discrete-event model:
   request/reply (RPC) layer with timeouts.
 * :mod:`repro.net.scheduler` — Rover's network scheduler: priority
   queues, interface selection, retransmission, relay fallback.
-* :mod:`repro.net.http` / :mod:`repro.net.smtp` — minimal protocol
-  front-ends mirroring the paper's HTTP and SMTP transports.
+* :mod:`repro.net.smtp` — the paper's SMTP transport: a mail relay
+  that carries queued QRPCs between endpoints never online together.
 """
 
 from repro.net.link import (

@@ -412,7 +412,9 @@ class Network:
 
         Links sharing a ``medium`` contend for the same air time —
         model a wireless cell by giving every client-to-base link the
-        same medium.
+        same medium.  ``name`` defaults to the two hosts and the spec,
+        so a second link of one spec between one pair of hosts must be
+        named.
         """
         if host_a is host_b:
             raise NetworkError("cannot link a host to itself")

@@ -28,12 +28,18 @@ from repro.sim import Simulator
 SUBMIT_SERVICE = "smtp.submit"
 DELIVER_SERVICE = "smtp.deliver"
 
+#: How long a hop after custody waits before it retries a hand-over
+#: that failed while its link stayed up (a lost frame); a hop whose
+#: link went down retries when it comes back up.
+RETRY_S = 5.0
+
 
 class MailRelay:
     """Store-and-forward spool on its own host.
 
     The relay keeps one FIFO spool per destination host and drains it
-    whenever a link to that host comes up.
+    whenever a link to that host comes up.  A mail it has taken stays
+    spooled until the recipient has it: a failed forward is retried.
     """
 
     def __init__(self, sim: Simulator, transport: Transport) -> None:
@@ -90,9 +96,9 @@ class MailRelay:
                 self.forwarded += 1
             self._try_forward(dst_name)
 
-        def failed(error: RpcError) -> None:
-            # Leave the mail spooled; a later link-up retries it.
+        def failed(error: RpcError) -> None:  # still spooled: retry
             self._forwarding.discard(dst_name)
+            self.sim.schedule(RETRY_S, self._try_forward, dst_name)
 
         try:
             self.transport.call(dst, DELIVER_SERVICE, mail, done, failed)
@@ -153,9 +159,9 @@ class Mailbox:
 class MailRoute(Route):
     """Scheduler route that carries request/reply over the mail system.
 
-    Low quality (used only when nothing better is up, or on explicit
-    QoS request) but available whenever the *relay* is reachable, even
-    if the destination itself is not.
+    Low quality (used only when nothing better is up) but available
+    whenever the *relay* is reachable, even if the destination itself
+    is not.
     """
 
     name = "smtp"
@@ -222,6 +228,10 @@ class MailRpcEndpoint:
 
     Install on any host that should serve QRPCs arriving by mail; it
     dispatches into the same service table the direct RPC port uses.
+    The client's request is in the relay's custody and is never sent
+    again, so a reply the relay could not take is kept and handed over
+    again: after :data:`RETRY_S` if the link to the relay is still up,
+    else when it comes back up.
     """
 
     def __init__(self, sim: Simulator, transport: Transport, mailbox: Mailbox) -> None:
@@ -229,7 +239,10 @@ class MailRpcEndpoint:
         self.transport = transport
         self.mailbox = mailbox
         self.served = 0
+        self._unsent: list[tuple[str, dict]] = []
         mailbox.on_mail(self._on_mail)
+        for link in transport.host.links:
+            link.on_transition(self._on_link_transition)
 
     def _on_mail(self, body: Any, sender: str) -> None:
         if not isinstance(body, dict) or body.get("kind") != "qrpc-request":
@@ -240,9 +253,6 @@ class MailRpcEndpoint:
         )
         self.served += 1
 
-        # Reply goes back through the relay; if the relay is unreachable
-        # right now the reply is simply retried by the application's
-        # QRPC retransmission, so best-effort is fine here.
         def respond(delay_s: float, final: Any) -> None:
             reply = {"kind": "qrpc-reply", "id": body.get("id"), "ok": ok, "body": final}
             reply_to = body.get("reply_to", sender)
@@ -254,7 +264,23 @@ class MailRpcEndpoint:
         settle_reply(reply_body, respond)
 
     def _mail_reply(self, reply_to: str, reply: dict) -> None:
+        def failed(reason: str) -> None:
+            self._unsent.append((reply_to, reply))
+            self.sim.schedule(RETRY_S, self._send_unsent)
+
         try:
-            self.mailbox.send(reply_to, reply)
+            self.mailbox.send(reply_to, reply, on_error=failed)
         except MarshalError as exc:  # nothing was mailed: refuse instead
-            self.mailbox.send(reply_to, {**reply, "ok": False, "body": unmarshallable(exc)})
+            self._mail_reply(reply_to, {**reply, "ok": False, "body": unmarshallable(exc)})
+
+    def _on_link_transition(self, link: Link, is_up: bool) -> None:
+        if is_up:
+            self._send_unsent()
+
+    def _send_unsent(self) -> None:
+        host = self.transport.host
+        if not self._unsent or host.best_link_to(self.mailbox.relay) is None:
+            return
+        unsent, self._unsent = self._unsent, []
+        for reply_to, reply in unsent:
+            self._mail_reply(reply_to, reply)

@@ -60,10 +60,8 @@ BATCH_BUDGET_BYTES = 4096
 #: receivers drop a frame that claims more.
 MAX_BATCH_MEMBERS = BATCH_BUDGET_BYTES // 16
 
-# Well-known ports.
+# The well-known port the request/reply exchange listens on.
 RPC_PORT = 530
-HTTP_PORT = 80
-SMTP_PORT = 25
 
 MessageHandler = Callable[[Any, Address], None]
 RequestHandler = Callable[[Any, Address], Any]

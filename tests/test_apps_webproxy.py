@@ -30,6 +30,14 @@ def test_navigate_returns_immediately():
     assert view.latency > 0
 
 
+def test_a_page_the_server_does_not_have_fails_its_view():
+    bed, site, proxy = make_web_world()
+    view = proxy.navigate("/no-such-page.html")
+    bed.sim.run_until(lambda: view.failed is not None, timeout=600)
+    assert view.failed == "not-found" and not view.displayed
+    assert proxy.outstanding == {}
+
+
 def test_click_ahead_queues_multiple_requests():
     bed, site, proxy = make_web_world(prefetch_links=False)
     root_links = site.pages[site.root].links

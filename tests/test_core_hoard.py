@@ -49,6 +49,30 @@ class TestHoarder:
         for urn in urns:
             assert urn in bed.access.cache
 
+    def test_a_walk_whose_listings_fail_for_good_still_resolves(self, ethernet_bed):
+        bed = ethernet_bed
+        populate(bed.server, "mail/inbox", 3)
+        populate(bed.server, "cal", 2)
+        serve = bed.server._on_list
+
+        def refuse_the_calendar(body, source):
+            if body["prefix"].startswith("urn:rover:server/cal"):
+                return {"status": "unauthorized"}
+            return serve(body, source)
+
+        bed.server_transport.register("rover.list", refuse_the_calendar)
+        profile = (
+            HoardProfile()
+            .add("urn:rover:server/cal/")
+            .add("urn:rover:server/mail/")
+            .add("urn:rover:server/cal/private/")
+        )
+        hoarder = Hoarder(bed.access, "server", profile)
+        # Both calendar listings fail for good, one of them last: the
+        # walk still resolves, with what the mail listing queued.
+        assert hoarder.walk().wait(bed.sim) == 3
+        assert hoarder.objects_queued == 3
+
     def test_walk_pins_entries(self, ethernet_bed):
         bed = ethernet_bed
         urns = populate(bed.server, "cal", 2)

@@ -1,17 +1,9 @@
 """Tests for the extension features: server authentication,
 freshness-bounded imports, group commit, import coalescing/priority
-upgrade, and the HTTP Rover gateway."""
+upgrade."""
 
-import pytest
-
-from repro.core.naming import URN
-from repro.net.http import HttpClient
-from repro.net.link import CSLIP_14_4, IntervalTrace, LinkSpec
-from repro.net.rover_http import HttpRoute, RoverHttpGateway
-from repro.net.scheduler import NetworkScheduler, Priority
-from repro.net.simnet import Network
-from repro.net.transport import Transport
-from repro.sim import Simulator
+from repro.net.link import CSLIP_14_4, IntervalTrace
+from repro.net.scheduler import Priority
 from repro.storage.stable_log import GroupCommitPolicy
 from repro.testbed import build_testbed
 from tests.conftest import make_note
@@ -152,69 +144,3 @@ class TestImportCoalescing:
         filler_entry = bed.access.cache.peek(str(first.urn))
         assert arrivals[0][1] <= filler_entry.inserted_at
 
-
-class TestHttpGateway:
-    def _world(self, with_native_down=False):
-        sim = Simulator()
-        net = Network(sim)
-        client, server_host = net.host("client"), net.host("server")
-        net.connect(client, server_host, CSLIP_14_4)
-        tc, ts = Transport(sim, client), Transport(sim, server_host)
-        from repro.core.server import RoverServer
-
-        server = RoverServer(sim, ts, "server")
-        gateway = RoverHttpGateway(sim, ts)
-        http_client = HttpClient(sim, client)
-        return sim, net, client, server_host, server, gateway, http_client
-
-    def test_import_over_http(self):
-        sim, net, client, server_host, server, gateway, http = self._world()
-        server.put_object(make_note())
-        from repro.net.http import HttpRequest
-        from repro.net.message import marshal, unmarshal
-
-        got = {}
-        http.request(
-            server_host,
-            HttpRequest(
-                "POST", "/rover/import",
-                body=marshal({"urn": "urn:rover:server/notes/n1"}),
-            ),
-            on_response=lambda r: got.update(reply=unmarshal(r.body), status=r.status),
-            on_error=lambda e: got.update(error=e),
-        )
-        sim.run()
-        assert got["status"] == 200
-        assert got["reply"]["status"] == "ok"
-        assert got["reply"]["rdo"]["data"] == {"text": "hello"}
-        assert gateway.requests_served == 1
-
-    def test_get_rejected(self):
-        sim, net, client, server_host, server, gateway, http = self._world()
-        statuses = []
-        http.get(server_host, "/rover/import", lambda r: statuses.append(r.status), lambda e: None)
-        sim.run()
-        assert statuses == [400]
-
-    def test_http_route_carries_qrpcs(self):
-        """The whole access-manager flow with HTTP as the only carrier."""
-        sim = Simulator()
-        net = Network(sim)
-        client, server_host = net.host("client"), net.host("server")
-        net.connect(client, server_host, CSLIP_14_4)
-        tc, ts = Transport(sim, client), Transport(sim, server_host)
-        from repro.core.server import RoverServer
-
-        server = RoverServer(sim, ts, "server")
-        server.put_object(make_note())
-        RoverHttpGateway(sim, ts)
-        scheduler = NetworkScheduler(sim, tc)
-        scheduler.routes = [HttpRoute(sim, HttpClient(sim, client), server_host)]
-        from repro.core.access_manager import AccessManager
-
-        access = AccessManager(sim, scheduler, servers={"server": server_host})
-        rdo = access.import_("urn:rover:server/notes/n1").wait(sim, timeout=600)
-        assert rdo.data == {"text": "hello"}
-        result, __ = access.invoke("urn:rover:server/notes/n1", "set_text", "via http")
-        assert access.drain(timeout=600)
-        assert server.get_object("urn:rover:server/notes/n1").data == {"text": "via http"}

@@ -16,6 +16,7 @@ from repro.check.seam import SwitchablePolicy
 from repro.ha import build_ha_testbed
 from repro.ha.group import LOG_CAP, SHIP_BATCH, ReplicaSet
 from repro.net.link import ETHERNET_10M
+from repro.net.simnet import Delivery
 from repro.net.transport import AsyncReply
 from repro.testbed import build_multi_client_testbed
 from tests.conftest import make_note
@@ -345,6 +346,21 @@ def intercept(agent, hold=()):
     return calls, real
 
 
+class _LoseTheProbe:
+    """Fault injector: lose the first frame sent while a read-index
+    heartbeat to ``peer`` is outstanding (that heartbeat's own frame)."""
+
+    def __init__(self, peer):
+        self.peer = peer
+        self.dropped = 0
+
+    def plan(self, link, delivery):
+        if self.dropped or self.peer["probe"] is None:
+            return [delivery]
+        self.dropped += 1
+        return [Delivery(delivery.time, delivery.payload, "dropped by the test")]
+
+
 class TestReadPath:
     """A read-only invoke is answered by the primary with no record, no
     ship and no re-execution on the backups, held behind every record it
@@ -447,6 +463,22 @@ class TestReadPath:
         assert [service for service, *_ in calls[sent:]] == ["rover.ha.heartbeat"] * 2
         calls[-1][2][1]["on_reply"]({"ack_seq": primary.seq, "epoch": 2})
         assert primary._waiters == []  # one of two backups is the quorum
+
+    def test_a_read_whose_heartbeat_frame_is_lost_is_still_answered(self):
+        bed, urn = self.group()
+        access = bed.clients[0].access
+        assert access.invoke_remote(urn, "add", ["a"]).wait(bed.sim) == 1
+        primary = bed.group.primary_agent()
+        for peer in primary.peers:
+            peer["confirmed"] = -math.inf  # no lease: the read waits on a round
+        lost = [_LoseTheProbe(peer) for peer in primary.peers]
+        for peer, injector in zip(primary.peers, lost):
+            primary.host.best_link_to(peer["host"]).fault_injector = injector
+        assert access.invoke_remote(urn, "read", []).wait(bed.sim) == ["a"]
+        # Each probe's frame was lost on a link that stayed up; its
+        # error cleared the probe, so a later read can start a round.
+        assert [injector.dropped for injector in lost] == [1, 1]
+        assert [peer["probe"] for peer in primary.peers] == [None, None]
 
     def old_heartbeat_after(self, vote):
         """Send a heartbeat from the primary to its first backup, let

@@ -187,10 +187,9 @@ def _assert_threshold_is_the_rule(spec):
 
 
 def _named_specs():
-    from repro.apps.proxy_frontend import LOOPBACK
     from repro.live.transport import TCP
 
-    return [*STANDARD_LINKS, TCP, LOOPBACK]
+    return [*STANDARD_LINKS, TCP]
 
 
 @pytest.mark.parametrize("spec", _named_specs(), ids=lambda spec: spec.name)
@@ -206,7 +205,6 @@ def test_bytes_dominate_from_on_the_named_specs():
         "cslip-14.4k": 176,
         "cslip-2.4k": 41,
         "tcp": math.inf,  # a socket claims nothing of the wire
-        "loopback": 1251,
     }
 
 

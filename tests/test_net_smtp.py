@@ -10,10 +10,11 @@ from repro.net.link import (
     IntervalTrace,
 )
 from repro.net.scheduler import NetworkScheduler
-from repro.net.simnet import Network
+from repro.net.simnet import Delivery, Network
 from repro.net.smtp import MailRelay, Mailbox, MailRoute, MailRpcEndpoint
 from repro.net.transport import Transport
 from repro.sim import Simulator
+from repro.testbed import build_testbed
 
 
 def make_mail_world(client_relay_policy=None, relay_server_policy=None, direct_policy=None):
@@ -170,3 +171,75 @@ def test_scheduler_prefers_direct_link_when_up():
     sim.run()
     assert len(replies) == 1
     assert relay.accepted == 0  # never touched the relay
+
+
+# ---------------------------------------------------------------------------
+# After custody: the relay holds the client's request, which the client
+# never sends again, so each later hop must retry until it succeeds.
+# ---------------------------------------------------------------------------
+
+#: An RDO that runs ~0.3 virtual seconds on the server.
+SLOW_SHIP = "def main():\n    n = 0\n    for i in range(600):\n        n = n + 1\n    return n\n"
+
+
+class _DropFrame:
+    """Fault injector: lose the ``nth`` frame on a link that stays up."""
+
+    def __init__(self, nth):
+        self.nth = nth
+        self.seen = self.dropped = 0
+
+    def plan(self, link, delivery):
+        self.seen += 1
+        if self.seen != self.nth:
+            return [delivery]
+        self.dropped += 1
+        return [Delivery(delivery.time, delivery.payload, "dropped by the test")]
+
+
+def _ship_and_settle(bed):
+    outcomes = []
+    shipped = bed.access.ship(bed.authority, SLOW_SHIP)
+    shipped.then(lambda result: outcomes.append(("ok", result)))
+    shipped.on_failure(lambda reason: outcomes.append(("failed", reason)))
+    bed.sim.run(until=100_000.0)
+    return outcomes
+
+
+def test_a_reply_the_relay_cannot_take_is_handed_over_when_it_can():
+    """The relay-server link drops while the shipped RDO runs: the
+    endpoint keeps the reply and mails it once the link is back."""
+    bed = build_testbed(
+        policy=AlwaysDown(),
+        with_relay=True,
+        relay_server_policy=IntervalTrace([(0.0, 0.05), (30.0, 1e9)]),
+    )
+    assert _ship_and_settle(bed) == [("ok", 600)]
+    assert bed.server.ships_served == 1
+    assert bed.access.pending_count() == 0
+    assert bed.relay.spooled() == 0
+
+
+def test_a_forward_lost_on_a_link_that_stays_up_is_retried():
+    """The relay's first delivery to the server is lost and the link
+    never goes down: no link-up comes, so the relay retries on its own."""
+    bed = build_testbed(policy=AlwaysDown(), with_relay=True)
+    link = bed.relay_host.best_link_to(bed.server_host)
+    injector = link.fault_injector = _DropFrame(1)  # the relay's delivery
+    assert _ship_and_settle(bed) == [("ok", 600)]
+    assert injector.dropped == 1
+    assert bed.server.ships_served == 1
+    assert bed.access.pending_count() == 0
+    assert bed.relay.spooled() == 0
+
+
+def test_a_retried_delivery_the_server_already_has_runs_nothing_twice():
+    """The server's ack of the delivery is lost: the relay delivers the
+    mail again, and the server answers it from its at-most-once record."""
+    bed = build_testbed(policy=AlwaysDown(), with_relay=True)
+    link = bed.relay_host.best_link_to(bed.server_host)
+    link.fault_injector = _DropFrame(2)  # the server's ack of the delivery
+    assert _ship_and_settle(bed) == [("ok", 600)]
+    assert bed.server_mailbox.received == 2
+    assert bed.server.ships_served == 1
+    assert bed.access.pending_count() == 0

@@ -3,48 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.http import HttpRequest, HttpResponse, decode_request, decode_response
 from repro.sim import Simulator
-
-_header_text = st.text(
-    alphabet=st.characters(
-        codec="latin-1", exclude_characters="\r\n:", min_codepoint=33
-    ),
-    min_size=1,
-    max_size=20,
-)
-
-
-@settings(max_examples=100)
-@given(
-    path=st.text(
-        alphabet=st.characters(codec="latin-1", exclude_characters="\r\n ", min_codepoint=33),
-        min_size=1,
-        max_size=30,
-    ),
-    headers=st.dictionaries(_header_text, _header_text, max_size=4),
-    body=st.binary(max_size=200),
-)
-def test_http_request_roundtrip_property(path, headers, body):
-    request = HttpRequest("GET", path, dict(headers), body)
-    decoded = decode_request(request.encode())
-    assert decoded.method == "GET"
-    assert decoded.path == path
-    assert decoded.body == body
-    for name, value in headers.items():
-        assert decoded.headers[name.strip()] == value.strip()
-
-
-@settings(max_examples=100)
-@given(
-    status=st.integers(100, 599),
-    body=st.binary(max_size=200),
-)
-def test_http_response_roundtrip_property(status, body):
-    decoded = decode_response(HttpResponse(status, body=body).encode())
-    assert decoded.status == status
-    assert decoded.body == body
-    assert decoded.headers["Content-Length"] == str(len(body))
 
 
 @settings(max_examples=60)

@@ -21,10 +21,8 @@ from repro.core.naming import URN
 from repro.core.rdo import RDO, MethodSpec, RDOInterface
 from repro.ha import build_ha_testbed
 from repro.lint.verifier import check_code
-from repro.net.http import HttpClient
 from repro.net.link import AlwaysDown, LinkSpec, IntervalTrace
 from repro.net.message import MarshalError, marshal, marshalled_size, unmarshal
-from repro.net.rover_http import HttpRoute, RoverHttpGateway
 from repro.net.scheduler import NetworkScheduler
 from repro.net.simnet import Network
 from repro.net.transport import BATCH_SERVICE, Transport, batch_request
@@ -171,20 +169,11 @@ def test_text_the_codec_cannot_carry_is_a_marshal_error(value):
         marshalled_size(value)
 
 
-def _over_http():
-    bed = build_testbed()
-    RoverHttpGateway(bed.sim, bed.server_transport)
-    http = HttpClient(bed.sim, bed.client_host)
-    bed.scheduler.routes = [HttpRoute(bed.sim, http, bed.server_host)]
-    return bed
-
-
-#: Testbeds whose replies leave the server other than through the
-#: transport's own reply path: by the HTTP gateway, or mailed through
-#: the SMTP relay while the direct link is down.
+#: The two ways a reply leaves the server: through the transport's own
+#: reply path, or mailed through the SMTP relay while the direct link
+#: is down.
 CARRIERS = {
     "rpc": build_testbed,
-    "http": _over_http,
     "smtp": lambda: build_testbed(policy=AlwaysDown(), with_relay=True),
 }
 

@@ -17,7 +17,7 @@ Report — ``python tools/reach.py`` lists every ``def`` under
 ``src/repro`` that no recorded process called, then those only
 processes tagged ``tests`` called: each with its line span, then the
 lines per file (a nested def's lines counted once), so the deletion
-ledger is sized in lines.
+ledger is sized in lines; its last line sums both lists.
 """
 
 import ast
@@ -108,10 +108,12 @@ def report(reach_dir):
             if key not in called["drivers"]:
                 title = "reached by tests/ only" if key in called["tests"] else "reached by nothing"
                 found[title].setdefault(rel, []).append((first, last, name))
+    totals = []
     for title, files in found.items():
         lines = {rel: len(set().union(*(range(a, b + 1) for a, b, __ in defs)))
                  for rel, defs in files.items()}
         count = sum(len(defs) for defs in files.values())
+        totals.append(f"{title} {count} defs / {sum(lines.values())} lines")
         print(f"== {title}: {count} functions, {sum(lines.values())} lines")
         for rel, defs in files.items():
             for first, last, name in defs:
@@ -119,6 +121,7 @@ def report(reach_dir):
         print(f"-- {title}, lines per file")
         for rel in sorted(lines, key=lambda rel: (-lines[rel], rel)):
             print(f"  {lines[rel]:5} {rel}")
+    print("reach: " + "; ".join(totals))
 
 
 if __name__ == "__main__":
