@@ -97,6 +97,8 @@ class AccessManager:
             "Queued-request round trip, logging through reply delivery",
             labelnames=("host", "op"),
         )
+        #: operation -> its ``_m_qrpc_latency`` child, bound on first use
+        self._latency_children: dict[Operation, Any] = {}
         self._m_qrpc_failed = self.obs.registry.counter(
             "qrpc_failed_total",
             "QRPCs that exhausted retransmission",
@@ -613,7 +615,11 @@ class AccessManager:
             if not isinstance(message, dict) or message.get("kind") != "invalidate":
                 return
             urn = message.get("urn", "")
-            version = int(message.get("version", 0))
+            version = message.get("version", 0)
+            if type(urn) is not str or type(version) is not int:
+                # Sealed intact, but no server sends this: drop it unread.
+                self.scheduler.transport.note_corrupt_frame()
+                return
             entry = self.cache.peek(urn)
             if entry is None or entry.tentative or entry.rdo.version >= version:
                 return
@@ -806,9 +812,12 @@ class AccessManager:
                 return
         self.log.acknowledge(request.request_id)
         self._messages.pop(request.request_id, None)
-        self._m_qrpc_latency.labels(
-            host=self.host.name, op=str(request.operation)
-        ).observe(self.sim.now - request.created_at)
+        latency = self._latency_children.get(request.operation)
+        if latency is None:
+            latency = self._latency_children[request.operation] = self._m_qrpc_latency.labels(
+                host=self.host.name, op=str(request.operation)
+            )
+        latency.observe(self.sim.now - request.created_at)
         self.settle(request, reply if isinstance(reply, dict) else {})
 
     def _on_failed(self, request: QRPCRequest, reason: str) -> None:
@@ -1008,13 +1017,10 @@ class AccessManager:
             entry = self.cache.peek(urn_str)
             if entry is not None and dirty:
                 # Later local mutations exist: adopt the new base
-                # version but stay tentative for the next round.
-                entry.base_version = int(reply["version"])
-                entry.rdo.version = int(reply["version"])
-                if "data" in request.args:
-                    # The new server base is the round's snapshot,
-                    # not the (already newer) live data.
-                    entry.base_raw = marshal(request.args["data"])
+                # version but stay tentative for the next round.  The
+                # new server base is the round's snapshot, not the
+                # (already newer) live data.
+                self.cache.rebase(urn_str, int(reply["version"]), request.args.get("data"))
             elif entry is not None:
                 self.cache.commit(urn_str, int(reply["version"]))
             self.notifications.publish(

@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Callable, Iterator, Optional
 
 from repro.core.rdo import RDO
-from repro.net.message import marshal
+from repro.net.message import marshal, marshalled_size
 from repro.obs import Observatory
 
 
@@ -42,6 +42,8 @@ class CacheEntry:
         "pinned",
         "size",
         "inserted_at",
+        "_head_size",
+        "_data_size",
     )
 
     def __init__(self, rdo: RDO, status: CacheStatus, now: float) -> None:
@@ -55,16 +57,21 @@ class CacheEntry:
         self.base_raw = marshal(rdo.data)
         self.last_used = now
         self.pinned = False
+        #: Marshalled size of the cached object, exactly.  Kept as the
+        #: sum of three parts (the codec is additive over a dict's
+        #: entries): the bytes of everything but ``data`` and
+        #: ``version``, fixed from here on; the data's, measured when a
+        #: local invoke changes it and the base's length otherwise; and
+        #: the version's, measured when the version changes.
         self.size = rdo.size_bytes
+        self._data_size = len(self.base_raw)
+        self._head_size = self.size - self._data_size - marshalled_size(rdo.version)
         #: When this copy arrived from the server (freshness anchor).
         self.inserted_at = now
 
     @property
     def tentative(self) -> bool:
         return self.status is CacheStatus.TENTATIVE
-
-    def refresh_size(self) -> None:
-        self.size = self.rdo.size_bytes
 
 
 class ObjectCache:
@@ -166,9 +173,15 @@ class ObjectCache:
         return self._evict_to_fit()
 
     def mark_tentative(self, urn: str) -> None:
+        """A local invoke changed the data: the copy is tentative, and
+        its data is measured (the rest of the object is not).  Data the
+        codec refuses raises :class:`MarshalError` here, out of the
+        invoke, and leaves the size as it was."""
         entry = self._require(urn)
         entry.status = CacheStatus.TENTATIVE
-        entry.refresh_size()
+        data_size = marshalled_size(entry.rdo.data)
+        entry.size += data_size - entry._data_size
+        entry._data_size = data_size
 
     def commit(self, urn: str, new_version: int, data: Optional[dict] = None) -> None:
         """The export was accepted: adopt the server's version (and
@@ -179,8 +192,22 @@ class ObjectCache:
         entry.rdo.version = new_version
         entry.base_version = new_version
         entry.base_raw = marshal(entry.rdo.data)
+        entry._data_size = len(entry.base_raw)
+        entry.size = entry._head_size + entry._data_size + marshalled_size(new_version)
         entry.status = CacheStatus.COMMITTED
-        entry.refresh_size()
+
+    def rebase(self, urn: str, new_version: int, base: Optional[dict]) -> None:
+        """The export was accepted, but local updates made since stay
+        tentative: adopt the server's version as the new base, and
+        ``base`` (the data that round shipped, when given) as its
+        bytes.  The live data is not the base, so its size stays as it
+        is."""
+        entry = self._require(urn)
+        entry.rdo.version = new_version
+        entry.base_version = new_version
+        if base is not None:
+            entry.base_raw = marshal(base)
+        entry.size = entry._head_size + entry._data_size + marshalled_size(new_version)
 
     def pin(self, urn: str, pinned: bool = True) -> None:
         self._require(urn).pinned = pinned

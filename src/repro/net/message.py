@@ -451,6 +451,38 @@ def same_encoding(a: Any, b: Any) -> bool:
         return False
 
 
+#: Exact types two equal values of which encode to the same bytes, and
+#: two unequal ones to different bytes, so :func:`changed_keys` answers
+#: :func:`same_encoding` for them with ``==``.  Exact, since ``True ==
+#: 1``; text only when ASCII, since a lone surrogate equals itself but
+#: never encodes; not float, since ``0.0 == -0.0`` and ``nan != nan``.
+_PLAIN_SCALARS = frozenset((int, bool, bytes, str, type(None)))
+
+
+def changed_keys(base: dict, new: dict) -> list:
+    """The keys of ``new`` whose value does not encode as ``base``'s
+    does, ``base`` lacking it included, in ``new``'s order.
+
+    :func:`same_encoding` per entry in one call per dict: the equal
+    ids, senders and flags of a record cost no call of their own.
+    """
+    changed = []
+    for key, value in new.items():
+        if key in base:
+            old = base[key]
+            kind = type(value)
+            if kind is type(old) and kind in _PLAIN_SCALARS:
+                if old != value:
+                    changed.append(key)
+                    continue
+                if kind is not str or value.isascii():
+                    continue
+            if same_encoding(old, value):
+                continue
+        changed.append(key)
+    return changed
+
+
 def unmarshal(data: Any) -> Any:
     """Decode a buffer produced by :func:`marshal`.
 

@@ -314,7 +314,7 @@ class NetworkScheduler:
             "Messages dispatched inside coalesced frames",
             labelnames=("host",),
         ).labels(**host_label)
-        self._m_queue_wait = registry.histogram(
+        queue_wait = registry.histogram(
             "sched_queue_wait_seconds",
             "Time from enqueue (or requeue) to dispatch",
             labelnames=("host", "priority"),
@@ -323,11 +323,16 @@ class NetworkScheduler:
         #: (retransmissions re-count: this is wire cost, not goodput).
         #: How fleet telemetry (E15) proves its overhead share without
         #: needing a telemetry-free control run.
-        self._m_service_bytes = registry.counter(
+        service_bytes = registry.counter(
             "sched_service_bytes_total",
             "Dispatched request payload bytes by service",
             labelnames=("host", "service"),
         )
+        #: The two families a dispatch updates, and their children by
+        #: (priority, service), each bound on first use.  One attribute
+        #: for the three: a thirtieth would spill this instance's
+        #: attributes into a dict of their own (1.3 KB a stack).
+        self._dispatch_metrics = (queue_wait, service_bytes, {})
         for priority in Priority:
             gauge = registry.gauge(
                 "sched_queue_depth",
@@ -642,13 +647,18 @@ class NetworkScheduler:
 
     def _note_dispatch(self, message: QueuedMessage, route: Route) -> None:
         """Record queue.wait + route.select spans and wait metrics."""
-        waited = self.sim.now - message.last_queued_at
-        self._m_queue_wait.labels(
-            host=self.host.name, priority=_PRIORITY_LABEL[message.priority]
-        ).observe(waited)
-        self._m_service_bytes.labels(
-            host=self.host.name, service=message.service
-        ).inc(message.body_bytes)
+        queue_wait, service_bytes, bound = self._dispatch_metrics
+        key = (message.priority, message.service)
+        children = bound.get(key)
+        if children is None:
+            children = bound[key] = (
+                queue_wait.labels(
+                    host=self.host.name, priority=_PRIORITY_LABEL[message.priority]
+                ),
+                service_bytes.labels(host=self.host.name, service=message.service),
+            )
+        children[0].observe(self.sim.now - message.last_queued_at)
+        children[1].inc(message.body_bytes)
         if self.tracer.enabled and message.trace is not None:
             self.tracer.record(
                 "queue.wait",

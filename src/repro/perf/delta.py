@@ -33,7 +33,13 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.core.qrpc import Operation
-from repro.net.message import Premarshalled, marshalled_size, same_encoding, unmarshal
+from repro.net.message import (
+    Premarshalled,
+    changed_keys,
+    marshalled_size,
+    same_encoding,
+    unmarshal,
+)
 
 
 class DeltaError(Exception):
@@ -52,13 +58,15 @@ def diff_value(base: Any, new: Any) -> dict:
     """
     if same_encoding(base, new):
         return {"=": 1}
+    return _diff_changed(base, new)
+
+
+def _diff_changed(base: Any, new: Any) -> dict:
+    """:func:`diff_value` of two values known not to encode alike."""
     if isinstance(base, dict) and isinstance(new, dict):
         edits: dict[Any, Any] = {}
-        for key, value in new.items():
-            if key not in base:
-                edits[key] = {"!": value}
-            elif not same_encoding(base[key], value):
-                edits[key] = diff_value(base[key], value)
+        for key in changed_keys(base, new):
+            edits[key] = _diff_changed(base[key], new[key]) if key in base else {"!": new[key]}
         return {"d": [list(new.keys()), edits]}
     if isinstance(base, list) and isinstance(new, list):
         if len(new) >= len(base) and same_encoding(new[: len(base)], base):

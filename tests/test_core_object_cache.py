@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 
 import pytest
 
+from repro.core.interpreter import SafeInterpreter
 from repro.core.naming import URN
 from repro.core.object_cache import CacheError, CacheStatus, ObjectCache
-from repro.core.rdo import RDO
+from repro.core.rdo import RDO, MethodSpec, RDOInterface
+from repro.net.message import MarshalError, marshal, marshalled_size
 
 
 def make_rdo(n: int, payload: int = 100, version: int = 1) -> RDO:
@@ -178,3 +180,86 @@ def test_cache_invariants_hold(ops):
         clean_bytes = sum(e.size for e in cache if not e.tentative and not e.pinned)
         if cache.used_bytes > cache.capacity_bytes:
             assert clean_bytes <= cache.capacity_bytes
+
+
+_PUT = "def put(state, key, value):\n    state[key] = value\n    return 1\n"
+_KEYS = st.sampled_from(["body", "flags", "n", "new"])
+_STORABLE = st.one_of(
+    st.text(max_size=150),
+    st.integers(-(2**40), 2**40),
+    st.lists(st.integers(0, 300), max_size=20),
+    st.dictionaries(st.sampled_from(["read", "deleted"]), st.booleans()),
+)
+_WRITES = st.one_of(_STORABLE, st.just("\ud800"))  # a local write may store text the codec refuses
+_VERSIONS = st.integers(0, 2**21)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    ops=st.lists(
+        st.one_of(
+            st.tuples(st.just("insert"), st.integers(0, 4), _VERSIONS),
+            st.tuples(st.just("invoke"), st.integers(0, 4), _KEYS, _WRITES),
+            st.tuples(st.just("commit"), st.integers(0, 4), _VERSIONS),
+            st.tuples(st.just("resolved"), st.integers(0, 4), _VERSIONS, _STORABLE),
+            st.tuples(st.just("dirty-commit"), st.integers(0, 4), _VERSIONS, st.booleans()),
+            st.tuples(st.just("drop"), st.integers(0, 4)),
+        ),
+        max_size=40,
+    )
+)
+def test_every_entry_size_is_its_marshalled_size(ops):
+    """Property: whatever the cache was told — an insert, a mutating
+    local invoke (the access manager's ``mark_tentative``), a commit
+    with or without server-merged data, the dirty commit that rebases a
+    copy still tentative — each entry's ``size`` is exactly its object's
+    marshalled size when read, and ``used_bytes`` is their sum.  A write
+    the codec refuses raises out of ``mark_tentative`` and leaves the
+    size as it was (the entry is then dropped: nothing sizes it)."""
+    interpreter = SafeInterpreter()
+    cache = ObjectCache(capacity_bytes=2_000, clock=ManualClock())
+    for op in ops:
+        action, n = op[0], op[1]
+        urn = f"urn:rover:s/obj{n}"
+        if action == "insert":
+            rdo = RDO(URN("s", f"obj{n}"), "blob", {"body": "x" * 40 * n}, _PUT,
+                      RDOInterface([MethodSpec("put", mutates=True)]), version=op[2])
+            cache.insert(rdo)
+        elif urn not in cache:
+            continue
+        elif action == "invoke":
+            entry = cache.peek(urn)
+            entry.rdo.invoke(interpreter, "put", op[2], op[3])
+            size = entry.size
+            try:
+                cache.mark_tentative(urn)
+            except MarshalError:
+                assert entry.size == size and cache.used_bytes >= size
+                cache.invalidate(urn)
+        elif action == "commit":
+            cache.commit(urn, op[2])
+        elif action == "resolved":
+            cache.commit(urn, op[2], data={"merged": op[3]})
+        elif action == "dirty-commit":
+            snapshot = {"body": "round"} if op[3] else None
+            cache.rebase(urn, op[2], snapshot)
+        elif action == "drop":
+            cache.invalidate(urn)
+        for entry in cache:
+            assert entry.size == marshalled_size(entry.rdo.to_wire())
+        assert cache.used_bytes == sum(marshalled_size(e.rdo.to_wire()) for e in cache)
+
+
+def test_a_dirty_commit_rebases_and_stays_tentative():
+    cache = ObjectCache()
+    cache.insert(make_rdo(0, version=1))
+    urn = "urn:rover:s/obj0"
+    entry = cache.peek(urn)
+    entry.rdo.data["body"] = "newer"
+    cache.mark_tentative(urn)
+    cache.rebase(urn, 200, {"body": "shipped"})
+    assert entry.tentative
+    assert entry.rdo.version == entry.base_version == 200
+    assert entry.rdo.data == {"body": "newer"}
+    assert entry.base_raw == marshal({"body": "shipped"})
+    assert entry.size == make_rdo(0, payload=0, version=200).size_bytes + len("newer")

@@ -10,6 +10,7 @@ from repro.net.message import (
     MAX_DEPTH,
     MarshalError,
     Premarshalled,
+    changed_keys,
     marshal,
     marshalled_size,
     same_encoding,
@@ -217,6 +218,27 @@ def test_same_encoding_is_marshal_equality(pair):
     expected = encodes_alike(a, b)
     assert same_encoding(a, b) is expected
     assert same_encoding(b, a) is expected
+
+
+@settings(max_examples=500)
+@given(st.lists(codec_pairs, max_size=4), st.lists(st.booleans(), min_size=4, max_size=4))
+def test_changed_keys_is_marshal_inequality_per_entry(pairs, in_base):
+    """The keys whose values do not encode alike, a key the base lacks
+    included: the equal scalars settled in place answer as the
+    encodings do."""
+    base = {f"k{i}": a for i, (a, __) in enumerate(pairs) if in_base[i]}
+    new = {f"k{i}": b for i, (__, b) in enumerate(pairs)}
+    assert changed_keys(base, new) == [
+        key for key in new if key not in base or not encodes_alike(base[key], new[key])
+    ]
+
+
+def test_changed_keys_settles_only_what_encodes_alike():
+    base = {"id": 7, "flag": True, "blob": b"x", "none": None, "text": "hi", "accent": "é"}
+    assert changed_keys(base, dict(base)) == []
+    assert changed_keys({"t": "\ud800"}, {"t": "\ud800"}) == ["t"]  # equal, never encodes
+    assert changed_keys({"n": 1, "f": 0.0}, {"n": True, "f": -0.0}) == ["n", "f"]
+    assert changed_keys({"b": b"x"}, {"b": bytearray(b"x"), "new": 1}) == ["new"]
 
 
 _NAN = float("nan")

@@ -19,6 +19,7 @@ from repro.core.interpreter import (
 )
 from repro.core.naming import URN
 from repro.core.rdo import RDO, MethodSpec, RDOInterface
+from repro.core.server import INVALIDATION_PORT
 from repro.ha import build_ha_testbed
 from repro.lint.verifier import check_code
 from repro.net.link import AlwaysDown, LinkSpec, IntervalTrace
@@ -278,6 +279,28 @@ def test_a_failed_mutating_invoke_leaves_every_replica_alike():
         assert (stored.data, stored.version) == ({"n": 0}, 1)
 
 
+# The same refused text written by a local invoke on a cached copy: the
+# invoke raises, and the copy keeps the size it had, which every later
+# reader of the cache needs (the next import's eviction check reads it
+# inside the reply handler).
+def test_a_local_write_the_codec_refuses_fails_the_invoke_and_the_cache_serves_on():
+    bed = build_testbed()
+    bed.server.put_object(_counter(FAILING_WRITES["stores-text-the-codec-refuses"]))
+    bed.server.put_object(make_note())
+    urn = "urn:rover:server/counters/c1"
+    bed.access.import_(urn).wait(bed.sim)
+    entry = bed.access.cache.peek(urn)
+    size, published = entry.size, len(bed.access.notifications.history)
+    with pytest.raises(MarshalError, match="cannot marshal str"):
+        bed.access.invoke(urn, "bump")
+    assert entry.size == size
+    assert len(bed.access.notifications.history) == published
+    assert bed.access.log.pending_count() == 0
+    assert bed.access.cache.stats()["bytes"] == bed.access.cache.used_bytes
+    assert bed.access.import_(make_note().urn).wait(bed.sim).data == {"text": "hello"}
+    assert bed.access.cache.stats()["entries"] == 2
+
+
 # A method declared read-only that writes the stored data anyway.  The
 # server ran it on the stored data itself and kept the write under the
 # version every cached copy already holds.  The verifier refuses the
@@ -332,6 +355,38 @@ def test_a_read_only_invoke_that_writes_leaves_every_replica_alike():
     for server, __ in bed.members:
         stored = server.get_object("urn:rover:server/counters/c1")
         assert (stored.data, stored.version) == ({"n": 0}, 1)
+
+
+# Invalidation callbacks that pass the seal but that no server sends.
+MALFORMED_INVALIDATIONS = {
+    "version-not-a-number": {
+        "kind": "invalidate", "urn": "urn:rover:x/y", "version": "seven",
+    },
+    "urn-not-hashable": {
+        "kind": "invalidate", "urn": ["not", "hashable"], "version": 7,
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "body", list(MALFORMED_INVALIDATIONS.values()), ids=list(MALFORMED_INVALIDATIONS)
+)
+def test_a_malformed_invalidation_is_dropped_and_counted(body):
+    bed = build_testbed()
+    note = make_note()
+    bed.server.put_object(note)
+    bed.access.import_(note.urn).wait(bed.sim)
+    bed.access.subscribe_invalidations(bed.authority, "").wait(bed.sim)
+
+    def cached():
+        return [(str(e.rdo.urn), e.rdo.version, e.status) for e in bed.access.cache]
+
+    before = (cached(), len(bed.access.notifications.history))
+    corrupt = bed.client_transport.corrupt_frames_detected
+    bed.server_transport.send(bed.client_host, INVALIDATION_PORT, body)
+    bed.sim.run(until=bed.sim.now + 5)
+    assert (cached(), len(bed.access.notifications.history)) == before
+    assert bed.client_transport.corrupt_frames_detected == corrupt + 1
 
 
 @settings(max_examples=10, deadline=None)

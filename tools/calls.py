@@ -9,12 +9,20 @@ before its timed region; the peak is read once the repeat returns.  One
 sample, taken under cProfile, so it reports and gates nothing::
 
     PYTHONHASHSEED=0 PYTHONPATH=src:. python tools/calls.py mail_slowlink
+
+``--top N`` then prints the N functions with the most Python calls per
+op, read from the profiler that counted the line above (so the ledger
+and the line agree exactly), most first::
+
+    PYTHONHASHSEED=0 PYTHONPATH=src:. python tools/calls.py mail_slowlink --top 20
 """
 
+import argparse
 import contextlib
 import gc
 import io
 import json
+import os
 import resource
 import sys
 import time
@@ -35,21 +43,52 @@ class _SetupEnd:
         return found
 
 
+class _KeptProfiler:
+    """The ``cProfile`` the repeat sees: it keeps the profiler it makes."""
+
+    def __init__(self, real) -> None:
+        self._real = real
+        self.made = None
+
+    def Profile(self, *args, **kwargs):  # noqa: N802  (cProfile's name)
+        self.made = self._real.Profile(*args, **kwargs)
+        return self.made
+
+
+def top_functions(profiler, calls_per_op: float, count: int) -> list:
+    """(calls per op, function) for the ``count`` most-called functions."""
+    calls = {}
+    for entry in profiler.getstats():
+        code = entry.code
+        label = f"{os.path.relpath(code.co_filename)}:{code.co_firstlineno}({code.co_qualname})"
+        calls[label] = calls.get(label, 0) + entry.callcount
+    scale = calls_per_op / sum(calls.values())
+    ranked = sorted(calls.items(), key=lambda item: (-item[1], item[0]))
+    return [(n * scale, label) for label, n in ranked[:count]]
+
+
 def main(argv: list) -> int:
-    workload = argv[0]
+    parser = argparse.ArgumentParser(prog="tools/calls.py")
+    parser.add_argument("workload")
+    parser.add_argument("--top", type=int, default=0, metavar="N")
+    args = parser.parse_args(argv)
     setup_end = repeat.gc = _SetupEnd()
+    kept = repeat.cProfile = _KeptProfiler(repeat.cProfile)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        status = repeat.main(["--workload", workload, "--seed", "7", "--mode", "count"])
+        status = repeat.main(["--workload", args.workload, "--seed", "7", "--mode", "count"])
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     result = json.loads(out.getvalue().splitlines()[-1])
     if status:
-        print(f"{workload}: {result['violations']}", file=sys.stderr)
+        print(f"{args.workload}: {result['violations']}", file=sys.stderr)
         return status
+    calls_per_op = result["metrics"]["py_calls_per_op"]
     print(
-        f"{workload} {result['metrics']['py_calls_per_op']}"
+        f"{args.workload} {calls_per_op}"
         f" setup_s={setup_end.at - _STARTED:.2f} peak_rss_mb={peak_rss_mb:.1f}"
     )
+    for per_op, label in top_functions(kept.made, calls_per_op, args.top):
+        print(f"{per_op:10.3f}  {label}")
     return 0
 
 
