@@ -861,9 +861,11 @@ class HAReadScenario(HAFailoverScenario):
     """A writer appends and a reader reads through a primary that turns
     zombie or dies.
 
-    ``read`` is read-only: the primary answers it without a record,
-    under its lease or after a heartbeat round (docs/ROBUSTNESS.md, "The
-    read path").  The suite's own decision picks the fault and its
+    The reader calls the read-only ``read``, imports afresh and ships an
+    RDO, by turns: the primary answers each without a record, under its
+    lease or after a heartbeat round (docs/ROBUSTNESS.md, "The read
+    path").  There is no list reader: the clients create no objects, so
+    a list cannot go stale here.  The suite's own decision picks the fault and its
     time: a partition that cuts the primary off from both backups --
     with the writer on the backups' side, so the new primary
     acknowledges appends the zombie never sees, cut off with the zombie,
@@ -883,6 +885,10 @@ class HAReadScenario(HAFailoverScenario):
     #: Seconds between the writer's appends.
     add_every_s = 1.2
     reads = 8
+    #: What each read is, in turn: the read-only method, a refreshing
+    #: import, a shipped RDO.
+    read_kinds = ("invoke", "import", "ship")
+    ship_read = "def main(urn):\n    return list(lookup(urn)['items'])\n"
     #: The reader's pause between one read settling and the next.
     read_gap_s = 0.5
     #: Fault offsets from the first append: with the lease renewed
@@ -960,9 +966,17 @@ class HAReadScenario(HAFailoverScenario):
 
         def read() -> None:
             entry = {"client": reader.host.name, "seen": sorted(acked), "items": None}
+            kind = self.read_kinds[len(reads) % len(self.read_kinds)]
             reads.append(entry)
-            promise = reader.access.invoke_remote(urn, "read", [])
-            promise.then(lambda items: settled(entry, items))
+            if kind == "invoke":
+                promise = reader.access.invoke_remote(urn, "read", [])
+            elif kind == "import":
+                promise = reader.access.import_(urn, refresh=True)
+            else:
+                promise = reader.access.ship(bed.authority, self.ship_read, args=[urn])
+            promise.then(
+                lambda value: settled(entry, list(value.data["items"]) if kind == "import" else value)
+            )
             promise.on_failure(lambda _reason: settled(entry, None))
 
         done: list[dict] = []

@@ -39,7 +39,7 @@ from repro.core.qrpc import Operation, QRPCRequest
 from repro.core.rdo import RDO, ExecutionCostModel, RDOVerificationError
 from repro.core.server import SHIP_ENV_NAMES
 from repro.core.session import Session, SessionRegistry
-from repro.net.message import Premarshalled, marshal, unmarshal
+from repro.net.message import Premarshalled, unmarshal
 from repro.net.scheduler import NetworkScheduler, Priority
 from repro.net.simnet import Host
 from repro.obs import Observatory
@@ -359,10 +359,9 @@ class AccessManager:
         entry = self.cache.peek(urn_str)
         state = self._exports[urn_str]
         if entry is None:
+            del self._exports[urn_str]
             for promise in state["current"]:
                 promise.reject("object evicted before export")
-            state["current"] = []
-            state["inflight"] = False
             return
         request = self._new_request(
             Operation.EXPORT,
@@ -381,7 +380,7 @@ class AccessManager:
         """Snapshot: an export carries exactly the state at the moment
         it is taken, not whatever the app mutates later."""
         return {
-            "data": unmarshal(marshal(entry.rdo.data)),
+            "data": unmarshal(entry.data_raw),
             "base_version": entry.base_version,
         }
 
@@ -1075,15 +1074,12 @@ class AccessManager:
                 promise.resolve(reply)
             else:
                 promise.reject(failed)
-        state["inflight"] = False
-        if state["dirty"]:
-            state["dirty"] = False
-            state["current"], state["queued"] = state["queued"], []
-            self._start_export_round(
-                urn_str,
-                state.get("session"),
-                state.get("priority", Priority.DEFAULT),
-            )
+        if not state["dirty"]:
+            del self._exports[urn_str]  # nothing owed: forget the object
+            return
+        state["dirty"] = False
+        state["current"], state["queued"] = state["queued"], []
+        self._start_export_round(urn_str, state["session"], state["priority"])
 
     #: What the promise of a queued call resolves with, given an "ok"
     #: reply to its operation.

@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Callable, Iterator, Optional
 
 from repro.core.rdo import RDO
-from repro.net.message import marshal, marshalled_size
+from repro.net.message import MarshalError, marshal, marshalled_size, unmarshal
 from repro.obs import Observatory
 
 
@@ -43,29 +43,30 @@ class CacheEntry:
         "size",
         "inserted_at",
         "_head_size",
-        "_data_size",
+        "data_raw",
     )
 
     def __init__(self, rdo: RDO, status: CacheStatus, now: float) -> None:
         self.rdo = rdo
         self.status = status
         self.base_version = rdo.version
-        #: Marshalled data of the base version — the ground truth for
-        #: delta shipping: a delta is computed against exactly the bytes
-        #: the server agreed to at ``base_version``, never against the
-        #: (possibly mutated) live ``rdo.data``.
-        self.base_raw = marshal(rdo.data)
+        #: ``base_raw``: marshalled data of the base version — the ground
+        #: truth for delta shipping: a delta is computed against exactly
+        #: the bytes the server agreed to at ``base_version``, never
+        #: against the (possibly mutated) live ``rdo.data``.
+        #: ``data_raw``: the live data's bytes as of its last encodable
+        #: state — an export's snapshot, and what a refused write is
+        #: rolled back to.
+        self.base_raw = self.data_raw = marshal(rdo.data)
         self.last_used = now
         self.pinned = False
         #: Marshalled size of the cached object, exactly.  Kept as the
         #: sum of three parts (the codec is additive over a dict's
         #: entries): the bytes of everything but ``data`` and
-        #: ``version``, fixed from here on; the data's, measured when a
-        #: local invoke changes it and the base's length otherwise; and
-        #: the version's, measured when the version changes.
+        #: ``version``, fixed from here on; ``len(data_raw)``; and the
+        #: version's, measured when the version changes.
         self.size = rdo.size_bytes
-        self._data_size = len(self.base_raw)
-        self._head_size = self.size - self._data_size - marshalled_size(rdo.version)
+        self._head_size = self.size - len(self.data_raw) - marshalled_size(rdo.version)
         #: When this copy arrived from the server (freshness anchor).
         self.inserted_at = now
 
@@ -174,14 +175,19 @@ class ObjectCache:
 
     def mark_tentative(self, urn: str) -> None:
         """A local invoke changed the data: the copy is tentative, and
-        its data is measured (the rest of the object is not).  Data the
+        its data is encoded (the rest of the object is not).  Data the
         codec refuses raises :class:`MarshalError` here, out of the
-        invoke, and leaves the size as it was."""
+        invoke, and is rolled back to its last encodable state; the
+        status and the size stay as they were."""
         entry = self._require(urn)
+        try:
+            raw = marshal(entry.rdo.data)
+        except MarshalError:
+            entry.rdo.data = unmarshal(entry.data_raw)
+            raise
         entry.status = CacheStatus.TENTATIVE
-        data_size = marshalled_size(entry.rdo.data)
-        entry.size += data_size - entry._data_size
-        entry._data_size = data_size
+        entry.size += len(raw) - len(entry.data_raw)
+        entry.data_raw = raw
 
     def commit(self, urn: str, new_version: int, data: Optional[dict] = None) -> None:
         """The export was accepted: adopt the server's version (and
@@ -191,9 +197,8 @@ class ObjectCache:
             entry.rdo.data = data
         entry.rdo.version = new_version
         entry.base_version = new_version
-        entry.base_raw = marshal(entry.rdo.data)
-        entry._data_size = len(entry.base_raw)
-        entry.size = entry._head_size + entry._data_size + marshalled_size(new_version)
+        entry.base_raw = entry.data_raw = marshal(entry.rdo.data)
+        entry.size = entry._head_size + len(entry.data_raw) + marshalled_size(new_version)
         entry.status = CacheStatus.COMMITTED
 
     def rebase(self, urn: str, new_version: int, base: Optional[dict]) -> None:
@@ -207,7 +212,7 @@ class ObjectCache:
         entry.base_version = new_version
         if base is not None:
             entry.base_raw = marshal(base)
-        entry.size = entry._head_size + entry._data_size + marshalled_size(new_version)
+        entry.size = entry._head_size + len(entry.data_raw) + marshalled_size(new_version)
 
     def pin(self, urn: str, pinned: bool = True) -> None:
         self._require(urn).pinned = pinned

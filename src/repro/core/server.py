@@ -187,9 +187,9 @@ class RoverServer:
         self.exports_resolved = 0
         self.exports_conflicted = 0
         self.invokes_served = 0
-        #: Invokes of a read-only method this server ran and answered
-        #: (not replayed from the at-most-once record).  :mod:`repro.ha`
-        #: reads it across one call to tell a read from a write.
+        #: Reads: imports, lists, ships and subscriptions on entry, and
+        #: invokes of a read-only method this server ran (not replayed).
+        #: :mod:`repro.ha` reads it across one call to tell a read from a write.
         self.reads_served = 0
         self.ships_served = 0
         self.duplicates_suppressed = 0
@@ -285,15 +285,15 @@ class RoverServer:
         return version
 
     def snapshot(self) -> dict:
-        """Durable server state: the object store and version history.
+        """Durable server state: the object store, the version history
+        and the committer index (``committed_replies``).
 
         Deliberately EXCLUDES the at-most-once applied-reply cache —
-        that is volatile, so a crash/restart forgets it.  Correctness
-        then rests on version-stamp detection: a retransmitted export
-        whose update already committed arrives with a stale base
-        version and goes through the type-specific resolver, which for
-        well-formed types merges it idempotently (see the
-        crash-restart tests).
+        that is volatile, so a crash/restart forgets it.  A
+        retransmitted export or mutating invoke whose update already
+        committed is answered from the committer index instead
+        (:meth:`_committed_replay`): its original reply, with nothing
+        applied again (see the crash-restart tests).
         """
         return unmarshal(
             marshal(
@@ -493,6 +493,7 @@ class RoverServer:
 
     @replay_pure
     def _on_import(self, body: Any, source: Address) -> Any:
+        self.reads_served += 1
         if not self._authorized(body):
             return {"status": "unauthorized"}
         urn = body["urn"]
@@ -705,6 +706,7 @@ class RoverServer:
         travels back in one reply — the whole point being that N
         lookups here replace N QRPCs over a slow link.
         """
+        self.reads_served += 1
         if not self._authorized(body):
             return {"status": "unauthorized"}
         self._observe_watermark(body)
@@ -825,6 +827,7 @@ class RoverServer:
     @replay_pure
     def _on_list(self, body: Any, source: Address) -> Any:
         """Enumerate object names under a prefix (hoard-walk support)."""
+        self.reads_served += 1
         if not self._authorized(body):
             return {"status": "unauthorized"}
         prefix = body.get("prefix", "")
@@ -841,6 +844,7 @@ class RoverServer:
         link to the subscriber is up (a disconnected client learns of
         changes by re-importing, as the paper intends).
         """
+        self.reads_served += 1
         if not self._authorized(body):
             return {"status": "unauthorized"}
         host_name = source[0]

@@ -18,7 +18,7 @@ exactly-once across the takeover.
 """
 
 from repro.ha.group import (
-    REPLICATED_SERVICES,
+    CLIENT_SERVICES,
     ReplicaAgent,
     ReplicaSet,
     ReplicationGroup,
@@ -26,7 +26,7 @@ from repro.ha.group import (
 from repro.ha.testbed import HATestbed, build_ha_testbed
 
 __all__ = [
-    "REPLICATED_SERVICES",
+    "CLIENT_SERVICES",
     "ReplicaAgent",
     "ReplicaSet",
     "ReplicationGroup",

@@ -1,36 +1,36 @@
 """Replication group: primary/backup RoverServers with epoch fencing.
 
 One :class:`ReplicaAgent` wraps each member server's transport service
-table.  The primary's agent intercepts every client-facing service and
-sorts each request by its effect:
+table.  The primary's agent intercepts every client-facing service
+(:data:`CLIENT_SERVICES`) and sorts each request by one rule, which the
+server states: a request the server counts in ``reads_served`` -- an
+import, a list, a ship, a subscription, or an invoke of a method its
+interface declares read-only -- is a read; everything else is a write.
 
-* **Writes** -- :data:`REPLICATED_SERVICES` (exports, locks, mutating
-  invokes, and an invoke answered from a reply cache) -- are executed
-  locally, appended to an in-memory operation record log, and shipped
-  to the backups; the client's reply is withheld (via
+* **Writes** -- exports, locks, mutating invokes, and an invoke
+  answered from a reply cache -- are executed locally, appended to an
+  in-memory operation record log, and shipped to the backups; the
+  client's reply is withheld (via
   :class:`~repro.net.transport.AsyncReply`) until a majority of the
   group holds the record.  Backups re-execute shipped records through
   the very same server handlers (state-machine replication; sound
   because the handlers live under the replay-pure effect contract),
   with the server's lease clock pinned to the primary's execution time
   so lock-lease decisions replay identically.
-* **Reads** -- an invoke of a method its interface declares read-only,
-  which the server reports by counting it (``reads_served``) -- run on
-  the primary alone: no record, no ship, no re-execution.  The reply
-  waits until every record through the primary's ``seq`` is on a
-  quorum (a read never shows what a failover could lose), and is given
-  only under the primary's *lease*: a quorum of peers acked a frame it
-  sent at ``t`` with ``now <= t + lease_s``.  Each such peer had
-  granted no newer epoch when the frame came (it would have refused it)
-  nor was standing for one (it acks with that epoch, which confirms
-  nothing), and answers ``heard`` to every election poll, and stands
-  for none, until at least ``t + lease_s``; every election majority
-  overlaps that quorum, so no other primary exists yet.  Without the
-  lease (just after a promotion, on a zombie) the read waits for a
-  quorum to ack a heartbeat sent at or after it ran.  Confirmations
-  belong to one reign.
-* **Read-only services** (:data:`READONLY_SERVICES`) are answered by
-  the primary directly, without a lease.
+* **Reads** run on the primary alone: no record, no ship, no
+  re-execution.  The reply waits until every record through the
+  primary's ``seq`` is on a quorum (a read never shows what a failover
+  could lose), and is given only under the primary's *lease*: a quorum
+  of peers acked a frame it sent at ``t`` with ``now <= t + lease_s``.
+  Each such peer had granted no newer epoch when the frame came (it
+  would have refused it) nor was standing for one (it acks with that
+  epoch, which confirms nothing), and answers ``heard`` to every
+  election poll, and stands for none, until at least ``t + lease_s``;
+  every election majority overlaps that quorum, so no other primary
+  exists yet.  Without the lease (just after a promotion, on a zombie)
+  the read waits for a quorum to ack a heartbeat sent at or after it
+  ran.  Confirmations belong to one reign.  A subscription is a read
+  too: the table it joins is the member's own and is not replicated.
 
 Failure handling:
 
@@ -62,29 +62,16 @@ from typing import Any, Callable, Optional
 from repro.core.naming import URN
 from repro.core.server import RoverServer
 from repro.lint.contracts import replay_pure
+from repro.net.message import Premarshalled
 from repro.net.simnet import Address, Host
 from repro.net.transport import AsyncReply, DelayedReply, RpcError, Transport
 from repro.sim import Simulator, make_rng
 
-#: Client services whose effects may mutate server state: the primary
-#: ships these to its backups -- all but an invoke the server ran as a
-#: read.  Everything else the client can ask for
-#: (import/list/ship/subscribe) is read-only and is answered by the
-#: primary alone.
-REPLICATED_SERVICES = (
-    "rover.export",
-    "rover.invoke",
-    "rover.lock",
-    "rover.unlock",
-)
-
-#: Read-only client services: fenced on backups (a backup may be
-#: stale), served directly on the primary without replication.
-READONLY_SERVICES = (
-    "rover.import",
-    "rover.list",
-    "rover.ship",
-    "rover.subscribe",
+#: The client services the agent interposes on: fenced on a backup,
+#: sorted into reads and writes by the server on the primary.
+CLIENT_SERVICES = (
+    "rover.export", "rover.import", "rover.invoke", "rover.list",
+    "rover.lock", "rover.ship", "rover.subscribe", "rover.unlock",
 )
 
 #: How many records ride in one replicate frame.
@@ -383,7 +370,7 @@ class ReplicaAgent:
     def _install_shims(self) -> None:
         """Interpose on every client-facing service the server exposes."""
         table = self.transport._request_handlers
-        for service in REPLICATED_SERVICES + READONLY_SERVICES:
+        for service in CLIENT_SERVICES:
             handler = table.get(service)
             if handler is not None:
                 self._inner[service] = handler
@@ -437,19 +424,13 @@ class ReplicaAgent:
         inner = self._inner.get(service)
         if inner is None:
             return {"error": f"unknown service {service!r}"}
-        if service not in REPLICATED_SERVICES:
-            return self._stamp(inner(body, source))
         at = self.sim.now
         reads = self.server.reads_served
-        raw = inner(body, source)
-        delay_s = 0.0
-        reply = raw
-        if isinstance(raw, DelayedReply):
-            delay_s = raw.delay_s
-            reply = raw.body
-        stamped = self._stamp(reply)
-        if delay_s > 0:
-            stamped = DelayedReply(delay_s, stamped)
+        stamped = inner(body, source)
+        if isinstance(stamped, DelayedReply):  # the handler's own, made for this call
+            stamped.body = self._stamp(stamped.body)
+        else:
+            stamped = self._stamp(stamped)
         if self.server.reads_served != reads:
             return self._serve_read(stamped)
         record = {
@@ -476,8 +457,8 @@ class ReplicaAgent:
         return gate
 
     def _serve_read(self, stamped: Any) -> Any:
-        """Answer a read-only invoke that already ran here: no record,
-        no ship, no re-execution on the backups.
+        """Answer a read that already ran here: no record, no ship, no
+        re-execution on the backups.
 
         Its reply waits for every record through the current ``seq`` to
         reach a quorum (it may show their effects, which must survive a
@@ -489,7 +470,8 @@ class ReplicaAgent:
         primary exists yet.  Without the lease the read waits for a
         quorum to ack a heartbeat sent at or after it ran
         (:meth:`_probe`); a deposed primary hears ``stale-epoch``
-        instead and drops it.
+        instead and drops it.  A reply that waits is encoded now
+        (:meth:`_frozen`): a write may change the live data it holds.
         """
         if self.quorum_backups == 0:
             return stamped
@@ -502,13 +484,23 @@ class ReplicaAgent:
         self._waiters.append({
             "seq": self.seq, "epoch": self.epoch,
             "since": -math.inf if leased else now,
-            "gate": gate, "reply": stamped,
+            "gate": gate, "reply": self._frozen(stamped),
         })
         if not leased:
             for peer in self.peers:
                 if peer["probe"] is None:
                     self._probe(peer)
         return gate
+
+    @staticmethod
+    def _frozen(reply: Any) -> Any:
+        """``reply`` with its body encoded now, so it ships the state it
+        ran on (a body the codec refuses fails the read here, as the
+        transport would fail it when it sends)."""
+        if not isinstance(reply, DelayedReply):
+            return Premarshalled(reply)
+        reply.body = Premarshalled(reply.body)
+        return reply
 
     def _probe(self, peer: dict) -> None:
         """Send ``peer`` a read-index heartbeat, one at a time: when it

@@ -30,6 +30,10 @@ every one of these failed before its fix landed:
   primary's copy by anti-entropy, but kept its own committer index, so
   the new primary's records of the same requests were answered from
   it and never applied there.
+* ha-read ``{}`` — the suite's first run: a primary cut off from both
+  backups still answered imports and shipped RDOs at once, so the
+  reader's import and ship from that zombie missed an acknowledged
+  append (reads 4 and 5).
 * ha-failover-features ``{8: 1}`` — not a bug of this tree but of a
   design tried on the way to it: one lost reply of the live primary
   makes it the client's suspect, and every other member's hint names
@@ -97,6 +101,11 @@ def test_replayed_counterexample_ha_read_rejoin_keeps_a_stale_committer_index():
     result = run_with_choices("ha-read", {4: 10})
     (fault,) = [decision for decision in result.trace if decision.chosen]
     assert fault.meta == {"point": "fault"}  # zombie-writer-parked, at 0.0008 s
+    assert result.violations == []
+
+
+def test_replayed_counterexample_ha_read_zombie_answers_an_import_and_a_ship():
+    result = run_with_choices("ha-read", {})
     assert result.violations == []
 
 

@@ -93,6 +93,35 @@ def test_sequential_mutations_coalesce(ethernet_bed):
     assert bed.server.exports_committed <= 3
 
 
+def test_an_export_round_that_owes_nothing_forgets_its_object(ethernet_bed):
+    """The per-object export state lives while a round is in flight or
+    owed, not for every object the client ever exported."""
+    bed = ethernet_bed
+    urns = [f"urn:rover:server/notes/n{n}" for n in range(50)]
+    for n, urn in enumerate(urns):
+        bed.server.put_object(make_note(path=f"notes/n{n}"))
+        bed.access.import_(urn).wait(bed.sim)
+    for n, urn in enumerate(urns):
+        bed.access.invoke(urn, "set_text", f"v{n}")
+    assert len(bed.access._exports) == 50
+    assert bed.access.drain()
+    assert bed.access._exports == {}
+    assert [bed.server.get_object(urn).data["text"] for urn in urns] == [f"v{n}" for n in range(50)]
+
+
+def test_a_follow_up_round_for_an_evicted_object_forgets_it(cslip_bed):
+    bed = cslip_bed
+    note = make_note()
+    bed.server.put_object(note)
+    bed.access.import_(note.urn).wait(bed.sim)
+    bed.access.invoke(note.urn, "set_text", "first")
+    bed.sim.run(until=bed.sim.now + 0.05)
+    followup = bed.access.export(note.urn)  # owed once the first round ends
+    bed.access.cache.invalidate(str(note.urn))
+    assert bed.access.drain()
+    assert followup.failed and bed.access._exports == {}
+
+
 def test_export_snapshot_isolated_from_later_mutations(cslip_bed):
     """The first export carries the state at round start even if the
     app keeps mutating while it is on the (slow) wire."""

@@ -214,8 +214,9 @@ def test_every_entry_size_is_its_marshalled_size(ops):
     with or without server-merged data, the dirty commit that rebases a
     copy still tentative — each entry's ``size`` is exactly its object's
     marshalled size when read, and ``used_bytes`` is their sum.  A write
-    the codec refuses raises out of ``mark_tentative`` and leaves the
-    size as it was (the entry is then dropped: nothing sizes it)."""
+    the codec refuses raises out of ``mark_tentative`` and is rolled
+    back: the data is its last encodable state, and the size and the
+    status are as they were."""
     interpreter = SafeInterpreter()
     cache = ObjectCache(capacity_bytes=2_000, clock=ManualClock())
     for op in ops:
@@ -230,12 +231,12 @@ def test_every_entry_size_is_its_marshalled_size(ops):
         elif action == "invoke":
             entry = cache.peek(urn)
             entry.rdo.invoke(interpreter, "put", op[2], op[3])
-            size = entry.size
+            size, status, data_raw = entry.size, entry.status, entry.data_raw
             try:
                 cache.mark_tentative(urn)
             except MarshalError:
-                assert entry.size == size and cache.used_bytes >= size
-                cache.invalidate(urn)
+                assert (entry.size, entry.status) == (size, status)
+                assert marshal(entry.rdo.data) == data_raw
         elif action == "commit":
             cache.commit(urn, op[2])
         elif action == "resolved":

@@ -4,20 +4,22 @@ Pins down the smaller contracts the HA work leaned on: server-side
 lock-lease expiry (and its counter), the network scheduler's capped
 jittered backoff, the client-side replica-set bookkeeping, deferred
 transport replies, the failover counter on the not-primary fence, and
-the read path: a read-only invoke answered by the primary alone, under
-its lease or after a heartbeat round.
+the read path: a read answered by the primary alone, under its lease or
+after a heartbeat round.
 """
 
 import math
 
+import pytest
+
 from repro.chaos import ChaosController
-from repro.check.scenarios import make_box
+from repro.check.scenarios import HAReadScenario, make_box
 from repro.check.seam import SwitchablePolicy
 from repro.ha import build_ha_testbed
 from repro.ha.group import LOG_CAP, SHIP_BATCH, ReplicaSet
 from repro.net.link import ETHERNET_10M
 from repro.net.simnet import Delivery
-from repro.net.transport import AsyncReply
+from repro.net.transport import AsyncReply, DelayedReply
 from repro.testbed import build_multi_client_testbed
 from tests.conftest import make_note
 
@@ -361,11 +363,33 @@ class _LoseTheProbe:
         return [Delivery(delivery.time, delivery.payload, "dropped by the test")]
 
 
+SHIP_READ = HAReadScenario.ship_read
+
+#: One read of the box's items per kind of read a client can make.
+READERS = {
+    "invoke": lambda bed, access, urn: access.invoke_remote(urn, "read", []).wait(bed.sim),
+    "import": lambda bed, access, urn: list(
+        access.import_(urn, refresh=True).wait(bed.sim).data["items"]
+    ),
+    "ship": lambda bed, access, urn: access.ship(
+        bed.authority, SHIP_READ, args=[urn]
+    ).wait(bed.sim),
+}
+
+#: A request body for each client service the server answers as a read.
+READ_BODIES = {
+    "rover.import": lambda urn: {"urn": urn},
+    "rover.list": lambda urn: {"prefix": ""},
+    "rover.ship": lambda urn: {"code": SHIP_READ, "args": [urn], "request_id": "c/1"},
+    "rover.subscribe": lambda urn: {"prefix": ""},
+}
+
+
 class TestReadPath:
-    """A read-only invoke is answered by the primary with no record, no
-    ship and no re-execution on the backups, held behind every record it
-    may show until a quorum has it, and only while the primary's lease
-    says no other primary can exist."""
+    """A read is answered by the primary with no record, no ship and no
+    re-execution on the backups, held behind every record it may show
+    until a quorum has it, and only while the primary's lease says no
+    other primary can exist."""
 
     def group(self, n_clients=1, **options):
         bed = build_ha_testbed(n_backups=2, n_clients=n_clients, **options)
@@ -417,7 +441,29 @@ class TestReadPath:
                 real(*args, **kwargs)
         assert read.wait(bed.sim) == ["a"] and added.wait(bed.sim) == 1
 
-    def test_a_zombie_whose_lease_lapsed_does_not_answer(self):
+    def test_a_waiting_import_ships_the_state_it_read(self):
+        bed, urn = self.group(n_clients=3)
+        first, reader, last = (stack.access for stack in bed.clients)
+        primary = bed.group.primary_agent()
+        calls, real = intercept(primary, hold=("rover.ha.replicate",))
+        first.invoke_remote(urn, "add", ["a"])
+        bed.sim.run(until=bed.sim.now + 0.5)
+        imported = reader.import_(urn, refresh=True)
+        bed.sim.run(until=bed.sim.now + 0.5)
+        # A write that runs while the import waits on the first one
+        # changes the stored data in place; the import must not show it.
+        last.invoke_remote(urn, "add", ["c"])
+        bed.sim.run(until=bed.sim.now + 0.5)
+        assert primary.seq == 2 and not imported.ready
+        for service, _body, (args, kwargs) in calls:
+            if service == "rover.ha.replicate":
+                real(*args, **kwargs)
+        rdo = imported.wait(bed.sim)
+        assert rdo.data == primary.server._base_data(urn, rdo.version) == {"items": ["a"]}
+        assert reader.cache.lookup(urn).rdo.data == {"items": ["a"]}
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_a_zombie_whose_lease_lapsed_does_not_answer(self, kind):
         mesh = {(0, 1): SwitchablePolicy(), (0, 2): SwitchablePolicy()}
         bed, urn = self.group(
             n_clients=2, mesh_policies=mesh, lease_s=1.5, heartbeat_s=0.5,
@@ -437,10 +483,22 @@ class TestReadPath:
         # is primary: it runs the read, but its lease ran out and its
         # heartbeat round reaches nobody.
         assert zombie.role == "primary"
-        read = reader.invoke_remote(urn, "read", [])
-        assert read.wait(bed.sim) == ["a", "b"]
+        assert READERS[kind](bed, reader, urn) == ["a", "b"]
         assert zombie.server.reads_served >= 1 and zombie._waiters
         assert reader.servers[bed.authority].current_host.name == b1.host.name
+
+    @pytest.mark.parametrize("service", sorted(READ_BODIES))
+    def test_a_read_service_is_stamped_like_a_read_only_invoke(self, service):
+        bed, urn = self.group()
+        bed.sim.run(until=5.0)  # under the lease: answered at once
+        primary = bed.group.primary_agent()
+        reads, seq = primary.server.reads_served, primary.seq
+        reply = primary._serve_client(service, READ_BODIES[service](urn), ("client0", 0))
+        if isinstance(reply, DelayedReply):
+            reply = reply.body
+        assert reply["status"] == "ok"
+        assert (reply["ha_epoch"], reply["ha_member"]) == (primary.epoch, primary.host.name)
+        assert primary.server.reads_served == reads + 1 and primary.seq == seq
 
     def test_confirmations_from_a_previous_reign_do_not_count(self):
         bed, urn = self.group()

@@ -301,6 +301,50 @@ def test_a_local_write_the_codec_refuses_fails_the_invoke_and_the_cache_serves_o
     assert bed.access.cache.stats()["entries"] == 2
 
 
+def _counter_with_a_refused_write():
+    source = (
+        "def add(state):\n    state['n'] = state['n'] + 1\n    return state['n']\n\n"
+        "def bad(state):\n    state['t'] = chr(0xD800)\n    return 1\n"
+    )
+    interface = RDOInterface([MethodSpec("add", mutates=True), MethodSpec("bad", mutates=True)])
+    return RDO(URN("server", "counters/c1"), "counter", {"n": 0}, source, interface)
+
+
+# A refused write is rolled back: the copy holds its last encodable
+# state, keeps its status, and takes the next write as if the refused
+# one never ran (it stayed tentative with the bad text and no export
+# queued, and every later write raised too).
+def test_a_local_write_the_codec_refuses_leaves_the_cached_copy_as_it_was():
+    bed = build_testbed()
+    bed.server.put_object(_counter_with_a_refused_write())
+    urn = "urn:rover:server/counters/c1"
+    bed.access.import_(urn).wait(bed.sim)
+    entry = bed.access.cache.peek(urn)
+    with pytest.raises(MarshalError):
+        bed.access.invoke(urn, "bad")
+    assert entry.rdo.data == {"n": 0} and not entry.tentative
+    assert bed.access.invoke(urn, "add")[0] == 1
+    assert bed.access.drain(timeout=3_600.0)
+    assert not entry.tentative and entry.rdo.data == {"n": 1}
+    assert bed.server.get_object(urn).data == {"n": 1}
+
+
+# The same refused write while an export of the copy is in flight: its
+# commit encodes the live data, which raised out of the simulator.
+def test_a_local_write_the_codec_refuses_during_an_export_does_not_break_its_commit():
+    bed = build_testbed()
+    bed.server.put_object(_counter_with_a_refused_write())
+    urn = "urn:rover:server/counters/c1"
+    bed.access.import_(urn).wait(bed.sim)
+    assert bed.access.invoke(urn, "add")[0] == 1
+    with pytest.raises(MarshalError):
+        bed.access.invoke(urn, "bad")
+    assert bed.access.drain(timeout=3_600.0)
+    entry = bed.access.cache.peek(urn)
+    assert not entry.tentative and entry.rdo.data == {"n": 1}
+    assert bed.server.get_object(urn).data == {"n": 1}
+
+
 # A method declared read-only that writes the stored data anyway.  The
 # server ran it on the stored data itself and kept the write under the
 # version every cached copy already holds.  The verifier refuses the
