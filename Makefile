@@ -56,10 +56,12 @@ check:
 		--suite delta-ship --suite conflict-export --depth 2
 
 # Where compaction and delta shipping are gated: the microbenchmarks,
-# then the engine's pins under the rules tests/conftest.py defines
-# (tests/test_perf_compaction.py: replaying the compacted queue equals
-# replaying the original; planning one bucket equals planning the whole
-# queue; queuing an operation costs the same Python calls behind 400
+# then the pins of compaction's two folds, the export follow-up and
+# telemetry's (tests/test_perf_compaction.py: reports folded at queue
+# time deliver the reporter's ground truth through drops, lost replies
+# and re-ships, and none is folded twice; folding one object's backlog
+# at queue time leaves what folding the whole queue would; queuing an
+# invoke, an export or a report costs the same Python calls behind 400
 # queued requests as behind 40), the delta's (tests/test_perf_delta.py:
 # apply(diff) marshals to the new value; the diff equals the one found by
 # encoding both sides), then E14's eight rows, whose folds are all export
@@ -118,12 +120,14 @@ perfbench-smoke:
 		perfbench/tests/test_smoke.py::test_fleet_drain_at_the_e16_gate_size_reproduces_the_pinned_totals
 	$(PYTHON) -m perfbench --selfcheck
 
-# Fleet telemetry: unit/integration suite plus the E15 overhead +
+# Fleet telemetry: unit/integration suite, the telemetry-fold replay
+# property (tests/test_perf_compaction.py), the E15 overhead +
 # exactness gate at CI scale, then the operator's CLI end to end
 # (docs/OBSERVABILITY.md).
 fleet:
 	$(PYTHON) -m pytest -q tests/test_fleet_sketch.py tests/test_fleet_pipeline.py \
 		tests/test_fleet_health.py tests/test_fleet_chaos.py \
+		tests/test_perf_compaction.py::test_compacted_replay_is_equivalent \
 		"benchmarks/test_experiments.py::test_experiment[e15]"
 	$(PYTHON) -m repro.obs.fleet --clients 20 --timeline --events --prometheus > /dev/null
 

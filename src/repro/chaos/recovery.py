@@ -11,7 +11,7 @@ client:
   (the :class:`~repro.storage.stable_log.FileLogBackend` truncates
   back to the last fsync'd offset),
 * drops the object cache, promises, and notification subscriptions
-  (all volatile),
+  (all volatile), and stops listening to the host's links,
 
 then rebuilds an :class:`~repro.core.access_manager.AccessManager`
 over the *same* backend with a bumped incarnation number, and replays
@@ -47,6 +47,8 @@ def crash_and_recover_client(access: "AccessManager") -> tuple["AccessManager", 
     scheduler.transport.crash()
     access.log.crash()  # unflushed appends and the open flush window are lost
     host.unbind(INVALIDATION_PORT)
+    for link in host.links:
+        link.forget_listener(access._on_link_transition)  # nor does a link-up reach it
     access._crashed = True  # scheduled _submit calls must not fire
 
     # -- the restart: rebuild from the stable log ---------------------
@@ -59,7 +61,7 @@ def crash_and_recover_client(access: "AccessManager") -> tuple["AccessManager", 
         auth_token=access.auth_token,
         group_commit=access.group_commit,
         incarnation=access.incarnation + 1,
-        compactor=access.compactor,
+        compaction=access.compaction,
         delta_shipping=access.delta_shipping,
     )
     replayed = reborn.recover()

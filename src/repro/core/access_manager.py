@@ -44,7 +44,7 @@ from repro.net.scheduler import NetworkScheduler, Priority
 from repro.net.simnet import Host
 from repro.obs import Observatory
 from repro.obs.trace import TRACE_KEY, RequestTracing
-from repro.perf.compact import Compactor, QueueCompaction
+from repro.perf.compact import QueueCompaction
 from repro.perf.delta import DeltaShipping, rebuild_import
 from repro.sim import Simulator
 from repro.storage.stable_log import GroupCommitPolicy
@@ -75,7 +75,7 @@ class AccessManager:
         group_commit: Optional[GroupCommitPolicy] = None,
         obs: Optional[Observatory] = None,
         incarnation: int = 0,
-        compactor: Optional[Compactor] = None,
+        compaction: bool = False,
         delta_shipping: bool = False,
     ) -> None:
         self.sim = sim
@@ -143,7 +143,7 @@ class AccessManager:
         #: Shipping optimizations (repro.perf); both default off so the
         #: baseline QRPC path is byte-for-byte the paper's.  Kept for
         #: crash recovery to hand to the reborn manager.
-        self.compactor = compactor
+        self.compaction = compaction
         self.delta_shipping = delta_shipping
         #: The seam: a hook list at each of the eight points where a
         #: request changes hands; an empty list costs a request nothing.
@@ -183,8 +183,8 @@ class AccessManager:
                 client_stage(self)
         if delta_shipping:
             DeltaShipping(self)
-        if compactor is not None:
-            QueueCompaction(self, compactor)
+        if compaction:
+            QueueCompaction(self)
         if self.obs.tracer.enabled:
             RequestTracing(self)
         self._watched_links: set[str] = set()
@@ -457,9 +457,9 @@ class AccessManager:
         Telemetry dogfoods the toolkit (see :mod:`repro.obs.fleet`):
         the report is logged like any QRPC so it survives crashes and
         disconnection, drains at background priority so it never
-        starves foreground traffic, and successive undelivered reports
-        on the per-client telemetry URN fold into one through the
-        compaction engine's ``TelemetryFold`` rule.
+        starves foreground traffic, and with compaction on, successive
+        undelivered reports on the telemetry URN fold into one
+        (:mod:`repro.perf.compact`).
         """
         if authority not in self.servers:
             raise AccessManagerError(f"unknown authority {authority!r}")
@@ -471,19 +471,6 @@ class AccessManager:
             priority,
             f"telemetry seq {report.get('q')}",
         )
-
-    def add_compaction_rule(self, rule: Any) -> None:
-        """Register an extra pair rule at runtime (e.g. the telemetry fold).
-
-        The rule lands on :attr:`compactor` — the one object the
-        compaction stage reads, and the one crash recovery hands to the
-        reborn manager, so it survives client crashes; when compaction
-        was off, the stage is installed on first use.
-        """
-        if self.compactor is None:
-            self.compactor = Compactor()
-            QueueCompaction(self, self.compactor)
-        self.compactor.add_pair_rule(rule)
 
     # -- load: import + immediate invocation ------------------------------------
 

@@ -66,9 +66,10 @@ class OperationLog:
         #: The same requests by URN (each bucket in queue order too), so
         #: compaction can look at one object's backlog, not everyone's.
         self._by_urn: dict[str, dict[str, QRPCRequest]] = {}
+        #: Per pending request: the seq of its latest record, and its
+        #: logical place in the queue; dropped as the request leaves.
         self._record_seq: dict[str, int] = {}
         self._order: dict[str, int] = {}
-        self._acked: set[str] = set()
         #: QRPCs removed from the queue by :meth:`compact` (lifetime).
         self.ops_compacted = 0
         self._m_compacted = None
@@ -114,10 +115,9 @@ class OperationLog:
                 self._pending[request.request_id] = request
                 self._record_seq[request.request_id] = record.seq
                 self._order[request.request_id] = entry.get("ord", record.seq)
-            elif "ack" in entry:
+            elif "ack" in entry and entry["ack"] in self._pending:
                 request_id = entry["ack"]
-                self._acked.add(request_id)
-                self._pending.pop(request_id, None)
+                del self._pending[request_id], self._record_seq[request_id], self._order[request_id]
         # A rewrite whose original record was truncated away sits behind
         # younger records; ``ord`` says where it belongs.
         in_order = sorted(self._pending, key=self._order.__getitem__)
@@ -200,14 +200,14 @@ class OperationLog:
         Returns the flush time in seconds: disk time, but no turn on
         the disk (nothing waits for an ack marker to be durable).
         """
-        if request_id in self._acked or request_id not in self._pending:
+        if request_id not in self._pending:
             return 0.0
         urn = self._pending.pop(request_id).urn
         bucket = self._by_urn[urn]
         del bucket[request_id]
         if not bucket:
             del self._by_urn[urn]
-        self._acked.add(request_id)
+        del self._record_seq[request_id], self._order[request_id]
         self.stable.append(marshal({"ack": request_id}))
         flush_time = self.stable.flush()
         self.flush_seconds_total += flush_time
@@ -227,26 +227,25 @@ class OperationLog:
         one, never something in between.  ``rewrites`` maps request ids
         to their replacement requests; each gets a fresh record carrying
         the original logical order (see module docstring).  Requests
-        already acknowledged or unknown are skipped silently: the plan
-        was computed a moment ago and races with replies are benign.
+        already acknowledged or unknown are skipped silently.
         """
         wrote = False
         for request_id in drop_ids:
-            if request_id in self._acked or request_id not in self._pending:
+            if request_id not in self._pending:
                 continue
             urn = self._pending.pop(request_id).urn
             bucket = self._by_urn[urn]
             del bucket[request_id]
             if not bucket:
                 del self._by_urn[urn]
-            self._acked.add(request_id)
+            del self._record_seq[request_id], self._order[request_id]
             self.stable.append(marshal({"ack": request_id}))
             self.ops_compacted += 1
             if self._m_compacted is not None:
                 self._m_compacted.inc()
             wrote = True
         for request_id, request in (rewrites or {}).items():
-            if request_id in self._acked or request_id not in self._pending:
+            if request_id not in self._pending:
                 continue
             seq = self.stable.append(
                 marshal({"req": request.to_wire(), "ord": self._order[request_id]})
@@ -287,7 +286,6 @@ class OperationLog:
             records = self.stable.records()
             if records:
                 self.stable.truncate_through(records[-1].seq)
-            self._acked.clear()
 
     # -- reading ----------------------------------------------------------
 

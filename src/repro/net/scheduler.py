@@ -352,7 +352,6 @@ class NetworkScheduler:
         # routes or links are added, or a destination's rest ends)
         # rather than tracked per entry.
         self._route_cache: dict[str, Optional[Route]] = {}
-        self._drain_hooks: list[Callable[[], None]] = []
         self._watch_links()
 
     @cached_property
@@ -412,15 +411,6 @@ class NetworkScheduler:
         """Register an additional carrier (e.g. the SMTP relay route)."""
         self.routes.append(route)
         self._route_cache = {}
-
-    def add_drain_hook(self, hook: Callable[[], None]) -> None:
-        """Run ``hook`` when a link comes back up, before the queue drains.
-
-        This is the reconnection-compaction window: the access manager
-        coalesces the queued backlog in the instant between link-up and
-        the first dispatch, so the drained queue is the compacted one.
-        """
-        self._drain_hooks.append(hook)
 
     def submit(
         self,
@@ -553,8 +543,6 @@ class NetworkScheduler:
     def _on_link_transition(self, link: Link, is_up: bool) -> None:
         self._route_cache = {}
         if is_up:
-            for hook in self._drain_hooks:
-                hook()
             self._pump()
 
     def _best_route(self, dst: Host) -> Optional[Route]:

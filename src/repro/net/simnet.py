@@ -272,6 +272,11 @@ class Link:
         """Register for up/down notifications: ``listener(link, is_up)``."""
         self._listeners.append(listener)
 
+    def forget_listener(self, listener: Callable[["Link", bool], None]) -> None:
+        """Notify ``listener`` no more (a crashed process's)."""
+        if listener in self._listeners:
+            self._listeners.remove(listener)
+
     def _watch_transitions(self) -> None:
         when = self.policy.next_transition(self.sim.now)
         if when is None:

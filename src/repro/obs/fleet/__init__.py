@@ -7,7 +7,7 @@ it as a background-priority QRPC through its own
 :class:`~repro.core.access_manager.AccessManager` — so telemetry rides
 the operation log (surviving crashes and disconnection), drains behind
 foreground traffic, and successive undelivered reports fold into one
-through a compaction pair rule (:class:`TelemetryFold`).  The serving
+(:func:`fold_reports`, applied by :mod:`repro.perf.compact`).  The serving
 tier runs a :class:`FleetAggregator` that applies reports idempotently
 by ``(client, seq)``, keeps time-windowed rollups in bounded ring
 buffers, and derives per-client link quality, SLO conformance, and
@@ -18,7 +18,7 @@ Pieces:
 * :mod:`repro.obs.fleet.sketch` — :class:`LogSketch`, the mergeable
   log-bucketed histogram summary reports carry on the wire;
 * :mod:`repro.obs.fleet.report` — :class:`TelemetryReporter` (client
-  side) and :class:`TelemetryFold` (compaction rule);
+  side) and :func:`fold_reports` (what compaction folds reports with);
 * :mod:`repro.obs.fleet.aggregator` — :class:`FleetAggregator`,
   :class:`WindowRing`;
 * :mod:`repro.obs.fleet.slo` — declarative :class:`SLORule` parsing
@@ -34,7 +34,7 @@ Pieces:
 from __future__ import annotations
 
 from repro.obs.fleet.aggregator import FleetAggregator, WindowRing
-from repro.obs.fleet.report import TelemetryFold, TelemetryReporter, fold_reports
+from repro.obs.fleet.report import TelemetryReporter, fold_reports
 from repro.obs.fleet.sketch import LogSketch
 from repro.obs.fleet.slo import DEFAULT_SLO_RULES, HealthEvent, SLORule
 
@@ -44,7 +44,6 @@ __all__ = [
     "HealthEvent",
     "LogSketch",
     "SLORule",
-    "TelemetryFold",
     "TelemetryReporter",
     "WindowRing",
     "fold_reports",

@@ -1,4 +1,4 @@
-"""Client side of fleet telemetry: delta reports and the fold rule.
+"""Client side of fleet telemetry: delta reports and their fold.
 
 A :class:`TelemetryReporter` periodically folds its client's local
 metric registry into a **delta report** and ships it through the
@@ -22,11 +22,11 @@ reporting client), which is what makes series comparable across the
 fleet.
 
 Because reports ride the operation log, a disconnected client piles
-queued reports up.  :class:`TelemetryFold` is a compaction
-:class:`~repro.perf.compact.PairRule` that folds two adjacent
-undelivered reports into one — deltas add, sketches merge — and
-records the folded-away sequence numbers in ``f`` so
-the aggregator does not mistake them for losses.
+queued reports up.  The reporter switches its manager's compaction on,
+and :mod:`repro.perf.compact` folds undelivered reports into one with
+:func:`fold_reports` — deltas add, sketches merge — which records the
+folded-away sequence numbers in ``f`` so the aggregator does not
+mistake them for losses.
 """
 
 from __future__ import annotations
@@ -34,12 +34,12 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.promise import Promise
-from repro.core.qrpc import Operation, QRPCRequest
+from repro.lint.contracts import replay_pure
 from repro.net.scheduler import Priority
 from repro.obs import Observatory
 from repro.obs.fleet.sketch import LogSketch
 from repro.obs.metrics import CounterChild, HistogramChild, format_series
-from repro.perf.compact import PairRule
+from repro.perf.compact import QueueCompaction
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.access_manager import AccessManager
@@ -48,29 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 WIRE_VERSION = 1
 
 
-class TelemetryFold(PairRule):
-    """Fold two adjacent undelivered telemetry reports into one.
-
-    Refuses to touch a re-shipped report (``r`` flag): a retry reuses
-    its original sequence number for an operation the server *may*
-    have partially seen, so folding it under a new seq could
-    double-count if the first copy did land.
-    """
-
-    def match(self, earlier: QRPCRequest, later: QRPCRequest):
-        if (
-            earlier.operation is not Operation.TELEMETRY
-            or later.operation is not Operation.TELEMETRY
-        ):
-            return None
-        a, b = earlier.args, later.args
-        if "r" in a or "r" in b:
-            return None
-        if a.get("c") != b.get("c"):
-            return None
-        return fold_reports(a, b)
-
-
+@replay_pure
 def fold_reports(a: dict, b: dict) -> dict:
     """Merge report ``a`` (earlier) into ``b`` (later): the combined args.
 
@@ -163,7 +141,7 @@ class TelemetryReporter:
         self.reports_sent = 0
         self.reports_acked = 0
         self.reports_reshipped = 0
-        self._ensure_fold_rule()
+        self._switch_compaction_on()
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -189,17 +167,17 @@ class TelemetryReporter:
         self._unacked.clear()
         self._epoch += 1
         self._tick_epoch += 1
-        self._ensure_fold_rule()
+        self._switch_compaction_on()
         if self._started:
             self.access.sim.schedule(self.interval_s, self._tick, self._tick_epoch)
 
-    def _ensure_fold_rule(self) -> None:
-        compactor = self.access.compactor
-        if compactor is not None and any(
-            isinstance(rule, TelemetryFold) for rule in compactor.pair_rules
-        ):
-            return
-        self.access.add_compaction_rule(TelemetryFold())
+    def _switch_compaction_on(self) -> None:
+        """Queued reports fold only where the manager compacts; crash
+        recovery hands the switch on to the reborn manager."""
+        access = self.access
+        if not access.compaction:
+            access.compaction = True
+            QueueCompaction(access)
 
     def _tick(self, epoch: int) -> None:
         if epoch != self._tick_epoch:
@@ -309,7 +287,7 @@ class TelemetryReporter:
 
         The retry keeps its original sequence number (idempotent at
         the aggregator if the first copy did land) and is flagged
-        ``r`` so the fold rule leaves it alone.
+        ``r`` so compaction leaves it alone.
         """
         if epoch != self._epoch:
             return

@@ -5,8 +5,7 @@ Three cooperating mechanisms, each independently switchable:
 * **Operation-log compaction** (:mod:`repro.perf.compact`) — fold an
   earlier never-dispatched request into a later one on the same object
   (an export round owed behind a queued one, a client's undelivered
-  telemetry reports) at queue time and before reconnection drain, with
-  a durable stable-log rewrite.
+  telemetry reports) at queue time, with a durable stable-log rewrite.
 * **Delta object shipping** (:mod:`repro.perf.delta`) — imports and
   exports negotiate a marshalled structural diff against the base
   version each side already holds, falling back to a full ship on any
@@ -21,7 +20,7 @@ See ``docs/PERFORMANCE.md`` for the protocol details and the counters
 bytes-on-wire and reconnection drain time over CSLIP links.
 """
 
-from repro.perf.compact import CompactionPlan, Compactor, PairRule, QueueCompaction
+from repro.perf.compact import QueueCompaction
 from repro.perf.delta import (
     DeltaError,
     apply_delta,
@@ -31,10 +30,7 @@ from repro.perf.delta import (
 )
 
 __all__ = [
-    "CompactionPlan",
-    "Compactor",
     "DeltaError",
-    "PairRule",
     "QueueCompaction",
     "apply_delta",
     "delta_size",

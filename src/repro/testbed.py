@@ -23,7 +23,6 @@ from repro.net.simnet import Host, Link, Network
 from repro.net.smtp import MailRelay, Mailbox, MailRoute, MailRpcEndpoint
 from repro.net.transport import Transport
 from repro.obs import Observatory, active_capture
-from repro.perf.compact import Compactor
 from repro.sim import Simulator
 from repro.storage.stable_log import FlushModel, GroupCommitPolicy, StableLog
 
@@ -256,7 +255,7 @@ def _build(
         )
         access = wire_access_manager(
             scheduler, servers, client_obs, stable_backend=stable_backend,
-            flush_model=flush_model, compactor=Compactor() if compaction else None,
+            flush_model=flush_model, compaction=compaction,
             delta_shipping=delta_shipping, group_commit=group_commit,
         )
         stack_obs = client_obs if per_client_obs else None

@@ -6,11 +6,9 @@ import pytest
 from hypothesis import strategies as st
 
 from repro.core.naming import URN
-from repro.core.qrpc import Operation, QRPCRequest
 from repro.core.rdo import RDO, MethodSpec, RDOInterface
 from repro.net.link import CSLIP_14_4, ETHERNET_10M
 from repro.net.message import MarshalError, Premarshalled, marshal
-from repro.perf.compact import PairRule
 from repro.testbed import Testbed, build_testbed
 
 NOTE_CODE = '''
@@ -44,53 +42,17 @@ def make_note(authority: str = "server", path: str = "notes/n1", text: str = "he
     )
 
 
-# Compaction rules the tests drive the engine with.  A rule's one
-# outcome is "fold the earlier request into the later": it returns the
-# args the later survives with, or None.
-
-
-def _invokes(earlier: QRPCRequest, later: QRPCRequest) -> bool:
-    return earlier.operation is Operation.INVOKE and later.operation is Operation.INVOKE
-
-
-class Overwrite(PairRule):
-    """A later call of ``method`` makes an earlier call of any method in
-    ``over`` (default: ``method`` alone) redundant; with ``key``, only
-    when the positional argument at that index is the same on both."""
-
-    def __init__(self, method: str, over: set | None = None, key: int | None = None) -> None:
-        self.method = method
-        self.over = over or {method}
-        self.key = key
-
-    def match(self, earlier: QRPCRequest, later: QRPCRequest):
-        if not _invokes(earlier, later) or later.args["method"] != self.method:
-            return None
-        if earlier.args["method"] not in self.over:
-            return None
-        if self.key is not None and earlier.args["args"][self.key] != later.args["args"][self.key]:
-            return None
-        return later.args
-
-
-class Append(PairRule):
-    """Adjacent appends (``append_entry`` of one item, or a batch of
-    them) fold into one ``append_entries`` batch."""
-
-    @staticmethod
-    def _items(request: QRPCRequest):
-        method, args = request.args["method"], request.args["args"]
-        if method == "append_entry":
-            return [args[0]]
-        return list(args[0]) if method == "append_entries" else None
-
-    def match(self, earlier: QRPCRequest, later: QRPCRequest):
-        if not _invokes(earlier, later):
-            return None
-        head, tail = self._items(earlier), self._items(later)
-        if head is None or tail is None:
-            return None
-        return {"method": "append_entries", "args": [head + tail]}
+def make_report(seq: int, value: int = 1, client: str = "client", reshipped: bool = False) -> dict:
+    """A telemetry report (``repro.obs.fleet.report``'s wire form) whose
+    one counter, ``test_total`` (id 1), stepped by ``value``;
+    ``reshipped``: flagged ``r``, a retry under its own sequence number."""
+    report = {
+        "v": 1, "c": client, "q": seq, "t0": 0.0, "t1": float(seq),
+        "d": [[1, "test_total"]], "k": [[1, value]],
+    }
+    if reshipped:
+        report["r"] = 1
+    return report
 
 
 # Pairs over the codec's whole value space, refused values included, for

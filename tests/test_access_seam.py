@@ -20,11 +20,12 @@ from repro.ha import build_ha_testbed
 from repro.ha.group import ClientFailover, ReplicaSet
 from repro.net.link import CSLIP_14_4, IntervalTrace
 from repro.obs import Observatory
+from repro.obs.fleet import FleetAggregator, TelemetryReporter, fold_reports
 from repro.obs.trace import RequestTracing
-from repro.perf.compact import Compactor, QueueCompaction
+from repro.perf.compact import QueueCompaction
 from repro.perf.delta import DeltaShipping
 from repro.testbed import build_multi_client_testbed, build_testbed
-from tests.conftest import Append, Overwrite, make_note
+from tests.conftest import make_note, make_report
 
 
 class FakeManager:
@@ -208,6 +209,10 @@ class TestDeltaShippingAlone:
         assert manager.calls == [] and not request.full_only
 
 
+#: Where the fake manager's telemetry reports queue.
+REPORTS = "urn:rover:server/__telemetry__"
+
+
 class QueueManager(FakeManager):
     """What the compaction stage asks on top: the queue (a real log, no
     disk under it), each request's attempt, and the three edits."""
@@ -217,22 +222,19 @@ class QueueManager(FakeManager):
         self.log = OperationLog()
         self.attempts = {}  # request_id -> the scheduler's message
         self.crashed = False
-        self.drain_hooks = []
-        self.scheduler.add_drain_hook = self.drain_hooks.append
         self.scheduler.cancel = lambda message: self.calls.append(("cancel", message.name))
 
-    def queue(self, request_id, method, handed_over=True, **message):
-        """Log a request; ``handed_over``: the scheduler has it, unsent."""
-        request = QRPCRequest(
-            request_id, "", Operation.INVOKE, "urn:rover:server/notes/n1",
-            {"method": method, "args": ["x"]},
-        )
+    def queue(self, request_id, seq, handed_over=True, told=True, **message):
+        """Log telemetry report ``seq``; ``handed_over``: the scheduler
+        has it, unsent; ``told``: the stage hears it was queued."""
+        request = QRPCRequest(request_id, "", Operation.TELEMETRY, REPORTS, make_report(seq))
         self.log.append(request)
         if handed_over:
             held = {"name": request_id, "state": "queued", "attempts": 0, **message}
             self.attempts[request_id] = SimpleNamespace(**held)
-        for hook in self.on_queued:
-            hook(request.urn, request)
+        if told:
+            for hook in self.on_queued:
+                hook(request.urn, request)
         return request
 
     def backlog(self, urn=None):
@@ -262,14 +264,10 @@ class QueueManager(FakeManager):
             hook(request, {}, reason)
 
 
-def compaction_stage(*rules):
+def compaction_stage():
     manager = QueueManager()
-    compactor = Compactor()
-    for rule in rules:
-        compactor.add_pair_rule(rule)
-    stage = QueueCompaction(manager, compactor)
+    stage = QueueCompaction(manager)
     assert manager.on_queued == [stage.queued] and manager.on_applied == [stage.applied]
-    assert manager.drain_hooks == [stage.compact]
     assert manager.on_submit == manager.on_wire == manager.on_reply == manager.on_failed == []
     assert manager.on_durable == manager.on_settled == []
     return manager, stage
@@ -281,18 +279,18 @@ def pending_ids(manager):
 
 class TestQueueCompactionAlone:
     def test_queued_then_fold_withdraws_the_absorbed_message(self):
-        manager, stage = compaction_stage(Overwrite("set_text"))
-        manager.queue("client/0", "set_text")
-        assert manager.calls == []  # one request: it takes two to pair
-        manager.queue("client/1", "set_text", handed_over=False)  # its flush in progress
-        assert manager.calls == [("end_attempt", "client/0"), ("cancel", "client/0")]
+        manager, stage = compaction_stage()
+        manager.queue("client/0", 1)
+        assert manager.calls == []  # one report: it takes two to fold
+        manager.queue("client/1", 2, handed_over=False)  # its flush in progress
+        assert manager.calls[:2] == [("end_attempt", "client/0"), ("cancel", "client/0")]
         assert pending_ids(manager) == ["client/1"] and manager.log.ops_compacted == 1
 
     def test_a_merge_rewords_the_survivor_after_the_withdrawal(self):
-        manager, stage = compaction_stage(Append())
-        manager.queue("client/0", "append_entry")
-        manager.queue("client/1", "append_entry")
-        merged = {"method": "append_entries", "args": [["x", "x"]]}
+        manager, stage = compaction_stage()
+        manager.queue("client/0", 1)
+        manager.queue("client/1", 2)
+        merged = fold_reports(make_report(1), make_report(2))
         assert manager.calls == [
             ("end_attempt", "client/0"), ("cancel", "client/0"), ("reword", "client/1", merged)
         ]
@@ -301,74 +299,65 @@ class TestQueueCompactionAlone:
     def test_a_member_with_an_attempt_behind_it_is_a_barrier(self):
         """PR 14's regression, at the stage: a message backing off is
         "queued" too, but its earlier copy may have been applied."""
-        manager, stage = compaction_stage(Overwrite("set_text"))
-        manager.queue("client/0", "set_text", attempts=1)  # backing off between attempts
-        manager.queue("client/1", "set_text", state="inflight")  # on the wire
-        manager.queue("client/2", "set_text").recovered = True  # a dead incarnation's
-        manager.queue("client/3", "set_text")
-        assert stage.compact() == 0 and manager.calls == []
+        manager, stage = compaction_stage()
+        manager.queue("client/0", 1, attempts=1)  # backing off between attempts
+        manager.queue("client/1", 2, state="inflight")  # on the wire
+        manager.queue("client/2", 3).recovered = True  # a dead incarnation's
+        manager.queue("client/3", 4)
+        assert manager.calls == []
         assert pending_ids(manager) == ["client/0", "client/1", "client/2", "client/3"]
-        manager.queue("client/4", "set_text")  # pairs with the one unsent neighbour only
+        manager.queue("client/4", 5)  # folds the one unsent neighbour only
         assert pending_ids(manager) == ["client/0", "client/1", "client/2", "client/4"]
 
     def test_a_fold_that_makes_new_neighbours_is_followed_in_the_same_call(self):
-        """``a, b, m`` under ``Overwrite(m, over={a, b})``: one pass
-        drops ``b`` only — it had walked past ``a`` by then — and
-        ``(a, m)`` meet after it."""
-        manager, stage = compaction_stage(Overwrite("m", over={"a", "b"}))
-        manager.queue("client/0", "a")
-        manager.queue("client/1", "b")
-        manager.queue("client/2", "m")
-        assert pending_ids(manager) == ["client/2"]
+        """Three reports the stage was not told of, then a fourth it is:
+        one call folds the run, each into the next, so ``client/2`` —
+        carrying the two before it — meets ``client/3`` in the same pass."""
+        manager, stage = compaction_stage()
+        for index in range(3):
+            manager.queue(f"client/{index}", index + 1, told=False)
+        manager.queue("client/3", 4)
+        assert pending_ids(manager) == ["client/3"]
         assert [call for call in manager.calls if call[0] == "cancel"] == [
-            ("cancel", "client/1"), ("cancel", "client/0")
+            ("cancel", "client/0"), ("cancel", "client/1"), ("cancel", "client/2")
         ]
+        (survivor,) = manager.log.pending()
+        assert survivor.args["f"] == [1, 2, 3] and survivor.args["k"] == [[1, 4]]
 
     def test_absorbed_observers_follow_the_survivor_after_its_own_dispatch(self):
-        manager, stage = compaction_stage(Overwrite("set_text"))
-        first = manager.queue("client/0", "set_text")
-        second = manager.queue("client/1", "set_text")
-        survivor = manager.queue("client/2", "set_text")
+        manager, stage = compaction_stage()
+        first = manager.queue("client/0", 1)
+        manager.queue("client/1", 2)
+        survivor = manager.queue("client/2", 3)
         del manager.calls[:]
         stage.applied(first, {"status": "ok"}, None)  # nobody follows an absorbed one
         assert manager.calls == []
         # The core applied the survivor's reply, then says so: the chain
         # unwinds through the manager, newest absorbed first.
-        stage.applied(survivor, {"status": "ok", "result": 2}, None)
+        stage.applied(survivor, {"status": "ok", "seq": 3}, None)
         assert manager.calls == [
-            ("settle", "client/1", {"status": "ok", "result": 2}),
-            ("settle", "client/0", {"status": "ok", "result": 2}),
+            ("settle", "client/1", {"status": "ok", "seq": 3}),
+            ("settle", "client/0", {"status": "ok", "seq": 3}),
         ]
         stage.applied(survivor, {"status": "ok"}, None)  # told once
         assert len(manager.calls) == 2
 
     def test_absorbed_observers_fail_with_the_survivor(self):
-        manager, stage = compaction_stage(Overwrite("set_text"))
-        manager.queue("client/0", "set_text")
-        survivor = manager.queue("client/1", "set_text")
+        manager, stage = compaction_stage()
+        manager.queue("client/0", 1)
+        survivor = manager.queue("client/1", 2)
         del manager.calls[:]
         stage.applied(survivor, {}, "timeout")
         assert manager.calls == [("reject", "client/0", "timeout")]
 
-    def test_link_up_plans_the_whole_log_and_sees_a_rule_added_since(self):
-        manager, stage = compaction_stage()
-        for index in range(2):
-            manager.queue(f"client/{index}", "set_text")
-        assert pending_ids(manager) == ["client/0", "client/1"]
-        stage.compactor.add_pair_rule(Overwrite("set_text"))
-        (link_up,) = manager.drain_hooks
-        link_up()
-        assert pending_ids(manager) == ["client/1"]
-
     def test_a_crashed_managers_stage_does_nothing(self):
         manager, stage = compaction_stage()
         for index in range(2):
-            manager.queue(f"client/{index}", "set_text")
-        stage.compactor.add_pair_rule(Overwrite("set_text"))
+            manager.queue(f"client/{index}", index + 1, told=False)
         manager.crashed = True
-        manager.drain_hooks[0]()
-        stage.queued("urn:rover:server/notes/n1", None)
-        assert stage.compact() == 0 and manager.calls == []
+        stage.queued(REPORTS, manager.log.pending()[-1])
+        stage.queued(REPORTS, None)
+        assert manager.calls == []
         assert pending_ids(manager) == ["client/0", "client/1"]
 
 
@@ -444,19 +433,17 @@ class TestWhatTheManagerInstalls:
         assert [getattr(access, point) for point in seam] == [[]] * 6
         assert not hasattr(access, "tracer") and not hasattr(access, "_root_spans")
 
-    def test_a_compactor_installs_the_stage_and_a_first_rule_does_too(self):
+    def test_compaction_installs_the_stage_and_a_reporter_does_too(self):
         built_with = build_testbed(compaction=True)
         hooks = built_with.access.on_queued + built_with.access.on_applied
         assert [type(hook.__self__) for hook in hooks] == [QueueCompaction] * 2
         assert hooks[0].__self__ is hooks[1].__self__
-        assert hooks[0].__self__.compactor is built_with.access.compactor
         late = build_testbed().access
-        assert late.on_queued == late.on_applied == [] and late.compactor is None
-        late.add_compaction_rule(Overwrite("set_text"))
-        late.add_compaction_rule(Overwrite("move"))
+        assert late.on_queued == late.on_applied == [] and not late.compaction
+        TelemetryReporter(late, "server")
+        TelemetryReporter(late, "server")
         (queued,), (applied,) = late.on_queued, late.on_applied  # installed once
-        assert queued.__self__ is applied.__self__
-        assert queued.__self__.compactor is late.compactor and len(late.compactor.pair_rules) == 2
+        assert queued.__self__ is applied.__self__ and late.compaction
         assert late.on_submit == late.on_wire == late.on_reply == late.on_failed == []
 
     def test_tracing_on_installs_the_stage_after_the_others(self):
@@ -554,14 +541,14 @@ def test_an_absorbed_requests_root_span_closes_ok_at_the_survivors_reply():
     bed = build_testbed(
         policy=IntervalTrace([(0.0, 10.0), (100.0, 1e9)]), trace=True, compaction=True
     )
-    note = make_note()
-    bed.server.put_object(note)
-    bed.access.add_compaction_rule(Overwrite("set_text"))
+    aggregator = FleetAggregator(bed.sim, server=bed.server)
+    aggregator.register(bed.server_transport)
     bed.sim.run(until=20.0)  # disconnected now
-    absorbed = bed.access.invoke_remote(note.urn, "set_text", ["one"])
-    survivor = bed.access.invoke_remote(note.urn, "set_text", ["two"])
+    client = bed.access.host.name
+    absorbed = bed.access.telemetry("server", make_report(1, client=client))
+    survivor = bed.access.telemetry("server", make_report(2, client=client))
     bed.sim.run()
-    assert absorbed.result() == survivor.result() == "two" and bed.server.invokes_served == 1
+    assert absorbed.result() == survivor.result() and aggregator.reports_applied() == 1
     roots = {span.attrs["request_id"]: span for span in bed.obs.tracer.spans if span.name == "qrpc"}
     assert roots["client/0"].status == roots["client/1"].status == "ok"
     assert roots["client/0"].end == roots["client/1"].end > 100.0

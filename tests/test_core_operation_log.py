@@ -8,6 +8,8 @@ from repro.core.operation_log import OperationLog
 from repro.net.message import MAX_DEPTH, MarshalError, Premarshalled
 from repro.core.qrpc import Operation, QRPCRequest
 from repro.storage.stable_log import MemoryLogBackend, StableLog
+from repro.testbed import build_testbed
+from tests.conftest import make_note
 
 
 def make_request(n: int, op: Operation = Operation.IMPORT) -> QRPCRequest:
@@ -255,3 +257,29 @@ def test_recovery_rebuilds_the_index_from_acks_rewrites_and_a_torn_tail(tmp_path
     assert recovered.first_pending_id("client+1/") is None
     recovered.stable.close()
     log.stable.close()
+
+
+def test_an_acknowledged_or_compacted_request_leaves_nothing_behind():
+    """The per-request indexes hold the pending requests only: an
+    acknowledged or compacted-away request once stayed in them for
+    good, live and after recovery alike."""
+    log = OperationLog()
+    for n in range(4):
+        log.append(make_request(n))
+    log.acknowledge("client/1")
+    log.compact(["client/0"], {"client/2": make_request(2)})
+    assert set(log._record_seq) == set(log._order) == {"client/2", "client/3"}
+    recovered = OperationLog(StableLog(log.stable.backend))
+    assert set(recovered._record_seq) == set(recovered._order) == {"client/2", "client/3"}
+
+
+def test_a_drained_client_log_remembers_no_request():
+    """200 remote invokes, once drained, left 200 entries in each index."""
+    bed = build_testbed()
+    note = make_note()
+    bed.server.put_object(note)
+    for __ in range(200):
+        bed.access.invoke_remote(note.urn, "read", [])
+    bed.sim.run()
+    log = bed.access.log
+    assert log.pending_count() == 0 and log._record_seq == log._order == {}

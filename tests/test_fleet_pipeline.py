@@ -10,20 +10,14 @@ import hashlib
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
 from repro.core.naming import URN
-from repro.core.qrpc import Operation
 from repro.core.rdo import RDO, MethodSpec, RDOInterface
 from repro.net.link import ETHERNET_10M, IntervalTrace
 from repro.obs.fleet.aggregator import FleetAggregator, WindowRing
-from repro.obs.fleet.report import (
-    TelemetryFold,
-    TelemetryReporter,
-    fold_reports,
-)
+from repro.obs.fleet.report import TelemetryReporter, fold_reports
 from repro.obs.fleet.sketch import LogSketch
 from repro.sim import Simulator
 from repro.testbed import build_multi_client_testbed
@@ -156,9 +150,6 @@ class TestFold:
             report["r"] = 1
         return report
 
-    def _request(self, report, operation=Operation.TELEMETRY):
-        return SimpleNamespace(operation=operation, args=report)
-
     def test_fold_adds_deltas_and_records_coverage(self):
         a = self._report(1, [(1, 5), (2, 1)])
         a["d"] = [[1, "x_total"], [2, "y_total"]]
@@ -179,22 +170,37 @@ class TestFold:
         assert out["f"] == [1, 2]
         assert out["k"] == [[1, 3]]
 
+    def _queued_offline(self, n=1):
+        """``n`` clients whose link is down from 1 s on, and their reports'
+        authority."""
+        offline = IntervalTrace([(0.0, 1.0), (1e8, 1e9)])
+        bed, __, __ = build_fleet_bed(n=n, policies=[offline] * n)
+        bed.sim.run(until=2.0)
+        return bed.clients, bed.server.authority
+
     def test_rule_matches_only_same_client_telemetry(self):
-        rule = TelemetryFold()
-        a = self._report(1, [(1, 1)])
-        b = self._report(2, [(1, 1)])
-        assert rule.match(self._request(a), self._request(b)) == fold_reports(a, b)
-        other = self._report(2, [(1, 1)], c="client-9")
-        assert rule.match(self._request(a), self._request(other)) is None
-        ship = self._request(a, operation=Operation.SHIP)
-        assert rule.match(ship, self._request(b)) is None
+        """Each client's reports fold in its own queue: a survivor names
+        its own client and covers that client's sequence numbers only."""
+        clients, authority = self._queued_offline(n=2)
+        for stack in clients:
+            for seq in (1, 2, 3):
+                report = self._report(seq, [(1, 1)], c=stack.host.name)
+                stack.access.telemetry(authority, report)
+        for stack in clients:
+            (survivor,) = stack.access.log.pending()
+            assert survivor.args["c"] == stack.host.name
+            assert (survivor.args["q"], survivor.args["f"]) == (3, [1, 2])
 
     def test_rule_refuses_reshipped_reports(self):
-        rule = TelemetryFold()
-        a = self._report(1, [(1, 1)], reshipped=True)
-        b = self._report(2, [(1, 1)])
-        assert rule.match(self._request(a), self._request(b)) is None
-        assert rule.match(self._request(b), self._request(a)) is None
+        """A re-ship keeps its first copy's seq, which the aggregator may
+        hold: it is never folded, and nothing folds across it."""
+        (stack,), authority = self._queued_offline()
+        for seq, reshipped in ((1, False), (2, True), (3, False), (4, False)):
+            report = self._report(seq, [(1, 1)], c=stack.host.name, reshipped=reshipped)
+            stack.access.telemetry(authority, report)
+        assert [(r.args["q"], r.args.get("f")) for r in stack.access.log.pending()] == [
+            (1, None), (2, None), (4, [3]),
+        ]
 
 
 class TestAggregator:

@@ -16,8 +16,8 @@ from repro.core.conflict import FieldwiseMerge, ResolverRegistry
 from repro.live import LiveClient, LiveScheduler, LiveServer, LiveTransport
 from repro.live.clock import RealTimeClock
 from repro.live.transport import LiveAddress
-from repro.perf.compact import Compactor
-from tests.conftest import Overwrite, make_note
+from repro.obs.fleet import FleetAggregator, TelemetryReporter
+from tests.conftest import make_note, make_report
 
 TIMEOUT = 15.0
 
@@ -307,8 +307,8 @@ def _dead_address():
 
 
 class TestLiveCompaction:
-    """Queue-time compaction over sockets.  It hangs off the scheduler's
-    drain hook, which only the one NetworkScheduler ever had."""
+    """Queue-time compaction over sockets: the stage folds as requests
+    are queued, whatever carries them."""
 
     def test_overwriting_exports_queued_offline_cross_the_wire_once(self):
         first = LiveServer("server")
@@ -322,7 +322,7 @@ class TestLiveCompaction:
             clock,
             scheduler,
             servers={"server": first.address},
-            compactor=Compactor(),
+            compaction=True,
         )
         revived = None
         try:
@@ -355,22 +355,23 @@ class TestLiveCompaction:
         assert clock.errors == [], clock.errors
 
     def test_rule_added_to_a_live_client_folds_its_queue(self):
+        """A telemetry reporter switches compaction on for a client built
+        without it: three reports queued while the aggregator is down
+        reach it as one."""
         address, holder = _dead_address()
         client = LiveClient(
             "laptop", servers={"server": address}, call_timeout=0.5, max_attempts=30
         )
-        client.access.add_compaction_rule(Overwrite("set_text"))
-        note = make_note()
+        TelemetryReporter(client.access, "server")
         promises = []
         revived = None
         try:
-            def overwrite_three_times():
-                for text in ("one", "two", "three"):
-                    promises.append(
-                        client.access.invoke_remote(note.urn, "set_text", [text])
-                    )
+            def report_three_times():
+                for seq in (1, 2, 3):
+                    report = make_report(seq, client="laptop")
+                    promises.append(client.access.telemetry("server", report))
 
-            client.clock.post(overwrite_three_times)
+            client.clock.post(report_three_times)
             assert client.clock.run_until(
                 lambda: client.scheduler.retransmissions >= 1, timeout=TIMEOUT
             )
@@ -378,14 +379,15 @@ class TestLiveCompaction:
 
             holder.close()
             revived = LiveServer("server", port=address.port)
-            revived.put_object(note)
+            aggregator = FleetAggregator(revived.clock, server=revived.server)
+            aggregator.register(revived.transport)
             assert client.clock.run_until(
                 lambda: len(promises) == 3 and all(p.is_done for p in promises),
                 timeout=TIMEOUT,
             )
-            assert [p.result() for p in promises] == ["three"] * 3
-            assert revived.server.invokes_served == 1
-            assert revived.get_object(str(note.urn)).data == {"text": "three"}
+            assert [p.result() for p in promises] == [{"status": "ok", "seq": 3}] * 3
+            assert aggregator.reports_applied() == 1
+            assert aggregator.client_totals("laptop") == {"test_total": 3}
         finally:
             client.close()
             holder.close()

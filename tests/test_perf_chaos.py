@@ -15,9 +15,10 @@ import pytest
 from repro.apps.mail import MailServerApp, RoverMailReader
 from repro.chaos import invariants
 from repro.net.link import CSLIP_14_4, IntervalTrace
+from repro.obs.fleet import FleetAggregator
 from repro.testbed import build_testbed
 from repro.workloads import generate_mail_corpus
-from tests.conftest import Append
+from tests.conftest import make_report
 
 
 def _mail_bed(**kwargs):
@@ -113,15 +114,17 @@ def test_replayed_requests_are_compaction_barriers():
     """Recovered requests may already be at the server: new work folds
     among itself but never into (or across) the replayed queue."""
     bed, reader, folder = _mail_bed(compaction=True, delta_shipping=True)
-    bed.access.add_compaction_rule(Append())
+    FleetAggregator(bed.sim, server=bed.server).register(bed.server_transport)
+    client = bed.access.host.name
     _disconnected_session(bed, reader, folder, n_sends=2)
+    bed.access.telemetry(bed.authority, make_report(1, client=client))
     bed.sim.run(until=600.0)
     replayed = bed.clients[0].crash_and_recover()
     assert replayed  # the compacted session is in the reborn queue
 
-    # New work after rebirth, still disconnected, on the same outbox
-    # URN the replay touches: two queued appends merge with each other
-    # (one removed), while every replayed request stays untouched.
+    # New work after rebirth, still disconnected: two reports queued on
+    # the telemetry URN the replay touches fold with each other (one
+    # removed), while every replayed request stays untouched.
     outbox = reader.folder_urn("outbox")
     before = bed.access.log.ops_compacted
     for i in range(2):
@@ -129,11 +132,14 @@ def test_replayed_requests_are_compaction_barriers():
             outbox, "append_entry",
             [{"id": f"post-crash-{i}", "from": "me", "subject": "s", "size": 1}],
         )
+        bed.access.telemetry(bed.authority, make_report(2 + i, client=client))
     # Queue-time compaction already folded the pair inside the second
     # submit; a second pass finds nothing more (idempotent).
     assert bed.access.log.ops_compacted == before + 1
     (stage,) = {hook.__self__ for hook in bed.access.on_queued}
-    assert stage.compact() == 0
+    survivor = bed.access.log.pending()[-1]
+    stage.queued(survivor.urn, survivor)
+    assert bed.access.log.ops_compacted == before + 1
     still_pending = {r.request_id for r in bed.access.log.pending()}
     assert set(replayed) <= still_pending
 

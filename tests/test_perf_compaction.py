@@ -1,28 +1,33 @@
-"""Operation-log compaction: the engine, the durable rewrite, the
-replay-equivalence property, and the keyed plan — equal to a plan of the
-whole queue, at a cost that does not grow with it.  The engine is driven
-with the rules of ``tests/conftest.py``; the product's own folds are the
-export follow-up (below) and telemetry's (``tests/test_fleet_pipeline.py``)."""
+"""Operation-log compaction: its two folds (a client's undelivered
+telemetry reports; an export round owed a follow-up), the durable
+rewrite, replay equivalence over reports, a queue-time fold that leaves
+what folding the whole queue would, and queuing at a cost that does not
+grow with the queue."""
 
 from __future__ import annotations
 
 import copy
 import gc
+import sys
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.operation_log import OperationLog
 from repro.core.qrpc import Operation, QRPCRequest
 from repro.net.link import ETHERNET_10M, IntervalTrace
-from repro.perf.compact import Compactor, PairRule
+from repro.net.transport import AsyncReply
+from repro.obs.fleet import FleetAggregator, TelemetryReporter, fold_reports
+from repro.perf.compact import QueueCompaction
 from repro.storage.stable_log import StableLog
 from repro.testbed import build_testbed
-from tests.conftest import Append, Overwrite, make_note
+from tests.conftest import make_note, make_report
+from tests.test_fleet_pipeline import build_fleet_bed
 from tests.test_speed import _python_calls
 
 URN = "urn:server:cal/group"
+#: Where client 0's telemetry reports queue.
+REPORTS = "urn:rover:server/__telemetry__"
 
 
 def _invoke(rid: str, method: str, args: list, urn: str = URN) -> QRPCRequest:
@@ -35,162 +40,235 @@ def _invoke(rid: str, method: str, args: list, urn: str = URN) -> QRPCRequest:
     )
 
 
-def _all(request: QRPCRequest) -> bool:
-    return True
+def _stage(access):
+    (stage,) = {hook.__self__ for hook in access.on_queued}
+    return stage
 
 
-# -- engine unit tests -------------------------------------------------------
+def _offline_bed(**kwargs):
+    """Connected for a second, then never again."""
+    bed = build_testbed(
+        link_spec=ETHERNET_10M, policy=IntervalTrace([(0.0, 1.0), (1e8, 1e9)]), **kwargs
+    )
+    bed.sim.run(until=2.0)
+    return bed
 
 
-def test_invoke_absorb_drops_the_earlier_call():
-    engine = Compactor().add_pair_rule(Overwrite("move_event", key=0))
-    a = _invoke("r1", "move_event", ["e1", "10am"])
-    b = _invoke("r2", "move_event", ["e1", "11am"])
-    plan = engine.plan([a, b], _all)
-    assert plan.drops == [(a, "r2")]
-    assert not plan.rewrites  # the rule kept the later's own args
+def _served_bed(**kwargs):
+    """Connected for a second, then from 100 s on, with a fleet
+    aggregator serving the reports."""
+    bed = build_testbed(
+        link_spec=ETHERNET_10M, policy=IntervalTrace([(0.0, 1.0), (100.0, 1e9)]), **kwargs
+    )
+    FleetAggregator(bed.sim, server=bed.server).register(bed.server_transport)
+    bed.sim.run(until=2.0)
+    return bed
 
 
-def test_invoke_absorb_respects_the_key_argument():
-    engine = Compactor().add_pair_rule(Overwrite("move_event", key=0))
-    a = _invoke("r1", "move_event", ["e1", "10am"])
-    b = _invoke("r2", "move_event", ["e2", "11am"])
-    assert engine.plan([a, b], _all).is_empty
+def _report(access, seq, **kwargs):
+    """Queue report ``seq`` of ``access``'s client; returns its promise."""
+    return access.telemetry("server", make_report(seq, client=access.host.name, **kwargs))
+
+
+def _seqs(access):
+    return [request.args["q"] for request in access.log.pending()]
+
+
+# -- the telemetry fold ------------------------------------------------------
 
 
 def test_requests_on_different_urns_never_pair():
-    engine = Compactor().add_pair_rule(Overwrite("mark_read"))
-    a = _invoke("r1", "mark_read", [], urn="urn:server:mail/in/m1")
-    b = _invoke("r2", "mark_read", [], urn="urn:server:mail/in/m2")
-    assert engine.plan([a, b], _all).is_empty
+    """A follow-up owed on one object folds into that object's queued
+    round, never into another object's."""
+    bed = build_testbed(
+        link_spec=ETHERNET_10M,
+        policy=IntervalTrace([(0.0, 10.0), (100.0, 1e9)]),
+        compaction=True,
+    )
+    first, second = make_note(path="notes/n1"), make_note(path="notes/n2")
+    for note in (first, second):
+        bed.server.put_object(note)
+        bed.access.import_(note.urn)
+    bed.sim.run(until=20.0)  # disconnected now
+    bed.access.invoke(first.urn, "set_text", "a1")
+    bed.access.invoke(second.urn, "set_text", "b1")
+    bed.access.invoke(first.urn, "set_text", "a2")  # a follow-up owed on the first only
+    assert [(r.urn, r.args["data"]["text"]) for r in bed.access.log.pending()] == [
+        (str(first.urn), "a2"), (str(second.urn), "b1"),
+    ]
+    assert bed.access.log.ops_compacted == 1
 
 
-def test_append_merge_folds_a_run_into_one_batch():
-    """Each fold rewrites the survivor; the rule sees the earlier one
-    with the args it was already rewritten to, and that rewrite leaves
-    with it."""
-    engine = Compactor().add_pair_rule(Append())
-    ops = [_invoke(f"r{i}", "append_entry", [{"id": f"m{i}"}]) for i in range(3)]
-    plan = engine.plan(ops, _all)
-    assert [rid for __, rid in plan.drops] == ["r1", "r2"]
-    assert plan.rewrites == {"r2": {
-        "method": "append_entries",
-        "args": [[{"id": "m0"}, {"id": "m1"}, {"id": "m2"}]],
-    }}
+def test_one_pass_folds_a_run_to_its_fixed_point():
+    """Reports queued before compaction was on make a run of three when
+    the next is queued: one pass folds the run into its last report, and
+    a second pass over the same bucket finds nothing."""
+    bed = _offline_bed()
+    access = bed.access
+    for seq in (1, 2):
+        _report(access, seq)
+    TelemetryReporter(access, "server")  # switches compaction on
+    _report(access, 3)
+    (survivor,) = access.log.pending()
+    client = access.host.name
+    reports = [make_report(seq, client=client) for seq in (1, 2, 3)]
+    assert survivor.args == fold_reports(fold_reports(reports[0], reports[1]), reports[2])
+    assert survivor.args["f"] == [1, 2] and survivor.args["k"] == [[1, 3]]
+    assert access.log.ops_compacted == 2
+    _stage(access).queued(REPORTS, survivor)
+    assert access.log.pending() == [survivor] and access.log.ops_compacted == 2
 
 
 def test_ineligible_request_is_a_barrier():
-    engine = Compactor().add_pair_rule(Overwrite("move_event", key=0))
-    a = _invoke("r1", "move_event", ["e1", "10am"])
-    b = _invoke("r2", "move_event", ["e1", "11am"])
-    plan = engine.plan([a, b], lambda r: r.request_id != "r1")
-    assert plan.is_empty  # r1 may already be at the server: hands off
+    bed = _offline_bed(compaction=True)
+    access = bed.access
+    _report(access, 1)
+    bed.sim.run(until=bed.sim.now + 1.0)  # flushed: the scheduler holds it
+    # Backing off between attempts: its first copy may have landed.
+    access.attempt(access.log.pending()[0]).attempts = 1
+    _report(access, 2)
+    assert _seqs(access) == [1, 2] and access.log.ops_compacted == 0
 
 
 def test_barrier_in_the_middle_splits_the_chain():
-    engine = Compactor().add_pair_rule(Overwrite("move_event", key=0))
-    ops = [
-        _invoke("r1", "move_event", ["e1", "a"]),
-        _invoke("r2", "move_event", ["e1", "b"]),
-        _invoke("r3", "move_event", ["e1", "c"]),
-    ]
-    plan = engine.plan(ops, lambda r: r.request_id != "r2")
-    # r1 cannot pair across the dispatched r2; r3 has no one left.
-    assert plan.is_empty
-
-
-class _SameImport(PairRule):
-    def match(self, earlier, later):
-        both = earlier.operation is later.operation is Operation.IMPORT
-        return later.args if both else None
+    bed = _offline_bed()
+    access = bed.access
+    _report(access, 1)
+    _report(access, 2)  # compaction is off: both queue
+    bed.sim.run(until=bed.sim.now + 1.0)
+    access.attempt(access.log.pending()[1]).state = "inflight"  # 2 is on the wire
+    TelemetryReporter(access, "server")  # switches compaction on
+    _report(access, 3)
+    assert _seqs(access) == [1, 2, 3]  # 1 cannot fold across the dispatched 2
+    _report(access, 4)
+    assert _seqs(access) == [1, 2, 4]
 
 
 def test_duplicate_import_coalesce():
-    """The engine pairs any operation a rule admits, not only invokes."""
-    engine = Compactor().add_pair_rule(_SameImport())
-    a = QRPCRequest("r1", "s", Operation.IMPORT, "urn:server:web/p")
-    b = QRPCRequest("r2", "s", Operation.IMPORT, "urn:server:web/p")
-    plan = engine.plan([a, b], _all)
-    assert plan.drops == [(a, "r2")]
+    """Imports need no fold: a second import of an object attaches to
+    the one outstanding, and one request is queued."""
+    bed = _offline_bed()
+    urn = "urn:rover:server/notes/n1"
+    first, second = bed.access.import_(urn), bed.access.import_(urn)
+    assert first is not second and bed.access.pending_count() == 1
 
 
 def test_absorb_chain_follows_the_final_survivor():
-    engine = Compactor().add_pair_rule(Overwrite("move_event", key=0))
-    ops = [_invoke(f"r{i}", "move_event", ["e1", f"slot{i}"]) for i in range(4)]
-    plan = engine.plan(ops, _all)
-    assert [(r.request_id, rid) for r, rid in plan.drops] == [
-        ("r0", "r1"), ("r1", "r2"), ("r2", "r3"),
-    ]
+    """Four reports queued offline cross the wire as one; every promise
+    resolves with its reply, the survivor's own first, then the newest
+    absorbed."""
+    bed = _served_bed(compaction=True)
+    access = bed.access
+    resolved = []
+    for seq in range(1, 5):
+        _report(access, seq).then(lambda reply, seq=seq: resolved.append((seq, reply)))
+    bed.sim.run()
+    assert resolved == [(seq, {"status": "ok", "seq": 4}) for seq in (4, 3, 2, 1)]
+
+
+def test_a_barrier_report_departs_after_the_report_before_it():
+    """Why nothing is left to fold at link-up: a re-ship keeps the
+    reports either side of it apart, and under FIFO it is answered only
+    after the report before it was dispatched — so once it leaves the
+    queue, the two it kept apart are no foldable pair."""
+    bed = _served_bed(compaction=True)
+    access = bed.access
+    for seq, reshipped in ((1, False), (2, True), (3, False)):
+        _report(access, seq, reshipped=reshipped)
+    settled, older = [], []
+
+    def on_settled(request, status):
+        settled.append(request.args["q"])
+        if request.args["q"] == 2:
+            older.extend(access.attempt(r) for r in access.log.pending() if r.args["q"] < 2)
+
+    access.on_settled.append(on_settled)
+    bed.sim.run()
+    assert settled == [1, 2, 3] and access.log.ops_compacted == 0
+    assert all(message is not None and message.state != "queued" for message in older)
 
 
 # -- replay equivalence (property) -------------------------------------------
 
-
-def _apply(state: dict, request: QRPCRequest) -> None:
-    """The semantics the two rules assume: a move overwrites its event's
-    slot, appends extend one list in order."""
-    method = request.args["method"]
-    args = request.args["args"]
-    if method == "add_event":
-        state[args[0]] = args[1]
-    elif method == "move_event":
-        if args[0] in state:
-            state[args[0]] = args[1]
-    elif method == "cancel_event":
-        state.pop(args[0], None)
-    elif method == "append_entry":
-        state.setdefault("log", []).append(args[0])
-    elif method == "append_entries":
-        state.setdefault("log", []).extend(args[0])
-
-
-_ops = st.lists(
-    st.tuples(st.sampled_from(["add", "move", "cancel", "append"]),
-              st.integers(min_value=0, max_value=3),
-              st.integers(min_value=0, max_value=5)),
-    max_size=20,
+#: Ten seconds of the script: the link is up through them; foreground
+#: calls made; the reporter flushes; what the aggregator does with the
+#: next report it is sent -- applies and answers it, fails it (twice in
+#: a row is a terminal failure, and a re-ship), or applies it and loses
+#: the reply (the report backs off: a barrier).
+_slots = st.lists(
+    st.tuples(
+        st.booleans(),
+        st.integers(0, 2),
+        st.booleans(),
+        st.sampled_from(["serve", "refuse", "lose"]),
+    ),
+    min_size=1,
+    max_size=12,
 )
 
 
-@settings(max_examples=200)
-@given(_ops)
-def test_compacted_replay_is_equivalent(ops):
-    """Replaying the compacted queue reaches the same server state as
-    replaying the original queue, for any op sequence."""
-    requests = []
-    for i, (kind, ent, slot) in enumerate(ops):
-        if kind == "add":
-            requests.append(_invoke(f"r{i}", "add_event", [f"e{i}", f"s{slot}"]))
-        elif kind == "move":
-            requests.append(_invoke(f"r{i}", "move_event", [f"e{ent}", f"s{slot}"]))
-        elif kind == "cancel":
-            requests.append(_invoke(f"r{i}", "cancel_event", [f"e{ent}"]))
-        else:
-            requests.append(_invoke(f"r{i}", "append_entry", [f"s{slot}"]))
-
-    engine = Compactor()
-    engine.add_pair_rule(Overwrite("move_event", key=0))
-    engine.add_pair_rule(Append())
-    plan = engine.plan(requests, _all)
-
-    removed = {r.request_id for r, __ in plan.drops}
-    compacted = []
-    for request in requests:
-        if request.request_id in removed:
+def _up_intervals(slots, slot_s=10.0):
+    intervals = []
+    for index, (up, *__) in enumerate(slots):
+        if not up:
             continue
-        args = plan.rewrites.get(request.request_id, request.args)
-        compacted.append(QRPCRequest(
-            request.request_id, request.session_id, request.operation,
-            request.urn, args,
-        ))
+        if intervals and intervals[-1][1] == index * slot_s:
+            intervals[-1] = (intervals[-1][0], (index + 1) * slot_s)
+        else:
+            intervals.append((index * slot_s, (index + 1) * slot_s))
+    end = len(slots) * slot_s
+    if intervals and intervals[-1][1] == end:
+        return intervals[:-1] + [(intervals[-1][0], 1e9)]
+    return intervals + [(end, 1e9)]
 
-    original_state: dict = {}
-    for request in requests:
-        _apply(original_state, request)
-    compacted_state: dict = {}
-    for request in compacted:
-        _apply(compacted_state, request)
-    assert compacted_state == original_state
+
+@settings(max_examples=60, deadline=None)
+@given(_slots)
+@example([(False, 1, True, "serve"), (True, 1, True, "lose"), (True, 1, True, "serve")])
+@example([(False, 1, True, "refuse"), (False, 1, True, "refuse"), (False, 1, True, "serve")])
+def test_compacted_replay_is_equivalent(slots):
+    """Whatever the link and the aggregator do, the reports that fold at
+    queue time deliver exactly the reporter's ground truth, and no report
+    is folded twice: a sequence number that arrives folded arrives inside
+    one survivor only (a re-ship travels alone, under its own)."""
+    bed, aggregator, (reporter,) = build_fleet_bed(
+        n=1, policies=[IntervalTrace(_up_intervals(slots))], max_attempts=2, rpc_timeout_s=3.0
+    )
+    access = bed.clients[0].access
+    handlers = bed.server_transport._request_handlers
+    apply = handlers["rover.telemetry"]
+    outcomes, received = [], []
+
+    def aggregator_does(body, source):
+        received.append((body["q"], tuple(body.get("f", ()))))
+        outcome = outcomes.pop(0) if outcomes else "serve"
+        if outcome == "refuse":
+            raise RuntimeError("aggregator restarting")
+        reply = apply(body, source)
+        return AsyncReply() if outcome == "lose" else reply
+
+    handlers["rover.telemetry"] = aggregator_does
+    urn = f"urn:rover:{bed.server.authority}/obj/0"
+    for index, (__, calls, flush, outcome) in enumerate(slots):
+        for __ in range(calls):
+            access.invoke_remote(urn, "bump", [])
+        if flush:
+            reporter.flush()
+        outcomes.append(outcome)
+        bed.sim.run(until=(index + 1) * 10.0)
+    truth = reporter.ground_truth()
+    reporter.flush()
+    bed.sim.run(until=bed.sim.now + 2000.0)
+
+    client = bed.clients[0].host.name
+    assert not reporter._unacked and access.pending_count() == 0
+    assert aggregator.client_totals(client) == truth
+    assert aggregator.summary()["open_gaps"] == 0
+    folded_into: dict[int, set] = {}
+    for seq, folded in received:
+        for covered in folded:
+            folded_into.setdefault(covered, set()).add(seq)
+    assert {seq: into for seq, into in folded_into.items() if len(into) > 1} == {}
 
 
 # -- the durable rewrite -----------------------------------------------------
@@ -311,124 +389,106 @@ def test_folded_promises_all_resolve():
     assert bed.access.cache.tentative_urns() == []
 
 
-def test_an_absorbed_write_still_counts_for_its_own_session():
-    """The survivor's reply is the absorbed request's reply; read-your-
-    writes must hold for the session that issued the absorbed one too."""
-    bed, note, survivor_session = _disconnected_bed(compaction=True)
-    bed.access.add_compaction_rule(Overwrite("set_text"))
-    absorbed_session = bed.access.create_session("absorbed")
-    bed.sim.run(until=20.0)  # disconnected now
-    first = bed.access.invoke_remote(note.urn, "set_text", ["one"], session=absorbed_session)
-    bed.access.invoke_remote(note.urn, "set_text", ["two"], session=survivor_session)
-    bed.sim.run()
-    assert first.result() == "two"
-    assert bed.server.invokes_served == 1
-    committed = bed.server.store.version(str(note.urn))
-    assert survivor_session.writes() == {str(note.urn): committed}
-    assert absorbed_session.writes() == {str(note.urn): committed}
+# -- who switches compaction on, and what a crash leaves ---------------------
 
 
-# -- the keyed plan: one bucket per operation --------------------------------
-
-
-def _stage(access):
-    (stage,) = {hook.__self__ for hook in access.on_queued}
-    return stage
-
-
-def _offline_bed(**kwargs):
-    """Connected for a second, then never again."""
-    bed = build_testbed(
-        link_spec=ETHERNET_10M, policy=IntervalTrace([(0.0, 1.0), (1e8, 1e9)]), **kwargs
-    )
-    bed.sim.run(until=2.0)
-    return bed
-
-
-@pytest.mark.parametrize("register", ["on the app's compactor", "add_compaction_rule"])
-def test_a_rule_added_after_the_manager_is_built_applies(register):
-    """There is one ``Compactor``: the object the constructor was given
-    is the one the stage plans with (a private copy of its rule list,
-    taken at construction, used to miss the first spelling until a crash
-    recovery rebuilt it)."""
-    bed = _offline_bed(compaction=True)
-    rule = Overwrite("set_text")
-    if register == "add_compaction_rule":
-        bed.access.add_compaction_rule(rule)
-    else:
-        bed.access.compactor.add_pair_rule(rule)
-    urn = "urn:rover:server/notes/n1"
-    bed.access.invoke_remote(urn, "set_text", ["one"])
-    bed.access.invoke_remote(urn, "set_text", ["two"])
-    assert [r.args["args"] for r in bed.access.log.pending()] == [["two"]]
-    rules_before = list(bed.access.compactor.pair_rules)
+def test_a_reporter_switches_compaction_on_and_a_crash_hands_it_on():
+    bed = _offline_bed()
+    access = bed.access
+    assert not access.compaction and access.on_queued == []
+    reporter = TelemetryReporter(access, "server")
+    _report(access, 1)
+    _report(access, 2)
+    assert _seqs(access) == [2]
     bed.clients[0].crash_and_recover()
-    assert bed.access.compactor.pair_rules == rules_before
-    assert _stage(bed.access).compactor is bed.access.compactor
-    bed.access.invoke_remote(urn, "set_text", ["three"])
-    bed.access.invoke_remote(urn, "set_text", ["four"])
-    # The replayed request is a barrier; the reborn client's two fold.
-    assert [r.args["args"] for r in bed.access.log.pending()] == [["two"], ["four"]]
+    reborn = bed.access
+    assert reborn.compaction and isinstance(_stage(reborn), QueueCompaction)
+    reporter.attach(reborn)
+    assert len(reborn.on_queued) == 1  # attached to a manager that compacts: nothing more
+    _report(reborn, 3)
+    _report(reborn, 4)
+    # The replayed report is a barrier; the reborn client's two fold.
+    assert _seqs(reborn) == [2, 4]
 
 
-_URNS = [f"urn:rover:server/obj/{i}" for i in range(4)]
-#: method -> args: what the rules of ``_RULES`` match on.
-_CALLS = {
-    "a": [], "b": [], "m": [],  # Overwrite("m", over={"a", "b"})
-    "mark_read": [], "mark_deleted": [],
-    "append_entry": [{"id": "e"}],
-    "move_event": ["e1", "9am"], "move_other": ["e2", "9am"],
-    "lock": [],  # no rule knows it: it pairs with nothing, and separates
-}
-_RULES = (
-    Overwrite("m", over={"a", "b"}),
-    Overwrite("mark_read"),
-    Overwrite("mark_deleted"),
-    Append(),
-    Overwrite("move_event", key=0),
-)
+def test_a_link_up_runs_no_crashed_managers_code():
+    """Three crashes of a compacting client, then the link comes up: the
+    link and the scheduler they share call into the live manager only
+    (each dead incarnation's compaction stage once stayed hooked to the
+    scheduler and planned its dead log on every link-up, and its
+    manager stayed a listener of the link)."""
+    bed = build_testbed(
+        link_spec=ETHERNET_10M,
+        policy=IntervalTrace([(0.0, 1.0), (50.0, 1e9)]),
+        compaction=True,
+    )
+    note = make_note()
+    bed.server.put_object(note)
+    bed.sim.run(until=2.0)  # disconnected
+    bed.access.invoke_remote(note.urn, "read", [])
+    dead = []
+    for __ in range(3):
+        dead.append(bed.access)
+        bed.clients[0].crash_and_recover()
+    bed.sim.run(until=49.0)  # the dead incarnations' timers have come and gone
+    owners = []
+
+    def record(frame, event, arg):
+        if event == "call":
+            owner = frame.f_locals.get("self")
+            owners.append(getattr(owner, "manager", owner))
+
+    sys.setprofile(record)
+    try:
+        bed.sim.run(until=60.0)  # the link comes up at 50 s
+    finally:
+        sys.setprofile(None)
+    assert any(owner is bed.access for owner in owners)  # the replay drained
+    assert not [owner for owner in owners if any(owner is manager for manager in dead)]
+    assert bed.access.pending_count() == 0
+
+
+# -- the queue-time fold: one bucket per queued report -----------------------
+
 _steps = st.lists(
     st.one_of(
-        st.tuples(st.just("call"), st.integers(0, 3), st.sampled_from(sorted(_CALLS))),
-        # A barrier on the k-th pending request, or a second of virtual
-        # time (flushes complete, the scheduler is handed the requests).
-        st.tuples(
-            st.sampled_from(["dispatched", "backing-off", "recovered", "tick"]),
-            st.integers(0, 7),
-            st.none(),
-        ),
+        st.tuples(st.just("report"), st.booleans()),  # True: a re-ship
+        st.tuples(st.just("invoke"), st.integers(0, 1)),  # another object's request
+        st.tuples(st.just("tick"), st.none()),  # a second: flushed, handed over
+        # A barrier on the k-th pending request.
+        st.tuples(st.sampled_from(["dispatched", "backing-off", "recovered"]), st.integers(0, 7)),
     ),
     max_size=30,
 )
 
 
-def _whole_queue_fixpoint(compactor, shadow, eligible):
-    """The reference: ``Compactor.plan`` over the *whole* queue, carried
-    out on copies, again until it finds nothing."""
+def _whole_queue_fixpoint(shadow, eligible):
+    """The reference: fold the first two adjacent eligible reports of the
+    whole queue, the earlier into the later, again until none are left."""
     while True:
-        plan = compactor.plan(shadow, eligible)
-        if plan.is_empty:
+        reports = [r for r in shadow if r.operation is Operation.TELEMETRY]
+        pairs = [
+            (earlier, later)
+            for earlier, later in zip(reports, reports[1:])
+            if eligible(earlier) and eligible(later)
+        ]
+        if not pairs:
             return shadow
-        gone = {r.request_id for r, __ in plan.drops}
-        shadow = [r for r in shadow if r.request_id not in gone]
-        for request in shadow:
-            if request.request_id in plan.rewrites:
-                request.args = plan.rewrites[request.request_id]
+        earlier, later = pairs[0]
+        later.args = fold_reports(earlier.args, later.args)
+        shadow = [r for r in shadow if r is not earlier]
 
 
 @settings(max_examples=120, deadline=None)
 @given(_steps)
-@example([("call", 0, "a"), ("call", 0, "b"), ("call", 0, "m")])  # the cascade
-@example([("call", 1, "mark_read"), ("tick", 0, None), ("backing-off", 0, None),
-          ("call", 1, "mark_read"), ("call", 1, "mark_read")])
+@example([("report", False), ("tick", None), ("backing-off", 0), ("report", False),
+          ("report", True), ("report", False), ("report", False)])
 def test_planning_one_bucket_equals_planning_the_whole_queue(steps):
-    """After every queued operation the pending queue — ids, order, args
-    — is what planning everything to a fixpoint would have left."""
+    """After every step the pending queue — ids, order, args — is what
+    folding the whole queue to a fixpoint would have left: what a link-up
+    pass over the whole log would find is already folded."""
     bed = _offline_bed(compaction=True)
     access = bed.access
-    for rule in _RULES:
-        access.add_compaction_rule(rule)
-    session = access.create_session("s")
     # Every request as it was issued, before anything folded it.
     issued: list[QRPCRequest] = []
     access.on_submit.append(lambda request: issued.append(copy.deepcopy(request)))
@@ -436,21 +496,22 @@ def test_planning_one_bucket_equals_planning_the_whole_queue(steps):
     barriers: set[str] = set()
 
     def eligible(copy_of: QRPCRequest) -> bool:
-        return copy_of.request_id not in barriers
+        return copy_of.request_id not in barriers and "r" not in copy_of.args
 
-    for kind, index, method in steps:
-        if kind == "call":
-            if method == "lock":
-                access.acquire_lock(_URNS[index], session)
-            else:
-                name = "move_event" if method == "move_other" else method
-                access.invoke_remote(_URNS[index], name, list(_CALLS[method]))
+    seq = 0
+    for kind, arg in steps:
+        if kind == "report":
+            seq += 1
+            _report(access, seq, reshipped=arg)
             shadow.append(issued.pop())
-            shadow = _whole_queue_fixpoint(access.compactor, shadow, eligible)
+            shadow = _whole_queue_fixpoint(shadow, eligible)
+        elif kind == "invoke":
+            access.invoke_remote(f"urn:rover:server/obj/{arg}", "touch", [])
+            shadow.append(issued.pop())
         elif kind == "tick":
             bed.sim.run(until=bed.sim.now + 1.0)
-        elif index < access.pending_count():
-            request = access.log.pending()[index]
+        elif arg < access.pending_count():
+            request = access.log.pending()[arg]
             message = access.attempt(request)
             if kind == "recovered":
                 request.recovered = True
@@ -467,50 +528,49 @@ def test_planning_one_bucket_equals_planning_the_whole_queue(steps):
 
 
 def test_queuing_an_operation_costs_the_same_behind_a_long_queue():
-    """Flatness: disconnected, the 400th ``invoke_remote`` — minting,
-    logging, planning, and the events it leaves the simulator: the flush
-    and the scheduler's pump — makes the Python calls the 40th made.
+    """Flatness: disconnected, queuing an invoke, an export or a
+    telemetry report behind 400 queued requests — minting, logging,
+    folding, and the events it leaves the simulator: the flush and the
+    scheduler's pump — makes the Python calls it made behind 40.
     (Planning the whole queue per operation cost about four calls per
     request already queued; a pump that walked the queue for want of a
     route, one route lookup per message already queued.)"""
-    bed = _offline_bed(compaction=True)
+    bed = build_testbed(
+        link_spec=ETHERNET_10M, policy=IntervalTrace([(0.0, 1.0), (1e8, 1e9)]), compaction=True
+    )
+    notes = [make_note(path=f"notes/n{index}") for index in range(3)]
+    for note in notes:
+        bed.server.put_object(note)
+        bed.access.import_(note.urn)
+    bed.sim.run(until=2.0)  # cached, then disconnected
     access = bed.access
-    for rule in _RULES:
-        access.add_compaction_rule(rule)
 
-    def queue_one(urn):
-        access.invoke_remote(urn, "mark_read", [])
+    def invoke(index):
+        access.invoke_remote(f"urn:rover:server/mail/m{index}", "mark_read", [])
+
+    def export(index):
+        note = notes[{0: 0, 39: 1, 399: 2}[index]]
+        access.invoke(note.urn, "set_text", f"edit {index}")
+
+    def report(index):
+        _report(access, index + 1)
+
+    def queue_one(kind, index):
+        kind(index)
         bed.sim.run(until=bed.sim.now + 1.0)  # flushed, and pumped
 
-    calls = []
+    calls = {kind: [] for kind in (invoke, export, report)}
     gc.collect()
     gc.disable()  # a collection inside the measure runs other tests' finalizers
     try:
         for index in range(400):
-            calls.append(_python_calls(queue_one, f"urn:rover:server/mail/m{index}"))
+            calls[invoke].append(_python_calls(queue_one, invoke, index))
+            if index in (0, 39, 399):  # each a first export of its object
+                for kind in (export, report):
+                    calls[kind].append(_python_calls(queue_one, kind, index))
     finally:
         gc.enable()
-    assert access.pending_count() == 400
-    assert calls[399] == calls[39]
-
-
-def test_a_pair_a_departed_barrier_kept_apart_waits_for_its_bucket_or_link_up():
-    """What a bucket plan leaves to later, pinned: ``a`` (background,
-    unsent) and ``c`` become neighbours when the barrier between them is
-    answered; an operation on *another* object does not revisit them, the
-    next one on theirs — or the reconnection — does."""
-    bed = _offline_bed(compaction=True)
-    access = bed.access
-    access.add_compaction_rule(Overwrite("set_text"))
-    urn, other = "urn:rover:server/notes/n1", "urn:rover:server/notes/n2"
-    access.invoke_remote(urn, "set_text", ["a"])
-    access.invoke_remote(urn, "touch", [])  # no rule pairs it: it separates
-    bed.sim.run(until=bed.sim.now + 1.0)
-    barrier = access.log.pending()[1]
-    access.attempt(barrier).attempts = 1
-    access.invoke_remote(urn, "set_text", ["c"])
-    access.fail(barrier, "gone")
-    access.invoke_remote(other, "set_text", ["elsewhere"])
-    assert [r.args["args"] for r in access.log.pending()] == [["a"], ["c"], ["elsewhere"]]
-    assert _stage(access).compact() == 1  # the drain hook: a link came up
-    assert [r.args["args"] for r in access.log.pending()] == [["c"], ["elsewhere"]]
+    assert access.pending_count() == 400 + 3 + 1
+    assert calls[invoke][399] == calls[invoke][39]
+    assert calls[export][2] == calls[export][1]
+    assert calls[report][2] == calls[report][1]

@@ -5,8 +5,9 @@ from __future__ import annotations
 
 from repro.net.link import ETHERNET_10M, IntervalTrace
 from repro.net.message import Premarshalled, marshal, marshalled_size, unmarshal
+from repro.obs.fleet import FleetAggregator
 from repro.testbed import build_testbed
-from tests.conftest import Append, make_note
+from tests.conftest import make_note, make_report
 
 
 def _counter_total(bed, name: str) -> int:
@@ -132,7 +133,7 @@ def test_watermark_is_the_walked_floor_without_the_walk():
         policy=IntervalTrace([(0.0, 1.0), (500.0, 1e9)]),
         compaction=True,
     )
-    bed.access.add_compaction_rule(Append())
+    FleetAggregator(bed.sim, server=bed.server).register(bed.server_transport)
     bed.sim.run(until=2.0)  # disconnected
     outbox = "urn:rover:server/mail/outbox"
     seen = []
@@ -144,8 +145,8 @@ def test_watermark_is_the_walked_floor_without_the_walk():
 
     check()  # nothing pending: the next counter
     for i in range(6):
-        # Pairs merge (a drop and a rewrite that keeps its place) ...
-        bed.access.invoke_remote(outbox, "append_entry", [{"id": f"a{i}"}])
+        # Reports fold (a drop and a rewrite that keeps its place) ...
+        bed.access.telemetry("server", make_report(i + 1, client="client"))
         bed.access.invoke_remote(f"urn:rover:server/mail/m{i}", "mark_read", [])
         check()
     assert bed.access.log.ops_compacted == 5
