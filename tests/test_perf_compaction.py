@@ -10,6 +10,7 @@ import copy
 import gc
 import sys
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -392,11 +393,17 @@ def test_folded_promises_all_resolve():
 # -- who switches compaction on, and what a crash leaves ---------------------
 
 
-def test_a_reporter_switches_compaction_on_and_a_crash_hands_it_on():
-    bed = _offline_bed()
+@pytest.mark.parametrize("built_compacting", [False, True], ids=["by a reporter", "compaction=True"])
+def test_a_crash_hands_compaction_on(built_compacting):
+    """Compaction a telemetry reporter switches on after the manager is
+    built folds like compaction the manager was built with, and crash
+    recovery hands either on to the reborn manager."""
+    bed = _offline_bed(compaction=built_compacting)
     access = bed.access
-    assert not access.compaction and access.on_queued == []
+    assert access.compaction is built_compacting
+    assert (access.on_queued == []) is not built_compacting
     reporter = TelemetryReporter(access, "server")
+    assert access.compaction and isinstance(_stage(access), QueueCompaction)
     _report(access, 1)
     _report(access, 2)
     assert _seqs(access) == [2]
