@@ -142,11 +142,10 @@ class SafeInterpreter:
         self.step_budget = step_budget
         self.steps_used = 0
         # source -> compiled code object.  A server invokes the same
-        # few RDO sources thousands of times (each wire arrival builds
-        # a fresh RDO, so the RDO-level function cache never hits);
-        # parse + whitelist + charge-inject + compile is pure in the
-        # source, so it is cached here.  exec still runs per load —
-        # every caller gets a fresh environment.
+        # few RDO sources thousands of times, each in an environment of
+        # its own; parse + whitelist + charge-inject + compile is pure
+        # in the source, so it is cached here.  exec still runs per
+        # load — every caller gets a fresh environment.
         self._code_cache: dict[str, Any] = {}
         # (source, interface as its MethodSpec tuple or None, extra
         # names) of every class this host verified with no ERROR
@@ -155,8 +154,9 @@ class SafeInterpreter:
         # class is never remembered, so each rejection names its own
         # object.
         self._verdicts: dict[tuple, None] = {}
-        #: FIFO evictions from the two tables above, read like
-        #: :attr:`steps_used` (registered nowhere).
+        #: FIFO evictions from the two tables above; a server's
+        #: registry reads its interpreter's as ``rdo_code_cache_evicted_total``
+        #: and ``rdo_verdicts_evicted_total``.
         self.code_cache_evictions = 0
         self.verdict_evictions = 0
 

@@ -28,10 +28,10 @@ from typing import Any, Iterable, Optional
 
 from repro.core.conflict import ConflictReport, ResolverRegistry
 from repro.core.interpreter import SafeInterpreter
-from repro.core.rdo import RDO, ExecutionCostModel, RDOVerificationError
+from repro.core.rdo import RDO, ExecutionCostModel, RDOError, RDOInterface, RDOVerificationError
 from repro.net.simnet import Address
 from repro.lint.contracts import replay_pure
-from repro.net.message import marshal, same_encoding, unmarshal
+from repro.net.message import MarshalError, marshal, same_encoding, unmarshal
 from repro.net.transport import DelayedReply, Transport
 from repro.sim import Simulator
 from repro.storage.kvstore import KVStore
@@ -42,7 +42,28 @@ from repro.storage.kvstore import KVStore
 SHIP_ENV_NAMES = ("lookup", "objects")
 
 
-def _split_request_id(request_id: Any) -> Optional[tuple[str, int]]:
+#: Result types that hold no reference to anything: a reply keeps them
+#: as they are.
+_SCALARS = frozenset({str, int, float, bool, bytes, type(None)})
+
+
+def _detached(value: Any) -> Any:
+    """``value`` as it is now, sharing nothing with the store: a copy
+    through the codec, for a reply the server keeps (at-most-once, the
+    committer index, a compute delay, a quorum gate) while a later write
+    changes the stored data in place.  A value the codec refuses is
+    returned as it is; it fails where the reply is sent, as before."""
+    try:
+        return unmarshal(marshal(value))
+    except MarshalError:
+        return value
+
+
+#: A request id parsed by :func:`_split_request_id`.
+_Split = Optional[tuple[str, int]]
+
+
+def _split_request_id(request_id: Any) -> _Split:
     """``(client id-prefix, counter)`` of a ``<prefix>/<counter>`` id."""
     if not isinstance(request_id, str):
         return None
@@ -66,7 +87,7 @@ class _AppliedReplies:
 
     def __init__(self) -> None:
         #: request id -> (reply, its ``_split_request_id``)
-        self._replies: OrderedDict[str, tuple[dict, Optional[tuple[str, int]]]] = OrderedDict()
+        self._replies: OrderedDict[str, tuple[dict, _Split]] = OrderedDict()
         self._by_client: dict[str, list[tuple[int, str]]] = {}
 
     def __len__(self) -> int:
@@ -83,25 +104,30 @@ class _AppliedReplies:
         self._replies.move_to_end(request_id)
         return cached[0]
 
-    def __setitem__(self, request_id: str, reply: dict) -> None:
-        """Cache ``reply`` as the most recently used entry."""
-        cached = self._replies.get(request_id)
+    def put(self, request_id: str, split: _Split, reply: dict, cap: int) -> int:
+        """Cache ``reply`` as the most recently used entry (``split``:
+        the id's :func:`_split_request_id`, parsed once by the caller),
+        then drop the least recently used beyond ``cap``; returns how
+        many were dropped."""
+        replies = self._replies
+        cached = replies.get(request_id)
         if cached is None:
-            split = _split_request_id(request_id)
             if split is not None:
                 insort(self._by_client.setdefault(split[0], []), (split[1], request_id))
         else:
             split = cached[1]
-            self._replies.move_to_end(request_id)
-        self._replies[request_id] = (reply, split)
-
-    def evict_oldest(self) -> None:
-        request_id, (__, split) = self._replies.popitem(last=False)
-        if split is not None:
-            entries = self._by_client[split[0]]
-            del entries[bisect_left(entries, (split[1], request_id))]
-            if not entries:
-                del self._by_client[split[0]]
+            replies.move_to_end(request_id)
+        replies[request_id] = (reply, split)
+        evicted = 0
+        while len(replies) > cap:
+            request_id, (__, split) = replies.popitem(last=False)
+            if split is not None:
+                entries = self._by_client[split[0]]
+                del entries[bisect_left(entries, (split[1], request_id))]
+                if not entries:
+                    del self._by_client[split[0]]
+            evicted += 1
+        return evicted
 
     def prune_below(self, prefix: str, watermark: int) -> int:
         """Drop ``prefix``'s ids with a counter below ``watermark``."""
@@ -182,6 +208,12 @@ class RoverServer:
         self.applied_pruned = 0
         #: Highest watermark seen per client id-prefix.
         self._client_watermarks: dict[str, int] = {}
+        #: ``repr`` of an interface wire -> its decoded interface
+        #: (:meth:`_decode_interface`): an invoke runs on the stored
+        #: object, and each distinct interface is decoded once.  Shared
+        #: by every object of a class, so never mutated.
+        self._interfaces: dict[str, RDOInterface] = {}
+        self.interface_evictions = 0
         self.imports_served = 0
         self.exports_committed = 0
         self.exports_resolved = 0
@@ -253,6 +285,19 @@ class RoverServer:
             "Lock leases expired server-side (holder never released)",
             labelnames=("authority",),
         ).labels(authority=authority)
+        # The bounded tables' evictions, read when the registry is (a
+        # client's interpreter reports nothing, so no fleet report grows).
+        for name, help_text, read in (
+            ("rdo_code_cache_evicted_total", "Compiled RDO sources evicted from the code cache",
+             lambda: self.interpreter.code_cache_evictions),
+            ("rdo_verdicts_evicted_total", "Passing verification verdicts evicted",
+             lambda: self.interpreter.verdict_evictions),
+            ("rdo_interfaces_evicted_total", "Decoded interfaces evicted from the interface table",
+             lambda: self.interface_evictions),
+        ):
+            self.obs.registry.counter(
+                name, help_text, labelnames=("authority",)
+            ).labels(authority=authority).set_function(read)
 
     # -- lease clock ---------------------------------------------------------
 
@@ -278,10 +323,10 @@ class RoverServer:
                 self.rdos_rejected += 1
                 raise RDOVerificationError(str(rdo.urn), diagnostics)
         key = str(rdo.urn)
-        version = self.store.put(key, rdo.to_wire())
-        stored = self.store.get_value(key)
-        stored["version"] = version
-        self._remember(key, version, stored["data"])
+        wire = rdo.to_wire()
+        version = self.store.put(key, wire)
+        wire["version"] = version  # the store holds ``wire`` itself
+        self._remember(key, version, wire["data"])
         return version
 
     def snapshot(self) -> dict:
@@ -391,11 +436,11 @@ class RoverServer:
         self._applied.clear()
 
     def get_object(self, urn: str) -> Optional[RDO]:
-        wire = self.store.get_value(urn)
-        if wire is None:
+        entry = self.store.entry(urn)
+        if entry is None:
             return None
-        rdo = RDO.from_wire(wire)
-        rdo.version = self.store.version(urn) or rdo.version
+        rdo = RDO.from_wire(entry[0])
+        rdo.version = entry[1]
         return rdo
 
     def _remember(
@@ -434,13 +479,15 @@ class RoverServer:
 
     # -- at-most-once -------------------------------------------------------
 
-    def _cached_reply(self, request_id: Optional[str]) -> Optional[dict]:
+    def _cached_reply(self, request_id: Optional[str]) -> tuple[Optional[dict], _Split]:
+        """The reply ``request_id`` already has, if any, and the id's
+        :func:`_split_request_id` (parsed once, for :meth:`_record_reply`)."""
         if request_id is None:
-            return None
+            return None, None
         reply = self._applied.get(request_id)
         if reply is not None:
             self.duplicates_suppressed += 1
-            return reply
+            return reply, None
         # Watermark floor: a counter below the sender's own acknowledged
         # watermark names a request whose reply the client has already
         # processed — only a delayed duplicate frame can still carry it.
@@ -451,15 +498,14 @@ class RoverServer:
         split = _split_request_id(request_id)
         if split is not None and split[1] < self._client_watermarks.get(split[0], -1):
             self.duplicates_suppressed += 1
-            return {"status": "duplicate", "request_id": request_id}
-        return None
+            return {"status": "duplicate", "request_id": request_id}, split
+        return None, split
 
-    def _record_reply(self, request_id: Optional[str], reply: dict) -> dict:
+    def _record_reply(self, request_id: Optional[str], split: _Split, reply: dict) -> dict:
         if request_id is not None:
-            self._applied[request_id] = reply
-            while len(self._applied) > self.applied_cache_cap:
-                self._applied.evict_oldest()
-                self.applied_pruned += 1
+            self.applied_pruned += self._applied.put(
+                request_id, split, reply, self.applied_cache_cap
+            )
         return reply
 
     def _observe_watermark(self, body: Any) -> None:
@@ -497,12 +543,12 @@ class RoverServer:
         if not self._authorized(body):
             return {"status": "unauthorized"}
         urn = body["urn"]
-        wire = self.store.get_value(urn)
-        if wire is None:
+        entry = self.store.entry(urn)
+        if entry is None:
             return {"status": "not-found", "urn": urn}
         self.imports_served += 1
-        wire = dict(wire)
-        wire["version"] = self.store.version(urn)
+        wire = dict(entry[0])
+        wire["version"] = entry[1]
         full = {"status": "ok", "rdo": wire, "version": wire["version"]}
         have = body.get("have_version")
         if have is None:
@@ -539,7 +585,7 @@ class RoverServer:
             return {"status": "unauthorized"}
         self._observe_watermark(body)
         request_id = body.get("request_id")
-        cached = self._cached_reply(request_id)
+        cached, split = self._cached_reply(request_id)
         if cached is not None:
             return cached
         urn = body["urn"]
@@ -553,7 +599,7 @@ class RoverServer:
             # the only sound answer: a "resolved" reply carries a merged
             # value the client must still apply.
             self.duplicates_suppressed += 1
-            return self._record_reply(request_id, replayed)
+            return self._record_reply(request_id, split, replayed)
         base_version = int(body.get("base_version", 0))
         client_data = body.get("data")
         client_raw = None
@@ -579,28 +625,29 @@ class RoverServer:
             saved = len(client_raw) - marshalled_size(body["delta"])
             if saved > 0:
                 self._m_delta_up.inc(saved)
-        wire = self.store.get_value(urn)
-        if wire is None:
-            return self._record_reply(request_id, {"status": "not-found", "urn": urn})
+        entry = self.store.entry(urn)
+        if entry is None:
+            return self._record_reply(request_id, split, {"status": "not-found", "urn": urn})
+        wire, current_version = entry
         holder = self._lock_holder(urn)
         if holder is not None and body.get("session", "") != holder:
             # Another session holds the application-level lock.
             return self._record_reply(
-                request_id, {"status": "locked", "holder": holder}
+                request_id, split, {"status": "locked", "holder": holder}
             )
-        current_version = self.store.version(urn) or 0
 
         if base_version == current_version:
             new_wire = dict(wire)
             new_wire["data"] = client_data
             new_version = self.store.put(urn, new_wire)
-            self.store.get_value(urn)["version"] = new_version
+            new_wire["version"] = new_version  # the store holds ``new_wire`` itself
             self._remember(urn, new_version, client_data, raw=client_raw)
             self.exports_committed += 1
-            self._notify_subscribers(urn, new_version, except_host=source[0])
+            if self._subscriptions:
+                self._notify_subscribers(urn, new_version, except_host=source[0])
             reply = {"status": "committed", "version": new_version}
             self._remember_committed(urn, request_id, reply)
-            return self._record_reply(request_id, reply)
+            return self._record_reply(request_id, split, reply)
 
         # Concurrent update: attempt type-specific resolution.
         type_name = wire.get("type", "")
@@ -611,18 +658,21 @@ class RoverServer:
             new_wire = dict(wire)
             new_wire["data"] = resolution.merged_value
             new_version = self.store.put(urn, new_wire)
-            self.store.get_value(urn)["version"] = new_version
+            new_wire["version"] = new_version
             self._remember(urn, new_version, resolution.merged_value)
             self.exports_resolved += 1
-            self._notify_subscribers(urn, new_version, except_host=source[0])
+            if self._subscriptions:
+                self._notify_subscribers(urn, new_version, except_host=source[0])
             reply = {
                 "status": "resolved",
                 "version": new_version,
-                "value": resolution.merged_value,
+                # The reply is kept (at-most-once, committer index); the
+                # stored value is the one a later invoke writes in place.
+                "value": _detached(resolution.merged_value),
                 "detail": resolution.detail,
             }
             self._remember_committed(urn, request_id, reply)
-            return self._record_reply(request_id, reply)
+            return self._record_reply(request_id, split, reply)
 
         self.exports_conflicted += 1
         report = ConflictReport(
@@ -631,10 +681,10 @@ class RoverServer:
             base_version=base_version,
             server_version=current_version,
             detail=resolution.detail,
-            server_value=wire.get("data"),
+            server_value=_detached(wire.get("data")),
         )
         return self._record_reply(
-            request_id, {"status": "conflict", "conflict": report.to_wire()}
+            request_id, split, {"status": "conflict", "conflict": report.to_wire()}
         )
 
     @replay_pure
@@ -643,7 +693,7 @@ class RoverServer:
             return {"status": "unauthorized"}
         self._observe_watermark(body)
         request_id = body.get("request_id")
-        cached = self._cached_reply(request_id)
+        cached, split = self._cached_reply(request_id)
         if cached is not None:
             return cached
         urn = body["urn"]
@@ -652,50 +702,81 @@ class RoverServer:
             # A mutating invoke that already applied must not run again
             # (at-most-once); replay the original reply, result included.
             self.duplicates_suppressed += 1
-            return self._record_reply(request_id, replayed)
+            return self._record_reply(request_id, split, replayed)
         method = body["method"]
         args = body.get("args", [])
-        rdo = self.get_object(urn)
-        if rdo is None:
-            return self._record_reply(request_id, {"status": "not-found", "urn": urn})
+        entry = self.store.entry(urn)
+        if entry is None:
+            return self._record_reply(request_id, split, {"status": "not-found", "urn": urn})
+        # The method runs on the stored object itself.
+        wire, version = entry
+        interface_wire = wire.get("interface", [])
+        interface = self._interfaces.get(repr(interface_wire))
+        if interface is None:
+            interface = self._decode_interface(interface_wire)
+        spec = interface.get(method)
+        if spec is None:
+            raise RDOError(f"{urn}: method {method!r} not in interface")
+        code = wire.get("code", "")
+        # An environment for this request alone, never one kept across
+        # requests: a backup re-runs each write, and state a method left
+        # in its environment (a mutable default argument) would make that
+        # run differ from the primary's.
+        functions = self.interpreter.load(code) if code else {}
+        data = wire["data"]
         try:
-            result, steps = rdo.invoke(self.interpreter, method, *args)
-            mutates = rdo.interface[method].mutates  # rdo.invoke checked membership
+            result = self.interpreter.invoke(functions, method, data, *args)
             # Encoded before anything is stored: state the codec refuses
             # fails this invoke, not every later import of the object.
-            raw = marshal(rdo.data) if mutates else None
+            raw = marshal(data) if spec.mutates else None
         except Exception:
             # The method ran on the stored data itself: put back a copy
             # of the version history's private copy of the stored version.
-            committed = self._base_data(urn, rdo.version)
-            self.store.get_value(urn)["data"] = unmarshal(marshal(committed))
+            wire["data"] = unmarshal(marshal(self._base_data(urn, version)))
             raise
         finally:
-            # The environment was loaded for this request alone.
-            rdo.release()
-        if not mutates:
-            committed = self._base_data(urn, rdo.version)
-            if not same_encoding(rdo.data, committed):
+            if functions:  # a pure-data object loads nothing
+                self.interpreter.release(functions)
+        steps = self.interpreter.steps_used
+        if not spec.mutates:
+            committed = self._base_data(urn, version)
+            if not same_encoding(data, committed):
                 # Declared read-only, yet it wrote the stored data (the
                 # verifier cannot see every alias): every cached copy of
                 # this version would silently differ from the server's.
-                self.store.get_value(urn)["data"] = unmarshal(marshal(committed))
+                wire["data"] = unmarshal(marshal(committed))
                 return self._record_reply(
-                    request_id, {"status": "hidden-mutation", "urn": urn}
+                    request_id, split, {"status": "hidden-mutation", "urn": urn}
                 )
             self.reads_served += 1
         self.invokes_served += 1
+        if type(result) not in _SCALARS:
+            result = _detached(result)  # the reply is kept; ``data`` is not
         reply: dict = {"status": "ok", "result": result}
-        if mutates:
-            wire = rdo.to_wire()
-            new_version = self.store.put(urn, wire)
-            wire["version"] = new_version  # the store holds ``wire`` itself
-            self._remember(urn, new_version, wire["data"], raw=raw)
+        if spec.mutates:
+            new_wire = dict(wire)  # ``data`` already holds the new state
+            new_version = self.store.put(urn, new_wire)
+            new_wire["version"] = new_version  # the store holds ``new_wire`` itself
+            self._remember(urn, new_version, data, raw=raw)
             reply["version"] = new_version
             self._remember_committed(urn, request_id, reply)
-            self._notify_subscribers(urn, new_version, except_host=source[0])
-        self._record_reply(request_id, reply)
+            if self._subscriptions:
+                self._notify_subscribers(urn, new_version, except_host=source[0])
+        self._record_reply(request_id, split, reply)
         return DelayedReply(self.cost_model.invoke_time(steps), reply)
+
+    def _decode_interface(self, interface_wire: Any) -> RDOInterface:
+        """Decode ``interface_wire`` into the interface table, keyed by
+        its ``repr`` (its content; a C call, so a hit costs no Python
+        call).  A wire that does not decode raises as it always has and
+        is not kept; the table is bounded like the interpreter's code
+        cache, and its evictions counted."""
+        interface = RDOInterface.from_wire(interface_wire)
+        if len(self._interfaces) >= SafeInterpreter.CODE_CACHE_MAX:
+            self._interfaces.pop(next(iter(self._interfaces)))
+            self.interface_evictions += 1
+        self._interfaces[repr(interface_wire)] = interface
+        return interface
 
     @replay_pure
     def _on_ship(self, body: Any, source: Address) -> Any:
@@ -711,7 +792,7 @@ class RoverServer:
             return {"status": "unauthorized"}
         self._observe_watermark(body)
         request_id = body.get("request_id")
-        cached = self._cached_reply(request_id)
+        cached, split = self._cached_reply(request_id)
         if cached is not None:
             return cached
         code = body.get("code", "")
@@ -741,8 +822,10 @@ class RoverServer:
             self.interpreter.release(functions)
         steps = self.interpreter.steps_used
         self.ships_served += 1
+        if type(result) not in _SCALARS:
+            result = _detached(result)  # ``lookup`` hands out live data
         reply = {"status": "ok", "result": result}
-        self._record_reply(request_id, reply)
+        self._record_reply(request_id, split, reply)
         return DelayedReply(self.cost_model.invoke_time(steps), reply)
 
     # -- application-level locks ----------------------------------------------

@@ -30,6 +30,10 @@ class KVStore:
         """Return ``(value, version)``; raises :class:`KeyError` if absent."""
         return self._data[key]
 
+    def entry(self, key: str) -> Optional[tuple[Any, int]]:
+        """``(value, version)`` in one lookup, or ``None`` if absent."""
+        return self._data.get(key)
+
     def get_value(self, key: str, default: Any = None) -> Any:
         entry = self._data.get(key)
         return entry[0] if entry is not None else default

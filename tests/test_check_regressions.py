@@ -330,11 +330,11 @@ def test_indexed_applied_cache_matches_the_scanning_one():
             # Counters drift upward, so watermarks keep finding work.
             request_id = f"{client}/{max(0, step // 25 + rng.randrange(-6, 8))}"
         if roll < 0.6:
-            got = server._cached_reply(request_id)
+            got, split = server._cached_reply(request_id)
             assert got == model.cached_reply(request_id)
             if got is None:
                 reply = {"status": "ok", "step": step}
-                server._record_reply(request_id, reply)
+                server._record_reply(request_id, split, reply)
                 model.record(request_id, reply)
         else:
             watermark = max(0, step // 25 + rng.randrange(-12, 4))

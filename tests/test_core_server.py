@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.conflict import AppendMerge, FieldwiseMerge, ResolverRegistry
+from repro.core.conflict import AppendMerge, FieldwiseMerge, Resolution, ResolverRegistry
 from repro.core.naming import URN
 from repro.core.rdo import RDO, MethodSpec, RDOInterface
 from repro.core.server import RoverServer
@@ -227,3 +227,145 @@ def test_history_enables_three_way_merge():
         SRC,
     )
     assert reply["status"] == "conflict"
+
+
+# -- a reply the server keeps holds no live data ------------------------------
+
+ITEMS_CODE = (
+    "def add(state, x):\n"
+    "    state['items'].append(x)\n"
+    "    return state['items']\n"
+    "\n"
+    "def items(state):\n"
+    "    return state['items']\n"
+)
+
+
+def put_items(server, path="items/0", doc=""):
+    interface = RDOInterface(
+        [MethodSpec("add", mutates=True, doc=doc), MethodSpec("items")]
+    )
+    rdo = RDO(URN("server", path), "items", {"items": []}, code=ITEMS_CODE, interface=interface)
+    server.put_object(rdo)
+    return str(rdo.urn)
+
+
+def invoke(server, urn, method, *args, request_id):
+    return server._on_invoke(
+        {"urn": urn, "method": method, "args": list(args), "request_id": request_id}, SRC
+    )
+
+
+def test_a_retransmitted_invoke_is_answered_with_the_result_it_had(server):
+    """A method that returns part of its state returns it by reference:
+    the reply kept for a retransmission must not follow the store."""
+    urn = put_items(server)
+    first = invoke(server, urn, "add", 1, request_id="a/0")
+    invoke(server, urn, "add", 2, request_id="b/0")
+    assert server.get_object(urn).data == {"items": [1, 2]}
+    # The reply still waiting out its compute time, the at-most-once
+    # cache, and (once that is lost) the committer index: version 2 held [1].
+    assert first.body == {"status": "ok", "result": [1], "version": 2}
+    assert invoke(server, urn, "add", 1, request_id="a/0") == first.body
+    server._applied.clear()
+    assert invoke(server, urn, "add", 1, request_id="a/0") == first.body
+    assert server.get_object(urn).data == {"items": [1, 2]}
+
+
+def test_a_kept_read_reply_does_not_change_with_a_later_write(server):
+    urn = put_items(server)
+    invoke(server, urn, "add", 1, request_id="a/0")
+    read = invoke(server, urn, "items", request_id="r/0")
+    code = "def main(urn):\n    return lookup(urn)['items']\n"
+    ship_body = {"code": code, "method": "main", "args": [urn], "request_id": "s/0"}
+    shipped = server._on_ship(ship_body, SRC)
+    invoke(server, urn, "add", 2, request_id="b/0")
+    assert read.body["result"] == [1]
+    assert shipped.body["result"] == [1]
+    assert invoke(server, urn, "items", request_id="r/0")["result"] == [1]
+    assert server._on_ship(ship_body, SRC)["result"] == [1]
+
+
+def test_a_resolved_or_conflicting_export_keeps_the_value_it_had():
+    """The two export replies that carry stored data, kept like any
+    other, while an invoke writes that data in place."""
+    class Concatenate:
+        def resolve(self, base, server, client):
+            return Resolution.merged({"items": server["items"] + client["items"]}, "both")
+
+    sim = Simulator()
+    registry = ResolverRegistry()
+    registry.register("items", Concatenate())
+    server = RoverServer(sim, Transport(sim, Network(sim).host("server")), "server", resolvers=registry)
+    urn = put_items(server)
+    invoke(server, urn, "add", "a", request_id="w/0")
+    resolved = server._on_export(
+        {"urn": urn, "base_version": 1, "data": {"items": ["b"]}, "request_id": "x/0"}, SRC
+    )
+    assert resolved["status"] == "resolved"
+    invoke(server, urn, "add", "c", request_id="w/1")
+    assert server.get_object(urn).data == {"items": ["a", "b", "c"]}
+    assert resolved["value"] == {"items": ["a", "b"]}
+    server2 = RoverServer(sim, Transport(sim, Network(sim).host("other")), "server")
+    urn = put_items(server2)
+    invoke(server2, urn, "add", "a", request_id="w/0")
+    conflict = server2._on_export(
+        {"urn": urn, "base_version": 0, "data": {"items": []}, "request_id": "x/0"}, SRC
+    )
+    assert conflict["status"] == "conflict"
+    invoke(server2, urn, "add", "b", request_id="w/1")
+    assert conflict["conflict"]["server_value"] == {"items": ["a"]}
+
+
+# -- the interface table -------------------------------------------------------
+
+
+def test_each_distinct_interface_is_decoded_once(server, monkeypatch):
+    decoded = []
+    real = RDOInterface.from_wire
+
+    def counting(wire):
+        decoded.append(wire)
+        return real(wire)
+
+    monkeypatch.setattr(RDOInterface, "from_wire", staticmethod(counting))
+    # Two objects of one class: two interface wires, equal content.
+    same = [put_items(server, f"items/{n}") for n in range(2)]
+    other = put_items(server, "items/other", doc="another class")
+    for urn in same + same:
+        invoke(server, urn, "items", request_id=None)
+    assert len(decoded) == 1
+    table = dict(server._interfaces)
+    invoke(server, other, "items", request_id=None)
+    assert len(decoded) == 2
+    (first,) = table.values()
+    second = next(i for i in server._interfaces.values() if i is not first)
+    assert second["add"].doc == "another class" and first["add"].doc == ""
+    invoke(server, same[0], "items", request_id=None)
+    assert len(decoded) == 2 and server.interface_evictions == 0
+
+
+def evicted(server, name):
+    return server.obs.registry.get(name).labels(authority="server").value
+
+
+def test_each_bounded_table_counts_its_evictions_in_the_registry(server, monkeypatch):
+    from repro.core.interpreter import SafeInterpreter
+
+    monkeypatch.setattr(SafeInterpreter, "CODE_CACHE_MAX", 2)
+    urns = [put_items(server, f"items/{n}", doc=f"class {n}") for n in range(3)]
+    for urn in urns:
+        invoke(server, urn, "items", request_id=None)
+    assert server.interface_evictions == 1
+    assert evicted(server, "rdo_interfaces_evicted_total") == 1.0
+    # Two new sources fill both of the interpreter's tables whatever they
+    # held; from then on every new source evicts one entry from each.
+    sources = [f"def main():\n    return {n}\n" for n in range(5)]
+    interpreter = server.interpreter
+    for n, source in enumerate(sources):
+        if n == 2:
+            before = (interpreter.code_cache_evictions, interpreter.verdict_evictions)
+        assert interpreter.verify(source) == []
+        interpreter.load(source)
+    assert evicted(server, "rdo_code_cache_evicted_total") == before[0] + 3
+    assert evicted(server, "rdo_verdicts_evicted_total") == before[1] + 3

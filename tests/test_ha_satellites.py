@@ -14,6 +14,7 @@ import pytest
 
 from repro.chaos import ChaosController
 from repro.check.scenarios import HAReadScenario, make_box
+from repro.core.rdo import MethodSpec, RDOInterface
 from repro.check.seam import SwitchablePolicy
 from repro.ha import build_ha_testbed
 from repro.ha.group import LOG_CAP, SHIP_BATCH, ReplicaSet
@@ -461,6 +462,31 @@ class TestReadPath:
         rdo = imported.wait(bed.sim)
         assert rdo.data == primary.server._base_data(urn, rdo.version) == {"items": ["a"]}
         assert reader.cache.lookup(urn).rdo.data == {"items": ["a"]}
+
+    def test_a_gated_write_reply_ships_the_result_it_had(self):
+        """A write's reply waits for its quorum as the method returned
+        it; a method that returns part of its state returns it by
+        reference, and a later write changes that part in place."""
+        bed = build_ha_testbed(n_backups=2, n_clients=2)
+        box = make_box(bed.authority, "check/stack")
+        box.code += "\ndef push(state, item):\n    state['items'].append(item)\n    return state['items']\n"
+        box.interface = RDOInterface([*box.interface.values(), MethodSpec("push", mutates=True)])
+        bed.put_object(box)
+        urn = str(box.urn)
+        first, second = (stack.access for stack in bed.clients)
+        primary = bed.group.primary_agent()
+        calls, real = intercept(primary, hold=("rover.ha.replicate",))
+        pushed = first.invoke_remote(urn, "push", ["a"])
+        bed.sim.run(until=bed.sim.now + 0.5)
+        overtaking = second.invoke_remote(urn, "push", ["b"])
+        bed.sim.run(until=bed.sim.now + 0.5)
+        assert primary.seq == 2 and not pushed.ready and not overtaking.ready
+        primary.transport.call = real
+        for service, _body, (args, kwargs) in calls:
+            if service == "rover.ha.replicate":
+                real(*args, **kwargs)
+        assert pushed.wait(bed.sim) == ["a"]
+        assert overtaking.wait(bed.sim) == ["a", "b"]
 
     @pytest.mark.parametrize("kind", sorted(READERS))
     def test_a_zombie_whose_lease_lapsed_does_not_answer(self, kind):

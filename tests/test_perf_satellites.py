@@ -97,7 +97,7 @@ def test_lru_cap_backstops_the_applied_cache():
 
 def test_watermark_ignores_other_clients_ids():
     bed = build_testbed(link_spec=ETHERNET_10M)
-    bed.server._applied["other-host+1/5"] = {"status": "ok"}
+    bed.server._record_reply("other-host+1/5", ("other-host+1", 5), {"status": "ok"})
     bed.server._observe_watermark({"ackw": ["client+1", 100]})
     assert "other-host+1/5" in bed.server._applied
 
@@ -106,7 +106,7 @@ def test_stale_watermark_does_not_regress():
     bed = build_testbed(link_spec=ETHERNET_10M)
     server = bed.server
     server._observe_watermark({"ackw": ["client+1", 50]})
-    server._applied["client+1/10"] = {"status": "ok"}
+    server._record_reply("client+1/10", ("client+1", 10), {"status": "ok"})
     # A reordered older envelope must not resurrect pruning state.
     server._observe_watermark({"ackw": ["client+1", 5]})
     assert "client+1/10" in server._applied

@@ -200,6 +200,53 @@ def test_a_result_the_codec_cannot_carry_fails_the_call_and_the_server_serves_on
     assert after.wait(bed.sim) == "next"
 
 
+#: Interface wires a store can receive whole (an HA sync's subset, a
+#: restore), and what invoking ``length``, ``set_text("x")`` and
+#: ``length`` again (the interface table's answer) on a note carrying
+#: one answers: the server decodes them, or refuses them with the error
+#: the interface's own decoder raises, on every invoke.
+_NOT_HASHABLE = ("failed", "TypeError: unhashable type: 'list'")
+_SHORT_ENTRY = ("failed", "ValueError: not enough values to unpack (expected 3, got 2)")
+_DECODED = [("ok", 5), ("ok", "x"), ("ok", 1)]
+HOSTILE_INTERFACES = {
+    "unhashable-name": ([[["set_text"], True, ""], ["length", False, ""]], [_NOT_HASHABLE] * 3),
+    "int-name": (
+        [[5, True, ""], ["length", False, ""]],
+        [
+            ("ok", 5),
+            ("failed", "RDOError: urn:rover:server/notes/n1: method 'set_text' not in interface"),
+            ("ok", 5),
+        ],
+    ),
+    "unhashable-doc": ([["set_text", True, ["d"]], ["length", False, {"k": 1}]], _DECODED),
+    "non-string-doc": ([["set_text", True, 7], ["length", False, None]], _DECODED),
+    "short-entry": ([["set_text", True], ["length", False, ""]], [_SHORT_ENTRY] * 3),
+    "not-a-list": (5, [("failed", "TypeError: 'int' object is not iterable")] * 3),
+}
+
+
+@pytest.mark.parametrize("name", list(HOSTILE_INTERFACES))
+def test_an_interface_wire_decodes_or_is_refused_at_each_invoke(name):
+    interface, expected = HOSTILE_INTERFACES[name]
+    bed = build_testbed()
+    note = make_note()
+    bed.server.put_object(note)
+    urn = str(note.urn)
+    wire, version = bed.server.store.get(urn)
+    bed.server.merge_subset({"store": {urn: [dict(wire, interface=interface), version]}}, [])
+    outcomes = []
+    for method, args in (("length", []), ("set_text", ["x"]), ("length", [])):
+        promise = bed.access.invoke_remote(urn, method, args)
+        promise.on_failure(lambda reason: outcomes.append(("failed", reason)))
+        promise.then(lambda result: outcomes.append(("ok", result)))
+        done = len(outcomes) + 1
+        bed.sim.run_until(lambda: len(outcomes) == done, timeout=3_600.0)
+    assert outcomes == expected
+    # An import ships the wire as it is stored.
+    reply = bed.server._on_import({"urn": urn}, ("client", 0))
+    assert reply["rdo"]["interface"] == interface
+
+
 def test_a_coalesced_member_the_codec_cannot_carry_fails_alone():
     sim = Simulator()
     net = Network(sim)

@@ -12,7 +12,8 @@ sample, taken under cProfile, so it reports and gates nothing::
 
 ``--top N`` then prints the N functions with the most Python calls per
 op, read from the profiler that counted the line above (so the ledger
-and the line agree exactly), most first::
+and the line agree exactly), most first; a dataclass's generated
+``__init__`` is named by its class::
 
     PYTHONHASHSEED=0 PYTHONPATH=src:. python tools/calls.py mail_slowlink --top 20
 """
@@ -26,6 +27,7 @@ import os
 import resource
 import sys
 import time
+import types
 
 _STARTED = time.time()
 
@@ -55,16 +57,32 @@ class _KeptProfiler:
         return self.made
 
 
+def label(code) -> str:
+    """``file:line(qualname)`` of a profiled function.
+
+    Code made by ``exec`` (file ``<string>``: every dataclass's generated
+    ``__init__``, ``__eq__`` ...) has one qualname for all its classes,
+    ``__create_fn__.<locals>.__init__``; it is named instead by the
+    function that holds it, module and class included.
+    """
+    name = code.co_qualname
+    if code.co_filename == "<string>":
+        for holder in gc.get_referrers(code):
+            if isinstance(holder, types.FunctionType) and holder.__code__ is code:
+                name = f"{holder.__module__}.{holder.__qualname__}"
+                break
+    return f"{os.path.relpath(code.co_filename)}:{code.co_firstlineno}({name})"
+
+
 def top_functions(profiler, calls_per_op: float, count: int) -> list:
     """(calls per op, function) for the ``count`` most-called functions."""
     calls = {}
     for entry in profiler.getstats():
-        code = entry.code
-        label = f"{os.path.relpath(code.co_filename)}:{code.co_firstlineno}({code.co_qualname})"
-        calls[label] = calls.get(label, 0) + entry.callcount
+        name = label(entry.code)
+        calls[name] = calls.get(name, 0) + entry.callcount
     scale = calls_per_op / sum(calls.values())
     ranked = sorted(calls.items(), key=lambda item: (-item[1], item[0]))
-    return [(n * scale, label) for label, n in ranked[:count]]
+    return [(n * scale, name) for name, n in ranked[:count]]
 
 
 def main(argv: list) -> int:
@@ -87,8 +105,9 @@ def main(argv: list) -> int:
         f"{args.workload} {calls_per_op}"
         f" setup_s={setup_end.at - _STARTED:.2f} peak_rss_mb={peak_rss_mb:.1f}"
     )
-    for per_op, label in top_functions(kept.made, calls_per_op, args.top):
-        print(f"{per_op:10.3f}  {label}")
+    if args.top:
+        for per_op, name in top_functions(kept.made, calls_per_op, args.top):
+            print(f"{per_op:10.3f}  {name}")
     return 0
 
 
