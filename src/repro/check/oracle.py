@@ -19,6 +19,7 @@ from repro.chaos.invariants import (
     check_logs_drained,
     check_no_orphan_tentative,
 )
+from repro.net.message import marshal
 
 
 def check_sequential_append(
@@ -103,6 +104,28 @@ def check_linearizable_reads(reads: list[dict], final_items: list) -> list[str]:
             violations.append(f"read {index} ({client}) lost {went_back} an earlier read held")
         last[client] = held
     return violations
+
+
+def check_replicas_agree(servers: list[Any], now: float) -> list[str]:
+    """Once every acknowledged write has quiesced, the live members of a
+    replication group hold one state: equal state vectors, committer
+    indexes and lock tables.  A lease past its expiry counts as absent
+    (the primary sweeps it on its own heartbeat; no record ships that)."""
+
+    def held(server: Any) -> tuple:
+        committed = server._committed_replies
+        return (
+            server.state_vector(),
+            marshal(sorted([urn, [*index.items()]] for urn, index in committed.items())),
+            sorted([urn, *lease] for urn, lease in server._locks.items() if lease[1] > now),
+        )
+
+    views = [held(server) for server in servers]
+    return [
+        f"live members' {name} differ after quiescence"
+        for part, name in enumerate(("state vectors", "committer indexes", "lock tables"))
+        if any(view[part] != views[0][part] for view in views[1:])
+    ]
 
 
 def standard_checks(

@@ -956,7 +956,21 @@ class AccessManager:
             for promise, __ in waiters:
                 promise.reject(reply.get("status", "error"))
             return
-        rdo = RDO.from_wire(reply["rdo"])
+        try:
+            rdo = RDO.from_wire(reply["rdo"])
+        except (KeyError, TypeError, ValueError) as undecodable:
+            # A stored object this client cannot decode (an interface
+            # wire a sync or a restore installed): each waiter is told,
+            # and nothing is cached.  Registered at the first, so a
+            # manager that never sees one holds no family for it.
+            self.obs.registry.counter(
+                "import_replies_refused_total",
+                "Import replies whose object did not decode (each waiter refused)",
+                labelnames=("host",),
+            ).labels(host=self.host.name).inc()
+            for promise, __ in waiters:
+                promise.reject(f"undecodable-object: {type(undecodable).__name__}: {undecodable}")
+            return
         urn_str = str(rdo.urn)
         session = self.sessions.get(request.session_id) if request.session_id else None
         if session is not None and not session.acceptable(urn_str, rdo.version):

@@ -89,6 +89,8 @@ class _AppliedReplies:
         #: request id -> (reply, its ``_split_request_id``)
         self._replies: OrderedDict[str, tuple[dict, _Split]] = OrderedDict()
         self._by_client: dict[str, list[tuple[int, str]]] = {}
+        #: Replies put so far (:meth:`RoverServer.write_set` reads it).
+        self.puts = 0
 
     def __len__(self) -> int:
         return len(self._replies)
@@ -110,6 +112,7 @@ class _AppliedReplies:
         then drop the least recently used beyond ``cap``; returns how
         many were dropped."""
         replies = self._replies
+        self.puts += 1
         cached = replies.get(request_id)
         if cached is None:
             if split is not None:
@@ -208,6 +211,9 @@ class RoverServer:
         self.applied_pruned = 0
         #: Highest watermark seen per client id-prefix.
         self._client_watermarks: dict[str, int] = {}
+        #: How many times one of them rose (:meth:`write_set` reads it
+        #: across a request).
+        self.watermarks_moved = 0
         #: ``repr`` of an interface wire -> its decoded interface
         #: (:meth:`_decode_interface`): an invoke runs on the stored
         #: object, and each distinct interface is decoded once.  Shared
@@ -239,11 +245,6 @@ class RoverServer:
         self.locks_granted = 0
         self.locks_denied = 0
         self.locks_expired = 0
-        #: Lease clock override used by :mod:`repro.ha` while applying
-        #: a replicated record: lock grants and expiries must evaluate
-        #: against the *primary's* execution time, not the (later)
-        #: backup apply time, or replicas would diverge on lease edges.
-        self._apply_now: Optional[float] = None
         transport.register("rover.lock", self._on_lock)
         transport.register("rover.unlock", self._on_unlock)
         # Metrics: live views over the plain instance counters above.
@@ -298,13 +299,6 @@ class RoverServer:
             self.obs.registry.counter(
                 name, help_text, labelnames=("authority",)
             ).labels(authority=authority).set_function(read)
-
-    # -- lease clock ---------------------------------------------------------
-
-    def now(self) -> float:
-        """The lease clock: sim time, or the replicated record's
-        execution time while :mod:`repro.ha` applies it on a backup."""
-        return self.sim.now if self._apply_now is None else self._apply_now
 
     # -- population ---------------------------------------------------------
 
@@ -405,35 +399,188 @@ class RoverServer:
             )
         )
 
-    def merge_subset(self, subset: dict, deletions: Iterable[str]) -> None:
-        """Adopt a peer's :meth:`subset_snapshot`, dropping ``deletions``.
+    def sync_answer(self, theirs: dict) -> dict:
+        """What a member whose :meth:`state_vector` is ``theirs`` needs to
+        hold what this one does, as :meth:`merge_subset` takes it: the
+        objects that differ, the ones to delete, and the lock table."""
+        mine = self.state_vector()
+        return {
+            "subset": self.subset_snapshot(
+                urn for urn, signature in mine.items() if theirs.get(urn) != signature
+            ),
+            "deletions": sorted(urn for urn in theirs if urn not in mine),
+            "locks": sorted([urn, *lease] for urn, lease in self._locks.items()),
+        }
 
-        Used when a crashed (or deposed) replica rejoins: the primary's
-        copy of every differing object wins wholesale — including its
-        committed-reply index, so at-most-once survives the takeover —
-        and objects the primary no longer holds are deleted.  The
-        volatile applied cache is cleared: it may describe a divergent
-        history that never reached quorum.
+    def merge_subset(
+        self, subset: dict, deletions: Iterable[str], locks: Optional[list] = None
+    ) -> None:
+        """Adopt a peer's :meth:`subset_snapshot`, dropping ``deletions``
+        and, given its ``locks`` (``[urn, holder, expires]`` each), taking
+        its lock table.
+
+        Used when a crashed (or deposed) replica rejoins: each differing
+        object is installed as the primary holds it (:meth:`install`),
+        its version history and committer index included -- this
+        member's own index may name writes that never reached a quorum:
+        replayed from it, the primary's record of the same request would
+        never apply here -- and objects the primary no longer holds are
+        deleted.  The volatile applied cache is cleared: it may describe
+        a divergent history that never reached quorum.
         """
-        merged = self.store.snapshot()
         for urn in sorted(set(deletions)):
-            merged.pop(urn, None)
+            self.store.delete(urn)
             self._history.pop(urn, None)
             self._committed_replies.pop(urn, None)
-        for urn, entry in subset.get("store", {}).items():
-            merged[urn] = (entry[0], entry[1])
-            # This member's own committer index may name writes that
-            # never reached a quorum: replayed from it, the primary's
-            # record of the same request would never apply here.
-            self._committed_replies.pop(urn, None)
-        self.store.restore(merged)
-        for urn, entries in subset.get("history", {}).items():
-            self._history[urn] = [(version, data) for version, data in entries]
-        for urn, entries in subset.get("committed_replies", {}).items():
-            self._committed_replies[urn] = OrderedDict(
-                (request_id, reply) for request_id, reply in entries
-            )
+        histories = subset.get("history", {})
+        committed = subset.get("committed_replies", {})
+        for urn, (wire, version) in subset.get("store", {}).items():
+            if self.install(urn, version, wire["data"], committed.get(urn, ()), wire=wire):
+                self._history[urn][:0] = [
+                    (older, data) for older, data in histories.get(urn, ()) if older < version
+                ]
+        if locks is not None:
+            self._locks = {urn: (holder, float(expires)) for urn, holder, expires in locks}
         self._applied.clear()
+
+    # -- primary-backup replication (repro.ha) ------------------------------
+
+    def write_mark(self, urn: Any) -> tuple:
+        """Where :meth:`write_set` measures a request's writes from:
+        ``urn``'s newest version-history entry, its lease, how many
+        watermarks have moved and how many replies were kept."""
+        moved, kept = self.watermarks_moved, self._applied.puts
+        if type(urn) is not str:
+            return None, None, moved, kept
+        history = self._history.get(urn)
+        return history[-1] if history else None, self._locks.get(urn), moved, kept
+
+    def write_set(self, urn: Any, mark: tuple, body: Any) -> dict:
+        """What a request that ran since :meth:`write_mark` gave ``mark``
+        wrote here, for a backup to :meth:`install_write`.
+
+        ``{}`` when it wrote nothing.  Otherwise ``urn``'s new
+        ``version`` and ``data`` -- the version history's private copy,
+        which is never mutated, so the set holds no live store data and
+        costs no copy -- with the committer-index entry that came with it
+        (``request_id``, ``reply``); without a new version, the reply the
+        at-most-once cache kept (a conflict, ``locked``: a late duplicate
+        of that request must get it from a promoted backup too, not run
+        again); ``lock``, the URN's lease as ``[holder, expires]`` or
+        None, if it changed; and the envelope's ``ackw`` if it moved a
+        watermark (a promoted backup keeps the duplicate floor).  Read
+        from what the handler stored, never from its reply: a reply from
+        the at-most-once cache or the committer index names a version
+        written long ago.
+        """
+        top, lease, moved, kept = mark
+        write: dict = {}
+        if type(urn) is str:
+            history = self._history.get(urn)
+            request_id = body.get("request_id")
+            if history and history[-1] is not top:
+                version, data = history[-1]
+                write = {"urn": urn, "version": version, "data": data}
+                reply = self._committed_replies.get(urn, {}).get(request_id)
+                if reply is not None:
+                    write["request_id"], write["reply"] = request_id, reply
+            elif self._applied.puts != kept:
+                recorded = self._applied._replies.get(request_id)
+                if recorded is not None:
+                    write = {"request_id": request_id, "reply": recorded[0]}
+            held = self._locks.get(urn)
+            if held != lease:
+                write["urn"], write["lock"] = urn, list(held) if held else None
+        if self.watermarks_moved != moved:
+            write["ackw"] = body["ackw"]
+        return write
+
+    def install_write(self, write: Any) -> bool:
+        """Install a :meth:`write_set` shipped by the primary.  False,
+        with nothing changed, when it is not a well-formed write set or
+        its version does not follow the one held (:meth:`install`)."""
+        if not isinstance(write, dict):
+            return False
+        urn, lock, ackw = write.get("urn"), write.get("lock"), write.get("ackw")
+        request_id = write.get("request_id")
+        if (
+            ("version" in write or "lock" in write) and type(urn) is not str
+            or lock is not None and not (
+                type(lock) is list and len(lock) == 2
+                and type(lock[0]) is str and type(lock[1]) in (int, float)
+            )
+            or ackw is not None and not (
+                type(ackw) is list and len(ackw) == 2
+                and type(ackw[0]) is str and type(ackw[1]) is int
+            )
+            or request_id is not None and not (
+                type(request_id) is str and type(write.get("reply")) is dict
+            )
+        ):
+            return False
+        if "version" in write:
+            if not self.install(
+                urn, write["version"], write.get("data"),
+                [(request_id, write["reply"])] if request_id is not None else (),
+            ):
+                return False
+        elif request_id is not None:
+            self._record_reply(request_id, _split_request_id(request_id), write["reply"])
+        if lock is not None:
+            self._locks[urn] = (lock[0], float(lock[1]))
+        elif "lock" in write:
+            self._locks.pop(urn, None)
+        if ackw is not None and self._client_watermarks.get(ackw[0], -1) < ackw[1]:
+            # The duplicate floor alone: a member that runs no handler
+            # caches no reply, so there is nothing below it to prune.
+            self._client_watermarks[ackw[0]] = ackw[1]
+        return True
+
+    def install(
+        self,
+        urn: str,
+        version: int,
+        data: Any,
+        committed: Iterable[tuple[str, dict]] = (),
+        wire: Optional[dict] = None,
+    ) -> bool:
+        """Store version ``version`` of ``urn``, holding ``data``, as the
+        primary wrote it: the one way a member takes a write it did not
+        run, from a shipped record or an anti-entropy answer.
+
+        ``data`` is handed over (decoded off the wire, shared with
+        nothing): the store keeps it and the version history a private
+        copy; ``committed`` holds the ``(request id, reply)``
+        committer-index entries the version brings.  A record passes no
+        ``wire``: the object must be held here at the version before, and
+        keeps its code and interface (they are fixed per URN).
+        Anti-entropy passes the primary's ``wire``, which replaces
+        whatever this member held of the object, version history and
+        committer index included.  False, with nothing changed, when a
+        record's version does not follow the one held or ``data`` does
+        not encode.
+        """
+        held = self.store.entry(urn)
+        replace = wire is not None
+        if not replace:
+            if held is None or held[1] + 1 != version:
+                return False
+            wire = held[0]
+        try:
+            raw = marshal(data)
+        except MarshalError:
+            return False
+        if replace:
+            self._history.pop(urn, None)
+            self._committed_replies.pop(urn, None)
+        stored = dict(wire)
+        stored["data"] = data
+        stored["version"] = version
+        self.store.set(urn, stored, version)
+        self._remember(urn, version, data, raw=raw)
+        for request_id, reply in committed:
+            self._remember_committed(urn, request_id, reply)
+        return True
 
     def get_object(self, urn: str) -> Optional[RDO]:
         entry = self.store.entry(urn)
@@ -525,6 +672,7 @@ class RoverServer:
         if self._client_watermarks.get(prefix, -1) >= watermark:
             return
         self._client_watermarks[prefix] = watermark
+        self.watermarks_moved += 1
         self.applied_pruned += self._applied.prune_below(prefix, watermark)
 
     def _authorized(self, body: Any) -> bool:
@@ -719,9 +867,10 @@ class RoverServer:
             raise RDOError(f"{urn}: method {method!r} not in interface")
         code = wire.get("code", "")
         # An environment for this request alone, never one kept across
-        # requests: a backup re-runs each write, and state a method left
-        # in its environment (a mutable default argument) would make that
-        # run differ from the primary's.
+        # requests: state a method left in its environment (a mutable
+        # default argument) would leak into the next object of its class,
+        # and vanish at a restart or a failover (a promoted backup never
+        # ran the method), so one answer would depend on who ran what before.
         functions = self.interpreter.load(code) if code else {}
         data = wire["data"]
         try:
@@ -836,7 +985,7 @@ class RoverServer:
         if entry is None:
             return None
         holder, expires = entry
-        if self.now() >= expires:
+        if self.sim.now >= expires:
             del self._locks[urn]
             self.locks_expired += 1
             self._m_locks_expired.inc()
@@ -855,7 +1004,7 @@ class RoverServer:
         expired = [
             urn
             for urn, (_holder, expires) in sorted(self._locks.items())
-            if self.now() >= expires
+            if self.sim.now >= expires
         ]
         for urn in expired:
             del self._locks[urn]
@@ -891,7 +1040,7 @@ class RoverServer:
         if holder is not None and holder != session:
             self.locks_denied += 1
             return {"status": "locked", "holder": holder}
-        self._locks[urn] = (session, self.now() + lease_s)
+        self._locks[urn] = (session, self.sim.now + lease_s)
         self.locks_granted += 1
         return {"status": "ok", "expires_in_s": lease_s}
 

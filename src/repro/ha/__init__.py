@@ -2,9 +2,9 @@
 
 A :class:`ReplicationGroup` turns one Rover authority into a primary
 plus K backup :class:`~repro.core.server.RoverServer` instances.  The
-primary synchronously log-ships every committed mutating operation to
-its backups and acknowledges the client only once a majority of the
-group holds the record; lease-based failure detection promotes a
+primary synchronously log-ships what each write stored (not the
+request: the backups install it and run no handler) and acknowledges
+the client only once a majority of the group holds the record; lease-based failure detection promotes a
 backup deterministically when the primary goes silent; monotonic
 epoch numbers fence a deposed primary's replies and ship-backs; and a
 crashed ex-primary rejoins as a backup through version-vector

@@ -8,29 +8,33 @@ import, a list, a ship, a subscription, or an invoke of a method its
 interface declares read-only -- is a read; everything else is a write.
 
 * **Writes** -- exports, locks, mutating invokes, and an invoke
-  answered from a reply cache -- are executed locally, appended to an
-  in-memory operation record log, and shipped to the backups; the
-  client's reply is withheld (via
-  :class:`~repro.net.transport.AsyncReply`) until a majority of the
-  group holds the record.  Backups re-execute shipped records through
-  the very same server handlers (state-machine replication; sound
-  because the handlers live under the replay-pure effect contract),
-  with the server's lease clock pinned to the primary's execution time
-  so lock-lease decisions replay identically.
-* **Reads** run on the primary alone: no record, no ship, no
-  re-execution.  The reply waits until every record through the
-  primary's ``seq`` is on a quorum (a read never shows what a failover
-  could lose), and is given only under the primary's *lease*: a quorum
-  of peers acked a frame it sent at ``t`` with ``now <= t + lease_s``.
-  Each such peer had granted no newer epoch when the frame came (it
-  would have refused it) nor was standing for one (it acks with that
-  epoch, which confirms nothing), and answers ``heard`` to every
-  election poll, and stands for none, until at least ``t + lease_s``;
-  every election majority overlaps that quorum, so no other primary
-  exists yet.  Without the lease (just after a promotion, on a zombie)
-  the read waits for a quorum to ack a heartbeat sent at or after it
-  ran.  Confirmations belong to one reign.  A subscription is a read
-  too: the table it joins is the member's own and is not replicated.
+  answered from a reply cache -- run on the primary alone.  What one
+  wrote there (:meth:`RoverServer.write_set`: the object's new version
+  and data, its committer-index entry, the lease, the client's
+  watermark; for a write that changed nothing, at most the reply its
+  at-most-once cache kept) is appended to
+  an in-memory record log and shipped to the backups; the client's
+  reply is withheld (via :class:`~repro.net.transport.AsyncReply`)
+  until a majority of the group holds the record.  This is
+  primary-backup replication, not state-machine replication: a backup
+  installs the values the primary wrote (:meth:`RoverServer.install`,
+  the path anti-entropy takes too) and runs no handler, so no clock is
+  pinned and no re-run can differ.  A record a backup cannot install
+  is refused with nothing changed, counted, and healed by anti-entropy.
+* **Reads** run on the primary alone: no record, no ship.  The reply
+  waits until every record through the primary's ``seq`` is on a
+  quorum (a read never shows what a failover could lose), and is given
+  only under the primary's *lease*: a quorum of peers acked a frame it
+  sent at ``t`` with ``now <= t + lease_s``.  Each such peer had
+  granted no newer epoch when the frame came (it would have refused
+  it) nor was standing for one (it acks with that epoch, which
+  confirms nothing), and answers ``heard`` to every election poll, and
+  stands for none, until at least ``t + lease_s``; every election
+  majority overlaps that quorum, so no other primary exists yet.
+  Without the lease (just after a promotion, on a zombie) the read
+  waits for a quorum to ack a heartbeat sent at or after it ran.
+  Confirmations belong to one reign.  A subscription is a read too:
+  the table it joins is the member's own and is not replicated.
 
 Failure handling:
 
@@ -49,8 +53,8 @@ Failure handling:
 * **Anti-entropy rejoin** -- a restarted or deposed member sends its
   per-urn ``[version, crc32]`` state vector to the current primary,
   which answers with exactly the differing objects (plus deletions and
-  the live lock table); the joiner adopts them wholesale and resumes
-  as a backup at the primary's sequence number.
+  the live lock table); the joiner installs them and resumes as a
+  backup at the primary's sequence number.
 """
 
 from __future__ import annotations
@@ -259,15 +263,8 @@ class ReplicaAgent:
     """One member's replication logic, shimmed over its transport."""
 
     def __init__(
-        self,
-        sim: Simulator,
-        server: RoverServer,
-        transport: Transport,
-        group: "ReplicationGroup",
-        index: int,
-        lease_s: float,
-        heartbeat_s: float,
-        seed: int = 0,
+        self, sim: Simulator, server: RoverServer, transport: Transport,
+        group: "ReplicationGroup", index: int, lease_s: float, heartbeat_s: float, seed: int,
     ) -> None:
         self.sim = sim
         self.server = server
@@ -303,7 +300,8 @@ class ReplicaAgent:
         #: Commit seq advertised by the primary (backup-side lag view).
         self._primary_seq = 0
         #: Peer cursors, populated by the group after every member
-        #: exists: [{name, host, acked_seq, inflight, attempts}].
+        #: exists: [{index, host, acked_seq, confirmed, probe, inflight,
+        #: attempts}].
         self.peers: list[dict] = []
         #: Backup acks needed before a client reply may complete (a
         #: majority, less the primary itself); set with the peers.
@@ -322,33 +320,26 @@ class ReplicaAgent:
         self._syncing = False
         self._crashed = False
         self._incarnation = 0
-        #: Original (server-registered) handlers, keyed by service.
-        #: Called through this table on both the primary's execute path
-        #: and the backup's apply path.
+        #: Original (server-registered) handlers, keyed by service: the
+        #: primary runs a client's request through this table.
         self._inner: dict[str, Callable[[Any, Address], Any]] = {}
 
         registry = server.obs.registry
         labels = {"authority": server.authority, "host": self.host.name}
-        self._m_shipped = registry.counter(
-            "ha_records_shipped_total",
-            "Replication records acknowledged by this backup",
-            labelnames=("authority", "host"),
-        ).labels(**labels)
-        self._m_applied = registry.counter(
-            "ha_records_applied_total",
-            "Replication records applied on this member",
-            labelnames=("authority", "host"),
-        ).labels(**labels)
+        self._m_shipped, self._m_applied, self._m_refused, self._m_stale = (
+            registry.counter(name, help_text, labelnames=("authority", "host")).labels(**labels)
+            for name, help_text in (
+                ("ha_records_shipped_total", "Replication records acknowledged by this backup"),
+                ("ha_records_applied_total", "Replication records installed on this member"),
+                ("ha_records_refused_total",
+                 "Replication records a backup could not install (left to anti-entropy)"),
+                ("ha_stale_epoch_rejected_total",
+                 "Frames and replies rejected for carrying a stale epoch"),
+            )
+        )
         self._m_failovers = registry.counter(
-            "ha_failovers_total",
-            "Backup promotions to primary",
-            labelnames=("authority",),
+            "ha_failovers_total", "Backup promotions to primary", labelnames=("authority",)
         ).labels(authority=server.authority)
-        self._m_stale = registry.counter(
-            "ha_stale_epoch_rejected_total",
-            "Frames and replies rejected for carrying a stale epoch",
-            labelnames=("authority", "host"),
-        ).labels(**labels)
         registry.gauge(
             "ha_replication_lag",
             "Records this member trails the primary's commit seq by",
@@ -381,9 +372,7 @@ class ReplicaAgent:
         incarnation = self._incarnation
         # Stagger the first tick per member so election checks have a
         # canonical order even when every lease expires the same instant.
-        self.sim.schedule(
-            self.heartbeat_s + 0.01 * self.index, self._tick, incarnation
-        )
+        self.sim.schedule(self.heartbeat_s + 0.01 * self.index, self._tick, incarnation)
 
     def _alive(self, incarnation: int) -> bool:
         return incarnation == self._incarnation and not self._crashed
@@ -398,15 +387,25 @@ class ReplicaAgent:
         tell — itself, or one heard from within the lease?  One answer
         for the candidate that polls and the client that is fenced: a
         lapsed lease is no hint."""
-        return (
-            self.role == "primary"
-            or (self.sim.now - self.last_heard) <= self.lease_s
-        )
+        return self.role == "primary" or self.sim.now - self.last_heard <= self.lease_s
+
+    def _call(
+        self, peer_host: Host, service: str, body: dict,
+        on_reply: Callable[[Any], None], on_error: Callable[[RpcError], None], timeout: float,
+    ) -> bool:
+        """Call ``service`` on a peer.  With no route to it right now,
+        ``on_error`` runs at once and the answer is False."""
+        try:
+            self.transport.call(
+                peer_host, service, body, on_reply=on_reply, on_error=on_error, timeout=timeout
+            )
+        except RpcError as no_route:
+            on_error(no_route)
+            return False
+        return True
 
     def _backoff(self, attempts: int) -> float:
-        ceiling = min(
-            4.0 * self.heartbeat_s, self.heartbeat_s * (2 ** max(0, attempts - 1))
-        )
+        ceiling = min(4.0 * self.heartbeat_s, self.heartbeat_s * (2 ** max(0, attempts - 1)))
         return ceiling * (0.5 + 0.5 * self.rng.random())
 
     # -- client-facing funnel -----------------------------------------------
@@ -424,23 +423,21 @@ class ReplicaAgent:
         inner = self._inner.get(service)
         if inner is None:
             return {"error": f"unknown service {service!r}"}
-        at = self.sim.now
-        reads = self.server.reads_served
+        server = self.server
+        reads = server.reads_served
+        urn = body.get("urn") if isinstance(body, dict) else None
+        mark = server.write_mark(urn)
         stamped = inner(body, source)
         if isinstance(stamped, DelayedReply):  # the handler's own, made for this call
             stamped.body = self._stamp(stamped.body)
         else:
             stamped = self._stamp(stamped)
-        if self.server.reads_served != reads:
+        if server.reads_served != reads:
             return self._serve_read(stamped)
-        record = {
-            "seq": self.seq + 1,
-            "epoch": self.epoch,
-            "service": service,
-            "body": body,
-            "at": at,
-            "src": source[0],
-        }
+        # Every write takes a seq, one that changed nothing too: the
+        # quorum gate releases its reply by it.
+        write = server.write_set(urn, mark, body)
+        record = {"seq": self.seq + 1, "epoch": self.epoch, "write": write}
         self.seq = record["seq"]
         self.log.append(record)
         if len(self.log) > LOG_CAP:
@@ -457,8 +454,7 @@ class ReplicaAgent:
         return gate
 
     def _serve_read(self, stamped: Any) -> Any:
-        """Answer a read that already ran here: no record, no ship, no
-        re-execution on the backups.
+        """Answer a read that already ran here: no record, no ship.
 
         Its reply waits for every record through the current ``seq`` to
         reach a quorum (it may show their effects, which must survive a
@@ -618,10 +614,7 @@ class ReplicaAgent:
         incarnation = self._incarnation
         epoch, sent = self.epoch, self.sim.now
         body = {
-            "epoch": epoch,
-            "primary": self.host.name,
-            "records": records,
-            "commit_seq": self.seq,
+            "epoch": epoch, "primary": self.host.name, "records": records, "commit_seq": self.seq,
         }
         peer["inflight"] = True
         before = peer["acked_seq"]
@@ -651,14 +644,10 @@ class ReplicaAgent:
                 self._backoff(peer["attempts"]), self._retry_ship, peer, incarnation
             )
 
-        try:
+        try:  # not through _call: a ship is on every write's path
             self.transport.call(
-                peer["host"],
-                "rover.ha.replicate",
-                body,
-                on_reply=on_reply,
-                on_error=on_error,
-                timeout=4.0 * self.heartbeat_s,
+                peer["host"], "rover.ha.replicate", body,
+                on_reply=on_reply, on_error=on_error, timeout=4.0 * self.heartbeat_s,
             )
         except RpcError as no_route:
             on_error(no_route)
@@ -674,11 +663,7 @@ class ReplicaAgent:
         reply or error comes back in this incarnation."""
         incarnation = self._incarnation
         epoch, sent = self.epoch, self.sim.now
-        body = {
-            "epoch": epoch,
-            "primary": self.host.name,
-            "commit_seq": self.seq,
-        }
+        body = {"epoch": epoch, "primary": self.host.name, "commit_seq": self.seq}
 
         def on_reply(reply: Any) -> None:
             if not self._alive(incarnation):
@@ -688,19 +673,10 @@ class ReplicaAgent:
 
         def on_error(error: RpcError) -> None:
             if self._alive(incarnation):
-                answered()
+                answered()  # without a route, at once; the next tick retries
 
-        try:
-            self.transport.call(
-                peer["host"],
-                "rover.ha.heartbeat",
-                body,
-                on_reply=on_reply,
-                on_error=on_error,
-                timeout=2.0 * self.heartbeat_s,
-            )
-        except RpcError:
-            answered()  # no route to the peer right now; next tick retries
+        self._call(peer["host"], "rover.ha.heartbeat", body, on_reply, on_error,
+                   2.0 * self.heartbeat_s)
 
     def _note_peer_reply(
         self, peer: dict, reply: Any, epoch: int, sent: float
@@ -750,17 +726,8 @@ class ReplicaAgent:
         def on_error(error: RpcError) -> None:
             peer["inflight"] = False
 
-        try:
-            self.transport.call(
-                peer["host"],
-                "rover.ha.resync",
-                {"epoch": epoch, "primary": self.host.name},
-                on_reply=on_reply,
-                on_error=on_error,
-                timeout=2.0 * self.heartbeat_s,
-            )
-        except RpcError:
-            peer["inflight"] = False
+        self._call(peer["host"], "rover.ha.resync", {"epoch": epoch, "primary": self.host.name},
+                   on_reply, on_error, 2.0 * self.heartbeat_s)
 
     def _deposed(self, reply: dict) -> None:
         """A higher epoch exists: step down and reconcile."""
@@ -774,11 +741,12 @@ class ReplicaAgent:
         self._needs_sync = True
         self._start_sync()
 
-    # -- backup: apply + failure detection ------------------------------------
+    # -- backup: install + failure detection ----------------------------------
 
     def _on_replicate(self, body: Any, source: Address, gap: bool = False) -> Any:
-        """Apply the primary's records in sequence; a ``gap`` (in them,
-        or one the primary's log no longer covers) is for anti-entropy."""
+        """Install the primary's records in sequence; a ``gap`` (in them,
+        or one the primary's log no longer covers) and a record that
+        does not install here are for anti-entropy."""
         epoch = int(body.get("epoch", 0))
         verdict = self._observe_authority(epoch, str(body.get("primary", "")))
         if verdict is not None:
@@ -788,10 +756,9 @@ class ReplicaAgent:
             seq = int(record.get("seq", 0))
             if seq <= self.seq:
                 continue  # duplicate delivery
-            if seq != self.seq + 1:
-                gap = True  # missing prefix: only anti-entropy can heal
+            if seq != self.seq + 1 or not self._apply(record):
+                gap = True  # missing prefix or refused: only anti-entropy can heal
                 break
-            self._apply(record)
         if gap and not self._needs_sync:
             self._needs_sync = True
             self.sim.schedule(0.0, self._start_sync)
@@ -810,11 +777,7 @@ class ReplicaAgent:
         """
         if epoch < self.epoch or epoch < self._granted:
             self._m_stale.inc()
-            return {
-                "status": "stale-epoch",
-                "epoch": self.epoch,
-                "primary": self.primary_name,
-            }
+            return {"status": "stale-epoch", "epoch": self.epoch, "primary": self.primary_name}
         if epoch > self.epoch or self.primary_name != primary:
             was_primary = self.role == "primary"
             self.epoch = epoch
@@ -827,30 +790,18 @@ class ReplicaAgent:
         self.last_heard = self.sim.now
         return None
 
-    def _apply(self, record: dict) -> None:
-        """Re-execute one shipped record through the server's handler.
-
-        The lease clock is pinned to the record's primary-side
-        execution time for the duration, so lock grants and expiries
-        evaluate identically here and there.
-        """
-        inner = self._inner.get(record.get("service", ""))
-        if inner is not None:
-            self.server._apply_now = float(record.get("at", self.sim.now))
-            try:
-                inner(record.get("body"), (str(record.get("src", "")), 0))
-            except Exception:
-                # Divergent apply: record it by falling behind nothing —
-                # the state vector diff at the next anti-entropy round
-                # repairs whatever this left inconsistent.
-                pass
-            finally:
-                self.server._apply_now = None
+    def _apply(self, record: dict) -> bool:
+        """Install one shipped record's write set; refuse one that does
+        not install here (counted), with nothing changed."""
+        if not self.server.install_write(record.get("write")):
+            self._m_refused.inc()
+            return False
         self.seq = int(record["seq"])
         self.log.append(record)
         if len(self.log) > LOG_CAP:
             self._trim_log()
         self._m_applied.inc()
+        return True
 
     def _on_poll(self, body: Any, source: Address) -> Any:
         """Answer an election poll: rank, epoch, and freshness."""
@@ -916,26 +867,14 @@ class ReplicaAgent:
             if len(replies) == polled or self._wins(proposed, replies):
                 self._decide_election(proposed, replies, election)
 
+        poll = {"proposed": proposed, "seq": self.seq, "index": self.index,
+                "candidate": self.host.name}
         for agent in self.group.agents:
-            if agent is self:
-                continue
-            try:
-                self.transport.call(
-                    agent.host,
-                    "rover.ha.poll",
-                    {
-                        "proposed": proposed,
-                        "seq": self.seq,
-                        "index": self.index,
-                        "candidate": self.host.name,
-                    },
-                    on_reply=on_reply,
-                    on_error=lambda error: None,
-                    timeout=2.0 * self.heartbeat_s,
-                )
-            except RpcError:
-                continue
-            polled += 1
+            if agent is not self and self._call(
+                agent.host, "rover.ha.poll", poll, on_reply, lambda error: None,
+                2.0 * self.heartbeat_s,
+            ):
+                polled += 1
         self.sim.schedule(
             2.0 * self.heartbeat_s + 0.01,
             self._decide_election,
@@ -1010,12 +949,7 @@ class ReplicaAgent:
     # -- anti-entropy ----------------------------------------------------------
 
     def _start_sync(self) -> None:
-        if (
-            self._syncing
-            or self._crashed
-            or self.role == "primary"
-            or not self._needs_sync
-        ):
+        if self._syncing or self._crashed or self.role == "primary" or not self._needs_sync:
             return
         target = None
         for agent in self.group.agents:
@@ -1043,27 +977,14 @@ class ReplicaAgent:
         def on_error(error: RpcError) -> None:
             self._syncing = False  # the tick retries
 
-        try:
-            self.transport.call(
-                target,
-                "rover.ha.sync",
-                body,
-                on_reply=on_reply,
-                on_error=on_error,
-                timeout=4.0 * self.heartbeat_s,
-            )
-        except RpcError:
-            self._syncing = False
+        self._call(target, "rover.ha.sync", body, on_reply, on_error, 4.0 * self.heartbeat_s)
 
     def _adopt_sync(self, reply: dict) -> None:
-        """Install the primary's anti-entropy answer wholesale."""
+        """Install the primary's anti-entropy answer (its differing
+        objects and its lock table) and resume at its ``seq``."""
         self.server.merge_subset(
-            reply.get("subset", {}), reply.get("deletions", [])
+            reply.get("subset", {}), reply.get("deletions", []), reply.get("locks", [])
         )
-        self.server._locks = {
-            urn: (holder, float(expires))
-            for urn, holder, expires in reply.get("locks", [])
-        }
         self.seq = int(reply.get("seq", self.seq))
         self.base_seq = self.seq
         self.log = []
@@ -1076,25 +997,10 @@ class ReplicaAgent:
     def _on_sync(self, body: Any, source: Address) -> Any:
         """Serve an anti-entropy request (primary side)."""
         if self.role != "primary":
-            return {
-                "status": "not-primary",
-                "primary": self.primary_name,
-                "ha_epoch": self.epoch,
-            }
-        theirs = body.get("vector", {})
-        mine = self.server.state_vector()
-        differing = sorted(
-            urn for urn, signature in mine.items() if theirs.get(urn) != signature
-        )
-        deletions = sorted(urn for urn in theirs if urn not in mine)
+            return {"status": "not-primary", "primary": self.primary_name, "ha_epoch": self.epoch}
         return {
             "status": "ok",
-            "subset": self.server.subset_snapshot(differing),
-            "deletions": deletions,
-            "locks": sorted(
-                [urn, holder, expires]
-                for urn, (holder, expires) in self.server._locks.items()
-            ),
+            **self.server.sync_answer(body.get("vector", {})),
             "seq": self.seq,
             "epoch": self.epoch,
             "primary": self.host.name,
@@ -1144,16 +1050,7 @@ class ReplicationGroup:
         self.sim = sim
         self.authority = members[0][0].authority
         self.agents = [
-            ReplicaAgent(
-                sim,
-                server,
-                transport,
-                group=self,
-                index=index,
-                lease_s=lease_s,
-                heartbeat_s=heartbeat_s,
-                seed=seed,
-            )
+            ReplicaAgent(sim, server, transport, self, index, lease_s, heartbeat_s, seed)
             for index, (server, transport) in enumerate(members)
         ]
         first = self.agents[0]
@@ -1163,7 +1060,6 @@ class ReplicationGroup:
             agent.quorum_backups = len(self.agents) // 2
             agent.peers = [
                 {
-                    "name": other.host.name,
                     "index": other.index,
                     "host": other.host,
                     "acked_seq": 0,
@@ -1190,12 +1086,6 @@ class ReplicationGroup:
                     best = agent
         return best if best is not None else self.agents[0]
 
-    def primary_server(self) -> RoverServer:
-        return self.primary_agent().server
-
-    def hosts(self) -> list[Host]:
-        return [agent.host for agent in self.agents]
-
     def make_replica_set(self) -> ReplicaSet:
         """A fresh client-side membership view (one per client)."""
-        return ReplicaSet(self.hosts(), self.authority)
+        return ReplicaSet([agent.host for agent in self.agents], self.authority)

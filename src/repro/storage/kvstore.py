@@ -49,6 +49,11 @@ class KVStore:
         self._data[key] = (value, new_version)
         return new_version
 
+    def set(self, key: str, value: Any, version: int) -> None:
+        """Store ``value`` at a version chosen elsewhere (a replica
+        installing what its primary wrote)."""
+        self._data[key] = (value, version)
+
     def delete(self, key: str) -> bool:
         """Remove a key; returns whether it existed."""
         return self._data.pop(key, None) is not None

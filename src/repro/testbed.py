@@ -113,7 +113,7 @@ class Testbed:
         """The home server; in a group, the *current* primary's."""
         if self.group is None:
             return self.members[0][0]
-        return self.group.primary_server()
+        return self.group.primary_agent().server
 
     # The one-client names: client 0's stack and member 0's side.
     access = property(lambda self: self.clients[0].access)

@@ -13,12 +13,14 @@ import math
 import pytest
 
 from repro.chaos import ChaosController
+from repro.check.oracle import check_replicas_agree
 from repro.check.scenarios import HAReadScenario, make_box
 from repro.core.rdo import MethodSpec, RDOInterface
 from repro.check.seam import SwitchablePolicy
 from repro.ha import build_ha_testbed
 from repro.ha.group import LOG_CAP, SHIP_BATCH, ReplicaSet
 from repro.net.link import ETHERNET_10M
+from repro.net.message import marshal
 from repro.net.simnet import Delivery
 from repro.net.transport import AsyncReply, DelayedReply
 from repro.testbed import build_multi_client_testbed
@@ -387,8 +389,8 @@ READ_BODIES = {
 
 
 class TestReadPath:
-    """A read is answered by the primary with no record, no ship and no
-    re-execution on the backups, held behind every record it may show
+    """A read is answered by the primary with no record and no ship to
+    the backups, held behind every record it may show
     until a quorum has it, and only while the primary's lease says no
     other primary can exist."""
 
@@ -664,3 +666,149 @@ def test_a_rejoining_member_forgets_the_writes_it_ran_alone():
         server._on_invoke(dict(body), ("client0", 0))
     assert joiner.state_vector() == primary.state_vector()
     assert joiner.get_object(str(box.urn)).data == {"items": ["x"]}
+
+
+def held_state(server):
+    """A member's store, version history, committer index and lock table,
+    encoded: equal bytes, equal state."""
+    locks = sorted([urn, *lease] for urn, lease in server._locks.items())
+    return marshal([server.snapshot(), locks])
+
+
+class TestRecordInstall:
+    """A backup installs what the primary wrote and runs no handler; a
+    record it cannot install changes nothing there, is counted, and is
+    healed by anti-entropy."""
+
+    def group(self):
+        bed = build_ha_testbed(n_backups=2)
+        box = make_box(bed.authority, "check/box")
+        bed.put_object(box)
+        urn = str(box.urn)
+        assert bed.clients[0].access.invoke_remote(urn, "add", ["a"]).wait(bed.sim) == 1
+        settle(bed)
+        return bed, urn
+
+    def test_a_write_ships_what_it_stored_and_the_backups_run_no_handler(self):
+        bed, urn = self.group()
+        primary = bed.group.primary_agent()
+        write = primary.log[-1]["write"]
+        assert set(primary.log[-1]) == {"seq", "epoch", "write"}
+        assert write["urn"] == urn and write["version"] == 2 and write["data"] == {"items": ["a"]}
+        # The version history's own copy, not the live stored data.
+        assert write["data"] is primary.server._history[urn][-1][1]
+        assert write["data"] is not primary.server.store.get(urn)[0]["data"]
+        assert write["reply"] == primary.server._committed_replies[urn][write["request_id"]]
+        for agent in bed.group.agents[1:]:
+            assert agent.server.invokes_served == 0 and agent.server.reads_served == 0
+        assert check_replicas_agree([agent.server for agent in bed.group.agents], bed.sim.now) == []
+
+    def test_a_retransmitted_mutating_invoke_answered_from_the_cache_ships_an_empty_write_set(self):
+        """The reply from the at-most-once cache names the version that
+        request wrote, long since overwritten: installed from it, the
+        newest data would land under an old version."""
+        bed, urn = self.group()
+        primary = bed.group.primary_agent()
+        body = {"urn": urn, "method": "add", "args": ["b"], "request_id": "c/1", "ackw": ["c", 1]}
+        primary._serve_client("rover.invoke", dict(body), ("client0", 0))
+        later = {**body, "args": ["c"], "request_id": "c/2"}
+        primary._serve_client("rover.invoke", later, ("client0", 0))
+        primary._serve_client("rover.invoke", dict(body), ("client0", 0))  # answered from the cache
+        first, second, again = primary.log[-3:]
+        assert (first["write"]["version"], second["write"]["version"]) == (3, 4)
+        assert first["write"]["reply"]["version"] == 3
+        assert again["write"] == {} and again["seq"] == second["seq"] + 1
+        settle(bed)
+        assert [agent.seq for agent in bed.group.agents] == [again["seq"]] * 3
+        assert check_replicas_agree([agent.server for agent in bed.group.agents], bed.sim.now) == []
+        for agent in bed.group.agents:
+            assert agent.server.get_object(urn).data["items"] == ["a", "b", "c"]
+            assert agent.server.get_object(urn).version == 4
+
+    def test_a_write_that_changed_nothing_ships_its_kept_reply(self):
+        """A late duplicate of an export refused as ``locked`` gets the
+        same answer from the member a failover promotes: it does not run
+        again, now that the lock is gone, and commit what its client was
+        told had not."""
+        bed, urn = self.group()
+        primary = bed.group.primary_agent()
+        primary._serve_client("rover.lock", {"urn": urn, "session": "s", "lease_s": 60.0}, ("c", 0))
+        export = {"urn": urn, "base_version": 2, "data": {"items": ["late"]},
+                  "request_id": "c/5", "session": "t"}
+        primary._serve_client("rover.export", dict(export), ("c", 0))
+        assert primary.log[-1]["write"] == {
+            "request_id": "c/5", "reply": {"status": "locked", "holder": "s"},
+        }
+        primary._serve_client("rover.unlock", {"urn": urn, "session": "s"}, ("c", 0))
+        settle(bed)
+        ChaosController(bed.sim, obs=bed.obs).crash_server(primary.server)
+        assert bed.sim.run_until(lambda: bed.group.primary_agent() is not primary, timeout=60.0)
+        promoted = bed.group.primary_agent()
+        again = promoted._serve_client("rover.export", dict(export), ("c", 0))
+        assert bed.sim.run_until(lambda: again.completed, timeout=30.0)
+        assert again._body["status"] == "locked"
+        assert promoted.server.get_object(urn).data == {"items": ["a"]}
+
+    def test_a_lock_and_an_unlock_ship_the_lease(self):
+        bed, urn = self.group()
+        primary = bed.group.primary_agent()
+        primary._serve_client("rover.lock", {"urn": urn, "session": "s", "lease_s": 60.0}, ("c", 0))
+        granted = primary.log[-1]["write"]
+        assert granted == {"urn": urn, "lock": ["s", primary.server._locks[urn][1]]}
+        settle(bed)
+        assert [agent.server._locks for agent in bed.group.agents] == [primary.server._locks] * 3
+        primary._serve_client("rover.lock", {"urn": urn, "session": "t"}, ("c", 0))  # denied
+        assert primary.log[-1]["write"] == {}
+        primary._serve_client("rover.unlock", {"urn": urn, "session": "s"}, ("c", 0))
+        assert primary.log[-1]["write"] == {"urn": urn, "lock": None}
+        settle(bed)
+        assert [agent.server._locks for agent in bed.group.agents] == [{}] * 3
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            pytest.param({"urn": "urn:rover:server/check/none", "version": 1, "data": {}},
+                         id="unknown-urn"),
+            pytest.param({"urn": "urn:rover:server/check/box", "version": 4, "data": {"items": []}},
+                         id="skipped-version"),
+            pytest.param(["urn:rover:server/check/box", 3], id="not-a-dict"),
+            pytest.param({"urn": "urn:rover:server/check/box", "lock": "held"},
+                         id="malformed-lock"),
+            pytest.param({"urn": "urn:rover:server/check/box", "version": 3, "data": {"items": []},
+                          "request_id": "c/9"}, id="entry-without-reply"),
+        ],
+    )
+    def test_a_record_that_does_not_install_changes_nothing_and_is_healed(self, write):
+        bed, urn = self.group()
+        primary, backup = bed.group.agents[0], bed.group.agents[1]
+        before, seq = held_state(backup.server), backup.seq
+        refused = bed.obs.registry.get("ha_records_refused_total")
+        counted = refused.labels(authority=bed.authority, host=backup.host.name)
+        assert counted.value == 0
+        ack = backup._on_replicate(
+            {"epoch": primary.epoch, "primary": primary.host.name, "commit_seq": seq + 1,
+             "records": [{"seq": seq + 1, "epoch": primary.epoch, "write": write}]},
+            (primary.host.name, 0),
+        )
+        assert ack["ack_seq"] == seq and backup.seq == seq
+        assert held_state(backup.server) == before
+        assert counted.value == 1
+        assert backup._needs_sync
+        # Anti-entropy heals it; the next write installs everywhere.
+        assert bed.clients[0].access.invoke_remote(urn, "add", ["b"]).wait(bed.sim) == 2
+        settle(bed)
+        assert not backup._needs_sync and backup.seq == primary.seq
+        assert check_replicas_agree([agent.server for agent in bed.group.agents], bed.sim.now) == []
+        assert backup.server.get_object(urn).data == {"items": ["a", "b"]}
+
+
+def settle(bed):
+    """Run until every live member holds the primary's seq, synced."""
+    primary = bed.group.primary_agent()
+    assert bed.sim.run_until(
+        lambda: all(
+            agent.seq == primary.seq and not agent._needs_sync and not agent._syncing
+            for agent in bed.group.agents if not agent._crashed
+        ),
+        timeout=120.0,
+    )

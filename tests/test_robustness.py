@@ -247,6 +247,34 @@ def test_an_interface_wire_decodes_or_is_refused_at_each_invoke(name):
     assert reply["rdo"]["interface"] == interface
 
 
+@pytest.mark.parametrize(
+    "name", [name for name, (_, answers) in HOSTILE_INTERFACES.items() if answers[0][0] == "failed"]
+)
+def test_an_object_whose_interface_does_not_decode_is_refused_at_import(name):
+    """An import reply whose interface wire the client's decoder refuses
+    (installed by anti-entropy, as by a restore) rejects every waiter on
+    the import with the decoder's error and is counted; nothing is
+    cached, and the client carries on.  It raised out of the simulator,
+    leaving the waiters unresolved."""
+    interface, _ = HOSTILE_INTERFACES[name]
+    bed = build_testbed()
+    note = make_note()
+    bed.server.put_object(note)
+    urn = str(note.urn)
+    wire, version = bed.server.store.get(urn)
+    bed.server.merge_subset({"store": {urn: [dict(wire, interface=interface), version]}}, [])
+    waiters = [bed.access.import_(urn), bed.access.import_(urn)]  # one request, two waiters
+    assert bed.access.drain(timeout=600.0)
+    assert all(waiter.failed for waiter in waiters)
+    assert all(waiter.error.startswith("undecodable-object: ") for waiter in waiters)
+    refused = bed.obs.registry.get("import_replies_refused_total")
+    assert refused.labels(host=bed.access.host.name).value == 1
+    assert bed.access.cache.peek(urn) is None
+    other = make_note(path="notes/n2")
+    bed.server.put_object(other)
+    assert bed.access.import_(str(other.urn)).wait(bed.sim).data == other.data
+
+
 def test_a_coalesced_member_the_codec_cannot_carry_fails_alone():
     sim = Simulator()
     net = Network(sim)

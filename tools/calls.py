@@ -16,13 +16,25 @@ and the line agree exactly), most first; a dataclass's generated
 ``__init__`` is named by its class::
 
     PYTHONHASHSEED=0 PYTHONPATH=src:. python tools/calls.py mail_slowlink --top 20
+
+``--under MODULE:QUALNAME`` then prints the Python calls per op made
+while that function ran -- itself and everything it called, at any
+depth -- and how many times it ran, read off the same profiler: the
+function is wrapped before the workload is built, and each outermost
+call is charged the profiler's call count across it.  The first line
+leaves the wrapper's own calls out, so it reads as without the flag::
+
+    PYTHONHASHSEED=0 PYTHONPATH=src:. python tools/calls.py ha_failover \
+        --under repro.ha.group:ReplicaAgent._apply
 """
 
 import argparse
 import contextlib
 import gc
+import importlib
 import io
 import json
+import operator
 import os
 import resource
 import sys
@@ -57,6 +69,45 @@ class _KeptProfiler:
         return self.made
 
 
+def _profiled_calls(profiler) -> int:
+    """Calls the profiler has counted so far."""
+    return sum(map(operator.attrgetter("callcount"), profiler.getstats()))
+
+
+class _Under:
+    """Wraps one function and charges each outermost call of it the
+    calls the profiler counted meanwhile (its own included)."""
+
+    def __init__(self, target: str, kept: "_KeptProfiler") -> None:
+        module, _, qualname = target.partition(":")
+        *path, self.name = qualname.split(".")
+        self.owner = importlib.import_module(module)
+        for part in path:
+            self.owner = getattr(self.owner, part)
+        self.real = self.owner.__dict__[self.name]
+        self.calls = self.runs = 0
+        depth = 0
+        callcount = operator.attrgetter("callcount")  # summed inline: C calls count nothing
+
+        def under(*args, **kwargs):
+            nonlocal depth
+            profiler = kept.made
+            if depth or profiler is None:
+                return self.real(*args, **kwargs)
+            before = sum(map(callcount, profiler.getstats()))
+            depth += 1
+            try:
+                return self.real(*args, **kwargs)
+            finally:
+                depth -= 1
+                spent = sum(map(callcount, profiler.getstats())) - before
+                if spent:  # the profiler was on: it counts this wrapper too
+                    self.calls += spent
+                    self.runs += 1
+
+        setattr(self.owner, self.name, under)
+
+
 def label(code) -> str:
     """``file:line(qualname)`` of a profiled function.
 
@@ -89,9 +140,11 @@ def main(argv: list) -> int:
     parser = argparse.ArgumentParser(prog="tools/calls.py")
     parser.add_argument("workload")
     parser.add_argument("--top", type=int, default=0, metavar="N")
+    parser.add_argument("--under", default="", metavar="MODULE:QUALNAME")
     args = parser.parse_args(argv)
     setup_end = repeat.gc = _SetupEnd()
     kept = repeat.cProfile = _KeptProfiler(repeat.cProfile)
+    under = _Under(args.under, kept) if args.under else None
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         status = repeat.main(["--workload", args.workload, "--seed", "7", "--mode", "count"])
@@ -101,10 +154,15 @@ def main(argv: list) -> int:
         print(f"{args.workload}: {result['violations']}", file=sys.stderr)
         return status
     calls_per_op = result["metrics"]["py_calls_per_op"]
+    if under is not None:
+        ops = _profiled_calls(kept.made) / calls_per_op
+        calls_per_op -= under.runs / ops  # the wrapper's own calls
     print(
         f"{args.workload} {calls_per_op}"
         f" setup_s={setup_end.at - _STARTED:.2f} peak_rss_mb={peak_rss_mb:.1f}"
     )
+    if under is not None:
+        print(f"under {args.under}: {under.calls / ops:.3f} calls/op over {under.runs} runs")
     if args.top:
         for per_op, name in top_functions(kept.made, calls_per_op, args.top):
             print(f"{per_op:10.3f}  {name}")
