@@ -15,7 +15,9 @@ interface declares read-only -- is a read; everything else is a write.
   at-most-once cache kept) is appended to
   an in-memory record log and shipped to the backups; the client's
   reply is withheld (via :class:`~repro.net.transport.AsyncReply`)
-  until a majority of the group holds the record.  This is
+  until a majority of the group holds the record.  The log holds only
+  what some peer still lacks: the primary forgets a record once every
+  peer has acked it, and a backup keeps none.  This is
   primary-backup replication, not state-machine replication: a backup
   installs the values the primary wrote (:meth:`RoverServer.install`,
   the path anti-entropy takes too) and runs no handler, so no clock is
@@ -50,7 +52,7 @@ Failure handling:
   rejects it (``stale-epoch``); a primary whose ship-back is rejected
   demotes itself on the spot, abandons its gated client replies
   (the callers time out and fail over), and schedules anti-entropy.
-* **Anti-entropy rejoin** -- a restarted or deposed member sends its
+* **Anti-entropy rejoin** -- a restarted, deposed or lagging member sends its
   per-urn ``[version, crc32]`` state vector to the current primary,
   which answers with exactly the differing objects (plus deletions and
   the live lock table); the joiner installs them and resumes as a
@@ -81,8 +83,9 @@ CLIENT_SERVICES = (
 #: How many records ride in one replicate frame.
 SHIP_BATCH = 64
 
-#: In-memory record-log cap per member; older records are trimmed and
-#: stragglers below the trim point are healed by anti-entropy instead.
+#: Cap on the primary's record log, which holds what some peer has not
+#: acked (a backup keeps none); past it the oldest go, counted, and a
+#: peer that lacks them is healed by anti-entropy instead.
 LOG_CAP = 1024
 
 
@@ -290,7 +293,8 @@ class ReplicaAgent:
         #: Sequence number of the last record executed (primary) or
         #: applied (backup) on this member.
         self.seq = 0
-        #: Records (base_seq, seq]; older entries trimmed to LOG_CAP.
+        #: Records (base_seq, seq] that some peer has not acked (primary
+        #: only, at most LOG_CAP); empty, with base_seq == seq, otherwise.
         self.log: list[dict] = []
         self.base_seq = 0
         self.last_heard = sim.now
@@ -326,7 +330,7 @@ class ReplicaAgent:
 
         registry = server.obs.registry
         labels = {"authority": server.authority, "host": self.host.name}
-        self._m_shipped, self._m_applied, self._m_refused, self._m_stale = (
+        self._m_shipped, self._m_applied, self._m_refused, self._m_stale, self._m_evicted = (
             registry.counter(name, help_text, labelnames=("authority", "host")).labels(**labels)
             for name, help_text in (
                 ("ha_records_shipped_total", "Replication records acknowledged by this backup"),
@@ -335,6 +339,8 @@ class ReplicaAgent:
                  "Replication records a backup could not install (left to anti-entropy)"),
                 ("ha_stale_epoch_rejected_total",
                  "Frames and replies rejected for carrying a stale epoch"),
+                ("ha_log_evicted_total",
+                 "Records the log cap dropped before every peer acked them"),
             )
         )
         self._m_failovers = registry.counter(
@@ -405,7 +411,7 @@ class ReplicaAgent:
         return True
 
     def _backoff(self, attempts: int) -> float:
-        ceiling = min(4.0 * self.heartbeat_s, self.heartbeat_s * (2 ** max(0, attempts - 1)))
+        ceiling = self.heartbeat_s * 2 ** min(2, max(0, attempts - 1))  # at most 4 beats
         return ceiling * (0.5 + 0.5 * self.rng.random())
 
     # -- client-facing funnel -----------------------------------------------
@@ -439,11 +445,12 @@ class ReplicaAgent:
         write = server.write_set(urn, mark, body)
         record = {"seq": self.seq + 1, "epoch": self.epoch, "write": write}
         self.seq = record["seq"]
+        if self.quorum_backups == 0:  # no peer to need the record
+            self.base_seq = self.seq
+            return stamped
         self.log.append(record)
         if len(self.log) > LOG_CAP:
             self._trim_log()
-        if self.quorum_backups == 0:
-            return stamped
         gate = AsyncReply()
         self._waiters.append({
             "seq": record["seq"], "epoch": self.epoch, "since": -math.inf,
@@ -528,10 +535,11 @@ class ReplicaAgent:
         return stamped
 
     def _trim_log(self) -> None:
-        """Drop what the log holds beyond ``LOG_CAP`` (callers test)."""
+        """Drop what the log holds beyond ``LOG_CAP`` (callers test), counted."""
         dropped = len(self.log) - LOG_CAP
         self.base_seq = self.log[dropped - 1]["seq"]
         del self.log[:dropped]
+        self._m_evicted.inc(dropped)
 
     def _check_waiters(self) -> None:
         """Complete every gated reply whose record reached quorum (and,
@@ -561,10 +569,11 @@ class ReplicaAgent:
         return acked >= needed and confirmed >= needed
 
     def _end_reign(self) -> None:
-        """Demotion or crash: abandon gated replies (callers time out)
-        and forget what the peers confirmed -- a later reign's lease is
-        its own."""
+        """Demotion or crash: abandon gated replies (callers time out),
+        drop the record log and forget what the peers confirmed -- a
+        later reign's records and lease are its own."""
         self._waiters = []
+        self.log, self.base_seq = [], self.seq
         for peer in self.peers:
             peer["confirmed"] = -math.inf
             peer["probe"] = None
@@ -699,6 +708,14 @@ class ReplicaAgent:
         moved = acked > peer["acked_seq"]
         if moved:
             peer["acked_seq"] = acked
+            # Forget the records every peer now holds (the low-water mark).
+            low = self.seq
+            for other in self.peers:
+                if other["acked_seq"] < low:
+                    low = other["acked_seq"]
+            if low > self.base_seq:
+                del self.log[: low - self.base_seq]
+                self.base_seq = low
         if (
             acked >= 0
             and sent > peer["confirmed"]
@@ -796,10 +813,7 @@ class ReplicaAgent:
         if not self.server.install_write(record.get("write")):
             self._m_refused.inc()
             return False
-        self.seq = int(record["seq"])
-        self.log.append(record)
-        if len(self.log) > LOG_CAP:
-            self._trim_log()
+        self.seq = self.base_seq = int(record["seq"])  # a backup keeps no log
         self._m_applied.inc()
         return True
 
@@ -929,9 +943,10 @@ class ReplicaAgent:
         self._needs_sync = False
         self._syncing = False
         self._m_failovers.inc()
-        # Seed ship cursors from what the voters reported; members that
-        # did not answer (the dead primary) restart from the log floor
-        # and are healed by duplicate-skip or anti-entropy.
+        # Seed ship cursors from what the voters reported.  The log
+        # starts empty at this member's seq (a backup keeps none), so a
+        # peer that reported less, or did not answer (the dead primary),
+        # is nudged to anti-entropy rather than shipped records.
         reported = {
             int(reply.get("index", -1)): int(reply.get("seq", -1))
             for reply in replies

@@ -22,7 +22,7 @@ from repro.ha.group import LOG_CAP, SHIP_BATCH, ReplicaSet
 from repro.net.link import ETHERNET_10M
 from repro.net.message import marshal
 from repro.net.simnet import Delivery
-from repro.net.transport import AsyncReply, DelayedReply
+from repro.net.transport import AsyncReply, DelayedReply, RpcError
 from repro.testbed import build_multi_client_testbed
 from tests.conftest import make_note
 
@@ -680,25 +680,34 @@ class TestRecordInstall:
     record it cannot install changes nothing there, is counted, and is
     healed by anti-entropy."""
 
-    def group(self):
+    @staticmethod
+    def boxed():
         bed = build_ha_testbed(n_backups=2)
         box = make_box(bed.authority, "check/box")
         bed.put_object(box)
-        urn = str(box.urn)
+        return bed, str(box.urn)
+
+    def group(self):
+        bed, urn = self.boxed()
         assert bed.clients[0].access.invoke_remote(urn, "add", ["a"]).wait(bed.sim) == 1
         settle(bed)
         return bed, urn
 
     def test_a_write_ships_what_it_stored_and_the_backups_run_no_handler(self):
-        bed, urn = self.group()
+        # Read the record before the acks land: the primary forgets it then.
+        bed, urn = self.boxed()
         primary = bed.group.primary_agent()
-        write = primary.log[-1]["write"]
-        assert set(primary.log[-1]) == {"seq", "epoch", "write"}
+        body = {"urn": urn, "method": "add", "args": ["a"], "request_id": "c/1"}
+        primary._serve_client("rover.invoke", body, ("client0", 0))
+        record = primary.log[-1]
+        write = record["write"]
+        assert set(record) == {"seq", "epoch", "write"}
         assert write["urn"] == urn and write["version"] == 2 and write["data"] == {"items": ["a"]}
         # The version history's own copy, not the live stored data.
         assert write["data"] is primary.server._history[urn][-1][1]
         assert write["data"] is not primary.server.store.get(urn)[0]["data"]
         assert write["reply"] == primary.server._committed_replies[urn][write["request_id"]]
+        settle(bed)
         for agent in bed.group.agents[1:]:
             assert agent.server.invokes_served == 0 and agent.server.reads_served == 0
         assert check_replicas_agree([agent.server for agent in bed.group.agents], bed.sim.now) == []
@@ -812,3 +821,102 @@ def settle(bed):
         ),
         timeout=120.0,
     )
+
+
+def evicted(bed, agent):
+    """``ha_log_evicted_total`` on ``agent``."""
+    metric = bed.obs.registry.get("ha_log_evicted_total")
+    return metric.labels(authority=bed.authority, host=agent.host.name).value
+
+
+def cut(agent, seconds):
+    """Take ``agent``'s scripted links down for ``seconds`` (0: up again)."""
+    for link in agent.host.links:
+        if isinstance(link.policy, SwitchablePolicy):
+            link.policy.force_down(agent.sim.now, seconds)
+            link._handle_transition()
+
+
+class TestRecordRetention:
+    """The record log holds exactly what some peer may still need: the
+    primary forgets a record once every peer has acked it, a backup
+    keeps none, and a reign's records end with it."""
+
+    def group(self, **options):
+        bed = build_ha_testbed(n_backups=2, **options)
+        note = make_note(bed.authority, "notes/log")
+        bed.put_object(note)
+        return bed, str(note.urn)
+
+    def test_a_settled_group_holds_no_records(self):
+        bed, urn = self.group()
+        access = bed.clients[0].access
+        for n in range(5):
+            assert access.invoke_remote(urn, "set_text", [str(n)]).wait(bed.sim) == str(n)
+        settle(bed)
+        seq = bed.group.primary_agent().seq
+        assert seq == 5
+        assert [(agent.log, agent.base_seq) for agent in bed.group.agents] == [([], seq)] * 3
+
+    def test_a_partitioned_backup_caps_the_log_and_heals_by_anti_entropy(self):
+        bed, urn = self.group(mesh_policies={(0, 2): SwitchablePolicy()})
+        primary, straggler = bed.group.agents[0], bed.group.agents[2]
+        access = bed.clients[0].access
+        assert access.invoke_remote(urn, "set_text", ["0"]).wait(bed.sim) == "0"
+        settle(bed)
+        cut(primary, 3600.0)
+        longest = 0
+        for n in range(1, LOG_CAP + 101):  # honest writes, on the remaining quorum
+            assert access.invoke_remote(urn, "set_text", [str(n)]).wait(bed.sim) == str(n)
+            longest = max(longest, len(primary.log))
+        assert longest == LOG_CAP and straggler.seq == 1
+        # The straggler still needed every record the cap dropped.
+        assert evicted(bed, primary) == primary.base_seq - primary.peers[1]["acked_seq"] == 100
+        installed = applied(bed)[2]
+        cut(primary, 0.0)
+        settle(bed)
+        advance(bed, 2 * primary.heartbeat_s)
+        assert applied(bed)[2] == installed  # anti-entropy, not records
+        assert straggler.seq == primary.seq and primary.log == [] and straggler.log == []
+        assert check_replicas_agree([agent.server for agent in bed.group.agents], bed.sim.now) == []
+        assert straggler.server.get_object(urn).data == {"text": str(LOG_CAP + 100)}
+
+    def test_a_backup_that_lags_the_promoted_one_is_healed_by_resync(self):
+        bed, urn = self.group(mesh_policies={(0, 2): SwitchablePolicy()})
+        old, promoted, lagger = bed.group.agents
+        access = bed.clients[0].access
+        assert access.invoke_remote(urn, "set_text", ["a"]).wait(bed.sim) == "a"
+        settle(bed)
+        cut(old, 3600.0)
+        for text in "bc":
+            assert access.invoke_remote(urn, "set_text", [text]).wait(bed.sim) == text
+        assert promoted.seq == old.seq == lagger.seq + 2
+        installed = applied(bed)[2]
+        calls, _real = intercept(promoted)
+        ChaosController(bed.sim, obs=bed.obs).crash_server(old.server)
+        assert bed.sim.run_until(lambda: promoted.role == "primary", timeout=60.0)
+        settle(bed)
+        to_lagger = [service for service, _body, ((dst, *_), _) in calls if dst is lagger.host]
+        assert "rover.ha.resync" in to_lagger and applied(bed)[2] == installed
+        assert lagger.seq == promoted.seq and lagger.server.get_object(urn).data == {"text": "c"}
+        assert check_replicas_agree([promoted.server, lagger.server], bed.sim.now) == []
+
+    def test_a_deposed_primary_ships_nothing_of_its_old_reign(self):
+        bed, urn = self.group()
+        bed.sim.run(until=5.0)
+        primary = bed.group.primary_agent()
+        held = ("rover.ha.replicate", "rover.ha.resync", "rover.ha.sync")
+        calls, _real = intercept(primary, hold=held)
+        body = {"urn": urn, "method": "set_text", "args": ["alone"], "request_id": "c/1"}
+        primary._serve_client("rover.invoke", body, ("client0", 0))
+        assert [record["seq"] for record in primary.log] == [primary.seq] == [1]
+        primary._deposed({"status": "stale-epoch", "epoch": 1, "primary": "server-b1"})
+        assert primary.log == [] and primary.base_seq == primary.seq
+        for service, _body, (_args, kwargs) in calls:
+            if service == "rover.ha.replicate":
+                kwargs["on_error"](RpcError("frame lost"))
+        # Re-elected before its sync: both peers reported less than it ran.
+        sent = len(calls)
+        reported = [{"index": agent.index, "seq": agent.seq} for agent in bed.group.agents[1:]]
+        primary._promote(2, reported)
+        assert [service for service, *_ in calls[sent:]] == ["rover.ha.resync"] * 2

@@ -26,6 +26,16 @@ leaves the wrapper's own calls out, so it reads as without the flag::
 
     PYTHONHASHSEED=0 PYTHONPATH=src:. python tools/calls.py ha_failover \
         --under repro.ha.group:ReplicaAgent._apply
+
+``--retained N`` then runs the repeat a second time, under
+``tracemalloc`` and without the profiler, and prints the bytes and
+blocks still live when the timed region ends (set-up allocations
+included), then the N allocation sites holding the most of them, with
+their block counts, most first.  It reports and gates nothing.  It is a
+memory ledger for ``peak_rss_mb``: what the program keeps, by the line
+that made it::
+
+    PYTHONHASHSEED=0 PYTHONPATH=src:. python tools/calls.py ha_failover --retained 15
 """
 
 import argparse
@@ -39,6 +49,7 @@ import os
 import resource
 import sys
 import time
+import tracemalloc
 import types
 
 _STARTED = time.time()
@@ -108,6 +119,34 @@ class _Under:
         setattr(self.owner, self.name, under)
 
 
+def retained_sites(workload: str, count: int) -> list:
+    """(KiB, blocks, site) for all sites together, then for the ``count``
+    allocation sites with the most bytes live when the timed region of a
+    second repeat, run without the profiler, ends."""
+    module = repeat.load(workload)  # the module the repeat loads again
+    real_run, snapshots = module.run, []
+
+    def run(state) -> None:
+        real_run(state)
+        snapshots.append(tracemalloc.take_snapshot())
+
+    module.run = run
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            repeat.main(["--workload", workload, "--seed", "7", "--mode", "plain"])
+    finally:
+        tracemalloc.stop()
+        module.run = real_run
+    stats = snapshots[0].statistics("lineno")
+    total = (sum(stat.size for stat in stats) / 1024.0, sum(stat.count for stat in stats), "total")
+    return [total] + [
+        (stat.size / 1024.0, stat.count,
+         f"{os.path.relpath(stat.traceback[0].filename)}:{stat.traceback[0].lineno}")
+        for stat in stats[:count]
+    ]
+
+
 def label(code) -> str:
     """``file:line(qualname)`` of a profiled function.
 
@@ -141,6 +180,7 @@ def main(argv: list) -> int:
     parser.add_argument("workload")
     parser.add_argument("--top", type=int, default=0, metavar="N")
     parser.add_argument("--under", default="", metavar="MODULE:QUALNAME")
+    parser.add_argument("--retained", type=int, default=0, metavar="N")
     args = parser.parse_args(argv)
     setup_end = repeat.gc = _SetupEnd()
     kept = repeat.cProfile = _KeptProfiler(repeat.cProfile)
@@ -166,6 +206,9 @@ def main(argv: list) -> int:
     if args.top:
         for per_op, name in top_functions(kept.made, calls_per_op, args.top):
             print(f"{per_op:10.3f}  {name}")
+    if args.retained:
+        for kib, blocks, site in retained_sites(args.workload, args.retained):
+            print(f"{kib:10.1f} KiB {blocks:8d} blocks  {site}")
     return 0
 
 
