@@ -143,21 +143,14 @@ class FaultyLink:
         return [delivery]
 
 
-def flaky_policies(
-    seed: int,
-    n_clients: int,
-    horizon_s: float,
-    mean_up_s: float = 90.0,
-    mean_down_s: float = 180.0,
-    stable_after_s: float = 500.0,
-) -> list[IntervalTrace]:
+def flaky_policies(seed: int, n_clients: int, horizon_s: float) -> list[IntervalTrace]:
     """Per-client flaky connectivity traces with a final stable window.
 
-    Each client link flaps independently (seeded streams) over
-    ``horizon_s``, then stays up from ``horizon_s + stable_after_s``
-    so queued traffic can drain and convergence checks can run.  This
-    is the connectivity half of a chaos scenario — the convergence
-    suite consumes it instead of hand-rolling traces.
+    Each client link flaps independently (seeded streams; up 90 s and
+    down 180 s on average) over ``horizon_s``, then stays up from
+    ``horizon_s + 500`` s so queued traffic can drain and convergence
+    checks can run.  This is the connectivity half of a chaos scenario
+    — the convergence suite consumes it instead of hand-rolling traces.
     """
     from repro.workloads import generate_connectivity_trace
 
@@ -166,10 +159,10 @@ def flaky_policies(
         windows = generate_connectivity_trace(
             seed=seed * 101 + index,
             horizon_s=horizon_s,
-            mean_up_s=mean_up_s,
-            mean_down_s=mean_down_s,
+            mean_up_s=90.0,
+            mean_down_s=180.0,
         )
         windows = [(s, min(e, horizon_s)) for s, e in windows if s < horizon_s]
-        windows.append((horizon_s + stable_after_s, 1e9))
+        windows.append((horizon_s + 500.0, 1e9))
         policies.append(IntervalTrace(windows))
     return policies

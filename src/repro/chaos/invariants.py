@@ -37,13 +37,12 @@ def check_acked_updates_durable(
     urn: str,
     acked_ids: Iterable[str],
     field: str = "index",
-    key: str = "id",
 ) -> list[str]:
     """Acked updates are present at the server — each exactly once.
 
-    ``field`` names the list inside the object's data; ``key`` the
-    identifying key of each element.  A missing id is a lost acked
-    update; a repeated id is a QRPC applied twice.
+    ``field`` names the list inside the object's data; an element is
+    identified by itself, or by its ``id`` if it is a dict.  A missing
+    id is a lost acked update; a repeated id is a QRPC applied twice.
     """
     violations = []
     rdo = server.get_object(urn)
@@ -52,7 +51,7 @@ def check_acked_updates_durable(
     entries = rdo.data.get(field, [])
     present: dict[str, int] = {}
     for entry in entries:
-        entry_id = entry.get(key) if isinstance(entry, dict) else entry
+        entry_id = entry.get("id") if isinstance(entry, dict) else entry
         present[entry_id] = present.get(entry_id, 0) + 1
     for acked in acked_ids:
         if acked not in present:

@@ -2,7 +2,9 @@
 
 Explores a named scenario suite within the given bounds, reports
 explored/pruned counts, and on a violation minimizes the trace, writes
-it as a JSON artifact (for CI upload), and exits nonzero.
+it as a JSON artifact (for CI upload), and exits nonzero -- as it does
+when a default sweep's count is not the one ``Scenario.interleavings``
+commits.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ def main(argv: list[str] | None = None) -> int:
 
     suites = args.suites or sorted(SCENARIOS)
     pruning = not args.no_prune
+    default_sweep = pruning and args.crashes is None and args.max_runs is None
     exit_code = 0
     for name in suites:
         scenario = get_scenario(name)
@@ -89,8 +92,13 @@ def main(argv: list[str] | None = None) -> int:
             f"skipped {result.expansions_skipped} over-budget expansions"
             + (" [truncated by --max-runs]" if result.truncated else "")
         )
-        if result.ok:
+        committed = scenario.interleavings.get(args.depth) if default_sweep else None
+        if committed not in (None, result.runs_explored):
+            exit_code = 1
+            print(f"[{name}] COUNT MOVED: {committed} interleavings committed at depth {args.depth}")
+        elif result.ok:
             print(f"[{name}] PASS")
+        if result.ok:
             continue
         exit_code = 1
         violating = result.violations[0]

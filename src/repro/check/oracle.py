@@ -14,7 +14,6 @@ import json
 from typing import Any, Iterable
 
 from repro.chaos.invariants import (
-    check_acked_updates_durable,
     check_cache_coherent,
     check_logs_drained,
     check_no_orphan_tentative,
@@ -26,10 +25,10 @@ def check_sequential_append(
     final_items: list,
     per_client_issued: dict[str, list[str]],
     acked: Iterable[str],
-    key: str = "id",
     require_order: bool = False,
 ) -> list[str]:
-    """``final_items`` must be a legal merge of the clients' appends.
+    """``final_items`` must be a legal merge of the clients' appends
+    (tokens, or dicts holding them as ``id``).
 
     Legal means: every element was issued by some client, no element
     appears twice (at-most-once), and every *acknowledged* element is
@@ -43,7 +42,7 @@ def check_sequential_append(
     """
     violations: list[str] = []
     tokens = [
-        item.get(key) if isinstance(item, dict) else item for item in final_items
+        item.get("id") if isinstance(item, dict) else item for item in final_items
     ]
     issued_by: dict[str, str] = {}
     for client, issued in per_client_issued.items():
@@ -139,12 +138,6 @@ def standard_checks(
     violations += check_cache_coherent(server, accesses)
     violations += check_no_orphan_tentative(accesses, conflicted=conflicted_hosts)
     return violations
-
-
-def durable_exactly_once(
-    server: Any, urn: str, acked: Iterable[str], field: str, key: str = "id"
-) -> list[str]:
-    return check_acked_updates_durable(server, urn, acked, field=field, key=key)
 
 
 # -- terminal-state hashing ---------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from repro.chaos.invariants import check_acked_updates_durable
 from repro.check import oracle
 from repro.check.seam import (
     CheckHarness,
@@ -142,6 +143,9 @@ class Scenario:
 
     name = ""
     description = ""
+    #: Interleavings a default sweep explores, per committed depth;
+    #: ``python -m repro.check`` fails on any other count.
+    interleavings: dict[int, int] = {}
     n_clients = 1
     flap_choices = False
     crash_budget = 0
@@ -257,6 +261,7 @@ class WarmImportScenario(Scenario):
 
     name = "warm-import"
     description = "import + server-append races between clients on one object"
+    interleavings = {1: 145}
     n_clients = 3
     adds_pipelined = 6
     adds_after_drain = 1
@@ -317,7 +322,7 @@ class WarmImportScenario(Scenario):
             accesses,
             conflicted_hosts=frozenset(host for host, _ in harness.conflicts),
         )
-        violations += oracle.durable_exactly_once(
+        violations += check_acked_updates_durable(
             bed.server, ctx["urn"], sorted(ctx["acked"]), field="items"
         )
         rdo = bed.server.get_object(ctx["urn"])
@@ -346,6 +351,7 @@ class CrashDrainScenario(WarmImportScenario):
 
     name = "crash-during-drain"
     description = "single client: crash at log-flush boundaries, flap mid-transfer"
+    interleavings = {2: 873}
     n_clients = 1
     adds_pipelined = 3
     adds_after_drain = 0
@@ -409,6 +415,7 @@ class CoalescedDrainScenario(CrashDrainScenario):
 
     name = "coalesced-drain"
     description = "single client: a coalesced reconnect frame dropped, replayed, crashed under"
+    interleavings = {2: 611}
     down_s = 5.0
     #: Pads an append's request body past ~175 B, where its bytes cost
     #: more than the link's propagation delay.
@@ -461,6 +468,7 @@ class ConflictExportScenario(Scenario):
 
     name = "conflict-export"
     description = "concurrent conflicting exports; exactly one commit, one conflict"
+    interleavings = {2: 325}
     n_clients = 2
 
     def build(self) -> Any:
@@ -527,6 +535,7 @@ class DeltaShipScenario(Scenario):
 
     name = "delta-ship"
     description = "delta-shipped exports + warm re-import under a tiny applied cache"
+    interleavings = {2: 830}
     n_clients = 1
     crash_budget = 1
     edits = 3
@@ -617,6 +626,7 @@ class HAFailoverScenario(Scenario):
 
     name = "ha-failover"
     description = "primary kill/promotion/rejoin interleavings in a replica group"
+    interleavings = {1: 113}
     n_clients = 1
     adds = 4
     #: Kill offsets relative to the append burst: before the first
@@ -733,7 +743,7 @@ class HAFailoverScenario(Scenario):
     def check(self, bed: Any, harness: CheckHarness, ctx: dict) -> list[str]:
         accesses = [stack.access for stack in bed.clients]
         violations = oracle.standard_checks(bed.server, accesses)
-        violations += oracle.durable_exactly_once(
+        violations += check_acked_updates_durable(
             bed.server, ctx["urn"], sorted(ctx["acked"]), field="items"
         )
         rdo = bed.server.get_object(ctx["urn"])
@@ -772,6 +782,7 @@ class HAFailoverFeaturesScenario(HAFailoverScenario):
 
     name = "ha-failover-features"
     description = "primary kill around the reconnect drain of a compacted, delta-shipped backlog"
+    interleavings = {2: 445}
     down_s = 5.0
     #: Kill offsets relative to the reconnection: while the client is
     #: still away, with the export on its way to the primary, with the
@@ -877,6 +888,7 @@ class HAReadScenario(HAFailoverScenario):
 
     name = "ha-read"
     description = "linearizable reads through a zombie or killed primary in a replica group"
+    interleavings = {1: 125}
     n_clients = 2
     adds = 4
     #: Seconds between the writer's appends.

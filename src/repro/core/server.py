@@ -325,7 +325,7 @@ class RoverServer:
 
     def snapshot(self) -> dict:
         """Durable server state: the object store, the version history
-        and the committer index (``committed_replies``).
+        and the committer index (``committed_replies``) of every object.
 
         Deliberately EXCLUDES the at-most-once applied-reply cache —
         that is volatile, so a crash/restart forgets it.  A
@@ -334,34 +334,14 @@ class RoverServer:
         (:meth:`_committed_replay`): its original reply, with nothing
         applied again (see the crash-restart tests).
         """
-        return unmarshal(
-            marshal(
-                {
-                    "store": {k: list(self.store.get(k)) for k in self.store.keys()},
-                    "history": {k: list(v) for k, v in self._history.items()},
-                    "committed_replies": {
-                        k: list(v.items()) for k, v in self._committed_replies.items()
-                    },
-                }
-            )
-        )
+        return self.subset_snapshot(self.store.keys())
 
     def restore(self, snapshot: dict) -> None:
-        """Reload durable state after a simulated server restart."""
-        self.store.restore(
-            {key: (value, version) for key, (value, version) in snapshot["store"].items()}
-        )
-        self._history = {
-            key: [(version, data) for version, data in entries]
-            for key, entries in snapshot["history"].items()
-        }
-        # Older snapshots predate the committer index; default empty.
-        self._committed_replies = {
-            key: OrderedDict((request_id, reply) for request_id, reply in entries)
-            for key, entries in snapshot.get("committed_replies", {}).items()
-        }
-        self._applied.clear()  # volatile: lost in the crash
-        self._locks.clear()    # leases do not survive a restart
+        """Reload durable state after a simulated server restart: merge
+        this server's own :meth:`snapshot` as anti-entropy would, locks
+        (leases do not survive a restart) and applied cache emptied."""
+        restored = snapshot["store"]
+        self.merge_subset(snapshot, [urn for urn in self.store.keys() if urn not in restored], [])
 
     # -- anti-entropy (repro.ha) --------------------------------------------
 

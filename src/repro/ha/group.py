@@ -40,6 +40,11 @@ interface declares read-only -- is a read; everything else is a write.
 
 Failure handling:
 
+* **Frames** -- the primary reaches a peer over ``rover.ha.replicate``
+  alone: a frame carries records, none (a heartbeat), or ``"gap":
+  true`` (the peer's cursor is below the trimmed log: anti-entropy).
+  One record or gap frame is in flight per peer; one that fails or
+  moves the cursor nowhere only frees that slot: the tick ships again.
 * **Leases** -- backups expect a heartbeat every ``heartbeat_s``; a
   backup that has heard nothing for ``lease_s`` polls its peers and
   promotes itself when it holds the highest ``(applied seq, -index)``
@@ -47,7 +52,7 @@ Failure handling:
   recently.  Voters promise the candidate's proposed epoch, so two
   concurrent elections can never mint the same epoch number, and take
   no frame from below an epoch they granted.
-* **Epoch fencing** -- every ship, heartbeat and client reply carries
+* **Epoch fencing** -- every frame and client reply carries
   the sender's epoch.  A member receiving a frame from a lower epoch
   rejects it (``stale-epoch``); a primary whose ship-back is rejected
   demotes itself on the spot, abandons its gated client replies
@@ -71,7 +76,7 @@ from repro.lint.contracts import replay_pure
 from repro.net.message import Premarshalled
 from repro.net.simnet import Address, Host
 from repro.net.transport import AsyncReply, DelayedReply, RpcError, Transport
-from repro.sim import Simulator, make_rng
+from repro.sim import Simulator
 
 #: The client services the agent interposes on: fenced on a backup,
 #: sorted into reads and writes by the server on the primary.
@@ -267,7 +272,7 @@ class ReplicaAgent:
 
     def __init__(
         self, sim: Simulator, server: RoverServer, transport: Transport,
-        group: "ReplicationGroup", index: int, lease_s: float, heartbeat_s: float, seed: int,
+        group: "ReplicationGroup", index: int, lease_s: float, heartbeat_s: float,
     ) -> None:
         self.sim = sim
         self.server = server
@@ -277,7 +282,6 @@ class ReplicaAgent:
         self.host = transport.host
         self.lease_s = lease_s
         self.heartbeat_s = heartbeat_s
-        self.rng = make_rng(seed, f"ha:{self.host.name}")
         self.role = "backup"
         self.epoch = 0
         #: Highest epoch promised to an election candidate (never
@@ -304,8 +308,7 @@ class ReplicaAgent:
         #: Commit seq advertised by the primary (backup-side lag view).
         self._primary_seq = 0
         #: Peer cursors, populated by the group after every member
-        #: exists: [{index, host, acked_seq, confirmed, probe, inflight,
-        #: attempts}].
+        #: exists: [{index, host, acked_seq, confirmed, probe, inflight}].
         self.peers: list[dict] = []
         #: Backup acks needed before a client reply may complete (a
         #: majority, less the primary itself); set with the peers.
@@ -354,11 +357,7 @@ class ReplicaAgent:
 
         server.ha_agent = self
         self._install_shims()
-        # A heartbeat is a replicate frame without records; a resync
-        # nudge, one whose sender knows of a gap it has no records for.
         transport.register("rover.ha.replicate", self._on_replicate)
-        transport.register("rover.ha.heartbeat", self._on_replicate)
-        transport.register("rover.ha.resync", functools.partial(self._on_replicate, gap=True))
         transport.register("rover.ha.poll", self._on_poll)
         transport.register("rover.ha.sync", self._on_sync)
 
@@ -410,10 +409,6 @@ class ReplicaAgent:
             return False
         return True
 
-    def _backoff(self, attempts: int) -> float:
-        ceiling = self.heartbeat_s * 2 ** min(2, max(0, attempts - 1))  # at most 4 beats
-        return ceiling * (0.5 + 0.5 * self.rng.random())
-
     # -- client-facing funnel -----------------------------------------------
 
     @replay_pure
@@ -450,7 +445,8 @@ class ReplicaAgent:
             return stamped
         self.log.append(record)
         if len(self.log) > LOG_CAP:
-            self._trim_log()
+            self.base_seq = self.log.pop(0)["seq"]
+            self._m_evicted.inc()
         gate = AsyncReply()
         self._waiters.append({
             "seq": record["seq"], "epoch": self.epoch, "since": -math.inf,
@@ -534,13 +530,6 @@ class ReplicaAgent:
         stamped["ha_member"] = self.host.name
         return stamped
 
-    def _trim_log(self) -> None:
-        """Drop what the log holds beyond ``LOG_CAP`` (callers test), counted."""
-        dropped = len(self.log) - LOG_CAP
-        self.base_seq = self.log[dropped - 1]["seq"]
-        del self.log[:dropped]
-        self._m_evicted.inc(dropped)
-
     def _check_waiters(self) -> None:
         """Complete every gated reply whose record reached quorum (and,
         for a read waiting on a heartbeat round, whose round did)."""
@@ -608,23 +597,26 @@ class ReplicaAgent:
         self.sim.schedule(self.heartbeat_s, self._tick, incarnation)
 
     def _ship_to(self, peer: dict) -> None:
+        """Send ``peer`` the records after its cursor, or a ``gap`` frame
+        if it fell behind the trimmed log (anti-entropy heals it), one
+        frame in flight at a time.  A frame that fails or moves the
+        cursor nowhere only frees the slot: the tick ships again."""
         if peer["inflight"] or self.role != "primary" or self._crashed:
             return
+        epoch, sent = self.epoch, self.sim.now
+        body = {"epoch": epoch, "primary": self.host.name}
         # The log holds (base_seq, seq] without a gap: the peer has its
         # first ``held`` records and the batch is the slice after them.
         held = peer["acked_seq"] - self.base_seq
         if held < 0:
-            # Fell behind the trimmed log: anti-entropy, not records.
-            self._nudge_resync(peer)
-            return
-        records = self.log[held : held + SHIP_BATCH]
-        if not records:
-            return
+            records, timeout = None, 2.0 * self.heartbeat_s
+            body["gap"] = True
+        else:
+            records, timeout = self.log[held : held + SHIP_BATCH], 4.0 * self.heartbeat_s
+            if not records:
+                return
+            body["records"], body["commit_seq"] = records, self.seq
         incarnation = self._incarnation
-        epoch, sent = self.epoch, self.sim.now
-        body = {
-            "epoch": epoch, "primary": self.host.name, "records": records, "commit_seq": self.seq,
-        }
         peer["inflight"] = True
         before = peer["acked_seq"]
 
@@ -633,37 +625,23 @@ class ReplicaAgent:
             if not self._alive(incarnation):
                 return
             self._note_peer_reply(peer, reply, epoch, sent)
-            if peer["acked_seq"] > before:
-                peer["attempts"] = 0
+            # After a gap frame the cursor moves only by anti-entropy:
+            # nothing was shipped, and the next write or tick goes on.
+            if records and peer["acked_seq"] > before:
                 self._m_shipped.inc(peer["acked_seq"] - before)
-                if self.role == "primary" and peer["acked_seq"] < self.seq:
+                if peer["acked_seq"] < self.seq:
                     self._ship_to(peer)
-            elif self.role == "primary":
-                # No progress (peer mid-resync): damp the retry.
-                self.sim.schedule(
-                    self.heartbeat_s, self._retry_ship, peer, incarnation
-                )
 
         def on_error(error: RpcError) -> None:
             peer["inflight"] = False
-            if not self._alive(incarnation) or self.role != "primary":
-                return
-            peer["attempts"] += 1
-            self.sim.schedule(
-                self._backoff(peer["attempts"]), self._retry_ship, peer, incarnation
-            )
 
         try:  # not through _call: a ship is on every write's path
             self.transport.call(
                 peer["host"], "rover.ha.replicate", body,
-                on_reply=on_reply, on_error=on_error, timeout=4.0 * self.heartbeat_s,
+                on_reply=on_reply, on_error=on_error, timeout=timeout,
             )
         except RpcError as no_route:
             on_error(no_route)
-
-    def _retry_ship(self, peer: dict, incarnation: int) -> None:
-        if self._alive(incarnation) and self.role == "primary":
-            self._ship_to(peer)
 
     def _send_heartbeat(
         self, peer: dict, answered: Callable[[], None] = lambda: None
@@ -684,7 +662,7 @@ class ReplicaAgent:
             if self._alive(incarnation):
                 answered()  # without a route, at once; the next tick retries
 
-        self._call(peer["host"], "rover.ha.heartbeat", body, on_reply, on_error,
+        self._call(peer["host"], "rover.ha.replicate", body, on_reply, on_error,
                    2.0 * self.heartbeat_s)
 
     def _note_peer_reply(
@@ -727,25 +705,6 @@ class ReplicaAgent:
         if moved:
             self._check_waiters()
 
-    def _nudge_resync(self, peer: dict) -> None:
-        """Tell a straggler to run anti-entropy (its gap outlived the log)."""
-        if peer["inflight"]:
-            return
-        incarnation = self._incarnation
-        epoch, sent = self.epoch, self.sim.now
-        peer["inflight"] = True
-
-        def on_reply(reply: Any) -> None:
-            peer["inflight"] = False
-            if self._alive(incarnation):
-                self._note_peer_reply(peer, reply, epoch, sent)
-
-        def on_error(error: RpcError) -> None:
-            peer["inflight"] = False
-
-        self._call(peer["host"], "rover.ha.resync", {"epoch": epoch, "primary": self.host.name},
-                   on_reply, on_error, 2.0 * self.heartbeat_s)
-
     def _deposed(self, reply: dict) -> None:
         """A higher epoch exists: step down and reconcile."""
         if self.role != "primary":
@@ -760,14 +719,15 @@ class ReplicaAgent:
 
     # -- backup: install + failure detection ----------------------------------
 
-    def _on_replicate(self, body: Any, source: Address, gap: bool = False) -> Any:
-        """Install the primary's records in sequence; a ``gap`` (in them,
-        or one the primary's log no longer covers) and a record that
-        does not install here are for anti-entropy."""
+    def _on_replicate(self, body: Any, source: Address) -> Any:
+        """Install the primary's records in sequence; a gap (in them, or
+        the one a ``gap`` frame reports: the primary's log no longer
+        covers it) and a record that does not install are for anti-entropy."""
         epoch = int(body.get("epoch", 0))
         verdict = self._observe_authority(epoch, str(body.get("primary", "")))
         if verdict is not None:
             return verdict
+        gap = "gap" in body
         self._primary_seq = int(body.get("commit_seq", self._primary_seq))
         for record in body.get("records", []):
             seq = int(record.get("seq", 0))
@@ -946,16 +906,14 @@ class ReplicaAgent:
         # Seed ship cursors from what the voters reported.  The log
         # starts empty at this member's seq (a backup keeps none), so a
         # peer that reported less, or did not answer (the dead primary),
-        # is nudged to anti-entropy rather than shipped records.
+        # is sent a gap frame (anti-entropy) rather than records.
         reported = {
             int(reply.get("index", -1)): int(reply.get("seq", -1))
             for reply in replies
         }
         for peer in self.peers:
             peer["acked_seq"] = reported.get(peer["index"], -1)
-            peer["attempts"] = 0
             peer["confirmed"] = -math.inf  # the lease starts with this reign
-        for peer in self.peers:
             if peer["acked_seq"] < self.seq:
                 self._ship_to(peer)
             else:
@@ -1058,14 +1016,13 @@ class ReplicationGroup:
         members: list[tuple[RoverServer, Transport]],
         lease_s: float = 6.0,
         heartbeat_s: float = 2.0,
-        seed: int = 0,
     ) -> None:
         if not members:
             raise ValueError("a replication group needs at least one member")
         self.sim = sim
         self.authority = members[0][0].authority
         self.agents = [
-            ReplicaAgent(sim, server, transport, self, index, lease_s, heartbeat_s, seed)
+            ReplicaAgent(sim, server, transport, self, index, lease_s, heartbeat_s)
             for index, (server, transport) in enumerate(members)
         ]
         first = self.agents[0]
@@ -1085,7 +1042,6 @@ class ReplicationGroup:
                     #: to the peer (None: none).
                     "probe": None,
                     "inflight": False,
-                    "attempts": 0,
                 }
                 for other in self.agents
                 if other is not agent

@@ -57,10 +57,3 @@ class KVStore:
     def delete(self, key: str) -> bool:
         """Remove a key; returns whether it existed."""
         return self._data.pop(key, None) is not None
-
-    def snapshot(self) -> dict[str, tuple[Any, int]]:
-        """Shallow copy of the store (for checkpoint-style tests)."""
-        return dict(self._data)
-
-    def restore(self, snapshot: dict[str, tuple[Any, int]]) -> None:
-        self._data = dict(snapshot)

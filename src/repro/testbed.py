@@ -237,7 +237,7 @@ def _build(
     if n_backups is not None:
         from repro.ha.group import ReplicationGroup  # repro.ha imports this module
 
-        group = ReplicationGroup(sim, members, lease_s=lease_s, heartbeat_s=heartbeat_s, seed=seed)
+        group = ReplicationGroup(sim, members, lease_s=lease_s, heartbeat_s=heartbeat_s)
     medium = network.medium(f"{link_spec.name}-cell") if shared_medium else None
 
     clients: list[ClientStack] = []

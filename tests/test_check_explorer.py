@@ -206,3 +206,22 @@ def test_cli_failure_path_minimizes_and_emits_a_replayable_regression(
     with pytest.raises(AssertionError) as failure:
         replay()
     assert failure.value.args[0] == wire["violations"]
+
+
+def test_cli_fails_a_default_sweep_whose_count_is_not_the_committed_one(monkeypatch, capsys):
+    class Tiny(TinyWarmImport):
+        name = "tiny"
+
+    monkeypatch.setitem(SCENARIOS, "tiny", Tiny)
+    explored = explore(Tiny(), depth=1).runs_explored
+    Tiny.interleavings = {1: explored}
+    assert main(["--suite", "tiny", "--depth", "1"]) == 0
+    Tiny.interleavings = {1: explored + 1}
+    assert main(["--suite", "tiny", "--depth", "1"]) == 1
+    assert f"[tiny] COUNT MOVED: {explored + 1} interleavings committed at depth 1" in (
+        capsys.readouterr().out
+    )
+    # Only a default sweep is compared: a capped one, or another depth, is not.
+    assert main(["--suite", "tiny", "--depth", "1", "--max-runs", str(explored)]) == 0
+    assert main(["--suite", "tiny", "--depth", "0"]) == 0
+

@@ -705,7 +705,10 @@ class TestReplicateFrameLostInFlight:
 
         access = bed.clients[0].access
         promise = access.invoke_remote(urn, "set_text", ["gated"])
-        bed.sim.run_until(lambda: peer["attempts"] >= 1, timeout=30.0)
+        # The ship goes out, its frame is dropped, and its failure frees
+        # the slot for the tick to ship again.
+        bed.sim.run_until(lambda: peer["inflight"], timeout=30.0)
+        bed.sim.run_until(lambda: not peer["inflight"], timeout=30.0)
         assert injector.injected["drop"] >= 1
         # Executed at the primary, held by nobody else, told to nobody.
         assert primary.seq == 1 and backup.seq == 0

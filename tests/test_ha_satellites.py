@@ -282,7 +282,7 @@ class TestShipBatch:
     @staticmethod
     def shipped(base_seq, seq, acked):
         """What the primary sends a peer that acknowledged ``acked``:
-        ``(service, [record seqs])``, with the log set by hand."""
+        ``(frame, [record seqs])``, with the log set by hand."""
         bed = build_ha_testbed(n_backups=1)
         agent = bed.group.primary_agent()
         agent.base_seq, agent.seq = base_seq, seq
@@ -292,7 +292,7 @@ class TestShipBatch:
         sent = []
 
         def call(dst, service, body, on_reply, on_error, timeout=60.0, link=None):
-            sent.append((service, [r["seq"] for r in body.get("records", [])]))
+            sent.append((frame(service, body), [r["seq"] for r in body.get("records", [])]))
 
         agent.transport.call = call
         agent._ship_to(peer)
@@ -301,24 +301,24 @@ class TestShipBatch:
 
     def test_an_untrimmed_log_ships_from_the_cursor(self):
         sent, scan = self.shipped(base_seq=0, seq=10, acked=3)
-        assert sent == [("rover.ha.replicate", scan)] and scan == list(range(4, 11))
+        assert sent == [("records", scan)] and scan == list(range(4, 11))
 
     def test_a_batch_stops_at_its_cap(self):
         sent, scan = self.shipped(base_seq=0, seq=200, acked=0)
-        assert sent == [("rover.ha.replicate", scan)] and scan == list(range(1, SHIP_BATCH + 1))
+        assert sent == [("records", scan)] and scan == list(range(1, SHIP_BATCH + 1))
 
     def test_a_trimmed_log_ships_by_offset_from_its_base(self):
         sent, scan = self.shipped(base_seq=5000, seq=5000 + LOG_CAP, acked=5900)
-        assert sent == [("rover.ha.replicate", scan)]
+        assert sent == [("records", scan)]
         assert scan == list(range(5901, 5901 + SHIP_BATCH))
 
     def test_a_cursor_at_the_base_ships_the_oldest_record_held(self):
         sent, scan = self.shipped(base_seq=5000, seq=5010, acked=5000)
-        assert sent == [("rover.ha.replicate", scan)] and scan[0] == 5001
+        assert sent == [("records", scan)] and scan[0] == 5001
 
     def test_a_cursor_below_the_base_is_nudged_to_resync(self):
         sent, scan = self.shipped(base_seq=5000, seq=5010, acked=4999)
-        assert sent == [("rover.ha.resync", [])]
+        assert sent == [("gap", [])]
 
     def test_a_cursor_at_the_head_ships_nothing(self):
         sent, scan = self.shipped(base_seq=5000, seq=5010, acked=5010)
@@ -334,17 +334,30 @@ def applied(bed):
     ]
 
 
+def frame(service, body):
+    """What a call carries: a replicate frame is named by its body --
+    ``records``, a ``gap``, or with neither a ``heartbeat`` -- and any
+    other call by its service."""
+    if service != "rover.ha.replicate":
+        return service
+    if "records" in body:
+        return "records"
+    return "gap" if body.get("gap") else "heartbeat"
+
+
 def intercept(agent, hold=()):
-    """Record every call ``agent`` makes as ``(service, body, args)``;
-    calls to a service in ``hold`` are kept back, the rest go out."""
+    """Record every call ``agent`` makes as ``(frame, body, args)``
+    (:func:`frame`); calls of a frame in ``hold`` are kept back, the
+    rest go out."""
     real = agent.transport.call
     calls = []
 
     def call(dst, service, body, on_reply, on_error, timeout=60.0, link=None):
         args = (dst, service, body)
         kwargs = {"on_reply": on_reply, "on_error": on_error, "timeout": timeout, "link": link}
-        calls.append((service, body, (args, kwargs)))
-        if service not in hold:
+        kind = frame(service, body)
+        calls.append((kind, body, (args, kwargs)))
+        if kind not in hold:
             return real(*args, **kwargs)
 
     agent.transport.call = call
@@ -408,7 +421,7 @@ class TestReadPath:
         before, seq = applied(bed), primary.seq
         calls, _real = intercept(primary)
         assert access.invoke_remote(urn, "read", []).wait(bed.sim) == ["a"]
-        assert [service for service, *_ in calls if service == "rover.ha.replicate"] == []
+        assert [kind for kind, *_ in calls if kind == "records"] == []
         assert applied(bed) == before and primary.seq == seq
         assert primary.server.reads_served == 1
         assert [agent.server.reads_served for agent in bed.group.agents[1:]] == [0, 0]
@@ -421,7 +434,7 @@ class TestReadPath:
         assert bed.clients[0].access.invoke_remote(urn, "add", ["a"]).wait(bed.sim) == 1
         shipped = [
             record["seq"]
-            for service, body, _ in calls if service == "rover.ha.replicate"
+            for kind, body, _ in calls if kind == "records"
             for record in body["records"]
         ]
         assert shipped == [1, 1]  # one record, once to each backup
@@ -431,7 +444,7 @@ class TestReadPath:
         bed, urn = self.group(n_clients=2)
         writer, reader = (stack.access for stack in bed.clients)
         primary = bed.group.primary_agent()
-        calls, real = intercept(primary, hold=("rover.ha.replicate",))
+        calls, real = intercept(primary, hold=("records",))
         added = writer.invoke_remote(urn, "add", ["a"])
         bed.sim.run(until=bed.sim.now + 0.5)
         read = reader.invoke_remote(urn, "read", [])
@@ -439,8 +452,8 @@ class TestReadPath:
         assert primary.seq == 1 and not added.ready and not read.ready
         # The read ran after the write, so it shows it: it must not
         # leave before the write is safe.
-        for service, _body, (args, kwargs) in calls:
-            if service == "rover.ha.replicate":
+        for kind, _body, (args, kwargs) in calls:
+            if kind == "records":
                 real(*args, **kwargs)
         assert read.wait(bed.sim) == ["a"] and added.wait(bed.sim) == 1
 
@@ -448,7 +461,7 @@ class TestReadPath:
         bed, urn = self.group(n_clients=3)
         first, reader, last = (stack.access for stack in bed.clients)
         primary = bed.group.primary_agent()
-        calls, real = intercept(primary, hold=("rover.ha.replicate",))
+        calls, real = intercept(primary, hold=("records",))
         first.invoke_remote(urn, "add", ["a"])
         bed.sim.run(until=bed.sim.now + 0.5)
         imported = reader.import_(urn, refresh=True)
@@ -458,8 +471,8 @@ class TestReadPath:
         last.invoke_remote(urn, "add", ["c"])
         bed.sim.run(until=bed.sim.now + 0.5)
         assert primary.seq == 2 and not imported.ready
-        for service, _body, (args, kwargs) in calls:
-            if service == "rover.ha.replicate":
+        for kind, _body, (args, kwargs) in calls:
+            if kind == "records":
                 real(*args, **kwargs)
         rdo = imported.wait(bed.sim)
         assert rdo.data == primary.server._base_data(urn, rdo.version) == {"items": ["a"]}
@@ -477,15 +490,15 @@ class TestReadPath:
         urn = str(box.urn)
         first, second = (stack.access for stack in bed.clients)
         primary = bed.group.primary_agent()
-        calls, real = intercept(primary, hold=("rover.ha.replicate",))
+        calls, real = intercept(primary, hold=("records",))
         pushed = first.invoke_remote(urn, "push", ["a"])
         bed.sim.run(until=bed.sim.now + 0.5)
         overtaking = second.invoke_remote(urn, "push", ["b"])
         bed.sim.run(until=bed.sim.now + 0.5)
         assert primary.seq == 2 and not pushed.ready and not overtaking.ready
         primary.transport.call = real
-        for service, _body, (args, kwargs) in calls:
-            if service == "rover.ha.replicate":
+        for kind, _body, (args, kwargs) in calls:
+            if kind == "records":
                 real(*args, **kwargs)
         assert pushed.wait(bed.sim) == ["a"]
         assert overtaking.wait(bed.sim) == ["a", "b"]
@@ -533,7 +546,7 @@ class TestReadPath:
         bed.sim.run(until=5.0)
         primary = bed.group.primary_agent()
         assert all(bed.sim.now - peer["confirmed"] < primary.lease_s for peer in primary.peers)
-        calls, _real = intercept(primary, hold=("rover.ha.heartbeat", "rover.ha.replicate", "rover.ha.sync"))
+        calls, _real = intercept(primary, hold=("heartbeat", "records", "rover.ha.sync"))
         primary._send_heartbeat(primary.peers[0])
         old_ack = calls[-1][2][1]["on_reply"]
         primary._deposed({"status": "stale-epoch", "epoch": 1, "primary": "server-b1"})
@@ -546,7 +559,7 @@ class TestReadPath:
         body = {"urn": urn, "method": "read", "args": [], "request_id": "c/1"}
         gate = primary._serve_client("rover.invoke", body, ("client0", 0))
         assert isinstance(gate, AsyncReply)
-        assert [service for service, *_ in calls[sent:]] == ["rover.ha.heartbeat"] * 2
+        assert [kind for kind, *_ in calls[sent:]] == ["heartbeat"] * 2
         calls[-1][2][1]["on_reply"]({"ack_seq": primary.seq, "epoch": 2})
         assert primary._waiters == []  # one of two backups is the quorum
 
@@ -572,7 +585,7 @@ class TestReadPath:
         bed, _urn = self.group()
         bed.sim.run(until=5.0)
         primary, backup = bed.group.agents[0], bed.group.agents[1]
-        calls, real = intercept(primary, hold=("rover.ha.heartbeat",))
+        calls, real = intercept(primary, hold=("heartbeat",))
         primary._send_heartbeat(primary.peers[0])
         for peer in primary.peers:
             peer["confirmed"] = -math.inf  # the lease so far is not at stake
@@ -608,7 +621,7 @@ class TestReadPath:
         bed, urn = self.group()
         bed.sim.run(until=5.0)
         primary = bed.group.primary_agent()
-        calls, real = intercept(primary, hold=("rover.ha.heartbeat",))
+        calls, real = intercept(primary, hold=("heartbeat",))
         for peer in primary.peers:
             peer["confirmed"] = -math.inf
         gates = []
@@ -617,7 +630,7 @@ class TestReadPath:
             gates.append(primary._serve_client("rover.invoke", body, ("client0", 0)))
             bed.sim.run(until=bed.sim.now + 0.01)
         assert all(isinstance(gate, AsyncReply) for gate in gates)
-        rounds = [entry for entry in calls if entry[0] == "rover.ha.heartbeat"]
+        rounds = [entry for entry in calls if entry[0] == "heartbeat"]
         assert len(rounds) == 2  # one per peer, not one per read
         # The round answers the first read only; the next round, sent
         # then, answers the other two.
@@ -625,7 +638,7 @@ class TestReadPath:
         real(*args, **kwargs)
         bed.sim.run(until=bed.sim.now + 0.2)
         assert len(primary._waiters) == 2
-        rounds = [entry for entry in calls if entry[0] == "rover.ha.heartbeat"]
+        rounds = [entry for entry in calls if entry[0] == "heartbeat"]
         assert len(rounds) == 3
         args, kwargs = rounds[-1][2]
         real(*args, **kwargs)
@@ -865,13 +878,18 @@ class TestRecordRetention:
         assert access.invoke_remote(urn, "set_text", ["0"]).wait(bed.sim) == "0"
         settle(bed)
         cut(primary, 3600.0)
-        longest = 0
+        live = bed.sim.pending()
+        longest = most = 0
         for n in range(1, LOG_CAP + 101):  # honest writes, on the remaining quorum
             assert access.invoke_remote(urn, "set_text", [str(n)]).wait(bed.sim) == str(n)
             longest = max(longest, len(primary.log))
+            most = max(most, bed.sim.pending())
         assert longest == LOG_CAP and straggler.seq == 1
         # The straggler still needed every record the cap dropped.
         assert evicted(bed, primary) == primary.base_seq - primary.peers[1]["acked_seq"] == 100
+        advance(bed, 60.0)  # idle beats, the straggler still cut off
+        # Neither a write nor a beat leaves a timer behind for it.
+        assert most <= live + 2 and bed.sim.pending() <= live + 2
         installed = applied(bed)[2]
         cut(primary, 0.0)
         settle(bed)
@@ -896,8 +914,8 @@ class TestRecordRetention:
         ChaosController(bed.sim, obs=bed.obs).crash_server(old.server)
         assert bed.sim.run_until(lambda: promoted.role == "primary", timeout=60.0)
         settle(bed)
-        to_lagger = [service for service, _body, ((dst, *_), _) in calls if dst is lagger.host]
-        assert "rover.ha.resync" in to_lagger and applied(bed)[2] == installed
+        to_lagger = [kind for kind, _body, ((dst, *_), _) in calls if dst is lagger.host]
+        assert "gap" in to_lagger and applied(bed)[2] == installed
         assert lagger.seq == promoted.seq and lagger.server.get_object(urn).data == {"text": "c"}
         assert check_replicas_agree([promoted.server, lagger.server], bed.sim.now) == []
 
@@ -905,18 +923,18 @@ class TestRecordRetention:
         bed, urn = self.group()
         bed.sim.run(until=5.0)
         primary = bed.group.primary_agent()
-        held = ("rover.ha.replicate", "rover.ha.resync", "rover.ha.sync")
+        held = ("records", "gap", "rover.ha.sync")
         calls, _real = intercept(primary, hold=held)
         body = {"urn": urn, "method": "set_text", "args": ["alone"], "request_id": "c/1"}
         primary._serve_client("rover.invoke", body, ("client0", 0))
         assert [record["seq"] for record in primary.log] == [primary.seq] == [1]
         primary._deposed({"status": "stale-epoch", "epoch": 1, "primary": "server-b1"})
         assert primary.log == [] and primary.base_seq == primary.seq
-        for service, _body, (_args, kwargs) in calls:
-            if service == "rover.ha.replicate":
+        for kind, _body, (_args, kwargs) in calls:
+            if kind == "records":
                 kwargs["on_error"](RpcError("frame lost"))
         # Re-elected before its sync: both peers reported less than it ran.
         sent = len(calls)
         reported = [{"index": agent.index, "seq": agent.seq} for agent in bed.group.agents[1:]]
         primary._promote(2, reported)
-        assert [service for service, *_ in calls[sent:]] == ["rover.ha.resync"] * 2
+        assert [kind for kind, *_ in calls[sent:]] == ["gap"] * 2

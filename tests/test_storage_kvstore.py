@@ -51,14 +51,3 @@ def test_contains_len_keys():
     assert "a" in store and "b" in store
     assert len(store) == 2
     assert sorted(store.keys()) == ["a", "b"]
-
-
-def test_snapshot_restore():
-    store = KVStore()
-    store.put("k", "v1")
-    snapshot = store.snapshot()
-    store.put("k", "v2")
-    store.put("extra", "x")
-    store.restore(snapshot)
-    assert store.get("k") == ("v1", 1)
-    assert "extra" not in store
