@@ -13,13 +13,16 @@ The server answers four services (the QRPC operations):
   with read access to the object store (the paper's agent-style use:
   e.g. filter a mail folder at the server instead of importing it).
 
-Mutating operations are applied **at most once**: the server remembers
-the reply for every request id it has applied and returns the cached
-reply on redelivery, so QRPC retransmissions are safe.
+Every service of :data:`SERVICES` comes in through one door,
+:meth:`RoverServer.serve`.  Those that change anything are applied **at
+most once**: the server remembers the reply for every request id it has
+applied and returns the cached reply on redelivery, so QRPC
+retransmissions are safe.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import zlib
 from bisect import bisect_left, insort
@@ -234,19 +237,13 @@ class RoverServer:
         #: (host_name, prefix) subscriptions for invalidation callbacks.
         self._subscriptions: dict[str, set[str]] = {}
         self.invalidations_sent = 0
-        transport.register("rover.import", self._on_import)
-        transport.register("rover.export", self._on_export)
-        transport.register("rover.invoke", self._on_invoke)
-        transport.register("rover.ship", self._on_ship)
-        transport.register("rover.list", self._on_list)
-        transport.register("rover.subscribe", self._on_subscribe)
         #: urn -> (holder session id, lease expiry time)
         self._locks: dict[str, tuple[str, float]] = {}
         self.locks_granted = 0
         self.locks_denied = 0
         self.locks_expired = 0
-        transport.register("rover.lock", self._on_lock)
-        transport.register("rover.unlock", self._on_unlock)
+        for service in SERVICES:
+            transport.register(service, functools.partial(self.serve, service))
         # Metrics: live views over the plain instance counters above.
         # The attributes stay ordinary ints (tests and experiment
         # drivers read them directly); the registry sees them through
@@ -281,14 +278,12 @@ class RoverServer:
         )
         self._m_delta_down = delta_saved.labels(authority=authority, direction="down")
         self._m_delta_up = delta_saved.labels(authority=authority, direction="up")
-        self._m_locks_expired = self.obs.registry.counter(
-            "locks_expired_total",
-            "Lock leases expired server-side (holder never released)",
-            labelnames=("authority",),
-        ).labels(authority=authority)
-        # The bounded tables' evictions, read when the registry is (a
-        # client's interpreter reports nothing, so no fleet report grows).
+        # Counts kept as plain ints, read when the registry is: the bounded
+        # tables' evictions (a client's interpreter reports nothing, so no
+        # fleet report grows) and the expired leases.
         for name, help_text, read in (
+            ("locks_expired_total", "Lock leases expired server-side (holder never released)",
+             lambda: self.locks_expired),
             ("rdo_code_cache_evicted_total", "Compiled RDO sources evicted from the code cache",
              lambda: self.interpreter.code_cache_evictions),
             ("rdo_verdicts_evicted_total", "Passing verification verdicts evicted",
@@ -331,7 +326,7 @@ class RoverServer:
         that is volatile, so a crash/restart forgets it.  A
         retransmitted export or mutating invoke whose update already
         committed is answered from the committer index instead
-        (:meth:`_committed_replay`): its original reply, with nothing
+        (:meth:`serve`): its original reply, with nothing
         applied again (see the crash-restart tests).
         """
         return self.subset_snapshot(self.store.keys())
@@ -591,12 +586,24 @@ class RoverServer:
         while len(committed) > self.history_limit:
             committed.popitem(last=False)
 
-    def _committed_replay(
-        self, urn: str, request_id: Optional[str]
-    ) -> Optional[dict]:
-        if request_id is None:
-            return None
-        return self._committed_replies.get(urn, {}).get(request_id)
+    def _commit(
+        self, urn: str, wire: dict, data: Any, raw: Optional[bytes],
+        body: dict, source: Address, reply: dict,
+    ) -> dict:
+        """Store ``data`` (``raw``: its encoding, if made) as the next
+        version of ``urn``, whose stored wire is ``wire``: the store, the
+        version history and the subscribers.  ``reply`` gets the new
+        ``version`` and is kept in the committer index under the
+        request's id; it is returned."""
+        new_wire = dict(wire)
+        new_wire["data"] = data
+        version = reply["version"] = self.store.put(urn, new_wire)
+        new_wire["version"] = version  # the store holds ``new_wire`` itself
+        self._remember(urn, version, data, raw=raw)
+        self._remember_committed(urn, body.get("request_id"), reply)
+        if self._subscriptions:
+            self._notify_subscribers(urn, version, except_host=source[0])
+        return reply
 
     def _base_data(self, urn: str, version: int) -> Optional[Any]:
         for stored_version, data in self._history.get(urn, []):
@@ -606,11 +613,9 @@ class RoverServer:
 
     # -- at-most-once -------------------------------------------------------
 
-    def _cached_reply(self, request_id: Optional[str]) -> tuple[Optional[dict], _Split]:
+    def _cached_reply(self, request_id: str) -> tuple[Optional[dict], _Split]:
         """The reply ``request_id`` already has, if any, and the id's
         :func:`_split_request_id` (parsed once, for :meth:`_record_reply`)."""
-        if request_id is None:
-            return None, None
         reply = self._applied.get(request_id)
         if reply is not None:
             self.duplicates_suppressed += 1
@@ -628,11 +633,10 @@ class RoverServer:
             return {"status": "duplicate", "request_id": request_id}, split
         return None, split
 
-    def _record_reply(self, request_id: Optional[str], split: _Split, reply: dict) -> dict:
-        if request_id is not None:
-            self.applied_pruned += self._applied.put(
-                request_id, split, reply, self.applied_cache_cap
-            )
+    def _record_reply(self, request_id: str, split: _Split, reply: dict) -> dict:
+        self.applied_pruned += self._applied.put(
+            request_id, split, reply, self.applied_cache_cap
+        )
         return reply
 
     def _observe_watermark(self, body: Any) -> None:
@@ -666,10 +670,48 @@ class RoverServer:
     # -- services -------------------------------------------------------------
 
     @replay_pure
-    def _on_import(self, body: Any, source: Address) -> Any:
-        self.reads_served += 1
-        if not self._authorized(body):
+    def serve(self, service: str, body: Any, source: Address) -> Any:
+        """Answer one request for ``service`` of :data:`SERVICES`, the
+        one door of every client service.
+
+        A read is counted on entry, a refused one too; then the
+        credential is checked.  A service applied at most once is
+        guarded next: the sender's ack watermark, the reply the request
+        already has (or the watermark's floor), then the committer index
+        (a write whose cached reply was evicted or lost in a restart gets
+        its original reply, with nothing applied again: answered from
+        current state it could be re-negotiated into a manufactured
+        conflict, and a "resolved" reply carries a merged value the
+        client must still apply).  The handler's reply, or a
+        :class:`DelayedReply`'s body, is kept unless it is the one
+        refusal the same request may retry.
+        """
+        handler, read, retryable = SERVICES[service]
+        if read:
+            self.reads_served += 1
+        if self.auth_tokens is not None and not self._authorized(body):
             return {"status": "unauthorized"}
+        if retryable is None:
+            return handler(self, body, source)
+        self._observe_watermark(body)
+        request_id = body.get("request_id")
+        if request_id is None:
+            return handler(self, body, source)
+        cached, split = self._cached_reply(request_id)
+        if cached is not None:
+            return cached
+        urn = body.get("urn")
+        if type(urn) is str and request_id in self._committed_replies.get(urn, ()):
+            self.duplicates_suppressed += 1
+            return self._record_reply(request_id, split, self._committed_replies[urn][request_id])
+        reply = handler(self, body, source)
+        kept = reply.body if type(reply) is DelayedReply else reply
+        if kept["status"] != retryable:
+            self._record_reply(request_id, split, kept)
+        return reply
+
+    @replay_pure
+    def _on_import(self, body: Any, source: Address) -> Any:
         urn = body["urn"]
         entry = self.store.entry(urn)
         if entry is None:
@@ -709,34 +751,16 @@ class RoverServer:
 
     @replay_pure
     def _on_export(self, body: Any, source: Address) -> Any:
-        if not self._authorized(body):
-            return {"status": "unauthorized"}
-        self._observe_watermark(body)
-        request_id = body.get("request_id")
-        cached, split = self._cached_reply(request_id)
-        if cached is not None:
-            return cached
         urn = body["urn"]
-        replayed = self._committed_replay(urn, request_id)
-        if replayed is not None:
-            # Already applied, cached reply since evicted (or lost in a
-            # restart).  Answering from current state would re-negotiate
-            # the export against version history — a base the server may
-            # have GC'd, turning a clean replay into need-full and then
-            # a manufactured conflict.  Replaying the original reply is
-            # the only sound answer: a "resolved" reply carries a merged
-            # value the client must still apply.
-            self.duplicates_suppressed += 1
-            return self._record_reply(request_id, split, replayed)
         base_version = int(body.get("base_version", 0))
         client_data = body.get("data")
         client_raw = None
         if "delta" in body and "data" not in body:
             # Delta export: reconstruct the client's full data from the
             # base version both sides hold.  A history miss or a delta
-            # that does not fit the base gets "need-full" — deliberately
-            # NOT recorded in the at-most-once cache, so the client's
-            # full-data resend under the same request id still applies.
+            # that does not fit the base gets "need-full", the refusal the
+            # door does not keep, so the client's full-data resend under
+            # the same request id still applies.
             from repro.net.message import marshalled_size
             from repro.perf.delta import DeltaError, apply_delta
 
@@ -755,27 +779,17 @@ class RoverServer:
                 self._m_delta_up.inc(saved)
         entry = self.store.entry(urn)
         if entry is None:
-            return self._record_reply(request_id, split, {"status": "not-found", "urn": urn})
+            return {"status": "not-found", "urn": urn}
         wire, current_version = entry
         holder = self._lock_holder(urn)
         if holder is not None and body.get("session", "") != holder:
             # Another session holds the application-level lock.
-            return self._record_reply(
-                request_id, split, {"status": "locked", "holder": holder}
-            )
+            return {"status": "locked", "holder": holder}
 
         if base_version == current_version:
-            new_wire = dict(wire)
-            new_wire["data"] = client_data
-            new_version = self.store.put(urn, new_wire)
-            new_wire["version"] = new_version  # the store holds ``new_wire`` itself
-            self._remember(urn, new_version, client_data, raw=client_raw)
             self.exports_committed += 1
-            if self._subscriptions:
-                self._notify_subscribers(urn, new_version, except_host=source[0])
-            reply = {"status": "committed", "version": new_version}
-            self._remember_committed(urn, request_id, reply)
-            return self._record_reply(request_id, split, reply)
+            reply = {"status": "committed", "version": None}
+            return self._commit(urn, wire, client_data, client_raw, body, source, reply)
 
         # Concurrent update: attempt type-specific resolution.
         type_name = wire.get("type", "")
@@ -783,24 +797,16 @@ class RoverServer:
         base_data = self._base_data(urn, base_version)
         resolution = resolver.resolve(base_data, wire.get("data"), client_data)
         if resolution.resolved:
-            new_wire = dict(wire)
-            new_wire["data"] = resolution.merged_value
-            new_version = self.store.put(urn, new_wire)
-            new_wire["version"] = new_version
-            self._remember(urn, new_version, resolution.merged_value)
             self.exports_resolved += 1
-            if self._subscriptions:
-                self._notify_subscribers(urn, new_version, except_host=source[0])
             reply = {
                 "status": "resolved",
-                "version": new_version,
+                "version": None,
                 # The reply is kept (at-most-once, committer index); the
                 # stored value is the one a later invoke writes in place.
                 "value": _detached(resolution.merged_value),
                 "detail": resolution.detail,
             }
-            self._remember_committed(urn, request_id, reply)
-            return self._record_reply(request_id, split, reply)
+            return self._commit(urn, wire, resolution.merged_value, None, body, source, reply)
 
         self.exports_conflicted += 1
         report = ConflictReport(
@@ -811,31 +817,16 @@ class RoverServer:
             detail=resolution.detail,
             server_value=_detached(wire.get("data")),
         )
-        return self._record_reply(
-            request_id, split, {"status": "conflict", "conflict": report.to_wire()}
-        )
+        return {"status": "conflict", "conflict": report.to_wire()}
 
     @replay_pure
     def _on_invoke(self, body: Any, source: Address) -> Any:
-        if not self._authorized(body):
-            return {"status": "unauthorized"}
-        self._observe_watermark(body)
-        request_id = body.get("request_id")
-        cached, split = self._cached_reply(request_id)
-        if cached is not None:
-            return cached
         urn = body["urn"]
-        replayed = self._committed_replay(urn, request_id)
-        if replayed is not None:
-            # A mutating invoke that already applied must not run again
-            # (at-most-once); replay the original reply, result included.
-            self.duplicates_suppressed += 1
-            return self._record_reply(request_id, split, replayed)
         method = body["method"]
         args = body.get("args", [])
         entry = self.store.entry(urn)
         if entry is None:
-            return self._record_reply(request_id, split, {"status": "not-found", "urn": urn})
+            return {"status": "not-found", "urn": urn}
         # The method runs on the stored object itself.
         wire, version = entry
         interface_wire = wire.get("interface", [])
@@ -874,24 +865,14 @@ class RoverServer:
                 # verifier cannot see every alias): every cached copy of
                 # this version would silently differ from the server's.
                 wire["data"] = unmarshal(marshal(committed))
-                return self._record_reply(
-                    request_id, split, {"status": "hidden-mutation", "urn": urn}
-                )
+                return {"status": "hidden-mutation", "urn": urn}
             self.reads_served += 1
         self.invokes_served += 1
         if type(result) not in _SCALARS:
             result = _detached(result)  # the reply is kept; ``data`` is not
         reply: dict = {"status": "ok", "result": result}
         if spec.mutates:
-            new_wire = dict(wire)  # ``data`` already holds the new state
-            new_version = self.store.put(urn, new_wire)
-            new_wire["version"] = new_version  # the store holds ``new_wire`` itself
-            self._remember(urn, new_version, data, raw=raw)
-            reply["version"] = new_version
-            self._remember_committed(urn, request_id, reply)
-            if self._subscriptions:
-                self._notify_subscribers(urn, new_version, except_host=source[0])
-        self._record_reply(request_id, split, reply)
+            self._commit(urn, wire, data, raw, body, source, reply)
         return DelayedReply(self.cost_model.invoke_time(steps), reply)
 
     def _decode_interface(self, interface_wire: Any) -> RDOInterface:
@@ -916,14 +897,6 @@ class RoverServer:
         travels back in one reply — the whole point being that N
         lookups here replace N QRPCs over a slow link.
         """
-        self.reads_served += 1
-        if not self._authorized(body):
-            return {"status": "unauthorized"}
-        self._observe_watermark(body)
-        request_id = body.get("request_id")
-        cached, split = self._cached_reply(request_id)
-        if cached is not None:
-            return cached
         code = body.get("code", "")
         method = body.get("method", "main")
         args = body.get("args", [])
@@ -954,7 +927,6 @@ class RoverServer:
         if type(result) not in _SCALARS:
             result = _detached(result)  # ``lookup`` hands out live data
         reply = {"status": "ok", "result": result}
-        self._record_reply(request_id, split, reply)
         return DelayedReply(self.cost_model.invoke_time(steps), reply)
 
     # -- application-level locks ----------------------------------------------
@@ -968,7 +940,6 @@ class RoverServer:
         if self.sim.now >= expires:
             del self._locks[urn]
             self.locks_expired += 1
-            self._m_locks_expired.inc()
             return None
         return holder
 
@@ -989,8 +960,6 @@ class RoverServer:
         for urn in expired:
             del self._locks[urn]
         self.locks_expired += len(expired)
-        if expired:
-            self._m_locks_expired.inc(len(expired))
         return len(expired)
 
     @replay_pure
@@ -1006,8 +975,6 @@ class RoverServer:
         would be granted already over), so it is refused, and nothing
         changes.
         """
-        if not self._authorized(body):
-            return {"status": "unauthorized"}
         urn = body["urn"]
         session = body.get("session", "")
         try:
@@ -1026,8 +993,6 @@ class RoverServer:
 
     @replay_pure
     def _on_unlock(self, body: Any, source: Address) -> Any:
-        if not self._authorized(body):
-            return {"status": "unauthorized"}
         urn = body["urn"]
         session = body.get("session", "")
         holder = self._lock_holder(urn)
@@ -1039,9 +1004,6 @@ class RoverServer:
     @replay_pure
     def _on_list(self, body: Any, source: Address) -> Any:
         """Enumerate object names under a prefix (hoard-walk support)."""
-        self.reads_served += 1
-        if not self._authorized(body):
-            return {"status": "unauthorized"}
         prefix = body.get("prefix", "")
         names = sorted(key for key in self.store.keys() if key.startswith(prefix))
         return {"status": "ok", "urns": names}
@@ -1056,9 +1018,6 @@ class RoverServer:
         link to the subscriber is up (a disconnected client learns of
         changes by re-importing, as the paper intends).
         """
-        self.reads_served += 1
-        if not self._authorized(body):
-            return {"status": "unauthorized"}
         host_name = source[0]
         prefix = body.get("prefix", "")
         self._subscriptions.setdefault(host_name, set()).add(prefix)
@@ -1087,6 +1046,24 @@ class RoverServer:
             except LinkDown:
                 pass  # best-effort; the client will poll or re-import
 
+
+#: The client services, each ``service: (handler, read, retryable)``.
+#: ``read``: counted in ``reads_served`` on entry (:mod:`repro.ha` sorts a
+#: request by that count; an invoke counts itself once a read-only method
+#: ran).  ``retryable`` is ``None`` for a service not applied at most
+#: once; otherwise the one refusal the door does not keep, because the
+#: same request may retry it ("" for none): a delta export's ``need-full``
+#: asks for the full data, and a lock denial is re-evaluated on retry.
+SERVICES = {
+    "rover.import": (RoverServer._on_import, True, None),
+    "rover.export": (RoverServer._on_export, False, "need-full"),
+    "rover.invoke": (RoverServer._on_invoke, False, ""),
+    "rover.ship": (RoverServer._on_ship, True, ""),
+    "rover.list": (RoverServer._on_list, True, None),
+    "rover.subscribe": (RoverServer._on_subscribe, True, None),
+    "rover.lock": (RoverServer._on_lock, False, "locked"),
+    "rover.unlock": (RoverServer._on_unlock, False, ""),
+}
 
 #: Port clients listen on for server-initiated invalidations.
 INVALIDATION_PORT = 531

@@ -1,14 +1,16 @@
 """Replication group: primary/backup RoverServers with epoch fencing.
 
-One :class:`ReplicaAgent` wraps each member server's transport service
-table.  The primary's agent intercepts every client-facing service
-(:data:`CLIENT_SERVICES`) and sorts each request by one rule, which the
-server states: a request the server counts in ``reads_served`` -- an
-import, a list, a ship, a subscription, or an invoke of a method its
-interface declares read-only -- is a read; everything else is a write.
+One :class:`ReplicaAgent` stands at each member server's door.  It takes
+every client service (:data:`CLIENT_SERVICES`, the keys of the server's
+:data:`~repro.core.server.SERVICES` table), fences it on a backup, and on
+the primary hands it to :meth:`RoverServer.serve` and sorts it by one
+rule, which the server states: a request the server counts in
+``reads_served`` -- one its table marks a read (an import, a list, a
+ship, a subscription), or an invoke of a method its interface declares
+read-only -- is a read; everything else is a write.
 
-* **Writes** -- exports, locks, mutating invokes, and an invoke
-  answered from a reply cache -- run on the primary alone.  What one
+* **Writes** -- exports, locks and unlocks, mutating invokes, and an
+  invoke answered from a reply cache -- run on the primary alone.  What one
   wrote there (:meth:`RoverServer.write_set`: the object's new version
   and data, its committer-index entry, the lease, the client's
   watermark; for a write that changed nothing, at most the reply its
@@ -71,7 +73,7 @@ import math
 from typing import Any, Callable, Optional
 
 from repro.core.naming import URN
-from repro.core.server import RoverServer
+from repro.core.server import SERVICES, RoverServer
 from repro.lint.contracts import replay_pure
 from repro.net.message import Premarshalled
 from repro.net.simnet import Address, Host
@@ -80,10 +82,7 @@ from repro.sim import Simulator
 
 #: The client services the agent interposes on: fenced on a backup,
 #: sorted into reads and writes by the server on the primary.
-CLIENT_SERVICES = (
-    "rover.export", "rover.import", "rover.invoke", "rover.list",
-    "rover.lock", "rover.ship", "rover.subscribe", "rover.unlock",
-)
+CLIENT_SERVICES = tuple(SERVICES)
 
 #: How many records ride in one replicate frame.
 SHIP_BATCH = 64
@@ -268,7 +267,7 @@ def _rank(member: dict) -> tuple[int, int]:
 
 
 class ReplicaAgent:
-    """One member's replication logic, shimmed over its transport."""
+    """One member's replication logic, standing at its server's door."""
 
     def __init__(
         self, sim: Simulator, server: RoverServer, transport: Transport,
@@ -327,9 +326,6 @@ class ReplicaAgent:
         self._syncing = False
         self._crashed = False
         self._incarnation = 0
-        #: Original (server-registered) handlers, keyed by service: the
-        #: primary runs a client's request through this table.
-        self._inner: dict[str, Callable[[Any, Address], Any]] = {}
 
         registry = server.obs.registry
         labels = {"authority": server.authority, "host": self.host.name}
@@ -356,21 +352,13 @@ class ReplicaAgent:
         ).labels(**labels).set_function(self._lag)
 
         server.ha_agent = self
-        self._install_shims()
+        for service in CLIENT_SERVICES:
+            transport.register(service, functools.partial(self._serve_client, service))
         transport.register("rover.ha.replicate", self._on_replicate)
         transport.register("rover.ha.poll", self._on_poll)
         transport.register("rover.ha.sync", self._on_sync)
 
     # -- wiring --------------------------------------------------------------
-
-    def _install_shims(self) -> None:
-        """Interpose on every client-facing service the server exposes."""
-        table = self.transport._request_handlers
-        for service in CLIENT_SERVICES:
-            handler = table.get(service)
-            if handler is not None:
-                self._inner[service] = handler
-            self.transport.register(service, functools.partial(self._serve_client, service))
 
     def start(self) -> None:
         """Begin heartbeat/failure-detection ticks (group calls this)."""
@@ -421,14 +409,11 @@ class ReplicaAgent:
                 "ha_epoch": self.epoch,
                 "ha_member": self.host.name,
             }
-        inner = self._inner.get(service)
-        if inner is None:
-            return {"error": f"unknown service {service!r}"}
         server = self.server
         reads = server.reads_served
         urn = body.get("urn") if isinstance(body, dict) else None
         mark = server.write_mark(urn)
-        stamped = inner(body, source)
+        stamped = server.serve(service, body, source)
         if isinstance(stamped, DelayedReply):  # the handler's own, made for this call
             stamped.body = self._stamp(stamped.body)
         else:

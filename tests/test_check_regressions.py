@@ -139,10 +139,11 @@ def test_watermark_floor_dedupes_evicted_invoke_replay():
     urn = str(box.urn)
 
     first = {"urn": urn, "method": "add", "args": ["x"], "request_id": "c/0"}
-    server._on_invoke(first, SRC)
+    server.serve("rover.invoke", first, SRC)
     # The next request piggybacks ackw=["c", 1]: counter 0 is settled
     # client-side.  The server prunes c/0 from its at-most-once cache.
-    server._on_invoke(
+    server.serve(
+        "rover.invoke",
         {"urn": urn, "method": "add", "args": ["y"], "request_id": "c/1",
          "ackw": ["c", 1]},
         SRC,
@@ -150,7 +151,7 @@ def test_watermark_floor_dedupes_evicted_invoke_replay():
     assert "c/0" not in server._applied
 
     # A delayed duplicate frame of the settled request arrives.
-    server._on_invoke(dict(first), SRC)
+    server.serve("rover.invoke", dict(first), SRC)
     items = server.get_object(urn).data["items"]
     assert items == ["x", "y"], f"settled append applied twice: {items}"
 
@@ -160,16 +161,19 @@ def test_watermark_floor_rejects_evicted_export_replay():
     note = make_note()
     server.put_object(note)
     urn = str(note.urn)
-    server._on_export(
+    server.serve(
+        "rover.export",
         {"urn": urn, "base_version": 1, "data": {"text": "A"}, "request_id": "c/0"},
         SRC,
     )
-    server._on_export(
+    server.serve(
+        "rover.export",
         {"urn": urn, "base_version": 2, "data": {"text": "B"}, "request_id": "c/1",
          "ackw": ["c", 1]},
         SRC,
     )
-    reply = server._on_export(
+    reply = server.serve(
+        "rover.export",
         {"urn": urn, "base_version": 1, "data": {"text": "A"}, "request_id": "c/0"},
         SRC,
     )
@@ -187,21 +191,23 @@ def test_committer_index_answers_evicted_export_replay():
     urn = str(note.urn)
 
     body = {"urn": urn, "base_version": 1, "data": {"text": "v1"}, "request_id": "c/0"}
-    original = server._on_export(body, SRC)
+    original = server.serve("rover.export", body, SRC)
     assert original["status"] == "committed"
     # Two younger requests evict c/0's reply from the bounded cache;
     # no watermark was ever observed, so the floor cannot help.
-    server._on_export(
+    server.serve(
+        "rover.export",
         {"urn": urn, "base_version": 2, "data": {"text": "v2"}, "request_id": "c/1"},
         SRC,
     )
-    server._on_export(
+    server.serve(
+        "rover.export",
         {"urn": urn, "base_version": 3, "data": {"text": "v3"}, "request_id": "c/2"},
         SRC,
     )
     assert "c/0" not in server._applied
 
-    replay = server._on_export(dict(body), SRC)
+    replay = server.serve("rover.export", dict(body), SRC)
     assert replay == original
     assert server.exports_conflicted == 0
     assert server.get_object(urn).data == {"text": "v3"}
@@ -217,28 +223,31 @@ def test_committer_index_replays_resolved_reply_with_merged_value():
     urn = URN("server", "doc")
     server.put_object(RDO(urn, "note", {"a": 1, "b": 2}))
 
-    server._on_export(
+    server.serve(
+        "rover.export",
         {"urn": str(urn), "base_version": 1, "data": {"a": 10, "b": 2},
          "request_id": "x/0"},
         SRC,
     )
     resolved_body = {"urn": str(urn), "base_version": 1, "data": {"a": 1, "b": 20},
                      "request_id": "y/0"}
-    original = server._on_export(dict(resolved_body), SRC)
+    original = server.serve("rover.export", dict(resolved_body), SRC)
     assert original["status"] == "resolved"
-    server._on_export(
+    server.serve(
+        "rover.export",
         {"urn": str(urn), "base_version": 3, "data": {"a": 10, "b": 30},
          "request_id": "x/1"},
         SRC,
     )
-    server._on_export(
+    server.serve(
+        "rover.export",
         {"urn": str(urn), "base_version": 4, "data": {"a": 11, "b": 30},
          "request_id": "x/2"},
         SRC,
     )
     assert "y/0" not in server._applied
 
-    replay = server._on_export(dict(resolved_body), SRC)
+    replay = server.serve("rover.export", dict(resolved_body), SRC)
     assert replay["status"] == "resolved"
     assert replay["value"] == original["value"]
 
@@ -249,11 +258,11 @@ def test_committer_index_survives_server_restart():
     server.put_object(note)
     urn = str(note.urn)
     body = {"urn": urn, "base_version": 1, "data": {"text": "v1"}, "request_id": "c/0"}
-    original = server._on_export(body, SRC)
+    original = server.serve("rover.export", body, SRC)
     snapshot = server.snapshot()
     server.restore(snapshot)
     assert "c/0" not in server._applied  # the volatile cache died
-    replay = server._on_export(dict(body), SRC)
+    replay = server.serve("rover.export", dict(body), SRC)
     assert replay == original
     assert server.exports_conflicted == 0
 

@@ -5,11 +5,13 @@ import pytest
 from repro.core.conflict import AppendMerge, FieldwiseMerge, Resolution, ResolverRegistry
 from repro.core.naming import URN
 from repro.core.rdo import RDO, MethodSpec, RDOInterface
-from repro.core.server import RoverServer
+from repro.core.server import SERVICES, RoverServer
 from repro.net.link import ETHERNET_10M
+from repro.net.message import marshal
 from repro.net.simnet import Network
 from repro.net.transport import Transport
 from repro.sim import Simulator
+from repro.testbed import build_testbed
 from tests.conftest import make_note
 
 SRC = ("client", 0)
@@ -119,8 +121,8 @@ def test_export_at_most_once(server):
         "data": {"text": "once"},
         "request_id": "c/7",
     }
-    first = server._on_export(body, SRC)
-    second = server._on_export(body, SRC)  # retransmission
+    first = server.serve("rover.export", body, SRC)
+    second = server.serve("rover.export", body, SRC)  # retransmission
     assert first == second
     assert server.get_object(str(note.urn)).version == 2  # applied once
     assert server.duplicates_suppressed == 1
@@ -164,8 +166,8 @@ def test_invoke_at_most_once(server):
         "args": ["v"],
         "request_id": "c/9",
     }
-    server._on_invoke(body, SRC)
-    duplicate = server._on_invoke(body, SRC)
+    server.serve("rover.invoke", body, SRC)
+    duplicate = server.serve("rover.invoke", body, SRC)
     # Duplicate returns the cached reply (no DelayedReply, no re-execution).
     assert duplicate["version"] == 2
     assert server.get_object(str(note.urn)).version == 2
@@ -251,8 +253,10 @@ def put_items(server, path="items/0", doc=""):
 
 
 def invoke(server, urn, method, *args, request_id):
-    return server._on_invoke(
-        {"urn": urn, "method": method, "args": list(args), "request_id": request_id}, SRC
+    return server.serve(
+        "rover.invoke",
+        {"urn": urn, "method": method, "args": list(args), "request_id": request_id},
+        SRC,
     )
 
 
@@ -278,12 +282,12 @@ def test_a_kept_read_reply_does_not_change_with_a_later_write(server):
     read = invoke(server, urn, "items", request_id="r/0")
     code = "def main(urn):\n    return lookup(urn)['items']\n"
     ship_body = {"code": code, "method": "main", "args": [urn], "request_id": "s/0"}
-    shipped = server._on_ship(ship_body, SRC)
+    shipped = server.serve("rover.ship", ship_body, SRC)
     invoke(server, urn, "add", 2, request_id="b/0")
     assert read.body["result"] == [1]
     assert shipped.body["result"] == [1]
     assert invoke(server, urn, "items", request_id="r/0")["result"] == [1]
-    assert server._on_ship(ship_body, SRC)["result"] == [1]
+    assert server.serve("rover.ship", ship_body, SRC)["result"] == [1]
 
 
 def test_a_resolved_or_conflicting_export_keeps_the_value_it_had():
@@ -369,3 +373,78 @@ def test_each_bounded_table_counts_its_evictions_in_the_registry(server, monkeyp
         interpreter.load(source)
     assert evicted(server, "rdo_code_cache_evicted_total") == before[0] + 3
     assert evicted(server, "rdo_verdicts_evicted_total") == before[1] + 3
+
+
+# -- the door: one credential check, one at-most-once guard --------------------
+
+
+def lock_requests():
+    """A bed holding one note, and a sender of session A's lock and
+    unlock requests through the server's transport."""
+    bed = build_testbed(link_spec=ETHERNET_10M)
+    note = make_note()
+    bed.server.put_object(note)
+    urn = str(note.urn)
+
+    def send(operation, n):
+        body = {"urn": urn, "session": "A", "request_id": f"a/{n}"}
+        return bed.server_transport.handle_request(f"rover.{operation}", body, SRC)[1]
+
+    return bed.server, urn, send
+
+
+def test_a_retransmitted_unlock_does_not_free_a_later_lock():
+    server, urn, send = lock_requests()
+    send("lock", 0)
+    send("unlock", 1)
+    send("lock", 2)
+    assert send("unlock", 1) == {"status": "ok"}  # the reply it had
+    assert server._locks[urn][0] == "A"
+
+
+def test_a_retransmitted_lock_after_its_unlock_takes_nothing():
+    server, urn, send = lock_requests()
+    send("lock", 0)
+    send("unlock", 1)
+    assert send("lock", 0)["status"] == "ok"  # the reply it had
+    assert server._locks == {}
+
+
+def door_state(server):
+    """Everything a refused request must leave as it was."""
+    return (
+        marshal(server.snapshot()),
+        sorted([urn, *lease] for urn, lease in server._locks.items()),
+        [(rid, reply) for rid, (reply, __) in server._applied._replies.items()],
+        dict(server._client_watermarks),
+        {host: sorted(prefixes) for host, prefixes in server._subscriptions.items()},
+    )
+
+
+@pytest.mark.parametrize("service", list(SERVICES))
+def test_a_request_without_a_token_changes_nothing(service):
+    sim = Simulator()
+    server = RoverServer(sim, Transport(sim, Network(sim).host("server")), "server",
+                         auth_tokens={"secret"})
+    urn = put_items(server)
+    allowed = {"auth": "secret", "session": "A", "urn": urn}
+    assert server.serve("rover.lock", {**allowed, "request_id": "a/0"}, SRC)["status"] == "ok"
+    assert server.serve("rover.subscribe", {**allowed, "prefix": "urn"}, SRC)["status"] == "ok"
+    bodies = {
+        "rover.import": {"urn": urn},
+        "rover.export": {"urn": urn, "base_version": 1, "data": {"items": [1]}},
+        "rover.invoke": {"urn": urn, "method": "add", "args": [1]},
+        "rover.ship": {"code": "def main():\n    return 1\n", "method": "main"},
+        "rover.list": {"prefix": ""},
+        "rover.subscribe": {"prefix": "urn:rover:server/"},
+        "rover.lock": {"urn": urn, "session": "A", "lease_s": 10.0},
+        "rover.unlock": {"urn": urn, "session": "A"},
+    }
+    body = {**bodies[service], "request_id": "b/1", "ackw": ["b", 1], "auth": "wrong"}
+    before, reads, rejections = door_state(server), server.reads_served, server.auth_rejections
+    assert server.transport.handle_request(service, body, ("other", 0)) == (
+        True, {"status": "unauthorized"}
+    )
+    assert door_state(server) == before
+    assert server.auth_rejections == rejections + 1
+    assert server.reads_served == reads + SERVICES[service][1]

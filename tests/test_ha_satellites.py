@@ -672,11 +672,11 @@ def test_a_rejoining_member_forgets_the_writes_it_ran_alone():
     bed.put_object(box)
     (primary, __), (joiner, __) = bed.members
     body = {"urn": str(box.urn), "method": "add", "args": ["x"], "request_id": "c/1"}
-    joiner._on_invoke(dict(body), ("client0", 0))
+    joiner.serve("rover.invoke", dict(body), ("client0", 0))
     joiner.merge_subset(primary.subset_snapshot([str(box.urn)]), [])
     assert joiner.get_object(str(box.urn)).data == {"items": []}
     for server in (primary, joiner):
-        server._on_invoke(dict(body), ("client0", 0))
+        server.serve("rover.invoke", dict(body), ("client0", 0))
     assert joiner.state_vector() == primary.state_vector()
     assert joiner.get_object(str(box.urn)).data == {"items": ["x"]}
 

@@ -626,9 +626,13 @@ class TestTreeGate(unittest.TestCase):
 
     def test_known_roots_discovered(self):
         report = analyze_paths([os.path.join(SRC, "repro")])
-        self.assertIn(
-            "repro/core/server.py:RoverServer._on_import", report.replay_roots
-        )
+        # The server's one door and the handler of every service behind it
+        # (registered through ``functools.partial``, so found by their
+        # ``@replay_pure``, not by a ``register(...)`` call site).
+        from repro.core.server import SERVICES
+
+        for name in ("serve", *(handler.__name__ for handler, __, __ in SERVICES.values())):
+            self.assertIn(f"repro/core/server.py:RoverServer.{name}", report.replay_roots)
         self.assertIn(
             "repro/obs/fleet/aggregator.py:FleetAggregator._on_telemetry",
             report.replay_roots,

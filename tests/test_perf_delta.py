@@ -298,7 +298,7 @@ def test_server_need_full_is_not_recorded_at_most_once():
         "base_version": 99,  # no such history entry
         "delta": {"!": {"text": "new"}},
     }
-    reply = bed.server._on_export(dict(body), ("client", 0))
+    reply = bed.server.serve("rover.export", dict(body), ("client", 0))
     assert reply["status"] == "need-full"
     # Same id, full data this time: applies normally.
     full = {
@@ -308,5 +308,5 @@ def test_server_need_full_is_not_recorded_at_most_once():
         "base_version": bed.server.store.version(urn),
         "data": {"text": "new"},
     }
-    reply = bed.server._on_export(full, ("client", 0))
+    reply = bed.server.serve("rover.export", full, ("client", 0))
     assert reply["status"] == "committed"

@@ -1134,17 +1134,23 @@ def echo(state, blob):
 
 
 def test_a_server_invoke_runs_on_the_stored_object():
-    """A read-only invoke is 19 Python calls: the handler, the
-    authorization and watermark checks, the at-most-once lookup (its
-    cache, the one parse of the id, the committer index), one store
-    lookup, a fresh environment (load, its module body, release), the
-    invoke and the method, the hidden-write check (history and the
-    comparison), the recorded reply, the cost and the delayed reply.  A
-    mutating one is 24: no hidden-write check, but the new state encoded
-    once, stored, and decoded into the version history, and the
-    committer index.  The interface is the table's; no RDO, URN,
-    ``MethodSpec`` or wire is built (33 and 43 calls when they were).
-    No slack: ``ha_failover`` runs 2 of these per op."""
+    """A read-only invoke, from the transport's dispatch on, is 19 Python
+    calls: ``handle_request``, the door (``serve``), the watermark check,
+    the at-most-once lookup (``_cached_reply``, its cache's ``get``, the
+    one parse of the id), the handler, one store lookup, a fresh
+    environment (``load``, its module body, ``release``), the invoke and
+    the method, the hidden-write check (``_base_data``,
+    ``same_encoding``), the cost and the delayed reply, and the kept
+    reply (``_record_reply``, ``put``).  A mutating one is 25: no
+    hidden-write check, but the new state encoded once (``marshal``,
+    ``_encode``), then ``_commit``: stored (``KVStore.put``), decoded
+    into the version history (``_remember``, ``unmarshal``, ``_decode``)
+    and the committer index.  The credential costs nothing on a server
+    without tokens, and the committer index's replay check is inline.
+    The interface is the table's; no RDO, URN, ``MethodSpec`` or wire is
+    built (33 and 43 calls when they were, 20 and 25 when each handler
+    carried its own guard).  No slack: ``ha_failover`` runs 2 of these
+    per op."""
     bed = build_testbed(link_spec=ETHERNET_10M)
     urn = URN(bed.authority, "obj/0")
     interface = RDOInterface([MethodSpec("bump", mutates=True), MethodSpec("echo")])
@@ -1153,10 +1159,11 @@ def test_a_server_invoke_runs_on_the_stored_object():
         (method, n): {"urn": str(urn), "method": method, "args": args, "request_id": f"c/{n}"}
         for n, (method, args) in enumerate([("echo", ["x"]), ("bump", [])] * 2)
     }
+    handle = bed.server_transport.handle_request
     for n in (0, 1):  # the first of each: the code compiled, the interface decoded
-        bed.server._on_invoke(bodies[("echo", "bump")[n], n], ("client0", 0))
-    assert _python_calls(bed.server._on_invoke, bodies[("echo", 2)], ("client0", 0)) == 19
-    assert _python_calls(bed.server._on_invoke, bodies[("bump", 3)], ("client0", 0)) == 24
+        handle("rover.invoke", bodies[("echo", "bump")[n], n], ("client0", 0))
+    assert _python_calls(handle, "rover.invoke", bodies[("echo", 2)], ("client0", 0)) == 19
+    assert _python_calls(handle, "rover.invoke", bodies[("bump", 3)], ("client0", 0)) == 25
     assert bed.server.get_object(str(urn)).data == {"n": 2}
 
 
