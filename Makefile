@@ -1,7 +1,7 @@
 PYTHON ?= python
 CHAOS_SEED ?= 0
 
-.PHONY: install test lint bench tables chaos check ha perf fleet speed perfbench perfbench-smoke calls sloc knobs reach demo examples trace-smoke clean
+.PHONY: install test lint bench tables chaos check ha perf fleet speed perfbench perfbench-smoke calls footprint sloc knobs reach demo examples trace-smoke clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -109,6 +109,14 @@ calls:
 	@for w in $(PERFBENCH_WORKLOADS); do \
 		PYTHONHASHSEED=0 PYTHONPATH=src:. $(PYTHON) tools/calls.py $$w || exit 1; \
 	done
+
+# What fleet_drain keeps: the bytes live when its timed region ends
+# (seed 7, tracemalloc, set-up included), then the 20 source files
+# holding the most of them (tools/calls.py --retained --by file; ~1 min
+# after the count-mode repeat).  The memory ledger behind peak_rss_mb;
+# it reports and gates nothing.
+footprint:
+	PYTHONHASHSEED=0 PYTHONPATH=src:. $(PYTHON) tools/calls.py fleet_drain --retained 20 --by file
 
 # The benchmark's own tests and self-check (~20 s); measures nothing.
 # The deselected test hard-codes the E16 gate's bytes_sent/messages_sent

@@ -78,6 +78,15 @@ class CacheEntry:
 class ObjectCache:
     """LRU-by-bytes cache of imported RDOs."""
 
+    METRICS = (
+        ("cache_hits_total", "counter", "lookup() found the object", "hits"),
+        ("cache_misses_total", "counter", "lookup() missed", "misses"),
+        ("cache_evictions_total", "counter",
+         "Entries dropped by LRU pressure (churn under cache pressure)", "evictions"),
+        ("cache_bytes", "gauge", "Bytes currently cached", "used_bytes"),
+        ("cache_entries", "gauge", "Objects currently cached", "__len__"),
+    )
+
     def __init__(
         self,
         capacity_bytes: int = 8 * 1024 * 1024,
@@ -89,39 +98,13 @@ class ObjectCache:
         self._clock = clock or (lambda: 0.0)
         self._entries: dict[str, CacheEntry] = {}
         self.obs = obs if obs is not None else Observatory()
-        registry = self.obs.registry
-        label = {"owner": owner}
-        self._m_hits = registry.counter(
-            "cache_hits_total", "lookup() found the object", labelnames=("owner",)
-        ).labels(**label)
-        self._m_misses = registry.counter(
-            "cache_misses_total", "lookup() missed", labelnames=("owner",)
-        ).labels(**label)
-        self._m_evictions = registry.counter(
-            "cache_evictions_total",
-            "Entries dropped by LRU pressure (churn under cache pressure)",
-            labelnames=("owner",),
-        ).labels(**label)
-        registry.gauge(
-            "cache_bytes", "Bytes currently cached", labelnames=("owner",)
-        ).labels(**label).set_function(lambda: self.used_bytes)
-        registry.gauge(
-            "cache_entries", "Objects currently cached", labelnames=("owner",)
-        ).labels(**label).set_function(lambda: len(self._entries))
-
-    # -- counters (registry-backed; attribute names kept for callers) -------
-
-    @property
-    def hits(self) -> int:
-        return int(self._m_hits.value)
-
-    @property
-    def misses(self) -> int:
-        return int(self._m_misses.value)
-
-    @property
-    def evictions(self) -> int:
-        return int(self._m_evictions.value)
+        #: Counts of :attr:`METRICS`; ``evictions`` is LRU churn.
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+        #: The sum of every entry's ``size``, kept as sizes change.
+        self.used_bytes = 0
+        self.obs.registry.expose(self, {"owner": owner})
 
     # -- lookups ----------------------------------------------------------
     #
@@ -141,10 +124,10 @@ class ObjectCache:
         """Fetch **and touch**: refreshes LRU recency, counts hit/miss."""
         entry = self._entries.get(urn)
         if entry is None:
-            self._m_misses.inc()
+            self.misses += 1
             return None
         entry.last_used = self._clock()
-        self._m_hits.inc()
+        self.hits += 1
         return entry
 
     def peek(self, urn: str) -> Optional[CacheEntry]:
@@ -161,16 +144,14 @@ class ObjectCache:
     def __iter__(self) -> Iterator[CacheEntry]:
         return iter(list(self._entries.values()))
 
-    @property
-    def used_bytes(self) -> int:
-        return sum(entry.size for entry in self._entries.values())
-
     # -- updates ----------------------------------------------------------
 
     def insert(self, rdo: RDO, status: CacheStatus = CacheStatus.COMMITTED) -> list[str]:
         """Cache an imported object; returns URNs evicted to make room."""
         entry = CacheEntry(rdo, status, self._clock())
+        replaced = self._entries.get(str(rdo.urn))
         self._entries[str(rdo.urn)] = entry
+        self.used_bytes += entry.size - (replaced.size if replaced is not None else 0)
         return self._evict_to_fit()
 
     def mark_tentative(self, urn: str) -> None:
@@ -186,7 +167,9 @@ class ObjectCache:
             entry.rdo.data = unmarshal(entry.data_raw)
             raise
         entry.status = CacheStatus.TENTATIVE
-        entry.size += len(raw) - len(entry.data_raw)
+        grown = len(raw) - len(entry.data_raw)
+        entry.size += grown
+        self.used_bytes += grown
         entry.data_raw = raw
 
     def commit(self, urn: str, new_version: int, data: Optional[dict] = None) -> None:
@@ -198,7 +181,9 @@ class ObjectCache:
         entry.rdo.version = new_version
         entry.base_version = new_version
         entry.base_raw = entry.data_raw = marshal(entry.rdo.data)
-        entry.size = entry._head_size + len(entry.data_raw) + marshalled_size(new_version)
+        size = entry._head_size + len(entry.data_raw) + marshalled_size(new_version)
+        self.used_bytes += size - entry.size
+        entry.size = size
         entry.status = CacheStatus.COMMITTED
 
     def rebase(self, urn: str, new_version: int, base: Optional[dict]) -> None:
@@ -212,14 +197,20 @@ class ObjectCache:
         entry.base_version = new_version
         if base is not None:
             entry.base_raw = marshal(base)
-        entry.size = entry._head_size + len(entry.data_raw) + marshalled_size(new_version)
+        size = entry._head_size + len(entry.data_raw) + marshalled_size(new_version)
+        self.used_bytes += size - entry.size
+        entry.size = size
 
     def pin(self, urn: str, pinned: bool = True) -> None:
         self._require(urn).pinned = pinned
 
     def invalidate(self, urn: str) -> bool:
         """Drop an entry regardless of status; returns whether present."""
-        return self._entries.pop(urn, None) is not None
+        entry = self._entries.pop(urn, None)
+        if entry is None:
+            return False
+        self.used_bytes -= entry.size
+        return True
 
     def _require(self, urn: str) -> CacheEntry:
         entry = self._entries.get(urn)
@@ -241,24 +232,10 @@ class ObjectCache:
         for __, urn in victims:
             if self.used_bytes <= self.capacity_bytes:
                 break
-            del self._entries[urn]
-            self._m_evictions.inc()
+            self.used_bytes -= self._entries.pop(urn).size
+            self.evictions += 1
             evicted.append(urn)
         return evicted
 
     def tentative_urns(self) -> list[str]:
         return [urn for urn, entry in self._entries.items() if entry.tentative]
-
-    def stats(self) -> dict:
-        """Point-in-time counters — a thin view over the metrics
-        registry (exported as ``cache_*`` series with an ``owner``
-        label).  ``evictions`` tracks LRU churn so cache-pressure
-        experiments can see turnover, not just the end-state ratio."""
-        return {
-            "entries": len(self._entries),
-            "bytes": self.used_bytes,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "tentative": len(self.tentative_urns()),
-        }

@@ -53,6 +53,12 @@ OnDurable = Callable[[QRPCRequest, float], None]
 class OperationLog:
     """Pending-QRPC log with at-most-once acknowledgement tracking."""
 
+    METRICS = (
+        ("oplog_pending", "gauge", "Logged-but-unacknowledged QRPCs", "pending_count"),
+        ("log_ops_compacted_total", "counter",
+         "Queued QRPCs removed from the log by compaction", "ops_compacted"),
+    )
+
     def __init__(
         self,
         stable_log: Optional[StableLog] = None,
@@ -72,18 +78,8 @@ class OperationLog:
         self._order: dict[str, int] = {}
         #: QRPCs removed from the queue by :meth:`compact` (lifetime).
         self.ops_compacted = 0
-        self._m_compacted = None
         if obs is not None:
-            # Live view: how many QRPCs are logged but unanswered.
-            obs.registry.gauge(
-                "oplog_pending", "Logged-but-unacknowledged QRPCs",
-                labelnames=("owner",),
-            ).labels(owner=owner).set_function(lambda: len(self._pending))
-            self._m_compacted = obs.registry.counter(
-                "log_ops_compacted_total",
-                "Queued QRPCs removed from the log by compaction",
-                labelnames=("owner",),
-            ).labels(owner=owner)
+            obs.registry.expose(self, {"owner": owner})
         #: Virtual seconds of disk time, over every flush this log
         #: caused — the exact quantity experiment E2 measures.
         self.flush_seconds_total = 0.0
@@ -241,8 +237,6 @@ class OperationLog:
             del self._record_seq[request_id], self._order[request_id]
             self.stable.append(marshal({"ack": request_id}))
             self.ops_compacted += 1
-            if self._m_compacted is not None:
-                self._m_compacted.inc()
             wrote = True
         for request_id, request in (rewrites or {}).items():
             if request_id not in self._pending:
@@ -266,8 +260,6 @@ class OperationLog:
         """Count ``n`` operations that compaction kept off the wire
         without a log record of their own (folded export rounds)."""
         self.ops_compacted += n
-        if self._m_compacted is not None:
-            self._m_compacted.inc(n)
 
     def mark_failed(self, request_id: str) -> None:
         """Terminal transport failure; the request leaves the pending

@@ -156,6 +156,46 @@ class _AppliedReplies:
 class RoverServer:
     """Home server for one authority."""
 
+    #: The registry reads these plain counters (tests and experiment
+    #: drivers read them directly too).  The bounded tables' evictions
+    #: are counted server-side only: a client's interpreter reports
+    #: nothing, so no fleet report grows.
+    METRICS = (
+        *(
+            ("server_requests", "gauge", "Per-service request totals", attr, {"kind": attr})
+            for attr in (
+                "imports_served",
+                "exports_committed",
+                "exports_resolved",
+                "exports_conflicted",
+                "invokes_served",
+                "ships_served",
+                "duplicates_suppressed",
+                "auth_rejections",
+                "rdos_rejected",
+                "invalidations_sent",
+                "locks_granted",
+                "locks_denied",
+                "locks_expired",
+                "applied_pruned",
+            )
+        ),
+        *(
+            ("ship_delta_bytes_saved_total", "counter",
+             "Wire bytes avoided by shipping structural deltas",
+             f"delta_bytes_saved_{direction}", {"direction": direction})
+            for direction in ("down", "up")
+        ),
+        ("locks_expired_total", "counter",
+         "Lock leases expired server-side (holder never released)", "locks_expired"),
+        ("rdo_code_cache_evicted_total", "counter",
+         "Compiled RDO sources evicted from the code cache", "interpreter.code_cache_evictions"),
+        ("rdo_verdicts_evicted_total", "counter",
+         "Passing verification verdicts evicted", "interpreter.verdict_evictions"),
+        ("rdo_interfaces_evicted_total", "counter",
+         "Decoded interfaces evicted from the interface table", "interface_evictions"),
+    )
+
     def __init__(
         self,
         sim: Simulator,
@@ -244,56 +284,10 @@ class RoverServer:
         self.locks_expired = 0
         for service in SERVICES:
             transport.register(service, functools.partial(self.serve, service))
-        # Metrics: live views over the plain instance counters above.
-        # The attributes stay ordinary ints (tests and experiment
-        # drivers read them directly); the registry sees them through
-        # function gauges so `--metrics` exports one coherent snapshot.
-        gauge = self.obs.registry.gauge(
-            "server_requests", "Per-service request totals",
-            labelnames=("authority", "kind"),
-        )
-        for attr in (
-            "imports_served",
-            "exports_committed",
-            "exports_resolved",
-            "exports_conflicted",
-            "invokes_served",
-            "ships_served",
-            "duplicates_suppressed",
-            "auth_rejections",
-            "rdos_rejected",
-            "invalidations_sent",
-            "locks_granted",
-            "locks_denied",
-            "locks_expired",
-            "applied_pruned",
-        ):
-            gauge.labels(authority=authority, kind=attr).set_function(
-                lambda a=attr: getattr(self, a)
-            )
-        delta_saved = self.obs.registry.counter(
-            "ship_delta_bytes_saved_total",
-            "Wire bytes avoided by shipping structural deltas",
-            labelnames=("authority", "direction"),
-        )
-        self._m_delta_down = delta_saved.labels(authority=authority, direction="down")
-        self._m_delta_up = delta_saved.labels(authority=authority, direction="up")
-        # Counts kept as plain ints, read when the registry is: the bounded
-        # tables' evictions (a client's interpreter reports nothing, so no
-        # fleet report grows) and the expired leases.
-        for name, help_text, read in (
-            ("locks_expired_total", "Lock leases expired server-side (holder never released)",
-             lambda: self.locks_expired),
-            ("rdo_code_cache_evicted_total", "Compiled RDO sources evicted from the code cache",
-             lambda: self.interpreter.code_cache_evictions),
-            ("rdo_verdicts_evicted_total", "Passing verification verdicts evicted",
-             lambda: self.interpreter.verdict_evictions),
-            ("rdo_interfaces_evicted_total", "Decoded interfaces evicted from the interface table",
-             lambda: self.interface_evictions),
-        ):
-            self.obs.registry.counter(
-                name, help_text, labelnames=("authority",)
-            ).labels(authority=authority).set_function(read)
+        #: Wire bytes delta shipping kept off the link, each way.
+        self.delta_bytes_saved_down = 0
+        self.delta_bytes_saved_up = 0
+        self.obs.registry.expose(self, {"authority": authority})
 
     # -- population ---------------------------------------------------------
 
@@ -746,7 +740,7 @@ class RoverServer:
         saved = marshalled_size(full) - marshalled_size(slim)
         if saved <= 0:
             return full
-        self._m_delta_down.inc(saved)
+        self.delta_bytes_saved_down += saved
         return slim
 
     @replay_pure
@@ -776,7 +770,7 @@ class RoverServer:
             client_raw = marshal(client_data)
             saved = len(client_raw) - marshalled_size(body["delta"])
             if saved > 0:
-                self._m_delta_up.inc(saved)
+                self.delta_bytes_saved_up += saved
         entry = self.store.entry(urn)
         if entry is None:
             return {"status": "not-found", "urn": urn}

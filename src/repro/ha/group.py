@@ -269,6 +269,25 @@ def _rank(member: dict) -> tuple[int, int]:
 class ReplicaAgent:
     """One member's replication logic, standing at its server's door."""
 
+    METRICS = (
+        ("ha_records_shipped_total", "counter",
+         "Replication records acknowledged by this backup", "records_shipped"),
+        ("ha_records_applied_total", "counter",
+         "Replication records installed on this member", "records_applied"),
+        ("ha_records_refused_total", "counter",
+         "Replication records a backup could not install (left to anti-entropy)",
+         "records_refused"),
+        ("ha_stale_epoch_rejected_total", "counter",
+         "Frames and replies rejected for carrying a stale epoch", "stale_epoch_rejected"),
+        ("ha_log_evicted_total", "counter",
+         "Records the log cap dropped before every peer acked them", "log_evicted"),
+        # One series for the group: the members' promotions summed.
+        ("ha_failovers_total", "counter", "Backup promotions to primary", "failovers",
+         {"host": None}),
+        ("ha_replication_lag", "gauge",
+         "Records this member trails the primary's commit seq by", "_lag"),
+    )
+
     def __init__(
         self, sim: Simulator, server: RoverServer, transport: Transport,
         group: "ReplicationGroup", index: int, lease_s: float, heartbeat_s: float,
@@ -327,29 +346,14 @@ class ReplicaAgent:
         self._crashed = False
         self._incarnation = 0
 
-        registry = server.obs.registry
-        labels = {"authority": server.authority, "host": self.host.name}
-        self._m_shipped, self._m_applied, self._m_refused, self._m_stale, self._m_evicted = (
-            registry.counter(name, help_text, labelnames=("authority", "host")).labels(**labels)
-            for name, help_text in (
-                ("ha_records_shipped_total", "Replication records acknowledged by this backup"),
-                ("ha_records_applied_total", "Replication records installed on this member"),
-                ("ha_records_refused_total",
-                 "Replication records a backup could not install (left to anti-entropy)"),
-                ("ha_stale_epoch_rejected_total",
-                 "Frames and replies rejected for carrying a stale epoch"),
-                ("ha_log_evicted_total",
-                 "Records the log cap dropped before every peer acked them"),
-            )
-        )
-        self._m_failovers = registry.counter(
-            "ha_failovers_total", "Backup promotions to primary", labelnames=("authority",)
-        ).labels(authority=server.authority)
-        registry.gauge(
-            "ha_replication_lag",
-            "Records this member trails the primary's commit seq by",
-            labelnames=("authority", "host"),
-        ).labels(**labels).set_function(self._lag)
+        #: Counts of :attr:`METRICS`, bumped where they happen.
+        self.records_shipped = 0
+        self.records_applied = 0
+        self.records_refused = 0
+        self.stale_epoch_rejected = 0
+        self.log_evicted = 0
+        self.failovers = 0
+        server.obs.registry.expose(self, {"authority": server.authority, "host": self.host.name})
 
         server.ha_agent = self
         for service in CLIENT_SERVICES:
@@ -431,7 +435,7 @@ class ReplicaAgent:
         self.log.append(record)
         if len(self.log) > LOG_CAP:
             self.base_seq = self.log.pop(0)["seq"]
-            self._m_evicted.inc()
+            self.log_evicted += 1
         gate = AsyncReply()
         self._waiters.append({
             "seq": record["seq"], "epoch": self.epoch, "since": -math.inf,
@@ -613,7 +617,7 @@ class ReplicaAgent:
             # After a gap frame the cursor moves only by anti-entropy:
             # nothing was shipped, and the next write or tick goes on.
             if records and peer["acked_seq"] > before:
-                self._m_shipped.inc(peer["acked_seq"] - before)
+                self.records_shipped += peer["acked_seq"] - before
                 if peer["acked_seq"] < self.seq:
                     self._ship_to(peer)
 
@@ -738,7 +742,7 @@ class ReplicaAgent:
         anti-entropy, since its un-replicated suffix may diverge.
         """
         if epoch < self.epoch or epoch < self._granted:
-            self._m_stale.inc()
+            self.stale_epoch_rejected += 1
             return {"status": "stale-epoch", "epoch": self.epoch, "primary": self.primary_name}
         if epoch > self.epoch or self.primary_name != primary:
             was_primary = self.role == "primary"
@@ -756,10 +760,10 @@ class ReplicaAgent:
         """Install one shipped record's write set; refuse one that does
         not install here (counted), with nothing changed."""
         if not self.server.install_write(record.get("write")):
-            self._m_refused.inc()
+            self.records_refused += 1
             return False
         self.seq = self.base_seq = int(record["seq"])  # a backup keeps no log
-        self._m_applied.inc()
+        self.records_applied += 1
         return True
 
     def _on_poll(self, body: Any, source: Address) -> Any:
@@ -887,7 +891,7 @@ class ReplicaAgent:
         self.primary_name = self.host.name
         self._needs_sync = False
         self._syncing = False
-        self._m_failovers.inc()
+        self.failovers += 1
         # Seed ship cursors from what the voters reported.  The log
         # starts empty at this member's seq (a backup keeps none), so a
         # peer that reported less, or did not answer (the dead primary),

@@ -246,6 +246,32 @@ class _Exchange:
 class NetworkScheduler:
     """Priority-queued, route-selecting message drainer for one host."""
 
+    METRICS = (
+        ("sched_delivered_total", "counter", "Messages answered", "delivered"),
+        ("sched_failed_total", "counter", "Messages terminally failed", "failed"),
+        ("sched_retransmissions_total", "counter",
+         "Re-dispatches after a failed attempt", "retransmissions"),
+        ("sched_batches_sent_total", "counter",
+         "Coalesced frames dispatched (two or more messages each)", "batches_sent"),
+        ("sched_batch_members_total", "counter",
+         "Messages dispatched inside coalesced frames", "batch_members"),
+        ("sched_queue_wait_seconds", "histogram",
+         "Time from enqueue (or requeue) to dispatch", None, ("priority",)),
+        # Dispatched request payload bytes attributed to their service
+        # (retransmissions re-count: this is wire cost, not goodput).
+        # How fleet telemetry (E15) proves its overhead share without
+        # needing a telemetry-free control run.
+        ("sched_service_bytes_total", "counter",
+         "Dispatched request payload bytes by service", None, ("service",)),
+        *(
+            ("sched_queue_depth", "gauge", "Currently queued messages",
+             lambda scheduler, p=priority: scheduler._queue_depth_for(p),
+             {"priority": label})
+            for priority, label in _PRIORITY_LABEL.items()
+        ),
+        ("sched_inflight", "gauge", "Messages occupying the window", "inflight"),
+    )
+
     def __init__(
         self,
         sim: Simulator,
@@ -285,66 +311,25 @@ class NetworkScheduler:
         #: off, or in flight) — the set a crash simulation abandons.
         self._active: set[QueuedMessage] = set()
         self._seq = 0
-        self._inflight = 0
+        self.inflight = 0
         #: Replicated destinations nothing is sent to for now (one that
         #: just went unanswered, or fenced), and until when.
         self._resting: dict[Any, float] = {}
         self.obs = obs if obs is not None else Observatory()
         self.tracer = self.obs.tracer
-        registry = self.obs.registry
-        host_label = {"host": self.host.name}
-        self._m_delivered = registry.counter(
-            "sched_delivered_total", "Messages answered", labelnames=("host",)
-        ).labels(**host_label)
-        self._m_failed = registry.counter(
-            "sched_failed_total", "Messages terminally failed", labelnames=("host",)
-        ).labels(**host_label)
-        self._m_retransmissions = registry.counter(
-            "sched_retransmissions_total",
-            "Re-dispatches after a failed attempt",
-            labelnames=("host",),
-        ).labels(**host_label)
-        self._m_batches = registry.counter(
-            "sched_batches_sent_total",
-            "Coalesced frames dispatched (two or more messages each)",
-            labelnames=("host",),
-        ).labels(**host_label)
-        self._m_batch_members = registry.counter(
-            "sched_batch_members_total",
-            "Messages dispatched inside coalesced frames",
-            labelnames=("host",),
-        ).labels(**host_label)
-        queue_wait = registry.histogram(
-            "sched_queue_wait_seconds",
-            "Time from enqueue (or requeue) to dispatch",
-            labelnames=("host", "priority"),
-        )
-        #: Dispatched request payload bytes attributed to their service
-        #: (retransmissions re-count: this is wire cost, not goodput).
-        #: How fleet telemetry (E15) proves its overhead share without
-        #: needing a telemetry-free control run.
-        service_bytes = registry.counter(
-            "sched_service_bytes_total",
-            "Dispatched request payload bytes by service",
-            labelnames=("host", "service"),
-        )
+        #: Counts of :attr:`METRICS`, bumped where they happen.
+        self.delivered = 0
+        self.failed = 0
+        self.retransmissions = 0
+        self.batches_sent = 0
+        self.batch_members = 0
         #: The two families a dispatch updates, and their children by
         #: (priority, service), each bound on first use.  One attribute
         #: for the three: a thirtieth would spill this instance's
         #: attributes into a dict of their own (1.3 KB a stack).
-        self._dispatch_metrics = (queue_wait, service_bytes, {})
-        for priority in Priority:
-            gauge = registry.gauge(
-                "sched_queue_depth",
-                "Currently queued messages",
-                labelnames=("host", "priority"),
-            ).labels(host=self.host.name, priority=priority.name.lower())
-            gauge.set_function(
-                lambda p=priority: self._queue_depth_for(p)
-            )
-        registry.gauge(
-            "sched_inflight", "Messages occupying the window", labelnames=("host",)
-        ).labels(**host_label).set_function(lambda: self._inflight)
+        self._dispatch_metrics = (
+            *self.obs.registry.expose(self, {"host": self.host.name}), {}
+        )
         self._watched_links: set[str] = set()
         # Memoized _best_route results, keyed by dst name.
         # Route availability only changes when link state does, so the
@@ -362,48 +347,12 @@ class NetworkScheduler:
         first draw (2.5 KB of state; most clients never retransmit)."""
         return make_rng(getattr(self.host.network, "seed", 0), f"sched:{self.host.name}")
 
-    # -- counters (registry-backed; attribute names kept for callers) -------
-
-    @property
-    def delivered(self) -> int:
-        return int(self._m_delivered.value)
-
-    @property
-    def failed(self) -> int:
-        return int(self._m_failed.value)
-
-    @property
-    def retransmissions(self) -> int:
-        return int(self._m_retransmissions.value)
-
-    @property
-    def batches_sent(self) -> int:
-        return int(self._m_batches.value)
-
     def _queue_depth_for(self, priority: Priority) -> int:
         return sum(
             1
             for __, m in self._heap + self._stuck
             if m.state == "queued" and m.priority is priority
         )
-
-    def stats(self) -> dict:
-        """Point-in-time counters, mirroring :meth:`ObjectCache.stats`.
-
-        A thin view over the metrics registry: the same numbers are
-        exported as ``sched_*`` series with a ``host`` label.
-        """
-        return {
-            "queued": {
-                priority.name.lower(): self._queue_depth_for(priority)
-                for priority in Priority
-            },
-            "inflight": self._inflight,
-            "delivered": self.delivered,
-            "failed": self.failed,
-            "retransmissions": self.retransmissions,
-            "batches_sent": self.batches_sent,
-        }
 
     # -- public API -------------------------------------------------------
 
@@ -512,18 +461,14 @@ class NetworkScheduler:
         self._heap.clear()
         self._stuck.clear()
         self._resting.clear()
-        self._inflight = 0
+        self.inflight = 0
         return count
 
     def queue_length(self) -> int:
         return sum(1 for __, m in self._heap + self._stuck if m.state == "queued")
 
-    @property
-    def inflight(self) -> int:
-        return self._inflight
-
     def idle(self) -> bool:
-        return self._inflight == 0 and self.queue_length() == 0
+        return self.inflight == 0 and self.queue_length() == 0
 
     # -- internals ----------------------------------------------------------
 
@@ -562,7 +507,7 @@ class NetworkScheduler:
                 heapq.heappush(self._heap, item)
             self._stuck.clear()
             self._stuck_under = self._route_cache
-        while self._inflight < self.max_inflight and self._heap:
+        while self.inflight < self.max_inflight and self._heap:
             __, message = self._heap[0]
             if message.state != "queued":
                 heapq.heappop(self._heap)
@@ -631,7 +576,7 @@ class NetworkScheduler:
         """Free the window slot ``exchange`` holds (at most once)."""
         if exchange.holds_slot:
             exchange.holds_slot = False
-            self._inflight -= 1
+            self.inflight -= 1
 
     def _note_dispatch(self, message: QueuedMessage, route: Route) -> None:
         """Record queue.wait + route.select spans and wait metrics."""
@@ -704,9 +649,9 @@ class NetworkScheduler:
             message.exchange = exchange
             message.attempts += 1
             if message.attempts > 1:
-                self._m_retransmissions.inc()
+                self.retransmissions += 1
             self._note_dispatch(message, route)
-        self._inflight += 1
+        self.inflight += 1
         head = members[0]
         coalesced = len(members) > 1
 
@@ -738,7 +683,7 @@ class NetworkScheduler:
                     message.state = "done"
                     message.exchange = None
                     self._active.discard(message)
-                    self._m_delivered.inc()
+                    self.delivered += 1
                     message.on_reply(reply)
                 else:
                     # What a lone request's carrier reports through
@@ -765,8 +710,8 @@ class NetworkScheduler:
         if not coalesced:
             route.send(head.dst, head.service, head.body, on_reply, on_error, on_accepted)
             return
-        self._m_batches.inc()
-        self._m_batch_members.inc(len(members))
+        self.batches_sent += 1
+        self.batch_members += len(members)
         body = batch_request([(message.service, message.body) for message in members])
         if head.trace is not None:
             body[TRACE_KEY] = list(head.trace)
@@ -793,7 +738,7 @@ class NetworkScheduler:
         if message.attempts >= self.max_attempts:
             message.state = "done"
             self._active.discard(message)
-            self._m_failed.inc()
+            self.failed += 1
             message.on_failed(reason)
         elif group is not None:
             self._note_retry(message, rest, reason)

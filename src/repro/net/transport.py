@@ -189,6 +189,19 @@ class Transport:
     port and hands inbound datagrams to registered handlers.
     """
 
+    METRICS = (
+        ("transport_bytes_sent_total", "counter",
+         "Marshalled payload bytes handed to links", "bytes_sent"),
+        ("transport_messages_sent_total", "counter", "Payloads handed to links", "messages_sent"),
+        ("transport_bytes_saved_by_compression_total", "counter",
+         "Payload bytes kept off the wire by compressing frames", "bytes_saved_by_compression"),
+        ("transport_corrupt_frames_total", "counter",
+         "Inbound frames dropped: bad CRC seal, undecodable, or malformed",
+         "corrupt_frames_detected"),
+        ("marshal_cache_hits_total", "counter",
+         "Request bodies transmitted from pre-marshalled bytes", "marshal_cache_hits"),
+    )
+
     def __init__(
         self,
         sim: Simulator,
@@ -204,21 +217,13 @@ class Transport:
         self._pending_calls: dict[str, dict[str, Any]] = {}
         self.obs = obs if obs is not None else Observatory()
         self.tracer = self.obs.tracer
-        registry = self.obs.registry
-        #: Payload bytes and payloads handed to links: plain counts
-        #: bumped by :meth:`send`, which the registry reads as views.
+        #: Payload bytes and payloads handed to links, bumped by
+        #: :meth:`send`; the other counts of :attr:`METRICS` likewise.
         self.bytes_sent = 0
         self.messages_sent = 0
-        registry.counter(
-            "transport_bytes_sent_total",
-            "Marshalled payload bytes handed to links",
-            labelnames=("host",),
-        ).labels(host=host.name).set_function(lambda: self.bytes_sent)
-        registry.counter(
-            "transport_messages_sent_total",
-            "Payloads handed to links",
-            labelnames=("host",),
-        ).labels(host=host.name).set_function(lambda: self.messages_sent)
+        self.bytes_saved_by_compression = 0
+        self.corrupt_frames_detected = 0
+        self.marshal_cache_hits = 0
         #: False reproduces the paper's prototype, which "does not
         #: perform any compression" and drains one QRPC per exchange:
         #: :meth:`bytes_dominate` then holds on no link, so every frame
@@ -226,37 +231,15 @@ class Transport:
         #: Receivers understand compressed and coalesced frames
         #: regardless of their own setting.
         self.adapt_to_link = adapt_to_link
-        self._m_saved = registry.counter(
-            "transport_bytes_saved_by_compression_total",
-            "Payload bytes kept off the wire by compressing frames",
-            labelnames=("host",),
-        ).labels(host=host.name)
-        self._m_corrupt = registry.counter(
-            "transport_corrupt_frames_total",
-            "Inbound frames dropped: bad CRC seal, undecodable, or malformed",
-            labelnames=("host",),
-        ).labels(host=host.name)
-        self._m_marshal_hits = registry.counter(
-            "marshal_cache_hits_total",
-            "Request bodies transmitted from pre-marshalled bytes",
-            labelnames=("host",),
-        ).labels(host=host.name)
+        self.obs.registry.expose(self, {"host": host.name})
         #: Incremented by :meth:`crash`; replies computed by a dead
         #: incarnation are suppressed when their epoch is stale.
         self._epoch = 0
         host.bind(RPC_PORT, self._on_rpc_datagram)
 
-    @property
-    def corrupt_frames_detected(self) -> int:
-        return int(self._m_corrupt.value)
-
     def note_corrupt_frame(self) -> None:
         """Count a frame a layer above found malformed after decoding."""
-        self._m_corrupt.inc()
-
-    @property
-    def bytes_saved_by_compression(self) -> int:
-        return int(self._m_saved.value)
+        self.corrupt_frames_detected += 1
 
     # -- payload framing ---------------------------------------------------
 
@@ -273,7 +256,7 @@ class Transport:
         if self.adapt_to_link and len(raw) >= link.spec.bytes_dominate_from:
             squeezed = zlib.compress(raw, 6)
             if len(squeezed) < len(raw):
-                self._m_saved.inc(len(raw) - len(squeezed))
+                self.bytes_saved_by_compression += len(raw) - len(squeezed)
                 return seal(_COMPRESSED + squeezed)
         return seal(_RAW + raw)
 
@@ -314,7 +297,7 @@ class Transport:
             try:
                 value = self._decode_payload(payload)
             except MarshalError:
-                self._m_corrupt.inc()
+                self.corrupt_frames_detected += 1
                 return  # corrupt frame: detected and dropped
             handler(value, source)
 
@@ -417,7 +400,7 @@ class Transport:
             else None
         )
         if isinstance(request, Premarshalled):
-            self._m_marshal_hits.inc()
+            self.marshal_cache_hits += 1
         try:
             self.send(dst, RPC_PORT, envelope, link=link, on_failed=failed, trace=trace)
         except LinkDown as exc:
@@ -460,10 +443,10 @@ class Transport:
         try:
             envelope = self._decode_payload(payload)
         except MarshalError:
-            self._m_corrupt.inc()
+            self.corrupt_frames_detected += 1
             return  # corrupt frame: detected and dropped, retransmit recovers
         if not isinstance(envelope, dict):
-            self._m_corrupt.inc()
+            self.corrupt_frames_detected += 1
             return
         kind = envelope.get("kind")
         if kind == "request":
@@ -518,7 +501,7 @@ class Transport:
         """
         requests = body.get("requests") if isinstance(body, dict) else None
         if not isinstance(requests, list) or not 0 < len(requests) <= MAX_BATCH_MEMBERS:
-            self._m_corrupt.inc()
+            self.corrupt_frames_detected += 1
             return False, {"error": "malformed batch"}
         tracer = self.tracer
         envelope_trace = parse_context(body.get(TRACE_KEY)) if tracer.enabled else None
@@ -530,7 +513,7 @@ class Transport:
         def serve(index: int, member: Any) -> None:
             service = member.get("service") if isinstance(member, dict) else None
             if not isinstance(service, str) or service == BATCH_SERVICE or "body" not in member:
-                self._m_corrupt.inc()
+                self.corrupt_frames_detected += 1
                 member_body = None
                 ok, reply_body = False, {"error": "malformed batch member"}
             else:

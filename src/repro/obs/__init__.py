@@ -52,10 +52,6 @@ class Observatory:
     def spans(self) -> list[Span]:
         return self.tracer.spans
 
-    def snapshot(self) -> dict[str, float]:
-        """Flat series view; histograms include ``_p50/_p95/_p99``."""
-        return self.registry.snapshot()
-
     def summary_table(self, include_metrics: bool = True) -> str:
         """Span-stage summary plus (by default) histogram percentiles.
 

@@ -189,6 +189,27 @@ class ClientState:
 class FleetAggregator:
     """Apply telemetry reports; keep rollups; derive fleet health."""
 
+    METRICS = (
+        ("fleet_reports_applied_total", "counter", "Telemetry reports applied", "reports_applied"),
+        ("fleet_reports_duplicate_total", "counter",
+         "Replayed/retransmitted reports suppressed by (client, seq)", "duplicates"),
+        ("fleet_reports_folded_total", "counter",
+         "Seqs that arrived folded inside a surviving report", "reports_folded"),
+        ("fleet_reports_deferred_total", "counter",
+         "Reports parked awaiting a series definition (reorder)", "reports_deferred"),
+        ("fleet_reports_late_total", "counter", "Reports older than the window ring's reach", "late"),
+        ("fleet_gap_opened_total", "counter", "Sequence gaps observed opening", "gaps_opened"),
+        ("fleet_gap_healed_total", "counter", "Sequence gaps fully recovered", "gaps_healed"),
+        ("fleet_reply_bytes_total", "counter",
+         "Marshalled telemetry ack/reply bytes returned to clients", "reply_bytes"),
+        ("fleet_clients", "gauge", "Clients that have reported at least once", "clients.__len__"),
+        ("fleet_open_gaps", "gauge", "Unapplied seqs across all clients", "open_gaps"),
+        ("fleet_unhealthy_clients", "gauge",
+         "Clients violating an SLO rule at the last evaluation", "unhealthy"),
+        ("fleet_slo_violations", "gauge",
+         "Rule violations across clients at the last evaluation", "violations"),
+    )
+
     def __init__(
         self,
         sim: Simulator,
@@ -214,65 +235,19 @@ class FleetAggregator:
         ]
         self.events: deque[HealthEvent] = deque(maxlen=events_cap)
         self.late = 0
-        self._clients: dict[str, ClientState] = {}
+        self.clients: dict[str, ClientState] = {}
         self._deferred: deque = deque()
         self._deferred_dropped = 0
         self._health: dict[str, ClientHealth] = {}
         self._silent: set[str] = set()
-        registry = self.obs.registry
-        self._m_applied = registry.counter(
-            "fleet_reports_applied_total", "Telemetry reports applied"
-        )
-        self._m_dup = registry.counter(
-            "fleet_reports_duplicate_total",
-            "Replayed/retransmitted reports suppressed by (client, seq)",
-        )
-        self._m_folded = registry.counter(
-            "fleet_reports_folded_total",
-            "Seqs that arrived folded inside a surviving report",
-        )
-        self._m_deferred = registry.counter(
-            "fleet_reports_deferred_total",
-            "Reports parked awaiting a series definition (reorder)",
-        )
-        self._m_late = registry.counter(
-            "fleet_reports_late_total",
-            "Reports older than the window ring's reach",
-        )
-        self._m_gap_opened = registry.counter(
-            "fleet_gap_opened_total", "Sequence gaps observed opening"
-        )
-        self._m_gap_healed = registry.counter(
-            "fleet_gap_healed_total", "Sequence gaps fully recovered"
-        )
-        self._m_reply_bytes = registry.counter(
-            "fleet_reply_bytes_total",
-            "Marshalled telemetry ack/reply bytes returned to clients",
-        )
-        registry.gauge(
-            "fleet_clients", "Clients that have reported at least once"
-        ).default.set_function(lambda: float(len(self._clients)))
-        registry.gauge(
-            "fleet_open_gaps", "Unapplied seqs across all clients"
-        ).default.set_function(
-            lambda: float(sum(st.missing() for st in self._clients.values()))
-        )
-        registry.gauge(
-            "fleet_unhealthy_clients",
-            "Clients violating an SLO rule at the last evaluation",
-        ).default.set_function(
-            lambda: float(
-                sum(1 for h in self._health.values() if not h.healthy)
-            )
-        )
-        registry.gauge(
-            "fleet_slo_violations",
-            "Rule violations across clients at the last evaluation",
-        ).default.set_function(
-            lambda: float(
-                sum(len(h.violations) for h in self._health.values())
-            )
-        )
+        #: Counts of :attr:`METRICS`, bumped where they happen.
+        self.reports_folded = 0
+        self.reports_deferred = 0
+        self.gaps_opened = 0
+        self.gaps_healed = 0
+        #: Marshalled bytes of every telemetry reply sent back so far.
+        self.reply_bytes = 0
+        self.obs.registry.expose(self, {})
 
     # -- wiring -----------------------------------------------------------------
 
@@ -288,7 +263,7 @@ class FleetAggregator:
         # The wire body is the report itself plus envelope fields
         # (request_id, ackw, ...) the report keys don't collide with.
         reply = self.apply_report(body)
-        self._m_reply_bytes.inc(marshalled_size(reply))
+        self.reply_bytes += marshalled_size(reply)
         return reply
 
     # -- report application ------------------------------------------------------
@@ -298,10 +273,9 @@ class FleetAggregator:
         seq = int(report.get("q", 0))
         if not client or seq <= 0:
             return {"status": "malformed"}
-        state = self._clients.setdefault(client, ClientState(client))
+        state = self.clients.setdefault(client, ClientState(client))
         if state.is_applied(seq):
             state.duplicates += 1
-            self._m_dup.inc()
             return {"status": "ok", "seq": seq, "dup": True}
         for wire_id, name in report.get("d", []):
             state.ids[int(wire_id)] = name
@@ -323,7 +297,7 @@ class FleetAggregator:
             self._deferred.popleft()
             self._deferred_dropped += 1
         self._deferred.append(report)
-        self._m_deferred.inc()
+        self.reports_deferred += 1
         return {"status": "ok", "seq": int(report["q"]), "deferred": True}
 
     def _retry_deferred(self) -> None:
@@ -332,7 +306,7 @@ class FleetAggregator:
         pending = list(self._deferred)
         self._deferred.clear()
         for report in pending:
-            state = self._clients.setdefault(
+            state = self.clients.setdefault(
                 report["c"], ClientState(report["c"])
             )
             if state.is_applied(int(report["q"])):
@@ -350,18 +324,18 @@ class FleetAggregator:
         for covered in folded:
             if not state.is_applied(covered):
                 state.mark_applied(covered)
-                self._m_folded.inc()
+                self.reports_folded += 1
         state.mark_applied(seq)
         missing_after = state.missing()
         now = self.sim.now
         if missing_after > missing_before:
-            self._m_gap_opened.inc()
+            self.gaps_opened += 1
             self.events.append(HealthEvent(
                 at=now, client=state.client, kind="gap",
                 detail=f"seq {seq} arrived with {missing_after} seq(s) missing",
             ))
         elif missing_before > 0 and missing_after == 0:
-            self._m_gap_healed.inc()
+            self.gaps_healed += 1
             self.events.append(HealthEvent(
                 at=now, client=state.client, kind="gap_healed",
                 detail=f"seq {seq} closed the gap (floor {state.floor})",
@@ -370,12 +344,10 @@ class FleetAggregator:
         state.link_class = report.get("l", state.link_class)
         state.last_report_at = now
         state.reports_applied += 1
-        self._m_applied.inc()
 
         window = self.ring.slot(float(report.get("t1", now)))
         if window is None:
             self.late += 1
-            self._m_late.inc()
         else:
             window.reports += 1
             window.clients.add(state.client)
@@ -406,23 +378,26 @@ class FleetAggregator:
 
     # -- rollup access -----------------------------------------------------------
 
-    @property
-    def clients(self) -> dict[str, ClientState]:
-        return self._clients
-
     def client_totals(self, client: str) -> dict[str, int]:
-        state = self._clients.get(client)
+        state = self.clients.get(client)
         return dict(state.totals) if state is not None else {}
 
     def reports_applied(self) -> int:
-        return sum(st.reports_applied for st in self._clients.values())
+        return sum(st.reports_applied for st in self.clients.values())
 
     def duplicates(self) -> int:
-        return sum(st.duplicates for st in self._clients.values())
+        return sum(st.duplicates for st in self.clients.values())
 
-    def reply_bytes(self) -> int:
-        """Marshalled bytes of every telemetry reply sent back so far."""
-        return int(self._m_reply_bytes.value)
+    def open_gaps(self) -> int:
+        return sum(st.missing() for st in self.clients.values())
+
+    def unhealthy(self) -> int:
+        """Clients violating an SLO rule at the last evaluation."""
+        return sum(1 for h in self._health.values() if not h.healthy)
+
+    def violations(self) -> int:
+        """Rule violations across clients at the last evaluation."""
+        return sum(len(h.violations) for h in self._health.values())
 
     # -- health ------------------------------------------------------------------
 
@@ -430,8 +405,8 @@ class FleetAggregator:
         """(Re)compute per-client health; records transition events."""
         at = self.sim.now if now is None else now
         health: dict[str, ClientHealth] = {}
-        for client in sorted(self._clients):
-            state = self._clients[client]
+        for client in sorted(self.clients):
+            state = self.clients[client]
             entry = ClientHealth(client=client)
             delivered = state.total_for("sched_delivered_total")
             failed = state.total_for("qrpc_failed_total")
@@ -515,19 +490,16 @@ class FleetAggregator:
 
     def summary(self) -> dict:
         """Fleet-wide counters for tables/JSONL; health from last eval."""
-        unhealthy = sum(1 for h in self._health.values() if not h.healthy)
         return {
-            "clients": len(self._clients),
+            "clients": len(self.clients),
             "reports_applied": self.reports_applied(),
             "duplicates": self.duplicates(),
             "deferred_waiting": len(self._deferred),
             "deferred_dropped": self._deferred_dropped,
             "late": self.late,
-            "open_gaps": sum(st.missing() for st in self._clients.values()),
+            "open_gaps": self.open_gaps(),
             "windows": len(self.ring),
-            "unhealthy": unhealthy,
-            "violations": sum(
-                len(h.violations) for h in self._health.values()
-            ),
+            "unhealthy": self.unhealthy(),
+            "violations": self.violations(),
             "events": len(self.events),
         }

@@ -315,7 +315,7 @@ def run_fleet(scenario: FleetScenario) -> FleetResult:
     result.telemetry_request_bytes = tel_req
     result.foreground_request_bytes = fg_req
     if result.aggregator is not None:
-        result.telemetry_reply_bytes = result.aggregator.reply_bytes()
+        result.telemetry_reply_bytes = result.aggregator.reply_bytes
     result.reports_sent = sum(r.reports_sent for r in reporters)
     result.reports_acked = sum(r.reports_acked for r in reporters)
     result.reports_reshipped = sum(r.reports_reshipped for r in reporters)

@@ -259,6 +259,15 @@ class StableLog:
     QRPCs have been acknowledged by the server.
     """
 
+    METRICS = (
+        ("stable_log_appends", "gauge", "", "appends"),
+        ("stable_log_flushes", "gauge", "", "flushes"),
+        ("stable_log_bytes_flushed", "gauge", "", "bytes_flushed"),
+        ("log_group_commits_total", "gauge", "", "group_commits"),
+        ("log_fsyncs_saved_total", "gauge", "", "fsyncs_saved"),
+        ("stable_log_flush_seconds", "histogram", "Virtual-time cost per flush", None),
+    )
+
     def __init__(
         self,
         backend: Optional[MemoryLogBackend | FileLogBackend] = None,
@@ -283,30 +292,11 @@ class StableLog:
         #: on every append.
         self.unflushed_bytes = 0
         self.unflushed_records = 0
+        #: Each flush's virtual duration, where a registry is given.
         self._m_flush_seconds = None
         if obs is not None:
-            # Surface the plain counters through the metrics registry
-            # as live views, and record per-flush virtual durations.
-            registry = obs.registry
-            label = {"owner": owner}
-            for attr in ("appends", "flushes", "bytes_flushed"):
-                registry.gauge(
-                    f"stable_log_{attr}", labelnames=("owner",)
-                ).labels(**label).set_function(
-                    lambda a=attr: getattr(self, a)
-                )
-            for name, attr in (
-                ("log_group_commits_total", "group_commits"),
-                ("log_fsyncs_saved_total", "fsyncs_saved"),
-            ):
-                registry.gauge(name, labelnames=("owner",)).labels(
-                    **label
-                ).set_function(lambda a=attr: getattr(self, a))
-            self._m_flush_seconds = registry.histogram(
-                "stable_log_flush_seconds",
-                "Virtual-time cost per flush",
-                labelnames=("owner",),
-            ).labels(**label)
+            flush_seconds, = obs.registry.expose(self, {"owner": owner})
+            self._m_flush_seconds = flush_seconds.labels(owner=owner)
 
     def append(self, payload: bytes) -> int:
         """Append a record; returns its sequence number (not yet durable)."""

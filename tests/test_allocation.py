@@ -22,10 +22,15 @@ from repro.core.notification import HISTORY_MAX, EventType, NotificationCenter
 from repro.core.rdo import RDO, MethodSpec, RDOInterface
 from repro.ha import build_ha_testbed
 from repro.net.link import CSLIP_14_4, IntervalTrace, LinkSpec
+from repro.net.scheduler import NetworkScheduler
 from repro.net.simnet import Network
+from repro.net.transport import Transport
+from repro.obs.metrics import Metric, _Child
+from repro.core.object_cache import ObjectCache
+from repro.core.operation_log import OperationLog
 from repro.sim import Simulator, make_rng
 from repro.speed.scenario import LINK_MIX
-from repro.storage.stable_log import GroupCommitPolicy
+from repro.storage.stable_log import GroupCommitPolicy, StableLog
 from repro.testbed import build_multi_client_testbed, build_testbed
 from tests.conftest import make_note
 
@@ -34,10 +39,11 @@ from tests.conftest import make_note
 #: orders of magnitude under what one closed cycle per op produces.
 MAX_GARBAGE = 8
 
-#: Traced bytes one more idle client stack may cost.  It costs 19,129
-#: on CPython 3.11 (19,001 on 3.12, 19,964 on 3.10) and cost 31,833
+#: Traced bytes one more idle client stack may cost.  It costs 11,836
+#: on CPython 3.11; it cost 19,553 while each stack held ~30 metric
+#: families of its own (19,001 on 3.12, 19,964 on 3.10) and 31,833
 #: before the third pass; the ceiling leaves the versions their spread.
-MAX_STACK_BYTES = 20_500
+MAX_STACK_BYTES = 13_000
 
 _COUNTER_CODE = '''
 def bump(state):
@@ -215,6 +221,57 @@ def test_an_idle_client_stack_is_lean(monkeypatch):
     assert streams == []
 
 
+def _metric_census() -> tuple[dict, int]:
+    """Live registry families by name, and live labelled children."""
+    gc.collect()
+    families: dict = {}
+    children = 0
+    for held in gc.get_objects():
+        if isinstance(held, Metric):
+            families[held.name] = families.get(held.name, 0) + 1
+        elif isinstance(held, _Child):
+            children += 1
+    return families, children
+
+
+def test_a_client_stack_keeps_its_counts_as_attributes():
+    """A fixed series is an attribute its component keeps: 50 more
+    client stacks add no family object and no child for any family a
+    ``METRICS`` table reads off an attribute, and each of their
+    registries holds exactly one exposure per component that counts."""
+    counting = (Transport, NetworkScheduler, ObjectCache, StableLog, OperationLog)
+    declared = {row[0] for cls in counting for row in cls.METRICS if row[3] is not None}
+    _fleet(10)  # one-time allocations
+    families_before, children_before = _metric_census()
+    bed = _fleet(50)
+    families_after, children_after = _metric_census()
+    assert not declared & set(families_after)
+    runtime = {
+        name: count - families_before.get(name, 0)
+        for name, count in families_after.items()
+        if count > families_before.get(name, 0)
+    }
+    # What a stack holds: its run-time families, one each, and only the
+    # children a stack binds when it is built (its flush histogram's).
+    assert runtime == {
+        name: 50
+        for name in (
+            "sched_queue_wait_seconds", "sched_service_bytes_total",
+            "stable_log_flush_seconds", "qrpc_latency_seconds", "qrpc_failed_total",
+        )
+    }
+    assert children_after - children_before == 50
+    for stack in bed.clients:
+        exposed = [
+            exposure[0]
+            for held in stack.obs.registry._exposed.values()
+            for exposure in (held if isinstance(held, list) else [held])
+        ]
+        assert sorted(type(component).__name__ for component in exposed) == sorted(
+            cls.__name__ for cls in counting
+        )
+
+
 # -- (e): the lazily built streams are the same streams ------------------------
 
 
@@ -371,8 +428,9 @@ def test_slotted_records_carry_no_instance_dict():
         NotificationCenter().publish(EventType.REQUEST_QUEUED, 0.0),
         LogRecord(1, b"payload"),
         Span("t", "s", "", "name", 0.0, 1.0),
+        registry,
         registry.counter("c_total", labelnames=("host",)),
-        registry.gauge("g"),
+        registry.counter("c_total", labelnames=("host",)).labels(host="h"),
         registry.histogram("h_seconds"),
     ]
     for record in records:

@@ -10,6 +10,7 @@ from repro.core.naming import URN
 from repro.core.object_cache import CacheError, CacheStatus, ObjectCache
 from repro.core.rdo import RDO, MethodSpec, RDOInterface
 from repro.net.message import MarshalError, marshal, marshalled_size
+from repro.obs import Observatory
 
 
 def make_rdo(n: int, payload: int = 100, version: int = 1) -> RDO:
@@ -127,13 +128,21 @@ def test_tentative_urns_listing():
     assert cache.tentative_urns() == ["urn:rover:s/obj1"]
 
 
-def test_stats_shape():
-    cache = ObjectCache()
+def test_cache_counts_are_what_the_registry_reads():
+    obs = Observatory()
+    cache = ObjectCache(obs=obs, owner="c")
     cache.insert(make_rdo(0))
-    stats = cache.stats()
-    assert stats["entries"] == 1
-    assert stats["bytes"] > 0
-    assert set(stats) == {"entries", "bytes", "hits", "misses", "evictions", "tentative"}
+    cache.lookup("urn:rover:s/obj0")
+    cache.lookup("urn:rover:s/none")
+    assert (len(cache), cache.hits, cache.misses, cache.evictions) == (1, 1, 1, 0)
+    assert cache.used_bytes > 0
+    assert obs.registry.snapshot() == {
+        "cache_hits_total{owner=c}": 1.0,
+        "cache_misses_total{owner=c}": 1.0,
+        "cache_evictions_total{owner=c}": 0.0,
+        "cache_bytes{owner=c}": float(cache.used_bytes),
+        "cache_entries{owner=c}": 1.0,
+    }
 
 
 @settings(max_examples=60)
@@ -249,6 +258,46 @@ def test_every_entry_size_is_its_marshalled_size(ops):
         for entry in cache:
             assert entry.size == marshalled_size(entry.rdo.to_wire())
         assert cache.used_bytes == sum(marshalled_size(e.rdo.to_wire()) for e in cache)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["insert", "tentative", "commit", "resolved", "rebase", "invalidate", "pin"]),
+            st.integers(0, 5),
+            st.integers(0, 300),
+        ),
+        max_size=60,
+    )
+)
+def test_used_bytes_is_kept_as_the_sum_of_entry_sizes(ops):
+    """Property: ``used_bytes`` is a running total, moved at each place
+    an entry's size changes -- an insert (a re-insert replaces the old
+    copy), ``mark_tentative``, a commit with or without merged data, a
+    rebase, an invalidate, and the evictions an insert forces on a small
+    cache -- and after any sequence it equals the sum over the entries."""
+    cache = ObjectCache(capacity_bytes=900, clock=ManualClock())
+    for action, n, grow in ops:
+        urn = f"urn:rover:s/obj{n}"
+        if action == "insert":
+            cache.insert(make_rdo(n, payload=grow, version=n))
+        elif urn not in cache:
+            continue
+        elif action == "tentative":
+            cache.peek(urn).rdo.data["body"] = "y" * grow
+            cache.mark_tentative(urn)
+        elif action == "commit":
+            cache.commit(urn, 2**grow)
+        elif action == "resolved":
+            cache.commit(urn, grow, data={"merged": "z" * grow})
+        elif action == "rebase":
+            cache.rebase(urn, 2**grow, {"body": "base"})
+        elif action == "invalidate":
+            cache.invalidate(urn)
+        else:
+            cache.pin(urn, grow % 2 == 0)
+        assert cache.used_bytes == sum(entry.size for entry in cache)
 
 
 def test_a_dirty_commit_rebases_and_stays_tentative():

@@ -154,10 +154,9 @@ class TestExposition:
         counter = obs.registry.counter("x_total", "help text",
                                        labelnames=("kind",))
         counter.labels(kind="a").inc(3)
-        hist = obs.registry.histogram("lat_seconds", "latency",
-                                      buckets=(0.1, 1.0))
-        hist.default.observe(0.05)
-        hist.default.observe(5.0)
+        hist = obs.registry.histogram("lat_seconds", "latency")
+        hist.labels().observe(0.05)
+        hist.labels().observe(5.0)
         text = render_prometheus(obs.registry)
         assert "# HELP x_total help text" in text
         assert "# TYPE x_total counter" in text

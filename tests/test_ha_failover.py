@@ -149,16 +149,8 @@ class TestReplication:
         assert access.drain(timeout=120.0)
         bed.sim.run_until(lambda: converged(bed), timeout=60.0)
         registry = bed.obs.registry
-        shipped = registry.counter(
-            "ha_records_shipped_total",
-            "",
-            labelnames=("authority", "host"),
-        )
-        applied = registry.counter(
-            "ha_records_applied_total",
-            "",
-            labelnames=("authority", "host"),
-        )
+        shipped = registry.get("ha_records_shipped_total")
+        applied = registry.get("ha_records_applied_total")
         total_shipped = sum(
             shipped.labels(authority=bed.authority, host=a.host.name).value
             for a in agents(bed)
@@ -272,9 +264,9 @@ class TestFailover:
         replica_set = bed.clients[0].access.servers[bed.authority]
         assert replica_set.current_host.name == bed.group.primary_agent().host.name
         assert replica_set.epoch_seen >= 1
-        failovers = bed.obs.registry.counter(
-            "qrpc_failovers_total", "", labelnames=("host",)
-        ).labels(host=bed.clients[0].host.name)
+        failovers = bed.obs.registry.get("qrpc_failovers_total").labels(
+            host=bed.clients[0].host.name
+        )
         assert failovers.value >= 1
 
 
@@ -373,11 +365,7 @@ class TestEpochFencing:
         )
         vectors = [server.state_vector() for server, _ in bed.members]
         assert vectors[0] == vectors[1] == vectors[2]
-        stale = bed.obs.registry.counter(
-            "ha_stale_epoch_rejected_total",
-            "",
-            labelnames=("authority", "host"),
-        )
+        stale = bed.obs.registry.get("ha_stale_epoch_rejected_total")
         total_stale = sum(
             stale.labels(authority=bed.authority, host=a.host.name).value
             for a in agents(bed)
@@ -432,9 +420,7 @@ class TestAntiEntropy:
         rejoined = old_primary_server.ha_agent
         assert rejoined.role == "backup"
         assert rejoined.epoch == bed.group.primary_agent().epoch
-        failovers = bed.obs.registry.counter(
-            "ha_failovers_total", "", labelnames=("authority",)
-        ).labels(authority=bed.authority)
+        failovers = bed.obs.registry.get("ha_failovers_total").labels(authority=bed.authority)
         assert failovers.value == 1
 
     def test_writes_after_rejoin_replicate_to_all_three(self):
@@ -768,8 +754,8 @@ class TestFeaturesAcrossAFailover:
                 copy = agent.server.get_object(urn)
                 assert copy.version == 2 and copy.data["text"] == "three"
         assert access.cache.tentative_urns() == []
-        saved = bed.obs.registry.counter(
-            "ship_delta_bytes_saved_total", "", labelnames=("authority", "direction")
-        ).labels(authority=bed.authority, direction="up")
+        saved = bed.obs.registry.get("ship_delta_bytes_saved_total").labels(
+            authority=bed.authority, direction="up"
+        )
         assert saved.value > 400  # the pad never crossed the wire again
         assert bed.clients[0].scheduler.retransmissions >= 1  # the corpse was tried first

@@ -16,6 +16,7 @@ from repro.core.conflict import FieldwiseMerge, ResolverRegistry
 from repro.live import LiveClient, LiveScheduler, LiveServer, LiveTransport
 from repro.live.clock import RealTimeClock
 from repro.live.transport import LiveAddress
+from repro.net.scheduler import Priority
 from repro.obs.fleet import FleetAggregator, TelemetryReporter
 from tests.conftest import make_note, make_report
 
@@ -495,7 +496,7 @@ class TestLiveSchedulerThreads:
         window, scheduler.max_inflight = scheduler.max_inflight, 0  # hold the queue
         (prefetched,) = client.access.prefetch([note.urn])
         assert client.clock.run_until(
-            lambda: scheduler.stats()["queued"]["background"] == 1, timeout=TIMEOUT
+            lambda: scheduler._queue_depth_for(Priority.BACKGROUND) == 1, timeout=TIMEOUT
         )
         scheduler.max_inflight = window  # nothing pumps until the upgrade does
         clicked = client.access.import_(note.urn)
@@ -606,9 +607,7 @@ class TestOneExchangeOverSockets:
         assert hung_up_on(bytes(broken))
         assert ran == []
         assert server.corrupt_frames_detected == 1
-        counted = server.obs.registry.counter(
-            "transport_corrupt_frames_total", "", labelnames=("host",)
-        ).labels(host="server")
+        counted = server.obs.registry.get("transport_corrupt_frames_total").labels(host="server")
         assert counted.value == 1
         # So is every other frame that asks nothing: a stray reply, a
         # port nobody bound, one too short to name a port.

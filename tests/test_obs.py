@@ -48,7 +48,7 @@ class TestPercentiles:
 
     def test_histogram_child_percentiles(self):
         registry = MetricsRegistry()
-        hist = registry.histogram("latency_seconds", "test").default
+        hist = registry.histogram("latency_seconds", "test").labels()
         for value in range(1, 101):
             hist.observe(float(value))
         assert hist.count == 100
@@ -68,21 +68,60 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.counter("ops_total", "ops")
         with pytest.raises(MetricError):
-            registry.gauge("ops_total", "ops")
+            registry.histogram("ops_total", "ops")
+        # A family a component's table declares is its attributes' alone.
+        with pytest.raises(MetricError):
+            registry.expose(_Depth(), {"host": "h"})
+        registry = MetricsRegistry()
+        registry.expose(_Depth(), {"host": "h"})
+        with pytest.raises(MetricError):
+            registry.counter("queue_depth", "d")
 
     def test_counter_rejects_negative(self):
         registry = MetricsRegistry()
-        counter = registry.counter("ops_total", "ops").default
+        counter = registry.counter("ops_total", "ops").labels()
         with pytest.raises(MetricError):
             counter.inc(-1)
 
     def test_function_gauge_is_live(self):
         registry = MetricsRegistry()
-        box = {"n": 1}
-        registry.gauge("depth", "d").default.set_function(lambda: box["n"])
-        assert registry.snapshot()["depth"] == 1
-        box["n"] = 7
-        assert registry.snapshot()["depth"] == 7
+        component = _Depth()
+        registry.expose(component, {"host": "h"})
+        assert registry.snapshot() == {
+            "queue_depth{host=h}": 1.0, "ops_total{host=h,kind=read}": 0.0,
+        }
+        component.queued.append("b")
+        component.reads += 3
+        assert registry.snapshot() == {
+            "queue_depth{host=h}": 2.0, "ops_total{host=h,kind=read}": 3.0,
+        }
+
+    def test_shared_series_sum_counters_and_keep_the_latest_gauge(self):
+        registry = MetricsRegistry()
+        first, second = _Depth(), _Depth()
+        first.reads, second.reads = 2, 5
+        second.queued.append("b")
+        registry.expose(first, {"host": "h"})
+        registry.expose(second, {"host": "h"})
+        assert registry.snapshot() == {
+            "queue_depth{host=h}": 2.0, "ops_total{host=h,kind=read}": 7.0,
+        }
+
+
+class _Depth:
+    """A component with one derived gauge and one fixed-label counter."""
+
+    METRICS = (
+        ("queue_depth", "gauge", "d", "depth"),
+        ("ops_total", "counter", "ops", "reads", {"kind": "read"}),
+    )
+
+    def __init__(self) -> None:
+        self.queued = ["a"]
+        self.reads = 0
+
+    def depth(self) -> int:
+        return len(self.queued)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +168,7 @@ def test_two_testbeds_do_not_share_counters():
 
     assert bed_a.scheduler.delivered == 1
     assert bed_b.scheduler.delivered == 0
-    snap_b = bed_b.obs.snapshot()
+    snap_b = bed_b.obs.registry.snapshot()
     assert all(v == 0 for k, v in snap_b.items() if k.startswith("sched_"))
 
 
@@ -307,25 +346,22 @@ def test_stage_lanes_mark_activity():
 # ---------------------------------------------------------------------------
 
 
-def test_scheduler_stats_shape_and_values():
+def test_scheduler_counts_are_what_the_registry_reads():
     bed = build_testbed(link_spec=ETHERNET_10M)
-    stats = bed.scheduler.stats()
-    assert set(stats) == {
-        "queued", "inflight", "delivered", "failed",
-        "retransmissions", "batches_sent",
-    }
-    assert set(stats["queued"]) == {"foreground", "default", "background"}
     _import_one(bed)
-    stats = bed.scheduler.stats()
-    assert stats["delivered"] == 1
-    assert stats["inflight"] == 0
-    assert all(depth == 0 for depth in stats["queued"].values())
+    scheduler, host = bed.scheduler, bed.scheduler.host.name
+    assert (scheduler.delivered, scheduler.failed, scheduler.retransmissions) == (1, 0, 0)
+    snap = bed.obs.registry.snapshot()
+    assert snap[f"sched_delivered_total{{host={host}}}"] == 1
+    assert snap[f"sched_inflight{{host={host}}}"] == 0
+    for priority in ("foreground", "default", "background"):
+        assert snap[f"sched_queue_depth{{host={host},priority={priority}}}"] == 0
 
 
 def test_qrpc_latency_histogram_feeds_registry():
     bed = build_testbed(link_spec=ETHERNET_10M)
     _import_one(bed)
-    snap = bed.obs.snapshot()
+    snap = bed.obs.registry.snapshot()
     key = "qrpc_latency_seconds{host=client,op=import}"
     assert snap[f"{key}_count"] == 1
     assert snap[f"{key}_sum"] > 0
@@ -338,13 +374,14 @@ def test_qrpc_latency_histogram_feeds_registry():
 
 
 def test_label_cardinality_cap_enforced():
+    from repro.obs.metrics import DEFAULT_MAX_CHILDREN
+
     registry = MetricsRegistry()
-    counter = registry.counter("tiny_total", "capped", labelnames=("k",),
-                               max_children=3)
-    for i in range(3):
+    counter = registry.counter("tiny_total", "capped", labelnames=("k",))
+    for i in range(DEFAULT_MAX_CHILDREN):
         counter.labels(k=f"v{i}").inc()
     with pytest.raises(MetricError):
-        counter.labels(k="v3").inc()
+        counter.labels(k=f"v{DEFAULT_MAX_CHILDREN}").inc()
     # Existing children keep working; the cap only blocks new series.
     counter.labels(k="v0").inc()
     assert counter.labels(k="v0").value == 2
@@ -354,8 +391,13 @@ def test_default_cardinality_cap_is_bounded():
     from repro.obs.metrics import DEFAULT_MAX_CHILDREN
 
     registry = MetricsRegistry()
-    gauge = registry.gauge("g", "default cap", labelnames=("k",))
-    assert gauge.max_children == DEFAULT_MAX_CHILDREN
+    counter = registry.counter("g_total", "default cap", labelnames=("k",))
+    assert counter.max_children == DEFAULT_MAX_CHILDREN
+    # An exposure is capped too: past the cap, the component is refused.
+    for index in range(DEFAULT_MAX_CHILDREN):
+        registry.expose(_Depth(), {"host": f"h{index}"})
+    with pytest.raises(MetricError):
+        registry.expose(_Depth(), {"host": "one-too-many"})
 
 
 def test_histogram_table_reports_percentiles():
@@ -379,3 +421,41 @@ def test_histogram_table_reports_percentiles():
     # The Observatory summary embeds the same percentile section.
     assert "p95" in obs.summary_table()
     assert "lat_seconds" not in obs.summary_table(include_metrics=False)
+
+
+# ---------------------------------------------------------------------------
+# the generated metric catalogue
+# ---------------------------------------------------------------------------
+
+
+def test_the_documented_catalogue_is_the_generated_one():
+    from pathlib import Path
+
+    from repro.obs.catalogue import render
+
+    doc = (Path(__file__).parent.parent / "docs" / "OBSERVABILITY.md").read_text()
+    block = doc.split("<!-- catalogue: python -m repro.obs catalogue -->\n```\n", 1)[1]
+    assert block.split("```\n<!-- end catalogue -->", 1)[0] == render()
+
+
+def test_the_catalogue_names_every_family_a_bed_registers():
+    """Every family a chaos-driven replicated bed with a fleet aggregator
+    registers is in the catalogue, with its kind, labels and help."""
+    from repro.chaos import ChaosController, FaultPlan, PrimaryKill
+    from repro.ha import build_ha_testbed
+    from repro.obs.catalogue import families
+    from repro.obs.fleet.aggregator import FleetAggregator
+
+    bed = build_ha_testbed(n_backups=2, n_clients=1)
+    FleetAggregator(bed.sim, obs=bed.obs, server=bed.server)
+    ChaosController(bed.sim, obs=bed.obs, seed=0).schedule(
+        FaultPlan(seed=0, primary_kills=(PrimaryKill(at=1.0, down_for=1e6),)), bed
+    )
+    bed.sim.run(until=30.0)
+    catalogue = {name: (kind, labels, help) for name, kind, labels, help in families()}
+    registered = bed.obs.registry.metrics()
+    assert {"ha_failovers_total", "chaos_process_events_total", "fleet_clients"} <= {
+        metric.name for metric in registered
+    }
+    for metric in registered:
+        assert catalogue[metric.name] == (metric.kind, metric.labelnames, metric.help)

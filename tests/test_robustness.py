@@ -371,9 +371,9 @@ def test_a_local_write_the_codec_refuses_fails_the_invoke_and_the_cache_serves_o
     assert entry.size == size
     assert len(bed.access.notifications.history) == published
     assert bed.access.log.pending_count() == 0
-    assert bed.access.cache.stats()["bytes"] == bed.access.cache.used_bytes
+    assert sum(entry.size for entry in bed.access.cache) == bed.access.cache.used_bytes
     assert bed.access.import_(make_note().urn).wait(bed.sim).data == {"text": "hello"}
-    assert bed.access.cache.stats()["entries"] == 2
+    assert len(bed.access.cache) == 2
 
 
 def _counter_with_a_refused_write():

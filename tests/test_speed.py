@@ -1036,9 +1036,9 @@ def test_inline_charge_matches_the_call_based_guard_on_generated_programs(source
 def test_a_looping_local_invoke_costs_the_same_calls_for_1_and_80_iterations():
     """The charge is bytecode in the RDO's frame, not a call per step
     (each iteration was one more Python call).  The floor of a local
-    invoke: the entry, the name, the cache's lookup, clock and hit
-    counter, `RDO.invoke` and `SafeInterpreter.invoke`, the method
-    itself, the cost — nine calls, no slack."""
+    invoke: the entry, the name, the cache's lookup and clock (the hit
+    is counted inline), `RDO.invoke` and `SafeInterpreter.invoke`, the
+    method itself, the cost — eight calls, no slack."""
     bed = build_testbed(link_spec=ETHERNET_10M)
     code = (
         "def count(state):\n"
@@ -1057,7 +1057,7 @@ def test_a_looping_local_invoke_costs_the_same_calls_for_1_and_80_iterations():
         bed.access.import_(urn).wait(bed.sim)
         assert bed.access.invoke(str(urn), "count")[0] == words  # loads the code
         calls[words] = _python_calls(bed.access.invoke, str(urn), "count")
-    assert calls[1] == calls[80] == 9
+    assert calls[1] == calls[80] == 8
 
 
 def test_compiling_an_app_rdo_call_budget():
@@ -1168,13 +1168,13 @@ def test_a_server_invoke_runs_on_the_stored_object():
 
 
 def test_a_backup_installs_a_record_and_runs_no_handler():
-    """A backup installs a shipped ``bump`` in 12 Python calls: the
+    """A backup installs a shipped ``bump`` in 11 Python calls: the
     agent's apply, the write set's check (``install_write``) and its
     install, one store lookup, the data encoded once (``marshal`` and
     its walker) and decoded into the version history's private copy
-    (``_remember``, ``unmarshal`` and its walker), the store write, the
-    committer index and the applied counter; the client's watermark is
-    raised inline.  The
+    (``_remember``, ``unmarshal`` and its walker), the store write and
+    the committer index; the applied count and the client's watermark
+    are raised inline.  The
     re-run it replaces (the handler, the at-most-once record, a fresh
     environment, the method) was 27.12 per record on ``ha_failover``.
     No slack: ``ha_failover`` installs one record per op."""
@@ -1189,7 +1189,7 @@ def test_a_backup_installs_a_record_and_runs_no_handler():
     primary._serve_client("rover.invoke", body, ("client0", 0))
     record = unmarshal(marshal(primary.log[-1]))  # as it arrives: not yet delivered
     assert set(record["write"]) == {"urn", "version", "data", "request_id", "reply", "ackw"}
-    assert _python_calls(backup._apply, record) == 12
+    assert _python_calls(backup._apply, record) == 11
     assert backup.server.get_object(str(urn)).data == {"n": 1} and backup.seq == 1
 
 

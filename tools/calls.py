@@ -36,6 +36,11 @@ memory ledger for ``peak_rss_mb``: what the program keeps, by the line
 that made it::
 
     PYTHONHASHSEED=0 PYTHONPATH=src:. python tools/calls.py ha_failover --retained 15
+
+``--by file`` groups that ledger by source file instead of by line (what
+``make footprint`` prints for ``fleet_drain``)::
+
+    PYTHONHASHSEED=0 PYTHONPATH=src:. python tools/calls.py fleet_drain --retained 20 --by file
 """
 
 import argparse
@@ -119,10 +124,11 @@ class _Under:
         setattr(self.owner, self.name, under)
 
 
-def retained_sites(workload: str, count: int) -> list:
+def retained_sites(workload: str, count: int, by: str = "line") -> list:
     """(KiB, blocks, site) for all sites together, then for the ``count``
-    allocation sites with the most bytes live when the timed region of a
-    second repeat, run without the profiler, ends."""
+    allocation sites (``by="file"``: source files) with the most bytes
+    live when the timed region of a second repeat, run without the
+    profiler, ends."""
     module = repeat.load(workload)  # the module the repeat loads again
     real_run, snapshots = module.run, []
 
@@ -138,11 +144,12 @@ def retained_sites(workload: str, count: int) -> list:
     finally:
         tracemalloc.stop()
         module.run = real_run
-    stats = snapshots[0].statistics("lineno")
+    stats = snapshots[0].statistics("lineno" if by == "line" else "filename")
     total = (sum(stat.size for stat in stats) / 1024.0, sum(stat.count for stat in stats), "total")
     return [total] + [
         (stat.size / 1024.0, stat.count,
-         f"{os.path.relpath(stat.traceback[0].filename)}:{stat.traceback[0].lineno}")
+         os.path.relpath(stat.traceback[0].filename)
+         + (f":{stat.traceback[0].lineno}" if by == "line" else ""))
         for stat in stats[:count]
     ]
 
@@ -181,6 +188,7 @@ def main(argv: list) -> int:
     parser.add_argument("--top", type=int, default=0, metavar="N")
     parser.add_argument("--under", default="", metavar="MODULE:QUALNAME")
     parser.add_argument("--retained", type=int, default=0, metavar="N")
+    parser.add_argument("--by", choices=("line", "file"), default="line")
     args = parser.parse_args(argv)
     setup_end = repeat.gc = _SetupEnd()
     kept = repeat.cProfile = _KeptProfiler(repeat.cProfile)
@@ -207,7 +215,7 @@ def main(argv: list) -> int:
         for per_op, name in top_functions(kept.made, calls_per_op, args.top):
             print(f"{per_op:10.3f}  {name}")
     if args.retained:
-        for kib, blocks, site in retained_sites(args.workload, args.retained):
+        for kib, blocks, site in retained_sites(args.workload, args.retained, args.by):
             print(f"{kib:10.1f} KiB {blocks:8d} blocks  {site}")
     return 0
 
