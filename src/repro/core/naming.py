@@ -54,6 +54,16 @@ class URN:
         return URN(self.authority, f"{self.path}/{component}")
 
 
+@lru_cache(maxsize=4096)
+def canonical_urn(text: str) -> str:
+    """The canonical text of the name ``text`` (a ``urn:rover:`` name or
+    an ``http://`` URL; a :class:`URN`'s own text is canonical).
+    Memoized like :meth:`URN.parse`: every entry point of the access
+    manager normalises the name it is given, and an application names a
+    few objects many times."""
+    return str(URN.parse(text))
+
+
 def make_request_id(host_name: str, counter: int, incarnation: int = 0) -> str:
     """Globally unique, deterministic QRPC request id.
 

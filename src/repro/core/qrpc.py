@@ -38,18 +38,13 @@ class Operation(str, Enum):
     __str__ = str.__str__
 
 
-#: Service name the Rover server registers for each operation.
-SERVICE_BY_OPERATION = {
-    Operation.IMPORT: "rover.import",
-    Operation.EXPORT: "rover.export",
-    Operation.INVOKE: "rover.invoke",
-    Operation.SHIP: "rover.ship",
-    Operation.LIST: "rover.list",
-    Operation.SUBSCRIBE: "rover.subscribe",
-    Operation.LOCK: "rover.lock",
-    Operation.UNLOCK: "rover.unlock",
-    Operation.TELEMETRY: "rover.telemetry",
-}
+class AccessManagerError(Exception):
+    """Client-side toolkit misuse.
+
+    Raised by the access manager's entry points, which live in
+    :mod:`repro.core.imports`, :mod:`repro.core.exports` and
+    :mod:`repro.core.calls`; defined here, below all three, and
+    re-exported by :mod:`repro.core.access_manager`."""
 
 
 @dataclass(slots=True)
@@ -112,7 +107,3 @@ class QRPCRequest:
             trace_id=trace[0],
             span_id=trace[1],
         )
-
-    @property
-    def service(self) -> str:
-        return SERVICE_BY_OPERATION[self.operation]

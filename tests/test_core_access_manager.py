@@ -103,9 +103,9 @@ def test_an_export_round_that_owes_nothing_forgets_its_object(ethernet_bed):
         bed.access.import_(urn).wait(bed.sim)
     for n, urn in enumerate(urns):
         bed.access.invoke(urn, "set_text", f"v{n}")
-    assert len(bed.access._exports) == 50
+    assert len(bed.access._exports.rounds) == 50
     assert bed.access.drain()
-    assert bed.access._exports == {}
+    assert bed.access._exports.rounds == {}
     assert [bed.server.get_object(urn).data["text"] for urn in urns] == [f"v{n}" for n in range(50)]
 
 
@@ -119,7 +119,7 @@ def test_a_follow_up_round_for_an_evicted_object_forgets_it(cslip_bed):
     followup = bed.access.export(note.urn)  # owed once the first round ends
     bed.access.cache.invalidate(str(note.urn))
     assert bed.access.drain()
-    assert followup.failed and bed.access._exports == {}
+    assert followup.failed and bed.access._exports.rounds == {}
 
 
 def test_export_snapshot_isolated_from_later_mutations(cslip_bed):

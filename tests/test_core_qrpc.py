@@ -1,8 +1,14 @@
 """QRPC record tests."""
 
-from repro.core.qrpc import Operation, QRPCRequest, SERVICE_BY_OPERATION
+from types import SimpleNamespace
+
+from repro.core.access_manager import OPERATIONS
+from repro.core.qrpc import Operation, QRPCRequest
+from repro.core.server import SERVICES
 from repro.net.message import marshal, unmarshal
 from repro.net.scheduler import Priority
+from repro.obs.fleet import FleetAggregator
+from repro.sim import Simulator
 
 
 def test_wire_roundtrip():
@@ -30,12 +36,21 @@ def test_wire_format_is_marshallable():
     assert unmarshal(marshal(request.to_wire())) == request.to_wire()
 
 
-def test_every_operation_has_a_service():
-    for operation in Operation:
-        assert operation in SERVICE_BY_OPERATION
-        assert SERVICE_BY_OPERATION[operation].startswith("rover.")
-    request = QRPCRequest("id", "", Operation.SHIP, "urn:rover:a/b")
-    assert request.service == "rover.ship"
+def test_the_client_and_server_tables_agree():
+    """Every operation has a row, and its row names a service somebody
+    serves: the server's door (``SERVICES``), or for telemetry the fleet
+    aggregator; and every service of the server's door is some
+    operation's."""
+    aggregator_services = []
+    FleetAggregator(Simulator()).register(
+        SimpleNamespace(register=lambda service, handler: aggregator_services.append(service))
+    )
+    assert aggregator_services == ["rover.telemetry"]
+    assert set(OPERATIONS) == set(Operation)
+    called = [row.service for row in OPERATIONS.values()]
+    assert len(set(called)) == len(called)
+    assert set(called) == set(SERVICES) | set(aggregator_services)
+    assert OPERATIONS[Operation.TELEMETRY].service == "rover.telemetry"
 
 
 def test_stage_bookkeeping_is_volatile():

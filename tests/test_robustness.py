@@ -18,6 +18,7 @@ from repro.core.interpreter import (
     validate_source,
 )
 from repro.core.naming import URN
+from repro.core.notification import EventType
 from repro.core.rdo import RDO, MethodSpec, RDOInterface
 from repro.core.server import INVALIDATION_PORT
 from repro.ha import build_ha_testbed
@@ -267,12 +268,75 @@ def test_an_object_whose_interface_does_not_decode_is_refused_at_import(name):
     assert bed.access.drain(timeout=600.0)
     assert all(waiter.failed for waiter in waiters)
     assert all(waiter.error.startswith("undecodable-object: ") for waiter in waiters)
-    refused = bed.obs.registry.get("import_replies_refused_total")
-    assert refused.labels(host=bed.access.host.name).value == 1
+    refused = bed.obs.registry.get("qrpc_replies_refused_total")
+    assert refused.labels(host=bed.access.host.name, op="import").value == 1
     assert bed.access.cache.peek(urn) is None
     other = make_note(path="notes/n2")
     bed.server.put_object(other)
     assert bed.access.import_(str(other.urn)).wait(bed.sim).data == other.data
+
+
+#: Replies a server could seal intact that have the right status and
+#: the wrong shape: (service answered, its reply, what queues the request).
+MALFORMED_REPLIES = {
+    "committed-without-version": ("rover.export", {"status": "committed"}, "invoke"),
+    "committed-version-not-int": ("rover.export", {"status": "committed", "version": "x"}, "invoke"),
+    "invoke-version-not-int": ("rover.invoke", {"status": "ok", "version": "zz"}, "invoke_remote"),
+    "urns-not-a-list": ("rover.list", {"status": "ok", "urns": 7}, "list_objects"),
+    "status-not-text": ("rover.invoke", {"status": ["ok"], "result": 1}, "invoke_remote"),
+    "delta-base-not-int": (
+        "rover.import",
+        {"status": "ok-delta", "base_version": "x", "version": 2, "delta": {"=": 1}},
+        "import_",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_REPLIES))
+def test_a_reply_of_the_wrong_shape_is_refused_once_and_applies_nothing(name):
+    """A reply whose fields are not what its operation's row of
+    ``OPERATIONS`` says rejects its request once, with the field named,
+    is counted, and changes neither the cache nor the session.  It
+    raised out of the simulator (a committed export with no integer
+    version, an invoke's non-integer version, a delta's base), or
+    resolved the promise with it (a listing's ``urns``)."""
+    service, reply, queue = MALFORMED_REPLIES[name]
+    bed = build_testbed()
+    access = bed.access
+    note = make_note()
+    bed.server.put_object(note)
+    urn = str(note.urn)
+    session = access.create_session()
+    access.import_(urn, session=session).wait(bed.sim)
+    bed.server_transport.register(service, lambda body, source: dict(reply))
+    entry = access.cache.peek(urn)
+    if queue == "invoke":
+        access.invoke(urn, "set_text", "mine", session=session)
+        promise = None
+    elif queue == "invoke_remote":
+        promise = access.invoke_remote(urn, "set_text", ["theirs"], session=session)
+    elif queue == "list_objects":
+        promise = access.list_objects(bed.authority)
+    else:
+        promise = access.import_(urn, session=session, refresh=True)
+    before = (entry.status, entry.rdo.version, dict(entry.rdo.data), entry.base_version)
+    reads, writes = session.reads(), session.writes()
+    assert access.drain(timeout=600.0)
+    failed = [n for n in access.notifications.history if n.event is EventType.REQUEST_FAILED]
+    assert len(failed) == 1
+    reason = failed[0].details["reason"]
+    assert reason.startswith("malformed-reply: "), reason
+    if promise is not None:
+        assert promise.failed and promise.error == reason
+    assert access.cache.peek(urn) is entry
+    assert (entry.status, entry.rdo.version, dict(entry.rdo.data), entry.base_version) == before
+    assert (session.reads(), session.writes()) == (reads, writes)
+    refused = bed.obs.registry.get("qrpc_replies_refused_total")
+    op = {"rover.export": "export", "rover.invoke": "invoke", "rover.list": "list"}.get(service, "import")
+    assert refused.labels(host=access.host.name, op=op).value == 1
+    # The client carries on.
+    bed.server_transport.register(service, lambda body, source: bed.server.serve(service, body, source))
+    assert access.invoke_remote(urn, "read", []).wait(bed.sim) == bed.server.get_object(urn).data["text"]
 
 
 def test_a_coalesced_member_the_codec_cannot_carry_fails_alone():

@@ -1036,9 +1036,10 @@ def test_inline_charge_matches_the_call_based_guard_on_generated_programs(source
 def test_a_looping_local_invoke_costs_the_same_calls_for_1_and_80_iterations():
     """The charge is bytecode in the RDO's frame, not a call per step
     (each iteration was one more Python call).  The floor of a local
-    invoke: the entry, the name, the cache's lookup and clock (the hit
-    is counted inline), `RDO.invoke` and `SafeInterpreter.invoke`, the
-    method itself, the cost — eight calls, no slack."""
+    invoke: the entry, the cache's lookup and clock (the hit is counted
+    inline), `RDO.invoke` and `SafeInterpreter.invoke`, the method
+    itself, the cost — seven calls, no slack (the name's canonical text
+    is memoized: a repeated name costs no call)."""
     bed = build_testbed(link_spec=ETHERNET_10M)
     code = (
         "def count(state):\n"
@@ -1057,7 +1058,7 @@ def test_a_looping_local_invoke_costs_the_same_calls_for_1_and_80_iterations():
         bed.access.import_(urn).wait(bed.sim)
         assert bed.access.invoke(str(urn), "count")[0] == words  # loads the code
         calls[words] = _python_calls(bed.access.invoke, str(urn), "count")
-    assert calls[1] == calls[80] == 8
+    assert calls[1] == calls[80] == 7
 
 
 def test_compiling_an_app_rdo_call_budget():
