@@ -18,9 +18,10 @@ notification center.  Its entry points live with their kind of object:
   invalidation callbacks and telemetry: one promise per QRPC.
 
 This module is the door they share: :data:`OPERATIONS` says what each
-operation is (its service, its wire body, the side that applies its
-answer, the shape that answer must have), and :class:`AccessManager`
-logs, submits and settles every QRPC by its row, keeps the hook lists
+operation is (its service, its wire body, the side that decodes and
+applies its answer), and :class:`AccessManager` logs, submits and
+settles every QRPC by its row (refusing, in one place, a reply its side
+cannot decode), keeps the hook lists
 the optional stages hang on, and resubmits the log after a crash
 (:meth:`~AccessManager.recover`).
 
@@ -32,7 +33,7 @@ flush happens, its cost in virtual time and the account of it
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.core.calls import CallAPI
@@ -45,7 +46,7 @@ from repro.core.notification import EventType, NotificationCenter
 from repro.core.object_cache import ObjectCache
 from repro.core.operation_log import OperationLog
 from repro.core.promise import Promise
-from repro.core.qrpc import AccessManagerError, Operation, QRPCRequest
+from repro.core.qrpc import REFUSAL, AccessManagerError, Operation, QRPCRequest, reply_field
 from repro.core.rdo import ExecutionCostModel
 from repro.core.session import Session, SessionRegistry
 from repro.net.message import Premarshalled
@@ -65,64 +66,40 @@ class OperationRow:
 
     #: The service it calls.
     service: str
-    #: The manager's attribute that applies an answer
-    #: (``apply(request, reply)``) and delivers a refusal
-    #: (``refuse(request, reason)``).
+    #: The manager's attribute that decodes an answer (``decode(request,
+    #: reply)``: pure, raises on a reply it cannot use, names a refusal
+    #: :data:`~repro.core.qrpc.REFUSAL`), applies it (``apply(request,
+    #: reply, decoded)``) and delivers a refusal (``refuse(request, reason)``).
     side: str
     #: Whether the wire body names the URN (ship and telemetry go to an
     #: authority, not to an object).
     urn_on_wire: bool = True
     #: What a call's promise resolves with on an ``ok`` reply: the
-    #: reply, or ``value(reply)``.
+    #: reply, or ``value(reply)`` (decoded: it may refuse the reply).
     value: Optional[Callable[[dict], Any]] = None
     #: The reply statuses whose ``version`` the request's session wrote.
     writes: tuple[str, ...] = ()
-    #: Reply status -> ``(key, types)`` of what applying it reads: a
-    #: reply whose ``type(reply.get(key))`` is not one of ``types`` is
-    #: malformed, and refused before anything is applied.
-    shape: dict = field(default_factory=dict)
 
-
-_INT = (int,)
 
 #: One row per operation; the manager reads the row wherever two
 #: operations differ.
 OPERATIONS: dict[Operation, OperationRow] = {
-    Operation.IMPORT: OperationRow(
-        "rover.import", "_imports",
-        shape={"ok-delta": (("base_version", _INT), ("version", _INT))},
-    ),
-    Operation.EXPORT: OperationRow(
-        "rover.export", "_exports",
-        writes=("committed", "resolved"),
-        shape={
-            "committed": (("version", _INT),),
-            "resolved": (("version", _INT),),
-            "conflict": (("conflict", (dict,)),),
-        },
-    ),
+    Operation.IMPORT: OperationRow("rover.import", "_imports"),
+    Operation.EXPORT: OperationRow("rover.export", "_exports", writes=("committed", "resolved")),
     Operation.INVOKE: OperationRow(
-        "rover.invoke", "_calls",
-        value=lambda reply: reply.get("result"),
-        writes=("ok",),
-        shape={"ok": (("version", (int, type(None))),)},
+        "rover.invoke", "_calls", value=lambda reply: reply.get("result"), writes=("ok",)
     ),
     Operation.SHIP: OperationRow(
         "rover.ship", "_calls", urn_on_wire=False, value=lambda reply: reply.get("result")
     ),
     Operation.LIST: OperationRow(
-        "rover.list", "_calls",
-        value=lambda reply: reply["urns"],
-        shape={"ok": (("urns", (list,)),)},
+        "rover.list", "_calls", value=lambda reply: reply_field(reply, "urns", list)
     ),
     Operation.SUBSCRIBE: OperationRow("rover.subscribe", "_calls", value=lambda reply: True),
     Operation.LOCK: OperationRow("rover.lock", "_calls"),
     Operation.UNLOCK: OperationRow("rover.unlock", "_calls"),
     Operation.TELEMETRY: OperationRow("rover.telemetry", "_calls", urn_on_wire=False),
 }
-
-#: The shape of a reply whose status is not text: it has none.
-_NO_STATUS = (("status", (type(None),)),)
 
 
 class CallSide:
@@ -157,17 +134,23 @@ class CallSide:
         if promise is not None:
             promise.reject(reason)
 
-    def apply(self, request: QRPCRequest, reply: dict) -> None:
+    def decode(self, request: QRPCRequest, reply: dict) -> Any:
+        """What an ``ok`` reply resolves the promise with; a version (an
+        invoke's: a session write) must be an integer."""
+        version = reply.get("version")  # inline, not reply_field: no call per invoke
+        if version is not None and type(version) is not int:
+            raise TypeError(f"version={version!r:.60}")
+        if reply["status"] != "ok":
+            return REFUSAL
+        value = OPERATIONS[request.operation].value
+        return reply if value is None else value(reply)
+
+    def apply(self, request: QRPCRequest, reply: dict, value: Any) -> None:
         # No promise: the call was queued by an incarnation that has
         # since crashed, and nobody is left to tell.
         promise = self.promises.pop(request.request_id, None)
-        if promise is None:
-            return
-        if reply.get("status") != "ok":
-            promise.reject(reply.get("status", "error"))
-            return
-        value = OPERATIONS[request.operation].value
-        promise.resolve(reply if value is None else value(reply))
+        if promise is not None:
+            promise.resolve(value)
 
 
 class AccessManager(ImportAPI, ExportAPI, CallAPI):
@@ -552,17 +535,29 @@ class AccessManager(ImportAPI, ExportAPI, CallAPI):
     def settle(self, request: QRPCRequest, reply: dict) -> None:
         """``request`` — out of the log already — is answered with
         ``reply``: its own, or if it never crossed the wire the reply to
-        the request that absorbed it.  A reply of the wrong shape for
-        its row of :data:`OPERATIONS` is refused instead, unapplied."""
+        the request that absorbed it.  Its side decodes it first,
+        changing nothing: a reply that does not decode (no text status, a
+        field missing or mistyped, an object or a report the decoder
+        refuses) is refused instead, unapplied and counted."""
         if self._crashed:
             return
         row = OPERATIONS[request.operation]
+        side = getattr(self, row.side)
         status = reply.get("status")
-        for key, types in row.shape.get(status, ()) if type(status) is str else _NO_STATUS:
-            if type(reply.get(key)) not in types:
-                self._count_refused(request)
-                self.reject(request, f"malformed-reply: {key}={reply.get(key)!r:.60}")
-                return
+        try:
+            if type(status) is not str:
+                raise TypeError(f"status={status!r:.60}")
+            decoded = side.decode(request, reply)
+        except (KeyError, TypeError, ValueError) as malformed:
+            # Registered at the first: a manager that never refuses a
+            # reply holds no family for it.
+            self.obs.registry.counter(
+                "qrpc_replies_refused_total",
+                "Replies refused unapplied: malformed, or an imported object that did not decode",
+                labelnames=("host", "op"),
+            ).labels(host=self.host.name, op=str(request.operation)).inc()
+            self.reject(request, f"malformed-reply: {type(malformed).__name__}: {malformed}")
+            return
         for hook in self.on_settled:
             hook(request, "ok")
         self.notifications.publish(
@@ -580,7 +575,10 @@ class AccessManager(ImportAPI, ExportAPI, CallAPI):
             session = self.sessions.get(request.session_id)
             if session is not None and reply.get("version") is not None:
                 session.record_write(request.urn, reply["version"])
-        getattr(self, row.side).apply(request, reply)
+        if decoded is REFUSAL:  # the server's text, for an ``error``
+            side.refuse(request, str(reply.get("error", status)) if status == "error" else status)
+        else:
+            side.apply(request, reply, decoded)
         for hook in self.on_applied:
             hook(request, reply, None)
 
@@ -601,16 +599,6 @@ class AccessManager(ImportAPI, ExportAPI, CallAPI):
         round, whose new args are returned (None: nothing owed, or the
         object has left the cache)."""
         return self._exports.fold(request)
-
-    def _count_refused(self, request: QRPCRequest) -> None:
-        """Count a reply refused unapplied: malformed, or an imported
-        object that did not decode.  Registered at the first, so a
-        manager that never refuses one holds no family for it."""
-        self.obs.registry.counter(
-            "qrpc_replies_refused_total",
-            "Replies refused unapplied: malformed, or an imported object that did not decode",
-            labelnames=("host", "op"),
-        ).labels(host=self.host.name, op=str(request.operation)).inc()
 
     def watch_new_links(self) -> None:
         """Subscribe to the host's links; call again after links were

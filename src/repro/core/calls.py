@@ -34,6 +34,8 @@ class CallAPI:
         priority: Priority = Priority.DEFAULT,
     ) -> Promise:
         """Queue a method invocation against the server's authoritative copy."""
+        if args is not None and type(args) is not list:
+            raise TypeError(f"args must be a list, not {type(args).__name__}")
         urn_str = canonical_urn(str(urn))
         promise = self._calls.queue(
             Operation.INVOKE,
@@ -66,6 +68,8 @@ class CallAPI:
         the escape hatch (the server then re-checks unless it too was
         built with verification off).
         """
+        if args is not None and type(args) is not list:
+            raise TypeError(f"args must be a list, not {type(args).__name__}")
         urn_str = self._authority_urn(authority, "__shipped__")
         if verify:
             diagnostics = self.interpreter.verify(

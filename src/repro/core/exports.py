@@ -15,7 +15,7 @@ from repro.core.conflict import ConflictReport
 from repro.core.naming import URN, canonical_urn
 from repro.core.notification import EventType
 from repro.core.promise import Promise
-from repro.core.qrpc import AccessManagerError, Operation, QRPCRequest
+from repro.core.qrpc import REFUSAL, AccessManagerError, Operation, QRPCRequest
 from repro.core.session import Session
 from repro.net.message import unmarshal
 from repro.net.scheduler import Priority
@@ -158,13 +158,23 @@ class ExportSide:
     def refuse(self, request: QRPCRequest, reason: str) -> None:
         self.finish_round(request.urn, {}, reason)
 
-    def apply(self, request: QRPCRequest, reply: dict) -> None:
+    def decode(self, request: QRPCRequest, reply: dict) -> Any:
+        """A ``conflict``'s report; a commit's version must be an integer."""
+        status = reply["status"]
+        if status == "conflict":
+            return ConflictReport.from_wire(reply["conflict"])
+        if status not in ("committed", "resolved"):
+            return REFUSAL
+        if type(reply["version"]) is not int:  # inline, not reply_field: no call per commit
+            raise TypeError(f"version={reply['version']!r:.60}")
+        return None
+
+    def apply(self, request: QRPCRequest, reply: dict, report: Optional[ConflictReport]) -> None:
         manager = self.manager
         status = reply.get("status")
         urn_str = request.urn
         state = self.rounds.get(urn_str)
         dirty = bool(state and state["dirty"])
-        failed = None
         if status == "committed":
             entry = manager.cache.peek(urn_str)
             if entry is not None and dirty:
@@ -201,8 +211,7 @@ class ExportSide:
                 version=reply["version"],
                 detail=reply.get("detail", ""),
             )
-        elif status == "conflict":
-            report = ConflictReport.from_wire(reply["conflict"])
+        else:  # a conflict
             manager.notifications.publish(
                 EventType.CONFLICT_DETECTED,
                 manager.sim.now,
@@ -211,9 +220,7 @@ class ExportSide:
             )
             for handler in list(manager._conflict_handlers):
                 handler(report)
-        else:
-            failed = status or "export failed"
-        self.finish_round(urn_str, reply, failed)
+        self.finish_round(urn_str, reply, None)
 
     def finish_round(self, urn: str, reply: dict, failed: Optional[str]) -> None:
         state = self.rounds.get(urn)

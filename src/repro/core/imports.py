@@ -15,7 +15,7 @@ from repro.core.naming import URN, canonical_urn
 from repro.core.notification import EventType
 from repro.core.object_cache import CacheStatus
 from repro.core.promise import Promise
-from repro.core.qrpc import Operation, QRPCRequest
+from repro.core.qrpc import REFUSAL, Operation, QRPCRequest
 from repro.core.rdo import RDO
 from repro.core.session import Session
 from repro.net.scheduler import Priority
@@ -165,30 +165,26 @@ class ImportSide:
         for promise, __ in self.take(request):
             promise.reject(reason)
 
-    def apply(self, request: QRPCRequest, reply: dict) -> None:
+    def decode(self, request: QRPCRequest, reply: dict) -> Any:
+        """The object an ``ok`` reply carries, or an ``ok-delta`` rebuilt
+        against the cached base (None: a delta whose base the cache no
+        longer holds, or that does not fit it)."""
+        status = reply["status"]
+        if status == "ok-delta":
+            reply = rebuild_import(self.manager.cache.peek(request.urn), reply)
+            if reply is None:
+                return None
+        elif status != "ok":
+            return REFUSAL
+        return RDO.from_wire(reply["rdo"])
+
+    def apply(self, request: QRPCRequest, reply: dict, rdo: Optional[RDO]) -> None:
         manager = self.manager
         waiters = self.take(request)
-        if reply.get("status") == "ok-delta":
-            rebuilt = rebuild_import(manager.cache.peek(request.urn), reply)
-            if rebuilt is None:
-                # Our copy of the base is gone (evicted/replaced since
-                # the request was queued): re-import full.
-                self.reimport(request, waiters)
-                return
-            reply = rebuilt
-        if reply.get("status") != "ok":
-            for promise, __ in waiters:
-                promise.reject(reply.get("status", "error"))
-            return
-        try:
-            rdo = RDO.from_wire(reply["rdo"])
-        except (KeyError, TypeError, ValueError) as undecodable:
-            # A stored object this client cannot decode (an interface
-            # wire a sync or a restore installed): each waiter is told,
-            # and nothing is cached.
-            manager._count_refused(request)
-            for promise, __ in waiters:
-                promise.reject(f"undecodable-object: {type(undecodable).__name__}: {undecodable}")
+        if rdo is None:
+            # Our copy of the base is gone (evicted/replaced since the
+            # request was queued), or the delta does not fit: re-import full.
+            self.reimport(request, waiters)
             return
         urn_str = str(rdo.urn)
         session = manager.sessions.get(request.session_id) if request.session_id else None

@@ -47,6 +47,19 @@ class AccessManagerError(Exception):
     re-exported by :mod:`repro.core.access_manager`."""
 
 
+def reply_field(reply: dict, key: str, kind: type) -> Any:
+    """``reply[key]``, which must be a ``kind`` (``KeyError``, ``TypeError``)."""
+    value = reply[key]
+    if type(value) is not kind:
+        raise TypeError(f"{key}={value!r:.60}")
+    return value
+
+
+#: What a side's ``decode`` returns for a reply that refuses its request
+#: (``not-found``, ``locked``, ``error`` ...): an answer, not the answer.
+REFUSAL = object()
+
+
 @dataclass(slots=True)
 class QRPCRequest:
     """One queued remote procedure call."""

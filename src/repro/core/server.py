@@ -676,32 +676,37 @@ class RoverServer:
         its original reply, with nothing applied again: answered from
         current state it could be re-negotiated into a manufactured
         conflict, and a "resolved" reply carries a merged value the
-        client must still apply).  The handler's reply, or a
-        :class:`DelayedReply`'s body, is kept unless it is the one
-        refusal the same request may retry.
+        client must still apply).  A handler that raises is answered
+        ``{"status": "error", "error": "<Type>: <message>"}``, a status
+        like any other.  The handler's reply, or a :class:`DelayedReply`'s
+        body, is kept unless it is the one refusal the same request may retry.
         """
         handler, read, retryable = SERVICES[service]
         if read:
             self.reads_served += 1
         if self.auth_tokens is not None and not self._authorized(body):
             return {"status": "unauthorized"}
-        if retryable is None:
-            return handler(self, body, source)
-        self._observe_watermark(body)
-        request_id = body.get("request_id")
-        if request_id is None:
-            return handler(self, body, source)
-        cached, split = self._cached_reply(request_id)
-        if cached is not None:
-            return cached
-        urn = body.get("urn")
-        if type(urn) is str and request_id in self._committed_replies.get(urn, ()):
-            self.duplicates_suppressed += 1
-            return self._record_reply(request_id, split, self._committed_replies[urn][request_id])
-        reply = handler(self, body, source)
-        kept = reply.body if type(reply) is DelayedReply else reply
-        if kept["status"] != retryable:
-            self._record_reply(request_id, split, kept)
+        request_id = None
+        if retryable is not None:
+            self._observe_watermark(body)
+            request_id = body.get("request_id") if isinstance(body, dict) else None
+        if request_id is not None:
+            cached, split = self._cached_reply(request_id)
+            if cached is not None:
+                return cached
+            urn = body.get("urn")
+            committed = self._committed_replies.get(urn, ()) if type(urn) is str else ()
+            if request_id in committed:
+                self.duplicates_suppressed += 1
+                return self._record_reply(request_id, split, committed[request_id])
+        try:
+            reply = handler(self, body, source)
+        except Exception as exc:
+            reply = {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
+        if request_id is not None:
+            kept = reply.body if type(reply) is DelayedReply else reply
+            if kept["status"] != retryable:
+                self._record_reply(request_id, split, kept)
         return reply
 
     @replay_pure
@@ -1048,6 +1053,8 @@ class RoverServer:
 #: once; otherwise the one refusal the door does not keep, because the
 #: same request may retry it ("" for none): a delta export's ``need-full``
 #: asks for the full data, and a lock denial is re-evaluated on retry.
+#: Every other answer is kept, a handler's ``error`` too: it is the
+#: request's own, and a retransmit gets it again without a second run.
 SERVICES = {
     "rover.import": (RoverServer._on_import, True, None),
     "rover.export": (RoverServer._on_export, False, "need-full"),

@@ -171,9 +171,11 @@ class ClientFailover:
     """The replication group's fence, read on the access manager's seam.
 
     Retrying is the scheduler's: it names the member per attempt and
-    moves on, in place, from one that does not answer.  Left here is
-    what only a *reply* says — ``not-primary``, or the stamp of a
-    deposed reign: this stage moves the :class:`ReplicaSet`'s pointer
+    moves on, in place, from one that does not answer.  Only silence
+    moves it: every status the current reign stamps, a handler's
+    ``error`` too, is the request's answer and passes through.  Left
+    here is what only a *reply* says — ``not-primary``, or the stamp of
+    a deposed reign: this stage moves the :class:`ReplicaSet`'s pointer
     (to the hinted member, or on by one) and has the manager ``retry``
     the request, which stays pending under the scheduler message and
     sequence number it has.  No queue, no timer.

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.core.qrpc import Operation
+from repro.core.qrpc import Operation, reply_field
 from repro.net.message import (
     Premarshalled,
     changed_keys,
@@ -78,39 +78,37 @@ def _diff_changed(base: Any, new: Any) -> dict:
 def apply_delta(base: Any, delta: Any) -> Any:
     """Reconstruct the new value from ``base`` and a delta.
 
-    Raises :class:`DeltaError` when the delta does not fit the base
-    (e.g. it references a key the base lacks) — callers treat that as
-    a base mismatch and fall back to a full ship.
+    Raises :class:`DeltaError` for any delta it cannot apply, whatever
+    its shape: one that does not fit the base (e.g. it references a key
+    the base lacks) or is not a delta at all -- callers treat that as a
+    base mismatch and fall back to a full ship.
     """
     if not isinstance(delta, dict) or len(delta) != 1:
         raise DeltaError(f"malformed delta: {delta!r}")
-    if "=" in delta:
-        return base
-    if "!" in delta:
-        return delta["!"]
-    if "l" in delta:
-        if not isinstance(base, list):
-            raise DeltaError("list-append delta against a non-list base")
-        return base + list(delta["l"])
-    if "d" in delta:
-        if not isinstance(base, dict):
-            raise DeltaError("dict delta against a non-dict base")
-        keys, edits = delta["d"]
-        result: dict[Any, Any] = {}
-        for key in keys:
-            if key in edits:
-                sub = edits[key]
-                if isinstance(sub, dict) and "!" in sub and len(sub) == 1:
-                    result[key] = sub["!"]
+    try:
+        if "=" in delta:
+            return base
+        if "!" in delta:
+            return delta["!"]
+        if "l" in delta:
+            return base + list(delta["l"])  # a base that is not a list: TypeError
+        if "d" in delta:
+            if not isinstance(base, dict):
+                raise DeltaError("dict delta against a non-dict base")
+            keys, edits = delta["d"]
+            result: dict[Any, Any] = {}
+            for key in keys:
+                if key in edits:
+                    sub = edits[key]
+                    if isinstance(sub, dict) and "!" in sub and len(sub) == 1:
+                        result[key] = sub["!"]
+                    else:
+                        result[key] = apply_delta(base[key], sub)
                 else:
-                    if key not in base:
-                        raise DeltaError(f"delta edits key {key!r} missing from base")
-                    result[key] = apply_delta(base[key], sub)
-            else:
-                if key not in base:
-                    raise DeltaError(f"delta keeps key {key!r} missing from base")
-                result[key] = base[key]
-        return result
+                    result[key] = base[key]  # a key the base lacks: KeyError
+            return result
+    except (KeyError, TypeError, ValueError) as misfit:
+        raise DeltaError(f"delta does not fit: {type(misfit).__name__}: {misfit}") from misfit
     raise DeltaError(f"unknown delta tag in {delta!r}")
 
 
@@ -135,18 +133,22 @@ def rebuild_import(entry: Any, reply: dict) -> Optional[dict]:
     The delta applies to the marshalled base bytes the cache ``entry``
     recorded at commit time (never the live, possibly-mutated data), so
     the rebuilt value is byte-identical to the server's copy.  Returns
-    ``None`` when the base we promised is no longer what we hold.
+    ``None`` when the base we promised is no longer what we hold, or the
+    delta does not apply to it; a reply without integer versions, or a
+    delta for our base, raises (``TypeError`` / ``KeyError``).
     """
-    if entry is None or entry.base_version != int(reply.get("base_version", -1)):
+    base_version = reply_field(reply, "base_version", int)
+    version = reply_field(reply, "version", int)
+    if entry is None or entry.base_version != base_version:
         return None
     try:
         new_data = apply_delta(unmarshal(entry.base_raw), reply["delta"])
-    except (DeltaError, KeyError):
+    except DeltaError:
         return None
     wire = entry.rdo.to_wire()
     wire["data"] = new_data
-    wire["version"] = int(reply["version"])
-    return {"status": "ok", "rdo": wire, "version": int(reply["version"])}
+    wire["version"] = version
+    return {"status": "ok", "rdo": wire, "version": version}
 
 
 class DeltaShipping:

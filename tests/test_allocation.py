@@ -335,7 +335,7 @@ def test_server_side_invokes_get_fresh_environments_and_release_them():
 
 
 def test_a_failing_invoke_still_releases_its_environment():
-    bed = build_testbed(max_attempts=1)  # a handler's error is final
+    bed = build_testbed()
     bed.server.put_object(_counter(bed.authority, 0))
     bed.server.interpreter.step_budget = 100
     loads = _record_loads(bed.server)
@@ -356,7 +356,7 @@ def test_a_failing_invoke_still_releases_its_environment():
 def test_a_shipped_rdo_releases_its_environment_and_only_its_own():
     import repro.core.server as server_module
 
-    bed = build_testbed(max_attempts=1)
+    bed = build_testbed()
     bed.server.put_object(make_note())
     loads = _record_loads(bed.server)
     # ``peek = lookup`` re-binds a host helper: it is returned among the

@@ -448,3 +448,41 @@ def test_a_request_without_a_token_changes_nothing(service):
     assert door_state(server) == before
     assert server.auth_rejections == rejections + 1
     assert server.reads_served == reads + SERVICES[service][1]
+
+
+def test_a_retransmitted_request_whose_handler_raised_gets_its_error_again_and_runs_once():
+    """A handler's exception is answered as a status, ``error``, which
+    the door keeps like any reply.  It escaped the door, so the
+    transport answered ``ok: false``, nothing was kept, and every
+    retransmission ran the method again."""
+    sim = Simulator()
+    server = RoverServer(sim, Transport(sim, Network(sim).host("server")), "server")
+    urn = put_items(server)
+    runs = []
+    run = server.interpreter.invoke
+
+    def counted(functions, method, *args):
+        runs.append(method)
+        return run(functions, method, *args)
+
+    server.interpreter.invoke = counted
+    first = invoke(server, urn, "add", 1, 2, request_id="a/0")  # one argument too many
+    assert first["status"] == "error" and first["error"].startswith("ExecutionError: TypeError: ")
+    assert invoke(server, urn, "add", 1, 2, request_id="a/0") == first
+    assert runs == ["add"] and server.duplicates_suppressed == 1
+    assert server.get_object(urn).version == 1
+
+
+@pytest.mark.parametrize("service", list(SERVICES))
+def test_a_body_no_handler_can_serve_is_answered_an_error_and_changes_nothing(service):
+    """A body that is not a dict made every handler raise, and the door
+    itself too for a service applied at most once (reading its request
+    id): the transport answered ``ok: false``, which a client retries as
+    silence.  Now it is an ``error`` answer, and nothing is kept."""
+    sim = Simulator()
+    server = RoverServer(sim, Transport(sim, Network(sim).host("server")), "server")
+    put_items(server)
+    before = door_state(server)
+    reply = server.serve(service, ["not", "a", "body"], SRC)
+    assert reply["status"] == "error" and reply["error"]
+    assert door_state(server) == before

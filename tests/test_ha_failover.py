@@ -18,6 +18,7 @@ from repro.chaos import ChaosController, ChaosError, FaultPlan, PrimaryKill
 from repro.check.oracle import check_replicas_agree
 from repro.ha import ReplicaSet, build_ha_testbed
 from repro.net.link import IntervalTrace
+from repro.storage.stable_log import GroupCommitPolicy
 from tests.conftest import make_note
 
 CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "0"))
@@ -759,3 +760,69 @@ class TestFeaturesAcrossAFailover:
         )
         assert saved.value > 400  # the pad never crossed the wire again
         assert bed.clients[0].scheduler.retransmissions >= 1  # the corpse was tried first
+
+
+class TestAnErrorAnswerAcrossAKill:
+    """A handler's error is an answer: the door keeps it, and the
+    primary records it and gates it on a quorum like any status, so an
+    erroring request that spans a permanent primary kill is answered
+    once and strands nobody.  It was transport silence: the scheduler
+    suspected the member that answered it and rested the group, the
+    client disbelieved the new primary's hint, and in this bed (the
+    registry golden's: two clients, compaction, delta shipping, group
+    commit) its requests stayed pending on the dead member."""
+
+    def bed(self):
+        bed = make_bed(
+            n_clients=2, compaction=True, delta_shipping=True, group_commit=GroupCommitPolicy()
+        )
+        urn = seeded_note(bed)
+        access = bed.clients[1].access
+        access.import_(urn).wait(bed.sim)
+        runs = []
+        for server, __ in bed.members:
+            def counted(functions, method, *args, invoke=server.interpreter.invoke):
+                runs.append(method)
+                return invoke(functions, method, *args)
+
+            server.interpreter.invoke = counted
+        return bed, urn, access, runs
+
+    def queue_an_error_and_kill(self, bed, urn, access):
+        """Queue a wrong-arity invoke; once a backup holds its error
+        answer (the primary ran it, and its record arrived), kill the
+        primary for good before the answer reaches the client.  Returns
+        the promise, the kill's time and whether a backup kept it."""
+        doomed = access.invoke_remote(urn, "set_text", ["a", "b"])
+        request_id = access.backlog()[-1].request_id
+        backup = bed.members[1][0]
+        kept = bed.sim.run_until(lambda: request_id in backup._applied, timeout=30.0)
+        killed_at = bed.sim.now
+        ChaosController(bed.sim, obs=bed.obs, seed=CHAOS_SEED).schedule(
+            FaultPlan(seed=CHAOS_SEED, primary_kills=(PrimaryKill(at=killed_at, down_for=1e6),)),
+            bed,
+        )
+        return doomed, killed_at, kept
+
+    def test_an_error_answer_across_a_permanent_kill_settles_once(self):
+        bed, urn, access, runs = self.bed()
+        doomed, __, kept = self.queue_an_error_and_kill(bed, urn, access)
+        assert access.drain(timeout=120.0) and access.pending_count() == 0
+        assert runs == ["set_text"]  # at the old primary; the new one answered from its copy
+        assert kept and bed.members[1][0].duplicates_suppressed == 1
+        assert doomed.failed and doomed.error.startswith("ExecutionError: TypeError: ")
+
+    def test_a_request_queued_after_the_kill_reaches_the_new_primary_within_the_bound(self):
+        bed, urn, access, runs = self.bed()
+        __, killed_at, __ = self.queue_an_error_and_kill(bed, urn, access)
+        acked = []
+        access.invoke_remote(urn, "set_text", ["after"]).then(lambda _: acked.append(bed.sim.now))
+        assert access.drain(timeout=120.0)
+        agent, scheduler = agents(bed)[0], bed.clients[1].scheduler
+        election = 2.0 * agent.heartbeat_s + 0.01  # a poll no dead member answers times out
+        backoff_cap = scheduler.base_backoff * 2 ** (scheduler.max_attempts - 1)
+        bound = agent.lease_s + election + 2.0 * agent.heartbeat_s + backoff_cap
+        assert acked and acked[0] - killed_at <= bound
+        assert bed.group.primary_agent().host.name == "server-b1"
+        assert access.servers[bed.authority].current_host.name == "server-b1"
+        assert runs == ["set_text", "set_text"]

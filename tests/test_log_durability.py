@@ -8,6 +8,7 @@ client crash at three instants of one group-commit window on a real
 file, and the flush nobody used to count.
 """
 
+from repro.chaos import ChaosController
 from repro.core.notification import EventType
 from repro.core.operation_log import OperationLog
 from repro.core.qrpc import Operation, QRPCRequest
@@ -21,21 +22,23 @@ NOTE_URN = str(make_note().urn)
 def test_a_terminal_failures_flush_is_charged():
     """``mark_failed`` appends an ack marker and flushes it; that disk
     time is E2's quantity like any other flush (it was free: the delta
-    below read 0.0)."""
+    below read 0.0).  The failure is silence: the server's process is
+    down, and the one attempt times out."""
     model = FlushModel()
-    bed = build_testbed(flush_model=model, max_attempts=1)  # a handler's error is final
+    bed = build_testbed(flush_model=model, max_attempts=1, rpc_timeout_s=5.0)
     bed.server.put_object(make_note())
+    ChaosController(bed.sim).crash_server(bed.server)
     stable = bed.access.log.stable
     failed = []
     bed.access.notifications.subscribe(EventType.REQUEST_FAILED, failed.append)
-    doomed = bed.access.invoke_remote(NOTE_URN, "set_text", [])  # wrong arity: the handler raises
+    doomed = bed.access.invoke_remote(NOTE_URN, "set_text", ["x"])
     logged_s, logged_bytes = bed.access.flush_seconds_total, stable.bytes_flushed
     assert logged_s == model.flush_time(logged_bytes) > 0
     bed.sim.run(until=60.0)
     assert doomed.failed and len(failed) == 1 and bed.access.pending_count() == 0
     marker_bytes = stable.bytes_flushed - logged_bytes
     assert stable.flushes == 2 and marker_bytes > 0
-    assert bed.access.flush_seconds_total - logged_s == model.flush_time(marker_bytes)
+    assert bed.access.flush_seconds_total == logged_s + model.flush_time(marker_bytes)
 
 
 def test_no_policy_is_the_window_of_one():

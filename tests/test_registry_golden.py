@@ -82,7 +82,7 @@ def ha_surface() -> dict:
     first.drain(timeout=120.0)
     first.import_(urns[0], session=session)
     second.import_(urns[1]).wait(bed.sim)
-    second.invoke_remote(urns[1], "set_text", "remote")
+    second.invoke_remote(urns[1], "set_text", ["remote"])
     second.invoke_remote(urns[1], "get_text")
     ChaosController(bed.sim, obs=bed.obs, seed=0).schedule(
         FaultPlan(seed=0, primary_kills=(PrimaryKill(at=bed.sim.now + 5.0, down_for=1e6),)),
@@ -92,7 +92,8 @@ def ha_surface() -> dict:
     for text in ("four", "five"):
         first.invoke(urns[0], "set_text", text, session=session)
         first.export(urns[0], session=session)
-    second.invoke_remote(urns[1], "set_text", "after")
+    # The wrong arity, on purpose: the server answers an error, across the kill.
+    second.invoke_remote(urns[1], "set_text", ["after", "again"])
     first.drain(timeout=120.0)
     second.drain(timeout=120.0)
     bed.sim.run(until=bed.sim.now + 30.0)
@@ -109,8 +110,9 @@ def fleet_client_surface() -> dict:
     reporter = TelemetryReporter(stack.access, bed.server.authority, obs=stack.obs)
     urn = f"urn:rover:{bed.server.authority}/obj/0"
     stack.access.import_(urn)
-    for text in ("a", "bb", "ccc"):
-        stack.access.invoke_remote(urn, "set_text", text)
+    # The last has the wrong arity, on purpose: the server answers an error.
+    for args in (["a"], ["bb"], ["ccc", "extra"]):
+        stack.access.invoke_remote(urn, "set_text", args)
     bed.sim.run(until=bed.sim.now + 60.0)
     stack.access.import_(urn)
     stack.access.invoke(urn, "set_text", "local")

@@ -253,10 +253,11 @@ def test_an_interface_wire_decodes_or_is_refused_at_each_invoke(name):
 )
 def test_an_object_whose_interface_does_not_decode_is_refused_at_import(name):
     """An import reply whose interface wire the client's decoder refuses
-    (installed by anti-entropy, as by a restore) rejects every waiter on
-    the import with the decoder's error and is counted; nothing is
-    cached, and the client carries on.  It raised out of the simulator,
-    leaving the waiters unresolved."""
+    (installed by anti-entropy, as by a restore) is a malformed reply:
+    refused by the one path every unusable reply takes, which rejects
+    every waiter on the import with the decoder's error and counts it;
+    nothing is cached, and the client carries on.  It raised out of the
+    simulator, leaving the waiters unresolved."""
     interface, _ = HOSTILE_INTERFACES[name]
     bed = build_testbed()
     note = make_note()
@@ -267,7 +268,7 @@ def test_an_object_whose_interface_does_not_decode_is_refused_at_import(name):
     waiters = [bed.access.import_(urn), bed.access.import_(urn)]  # one request, two waiters
     assert bed.access.drain(timeout=600.0)
     assert all(waiter.failed for waiter in waiters)
-    assert all(waiter.error.startswith("undecodable-object: ") for waiter in waiters)
+    assert all(waiter.error.startswith("malformed-reply: ") for waiter in waiters)
     refused = bed.obs.registry.get("qrpc_replies_refused_total")
     assert refused.labels(host=bed.access.host.name, op="import").value == 1
     assert bed.access.cache.peek(urn) is None
@@ -288,6 +289,16 @@ MALFORMED_REPLIES = {
         "rover.import",
         {"status": "ok-delta", "base_version": "x", "version": 2, "delta": {"=": 1}},
         "import_",
+    ),
+    # The decoders are the check: these passed a one-level shape check
+    # and raised out of the simulator (``KeyError: 'urn'``).
+    "conflict-without-urn": (
+        "rover.export", {"status": "conflict", "conflict": {"detail": "x"}}, "invoke"
+    ),
+    "conflict-base-not-int": (
+        "rover.export",
+        {"status": "conflict", "conflict": {"urn": "u", "base_version": "x"}},
+        "invoke",
     ),
 }
 
@@ -337,6 +348,66 @@ def test_a_reply_of_the_wrong_shape_is_refused_once_and_applies_nothing(name):
     # The client carries on.
     bed.server_transport.register(service, lambda body, source: bed.server.serve(service, body, source))
     assert access.invoke_remote(urn, "read", []).wait(bed.sim) == bed.server.get_object(urn).data["text"]
+
+
+@pytest.mark.parametrize("delta", [{"d": 5}, {"l": 5}, {"d": [[["k"]], {}]}, {"?": 1}])
+def test_an_ok_delta_that_is_not_a_delta_reimports_in_full(delta):
+    """An ``ok-delta`` reply whose delta cannot be applied, whatever its
+    shape, is one more delta that does not fit the cached base: the
+    import goes out again in full and its waiter gets the object.  A
+    delta well-typed at the top but not a delta raised ``TypeError``
+    out of the simulator."""
+    bed = build_testbed()
+    note = make_note()
+    bed.server.put_object(note)
+    urn = str(note.urn)
+    held = bed.access.import_(urn).wait(bed.sim).version
+    serve = bed.server.serve
+    answers = []
+
+    def first_a_bad_delta(body, source):
+        answers.append(body)
+        if len(answers) == 1:
+            return {"status": "ok-delta", "base_version": held, "version": held + 1, "delta": delta}
+        return serve("rover.import", body, source)
+
+    bed.server_transport.register("rover.import", first_a_bad_delta)
+    promise = bed.access.import_(urn, refresh=True)
+    assert bed.access.drain(timeout=600.0)
+    assert promise.wait(bed.sim).data == note.data
+    assert len(answers) == 2
+    assert bed.obs.registry.get("qrpc_replies_refused_total") is None
+
+
+RUNAWAY_AGENT = (
+    "def main():\n"
+    "    total = 0\n"
+    "    for i in range(10 ** 9):\n"
+    "        total = total + i\n"
+    "    return total\n"
+)
+
+
+def test_a_runaway_agent_is_run_once_and_its_error_is_the_answer():
+    """A shipped agent that exhausts the server's step budget is
+    answered with an ``error`` status, which the door keeps like any
+    reply: it runs once, and its promise fails with the server's text.
+    The handler's exception was transport silence, so the scheduler
+    sent it again until its attempts ran out: it ran eight times."""
+    bed = build_testbed()
+    runs = []
+    invoke = bed.server.interpreter.invoke
+
+    def counted(functions, method, *args):
+        runs.append(method)
+        return invoke(functions, method, *args)
+
+    bed.server.interpreter.invoke = counted
+    agent = bed.access.ship(bed.authority, RUNAWAY_AGENT)
+    assert bed.access.drain(timeout=3_600.0)
+    assert agent.failed and agent.error.startswith("ExecutionBudgetExceeded: ")
+    assert runs == ["main"]
+    assert bed.scheduler.retransmissions == 0
 
 
 def test_a_coalesced_member_the_codec_cannot_carry_fails_alone():
