@@ -175,6 +175,9 @@ reach:
 	@for w in $(PERFBENCH_WORKLOADS); do \
 		$(REACH) $(PYTHON) -m perfbench.repeat --workload $$w --seed 7 > /dev/null || exit 1; \
 	done
+	# What `perfbench/run.py --trace 1` runs beyond the repeats: the
+	# host's reference load (repro.speed.measure.calibration_seconds).
+	$(REACH) $(PYTHON) -c "from perfbench import runner; runner.calibration_s()"
 	$(PYTHON) tools/reach.py .reach
 
 demo:

@@ -324,28 +324,20 @@ class BlockingMailReader:
         self.server_host = server_host
         self.authority = authority
 
-    def _fetch(self, urn: URN) -> dict:
-        reply = self.transport.call_blocking(
-            self.server_host, "rover.import", {"urn": str(urn)}
-        )
+    def _call(self, service: str, body: dict) -> dict:
+        """One blocking call; the baseline fails on a refusal as on silence."""
+        reply = self.transport.call_blocking(self.server_host, service, body)
         if reply.get("status") != "ok":
-            raise RpcError(f"import failed: {reply.get('status')}")
-        return reply["rdo"]
+            raise RpcError(f"{service} failed: {reply.get('error', reply.get('status'))}")
+        return reply
 
     def folder_index(self, folder: str) -> list[dict]:
-        wire = self._fetch(URN(self.authority, f"mail/{folder}"))
-        return wire["data"]["index"]
+        urn = str(URN(self.authority, f"mail/{folder}"))
+        return self._call("rover.import", {"urn": urn})["rdo"]["data"]["index"]
 
     def read_message(self, folder: str, msg_id: str) -> dict:
-        wire = self._fetch(URN(self.authority, f"mail/{folder}/{msg_id}"))
+        urn = str(URN(self.authority, f"mail/{folder}/{msg_id}"))
+        wire = self._call("rover.import", {"urn": urn})["rdo"]
         # Conventional reader updates flags with another blocking call.
-        self.transport.call_blocking(
-            self.server_host,
-            "rover.invoke",
-            {
-                "urn": str(URN(self.authority, f"mail/{folder}/{msg_id}")),
-                "method": "mark_read",
-                "args": [],
-            },
-        )
+        self._call("rover.invoke", {"urn": urn, "method": "mark_read", "args": []})
         return wire["data"]

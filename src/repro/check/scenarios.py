@@ -845,8 +845,7 @@ class HAFailoverFeaturesScenario(HAFailoverScenario):
             violations.append(
                 f"only {access.log.ops_compacted} exports folded: the backlog was not compacted"
             )
-        saved = bed.obs.registry.get("ship_delta_bytes_saved_total")
-        if saved.labels(authority=bed.authority, direction="up").value <= 0:
+        if sum(server.delta_bytes_saved_up for server, __ in bed.members) <= 0:
             violations.append("no export crossed the wire as a delta")
         return violations
 

@@ -35,7 +35,7 @@ from repro.core.rdo import RDO, ExecutionCostModel, RDOError, RDOInterface, RDOV
 from repro.net.simnet import Address
 from repro.lint.contracts import replay_pure
 from repro.net.message import MarshalError, marshal, same_encoding, unmarshal
-from repro.net.transport import DelayedReply, Transport
+from repro.net.transport import DelayedReply, Transport, error_answer
 from repro.sim import Simulator
 from repro.storage.kvstore import KVStore
 
@@ -53,13 +53,10 @@ _SCALARS = frozenset({str, int, float, bool, bytes, type(None)})
 def _detached(value: Any) -> Any:
     """``value`` as it is now, sharing nothing with the store: a copy
     through the codec, for a reply the server keeps (at-most-once, the
-    committer index, a compute delay, a quorum gate) while a later write
-    changes the stored data in place.  A value the codec refuses is
-    returned as it is; it fails where the reply is sent, as before."""
-    try:
-        return unmarshal(marshal(value))
-    except MarshalError:
-        return value
+    committer index, a compute delay, a quorum gate, an HA record) while
+    a later write changes the stored data in place.  A value the codec
+    refuses raises :class:`MarshalError` here, so no kept reply holds it."""
+    return unmarshal(marshal(value))
 
 
 #: A request id parsed by :func:`_split_request_id`.
@@ -287,7 +284,8 @@ class RoverServer:
         #: Wire bytes delta shipping kept off the link, each way.
         self.delta_bytes_saved_down = 0
         self.delta_bytes_saved_up = 0
-        self.obs.registry.expose(self, {"authority": authority})
+        # The host tells a replication group's members apart.
+        self.obs.registry.expose(self, {"authority": authority, "host": transport.host.name})
 
     # -- population ---------------------------------------------------------
 
@@ -702,7 +700,7 @@ class RoverServer:
         try:
             reply = handler(self, body, source)
         except Exception as exc:
-            reply = {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
+            reply = error_answer(exc)
         if request_id is not None:
             kept = reply.body if type(reply) is DelayedReply else reply
             if kept["status"] != retryable:
@@ -845,9 +843,12 @@ class RoverServer:
         data = wire["data"]
         try:
             result = self.interpreter.invoke(functions, method, data, *args)
-            # Encoded before anything is stored: state the codec refuses
-            # fails this invoke, not every later import of the object.
+            # Encoded before anything is stored or kept: state or a result
+            # the codec refuses fails this invoke (``isascii`` is a C call:
+            # only non-ASCII text pays for the check for a lone surrogate).
             raw = marshal(data) if spec.mutates else None
+            if type(result) not in _SCALARS or type(result) is str and not result.isascii():
+                result = _detached(result)  # the reply is kept; ``data`` is not
         except Exception:
             # The method ran on the stored data itself: put back a copy
             # of the version history's private copy of the stored version.
@@ -867,8 +868,6 @@ class RoverServer:
                 return {"status": "hidden-mutation", "urn": urn}
             self.reads_served += 1
         self.invokes_served += 1
-        if type(result) not in _SCALARS:
-            result = _detached(result)  # the reply is kept; ``data`` is not
         reply: dict = {"status": "ok", "result": result}
         if spec.mutates:
             self._commit(urn, wire, data, raw, body, source, reply)
@@ -919,12 +918,12 @@ class RoverServer:
         )
         try:
             result = self.interpreter.invoke(functions, method, *args)
+            if type(result) not in _SCALARS or type(result) is str and not result.isascii():
+                result = _detached(result)  # ``lookup`` hands out live data
         finally:
             self.interpreter.release(functions)
         steps = self.interpreter.steps_used
         self.ships_served += 1
-        if type(result) not in _SCALARS:
-            result = _detached(result)  # ``lookup`` hands out live data
         reply = {"status": "ok", "result": result}
         return DelayedReply(self.cost_model.invoke_time(steps), reply)
 

@@ -45,7 +45,6 @@ from repro.net.transport import (
     Transport,
     batch_replies,
     batch_request,
-    remote_error,
 )
 from repro.obs import Observatory
 from repro.obs.trace import TRACE_KEY, parse_context
@@ -87,7 +86,7 @@ class Route:
     def first_hop(self, dst: Host) -> Optional[Link]:
         """The link a send toward ``dst`` would leave on right now
         (None: unknown, so the scheduler assumes nothing about it)."""
-        return None
+        raise NotImplementedError
 
     def send(
         self,
@@ -101,11 +100,13 @@ class Route:
         """Attempt one delivery.
 
         Eventually either ``on_reply`` or ``on_error`` fires (exactly
-        once).  A store-and-forward route additionally fires
-        ``on_accepted`` when it has taken custody of the message (e.g.
-        the relay spooled it) — from that point the scheduler frees the
-        in-flight window slot even though the reply is still pending,
-        because the channel is no longer occupied by this message.
+        once): ``on_reply`` with whatever the far side answered, a fault
+        it knows of included; ``on_error`` only when no answer came.  A
+        store-and-forward route additionally fires ``on_accepted`` when
+        it has taken custody of the message (e.g. the relay spooled it)
+        — from that point the scheduler frees the in-flight window slot
+        even though the reply is still pending, because the channel is
+        no longer occupied by this message.
         Connection-based routes never call ``on_accepted``.
         """
         raise NotImplementedError
@@ -665,30 +666,25 @@ class NetworkScheduler:
             self._pump()
 
         def on_reply(body: Any) -> None:
-            outcomes: Any = ((True, body),)
+            answers: Any = (body,)
             if coalesced:
-                outcomes = batch_replies(body, len(members))
-                if outcomes is None:
+                answers = batch_replies(body, len(members))
+                if answers is None:
                     # Not an answer to what was asked: as good as lost.
                     self.transport.note_corrupt_frame()
                     on_error("malformed batch reply")
                     return
             self._release(exchange)
             waiting = False
-            for message, (ok, reply) in zip(members, outcomes):
+            for message, reply in zip(members, answers):
                 if message.exchange is not exchange:
                     continue  # settled, or withdrawn and sent again since
                 waiting = True
-                if ok:
-                    message.state = "done"
-                    message.exchange = None
-                    self._active.discard(message)
-                    self.delivered += 1
-                    message.on_reply(reply)
-                else:
-                    # What a lone request's carrier reports through
-                    # on_error: the remote handler failed.
-                    self._attempt_failed(message, remote_error(reply))
+                message.state = "done"
+                message.exchange = None
+                self._active.discard(message)
+                self.delivered += 1
+                message.on_reply(reply)
             if waiting:
                 self._pump()
 

@@ -22,7 +22,7 @@ from typing import Any, Callable, Optional
 from repro.net.message import MarshalError
 from repro.net.scheduler import Route, RouteKind
 from repro.net.simnet import Address, Host, Link
-from repro.net.transport import RpcError, Transport, remote_error, settle_reply, unmarshallable
+from repro.net.transport import RpcError, Transport, error_answer, settle_reply
 from repro.sim import Simulator
 
 SUBMIT_SERVICE = "smtp.submit"
@@ -90,13 +90,16 @@ class MailRelay:
         mail = queue[0]
 
         def done(reply: Any) -> None:
+            if not (isinstance(reply, dict) and reply.get("delivered")):
+                failed(reply)  # answered, but not taken: still ours
+                return
             self._forwarding.discard(dst_name)
             if queue and queue[0] is mail:
                 queue.pop(0)
                 self.forwarded += 1
             self._try_forward(dst_name)
 
-        def failed(error: RpcError) -> None:  # still spooled: retry
+        def failed(error: Any) -> None:  # still spooled: retry
             self._forwarding.discard(dst_name)
             self.sim.schedule(RETRY_S, self._try_forward, dst_name)
 
@@ -133,11 +136,14 @@ class Mailbox:
         mail = {"to": dst_name, "from": self.transport.host.name, "body": body}
 
         def spooled(reply: Any) -> None:
+            if not (isinstance(reply, dict) and reply.get("spooled")):
+                failed(f"relay did not take the mail: {reply!r:.80}")
+                return
             self.sent += 1
             if on_spooled is not None:
                 on_spooled()
 
-        def failed(error: RpcError) -> None:
+        def failed(error: Any) -> None:
             if on_error is not None:
                 on_error(str(error))
 
@@ -172,7 +178,7 @@ class MailRoute(Route):
         self.sim = sim
         self.mailbox = mailbox
         self._next_id = 0
-        self._pending: dict[str, tuple[Callable[[Any], None], Callable[[str], None]]] = {}
+        self._pending: dict[str, Callable[[Any], None]] = {}
         mailbox.on_mail(self._on_mail)
 
     def available(self, dst: Host) -> bool:
@@ -192,7 +198,7 @@ class MailRoute(Route):
     ) -> None:
         mail_id = f"{self.mailbox.transport.host.name}:mail:{self._next_id}"
         self._next_id += 1
-        self._pending[mail_id] = (on_reply, on_error)
+        self._pending[mail_id] = on_reply
         request = {
             "kind": "qrpc-request",
             "id": mail_id,
@@ -213,14 +219,9 @@ class MailRoute(Route):
     def _on_mail(self, body: Any, sender: str) -> None:
         if not isinstance(body, dict) or body.get("kind") != "qrpc-reply":
             return
-        pending = self._pending.pop(body.get("id"), None)
-        if pending is None:
-            return
-        on_reply, on_error = pending
-        if body.get("ok", True):
+        on_reply = self._pending.pop(body.get("id"), None)
+        if on_reply is not None:
             on_reply(body.get("body"))
-        else:
-            on_error(remote_error(body.get("body")))
 
 
 class MailRpcEndpoint:
@@ -248,13 +249,13 @@ class MailRpcEndpoint:
         if not isinstance(body, dict) or body.get("kind") != "qrpc-request":
             return
         source: Address = (sender, 0)
-        ok, reply_body = self.transport.handle_request(
+        reply_body = self.transport.handle_request(
             body.get("service", ""), body.get("body"), source
         )
         self.served += 1
 
         def respond(delay_s: float, final: Any) -> None:
-            reply = {"kind": "qrpc-reply", "id": body.get("id"), "ok": ok, "body": final}
+            reply = {"kind": "qrpc-reply", "id": body.get("id"), "ok": True, "body": final}
             reply_to = body.get("reply_to", sender)
             if delay_s > 0:
                 self.sim.schedule(delay_s, self._mail_reply, reply_to, reply)
@@ -270,8 +271,8 @@ class MailRpcEndpoint:
 
         try:
             self.mailbox.send(reply_to, reply, on_error=failed)
-        except MarshalError as exc:  # nothing was mailed: refuse instead
-            self._mail_reply(reply_to, {**reply, "ok": False, "body": unmarshallable(exc)})
+        except MarshalError as exc:  # nothing was mailed: answer the fault
+            self._mail_reply(reply_to, {**reply, "body": error_answer(exc)})
 
     def _on_link_transition(self, link: Link, is_up: bool) -> None:
         if is_up:

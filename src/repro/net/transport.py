@@ -46,7 +46,8 @@ MAX_FRAME_BYTES = 8 * 1024 * 1024
 
 #: The coalesced exchange: several requests for one host in one frame,
 #: ``{"requests": [{"service", "body"}, ...]}`` answered by
-#: ``{"replies": [{"ok", "body"}, ...]}`` in the same order.  Every
+#: ``{"replies": [{"ok", "body"}, ...]}`` in the same order (``ok`` is
+#: always true, as in a reply envelope: a fault is the body).  Every
 #: transport serves it (:meth:`Transport.handle_request`), as every
 #: transport reads ``Z`` frames.
 BATCH_SERVICE = "rover.batch"
@@ -68,7 +69,8 @@ RequestHandler = Callable[[Any, Address], Any]
 
 
 class RpcError(Exception):
-    """A call failed (link down, lost, or remote error)."""
+    """A call got no answer: no route, a lost frame, or a timeout.  A
+    fault the far side knows of is an answer (:func:`error_answer`)."""
 
 
 class RpcTimeout(RpcError):
@@ -148,16 +150,12 @@ def settle_reply(reply_body: Any, then: Callable[[float, Any], None]) -> None:
         then(0.0, reply_body)
 
 
-def unmarshallable(exc: MarshalError) -> dict:
-    """The error body sent in place of a reply the codec refused (say,
-    text with a lone surrogate), as if the handler had raised."""
-    return {"error": f"{type(exc).__name__}: {exc}"}
-
-
-def remote_error(body: Any) -> str:
-    """The reason carried by the body of a reply that is not ``ok``."""
-    body = body or {}
-    return body.get("error", "remote error") if isinstance(body, dict) else str(body)
+def error_answer(exc: Exception) -> dict:
+    """The answer to a request whose fault the far side knows of: a
+    handler that raised, no such service, a malformed batch member, a
+    reply the codec refused.  Only silence is a failure; this is a
+    reply like any other."""
+    return {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
 
 
 def batch_request(members: list[tuple[str, Any]]) -> dict:
@@ -167,8 +165,8 @@ def batch_request(members: list[tuple[str, Any]]) -> dict:
     }
 
 
-def batch_replies(body: Any, count: int) -> Optional[list[tuple[bool, Any]]]:
-    """``(ok, body)`` per member of a :data:`BATCH_SERVICE` reply.
+def batch_replies(body: Any, count: int) -> Optional[list[Any]]:
+    """The answer to each member of a :data:`BATCH_SERVICE` reply.
 
     None when the reply does not answer exactly ``count`` members, each
     as a dict: the caller cannot tell which member an entry belongs to,
@@ -179,7 +177,7 @@ def batch_replies(body: Any, count: int) -> Optional[list[tuple[bool, Any]]]:
         return None
     if not all(isinstance(reply, dict) for reply in replies):
         return None
-    return [(bool(reply.get("ok")), reply.get("body")) for reply in replies]
+    return [reply.get("body") for reply in replies]
 
 
 class Transport:
@@ -364,6 +362,10 @@ class Transport:
     ) -> str:
         """Issue an RPC; exactly one of the callbacks will run.
 
+        ``on_reply`` gets whatever the far side answered, an
+        :func:`error_answer` included; ``on_error`` runs only when no
+        answer came (the frame was lost, or the timeout ran out).
+        Raises :class:`RpcError` when there is no route right now.
         Returns the call id (useful for correlating in logs).
         """
         call_id = f"{self.host.name}:{self._next_call_id}"
@@ -421,7 +423,7 @@ class Transport:
 
         This is the conventional-RPC baseline: the "application" makes
         no progress while the call is outstanding.  Raises
-        :class:`RpcError` on failure or timeout.
+        :class:`RpcError` when no answer came.
         """
         outcome: dict[str, Any] = {}
 
@@ -469,40 +471,41 @@ class Transport:
         self._pending_calls.clear()
         self._epoch += 1
 
-    def handle_request(self, service: str, body: Any, source: Address) -> tuple[bool, Any]:
-        """Dispatch a request to the local service table.
+    def handle_request(self, service: str, body: Any, source: Address) -> Any:
+        """Dispatch a request to the local service table and return the
+        answer, which goes through :func:`settle_reply`.
 
         Shared by every carrier that can deliver requests to this host
-        (direct RPC port, SMTP relay).  Returns ``(ok, reply_body)``;
-        handler exceptions are captured as error replies rather than
-        crashing the host.  ``reply_body`` goes through
-        :func:`settle_reply`.  A :data:`BATCH_SERVICE` request is
-        unpacked here, so every registered service can be coalesced.
+        (direct RPC port, SMTP relay).  No such service, or a handler
+        that raises, is answered with :func:`error_answer` rather than
+        crashing the host.  A :data:`BATCH_SERVICE` request is unpacked
+        here, so every registered service can be coalesced.
         """
         if service == BATCH_SERVICE:
             return self._handle_batch(body, source)
         handler = self._request_handlers.get(service)
         if handler is None:
-            return False, {"error": f"unknown service {service!r}"}
+            return error_answer(LookupError(f"unknown service {service!r}"))
         try:
-            return True, handler(body, source)
-        except Exception as exc:  # surface remote faults to caller
-            return False, {"error": f"{type(exc).__name__}: {exc}"}
+            return handler(body, source)
+        except Exception as exc:
+            return error_answer(exc)
 
-    def _handle_batch(self, body: Any, source: Address) -> tuple[bool, Any]:
+    def _handle_batch(self, body: Any, source: Address) -> Any:
         """Serve each member of a coalesced frame as if it came alone.
 
         Every member goes through :meth:`handle_request` (so through
         its service's own at-most-once and conflict handling) and is
         answered in its own slot; the frame's reply leaves when the
         last member's is known, after the members' compute time.  A
-        frame that is not a batch at all is dropped whole; a malformed
-        member fails alone.
+        frame that is not a batch at all is answered as a whole; a
+        malformed member, or one whose reply the codec refuses, in its
+        own slot.
         """
         requests = body.get("requests") if isinstance(body, dict) else None
         if not isinstance(requests, list) or not 0 < len(requests) <= MAX_BATCH_MEMBERS:
             self.corrupt_frames_detected += 1
-            return False, {"error": "malformed batch"}
+            return error_answer(ValueError("malformed batch"))
         tracer = self.tracer
         envelope_trace = parse_context(body.get(TRACE_KEY)) if tracer.enabled else None
         replies: list[Any] = [None] * len(requests)
@@ -515,10 +518,10 @@ class Transport:
             if not isinstance(service, str) or service == BATCH_SERVICE or "body" not in member:
                 self.corrupt_frames_detected += 1
                 member_body = None
-                ok, reply_body = False, {"error": "malformed batch member"}
+                reply_body = error_answer(ValueError("malformed batch member"))
             else:
                 member_body = member["body"]
-                ok, reply_body = self.handle_request(service, member_body, source)
+                reply_body = self.handle_request(service, member_body, source)
             started = self.sim.now + compute_s
 
             def settled(delay_s: float, final: Any) -> None:
@@ -527,9 +530,9 @@ class Transport:
                 # data by reference, and a later member of this frame
                 # may mutate that object before the frame leaves.
                 try:
-                    replies[index] = Premarshalled({"ok": ok, "body": final})
+                    replies[index] = Premarshalled({"ok": True, "body": final})
                 except MarshalError as exc:
-                    replies[index] = Premarshalled({"ok": False, "body": unmarshallable(exc)})
+                    replies[index] = Premarshalled({"ok": True, "body": error_answer(exc)})
                 compute_s += delay_s
                 unsettled -= 1
                 if tracer.enabled and isinstance(member_body, dict):
@@ -555,7 +558,7 @@ class Transport:
 
         for index, member in enumerate(requests):
             serve(index, member)
-        return True, frame_reply
+        return frame_reply
 
     def _serve_request(self, envelope: dict, source: Address) -> None:
         src_host = self.host.network.hosts.get(source[0])
@@ -569,7 +572,7 @@ class Transport:
         )
         started = self.sim.now
         service = envelope.get("service", "")
-        ok, reply_body = self.handle_request(service, body, source)
+        reply_body = self.handle_request(service, body, source)
         # A reply is never sent by an incarnation other than the one
         # that served the request: checked when the reply is known (a
         # deferred reply may complete after a crash) and again when the
@@ -589,9 +592,10 @@ class Transport:
                     end=self.sim.now + delay_s,
                     service=service,
                     host=self.host.name,
-                    status="ok" if ok else "error",
                 )
-            reply = {"kind": "reply", "id": envelope.get("id"), "ok": ok, "body": final}
+            # ``ok`` is a constant of the wire format: what went wrong,
+            # if anything, is the body's ``status``.
+            reply = {"kind": "reply", "id": envelope.get("id"), "ok": True, "body": final}
             if delay_s > 0:
                 self.sim.schedule(delay_s, self._transmit_reply, epoch, src_host, reply, trace)
             else:
@@ -606,9 +610,8 @@ class Transport:
             return  # the incarnation that computed this reply crashed
         try:
             self.send(dst, RPC_PORT, reply, trace=trace)
-        except MarshalError as exc:  # nothing was sent: refuse instead
-            refused = {**reply, "ok": False, "body": unmarshallable(exc)}
-            self._transmit_reply(epoch, dst, refused, trace)
+        except MarshalError as exc:  # nothing was sent: answer the fault
+            self._transmit_reply(epoch, dst, {**reply, "body": error_answer(exc)}, trace)
         except LinkDown:
             pass  # lost reply; the caller's timeout recovers
 
@@ -618,10 +621,7 @@ class Transport:
         if pending is None:
             return  # duplicate or expired reply
         pending["timer"].cancel()
-        if envelope.get("ok"):
-            pending["on_reply"](envelope.get("body"))
-        else:
-            pending["on_error"](RpcError(remote_error(envelope.get("body"))))
+        pending["on_reply"](envelope.get("body"))
 
 
 def null_rpc_time(spec: LinkSpec, request_bytes: int, reply_bytes: int) -> float:

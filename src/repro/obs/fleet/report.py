@@ -34,6 +34,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.promise import Promise
+from repro.core.qrpc import Operation, QRPCRequest
 from repro.lint.contracts import replay_pure
 from repro.net.scheduler import Priority
 from repro.obs import Observatory
@@ -103,6 +104,12 @@ class TelemetryReporter:
     operation log's replay.
     """
 
+    METRICS = (
+        ("telemetry_reports_refused_total", "counter",
+         "Reports the aggregator answered with a refusal: dropped, not reshipped",
+         "reports_refused"),
+    )
+
     def __init__(
         self,
         access: "AccessManager",
@@ -128,12 +135,10 @@ class TelemetryReporter:
         self._next_id = 1
         #: Ids whose definition rode a report that was acked.
         self._defined: set[int] = set()
-        #: seq -> shipped payload, for same-seq re-ship after terminal
-        #: failure.  Cleared on :meth:`attach` (log replay takes over).
+        #: seq -> shipped payload, for same-seq re-ship after silence.
+        #: Cleared on :meth:`attach` (log replay takes over), so an old
+        #: incarnation's outcome finds nothing here to change.
         self._unacked: dict[int, dict] = {}
-        #: Guards promise callbacks across crash/attach cycles (an old
-        #: incarnation's ack must not mutate the rebuilt state).
-        self._epoch = 0
         #: Guards scheduled ticks; also bumped by :meth:`stop`, which
         #: must cancel future ticks *without* invalidating in-flight acks.
         self._tick_epoch = 0
@@ -141,7 +146,9 @@ class TelemetryReporter:
         self.reports_sent = 0
         self.reports_acked = 0
         self.reports_reshipped = 0
-        self._switch_compaction_on()
+        self.reports_refused = 0
+        self._watch(access)
+        self.obs.registry.expose(self, {"host": self.client})
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -165,16 +172,17 @@ class TelemetryReporter:
         """
         self.access = access
         self._unacked.clear()
-        self._epoch += 1
         self._tick_epoch += 1
-        self._switch_compaction_on()
+        self._watch(access)
         if self._started:
             self.access.sim.schedule(self.interval_s, self._tick, self._tick_epoch)
 
-    def _switch_compaction_on(self) -> None:
-        """Queued reports fold only where the manager compacts; crash
-        recovery hands the switch on to the reborn manager."""
-        access = self.access
+    def _watch(self, access: "AccessManager") -> None:
+        """Hear each report's outcome on ``access`` (before compaction
+        hands a folded report's to those it absorbed), and switch its
+        compaction on: queued reports fold only where the manager
+        compacts, and crash recovery hands the switch on."""
+        access.on_applied.insert(0, self._on_outcome)
         if not access.compaction:
             access.compaction = True
             QueueCompaction(access)
@@ -262,45 +270,36 @@ class TelemetryReporter:
         return self._ship(report)
 
     def _ship(self, report: dict) -> Promise:
-        seq = int(report["q"])
-        self._unacked[seq] = report
-        epoch = self._epoch
-        promise = self.access.telemetry(
-            self.authority, report, priority=self.priority
-        )
+        self._unacked[int(report["q"])] = report
         self.reports_sent += 1
-        promise.then(lambda reply: self._on_ack(epoch, seq, reply))
-        promise.on_failure(lambda reason: self._on_failed(epoch, seq))
-        return promise
+        return self.access.telemetry(self.authority, report, priority=self.priority)
 
-    def _on_ack(self, epoch: int, seq: int, reply: dict) -> None:
-        if epoch != self._epoch:
+    def _on_outcome(self, request: QRPCRequest, reply: dict, failed: Optional[str]) -> None:
+        """The manager's ``on_applied``.  For this incarnation's report,
+        an ``ok`` answer acks it and any other answer refuses it: it is
+        dropped and counted (the aggregator would say no again).  No
+        answer (``failed``: given up unanswered, or undecodable) loses
+        it, and the same payload ships again under the same seq
+        (idempotent at the aggregator), flagged ``r`` so compaction
+        leaves it alone."""
+        if request.operation is not Operation.TELEMETRY:
             return
-        report = self._unacked.pop(seq, None)
-        self.reports_acked += 1
-        if report is not None:
-            for wire_id, __ in report.get("d", []):
-                self._defined.add(int(wire_id))
-
-    def _on_failed(self, epoch: int, seq: int) -> None:
-        """Terminal scheduler failure: re-ship the same payload, same seq.
-
-        The retry keeps its original sequence number (idempotent at
-        the aggregator if the first copy did land) and is flagged
-        ``r`` so compaction leaves it alone.
-        """
-        if epoch != self._epoch:
-            return
+        seq = request.args["q"]
         report = self._unacked.get(seq)
         if report is None:
             return
-        retry = dict(report)
-        retry["r"] = 1
-        self._unacked[seq] = retry
-        self.reports_reshipped += 1
-        promise = self.access.telemetry(self.authority, retry, priority=self.priority)
-        promise.then(lambda reply: self._on_ack(epoch, seq, reply))
-        promise.on_failure(lambda reason: self._on_failed(epoch, seq))
+        if failed is not None:
+            retry = self._unacked[seq] = {**report, "r": 1}
+            self.reports_reshipped += 1
+            self.access.telemetry(self.authority, retry, priority=self.priority)
+            return
+        del self._unacked[seq]
+        if reply["status"] != "ok":
+            self.reports_refused += 1
+            return
+        self.reports_acked += 1
+        for wire_id, __ in report.get("d", []):
+            self._defined.add(int(wire_id))
 
     # -- ground truth for exactness checks --------------------------------------
 

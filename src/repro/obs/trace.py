@@ -164,12 +164,11 @@ class Tracer:
         context: tuple[str, str],
         start: float,
         end: float,
-        status: str = "ok",
         **attrs: Any,
     ) -> Span:
         """Create and immediately collect a completed child span."""
         span = self.start_span(name, context, start, **attrs)
-        return self.finish(span, end, status)
+        return self.finish(span, end)
 
 
 class RequestTracing:

@@ -440,10 +440,11 @@ class TestWhatTheManagerInstalls:
         assert hooks[0].__self__ is hooks[1].__self__
         late = build_testbed().access
         assert late.on_queued == late.on_applied == [] and not late.compaction
-        TelemetryReporter(late, "server")
-        TelemetryReporter(late, "server")
-        (queued,), (applied,) = late.on_queued, late.on_applied  # installed once
-        assert queued.__self__ is applied.__self__ and late.compaction
+        first = TelemetryReporter(late, "server")
+        second = TelemetryReporter(late, "server")
+        (queued,) = late.on_queued  # installed once; each reporter hears an outcome first
+        assert [hook.__self__ for hook in late.on_applied] == [second, first, queued.__self__]
+        assert late.compaction
         assert late.on_submit == late.on_wire == late.on_reply == late.on_failed == []
 
     def test_tracing_on_installs_the_stage_after_the_others(self):

@@ -350,7 +350,7 @@ def test_each_distinct_interface_is_decoded_once(server, monkeypatch):
 
 
 def evicted(server, name):
-    return server.obs.registry.get(name).labels(authority="server").value
+    return server.obs.registry.get(name).labels(authority="server", host="server").value
 
 
 def test_each_bounded_table_counts_its_evictions_in_the_registry(server, monkeypatch):
@@ -388,7 +388,7 @@ def lock_requests():
 
     def send(operation, n):
         body = {"urn": urn, "session": "A", "request_id": f"a/{n}"}
-        return bed.server_transport.handle_request(f"rover.{operation}", body, SRC)[1]
+        return bed.server_transport.handle_request(f"rover.{operation}", body, SRC)
 
     return bed.server, urn, send
 
@@ -442,9 +442,9 @@ def test_a_request_without_a_token_changes_nothing(service):
     }
     body = {**bodies[service], "request_id": "b/1", "ackw": ["b", 1], "auth": "wrong"}
     before, reads, rejections = door_state(server), server.reads_served, server.auth_rejections
-    assert server.transport.handle_request(service, body, ("other", 0)) == (
-        True, {"status": "unauthorized"}
-    )
+    assert server.transport.handle_request(service, body, ("other", 0)) == {
+        "status": "unauthorized"
+    }
     assert door_state(server) == before
     assert server.auth_rejections == rejections + 1
     assert server.reads_served == reads + SERVICES[service][1]

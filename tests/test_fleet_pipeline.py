@@ -366,10 +366,12 @@ class TestQueueFolding:
 
 
     def test_terminally_failed_report_is_reshipped_under_its_own_seq(self):
-        """Once the scheduler gives a report up, the reporter ships the
-        same payload again under the same sequence number, flagged as a
-        retry; it is applied once and the totals stay exact."""
-        bed, aggregator, reporters = build_fleet_bed(n=1)
+        """Once the scheduler gives a report up unanswered, the reporter
+        ships the same payload again under the same sequence number,
+        flagged as a retry; it is applied once and the totals stay exact."""
+        from repro.net.transport import AsyncReply
+
+        bed, aggregator, reporters = build_fleet_bed(n=1, rpc_timeout_s=5.0)
         run_workload(bed)
         (reporter,) = reporters
         stack = bed.clients[0]
@@ -379,13 +381,13 @@ class TestQueueFolding:
         apply = handlers["rover.telemetry"]
         seen = []
 
-        def refuse_twice(body, source):
+        def silent_twice(body, source):
             seen.append(body)
             if len(seen) <= 2:
-                raise RuntimeError("aggregator restarting")
+                return AsyncReply()  # never completed: no answer at all
             return apply(body, source)
 
-        handlers["rover.telemetry"] = refuse_twice
+        handlers["rover.telemetry"] = silent_twice
         truth = reporter.ground_truth()
         reporter.flush()
         bed.sim.run(until=bed.sim.now + 60.0)
@@ -397,6 +399,37 @@ class TestQueueFolding:
         assert aggregator.client_totals(client) == truth
         state = aggregator.clients[client]
         assert state.reports_applied == 1 and state.duplicates == 0 and state.missing() == 0
+
+    @pytest.mark.parametrize("answer", ["unauthorized", "raises"])
+    def test_a_report_refused_by_an_answer_is_dropped_not_reshipped(self, answer):
+        """Only silence loses a report.  An aggregator that answers no
+        (a status, or an error its handler raised) would answer no
+        again: the report is dropped and counted, and the next interval
+        ships the next one.  Every refusal was reshipped at link speed,
+        for ever -- 34,566 reships in 600 s with ``unauthorized``."""
+        bed, aggregator, reporters = build_fleet_bed(n=1)
+        run_workload(bed)
+        (reporter,) = reporters
+        served = []
+
+        def refuse(body, source):
+            served.append(body)
+            if answer == "raises":
+                raise RuntimeError("aggregator misconfigured")
+            return {"status": "unauthorized"}
+
+        bed.server_transport._request_handlers["rover.telemetry"] = refuse
+        reporter.start()
+        bed.sim.run(until=bed.sim.now + 600.0)
+        reporter.stop()
+        bed.sim.run(until=bed.sim.now + 5.0)  # the last report's answer
+
+        assert reporter.reports_reshipped == 0
+        assert len(served) == reporter.reports_sent == reporter.reports_refused > 0
+        assert reporter.reports_acked == 0 and not reporter._unacked
+        assert bed.clients[0].scheduler.retransmissions == 0
+        snapshot = bed.clients[0].obs.registry.snapshot()
+        assert snapshot["telemetry_reports_refused_total{host=client0}"] == len(served)
 
 
 DETERMINISM_SCRIPT = """

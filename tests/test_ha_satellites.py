@@ -52,7 +52,7 @@ class TestLockLeaseExpiry:
         assert bed.server.sweep_expired_locks() == 1
         assert bed.server.locks_expired == 1
         metric = bed.obs.registry.get("locks_expired_total")
-        assert metric.labels(authority="server").value == 1
+        assert metric.labels(authority="server", host="server").value == 1
 
     def test_expired_lease_frees_the_object(self):
         bed, note, a, b, sa, sb = self.make_two()

@@ -558,7 +558,7 @@ class TestOneExchangeOverSockets:
         assert clock.now - started >= 0.3
 
     def test_batch_is_served_member_by_member(self, live_pair):
-        from repro.net.transport import BATCH_SERVICE
+        from repro.net.transport import BATCH_SERVICE, error_answer
 
         clock, server, client = live_pair
         server.register("echo", lambda body, source: body)
@@ -574,8 +574,8 @@ class TestOneExchangeOverSockets:
         assert kind == "reply"
         assert reply == {"replies": [
             {"ok": True, "body": 1},
-            {"ok": False, "body": {"error": "malformed batch member"}},
-            {"ok": False, "body": {"error": "unknown service 'nobody-home'"}},
+            {"ok": True, "body": error_answer(ValueError("malformed batch member"))},
+            {"ok": True, "body": error_answer(LookupError("unknown service 'nobody-home'"))},
             {"ok": True, "body": 4},
         ]}
 

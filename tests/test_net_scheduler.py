@@ -11,7 +11,7 @@ from repro.net.link import (
 )
 from repro.net.scheduler import NetworkScheduler, Priority
 from repro.net.simnet import Network
-from repro.net.transport import Transport
+from repro.net.transport import BATCH_SERVICE, Transport
 from repro.sim import Simulator
 
 SLOW = LinkSpec("slow", bandwidth_bps=8_000, latency_s=0.01, header_bytes=0)
@@ -324,19 +324,96 @@ def test_small_requests_under_the_links_mark_ride_alone():
 
 
 def test_failed_member_is_retried_like_a_lone_request():
-    sim, net, a, b, link, scheduler, served = make_sched(
-        policy=IntervalTrace([(10.0, 1e9)]), max_attempts=2
-    )
+    """A frame whose answer is of no use (here, one slot short) is as
+    good as lost: each member's attempt fails as a lone request's does,
+    backs off and goes out again, and each is answered once."""
+    sim = Simulator()
+    net = Network(sim)
+    a, b = net.host("client"), net.host("server")
+    net.connect(a, b, SLOW, IntervalTrace([(10.0, 1e9)]))
+    ta, tb = Transport(sim, a), Transport(sim, b)
+    served = []
+    tb.register("echo", lambda body, src: served.append(body["n"]) or body)
+    handle = tb.handle_request
+    frames = []
+
+    def first_frame_short(service, body, source):
+        if service == BATCH_SERVICE:
+            frames.append(len(body["requests"]))
+            if len(frames) == 1:
+                return {"replies": [{"ok": True, "body": None}] * (frames[0] - 1)}
+        return handle(service, body, source)
+
+    tb.handle_request = first_frame_short
+    scheduler = NetworkScheduler(sim, ta, max_attempts=2)
     replies, failures = [], []
-    scheduler.submit(b, "echo", _padded(0), on_reply=replies.append)
-    scheduler.submit(b, "nope", _padded(1), on_failed=failures.append)
-    scheduler.submit(b, "echo", _padded(2), on_reply=replies.append)
+    messages = [
+        scheduler.submit(b, "echo", _padded(n), on_reply=replies.append, on_failed=failures.append)
+        for n in range(3)
+    ]
     sim.run()
-    assert [m["n"] for m in replies] == [0, 2]
-    assert scheduler.batches_sent == 1
-    assert failures == ["unknown service 'nope'"]
-    assert scheduler.retransmissions == 1  # the failed member alone
-    assert scheduler.delivered == 2 and scheduler.failed == 1
+    assert frames[0] == 3 and ta.corrupt_frames_detected == 1
+    assert sorted(m["n"] for m in replies) == [0, 1, 2] and failures == []
+    assert sorted(served) == [0, 1, 2]
+    assert [m.attempts for m in messages] == [2, 2, 2]
+    assert scheduler.retransmissions == 3
+    assert scheduler.delivered == 3 and scheduler.failed == 0 and scheduler.idle()
+
+
+#: A fault the far side knows of, as each is provoked: the service the
+#: request names, and the text of the error every carrier answers with.
+FAULTS = {
+    "unknown-service": ("nope", "LookupError: unknown service 'nope'"),
+    "handler-raises": ("boom", "RuntimeError: kaput"),
+    "reply-the-codec-refuses": (
+        "garble",
+        "MarshalError: cannot marshal str: 'utf-8' codec can't encode character"
+        " '\\ud800' in position 0: surrogates not allowed",
+    ),
+}
+#: The three ways a request reaches a server's transport: alone over
+#: the direct link, in a frame shared with two others (the link is down
+#: until 10 s and bytes dominate on it), and mailed through the relay.
+ANSWERING_CARRIERS = {
+    "lone-rpc": {},
+    "coalesced-member": {"link_spec": CSLIP_14_4, "policy": IntervalTrace([(10.0, 1e9)])},
+    "smtp-mail": {"policy": AlwaysDown(), "with_relay": True},
+}
+
+
+@pytest.mark.parametrize("fault", list(FAULTS))
+@pytest.mark.parametrize("carrier", list(ANSWERING_CARRIERS))
+def test_every_carrier_answers_a_fault_the_far_side_knows_of(carrier, fault):
+    """Only silence is a failure.  Whatever carried the request, a fault
+    the server's transport knows of is one answer, ``{"status":
+    "error", "error": "<Type>: <message>"}``, delivered once and never
+    retransmitted; the requests beside it are served as usual."""
+    from repro.testbed import build_testbed
+
+    bed = build_testbed(**ANSWERING_CARRIERS[carrier])
+    server = bed.server_transport
+    server.register("echo", lambda body, source: body)
+
+    def boom(body, source):
+        raise RuntimeError("kaput")
+
+    server.register("boom", boom)
+    server.register("garble", lambda body, source: "\ud800")
+    service, error = FAULTS[fault]
+    answers, failures = [], []
+    for n, name in enumerate(["echo", service, "echo"]):
+        bed.scheduler.submit(
+            bed.server_host, name, _padded(n),
+            on_reply=lambda reply, n=n: answers.append((n, reply)),
+            on_failed=failures.append,
+        )
+    bed.sim.run(until=3_600.0)
+    assert sorted(answers) == [
+        (0, _padded(0)), (1, {"status": "error", "error": error}), (2, _padded(2))
+    ]
+    assert failures == []
+    assert bed.scheduler.retransmissions == 0 and bed.scheduler.failed == 0
+    assert bed.scheduler.batches_sent == (carrier == "coalesced-member")
 
 
 def test_frame_of_tiny_bodies_stops_at_the_member_count_receivers_accept():

@@ -114,23 +114,6 @@ def test_mail_route_frees_window_after_spool():
     assert len(replies) == 3
 
 
-def test_mail_route_remote_error_propagates():
-    sim, net, c, s, rh, direct, tc, ts, relay, mbc, mbs = make_mail_world()
-
-    def broken(body, src):
-        raise RuntimeError("nope")
-
-    ts.register("broken", broken)
-    MailRpcEndpoint(sim, ts, mbs)
-    scheduler = NetworkScheduler(sim, tc, max_attempts=2, base_backoff=0.1)
-    scheduler.add_route(MailRoute(sim, mbc))
-    failures = []
-    scheduler.submit(s, "broken", {}, on_failed=failures.append)
-    sim.run(until=600)
-    assert len(failures) == 1
-    assert "nope" in failures[0]
-
-
 def test_mail_route_lets_go_of_a_request_the_relay_never_took():
     """The link to the relay drops with the submission on it: the route
     must forget the mail id (no reply will ever name it) and tell the

@@ -61,21 +61,15 @@ def test_rpc_latency_close_to_analytic():
     assert 0.5 * analytic < sim.now < 2.0 * analytic
 
 
-def test_unknown_service_is_error():
+def test_a_blocking_call_that_gets_no_answer_raises_a_timeout():
+    """``RpcError`` is silence: a handler that never answers."""
+    from repro.net.transport import AsyncReply
+
     sim, net, a, b, link, ta, tb = make_pair()
-    with pytest.raises(RpcError, match="unknown service"):
-        ta.call_blocking(b, "nope", {})
-
-
-def test_remote_exception_surfaces_as_error():
-    sim, net, a, b, link, ta, tb = make_pair()
-
-    def boom(body, src):
-        raise ValueError("kaput")
-
-    tb.register("boom", boom)
-    with pytest.raises(RpcError, match="kaput"):
-        ta.call_blocking(b, "boom", {})
+    tb.register("silent", lambda body, src: AsyncReply())
+    with pytest.raises(RpcTimeout):
+        ta.call_blocking(b, "silent", {}, timeout=5.0)
+    assert sim.now == pytest.approx(5.0)
 
 
 def test_call_on_down_link_raises_immediately():
@@ -254,7 +248,7 @@ def test_any_transport_serves_a_coalesced_frame_member_by_member():
     assert outcome["reply"] == {
         "replies": [
             {"ok": True, "body": {"n": 1}},
-            {"ok": False, "body": {"error": "unknown service 'nope'"}},
+            {"ok": True, "body": {"status": "error", "error": "LookupError: unknown service 'nope'"}},
             {"ok": True, "body": {"n": 3}},
         ]
     }
@@ -299,9 +293,10 @@ def test_coalesced_frame_reply_waits_for_members_compute_and_deferred_replies():
     ],
 )
 def test_frame_that_is_not_a_batch_is_dropped_whole(body):
+    """No member is served; the frame is answered as a whole."""
     outcome, served, tb = _batch_call(body)
     assert served == []
-    assert outcome == {"error": "malformed batch"}
+    assert outcome == {"reply": {"status": "error", "error": "ValueError: malformed batch"}}
     assert tb.corrupt_frames_detected == 1
 
 
@@ -324,7 +319,9 @@ def test_malformed_member_fails_alone(member):
     assert served == [{"n": 1}]
     good, bad = outcome["reply"]["replies"]
     assert good == {"ok": True, "body": {"n": 1}}
-    assert bad == {"ok": False, "body": {"error": "malformed batch member"}}
+    assert bad == {
+        "ok": True, "body": {"status": "error", "error": "ValueError: malformed batch member"}
+    }
     assert tb.corrupt_frames_detected == 1
 
 
@@ -348,7 +345,7 @@ def test_reply_that_does_not_answer_the_frame_is_treated_as_lost(reply):
     served = []
     tb.register("echo", lambda body, src: served.append(body) or body)
     honest = tb._handle_batch
-    tb._handle_batch = lambda body, src: (True, reply)
+    tb._handle_batch = lambda body, src: reply
     scheduler = NetworkScheduler(sim, ta, max_inflight=1, base_backoff=0.5)
     replies = []
     scheduler.submit(b, "echo", {"n": 0, "pad": "x" * 200}, on_reply=replies.append)
@@ -420,7 +417,7 @@ def test_hostile_coalesced_frames_never_escape_the_transport(body):
         assert len(outcomes[0]["replies"]) == len(requests)
     else:
         assert served == []
-        assert isinstance(outcomes[0], RpcError)
+        assert outcomes[0] == {"status": "error", "error": "ValueError: malformed batch"}
         assert tb.corrupt_frames_detected == 1
 
 

@@ -131,6 +131,16 @@ def test_ha_registry_reads_as_pinned():
     assert ha_surface() == json.loads(GOLDEN.read_text())["ha"]
 
 
+def test_the_primary_of_a_group_reads_as_serving():
+    """Every member of a group has the group's authority, so the server's
+    series are labelled by host as well: the primary's own invokes show.
+    Without the host, ``server_requests`` read as the last-built
+    backup's zeros, and the counters summed every role."""
+    snapshot = dict(ha_surface()["snapshot"])
+    assert snapshot["server_requests{authority=server,host=server,kind=invokes_served}"] > 0
+    assert snapshot["server_requests{authority=server,host=server-b2,kind=invokes_served}"] == 0
+
+
 def test_fleet_client_registry_and_first_report_read_as_pinned():
     assert fleet_client_surface() == json.loads(GOLDEN.read_text())["fleet_client"]
 

@@ -194,9 +194,9 @@ def test_a_result_the_codec_cannot_carry_fails_the_call_and_the_server_serves_on
     bed.sim.run(until=3_600.0)
     assert len(outcomes) == 1 and outcomes[0][0] == "failed"
     assert outcomes[0][1].startswith("MarshalError: cannot marshal str")
-    # The refusal answers every retransmission from the at-most-once
-    # record: the RDO ran once.
-    assert bed.server.ships_served == 1
+    # The result failed the ship at the server, inside the handler: not
+    # served, and its error is the answer, which is never retransmitted.
+    assert bed.server.ships_served == 0 and bed.scheduler.retransmissions == 0
     after = bed.access.ship(bed.authority, "def main():\n    return 'next'\n")
     assert after.wait(bed.sim) == "next"
 
@@ -411,6 +411,8 @@ def test_a_runaway_agent_is_run_once_and_its_error_is_the_answer():
 
 
 def test_a_coalesced_member_the_codec_cannot_carry_fails_alone():
+    """The member whose reply the codec refuses is answered with the
+    error in its own slot; the member beside it is served as usual."""
     sim = Simulator()
     net = Network(sim)
     a, b = net.host("a"), net.host("b")
@@ -423,7 +425,7 @@ def test_a_coalesced_member_the_codec_cannot_carry_fails_alone():
     ))
     assert reply["replies"][1] == {"ok": True, "body": "fine"}
     refused = reply["replies"][0]
-    assert refused["ok"] is False
+    assert refused["ok"] is True and refused["body"]["status"] == "error"
     assert refused["body"]["error"].startswith("MarshalError: cannot marshal str")
 
 
@@ -487,6 +489,65 @@ def test_a_failed_mutating_invoke_leaves_every_replica_alike():
     for server, __ in bed.members:
         stored = server.get_object("urn:rover:server/counters/c1")
         assert (stored.data, stored.version) == ({"n": 0}, 1)
+
+
+# A result the codec refuses, from a method that ran to completion: it
+# fails the invoke at the server, inside the handler, so no reply the
+# server keeps (the at-most-once entry, the committer index, an HA
+# record) holds it.  It used to fail only where the reply was sent.
+REFUSED_RESULTS = (
+    "def bump(state):\n    state['n'] = state['n'] + 1\n    return chr(0xD800)\n\n"
+    "def peek(state):\n    return chr(0xD800)\n"
+)
+
+
+def _refused_result_counter():
+    interface = RDOInterface([MethodSpec("bump", mutates=True), MethodSpec("peek")])
+    return RDO(URN("server", "counters/c1"), "counter", {"n": 0}, REFUSED_RESULTS, interface)
+
+
+def _call_with_a_refused_result(bed, method):
+    """Invoke ``method`` from client 0; its outcomes, with their times."""
+    outcomes = []
+    call = bed.clients[0].access.invoke_remote("urn:rover:server/counters/c1", method, [])
+    call.on_failure(lambda reason: outcomes.append((bed.sim.now, reason)))
+    call.then(lambda result: outcomes.append((bed.sim.now, result)))
+    bed.sim.run(until=bed.sim.now + 3_600.0)
+    return outcomes
+
+
+@pytest.mark.parametrize("group", [False, True], ids=["one-server", "three-members"])
+def test_a_write_whose_result_the_codec_refuses_fails_once_and_stores_nothing(group):
+    """One server: the write committed (``{"n": 1}``) while the client
+    was told it failed, after 7 retransmissions.  Three members: the
+    primary's record carried the kept reply, and ``MarshalError``
+    escaped the simulator from the record's shipping at 2.0 s."""
+    bed = build_ha_testbed(n_backups=2) if group else build_testbed()
+    bed.put_object(_refused_result_counter())
+    outcomes = _call_with_a_refused_result(bed, "bump")
+    assert len(outcomes) == 1
+    assert outcomes[0][1].startswith("MarshalError: cannot marshal str")
+    for server, __ in bed.members:
+        stored = server.get_object("urn:rover:server/counters/c1")
+        assert (stored.data, stored.version) == ({"n": 0}, 1)
+        assert server.invokes_served == 0
+    assert bed.clients[0].scheduler.retransmissions == 0
+
+
+def test_a_read_whose_result_the_codec_refuses_is_answered_at_once_in_a_group():
+    """It was the transport's ``ok: false``, which the scheduler takes
+    for silence: the live primary was suspected, the client moved to a
+    backup, and the call failed after 238 s with "replica group has no
+    reachable primary" and 5 retransmissions."""
+    bed = build_ha_testbed(n_backups=2)
+    bed.put_object(_refused_result_counter())
+    started = bed.sim.now
+    ((at, reason),) = _call_with_a_refused_result(bed, "peek")
+    assert reason.startswith("MarshalError: cannot marshal str")
+    assert at - started < 0.1  # the first answer
+    replica_set = bed.clients[0].access.servers["server"]
+    assert replica_set.suspect == "" and replica_set.current_host.name == "server"
+    assert bed.clients[0].scheduler.retransmissions == 0
 
 
 # The same refused text written by a local invoke on a cached copy: the

@@ -17,7 +17,10 @@ Report — ``python tools/reach.py`` lists every ``def`` under
 ``src/repro`` that no recorded process called, then those only
 processes tagged ``tests`` called: each with its line span, then the
 lines per file (a nested def's lines counted once), so the deletion
-ledger is sized in lines; its last line sums both lists.
+ledger is sized in lines.  An interface stub that no driver called (a
+body that is only ``raise NotImplementedError`` or ``...``, after any
+docstring) is a declaration, not a deletion candidate: it is listed
+apart, last.  The last line sums the three lists.
 """
 
 import ast
@@ -80,13 +83,28 @@ def _dump():
         out.write_text("\n".join(sorted(lines)))
 
 
+def _is_stub(node):
+    """Is ``node``'s body, after any docstring, only ``...`` or ``raise
+    NotImplementedError``?"""
+    body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+    if len(body) != 1:
+        return False
+    (stmt,) = body
+    if isinstance(stmt, ast.Expr):
+        return isinstance(stmt.value, ast.Constant) and stmt.value.value is Ellipsis
+    exc = stmt.exc if isinstance(stmt, ast.Raise) else None
+    if isinstance(exc, ast.Call):
+        exc = exc.func
+    return isinstance(exc, ast.Name) and exc.id == "NotImplementedError"
+
+
 def _defs(tree, prefix=""):
-    """``(first line, last line, qualified name)`` of every def; the
-    first line is the one its code object is numbered by."""
+    """``(first line, last line, qualified name, stub?)`` of every def;
+    the first line is the one its code object is numbered by."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-            yield first, node.end_lineno, prefix + node.name
+            yield first, node.end_lineno, prefix + node.name, _is_stub(node)
             yield from _defs(node, f"{prefix}{node.name}.<locals>.")
         elif isinstance(node, ast.ClassDef):
             yield from _defs(node, f"{prefix}{node.name}.")
@@ -100,14 +118,18 @@ def report(reach_dir):
         tag = "tests" if path.name.startswith("tests.") else "drivers"
         called[tag].update(path.read_text().split())
     # title -> file -> [(first, last, name)]
-    found = {"reached by nothing": {}, "reached by tests/ only": {}}
+    found = {"reached by nothing": {}, "reached by tests/ only": {}, "interface stubs": {}}
     for source in sorted(SRC.rglob("*.py")):
         rel = str(source.relative_to(SRC))
-        for first, last, name in _defs(ast.parse(source.read_text())):
+        for first, last, name, stub in _defs(ast.parse(source.read_text())):
             key = f"{rel}:{first}"
-            if key not in called["drivers"]:
+            if key in called["drivers"]:
+                continue
+            if stub:
+                title = "interface stubs"
+            else:
                 title = "reached by tests/ only" if key in called["tests"] else "reached by nothing"
-                found[title].setdefault(rel, []).append((first, last, name))
+            found[title].setdefault(rel, []).append((first, last, name))
     totals = []
     for title, files in found.items():
         lines = {rel: len(set().union(*(range(a, b + 1) for a, b, __ in defs)))
