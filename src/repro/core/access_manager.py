@@ -239,7 +239,7 @@ class AccessManager(ImportAPI, ExportAPI, CallAPI):
         #: crash recovery to hand to the reborn manager.
         self.compaction = compaction
         self.delta_shipping = delta_shipping
-        #: The seam: a hook list at each of the eight points where a
+        #: The seam: a hook list at each of the seven points where a
         #: request changes hands; an empty list costs a request nothing.
         #: A *stage* (an optional feature) appends to them, and asks the
         #: rest of the services under "what a stage may ask" below.
@@ -249,11 +249,10 @@ class AccessManager(ImportAPI, ExportAPI, CallAPI):
         #: credentials, before the ack watermark (key order is wire
         #: bytes); the body may be edited.
         self.on_wire: list[Callable[[QRPCRequest, dict], None]] = []
-        #: ``on_reply(request, reply)`` / ``on_failed(request, reason)``,
-        #: of a pending request.  True means "not the answer; I have seen
-        #: to the request": it stays pending, nothing else sees the event.
+        #: ``on_reply(request, reply)``, of a pending request.  True means
+        #: "not the answer; I have seen to the request": it stays
+        #: pending, nothing else sees the reply.
         self.on_reply: list[Callable[[QRPCRequest, Any], bool]] = []
-        self.on_failed: list[Callable[[QRPCRequest, str], bool]] = []
         #: ``on_durable(request, durable_at)``: the log's flush covering
         #: the request completes at ``durable_at``; the scheduler gets it then.
         self.on_durable: list[Callable[[QRPCRequest, float], None]] = []
@@ -269,12 +268,6 @@ class AccessManager(ImportAPI, ExportAPI, CallAPI):
         #: applied and the request's observers told — ``reply`` (a dict)
         #: if ``failed`` is None, else the reason it failed for good.
         self.on_applied: list[Callable[[QRPCRequest, dict, Optional[str]], None]] = []
-        # A replicated authority installs its own stage (repro.ha), ahead
-        # of any other: a fence must never be read as an answer.
-        for server in self.servers.values():
-            client_stage = getattr(server, "client_stage", None)
-            if client_stage is not None:
-                client_stage(self)
         if delta_shipping:
             DeltaShipping(self)
         if compaction:
@@ -467,16 +460,13 @@ class AccessManager(ImportAPI, ExportAPI, CallAPI):
         self.settle(request, reply if isinstance(reply, dict) else {})
 
     def _on_failed(self, request: QRPCRequest, reason: str) -> None:
-        for hook in self.on_failed:
-            if hook(request, reason):
-                return
-        self.fail(request, reason)
+        """``request`` failed for good: out of the log, its observers told."""
+        self._m_qrpc_failed.labels(host=self.host.name, op=str(request.operation)).inc()
+        self.log.mark_failed(request.request_id)
+        self._messages.pop(request.request_id, None)
+        self.reject(request, reason)
 
     # -- what a stage may ask of the manager -----------------------------------
-
-    def pending(self, request: QRPCRequest) -> bool:
-        """Still owed an answer, by a manager that is still alive."""
-        return not self._crashed and self.log.get(request.request_id) is not None
 
     def backlog(self, urn: Optional[str] = None) -> list[QRPCRequest]:
         """The pending requests for ``urn`` (None: for every object) in
@@ -496,26 +486,10 @@ class AccessManager(ImportAPI, ExportAPI, CallAPI):
         (None when the scheduler was never handed the request)."""
         return self._messages.pop(request.request_id, None)
 
-    def retry(self, request: QRPCRequest, rest: float) -> None:
-        """The attempt was answered, but not with the answer (or failed
-        for good): the scheduler sends the same message again, from its
-        place in the queue, once its destination has rested ``rest`` s."""
-        self.scheduler.retry(self._messages[request.request_id], rest)
-
     def resubmit(self, request: QRPCRequest, delay: float) -> None:
         """Hand ``request`` to the scheduler anew, with a wire body
         built then, ``delay`` s from now."""
         self.sim.schedule(delay, self._submit, request)
-
-    def fail(self, request: QRPCRequest, reason: str) -> None:
-        """``request`` failed for good: it leaves the log and its
-        observers are told."""
-        self._m_qrpc_failed.labels(
-            host=self.host.name, op=str(request.operation)
-        ).inc()
-        self.log.mark_failed(request.request_id)
-        self._messages.pop(request.request_id, None)
-        self.reject(request, reason)
 
     def reject(self, request: QRPCRequest, reason: str) -> None:
         """Tell the observers of ``request`` — out of the log already —

@@ -77,13 +77,10 @@ class QRPCRequest:
     #: attributes its spans to the client's trace.
     trace_id: str = ""
     span_id: str = ""
-    #: Volatile failover bookkeeping (repro.ha): how many replica-set
-    #: rotations this request has triggered.  Not part of the wire
-    #: format and not persisted — a recovered client starts fresh.
-    failover_rounds: int = 0
-    #: Volatile likewise.  ``full_only``: must travel and be answered
-    #: in full, never as a delta (the server said "need-full", or this
-    #: retries an import whose answer could not be used).
+    #: Volatile stage bookkeeping, never on the wire or in the log (a
+    #: recovered client starts fresh).  ``full_only``: must travel and be
+    #: answered in full, never as a delta (the server said "need-full",
+    #: or this retries an import whose answer could not be used).
     #: ``recovered``: inherited from a previous incarnation's log — the
     #: dead process may have dispatched it, so the server may hold an
     #: applied reply: compaction and delta substitution keep off it.

@@ -642,9 +642,9 @@ class RoverServer:
         if not isinstance(body, dict):
             return
         ackw = body.get("ackw")
-        if not isinstance(ackw, list) or len(ackw) != 2:
-            return
-        prefix, watermark = str(ackw[0]), int(ackw[1])
+        if type(ackw) is not list or [*map(type, ackw)] != [str, int]:
+            return  # not a watermark: it licenses nothing
+        prefix, watermark = ackw
         if self._client_watermarks.get(prefix, -1) >= watermark:
             return
         self._client_watermarks[prefix] = watermark
@@ -749,8 +749,10 @@ class RoverServer:
     @replay_pure
     def _on_export(self, body: Any, source: Address) -> Any:
         urn = body["urn"]
-        base_version = int(body.get("base_version", 0))
-        client_data = body.get("data")
+        base_version = body.get("base_version", 0)
+        if type(base_version) is not int:
+            raise TypeError(f"base_version={base_version!r:.60}")
+        client_data = body.get("data") if "delta" in body else body["data"]
         client_raw = None
         if "delta" in body and "data" not in body:
             # Delta export: reconstruct the client's full data from the
@@ -971,13 +973,15 @@ class RoverServer:
         that disconnects forever cannot wedge the object: a lease that
         is not a finite number of seconds above zero never would (or
         would be granted already over), so it is refused, and nothing
-        changes.
+        changes.  So is a URN or a session that is not text.
         """
-        urn = body["urn"]
-        session = body.get("session", "")
+        urn, session = body["urn"], body.get("session", "")
+        if type(urn) is not str or type(session) is not str:
+            raise TypeError(f"urn={urn!r:.60}, session={session!r:.60}")
+        lease_s = body.get("lease_s", 300.0)
         try:
-            lease_s = float(body.get("lease_s", 300.0))
-        except (TypeError, ValueError, OverflowError):
+            lease_s = float(lease_s) if type(lease_s) in (int, float) else math.nan
+        except OverflowError:
             lease_s = math.nan
         if not 0.0 < lease_s < math.inf:
             return {"status": "invalid-lease"}
@@ -991,8 +995,9 @@ class RoverServer:
 
     @replay_pure
     def _on_unlock(self, body: Any, source: Address) -> Any:
-        urn = body["urn"]
-        session = body.get("session", "")
+        urn, session = body["urn"], body.get("session", "")
+        if type(urn) is not str or type(session) is not str:
+            raise TypeError(f"urn={urn!r:.60}, session={session!r:.60}")
         holder = self._lock_holder(urn)
         if holder is not None and holder != session:
             return {"status": "not-holder", "holder": holder}
@@ -1018,6 +1023,8 @@ class RoverServer:
         """
         host_name = source[0]
         prefix = body.get("prefix", "")
+        if type(prefix) is not str:
+            raise TypeError(f"prefix={prefix!r:.60}")
         self._subscriptions.setdefault(host_name, set()).add(prefix)
         return {"status": "ok"}
 

@@ -72,10 +72,10 @@ import functools
 import math
 from typing import Any, Callable, Optional
 
-from repro.core.naming import URN
 from repro.core.server import SERVICES, RoverServer
 from repro.lint.contracts import replay_pure
 from repro.net.message import Premarshalled
+from repro.net.scheduler import MOVED, NO_PROGRESS
 from repro.net.simnet import Address, Host
 from repro.net.transport import AsyncReply, DelayedReply, RpcError, Transport
 from repro.sim import Simulator
@@ -98,12 +98,15 @@ class ReplicaSet:
 
     Duck-typed into ``AccessManager.servers`` as a *replicated
     destination*: the network scheduler reads :attr:`current_host` when
-    a message is about to leave and reports a member that did not answer
-    through :meth:`advance_past`; :meth:`client_stage` installs the
-    :class:`ClientFailover` that reads the group's fences.  Each client
-    owns a private instance — membership is shared knowledge, but *which
-    member to try next* is per-client.
+    a message is about to leave, reports a member that did not answer
+    through :meth:`advance_past` and asks :meth:`read_reply` what each
+    answer is.  Each client owns a private instance — membership is
+    shared knowledge, but *which member to try next* is per-client.
     """
+
+    #: Attempt budgets a message gets past its first before it fails for
+    #: good: the probe loop's bound when no member is primary or reachable.
+    max_rounds = 8
 
     def __init__(self, hosts: list[Host], authority: str) -> None:
         if not hosts:
@@ -162,104 +165,28 @@ class ReplicaSet:
         self.epoch_seen = epoch
         return True
 
-    def client_stage(self, manager: Any) -> "ClientFailover":
-        """Install this set's failover stage on an access manager."""
-        return ClientFailover(manager, self)
-
-
-class ClientFailover:
-    """The replication group's fence, read on the access manager's seam.
-
-    Retrying is the scheduler's: it names the member per attempt and
-    moves on, in place, from one that does not answer.  Only silence
-    moves it: every status the current reign stamps, a handler's
-    ``error`` too, is the request's answer and passes through.  Left
-    here is what only a *reply* says — ``not-primary``, or the stamp of
-    a deposed reign: this stage moves the :class:`ReplicaSet`'s pointer
-    (to the hinted member, or on by one) and has the manager ``retry``
-    the request, which stays pending under the scheduler message and
-    sequence number it has.  No queue, no timer.
-    """
-
-    #: Rotations one request may trigger before its failure turns
-    #: terminal (bounds the probe loop when a whole replication group
-    #: is unreachable or has no primary).
-    max_rounds = 8
-
-    def __init__(self, manager: Any, replica_set: ReplicaSet) -> None:
-        self.manager = manager
-        self.replica_set = replica_set
-        self._m_failovers = manager.obs.registry.counter(
-            "qrpc_failovers_total",
-            "QRPCs sent again on a replica-group member's word (or silence)",
-            labelnames=("host",),
-        )
-        manager.on_reply.append(self.on_reply)
-        manager.on_failed.append(self.on_failed)
-
-    def _retry(self, request: Any, rest: float) -> None:
-        self._m_failovers.labels(host=self.manager.host.name).inc()
-        self.manager.retry(request, rest)
-
-    def _spend_round(self, request: Any, reason: str, past: str = "") -> None:
-        """The probe made no progress: charge ``request`` a round, move
-        on from ``past`` if the set still points at it, and retry after
-        the scheduler's capped, jittered backoff for the rounds spent (a
-        group-wide outage must not turn into a tight probe loop) — or
-        fail the request for good, one round too many."""
-        request.failover_rounds += 1
-        if request.failover_rounds > self.max_rounds:
-            self.manager.fail(request, reason)
-            return
-        if past == self.replica_set.current_host.name:
-            self.replica_set.rotate()
-        self._retry(request, self.manager.scheduler._backoff_delay(request.failover_rounds))
-
-    def on_reply(self, request: Any, reply: Any) -> bool:
-        """Route around the group's non-primary / deposed members.
-
-        True when the reply was a redirect (``not-primary`` fence, or a
-        reply stamped with a stale replication epoch — a deposed primary
-        that does not yet know it lost): the request stays pending,
-        unacknowledged, and goes out again toward the real primary.
-        """
-        replica_set = self.replica_set
-        if (
-            not isinstance(reply, dict)
-            or URN.parse(request.urn).authority != replica_set.authority
-        ):
-            return False
+    def read_reply(self, member: str, reply: Any) -> Optional[str]:
+        """What ``member``'s ``reply`` is: None when it is the answer
+        (not a fence, from the current reign: every status it stamps, a
+        handler's ``error`` too); ``MOVED`` when the set now points
+        elsewhere — at a member a fence named, or already away from a
+        deposed primary's late answer; ``NO_PROGRESS`` otherwise."""
+        if not isinstance(reply, dict):
+            return None
         epoch = reply.get("ha_epoch")
-        fresh = epoch is None or replica_set.observe_epoch(int(epoch))
+        fresh = epoch is None or self.observe_epoch(int(epoch))
         fenced = reply.get("status") == "not-primary"
         if fresh and not fenced:
-            replica_set.suspect = ""
-            return False  # an answer, from the current reign
-        member = str(reply.get("ha_member", ""))
+            self.suspect = ""
+            return None
         hinted = (reply.get("primary") or "") if fenced else ""
-        # A hint to believe is not: a backup pointing at itself, or one
-        # naming the member that just left this client unanswered (its
-        # lease on the corpse has not run out yet).
-        believed = hinted and hinted not in (member, replica_set.suspect)
-        if believed and replica_set.learn_primary(hinted):
-            self._retry(request, 0.05)
-        elif not fenced and member != replica_set.current_host.name:
-            # A deposed primary's late answer; the set has left it since.
-            self._retry(request, 0.05)
-        else:
-            self._spend_round(request, "replica group has no reachable primary", past=member)
-        return True
-
-    def on_failed(self, request: Any, reason: str) -> bool:
-        """Renew the attempt budget of a QRPC no member answered (the
-        scheduler asked one per attempt), while its rounds last."""
-        if (
-            URN.parse(request.urn).authority != self.replica_set.authority
-            or not self.manager.pending(request)
-        ):
-            return False
-        self._spend_round(request, reason)
-        return True
+        # Not believed: a backup naming itself, or the member that just left
+        # this client unanswered (its lease on the corpse has not run out).
+        if hinted and hinted not in (member, self.suspect) and self.learn_primary(hinted):
+            return MOVED
+        if not fenced and member != self.current_host.name:
+            return MOVED  # a deposed primary's late answer; the set has left it since
+        return NO_PROGRESS
 
 
 def _rank(member: dict) -> tuple[int, int]:

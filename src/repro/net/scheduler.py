@@ -17,7 +17,8 @@ This module implements exactly that:
 * a *replicated* destination (a :class:`repro.ha.group.ReplicaSet`)
   names its member per attempt, as a route names its link; a member
   that does not answer is moved on from and the attempt retried in
-  place (:meth:`NetworkScheduler._attempt_failed`);
+  place (:meth:`NetworkScheduler._attempt_failed`), as is one whose
+  answer says the message goes again (:meth:`NetworkScheduler._again`);
 * on a link where bytes, not round trips, are what the sender waits
   for, queued messages of one priority class for one destination share
   a frame (:meth:`NetworkScheduler._gather`) — the reconnect backlog of
@@ -50,6 +51,11 @@ from repro.obs import Observatory
 from repro.obs.trace import TRACE_KEY, parse_context
 from repro.sim import Simulator
 from repro.sim.rng import make_rng
+
+
+#: A replicated destination's ``read_reply`` of a reply that is not the
+#: answer: it has moved, or it learned nothing (:meth:`NetworkScheduler._again`).
+MOVED, NO_PROGRESS = "moved", "replica group has no reachable primary"
 
 
 class Priority(IntEnum):
@@ -173,6 +179,7 @@ class QueuedMessage:
         "on_reply",
         "on_failed",
         "attempts",
+        "rounds",
         "enqueued_at",
         "state",
         "trace",
@@ -204,6 +211,8 @@ class QueuedMessage:
         self.on_reply = on_reply
         self.on_failed = on_failed
         self.attempts = 0
+        #: Attempt budgets renewed so far (a replicated destination's).
+        self.rounds = 0
         self.enqueued_at = enqueued_at
         self.state = "queued"  # queued | inflight | accepted | done | cancelled
         #: Trace context propagated in the body (see repro.obs.trace).
@@ -375,8 +384,10 @@ class NetworkScheduler:
 
         ``dst`` is a host, or a replicated destination (duck-typed:
         not a :class:`Host`, and has ``current_host``): it is read for
-        the member to send to each time the message leaves, and told
-        ``advance_past(name)`` when that member does not answer.
+        the member to send to each time the message leaves, told
+        ``advance_past(name)`` when that member does not answer, asked
+        ``read_reply(name, reply)`` what each answer is, and renews a
+        message's attempts ``max_rounds`` times (:meth:`_again`).
         """
         message = QueuedMessage(
             seq=self._seq,
@@ -405,19 +416,6 @@ class NetworkScheduler:
         message.state = "cancelled"
         self._active.discard(message)
         return True
-
-    def retry(self, message: QueuedMessage, rest: float) -> None:
-        """Send ``message`` again: its owner says the last attempt to
-        its replicated destination was answered (or failed for good),
-        but not with the answer, and has moved the destination on.
-
-        As after an unanswered attempt (:meth:`_attempt_failed`), but
-        with a fresh attempt budget and ``rest`` seconds of rest.
-        """
-        message.attempts = 0
-        self._active.add(message)
-        self._back_in_line(message)
-        self._rest(message.group, message.dst, rest)
 
     def reprioritize(self, message: QueuedMessage, priority: Priority) -> bool:
         """Raise/lower a *queued* message's priority (e.g. a background
@@ -684,6 +682,11 @@ class NetworkScheduler:
                 message.exchange = None
                 self._active.discard(message)
                 self.delivered += 1
+                if message.group is not None:
+                    verdict = message.group.read_reply(message.dst.name, reply)
+                    if verdict is not None:
+                        self._again(message, verdict, past=message.dst.name)
+                        continue
                 message.on_reply(reply)
             if waiting:
                 self._pump()
@@ -723,7 +726,8 @@ class NetworkScheduler:
         still outstanding to that member ends with this one, and the
         destination rests one backoff while the messages stand in the
         queue under the ``seq`` they have — ``(priority, seq)`` is the
-        order the next member sees, as the first one would have.
+        order the next member sees, as the first one would have.  Its
+        attempts spent, such a message goes :meth:`_again` (``failed`` counts it).
         """
         message.exchange = None
         group = message.group
@@ -735,7 +739,10 @@ class NetworkScheduler:
             message.state = "done"
             self._active.discard(message)
             self.failed += 1
-            message.on_failed(reason)
+            if group is None:
+                message.on_failed(reason)
+            else:
+                self._again(message, reason)
         elif group is not None:
             self._note_retry(message, rest, reason)
             self._back_in_line(message)
@@ -744,6 +751,29 @@ class NetworkScheduler:
             backoff = self._backoff_delay(message.attempts)
             self._note_retry(message, backoff, reason)
             self.sim.schedule(backoff, self._requeue, message)
+
+    def _again(self, message: QueuedMessage, why: str, past: Optional[str] = None) -> None:
+        """Send ``message`` again, fresh attempts, from its place in line:
+        0.05 s on if its destination ``MOVED``; else spend a round (a backoff,
+        rotated on from ``past``) -- or, one round too many, fail for ``why``."""
+        group, rest = message.group, 0.05
+        if why != MOVED:
+            message.rounds += 1
+            if message.rounds > group.max_rounds:
+                message.on_failed(why)
+                return
+            if past == group.current_host.name:
+                group.rotate()
+            rest = self._backoff_delay(message.rounds)
+        self.obs.registry.counter(
+            "qrpc_failovers_total",
+            "QRPCs sent again on a replica-group member's word (or silence)",
+            labelnames=("host",),
+        ).labels(host=self.host.name).inc()
+        message.attempts = 0
+        self._active.add(message)
+        self._back_in_line(message)
+        self._rest(group, message.dst, rest)
 
     def _requeue(self, message: QueuedMessage) -> None:
         if message.state != "queued":

@@ -1,12 +1,14 @@
-"""The access manager's seam, and the four stages behind it, each alone.
+"""The access manager's seam, and the three stages behind it, each alone.
 
-A stage (``repro.ha.group.ClientFailover``, ``repro.perf.delta.
-DeltaShipping``, ``repro.obs.trace.RequestTracing``, ``repro.perf.
-compact.QueueCompaction``) hangs its hooks on the manager's eight lists
-and talks to it through a handful of named services.  That is little
-enough for a fake: the stages are driven here against ``FakeManager``,
-the manager against no stage at all, and an AST check keeps the stages
-from reaching past the interface.
+A stage (``repro.perf.delta.DeltaShipping``, ``repro.obs.trace.
+RequestTracing``, ``repro.perf.compact.QueueCompaction``) hangs its
+hooks on the manager's seven lists and talks to it through a handful of
+named services.  That is little enough for a fake: the stages are
+driven here against ``FakeManager``, the manager against no stage at
+all, and an AST check keeps the stages from reaching past the
+interface.  Client failover is no stage: a replicated destination reads
+its members' replies and the network scheduler acts on the reading,
+driven here against a scripted carrier.
 """
 
 import ast
@@ -17,13 +19,17 @@ from repro.core.notification import EventType
 from repro.core.operation_log import OperationLog
 from repro.core.qrpc import Operation, QRPCRequest
 from repro.ha import build_ha_testbed
-from repro.ha.group import ClientFailover, ReplicaSet
+from repro.ha.group import ReplicaSet
 from repro.net.link import CSLIP_14_4, IntervalTrace
+from repro.net.scheduler import MOVED, NO_PROGRESS, NetworkScheduler, Route
+from repro.net.simnet import Network
+from repro.net.transport import Transport
 from repro.obs import Observatory
 from repro.obs.fleet import FleetAggregator, TelemetryReporter, fold_reports
 from repro.obs.trace import RequestTracing
 from repro.perf.compact import QueueCompaction
 from repro.perf.delta import DeltaShipping
+from repro.sim import Simulator
 from repro.testbed import build_multi_client_testbed, build_testbed
 from tests.conftest import make_note, make_report
 
@@ -32,18 +38,14 @@ class FakeManager:
     """All a stage may know of an access manager."""
 
     def __init__(self, cache=None):
-        self.on_submit, self.on_wire, self.on_reply, self.on_failed = [], [], [], []
+        self.on_submit, self.on_wire, self.on_reply = [], [], []
         self.on_durable, self.on_settled, self.on_queued, self.on_applied = [], [], [], []
         self.sim = SimpleNamespace(now=0.0)
         self.obs = Observatory()
         self.host = SimpleNamespace(name="client")
-        #: A stage that rests a destination asks the scheduler how long.
-        self.scheduler = SimpleNamespace(_backoff_delay=lambda attempts: 10.0 * attempts)
+        self.scheduler = SimpleNamespace()
         self.cache = cache
         self.calls = []
-
-    def pending(self, request):
-        return True
 
     def end_attempt(self, request):
         self.calls.append(("end_attempt", request.request_id))
@@ -51,139 +53,207 @@ class FakeManager:
     def resubmit(self, request, delay):
         self.calls.append(("resubmit", request.request_id, delay))
 
-    def retry(self, request, rest):
-        self.calls.append(("retry", request.request_id, rest))
-
-    def fail(self, request, reason):
-        self.calls.append(("fail", request.request_id, reason))
-
 
 def request_for(authority="server", operation=Operation.INVOKE):
     return QRPCRequest("client/0", "", operation, f"urn:rover:{authority}/notes/n1")
 
 
-def failover_stage():
-    manager = FakeManager()
-    hosts = [SimpleNamespace(name=name) for name in ("server", "server-b1", "server-b2")]
-    replica_set = ReplicaSet(hosts, "server")
-    stage = replica_set.client_stage(manager)
-    assert isinstance(stage, ClientFailover)
-    assert manager.on_reply == [stage.on_reply] and manager.on_failed == [stage.on_failed]
-    assert manager.on_submit == manager.on_wire == []
-    return manager, replica_set
+class Scripted(Route):
+    """A carrier whose far side answers each attempt, a tick later,
+    with the next of ``replies`` (None: no answer comes)."""
+
+    name = "scripted"
+    quality = 1.0
+
+    def __init__(self, sim, replies):
+        self.sim, self.replies, self.sent = sim, list(replies), []
+
+    def available(self, dst):
+        return True
+
+    def first_hop(self, dst):
+        return None
+
+    def send(self, dst, service, body, on_reply, on_error, on_accepted):
+        self.sent.append((self.sim.now, dst.name, body["n"]))
+        reply = self.replies.pop(0)
+        if reply is None:
+            self.sim.schedule(0.0, on_error, "timeout")
+        else:
+            self.sim.schedule(0.0, on_reply, reply)
+
+
+def failover(*replies, max_attempts=8):
+    """A client's scheduler, a replica set of three members before it,
+    and a carrier that answers with ``replies`` in turn.  A round's rest
+    is ``10 s * rounds``, a silence's ``10 s * attempts``: no jitter."""
+    sim = Simulator()
+    network = Network(sim)
+    client = network.host("client")
+    scheduler = NetworkScheduler(sim, Transport(sim, client), max_attempts=max_attempts)
+    scheduler._backoff_delay = lambda attempts: 10.0 * attempts
+    route = Scripted(sim, replies)
+    scheduler.routes = [route]
+    hosts = [network.host(name) for name in ("server", "server-b1", "server-b2")]
+    return sim, scheduler, ReplicaSet(hosts, "server"), route
+
+
+def submit(scheduler, destination, n=0):
+    """Queue message ``n``; returns it and what its owner was told."""
+    told = []
+    message = scheduler.submit(
+        destination, "echo", {"n": n},
+        on_reply=lambda reply: told.append(("reply", reply)),
+        on_failed=lambda reason: told.append(("failed", reason)),
+    )
+    return message, told
+
+
+def failovers_counted(scheduler):
+    return scheduler.obs.registry.get("qrpc_failovers_total").labels(host="client").value
 
 
 FENCE = {"status": "not-primary", "primary": "server-b1", "ha_epoch": 1, "ha_member": "server"}
+ANSWER = {"status": "ok", "result": 1, "ha_epoch": 1, "ha_member": "server-b1"}
+NO_PRIMARY = "replica group has no reachable primary"
 
 
 class TestClientFailoverAlone:
+    """The replica set reads each reply (:meth:`ReplicaSet.read_reply`);
+    the scheduler acts on the reading: the answer goes to the owner, a
+    move sends the message again after 0.05 s, no progress spends one of
+    the message's rounds -- a backoff's rest, and the failure for good
+    one round too many.  No access manager takes part."""
+
     def test_hinted_fence_repoints_the_set_and_resubmits(self):
-        manager, replica_set = failover_stage()
-        (on_reply,) = manager.on_reply
-        assert on_reply(request_for(), FENCE) is True
+        sim, scheduler, replica_set, route = failover(FENCE, ANSWER)
+        message, told = submit(scheduler, replica_set)
+        sim.run()
+        assert route.sent == [(0.0, "server", 0), (0.05, "server-b1", 0)]
         assert replica_set.current_host.name == "server-b1" and replica_set.epoch_seen == 1
-        assert manager.calls == [("retry", "client/0", 0.05)]
-        counted = manager.obs.registry.get("qrpc_failovers_total")
-        assert counted.labels(host="client").value == 1
+        assert told == [("reply", ANSWER)]  # the fence never reached the owner
+        assert (message.attempts, message.rounds) == (1, 0)
+        assert failovers_counted(scheduler) == 1
 
     def test_a_request_for_another_authority_is_left_alone(self):
-        manager, replica_set = failover_stage()
-        elsewhere = request_for(authority="elsewhere")
-        assert manager.on_reply[0](elsewhere, FENCE) is False
-        assert manager.on_failed[0](elsewhere, "timeout") is False
+        """A message for a plain host (another authority's server) is
+        the owner's to read, whatever it says."""
+        sim, scheduler, replica_set, route = failover(FENCE)
+        elsewhere = scheduler.host.network.host("elsewhere")
+        message, told = submit(scheduler, elsewhere)
+        sim.run()
+        assert told == [("reply", FENCE)] and route.sent == [(0.0, "elsewhere", 0)]
         assert replica_set.current_host.name == "server" and replica_set.epoch_seen == 0
-        assert manager.calls == [] and elsewhere.failover_rounds == 0
+        assert message.rounds == 0
+        assert scheduler.obs.registry.get("qrpc_failovers_total") is None
 
     def test_an_answer_from_the_current_reign_passes_through(self):
-        manager, replica_set = failover_stage()
         answer = {"status": "ok", "result": 1, "ha_epoch": 2, "ha_member": "server"}
-        assert manager.on_reply[0](request_for(), answer) is False
-        assert replica_set.epoch_seen == 2 and manager.calls == []
+        sim, scheduler, replica_set, route = failover(answer)
+        message, told = submit(scheduler, replica_set)
+        sim.run()
+        assert told == [("reply", answer)] and len(route.sent) == 1
+        assert replica_set.epoch_seen == 2 and message.rounds == 0
+        assert replica_set.read_reply("server", answer) is None  # and again: nothing moves
 
     def test_a_stale_reign_still_pointed_at_is_rotated_off(self):
-        manager, replica_set = failover_stage()
-        replica_set.observe_epoch(3)
-        request = request_for()
         deposed = {"status": "ok", "result": 1, "ha_epoch": 2, "ha_member": "server"}
-        assert manager.on_reply[0](request, deposed) is True
-        assert replica_set.current_host.name == "server-b1" and request.failover_rounds == 1
-        assert manager.calls == [("retry", "client/0", 10.0)]  # one backoff's rest
+        sim, scheduler, replica_set, route = failover(deposed, dict(ANSWER, ha_epoch=3))
+        replica_set.observe_epoch(3)
+        message, told = submit(scheduler, replica_set)
+        sim.run()
+        # On by one, a round spent, one backoff's rest.
+        assert route.sent == [(0.0, "server", 0), (10.0, "server-b1", 0)]
+        assert replica_set.rotations == 1 and message.rounds == 1
+        assert told == [("reply", dict(ANSWER, ha_epoch=3))]
 
     def test_the_round_budget_ends_in_a_terminal_failure(self):
-        manager, replica_set = failover_stage()
-        replica_set.observe_epoch(3)
-        request = request_for()
-        request.failover_rounds = ClientFailover.max_rounds
         deposed = {"status": "ok", "ha_epoch": 2, "ha_member": "server"}
-        assert manager.on_reply[0](request, deposed) is True  # seen to: failed
-        assert manager.calls == [
-            ("fail", "client/0", "replica group has no reachable primary")
-        ]
-        assert replica_set.rotations == 0
+        sim, scheduler, replica_set, route = failover(deposed)
+        replica_set.observe_epoch(3)
+        message, told = submit(scheduler, replica_set)
+        message.rounds = ReplicaSet.max_rounds
+        sim.run()
+        assert told == [("failed", NO_PRIMARY)]
+        assert replica_set.rotations == 0 and len(route.sent) == 1
+        # Answered, so not a failed attempt budget.
+        assert (scheduler.delivered, scheduler.failed) == (1, 0) and scheduler.idle()
 
     def test_a_request_no_member_answered_gets_a_new_budget_while_its_rounds_last(self):
-        manager, replica_set = failover_stage()
-        request = request_for()
-        assert manager.on_failed[0](request, "timeout") is True
-        # The scheduler moved the pointer, attempt by attempt; the stage
-        # only renews the budget, resting the set one backoff per round.
-        assert replica_set.rotations == 0 and request.failover_rounds == 1
-        assert manager.calls == [("retry", "client/0", 10.0)]
-        request.failover_rounds = ClientFailover.max_rounds
-        assert manager.on_failed[0](request, "timeout") is True
-        assert manager.calls[1:] == [("fail", "client/0", "timeout")]
+        sim, scheduler, replica_set, route = failover(None, ANSWER, None, max_attempts=1)
+        message, told = submit(scheduler, replica_set)
+        sim.run()
+        # The scheduler moved the pointer past the silent member; the
+        # round only renewed the budget, resting the set one backoff.
+        assert route.sent == [(0.0, "server", 0), (10.0, "server-b1", 0)]
+        assert replica_set.rotations == 1 and message.rounds == 1
+        assert told == [("reply", ANSWER)] and failovers_counted(scheduler) == 1
+        last, told = submit(scheduler, replica_set, n=1)
+        last.rounds = ReplicaSet.max_rounds
+        sim.run()
+        assert told == [("failed", "timeout")] and last.rounds == ReplicaSet.max_rounds + 1
+        assert scheduler.failed == 2 and scheduler.idle()  # one per budget spent
 
     def test_an_unhinted_fence_moves_on_by_one_and_rests_a_backoff(self):
-        manager, replica_set = failover_stage()
-        request = request_for()
-        assert manager.on_reply[0](request, dict(FENCE, primary="")) is True
-        assert replica_set.current_host.name == "server-b1" and request.failover_rounds == 1
-        # A sibling fenced by the same member follows the pointer, it
-        # does not push it on again.
-        sibling = QRPCRequest("client/1", "", Operation.INVOKE, request.urn)
-        assert manager.on_reply[0](sibling, dict(FENCE, primary="server")) is True  # itself
+        sim, scheduler, replica_set, route = failover(
+            dict(FENCE, primary=""), dict(FENCE, primary="server"), ANSWER, ANSWER
+        )
+        first, told_first = submit(scheduler, replica_set, n=0)
+        sibling, told_sibling = submit(scheduler, replica_set, n=1)
+        sim.run()
+        # The sibling out to the same member was withdrawn with the
+        # first: it follows the pointer, it does not push it on again.
+        assert route.sent == [
+            (0.0, "server", 0), (0.0, "server", 1), (10.0, "server-b1", 0), (10.0, "server-b1", 1)
+        ]
         assert replica_set.current_host.name == "server-b1" and replica_set.rotations == 1
-        assert manager.calls == [("retry", "client/0", 10.0), ("retry", "client/1", 10.0)]
+        assert (first.rounds, sibling.rounds) == (1, 0)
+        assert told_first == told_sibling == [("reply", ANSWER)]
+        # Read on its own, the sibling's fence (a backup naming itself)
+        # is no progress, and spends a round; the set is left where it is.
+        assert replica_set.read_reply("server", dict(FENCE, primary="server")) == NO_PROGRESS
+        assert replica_set.current_host.name == "server-b1" and replica_set.suspect == ""
 
     def test_a_hint_naming_the_member_that_went_unanswered_is_not_believed(self):
-        manager, replica_set = failover_stage()
+        still_leased = dict(FENCE, primary="server", ha_member="server-b1", ha_epoch=0)
+        sim, scheduler, replica_set, route = failover(
+            still_leased, dict(FENCE, ha_member="server-b2"), ANSWER
+        )
         replica_set.advance_past("server")  # the scheduler: its attempt timed out
         assert (replica_set.suspect, replica_set.current_host.name) == ("server", "server-b1")
-        request = request_for()
-        still_leased = dict(FENCE, primary="server", ha_member="server-b1", ha_epoch=0)
-        assert manager.on_reply[0](request, still_leased) is True
+        message, told = submit(scheduler, replica_set)
+        sim.run()
         # Not back to the corpse for another timeout: on by one, a round
-        # spent, a backoff rested.
-        assert replica_set.current_host.name == "server-b2" and request.failover_rounds == 1
-        assert manager.calls == [("retry", "client/0", 10.0)]
-        # Any other hint is believed as before.
-        assert manager.on_reply[0](request, dict(FENCE, ha_member="server-b2")) is True
-        assert replica_set.current_host.name == "server-b1"
-        assert manager.calls[1:] == [("retry", "client/0", 0.05)]
+        # spent, a backoff rested; any other hint is believed as before.
+        assert route.sent == [
+            (0.0, "server-b1", 0), (10.0, "server-b2", 0), (10.05, "server-b1", 0)
+        ]
+        assert message.rounds == 1 and told == [("reply", ANSWER)]
+        assert failovers_counted(scheduler) == 2
 
     def test_suspicion_ends_with_a_genuine_answer(self):
-        manager, replica_set = failover_stage()
+        replica_set = failover()[2]
         replica_set.advance_past("server")
-        answer = {"status": "ok", "result": 1, "ha_epoch": 1, "ha_member": "server-b1"}
-        assert manager.on_reply[0](request_for(), answer) is False
+        assert replica_set.read_reply("server-b1", ANSWER) is None
         assert replica_set.suspect == ""
         hinted = dict(FENCE, primary="server", ha_member="server-b1")
-        assert manager.on_reply[0](request_for(), hinted) is True
+        assert replica_set.read_reply("server-b1", hinted) == MOVED
         assert replica_set.current_host.name == "server"  # believed again
 
     def test_suspicion_ends_when_rotation_comes_round_to_the_suspect(self):
         """One lost reply of the live primary (``ha-failover-features``
         trace ``{8: 1}``): every other member fences and names it, and
         the client must end up asking it again."""
-        manager, replica_set = failover_stage()
+        sim, scheduler, replica_set, route = failover(
+            dict(FENCE, ha_member="server-b2"), dict(FENCE, ha_member="server"), ANSWER
+        )
         replica_set.learn_primary("server-b1")
         replica_set.advance_past("server-b1")  # its reply was lost: on to server-b2
-        request = request_for()
-        for member in ("server-b2", "server"):
-            fence = dict(FENCE, primary="server-b1", ha_member=member)
-            assert manager.on_reply[0](request, fence) is True
+        message, told = submit(scheduler, replica_set)
+        sim.run()
+        assert route.sent == [(0.0, "server-b2", 0), (10.0, "server", 0), (30.0, "server-b1", 0)]
         assert replica_set.current_host.name == "server-b1" and replica_set.suspect == ""
-        assert request.failover_rounds == 2
+        assert message.rounds == 2 and told == [("reply", ANSWER)]
 
 
 class TestDeltaShippingAlone:
@@ -191,7 +261,7 @@ class TestDeltaShippingAlone:
         manager = FakeManager()  # no cache: a full-only request must not ask for one
         stage = DeltaShipping(manager)
         assert manager.on_submit == [stage.on_submit] and manager.on_wire == [stage.on_wire]
-        assert manager.on_reply == [stage.on_reply] and manager.on_failed == []
+        assert manager.on_reply == [stage.on_reply]
         request = request_for(operation=Operation.EXPORT)
         assert stage.on_reply(request, {"status": "need-full"}) is True
         assert request.full_only
@@ -268,7 +338,7 @@ def compaction_stage():
     manager = QueueManager()
     stage = QueueCompaction(manager)
     assert manager.on_queued == [stage.queued] and manager.on_applied == [stage.applied]
-    assert manager.on_submit == manager.on_wire == manager.on_reply == manager.on_failed == []
+    assert manager.on_submit == manager.on_wire == manager.on_reply == []
     assert manager.on_durable == manager.on_settled == []
     return manager, stage
 
@@ -366,7 +436,7 @@ def tracing_stage():
     stage = RequestTracing(manager)
     assert manager.on_submit == [stage.begin] and manager.on_durable == [stage.logged]
     assert manager.on_settled == [stage.finish]
-    assert manager.on_wire == manager.on_reply == manager.on_failed == []
+    assert manager.on_wire == manager.on_reply == []
     return manager, stage, manager.obs.tracer.spans
 
 
@@ -418,19 +488,19 @@ class TestRequestTracingAlone:
 
 
 class TestWhatTheManagerInstalls:
-    def test_plain_host_without_delta_has_four_empty_lists(self):
+    def test_plain_host_without_delta_has_three_empty_lists(self):
         bed = build_testbed()
         access = bed.access
-        assert access.on_submit == access.on_wire == access.on_reply == access.on_failed == []
+        assert access.on_submit == access.on_wire == access.on_reply == []
         assert bed.obs.registry.get("qrpc_failovers_total") is None
         note = make_note()
         bed.server.put_object(note)
         assert access.import_(note.urn).wait(bed.sim).data == {"text": "hello"}
 
-    def test_tracing_off_means_six_empty_lists_and_no_tracer_in_the_class(self):
+    def test_tracing_off_means_five_empty_lists_and_no_tracer_in_the_class(self):
         access = build_testbed().access
-        seam = ("on_submit", "on_wire", "on_reply", "on_failed", "on_durable", "on_settled")
-        assert [getattr(access, point) for point in seam] == [[]] * 6
+        seam = ("on_submit", "on_wire", "on_reply", "on_durable", "on_settled")
+        assert [getattr(access, point) for point in seam] == [[]] * 5
         assert not hasattr(access, "tracer") and not hasattr(access, "_root_spans")
 
     def test_compaction_installs_the_stage_and_a_reporter_does_too(self):
@@ -445,7 +515,7 @@ class TestWhatTheManagerInstalls:
         (queued,) = late.on_queued  # installed once; each reporter hears an outcome first
         assert [hook.__self__ for hook in late.on_applied] == [second, first, queued.__self__]
         assert late.compaction
-        assert late.on_submit == late.on_wire == late.on_reply == late.on_failed == []
+        assert late.on_submit == late.on_wire == late.on_reply == []
 
     def test_tracing_on_installs_the_stage_after_the_others(self):
         access = build_testbed(trace=True, delta_shipping=True).access
@@ -456,13 +526,25 @@ class TestWhatTheManagerInstalls:
 
     def test_replies_reach_failover_before_delta(self):
         """``_ha_redirect`` ran ahead of the ``need-full`` check: a fence
-        must never be read as an answer, whatever else is installed."""
+        must never be read as an answer, whatever else is installed.
+        The scheduler reads it before the manager hears of the reply, so
+        the manager holds no failover hook and no failover service."""
         bed = build_ha_testbed(delta_shipping=True)
         access = bed.clients[0].access
         owners = [type(hook.__self__).__name__ for hook in access.on_reply]
-        assert owners == ["ClientFailover", "DeltaShipping"]
-        assert [type(hook.__self__).__name__ for hook in access.on_failed] == ["ClientFailover"]
-        assert bed.obs.registry.get("qrpc_failovers_total") is not None
+        assert owners == ["DeltaShipping"]
+        for gone in ("on_failed", "retry", "pending", "fail"):
+            assert not hasattr(access, gone)
+        assert bed.obs.registry.get("qrpc_failovers_total") is None  # none sent again yet
+        note = make_note()
+        bed.put_object(note)
+        replica_set = access.servers[bed.authority]
+        replica_set.learn_primary("server-b1")  # mispointed: the backup fences
+        heard = []
+        access.on_reply.insert(0, lambda request, reply: heard.append(reply["status"]) or False)
+        assert access.import_(note.urn).wait(bed.sim).data == {"text": "hello"}
+        assert heard == ["ok"] and replica_set.current_host.name == "server"
+        assert bed.obs.registry.get("qrpc_failovers_total").value == 1
 
 
 def test_a_third_stage_keeps_a_request_pending_through_the_real_manager():
@@ -499,7 +581,7 @@ def test_a_third_stage_keeps_a_request_pending_through_the_real_manager():
 def test_neither_stage_reads_a_private_attribute_of_the_manager():
     """'A stage sees a message's dispatch state through the interface
     or not at all' (ROADMAP), enforced."""
-    for stage in (ClientFailover, DeltaShipping, RequestTracing, QueueCompaction):
+    for stage in (DeltaShipping, RequestTracing, QueueCompaction):
         tree = ast.parse(inspect.getsource(inspect.getmodule(stage)))
         (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == stage.__name__]
         reached = [
@@ -511,6 +593,20 @@ def test_neither_stage_reads_a_private_attribute_of_the_manager():
         ]
         assert reached == []
         assert "manager" in ast.unparse(cls)  # the check looked at something
+
+
+def test_a_replica_set_reads_no_private_member_of_the_scheduler():
+    """The scheduler moves a replica set through its methods; nothing
+    in :mod:`repro.ha.group` reaches into the scheduler."""
+    tree = ast.parse(inspect.getsource(inspect.getmodule(ReplicaSet)))
+    reached = [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and "scheduler" in ast.unparse(node.value)
+    ]
+    assert reached == []
 
 
 def test_reimport_retry_stays_a_full_import():

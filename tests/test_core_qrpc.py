@@ -57,10 +57,10 @@ def test_stage_bookkeeping_is_volatile():
     """What a stage remembers about a request rides on the request but
     never reaches the log or the wire: a recovered client starts fresh."""
     request = QRPCRequest("id", "", Operation.IMPORT, "urn:rover:a/b")
-    assert (request.failover_rounds, request.full_only, request.recovered) == (0, False, False)
-    request.failover_rounds, request.full_only, request.recovered = 3, True, True
+    assert (request.full_only, request.recovered) == (False, False)
+    request.full_only, request.recovered = True, True
     clone = QRPCRequest.from_wire(request.to_wire())
-    assert (clone.failover_rounds, clone.full_only, clone.recovered) == (0, False, False)
+    assert (clone.full_only, clone.recovered) == (False, False)
 
 
 def test_operation_string_form():

@@ -486,3 +486,48 @@ def test_a_body_no_handler_can_serve_is_answered_an_error_and_changes_nothing(se
     reply = server.serve(service, ["not", "a", "body"], SRC)
     assert reply["status"] == "error" and reply["error"]
     assert door_state(server) == before
+
+
+# -- a field is read with its exact type: a lie is refused, never coerced -------
+
+ITEMS = {"items": [1]}
+
+#: A request that lies about a field's type, the status it must get, and
+#: whether it commits: every row committed, granted or was not run at all
+#: when the field was coerced (``int()``, ``float()``, ``body.get``).
+LIES = {
+    "export with neither data nor delta": ("rover.export", {"base_version": 1}, "error"),
+    "base_version as text": ("rover.export", {"base_version": "1", "data": ITEMS}, "error"),
+    "base_version as a float": ("rover.export", {"base_version": 1.9, "data": ITEMS}, "error"),
+    "base_version as a bool": ("rover.export", {"base_version": True, "data": ITEMS}, "error"),
+    "lease_s as a bool": ("rover.lock", {"session": "A", "lease_s": True}, "invalid-lease"),
+    "ackw counter as text": (
+        "rover.export", {"base_version": 1, "data": ITEMS, "ackw": ["h", "9"]}, "committed"
+    ),
+    "ackw counter not a number": (
+        "rover.export", {"base_version": 1, "data": ITEMS, "ackw": ["h", "x"]}, "committed"
+    ),
+}
+
+
+@pytest.mark.parametrize("lie", list(LIES))
+def test_a_field_of_the_wrong_type_is_refused_not_coerced(server, lie):
+    service, fields, status = LIES[lie]
+    urn = put_items(server)
+    reply = server.serve(service, {"urn": urn, "request_id": "h/3", **fields}, SRC)
+    assert reply["status"] == status
+    assert server.get_object(urn).version == (2 if status == "committed" else 1)
+    # No lease granted, and a watermark that is not one licenses nothing.
+    assert server._locks == {} and server._client_watermarks == {}
+
+
+def test_a_subscription_to_a_prefix_that_is_not_text_is_refused_and_poisons_nothing(server):
+    """It was stored, and from then on every export that committed on
+    this server was answered ``error`` (``startswith`` of a number),
+    that answer kept for its retransmits."""
+    urn = put_items(server)
+    assert server.serve("rover.subscribe", {"prefix": 5}, SRC)["status"] == "error"
+    assert server._subscriptions == {}
+    body = {"urn": urn, "base_version": 1, "data": ITEMS, "request_id": "b/0"}
+    reply = server.serve("rover.export", body, ("other", 0))
+    assert reply == {"status": "committed", "version": 2}

@@ -330,6 +330,41 @@ class TestUnavailabilityBound:
         assert gap <= lease_s + heartbeat_s + 0.1
 
 
+class TestEveryPendingRequestWithinTheBound:
+    """The unavailability bound per request, not per group's first ack:
+    a client with compaction on and several invokes queued when the
+    primary dies for good has each acked by the new primary within
+    ``lease_s`` + one election + two heartbeats + the scheduler's
+    backoff cap (the longest rest within its attempt budget)."""
+
+    def test_every_queued_invoke_is_acked_by_the_new_primary_within_the_bound(self):
+        bed = make_bed(compaction=True)
+        urn = seeded_note(bed)
+        access = bed.clients[0].access
+        access.import_(urn).wait(bed.sim)
+        killed_at = bed.sim.now
+        acked = []
+        for text in ("one", "two", "three"):
+            access.invoke_remote(urn, "set_text", [text]).then(
+                lambda _result: acked.append(bed.sim.now)
+            )
+        assert access.pending_count() == 3
+        ChaosController(bed.sim, obs=bed.obs, seed=CHAOS_SEED).schedule(
+            FaultPlan(seed=CHAOS_SEED, primary_kills=(PrimaryKill(at=killed_at, down_for=1e6),)),
+            bed,
+        )
+        assert access.drain(timeout=120.0)
+        agent, scheduler = agents(bed)[0], bed.clients[0].scheduler
+        election = 2.0 * agent.heartbeat_s + 0.01  # a poll no dead member answers times out
+        backoff_cap = scheduler.base_backoff * 2 ** (scheduler.max_attempts - 1)
+        bound = agent.lease_s + election + 2.0 * agent.heartbeat_s + backoff_cap
+        assert len(acked) == 3 and max(acked) - killed_at <= bound
+        new_primary = bed.group.primary_agent()
+        assert new_primary.host.name != "server" and new_primary.epoch > 0
+        assert access.servers[bed.authority].current_host is new_primary.host
+        assert new_primary.server.get_object(urn).data == {"text": "three"}
+
+
 class TestEpochFencing:
     def test_partitioned_primary_deposed_on_heal(self):
         # Members 0<->1 and 0<->2 go down at t=30 and heal at t=90;

@@ -75,6 +75,30 @@ class TestLockLeaseExpiry:
         assert bed.server.locks_expired == 0
 
 
+class TestLockNames:
+    def test_a_lock_named_by_anything_but_text_is_refused_on_every_member(self):
+        """A number for a URN was granted, and the primary's next tick
+        raised out of ``Simulator.run`` sorting the lock table; a list
+        for a session was granted, and every backup refused the record
+        until anti-entropy healed it."""
+        bed = build_ha_testbed(n_backups=2)
+        note = make_note()
+        bed.put_object(note)
+        primary = bed.group.primary_agent()
+        lies = ({"urn": 7, "session": "A"}, {"urn": str(note.urn), "session": ["x"]})
+        for service in ("rover.lock", "rover.unlock"):
+            replies = []
+            for n, body in enumerate(lies):
+                bed.clients[0].transport.call(
+                    primary.host, service, {**body, "request_id": f"c/{service}/{n}"},
+                    on_reply=replies.append, on_error=replies.append,
+                )
+            bed.sim.run(until=bed.sim.now + 10.0)  # ticks: the primary sweeps its lock table
+            assert [reply["status"] for reply in replies] == ["error", "error"]
+            for agent in bed.group.agents:
+                assert agent.server._locks == {} and agent.records_refused == 0
+
+
 class TestSchedulerBackoff:
     def test_backoff_capped_and_jittered(self):
         bed = build_multi_client_testbed(1)

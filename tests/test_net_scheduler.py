@@ -9,7 +9,7 @@ from repro.net.link import (
     LinkSpec,
     PeriodicSchedule,
 )
-from repro.net.scheduler import NetworkScheduler, Priority
+from repro.net.scheduler import MOVED, NetworkScheduler, Priority
 from repro.net.simnet import Network
 from repro.net.transport import BATCH_SERVICE, Transport
 from repro.sim import Simulator
@@ -439,17 +439,33 @@ FAST = LinkSpec("fast", bandwidth_bps=10_000_000, latency_s=0.001, header_bytes=
 
 class TwoMembers:
     """All the scheduler knows of a replicated destination: where the
-    next attempt goes, and whom to tell when a member does not answer."""
+    next attempt goes, whom to tell when a member does not answer, what
+    a member's answer is, and how many more attempt budgets a message
+    gets past its first (none here: its attempts are all it has)."""
+
+    max_rounds = 0
 
     def __init__(self, *hosts):
         self.hosts = list(hosts)
         self.current_host = hosts[0]
         self.unanswered = []
+        #: How many answers, from the next on, are fences that move the
+        #: destination to the other member.
+        self.fences = 0
+        self.fenced = []
 
     def advance_past(self, name):
         self.unanswered.append(name)
         if self.current_host.name == name:
             self.current_host = self.hosts[1 - self.hosts.index(self.current_host)]
+
+    def read_reply(self, name, reply):
+        if not self.fences:
+            return None
+        self.fences -= 1
+        self.fenced.append((name, reply["n"]))
+        self.current_host = self.hosts[1 - self.hosts.index(self.current_host)]
+        return MOVED
 
 
 def make_members(policy=None, first=None, second=None, **kwargs):
@@ -560,23 +576,17 @@ def test_retry_keeps_the_seq_and_renews_the_attempt_budget():
     sim, scheduler, members, other, served = make_members(
         first=answer, second=answer, max_inflight=1
     )
+    members.fences = 1  # "not the answer": the destination moves on
     replies = []
-
-    def fenced_once(reply):
-        replies.append(reply["n"])
-        if len(replies) == 1:  # "not the answer": the owner moves the destination on
-            assert (head.state, head.attempts) == ("done", 1)
-            members.current_host = members.hosts[1]
-            scheduler.retry(head, 0.5)
-            assert (head.state, head.attempts, head.seq) == ("queued", 0, 0)
-
-    head = scheduler.submit(members, "echo", {"n": 0}, on_reply=fenced_once)
-    scheduler.submit(members, "echo", {"n": 1}, on_reply=fenced_once)
+    head = scheduler.submit(members, "echo", {"n": 0}, on_reply=lambda r: replies.append(r["n"]))
+    scheduler.submit(members, "echo", {"n": 1}, on_reply=lambda r: replies.append(r["n"]))
+    sim.run_until(lambda: members.fenced, timeout=5.0)
+    assert (head.state, head.attempts, head.seq, head.rounds) == ("queued", 0, 0, 0)
     sim.run()
     # The later message did not overtake the one sent again: it waited
     # out the destination's rest behind it.
     assert served == [("one", 0), ("two", 0), ("two", 1)]
-    assert replies == [0, 0, 1] and head.attempts == 1
+    assert members.fenced == [("one", 0)] and replies == [0, 1] and head.attempts == 1
     assert scheduler.delivered == 3 and scheduler.retransmissions == 0 and scheduler.idle()
 
 
@@ -589,23 +599,21 @@ def test_late_reply_to_a_withdrawn_attempt_settles_the_message_once():
     sim, scheduler, members, other, served = make_members(
         first=slow_for_the_second, second=answer
     )
+    members.fences = 1  # the first answer, head's from one
     replies = {0: [], 1: []}
-
-    def first_is_fenced(reply):
-        replies[0].append(sim.now)
-        if len(replies[0]) == 1:
-            members.current_host = members.hosts[1]
-            scheduler.retry(head, 0.05)
-
-    head = scheduler.submit(members, "echo", {"n": 0}, on_reply=first_is_fenced)
+    head = scheduler.submit(
+        members, "echo", {"n": 0}, on_reply=lambda reply: replies[0].append(sim.now)
+    )
     tail = scheduler.submit(
         members, "echo", {"n": 1}, on_reply=lambda reply: replies[1].append(sim.now)
     )
-    sim.run_until(lambda: replies[0], timeout=5.0)
+    sim.run_until(lambda: members.fenced, timeout=5.0)
     # The sibling still out to the member that fenced was withdrawn with it.
+    assert members.fenced == [("one", 0)] and head.state == "queued"
     assert (tail.state, tail.exchange, scheduler.inflight) == ("queued", None, 0)
     sim.run()
     assert served == [("one", 0), ("one", 1), ("two", 0), ("two", 1)]
+    assert len(replies[0]) == 1
     assert len(replies[1]) == 1 and replies[1][0] < 0.4  # two's answer; one's came at 0.5
     assert scheduler.delivered == 3 and scheduler.inflight == 0 and scheduler.idle()
 

@@ -152,7 +152,7 @@ def test_watermark_is_the_walked_floor_without_the_walk():
     assert bed.access.log.ops_compacted == 5
     # ... the oldest leaves by terminal failure ...
     oldest = bed.access.log.pending()[0]
-    bed.access.fail(oldest, "gone")
+    bed.access._on_failed(oldest, "gone")
     check()
     # ... and a reborn incarnation inherits ids that are not its own.
     bed.clients[0].crash_and_recover()
