@@ -1021,7 +1021,7 @@ def run_e12_locking() -> list[dict]:
                 "edits_attempted": n_clients * edits_per_client,
                 "edits_completed": edits_done["n"],
                 "manual_conflicts": conflicts["n"],
-                "server_version": bed.server.store.version(urn) or 0,
+                "server_version": bed.server.objects[urn].wire["version"],
                 "elapsed_s": bed.sim.now - start,
                 "lock_denials": bed.server.locks_denied,
             }

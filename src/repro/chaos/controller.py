@@ -1,10 +1,10 @@
 """Mid-run process faults: crash and restart server/client processes.
 
 The :class:`ChaosController` turns process failure into ordinary
-simulator events.  Crashing the server:
+simulator events.  Crashing the server leaves its object table as it
+is -- each object's stored wire, version history and committer index,
+what the server would hold on disk -- and:
 
-* snapshots durable state (the object store + version history — what
-  ``KVStore`` would have on disk),
 * takes every port binding off the host (the sockets close; traffic
   arriving while down counts as ``dropped_to_unbound``),
 * crashes the transport (pending call timers cancelled, reply epoch
@@ -12,11 +12,12 @@ simulator events.  Crashing the server:
 * fails every in-flight transfer on the host's links — senders see
   the failure through their normal callbacks and retransmit.
 
-Restarting reverses it: ports come back and ``RoverServer.restore``
-reloads the durable snapshot while clearing the volatile applied-reply
-cache and lock leases.  Clients ride the outage out through the
-scheduler's retransmit/backoff path; at-most-once then rests on
-version stamps + resolvers, exactly as the paper's design intends.
+Restarting reverses it: ports come back and ``RoverServer.restart``
+empties what was volatile, the at-most-once reply cache and the lock
+leases.  Clients ride the outage out through the scheduler's
+retransmit/backoff path; a retransmitted write that already committed
+is answered from its object's committer index, and one that did not
+meets the version stamps and resolvers, as the paper's design intends.
 
 Client crashes delegate to :mod:`repro.chaos.recovery`.
 """
@@ -47,7 +48,7 @@ class ChaosController:
         self.seed = seed
         #: (virtual time, kind, detail) for every executed fault.
         self.timeline: list[tuple[float, str, str]] = []
-        #: host name -> saved durable+port state while the server is
+        #: host name -> the port bindings taken while the server is
         #: down.  Keyed by host, not authority: replication-group
         #: members share one authority but crash independently.
         self._down: dict[str, dict] = {}
@@ -74,10 +75,7 @@ class ChaosController:
         host = server.transport.host
         if host.name in self._down:
             raise ChaosError(f"server {host.name} is already down")
-        self._down[host.name] = {
-            "snapshot": server.snapshot(),
-            "ports": host.take_ports(),
-        }
+        self._down[host.name] = host.take_ports()
         server.transport.crash()
         agent = getattr(server, "ha_agent", None)
         if agent is not None:
@@ -88,13 +86,13 @@ class ChaosController:
         self._note("server_crash", host.name)
 
     def restart_server(self, server: Any) -> None:
-        """Bring a crashed server back from its durable state."""
+        """Bring a crashed server back on its durable state."""
         host = server.transport.host
-        state = self._down.pop(host.name, None)
-        if state is None:
+        ports = self._down.pop(host.name, None)
+        if ports is None:
             raise ChaosError(f"server {host.name} is not down")
-        host.restore_ports(state["ports"])
-        server.restore(state["snapshot"])
+        host.restore_ports(ports)
+        server.restart()
         agent = getattr(server, "ha_agent", None)
         if agent is not None:
             agent.restart()

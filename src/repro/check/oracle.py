@@ -112,10 +112,13 @@ def check_replicas_agree(servers: list[Any], now: float) -> list[str]:
     (the primary sweeps it on its own heartbeat; no record ships that)."""
 
     def held(server: Any) -> tuple:
-        committed = server._committed_replies
         return (
             server.state_vector(),
-            marshal(sorted([urn, [*index.items()]] for urn, index in committed.items())),
+            marshal([
+                [urn, [*entry.committed.items()]]
+                for urn, entry in sorted(server.objects.items())
+                if entry.committed is not None
+            ]),
             sorted([urn, *lease] for urn, lease in server._locks.items() if lease[1] > now),
         )
 
@@ -154,13 +157,10 @@ def terminal_state(server: Any, accesses: list[Any], harness: Any) -> dict:
     commutativity pruning checkable (pruned and unpruned explorations
     must produce identical terminal-state sets).
     """
-    store_view = {}
-    for urn in sorted(server.store.keys()):
-        wire = server.store.get_value(urn) or {}
-        store_view[urn] = {
-            "version": server.store.version(urn),
-            "data": wire.get("data"),
-        }
+    store_view = {
+        urn: {"version": entry.wire["version"], "data": entry.wire.get("data")}
+        for urn, entry in sorted(server.objects.items())
+    }
     clients = []
     for access in accesses:
         cache_view = {}

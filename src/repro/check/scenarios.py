@@ -529,7 +529,7 @@ class DeltaShipScenario(Scenario):
     A single sequential writer must never see a conflict — but a late
     replay of an export whose cached reply was evicted re-negotiates
     against the object's own history and, without the committer index,
-    manufactures one.  The small ``applied_cache_cap`` makes the
+    manufactures one.  The small ``APPLIED_CACHE_CAP`` makes the
     eviction reachable within a depth-2 trace.
     """
 
@@ -544,7 +544,7 @@ class DeltaShipScenario(Scenario):
         bed = build_multi_client_testbed(
             self.n_clients, rpc_timeout_s=1.0, delta_shipping=True
         )
-        bed.server.applied_cache_cap = 2
+        bed.server.APPLIED_CACHE_CAP = 2
         return bed
 
     def populate(self, bed: Any, ctx: dict) -> None:

@@ -32,12 +32,13 @@ from typing import Any, Iterable, Optional
 from repro.core.conflict import ConflictReport, ResolverRegistry
 from repro.core.interpreter import SafeInterpreter
 from repro.core.rdo import RDO, ExecutionCostModel, RDOError, RDOInterface, RDOVerificationError
-from repro.net.simnet import Address
+from repro.net.simnet import Address, LinkDown
 from repro.lint.contracts import replay_pure
-from repro.net.message import MarshalError, marshal, same_encoding, unmarshal
+from repro.net.message import (
+    MarshalError, Premarshalled, marshal, marshalled_size, same_encoding, unmarshal,
+)
 from repro.net.transport import DelayedReply, Transport, error_answer
 from repro.sim import Simulator
-from repro.storage.kvstore import KVStore
 
 
 #: Host helpers exposed to shipped RDO code (the ``rover.ship``
@@ -150,8 +151,38 @@ class _AppliedReplies:
         self._by_client.clear()
 
 
+class ObjectEntry:
+    """What a server holds of one object.
+
+    ``wire``: the stored wire, replaced at each commit; its ``version``
+    is the version of record.  ``history``: ``(version, data)`` of the
+    newest versions, each ``data`` a private copy never mutated (a
+    delta's or a merge's base, what a failed invoke puts back).
+    ``committed``: the committer index, from the first commit that names
+    a request: request id -> its *original* reply (a "resolved" one
+    carries the merged value the client must still apply).  The
+    at-most-once cache is bounded and volatile; this is the durable
+    backstop that keeps an evicted replay from being re-negotiated
+    against the history into a conflict its client never had.
+    """
+
+    __slots__ = ("wire", "history", "committed")
+
+    def __init__(self, wire: dict, history: list[tuple[int, Any]]) -> None:
+        self.wire = wire
+        self.history = history
+        self.committed: Optional[OrderedDict[str, dict]] = None
+
+
 class RoverServer:
     """Home server for one authority."""
+
+    #: Versions each object keeps in its history, and replies in its
+    #: committer index.
+    HISTORY_LIMIT = 32
+    #: At-most-once replies kept: the backstop for clients that never
+    #: report an acknowledged-id watermark.
+    APPLIED_CACHE_CAP = 1024
 
     #: The registry reads these plain counters (tests and experiment
     #: drivers read them directly too).  The bounded tables' evictions
@@ -199,9 +230,7 @@ class RoverServer:
         transport: Transport,
         authority: str,
         resolvers: Optional[ResolverRegistry] = None,
-        history_limit: int = 32,
         auth_tokens: Optional[set[str]] = None,
-        applied_cache_cap: int = 1024,
     ) -> None:
         self.sim = sim
         self.transport = transport
@@ -209,7 +238,8 @@ class RoverServer:
         #: registry/tracer.
         self.obs = transport.obs
         self.authority = authority
-        self.store = KVStore()
+        #: urn -> its :class:`ObjectEntry`: the server's durable state.
+        self.objects: dict[str, ObjectEntry] = {}
         self.resolvers = resolvers or ResolverRegistry()
         # Servers are workstations: markedly faster than the mobile
         # client (the paper's DEC vs. ThinkPad split).
@@ -228,26 +258,11 @@ class RoverServer:
         #: ``put_object(verify=False)`` is the one way past it (the code
         #: still faces the runtime sandbox, the last line of defense).
         self.rdos_rejected = 0
-        self.history_limit = history_limit
-        self._history: dict[str, list[tuple[int, Any]]] = {}
-        #: urn -> {request_id: original reply} for updates that made it
-        #: into the store.  The at-most-once reply cache is bounded and
-        #: volatile; this index is the durable backstop that keeps a
-        #: replayed-but-evicted update from re-negotiating against
-        #: version history (and manufacturing a conflict for a client
-        #: that never had one).  It must hold the *original* reply —
-        #: a "resolved" reply carries the merged value the client still
-        #: has to apply; answering a replay with a bare "committed"
-        #: would let the client's next export overwrite the merge.
-        #: Pruned alongside ``_history`` (same per-urn depth).
-        self._committed_replies: dict[str, OrderedDict[str, dict]] = {}
         #: At-most-once replies, LRU-ordered.  Two bounds keep it from
         #: growing forever: clients piggyback an acknowledged-id
         #: watermark on QRPC envelopes (entries below it are settled and
-        #: pruned exactly), and ``applied_cache_cap`` is the backstop
-        #: for clients that never report one.
+        #: pruned exactly), and :attr:`APPLIED_CACHE_CAP`.
         self._applied = _AppliedReplies()
-        self.applied_cache_cap = applied_cache_cap
         self.applied_pruned = 0
         #: Highest watermark seen per client id-prefix.
         self._client_watermarks: dict[str, int] = {}
@@ -305,62 +320,39 @@ class RoverServer:
                 raise RDOVerificationError(str(rdo.urn), diagnostics)
         key = str(rdo.urn)
         wire = rdo.to_wire()
-        version = self.store.put(key, wire)
-        wire["version"] = version  # the store holds ``wire`` itself
-        self._remember(key, version, wire["data"])
-        return version
-
-    def snapshot(self) -> dict:
-        """Durable server state: the object store, the version history
-        and the committer index (``committed_replies``) of every object.
-
-        Deliberately EXCLUDES the at-most-once applied-reply cache —
-        that is volatile, so a crash/restart forgets it.  A
-        retransmitted export or mutating invoke whose update already
-        committed is answered from the committer index instead
-        (:meth:`serve`): its original reply, with nothing
-        applied again (see the crash-restart tests).
-        """
-        return self.subset_snapshot(self.store.keys())
-
-    def restore(self, snapshot: dict) -> None:
-        """Reload durable state after a simulated server restart: merge
-        this server's own :meth:`snapshot` as anti-entropy would, locks
-        (leases do not survive a restart) and applied cache emptied."""
-        restored = snapshot["store"]
-        self.merge_subset(snapshot, [urn for urn in self.store.keys() if urn not in restored], [])
+        entry = self.objects.get(key)
+        wire["version"] = 1 if entry is None else entry.wire["version"] + 1
+        if entry is None:
+            entry = self.objects[key] = ObjectEntry(wire, [])
+        entry.wire = wire
+        self._remember(entry, wire["data"])
+        return wire["version"]
 
     # -- anti-entropy (repro.ha) --------------------------------------------
 
     def state_vector(self) -> dict[str, list]:
-        """Per-urn ``[version, crc32(data)]`` summary of the store.
+        """Per-urn ``[version, crc32(stored wire)]`` summary of the table.
 
         The version-vector half of anti-entropy: two replicas exchange
         these to find exactly the objects that differ, then transfer
         only those (:meth:`subset_snapshot` / :meth:`merge_subset`).
         """
         vector: dict[str, list] = {}
-        for urn in sorted(self.store.keys()):
-            value, version = self.store.get(urn)
-            vector[urn] = [version, zlib.crc32(marshal(value)) & 0xFFFFFFFF]
+        for urn, entry in sorted(self.objects.items()):
+            vector[urn] = [entry.wire["version"], zlib.crc32(marshal(entry.wire)) & 0xFFFFFFFF]
         return vector
 
     def subset_snapshot(self, urns: Iterable[str]) -> dict:
-        """Durable state restricted to ``urns`` (anti-entropy transfer)."""
-        wanted = sorted(set(urns))
+        """The entries of ``urns`` (anti-entropy transfer): stored wires
+        (``[wire, version]``), histories and committer indexes."""
+        entries = [(u, self.objects[u]) for u in sorted(set(urns)) if u in self.objects]
         return unmarshal(
             marshal(
                 {
-                    "store": {
-                        u: list(self.store.get(u)) for u in wanted if u in self.store
-                    },
-                    "history": {
-                        u: list(self._history[u]) for u in wanted if u in self._history
-                    },
+                    "store": {u: [e.wire, e.wire["version"]] for u, e in entries},
+                    "history": {u: e.history for u, e in entries},
                     "committed_replies": {
-                        u: list(self._committed_replies[u].items())
-                        for u in wanted
-                        if u in self._committed_replies
+                        u: list(e.committed.items()) for u, e in entries if e.committed is not None
                     },
                 }
             )
@@ -387,28 +379,34 @@ class RoverServer:
         its lock table.
 
         Used when a crashed (or deposed) replica rejoins: each differing
-        object is installed as the primary holds it (:meth:`install`),
-        its version history and committer index included -- this
-        member's own index may name writes that never reached a quorum:
-        replayed from it, the primary's record of the same request would
-        never apply here -- and objects the primary no longer holds are
-        deleted.  The volatile applied cache is cleared: it may describe
-        a divergent history that never reached quorum.
+        object's entry is replaced by the primary's (:meth:`install`),
+        version history and committer index included -- this member's
+        own index may name writes that never reached a quorum: replayed
+        from it, the primary's record of the same request would never
+        apply here -- and objects the primary no longer holds are
+        deleted, entry and all.  The volatile applied cache is cleared:
+        it may describe a divergent history that never reached quorum.
         """
         for urn in sorted(set(deletions)):
-            self.store.delete(urn)
-            self._history.pop(urn, None)
-            self._committed_replies.pop(urn, None)
+            self.objects.pop(urn, None)
         histories = subset.get("history", {})
         committed = subset.get("committed_replies", {})
         for urn, (wire, version) in subset.get("store", {}).items():
-            if self.install(urn, version, wire["data"], committed.get(urn, ()), wire=wire):
-                self._history[urn][:0] = [
-                    (older, data) for older, data in histories.get(urn, ()) if older < version
-                ]
+            self.install(
+                urn, version, wire["data"], committed.get(urn, ()), wire, histories.get(urn, ())
+            )
         if locks is not None:
             self._locks = {urn: (holder, float(expires)) for urn, holder, expires in locks}
         self._applied.clear()
+
+    def restart(self) -> None:
+        """Come back from a crash.  The object table is the durable state
+        and stays as it was; the at-most-once reply cache and the lock
+        table (a lease does not outlive the process) start empty.  A
+        retransmitted write that already committed is answered from its
+        object's committer index (:meth:`serve`)."""
+        self._applied.clear()
+        self._locks = {}
 
     # -- primary-backup replication (repro.ha) ------------------------------
 
@@ -419,8 +417,9 @@ class RoverServer:
         moved, kept = self.watermarks_moved, self._applied.puts
         if type(urn) is not str:
             return None, None, moved, kept
-        history = self._history.get(urn)
-        return history[-1] if history else None, self._locks.get(urn), moved, kept
+        entry = self.objects.get(urn)
+        top = entry.history[-1] if entry is not None and entry.history else None
+        return top, self._locks.get(urn), moved, kept
 
     def write_set(self, urn: Any, mark: tuple, body: Any) -> dict:
         """What a request that ran since :meth:`write_mark` gave ``mark``
@@ -443,12 +442,12 @@ class RoverServer:
         top, lease, moved, kept = mark
         write: dict = {}
         if type(urn) is str:
-            history = self._history.get(urn)
+            entry = self.objects.get(urn)
             request_id = body.get("request_id")
-            if history and history[-1] is not top:
-                version, data = history[-1]
+            if entry is not None and entry.history and entry.history[-1] is not top:
+                version, data = entry.history[-1]
                 write = {"urn": urn, "version": version, "data": data}
-                reply = self._committed_replies.get(urn, {}).get(request_id)
+                reply = entry.committed.get(request_id) if entry.committed else None
                 if reply is not None:
                     write["request_id"], write["reply"] = request_id, reply
             elif self._applied.puts != kept:
@@ -510,97 +509,98 @@ class RoverServer:
         data: Any,
         committed: Iterable[tuple[str, dict]] = (),
         wire: Optional[dict] = None,
+        history: Iterable[tuple[int, Any]] = (),
     ) -> bool:
         """Store version ``version`` of ``urn``, holding ``data``, as the
         primary wrote it: the one way a member takes a write it did not
         run, from a shipped record or an anti-entropy answer.
 
         ``data`` is handed over (decoded off the wire, shared with
-        nothing): the store keeps it and the version history a private
-        copy; ``committed`` holds the ``(request id, reply)``
+        nothing): the stored wire keeps it and the version history a
+        private copy; ``committed`` holds the ``(request id, reply)``
         committer-index entries the version brings.  A record passes no
-        ``wire``: the object must be held here at the version before, and
-        keeps its code and interface (they are fixed per URN).
-        Anti-entropy passes the primary's ``wire``, which replaces
-        whatever this member held of the object, version history and
-        committer index included.  False, with nothing changed, when a
-        record's version does not follow the one held or ``data`` does
-        not encode.
+        ``wire`` and appends to the entry: the object must be held here
+        at the version before, and keeps its code and interface (they
+        are fixed per URN).  Anti-entropy passes the primary's ``wire``
+        and its older ``history``, and the entry is replaced whole.
+        False, with nothing changed, when a record's version does not
+        follow the one held or ``data`` does not encode.
         """
-        held = self.store.entry(urn)
+        entry = self.objects.get(urn)
         replace = wire is not None
         if not replace:
-            if held is None or held[1] + 1 != version:
+            if entry is None or entry.wire["version"] + 1 != version:
                 return False
-            wire = held[0]
+            wire = entry.wire
         try:
             raw = marshal(data)
         except MarshalError:
             return False
-        if replace:
-            self._history.pop(urn, None)
-            self._committed_replies.pop(urn, None)
         stored = dict(wire)
         stored["data"] = data
         stored["version"] = version
-        self.store.set(urn, stored, version)
-        self._remember(urn, version, data, raw=raw)
-        for request_id, reply in committed:
-            self._remember_committed(urn, request_id, reply)
+        if replace:
+            entry = self.objects[urn] = ObjectEntry(
+                stored, [(older, copy) for older, copy in history if older < version]
+            )
+        else:
+            entry.wire = stored
+        self._remember(entry, data, raw, committed)
         return True
 
     def get_object(self, urn: str) -> Optional[RDO]:
-        entry = self.store.entry(urn)
-        if entry is None:
-            return None
-        rdo = RDO.from_wire(entry[0])
-        rdo.version = entry[1]
-        return rdo
+        entry = self.objects.get(urn)
+        return None if entry is None else RDO.from_wire(entry.wire)
 
     def _remember(
-        self, urn: str, version: int, data: Any, raw: Optional[bytes] = None
+        self, entry: ObjectEntry, data: Any, raw: Optional[bytes] = None,
+        committed: Iterable[tuple[str, dict]] = (),
     ) -> None:
-        """Keep a private copy of ``data`` (``raw``: its encoding, when
-        the caller already made one) in the version history."""
-        history = self._history.setdefault(urn, [])
-        history.append((version, unmarshal(raw if raw is not None else marshal(data))))
-        if len(history) > self.history_limit:
-            del history[: len(history) - self.history_limit]
-
-    def _remember_committed(
-        self, urn: str, request_id: Optional[str], reply: dict
-    ) -> None:
-        if request_id is None:
-            return
-        committed = self._committed_replies.setdefault(urn, OrderedDict())
-        committed[request_id] = reply
-        committed.move_to_end(request_id)
-        while len(committed) > self.history_limit:
-            committed.popitem(last=False)
+        """Add ``entry``'s stored version to its history, as a private
+        copy of ``data`` (``raw``: its encoding, when the caller already
+        made one), and the ``(request id, reply)`` committer-index
+        entries it brings; each keeps the newest :attr:`HISTORY_LIMIT`."""
+        limit = self.HISTORY_LIMIT
+        history = entry.history
+        copy = unmarshal(raw if raw is not None else marshal(data))
+        history.append((entry.wire["version"], copy))
+        if len(history) > limit:
+            del history[: len(history) - limit]
+        for request_id, reply in committed:
+            index = entry.committed
+            if index is None:
+                index = entry.committed = OrderedDict()
+            index[request_id] = reply
+            index.move_to_end(request_id)
+            while len(index) > limit:
+                index.popitem(last=False)
 
     def _commit(
-        self, urn: str, wire: dict, data: Any, raw: Optional[bytes],
+        self, urn: str, entry: ObjectEntry, data: Any, raw: Optional[bytes],
         body: dict, source: Address, reply: dict,
     ) -> dict:
         """Store ``data`` (``raw``: its encoding, if made) as the next
-        version of ``urn``, whose stored wire is ``wire``: the store, the
+        version of ``urn``, held in ``entry``: a new stored wire, the
         version history and the subscribers.  ``reply`` gets the new
         ``version`` and is kept in the committer index under the
         request's id; it is returned."""
-        new_wire = dict(wire)
-        new_wire["data"] = data
-        version = reply["version"] = self.store.put(urn, new_wire)
-        new_wire["version"] = version  # the store holds ``new_wire`` itself
-        self._remember(urn, version, data, raw=raw)
-        self._remember_committed(urn, body.get("request_id"), reply)
+        wire = dict(entry.wire)
+        wire["data"] = data
+        version = reply["version"] = wire["version"] = wire["version"] + 1
+        entry.wire = wire
+        request_id = body.get("request_id")
+        self._remember(entry, data, raw, () if request_id is None else ((request_id, reply),))
         if self._subscriptions:
             self._notify_subscribers(urn, version, except_host=source[0])
         return reply
 
-    def _base_data(self, urn: str, version: int) -> Optional[Any]:
-        for stored_version, data in self._history.get(urn, []):
-            if stored_version == version:
-                return data
+    @staticmethod
+    def _base_data(entry: Optional[ObjectEntry], version: int) -> Optional[Any]:
+        """The version history's copy of ``version``, if ``entry`` holds it."""
+        if entry is not None:
+            for stored_version, data in entry.history:
+                if stored_version == version:
+                    return data
         return None
 
     # -- at-most-once -------------------------------------------------------
@@ -626,9 +626,7 @@ class RoverServer:
         return None, split
 
     def _record_reply(self, request_id: str, split: _Split, reply: dict) -> dict:
-        self.applied_pruned += self._applied.put(
-            request_id, split, reply, self.applied_cache_cap
-        )
+        self.applied_pruned += self._applied.put(request_id, split, reply, self.APPLIED_CACHE_CAP)
         return reply
 
     def _observe_watermark(self, body: Any) -> None:
@@ -693,8 +691,9 @@ class RoverServer:
             if cached is not None:
                 return cached
             urn = body.get("urn")
-            committed = self._committed_replies.get(urn, ()) if type(urn) is str else ()
-            if request_id in committed:
+            entry = self.objects.get(urn) if type(urn) is str else None
+            committed = entry.committed if entry is not None else None
+            if committed and request_id in committed:
                 self.duplicates_suppressed += 1
                 return self._record_reply(request_id, split, committed[request_id])
         try:
@@ -710,12 +709,11 @@ class RoverServer:
     @replay_pure
     def _on_import(self, body: Any, source: Address) -> Any:
         urn = body["urn"]
-        entry = self.store.entry(urn)
+        entry = self.objects.get(urn)
         if entry is None:
             return {"status": "not-found", "urn": urn}
         self.imports_served += 1
-        wire = dict(entry[0])
-        wire["version"] = entry[1]
+        wire = entry.wire
         full = {"status": "ok", "rdo": wire, "version": wire["version"]}
         have = body.get("have_version")
         if have is None:
@@ -724,10 +722,9 @@ class RoverServer:
         # structural delta against it when that is actually smaller.
         # The delta covers only the data (code/interface are immutable
         # per URN), so the reply omits the rdo wire entirely.
-        from repro.net.message import Premarshalled, marshalled_size
         from repro.perf.delta import diff_value
 
-        base = self._base_data(urn, int(have))
+        base = self._base_data(entry, int(have))
         if base is None:
             return full
         # Encoded once: sized from its bytes here, spliced into the
@@ -754,16 +751,16 @@ class RoverServer:
             raise TypeError(f"base_version={base_version!r:.60}")
         client_data = body.get("data") if "delta" in body else body["data"]
         client_raw = None
+        entry = self.objects.get(urn)
         if "delta" in body and "data" not in body:
             # Delta export: reconstruct the client's full data from the
             # base version both sides hold.  A history miss or a delta
             # that does not fit the base gets "need-full", the refusal the
             # door does not keep, so the client's full-data resend under
             # the same request id still applies.
-            from repro.net.message import marshalled_size
             from repro.perf.delta import DeltaError, apply_delta
 
-            base = self._base_data(urn, base_version)
+            base = self._base_data(entry, base_version)
             if base is None:
                 return {"status": "need-full", "urn": urn}
             try:
@@ -776,10 +773,10 @@ class RoverServer:
             saved = len(client_raw) - marshalled_size(body["delta"])
             if saved > 0:
                 self.delta_bytes_saved_up += saved
-        entry = self.store.entry(urn)
         if entry is None:
             return {"status": "not-found", "urn": urn}
-        wire, current_version = entry
+        wire = entry.wire
+        current_version = wire["version"]
         holder = self._lock_holder(urn)
         if holder is not None and body.get("session", "") != holder:
             # Another session holds the application-level lock.
@@ -788,12 +785,12 @@ class RoverServer:
         if base_version == current_version:
             self.exports_committed += 1
             reply = {"status": "committed", "version": None}
-            return self._commit(urn, wire, client_data, client_raw, body, source, reply)
+            return self._commit(urn, entry, client_data, client_raw, body, source, reply)
 
         # Concurrent update: attempt type-specific resolution.
         type_name = wire.get("type", "")
         resolver = self.resolvers.for_type(type_name)
-        base_data = self._base_data(urn, base_version)
+        base_data = self._base_data(entry, base_version)
         resolution = resolver.resolve(base_data, wire.get("data"), client_data)
         if resolution.resolved:
             self.exports_resolved += 1
@@ -805,7 +802,7 @@ class RoverServer:
                 "value": _detached(resolution.merged_value),
                 "detail": resolution.detail,
             }
-            return self._commit(urn, wire, resolution.merged_value, None, body, source, reply)
+            return self._commit(urn, entry, resolution.merged_value, None, body, source, reply)
 
         self.exports_conflicted += 1
         report = ConflictReport(
@@ -823,11 +820,12 @@ class RoverServer:
         urn = body["urn"]
         method = body["method"]
         args = body.get("args", [])
-        entry = self.store.entry(urn)
+        entry = self.objects.get(urn)
         if entry is None:
             return {"status": "not-found", "urn": urn}
         # The method runs on the stored object itself.
-        wire, version = entry
+        wire = entry.wire
+        version = wire["version"]
         interface_wire = wire.get("interface", [])
         interface = self._interfaces.get(repr(interface_wire))
         if interface is None:
@@ -854,14 +852,14 @@ class RoverServer:
         except Exception:
             # The method ran on the stored data itself: put back a copy
             # of the version history's private copy of the stored version.
-            wire["data"] = unmarshal(marshal(self._base_data(urn, version)))
+            wire["data"] = unmarshal(marshal(self._base_data(entry, version)))
             raise
         finally:
             if functions:  # a pure-data object loads nothing
                 self.interpreter.release(functions)
         steps = self.interpreter.steps_used
         if not spec.mutates:
-            committed = self._base_data(urn, version)
+            committed = self._base_data(entry, version)
             if not same_encoding(data, committed):
                 # Declared read-only, yet it wrote the stored data (the
                 # verifier cannot see every alias): every cached copy of
@@ -872,7 +870,7 @@ class RoverServer:
         self.invokes_served += 1
         reply: dict = {"status": "ok", "result": result}
         if spec.mutates:
-            self._commit(urn, wire, data, raw, body, source, reply)
+            self._commit(urn, entry, data, raw, body, source, reply)
         return DelayedReply(self.cost_model.invoke_time(steps), reply)
 
     def _decode_interface(self, interface_wire: Any) -> RDOInterface:
@@ -909,11 +907,11 @@ class RoverServer:
             raise RDOVerificationError("shipped RDO", diagnostics)
 
         def lookup(urn: str) -> Any:
-            wire = self.store.get_value(urn)
-            return None if wire is None else wire.get("data")
+            entry = self.objects.get(urn)
+            return None if entry is None else entry.wire.get("data")
 
         def list_objects(prefix: str = "") -> list:
-            return sorted(key for key in self.store.keys() if key.startswith(prefix))
+            return sorted(key for key in self.objects if key.startswith(prefix))
 
         functions = self.interpreter.load(
             code, extra_env={"lookup": lookup, "objects": list_objects}
@@ -1008,7 +1006,7 @@ class RoverServer:
     def _on_list(self, body: Any, source: Address) -> Any:
         """Enumerate object names under a prefix (hoard-walk support)."""
         prefix = body.get("prefix", "")
-        names = sorted(key for key in self.store.keys() if key.startswith(prefix))
+        names = sorted(key for key in self.objects if key.startswith(prefix))
         return {"status": "ok", "urns": names}
 
     @replay_pure
@@ -1031,8 +1029,6 @@ class RoverServer:
     def _notify_subscribers(
         self, urn: str, version: int, except_host: Optional[str] = None
     ) -> None:
-        from repro.net.simnet import LinkDown
-
         for host_name, prefixes in self._subscriptions.items():
             if host_name == except_host:
                 continue  # the writer already holds the new version

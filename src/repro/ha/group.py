@@ -170,11 +170,15 @@ class ReplicaSet:
         (not a fence, from the current reign: every status it stamps, a
         handler's ``error`` too); ``MOVED`` when the set now points
         elsewhere — at a member a fence named, or already away from a
-        deposed primary's late answer; ``NO_PROGRESS`` otherwise."""
+        deposed primary's late answer; ``NO_PROGRESS`` otherwise, and
+        whenever its ``ha_epoch`` is not an ``int``: no member stamps
+        one, so it is never believed."""
         if not isinstance(reply, dict):
             return None
         epoch = reply.get("ha_epoch")
-        fresh = epoch is None or self.observe_epoch(int(epoch))
+        if epoch is not None and type(epoch) is not int:
+            return NO_PROGRESS
+        fresh = epoch is None or self.observe_epoch(epoch)
         fenced = reply.get("status") == "not-primary"
         if fresh and not fenced:
             self.suspect = ""

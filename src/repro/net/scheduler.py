@@ -257,8 +257,11 @@ class NetworkScheduler:
     """Priority-queued, route-selecting message drainer for one host."""
 
     METRICS = (
-        ("sched_delivered_total", "counter", "Messages answered", "delivered"),
-        ("sched_failed_total", "counter", "Messages terminally failed", "failed"),
+        ("sched_delivered_total", "counter",
+         "Replies received, a replica group's fence included", "delivered"),
+        ("sched_failed_total", "counter",
+         "Attempt budgets spent (a replica group's message may get another; "
+         "see qrpc_failed_total)", "failed"),
         ("sched_retransmissions_total", "counter",
          "Re-dispatches after a failed attempt", "retransmissions"),
         ("sched_batches_sent_total", "counter",

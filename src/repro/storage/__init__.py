@@ -6,12 +6,12 @@ host.  This package provides:
 
 * :mod:`repro.storage.stable_log` — an append-only record log with a
   flush barrier, CRC-checked recovery, and a cost model for how long a
-  flush takes (the quantity experiment E2 puts on the critical path);
-* :mod:`repro.storage.kvstore` — a small versioned key/value store
-  used by the Rover server as its object store.
+  flush takes (the quantity experiment E2 puts on the critical path).
+
+The server's objects live in its own table
+(:class:`repro.core.server.ObjectEntry`).
 """
 
-from repro.storage.kvstore import KVStore
 from repro.storage.stable_log import (
     FileLogBackend,
     FlushModel,
@@ -23,7 +23,6 @@ from repro.storage.stable_log import (
 __all__ = [
     "FileLogBackend",
     "FlushModel",
-    "KVStore",
     "LogRecord",
     "MemoryLogBackend",
     "StableLog",

@@ -56,11 +56,16 @@ from tests.conftest import make_note
 SRC = ("client", 0)
 
 
-def build_server(**kwargs):
+def build_server(resolvers=None, **constants):
+    """A bare server; ``constants`` (``HISTORY_LIMIT=1``, ...) are set on
+    the instance."""
     sim = Simulator()
     net = Network(sim)
     transport = Transport(sim, net.host("server"))
-    return RoverServer(sim, transport, "server", **kwargs)
+    server = RoverServer(sim, transport, "server", resolvers=resolvers)
+    for name, value in constants.items():
+        setattr(server, name, value)
+    return server
 
 
 # -- replayed minimized counterexamples ---------------------------------------
@@ -131,9 +136,9 @@ def test_replayed_counterexample_crash_drain_stale_route():
 def test_watermark_floor_dedupes_evicted_invoke_replay():
     """Satellite 1: the eviction the watermark licenses is only sound if
     the watermark itself keeps deduplicating the evicted ids."""
-    # history_limit=1 also shrinks the committer index to one entry per
+    # HISTORY_LIMIT=1 also shrinks the committer index to one entry per
     # urn, so the watermark floor is the only guard left standing.
-    server = build_server(history_limit=1)
+    server = build_server(HISTORY_LIMIT=1)
     box = make_box("server")
     server.put_object(box)
     urn = str(box.urn)
@@ -157,7 +162,7 @@ def test_watermark_floor_dedupes_evicted_invoke_replay():
 
 
 def test_watermark_floor_rejects_evicted_export_replay():
-    server = build_server(history_limit=1)
+    server = build_server(HISTORY_LIMIT=1)
     note = make_note()
     server.put_object(note)
     urn = str(note.urn)
@@ -185,7 +190,7 @@ def test_watermark_floor_rejects_evicted_export_replay():
 def test_committer_index_answers_evicted_export_replay():
     """Satellite 2: a replayed-but-evicted committed export must get its
     original reply back, not re-negotiate against version history."""
-    server = build_server(applied_cache_cap=2)
+    server = build_server(APPLIED_CACHE_CAP=2)
     note = make_note()
     server.put_object(note)
     urn = str(note.urn)
@@ -219,7 +224,7 @@ def test_committer_index_replays_resolved_reply_with_merged_value():
     overwrite the merge (acked updates lost at server)."""
     registry = ResolverRegistry()
     registry.register("note", FieldwiseMerge())
-    server = build_server(applied_cache_cap=2, resolvers=registry)
+    server = build_server(APPLIED_CACHE_CAP=2, resolvers=registry)
     urn = URN("server", "doc")
     server.put_object(RDO(urn, "note", {"a": 1, "b": 2}))
 
@@ -253,14 +258,13 @@ def test_committer_index_replays_resolved_reply_with_merged_value():
 
 
 def test_committer_index_survives_server_restart():
-    server = build_server(applied_cache_cap=2)
+    server = build_server(APPLIED_CACHE_CAP=2)
     note = make_note()
     server.put_object(note)
     urn = str(note.urn)
     body = {"urn": urn, "base_version": 1, "data": {"text": "v1"}, "request_id": "c/0"}
     original = server.serve("rover.export", body, SRC)
-    snapshot = server.snapshot()
-    server.restore(snapshot)
+    server.restart()
     assert "c/0" not in server._applied  # the volatile cache died
     replay = server.serve("rover.export", dict(body), SRC)
     assert replay == original
@@ -327,7 +331,7 @@ def test_indexed_applied_cache_matches_the_scanning_one():
 
     rng = make_rng(7, "applied-index")
     cap = 6
-    server = build_server(applied_cache_cap=cap)
+    server = build_server(APPLIED_CACHE_CAP=cap)
     model = _ScanningAppliedCache(cap)
     clients = ["a", "b+1", "a/b"]  # the last: a prefix with a slash in it
     for step in range(3000):

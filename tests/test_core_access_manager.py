@@ -347,10 +347,8 @@ def _queued_imports(bed) -> list[str]:
 def _put_new_version(bed, urn: str, text: str) -> int:
     """Commit a change at the server behind the client's back."""
     current = bed.server.get_object(urn)
-    wire = current.to_wire()
-    wire["data"] = {**current.data, "text": text}
-    version = bed.server.store.put(urn, wire)
-    bed.server._remember(urn, version, wire["data"])
+    version = current.version + 1
+    assert bed.server.install(urn, version, {**current.data, "text": text})
     return version
 
 

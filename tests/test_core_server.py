@@ -35,6 +35,80 @@ def test_put_and_get_object(server):
     assert stored.version == 1
 
 
+# -- the object table: one entry per object ----------------------------------
+
+
+def export(server, urn, base_version, text, request_id):
+    return server.serve(
+        "rover.export",
+        {"urn": urn, "base_version": base_version, "data": {"text": text},
+         "request_id": request_id},
+        SRC,
+    )
+
+
+def test_the_first_version_of_an_object_is_1_and_reads_back_whole(server):
+    note = make_note()
+    assert server.put_object(note) == 1
+    urn = str(note.urn)
+    entry = server.objects[urn]
+    assert entry.wire["version"] == 1 and entry.committed is None
+    assert [version for version, __ in entry.history] == [1]
+    stored = server.get_object(urn)
+    assert (stored.data, stored.version) == ({"text": "hello"}, 1)
+    assert list(server.state_vector()) == [urn] and server.state_vector()[urn][0] == 1
+
+
+def test_each_commit_adds_1_to_its_own_object_s_version(server):
+    note = make_note()
+    assert server.put_object(note) == 1
+    urn = str(note.urn)
+    entry = server.objects[urn]
+    assert export(server, urn, 1, "v2", "c/0")["version"] == 2
+    assert export(server, urn, 2, "v3", "c/1")["version"] == 3
+    assert server.put_object(note) == 4  # replacing it is a new version too
+    assert server.objects[urn] is entry  # the same entry throughout
+    assert [version for version, __ in entry.history] == [1, 2, 3, 4]
+    assert list(entry.committed) == ["c/0", "c/1"]
+    assert server.state_vector()[urn][0] == server.get_object(urn).version == 4
+    # Versions count per object: another one starts at 1.
+    other = make_note(path="notes/n2")
+    assert server.put_object(other) == 1
+    assert server.get_object(urn).version == 4
+
+
+def test_a_record_installs_only_at_the_held_version_plus_1(server):
+    note = make_note()
+    server.put_object(note)
+    urn = str(note.urn)
+    before = marshal(server.subset_snapshot([urn]))
+    assert not server.install(urn, 3, {"text": "skips one"}, [("c/0", {"status": "ok"})])
+    assert not server.install(urn, 1, {"text": "again"})
+    assert not server.install("urn:rover:server/none", 1, {"text": "not held"})
+    assert marshal(server.subset_snapshot([urn])) == before
+    assert "urn:rover:server/none" not in server.objects
+    assert server.install(urn, 2, {"text": "next"}, [("c/0", {"status": "ok"})])
+    stored = server.get_object(urn)
+    assert (stored.version, stored.data) == (2, {"text": "next"})
+    assert server.objects[urn].committed == {"c/0": {"status": "ok"}}
+
+
+def test_an_anti_entropy_deletion_drops_the_object_with_its_history_and_index(server):
+    note = make_note()
+    server.put_object(note)
+    urn = str(note.urn)
+    original = export(server, urn, 1, "v2", "c/0")
+    server.merge_subset({}, [urn])
+    assert urn not in server.objects and server.state_vector() == {}
+    assert server.subset_snapshot([urn]) == {"store": {}, "history": {}, "committed_replies": {}}
+    # Published again, it starts over: no history, no committer index
+    # to answer the replay from, so the request runs again.
+    server.put_object(note)
+    assert [version for version, __ in server.objects[urn].history] == [1]
+    assert export(server, urn, 1, "v2", "c/0") == original
+    assert server.exports_committed == 2 and server.duplicates_suppressed == 0
+
+
 def test_import_returns_current_copy(server):
     note = make_note()
     server.put_object(note)
@@ -208,7 +282,8 @@ def test_history_enables_three_way_merge():
     transport = Transport(sim, net.host("server"))
     registry = ResolverRegistry()
     registry.register("note", FieldwiseMerge())
-    server = RoverServer(sim, transport, "server", resolvers=registry, history_limit=2)
+    server = RoverServer(sim, transport, "server", resolvers=registry)
+    server.HISTORY_LIMIT = 2
     urn = URN("server", "doc")
     server.put_object(RDO(urn, "note", {"a": 1}))
     # Push the base version out of the bounded history.
@@ -413,7 +488,7 @@ def test_a_retransmitted_lock_after_its_unlock_takes_nothing():
 def door_state(server):
     """Everything a refused request must leave as it was."""
     return (
-        marshal(server.snapshot()),
+        marshal(server.subset_snapshot(server.objects)),
         sorted([urn, *lease] for urn, lease in server._locks.items()),
         [(rid, reply) for rid, (reply, __) in server._applied._replies.items()],
         dict(server._client_watermarks),

@@ -256,9 +256,10 @@ class TestFailover:
         # same message went on to the member that answered.
         assert bed.clients[0].scheduler.retransmissions >= 1
         assert access.servers[bed.authority].rotations >= 1
-        assert session.writes() == {urn: bed.server.store.version(urn)}
+        version = bed.server.get_object(urn).version
+        assert session.writes() == {urn: version}
         # ...and the guarantee it buys: a stale copy is not acceptable.
-        assert not session.acceptable(urn, bed.server.store.version(urn) - 1)
+        assert not session.acceptable(urn, version - 1)
 
     def test_client_rotates_to_promoted_backup(self):
         bed, _urn, _acked, _ = self.drive_kill_mid_drain()
@@ -584,9 +585,8 @@ class TestCheckerRegressions:
         urn = str(box.urn)
         first, second = bed.members[0][0], bed.members[1][0]
         first.get_object(urn)  # materialization must not be required
-        value, _version = first.store.get(urn)
-        value["data"]["items"].append("locally-mutated")
-        assert second.store.get(urn)[0]["data"]["items"] == []
+        first.objects[urn].wire["data"]["items"].append("locally-mutated")
+        assert second.objects[urn].wire["data"]["items"] == []
 
     def test_checker_default_trace_is_clean(self):
         from repro.check.scenarios import get_scenario

@@ -155,6 +155,32 @@ class TestReplicaSet:
         assert not rs.observe_epoch(0)
         assert rs.epoch_seen == 1
 
+    @pytest.mark.parametrize("stamp", ["x", True, 1.9])
+    def test_a_reply_whose_epoch_is_not_an_int_is_never_believed(self, stamp):
+        """A member's reply stamped with an ``ha_epoch`` that is not an
+        ``int`` is no answer and names no epoch: each spends a round,
+        and the request fails once the rounds run out.  ``"x"`` raised
+        ``ValueError`` out of ``Simulator.run``; ``True`` and ``1.9``
+        were read as epoch 1 and believed."""
+        bed = build_ha_testbed(n_backups=2)
+        box = make_box(bed.authority, "check/box")
+        bed.put_object(box)
+        client = bed.clients[0]
+        accept = client.transport._accept_reply
+
+        def restamp(envelope):
+            body = envelope.get("body")
+            if isinstance(body, dict):
+                envelope = {**envelope, "body": {**body, "ha_epoch": stamp}}
+            accept(envelope)
+
+        client.transport._accept_reply = restamp
+        promise = client.access.invoke_remote(str(box.urn), "add", ["a"])
+        bed.sim.run_until(lambda: promise.ready or promise.failed, timeout=3_600.0)
+        assert promise.failed
+        replica_set = client.access.servers[bed.authority]
+        assert replica_set.epoch_seen == 0 and replica_set.max_rounds == 8
+
     def test_empty_set_rejected(self):
         try:
             ReplicaSet([], "server")
@@ -499,7 +525,8 @@ class TestReadPath:
             if kind == "records":
                 real(*args, **kwargs)
         rdo = imported.wait(bed.sim)
-        assert rdo.data == primary.server._base_data(urn, rdo.version) == {"items": ["a"]}
+        held = primary.server.objects[urn]
+        assert rdo.data == primary.server._base_data(held, rdo.version) == {"items": ["a"]}
         assert reader.cache.lookup(urn).rdo.data == {"items": ["a"]}
 
     def test_a_gated_write_reply_ships_the_result_it_had(self):
@@ -709,7 +736,7 @@ def held_state(server):
     """A member's store, version history, committer index and lock table,
     encoded: equal bytes, equal state."""
     locks = sorted([urn, *lease] for urn, lease in server._locks.items())
-    return marshal([server.snapshot(), locks])
+    return marshal([server.subset_snapshot(server.objects), locks])
 
 
 class TestRecordInstall:
@@ -741,9 +768,10 @@ class TestRecordInstall:
         assert set(record) == {"seq", "epoch", "write"}
         assert write["urn"] == urn and write["version"] == 2 and write["data"] == {"items": ["a"]}
         # The version history's own copy, not the live stored data.
-        assert write["data"] is primary.server._history[urn][-1][1]
-        assert write["data"] is not primary.server.store.get(urn)[0]["data"]
-        assert write["reply"] == primary.server._committed_replies[urn][write["request_id"]]
+        entry = primary.server.objects[urn]
+        assert write["data"] is entry.history[-1][1]
+        assert write["data"] is not entry.wire["data"]
+        assert write["reply"] == entry.committed[write["request_id"]]
         settle(bed)
         for agent in bed.group.agents[1:]:
             assert agent.server.invokes_served == 0 and agent.server.reads_served == 0

@@ -195,10 +195,8 @@ def test_warm_reimport_ships_a_delta():
     current = bed.server.get_object(str(note.urn))
     changed = dict(current.data)
     changed["text"] = "v2"
-    new_wire = current.to_wire()
-    new_wire["data"] = changed
-    new_version = bed.server.store.put(str(note.urn), new_wire)
-    bed.server._remember(str(note.urn), new_version, changed)
+    new_version = current.version + 1
+    assert bed.server.install(str(note.urn), new_version, changed)
 
     bed.access.import_(note.urn, session, refresh=True)
     bed.sim.run()
@@ -237,7 +235,7 @@ def test_history_miss_falls_back_to_full_import():
     bed.access.import_(note.urn, session)
     bed.sim.run()
     # Evict the server's version history: the delta base is gone.
-    bed.server._history.clear()
+    bed.server.objects[str(note.urn)].history.clear()
     promise = bed.access.import_(note.urn, session, refresh=True)
     bed.sim.run()
     assert promise.ready and not promise.failed
@@ -275,7 +273,7 @@ def test_need_full_resend_commits_under_same_request_id():
     bed.sim.run()
 
     # Kill the server's history so the delta export cannot apply.
-    bed.server._history.clear()
+    bed.server.objects[str(note.urn)].history.clear()
     bed.access.invoke(note.urn, "set_text", "v2", session=session)
     bed.sim.run()
 
@@ -305,7 +303,7 @@ def test_server_need_full_is_not_recorded_at_most_once():
         "urn": urn,
         "request_id": "client+1/42",
         "session": "s",
-        "base_version": bed.server.store.version(urn),
+        "base_version": bed.server.get_object(urn).version,
         "data": {"text": "new"},
     }
     reply = bed.server.serve("rover.export", full, ("client", 0))

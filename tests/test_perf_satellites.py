@@ -90,7 +90,7 @@ def test_lru_cap_backstops_the_applied_cache():
     bed = build_testbed(link_spec=ETHERNET_10M)
     note = make_note()
     bed.server.put_object(note)
-    bed.server.applied_cache_cap = 3
+    bed.server.APPLIED_CACHE_CAP = 3
     _run_sequential_invokes(bed, note, 10)
     assert len(bed.server._applied) <= 3
 

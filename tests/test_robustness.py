@@ -233,8 +233,8 @@ def test_an_interface_wire_decodes_or_is_refused_at_each_invoke(name):
     note = make_note()
     bed.server.put_object(note)
     urn = str(note.urn)
-    wire, version = bed.server.store.get(urn)
-    bed.server.merge_subset({"store": {urn: [dict(wire, interface=interface), version]}}, [])
+    wire = bed.server.objects[urn].wire
+    bed.server.merge_subset({"store": {urn: [dict(wire, interface=interface), wire["version"]]}}, [])
     outcomes = []
     for method, args in (("length", []), ("set_text", ["x"]), ("length", [])):
         promise = bed.access.invoke_remote(urn, method, args)
@@ -263,8 +263,8 @@ def test_an_object_whose_interface_does_not_decode_is_refused_at_import(name):
     note = make_note()
     bed.server.put_object(note)
     urn = str(note.urn)
-    wire, version = bed.server.store.get(urn)
-    bed.server.merge_subset({"store": {urn: [dict(wire, interface=interface), version]}}, [])
+    wire = bed.server.objects[urn].wire
+    bed.server.merge_subset({"store": {urn: [dict(wire, interface=interface), wire["version"]]}}, [])
     waiters = [bed.access.import_(urn), bed.access.import_(urn)]  # one request, two waiters
     assert bed.access.drain(timeout=600.0)
     assert all(waiter.failed for waiter in waiters)

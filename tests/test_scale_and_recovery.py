@@ -147,7 +147,7 @@ class TestNegativePaths:
         note = make_note()
         bed.server.put_object(note)
         bed.access.import_(note.urn).wait(bed.sim)
-        bed.server.store.delete(str(note.urn))
+        del bed.server.objects[str(note.urn)]
         bed.access.invoke(note.urn, "set_text", "orphan edit")
         bed.sim.run(until=30.0)
         # The export terminates (not-found) rather than looping forever.

@@ -1,40 +1,60 @@
-"""Server crash/restart: durable store survives, volatile caches do not.
+"""Server crash/restart: the object table survives, volatile caches do not.
 
 The interesting correctness question: the at-most-once applied-reply
 cache is volatile, so after a restart a retransmitted export is *not*
-recognized as a duplicate.  The system still converges because version
-stamps catch the replay: the retransmission arrives with a stale base
-version and flows through the type-specific resolver, which merges it
-idempotently for well-formed types.
+recognized as a duplicate there.  The system still converges: a write
+that committed is answered from its object's committer index, and a
+replay that meets a newer version flows through the type-specific
+resolver, which merges it idempotently for well-formed types.
 """
 
 from repro.apps.mail import MailServerApp, RoverMailReader
+from repro.chaos import ChaosController
 from repro.core.conflict import FieldwiseMerge
 from repro.net.link import ETHERNET_10M, IntervalTrace
+from repro.net.message import marshal
 from repro.testbed import build_testbed
 from tests.conftest import make_note
 
 
 def crash_and_restart(bed) -> None:
-    """Simulate a server restart in place: durable state only."""
-    snapshot = bed.server.snapshot()
-    bed.server.restore(snapshot)
+    """Simulate a server restart in place: what is durable stays."""
+    bed.server.restart()
 
 
-def test_snapshot_restore_roundtrip():
+def test_a_crash_and_restart_keeps_the_object_table_and_forgets_the_volatile():
+    """Across a ``ChaosController`` crash and restart the object table
+    (state vector, histories, committer indexes) and the watermark floor
+    are unchanged; the applied cache and the lock table are empty."""
     bed = build_testbed()
     note = make_note()
     bed.server.put_object(note)
-    bed.access.import_(note.urn).wait(bed.sim)
-    bed.access.invoke(note.urn, "set_text", "v2")
-    bed.access.drain()
+    urn = str(note.urn)
+    session = bed.access.create_session("s")
+    bed.access.acquire_lock(note.urn, session).wait(bed.sim)
+    bed.access.import_(note.urn, session).wait(bed.sim)
+    for text in ("v2", "v3"):
+        bed.access.invoke(urn, "set_text", text, session=session)
+        assert bed.access.drain()
+    server = bed.server
+    assert server._applied and server._locks and server._client_watermarks
+    assert server.objects[urn].committed
 
-    snapshot = bed.server.snapshot()
-    bed.server.store.put(str(note.urn), {"garbage": True})
-    bed.server.restore(snapshot)
-    restored = bed.server.get_object(str(note.urn))
-    assert restored.data == {"text": "v2"}
-    assert restored.version == 2
+    def durable():
+        return (
+            server.state_vector(),
+            marshal(server.subset_snapshot(server.objects)),
+            dict(server._client_watermarks),
+        )
+
+    before = durable()
+    chaos = ChaosController(bed.sim)
+    chaos.crash_server(server)
+    chaos.restart_server(server)
+    assert durable() == before
+    assert len(server._applied) == 0 and server._locks == {}
+    restored = server.get_object(urn)
+    assert restored.data == {"text": "v3"} and restored.version == 3
 
 
 def test_restart_clears_applied_cache_and_locks():

@@ -53,8 +53,8 @@ def run_script(server, accesses, settle) -> dict:
             server.exports_committed, server.exports_resolved, server.exports_conflicted
         ),
         "objects": {
-            urn: (server.store.version(urn), server.get_object(urn).data)
-            for urn in sorted(server.store.keys())
+            urn: (server.get_object(urn).version, server.get_object(urn).data)
+            for urn in sorted(server.objects)
         },
     }
 

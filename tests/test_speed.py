@@ -1135,19 +1135,19 @@ def echo(state, blob):
 
 
 def test_a_server_invoke_runs_on_the_stored_object():
-    """A read-only invoke, from the transport's dispatch on, is 19 Python
+    """A read-only invoke, from the transport's dispatch on, is 18 Python
     calls: ``handle_request``, the door (``serve``), the watermark check,
     the at-most-once lookup (``_cached_reply``, its cache's ``get``, the
-    one parse of the id), the handler, one store lookup, a fresh
-    environment (``load``, its module body, ``release``), the invoke and
-    the method, the hidden-write check (``_base_data``,
-    ``same_encoding``), the cost and the delayed reply, and the kept
-    reply (``_record_reply``, ``put``).  A mutating one is 25: no
-    hidden-write check, but the new state encoded once (``marshal``,
-    ``_encode``), then ``_commit``: stored (``KVStore.put``), decoded
-    into the version history (``_remember``, ``unmarshal``, ``_decode``)
-    and the committer index.  The credential costs nothing on a server
-    without tokens, and the committer index's replay check is inline.
+    one parse of the id), the handler, a fresh environment (``load``,
+    its module body, ``release``), the invoke and the method, the
+    hidden-write check (``_base_data``, ``same_encoding``), the cost and
+    the delayed reply, and the kept reply (``_record_reply``, ``put``).
+    A mutating one is 22: no hidden-write check, but the new state
+    encoded once (``marshal``, ``_encode``), then ``_commit``: the new
+    stored wire, then ``_remember``: the version history's decoded copy
+    (``unmarshal``, ``_decode``) and the committer index.  The object's
+    entry is one dict lookup, and the credential costs nothing on a
+    server without tokens; the committer index's replay check is inline.
     The interface is the table's; no RDO, URN, ``MethodSpec`` or wire is
     built (33 and 43 calls when they were, 20 and 25 when each handler
     carried its own guard).  No slack: ``ha_failover`` runs 2 of these
@@ -1163,19 +1163,19 @@ def test_a_server_invoke_runs_on_the_stored_object():
     handle = bed.server_transport.handle_request
     for n in (0, 1):  # the first of each: the code compiled, the interface decoded
         handle("rover.invoke", bodies[("echo", "bump")[n], n], ("client0", 0))
-    assert _python_calls(handle, "rover.invoke", bodies[("echo", 2)], ("client0", 0)) == 19
-    assert _python_calls(handle, "rover.invoke", bodies[("bump", 3)], ("client0", 0)) == 25
+    assert _python_calls(handle, "rover.invoke", bodies[("echo", 2)], ("client0", 0)) == 18
+    assert _python_calls(handle, "rover.invoke", bodies[("bump", 3)], ("client0", 0)) == 22
     assert bed.server.get_object(str(urn)).data == {"n": 2}
 
 
 def test_a_backup_installs_a_record_and_runs_no_handler():
-    """A backup installs a shipped ``bump`` in 11 Python calls: the
+    """A backup installs a shipped ``bump`` in 8 Python calls: the
     agent's apply, the write set's check (``install_write``) and its
-    install, one store lookup, the data encoded once (``marshal`` and
-    its walker) and decoded into the version history's private copy
-    (``_remember``, ``unmarshal`` and its walker), the store write and
-    the committer index; the applied count and the client's watermark
-    are raised inline.  The
+    install, the data encoded once (``marshal`` and its walker), then
+    ``_remember``: the version history's private copy (``unmarshal``
+    and its walker) and the committer index; the object's entry is one
+    dict lookup, and the applied count and the client's watermark are
+    raised inline.  The
     re-run it replaces (the handler, the at-most-once record, a fresh
     environment, the method) was 27.12 per record on ``ha_failover``.
     No slack: ``ha_failover`` installs one record per op."""
@@ -1190,7 +1190,7 @@ def test_a_backup_installs_a_record_and_runs_no_handler():
     primary._serve_client("rover.invoke", body, ("client0", 0))
     record = unmarshal(marshal(primary.log[-1]))  # as it arrives: not yet delivered
     assert set(record["write"]) == {"urn", "version", "data", "request_id", "reply", "ackw"}
-    assert _python_calls(backup._apply, record) == 11
+    assert _python_calls(backup._apply, record) == 8
     assert backup.server.get_object(str(urn)).data == {"n": 1} and backup.seq == 1
 
 

@@ -198,7 +198,7 @@ def test_a_forty_message_folder_is_verified_twice(ethernet_bed, monkeypatch):
     })
     MailServerApp(ethernet_bed.server, corpus)
     assert len(runs) == 2  # the folder class and the message class, not 41
-    assert len(list(ethernet_bed.server.store.keys())) == 41
+    assert len(ethernet_bed.server.objects) == 41
 
 
 def test_the_client_checks_a_ship_once(ethernet_bed, monkeypatch):
