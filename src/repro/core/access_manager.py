@@ -33,7 +33,7 @@ flush happens, its cost in virtual time and the account of it
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional
 
 from repro.core.calls import CallAPI
@@ -79,26 +79,34 @@ class OperationRow:
     value: Optional[Callable[[dict], Any]] = None
     #: The reply statuses whose ``version`` the request's session wrote.
     writes: tuple[str, ...] = ()
+    #: ``str(operation)``, made once: every request's notifications name
+    #: their operation by this one string (``str()`` copies per call).
+    label: str = ""
 
 
 #: One row per operation; the manager reads the row wherever two
 #: operations differ.
 OPERATIONS: dict[Operation, OperationRow] = {
-    Operation.IMPORT: OperationRow("rover.import", "_imports"),
-    Operation.EXPORT: OperationRow("rover.export", "_exports", writes=("committed", "resolved")),
-    Operation.INVOKE: OperationRow(
-        "rover.invoke", "_calls", value=lambda reply: reply.get("result"), writes=("ok",)
-    ),
-    Operation.SHIP: OperationRow(
-        "rover.ship", "_calls", urn_on_wire=False, value=lambda reply: reply.get("result")
-    ),
-    Operation.LIST: OperationRow(
-        "rover.list", "_calls", value=lambda reply: reply_field(reply, "urns", list)
-    ),
-    Operation.SUBSCRIBE: OperationRow("rover.subscribe", "_calls", value=lambda reply: True),
-    Operation.LOCK: OperationRow("rover.lock", "_calls"),
-    Operation.UNLOCK: OperationRow("rover.unlock", "_calls"),
-    Operation.TELEMETRY: OperationRow("rover.telemetry", "_calls", urn_on_wire=False),
+    operation: replace(row, label=str(operation))
+    for operation, row in {
+        Operation.IMPORT: OperationRow("rover.import", "_imports"),
+        Operation.EXPORT: OperationRow(
+            "rover.export", "_exports", writes=("committed", "resolved")
+        ),
+        Operation.INVOKE: OperationRow(
+            "rover.invoke", "_calls", value=lambda reply: reply.get("result"), writes=("ok",)
+        ),
+        Operation.SHIP: OperationRow(
+            "rover.ship", "_calls", urn_on_wire=False, value=lambda reply: reply.get("result")
+        ),
+        Operation.LIST: OperationRow(
+            "rover.list", "_calls", value=lambda reply: reply_field(reply, "urns", list)
+        ),
+        Operation.SUBSCRIBE: OperationRow("rover.subscribe", "_calls", value=lambda reply: True),
+        Operation.LOCK: OperationRow("rover.lock", "_calls"),
+        Operation.UNLOCK: OperationRow("rover.unlock", "_calls"),
+        Operation.TELEMETRY: OperationRow("rover.telemetry", "_calls", urn_on_wire=False),
+    }.items()
 }
 
 
@@ -160,7 +168,22 @@ class AccessManager(ImportAPI, ExportAPI, CallAPI):
     clock and an open flush window, so it cannot be swapped under a live
     manager: build the stack over the backend you want
     (``build_testbed(stable_backend=...)``).
+
+    Slotted: with this many attributes a manager would otherwise keep a
+    dict of its own, the largest thing an idle client holds.
     """
+
+    __slots__ = (
+        "sim", "scheduler", "host", "incarnation", "_crashed", "obs",
+        "_m_qrpc_latency", "_latency_children", "_m_qrpc_failed", "servers",
+        "cache", "log", "group_commit", "notifications", "cost_model",
+        "auth_token", "_invalidation_bound", "interpreter", "sessions",
+        "_request_counter", "_id_prefix", "_conflict_handlers",
+        "local_invokes", "local_invoke_seconds_total", "remote_invokes",
+        "_imports", "_exports", "_calls", "_messages", "_answered", "_given_up",
+        "compaction", "delta_shipping", "on_submit", "on_wire", "on_reply",
+        "on_durable", "on_settled", "on_queued", "on_applied", "_watched_links",
+    )
 
     def __init__(
         self,
@@ -234,6 +257,10 @@ class AccessManager(ImportAPI, ExportAPI, CallAPI):
         #: request_id -> scheduler message of every QRPC's current
         #: attempt (none until the log says its record is durable).
         self._messages: dict[str, Any] = {}
+        #: The scheduler's two callbacks for every message, bound once:
+        #: each message carries its request as the callbacks' context.
+        self._answered = self._on_reply
+        self._given_up = self._on_failed
         #: Shipping optimizations (repro.perf); both default off so the
         #: baseline QRPC path is byte-for-byte the paper's.  Kept for
         #: crash recovery to hand to the reborn manager.
@@ -368,7 +395,7 @@ class AccessManager(ImportAPI, ExportAPI, CallAPI):
             EventType.REQUEST_QUEUED,
             self.sim.now,
             request_id=request.request_id,
-            operation=str(request.operation),
+            operation=OPERATIONS[request.operation].label,
             urn=request.urn,
         )
         # Durable first, the scheduler after: the log says when.
@@ -426,21 +453,22 @@ class AccessManager(ImportAPI, ExportAPI, CallAPI):
             return  # a dead incarnation's log flush completing
         if self.log.get(request.request_id) is None:
             return  # compacted away between the log flush and now
-        dst = self._server_for(request.urn)
+        row = OPERATIONS[request.operation]
         message = self.scheduler.submit(
-            dst,
-            OPERATIONS[request.operation].service,
+            self._server_for(request.urn),
+            row.service,
             self._wire_body(request),
             priority=request.priority,
-            on_reply=lambda reply: self._on_reply(request, reply),
-            on_failed=lambda reason: self._on_failed(request, reason),
+            on_reply=self._answered,
+            on_failed=self._given_up,
+            context=request,
         )
         self._messages[request.request_id] = message
         self.notifications.publish(
             EventType.REQUEST_SENT,
             self.sim.now,
             request_id=request.request_id,
-            operation=str(request.operation),
+            operation=row.label,
         )
 
     def _on_reply(self, request: QRPCRequest, reply: Any) -> None:
@@ -454,14 +482,16 @@ class AccessManager(ImportAPI, ExportAPI, CallAPI):
         latency = self._latency_children.get(request.operation)
         if latency is None:
             latency = self._latency_children[request.operation] = self._m_qrpc_latency.labels(
-                host=self.host.name, op=str(request.operation)
+                host=self.host.name, op=OPERATIONS[request.operation].label
             )
         latency.observe(self.sim.now - request.created_at)
         self.settle(request, reply if isinstance(reply, dict) else {})
 
     def _on_failed(self, request: QRPCRequest, reason: str) -> None:
         """``request`` failed for good: out of the log, its observers told."""
-        self._m_qrpc_failed.labels(host=self.host.name, op=str(request.operation)).inc()
+        self._m_qrpc_failed.labels(
+            host=self.host.name, op=OPERATIONS[request.operation].label
+        ).inc()
         self.log.mark_failed(request.request_id)
         self._messages.pop(request.request_id, None)
         self.reject(request, reason)
@@ -529,7 +559,7 @@ class AccessManager(ImportAPI, ExportAPI, CallAPI):
                 "qrpc_replies_refused_total",
                 "Replies refused unapplied: malformed, or an imported object that did not decode",
                 labelnames=("host", "op"),
-            ).labels(host=self.host.name, op=str(request.operation)).inc()
+            ).labels(host=self.host.name, op=row.label).inc()
             self.reject(request, f"malformed-reply: {type(malformed).__name__}: {malformed}")
             return
         for hook in self.on_settled:
@@ -538,7 +568,7 @@ class AccessManager(ImportAPI, ExportAPI, CallAPI):
             EventType.RESPONSE_ARRIVED,
             self.sim.now,
             request_id=request.request_id,
-            operation=str(request.operation),
+            operation=row.label,
             status=status,
         )
         # The request names its session, so whatever brought the reply

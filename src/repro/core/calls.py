@@ -25,6 +25,8 @@ class CallAPI:
     :class:`~repro.core.access_manager.AccessManager`, which they run
     on."""
 
+    __slots__ = ()  # else every manager would carry a __dict__ too
+
     def invoke_remote(
         self,
         urn: URN | str,

@@ -35,6 +35,8 @@ class ExportAPI:
     :class:`~repro.core.access_manager.AccessManager`, which they run
     on."""
 
+    __slots__ = ()  # else every manager would carry a __dict__ too
+
     def invoke(
         self,
         urn: URN | str,

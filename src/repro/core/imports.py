@@ -27,6 +27,8 @@ class ImportAPI:
     :class:`~repro.core.access_manager.AccessManager`, which they run
     on."""
 
+    __slots__ = ()  # else every manager would carry a __dict__ too
+
     def import_(
         self,
         urn: URN | str,

@@ -9,6 +9,7 @@ upon arrival of the imported object."  A :class:`Promise` is a
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Optional
 
 from repro.sim import Simulator, Waitable
@@ -71,20 +72,12 @@ class Promise(Waitable):
 
     def then(self, fn: Callable[[Any], None]) -> "Promise":
         """Invoke ``fn(value)`` when fulfilled (not on failure)."""
-        def relay(waitable: Waitable) -> None:
-            if self._error is None:
-                fn(self.value)
-
-        self.add_callback(relay)
+        self.add_callback(partial(_fulfilled, fn))
         return self
 
     def on_failure(self, fn: Callable[[str], None]) -> "Promise":
         """Invoke ``fn(error)`` when the promise fails."""
-        def relay(waitable: Waitable) -> None:
-            if self._error is not None:
-                fn(self._error)
-
-        self.add_callback(relay)
+        self.add_callback(partial(_failed, fn))
         return self
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -95,3 +88,17 @@ class Promise(Waitable):
         else:
             state = "ready"
         return f"<Promise {self.label!r} {state}>"
+
+
+# The relays :meth:`Promise.then` / :meth:`Promise.on_failure` bind with
+# ``partial``: no closure per callback, and no property hop to the value.
+
+
+def _fulfilled(fn: Callable[[Any], None], promise: Promise) -> None:
+    if promise._error is None:
+        fn(promise._value)
+
+
+def _failed(fn: Callable[[str], None], promise: Promise) -> None:
+    if promise._error is not None:
+        fn(promise._error)

@@ -174,6 +174,43 @@ class ObjectEntry:
         self.committed: Optional[OrderedDict[str, dict]] = None
 
 
+def _pairs(value: Any, first: type, second: Optional[type] = None) -> bool:
+    """Whether ``value`` is a list of two-item lists (or tuples) whose
+    first item is a ``first`` and, given ``second``, whose second one is."""
+    return type(value) in (list, tuple) and all(
+        type(pair) in (list, tuple) and len(pair) == 2 and type(pair[0]) is first
+        and (second is None or type(pair[1]) is second)
+        for pair in value
+    )
+
+
+def _mergeable(subset: Any, deletions: Any, locks: Any) -> bool:
+    """Whether :meth:`RoverServer.merge_subset` can take a peer's answer
+    whole: each part of the shape :meth:`RoverServer.sync_answer` makes,
+    every version an ``int`` and every stored wire a dict with ``data``."""
+    if type(subset) is not dict or type(deletions) is not list:
+        return False
+    store = subset.get("store", {})
+    histories = subset.get("history", {})
+    committed = subset.get("committed_replies", {})
+    return (
+        type(store) is dict and type(histories) is dict and type(committed) is dict
+        and all(
+            type(urn) is str and type(held) in (list, tuple) and len(held) == 2
+            and type(held[0]) is dict and "data" in held[0] and type(held[1]) is int
+            for urn, held in store.items()
+        )
+        and all(_pairs(history, int) for history in histories.values())
+        and all(_pairs(entries, str, dict) for entries in committed.values())
+        and all(type(urn) is str for urn in deletions)
+        and (locks is None or type(locks) is list and all(
+            type(lock) in (list, tuple) and len(lock) == 3 and type(lock[0]) is str
+            and type(lock[1]) is str and type(lock[2]) in (int, float)
+            for lock in locks
+        ))
+    )
+
+
 class RoverServer:
     """Home server for one authority."""
 
@@ -371,12 +408,12 @@ class RoverServer:
             "locks": sorted([urn, *lease] for urn, lease in self._locks.items()),
         }
 
-    def merge_subset(
-        self, subset: dict, deletions: Iterable[str], locks: Optional[list] = None
-    ) -> None:
+    def merge_subset(self, subset: Any, deletions: Any, locks: Any = None) -> bool:
         """Adopt a peer's :meth:`subset_snapshot`, dropping ``deletions``
-        and, given its ``locks`` (``[urn, holder, expires]`` each), taking
-        its lock table.
+        (a list of URNs) and, given its ``locks`` (``[urn, holder,
+        expires]`` each), taking its lock table.  False, with nothing
+        changed, when any part is not of the shape :meth:`sync_answer`
+        makes (:func:`_mergeable`): the answer is taken whole or not at all.
 
         Used when a crashed (or deposed) replica rejoins: each differing
         object's entry is replaced by the primary's (:meth:`install`),
@@ -387,6 +424,8 @@ class RoverServer:
         deleted, entry and all.  The volatile applied cache is cleared:
         it may describe a divergent history that never reached quorum.
         """
+        if not _mergeable(subset, deletions, locks):
+            return False
         for urn in sorted(set(deletions)):
             self.objects.pop(urn, None)
         histories = subset.get("history", {})
@@ -398,6 +437,7 @@ class RoverServer:
         if locks is not None:
             self._locks = {urn: (holder, float(expires)) for urn, holder, expires in locks}
         self._applied.clear()
+        return True
 
     def restart(self) -> None:
         """Come back from a crash.  The object table is the durable state
@@ -718,13 +758,15 @@ class RoverServer:
         have = body.get("have_version")
         if have is None:
             return full
+        if type(have) is not int:
+            raise TypeError(f"have_version={have!r:.60}")
         # Warm re-import: the client still holds `have` — answer with a
         # structural delta against it when that is actually smaller.
         # The delta covers only the data (code/interface are immutable
         # per URN), so the reply omits the rdo wire entirely.
         from repro.perf.delta import diff_value
 
-        base = self._base_data(entry, int(have))
+        base = self._base_data(entry, have)
         if base is None:
             return full
         # Encoded once: sized from its bytes here, spliced into the
@@ -733,7 +775,7 @@ class RoverServer:
             {
                 "status": "ok-delta",
                 "delta": diff_value(base, wire["data"]),
-                "base_version": int(have),
+                "base_version": have,
                 "version": wire["version"],
             }
         )

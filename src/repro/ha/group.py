@@ -876,15 +876,32 @@ class ReplicaAgent:
 
     def _adopt_sync(self, reply: dict) -> None:
         """Install the primary's anti-entropy answer (its differing
-        objects and its lock table) and resume at its ``seq``."""
-        self.server.merge_subset(
-            reply.get("subset", {}), reply.get("deletions", []), reply.get("locks", [])
-        )
-        self.seq = int(reply.get("seq", self.seq))
-        self.base_seq = self.seq
+        objects and its lock table) and resume at its ``seq``.  An answer
+        any part of which is malformed is refused whole and counted:
+        nothing changes, and the member still needs a sync (the tick
+        asks again)."""
+        seq = reply.get("seq", self.seq)
+        epoch = reply.get("epoch", self.epoch)
+        primary = reply.get("primary", self.primary_name)
+        if not (
+            type(seq) is int and type(epoch) is int and type(primary) is str
+            and self.server.merge_subset(
+                reply.get("subset", {}), reply.get("deletions", []), reply.get("locks", [])
+            )
+        ):
+            # Registered at the first: a member never refused an answer
+            # holds no family for it.
+            self.server.obs.registry.counter(
+                "ha_sync_answers_refused_total",
+                "Anti-entropy answers refused whole as malformed (the member syncs again)",
+                labelnames=("authority", "host"),
+            ).labels(authority=self.server.authority, host=self.host.name).inc()
+            return
+        self.seq = seq
+        self.base_seq = seq
         self.log = []
-        self.epoch = max(self.epoch, int(reply.get("epoch", self.epoch)))
-        self.primary_name = str(reply.get("primary", self.primary_name))
+        self.epoch = max(self.epoch, epoch)
+        self.primary_name = primary
         self.role = "backup"
         self._needs_sync = False
         self.last_heard = self.sim.now

@@ -166,6 +166,10 @@ class DirectRoute(Route):
             on_error(str(exc))
 
 
+def _unheard(context: Any, outcome: Any) -> None:
+    """The callback of a submitter that asked for none."""
+
+
 class QueuedMessage:
     """A message sitting in (or in flight from) the scheduler."""
 
@@ -178,6 +182,7 @@ class QueuedMessage:
         "priority",
         "on_reply",
         "on_failed",
+        "context",
         "attempts",
         "rounds",
         "enqueued_at",
@@ -195,8 +200,9 @@ class QueuedMessage:
         service: str,
         body: Any,
         priority: Priority,
-        on_reply: Callable[[Any], None],
-        on_failed: Callable[[str], None],
+        on_reply: Callable[[Any, Any], None],
+        on_failed: Callable[[Any, str], None],
+        context: Any,
         enqueued_at: float,
     ) -> None:
         self.seq = seq
@@ -210,6 +216,9 @@ class QueuedMessage:
         self.priority = priority
         self.on_reply = on_reply
         self.on_failed = on_failed
+        #: What the submitter asked to get back: the first argument of
+        #: either callback.
+        self.context = context
         self.attempts = 0
         #: Attempt budgets renewed so far (a replicated destination's).
         self.rounds = 0
@@ -380,10 +389,19 @@ class NetworkScheduler:
         service: str,
         body: Any,
         priority: Priority = Priority.DEFAULT,
-        on_reply: Optional[Callable[[Any], None]] = None,
-        on_failed: Optional[Callable[[str], None]] = None,
+        on_reply: Optional[Callable[[Any, Any], None]] = None,
+        on_failed: Optional[Callable[[Any, str], None]] = None,
+        context: Any = None,
     ) -> QueuedMessage:
         """Queue a request.  Non-blocking; callbacks fire on completion.
+
+        Exactly one of the two fires, once, with ``context`` first:
+        ``on_reply(context, reply)`` with the far side's answer, or
+        ``on_failed(context, reason)`` once the attempts are spent.  The
+        message keeps ``context`` for the submitter, so a submitter with
+        many requests in flight binds its callbacks once and hands each
+        request its own ``context``, rather than building a closure per
+        request that the queue then holds.
 
         ``dst`` is a host, or a replicated destination (duck-typed:
         not a :class:`Host`, and has ``current_host``): it is read for
@@ -398,8 +416,9 @@ class NetworkScheduler:
             service=service,
             body=body,
             priority=Priority.DEFAULT if self.fifo_only else priority,
-            on_reply=on_reply or (lambda body: None),
-            on_failed=on_failed or (lambda reason: None),
+            on_reply=on_reply or _unheard,
+            on_failed=on_failed or _unheard,
+            context=context,
             enqueued_at=self.sim.now,
         )
         if not isinstance(dst, Host) and hasattr(dst, "current_host"):
@@ -690,7 +709,7 @@ class NetworkScheduler:
                     if verdict is not None:
                         self._again(message, verdict, past=message.dst.name)
                         continue
-                message.on_reply(reply)
+                message.on_reply(message.context, reply)
             if waiting:
                 self._pump()
 
@@ -743,7 +762,7 @@ class NetworkScheduler:
             self._active.discard(message)
             self.failed += 1
             if group is None:
-                message.on_failed(reason)
+                message.on_failed(message.context, reason)
             else:
                 self._again(message, reason)
         elif group is not None:
@@ -763,7 +782,7 @@ class NetworkScheduler:
         if why != MOVED:
             message.rounds += 1
             if message.rounds > group.max_rounds:
-                message.on_failed(why)
+                message.on_failed(message.context, why)
                 return
             if past == group.current_host.name:
                 group.rotate()

@@ -42,6 +42,12 @@ def make_note(authority: str = "server", path: str = "notes/n1", text: str = "he
     )
 
 
+def into(sink: list):
+    """A scheduler callback (``on_reply`` / ``on_failed``) that keeps
+    what it is told in ``sink`` and drops the message's context."""
+    return lambda context, outcome: sink.append(outcome)
+
+
 def make_report(seq: int, value: int = 1, client: str = "client", reshipped: bool = False) -> dict:
     """A telemetry report (``repro.obs.fleet.report``'s wire form) whose
     one counter, ``test_total`` (id 1), stepped by ``value``;

@@ -103,8 +103,8 @@ def submit(scheduler, destination, n=0):
     told = []
     message = scheduler.submit(
         destination, "echo", {"n": n},
-        on_reply=lambda reply: told.append(("reply", reply)),
-        on_failed=lambda reason: told.append(("failed", reason)),
+        on_reply=lambda _, reply: told.append(("reply", reply)),
+        on_failed=lambda _, reason: told.append(("failed", reason)),
     )
     return message, told
 

@@ -576,6 +576,9 @@ LIES = {
     "base_version as a float": ("rover.export", {"base_version": 1.9, "data": ITEMS}, "error"),
     "base_version as a bool": ("rover.export", {"base_version": True, "data": ITEMS}, "error"),
     "lease_s as a bool": ("rover.lock", {"session": "A", "lease_s": True}, "invalid-lease"),
+    "have_version as text": ("rover.import", {"have_version": "1"}, "error"),
+    "have_version as a float": ("rover.import", {"have_version": 1.9}, "error"),
+    "have_version as a bool": ("rover.import", {"have_version": True}, "error"),
     "ackw counter as text": (
         "rover.export", {"base_version": 1, "data": ITEMS, "ackw": ["h", "9"]}, "committed"
     ),

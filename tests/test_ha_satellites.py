@@ -20,7 +20,7 @@ from repro.check.seam import SwitchablePolicy
 from repro.ha import build_ha_testbed
 from repro.ha.group import LOG_CAP, SHIP_BATCH, ReplicaSet
 from repro.net.link import ETHERNET_10M
-from repro.net.message import marshal
+from repro.net.message import marshal, unmarshal
 from repro.net.simnet import Delivery
 from repro.net.transport import AsyncReply, DelayedReply, RpcError
 from repro.testbed import build_multi_client_testbed
@@ -877,6 +877,43 @@ class TestRecordInstall:
         assert not backup._needs_sync and backup.seq == primary.seq
         assert check_replicas_agree([agent.server for agent in bed.group.agents], bed.sim.now) == []
         assert backup.server.get_object(urn).data == {"items": ["a", "b"]}
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            pytest.param(lambda answer, urn: answer["subset"]["store"][urn][0].pop("data"),
+                         id="wire-without-data"),
+            pytest.param(lambda answer, urn: answer.update(subset=["not", "a", "dict"]),
+                         id="subset-not-a-dict"),
+            pytest.param(lambda answer, urn: answer["subset"]["store"][urn].__setitem__(1, "two"),
+                         id="version-as-text"),
+            pytest.param(lambda answer, urn: answer.update(seq="7"), id="seq-as-text"),
+        ],
+    )
+    def test_a_malformed_anti_entropy_answer_changes_nothing_and_is_counted(self, spoil):
+        """Taken on trust, the first two raised out of ``Simulator.run``,
+        the third installed version ``"two"`` (the next record's install
+        then raised) and the fourth was coerced to seq 7."""
+        bed, urn = self.group()
+        primary, backup = bed.group.agents[0], bed.group.agents[1]
+        answer = unmarshal(marshal(primary._on_sync({"vector": {}}, (backup.host.name, 0))))
+        spoil(answer, urn)
+        backup._needs_sync = True  # as after a restart
+        before = held_state(backup.server)
+        agent_state = (backup.seq, backup.base_seq, backup.epoch, backup.primary_name, backup.role)
+
+        backup._adopt_sync(answer)
+
+        assert held_state(backup.server) == before
+        assert (backup.seq, backup.base_seq, backup.epoch, backup.primary_name,
+                backup.role) == agent_state
+        assert backup._needs_sync
+        refused = bed.obs.registry.get("ha_sync_answers_refused_total")
+        assert refused.labels(authority=bed.authority, host=backup.host.name).value == 1
+        # The tick asks again, and a well-formed answer heals the member.
+        settle(bed)
+        assert not backup._needs_sync
+        assert check_replicas_agree([agent.server for agent in bed.group.agents], bed.sim.now) == []
 
 
 def settle(bed):

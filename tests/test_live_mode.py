@@ -18,7 +18,7 @@ from repro.live.clock import RealTimeClock
 from repro.live.transport import LiveAddress
 from repro.net.scheduler import Priority
 from repro.obs.fleet import FleetAggregator, TelemetryReporter
-from tests.conftest import make_note, make_report
+from tests.conftest import into, make_note, make_report
 
 TIMEOUT = 15.0
 
@@ -416,8 +416,8 @@ class TestLiveSchedulerThreads:
                     echo.address,
                     "echo",
                     [worker, n],
-                    on_reply=replies.append,
-                    on_failed=failures.append,
+                    on_reply=into(replies),
+                    on_failed=into(failures),
                 )
 
         workers = [threading.Thread(target=submit_fifty, args=(w,)) for w in range(8)]

@@ -13,6 +13,7 @@ from repro.net.scheduler import MOVED, NetworkScheduler, Priority
 from repro.net.simnet import Network
 from repro.net.transport import BATCH_SERVICE, Transport
 from repro.sim import Simulator
+from tests.conftest import into
 
 SLOW = LinkSpec("slow", bandwidth_bps=8_000, latency_s=0.01, header_bytes=0)
 
@@ -37,7 +38,7 @@ def make_sched(policy=None, spec=SLOW, **kwargs):
 def test_submit_delivers_and_replies():
     sim, net, a, b, link, scheduler, served = make_sched()
     replies = []
-    scheduler.submit(b, "echo", {"n": 1}, on_reply=replies.append)
+    scheduler.submit(b, "echo", {"n": 1}, on_reply=into(replies))
     sim.run()
     assert replies == [{"n": 1}]
     assert scheduler.delivered == 1
@@ -83,7 +84,7 @@ def test_queue_waits_for_link_up():
     policy = IntervalTrace([(100.0, 1e9)])
     sim, net, a, b, link, scheduler, served = make_sched(policy=policy)
     replies = []
-    scheduler.submit(b, "echo", {"n": 1}, on_reply=lambda r: replies.append(sim.now))
+    scheduler.submit(b, "echo", {"n": 1}, on_reply=lambda _, r: replies.append(sim.now))
     sim.run(until=50)
     assert replies == []
     assert scheduler.queue_length() == 1
@@ -103,7 +104,7 @@ def test_retransmission_across_outages():
     # ~60-byte envelope -> 0.6 s serialization > 0.5 s up window: the
     # first attempt always dies; success requires retry luck with
     # queueing phase, so give it a payload that fits after backoff.
-    scheduler.submit(b, "echo", {}, on_reply=replies.append)
+    scheduler.submit(b, "echo", {}, on_reply=into(replies))
     sim.run(until=60)
     assert scheduler.retransmissions >= 1
     assert len(replies) <= 1
@@ -124,7 +125,7 @@ def test_terminal_failure_after_max_attempts():
     tc, ts = Transport(sim2, c), Transport(sim2, s)
     ts.register("echo", lambda body, src: body)
     sched2 = NetworkScheduler(sim2, tc, max_attempts=3, base_backoff=0.1)
-    sched2.submit(s, "echo", {"pad": "x" * 200}, on_failed=failures.append)
+    sched2.submit(s, "echo", {"pad": "x" * 200}, on_failed=into(failures))
     sim2.run(until=600)
     assert len(failures) == 1
     assert sched2.failed == 1
@@ -134,7 +135,7 @@ def test_cancel_queued_message():
     policy = IntervalTrace([(100.0, 1e9)])
     sim, net, a, b, link, scheduler, served = make_sched(policy=policy)
     replies = []
-    message = scheduler.submit(b, "echo", {"n": 1}, on_reply=replies.append)
+    message = scheduler.submit(b, "echo", {"n": 1}, on_reply=into(replies))
     assert scheduler.cancel(message)
     sim.run(until=200)
     assert replies == []
@@ -181,7 +182,7 @@ def test_abandon_all_forgets_everything():
     for n in range(3):
         scheduler.submit(
             b, "echo", {"n": n},
-            on_reply=replies.append, on_failed=failures.append,
+            on_reply=into(replies), on_failed=into(failures),
         )
     sim.run(until=10.0)
     assert scheduler.abandon_all() == 3
@@ -195,7 +196,7 @@ def test_abandon_all_forgets_everything():
 def test_abandon_all_silences_inflight_reply():
     sim, net, a, b, link, scheduler, served = make_sched()
     replies = []
-    scheduler.submit(b, "echo", {"n": 1}, on_reply=replies.append)
+    scheduler.submit(b, "echo", {"n": 1}, on_reply=into(replies))
     sim.run_until(lambda: scheduler.inflight == 1, timeout=5.0)
     scheduler.abandon_all()
     sim.run(until=60.0)
@@ -256,7 +257,7 @@ def test_foreground_never_waits_for_background_bytes():
             "echo",
             _padded("urgent"),
             priority=Priority.FOREGROUND,
-            on_reply=lambda body: done.append(sim.now),
+            on_reply=lambda _, body: done.append(sim.now),
         )
         sim.run()
         assert len(served) == background + 1
@@ -348,7 +349,9 @@ def test_failed_member_is_retried_like_a_lone_request():
     scheduler = NetworkScheduler(sim, ta, max_attempts=2)
     replies, failures = [], []
     messages = [
-        scheduler.submit(b, "echo", _padded(n), on_reply=replies.append, on_failed=failures.append)
+        scheduler.submit(
+            b, "echo", _padded(n), on_reply=into(replies), on_failed=into(failures)
+        )
         for n in range(3)
     ]
     sim.run()
@@ -404,8 +407,8 @@ def test_every_carrier_answers_a_fault_the_far_side_knows_of(carrier, fault):
     for n, name in enumerate(["echo", service, "echo"]):
         bed.scheduler.submit(
             bed.server_host, name, _padded(n),
-            on_reply=lambda reply, n=n: answers.append((n, reply)),
-            on_failed=failures.append,
+            on_reply=lambda _, reply, n=n: answers.append((n, reply)),
+            on_failed=into(failures),
         )
     bed.sim.run(until=3_600.0)
     assert sorted(answers) == [
@@ -540,7 +543,7 @@ def test_unanswered_member_fails_its_siblings_together_and_rests_the_destination
     sim, scheduler, members, other, served = make_members(second=answer, max_inflight=2)
     replies = []
     to_members = [
-        scheduler.submit(members, "echo", {"n": n}, on_reply=replies.append) for n in range(4)
+        scheduler.submit(members, "echo", {"n": n}, on_reply=into(replies)) for n in range(4)
     ]
     to_other = scheduler.submit(other, "echo", {"n": 9})
     sim.run(until=0.5)
@@ -566,7 +569,7 @@ def test_unanswered_member_fails_its_siblings_together_and_rests_the_destination
 def test_unanswered_by_every_member_is_a_terminal_failure_after_max_attempts():
     sim, scheduler, members, other, served = make_members(max_attempts=3)
     failures = []
-    message = scheduler.submit(members, "echo", {"n": 0}, on_failed=failures.append)
+    message = scheduler.submit(members, "echo", {"n": 0}, on_failed=into(failures))
     sim.run()
     assert members.unanswered == ["one", "two", "one"] and message.attempts == 3
     assert len(failures) == 1 and scheduler.failed == 1 and scheduler.idle()
@@ -578,8 +581,10 @@ def test_retry_keeps_the_seq_and_renews_the_attempt_budget():
     )
     members.fences = 1  # "not the answer": the destination moves on
     replies = []
-    head = scheduler.submit(members, "echo", {"n": 0}, on_reply=lambda r: replies.append(r["n"]))
-    scheduler.submit(members, "echo", {"n": 1}, on_reply=lambda r: replies.append(r["n"]))
+    head = scheduler.submit(
+        members, "echo", {"n": 0}, on_reply=lambda _, r: replies.append(r["n"])
+    )
+    scheduler.submit(members, "echo", {"n": 1}, on_reply=lambda _, r: replies.append(r["n"]))
     sim.run_until(lambda: members.fenced, timeout=5.0)
     assert (head.state, head.attempts, head.seq, head.rounds) == ("queued", 0, 0, 0)
     sim.run()
@@ -602,10 +607,10 @@ def test_late_reply_to_a_withdrawn_attempt_settles_the_message_once():
     members.fences = 1  # the first answer, head's from one
     replies = {0: [], 1: []}
     head = scheduler.submit(
-        members, "echo", {"n": 0}, on_reply=lambda reply: replies[0].append(sim.now)
+        members, "echo", {"n": 0}, on_reply=lambda _, reply: replies[0].append(sim.now)
     )
     tail = scheduler.submit(
-        members, "echo", {"n": 1}, on_reply=lambda reply: replies[1].append(sim.now)
+        members, "echo", {"n": 1}, on_reply=lambda _, reply: replies[1].append(sim.now)
     )
     sim.run_until(lambda: members.fenced, timeout=5.0)
     # The sibling still out to the member that fenced was withdrawn with it.

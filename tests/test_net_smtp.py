@@ -15,6 +15,7 @@ from repro.net.smtp import MailRelay, Mailbox, MailRoute, MailRpcEndpoint
 from repro.net.transport import Transport
 from repro.sim import Simulator
 from repro.testbed import build_testbed
+from tests.conftest import into
 
 
 def make_mail_world(client_relay_policy=None, relay_server_policy=None, direct_policy=None):
@@ -89,7 +90,7 @@ def test_qrpc_over_mail_route():
     scheduler = NetworkScheduler(sim, tc)
     scheduler.add_route(MailRoute(sim, mbc))
     replies = []
-    scheduler.submit(s, "ping", {"n": 7}, on_reply=replies.append)
+    scheduler.submit(s, "ping", {"n": 7}, on_reply=into(replies))
     sim.run()
     assert replies == [{"pong": 7}]
 
@@ -105,7 +106,7 @@ def test_mail_route_frees_window_after_spool():
     scheduler.add_route(MailRoute(sim, mbc))
     replies = []
     for index in range(3):
-        scheduler.submit(s, "ping", {"n": index}, on_reply=replies.append)
+        scheduler.submit(s, "ping", {"n": index}, on_reply=into(replies))
     # Before the relay-server link comes up, all three must be spooled
     # (i.e. the single in-flight slot did not serialize them).
     sim.run(until=50)
@@ -128,7 +129,7 @@ def test_mail_route_lets_go_of_a_request_the_relay_never_took():
     route = MailRoute(sim, mbc)
     scheduler.add_route(route)
     replies, failures = [], []
-    scheduler.submit(s, "ping", {"n": 7}, on_reply=replies.append, on_failed=failures.append)
+    scheduler.submit(s, "ping", {"n": 7}, on_reply=into(replies), on_failed=into(failures))
     sim.run(until=0.01)
     assert len(route._pending) == 1  # handed to the mailbox, awaiting custody
     sim.run(until=1.0)
@@ -150,7 +151,7 @@ def test_scheduler_prefers_direct_link_when_up():
     scheduler = NetworkScheduler(sim, tc)
     scheduler.add_route(MailRoute(sim, mbc))
     replies = []
-    scheduler.submit(s, "ping", {}, on_reply=replies.append)
+    scheduler.submit(s, "ping", {}, on_reply=into(replies))
     sim.run()
     assert len(replies) == 1
     assert relay.accepted == 0  # never touched the relay

@@ -19,6 +19,7 @@ from repro.net.transport import (
     null_rpc_time,
 )
 from repro.sim import Simulator
+from tests.conftest import into
 
 
 def make_pair(spec=ETHERNET_10M, policy=None):
@@ -348,10 +349,10 @@ def test_reply_that_does_not_answer_the_frame_is_treated_as_lost(reply):
     tb._handle_batch = lambda body, src: reply
     scheduler = NetworkScheduler(sim, ta, max_inflight=1, base_backoff=0.5)
     replies = []
-    scheduler.submit(b, "echo", {"n": 0, "pad": "x" * 200}, on_reply=replies.append)
+    scheduler.submit(b, "echo", {"n": 0, "pad": "x" * 200}, on_reply=into(replies))
     sim.run(until=0.0)
     for n in (1, 2):
-        scheduler.submit(b, "echo", {"n": n, "pad": "x" * 200}, on_reply=replies.append)
+        scheduler.submit(b, "echo", {"n": n, "pad": "x" * 200}, on_reply=into(replies))
     sim.run_until(lambda: ta.corrupt_frames_detected == 1, timeout=30)
     assert [m["n"] for m in replies] == [0]  # the lone head only
     assert scheduler.failed == 0

@@ -727,8 +727,8 @@ def test_scheduler_liveness_under_random_flapping(seed):
             b,
             "echo",
             {"n": n, "pad": "x" * 200},
-            on_reply=lambda r: outcomes.append(("ok", r)),
-            on_failed=lambda reason: outcomes.append(("failed", reason)),
+            on_reply=lambda _, r: outcomes.append(("ok", r)),
+            on_failed=lambda _, reason: outcomes.append(("failed", reason)),
         )
     sim.run(until=2_000.0)
     assert len(outcomes) == 10

@@ -27,13 +27,18 @@ leaves the wrapper's own calls out, so it reads as without the flag::
     PYTHONHASHSEED=0 PYTHONPATH=src:. python tools/calls.py ha_failover \
         --under repro.ha.group:ReplicaAgent._apply
 
-``--retained N`` then runs the repeat a second time, under
-``tracemalloc`` and without the profiler, and prints the bytes and
-blocks still live when the timed region ends (set-up allocations
-included), then the N allocation sites holding the most of them, with
+``--retained N`` then runs the repeat twice more, under ``tracemalloc``
+and without the profiler, and prints what is live at the timed region's
+traced peak: the largest traced total seen at the end of any
+``Simulator.run`` call in the region (its end counts as one).  The first
+run finds that call, the second snapshots there (the workloads are
+seeded, so it is the same call); the line names its virtual time.  Then
+come the bytes and blocks live at that instant (set-up allocations
+included) and the N allocation sites holding the most of them, with
 their block counts, most first.  It reports and gates nothing.  It is a
-memory ledger for ``peak_rss_mb``: what the program keeps, by the line
-that made it::
+memory ledger for ``peak_rss_mb``, which ``fleet_drain`` sets mid-drain,
+while every client's requests are still queued, not at the end: what
+the program keeps at its peak, by the line that made it::
 
     PYTHONHASHSEED=0 PYTHONPATH=src:. python tools/calls.py ha_failover --retained 15
 
@@ -60,6 +65,7 @@ import types
 _STARTED = time.time()
 
 from perfbench import repeat  # noqa: E402  (its imports are set-up too)
+from repro.sim import Simulator  # noqa: E402
 
 
 class _SetupEnd:
@@ -124,17 +130,44 @@ class _Under:
         setattr(self.owner, self.name, under)
 
 
-def retained_sites(workload: str, count: int, by: str = "line") -> list:
-    """(KiB, blocks, site) for all sites together, then for the ``count``
-    allocation sites (``by="file"``: source files) with the most bytes
-    live when the timed region of a second repeat, run without the
-    profiler, ends."""
+class _Ends:
+    """The traced total at the end of each ``Simulator.run`` call in the
+    timed region, and at the region's end, with the virtual time of each;
+    a snapshot at the end numbered ``target``."""
+
+    def __init__(self, target: int = -1) -> None:
+        self.target = target
+        self.totals: list = []
+        self.times: list = []
+        self.now = None
+        self.snapshot = None
+
+    def end(self) -> None:
+        if len(self.totals) == self.target:
+            self.snapshot = tracemalloc.take_snapshot()
+        self.totals.append(tracemalloc.get_traced_memory()[0])
+        self.times.append(self.now)
+
+
+def _traced_repeat(workload: str, ends: _Ends) -> None:
+    """One repeat under ``tracemalloc``, without the profiler, telling
+    ``ends`` of every end in its timed region."""
     module = repeat.load(workload)  # the module the repeat loads again
-    real_run, snapshots = module.run, []
+    real_run, real_sim_run = module.run, Simulator.run
+
+    def sim_run(sim, *args, **kwargs) -> int:
+        events = real_sim_run(sim, *args, **kwargs)
+        ends.now = sim.now
+        ends.end()
+        return events
 
     def run(state) -> None:
-        real_run(state)
-        snapshots.append(tracemalloc.take_snapshot())
+        Simulator.run = sim_run
+        try:
+            real_run(state)
+        finally:
+            Simulator.run = real_sim_run
+        ends.end()
 
     module.run = run
     tracemalloc.start()
@@ -144,9 +177,20 @@ def retained_sites(workload: str, count: int, by: str = "line") -> list:
     finally:
         tracemalloc.stop()
         module.run = real_run
-    stats = snapshots[0].statistics("lineno" if by == "line" else "filename")
+
+
+def retained_sites(workload: str, count: int, by: str = "line") -> tuple[float, list]:
+    """The virtual time of the timed region's traced peak, and (KiB,
+    blocks, site) live there for all sites together, then for the
+    ``count`` allocation sites (``by="file"``: source files) with the
+    most bytes.  One repeat finds the peak, a second snapshots it."""
+    found = _Ends()
+    _traced_repeat(workload, found)
+    peak = _Ends(max(range(len(found.totals)), key=found.totals.__getitem__))
+    _traced_repeat(workload, peak)
+    stats = peak.snapshot.statistics("lineno" if by == "line" else "filename")
     total = (sum(stat.size for stat in stats) / 1024.0, sum(stat.count for stat in stats), "total")
-    return [total] + [
+    return peak.times[peak.target], [total] + [
         (stat.size / 1024.0, stat.count,
          os.path.relpath(stat.traceback[0].filename)
          + (f":{stat.traceback[0].lineno}" if by == "line" else ""))
@@ -215,7 +259,10 @@ def main(argv: list) -> int:
         for per_op, name in top_functions(kept.made, calls_per_op, args.top):
             print(f"{per_op:10.3f}  {name}")
     if args.retained:
-        for kib, blocks, site in retained_sites(args.workload, args.retained, args.by):
+        at, rows = retained_sites(args.workload, args.retained, args.by)
+        print(f"live at the traced peak, virtual t={at} s:" if at is not None else
+              "live at the traced peak, the end of the timed region (no simulator):")
+        for kib, blocks, site in rows:
             print(f"{kib:10.1f} KiB {blocks:8d} blocks  {site}")
     return 0
 
