@@ -1,7 +1,7 @@
 PYTHON ?= python
 CHAOS_SEED ?= 0
 
-.PHONY: install test lint bench tables chaos check ha perf fleet speed perfbench perfbench-smoke calls footprint sloc knobs reach demo examples trace-smoke clean
+.PHONY: install test lint bench tables chaos check ha perf frames fleet speed perfbench perfbench-smoke calls footprint sloc knobs reach demo examples trace-smoke clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -70,6 +70,13 @@ perf:
 	$(PYTHON) -m pytest -q benchmarks/test_micro_primitives.py --benchmark-only
 	$(PYTHON) -m pytest -q tests/test_perf_compaction.py tests/test_perf_delta.py
 	$(PYTHON) -m pytest -q "benchmarks/test_experiments.py::test_experiment[e14]"
+
+# Every frame of E14's mail drain on CSLIP-14.4, one row each: service,
+# members, raw and wire bytes, virtual send and arrival times
+# (tools/frames.py; seconds).  The traffic a frame budget change moves;
+# it reports and gates nothing.
+frames:
+	$(PYTHON) tools/frames.py
 
 # CPU hot path: codec/group-commit/kernel suite, the codec's call
 # budgets (tests/test_speed.py: marshal, unmarshal and marshalled_size

@@ -77,7 +77,7 @@ from repro.lint.contracts import replay_pure
 from repro.net.message import Premarshalled
 from repro.net.scheduler import MOVED, NO_PROGRESS
 from repro.net.simnet import Address, Host
-from repro.net.transport import AsyncReply, DelayedReply, RpcError, Transport
+from repro.net.transport import AsyncReply, DelayedReply, RpcError, Transport, error_answer
 from repro.sim import Simulator
 
 #: The client services the agent interposes on: fenced on a backup,
@@ -193,10 +193,20 @@ class ReplicaSet:
         return NO_PROGRESS
 
 
-def _rank(member: dict) -> tuple[int, int]:
+def _rank(member: dict) -> Optional[tuple[int, int]]:
     """Election rank a poll or its answer reports: most applied, then
-    lowest index."""
-    return int(member.get("seq", -1)), -int(member.get("index", 0))
+    lowest index; None when either is not an integer (no member sends
+    that: the message is refused)."""
+    seq, index = member.get("seq", -1), member.get("index", 0)
+    if type(seq) is int and type(index) is int:
+        return seq, -index
+    return None
+
+
+def _refused(reply: dict) -> bool:
+    """A poll answer whose rank or epoch is not an integer: it grants,
+    objects to and reports nothing, like no answer."""
+    return _rank(reply) is None or type(reply.get("epoch", 0)) is not int
 
 
 class ReplicaAgent:
@@ -604,7 +614,9 @@ class ReplicaAgent:
         if reply.get("status") == "stale-epoch":
             self._deposed(reply)
             return
-        acked = int(reply.get("ack_seq", -1))
+        acked, their_epoch = reply.get("ack_seq", -1), reply.get("epoch", -1)
+        if type(acked) is not int or type(their_epoch) is not int:
+            return  # no member answers so: refused
         moved = acked > peer["acked_seq"]
         if moved:
             peer["acked_seq"] = acked
@@ -619,7 +631,7 @@ class ReplicaAgent:
         if (
             acked >= 0
             and sent > peer["confirmed"]
-            and epoch == self.epoch == int(reply.get("epoch", -1))
+            and epoch == self.epoch == their_epoch
             and self.role == "primary"
         ):
             peer["confirmed"] = sent
@@ -628,11 +640,13 @@ class ReplicaAgent:
             self._check_waiters()
 
     def _deposed(self, reply: dict) -> None:
-        """A higher epoch exists: step down and reconcile."""
-        if self.role != "primary":
+        """A higher epoch exists: step down and reconcile (not on the
+        word of a reply whose epoch is not an integer)."""
+        epoch = reply.get("epoch", self.epoch)
+        if self.role != "primary" or type(epoch) is not int:
             return
         self.role = "backup"
-        self.epoch = max(self.epoch, int(reply.get("epoch", self.epoch)))
+        self.epoch = max(self.epoch, epoch)
         self.primary_name = str(reply.get("primary") or "")
         self.last_heard = self.sim.now
         self._end_reign()
@@ -645,14 +659,20 @@ class ReplicaAgent:
         """Install the primary's records in sequence; a gap (in them, or
         the one a ``gap`` frame reports: the primary's log no longer
         covers it) and a record that does not install are for anti-entropy."""
-        epoch = int(body.get("epoch", 0))
+        epoch, commit_seq = body.get("epoch", 0), body.get("commit_seq", self._primary_seq)
+        if type(epoch) is not int or type(commit_seq) is not int:
+            return error_answer(ValueError("replicate frame: epoch or commit_seq not an integer"))
         verdict = self._observe_authority(epoch, str(body.get("primary", "")))
         if verdict is not None:
             return verdict
         gap = "gap" in body
-        self._primary_seq = int(body.get("commit_seq", self._primary_seq))
+        self._primary_seq = commit_seq
         for record in body.get("records", []):
-            seq = int(record.get("seq", 0))
+            seq = record.get("seq") if isinstance(record, dict) else None
+            if type(seq) is not int:
+                self.records_refused += 1  # as one that does not install
+                gap = True
+                break
             if seq <= self.seq:
                 continue  # duplicate delivery
             if seq != self.seq + 1 or not self._apply(record):
@@ -695,16 +715,18 @@ class ReplicaAgent:
         if not self.server.install_write(record.get("write")):
             self.records_refused += 1
             return False
-        self.seq = self.base_seq = int(record["seq"])  # a backup keeps no log
+        self.seq = self.base_seq = record["seq"]  # a backup keeps no log
         self.records_applied += 1
         return True
 
     def _on_poll(self, body: Any, source: Address) -> Any:
         """Answer an election poll: rank, epoch, and freshness."""
-        proposed = int(body.get("proposed", 0))
+        proposed = body.get("proposed", 0)
         heard = self._hears_primary()
         floor = max(self.epoch, self.promised)
-        granted = not heard and (proposed > floor or self._yields_to(body, proposed))
+        granted = type(proposed) is int and not heard and (
+            proposed > floor or self._yields_to(body, proposed)
+        )
         if granted:
             self.promised = self._granted = proposed
         return {
@@ -727,7 +749,8 @@ class ReplicaAgent:
         """
         if proposed != self._standing or proposed != self.promised:
             return False
-        if _rank(poll) <= (self.seq, -self.index):
+        rank = _rank(poll)
+        if rank is None or rank <= (self.seq, -self.index):
             return False
         self._standing = 0
         return True
@@ -784,11 +807,13 @@ class ReplicaAgent:
         my_rank = (self.seq, -self.index)
         votes = 1
         for reply in replies:
+            if _refused(reply):
+                continue
             if reply.get("heard") or _rank(reply) > my_rank:
                 return False
             if reply.get("granted"):
                 votes += 1
-            elif int(reply.get("epoch", 0)) >= proposed:
+            elif reply.get("epoch", 0) >= proposed:
                 return False
         return votes > len(self.group.agents) // 2
 
@@ -816,7 +841,9 @@ class ReplicaAgent:
             # retry later with a higher proposal (next tick).  Otherwise
             # a better-positioned peer will win its own election, or no
             # majority is reachable: stay a backup (CP choice).
-            self.promised = max([self.promised, *(int(r.get("epoch", 0)) for r in replies)])
+            self.promised = max(
+                [self.promised, *(r.get("epoch", 0) for r in replies if not _refused(r))]
+            )
 
     def _promote(self, new_epoch: int, replies: list[dict]) -> None:
         self.epoch = new_epoch
@@ -830,8 +857,9 @@ class ReplicaAgent:
         # peer that reported less, or did not answer (the dead primary),
         # is sent a gap frame (anti-entropy) rather than records.
         reported = {
-            int(reply.get("index", -1)): int(reply.get("seq", -1))
+            reply.get("index", -1): reply.get("seq", -1)
             for reply in replies
+            if not _refused(reply)
         }
         for peer in self.peers:
             peer["acked_seq"] = reported.get(peer["index"], -1)

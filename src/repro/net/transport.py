@@ -26,6 +26,7 @@ from repro.net.message import (
     MarshalError,
     Premarshalled,
     marshal,
+    marshalled_size,
     seal,
     unmarshal,
     unseal,
@@ -38,10 +39,14 @@ from repro.sim import Simulator
 # One-byte framing marker ahead of every transport payload.
 _RAW = b"R"
 _COMPRESSED = b"Z"
+#: What a payload adds to its marshalled (or deflated) value: the CRC32
+#: seal and the marker.
+FRAMING_BYTES = len(seal(_RAW))
 
 #: Largest payload a ``Z`` frame may inflate to.  Well above the
 #: biggest object the experiments move (1 MiB), and the bound on what a
-#: CRC-valid frame of a few KB can make a receiver allocate.
+#: CRC-valid frame of a few KB can make a receiver allocate.  No
+#: coalesced frame marshals to more.
 MAX_FRAME_BYTES = 8 * 1024 * 1024
 
 #: The coalesced exchange: several requests for one host in one frame,
@@ -51,15 +56,19 @@ MAX_FRAME_BYTES = 8 * 1024 * 1024
 #: transport serves it (:meth:`Transport.handle_request`), as every
 #: transport reads ``Z`` frames.
 BATCH_SERVICE = "rover.batch"
-#: Raw request-body bytes one coalesced frame may carry: a backlog of
-#: small operations rides together (~14 mail flag updates), a large
-#: object rides alone, and a link drop mid-frame wastes a bounded
-#: amount of line time.
+#: Bytes a coalesced frame of two or more members may put on the line:
+#: its sealed payload, after the deflate :meth:`Transport.send` applies.
+#: A session's whole reconnect backlog of mail flag updates (31 to 39
+#: exports on ``mail_slowlink``, 8-10 KB marshalled) leaves in one frame
+#: of ~0.6 KB, an object that deflates past the budget rides alone, and
+#: a link drop mid-frame wastes at most 4 KiB of line time (2.3 s on
+#: CSLIP-14.4).
 BATCH_BUDGET_BYTES = 4096
-#: Members one frame may hold: what the budget admits of the smallest
-#: request bodies the QRPC layer builds (16 B).  Senders stop here and
-#: receivers drop a frame that claims more.
-MAX_BATCH_MEMBERS = BATCH_BUDGET_BYTES // 16
+#: Members one frame may hold.  Senders stop here and receivers drop a
+#: frame that claims more.
+MAX_BATCH_MEMBERS = 256
+#: The zlib level of every deflated frame.
+DEFLATE_LEVEL = 6
 
 # The well-known port the request/reply exchange listens on.
 RPC_PORT = 530
@@ -158,11 +167,37 @@ def error_answer(exc: Exception) -> dict:
     return {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
 
 
-def batch_request(members: list[tuple[str, Any]]) -> dict:
-    """The :data:`BATCH_SERVICE` body for ``(service, body)`` members."""
-    return {
+def batch_request(
+    members: list[tuple[str, Any]], trace: Optional[tuple[str, str]] = None
+) -> dict:
+    """The :data:`BATCH_SERVICE` body for ``(service, body)`` members,
+    carrying ``trace``'s context."""
+    body: dict = {
         "requests": [{"service": service, "body": body} for service, body in members]
     }
+    if trace is not None:
+        body[TRACE_KEY] = list(trace)
+    return body
+
+
+def _request_envelope(call_id: str, service: str, request: Any) -> dict:
+    """What :meth:`Transport.call` sends (built inline there)."""
+    return {"kind": "request", "id": call_id, "service": service, "body": request}
+
+
+#: A :data:`BATCH_SERVICE` request's payload with no members, marshalled
+#: and sealed, less its texts' lengths and text (its call id, and its
+#: trace context if it has one: the second entry).
+_EMPTY_BATCH_BYTES = tuple(
+    FRAMING_BYTES + marshalled_size(_request_envelope("", BATCH_SERVICE, body)) - texts
+    for texts, body in ((1, batch_request([])), (3, batch_request([], ("", ""))))
+)
+#: A member's entry, marshalled, less its service name's length and
+#: text and its body.
+_ENTRY_BYTES = (
+    marshalled_size(batch_request([("", None)])) - marshalled_size(batch_request([]))
+    - 1 - marshalled_size(None)
+)
 
 
 def batch_replies(body: Any, count: int) -> Optional[list[Any]]:
@@ -252,7 +287,7 @@ class Transport:
         raw = marshal(value)
         # :meth:`bytes_dominate`, inline: a comparison per frame, no call.
         if self.adapt_to_link and len(raw) >= link.spec.bytes_dominate_from:
-            squeezed = zlib.compress(raw, 6)
+            squeezed = zlib.compress(raw, DEFLATE_LEVEL)
             if len(squeezed) < len(raw):
                 self.bytes_saved_by_compression += len(raw) - len(squeezed)
                 return seal(_COMPRESSED + squeezed)
@@ -383,6 +418,7 @@ class Transport:
             "timer": timer,
         }
 
+        # ``_request_envelope``'s dict, built inline: a call less per request.
         envelope = {
             "kind": "request",
             "id": call_id,
@@ -411,6 +447,37 @@ class Transport:
                 pending["timer"].cancel()
             raise RpcError(str(exc)) from exc
         return call_id
+
+    def call_bytes(self, service: str, request: Any, link: Link) -> int:
+        """The bytes the next :meth:`call` of ``service`` with ``request``
+        puts on ``link``: its payload, encoded as :meth:`send` will."""
+        call_id = f"{self.host.name}:{self._next_call_id}"
+        raw = marshal(_request_envelope(call_id, service, request))
+        if self.bytes_dominate(link, len(raw)):
+            return FRAMING_BYTES + min(len(raw), len(zlib.compress(raw, DEFLATE_LEVEL)))
+        return FRAMING_BYTES + len(raw)
+
+    def batch_sizes(
+        self, trace: Optional[tuple[str, str]], members: list[tuple[str, int]]
+    ) -> list[int]:
+        """The sizes, marshalled and sealed, of the payloads the next
+        :meth:`call` of a :data:`BATCH_SERVICE` request with ``trace``'s
+        context would send with each prefix of ``members`` (a service
+        and its body's marshalled size each), one member first.
+        Counted as the codec counts, without encoding: a text is its
+        UTF-8 bytes after their count, a varint, and the member list's
+        count takes a second byte at 128."""
+        size = _EMPTY_BATCH_BYTES[trace is not None]
+        for text in (f"{self.host.name}:{self._next_call_id}", *(trace or ())):
+            n = len(text.encode())
+            size += n + ((n.bit_length() + 6) // 7 or 1)
+        sizes = []
+        for count, (service, body_bytes) in enumerate(members, 1):
+            n = len(service.encode())
+            size += _ENTRY_BYTES + n + ((n.bit_length() + 6) // 7 or 1) + body_bytes
+            size += count == 128
+            sizes.append(size)
+        return sizes
 
     def call_blocking(
         self,

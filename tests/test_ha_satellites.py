@@ -1030,3 +1030,106 @@ class TestRecordRetention:
         reported = [{"index": agent.index, "seq": agent.seq} for agent in bed.group.agents[1:]]
         primary._promote(2, reported)
         assert [kind for kind, *_ in calls[sent:]] == ["gap"] * 2
+
+
+class TestHostilePeerIntegers:
+    """A peer's integers are read as integers of exactly that type: a
+    text, a bool or anything else in their place is refused with nothing
+    changed, where ``int()`` would raise out of a scheduled callback or
+    read ``True`` as 1 and ``"99"`` as 99."""
+
+    GRANT = {"seq": 0, "index": 2, "epoch": 0, "heard": False, "granted": True}
+
+    @pytest.mark.parametrize(
+        "answer",
+        [
+            pytest.param({"seq": "x", "index": 2, "epoch": 0, "granted": True}, id="seq-text"),
+            pytest.param({"seq": True, "index": 0, "epoch": 0, "granted": False}, id="seq-bool"),
+            pytest.param({"seq": 0, "index": "0", "epoch": 0, "granted": False}, id="index-text"),
+            pytest.param({"seq": 0, "index": 0, "epoch": "9", "granted": False}, id="epoch-text"),
+        ],
+    )
+    def test_a_poll_answer_with_a_non_integer_field_counts_as_no_answer(self, answer):
+        agent = build_ha_testbed(n_backups=2).group.agents[1]
+        assert agent._wins(5, [answer]) is agent._wins(5, [{}]) is False
+        # Nor does it object to the grant that completes the majority.
+        assert agent._wins(5, [answer, self.GRANT]) is agent._wins(5, [{}, self.GRANT]) is True
+
+    def test_a_refusal_with_a_text_epoch_does_not_raise_the_next_proposal(self):
+        bed, agent, polls = TestElectionDecision().candidate()
+        polls[0][2](TestElectionDecision.vote(0, granted=False, epoch="9"))
+        polls[1][2](TestElectionDecision.vote(2, granted=False, epoch=4))
+        assert agent.role == "backup" and agent._standing == 0 and agent.promised == 4
+
+    @pytest.mark.parametrize("proposed", ["99", 99.0, True])
+    def test_a_poll_proposing_a_non_integer_epoch_is_not_granted(self, proposed):
+        backup = build_ha_testbed(n_backups=2).group.agents[1]
+        backup.last_heard = -2.0 * backup.lease_s  # the lease ran out
+        poll = {"proposed": proposed, "seq": 0, "index": 2, "candidate": "server-b2"}
+        answer = backup._on_poll(poll, ("server-b2", 0))
+        assert not answer["granted"] and backup.promised == backup._granted == 0
+        # The same poll with an integer is granted: the text alone refused it.
+        assert backup._on_poll({**poll, "proposed": 99}, ("server-b2", 0))["granted"]
+
+    def test_a_crossed_poll_with_a_text_rank_is_not_yielded_to(self):
+        bed, agent, polls = TestElectionDecision().candidate(index=2)
+        better = {"proposed": 1, "seq": "0", "index": 1, "candidate": "server-b1"}
+        assert not agent._on_poll(better, ("server-b1", 0))["granted"]
+        assert agent._standing == agent.promised == 1  # its own poll stays open
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            pytest.param(lambda frame: frame.update(epoch=str(frame["epoch"])), id="epoch-text"),
+            pytest.param(lambda frame: frame.update(epoch=True), id="epoch-bool"),
+            pytest.param(lambda frame: frame.update(commit_seq="x"), id="commit-seq-text"),
+        ],
+    )
+    def test_a_replicate_frame_with_a_non_integer_header_is_refused_whole(self, spoil):
+        bed, urn = TestRecordInstall().group()
+        primary, backup = bed.group.agents[0], bed.group.agents[1]
+        frame = {"epoch": primary.epoch, "primary": primary.host.name, "commit_seq": backup.seq,
+                 "records": []}
+        spoil(frame)
+        bed.sim.run(until=bed.sim.now + 1.0)
+        kept = (held_state(backup.server), backup.seq, backup.epoch, backup.primary_name,
+                backup.last_heard, backup._primary_seq, backup._needs_sync)
+        answer = backup._on_replicate(frame, (primary.host.name, 0))
+        assert answer["status"] == "error" and "ack_seq" not in answer
+        assert (held_state(backup.server), backup.seq, backup.epoch, backup.primary_name,
+                backup.last_heard, backup._primary_seq, backup._needs_sync) == kept
+
+    @pytest.mark.parametrize("seq", ["next", True, 2.0], ids=["text", "bool", "float"])
+    def test_a_record_with_a_non_integer_seq_is_refused_and_healed(self, seq):
+        bed, urn = TestRecordInstall().group()
+        primary, backup = bed.group.agents[0], bed.group.agents[1]
+        before, at = held_state(backup.server), backup.seq
+        write = {"urn": urn, "version": 3, "data": {"items": ["a", "z"]}}
+        ack = backup._on_replicate(
+            {"epoch": primary.epoch, "primary": primary.host.name, "commit_seq": at + 1,
+             "records": [{"seq": str(at + 1) if seq == "next" else seq, "epoch": primary.epoch,
+                          "write": write}]},
+            (primary.host.name, 0),
+        )
+        assert ack["ack_seq"] == at and backup.seq == at
+        assert held_state(backup.server) == before
+        assert backup.records_refused == 1 and backup._needs_sync
+        settle(bed)
+        assert check_replicas_agree([agent.server for agent in bed.group.agents], bed.sim.now) == []
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            pytest.param({"ack_seq": "99", "epoch": 1}, id="ack-text"),
+            pytest.param({"ack_seq": 99, "epoch": "1"}, id="epoch-text"),
+            pytest.param({"status": "stale-epoch", "epoch": "9", "primary": "server-b1"},
+                         id="stale-epoch-text"),
+        ],
+    )
+    def test_a_peer_reply_with_a_non_integer_field_changes_nothing(self, reply):
+        bed, urn = TestRecordInstall().group()
+        primary = bed.group.agents[0]
+        peer = primary.peers[0]
+        kept = (dict(peer), primary.role, primary.epoch, primary.base_seq, len(primary.log))
+        primary._note_peer_reply(peer, reply, primary.epoch, bed.sim.now)
+        assert (dict(peer), primary.role, primary.epoch, primary.base_seq, len(primary.log)) == kept

@@ -1,6 +1,10 @@
 """Network scheduler tests: priorities, retransmission, wake-ups."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net.link import (
     CSLIP_14_4,
@@ -9,9 +13,18 @@ from repro.net.link import (
     LinkSpec,
     PeriodicSchedule,
 )
+from repro.net.message import marshalled_size
 from repro.net.scheduler import MOVED, NetworkScheduler, Priority
 from repro.net.simnet import Network
-from repro.net.transport import BATCH_SERVICE, Transport
+from repro.net.transport import (
+    BATCH_BUDGET_BYTES,
+    BATCH_SERVICE,
+    FRAMING_BYTES,
+    MAX_BATCH_MEMBERS,
+    MAX_FRAME_BYTES,
+    Transport,
+    batch_request,
+)
 from repro.sim import Simulator
 from tests.conftest import into
 
@@ -216,6 +229,11 @@ def _padded(n, pad=200):
     return {"n": n, "pad": "x" * pad}
 
 
+def _noise(n, pad=200):
+    """A body of ``pad`` seeded random bytes: it deflates to no less."""
+    return {"n": n, "pad": random.Random(f"pad:{n}").randbytes(pad)}
+
+
 def test_batch_gathers_only_same_destination():
     sim = Simulator()
     net = Network(sim)
@@ -276,22 +294,37 @@ def test_fifo_within_priority_holds_across_frames():
         policy=IntervalTrace([(10.0, 1e9)]), spec=CSLIP_14_4, max_inflight=2
     )
     for n in range(40):
+        scheduler.submit(b, "echo", _noise(n))
+    sim.run()
+    assert [m["n"] for m in served] == list(range(40))
+    # Random pads do not deflate (their envelopes do): 19 of these 237 B
+    # members fit 4 KiB on the line, 19 + 19 + 2.
+    assert scheduler.batches_sent == 3
+    assert scheduler.delivered == 40
+
+
+def test_a_compressible_backlog_leaves_in_one_frame():
+    """The budget counts the bytes on the line: forty ~210 B bodies of
+    one repeated letter (9.5 KB marshalled) deflate into one frame."""
+    sim, net, a, b, link, scheduler, served = make_sched(
+        policy=IntervalTrace([(10.0, 1e9)]), spec=CSLIP_14_4, max_inflight=2
+    )
+    for n in range(40):
         scheduler.submit(b, "echo", _padded(n))
     sim.run()
     assert [m["n"] for m in served] == list(range(40))
-    # 19 of these ~210 B bodies fit the 4 KiB frame budget: 19 + 19 + 2.
-    assert scheduler.batches_sent == 3
-    assert scheduler.delivered == 40
+    assert scheduler.batches_sent == 1
+    assert scheduler.transport.messages_sent == 1
 
 
 def test_object_over_the_frame_budget_travels_alone():
     sim, net, a, b, link, scheduler, served = make_sched(
         policy=IntervalTrace([(10.0, 1e9)]), spec=CSLIP_14_4, max_inflight=1
     )
-    scheduler.submit(b, "echo", _padded("small0"))
-    scheduler.submit(b, "echo", _padded("big", pad=6000))
-    scheduler.submit(b, "echo", _padded("small1"))
-    scheduler.submit(b, "echo", _padded("small2"))
+    scheduler.submit(b, "echo", _noise("small0"))
+    scheduler.submit(b, "echo", _noise("big", pad=6000))
+    scheduler.submit(b, "echo", _noise("small1"))
+    scheduler.submit(b, "echo", _noise("small2"))
     sim.run()
     # Order kept: nothing overtakes the big one to fill a frame.
     assert [m["n"] for m in served] == ["small0", "big", "small1", "small2"]
@@ -417,6 +450,119 @@ def test_every_carrier_answers_a_fault_the_far_side_knows_of(carrier, fault):
     assert failures == []
     assert bed.scheduler.retransmissions == 0 and bed.scheduler.failed == 0
     assert bed.scheduler.batches_sent == (carrier == "coalesced-member")
+
+
+def _frames(scheduler):
+    """Record each request frame ``scheduler``'s transport sends: its
+    members' ``n`` in order, its size marshalled and sealed, and the
+    bytes it put on the line."""
+    transport, frames = scheduler.transport, []
+    send = transport.send
+
+    def recording(dst, port, value, **kwargs):
+        wire = send(dst, port, value, **kwargs)
+        if value["service"] == BATCH_SERVICE:
+            members = [member["body"]["n"] for member in value["body"]["requests"]]
+        else:
+            members = [value["body"]["n"]]
+        frames.append((members, FRAMING_BYTES + marshalled_size(value), wire))
+        return wire
+
+    transport.send = recording
+    return frames
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    backlog=st.lists(
+        st.tuples(st.sampled_from(list(Priority)), st.booleans(), st.integers(0, 5000)),
+        min_size=2,
+        max_size=60,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_coalesced_frame_fits_the_budget_on_the_line(backlog, seed):
+    """Whatever the bodies deflate to, a frame of two or more members
+    puts at most the budget on the line and marshals within what every
+    receiver inflates; members leave in (priority, seq) order, each
+    once."""
+    sim, net, a, b, link, scheduler, served = make_sched(
+        policy=IntervalTrace([(10.0, 1e9)]), max_inflight=2
+    )
+    frames = _frames(scheduler)
+    rng = random.Random(seed)
+    for n, (priority, noisy, size) in enumerate(backlog):
+        pad = rng.randbytes(size) if noisy else b"a" * size
+        scheduler.submit(b, "echo", {"n": n, "pad": pad}, priority=priority)
+    sim.run()
+    order = [n for n, __ in sorted(enumerate(backlog), key=lambda item: (item[1][0], item[0]))]
+    assert [n for members, __, __ in frames for n in members] == order
+    assert [body["n"] for body in served] == order
+    assert scheduler.retransmissions == 0 and scheduler.delivered == len(backlog)
+    for members, raw, wire in frames:
+        assert raw <= MAX_FRAME_BYTES
+        assert len(members) == 1 or wire <= BATCH_BUDGET_BYTES
+
+
+def test_a_backlog_that_deflates_to_nothing_leaves_in_frames_every_receiver_takes():
+    """256 members of 64 KiB of zeros: 16 MiB marshalled, next to
+    nothing deflated.  The budget on the line, the member count and the
+    receivers' inflate cap all hold; nothing is refused or sent twice."""
+    sim = Simulator()
+    net = Network(sim)
+    a, b = net.host("client"), net.host("server")
+    net.connect(a, b, SLOW, IntervalTrace([(10.0, 1e9)]))
+    ta, tb = Transport(sim, a), Transport(sim, b)
+    served = []
+    tb.register("echo", lambda body, src: served.append(body["n"]) or {"n": body["n"]})
+    scheduler = NetworkScheduler(sim, ta, max_inflight=2)
+    frames = _frames(scheduler)
+    for n in range(MAX_BATCH_MEMBERS):
+        scheduler.submit(b, "echo", {"n": n, "zeros": bytes(64 * 1024)})
+    sim.run()
+    assert served == list(range(MAX_BATCH_MEMBERS))
+    assert [n for members, __, __ in frames for n in members] == served
+    assert len(frames) > 1
+    for members, raw, wire in frames:
+        assert len(members) > 1 and raw <= MAX_FRAME_BYTES and wire <= BATCH_BUDGET_BYTES
+    assert tb.corrupt_frames_detected == ta.corrupt_frames_detected == 0
+    assert scheduler.retransmissions == 0 and scheduler.failed == 0
+    assert scheduler.delivered == MAX_BATCH_MEMBERS
+
+
+@pytest.mark.parametrize("over", [0, 1], ids=["at-the-budget", "one-byte-over"])
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("host", ["client", "c" * 130], ids=["short-id", "long-id"])
+def test_a_frame_is_deflated_to_measure_it_only_past_the_budget_marshalled(host, traced, over):
+    """The frame's marshalled size is counted, not encoded, exactly: one
+    byte past the budget it is measured, at the budget it is not."""
+    sim = Simulator()
+    net = Network(sim)
+    a, b = net.host(host), net.host("server")
+    net.connect(a, b, SLOW, IntervalTrace([(10.0, 1e9)]))
+    ta, tb = Transport(sim, a), Transport(sim, b)
+    tb.register("echo", lambda body, src: body)
+    trace = ("t" * 16, "s" * 8) if traced else None
+    head = {"n": 0, "pad": b"h" * 300, **({"trace": list(trace)} if traced else {})}
+
+    def frame(pad):
+        follower = {"n": 1, "pad": b"f" * pad}
+        body = batch_request([("echo", head), ("echo", follower)], trace)
+        envelope = {"kind": "request", "id": f"{host}:0", "service": BATCH_SERVICE, "body": body}
+        return FRAMING_BYTES + marshalled_size(envelope), follower
+
+    pad = 3000 + BATCH_BUDGET_BYTES + over - frame(3000)[0]
+    size, follower = frame(pad)
+    assert size == BATCH_BUDGET_BYTES + over
+    scheduler = NetworkScheduler(sim, ta)
+    measured = []
+    call_bytes = ta.call_bytes
+    ta.call_bytes = lambda *args: measured.append(args) or call_bytes(*args)
+    scheduler.submit(b, "echo", head)
+    scheduler.submit(b, "echo", follower)
+    sim.run()
+    assert len(measured) == over
+    assert scheduler.batches_sent == 1 and scheduler.delivered == 2
 
 
 def test_frame_of_tiny_bodies_stops_at_the_member_count_receivers_accept():
