@@ -65,9 +65,13 @@ check:
 # queued requests as behind 40), the delta's (tests/test_perf_delta.py:
 # apply(diff) marshals to the new value; the diff equals the one found by
 # encoding both sides), then E14's eight rows, whose folds are all export
-# follow-ups.
+# follow-ups.  T1 (the access manager's API surface) and T2 (the apps'
+# sizes) run here too, once each and untimed: pytest's testpaths hold
+# neither, and both take the benchmark fixture this job installs.
 perf:
 	$(PYTHON) -m pytest -q benchmarks/test_micro_primitives.py --benchmark-only
+	$(PYTHON) -m pytest -q benchmarks/test_t1_api_surface.py benchmarks/test_t2_app_sizes.py \
+		--benchmark-disable
 	$(PYTHON) -m pytest -q tests/test_perf_compaction.py tests/test_perf_delta.py
 	$(PYTHON) -m pytest -q "benchmarks/test_experiments.py::test_experiment[e14]"
 

@@ -291,11 +291,14 @@ def count_dispatch_while_down(harness: CheckHarness, transport: Transport) -> No
     know is down — a stale memoized route burns a retry attempt and a
     backoff for nothing.  Wrapping :meth:`Transport.call` observes the
     exact moment of dispatch, before the transport raises ``LinkDown``.
+    Only a call that names no carrier counts: one over a carrier of its
+    route's choosing (a mail link while the direct link is down) is no
+    stale route.
     """
     original_call = transport.call
 
     def call(dst, service, request, on_reply, on_error, timeout=60.0, link=None):
-        if transport.host.best_link_to(dst) is None:
+        if link is None and transport.host.best_link_to(dst) is None:
             harness.dispatch_while_down += 1
         return original_call(
             dst,

@@ -593,7 +593,8 @@ class AccessManager(ImportAPI, ExportAPI, CallAPI):
         request.args = args
         message = self._messages.get(request.request_id)
         if message is not None and message.state == "queued":
-            message.body = self._wire_body(request)
+            message.body = body = self._wire_body(request)
+            message.body_bytes = len(body.raw)
 
     def fold_followup(self, request: QRPCRequest) -> Optional[dict]:
         """``request`` is an export round the caller knows was never

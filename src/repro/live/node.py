@@ -6,12 +6,15 @@ used in simulation; :class:`LiveClient` wires the same
 scheduler and transport, through the same helper the simulated testbeds
 use.  Only the substrate (the clock, and TCP connections for links)
 differs, so deferred and coalesced replies, sealed frames and the
-``transport_*`` metrics exist here as they do on the simulator.
+``transport_*`` metrics exist here as they do on the simulator, and a
+reply leaves by the connection its request came on, as a mailed one
+leaves by the mail link.
 
 Limitations of live mode (by design — it is a deployment vehicle, not
-the measurement substrate): no SMTP relay route; no server push — a
-connection carries one request and its reply, so nothing can listen on
-a port of its own and ``subscribe_invalidations`` raises
+the measurement substrate): no SMTP relay route (the relay is a
+simulated host: mail carries frames between simnet hosts); no server
+push — a connection carries one request and its reply, so nothing can
+listen on a port of its own and ``subscribe_invalidations`` raises
 ``AccessManagerError`` (poll with ``max_age_s`` instead); frames are
 never compressed or coalesced by the sender, which knows nothing of the
 wire behind its socket (both are served when received); and timing

@@ -23,6 +23,7 @@ import queue
 import socket
 import struct
 import threading
+from types import MappingProxyType, SimpleNamespace
 from typing import Any, Callable, Optional
 
 from repro.live.clock import RealTimeClock
@@ -116,30 +117,26 @@ class _LiveHost:
         #: A connection lives for one exchange: there is no standing
         #: link whose transitions a scheduler could watch.
         self.links = ()
-        #: The hosts a socket process can name: accepted connections
-        #: still owed a reply (``Transport._serve_request`` finds the
-        #: requester here).  It is its own network.
-        self.network = self
-        self.hosts: dict[str, _Connection] = {}
+        #: Names no host: nothing is pushed to a peer over a connection.
+        self.network = SimpleNamespace(hosts=MappingProxyType({}))
         self._ports: dict[int, Callable] = {}
 
     def bind(self, port: int, handler: Callable) -> None:
         self._ports[port] = handler
 
-    def best_link_to(self, peer: Any) -> Optional[_Connection]:
-        if isinstance(peer, _Connection):
-            return peer if self.hosts.get(peer.name) is peer else None
-        # Anywhere else is one dial away; whether anyone answers there
-        # is found out by calling, and a refusal backs off like a loss.
+    def best_link_to(self, peer: Any) -> _Connection:
+        # Anywhere is one dial away; whether anyone answers there is
+        # found out by calling, and a refusal backs off like a loss.
         return _Connection(peer.name)
 
-    def deliver(self, frame: bytes, source: tuple) -> None:
-        """Hand a received frame to the port it names (loop thread)."""
+    def deliver(self, frame: bytes, source: tuple, link: Optional[_Connection] = None) -> None:
+        """Hand a received frame, and the connection that carried it (a
+        reply leaves by it), to the port the frame names (loop thread)."""
         if len(frame) < _PORT.size:
             return
         handler = self._ports.get(_PORT.unpack_from(frame)[0])
         if handler is not None:  # traffic to an unbound port vanishes
-            handler(memoryview(frame)[_PORT.size:], source)
+            handler(memoryview(frame)[_PORT.size:], source, link)
 
 
 class LiveTransport(Transport):
@@ -238,19 +235,13 @@ class LiveTransport(Transport):
 
     def _serve_connection(self, conn: socket.socket, name: str) -> None:
         """One exchange on an accepted connection: read a frame, hand it
-        to the loop as sent by a peer reachable over this connection,
-        and write back the frame the loop sends that peer — the reply,
-        whenever its handler settles it.  A frame that asked nothing
-        (corrupt, one-way, for a port nobody bound) is hung up on at
-        once, a request whose reply is never completed after
-        ``REPLY_WAIT_S``."""
+        to the loop with this connection, and write back the frame the
+        loop sends on it — the reply, whenever its handler settles it.
+        A frame that asked nothing (corrupt, one-way, for a port nobody
+        bound) is hung up on at once, a request whose reply is never
+        completed after ``REPLY_WAIT_S``."""
         outbox: queue.SimpleQueue = queue.SimpleQueue()
-
-        def answer(frame: Optional[bytes], on_failed: Any) -> None:
-            self.host.hosts.pop(name, None)  # loop thread: the one frame this peer is sent
-            outbox.put(frame)
-
-        link = _Connection(name, answer)
+        link = _Connection(name, lambda frame, on_failed: outbox.put(frame))
         try:
             with conn:
                 conn.settimeout(REPLY_WAIT_S)
@@ -259,18 +250,15 @@ class LiveTransport(Transport):
                 reply = outbox.get(timeout=REPLY_WAIT_S)
                 if reply is not None:
                     _send_frame(conn, reply)
-        except OSError:
-            pass  # a broken request, or a requester that went away
-        except queue.Empty:
-            self.clock.post(self.host.hosts.pop, name, None)  # never answered
+        except (OSError, queue.Empty):
+            pass  # a broken request, a requester that went away, or no answer
 
     def _admit(self, link: _Connection, frame: bytes) -> None:
-        self.host.hosts[link.name] = link
         served = self._requests_served
-        self.host.deliver(frame, (link.name, RPC_PORT))
+        self.host.deliver(frame, (link.name, RPC_PORT), link)
         if self._requests_served == served:
             link.carry(None, None)  # the exchange took no request: no reply is owed
 
-    def _serve_request(self, envelope: dict, source: tuple) -> None:
+    def _serve_request(self, envelope: dict, source: tuple, link: Optional[_Connection]) -> None:
         self._requests_served += 1  # what _admit holds a connection open for
-        super()._serve_request(envelope, source)
+        super()._serve_request(envelope, source, link)

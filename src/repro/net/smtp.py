@@ -3,26 +3,30 @@
 The paper: *"SMTP allows Rover to exploit E-mail for queued
 communication"* — requests and replies ride through the mail
 infrastructure, so the two endpoints never need to be connected at the
-same time.  We model the minimum that preserves those semantics:
+same time.  Mail is a carrier under the one
+:class:`~repro.net.transport.Transport`, like a live TCP connection: it
+moves sealed frames and names its far end.
 
 * a :class:`MailRelay` host that accepts, spools (persistently counts),
   and forwards messages whenever a link to the recipient is up;
 * a :class:`Mailbox` per endpoint for sending and receiving mail;
-* a :class:`MailRoute` plugging mail delivery into the
+* a :class:`MailLink` mails a frame to one peer through the relay;
+* a :class:`MailRoute` plugs mail into the
   :class:`~repro.net.scheduler.NetworkScheduler` as a connectionless
-  route: requests go out as mail, the server answers with mail, and
-  the pending-reply table correlates them by id.  The relay taking
-  custody frees the scheduler's in-flight window (``on_accepted``).
+  route: a send is one ``Transport.call`` over a mail link with no reply
+  timer, and the relay taking custody frees the in-flight window.
+
+``transport_bytes_sent_total`` counts a mailed frame twice: as handed
+to the mail link, and again inside its submission to the relay.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from repro.net.message import MarshalError
 from repro.net.scheduler import Route, RouteKind
 from repro.net.simnet import Address, Host, Link
-from repro.net.transport import RpcError, Transport, error_answer, settle_reply
+from repro.net.transport import RPC_PORT, RpcError, Transport
 from repro.sim import Simulator
 
 SUBMIT_SERVICE = "smtp.submit"
@@ -110,16 +114,28 @@ class MailRelay:
 
 
 class Mailbox:
-    """An endpoint's interface to the mail system."""
+    """An endpoint's interface to the mail system.
+
+    A delivered mail whose body is bytes is a sealed frame a
+    :class:`MailLink` sent: it goes to the transport's RPC port with a
+    mail link back to its sender, by which any reply leaves.  Any other
+    body goes to the :meth:`on_mail` handlers.
+    """
 
     def __init__(self, sim: Simulator, transport: Transport, relay: Host) -> None:
         self.sim = sim
         self.transport = transport
         self.relay = relay
+        to_relay = [link for link in transport.host.links if relay in (link.host_a, link.host_b)]
+        #: The link to the relay's: the hop a mailed frame takes first.
+        self.spec = to_relay[0].spec
         self._handlers: list[Callable[[Any, str], None]] = []
+        self._unsent: list[tuple[str, bytes]] = []
         self.sent = 0
         self.received = 0
         transport.register(DELIVER_SERVICE, self._on_deliver)
+        for link in to_relay:
+            link.on_transition(self._on_link_transition)
 
     def on_mail(self, handler: Callable[[Any, str], None]) -> None:
         """Register ``handler(body, from_host_name)`` for inbound mail."""
@@ -150,16 +166,69 @@ class Mailbox:
         try:
             self.transport.call(self.relay, SUBMIT_SERVICE, mail, spooled, failed)
         except RpcError as exc:
-            if on_error is not None:
-                on_error(str(exc))
+            failed(exc)
 
     def _on_deliver(self, mail: Any, source: Address) -> Any:
         self.received += 1
         body = mail.get("body")
         sender = mail.get("from", "")
-        for handler in list(self._handlers):
-            handler(body, sender)
+        if isinstance(body, bytes):
+            self.transport._on_rpc_datagram(body, (sender, RPC_PORT), MailLink(self, sender, None))
+        else:
+            for handler in list(self._handlers):
+                handler(body, sender)
         return {"delivered": True}
+
+    def _mail_reply(self, dst_name: str, frame: bytes) -> None:
+        """Hand a reply frame to the relay until it takes it: after
+        :data:`RETRY_S` again if the link to the relay stays up, else
+        when it comes back up."""
+
+        def failed(reason: str) -> None:
+            self._unsent.append((dst_name, frame))
+            self.sim.schedule(RETRY_S, self._send_unsent)
+
+        self.send(dst_name, frame, on_error=failed)
+
+    def _on_link_transition(self, link: Link, is_up: bool) -> None:
+        if is_up:
+            self._send_unsent()
+
+    def _send_unsent(self) -> None:
+        if not self._unsent or self.transport.host.best_link_to(self.relay) is None:
+            return
+        unsent, self._unsent = self._unsent, []
+        for dst_name, frame in unsent:
+            self._mail_reply(dst_name, frame)
+
+
+class MailLink:
+    """The relay, as much of a simnet ``Link`` to host ``name`` as
+    ``Transport.send`` uses (duck-typed like live's ``_Connection``):
+    ``send`` mails the sealed frame, for the peer's RPC port.  A request
+    (sent with ``on_failed``) the relay does not take fails, for the
+    caller to retry, and its custody is ``on_accepted``.  A reply (sent
+    without: its request is in the relay's custody and is never sent
+    again) is kept until the relay takes it.
+    """
+
+    __slots__ = ("mailbox", "name", "spec", "on_accepted")
+
+    def __init__(self, mailbox: Mailbox, name: str, on_accepted: Optional[Callable]) -> None:
+        self.mailbox = mailbox
+        self.name = name
+        self.spec = mailbox.spec
+        self.on_accepted = on_accepted
+
+    def send(
+        self, sender: Host, port: int, payload: bytes,
+        on_failed: Optional[Callable[[str], None]] = None, src_port: int = 0,
+    ) -> float:
+        if on_failed is None:
+            self.mailbox._mail_reply(self.name, payload)
+        else:
+            self.mailbox.send(self.name, payload, self.on_accepted, on_failed)
+        return self.mailbox.sim.now
 
 
 class MailRoute(Route):
@@ -167,19 +236,15 @@ class MailRoute(Route):
 
     Low quality (used only when nothing better is up) but available
     whenever the *relay* is reachable, even if the destination itself
-    is not.
+    is not.  No reply timer: the far hops may be up days later.
     """
 
     name = "smtp"
     quality = 1.0  # always worse than any live direct link
     kind = RouteKind.QUEUED
 
-    def __init__(self, sim: Simulator, mailbox: Mailbox) -> None:
-        self.sim = sim
+    def __init__(self, mailbox: Mailbox) -> None:
         self.mailbox = mailbox
-        self._next_id = 0
-        self._pending: dict[str, Callable[[Any], None]] = {}
-        mailbox.on_mail(self._on_mail)
 
     def available(self, dst: Host) -> bool:
         return self.first_hop(dst) is not None
@@ -196,92 +261,7 @@ class MailRoute(Route):
         on_error: Callable[[str], None],
         on_accepted: Callable[[], None],
     ) -> None:
-        mail_id = f"{self.mailbox.transport.host.name}:mail:{self._next_id}"
-        self._next_id += 1
-        self._pending[mail_id] = on_reply
-        request = {
-            "kind": "qrpc-request",
-            "id": mail_id,
-            "service": service,
-            "body": body,
-            "reply_to": self.mailbox.transport.host.name,
-        }
-
-        def spooled() -> None:
-            on_accepted()
-
-        def failed(reason: str) -> None:
-            self._pending.pop(mail_id, None)
-            on_error(reason)
-
-        self.mailbox.send(dst.name, request, on_spooled=spooled, on_error=failed)
-
-    def _on_mail(self, body: Any, sender: str) -> None:
-        if not isinstance(body, dict) or body.get("kind") != "qrpc-reply":
-            return
-        on_reply = self._pending.pop(body.get("id"), None)
-        if on_reply is not None:
-            on_reply(body.get("body"))
-
-
-class MailRpcEndpoint:
-    """Server-side adapter: executes mailed requests, mails back replies.
-
-    Install on any host that should serve QRPCs arriving by mail; it
-    dispatches into the same service table the direct RPC port uses.
-    The client's request is in the relay's custody and is never sent
-    again, so a reply the relay could not take is kept and handed over
-    again: after :data:`RETRY_S` if the link to the relay is still up,
-    else when it comes back up.
-    """
-
-    def __init__(self, sim: Simulator, transport: Transport, mailbox: Mailbox) -> None:
-        self.sim = sim
-        self.transport = transport
-        self.mailbox = mailbox
-        self.served = 0
-        self._unsent: list[tuple[str, dict]] = []
-        mailbox.on_mail(self._on_mail)
-        for link in transport.host.links:
-            link.on_transition(self._on_link_transition)
-
-    def _on_mail(self, body: Any, sender: str) -> None:
-        if not isinstance(body, dict) or body.get("kind") != "qrpc-request":
-            return
-        source: Address = (sender, 0)
-        reply_body = self.transport.handle_request(
-            body.get("service", ""), body.get("body"), source
+        self.mailbox.transport.call(
+            dst, service, body, on_reply, lambda error: on_error(str(error)),
+            timeout=None, link=MailLink(self.mailbox, dst.name, on_accepted),
         )
-        self.served += 1
-
-        def respond(delay_s: float, final: Any) -> None:
-            reply = {"kind": "qrpc-reply", "id": body.get("id"), "ok": True, "body": final}
-            reply_to = body.get("reply_to", sender)
-            if delay_s > 0:
-                self.sim.schedule(delay_s, self._mail_reply, reply_to, reply)
-            else:
-                self._mail_reply(reply_to, reply)
-
-        settle_reply(reply_body, respond)
-
-    def _mail_reply(self, reply_to: str, reply: dict) -> None:
-        def failed(reason: str) -> None:
-            self._unsent.append((reply_to, reply))
-            self.sim.schedule(RETRY_S, self._send_unsent)
-
-        try:
-            self.mailbox.send(reply_to, reply, on_error=failed)
-        except MarshalError as exc:  # nothing was mailed: answer the fault
-            self._mail_reply(reply_to, {**reply, "body": error_answer(exc)})
-
-    def _on_link_transition(self, link: Link, is_up: bool) -> None:
-        if is_up:
-            self._send_unsent()
-
-    def _send_unsent(self) -> None:
-        host = self.transport.host
-        if not self._unsent or host.best_link_to(self.mailbox.relay) is None:
-            return
-        unsent, self._unsent = self._unsent, []
-        for reply_to, reply in unsent:
-            self._mail_reply(reply_to, reply)

@@ -10,10 +10,11 @@ The transport sits between raw links and the Rover layers above:
   form also serves as the paper's baseline ("non-queued RPC") in the
   benchmarks.
 
-Replies travel back over the same link that carried the request, so a
-reply can fail independently if the link drops in between — exactly
-the window that makes at-most-once duplicate suppression necessary at
-the QRPC layer.
+A reply leaves by the carrier its request came on (a TCP connection, a
+mail link); a request that came over simnet names none, and its reply
+takes the host's best link to the sender now.  Either way a reply can
+fail independently if the link drops in between — exactly the window
+that makes at-most-once duplicate suppression necessary at QRPC.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ FRAMING_BYTES = len(seal(_RAW))
 #: Largest payload a ``Z`` frame may inflate to.  Well above the
 #: biggest object the experiments move (1 MiB), and the bound on what a
 #: CRC-valid frame of a few KB can make a receiver allocate.  No
-#: coalesced frame marshals to more.
+#: coalesced frame marshals to more; a lone frame that does leaves raw.
 MAX_FRAME_BYTES = 8 * 1024 * 1024
 
 #: The coalesced exchange: several requests for one host in one frame,
@@ -286,7 +287,8 @@ class Transport:
     def _encode_payload(self, value: Any, link: Link) -> bytes:
         raw = marshal(value)
         # :meth:`bytes_dominate`, inline: a comparison per frame, no call.
-        if self.adapt_to_link and len(raw) >= link.spec.bytes_dominate_from:
+        # Past the cap only an ``R`` frame is taken.
+        if self.adapt_to_link and link.spec.bytes_dominate_from <= len(raw) <= MAX_FRAME_BYTES:
             squeezed = zlib.compress(raw, DEFLATE_LEVEL)
             if len(squeezed) < len(raw):
                 self.bytes_saved_by_compression += len(raw) - len(squeezed)
@@ -392,14 +394,15 @@ class Transport:
         request: Any,
         on_reply: Callable[[Any], None],
         on_error: Callable[[RpcError], None],
-        timeout: float = 60.0,
+        timeout: Optional[float] = 60.0,
         link: Optional[Link] = None,
     ) -> str:
         """Issue an RPC; exactly one of the callbacks will run.
 
         ``on_reply`` gets whatever the far side answered, an
         :func:`error_answer` included; ``on_error`` runs only when no
-        answer came (the frame was lost, or the timeout ran out).
+        answer came (the frame was lost, or the timeout ran out; None
+        sets no timer, for a store-and-forward carrier's reply).
         Raises :class:`RpcError` when there is no route right now.
         Returns the call id (useful for correlating in logs).
         """
@@ -411,7 +414,7 @@ class Transport:
             if pending is not None:
                 on_error(RpcTimeout(f"call {call_id} to {service} timed out"))
 
-        timer = self.sim.schedule(timeout, expire)
+        timer = self.sim.schedule(timeout, expire) if timeout is not None else None
         self._pending_calls[call_id] = {
             "on_reply": on_reply,
             "on_error": on_error,
@@ -429,7 +432,8 @@ class Transport:
         def failed(reason: str) -> None:
             pending = self._pending_calls.pop(call_id, None)
             if pending is not None:
-                pending["timer"].cancel()
+                if timer is not None:
+                    timer.cancel()
                 on_error(RpcError(f"call {call_id} failed: {reason}"))
 
         trace = (
@@ -442,9 +446,8 @@ class Transport:
         try:
             self.send(dst, RPC_PORT, envelope, link=link, on_failed=failed, trace=trace)
         except LinkDown as exc:
-            pending = self._pending_calls.pop(call_id, None)
-            if pending is not None:
-                pending["timer"].cancel()
+            if self._pending_calls.pop(call_id, None) is not None and timer is not None:
+                timer.cancel()
             raise RpcError(str(exc)) from exc
         return call_id
 
@@ -453,7 +456,7 @@ class Transport:
         puts on ``link``: its payload, encoded as :meth:`send` will."""
         call_id = f"{self.host.name}:{self._next_call_id}"
         raw = marshal(_request_envelope(call_id, service, request))
-        if self.bytes_dominate(link, len(raw)):
+        if len(raw) <= MAX_FRAME_BYTES and self.bytes_dominate(link, len(raw)):
             return FRAMING_BYTES + min(len(raw), len(zlib.compress(raw, DEFLATE_LEVEL)))
         return FRAMING_BYTES + len(raw)
 
@@ -508,9 +511,9 @@ class Transport:
             raise RpcTimeout(f"simulation drained before reply from {service}")
         return outcome["value"]
 
-    def _on_rpc_datagram(self, payload: bytes, source: Address) -> None:
+    def _on_rpc_datagram(self, frame: bytes, source: Address, link: Optional[Link] = None) -> None:
         try:
-            envelope = self._decode_payload(payload)
+            envelope = self._decode_payload(frame)
         except MarshalError:
             self.corrupt_frames_detected += 1
             return  # corrupt frame: detected and dropped, retransmit recovers
@@ -519,7 +522,7 @@ class Transport:
             return
         kind = envelope.get("kind")
         if kind == "request":
-            self._serve_request(envelope, source)
+            self._serve_request(envelope, source, link)
         elif kind == "reply":
             self._accept_reply(envelope)
 
@@ -534,7 +537,8 @@ class Transport:
         ``Host.take_ports``).
         """
         for pending in self._pending_calls.values():
-            pending["timer"].cancel()
+            if pending["timer"] is not None:
+                pending["timer"].cancel()
         self._pending_calls.clear()
         self._epoch += 1
 
@@ -542,11 +546,11 @@ class Transport:
         """Dispatch a request to the local service table and return the
         answer, which goes through :func:`settle_reply`.
 
-        Shared by every carrier that can deliver requests to this host
-        (direct RPC port, SMTP relay).  No such service, or a handler
-        that raises, is answered with :func:`error_answer` rather than
-        crashing the host.  A :data:`BATCH_SERVICE` request is unpacked
-        here, so every registered service can be coalesced.
+        Every request is served here, whichever carrier brought it.  No
+        such service, or a handler that raises, is answered with
+        :func:`error_answer` rather than crashing the host.  A
+        :data:`BATCH_SERVICE` request is unpacked here, so every
+        registered service can be coalesced.
         """
         if service == BATCH_SERVICE:
             return self._handle_batch(body, source)
@@ -627,9 +631,11 @@ class Transport:
             serve(index, member)
         return frame_reply
 
-    def _serve_request(self, envelope: dict, source: Address) -> None:
-        src_host = self.host.network.hosts.get(source[0])
-        if src_host is None:
+    def _serve_request(self, envelope: dict, source: Address, link: Optional[Link]) -> None:
+        # The reply leaves by the carrier that brought the request, or
+        # (none: simnet) by the host's best link to the sender.
+        peer = link if link is not None else self.host.network.hosts.get(source[0])
+        if peer is None:
             return
         body = envelope.get("body")
         trace = (
@@ -664,21 +670,21 @@ class Transport:
             # if anything, is the body's ``status``.
             reply = {"kind": "reply", "id": envelope.get("id"), "ok": True, "body": final}
             if delay_s > 0:
-                self.sim.schedule(delay_s, self._transmit_reply, epoch, src_host, reply, trace)
+                self.sim.schedule(delay_s, self._transmit_reply, epoch, peer, reply, trace, link)
             else:
-                self._transmit_reply(epoch, src_host, reply, trace)
+                self._transmit_reply(epoch, peer, reply, trace, link)
 
         settle_reply(reply_body, respond)
 
     def _transmit_reply(
-        self, epoch: int, dst: Host, reply: dict, trace: Optional[tuple[str, str]]
+        self, epoch: int, dst: Host, reply: dict, trace: Optional[tuple], link: Optional[Link]
     ) -> None:
         if epoch != self._epoch:
             return  # the incarnation that computed this reply crashed
         try:
-            self.send(dst, RPC_PORT, reply, trace=trace)
+            self.send(dst, RPC_PORT, reply, link=link, trace=trace)
         except MarshalError as exc:  # nothing was sent: answer the fault
-            self._transmit_reply(epoch, dst, {**reply, "body": error_answer(exc)}, trace)
+            self._transmit_reply(epoch, dst, {**reply, "body": error_answer(exc)}, trace, link)
         except LinkDown:
             pass  # lost reply; the caller's timeout recovers
 
@@ -687,7 +693,8 @@ class Transport:
         pending = self._pending_calls.pop(call_id, None)
         if pending is None:
             return  # duplicate or expired reply
-        pending["timer"].cancel()
+        if pending["timer"] is not None:
+            pending["timer"].cancel()
         pending["on_reply"](envelope.get("body"))
 
 

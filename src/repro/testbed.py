@@ -20,7 +20,7 @@ from repro.core.server import RoverServer
 from repro.net.link import ConnectivityPolicy, LinkSpec, ETHERNET_10M
 from repro.net.scheduler import NetworkScheduler
 from repro.net.simnet import Host, Link, Network
-from repro.net.smtp import MailRelay, Mailbox, MailRoute, MailRpcEndpoint
+from repro.net.smtp import MailRelay, Mailbox, MailRoute
 from repro.net.transport import Transport
 from repro.obs import Observatory, active_capture
 from repro.sim import Simulator
@@ -273,8 +273,7 @@ def _build(
         bed.relay.watch_new_links()
         bed.client_mailbox = Mailbox(sim, stack.transport, bed.relay_host)
         bed.server_mailbox = Mailbox(sim, members[0][1], bed.relay_host)
-        MailRpcEndpoint(sim, members[0][1], bed.server_mailbox)
-        stack.scheduler.add_route(MailRoute(sim, bed.client_mailbox))
+        stack.scheduler.add_route(MailRoute(bed.client_mailbox))
         # The relay link was attached after the stack was wired.
         stack.access.watch_new_links()
     return bed

@@ -27,10 +27,11 @@ class TestTables:
         assert len(lines[3]) >= max(len(line) for line in lines[4:])
 
 
-def make_scenario():
+def make_scenario(**options):
     bed = build_testbed(
         link_spec=CSLIP_14_4,
         policy=IntervalTrace([(0.0, 100.0), (400.0, 1e9)]),
+        **options,
     )
     note = make_note()
     bed.server.put_object(note)
@@ -80,6 +81,24 @@ class TestTimeline:
         assert any(line.startswith("events") for line in lines)
         widths = {len(line) for line in lines[1:]}
         assert len(widths) == 1  # lanes aligned
+
+    def test_render_adds_a_lane_per_traced_stage(self):
+        bed, note = make_scenario(trace=True)
+        timeline = Timeline(bed.access, 0.0, 600.0, width=60)
+        stages = ("qrpc", "log.append", "queue.wait", "link.transmit", "server.execute")
+        lanes = dict(timeline.span_lanes(bed.obs.spans))
+        assert set(stages) <= set(lanes)
+        assert all(len(lanes[stage]) == 60 and "#" in lanes[stage] for stage in stages)
+        # The offline export waits out the outage (columns 20-39) in the
+        # queue, and nothing crosses the wire meanwhile.
+        assert lanes["queue.wait"][22:38] == "#" * 16
+        assert "#" not in lanes["link.transmit"][22:38]
+        lines = timeline.render(spans=bed.obs.spans).splitlines()
+        labels = [line.split()[0] for line in lines[1:]]
+        assert labels[:3] == ["link", "queue", "events"] and set(stages) <= set(labels[3:])
+        for stage in stages:
+            assert lines[1 + labels.index(stage)].endswith(lanes[stage])
+        assert len({len(line) for line in lines[1:]}) == 1  # lanes aligned
 
     def test_invalid_range_rejected(self):
         bed, note = make_scenario()

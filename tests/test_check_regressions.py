@@ -44,14 +44,17 @@ import pytest
 
 from repro.check.replay import run_with_choices
 from repro.check.scenarios import make_box
+from repro.check.seam import CheckHarness, count_dispatch_while_down
 from repro.core.conflict import FieldwiseMerge, ResolverRegistry
 from repro.core.naming import URN
 from repro.core.rdo import RDO
 from repro.core.server import RoverServer
+from repro.net.link import AlwaysDown
 from repro.net.simnet import Network
-from repro.net.transport import Transport
+from repro.net.transport import RpcError, Transport
 from repro.sim import Simulator
-from tests.conftest import make_note
+from repro.testbed import build_testbed
+from tests.conftest import into, make_note
 
 SRC = ("client", 0)
 
@@ -128,6 +131,23 @@ def test_replayed_counterexample_crash_drain_stale_route():
     result = run_with_choices("crash-during-drain", {10: 4})
     assert result.violations == []
     assert result.stats["dispatch_while_down"] == 0
+
+
+def test_dispatch_while_down_counts_only_calls_that_name_no_carrier():
+    """A call with no carrier named while the direct link is down is a
+    stale route; a mailed call, which names its mail link, is the mail
+    route's own choice while that link is down."""
+    bed = build_testbed(policy=AlwaysDown(), with_relay=True)
+    bed.server_transport.register("echo", lambda body, source: body)
+    harness = CheckHarness(bed.sim, frozenset(), frozenset())
+    count_dispatch_while_down(harness, bed.client_transport)
+    replies = []
+    bed.scheduler.submit(bed.server_host, "echo", {"n": 1}, on_reply=into(replies))
+    bed.sim.run(until=3_600.0)
+    assert replies == [{"n": 1}] and harness.dispatch_while_down == 0
+    with pytest.raises(RpcError):
+        bed.client_transport.call(bed.server_host, "echo", {"n": 2}, replies.append, replies.append)
+    assert harness.dispatch_while_down == 1
 
 
 # -- direct unit regressions (the same bugs, no checker machinery) ------------

@@ -137,3 +137,20 @@ def test_damaged_compressed_frame_is_a_marshal_error(mangle):
     good = zlib.compress(marshal({"kind": "request", "pad": "x" * 500}), 6)
     with pytest.raises(MarshalError):
         Transport._decode_payload(seal(b"Z" + mangle(good)))
+
+
+def test_a_lone_frame_past_the_cap_leaves_raw_and_is_served():
+    """A ``Z`` frame inflating past the cap is refused by every
+    receiver, and an ``R`` frame of any size is taken: a request that
+    marshals past the cap, bytes dominating or not, leaves raw (once:
+    before, it was deflated, refused as corrupt and sent again until its
+    attempts ran out)."""
+    sim, link, ta, tb = make_pair()
+    tb.register("rover.list", lambda body, src: {"n": len(body["prefix"])})
+    prefix = "a" * (9 * 1024 * 1024)
+    request = {"prefix": prefix}
+    wire = ta.call_bytes("rover.list", request, link)
+    assert wire > MAX_FRAME_BYTES  # counted as it will leave: raw
+    assert ta.call_blocking(tb.host, "rover.list", request, timeout=30.0) == {"n": len(prefix)}
+    assert tb.corrupt_frames_detected == 0 and ta.bytes_saved_by_compression == 0
+    assert ta.bytes_sent == wire

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.chaos import ChaosController
 from repro.net.link import (
     CSLIP_14_4,
     ETHERNET_10M,
@@ -11,11 +12,11 @@ from repro.net.link import (
 )
 from repro.net.scheduler import NetworkScheduler
 from repro.net.simnet import Delivery, Network
-from repro.net.smtp import MailRelay, Mailbox, MailRoute, MailRpcEndpoint
+from repro.net.smtp import MailRelay, Mailbox, MailRoute
 from repro.net.transport import Transport
 from repro.sim import Simulator
 from repro.testbed import build_testbed
-from tests.conftest import into
+from tests.conftest import into, make_note
 
 
 def make_mail_world(client_relay_policy=None, relay_server_policy=None, direct_policy=None):
@@ -86,9 +87,8 @@ def test_qrpc_over_mail_route():
     """Full request/reply through the relay while the direct link is down."""
     sim, net, c, s, rh, direct, tc, ts, relay, mbc, mbs = make_mail_world()
     ts.register("ping", lambda body, src: {"pong": body["n"]})
-    MailRpcEndpoint(sim, ts, mbs)
     scheduler = NetworkScheduler(sim, tc)
-    scheduler.add_route(MailRoute(sim, mbc))
+    scheduler.add_route(MailRoute(mbc))
     replies = []
     scheduler.submit(s, "ping", {"n": 7}, on_reply=into(replies))
     sim.run()
@@ -101,9 +101,8 @@ def test_mail_route_frees_window_after_spool():
         relay_server_policy=IntervalTrace([(100.0, 1e9)]),
     )
     ts.register("ping", lambda body, src: {"pong": True})
-    MailRpcEndpoint(sim, ts, mbs)
     scheduler = NetworkScheduler(sim, tc, max_inflight=1)
-    scheduler.add_route(MailRoute(sim, mbc))
+    scheduler.add_route(MailRoute(mbc))
     replies = []
     for index in range(3):
         scheduler.submit(s, "ping", {"n": index}, on_reply=into(replies))
@@ -116,29 +115,29 @@ def test_mail_route_frees_window_after_spool():
 
 
 def test_mail_route_lets_go_of_a_request_the_relay_never_took():
-    """The link to the relay drops with the submission on it: the route
-    must forget the mail id (no reply will ever name it) and tell the
-    scheduler, whose retry after the link returns is a fresh mail."""
+    """The link to the relay drops with the submission on it: the
+    transport must forget the mailed call (no reply will ever name it)
+    and tell the scheduler, whose retry after the link returns is a
+    fresh mail."""
     sim, net, c, s, rh, direct, tc, ts, relay, mbc, mbs = make_mail_world(
         # 14.4k: the ~100 B submission is still on the wire at 0.05 s.
         client_relay_policy=IntervalTrace([(0.0, 0.05), (5.0, 1e9)]),
     )
     ts.register("ping", lambda body, src: {"pong": body["n"]})
-    MailRpcEndpoint(sim, ts, mbs)
     scheduler = NetworkScheduler(sim, tc, base_backoff=0.1)
-    route = MailRoute(sim, mbc)
-    scheduler.add_route(route)
+    scheduler.add_route(MailRoute(mbc))
     replies, failures = [], []
     scheduler.submit(s, "ping", {"n": 7}, on_reply=into(replies), on_failed=into(failures))
     sim.run(until=0.01)
-    assert len(route._pending) == 1  # handed to the mailbox, awaiting custody
+    # The mailed call, and its submission to the relay, awaiting custody.
+    assert len(tc._pending_calls) == 2
     sim.run(until=1.0)
-    assert relay.accepted == 0 and route._pending == {}
+    assert relay.accepted == 0 and tc._pending_calls == {}
     sim.run(until=60.0)
     assert replies == [{"pong": 7}] and failures == []
     assert scheduler.retransmissions == 1
     assert relay.accepted == 2  # the retried request, and its reply
-    assert route._pending == {}
+    assert tc._pending_calls == {}
 
 
 def test_scheduler_prefers_direct_link_when_up():
@@ -147,9 +146,8 @@ def test_scheduler_prefers_direct_link_when_up():
         direct_policy=AlwaysUp()
     )
     ts.register("ping", lambda body, src: {"pong": True})
-    MailRpcEndpoint(sim, ts, mbs)
     scheduler = NetworkScheduler(sim, tc)
-    scheduler.add_route(MailRoute(sim, mbc))
+    scheduler.add_route(MailRoute(mbc))
     replies = []
     scheduler.submit(s, "ping", {}, on_reply=into(replies))
     sim.run()
@@ -227,3 +225,67 @@ def test_a_retried_delivery_the_server_already_has_runs_nothing_twice():
     assert bed.server_mailbox.received == 2
     assert bed.server.ships_served == 1
     assert bed.access.pending_count() == 0
+
+
+# ---------------------------------------------------------------------------
+# Mail is a carrier under the one transport: a mailed request is served,
+# answered, traced and crash-suppressed as any other.
+# ---------------------------------------------------------------------------
+
+
+def test_a_mailed_request_records_its_server_execute_span_under_the_clients_trace():
+    bed = build_testbed(policy=AlwaysDown(), with_relay=True, trace=True)
+    bed.server.put_object(make_note())
+    imported = bed.access.import_("urn:rover:server/notes/n1")
+    bed.sim.run(until=3_600.0)
+    assert imported.ready and not imported.failed
+    assert bed.relay.accepted == 2  # the request, its reply
+    (root,) = [span for span in bed.obs.spans if span.name == "qrpc"]
+    trace = [span for span in bed.obs.spans if span.trace_id == root.trace_id]
+    (executed,) = [span for span in trace if span.name == "server.execute"]
+    assert executed.attrs["service"] == "rover.import"
+    assert executed.attrs["host"] == bed.server_host.name
+    # Both frames were handed to a mail link named for the far end.
+    wires = [span.attrs["wire"] for span in trace if span.name == "link.transmit"]
+    assert wires == [bed.server_host.name, bed.client_host.name]
+
+
+def _raise(body, source):
+    raise RuntimeError("kaput")
+
+
+@pytest.mark.parametrize(
+    "handler, error",
+    [
+        (_raise, "RuntimeError: kaput"),
+        (lambda body, source: "\ud800", "MarshalError: cannot marshal str"),
+    ],
+    ids=["handler-raises", "reply-the-codec-refuses"],
+)
+def test_a_mailed_request_the_server_cannot_answer_is_answered_error_once(handler, error):
+    bed = build_testbed(policy=AlwaysDown(), with_relay=True)
+    bed.server_transport.register("fault", handler)
+    replies = []
+    bed.scheduler.submit(bed.server_host, "fault", {"n": 1}, on_reply=into(replies))
+    bed.sim.run(until=3_600.0)
+    assert len(replies) == 1 and replies[0]["status"] == "error"
+    assert replies[0]["error"].startswith(error)
+    assert bed.relay.accepted == 2 and bed.server_mailbox.sent == 1  # one reply, once
+    assert bed.scheduler.retransmissions == 0 and bed.client_transport._pending_calls == {}
+
+
+def test_a_server_that_crashes_while_a_mailed_ship_computes_mails_no_reply():
+    """The transport's crash rule covers mail: the dead incarnation's
+    reply is never handed to the relay, and the client, whose request is
+    in the relay's custody, has no deadline to give up by."""
+    bed = build_testbed(policy=AlwaysDown(), with_relay=True)
+    chaos = ChaosController(bed.sim)
+    outcomes = []
+    shipped = bed.access.ship(bed.authority, SLOW_SHIP)
+    shipped.then(lambda result: outcomes.append(("ok", result)))
+    shipped.on_failure(lambda reason: outcomes.append(("failed", reason)))
+    bed.sim.run_until(lambda: bed.server.ships_served == 1)
+    chaos.crash_server(bed.server)  # the RDO's ~0.3 s are still owed
+    bed.sim.run(until=100_000.0)
+    assert outcomes == []
+    assert bed.relay.accepted == 1 and bed.server_mailbox.sent == 0

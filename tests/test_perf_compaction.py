@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.core.operation_log import OperationLog
 from repro.core.qrpc import Operation, QRPCRequest
 from repro.net.link import ETHERNET_10M, IntervalTrace
+from repro.net.message import marshal
 from repro.net.transport import AsyncReply
 from repro.obs.fleet import FleetAggregator, TelemetryReporter, fold_reports
 from repro.perf.compact import QueueCompaction
@@ -359,6 +360,31 @@ def test_dirty_followups_fold_into_the_queued_export():
     assert bed.access.log.ops_compacted == 2
     assert bed.access.pending_count() == 0
     assert bed.access.cache.tentative_urns() == []
+
+
+def test_a_reworded_message_is_charged_the_size_of_its_new_body():
+    """A queued export given a later snapshot is budgeted, checked
+    against the frame cap and counted in ``sched_service_bytes_total``
+    at the size it now marshals to, not the size it was queued at."""
+    bed, note, session = _disconnected_bed(compaction=True)
+    submit, submitted = bed.scheduler.submit, []
+
+    def recording(*args, **kwargs):
+        submitted.append(submit(*args, **kwargs))
+        return submitted[-1]
+
+    bed.scheduler.submit = recording
+    bed.sim.run(until=20.0)  # disconnected now
+    for text in ("one", "two" * 500, "three" * 1000):
+        bed.access.invoke(note.urn, "set_text", text, session=session)
+        bed.sim.run(until=bed.sim.now + 10.0)
+    (queued,) = [message for message in submitted if message.state == "queued"]
+    assert queued.body_bytes == len(marshal(queued.body)) > 5_000
+    bed.sim.run()
+    counted = bed.obs.registry.snapshot()
+    assert counted["sched_service_bytes_total{host=client,service=rover.export}"] == (
+        queued.body_bytes
+    )
 
 
 def test_without_compaction_each_followup_exports():

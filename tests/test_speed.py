@@ -820,19 +820,15 @@ def test_faulted_deliveries_are_charged_as_before(fault, carried):
     assert link.transfers_failed == (1 if fault == "drop" else 0)
 
 
-def test_live_host_answers_for_a_peer_address_and_an_accepted_connection():
+def test_live_host_dials_a_peer_address():
     """The host side of the seam over sockets: an address is always one
-    dial away; a connection is usable while the reply it is owed is."""
+    dial away.  It names no host: an accepted connection is handed to
+    the transport with the frame it carried, and the reply leaves by it."""
     host = _LiveHost(clock=None, name="here")
     dialled = host.best_link_to(LiveAddress("there", "127.0.0.1", 9))
     assert isinstance(dialled, _Connection) and dialled.name == "there"
     assert dialled.carry is None  # only a call dials one
-    accepted = _Connection("127.0.0.1:5#0", carry=lambda frame, on_failed: None)
-    assert host.best_link_to(accepted) is None  # not (or no longer) owed a reply
-    host.hosts[accepted.name] = accepted
-    assert host.best_link_to(accepted) is accepted
-    host.hosts[accepted.name] = _Connection(accepted.name)  # the name, reused
-    assert host.best_link_to(accepted) is None
+    assert dict(host.network.hosts) == {}
 
 
 # ---------------------------------------------------------------------------
