@@ -76,9 +76,10 @@ perf:
 	$(PYTHON) -m pytest -q "benchmarks/test_experiments.py::test_experiment[e14]"
 
 # Every frame of E14's mail drain on CSLIP-14.4, one row each: service,
-# members, raw and wire bytes, virtual send and arrival times
-# (tools/frames.py; seconds).  The traffic a frame budget change moves;
-# it reports and gates nothing.
+# members, raw bytes, bytes deflated with no preset dictionary, wire
+# bytes, virtual send and arrival times; then a total per service
+# (tools/frames.py; seconds).  The traffic a frame budget or dictionary
+# change moves; it reports and gates nothing.
 frames:
 	$(PYTHON) tools/frames.py
 

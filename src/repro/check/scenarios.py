@@ -415,7 +415,7 @@ class CoalescedDrainScenario(CrashDrainScenario):
 
     name = "coalesced-drain"
     description = "single client: a coalesced reconnect frame dropped, replayed, crashed under"
-    interleavings = {2: 611}
+    interleavings = {2: 587}
     down_s = 5.0
     #: Pads an append's request body past ~175 B, where its bytes cost
     #: more than the link's propagation delay.
@@ -782,7 +782,7 @@ class HAFailoverFeaturesScenario(HAFailoverScenario):
 
     name = "ha-failover-features"
     description = "primary kill around the reconnect drain of a compacted, delta-shipped backlog"
-    interleavings = {2: 445}
+    interleavings = {2: 448}
     down_s = 5.0
     #: Kill offsets relative to the reconnection: while the client is
     #: still away, with the export on its way to the primary, with the

@@ -20,10 +20,13 @@ every one of these failed before its fix landed:
   then its death in a later election, left the two backups ticking at
   the same instants: each proposed the epoch the other had promised
   itself, each refused, and both tried again one tick later, for good.
-* ha-failover-features ``{2: 3, 10: 1}`` — a candidate killed in its
-  election restarted saying ``heard`` to the other backup's poll (a
-  restart reset ``last_heard``), which stood down for a lease more while
-  the client's rounds ran out.
+* ha-failover-features ``{2: 3, 11: 1}`` (found as ``{2: 3, 10: 1}``;
+  with frames deflated against the protocol dictionary, the client's
+  retry of its export to the killed primary reaches its frame decision,
+  position 10, before the election does) — a
+  candidate killed in its election restarted saying ``heard`` to the
+  other backup's poll (a restart reset ``last_heard``), which stood
+  down for a lease more while the client's rounds ran out.
 * ha-read ``{4: 10}`` — the writer's backlog, parked while its link to
   a partitioned primary was down, reached that primary as the partition
   healed: it ran the appends alone, was deposed, and took the new
@@ -93,7 +96,7 @@ def test_replayed_counterexample_ha_features_crossed_polls_lockstep():
 
 
 def test_replayed_counterexample_ha_features_restart_is_not_a_primary_heard():
-    result = run_with_choices("ha-failover-features", {2: 3, 10: 1})
+    result = run_with_choices("ha-failover-features", {2: 3, 11: 1})
     assert chosen(result) == [("primary-kill-at", None), ("kill-during-election", "server-b2")]
     assert result.violations == []
 

@@ -1,6 +1,7 @@
 """Wire-compression tests: the transport compresses a frame exactly
 when its bytes cost more line time than the chosen link's propagation
-delay, and inflates inbound frames against a stated cap."""
+delay, deflates it against the protocol's preset dictionary, and
+inflates inbound frames against a stated cap."""
 
 import random
 import zlib
@@ -8,9 +9,17 @@ import zlib
 import pytest
 
 from repro.net.link import CSLIP_14_4, ETHERNET_10M
-from repro.net.message import MarshalError, marshal, marshalled_size, seal
+from repro.net.message import MarshalError, marshal, marshalled_size, seal, unseal
 from repro.net.simnet import Network
-from repro.net.transport import MAX_FRAME_BYTES, Transport
+from repro.net.transport import (
+    BATCH_SERVICE,
+    DEFLATE_DICTIONARY,
+    DEFLATE_LEVEL,
+    MAX_FRAME_BYTES,
+    RPC_PORT,
+    Transport,
+    deflate,
+)
 from repro.sim import Simulator
 from repro.testbed import build_testbed
 
@@ -154,3 +163,111 @@ def test_a_lone_frame_past_the_cap_leaves_raw_and_is_served():
     assert ta.call_blocking(tb.host, "rover.list", request, timeout=30.0) == {"n": len(prefix)}
     assert tb.corrupt_frames_detected == 0 and ta.bytes_saved_by_compression == 0
     assert ta.bytes_sent == wire
+
+
+# -- the preset dictionary ---------------------------------------------------------
+
+
+def _deflated_against(zdict, raw, level=DEFLATE_LEVEL):
+    squeezer = zlib.compressobj(level, zdict=zdict)
+    return squeezer.compress(raw) + squeezer.flush()
+
+
+def test_a_dictionary_deflated_bomb_is_stopped_at_the_frame_cap():
+    """The cap holds for a stream that starts from the dictionary's
+    window, as it does for one that starts empty."""
+    sim, link, ta, tb = make_pair()
+    served = []
+    tb.register("echo", lambda body, src: served.append(body))
+    bomb = _deflated_against(DEFLATE_DICTIONARY, b"\0" * (MAX_FRAME_BYTES + 1), 9)
+    assert len(bomb) < 16 * 1024
+    frame = seal(b"Z" + bomb)
+    with pytest.raises(MarshalError, match="frame cap"):
+        Transport._decode_payload(frame)
+    link.send(ta.host, RPC_PORT, frame)
+    sim.run()
+    assert served == []
+    assert tb.corrupt_frames_detected == 1
+
+
+def _request_frame(squeeze):
+    envelope = {"kind": "request", "id": "a:0", "service": "echo", "body": {"pad": "x" * 500}}
+    return seal(b"Z" + squeeze(marshal(envelope)))
+
+
+def test_a_frame_deflated_against_another_dictionary_is_dropped_as_corrupt():
+    """A peer whose dictionary differs by a byte sends frames this one
+    cannot read: counted corrupt, not served, not answered."""
+    sim, link, ta, tb = make_pair()
+    served = []
+    tb.register("echo", lambda body, src: served.append(body) or "ok")
+    other = bytes([DEFLATE_DICTIONARY[0] ^ 1]) + DEFLATE_DICTIONARY[1:]
+    link.send(ta.host, RPC_PORT, _request_frame(lambda raw: _deflated_against(other, raw)))
+    sim.run()
+    assert tb.corrupt_frames_detected == 1
+    assert served == [] and tb.messages_sent == 0
+
+
+def test_a_frame_deflated_with_no_dictionary_is_still_served():
+    """What every sender wrote before the dictionary: the stream's
+    header does not ask for one, so the one inflater reads it."""
+    sim, link, ta, tb = make_pair()
+    served = []
+    tb.register("echo", lambda body, src: served.append(body) or "ok")
+    link.send(ta.host, RPC_PORT, _request_frame(lambda raw: zlib.compress(raw, DEFLATE_LEVEL)))
+    sim.run()
+    assert tb.corrupt_frames_detected == 0
+    assert served == [{"pad": "x" * 500}] and tb.messages_sent == 1
+
+
+def test_a_sent_frame_names_the_dictionary():
+    """What :meth:`Transport.send` puts on a slow link: a ``Z`` frame
+    whose zlib header asks for the dictionary (the FDICT flag, then the
+    dictionary's Adler-32) and whose body is :func:`deflate` of the
+    marshalled value."""
+    sim, link, ta, tb = make_pair(CSLIP_14_4)
+    frames = []
+    tb.host.bind(9000, lambda payload, source: frames.append(bytes(payload)))
+    value = {"pad": "x" * 500}
+    ta.send(tb.host, 9000, value)
+    sim.run()
+    body = bytes(unseal(frames[0]))
+    assert body[:1] == b"Z" and body[1:] == deflate(marshal(value))
+    assert body[2] & 0x20 and body[3:7] == zlib.adler32(DEFLATE_DICTIONARY).to_bytes(4, "big")
+
+
+def test_the_dictionary_is_pinned():
+    """Every byte of the dictionary is on the wire: a change to it is a
+    change of protocol, which a peer still on the old one only shows as
+    corrupt frames.  Change these two numbers on purpose only."""
+    assert (len(DEFLATE_DICTIONARY), zlib.crc32(DEFLATE_DICTIONARY)) == (2542, 2537701635)
+
+
+def _services_on_the_wire():
+    """Every service name a sender can put in a request envelope."""
+    from repro.core.access_manager import OPERATIONS
+    from repro.core.server import SERVICES
+    from repro.ha import build_ha_testbed
+    from repro.obs.fleet.aggregator import FleetAggregator
+
+    bed = build_ha_testbed(n_backups=1)
+    FleetAggregator(bed.sim, server=bed.server).register(bed.server_transport)
+    registered = {
+        service
+        for _server, transport in bed.members
+        for service in transport._request_handlers
+    }
+    return {
+        *SERVICES, *(row.service for row in OPERATIONS.values()), BATCH_SERVICE, *registered
+    }
+
+
+def test_every_service_on_the_wire_is_in_the_dictionary():
+    """A service added in ``core/`` (or a replication or telemetry
+    service) without a shape here would deflate from scratch.  The
+    dictionary is a literal of ``net/``, which imports nothing of
+    ``core/``; this test ties the two."""
+    services = _services_on_the_wire()
+    assert {"rover.ha.replicate", "rover.ha.poll", "rover.ha.sync", "rover.telemetry"} <= services
+    missing = sorted(s for s in services if marshal(s) not in DEFLATE_DICTIONARY)
+    assert missing == []

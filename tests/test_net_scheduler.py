@@ -114,10 +114,13 @@ def test_retransmission_across_outages():
         policy=policy, spec=slow, base_backoff=0.2
     )
     replies = []
-    # ~60-byte envelope -> 0.6 s serialization > 0.5 s up window: the
-    # first attempt always dies; success requires retry luck with
-    # queueing phase, so give it a payload that fits after backoff.
-    scheduler.submit(b, "echo", {}, on_reply=into(replies))
+    # ~65 bytes on the line -> 0.65 s serialization > 0.5 s up window:
+    # the first attempt always dies; success requires retry luck with
+    # queueing phase.  The body is noise, which deflate cannot shrink
+    # (with an empty body the envelope deflates against the protocol
+    # dictionary to 0.34 s, which fits the window).
+    noise = random.Random(7).randbytes(24)
+    scheduler.submit(b, "echo", {"blob": noise}, on_reply=into(replies))
     sim.run(until=60)
     assert scheduler.retransmissions >= 1
     assert len(replies) <= 1

@@ -80,6 +80,25 @@ def test_call_on_down_link_raises_immediately():
         ta.call(b, "echo", {}, lambda v: None, lambda e: None)
 
 
+def test_a_call_whose_request_the_codec_refuses_raises_and_leaves_nothing_pending():
+    """A request body the codec refuses (text with a lone surrogate) is
+    raised to the caller as it is; the call is forgotten with its timer,
+    so no callback runs for it later and the simulator has nothing left
+    to do."""
+    from repro.net.message import MarshalError
+
+    sim, net, a, b, link, ta, tb = make_pair()
+    served = []
+    tb.register("echo", lambda body, src: served.append(body) or body)
+    outcomes = []
+    with pytest.raises(MarshalError):
+        ta.call(b, "echo", {"t": "\ud800"}, outcomes.append, outcomes.append)
+    assert ta._pending_calls == {}
+    sim.run()
+    assert outcomes == [] and served == []
+    assert sim.now == 0.0
+
+
 def test_timeout_fires_when_reply_lost():
     # Link stays up long enough for the request to arrive (and the
     # server to start its reply) but drops while the reply is on the
@@ -424,11 +443,16 @@ def test_hostile_coalesced_frames_never_escape_the_transport(body):
 
 @st.composite
 def _mutated_compressed_frames(draw):
+    """A ``Z`` frame of either kind a receiver reads, deflated against
+    the preset dictionary or (as senders before it wrote them) with
+    none, then damaged in up to three places."""
     import zlib
 
     from repro.net.message import marshal
+    from repro.net.transport import deflate
 
-    stream = bytearray(zlib.compress(marshal(draw(_batch_body)), 6))
+    raw = marshal(draw(_batch_body))
+    stream = bytearray(deflate(raw) if draw(st.booleans()) else zlib.compress(raw, 6))
     for __ in range(draw(st.integers(0, 3))):
         index = draw(st.integers(0, len(stream) - 1))
         action = draw(st.sampled_from(["flip", "delete", "insert"]))

@@ -7,19 +7,24 @@ frames) and prints one row per frame the drain put on the link, both
 ways, in the order they were sent: the virtual send and arrival times,
 the direction, the service (a coalesced frame's member services in
 brackets; a reply is named after the request it answers), the members,
-the payload's raw bytes (marshalled and sealed) and its bytes on the
-wire (after the deflate).  Then a total, and E14's own row for the
-cell.  It shows the traffic a frame budget change moves; it reports
-and gates nothing::
+the payload's raw bytes (marshalled and sealed), the bytes the same
+frame would take deflated with no preset dictionary (``plain_B``: a
+frame that left raw is its raw bytes) and its bytes on the wire (after
+the deflate against ``DEFLATE_DICTIONARY``).  Then a total per service
+and one over all, and E14's own row for the cell.  It shows the traffic
+a frame budget or dictionary change moves; it reports and gates
+nothing::
 
     PYTHONPATH=src python tools/frames.py
 """
 
+import zlib
+
 from repro.bench.experiments import _e14_one
 from repro.net.link import CSLIP_14_4
-from repro.net.message import marshalled_size
+from repro.net.message import marshal
 from repro.net.simnet import Link
-from repro.net.transport import BATCH_SERVICE, FRAMING_BYTES, Transport
+from repro.net.transport import BATCH_SERVICE, DEFLATE_LEVEL, FRAMING_BYTES, Transport
 
 #: E14 reconnects at t = 1000 s; frames sent before ``WARM_UP_S`` are
 #: the connected warm-up, which E14's byte count leaves out too.
@@ -64,23 +69,41 @@ def _describe(value, services: dict) -> tuple[str, int]:
     return services[value["id"]], len(body["requests"])
 
 
+def _plain(raw: bytes, wire: int) -> int:
+    """The bytes a frame would take deflated with no dictionary: the
+    same rule as the transport's, a deflate kept only if it is smaller;
+    a frame that left raw (``wire`` is its raw size) stays raw."""
+    if wire == FRAMING_BYTES + len(raw):
+        return wire
+    return FRAMING_BYTES + min(len(raw), len(zlib.compress(raw, DEFLATE_LEVEL)))
+
+
 def main() -> None:
     frames = _record()
     row = _e14_one(CSLIP_14_4, compaction=True, delta_shipping=True, coalesce=True)
     services: dict = {}
-    header = ("sent_s", "arrives_s", "from", "to", "service", "members", "raw_B", "wire_B")
-    print("{:>10} {:>10} {:>8} {:>8}  {:<40} {:>7} {:>7} {:>7}".format(*header))
-    totals = [0, 0, 0, 0]
+    columns = ("frames", "members", "raw_B", "plain_B", "wire_B")
+    header = ("sent_s", "arrives_s", "from", "to", "service", *columns[1:])
+    line = "{:>10} {:>10} {:>8} {:>8}  {:<40} {:>7} {:>7} {:>7} {:>7}"
+    print(line.format(*header))
+    per_service: dict = {}
     for sent, arrives, src, dst, value, wire in frames:
         service, members = _describe(value, services)
         if sent < WARM_UP_S:
             continue
-        raw = FRAMING_BYTES + marshalled_size(value)
-        print(f"{sent:>10.3f} {arrives:>10.3f} {src:>8} {dst:>8}  {service:<40} "
-              f"{members:>7} {raw:>7} {wire:>7}")
-        for index, amount in enumerate((1, members, raw, wire)):
+        raw = marshal(value)
+        amounts = (1, members, FRAMING_BYTES + len(raw), _plain(raw, wire), wire)
+        print(line.format(f"{sent:.3f}", f"{arrives:.3f}", src, dst, service, *amounts[1:]))
+        totals = per_service.setdefault(service, [0] * len(amounts))
+        for index, amount in enumerate(amounts):
             totals[index] += amount
-    print(f"{totals[0]} frames, {totals[1]} members, {totals[2]} B raw, {totals[3]} B on the wire")
+    total_line = "{:<40}" + " {:>7}" * len(columns)
+    print()
+    print(total_line.format("service", *columns))
+    for service, totals in sorted(per_service.items()):
+        print(total_line.format(service, *totals))
+    overall = [sum(column) for column in zip(*per_service.values())] or [0] * len(columns)
+    print(total_line.format("total", *overall))
     print(f"E14 {row['link']} {row['config']}: queued {row['queued_at_reconnect']}, "
           f"bytes_wire {row['bytes_wire']} (link headers included), drain {row['drain_s']} s")
 
