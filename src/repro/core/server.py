@@ -34,6 +34,7 @@ from repro.core.interpreter import SafeInterpreter
 from repro.core.rdo import RDO, ExecutionCostModel, RDOError, RDOInterface, RDOVerificationError
 from repro.net.simnet import Address, LinkDown
 from repro.lint.contracts import replay_pure
+from repro.net import shape
 from repro.net.message import (
     MarshalError, Premarshalled, marshal, marshalled_size, same_encoding, unmarshal,
 )
@@ -64,10 +65,8 @@ def _detached(value: Any) -> Any:
 _Split = Optional[tuple[str, int]]
 
 
-def _split_request_id(request_id: Any) -> _Split:
+def _split_request_id(request_id: str) -> _Split:
     """``(client id-prefix, counter)`` of a ``<prefix>/<counter>`` id."""
-    if not isinstance(request_id, str):
-        return None
     prefix, sep, tail = request_id.rpartition("/")
     if not sep:
         return None
@@ -172,43 +171,6 @@ class ObjectEntry:
         self.wire = wire
         self.history = history
         self.committed: Optional[OrderedDict[str, dict]] = None
-
-
-def _pairs(value: Any, first: type, second: Optional[type] = None) -> bool:
-    """Whether ``value`` is a list of two-item lists (or tuples) whose
-    first item is a ``first`` and, given ``second``, whose second one is."""
-    return type(value) in (list, tuple) and all(
-        type(pair) in (list, tuple) and len(pair) == 2 and type(pair[0]) is first
-        and (second is None or type(pair[1]) is second)
-        for pair in value
-    )
-
-
-def _mergeable(subset: Any, deletions: Any, locks: Any) -> bool:
-    """Whether :meth:`RoverServer.merge_subset` can take a peer's answer
-    whole: each part of the shape :meth:`RoverServer.sync_answer` makes,
-    every version an ``int`` and every stored wire a dict with ``data``."""
-    if type(subset) is not dict or type(deletions) is not list:
-        return False
-    store = subset.get("store", {})
-    histories = subset.get("history", {})
-    committed = subset.get("committed_replies", {})
-    return (
-        type(store) is dict and type(histories) is dict and type(committed) is dict
-        and all(
-            type(urn) is str and type(held) in (list, tuple) and len(held) == 2
-            and type(held[0]) is dict and "data" in held[0] and type(held[1]) is int
-            for urn, held in store.items()
-        )
-        and all(_pairs(history, int) for history in histories.values())
-        and all(_pairs(entries, str, dict) for entries in committed.values())
-        and all(type(urn) is str for urn in deletions)
-        and (locks is None or type(locks) is list and all(
-            type(lock) in (list, tuple) and len(lock) == 3 and type(lock[0]) is str
-            and type(lock[1]) is str and type(lock[2]) in (int, float)
-            for lock in locks
-        ))
-    )
 
 
 class RoverServer:
@@ -413,7 +375,8 @@ class RoverServer:
         (a list of URNs) and, given its ``locks`` (``[urn, holder,
         expires]`` each), taking its lock table.  False, with nothing
         changed, when any part is not of the shape :meth:`sync_answer`
-        makes (:func:`_mergeable`): the answer is taken whole or not at all.
+        makes (:data:`repro.net.shape.MERGE`): the answer is taken whole
+        or not at all.
 
         Used when a crashed (or deposed) replica rejoins: each differing
         object's entry is replaced by the primary's (:meth:`install`),
@@ -424,7 +387,7 @@ class RoverServer:
         deleted, entry and all.  The volatile applied cache is cleared:
         it may describe a divergent history that never reached quorum.
         """
-        if not _mergeable(subset, deletions, locks):
+        if not shape.fits([subset, deletions, locks], shape.MERGE):
             return False
         for urn in sorted(set(deletions)):
             self.objects.pop(urn, None)
@@ -501,28 +464,16 @@ class RoverServer:
             write["ackw"] = body["ackw"]
         return write
 
-    def install_write(self, write: Any) -> bool:
-        """Install a :meth:`write_set` shipped by the primary.  False,
-        with nothing changed, when it is not a well-formed write set or
-        its version does not follow the one held (:meth:`install`)."""
-        if not isinstance(write, dict):
-            return False
+    def install_write(self, write: dict) -> bool:
+        """Install a :meth:`write_set` shipped by the primary, one that
+        fits :data:`repro.net.shape.WRITE`.  False, with nothing changed,
+        when a committer entry comes without its reply, a version or a
+        lease without its URN, or the version does not follow the one
+        held (:meth:`install`)."""
         urn, lock, ackw = write.get("urn"), write.get("lock"), write.get("ackw")
         request_id = write.get("request_id")
-        if (
-            ("version" in write or "lock" in write) and type(urn) is not str
-            or lock is not None and not (
-                type(lock) is list and len(lock) == 2
-                and type(lock[0]) is str and type(lock[1]) in (int, float)
-            )
-            or ackw is not None and not (
-                type(ackw) is list and len(ackw) == 2
-                and type(ackw[0]) is str and type(ackw[1]) is int
-            )
-            or request_id is not None and not (
-                type(request_id) is str and type(write.get("reply")) is dict
-            )
-        ):
+        if (request_id is not None and "reply" not in write
+                or urn is None and ("version" in write or "lock" in write)):
             return False
         if "version" in write:
             if not self.install(
@@ -669,18 +620,17 @@ class RoverServer:
         self.applied_pruned += self._applied.put(request_id, split, reply, self.APPLIED_CACHE_CAP)
         return reply
 
-    def _observe_watermark(self, body: Any) -> None:
+    def _observe_watermark(self, body: dict) -> None:
         """Prune settled at-most-once entries for the sending client.
 
-        The envelope's ``ackw`` is ``[id_prefix, counter]``: every
-        request id with that prefix and a lower counter has had its
-        reply processed and acknowledged client-side, so it can never
-        be retransmitted — its cached reply is dead weight.
+        The envelope's ``ackw`` (a list, if ``body`` fits its shape) is
+        ``[id_prefix, counter]``: every request id with that prefix and a
+        lower counter has had its reply processed and acknowledged
+        client-side, so it can never be retransmitted — its cached reply
+        is dead weight.
         """
-        if not isinstance(body, dict):
-            return
         ackw = body.get("ackw")
-        if type(ackw) is not list or [*map(type, ackw)] != [str, int]:
+        if ackw is None or [*map(type, ackw)] != [str, int]:
             return  # not a watermark: it licenses nothing
         prefix, watermark = ackw
         if self._client_watermarks.get(prefix, -1) >= watermark:
@@ -692,7 +642,10 @@ class RoverServer:
     def _authorized(self, body: Any) -> bool:
         if self.auth_tokens is None:
             return True
-        ok = isinstance(body, dict) and body.get("auth") in self.auth_tokens
+        # Read before the body's shape is checked: a token that is not
+        # text is no token (an unhashable one would raise at ``in``).
+        token = body.get("auth") if isinstance(body, dict) else None
+        ok = type(token) is str and token in self.auth_tokens
         if not ok:
             self.auth_rejections += 1
         return ok
@@ -705,33 +658,43 @@ class RoverServer:
         one door of every client service.
 
         A read is counted on entry, a refused one too; then the
-        credential is checked.  A service applied at most once is
-        guarded next: the sender's ack watermark, the reply the request
-        already has (or the watermark's floor), then the committer index
-        (a write whose cached reply was evicted or lost in a restart gets
-        its original reply, with nothing applied again: answered from
-        current state it could be re-negotiated into a manufactured
-        conflict, and a "resolved" reply carries a merged value the
-        client must still apply).  A handler that raises is answered
-        ``{"status": "error", "error": "<Type>: <message>"}``, a status
-        like any other.  The handler's reply, or a :class:`DelayedReply`'s
-        body, is kept unless it is the one refusal the same request may retry.
+        credential is checked, then the body against its service's
+        shape (:mod:`repro.net.shape`): one that does not fit is answered
+        ``error`` with nothing changed and nothing kept, and a handler
+        reads its fields without a type test.  A service applied at most
+        once is guarded next: the sender's ack watermark, the reply the
+        request already has (or the watermark's floor), then the
+        committer index (a write whose cached reply was evicted or lost
+        in a restart gets its original reply, with nothing applied
+        again: answered from current state it could be re-negotiated
+        into a manufactured conflict, and a "resolved" reply carries a
+        merged value the client must still apply).  A handler that
+        raises is answered ``{"status": "error", "error": "<Type>:
+        <message>"}``, a status like any other.  The handler's reply, or
+        a :class:`DelayedReply`'s body, is kept unless it is the one
+        refusal the same request may retry.
         """
-        handler, read, retryable = SERVICES[service]
+        handler, read, retryable, fields = SERVICES[service]
         if read:
             self.reads_served += 1
         if self.auth_tokens is not None and not self._authorized(body):
             return {"status": "unauthorized"}
+        # The shape's whole check, inline: every service's shape is flat.
+        if not (
+            type(body) is dict
+            and fields.pairs.issuperset(zip(body, map(type, body.values())))
+            and fields.required <= body.keys()
+        ):
+            return error_answer(ValueError(f"a {service} body of another shape"))
         request_id = None
         if retryable is not None:
             self._observe_watermark(body)
-            request_id = body.get("request_id") if isinstance(body, dict) else None
+            request_id = body.get("request_id")
         if request_id is not None:
             cached, split = self._cached_reply(request_id)
             if cached is not None:
                 return cached
-            urn = body.get("urn")
-            entry = self.objects.get(urn) if type(urn) is str else None
+            entry = self.objects.get(body.get("urn"))
             committed = entry.committed if entry is not None else None
             if committed and request_id in committed:
                 self.duplicates_suppressed += 1
@@ -758,8 +721,6 @@ class RoverServer:
         have = body.get("have_version")
         if have is None:
             return full
-        if type(have) is not int:
-            raise TypeError(f"have_version={have!r:.60}")
         # Warm re-import: the client still holds `have` — answer with a
         # structural delta against it when that is actually smaller.
         # The delta covers only the data (code/interface are immutable
@@ -789,8 +750,6 @@ class RoverServer:
     def _on_export(self, body: Any, source: Address) -> Any:
         urn = body["urn"]
         base_version = body.get("base_version", 0)
-        if type(base_version) is not int:
-            raise TypeError(f"base_version={base_version!r:.60}")
         client_data = body.get("data") if "delta" in body else body["data"]
         client_raw = None
         entry = self.objects.get(urn)
@@ -1013,11 +972,9 @@ class RoverServer:
         that disconnects forever cannot wedge the object: a lease that
         is not a finite number of seconds above zero never would (or
         would be granted already over), so it is refused, and nothing
-        changes.  So is a URN or a session that is not text.
+        changes.
         """
         urn, session = body["urn"], body.get("session", "")
-        if type(urn) is not str or type(session) is not str:
-            raise TypeError(f"urn={urn!r:.60}, session={session!r:.60}")
         lease_s = body.get("lease_s", 300.0)
         try:
             lease_s = float(lease_s) if type(lease_s) in (int, float) else math.nan
@@ -1036,8 +993,6 @@ class RoverServer:
     @replay_pure
     def _on_unlock(self, body: Any, source: Address) -> Any:
         urn, session = body["urn"], body.get("session", "")
-        if type(urn) is not str or type(session) is not str:
-            raise TypeError(f"urn={urn!r:.60}, session={session!r:.60}")
         holder = self._lock_holder(urn)
         if holder is not None and holder != session:
             return {"status": "not-holder", "holder": holder}
@@ -1061,11 +1016,7 @@ class RoverServer:
         link to the subscriber is up (a disconnected client learns of
         changes by re-importing, as the paper intends).
         """
-        host_name = source[0]
-        prefix = body.get("prefix", "")
-        if type(prefix) is not str:
-            raise TypeError(f"prefix={prefix!r:.60}")
-        self._subscriptions.setdefault(host_name, set()).add(prefix)
+        self._subscriptions.setdefault(source[0], set()).add(body.get("prefix", ""))
         return {"status": "ok"}
 
     def _notify_subscribers(
@@ -1090,24 +1041,25 @@ class RoverServer:
                 pass  # best-effort; the client will poll or re-import
 
 
-#: The client services, each ``service: (handler, read, retryable)``.
-#: ``read``: counted in ``reads_served`` on entry (:mod:`repro.ha` sorts a
-#: request by that count; an invoke counts itself once a read-only method
-#: ran).  ``retryable`` is ``None`` for a service not applied at most
+#: The client services, each ``service: (handler, read, retryable,
+#: shape)``.  ``read``: counted in ``reads_served`` on entry (:mod:`repro.ha`
+#: sorts a request by that count; an invoke counts itself once a read-only
+#: method ran).  ``retryable`` is ``None`` for a service not applied at most
 #: once; otherwise the one refusal the door does not keep, because the
 #: same request may retry it ("" for none): a delta export's ``need-full``
 #: asks for the full data, and a lock denial is re-evaluated on retry.
 #: Every other answer is kept, a handler's ``error`` too: it is the
 #: request's own, and a retransmit gets it again without a second run.
+#: ``shape``: what its body may hold (flat, :mod:`repro.net.shape`).
 SERVICES = {
-    "rover.import": (RoverServer._on_import, True, None),
-    "rover.export": (RoverServer._on_export, False, "need-full"),
-    "rover.invoke": (RoverServer._on_invoke, False, ""),
-    "rover.ship": (RoverServer._on_ship, True, ""),
-    "rover.list": (RoverServer._on_list, True, None),
-    "rover.subscribe": (RoverServer._on_subscribe, True, None),
-    "rover.lock": (RoverServer._on_lock, False, "locked"),
-    "rover.unlock": (RoverServer._on_unlock, False, ""),
+    "rover.import": (RoverServer._on_import, True, None, shape.IMPORT),
+    "rover.export": (RoverServer._on_export, False, "need-full", shape.EXPORT),
+    "rover.invoke": (RoverServer._on_invoke, False, "", shape.INVOKE),
+    "rover.ship": (RoverServer._on_ship, True, "", shape.SHIP),
+    "rover.list": (RoverServer._on_list, True, None, shape.LIST),
+    "rover.subscribe": (RoverServer._on_subscribe, True, None, shape.SUBSCRIBE),
+    "rover.lock": (RoverServer._on_lock, False, "locked", shape.LOCK),
+    "rover.unlock": (RoverServer._on_unlock, False, "", shape.UNLOCK),
 }
 
 #: Port clients listen on for server-initiated invalidations.

@@ -74,6 +74,7 @@ from typing import Any, Callable, Optional
 
 from repro.core.server import SERVICES, RoverServer
 from repro.lint.contracts import replay_pure
+from repro.net import shape
 from repro.net.message import Premarshalled
 from repro.net.scheduler import MOVED, NO_PROGRESS
 from repro.net.simnet import Address, Host
@@ -193,20 +194,10 @@ class ReplicaSet:
         return NO_PROGRESS
 
 
-def _rank(member: dict) -> Optional[tuple[int, int]]:
-    """Election rank a poll or its answer reports: most applied, then
-    lowest index; None when either is not an integer (no member sends
-    that: the message is refused)."""
-    seq, index = member.get("seq", -1), member.get("index", 0)
-    if type(seq) is int and type(index) is int:
-        return seq, -index
-    return None
-
-
-def _refused(reply: dict) -> bool:
-    """A poll answer whose rank or epoch is not an integer: it grants,
-    objects to and reports nothing, like no answer."""
-    return _rank(reply) is None or type(reply.get("epoch", 0)) is not int
+def _answers(replies: list[Any]) -> list[dict]:
+    """The poll answers among ``replies`` that fit their shape: one that
+    does not grants, objects to and reports nothing, like no answer."""
+    return [reply for reply in replies if shape.fits(reply, shape.POLL_ANSWER)]
 
 
 class ReplicaAgent:
@@ -609,14 +600,16 @@ class ReplicaAgent:
         previous reign's frame confirms nothing, nor does one from a
         peer standing for a newer epoch (it acks with that epoch).
         """
-        if not isinstance(reply, dict):
-            return
-        if reply.get("status") == "stale-epoch":
-            self._deposed(reply)
-            return
-        acked, their_epoch = reply.get("ack_seq", -1), reply.get("epoch", -1)
-        if type(acked) is not int or type(their_epoch) is not int:
-            return  # no member answers so: refused
+        ack = shape.ACK  # flat, and on every ship's path: checked inline
+        if not (
+            type(reply) is dict
+            and ack.pairs.issuperset(zip(reply, map(type, reply.values())))
+            and ack.required <= reply.keys()
+        ):
+            if shape.fits(reply, shape.STALE) and reply["status"] == "stale-epoch":
+                self._deposed(reply)
+            return  # an answer of no other shape: refused
+        acked, their_epoch = reply["ack_seq"], reply["epoch"]
         moved = acked > peer["acked_seq"]
         if moved:
             peer["acked_seq"] = acked
@@ -640,14 +633,13 @@ class ReplicaAgent:
             self._check_waiters()
 
     def _deposed(self, reply: dict) -> None:
-        """A higher epoch exists: step down and reconcile (not on the
-        word of a reply whose epoch is not an integer)."""
-        epoch = reply.get("epoch", self.epoch)
-        if self.role != "primary" or type(epoch) is not int:
+        """A higher epoch exists (``reply`` fits :data:`~repro.net.shape.STALE`):
+        step down and reconcile."""
+        if self.role != "primary":
             return
         self.role = "backup"
-        self.epoch = max(self.epoch, epoch)
-        self.primary_name = str(reply.get("primary") or "")
+        self.epoch = max(self.epoch, reply["epoch"])
+        self.primary_name = reply["primary"]
         self.last_heard = self.sim.now
         self._end_reign()
         self._needs_sync = True
@@ -658,42 +650,19 @@ class ReplicaAgent:
     def _on_replicate(self, body: Any, source: Address) -> Any:
         """Install the primary's records in sequence; a gap (in them, or
         the one a ``gap`` frame reports: the primary's log no longer
-        covers it) and a record that does not install are for anti-entropy."""
-        epoch, commit_seq = body.get("epoch", 0), body.get("commit_seq", self._primary_seq)
-        if type(epoch) is not int or type(commit_seq) is not int:
-            return error_answer(ValueError("replicate frame: epoch or commit_seq not an integer"))
-        verdict = self._observe_authority(epoch, str(body.get("primary", "")))
-        if verdict is not None:
-            return verdict
-        gap = "gap" in body
-        self._primary_seq = commit_seq
-        for record in body.get("records", []):
-            seq = record.get("seq") if isinstance(record, dict) else None
-            if type(seq) is not int:
-                self.records_refused += 1  # as one that does not install
-                gap = True
-                break
-            if seq <= self.seq:
-                continue  # duplicate delivery
-            if seq != self.seq + 1 or not self._apply(record):
-                gap = True  # missing prefix or refused: only anti-entropy can heal
-                break
-        if gap and not self._needs_sync:
-            self._needs_sync = True
-            self.sim.schedule(0.0, self._start_sync)
-        # A candidate still standing may yet win: its ack renews no
-        # lease of the reign it is trying to end.
-        return {"ack_seq": self.seq, "epoch": max(self.epoch, self._standing)}
+        covers it) and a record that does not fit or install are for
+        anti-entropy.  A frame that does not fit its shape is answered
+        ``error``, with nothing changed.
 
-    def _observe_authority(self, epoch: int, primary: str) -> Optional[dict]:
-        """Common epoch fence for primary-originated frames.
-
-        Returns the rejection reply for stale frames -- from below this
-        member's epoch, or below one it granted -- and None to proceed.
-        Adopting a higher epoch demotes this member if it believed
-        itself primary (it lost a partition race) and marks it for
-        anti-entropy, since its un-replicated suffix may diverge.
-        """
+        The epoch fence comes first: a frame from below this member's
+        epoch, or below one it granted, is refused ``stale-epoch``.  A
+        higher epoch, or another primary, is adopted; a member that
+        believed itself primary (it lost a partition race) is demoted and
+        marked for anti-entropy, since its un-replicated suffix may
+        diverge."""
+        if not shape.fits(body, shape.REPLICATE):
+            return error_answer(ValueError("a replicate frame of another shape"))
+        epoch, primary = body["epoch"], body["primary"]
         if epoch < self.epoch or epoch < self._granted:
             self.stale_epoch_rejected += 1
             return {"status": "stale-epoch", "epoch": self.epoch, "primary": self.primary_name}
@@ -707,28 +676,42 @@ class ReplicaAgent:
                 self._needs_sync = True
                 self.sim.schedule(0.0, self._start_sync)
         self.last_heard = self.sim.now
-        return None
-
-    def _apply(self, record: dict) -> bool:
-        """Install one shipped record's write set; refuse one that does
-        not install here (counted), with nothing changed."""
-        if not self.server.install_write(record.get("write")):
-            self.records_refused += 1
-            return False
-        self.seq = self.base_seq = record["seq"]  # a backup keeps no log
-        self.records_applied += 1
-        return True
+        gap = "gap" in body
+        self._primary_seq = body.get("commit_seq", self._primary_seq)
+        for record in body.get("records", ()):
+            if not shape.fits(record, shape.RECORD):
+                self.records_refused += 1  # as one that does not install
+                gap = True
+                break
+            seq = record["seq"]
+            if seq <= self.seq:
+                continue  # duplicate delivery
+            if seq != self.seq + 1:
+                gap = True  # missing prefix: only anti-entropy can heal
+                break
+            if not self.server.install_write(record["write"]):
+                self.records_refused += 1
+                gap = True
+                break
+            self.seq = self.base_seq = seq  # a backup keeps no log
+            self.records_applied += 1
+        if gap and not self._needs_sync:
+            self._needs_sync = True
+            self.sim.schedule(0.0, self._start_sync)
+        # A candidate still standing may yet win: its ack renews no
+        # lease of the reign it is trying to end.
+        return {"ack_seq": self.seq, "epoch": max(self.epoch, self._standing)}
 
     def _on_poll(self, body: Any, source: Address) -> Any:
-        """Answer an election poll: rank, epoch, and freshness."""
-        proposed = body.get("proposed", 0)
+        """Answer an election poll: rank, epoch, and freshness.  A poll
+        that does not fit its shape is granted nothing."""
         heard = self._hears_primary()
         floor = max(self.epoch, self.promised)
-        granted = type(proposed) is int and not heard and (
-            proposed > floor or self._yields_to(body, proposed)
+        granted = shape.fits(body, shape.POLL) and not heard and (
+            body["proposed"] > floor or self._yields_to(body, body["proposed"])
         )
         if granted:
-            self.promised = self._granted = proposed
+            self.promised = self._granted = body["proposed"]
         return {
             "seq": self.seq,
             "index": self.index,
@@ -737,7 +720,7 @@ class ReplicaAgent:
             "granted": granted,
         }
 
-    def _yields_to(self, poll: Any, proposed: int) -> bool:
+    def _yields_to(self, poll: dict, proposed: int) -> bool:
         """Two candidates whose polls crossed proposed the same epoch:
         the lower-ranked one closes its own poll and votes for the other.
 
@@ -749,8 +732,7 @@ class ReplicaAgent:
         """
         if proposed != self._standing or proposed != self.promised:
             return False
-        rank = _rank(poll)
-        if rank is None or rank <= (self.seq, -self.index):
+        if (poll["seq"], -poll["index"]) <= (self.seq, -self.index):
             return False
         self._standing = 0
         return True
@@ -778,11 +760,11 @@ class ReplicaAgent:
         election = self._election
         proposed = max(self.epoch, self.promised) + 1
         self.promised = self._standing = proposed
-        replies: list[dict] = []
+        replies: list[Any] = []
         polled = 0
 
         def on_reply(reply: Any) -> None:
-            replies.append(reply if isinstance(reply, dict) else {})
+            replies.append(reply)
             if len(replies) == polled or self._wins(proposed, replies):
                 self._decide_election(proposed, replies, election)
 
@@ -802,23 +784,23 @@ class ReplicaAgent:
             election,
         )
 
-    def _wins(self, proposed: int, replies: list[dict]) -> bool:
-        """A majority granted ``proposed`` and no reply objects to it."""
-        my_rank = (self.seq, -self.index)
+    def _wins(self, proposed: int, replies: list[Any]) -> bool:
+        """A majority granted ``proposed`` and no reply objects to it (one
+        that does not fit :data:`~repro.net.shape.POLL_ANSWER` grants,
+        objects to and reports nothing, like no answer)."""
+        my_rank = (self.seq, -self.index)  # most applied, then lowest index
         votes = 1
-        for reply in replies:
-            if _refused(reply):
-                continue
-            if reply.get("heard") or _rank(reply) > my_rank:
+        for reply in _answers(replies):
+            if reply["heard"] or (reply["seq"], -reply["index"]) > my_rank:
                 return False
-            if reply.get("granted"):
+            if reply["granted"]:
                 votes += 1
-            elif reply.get("epoch", 0) >= proposed:
+            elif reply["epoch"] >= proposed:
                 return False
         return votes > len(self.group.agents) // 2
 
     def _decide_election(
-        self, proposed: int, replies: list[dict], election: int
+        self, proposed: int, replies: list[Any], election: int
     ) -> None:
         """Close poll number ``election`` — once: a later answer to it,
         or its timer firing after a newer poll began (or after a crash
@@ -828,7 +810,7 @@ class ReplicaAgent:
         self._standing = 0
         if self._wins(proposed, replies):
             self._promote(proposed, replies)
-        elif any(reply.get("heard") for reply in replies):
+        elif any(reply["heard"] for reply in _answers(replies)):
             # Someone still hears the primary: not a failure, a
             # partition on our side.  Hold off and stand down — on a
             # *separate* clock: resetting ``last_heard`` here would
@@ -841,11 +823,9 @@ class ReplicaAgent:
             # retry later with a higher proposal (next tick).  Otherwise
             # a better-positioned peer will win its own election, or no
             # majority is reachable: stay a backup (CP choice).
-            self.promised = max(
-                [self.promised, *(r.get("epoch", 0) for r in replies if not _refused(r))]
-            )
+            self.promised = max([self.promised, *(r["epoch"] for r in _answers(replies))])
 
-    def _promote(self, new_epoch: int, replies: list[dict]) -> None:
+    def _promote(self, new_epoch: int, replies: list[Any]) -> None:
         self.epoch = new_epoch
         self.role = "primary"
         self.primary_name = self.host.name
@@ -856,11 +836,7 @@ class ReplicaAgent:
         # starts empty at this member's seq (a backup keeps none), so a
         # peer that reported less, or did not answer (the dead primary),
         # is sent a gap frame (anti-entropy) rather than records.
-        reported = {
-            reply.get("index", -1): reply.get("seq", -1)
-            for reply in replies
-            if not _refused(reply)
-        }
+        reported = {reply["index"]: reply["seq"] for reply in _answers(replies)}
         for peer in self.peers:
             peer["acked_seq"] = reported.get(peer["index"], -1)
             peer["confirmed"] = -math.inf  # the lease starts with this reign
@@ -893,9 +869,8 @@ class ReplicaAgent:
             self._syncing = False
             if not self._alive(incarnation):
                 return
-            if not isinstance(reply, dict) or reply.get("status") != "ok":
-                return  # primary moved again; the tick retries
-            self._adopt_sync(reply)
+            if isinstance(reply, dict) and reply.get("status") == "ok":
+                self._adopt_sync(reply)  # else the primary moved again; the tick retries
 
         def on_error(error: RpcError) -> None:
             self._syncing = False  # the tick retries
@@ -905,17 +880,12 @@ class ReplicaAgent:
     def _adopt_sync(self, reply: dict) -> None:
         """Install the primary's anti-entropy answer (its differing
         objects and its lock table) and resume at its ``seq``.  An answer
-        any part of which is malformed is refused whole and counted:
-        nothing changes, and the member still needs a sync (the tick
-        asks again)."""
-        seq = reply.get("seq", self.seq)
-        epoch = reply.get("epoch", self.epoch)
-        primary = reply.get("primary", self.primary_name)
+        any part of which does not fit its shape is refused whole and
+        counted: nothing changes, and the member still needs a sync (the
+        tick asks again)."""
         if not (
-            type(seq) is int and type(epoch) is int and type(primary) is str
-            and self.server.merge_subset(
-                reply.get("subset", {}), reply.get("deletions", []), reply.get("locks", [])
-            )
+            shape.fits(reply, shape.SYNC_ANSWER)
+            and self.server.merge_subset(reply["subset"], reply["deletions"], reply["locks"])
         ):
             # Registered at the first: a member never refused an answer
             # holds no family for it.
@@ -925,22 +895,24 @@ class ReplicaAgent:
                 labelnames=("authority", "host"),
             ).labels(authority=self.server.authority, host=self.host.name).inc()
             return
-        self.seq = seq
-        self.base_seq = seq
+        self.seq = self.base_seq = reply["seq"]
         self.log = []
-        self.epoch = max(self.epoch, epoch)
-        self.primary_name = primary
+        self.epoch = max(self.epoch, reply["epoch"])
+        self.primary_name = reply["primary"]
         self.role = "backup"
         self._needs_sync = False
         self.last_heard = self.sim.now
 
     def _on_sync(self, body: Any, source: Address) -> Any:
-        """Serve an anti-entropy request (primary side)."""
+        """Serve an anti-entropy request (primary side); one that does
+        not fit its shape is answered ``error``."""
+        if not shape.fits(body, shape.SYNC):
+            return error_answer(ValueError("a sync request of another shape"))
         if self.role != "primary":
             return {"status": "not-primary", "primary": self.primary_name, "ha_epoch": self.epoch}
         return {
             "status": "ok",
-            **self.server.sync_answer(body.get("vector", {})),
+            **self.server.sync_answer(body["vector"]),
             "seq": self.seq,
             "epoch": self.epoch,
             "primary": self.host.name,

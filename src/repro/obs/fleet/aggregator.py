@@ -37,8 +37,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
+from repro.net import shape
 from repro.net.message import marshalled_size
 from repro.obs import Observatory
 from repro.obs.fleet.sketch import LogSketch
@@ -115,8 +116,12 @@ class WindowRing:
         self.evicted = 0
 
     def slot(self, t: float) -> Optional[Window]:
-        """The window containing time ``t``; ``None`` if out of reach."""
-        index = int(t // self.window_s)
+        """The window containing time ``t``; ``None`` if out of reach (or
+        ``t`` is no time a window holds: not finite, or past a float)."""
+        try:
+            index = int(t // self.window_s)
+        except (OverflowError, ValueError):
+            return None
         if self._hi is not None and index <= self._hi - self.capacity:
             return None
         if self._hi is None or index > self._hi:
@@ -256,29 +261,31 @@ class FleetAggregator:
         transport.register("rover.telemetry", self._on_telemetry)
 
     def _on_telemetry(self, body: dict, source) -> dict:
-        if self.server is not None:
-            if not self.server._authorized(body):
-                return {"status": "unauthorized"}
-            self.server._observe_watermark(body)
+        if self.server is not None and not self.server._authorized(body):
+            return {"status": "unauthorized"}
         # The wire body is the report itself plus envelope fields
         # (request_id, ackw, ...) the report keys don't collide with.
         reply = self.apply_report(body)
+        if self.server is not None and reply["status"] == "ok":
+            self.server._observe_watermark(body)
         self.reply_bytes += marshalled_size(reply)
         return reply
 
     # -- report application ------------------------------------------------------
 
-    def apply_report(self, report: dict) -> dict:
-        client = report.get("c")
-        seq = int(report.get("q", 0))
-        if not client or seq <= 0:
+    def apply_report(self, report: Any) -> dict:
+        """Apply one report; ``malformed``, with nothing changed, when it
+        does not fit :data:`~repro.net.shape.REPORT` or names no client
+        or no positive seq."""
+        if not shape.fits(report, shape.REPORT) or not report["c"] or report["q"] <= 0:
             return {"status": "malformed"}
+        client, seq = report["c"], report["q"]
         state = self.clients.setdefault(client, ClientState(client))
         if state.is_applied(seq):
             state.duplicates += 1
             return {"status": "ok", "seq": seq, "dup": True}
         for wire_id, name in report.get("d", []):
-            state.ids[int(wire_id)] = name
+            state.ids[wire_id] = name
         if self._unresolved(state, report):
             return self._defer(report)
         reply = self._apply(state, report)
@@ -288,7 +295,7 @@ class FleetAggregator:
     def _unresolved(self, state: ClientState, report: dict) -> bool:
         for section in ("k", "h"):
             for wire_id, __ in report.get(section, []):
-                if int(wire_id) not in state.ids:
+                if wire_id not in state.ids:
                     return True
         return False
 
@@ -298,7 +305,7 @@ class FleetAggregator:
             self._deferred_dropped += 1
         self._deferred.append(report)
         self.reports_deferred += 1
-        return {"status": "ok", "seq": int(report["q"]), "deferred": True}
+        return {"status": "ok", "seq": report["q"], "deferred": True}
 
     def _retry_deferred(self) -> None:
         if not self._deferred:
@@ -309,7 +316,7 @@ class FleetAggregator:
             state = self.clients.setdefault(
                 report["c"], ClientState(report["c"])
             )
-            if state.is_applied(int(report["q"])):
+            if state.is_applied(report["q"]):
                 continue
             if self._unresolved(state, report):
                 self._deferred.append(report)
@@ -317,11 +324,10 @@ class FleetAggregator:
                 self._apply(state, report)
 
     def _apply(self, state: ClientState, report: dict) -> dict:
-        seq = int(report["q"])
+        seq = report["q"]
         missing_before = state.missing()
         state.max_seen = max(state.max_seen, seq)
-        folded = [int(s) for s in report.get("f", [])]
-        for covered in folded:
+        for covered in report.get("f", []):
             if not state.is_applied(covered):
                 state.mark_applied(covered)
                 self.reports_folded += 1
@@ -345,7 +351,7 @@ class FleetAggregator:
         state.last_report_at = now
         state.reports_applied += 1
 
-        window = self.ring.slot(float(report.get("t1", now)))
+        window = self.ring.slot(report.get("t1", now))
         if window is None:
             self.late += 1
         else:
@@ -357,8 +363,7 @@ class FleetAggregator:
             client_row["reports"] += 1
 
         for wire_id, delta in report.get("k", []):
-            key = state.ids[int(wire_id)]
-            delta = int(delta)
+            key = state.ids[wire_id]
             state.totals[key] = state.totals.get(key, 0) + delta
             if window is not None:
                 window.counters[key] = window.counters.get(key, 0) + delta
@@ -368,7 +373,7 @@ class FleetAggregator:
                     client_row[family] = client_row.get(family, 0) + delta
 
         for wire_id, wire in report.get("h", []):
-            key = state.ids[int(wire_id)]
+            key = state.ids[wire_id]
             sketch = state.sketches.get(key)
             if sketch is None:
                 state.sketches[key] = LogSketch.from_wire(wire)

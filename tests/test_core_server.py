@@ -525,6 +525,19 @@ def test_a_request_without_a_token_changes_nothing(service):
     assert server.reads_served == reads + SERVICES[service][1]
 
 
+def test_a_token_that_is_not_text_is_refused_as_unauthorized():
+    """The credential is read before the body's shape is checked: a list
+    token raised out of the door (``in`` the set of tokens)."""
+    sim = Simulator()
+    server = RoverServer(sim, Transport(sim, Network(sim).host("server")), "server",
+                         auth_tokens={"secret"})
+    urn = put_items(server)
+    before = door_state(server)
+    body = {"urn": urn, "auth": ["secret"], "request_id": "b/1", "ackw": ["b", 1]}
+    assert server.serve("rover.import", body, SRC) == {"status": "unauthorized"}
+    assert door_state(server) == before and server.auth_rejections == 1
+
+
 def test_a_retransmitted_request_whose_handler_raised_gets_its_error_again_and_runs_once():
     """A handler's exception is answered as a status, ``error``, which
     the door keeps like any reply.  It escaped the door, so the
@@ -584,6 +597,11 @@ LIES = {
     ),
     "ackw counter not a number": (
         "rover.export", {"base_version": 1, "data": ITEMS, "ackw": ["h", "x"]}, "committed"
+    ),
+    "request_id as a list": (
+        "rover.export",
+        {"base_version": 1, "data": ITEMS, "request_id": ["x"], "ackw": ["h", 9]},
+        "error",
     ),
 }
 

@@ -267,6 +267,33 @@ class TestAggregator:
         assert agg.apply_report({})["status"] == "malformed"
         assert agg.apply_report({"c": "x", "q": 0})["status"] == "malformed"
 
+    @pytest.mark.parametrize(
+        "report",
+        [
+            pytest.param({"c": "x", "q": "7"}, id="seq-as-text"),
+            pytest.param({"c": "x", "q": True}, id="seq-as-bool"),
+            pytest.param({"c": "x", "q": 1, "d": [[1, "a"], ["x", "b"]]}, id="definition-id-as-text"),
+            pytest.param({"c": "x", "q": 1, "k": [[1, 2.5]]}, id="counter-delta-as-float"),
+            pytest.param({"c": "x", "q": 1, "f": "2"}, id="folded-not-a-list"),
+        ],
+    )
+    def test_a_report_of_another_shape_is_refused_and_applies_nothing(self, report):
+        """Read with ``int()``, the first two were applied as seqs 7 and 1,
+        and the third left the definition of id 1 behind, then raised."""
+        agg = self._agg()
+        assert agg.apply_report(report) == {"status": "malformed"}
+        assert agg.clients == {} and agg.summary()["deferred_waiting"] == 0
+
+    @pytest.mark.parametrize("t1", [float("inf"), float("nan"), 10**400],
+                             ids=["inf", "nan", "huge-int"])
+    def test_a_report_whose_time_no_window_holds_counts_as_late(self, t1):
+        """``int(t // window_s)`` raised ``ValueError`` or ``OverflowError``
+        out of the aggregator after the report's seq was marked applied."""
+        agg = self._agg()
+        report = {**self._report(1), "t1": t1}
+        assert agg.apply_report(report) == {"status": "ok", "seq": 1}
+        assert agg.late == 1 and agg.client_totals("client-0") == {"x_total": 1}
+
     def test_window_rollups_and_late(self):
         agg = self._agg(window_s=10.0, window_count=3)
         agg.apply_report(self._report(1, t1=5.0))

@@ -1083,6 +1083,8 @@ class TestHostilePeerIntegers:
             pytest.param(lambda frame: frame.update(epoch=str(frame["epoch"])), id="epoch-text"),
             pytest.param(lambda frame: frame.update(epoch=True), id="epoch-bool"),
             pytest.param(lambda frame: frame.update(commit_seq="x"), id="commit-seq-text"),
+            pytest.param(lambda frame: frame.update(records=5), id="records-not-a-list"),
+            pytest.param(lambda frame: frame.update(primary=7), id="primary-not-text"),
         ],
     )
     def test_a_replicate_frame_with_a_non_integer_header_is_refused_whole(self, spoil):

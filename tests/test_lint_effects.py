@@ -631,7 +631,7 @@ class TestTreeGate(unittest.TestCase):
         # ``@replay_pure``, not by a ``register(...)`` call site).
         from repro.core.server import SERVICES
 
-        for name in ("serve", *(handler.__name__ for handler, __, __ in SERVICES.values())):
+        for name in ("serve", *(handler.__name__ for handler, *__ in SERVICES.values())):
             self.assertIn(f"repro/core/server.py:RoverServer.{name}", report.replay_roots)
         self.assertIn(
             "repro/obs/fleet/aggregator.py:FleetAggregator._on_telemetry",

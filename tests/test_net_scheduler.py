@@ -108,22 +108,24 @@ def test_queue_waits_for_link_up():
 
 def test_retransmission_across_outages():
     """A message whose transfer dies mid-flight is retried and succeeds."""
-    policy = PeriodicSchedule(up_duration=0.5, down_duration=2.0)
+    policy = PeriodicSchedule(up_duration=1.5, down_duration=2.0)
     slow = LinkSpec("vslow", bandwidth_bps=800, latency_s=0.01, header_bytes=0)
     sim, net, a, b, link, scheduler, served = make_sched(
         policy=policy, spec=slow, base_backoff=0.2
     )
     replies = []
-    # ~65 bytes on the line -> 0.65 s serialization > 0.5 s up window:
-    # the first attempt always dies; success requires retry luck with
-    # queueing phase.  The body is noise, which deflate cannot shrink
-    # (with an empty body the envelope deflates against the protocol
-    # dictionary to 0.34 s, which fits the window).
+    # ~65 bytes on the line each way -> 0.65 s of serialization.  The body
+    # is noise, which deflate cannot shrink (with an empty body the
+    # envelope deflates against the protocol dictionary to 0.34 s).  Sent
+    # 0.5 s before the first up window closes, the first attempt dies
+    # mid-flight; the next window holds the request and its reply.
     noise = random.Random(7).randbytes(24)
-    scheduler.submit(b, "echo", {"blob": noise}, on_reply=into(replies))
+    sim.schedule(
+        1.0, lambda: scheduler.submit(b, "echo", {"blob": noise}, on_reply=into(replies))
+    )
     sim.run(until=60)
-    assert scheduler.retransmissions >= 1
-    assert len(replies) <= 1
+    assert scheduler.retransmissions == 1
+    assert len(replies) == 1 and scheduler.failed == 0
 
 
 def test_terminal_failure_after_max_attempts():

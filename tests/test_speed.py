@@ -1168,16 +1168,19 @@ def test_a_server_invoke_runs_on_the_stored_object():
 
 
 def test_a_backup_installs_a_record_and_runs_no_handler():
-    """A backup installs a shipped ``bump`` in 8 Python calls: the
-    agent's apply, the write set's check (``install_write``) and its
-    install, the data encoded once (``marshal`` and its walker), then
-    ``_remember``: the version history's private copy (``unmarshal``
-    and its walker) and the committer index; the object's entry is one
-    dict lookup, and the applied count and the client's watermark are
-    raised inline.  The
-    re-run it replaces (the handler, the at-most-once record, a fresh
-    environment, the method) was 27.12 per record on ``ha_failover``.
-    No slack: ``ha_failover`` installs one record per op."""
+    """A backup takes a frame of one shipped ``bump`` in 10 Python calls:
+    the frame's handler, the frame's shape and the record's (one walk
+    each, the write set inside the record's), the write set's install
+    (``install_write`` and ``install``), the data encoded once
+    (``marshal`` and its walker), then ``_remember``: the version
+    history's private copy (``unmarshal`` and its walker) and the
+    committer index; the epoch fence, the object's entry, the applied
+    count and the client's watermark are inline.  Ten before the frame
+    shapes too, when the fence and the apply were calls of their own and
+    the fields were read with type tests.  The re-run it replaces (the
+    handler, the at-most-once record, a fresh environment, the method)
+    was 27.12 per record on ``ha_failover``.  No slack: ``ha_failover``
+    installs one record per op."""
     from repro.ha import build_ha_testbed
 
     bed = build_ha_testbed(n_backups=2)
@@ -1189,7 +1192,10 @@ def test_a_backup_installs_a_record_and_runs_no_handler():
     primary._serve_client("rover.invoke", body, ("client0", 0))
     record = unmarshal(marshal(primary.log[-1]))  # as it arrives: not yet delivered
     assert set(record["write"]) == {"urn", "version", "data", "request_id", "reply", "ackw"}
-    assert _python_calls(backup._apply, record) == 8
+    frame = {"epoch": primary.epoch, "primary": primary.host.name, "records": [record],
+             "commit_seq": record["seq"]}
+    source = (primary.host.name, 0)
+    assert _python_calls(backup._on_replicate, frame, source) == 10
     assert backup.server.get_object(str(urn)).data == {"n": 1} and backup.seq == 1
 
 

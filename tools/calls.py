@@ -25,7 +25,7 @@ call is charged the profiler's call count across it.  The first line
 leaves the wrapper's own calls out, so it reads as without the flag::
 
     PYTHONHASHSEED=0 PYTHONPATH=src:. python tools/calls.py ha_failover \
-        --under repro.ha.group:ReplicaAgent._apply
+        --under repro.ha.group:ReplicaAgent._on_replicate
 
 ``--retained N`` then runs the repeat twice more, under ``tracemalloc``
 and without the profiler, and prints what is live at the timed region's
